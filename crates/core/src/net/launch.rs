@@ -15,7 +15,7 @@
 //! for the set, and decodes rank 0's result file. [`worker_main`] is the
 //! whole worker binary, kept here so it is unit-testable.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::Command;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -294,27 +294,32 @@ pub enum LaunchTransport {
     Tcp { base_port: u16 },
 }
 
-/// Locate the `luqr-worker` binary: `$LUQR_WORKER` first, then walking up
-/// from the current executable (tests live in `target/<profile>/deps/`,
-/// examples in `target/<profile>/examples/`, the binary in
-/// `target/<profile>/`).
+/// Locate the `luqr-worker` binary: `$LUQR_WORKER` first, then the current
+/// executable's own build profile, then the sibling profile.
 pub fn locate_worker() -> Option<PathBuf> {
-    if let Ok(p) = std::env::var("LUQR_WORKER") {
-        let p = PathBuf::from(p);
-        if p.is_file() {
-            return Some(p);
-        }
-    }
-    let exe = std::env::current_exe().ok()?;
-    let mut dir = exe.parent()?;
-    for _ in 0..3 {
-        let cand = dir.join("luqr-worker");
-        if cand.is_file() {
-            return Some(cand);
-        }
-        dir = dir.parent()?;
-    }
-    None
+    let env = std::env::var_os("LUQR_WORKER").map(PathBuf::from);
+    locate_worker_from(env, &std::env::current_exe().ok()?)
+}
+
+/// [`locate_worker`] with its two inputs explicit. Walking up from `exe`
+/// finds the binary of the same profile (tests live in
+/// `target/<profile>/deps/`, examples in `target/<profile>/examples/`, the
+/// binary in `target/<profile>/`). Failing that, a `debug` or `release`
+/// directory on that walk is swapped for the other one: `cargo build
+/// --release && cargo test` builds only `target/release/luqr-worker` and
+/// runs the tests from `target/debug/deps/`.
+fn locate_worker_from(env: Option<PathBuf>, exe: &Path) -> Option<PathBuf> {
+    let walk: Vec<&Path> = exe.ancestors().skip(1).take(3).collect();
+    let sibling = |dir: &&Path| match dir.file_name()?.to_str()? {
+        "debug" => Some(dir.with_file_name("release")),
+        "release" => Some(dir.with_file_name("debug")),
+        _ => None,
+    };
+    let own = walk.iter().map(|d| d.to_path_buf());
+    let other = walk.iter().filter_map(sibling);
+    env.into_iter()
+        .chain(own.chain(other).map(|d| d.join("luqr-worker")))
+        .find(|p| p.is_file())
 }
 
 static MP_RUN: AtomicUsize = AtomicUsize::new(0);
@@ -530,6 +535,37 @@ mod tests {
             assert_eq!(parse_alg_spec(&spec), Some(a), "spec {spec}");
         }
         assert_eq!(parse_alg_spec("bogus"), None);
+    }
+
+    #[test]
+    fn worker_lookup_order_is_env_then_own_then_sibling_profile() {
+        let root = std::env::temp_dir().join(format!("luqr-locate-{}", std::process::id()));
+        let touch = |rel: &str| {
+            let path = root.join(rel);
+            std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+            std::fs::write(&path, b"").unwrap();
+            path
+        };
+        let exe = touch("target/debug/deps/some_test-0123");
+        let pinned = touch("elsewhere/luqr-worker");
+        let sibling = touch("target/release/luqr-worker");
+        let own = touch("target/debug/luqr-worker");
+
+        let found = |env: Option<&PathBuf>| locate_worker_from(env.cloned(), &exe);
+        assert_eq!(found(Some(&pinned)), Some(pinned.clone()));
+        assert_eq!(found(None), Some(own.clone()));
+        // A pinned path that does not exist falls through to the walk.
+        assert_eq!(found(Some(&root.join("missing"))), Some(own.clone()));
+        std::fs::remove_file(&own).unwrap();
+        assert_eq!(found(None), Some(sibling.clone()));
+        // The swap works from the release side too.
+        let release_exe = touch("target/release/examples/demo");
+        std::fs::remove_file(&sibling).unwrap();
+        let debug_only = touch("target/debug/luqr-worker");
+        assert_eq!(locate_worker_from(None, &release_exe), Some(debug_only));
+        std::fs::remove_dir_all(root.join("target")).unwrap();
+        assert_eq!(found(None), None);
+        std::fs::remove_dir_all(&root).unwrap();
     }
 
     #[test]

@@ -946,63 +946,6 @@ fn right_solve(uplo: UpLo, trans: Trans, unit: bool, a: &Mat, b: &mut Mat) {
     }
 }
 
-/// Triangular matrix multiply `B <- op(A) * B` with `A` triangular, from the
-/// left (dtrmm, side=Left). Used by the blocked Householder applications.
-pub fn trmm_left(uplo: UpLo, trans: Trans, diag: Diag, a: &Mat, b: &mut Mat) {
-    let n = b.cols();
-    for j in 0..n {
-        trmv(uplo, trans, diag, a, b.col_mut(j));
-    }
-}
-
-/// Triangular matrix-vector product `x <- op(A) x` with `A` triangular
-/// (dtrmv). Used by the T-factor construction in the QR kernels.
-pub fn trmv(uplo: UpLo, trans: Trans, diag: Diag, a: &Mat, x: &mut [f64]) {
-    let n = a.rows();
-    assert_eq!(a.dims(), (n, n));
-    assert_eq!(x.len(), n);
-    let unit = diag == Diag::Unit;
-    match (uplo, trans) {
-        (UpLo::Upper, Trans::NoTrans) => {
-            for i in 0..n {
-                let mut s = if unit { x[i] } else { a[(i, i)] * x[i] };
-                for j in i + 1..n {
-                    s += a[(i, j)] * x[j];
-                }
-                x[i] = s;
-            }
-        }
-        (UpLo::Upper, Trans::Trans) => {
-            for i in (0..n).rev() {
-                let mut s = if unit { x[i] } else { a[(i, i)] * x[i] };
-                for j in 0..i {
-                    s += a[(j, i)] * x[j];
-                }
-                x[i] = s;
-            }
-        }
-        (UpLo::Lower, Trans::NoTrans) => {
-            for i in (0..n).rev() {
-                let mut s = if unit { x[i] } else { a[(i, i)] * x[i] };
-                for j in 0..i {
-                    s += a[(i, j)] * x[j];
-                }
-                x[i] = s;
-            }
-        }
-        (UpLo::Lower, Trans::Trans) => {
-            for i in 0..n {
-                let mut s = if unit { x[i] } else { a[(i, i)] * x[i] };
-                for j in i + 1..n {
-                    s += a[(j, i)] * x[j];
-                }
-                x[i] = s;
-            }
-        }
-    }
-    add_flops(KernelClass::Other, (n * n) as u64);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1240,37 +1183,6 @@ mod tests {
                 s += a[(i, j)] * x[i];
             }
             assert!((y[j] - (s - 0.5)).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn trmv_matches_dense_product() {
-        let n = 8;
-        let a = Mat::random(n, n, 4);
-        for uplo in [UpLo::Upper, UpLo::Lower] {
-            for trans in [Trans::NoTrans, Trans::Trans] {
-                for diag in [Diag::NonUnit, Diag::Unit] {
-                    let mut t = match uplo {
-                        UpLo::Upper => a.upper_triangular(),
-                        UpLo::Lower => {
-                            Mat::from_fn(n, n, |i, j| if i >= j { a[(i, j)] } else { 0.0 })
-                        }
-                    };
-                    if diag == Diag::Unit {
-                        for i in 0..n {
-                            t[(i, i)] = 1.0;
-                        }
-                    }
-                    let x0: Vec<f64> = (0..n).map(|i| (i as f64) - 3.0).collect();
-                    let mut x = x0.clone();
-                    trmv(uplo, trans, diag, &a, &mut x);
-                    let mut expected = vec![0.0; n];
-                    gemv(trans, 1.0, &t, &x0, 0.0, &mut expected);
-                    for i in 0..n {
-                        assert!((x[i] - expected[i]).abs() < 1e-12);
-                    }
-                }
-            }
         }
     }
 

@@ -63,9 +63,12 @@
 //!
 //! On x86_64 an explicit AVX2+FMA microkernel is used when available —
 //! unconditionally when compiled with `target-feature=+avx2,+fma`, else via
-//! a one-time cached CPUID probe. Small untransposed products additionally
-//! take a direct (unpacked) AVX-512 path when AVX-512F is present, skipping
-//! the packing round trip entirely. FMA contracts each multiply-add into one
+//! a one-time cached CPUID probe. Small products whose `B` is column-major
+//! additionally take a direct AVX-512 path when AVX-512F is present: `B` and
+//! `C` are read in place, and so is an untransposed `A`; a transposed `A` —
+//! the skinny `Vᵀ·C` of the QR block reflectors, only `ib` rows deep — is
+//! gathered into the A pack buffer first, which is `1/n` of the work the
+//! packed path would spend repacking `B`. FMA contracts each multiply-add into one
 //! rounding, so results differ between the SIMD and scalar kernels (and
 //! therefore across machines); the selection is fixed per process, keeping
 //! every within-run comparison deterministic. Numerical acceptance is
@@ -147,13 +150,40 @@ pub fn gemm_strided(
     if m == 0 || n == 0 || k == 0 || alpha == 0.0 {
         return;
     }
-    // Small untransposed products skip packing entirely: the AVX-512 direct
-    // kernel reads the column-major operands in place. Strided (transposed)
-    // operands and large products fall through to the packed path.
+    // Small products with a column-major B skip the packed path: the AVX-512
+    // direct kernel reads B and C in place, and A too when it is untransposed.
+    // A strided (transposed) A — the skinny `Vᵀ·C` product of the QR block
+    // reflectors, `m = ib` rows deep — is first gathered into the A pack
+    // buffer: `m·k` copies against `2·m·n·k` flops, where the packed path
+    // would also repack all of B (a whole tile per `ib`-block). Row-strided B
+    // and large products fall through to the packed path.
     #[cfg(target_arch = "x86_64")]
-    if a_rs == 1 && b_rs == 1 && m * n * k <= DIRECT_MAX_MNK && avx512f_available() {
-        // Safety: AVX-512F presence was verified via CPUID.
-        unsafe { gemm_direct_avx512(m, n, k, alpha, a, a_cs, b, b_cs, c, ldc) };
+    if b_rs == 1 && m * n * k <= DIRECT_MAX_MNK && avx512f_available() {
+        assert!(
+            a.len() > (m - 1) * a_rs + (k - 1) * a_cs
+                && b.len() > (k - 1) + (n - 1) * b_cs
+                && c.len() > (m - 1) + (n - 1) * ldc,
+            "gemm_strided: operand slice shorter than its declared shape"
+        );
+        if a_rs == 1 {
+            // SAFETY: AVX-512F was verified via CPUID; the assert above
+            // bounds every element the kernel addresses.
+            unsafe { gemm_direct_avx512(m, n, k, alpha, a, a_cs, b, b_cs, c, ldc) };
+        } else {
+            PACK_BUFS.with(|bufs| {
+                let apack = &mut bufs.borrow_mut().0;
+                if apack.len() < m * k {
+                    apack.resize(m * k, 0.0);
+                }
+                for (p, col) in apack.chunks_exact_mut(m).take(k).enumerate() {
+                    for (i, x) in col.iter_mut().enumerate() {
+                        *x = a[i * a_rs + p * a_cs];
+                    }
+                }
+                // SAFETY: as above, with A now the m×k column-major gather.
+                unsafe { gemm_direct_avx512(m, n, k, alpha, apack, m, b, b_cs, c, ldc) };
+            });
+        }
         return;
     }
     let flops = 2 * (m as u64) * (n as u64) * (k as u64);

@@ -13,11 +13,45 @@
 //! * [`tpmqrt`] — apply the corresponding `Qᵀ`/`Q` to a pair of tiles
 //!   (**TSMQR** / **TTMQR**).
 //!
-//! All kernels exploit the pentagonal structure (a TTQRT costs ~`2/3 nb³`
-//! flops versus `2 nb³` for TSQRT), which is what gives TT-based reduction
-//! trees their shorter critical path in the paper's HQR steps.
+//! # Structure of the apply kernels
+//!
+//! A QR step spends nearly all of its time applying block reflectors
+//! `H = I − V T Vᵀ`, one per `ib`-wide column block of `V`: `W = Vᵀ C`,
+//! `W ← op(T) W`, `C ← C − V W`. Both appliers, `larfb_left` (GEQRT
+//! reflectors) and `tprfb_left` (pentagonal reflectors), run every one of
+//! those products on the GEMM engine ([`gemm_strided`]) and work **in place**
+//! on strided views of the caller's tiles — a view is a slice offset to the
+//! block's first element plus the tile's leading dimension; no tile or
+//! sub-block of `V` or `C` is ever copied out and back:
+//!
+//! * the **rectangular** rows of a `V` block (everything below `V1` in
+//!   GEQRT storage, everything above the trapezoid in a pentagonal tile; all
+//!   of it for TS kernels) go to the engine as they lie: `W += V2ᵀ C2` is
+//!   the engine's skinny transposed-A product (`ib` rows of output), and
+//!   `C2 −= V2 W` is a plain product of depth `ib`;
+//! * the **triangle** of a `V` block (unit lower `V1` whose upper part holds
+//!   `R`; the upper trapezoid of a pentagonal tile whose lower part may hold
+//!   another kernel's reflectors) and the triangle `T` are each expanded once
+//!   per block into a dense zero-padded `ib × ib` operand and then multiply
+//!   the *whole* `ib × w` work matrix in one engine call (`expand_trap`).
+//!   Only the referenced side of each triangle is ever read.
+//!
+//! So a TT block costs its rectangle plus two `ib`-sized triangles, never
+//! the full TS rectangle: TTMQR stays near half of TSMQR, which the paper's
+//! reduction-tree analysis depends on (a TTQRT is ~`2/3 nb³` flops versus
+//! `2 nb³` for TSQRT). The zero padding makes a triangle product execute
+//! `ib²` multiply-adds per column where a true `trmm` needs `ib²/2`; that
+//! surplus is of relative order `ib / nb`, the price of running the
+//! triangles at the engine's rate instead of in short per-column loops.
+//!
+//! The only workspace is one thread-local [`Scratch`]: the two `ib × w` work
+//! matrices and the expanded triangle, grown on first use and reused by
+//! every later call on that thread. Reported flops are closed forms of the
+//! shapes alone, so they do not depend on the data.
 
-use crate::blas::{axpy, dot, nrm2, scal, trmv, Diag, Trans, UpLo};
+use std::cell::RefCell;
+
+use crate::blas::{axpy, dot, nrm2, scal, Trans, UpLo};
 use crate::flops::{add_flops, Attribution, KernelClass};
 use crate::gemm_kernel::gemm_strided;
 use crate::mat::Mat;
@@ -45,16 +79,6 @@ impl TFactor {
     /// Number of reflector columns covered.
     pub fn n(&self) -> usize {
         self.t.cols()
-    }
-
-    /// Extract the `ibb x ibb` upper-triangular T block starting at column `i`.
-    fn block(&self, i: usize) -> Mat {
-        let ibb = self.ib.min(self.n() - i);
-        Mat::from_fn(
-            ibb,
-            ibb,
-            |r, c| if r <= c { self.t[(r, i + c)] } else { 0.0 },
-        )
     }
 }
 
@@ -174,99 +198,146 @@ fn larft(v: &Mat, taus: &[f64], t: &mut Mat) {
             t[(i, j)] = -tau * s;
             flops += 2 * (m - j) as u64;
         }
-        // T(0..j, j) = T(0..j, 0..j) * y  (upper triangular, non-unit).
-        if j > 0 {
-            let tj = t.sub(0, 0, j, j);
-            let mut col: Vec<f64> = (0..j).map(|r| t[(r, j)]).collect();
-            trmv(UpLo::Upper, Trans::NoTrans, Diag::NonUnit, &tj, &mut col);
-            for r in 0..j {
-                t[(r, j)] = col[r];
-            }
-        }
+        flops += t_column_finish(t, j);
         t[(j, j)] = tau;
     }
     add_flops(KernelClass::Other, flops);
 }
 
-/// Apply a block reflector stored in `v`/`t` to `c` from the left (dlarfb,
-/// Forward/Columnwise): `C <- (I - V T V^T)^(T?) C`.
+/// Last step of column `j` of a block factor `T` (dlarft / dtpqrt2):
+/// `T(0..j, j) ← T(0..j, 0..j) · T(0..j, j)` in place, `T` upper triangular.
+/// Row `i` of the product reads only entries `i..j` of the column, so going
+/// down the rows never reads an entry already overwritten. Returns the
+/// `j²` flops of a triangular matrix-vector product.
+fn t_column_finish(t: &mut Mat, j: usize) -> u64 {
+    for i in 0..j {
+        let mut s = t[(i, i)] * t[(i, j)];
+        for r in i + 1..j {
+            s += t[(i, r)] * t[(r, j)];
+        }
+        t[(i, j)] = s;
+    }
+    (j * j) as u64
+}
+
+thread_local! {
+    /// Workspace of the block-reflector appliers, one per thread: grown on
+    /// first use, reused by every later call (tile kernels run thousands of
+    /// blocks per factorization).
+    static SCRATCH: RefCell<Scratch> = const {
+        RefCell::new(Scratch { w: Vec::new(), tw: Vec::new(), tri: Vec::new() })
+    };
+}
+
+#[derive(Default)]
+struct Scratch {
+    /// `W = Vᵀ C`, `k × n` column-major.
+    w: Vec<f64>,
+    /// `op(T) W`, `k × n` column-major.
+    tw: Vec<f64>,
+    /// The triangle (or trapezoid) of `V` or `T` being multiplied, expanded
+    /// to a dense zero-padded operand by [`expand_trap`].
+    tri: Vec<f64>,
+}
+
+/// Expand `op(P)` into `dense` (column-major, zero-padded), ready to be an
+/// untransposed `A` operand of the engine — which is how every triangle
+/// product of the appliers runs as one [`gemm_strided`] call over the whole
+/// work matrix.
 ///
-/// `v` is m×k unit lower trapezoidal (reflectors in its strictly-lower part
-/// plus implicit unit diagonal), `t` is the k×k upper-triangular factor.
+/// `P` is the `pr × pc` trapezoid stored in the `uplo` part of `p` (leading
+/// dimension `ldp`): `UpLo::Upper` keeps entries `(r, c)` with `r ≤ c`
+/// (a `T` factor, or the trapezoid of a pentagonal `V`), `UpLo::Lower`
+/// keeps `r > c` plus an implicit unit diagonal (`V1` of GEQRT storage).
+/// Entries on the other side are never read — they hold `R` or another
+/// kernel's reflectors. `dense` is `pr × pc`, or `pc × pr` for `Trans`.
+fn expand_trap(
+    uplo: UpLo,
+    trans: Trans,
+    p: &[f64],
+    ldp: usize,
+    pr: usize,
+    pc: usize,
+    dense: &mut Vec<f64>,
+) {
+    let ldd = match trans {
+        Trans::NoTrans => pr,
+        Trans::Trans => pc,
+    };
+    dense.clear();
+    dense.resize(pr * pc, 0.0);
+    for c in 0..pc {
+        let rows = match uplo {
+            UpLo::Upper => 0..(c + 1).min(pr),
+            UpLo::Lower => c.min(pr)..pr,
+        };
+        for r in rows {
+            let val = if uplo == UpLo::Lower && r == c {
+                1.0
+            } else {
+                p[r + c * ldp]
+            };
+            match trans {
+                Trans::NoTrans => dense[r + c * ldd] = val,
+                Trans::Trans => dense[c + r * ldd] = val,
+            }
+        }
+    }
+}
+
+/// Apply a block reflector to `C` from the left, in place (dlarfb,
+/// Forward/Columnwise): `C ← (I − V T Vᵀ)^(T?) C`.
 ///
-/// LAPACK DLARFB shape: with `V = [V1; V2]` (`V1` k×k unit lower triangular,
-/// `V2` the (m−k)×k rectangle), compute `W = V1ᵀ C1 + V2ᵀ C2`, `W = op(T) W`,
-/// then `C1 -= V1 W`, `C2 -= V2 W`. The `V2` products carry ~all the flops
-/// and run on the packed GEMM microkernel; the `V1` triangles stay per-column
-/// trmv-style so only the strictly-lower part of `v` is ever read (the upper
-/// triangle holds `R` when called from [`geqrt`]).
-fn larfb_left(trans: Trans, v: &Mat, t: &Mat, c: &mut Mat) {
-    let (m, k) = v.dims();
-    let n = c.cols();
-    assert_eq!(c.rows(), m);
-    assert_eq!(t.dims(), (k, k));
+/// All three operands are strided views (slice from the block's first
+/// element, leading dimension): `v` is `m × k` unit lower trapezoidal —
+/// `V1` (`k × k`, reflectors strictly below an implicit unit diagonal; the
+/// upper part is `R` and never read) on top of the rectangle `V2`
+/// (`(m−k) × k`); `t` is the `k × k` upper-triangular factor; `c` is `m × n`.
+///
+/// `W = V1ᵀ C1 + V2ᵀ C2`, `TW = op(T) W`, `C2 −= V2 TW`, `C1 −= V1 TW`: the
+/// `V2` products are engine calls straight on the views, the three
+/// triangle products go through [`expand_trap`]; `W` and `TW` live in the
+/// thread's [`Scratch`].
+#[allow(clippy::too_many_arguments)]
+fn larfb_left(
+    trans: Trans,
+    m: usize,
+    k: usize,
+    n: usize,
+    v: &[f64],
+    ldv: usize,
+    t: &[f64],
+    ldt: usize,
+    c: &mut [f64],
+    ldc: usize,
+) {
     if k == 0 || n == 0 {
         return;
     }
-    let v1 = v.sub(0, 0, k, k); // unit lower; upper part is ignored by trmv
-    let ldv = m;
-    let ldc = m;
-
-    // W = V1^T C1.
-    let mut w = Mat::zeros(k, n);
-    for col in 0..n {
-        w.col_mut(col).copy_from_slice(&c.col(col)[..k]);
-        trmv(UpLo::Lower, Trans::Trans, Diag::Unit, &v1, w.col_mut(col));
+    let (v2, m2) = (&v[k..], m - k);
+    let mut scratch = SCRATCH.take();
+    let Scratch { w, tw, tri } = &mut scratch;
+    for buf in [&mut *w, &mut *tw] {
+        buf.clear();
+        buf.resize(k * n, 0.0);
     }
-    // W += V2^T C2.
-    if m > k {
-        gemm_strided(
-            k,
-            n,
-            m - k,
-            1.0,
-            &v.as_slice()[k..],
-            ldv,
-            1,
-            &c.as_slice()[k..],
-            1,
-            ldc,
-            w.as_mut_slice(),
-            k,
-        );
-    }
-    // W = op(T) W.
-    for col in 0..n {
-        trmv(UpLo::Upper, trans, Diag::NonUnit, t, w.col_mut(col));
-    }
-    // C1 -= V1 W.
-    let mut tmp = vec![0.0f64; k];
-    for col in 0..n {
-        tmp.copy_from_slice(w.col(col));
-        trmv(UpLo::Lower, Trans::NoTrans, Diag::Unit, &v1, &mut tmp);
-        axpy(-1.0, &tmp, &mut c.col_mut(col)[..k]);
-    }
-    // C2 -= V2 W.
-    if m > k {
-        gemm_strided(
-            m - k,
-            n,
-            k,
-            -1.0,
-            &v.as_slice()[k..],
-            1,
-            ldv,
-            w.as_slice(),
-            1,
-            k,
-            &mut c.as_mut_slice()[k..],
-            ldc,
-        );
-    }
-    // Closed-form count matching the elementwise kernel this replaces:
-    // 2(m − i) per (reflector i, column) for each of the two V passes.
-    let per_col: u64 = (0..k).map(|i| 2 * (m - i) as u64).sum();
-    add_flops(KernelClass::Other, 2 * per_col * n as u64);
+    // W = V1ᵀ C1 + V2ᵀ C2.
+    expand_trap(UpLo::Lower, Trans::Trans, v, ldv, k, k, tri);
+    gemm_strided(k, n, k, 1.0, tri, 1, k, c, 1, ldc, w, k);
+    gemm_strided(k, n, m2, 1.0, v2, ldv, 1, &c[k..], 1, ldc, w, k);
+    // TW = op(T) W.
+    expand_trap(UpLo::Upper, trans, t, ldt, k, k, tri);
+    gemm_strided(k, n, k, 1.0, tri, 1, k, w, 1, k, tw, k);
+    // C2 −= V2 TW, C1 −= V1 TW.
+    gemm_strided(m2, n, k, -1.0, v2, 1, ldv, tw, 1, k, &mut c[k..], ldc);
+    expand_trap(UpLo::Lower, Trans::NoTrans, v, ldv, k, k, tri);
+    gemm_strided(k, n, k, -1.0, tri, 1, k, tw, 1, k, c, ldc);
+    SCRATCH.set(scratch);
+    // Closed form of the elementwise kernel: 2(m − i) per (reflector i,
+    // column) for each of the two V passes, k² per column for each of the
+    // three triangle products.
+    let v_pass = 2 * (k * m - k * (k - 1) / 2);
+    add_flops(KernelClass::Other, ((2 * v_pass + 3 * k * k) * n) as u64);
 }
 
 /// Blocked QR factorization of a tile (LAPACK DGEQRT).
@@ -289,56 +360,63 @@ pub fn geqrt(a: &mut Mat, ib: usize) -> TFactor {
         let mut tblk = Mat::zeros(ibb, ibb);
         larft(&blk, &taus, &mut tblk);
         a.set_sub(i, i, &blk);
-        for c in 0..ibb {
-            for r in 0..ibb {
-                tf.t[(r, i + c)] = if r <= c { tblk[(r, c)] } else { 0.0 };
-            }
-        }
-        // Update the trailing columns a[i.., i+ibb..n].
+        tf.t.set_sub(0, i, &tblk);
+        // Update the trailing columns a[i.., i+ibb..n] in place.
         if i + ibb < n {
-            let mut trail = a.sub(i, i + ibb, m - i, n - i - ibb);
-            larfb_left(Trans::Trans, &blk, &tblk, &mut trail);
-            a.set_sub(i, i + ibb, &trail);
+            larfb_left(
+                Trans::Trans,
+                m - i,
+                ibb,
+                n - i - ibb,
+                blk.as_slice(),
+                m - i,
+                tblk.as_slice(),
+                ibb,
+                &mut a.as_mut_slice()[i + (i + ibb) * m..],
+                m,
+            );
         }
         i += ibb;
     }
     tf
 }
 
+/// Start columns of the `ib`-wide reflector blocks of a `k`-column `V`, in
+/// application order: first to last for `Qᵀ`, last to first for `Q`.
+fn block_starts(trans: Trans, k: usize, ib: usize) -> impl Iterator<Item = usize> {
+    let blocks = k.div_ceil(ib);
+    (0..blocks).map(move |s| match trans {
+        Trans::Trans => s * ib,
+        Trans::NoTrans => (blocks - 1 - s) * ib,
+    })
+}
+
 /// Apply `Q` or `Qᵀ` (from [`geqrt`] factors in `v_src`/`tf`) to `c` from the
 /// left (LAPACK DORMQR / the paper's UNMQR kernel).
 ///
 /// `v_src` is the factored tile (reflectors in its strictly-lower part);
-/// only the first `min(m, n)` reflector columns are used.
+/// only the first `min(m, n)` reflector columns are used. Each block is
+/// applied by `larfb_left` on views of `v_src`, `tf.t` and `c` themselves.
 pub fn unmqr(trans: Trans, v_src: &Mat, tf: &TFactor, c: &mut Mat) {
     let _attr = Attribution::new(KernelClass::Unmqr);
     let (m, nv) = v_src.dims();
     let k = m.min(nv);
     assert_eq!(c.rows(), m, "unmqr: C row mismatch");
     assert_eq!(tf.n(), k, "unmqr: T factor width mismatch");
-    let ib = tf.ib;
-    // Block starts, forward for Q^T, backward for Q.
-    let starts: Vec<usize> = (0..k).step_by(ib).collect();
-    let order: Box<dyn Iterator<Item = usize>> = match trans {
-        Trans::Trans => Box::new(starts.clone().into_iter()),
-        Trans::NoTrans => Box::new(starts.clone().into_iter().rev()),
-    };
-    for i in order {
-        let ibb = ib.min(k - i);
-        // V block: rows i..m, unit lower trapezoidal, columns i..i+ibb.
-        let vblk = Mat::from_fn(m - i, ibb, |r, cc| {
-            if r > cc {
-                v_src[(i + r, i + cc)]
-            } else if r == cc {
-                1.0
-            } else {
-                0.0
-            }
-        });
-        let tblk = tf.block(i);
-        let mut cblk = c.sub(i, 0, m - i, c.cols());
-        larfb_left(trans, &vblk, &tblk, &mut cblk);
-        c.set_sub(i, 0, &cblk);
+    let (ib, n) = (tf.ib, c.cols());
+    for i in block_starts(trans, k, ib) {
+        larfb_left(
+            trans,
+            m - i,
+            ib.min(k - i),
+            n,
+            &v_src.as_slice()[i + i * m..],
+            m,
+            &tf.t.as_slice()[i * ib..],
+            ib,
+            &mut c.as_mut_slice()[i..],
+            m,
+        );
     }
 }
 
@@ -389,17 +467,10 @@ pub fn tpqrt2(l: usize, a: &mut Mat, b: &mut Mat, t: &mut Mat) {
         }
         // Apply to the remaining columns c > j of [A; B].
         for c in j + 1..n {
-            let pc = pent_rows(m, l, c).max(p);
-            let _ = pc;
-            let w = a[(j, c)] + {
-                let (vj, bc) = b.two_cols_mut(j, c);
-                dot(&vj[..p], &bc[..p])
-            };
+            let (vj, bc) = b.two_cols_mut(j, c);
+            let w = a[(j, c)] + dot(&vj[..p], &bc[..p]);
             a[(j, c)] -= tau * w;
-            {
-                let (vj, bc) = b.two_cols_mut(j, c);
-                axpy(-tau * w, &vj[..p], &mut bc[..p]);
-            }
+            axpy(-tau * w, &vj[..p], &mut bc[..p]);
             flops += 4 * (p + 1) as u64;
         }
     }
@@ -417,118 +488,88 @@ pub fn tpqrt2(l: usize, a: &mut Mat, b: &mut Mat, t: &mut Mat) {
                 t[(i, j)] = -tau * s;
                 flops += 2 * pi as u64;
             }
-            if j > 0 {
-                let tj = t.sub(0, 0, j, j);
-                let mut col: Vec<f64> = (0..j).map(|r| t[(r, j)]).collect();
-                trmv(UpLo::Upper, Trans::NoTrans, Diag::NonUnit, &tj, &mut col);
-                for r in 0..j {
-                    t[(r, j)] = col[r];
-                }
-            }
+            flops += t_column_finish(t, j);
         }
         t[(j, j)] = tau;
     }
     add_flops(KernelClass::Other, flops);
 }
 
-/// Apply the block reflector of a pentagonal factorization (LAPACK DTPRFB,
-/// Left, Forward, Columnwise): updates the stacked pair `[A; B]` where `a`
-/// is k×w (rows of the implicit-identity part) and `b` is m×w.
+/// Rows `mb` of the pentagonal tile (m rows, parameter `l`) that the
+/// `ibb`-wide reflector block starting at column `i` touches, and that
+/// block's own pentagon parameter `lb`: its first `mb − lb` rows are a full
+/// rectangle, its last `lb` rows an upper trapezoid starting at the block's
+/// first column.
+fn pent_block(m: usize, l: usize, i: usize, ibb: usize) -> (usize, usize) {
+    let mb = (m - l + i + ibb).min(m);
+    let lb = (mb + l).saturating_sub(m + i).min(ibb.min(mb));
+    (mb, lb)
+}
+
+/// Apply the block reflector of a pentagonal factorization to the stacked
+/// pair `[A; B]`, in place (LAPACK DTPRFB, Left, Forward, Columnwise).
 ///
-/// `v` holds V₂ (m×k, pentagonal with parameter `l`), `t` the k×k factor.
-fn tprfb_left(trans: Trans, l: usize, v: &Mat, t: &Mat, a: &mut Mat, b: &mut Mat) {
-    let (m, k) = v.dims();
-    let w = a.cols();
-    assert_eq!(a.rows(), k, "tprfb: A rows != k");
-    assert_eq!(b.dims(), (m, w), "tprfb: B dims mismatch");
-    assert_eq!(t.dims(), (k, k));
-    if k == 0 || w == 0 {
+/// All operands are strided views: `v` holds the block's `V₂` (`mb × k`,
+/// pentagonal with parameter `lb` — `mb − lb` full rows over an `lb × k`
+/// upper trapezoid whose lower part is never read), `t` the `k × k` factor,
+/// `a` the `k × n` rows of the implicit-identity part, `b` the `mb × n`
+/// rows of the bottom tile.
+///
+/// `W = A + V₂ᵀ B`, `TW = op(T) W`, `A −= TW`, `B −= V₂ TW`: the full rows
+/// of `V₂` are engine calls straight on the views (all of `V₂` for the TS
+/// kernels, `lb = 0`), the trapezoid and `T` go through [`expand_trap`]; `W`
+/// and `TW` live in the thread's [`Scratch`].
+#[allow(clippy::too_many_arguments)]
+fn tprfb_left(
+    trans: Trans,
+    lb: usize,
+    mb: usize,
+    k: usize,
+    n: usize,
+    v: &[f64],
+    ldv: usize,
+    t: &[f64],
+    ldt: usize,
+    a: &mut [f64],
+    lda: usize,
+    b: &mut [f64],
+    ldb: usize,
+) {
+    if k == 0 || n == 0 {
         return;
     }
-
-    // TS case (l == 0): V2 is a full m×k rectangle, so both V2 products are
-    // plain GEMMs — route them through the packed microkernel. This is the
-    // inner engine of TSMQR, the trailing-update kernel of every QR
-    // elimination step.
-    if l == 0 {
-        let ldv = m;
-        let ldb = m;
-        // W = A + V2^T B.
-        let mut wk = a.clone();
-        gemm_strided(
-            k,
-            w,
-            m,
-            1.0,
-            v.as_slice(),
-            ldv,
-            1,
-            b.as_slice(),
-            1,
-            ldb,
-            wk.as_mut_slice(),
-            k,
-        );
-        // W = op(T) W.
-        for c in 0..w {
-            trmv(UpLo::Upper, trans, Diag::NonUnit, t, wk.col_mut(c));
-        }
-        // A -= W.
-        for (av, wv) in a.as_mut_slice().iter_mut().zip(wk.as_slice()) {
+    let mr = mb - lb;
+    let v_trap = &v[mr..];
+    let mut scratch = SCRATCH.take();
+    let Scratch { w, tw, tri } = &mut scratch;
+    // W = A + V₂ᵀ B: the full rows, then the trapezoid.
+    w.clear();
+    for col in 0..n {
+        w.extend_from_slice(&a[col * lda..][..k]);
+    }
+    gemm_strided(k, n, mr, 1.0, v, ldv, 1, b, 1, ldb, w, k);
+    expand_trap(UpLo::Upper, Trans::Trans, v_trap, ldv, lb, k, tri);
+    gemm_strided(k, n, lb, 1.0, tri, 1, k, &b[mr..], 1, ldb, w, k);
+    // TW = op(T) W.
+    tw.clear();
+    tw.resize(k * n, 0.0);
+    expand_trap(UpLo::Upper, trans, t, ldt, k, k, tri);
+    gemm_strided(k, n, k, 1.0, tri, 1, k, w, 1, k, tw, k);
+    // A −= TW, B −= V₂ TW.
+    for col in 0..n {
+        for (av, wv) in a[col * lda..][..k].iter_mut().zip(&tw[col * k..][..k]) {
             *av -= wv;
         }
-        // B -= V2 W.
-        gemm_strided(
-            m,
-            w,
-            k,
-            -1.0,
-            v.as_slice(),
-            1,
-            ldv,
-            wk.as_slice(),
-            1,
-            k,
-            b.as_mut_slice(),
-            ldb,
-        );
-        // Same closed form as the elementwise version (p = m for every
-        // reflector when l = 0, two V passes).
-        add_flops(KernelClass::Other, 4 * (m * k * w) as u64);
-        return;
     }
-
-    // Pentagonal case (TT kernels, l > 0): keep the structure-exploiting
-    // per-column loops — the triangular V2 makes these O(k² w) and the
-    // cheapness of TT relative to TS is load-bearing for the paper's
-    // reduction-tree analysis (see `tt_kernel_costs_less_than_ts`).
-    let mut flops = 0u64;
-    // W = A + V2^T B.
-    let mut wk = Mat::zeros(k, w);
-    for c in 0..w {
-        for j in 0..k {
-            let p = pent_rows(m, l, j);
-            wk[(j, c)] = a[(j, c)] + dot(&v.col(j)[..p], &b.col(c)[..p]);
-            flops += 2 * p as u64;
-        }
-    }
-    // W = op(T) W.
-    for c in 0..w {
-        trmv(UpLo::Upper, trans, Diag::NonUnit, t, wk.col_mut(c));
-    }
-    // A -= W;  B -= V2 W.
-    for c in 0..w {
-        for j in 0..k {
-            let wjc = wk[(j, c)];
-            if wjc != 0.0 {
-                a[(j, c)] -= wjc;
-                let p = pent_rows(m, l, j);
-                axpy(-wjc, &v.col(j)[..p], &mut b.col_mut(c)[..p]);
-                flops += 2 * p as u64;
-            }
-        }
-    }
-    add_flops(KernelClass::Other, flops);
+    gemm_strided(mr, n, k, -1.0, v, 1, ldv, tw, 1, k, b, ldb);
+    expand_trap(UpLo::Upper, Trans::NoTrans, v_trap, ldv, lb, k, tri);
+    gemm_strided(lb, n, k, -1.0, tri, 1, lb, tw, 1, k, &mut b[mr..], ldb);
+    SCRATCH.set(scratch);
+    // Closed form of the elementwise kernel: 2·pⱼ per (reflector j, column)
+    // for each of the two V₂ passes (pⱼ = rows of reflector j), k² per
+    // column for the T product.
+    let v_pass: usize = (0..k).map(|j| 2 * pent_rows(mb, lb, j)).sum();
+    add_flops(KernelClass::Other, ((2 * v_pass + k * k) * n) as u64);
 }
 
 /// Blocked triangle-on-pentagon QR (LAPACK DTPQRT).
@@ -551,13 +592,7 @@ pub fn tpqrt(l: usize, a: &mut Mat, b: &mut Mat, ib: usize) -> TFactor {
     let mut i = 0;
     while i < n {
         let ibb = ib.min(n - i);
-        // Rows of B involved in this block column, and its own l parameter.
-        let mb = (m - l + i + ibb).min(m);
-        let lb = if l == 0 {
-            0
-        } else {
-            (mb + l).saturating_sub(m + i).min(ibb.min(mb))
-        };
+        let (mb, lb) = pent_block(m, l, i, ibb);
         // Factor [A(i..i+ibb, i..i+ibb); B(0..mb, i..i+ibb)].
         let mut ablk = a.sub(i, i, ibb, ibb);
         let mut bblk = b.sub(0, i, mb, ibb);
@@ -565,18 +600,25 @@ pub fn tpqrt(l: usize, a: &mut Mat, b: &mut Mat, ib: usize) -> TFactor {
         tpqrt2(lb, &mut ablk, &mut bblk, &mut tblk);
         a.set_sub(i, i, &ablk);
         b.set_sub(0, i, &bblk);
-        for c in 0..ibb {
-            for r in 0..ibb {
-                tf.t[(r, i + c)] = if r <= c { tblk[(r, c)] } else { 0.0 };
-            }
-        }
-        // Update remaining columns: [A(i..i+ibb, i+ibb..n); B(0..mb, i+ibb..n)].
+        tf.t.set_sub(0, i, &tblk);
+        // Update the remaining columns in place:
+        // [A(i..i+ibb, i+ibb..n); B(0..mb, i+ibb..n)].
         if i + ibb < n {
-            let mut atrail = a.sub(i, i + ibb, ibb, n - i - ibb);
-            let mut btrail = b.sub(0, i + ibb, mb, n - i - ibb);
-            tprfb_left(Trans::Trans, lb, &bblk, &tblk, &mut atrail, &mut btrail);
-            a.set_sub(i, i + ibb, &atrail);
-            b.set_sub(0, i + ibb, &btrail);
+            tprfb_left(
+                Trans::Trans,
+                lb,
+                mb,
+                ibb,
+                n - i - ibb,
+                bblk.as_slice(),
+                mb,
+                tblk.as_slice(),
+                ibb,
+                &mut a.as_mut_slice()[i + (i + ibb) * n..],
+                n,
+                &mut b.as_mut_slice()[(i + ibb) * m..],
+                m,
+            );
         }
         i += ibb;
     }
@@ -587,7 +629,8 @@ pub fn tpqrt(l: usize, a: &mut Mat, b: &mut Mat, ib: usize) -> TFactor {
 /// tiles `[A; B]` (LAPACK DTPMQRT; the paper's **TSMQR** / **TTMQR**).
 ///
 /// `v` is the reflector tile produced by [`tpqrt`] (m×k), `a` is the k×w top
-/// tile and `b` the m×w bottom tile being updated.
+/// tile and `b` the m×w bottom tile being updated. Each block is applied by
+/// `tprfb_left` on views of `v`, `tf.t`, `a` and `b` themselves.
 pub fn tpmqrt(trans: Trans, l: usize, v: &Mat, tf: &TFactor, a: &mut Mat, b: &mut Mat) {
     let _attr = Attribution::new(KernelClass::Tpmqrt);
     let (m, k) = v.dims();
@@ -595,27 +638,26 @@ pub fn tpmqrt(trans: Trans, l: usize, v: &Mat, tf: &TFactor, a: &mut Mat, b: &mu
     assert_eq!(a.rows(), k, "tpmqrt: A rows != k reflector columns");
     assert_eq!(b.dims(), (m, w), "tpmqrt: B dims mismatch");
     assert_eq!(tf.n(), k);
+    assert!(l <= m.min(k), "tpmqrt: l out of range");
     let ib = tf.ib;
-    let starts: Vec<usize> = (0..k).step_by(ib).collect();
-    let order: Box<dyn Iterator<Item = usize>> = match trans {
-        Trans::Trans => Box::new(starts.clone().into_iter()),
-        Trans::NoTrans => Box::new(starts.clone().into_iter().rev()),
-    };
-    for i in order {
+    for i in block_starts(trans, k, ib) {
         let ibb = ib.min(k - i);
-        let mb = (m - l + i + ibb).min(m);
-        let lb = if l == 0 {
-            0
-        } else {
-            (mb + l).saturating_sub(m + i).min(ibb.min(mb))
-        };
-        let vblk = v.sub(0, i, mb, ibb);
-        let tblk = tf.block(i);
-        let mut ablk = a.sub(i, 0, ibb, w);
-        let mut bblk = b.sub(0, 0, mb, w);
-        tprfb_left(trans, lb, &vblk, &tblk, &mut ablk, &mut bblk);
-        a.set_sub(i, 0, &ablk);
-        b.set_sub(0, 0, &bblk);
+        let (mb, lb) = pent_block(m, l, i, ibb);
+        tprfb_left(
+            trans,
+            lb,
+            mb,
+            ibb,
+            w,
+            &v.as_slice()[i * m..],
+            m,
+            &tf.t.as_slice()[i * ib..],
+            ib,
+            &mut a.as_mut_slice()[i..],
+            k,
+            b.as_mut_slice(),
+            m,
+        );
     }
 }
 
@@ -868,30 +910,5 @@ mod tests {
         let _ = tpqrt(0, &mut r, &mut b, 8);
         let after = r.norm_fro(); // bottom is zero after factorization
         assert!((before - after).abs() < 1e-12 * before.max(1.0));
-    }
-
-    #[test]
-    fn tt_kernel_costs_less_than_ts() {
-        use crate::flops::{measure, KernelClass};
-        let n = 32;
-        let r0 = Mat::random(n, n, 30).upper_triangular();
-        let bs = Mat::random(n, n, 31);
-        let bt = Mat::random(n, n, 31).upper_triangular();
-        let (_, ts) = measure(|| {
-            let mut r = r0.clone();
-            let mut b = bs.clone();
-            tpqrt(0, &mut r, &mut b, 8)
-        });
-        let (_, tt) = measure(|| {
-            let mut r = r0.clone();
-            let mut b = bt.clone();
-            tpqrt(n, &mut r, &mut b, 8)
-        });
-        let f_ts = ts.get(KernelClass::Tpqrt) as f64;
-        let f_tt = tt.get(KernelClass::Tpqrt) as f64;
-        assert!(
-            f_tt < 0.6 * f_ts,
-            "TT ({f_tt}) should be much cheaper than TS ({f_ts})"
-        );
     }
 }

@@ -1653,6 +1653,12 @@ impl StreamWindow {
         let Some(net) = st.net.as_ref() else {
             return Ok(());
         };
+        // `wait_for_task` also returns when the run failed; a decision task
+        // of this rank may then never have run, so there is no value to plan
+        // on even when it is local.
+        if let Some(e) = &net.error {
+            return Err(e.clone());
+        }
         let Some(&(key, local)) = net.pending_decisions.get(&id) else {
             return Ok(());
         };

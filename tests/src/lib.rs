@@ -7,6 +7,8 @@
 use luqr_kernels::blas::{gemm, Trans};
 use luqr_kernels::Mat;
 
+pub mod qr_ref;
+
 /// Machine epsilon for `f64`; the unit roundoff of the standard model is
 /// `u = EPS / 2`.
 pub const EPS: f64 = f64::EPSILON;
@@ -36,6 +38,23 @@ pub fn gamma(k: usize) -> f64 {
 /// absolute tolerance would be wrong for badly scaled inputs.
 pub fn gemm_componentwise_bound(k: usize) -> f64 {
     gamma(k + 2)
+}
+
+/// Columnwise forward-error bound for applying `k` Householder reflectors
+/// of length `m` to a vector `c`, one by one or in blocked (compact-WY)
+/// form:
+///
+/// ```text
+/// ‖ĉ − op(Q)·c‖₂ ≤ qr_apply_bound(m, k) · ‖c‖₂
+/// ```
+///
+/// Orthogonal transformations are stable normwise per column, not
+/// componentwise (Higham, Lemma 19.3 and §19.5: `k·γ̃_m` with `γ̃_m = γ_{d·m}`
+/// for a small integer `d`; `d = 8` here covers the extra `T` and triangle
+/// products of the WY form). The elementwise reference and the engine-backed
+/// kernels both satisfy it, so two of them differ by at most twice this.
+pub fn qr_apply_bound(m: usize, k: usize) -> f64 {
+    k as f64 * gamma(8 * m.max(1))
 }
 
 /// Maximum factor by which an HPL3-style normalized residual may drift

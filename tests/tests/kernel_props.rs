@@ -11,10 +11,22 @@
 //! the microkernel fringes (m, n not multiples of MR/NR) and the TRSM
 //! diagonal-block boundary, and α/β sweep the branch-relevant edge cases
 //! 0.0, 1.0, −1.0 alongside general values.
+//!
+//! The QR apply kernels (UNMQR, TSMQR/TTMQR) run the same products on the
+//! engine, on strided views of the tiles. They are pinned to the retained
+//! elementwise loops (`luqr_tests::qr_ref`) under the columnwise bound
+//! `qr_apply_bound` — orthogonal transformations are stable per column
+//! norm, not per component — over ragged shapes (m ≠ n, w ≠ n), every
+//! pentagon parameter class (l = 0, 0 < l < min(m, n), l = min(m, n)), both
+//! `Q` and `Qᵀ`, and inner block sizes that do not divide n. Entries a
+//! kernel must never read (R above V1, whatever lies below a pentagon's
+//! trapezoid) are poisoned with NaN.
 
 use luqr_kernels::blas::{gemm, gemm_reference, trsm, Diag, Side, Trans, UpLo};
+use luqr_kernels::qr::{form_q, geqrt, tpmqrt, tpqrt, unmqr};
 use luqr_kernels::Mat;
-use luqr_tests::{gemm_componentwise_bound, EPS};
+use luqr_tests::qr_ref::{rows_of_reflector, tpmqrt_ref, unmqr_ref};
+use luqr_tests::{gemm_componentwise_bound, qr_apply_bound, EPS};
 use proptest::prelude::*;
 
 /// Naive triple-loop op(A)·op(B) accumulation for element (i, j), plus the
@@ -50,8 +62,140 @@ fn arb_scalar() -> impl Strategy<Value = f64> {
     prop_oneof![Just(0.0), Just(1.0), Just(-1.0), Just(0.75), Just(-1.5)]
 }
 
+/// Inner block sizes: 1, one that divides nothing, the benchmark's, and one
+/// past every tile width drawn here (a single block).
+fn arb_ib() -> impl Strategy<Value = usize> {
+    prop_oneof![Just(1usize), Just(5), Just(16), Just(64)]
+}
+
+/// 2-norm of column `j` of the stacked `[top; bot]`.
+fn stacked_col_norm(top: &Mat, bot: &Mat, j: usize) -> f64 {
+    let sq = |x: &[f64]| x.iter().map(|v| v * v).sum::<f64>();
+    (sq(top.col(j)) + sq(bot.col(j))).sqrt()
+}
+
+/// Every entry of `got` is within `tol_of(column)` of `want`.
+fn assert_cols_close(what: &str, got: &Mat, want: &Mat, tol_of: impl Fn(usize) -> f64) {
+    for j in 0..got.cols() {
+        let tol = tol_of(j);
+        for i in 0..got.rows() {
+            let (g, w) = (got[(i, j)], want[(i, j)]);
+            prop_assert!(
+                (g - w).abs() <= tol,
+                "{what} ({i},{j}): {g} vs {w}, tol {tol}"
+            );
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// UNMQR matches the elementwise reference, `Qᵀ(QC) = C`, and the formed
+    /// `Q` is orthogonal — for tall, square and wide reflector tiles.
+    #[test]
+    fn unmqr_matches_elementwise_reference(
+        m in 1usize..40,
+        nv in 1usize..40,
+        w in 1usize..30,
+        ib in arb_ib(),
+        transposed in any::<bool>(),
+        seed in any::<u64>(),
+    ) {
+        let tr = trans_of(transposed);
+        let mut v = Mat::random(m, nv, seed);
+        let tf = geqrt(&mut v, ib);
+        // R is never an input of the apply.
+        for j in 0..nv {
+            for i in 0..=j.min(m - 1) {
+                v[(i, j)] = f64::NAN;
+            }
+        }
+        let k = m.min(nv);
+        let c0 = Mat::random(m, w, seed ^ 0xc);
+        let zero = Mat::zeros(0, w);
+        let tol = |j: usize| 2.0 * qr_apply_bound(m, k) * stacked_col_norm(&c0, &zero, j) + EPS;
+
+        let mut c = c0.clone();
+        unmqr(tr, &v, &tf, &mut c);
+        let mut c_ref = c0.clone();
+        unmqr_ref(tr, &v, &tf, &mut c_ref);
+        assert_cols_close("unmqr vs reference", &c, &c_ref, tol);
+
+        unmqr(trans_of(!transposed), &v, &tf, &mut c);
+        assert_cols_close("round trip", &c, &c0, tol);
+
+        let q = form_q(&v, &tf);
+        let mut qtq = Mat::zeros(m, m);
+        gemm(Trans::Trans, Trans::NoTrans, 1.0, &q, &q, 0.0, &mut qtq);
+        let eye = Mat::eye(m);
+        assert_cols_close("QᵀQ", &qtq, &eye, |_| 2.0 * qr_apply_bound(m, k) + EPS);
+    }
+
+    /// TPQRT annihilates the pentagon, and TPMQRT matches the elementwise
+    /// reference, round-trips, and forms an orthogonal `Q` — for TS, TT and
+    /// general pentagons on ragged tiles.
+    #[test]
+    fn tpqrt_tpmqrt_match_elementwise_reference(
+        m in 1usize..33,
+        n in 1usize..33,
+        w in 1usize..30,
+        l_class in 0usize..3,
+        ib in arb_ib(),
+        transposed in any::<bool>(),
+        seed in any::<u64>(),
+    ) {
+        let tr = trans_of(transposed);
+        let l = [0, m.min(n) / 2, m.min(n)][l_class];
+        let in_pentagon = |i: usize, j: usize| i < rows_of_reflector(m, l, j);
+        let mut r0 = Mat::random(n, n, seed).upper_triangular();
+        for i in 0..n {
+            r0[(i, i)] += 2.0;
+        }
+        let rand_b = Mat::random(m, n, seed ^ 0xb);
+        // Below the trapezoid lies another kernel's data: poison it.
+        let b0 = Mat::from_fn(m, n, |i, j| if in_pentagon(i, j) { rand_b[(i, j)] } else { f64::NAN });
+        let mut r = r0.clone();
+        let mut v = b0.clone();
+        let tf = tpqrt(l, &mut r, &mut v, ib);
+        for j in 0..n {
+            for i in 0..m {
+                prop_assert!(v[(i, j)].is_nan() != in_pentagon(i, j), "V₂ escaped the pentagon at ({i},{j})");
+            }
+        }
+
+        // Qᵀ [R₀; B₀] = [R; 0] on the pentagon.
+        let b0_clean = Mat::from_fn(m, n, |i, j| if in_pentagon(i, j) { b0[(i, j)] } else { 0.0 });
+        let tol0 = |j: usize| 2.0 * qr_apply_bound(m + 1, n) * stacked_col_norm(&r0, &b0_clean, j) + EPS;
+        let (mut top, mut bot) = (r0.clone(), b0_clean.clone());
+        tpmqrt(Trans::Trans, l, &v, &tf, &mut top, &mut bot);
+        assert_cols_close("Qᵀ[R₀;B₀] top", &top, &r, tol0);
+        assert_cols_close("Qᵀ[R₀;B₀] bottom", &bot, &Mat::zeros(m, n), tol0);
+
+        let a0 = Mat::random(n, w, seed ^ 0xa);
+        let c0 = Mat::random(m, w, seed ^ 0xc);
+        let tol = |j: usize| 2.0 * qr_apply_bound(m + 1, n) * stacked_col_norm(&a0, &c0, j) + EPS;
+        let (mut a, mut c) = (a0.clone(), c0.clone());
+        tpmqrt(tr, l, &v, &tf, &mut a, &mut c);
+        let (mut a_ref, mut c_ref) = (a0.clone(), c0.clone());
+        tpmqrt_ref(tr, l, &v, &tf, &mut a_ref, &mut c_ref);
+        assert_cols_close("tpmqrt vs reference, top", &a, &a_ref, tol);
+        assert_cols_close("tpmqrt vs reference, bottom", &c, &c_ref, tol);
+
+        tpmqrt(trans_of(!transposed), l, &v, &tf, &mut a, &mut c);
+        assert_cols_close("round trip, top", &a, &a0, tol);
+        assert_cols_close("round trip, bottom", &c, &c0, tol);
+
+        // Q = op(Q)·I formed on the stacked identity is orthogonal.
+        let s = n + m;
+        let mut qa = Mat::from_fn(n, s, |i, j| if i == j { 1.0 } else { 0.0 });
+        let mut qb = Mat::from_fn(m, s, |i, j| if n + i == j { 1.0 } else { 0.0 });
+        tpmqrt(tr, l, &v, &tf, &mut qa, &mut qb);
+        let mut qtq = Mat::zeros(s, s);
+        gemm(Trans::Trans, Trans::NoTrans, 1.0, &qa, &qa, 0.0, &mut qtq);
+        gemm(Trans::Trans, Trans::NoTrans, 1.0, &qb, &qb, 1.0, &mut qtq);
+        assert_cols_close("QᵀQ", &qtq, &Mat::eye(s), |_| 2.0 * qr_apply_bound(m + 1, n) + EPS);
+    }
 
     /// Blocked GEMM matches the naive loops within the documented bound, for
     /// every transpose combination, rectangular shape, and α/β edge case.
