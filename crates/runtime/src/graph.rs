@@ -15,12 +15,12 @@
 //! false`). Discarded tasks cost nothing and transfer nothing — they are
 //! the Propagate-selected dead paths of Figure 1.
 
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::AtomicUsize;
 use std::sync::OnceLock;
 
 use parking_lot::Mutex;
+
+use crate::hash::IntMap;
 
 /// Identifier of a task within one [`Graph`].
 pub type TaskId = usize;
@@ -29,36 +29,6 @@ pub type TaskId = usize;
 /// a decision cell...). The algorithm layer chooses the encoding.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct DataKey(pub u64);
-
-/// Multiply-shift hasher for the builder's [`DataKey`]-indexed maps: keys
-/// are already well-packed 64-bit words, so a single Fibonacci multiply
-/// spreads them plenty — and graph construction does a handful of map
-/// operations per access, which makes the default SipHash a measurable
-/// slice of build time on large graphs.
-#[derive(Default)]
-pub struct KeyHasher(u64);
-
-impl Hasher for KeyHasher {
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ b as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        }
-    }
-
-    #[inline]
-    fn write_u64(&mut self, k: u64) {
-        self.0 = k.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    }
-
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-/// Hash-map state for [`DataKey`]-indexed maps.
-pub type KeyHashBuilder = BuildHasherDefault<KeyHasher>;
 
 /// How a task touches a datum.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -393,8 +363,8 @@ struct DataInfo {
 pub struct GraphBuilder {
     num_nodes: usize,
     tasks: Vec<Task>,
-    data: HashMap<DataKey, DataInfo, KeyHashBuilder>,
-    hazards: HashMap<DataKey, crate::hazard::HazardCell<()>, KeyHashBuilder>,
+    data: IntMap<DataKey, DataInfo>,
+    hazards: IntMap<DataKey, crate::hazard::HazardCell<()>>,
 }
 
 impl GraphBuilder {
@@ -403,8 +373,8 @@ impl GraphBuilder {
         GraphBuilder {
             num_nodes,
             tasks: Vec::new(),
-            data: HashMap::default(),
-            hazards: HashMap::default(),
+            data: IntMap::default(),
+            hazards: IntMap::default(),
         }
     }
 

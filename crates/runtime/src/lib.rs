@@ -13,6 +13,8 @@
 //! * [`hazard`] — the one RAW/WAR/WAW inference implementation behind
 //!   [`graph`], [`sched`], and the streaming window's datum directories,
 //!   parameterized over the per-writer payload each client keeps.
+//! * [`hash`] — the one integer hasher behind every sparse-key table
+//!   ([`graph`], [`sched`], [`vtime`], the streaming window).
 //! * [`exec`] — a dependency-counting multithreaded executor.
 //! * [`platform`] / [`sim`] — a description of the paper's *Dancer* cluster
 //!   and a discrete-event simulator replaying executed graphs against it:
@@ -49,6 +51,7 @@ pub mod comm;
 pub mod dot;
 pub mod exec;
 pub mod graph;
+pub mod hash;
 pub mod hazard;
 pub mod net;
 pub mod platform;

@@ -67,6 +67,12 @@ pub mod metric {
     pub const STREAM_PANEL_WAIT: &str = "stream_panel_wait_seconds";
     /// Histogram: wall delay between a step closing and it retiring.
     pub const STREAM_RETIRE_LAG: &str = "stream_retire_lag_seconds";
+    /// Counter: times the streaming driver thread was woken from a sleep
+    /// (capacity, decision, drain, or — net mode — frame waits).
+    pub const STREAM_PLANNER_WAKEUPS: &str = "stream_planner_wakeups";
+    /// Counter: times a streaming worker went to sleep for lack of a
+    /// ready task.
+    pub const STREAM_WORKER_PARKS: &str = "stream_worker_parks";
     /// Counter: routed protocol messages by kind (data/decision/retire).
     pub const COMM_MSGS: &str = "comm_msgs_total";
     /// Counter: simulated payload messages per (src, dst) link.

@@ -63,13 +63,6 @@ impl ReadyQueue {
         self.0.pop()
     }
 
-    /// The deepest ready task, without removing it. Workers scanning the
-    /// per-node sub-windows compare peeks to pick the globally deepest
-    /// runnable task.
-    pub fn peek(&self) -> Option<&Ready> {
-        self.0.peek()
-    }
-
     pub fn len(&self) -> usize {
         self.0.len()
     }

@@ -25,11 +25,11 @@
 //! folded into a per-key scalar) the same way the streaming window prunes
 //! completed readers.
 
-use std::collections::HashMap;
 use std::time::Instant;
 
 use super::{ReadyTask, SchedPolicy, Scheduler};
-use crate::graph::{Access, CostedAccess, DataKey, KeyHashBuilder, TaskId, TaskResult};
+use crate::graph::{Access, CostedAccess, DataKey, TaskId, TaskResult};
+use crate::hash::IntMap;
 use crate::hazard::HazardCell;
 use crate::platform::Platform;
 use crate::probe::report::Attribution;
@@ -64,11 +64,11 @@ pub(crate) struct Buffered {
 /// the current core/network state.
 pub struct SchedView<'a> {
     vt: &'a VirtualSchedule,
-    tasks: &'a HashMap<TaskId, Buffered>,
+    tasks: &'a IntMap<TaskId, Buffered>,
 }
 
 impl<'a> SchedView<'a> {
-    pub(crate) fn new(vt: &'a VirtualSchedule, tasks: &'a HashMap<TaskId, Buffered>) -> Self {
+    pub(crate) fn new(vt: &'a VirtualSchedule, tasks: &'a IntMap<TaskId, Buffered>) -> Self {
         SchedView { vt, tasks }
     }
 
@@ -116,12 +116,12 @@ pub struct SchedEngine {
     steal_kept: u64,
     steal_win: Histogram,
     next_id: TaskId,
-    buffered: HashMap<TaskId, Buffered>,
+    buffered: IntMap<TaskId, Buffered>,
     /// Per-datum hazard state (the shared [`crate::hazard`] core; no
     /// writer payload — the scoreboard lives in `vt`). Reader entries
     /// referencing already-scheduled tasks are pruned amortized, their
     /// depth folded, exactly like the streaming window's directories.
-    hazards: HashMap<DataKey, HazardCell<()>, KeyHashBuilder>,
+    hazards: IntMap<DataKey, HazardCell<()>>,
     /// Per-task spans indexed by id (empty unless span recording is on).
     record_spans: bool,
     starts: Vec<f64>,
@@ -153,8 +153,8 @@ impl SchedEngine {
             steal_win: Histogram::default(),
             lookahead: usize::MAX,
             next_id: 0,
-            buffered: HashMap::new(),
-            hazards: HashMap::default(),
+            buffered: IntMap::default(),
+            hazards: IntMap::default(),
             record_spans: false,
             starts: Vec::new(),
             finishes: Vec::new(),

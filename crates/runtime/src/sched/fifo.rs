@@ -51,7 +51,7 @@ mod tests {
                 depth: 1,
             });
         }
-        let view_tasks = std::collections::HashMap::new();
+        let view_tasks = crate::hash::IntMap::default();
         let platform = crate::platform::Platform::single_node(1);
         let vt = crate::vtime::VirtualSchedule::new(&platform);
         let view = SchedView::new(&vt, &view_tasks);

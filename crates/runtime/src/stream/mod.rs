@@ -304,17 +304,94 @@ pub fn execute(source: &mut dyn StepSource, window: usize, threads: usize) -> St
 /// Execute `source` under the full streaming configuration: window policy,
 /// optional online platform simulation, optional trace recording.
 pub fn execute_with(source: &mut dyn StepSource, opts: &StreamOptions) -> StreamReport {
+    drive(source, opts, None).expect("only a transport can fail a run, and there is none")
+}
+
+/// Execute `source` as one rank of a real distributed run (SPMD): every
+/// rank calls this with the *same* deterministic source over its own full
+/// mirror of the matrix, its own transport endpoint, and its own payload
+/// store.
+///
+/// Planning is identical on every rank — same task ids, same hazard
+/// edges, same protocol messages — so each rank's modeled [`MsgStats`]
+/// equals the simulated run's. What differs per rank is execution: tasks
+/// placed on other ranks are stubs that run nothing, local tasks gate on
+/// the arrival of their cross-rank inputs, and every protocol message this
+/// rank originates goes out as a real wire frame. At the end, ranks other
+/// than 0 ship the final version of every datum they own to rank 0, whose
+/// mirror then holds the complete factorization.
+///
+/// Restrictions (asserted): no platform model / virtual time, FIFO
+/// scheduling, no stealing, no recalibration — net runs pin the
+/// bitwise-reproducible configuration. The transport's world size must
+/// equal `source.num_nodes()`.
+pub fn execute_net(
+    source: &mut dyn StepSource,
+    opts: &StreamOptions,
+    net: NetConfig,
+) -> Result<StreamReport, TransportError> {
+    assert!(
+        opts.platform.is_none(),
+        "execute_net drives real transports, not the platform model"
+    );
+    assert!(!opts.steal, "stealing would desynchronize SPMD planning");
+    assert!(
+        !opts.recalibrate,
+        "recalibration would desynchronize SPMD planning"
+    );
+    drive(source, opts, Some(net))
+}
+
+/// Unwinding out of the driver's scope with workers (and, in net mode, the
+/// receiver and the peers) still asleep would hang the scope's join: fail
+/// the run on the way out so every thread returns.
+struct AbortOnUnwind<'a> {
+    win: &'a StreamWindow,
+    net: Option<&'a NetConfig>,
+}
+
+impl Drop for AbortOnUnwind<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.win
+                .fail_panicked(Box::new("the streaming planner panicked"));
+            if let Some(net) = self.net {
+                self.win.net_abort();
+                net.transport.shutdown();
+            }
+        }
+    }
+}
+
+/// The one driver loop behind [`execute_with`] and [`execute_net`]: the
+/// calling thread opens, plans, awaits and closes steps under the window
+/// policy while `threads` workers execute; with a transport, a receiver
+/// thread pumps inbound frames and the run ends with the rank protocol.
+fn drive(
+    source: &mut dyn StepSource,
+    opts: &StreamOptions,
+    net: Option<NetConfig>,
+) -> Result<StreamReport, TransportError> {
     let threads = opts.threads.max(1);
     let start = Instant::now();
-    let win = StreamWindow::with_options(
-        source.num_nodes(),
-        opts.platform.as_ref(),
-        opts.trace,
-        opts.scheduler,
-        &opts.probe,
-        opts.steal,
-        opts.recalibrate,
-    );
+    let win = match &net {
+        None => StreamWindow::with_options(
+            source.num_nodes(),
+            opts.platform.as_ref(),
+            opts.trace,
+            opts.scheduler,
+            &opts.probe,
+            opts.steal,
+            opts.recalibrate,
+        ),
+        Some(net) => StreamWindow::with_net(
+            source.num_nodes(),
+            opts.trace,
+            &opts.probe,
+            Arc::clone(&net.transport),
+            Arc::clone(&net.store),
+        ),
+    };
     let steps = source.num_steps();
     let probing = opts.probe.is_enabled();
 
@@ -330,15 +407,47 @@ pub fn execute_with(source: &mut dyn StepSource, opts: &StreamOptions) -> Stream
         }
     };
     let mut per_step_window = Vec::with_capacity(steps);
+    let mut net_result = Ok(());
 
     std::thread::scope(|scope| {
         for w in 0..threads {
             let win = &win;
             scope.spawn(move || win.worker_loop(w));
         }
+        // Receiver: pump inbound frames into the window until the run's
+        // shutdown frame (or the endpoint closes underneath us).
+        if let Some(net) = &net {
+            let win = &win;
+            let transport = Arc::clone(&net.transport);
+            scope.spawn(move || loop {
+                match transport.recv() {
+                    Ok((from, frame)) => {
+                        if matches!(win.on_frame(from, frame), FramePump::Stop) {
+                            break;
+                        }
+                    }
+                    Err(TransportError::Closed) => break,
+                    // A peer tearing down after the shutdown broadcast is
+                    // not a failure — keep pumping for our own Shutdown.
+                    Err(e) if win.net_disconnect_benign(&e) => continue,
+                    Err(e) => {
+                        win.net_fail(e);
+                        break;
+                    }
+                }
+            });
+        }
+        let _abort = AbortOnUnwind {
+            win: &win,
+            net: net.as_ref(),
+        };
 
         source.prepare(&mut StepSink::declarations(&win));
         for k in 0..steps {
+            // A failed run's waits return at once: stop planning into it.
+            if win.failed() {
+                break;
+            }
             win.wait_for_capacity(window);
             win.open_step(k);
             per_step_window.push(window);
@@ -365,6 +474,10 @@ pub fn execute_with(source: &mut dyn StepSource, opts: &StreamOptions) -> Stream
                 StepPhase::AwaitDecision(decision_task) => {
                     let t0 = Instant::now();
                     win.wait_for_task(decision_task);
+                    if !win.wait_decision_value(decision_task) {
+                        win.close_step(k);
+                        break;
+                    }
                     decision_wait = t0.elapsed().as_secs_f64();
                     source.plan_finish(k, &mut sink);
                 }
@@ -391,198 +504,38 @@ pub fn execute_with(source: &mut dyn StepSource, opts: &StreamOptions) -> Stream
         }
         win.finish_planning();
         win.wait_drained();
+        if let Some(net) = &net {
+            net_result = if win.failed() {
+                win.net_check()
+            } else {
+                win.net_finish()
+            };
+            if win.failed() {
+                // Take the peers down with us — they cannot make progress
+                // without this rank's frames, and over in-process
+                // transports nobody would notice a silently missing peer.
+                win.net_abort();
+            }
+            // Stop the receiver in every case: rank 0 never gets a
+            // Shutdown frame of its own, and an erroring rank's receiver
+            // may still be blocked in recv().
+            net.transport.shutdown();
+        }
     });
 
-    let stats = win.stats();
-    StreamReport {
-        wall_seconds: start.elapsed().as_secs_f64(),
-        steps,
-        tasks_planned: stats.tasks_planned,
-        tasks_executed: stats.tally.executed,
-        tasks_discarded: stats.tally.discarded,
-        total_flops: stats.tally.flops,
-        peak_live_tasks: stats.peak_live_tasks,
-        peak_live_steps: stats.peak_live_steps,
-        per_step_tasks: stats.per_step_tasks,
-        per_step_window,
-        steals: stats.steals,
-        steal_kept: stats.steal_kept,
-        msgs: stats.msgs,
-        link_msgs: stats.link_msgs,
-        sim: stats.sim,
-        trace: stats.trace,
-        scheduler: opts.scheduler,
-        net: stats.net,
+    // A kernel panic outranks whatever it made of the transport.
+    if let Some(payload) = win.take_panic() {
+        std::panic::resume_unwind(payload);
     }
-}
-
-/// Execute `source` as one rank of a real distributed run (SPMD): every
-/// rank calls this with the *same* deterministic source over its own full
-/// mirror of the matrix, its own transport endpoint, and its own payload
-/// store.
-///
-/// Planning is identical on every rank — same task ids, same hazard
-/// edges, same protocol messages — so each rank's modeled [`MsgStats`]
-/// equals the simulated run's. What differs per rank is execution: tasks
-/// placed on other ranks run as no-op stubs, local tasks gate on the
-/// arrival of their cross-rank inputs, and every protocol message this
-/// rank originates goes out as a real wire frame. At the end, ranks other
-/// than 0 ship the final version of every datum they own to rank 0, whose
-/// mirror then holds the complete factorization.
-///
-/// Restrictions (asserted): no platform model / virtual time, FIFO
-/// scheduling, no stealing, no recalibration — net runs pin the
-/// bitwise-reproducible configuration. The transport's world size must
-/// equal `source.num_nodes()`.
-pub fn execute_net(
-    source: &mut dyn StepSource,
-    opts: &StreamOptions,
-    net: NetConfig,
-) -> Result<StreamReport, TransportError> {
-    assert!(
-        opts.platform.is_none(),
-        "execute_net drives real transports, not the platform model"
-    );
-    assert!(!opts.steal, "stealing would desynchronize SPMD planning");
-    assert!(
-        !opts.recalibrate,
-        "recalibration would desynchronize SPMD planning"
-    );
-    let threads = opts.threads.max(1);
-    let start = Instant::now();
-    let win = StreamWindow::with_net(
-        source.num_nodes(),
-        opts.trace,
-        &opts.probe,
-        Arc::clone(&net.transport),
-        Arc::clone(&net.store),
-    );
-    let steps = source.num_steps();
-    let probing = opts.probe.is_enabled();
-
-    let (mut window, auto) = match opts.window {
-        WindowPolicy::Fixed(w) => (w.max(1), None),
-        WindowPolicy::Auto {
-            min,
-            max,
-            live_task_budget,
-        } => {
-            let min = min.max(1);
-            (min, Some((min, max.max(min), live_task_budget)))
-        }
-    };
-    let mut per_step_window = Vec::with_capacity(steps);
-    let mut run_err: Option<TransportError> = None;
-
-    std::thread::scope(|scope| {
-        for w in 0..threads {
-            let win = &win;
-            scope.spawn(move || win.worker_loop(w));
-        }
-        // Receiver: pump inbound frames into the window until the run's
-        // shutdown frame (or the endpoint closes underneath us).
-        {
-            let win = &win;
-            let transport = Arc::clone(&net.transport);
-            scope.spawn(move || loop {
-                match transport.recv() {
-                    Ok((from, frame)) => {
-                        if matches!(win.on_frame(from, frame), FramePump::Stop) {
-                            break;
-                        }
-                    }
-                    Err(TransportError::Closed) => break,
-                    // A peer tearing down after the shutdown broadcast is
-                    // not a failure — keep pumping for our own Shutdown.
-                    Err(e) if win.net_disconnect_benign(&e) => continue,
-                    Err(e) => {
-                        win.net_fail(e);
-                        break;
-                    }
-                }
-            });
-        }
-
-        source.prepare(&mut StepSink::declarations(&win));
-        for k in 0..steps {
-            if let Err(e) = win.net_check() {
-                run_err = Some(e);
-                break;
-            }
-            win.wait_for_capacity(window);
-            win.open_step(k);
-            per_step_window.push(window);
-            if probing {
-                opts.probe.gauge(
-                    metric::STREAM_WINDOW,
-                    Label::None,
-                    start.elapsed().as_secs_f64(),
-                    window as f64,
-                );
-            }
-            let step_t0 = Instant::now();
-            let mut decision_wait = 0.0f64;
-            let mut sink = StepSink::new(&win, k);
-            match source.plan_prelude(k, &mut sink) {
-                StepPhase::Complete => {}
-                StepPhase::AwaitDecision(decision_task) => {
-                    let t0 = Instant::now();
-                    win.wait_for_task(decision_task);
-                    // The decision may have been computed on another rank:
-                    // wait for its *value* (the stub completing only means
-                    // its hazard slots released).
-                    if let Err(e) = win.net_wait_decision(decision_task) {
-                        run_err = Some(e);
-                        win.close_step(k);
-                        break;
-                    }
-                    decision_wait = t0.elapsed().as_secs_f64();
-                    source.plan_finish(k, &mut sink);
-                }
-            }
-            if probing {
-                opts.probe
-                    .observe(metric::STREAM_PANEL_WAIT, Label::None, decision_wait);
-            }
-            win.close_step(k);
-            if let Some((min, max, budget)) = auto {
-                let live = win.live_tasks();
-                let elapsed = step_t0.elapsed().as_secs_f64();
-                if budget > 0 && live * 10 >= budget * 8 {
-                    window = window.saturating_sub(1).max(min);
-                } else if decision_wait > 0.5 * elapsed && window < max {
-                    window += 1;
-                }
-            }
-        }
-        win.finish_planning();
-        win.wait_drained();
-        if run_err.is_none() {
-            if let Err(e) = win.net_check() {
-                run_err = Some(e);
-            }
-        }
-        if run_err.is_none() {
-            if let Err(e) = win.net_finish() {
-                run_err = Some(e);
-            }
-        }
-        if run_err.is_some() {
-            // Take the peers down with us — they cannot make progress
-            // without this rank's frames, and over in-process transports
-            // nobody would notice a silently missing peer.
-            win.net_abort();
-        }
-        // Stop the receiver in every case: rank 0 never gets a Shutdown
-        // frame of its own, and an erroring rank's receiver may still be
-        // blocked in recv().
-        net.transport.shutdown();
-    });
-
-    if let Some(e) = run_err {
-        return Err(e);
-    }
+    net_result?;
     let stats = win.stats();
+    opts.probe.counter(
+        metric::STREAM_PLANNER_WAKEUPS,
+        Label::None,
+        stats.planner_wakeups,
+    );
+    opts.probe
+        .counter(metric::STREAM_WORKER_PARKS, Label::None, stats.worker_parks);
     Ok(StreamReport {
         wall_seconds: start.elapsed().as_secs_f64(),
         steps,
@@ -1042,5 +995,271 @@ mod tests {
         }
         let json = crate::trace::events_to_chrome_trace(&report.trace);
         assert_eq!(json.matches("\"ph\": \"X\"").count(), 6);
+    }
+
+    /// Run `f` on its own thread and fail — instead of hanging the test
+    /// binary — if it has not returned within the deadline. A panic inside
+    /// `f` is re-raised here.
+    fn with_watchdog<T: Send + 'static>(what: &str, f: impl FnOnce() -> T + Send + 'static) -> T {
+        use std::sync::mpsc::{channel, RecvTimeoutError};
+        let (tx, rx) = channel();
+        let runner = std::thread::spawn(move || {
+            let _ = tx.send(f());
+        });
+        match rx.recv_timeout(std::time::Duration::from_secs(60)) {
+            Ok(v) => v,
+            Err(RecvTimeoutError::Timeout) => panic!("{what}: still running after 60 s (hang)"),
+            Err(RecvTimeoutError::Disconnected) => {
+                std::panic::resume_unwind(runner.join().expect_err("sender dropped by a panic"))
+            }
+        }
+    }
+
+    /// Order-sensitive arithmetic the mixed source's kernels share: any
+    /// reordering of conflicting tasks changes the final bits.
+    #[derive(Default)]
+    struct MixedCells {
+        acc: f64,
+        leaves: [f64; 4],
+        decision: Option<bool>,
+        branches: Vec<bool>,
+    }
+
+    /// A small source with every shape the wake-up protocol must survive:
+    /// a serial chain, a fan-out with a join, and — on odd steps — a
+    /// decision the planner awaits before planning one of two branches.
+    /// With `nodes == 2` the fan-out and the join cross nodes.
+    struct MixedSource {
+        steps: usize,
+        nodes: usize,
+        cells: Arc<parking_lot::Mutex<MixedCells>>,
+    }
+
+    impl MixedSource {
+        const ACC: u64 = 0;
+        const DECISION: u64 = 9;
+
+        fn new(steps: usize, nodes: usize) -> Self {
+            let cells = MixedCells {
+                acc: 1.0,
+                ..MixedCells::default()
+            };
+            MixedSource {
+                steps,
+                nodes,
+                cells: Arc::new(parking_lot::Mutex::new(cells)),
+            }
+        }
+
+        fn awaited_decisions(&self) -> usize {
+            self.steps / 2
+        }
+
+        fn task(
+            &self,
+            f: impl FnOnce(&mut MixedCells) + Send + 'static,
+        ) -> impl FnOnce() -> TaskResult + Send + 'static {
+            let cells = Arc::clone(&self.cells);
+            move || {
+                f(&mut cells.lock());
+                TaskResult::executed(1.0, CostClass::Gemm)
+            }
+        }
+
+        /// Final accumulator bits and the branches taken.
+        fn outcome(&self) -> (u64, Vec<bool>) {
+            let c = self.cells.lock();
+            (c.acc.to_bits(), c.branches.clone())
+        }
+    }
+
+    impl StepSource for MixedSource {
+        fn num_steps(&self) -> usize {
+            self.steps
+        }
+
+        fn num_nodes(&self) -> usize {
+            self.nodes
+        }
+
+        fn prepare(&mut self, sink: &mut dyn TaskSink) {
+            sink.declare(k(Self::ACC), 8, 0);
+            for j in 1..=4u64 {
+                sink.declare(k(j), 8, j as usize % self.nodes);
+            }
+            sink.declare(k(Self::DECISION), 1, 0);
+            sink.declare_class(k(Self::DECISION), crate::graph::DataClass::Decision);
+        }
+
+        fn plan_prelude(&mut self, s: usize, sink: &mut dyn TaskSink) -> StepPhase {
+            for t in 0..3 {
+                let tag = (3 * s + t) as f64;
+                sink.insert(format!("chain{s}/{t}"), 0)
+                    .writes(k(Self::ACC))
+                    .spawn(self.task(move |c| c.acc = (c.acc * 1.0000001).sin() + tag * 1e-3));
+            }
+            for j in 0..4usize {
+                sink.insert(format!("leaf{s}/{j}"), (j + 1) % self.nodes)
+                    .reads(k(Self::ACC))
+                    .writes(k(j as u64 + 1))
+                    .spawn(self.task(move |c| c.leaves[j] = c.acc + j as f64));
+            }
+            sink.insert(format!("join{s}"), self.nodes - 1)
+                .reads(k(1))
+                .reads(k(2))
+                .reads(k(3))
+                .reads(k(4))
+                .writes(k(Self::ACC))
+                .spawn(self.task(|c| c.acc += c.leaves.iter().sum::<f64>() * 1e-3));
+            if s.is_multiple_of(2) {
+                return StepPhase::Complete;
+            }
+            let decide = sink
+                .insert(format!("decide{s}"), 0)
+                .reads(k(Self::ACC))
+                .writes(k(Self::DECISION))
+                .spawn(self.task(|c| c.decision = Some(c.acc.to_bits() & 1 == 0)));
+            StepPhase::AwaitDecision(decide)
+        }
+
+        fn plan_finish(&mut self, s: usize, sink: &mut dyn TaskSink) {
+            let branch = self
+                .cells
+                .lock()
+                .decision
+                .take()
+                .expect("the awaited decision task ran before plan_finish");
+            sink.insert(format!("branch{s}"), 0)
+                .reads(k(Self::DECISION))
+                .writes(k(Self::ACC))
+                .spawn(self.task(move |c| {
+                    c.branches.push(branch);
+                    c.acc = if branch { c.acc * 1.5 } else { c.acc - 0.25 };
+                }));
+        }
+    }
+
+    /// The planner is woken when what it sleeps on became true — not once
+    /// per completed task.
+    #[test]
+    fn planner_wakeups_are_bounded_by_its_waits() {
+        for nodes in [1, 2] {
+            let probe = Probe::enabled();
+            let mut src = MixedSource::new(12, nodes);
+            let decisions = src.awaited_decisions();
+            let opts = StreamOptions::fixed(2, 1).with_probe(probe.clone());
+            let report = with_watchdog("wake-up budget", move || execute_with(&mut src, &opts));
+            assert!(report.tasks_executed > 100);
+            let snapshot = probe.report().snapshot;
+            let wakeups = snapshot.counter(metric::STREAM_PLANNER_WAKEUPS, Label::None);
+            // One sleep per capacity wait, per awaited decision, and for
+            // the final drain — at most.
+            let budget = (report.steps + decisions + 1) as u64;
+            assert!(
+                wakeups <= budget,
+                "{wakeups} planner wake-ups for {} tasks (budget {budget})",
+                report.tasks_executed
+            );
+            // A lone worker sleeps at most once per task it waited for.
+            let parks = snapshot.counter(metric::STREAM_WORKER_PARKS, Label::None);
+            assert!(parks <= report.tasks_executed as u64 + 1);
+        }
+    }
+
+    /// Lost-wake-up stress: every (threads, window) point runs the mixed
+    /// source many times under a watchdog — a lost wake-up is a hang, which
+    /// the watchdog turns into a failure — and every run must produce the
+    /// same bits.
+    #[test]
+    fn no_wakeup_is_lost_across_threads_and_windows() {
+        const REPS: usize = 200;
+        for nodes in [1, 2] {
+            let mut expected = None;
+            for threads in [1, 2, 4] {
+                for window in [1, 2, 7] {
+                    let what = format!("nodes={nodes} threads={threads} window={window}");
+                    let outcomes = with_watchdog(&what, move || {
+                        (0..REPS)
+                            .map(|_| {
+                                let mut src = MixedSource::new(6, nodes);
+                                let report = execute(&mut src, window, threads);
+                                assert_eq!(report.tasks_executed, report.tasks_planned);
+                                assert!(report.peak_live_steps <= window);
+                                src.outcome()
+                            })
+                            .collect::<Vec<_>>()
+                    });
+                    let first = expected.get_or_insert_with(|| outcomes[0].clone());
+                    assert_eq!(first.1.len(), 3, "three awaited decisions");
+                    for (rep, got) in outcomes.iter().enumerate() {
+                        assert_eq!(got, first, "{what} rep {rep}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// A panicking kernel fails the run: the panic reaches the caller
+    /// (with its own payload) instead of leaving the planner asleep inside
+    /// the thread scope forever.
+    #[test]
+    fn panicking_kernel_propagates_instead_of_hanging() {
+        struct PanicAtStepZero;
+        impl StepSource for PanicAtStepZero {
+            fn num_steps(&self) -> usize {
+                3
+            }
+            fn prepare(&mut self, sink: &mut dyn TaskSink) {
+                sink.declare(k(0), 8, 0);
+            }
+            fn plan_prelude(&mut self, s: usize, sink: &mut dyn TaskSink) -> StepPhase {
+                sink.insert(format!("t{s}"), 0).writes(k(0)).spawn(move || {
+                    if s == 0 {
+                        panic!("kernel exploded at step 0");
+                    }
+                    TaskResult::executed(1.0, CostClass::Gemm)
+                });
+                StepPhase::Complete
+            }
+        }
+        for threads in [1, 3] {
+            let caught = with_watchdog("panicking kernel", move || {
+                std::panic::catch_unwind(|| execute(&mut PanicAtStepZero, 1, threads))
+            });
+            let payload = caught.expect_err("the kernel's panic must reach the caller");
+            assert_eq!(
+                payload.downcast_ref::<&str>().copied(),
+                Some("kernel exploded at step 0"),
+                "threads={threads}"
+            );
+        }
+    }
+
+    /// So does a panicking planner: the workers must not be left asleep
+    /// under the scope's join.
+    #[test]
+    fn panicking_planner_propagates_instead_of_hanging() {
+        struct PanicWhilePlanning;
+        impl StepSource for PanicWhilePlanning {
+            fn num_steps(&self) -> usize {
+                3
+            }
+            fn prepare(&mut self, sink: &mut dyn TaskSink) {
+                sink.declare(k(0), 8, 0);
+            }
+            fn plan_prelude(&mut self, s: usize, sink: &mut dyn TaskSink) -> StepPhase {
+                assert!(s < 1, "planner exploded at step {s}");
+                sink.insert("t", 0)
+                    .writes(k(0))
+                    .spawn(|| TaskResult::executed(1.0, CostClass::Gemm));
+                StepPhase::Complete
+            }
+        }
+        let caught = with_watchdog("panicking planner", || {
+            std::panic::catch_unwind(|| execute(&mut PanicWhilePlanning, 2, 2))
+        });
+        let payload = caught.expect_err("the planner's panic must reach the caller");
+        let msg = payload.downcast_ref::<String>().expect("assert! message");
+        assert!(msg.contains("planner exploded at step 1"), "{msg}");
     }
 }

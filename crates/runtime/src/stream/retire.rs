@@ -14,7 +14,7 @@
 //! it (a [`crate::comm::RetireMsg`] in the distributed protocol), and the
 //! step retires once every participating node has reported.
 
-use std::collections::HashMap;
+use crate::hash::IntMap;
 
 /// Per-step planning/completion state.
 #[derive(Debug, Clone)]
@@ -44,7 +44,7 @@ pub(crate) struct StepEvent {
 /// Tracks which steps are live and when each retires.
 pub(crate) struct StepLedger {
     num_nodes: usize,
-    steps: HashMap<usize, StepStat>,
+    steps: IntMap<usize, StepStat>,
     live_steps: usize,
     /// Highest concurrent live-step count observed.
     pub peak_live_steps: usize,
@@ -56,7 +56,7 @@ impl StepLedger {
     pub fn new(num_nodes: usize) -> Self {
         StepLedger {
             num_nodes,
-            steps: HashMap::new(),
+            steps: IntMap::default(),
             live_steps: 0,
             peak_live_steps: 0,
             per_step_planned: Vec::new(),

@@ -1,6 +1,6 @@
-//! The streaming window, split into per-node sub-windows: a live task
-//! graph that grows at the planning edge and shrinks at the completion
-//! edge, with cross-node progress flowing through explicit messages.
+//! The streaming window: a live task graph that grows at the planning
+//! edge and shrinks at the completion edge, distributed over virtual nodes
+//! whose cross-node progress flows through explicit messages.
 //!
 //! [`StreamWindow`] accepts task insertions through the same [`TaskSink`]
 //! surface as the batch [`crate::graph::GraphBuilder`] and infers the same
@@ -13,30 +13,70 @@
 //! metadata stays bounded by the declared data plus the live window, not
 //! by the factorization's O(N³) task count.
 //!
-//! **Distribution.** Each virtual node owns a [`NodeWindow`]: the live
-//! records and ready queue of the tasks *placed* on it (owner-computes),
-//! plus the hazard directory of the data *homed* on it. A dependency
-//! between tasks on the same node is a direct edge inside that
-//! sub-window; a cross-node dependency is satisfied by a routed message
-//! ([`crate::comm::Msg`]): the producer's completion delivers a
-//! [`crate::comm::DataMsg`] once per destination node (consumers there
-//! share the cached copy — and late consumers of an already-completed
-//! producer trigger the send at insertion), the hybrid's criterion
-//! decision reaches remote branch tasks as a [`crate::comm::DecisionMsg`]
-//! broadcast from the panel-owner node, and a node whose share of a
-//! closed step drains reports it with a [`crate::comm::RetireMsg`] so the
-//! planner can retire the step. Ordering-only dependencies (WAR,
-//! control) release remote successors without payload and are not counted
-//! as messages — matching the platform simulator's cost model, which is
-//! what keeps the online virtual-time report equal to a batch replay.
+//! **Tables.** Task ids are issued sequentially and the live span is
+//! bounded by the window, so live records sit in one id-indexed ring
+//! (`TaskRing`: a deque whose base advances past completed ids — an id
+//! below the base is a completed task, by construction). Every declared
+//! datum gets a dense slot in a `Vec<DatumDir>`; an insertion resolves each
+//! access's [`DataKey`] to its slot once and the record remembers the
+//! slots it will need at completion. The per-task path is array indexing.
 //!
-//! All mutable state sits behind one mutex with two condition variables:
-//! `work_cv` wakes workers when tasks become ready (or at shutdown), and
-//! `plan_cv` wakes the planning thread when capacity opens, an awaited
-//! decision task completes, or the graph drains.
+//! **Distribution.** Each task is *placed* on a virtual node
+//! (owner-computes) and each datum is *homed* on one. A dependency between
+//! tasks on the same node is a direct edge; a cross-node dependency is
+//! satisfied by a routed message ([`crate::comm::Msg`]): the producer's
+//! completion delivers a [`crate::comm::DataMsg`] once per destination
+//! node (consumers there share the cached copy — and late consumers of an
+//! already-completed producer trigger the send at insertion), the hybrid's
+//! criterion decision reaches remote branch tasks as a
+//! [`crate::comm::DecisionMsg`] broadcast from the panel-owner node, and a
+//! node whose share of a closed step drains reports it with a
+//! [`crate::comm::RetireMsg`] so the planner can retire the step.
+//! Ordering-only dependencies (WAR, control) release remote successors
+//! without payload and are not counted as messages — matching the platform
+//! simulator's cost model, which is what keeps the online virtual-time
+//! report equal to a batch replay. The ready queue orders by
+//! `(depth, insertion id)` only, so one queue pops exactly what a scan of
+//! per-node queues would.
+//!
+//! **Locking and wake-ups.** All mutable state sits behind one mutex.
+//! Two kinds of thread sleep, each on its own condition variable, and
+//! each *registers under the mutex what it is waiting for* before it
+//! sleeps:
+//!
+//! * **Workers** sleep on `work_cv`, only when the ready queue is empty
+//!   and the run is neither over nor failed; `parked_workers` counts the
+//!   sleepers nobody has notified yet. Whoever makes `r` tasks runnable —
+//!   the planner inserting, a worker completing, the receiver delivering a
+//!   frame — *claims* `min(r, parked_workers)` sleepers (decrementing the
+//!   count) and notifies exactly that many; a completing worker first pops
+//!   its own next task in the same critical section, so it announces one
+//!   task fewer. The end of the run (planning done and drained) and a
+//!   sticky failure claim and notify all of them.
+//! * **The driver thread** (planner; in net mode also the end-of-run
+//!   protocol) sleeps on `plan_cv` with `planner_wait` set to one of:
+//!   capacity below a window, a task id completing, the graph draining,
+//!   or — net mode — the next inbound frame. Every critical section ends
+//!   in `WindowState::take_wakes`, which evaluates that registered
+//!   condition and, if it now holds (or the run failed), clears the
+//!   registration and notifies once. A completion that changes nothing
+//!   the driver waits for costs no notify.
+//!
+//! No wake-up is lost: a waiter checks its condition and registers while
+//! holding the mutex and releases it only inside `Condvar::wait`; every
+//! mutation that can make a condition true happens under the same mutex
+//! and is followed, before the mutex is released, by the evaluation of
+//! the registered conditions. So either the waiter saw the new state, or
+//! the mutator saw the registration. Notifications are sent after the
+//! mutex is dropped; a claimed sleeper that wakes to find its task taken
+//! (or a spurious wake) re-checks and re-registers. std's futex condvar
+//! makes a notify a system call even with nobody waiting, which is why
+//! the registrations exist: on one CPU an ungated notify per completion
+//! is two context switches per task.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
-use std::sync::{Arc, Condvar, Mutex};
+use std::any::Any;
+use std::collections::{BTreeMap, HashSet, VecDeque};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Instant;
 
 use crate::comm::{flow_msg, LinkMsgStats, Msg, MsgStats, RetireMsg};
@@ -44,6 +84,7 @@ use crate::exec::Tally;
 use crate::graph::{
     Access, CostClass, CostedAccess, DataClass, DataKey, Kernel, TaskId, TaskResult, TaskSink,
 };
+use crate::hash::{IntMap, IntSet};
 use crate::hazard::{HazardCell, Writer};
 use crate::net::{Frame, NetReport, PayloadStore, Transport, TransportError};
 use crate::platform::Platform;
@@ -88,14 +129,17 @@ struct ExecVersion {
     id: TaskId,
     node: usize,
     /// Destination nodes already holding this version.
-    sent: HashSet<usize>,
+    sent: IntSet<usize>,
 }
 
-/// Per-datum directory entry, held by the sub-window of the datum's home
-/// node: declaration metadata, hazard state, and the once-per-destination
-/// transfer cache of the last executed version.
+/// Index of a declared datum in [`WindowState::data`].
+type Slot = u32;
+
+/// Per-datum directory entry: declaration metadata, hazard state, and the
+/// once-per-destination transfer cache of the last executed version.
 #[derive(Debug)]
 struct DatumDir {
+    key: DataKey,
     bytes: usize,
     home: usize,
     class: DataClass,
@@ -104,7 +148,7 @@ struct DatumDir {
     /// Last executed version (transfer source + cache).
     exec: Option<ExecVersion>,
     /// Nodes that fetched the never-written datum from its home.
-    initial_fetched: HashSet<usize>,
+    initial_fetched: IntSet<usize>,
 }
 
 /// Arrival state of one inbound payload, keyed by `(datum, producer)`.
@@ -142,13 +186,13 @@ struct NetState {
     store: Arc<dyn PayloadStore>,
     /// Inbound payloads by `(datum, producer)`; `producer == None` is an
     /// initial fetch from the datum's home.
-    arrivals: HashMap<ArrivalKey, Arrival>,
-    /// Local tasks blocked on a not-yet-arrived input: `(task, node)`.
-    waiters: HashMap<ArrivalKey, Vec<(TaskId, usize)>>,
+    arrivals: IntMap<ArrivalKey, Arrival>,
+    /// Local tasks blocked on a not-yet-arrived input.
+    waiters: IntMap<ArrivalKey, Vec<TaskId>>,
     /// Decision-writing tasks by id: `(decision datum, written locally)`.
     /// The driver consults this to await the *applied* decision (not just
     /// the stub's completion) before planning the rest of the step.
-    pending_decisions: HashMap<TaskId, (DataKey, bool)>,
+    pending_decisions: IntMap<TaskId, (DataKey, bool)>,
     /// Wire frames actually sent/received per protocol link, counted in
     /// protocol-message terms for reconciliation against `link_msgs`.
     wire_sent: BTreeMap<(usize, usize), MsgStats>,
@@ -202,6 +246,23 @@ impl NetState {
         self.store.store(key, bytes);
         self.de_hist.observe(t0.elapsed().as_secs_f64());
     }
+
+    /// Decode the arrived payload `(key, producer)` into the local mirror,
+    /// once: the first caller applies the bytes, later ones find the slot
+    /// already `Applied`. `false` when nothing has arrived yet.
+    fn apply_arrival(&mut self, key: DataKey, producer: Option<TaskId>) -> bool {
+        match self.arrivals.get_mut(&(key, producer)) {
+            Some(slot @ Arrival::Bytes(_)) => {
+                let Arrival::Bytes(b) = std::mem::replace(slot, Arrival::Applied) else {
+                    unreachable!()
+                };
+                self.store_payload(key, &b);
+                true
+            }
+            Some(Arrival::Applied) => true,
+            None => false,
+        }
+    }
 }
 
 /// What the receiver pump should do after delivering a frame.
@@ -210,34 +271,97 @@ pub(crate) enum FramePump {
     Stop,
 }
 
+/// A data transfer a live producer owes one destination node at
+/// completion, deduplicated per `(datum, destination)`.
+struct OwedSend {
+    key: DataKey,
+    slot: Slot,
+    dest: usize,
+    bytes: usize,
+    class: DataClass,
+}
+
 /// A materialized, not-yet-completed task.
 struct LiveTask {
     name: String,
+    /// Node the task is placed on.
+    node: usize,
     step: usize,
     cp: u64,
     preds_remaining: usize,
-    /// Successors placed on the same node (direct edges).
-    local_succs: Vec<TaskId>,
-    /// Remote successors released by message: (consumer, consumer node).
-    remote_releases: Vec<(TaskId, usize)>,
-    /// Data transfers owed at completion: (key, destination, bytes,
-    /// class), deduplicated per (key, destination).
-    pending_sends: Vec<(DataKey, usize, usize, DataClass)>,
-    /// Declared accesses with datum metadata (virtual-time input).
+    /// Live successors, released at completion (same-node ones directly,
+    /// cross-node ones standing for a message delivery).
+    succs: Vec<TaskId>,
+    pending_sends: Vec<OwedSend>,
+    /// Slots of the data this task mutates.
+    writes: Vec<Slot>,
+    /// Declared accesses with datum metadata — the virtual-time engine's
+    /// input, kept only while a platform is modeled.
     accesses: Vec<CostedAccess>,
     /// Net mode: inputs this task consumes from other ranks, each an
     /// extra predecessor resolved by frame arrival. Applied to the local
     /// mirror when the task is popped for execution.
-    net_needs: Vec<(DataKey, Option<TaskId>)>,
+    net_needs: Vec<ArrivalKey>,
+    /// `None` for a net-mode *stub* (a task placed on another rank: its
+    /// hazard edges and message bookkeeping are mirrored here, its kernel
+    /// runs on the owning rank only) and once a worker has taken it.
     kernel: Option<Kernel>,
 }
 
-/// One virtual node's share of the window.
+/// Live task records, indexed by id.
+///
+/// Ids are issued sequentially, so the record of task `id` sits at
+/// `slots[id - base]`. Completion empties the slot; the base advances past
+/// the leading run of empty slots, so an out-of-order completion holds the
+/// base (and its slot) until every older task is done. An id below the
+/// base therefore names a completed task and a dependency on it is
+/// vacuous. The span `slots.len()` is bounded by the tasks of the live
+/// window of steps.
 #[derive(Default)]
-struct NodeWindow {
-    live: HashMap<TaskId, LiveTask>,
-    ready: ReadyQueue,
-    directory: HashMap<DataKey, DatumDir>,
+struct TaskRing {
+    base: TaskId,
+    slots: VecDeque<Option<LiveTask>>,
+    live: usize,
+}
+
+impl TaskRing {
+    /// The id the next [`TaskRing::push`] will issue.
+    fn next_id(&self) -> TaskId {
+        self.base + self.slots.len()
+    }
+
+    fn push(&mut self, task: LiveTask) -> TaskId {
+        let id = self.next_id();
+        self.slots.push_back(Some(task));
+        self.live += 1;
+        id
+    }
+
+    fn get_mut(&mut self, id: TaskId) -> Option<&mut LiveTask> {
+        self.slots.get_mut(id.checked_sub(self.base)?)?.as_mut()
+    }
+
+    fn is_live(&self, id: TaskId) -> bool {
+        id.checked_sub(self.base)
+            .and_then(|i| self.slots.get(i))
+            .is_some_and(Option::is_some)
+    }
+
+    /// Reclaim the record of `id` (`None` if it is not live).
+    fn remove(&mut self, id: TaskId) -> Option<LiveTask> {
+        let task = self.slots.get_mut(id.checked_sub(self.base)?)?.take()?;
+        self.live -= 1;
+        while let Some(None) = self.slots.front() {
+            self.slots.pop_front();
+            self.base += 1;
+        }
+        Some(task)
+    }
+
+    /// Number of live records.
+    fn live(&self) -> usize {
+        self.live
+    }
 }
 
 /// Online virtual-time state: completed tasks are *submitted* to the
@@ -326,15 +450,68 @@ impl CalibState {
     }
 }
 
+/// What the driver thread is blocked on (see the module docs).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum PlannerWait {
+    /// Fewer than this many steps live.
+    Capacity(usize),
+    /// This task completed.
+    Task(TaskId),
+    /// No live task left.
+    Drained,
+    /// Net mode: any inbound frame (the waiter re-checks its own
+    /// condition on the net state).
+    Frame,
+}
+
+/// The notifications one critical section owes, sent once the lock is
+/// released.
+struct Wakes {
+    /// Parked workers to notify (`usize::MAX`: all of them).
+    workers: usize,
+    planner: bool,
+}
+
+/// One data-flow input of the task being inserted: the datum's
+/// declaration and last writer *before* the insertion.
+type Flow = (Slot, DataKey, usize, DataClass, Option<Writer<WriterMeta>>);
+
+/// Per-insertion work vectors, kept across insertions so the planner's
+/// hot path allocates only what the record keeps.
+#[derive(Default)]
+struct InsertScratch {
+    slots: Vec<Slot>,
+    preds: Vec<TaskId>,
+    flows: Vec<Flow>,
+}
+
 pub(crate) struct WindowState {
-    next_id: TaskId,
-    nodes: Vec<NodeWindow>,
-    /// Home node of every declared datum (the directory locator).
-    home_of: HashMap<DataKey, usize>,
-    /// Node of every live task (global liveness index).
-    live_nodes: HashMap<TaskId, usize>,
+    /// Live task records (also issues the task ids).
+    tasks: TaskRing,
+    /// Runnable tasks, deepest first.
+    ready: ReadyQueue,
+    /// Declared data, by slot.
+    data: Vec<DatumDir>,
+    slot_of: IntMap<DataKey, Slot>,
+    scratch: InsertScratch,
+    /// Net mode: unblocked stubs awaiting their inline completion (drained
+    /// before the critical section that unblocked them ends).
+    stubs: Vec<TaskId>,
     pub(crate) ledger: StepLedger,
     planning_done: bool,
+    /// What the driver thread sleeps on, if it sleeps.
+    planner_wait: Option<PlannerWait>,
+    /// Sleeping workers nobody has notified yet.
+    parked_workers: usize,
+    /// Tasks pushed on the ready queue in this critical section.
+    newly_ready: usize,
+    /// An inbound frame was delivered in this critical section.
+    frame_event: bool,
+    planner_wakeups: u64,
+    worker_parks: u64,
+    /// Payload of the first panic on a worker (or a marker when the
+    /// planner itself unwound); sticky, fails the whole run.
+    panic: Option<Box<dyn Any + Send>>,
     pub(crate) tally: Tally,
     msgs: MsgStats,
     tasks_planned: usize,
@@ -360,16 +537,11 @@ pub(crate) struct WindowState {
     kernel_stats: Option<Box<[(f64, Histogram); CostClass::COUNT]>>,
     /// Wall time each step's planning closed at (probed runs only), for
     /// the close-to-retirement lag histogram.
-    step_closed_at: HashMap<usize, f64>,
+    step_closed_at: IntMap<usize, f64>,
     /// Decimation counter for the live-task gauge.
     live_tick: u64,
     /// Real-transport state ([`crate::stream::execute_net`] only).
     net: Option<NetState>,
-}
-
-/// Does net mode have a sticky error? (Blocking waits bail on it.)
-fn net_failed(st: &WindowState) -> bool {
-    st.net.as_ref().is_some_and(|n| n.error.is_some())
 }
 
 /// Final statistics of one streaming run.
@@ -386,9 +558,117 @@ pub(crate) struct WindowStats {
     pub sim: Option<SimReport>,
     pub trace: Vec<TraceEvent>,
     pub net: Option<NetReport>,
+    /// Times the driver thread returned from a sleep on `plan_cv`.
+    pub planner_wakeups: u64,
+    /// Times a worker went to sleep on `work_cv`.
+    pub worker_parks: u64,
 }
 
 impl WindowState {
+    /// Has the run failed (a kernel or the planner panicked, or — net mode
+    /// — a transport/protocol error)? Sticky; every blocking wait bails.
+    fn failed(&self) -> bool {
+        self.panic.is_some() || self.net.as_ref().is_some_and(|n| n.error.is_some())
+    }
+
+    /// The failure as the error net-mode callers return. A panic is
+    /// re-raised by the driver, which discards this stand-in.
+    fn failure(&self) -> Option<TransportError> {
+        match self.net.as_ref().and_then(|n| n.error.clone()) {
+            Some(e) => Some(e),
+            None => self
+                .panic
+                .is_some()
+                .then(|| TransportError::Protocol("a task panicked on this rank".into())),
+        }
+    }
+
+    /// Workers have nothing left to wait for.
+    fn workers_done(&self) -> bool {
+        self.failed() || (self.planning_done && self.tasks.live() == 0)
+    }
+
+    fn satisfied(&self, wait: PlannerWait) -> bool {
+        self.failed()
+            || match wait {
+                PlannerWait::Capacity(window) => self.ledger.live_steps() < window,
+                PlannerWait::Task(id) => !self.tasks.is_live(id),
+                PlannerWait::Drained => self.tasks.live() == 0,
+                PlannerWait::Frame => self.frame_event,
+            }
+    }
+
+    /// End of a critical section: claim the sleepers whose condition this
+    /// section made true (module docs, "Locking and wake-ups").
+    fn take_wakes(&mut self) -> Wakes {
+        let workers = if self.parked_workers == 0 {
+            0
+        } else if self.workers_done() {
+            self.parked_workers = 0;
+            usize::MAX
+        } else {
+            let n = self.newly_ready.min(self.parked_workers);
+            self.parked_workers -= n;
+            n
+        };
+        self.newly_ready = 0;
+        let planner = self.planner_wait.is_some_and(|w| self.satisfied(w));
+        if planner {
+            self.planner_wait = None;
+        }
+        self.frame_event = false;
+        Wakes { workers, planner }
+    }
+
+    /// A task's last predecessor is gone: queue it for a worker — or, for
+    /// a stub, for inline completion by the current thread.
+    fn unblocked(&mut self, id: TaskId, cp: u64, node: usize, stub: bool) {
+        if stub {
+            self.stubs.push(id);
+        } else {
+            self.ready.push(cp, id, node);
+            self.newly_ready += 1;
+        }
+    }
+
+    /// Drop one predecessor of live task `id`.
+    fn release(&mut self, id: TaskId) {
+        let t = self
+            .tasks
+            .get_mut(id)
+            .expect("successor completed before predecessor");
+        debug_assert!(t.preds_remaining >= 1, "dependency underflow");
+        t.preds_remaining -= 1;
+        if t.preds_remaining == 0 {
+            let (cp, node, stub) = (t.cp, t.node, t.kernel.is_none());
+            self.unblocked(id, cp, node, stub);
+        }
+    }
+
+    /// Take the deepest ready task for execution. Its gating arrivals are
+    /// all in (they were extra predecessors); decode them into the local
+    /// mirror now, under the lock — every ready task touching the same
+    /// datum needs the same version (hazards serialize writers), so the
+    /// write cannot race a reader.
+    fn pop_ready(&mut self) -> Option<(TaskId, Kernel)> {
+        let r = self.ready.pop()?;
+        // The popping worker runs this one itself: one task fewer to
+        // announce to sleepers.
+        self.newly_ready = self.newly_ready.saturating_sub(1);
+        let t = self.tasks.get_mut(r.id).expect("ready task not live");
+        let kernel = t.kernel.take().expect("ready task holds its kernel");
+        let needs = std::mem::take(&mut t.net_needs);
+        if let Some(net) = &mut self.net {
+            for (key, producer) in needs {
+                assert!(
+                    net.apply_arrival(key, producer),
+                    "task ready before its input {key:?} arrived"
+                );
+            }
+        }
+        Some((r.id, kernel))
+    }
+
     /// Drop reader entries whose tasks have completed, folding their
     /// critical-path depth into the per-key scalar. Run at every step
     /// retirement: without it, reads of data that is never written again
@@ -396,11 +676,9 @@ impl WindowState {
     /// hazard metadata proportional to the *total* task count, defeating
     /// the window's memory bound.
     fn prune_completed_readers(&mut self) {
-        let live = &self.live_nodes;
-        for nw in &mut self.nodes {
-            for dir in nw.directory.values_mut() {
-                dir.hazard.readers.prune(|id| live.contains_key(&id));
-            }
+        let tasks = &self.tasks;
+        for dir in &mut self.data {
+            dir.hazard.readers.prune(|id| tasks.is_live(id));
         }
     }
 
@@ -479,18 +757,217 @@ impl WindowState {
             self.prune_completed_readers();
         }
     }
+
+    /// Move the payload of the datum in `slot` to `dest`: from its last
+    /// executed version, or from its home node if it was never
+    /// (successfully) written — in either case at most once per (version,
+    /// destination). No-ops when `dest` already holds the payload.
+    fn resolve_transfer(&mut self, slot: Slot, dest: usize, bytes: usize, class: DataClass) {
+        let dir = &mut self.data[slot as usize];
+        let key = dir.key;
+        let (msg, producer) = match &mut dir.exec {
+            Some(v) => {
+                if v.node == dest || !v.sent.insert(dest) {
+                    return;
+                }
+                (
+                    flow_msg(key, class, Some(v.id), v.node, dest, bytes),
+                    Some(v.id),
+                )
+            }
+            None => {
+                if dir.home == dest || !dir.initial_fetched.insert(dest) {
+                    return;
+                }
+                (flow_msg(key, class, None, dir.home, dest, bytes), None)
+            }
+        };
+        self.route(msg, producer);
+    }
+
+    /// Record the completion of live task `id`: reclaim its record, publish
+    /// what it wrote, flush the transfers it owes, feed virtual time, and
+    /// release its successors (onto the ready queue, or the stub list).
+    fn complete_task(
+        &mut self,
+        id: TaskId,
+        result: TaskResult,
+        worker: usize,
+        start_s: f64,
+        end_s: f64,
+    ) {
+        let mut task = self
+            .tasks
+            .remove(id)
+            .unwrap_or_else(|| panic!("task {id} completed twice"));
+        let node = task.node;
+        self.tally.record(&result);
+        if let Some(c) = &mut self.calib {
+            c.record(task.step, node, &result);
+        }
+        // Net mode tolerates no discarded *local* tasks: a runtime discard
+        // means numerical breakdown rerouting, which would desynchronize
+        // the ranks' identically-planned message streams. (Remote stubs
+        // always report executed.)
+        if !result.executed {
+            if let Some(net) = &mut self.net {
+                net.fail(TransportError::Protocol(format!(
+                    "task '{}' discarded itself; breakdown rerouting is not \
+                     supported over a real transport",
+                    task.name
+                )));
+            }
+        }
+
+        if self.probe.is_enabled() {
+            if result.executed {
+                if let Some(ks) = &mut self.kernel_stats {
+                    let entry = &mut ks[result.class.index()];
+                    entry.0 += result.flops;
+                    entry.1.observe((end_s - start_s).max(0.0));
+                }
+            }
+            self.live_tick += 1;
+            if self.live_tick.is_multiple_of(64) {
+                let live = self.tasks.live() as f64;
+                self.probe
+                    .gauge(metric::STREAM_LIVE_TASKS, Label::None, end_s, live);
+            }
+        }
+
+        if result.executed {
+            if let Some(events) = &mut self.trace {
+                events.push(TraceEvent {
+                    name: std::mem::take(&mut task.name),
+                    node,
+                    worker,
+                    step: Some(task.step),
+                    start: start_s,
+                    end: end_s,
+                });
+            }
+        }
+
+        // Mark written data as done; an executed writer becomes the
+        // datum's current *executed version* (WAW hazards serialize
+        // conflicting writers, so executed completions promote in
+        // insertion order) with a fresh transfer cache.
+        let mut sync_decisions: Vec<DataKey> = Vec::new();
+        for &slot in &task.writes {
+            let dir = &mut self.data[slot as usize];
+            if let Some(w) = &mut dir.hazard.writer {
+                if w.id == id {
+                    w.meta.done = Some(result.executed);
+                }
+            }
+            if result.executed {
+                dir.exec = Some(ExecVersion {
+                    id,
+                    node,
+                    sent: IntSet::default(),
+                });
+                if dir.class == DataClass::Decision {
+                    sync_decisions.push(dir.key);
+                }
+            }
+        }
+
+        // Net mode: a decision computed on this rank is broadcast eagerly
+        // to *every* peer as a control frame — the driver on each rank
+        // blocks on it before planning the rest of the step, and the
+        // modeled DecisionMsg (sent through `route` only to branch-task
+        // hosts) cannot cover ranks whose share of the chosen branch is
+        // empty.
+        if let Some(net) = &mut self.net {
+            if node == net.rank && result.executed {
+                for key in sync_decisions {
+                    let payload = net.load_payload(key);
+                    for peer in (0..net.nranks()).filter(|&p| p != node) {
+                        net.ctrl_sent += 1;
+                        net.payload_bytes_sent += payload.len() as u64;
+                        let frame = Frame::Sync {
+                            key,
+                            producer: id,
+                            payload: payload.clone(),
+                        };
+                        if let Err(e) = net.transport.send(peer, &frame) {
+                            net.fail(e);
+                        }
+                    }
+                }
+            }
+        }
+
+        // Flush the owed transfers: one DataMsg (or DecisionMsg) per
+        // (datum, destination node). A discarded task produced nothing —
+        // its consumers fetch the previous executed version (or the
+        // initial tile) instead, wherever that lives.
+        for s in &task.pending_sends {
+            if !result.executed {
+                self.resolve_transfer(s.slot, s.dest, s.bytes, s.class);
+            } else if s.dest != node {
+                let v = self.data[s.slot as usize]
+                    .exec
+                    .as_mut()
+                    .expect("executed writer was promoted");
+                if v.sent.insert(s.dest) {
+                    let msg = flow_msg(s.key, s.class, Some(id), node, s.dest, s.bytes);
+                    self.route(msg, Some(id));
+                }
+            }
+        }
+
+        // Feed virtual time in insertion order: buffer this completion
+        // and submit the contiguous prefix (the policy engine schedules
+        // at its own pace within its lookahead bound).
+        if let Some(v) = &mut self.vtime {
+            // Move the accesses out — the record is being reclaimed and
+            // nothing below reads them.
+            v.pending.insert(
+                id,
+                (node, std::mem::take(&mut task.accesses), result, task.step),
+            );
+            while let Some((n, accs, r, step)) = v.pending.remove(&v.next) {
+                v.engine.submit_tagged(n, &accs, r, Some(step));
+                v.next += 1;
+            }
+        }
+
+        for s in task.succs {
+            self.release(s);
+        }
+
+        let ev = self.ledger.on_completed(task.step, node);
+        self.on_step_events(ev.node_drained.as_slice(), ev.retired, task.step, end_s);
+    }
+
+    /// Record one payload arrival and release the tasks gated on it.
+    /// Duplicate deliveries (a Sync broadcast racing the modeled
+    /// DecisionMsg for the same version) are ignored: first one wins.
+    fn net_arrival(&mut self, key: DataKey, producer: Option<TaskId>, payload: Vec<u8>) {
+        use std::collections::hash_map::Entry;
+        let net = self.net.as_mut().expect("net mode");
+        match net.arrivals.entry((key, producer)) {
+            Entry::Occupied(_) => return,
+            Entry::Vacant(slot) => {
+                slot.insert(Arrival::Bytes(payload));
+            }
+        }
+        for id in net.waiters.remove(&(key, producer)).unwrap_or_default() {
+            self.release(id);
+        }
+    }
 }
 
-/// Shared streaming execution state (per-node sub-windows + scheduler
-/// queues + the online communication/virtual-time accounting).
+/// Shared streaming execution state (the live window + scheduler queue +
+/// the online communication/virtual-time accounting).
 pub struct StreamWindow {
     num_nodes: usize,
     state: Mutex<WindowState>,
+    /// Workers sleep here (module docs, "Locking and wake-ups").
     work_cv: Condvar,
+    /// The driver thread sleeps here.
     plan_cv: Condvar,
-    /// Net mode: wakes frame-arrival waiters (decision waits, end-of-run
-    /// barriers) and error bails.
-    net_cv: Condvar,
     /// Wall-clock epoch for trace timestamps.
     epoch: Instant,
 }
@@ -533,12 +1010,21 @@ impl StreamWindow {
         StreamWindow {
             num_nodes,
             state: Mutex::new(WindowState {
-                next_id: 0,
-                nodes: (0..num_nodes).map(|_| NodeWindow::default()).collect(),
-                home_of: HashMap::new(),
-                live_nodes: HashMap::new(),
+                tasks: TaskRing::default(),
+                ready: ReadyQueue::default(),
+                data: Vec::new(),
+                slot_of: IntMap::default(),
+                scratch: InsertScratch::default(),
+                stubs: Vec::new(),
                 ledger: StepLedger::new(num_nodes),
                 planning_done: false,
+                planner_wait: None,
+                parked_workers: 0,
+                newly_ready: 0,
+                frame_event: false,
+                planner_wakeups: 0,
+                worker_parks: 0,
+                panic: None,
                 tally: Tally::default(),
                 msgs: MsgStats::default(),
                 tasks_planned: 0,
@@ -567,13 +1053,12 @@ impl StreamWindow {
                 kernel_stats: probe
                     .is_enabled()
                     .then(|| Box::new([(0.0, Histogram::default()); CostClass::COUNT])),
-                step_closed_at: HashMap::new(),
+                step_closed_at: IntMap::default(),
                 live_tick: 0,
                 net: None,
             }),
             work_cv: Condvar::new(),
             plan_cv: Condvar::new(),
-            net_cv: Condvar::new(),
             epoch: Instant::now(),
         }
     }
@@ -610,9 +1095,9 @@ impl StreamWindow {
             rank,
             transport,
             store,
-            arrivals: HashMap::new(),
-            waiters: HashMap::new(),
-            pending_decisions: HashMap::new(),
+            arrivals: IntMap::default(),
+            waiters: IntMap::default(),
+            pending_decisions: IntMap::default(),
             wire_sent: BTreeMap::new(),
             wire_recv: BTreeMap::new(),
             ctrl_sent: 0,
@@ -634,18 +1119,81 @@ impl StreamWindow {
         self.num_nodes
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, WindowState> {
+    fn lock(&self) -> MutexGuard<'_, WindowState> {
         self.state.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    fn now(&self) -> f64 {
+        self.epoch.elapsed().as_secs_f64()
+    }
+
+    fn notify(&self, wakes: Wakes) {
+        match wakes.workers {
+            0 => {}
+            usize::MAX => self.work_cv.notify_all(),
+            n => (0..n).for_each(|_| self.work_cv.notify_one()),
+        }
+        if wakes.planner {
+            self.plan_cv.notify_one();
+        }
+    }
+
+    /// End a critical section: complete the stubs it unblocked, release
+    /// the lock, then wake exactly the sleepers whose condition it made
+    /// true. Every mutation of the state goes through here.
+    fn finish(&self, mut st: MutexGuard<'_, WindowState>, worker: usize) {
+        self.drain_stubs(&mut st, worker);
+        let wakes = st.take_wakes();
+        drop(st);
+        self.notify(wakes);
+    }
+
+    /// Net mode: complete the unblocked stubs on the current thread — a
+    /// stub runs nothing here, so a ready-queue round trip through a
+    /// worker would only add a lock hand-off per remote task. A stub never
+    /// originates a wire frame (its `route`d messages start on its own
+    /// rank), so the per-link wire/protocol reconciliation is unaffected
+    /// by who completes it, and when.
+    fn drain_stubs(&self, st: &mut WindowState, worker: usize) {
+        if st.stubs.is_empty() {
+            return;
+        }
+        let now = if st.trace.is_some() || st.probe.is_enabled() {
+            self.now()
+        } else {
+            0.0
+        };
+        while let Some(id) = st.stubs.pop() {
+            st.complete_task(id, TaskResult::control(), worker, now, now);
+        }
     }
 
     // ---- planning side -------------------------------------------------
 
+    /// Sleep once on `plan_cv`, registered as waiting for `wait`.
+    fn park_planner<'a>(
+        &'a self,
+        mut st: MutexGuard<'a, WindowState>,
+        wait: PlannerWait,
+    ) -> MutexGuard<'a, WindowState> {
+        st.planner_wait = Some(wait);
+        st = self.plan_cv.wait(st).unwrap_or_else(|e| e.into_inner());
+        st.planner_wait = None;
+        st.planner_wakeups += 1;
+        st
+    }
+
+    /// Block until `wait` holds (or the run failed).
+    fn plan_wait(&self, wait: PlannerWait) {
+        let mut st = self.lock();
+        while !st.satisfied(wait) {
+            st = self.park_planner(st, wait);
+        }
+    }
+
     /// Block until fewer than `window` steps are live.
     pub fn wait_for_capacity(&self, window: usize) {
-        let mut st = self.lock();
-        while st.ledger.live_steps() >= window && !net_failed(&st) {
-            st = self.plan_cv.wait(st).unwrap_or_else(|e| e.into_inner());
-        }
+        self.plan_wait(PlannerWait::Capacity(window));
     }
 
     /// Begin planning step `k`; subsequent insertions are charged to it.
@@ -658,7 +1206,7 @@ impl StreamWindow {
     pub fn close_step(&self, k: usize) {
         let mut st = self.lock();
         let now = if st.probe.is_enabled() {
-            let t = self.epoch.elapsed().as_secs_f64();
+            let t = self.now();
             st.step_closed_at.insert(k, t);
             t
         } else {
@@ -668,33 +1216,49 @@ impl StreamWindow {
         // step on the spot.
         let (reports, retired) = st.ledger.close_step(k);
         st.on_step_events(&reports, retired, k, now);
-        drop(st);
-        self.plan_cv.notify_all();
+        self.finish(st, 0);
     }
 
     /// Block until task `id` has completed (its kernel ran and its record
     /// was reclaimed). Used by the driver to await a step's decision task.
     pub fn wait_for_task(&self, id: TaskId) {
-        let mut st = self.lock();
-        assert!(id < st.next_id, "waiting on a task that was never planned");
-        while st.live_nodes.contains_key(&id) && !net_failed(&st) {
-            st = self.plan_cv.wait(st).unwrap_or_else(|e| e.into_inner());
-        }
+        assert!(
+            id < self.lock().tasks.next_id(),
+            "waiting on a task that was never planned"
+        );
+        self.plan_wait(PlannerWait::Task(id));
     }
 
     /// No further steps will be planned; workers may exit once drained.
     pub fn finish_planning(&self) {
-        self.lock().planning_done = true;
-        self.work_cv.notify_all();
-        self.plan_cv.notify_all();
+        let mut st = self.lock();
+        st.planning_done = true;
+        self.finish(st, 0);
     }
 
     /// Block until every planned task has completed.
     pub fn wait_drained(&self) {
+        self.plan_wait(PlannerWait::Drained);
+    }
+
+    /// Has the run failed (see [`StreamWindow::take_panic`] and
+    /// [`StreamWindow::net_check`] for the cause)? Blocking waits return
+    /// early on a failed run, so the driver checks before trusting them.
+    pub(crate) fn failed(&self) -> bool {
+        self.lock().failed()
+    }
+
+    /// Record a panic (a kernel's payload, or a marker for the planner's
+    /// own unwind) as the run's sticky failure and wake every sleeper.
+    pub(crate) fn fail_panicked(&self, payload: Box<dyn Any + Send>) {
         let mut st = self.lock();
-        while !st.live_nodes.is_empty() && !net_failed(&st) {
-            st = self.plan_cv.wait(st).unwrap_or_else(|e| e.into_inner());
-        }
+        st.panic.get_or_insert(payload);
+        self.finish(st, 0);
+    }
+
+    /// The payload of the first kernel panic, for the driver to re-raise.
+    pub(crate) fn take_panic(&self) -> Option<Box<dyn Any + Send>> {
+        self.lock().panic.take()
     }
 
     /// Per-node effective speeds (GFLOP/s) observed over fully-retired
@@ -711,10 +1275,9 @@ impl StreamWindow {
     /// Live task records right now (the auto-window policy's memory
     /// signal).
     pub fn live_tasks(&self) -> usize {
-        self.lock().live_nodes.len()
+        self.lock().tasks.live()
     }
 
-    /// Final statistics (call after [`StreamWindow::wait_drained`]).
     pub(crate) fn stats(&self) -> WindowStats {
         let mut st = self.lock();
         if let Some(v) = &mut st.vtime {
@@ -854,8 +1417,10 @@ impl StreamWindow {
                 .map(|(&(src, dst), &msgs)| LinkMsgStats { src, dst, msgs })
                 .collect(),
             sim: st.vtime.as_ref().map(|v| v.engine.report()),
-            trace: st.trace.clone().unwrap_or_default(),
+            trace: st.trace.take().unwrap_or_default(),
             net: net_report,
+            planner_wakeups: st.planner_wakeups,
+            worker_parks: st.worker_parks,
         }
     }
 
@@ -864,49 +1429,39 @@ impl StreamWindow {
     fn declare(&self, key: DataKey, bytes: usize, home_node: usize) {
         assert!(home_node < self.num_nodes);
         let mut st = self.lock();
-        match st.home_of.get(&key) {
-            Some(&host) => {
-                // Redeclaration updates the declaration (size *and* home,
-                // mirroring GraphBuilder::declare's overwrite) but keeps
-                // the hazard state. The directory entry itself stays on
-                // the node that first hosted it — `home_of` is an internal
-                // locator; `dir.home` is what access snapshots and
-                // initial-fetch sources read.
-                let dir = st.nodes[host]
-                    .directory
-                    .get_mut(&key)
-                    .expect("declared datum has a directory entry");
+        let st = &mut *st;
+        match st.slot_of.get(&key) {
+            // Redeclaration updates the declaration (size *and* home,
+            // mirroring GraphBuilder::declare's overwrite) but keeps the
+            // hazard state.
+            Some(&slot) => {
+                let dir = &mut st.data[slot as usize];
                 dir.bytes = bytes;
                 dir.home = home_node;
             }
             None => {
-                st.home_of.insert(key, home_node);
-                st.nodes[home_node].directory.insert(
+                let slot = Slot::try_from(st.data.len()).expect("datum slots fit 32 bits");
+                st.slot_of.insert(key, slot);
+                st.data.push(DatumDir {
                     key,
-                    DatumDir {
-                        bytes,
-                        home: home_node,
-                        class: DataClass::Payload,
-                        hazard: DirCell::default(),
-                        exec: None,
-                        initial_fetched: HashSet::new(),
-                    },
-                );
+                    bytes,
+                    home: home_node,
+                    class: DataClass::Payload,
+                    hazard: DirCell::default(),
+                    exec: None,
+                    initial_fetched: IntSet::default(),
+                });
             }
         }
     }
 
     fn declare_class(&self, key: DataKey, class: DataClass) {
         let mut st = self.lock();
-        let home = *st
-            .home_of
+        let slot = *st
+            .slot_of
             .get(&key)
             .unwrap_or_else(|| panic!("classifying undeclared data {key:?}"));
-        st.nodes[home]
-            .directory
-            .get_mut(&key)
-            .expect("declared datum has a directory entry")
-            .class = class;
+        st.data[slot as usize].class = class;
     }
 
     fn insert_task(
@@ -922,58 +1477,74 @@ impl StreamWindow {
             step, NO_STEP,
             "tasks may only be inserted into an open step"
         );
-        let mut st = self.lock();
-        let id = st.next_id;
-        st.next_id += 1;
+        let mut guard = self.lock();
+        let st = &mut *guard;
+        let id = st.tasks.next_id();
+        let InsertScratch {
+            mut slots,
+            mut preds,
+            mut flows,
+        } = std::mem::take(&mut st.scratch);
+        slots.clear();
+        preds.clear();
+        flows.clear();
 
-        // Pass 1: consult the per-datum directories (each homed on one
-        // node's sub-window) for hazard predecessors and the critical-path
-        // depth over *all* of them (completed predecessors contribute
-        // depth but no edge) — the shared [`crate::hazard`] core, the same
-        // rules as GraphBuilder::push_boxed.
-        let mut preds: Vec<TaskId> = Vec::new();
+        // Pass 1: resolve every access to its datum slot (the one hashed
+        // look-up per access) and consult the directories for hazard
+        // predecessors and the critical-path depth over *all* of them
+        // (completed predecessors contribute depth but no edge) — the
+        // shared [`crate::hazard`] core, the same rules as
+        // GraphBuilder::push_boxed.
         let mut max_pred_cp = 0u64;
-        let mut costed: Vec<CostedAccess> = Vec::with_capacity(accesses.len());
-        // Data-flow inputs for Read/Mut: (key, declared bytes/class at
-        // this insertion, writer-at-insertion).
-        let mut flows: Vec<(DataKey, usize, DataClass, Option<Writer<WriterMeta>>)> = Vec::new();
+        let costed_len = if st.vtime.is_some() {
+            accesses.len()
+        } else {
+            0
+        };
+        let mut costed: Vec<CostedAccess> = Vec::with_capacity(costed_len);
+        let mut writes: Vec<Slot> = Vec::new();
         // Net mode: the decision datum this task writes, if any (the
         // driver waits for its applied value, not just task completion).
         let mut wrote_decision: Option<DataKey> = None;
         for acc in accesses {
             let key = acc.key();
-            let home = *st
-                .home_of
+            let slot = *st
+                .slot_of
                 .get(&key)
                 .unwrap_or_else(|| panic!("access to undeclared data {key:?} by task '{name}'"));
-            let dir = st.nodes[home]
-                .directory
-                .get(&key)
-                .expect("declared datum has a directory entry");
-            costed.push(CostedAccess {
-                access: *acc,
-                bytes: dir.bytes,
-                home: dir.home,
-            });
-            dir.hazard
-                .fold_preds(matches!(acc, Access::Mut(_)), &mut preds, &mut max_pred_cp);
-            if !matches!(acc, Access::Control(_)) {
-                flows.push((key, dir.bytes, dir.class, dir.hazard.writer));
+            slots.push(slot);
+            let dir = &st.data[slot as usize];
+            if st.vtime.is_some() {
+                costed.push(CostedAccess {
+                    access: *acc,
+                    bytes: dir.bytes,
+                    home: dir.home,
+                });
             }
-            if matches!(acc, Access::Mut(_)) && dir.class == DataClass::Decision {
-                wrote_decision = Some(key);
+            let is_mut = matches!(acc, Access::Mut(_));
+            dir.hazard.fold_preds(is_mut, &mut preds, &mut max_pred_cp);
+            if !matches!(acc, Access::Control(_)) {
+                // Data-flow input: declared bytes/class at this insertion
+                // and the writer-at-insertion.
+                flows.push((slot, key, dir.bytes, dir.class, dir.hazard.writer));
+            }
+            if is_mut {
+                writes.push(slot);
+                if dir.class == DataClass::Decision {
+                    wrote_decision = Some(key);
+                }
             }
         }
         let cp = 1 + max_pred_cp;
 
-        // Net mode: tasks placed on other ranks run as no-op stubs here —
-        // their hazard edges and message bookkeeping are identical (that
-        // is what keeps every rank's MsgStats equal to the simulated
-        // run's), but the actual kernel executes only on the owning rank.
+        // Net mode: tasks placed on other ranks are stubs here — their
+        // hazard edges and message bookkeeping are identical (that is what
+        // keeps every rank's MsgStats equal to the simulated run's), but
+        // the actual kernel executes only on the owning rank.
         let net_rank = st.net.as_ref().map(|n| n.rank);
         let kernel = match net_rank {
-            Some(rank) if node != rank => Box::new(TaskResult::control) as Kernel,
-            _ => kernel,
+            Some(rank) if node != rank => None,
+            _ => Some(kernel),
         };
 
         // Steal-at-insert (opt-in): re-decide the execution node against
@@ -1020,17 +1591,17 @@ impl StreamWindow {
         // per such input, resolved when the matching frame arrives. The
         // resolved (key, producer) pair is deterministic across ranks —
         // it is a pure function of planning-order directory state.
-        let mut net_needs: Vec<(DataKey, Option<TaskId>)> = Vec::new();
-        for &(key, bytes, class, writer) in &flows {
+        let mut net_needs: Vec<ArrivalKey> = Vec::new();
+        for &(slot, key, bytes, class, writer) in &flows {
             if bytes == 0 {
                 continue;
             }
+            let live_writer = writer.filter(|w| w.meta.done.is_none());
             if net_rank == Some(node) {
-                let (producer, src) = match writer {
-                    Some(w) if w.meta.done.is_none() => (Some(w.id), w.meta.node),
-                    _ => {
-                        let host = st.home_of[&key];
-                        let dir = st.nodes[host].directory.get(&key).expect("declared");
+                let (producer, src) = match live_writer {
+                    Some(w) => (Some(w.id), w.meta.node),
+                    None => {
+                        let dir = &st.data[slot as usize];
                         match &dir.exec {
                             Some(v) => (Some(v.id), v.node),
                             None => (None, dir.home),
@@ -1041,72 +1612,58 @@ impl StreamWindow {
                     net_needs.push((key, producer));
                 }
             }
-            match writer {
-                Some(w) if w.meta.done.is_none() => {
+            match live_writer {
+                Some(w) => {
                     // Producer live (completion cannot interleave: the
                     // lock is held for the whole insertion). Register the
                     // owed transfer even when producer and consumer share
                     // a node — a later discard reroutes it to an executed
                     // version that may live elsewhere.
-                    let pt = st.nodes[w.meta.node]
-                        .live
-                        .get_mut(&w.id)
-                        .expect("undone writer is live");
-                    if !pt
-                        .pending_sends
-                        .iter()
-                        .any(|&(k2, d, _, _)| k2 == key && d == node)
-                    {
-                        pt.pending_sends.push((key, node, bytes, class));
+                    let owed = &mut st
+                        .tasks
+                        .get_mut(w.id)
+                        .expect("undone writer is live")
+                        .pending_sends;
+                    if !owed.iter().any(|s| s.slot == slot && s.dest == node) {
+                        owed.push(OwedSend {
+                            key,
+                            slot,
+                            dest: node,
+                            bytes,
+                            class,
+                        });
                     }
                 }
-                _ => self.resolve_transfer(&mut st, key, node, bytes, class),
+                None => st.resolve_transfer(slot, node, bytes, class),
             }
         }
 
         // Pass 2: update the directories in access order.
-        for acc in accesses {
-            let key = acc.key();
-            let home = st.home_of[&key];
-            let dir = st.nodes[home]
-                .directory
-                .get_mut(&key)
-                .expect("declared datum has a directory entry");
+        for (acc, &slot) in accesses.iter().zip(&slots) {
+            let hazard = &mut st.data[slot as usize].hazard;
             match acc {
-                Access::Read(_) => dir.hazard.note_read(id, cp),
+                Access::Read(_) => hazard.note_read(id, cp),
                 Access::Control(_) => {}
-                Access::Mut(_) => dir
-                    .hazard
-                    .note_write(id, cp, WriterMeta { node, done: None }),
+                Access::Mut(_) => hazard.note_write(id, cp, WriterMeta { node, done: None }),
             }
         }
 
         // Pass 3: wire precedence. Only edges to still-live tasks count
-        // toward the countdown; same-node edges stay inside the
-        // sub-window, cross-node edges are released by message on the
-        // predecessor's completion.
-        let live = &st.live_nodes;
-        crate::hazard::finalize_preds(&mut preds, id, |p| live.contains_key(&p));
+        // toward the countdown; a same-node edge is direct, a cross-node
+        // one stands for the message the predecessor's completion sends.
+        let tasks = &mut st.tasks;
+        crate::hazard::finalize_preds(&mut preds, id, |p| tasks.is_live(p));
         let mut preds_remaining = preds.len();
         for &p in &preds {
-            let pnode = st.live_nodes[&p];
-            let pt = st.nodes[pnode].live.get_mut(&p).expect("retained pred");
-            if pnode == node {
-                pt.local_succs.push(id);
-            } else {
-                pt.remote_releases.push((id, node));
-            }
+            tasks.get_mut(p).expect("retained pred").succs.push(id);
         }
 
         // Net mode: gate on not-yet-arrived remote inputs (one extra
         // predecessor each) and index decision writers for the driver.
         if let Some(net) = &mut st.net {
-            for &(key, producer) in &net_needs {
-                if !net.arrivals.contains_key(&(key, producer)) {
-                    net.waiters
-                        .entry((key, producer))
-                        .or_default()
-                        .push((id, node));
+            for &arrival in &net_needs {
+                if !net.arrivals.contains_key(&arrival) {
+                    net.waiters.entry(arrival).or_default().push(id);
                     preds_remaining += 1;
                 }
             }
@@ -1115,358 +1672,81 @@ impl StreamWindow {
             }
         }
 
-        st.nodes[node].live.insert(
-            id,
-            LiveTask {
-                name,
-                step,
-                cp,
-                preds_remaining,
-                local_succs: Vec::new(),
-                remote_releases: Vec::new(),
-                pending_sends: Vec::new(),
-                accesses: costed,
-                net_needs,
-                kernel: Some(kernel),
-            },
-        );
-        st.live_nodes.insert(id, node);
+        let stub = kernel.is_none();
+        let pushed = st.tasks.push(LiveTask {
+            name,
+            node,
+            step,
+            cp,
+            preds_remaining,
+            succs: Vec::new(),
+            pending_sends: Vec::new(),
+            writes,
+            accesses: costed,
+            net_needs,
+            kernel,
+        });
+        debug_assert_eq!(pushed, id);
+        st.scratch = InsertScratch {
+            slots,
+            preds,
+            flows,
+        };
         st.tasks_planned += 1;
         st.ledger.on_planned(step, node);
-        let live_now = st.live_nodes.len();
-        st.peak_live_tasks = st.peak_live_tasks.max(live_now);
-        let ready_now = preds_remaining == 0;
-        if ready_now {
-            st.nodes[node].ready.push(cp, id, node);
+        st.peak_live_tasks = st.peak_live_tasks.max(st.tasks.live());
+        if preds_remaining == 0 {
+            st.unblocked(id, cp, node, stub);
         }
-        let failed = net_failed(&st);
-        drop(st);
-        if ready_now {
-            self.work_cv.notify_one();
-        }
-        if failed {
-            // A wire send inside this insertion failed: wake everything so
-            // blocked waits observe the sticky error.
-            self.work_cv.notify_all();
-            self.plan_cv.notify_all();
-            self.net_cv.notify_all();
-        }
+        self.finish(guard, 0);
         id
-    }
-
-    /// Move `key`'s payload to `dest`: from its last executed version, or
-    /// from its home node if it was never (successfully) written — in
-    /// either case at most once per (version, destination). No-ops when
-    /// `dest` already holds the payload.
-    fn resolve_transfer(
-        &self,
-        st: &mut WindowState,
-        key: DataKey,
-        dest: usize,
-        bytes: usize,
-        class: DataClass,
-    ) {
-        let host = st.home_of[&key];
-        let dir = st.nodes[host].directory.get_mut(&key).expect("declared");
-        let (msg, producer) = match &mut dir.exec {
-            Some(v) => {
-                if v.node == dest || !v.sent.insert(dest) {
-                    return;
-                }
-                (
-                    flow_msg(key, class, Some(v.id), v.node, dest, bytes),
-                    Some(v.id),
-                )
-            }
-            None => {
-                if dir.home == dest || !dir.initial_fetched.insert(dest) {
-                    return;
-                }
-                (flow_msg(key, class, None, dir.home, dest, bytes), None)
-            }
-        };
-        st.route(msg, producer);
     }
 
     // ---- execution side ------------------------------------------------
 
-    /// Worker loop: pop the globally deepest ready task across the
-    /// per-node sub-windows, run it outside the lock, record the
-    /// completion. Returns when planning is done and the window has
-    /// drained.
+    /// Worker loop: pop the deepest ready task, run it outside the lock,
+    /// and record its completion *and* pop the next task in one critical
+    /// section. Returns when planning is done and the window has drained,
+    /// or the run failed. A panicking kernel fails the run (the driver
+    /// re-raises the payload) instead of leaving every other thread
+    /// asleep.
     pub(crate) fn worker_loop(&self, worker: usize) {
-        loop {
-            let (id, node, kernel) = {
-                let mut st = self.lock();
-                'wait: loop {
-                    let mut best: Option<(usize, super::priority::Ready)> = None;
-                    for (n, nw) in st.nodes.iter().enumerate() {
-                        if let Some(r) = nw.ready.peek() {
-                            if best.is_none_or(|(_, b)| *r > b) {
-                                best = Some((n, *r));
-                            }
-                        }
-                    }
-                    if let Some((n, _)) = best {
-                        let r = st.nodes[n].ready.pop().expect("peeked entry");
-                        let t = st.nodes[n]
-                            .live
-                            .get_mut(&r.id)
-                            .expect("ready task not live");
-                        let kernel = t
-                            .kernel
-                            .take()
-                            .unwrap_or_else(|| panic!("task '{}' executed twice", t.name));
-                        let needs = std::mem::take(&mut t.net_needs);
-                        if !needs.is_empty() {
-                            // All gating arrivals are in (they were extra
-                            // predecessors); decode them into the local
-                            // mirror now, under the lock — every ready
-                            // task touching the same datum needs the same
-                            // version (hazards serialize writers), so the
-                            // write cannot race a reader.
-                            Self::apply_net_needs(&mut st, &needs);
-                        }
-                        break 'wait (r.id, n, kernel);
-                    }
-                    if (st.planning_done && st.live_nodes.is_empty()) || net_failed(&st) {
-                        return;
-                    }
-                    st = self.work_cv.wait(st).unwrap_or_else(|e| e.into_inner());
-                }
+        let mut next = self.next_task(self.lock(), worker);
+        while let Some((id, kernel)) = next {
+            let t0 = self.now();
+            let result = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(kernel)) {
+                Ok(result) => result,
+                Err(payload) => return self.fail_panicked(payload),
             };
-            let t0 = self.epoch.elapsed().as_secs_f64();
-            let result = kernel();
-            let t1 = self.epoch.elapsed().as_secs_f64();
-            self.complete(id, node, result, worker, t0, t1);
+            let t1 = self.now();
+            let mut st = self.lock();
+            st.complete_task(id, result, worker, t0, t1);
+            next = self.next_task(st, worker);
         }
     }
 
-    /// Decode a popped task's arrived inputs into the local mirror.
-    /// Idempotent per `(datum, producer)`: the first consumer applies the
-    /// bytes, later consumers find the slot already `Applied`.
-    fn apply_net_needs(st: &mut WindowState, needs: &[(DataKey, Option<TaskId>)]) {
-        let Some(net) = &mut st.net else { return };
-        for &(key, producer) in needs {
-            let bytes = match net.arrivals.get_mut(&(key, producer)) {
-                Some(slot @ Arrival::Bytes(_)) => {
-                    let Arrival::Bytes(b) = std::mem::replace(slot, Arrival::Applied) else {
-                        unreachable!()
-                    };
-                    Some(b)
-                }
-                Some(Arrival::Applied) => None,
-                None => panic!("task ready before its input {key:?} arrived"),
-            };
-            if let Some(b) = bytes {
-                net.store_payload(key, &b);
-            }
-        }
-    }
-
-    fn complete(
+    /// The tail of a worker's critical section: take the deepest ready
+    /// task, sleeping while there is none; `None` once the run is over.
+    fn next_task(
         &self,
-        id: TaskId,
-        node: usize,
-        result: TaskResult,
+        mut st: MutexGuard<'_, WindowState>,
         worker: usize,
-        start_s: f64,
-        end_s: f64,
-    ) {
-        let mut st = self.lock();
-        let mut task = st.nodes[node]
-            .live
-            .remove(&id)
-            .unwrap_or_else(|| panic!("task {id} completed twice"));
-        st.live_nodes.remove(&id);
-        st.tally.record(&result);
-        if let Some(c) = &mut st.calib {
-            c.record(task.step, node, &result);
-        }
-        // Net mode tolerates no discarded *local* tasks: a runtime discard
-        // means numerical breakdown rerouting, which would desynchronize
-        // the ranks' identically-planned message streams. (Remote stubs
-        // always report executed.)
-        if !result.executed {
-            if let Some(net) = &mut st.net {
-                net.fail(TransportError::Protocol(format!(
-                    "task '{}' discarded itself; breakdown rerouting is not \
-                     supported over a real transport",
-                    task.name
-                )));
+    ) -> Option<(TaskId, Kernel)> {
+        loop {
+            // Stubs first: completing them may unblock a deeper task.
+            self.drain_stubs(&mut st, worker);
+            let next = if st.failed() { None } else { st.pop_ready() };
+            if next.is_some() || st.workers_done() {
+                self.finish(st, worker);
+                return next;
             }
-        }
-
-        if st.probe.is_enabled() {
-            if result.executed {
-                if let Some(ks) = &mut st.kernel_stats {
-                    let entry = &mut ks[result.class.index()];
-                    entry.0 += result.flops;
-                    entry.1.observe((end_s - start_s).max(0.0));
-                }
-            }
-            st.live_tick += 1;
-            if st.live_tick.is_multiple_of(64) {
-                let live = st.live_nodes.len() as f64;
-                st.probe
-                    .gauge(metric::STREAM_LIVE_TASKS, Label::None, end_s, live);
-            }
-        }
-
-        if result.executed {
-            if let Some(events) = &mut st.trace {
-                events.push(TraceEvent {
-                    name: task.name.clone(),
-                    node,
-                    worker,
-                    step: Some(task.step),
-                    start: start_s,
-                    end: end_s,
-                });
-            }
-        }
-
-        // Mark written data as done; an executed writer becomes the
-        // datum's current *executed version* (WAW hazards serialize
-        // conflicting writers, so executed completions promote in
-        // insertion order) with a fresh transfer cache.
-        let mut sync_decisions: Vec<DataKey> = Vec::new();
-        for ca in &task.accesses {
-            if matches!(ca.access, Access::Mut(_)) {
-                let key = ca.access.key();
-                let host = st.home_of[&key];
-                let dir = st.nodes[host].directory.get_mut(&key).expect("declared");
-                if let Some(w) = &mut dir.hazard.writer {
-                    if w.id == id {
-                        w.meta.done = Some(result.executed);
-                    }
-                }
-                if result.executed {
-                    dir.exec = Some(ExecVersion {
-                        id,
-                        node,
-                        sent: HashSet::new(),
-                    });
-                    if dir.class == DataClass::Decision {
-                        sync_decisions.push(key);
-                    }
-                }
-            }
-        }
-
-        // Net mode: a decision computed on this rank is broadcast eagerly
-        // to *every* peer as a control frame — the driver on each rank
-        // blocks on it before planning the rest of the step, and the
-        // modeled DecisionMsg (sent above/below through `route` only to
-        // branch-task hosts) cannot cover ranks whose share of the chosen
-        // branch is empty.
-        if let Some(net) = &mut st.net {
-            if node == net.rank && result.executed {
-                for key in sync_decisions {
-                    let payload = net.load_payload(key);
-                    for peer in (0..net.nranks()).filter(|&p| p != node) {
-                        net.ctrl_sent += 1;
-                        net.payload_bytes_sent += payload.len() as u64;
-                        let frame = Frame::Sync {
-                            key,
-                            producer: id,
-                            payload: payload.clone(),
-                        };
-                        if let Err(e) = net.transport.send(peer, &frame) {
-                            net.fail(e);
-                        }
-                    }
-                }
-            }
-        }
-
-        // Flush the owed transfers: one DataMsg (or DecisionMsg) per
-        // (datum, destination node). A discarded task produced nothing —
-        // its consumers fetch the previous executed version (or the
-        // initial tile) instead, wherever that lives.
-        if result.executed {
-            for &(key, dest, bytes, class) in &task.pending_sends {
-                if dest == node {
-                    continue;
-                }
-                let host = st.home_of[&key];
-                let dir = st.nodes[host].directory.get_mut(&key).expect("declared");
-                let v = dir.exec.as_mut().expect("executed writer was promoted");
-                if v.sent.insert(dest) {
-                    let msg = flow_msg(key, class, Some(id), node, dest, bytes);
-                    st.route(msg, Some(id));
-                }
-            }
-        } else {
-            for &(key, dest, bytes, class) in &task.pending_sends {
-                self.resolve_transfer(&mut st, key, dest, bytes, class);
-            }
-        }
-
-        // Feed virtual time in insertion order: buffer this completion
-        // and submit the contiguous prefix (the policy engine schedules
-        // at its own pace within its lookahead bound).
-        if let Some(v) = &mut st.vtime {
-            // Move the accesses out — the record is being reclaimed and
-            // nothing below reads them.
-            v.pending.insert(
-                id,
-                (node, std::mem::take(&mut task.accesses), result, task.step),
-            );
-            while let Some((n, accs, r, step)) = v.pending.remove(&v.next) {
-                v.engine.submit_tagged(n, &accs, r, Some(step));
-                v.next += 1;
-            }
-        }
-
-        // Release successors: local ones directly, remote ones by
-        // delivery into their node's sub-window.
-        let mut newly_ready = 0usize;
-        let release = |st: &mut WindowState, s: TaskId, snode: usize| {
-            let succ = st.nodes[snode]
-                .live
-                .get_mut(&s)
-                .expect("successor completed before predecessor");
-            debug_assert!(succ.preds_remaining >= 1, "dependency underflow");
-            succ.preds_remaining -= 1;
-            if succ.preds_remaining == 0 {
-                let cp = succ.cp;
-                st.nodes[snode].ready.push(cp, s, snode);
-                1
-            } else {
-                0
-            }
-        };
-        for s in task.local_succs {
-            newly_ready += release(&mut st, s, node);
-        }
-        for (s, snode) in task.remote_releases {
-            newly_ready += release(&mut st, s, snode);
-        }
-
-        let ev = st.ledger.on_completed(task.step, node);
-        let reports: Vec<usize> = ev.node_drained.into_iter().collect();
-        st.on_step_events(&reports, ev.retired, task.step, end_s);
-
-        let drained = st.planning_done && st.live_nodes.is_empty();
-        let has_net = st.net.is_some();
-        let failed = net_failed(&st);
-        drop(st);
-        // One wake per newly runnable task (workers re-check the queues
-        // under the lock before waiting, so a wake with no waiter is not
-        // lost work); the drain wake must reach *every* worker so they
-        // can exit.
-        for _ in 0..newly_ready {
-            self.work_cv.notify_one();
-        }
-        if drained || failed {
-            self.work_cv.notify_all();
-        }
-        // Capacity may have opened, an awaited decision may have landed, or
-        // the graph may have drained — all planner-side conditions.
-        self.plan_cv.notify_all();
-        if has_net {
-            self.net_cv.notify_all();
+            st.parked_workers += 1;
+            st.worker_parks += 1;
+            // About to sleep: what this section owes is notified with the
+            // lock held, released only inside the wait.
+            let wakes = st.take_wakes();
+            self.notify(wakes);
+            st = self.work_cv.wait(st).unwrap_or_else(|e| e.into_inner());
         }
     }
 
@@ -1480,7 +1760,7 @@ impl StreamWindow {
         if st.net.is_none() {
             return FramePump::Stop;
         }
-        let mut newly_ready = 0usize;
+        st.frame_event = true;
         let mut pump = FramePump::Continue;
         match frame {
             Frame::Hello { .. } => {}
@@ -1507,7 +1787,7 @@ impl StreamWindow {
                     .or_default()
                     .record(&msg);
                 net.payload_bytes_recv += payload.len() as u64;
-                newly_ready = Self::net_arrival(&mut st, key, producer, payload);
+                st.net_arrival(key, producer, payload);
             }
             Frame::Sync {
                 key,
@@ -1517,7 +1797,7 @@ impl StreamWindow {
                 let net = st.net.as_mut().expect("checked above");
                 net.ctrl_recv += 1;
                 net.payload_bytes_recv += payload.len() as u64;
-                newly_ready = Self::net_arrival(&mut st, key, Some(producer), payload);
+                st.net_arrival(key, Some(producer), payload);
             }
             Frame::Retire { step, node } => {
                 let net = st.net.as_mut().expect("checked above");
@@ -1554,7 +1834,7 @@ impl StreamWindow {
                 // Legitimate only after this rank sent its Fin (it is
                 // fully drained and parked in `net_finish`); mid-run it is
                 // a peer's abort broadcast.
-                let premature = !st.planning_done || !st.live_nodes.is_empty();
+                let premature = !st.planning_done || st.tasks.live() != 0;
                 let net = st.net.as_mut().expect("checked above");
                 net.ctrl_recv += 1;
                 net.shutdown_seen = true;
@@ -1564,49 +1844,8 @@ impl StreamWindow {
                 pump = FramePump::Stop;
             }
         }
-        let failed = net_failed(&st);
-        drop(st);
-        for _ in 0..newly_ready {
-            self.work_cv.notify_one();
-        }
-        if failed {
-            self.work_cv.notify_all();
-            self.plan_cv.notify_all();
-        }
-        self.net_cv.notify_all();
+        self.finish(st, 0);
         pump
-    }
-
-    /// Record one payload arrival and release the tasks gated on it.
-    /// Duplicate deliveries (a Sync broadcast racing the modeled
-    /// DecisionMsg for the same version) are ignored: first one wins.
-    fn net_arrival(
-        st: &mut WindowState,
-        key: DataKey,
-        producer: Option<TaskId>,
-        payload: Vec<u8>,
-    ) -> usize {
-        use std::collections::hash_map::Entry;
-        let net = st.net.as_mut().expect("net mode");
-        match net.arrivals.entry((key, producer)) {
-            Entry::Occupied(_) => return 0,
-            Entry::Vacant(slot) => {
-                slot.insert(Arrival::Bytes(payload));
-            }
-        }
-        let waiters = net.waiters.remove(&(key, producer)).unwrap_or_default();
-        let mut newly_ready = 0;
-        for (id, node) in waiters {
-            let t = st.nodes[node].live.get_mut(&id).expect("waiter is live");
-            debug_assert!(t.preds_remaining >= 1, "arrival underflow");
-            t.preds_remaining -= 1;
-            if t.preds_remaining == 0 {
-                let cp = t.cp;
-                st.nodes[node].ready.push(cp, id, node);
-                newly_ready += 1;
-            }
-        }
-        newly_ready
     }
 
     /// Whether a receiver-side disconnect is the normal staggered teardown
@@ -1630,10 +1869,7 @@ impl StreamWindow {
         if let Some(net) = st.net.as_mut() {
             net.fail(e);
         }
-        drop(st);
-        self.work_cv.notify_all();
-        self.plan_cv.notify_all();
-        self.net_cv.notify_all();
+        self.finish(st, 0);
     }
 
     /// The sticky net error, if any.
@@ -1645,48 +1881,30 @@ impl StreamWindow {
     }
 
     /// After [`StreamWindow::wait_for_task`] on a decision task: block
-    /// until the decision *value* is in the local mirror. A locally
-    /// computed decision is already there; a remote one is applied from
-    /// its Sync/DecisionMsg frame the moment it arrives.
-    pub(crate) fn net_wait_decision(&self, id: TaskId) -> Result<(), TransportError> {
+    /// until the decision *value* is in the local mirror, `false` if the
+    /// run failed instead. `wait_for_task` also returns on a failed run —
+    /// the decision task may then never have run, so there is no value to
+    /// plan on even when it is local. Otherwise a locally computed decision
+    /// is already there; in net mode a remote one is applied from its
+    /// Sync/DecisionMsg frame the moment it arrives (the stub completing
+    /// only means its hazard slots released).
+    pub(crate) fn wait_decision_value(&self, id: TaskId) -> bool {
         let mut st = self.lock();
-        let Some(net) = st.net.as_ref() else {
-            return Ok(());
-        };
-        // `wait_for_task` also returns when the run failed; a decision task
-        // of this rank may then never have run, so there is no value to plan
-        // on even when it is local.
-        if let Some(e) = &net.error {
-            return Err(e.clone());
-        }
-        let Some(&(key, local)) = net.pending_decisions.get(&id) else {
-            return Ok(());
-        };
-        if local {
-            return Ok(());
-        }
+        let remote = st
+            .net
+            .as_ref()
+            .and_then(|net| net.pending_decisions.get(&id))
+            .and_then(|&(key, local)| (!local).then_some(key));
         loop {
-            let net = st.net.as_mut().expect("net mode");
-            if let Some(e) = &net.error {
-                return Err(e.clone());
+            if st.failed() {
+                return false;
             }
-            let arrived = match net.arrivals.get_mut(&(key, Some(id))) {
-                Some(slot @ Arrival::Bytes(_)) => {
-                    let Arrival::Bytes(b) = std::mem::replace(slot, Arrival::Applied) else {
-                        unreachable!()
-                    };
-                    Some(Some(b))
-                }
-                Some(Arrival::Applied) => Some(None),
-                None => None,
-            };
-            if let Some(bytes) = arrived {
-                if let Some(b) = bytes {
-                    net.store_payload(key, &b);
-                }
-                return Ok(());
+            let Some(key) = remote else { return true };
+            let net = st.net.as_mut().expect("remote decisions are net mode");
+            if net.apply_arrival(key, Some(id)) {
+                return true;
             }
-            st = self.net_cv.wait(st).unwrap_or_else(|e| e.into_inner());
+            st = self.park_planner(st, PlannerWait::Frame);
         }
     }
 
@@ -1694,14 +1912,13 @@ impl StreamWindow {
     fn net_wait(&self, cond: impl Fn(&NetState) -> bool) -> Result<(), TransportError> {
         let mut st = self.lock();
         loop {
-            let net = st.net.as_ref().expect("net mode");
-            if let Some(e) = &net.error {
-                return Err(e.clone());
+            if let Some(e) = st.failure() {
+                return Err(e);
             }
-            if cond(net) {
+            if cond(st.net.as_ref().expect("net mode")) {
                 return Ok(());
             }
-            st = self.net_cv.wait(st).unwrap_or_else(|e| e.into_inner());
+            st = self.park_planner(st, PlannerWait::Frame);
         }
     }
 
@@ -1817,11 +2034,10 @@ impl StreamWindow {
         let net = st.net.as_mut().expect("net mode");
         let rank = net.rank;
         let mut owned: Vec<DataKey> = st
-            .nodes
+            .data
             .iter()
-            .flat_map(|nw| nw.directory.iter())
-            .filter(|(_, dir)| dir.exec.as_ref().is_some_and(|v| v.node == rank))
-            .map(|(&key, _)| key)
+            .filter(|dir| dir.exec.as_ref().is_some_and(|v| v.node == rank))
+            .map(|dir| dir.key)
             .collect();
         owned.sort_unstable();
         for key in owned {
@@ -1903,5 +2119,122 @@ impl TaskSink for StepSink<'_> {
     ) -> TaskId {
         self.win
             .insert_task(self.step, name, node, accesses, kernel)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn record(name: &str) -> LiveTask {
+        LiveTask {
+            name: name.to_string(),
+            node: 0,
+            step: 0,
+            cp: 1,
+            preds_remaining: 0,
+            succs: Vec::new(),
+            pending_sends: Vec::new(),
+            writes: Vec::new(),
+            accesses: Vec::new(),
+            net_needs: Vec::new(),
+            kernel: None,
+        }
+    }
+
+    fn occupied(ring: &TaskRing) -> usize {
+        ring.slots.iter().filter(|s| s.is_some()).count()
+    }
+
+    #[test]
+    fn ring_issues_sequential_ids_and_counts_live_records() {
+        let mut ring = TaskRing::default();
+        for expect in 0..5 {
+            assert_eq!(ring.next_id(), expect);
+            assert_eq!(ring.push(record("t")), expect);
+        }
+        assert_eq!(ring.live(), 5);
+        assert_eq!(ring.live(), occupied(&ring));
+        assert!(ring.is_live(4) && !ring.is_live(5));
+        assert_eq!(ring.get_mut(3).map(|t| t.name.as_str()), Some("t"));
+    }
+
+    #[test]
+    fn out_of_order_completion_holds_the_base() {
+        let mut ring = TaskRing::default();
+        for _ in 0..4 {
+            ring.push(record("t"));
+        }
+        // 1 and 2 complete before 0: their slots empty, the base stays.
+        assert!(ring.remove(2).is_some());
+        assert!(ring.remove(1).is_some());
+        assert_eq!((ring.base, ring.slots.len()), (0, 4));
+        assert_eq!(ring.live(), 2);
+        assert_eq!(ring.live(), occupied(&ring));
+        assert!(ring.is_live(0) && !ring.is_live(1) && !ring.is_live(2) && ring.is_live(3));
+        assert!(ring.get_mut(1).is_none());
+        assert!(ring.remove(1).is_none(), "a record is reclaimed once");
+    }
+
+    #[test]
+    fn base_advances_past_the_completed_prefix() {
+        let mut ring = TaskRing::default();
+        for _ in 0..4 {
+            ring.push(record("t"));
+        }
+        ring.remove(1);
+        ring.remove(2);
+        // The oldest record completes: the base skips the whole empty run.
+        ring.remove(0);
+        assert_eq!((ring.base, ring.slots.len()), (3, 1));
+        assert_eq!(ring.live(), occupied(&ring));
+        // Ids keep counting from where they were, and a drained ring's
+        // base sits at the next id.
+        assert_eq!(ring.push(record("t")), 4);
+        ring.remove(3);
+        ring.remove(4);
+        assert_eq!((ring.base, ring.slots.len(), ring.live()), (5, 0, 0));
+        assert_eq!(ring.next_id(), 5);
+    }
+
+    #[test]
+    fn a_dependency_on_an_id_below_the_base_is_vacuous() {
+        let mut ring = TaskRing::default();
+        for _ in 0..3 {
+            ring.push(record("t"));
+        }
+        ring.remove(0);
+        ring.remove(1);
+        assert_eq!(ring.base, 2);
+        // Hazard metadata may still name the reclaimed tasks 0 and 1:
+        // neither is live, so neither survives predecessor finalization.
+        let mut preds = vec![0, 1, 2];
+        crate::hazard::finalize_preds(&mut preds, 3, |p| ring.is_live(p));
+        assert_eq!(preds, vec![2]);
+        assert!(ring.get_mut(0).is_none() && ring.remove(1).is_none());
+    }
+
+    /// The window end to end at the table level: a consumer inserted after
+    /// its producer completed gets no edge and is runnable at once.
+    #[test]
+    fn completed_producer_leaves_no_edge() {
+        let win = StreamWindow::new(1);
+        let key = DataKey(1);
+        win.declare(key, 8, 0);
+        win.open_step(0);
+        let kernel = || Box::new(TaskResult::control) as Kernel;
+        let a = win.insert_task(0, "a".into(), 0, &[Access::Mut(key)], kernel());
+        {
+            let mut st = win.lock();
+            let (id, _) = st.pop_ready().expect("a is runnable");
+            assert_eq!(id, a);
+            st.complete_task(a, TaskResult::control(), 0, 0.0, 0.0);
+            assert_eq!((st.tasks.base, st.tasks.live()), (1, 0));
+        }
+        let b = win.insert_task(0, "b".into(), 0, &[Access::Read(key)], kernel());
+        let mut st = win.lock();
+        assert_eq!(st.tasks.get_mut(b).expect("b is live").preds_remaining, 0);
+        assert_eq!(st.pop_ready().map(|(id, _)| id), Some(b));
+        assert_eq!(st.tasks.live(), 1);
     }
 }

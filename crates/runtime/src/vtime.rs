@@ -36,7 +36,8 @@ use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, HashMap};
 
 use crate::comm::Network;
-use crate::graph::{Access, CostClass, CostedAccess, DataKey, KeyHashBuilder, TaskResult};
+use crate::graph::{Access, CostClass, CostedAccess, DataKey, TaskResult};
+use crate::hash::IntMap;
 use crate::platform::Platform;
 use crate::probe::report::{AttribBuckets, Attribution};
 use crate::probe::{metric, Label, Probe};
@@ -76,7 +77,7 @@ pub struct VirtualSchedule {
     /// Core availability per node (min-heap of free times).
     cores: Vec<BinaryHeap<Reverse<OrderedF64>>>,
     net: Network,
-    data: HashMap<DataKey, DatumState, KeyHashBuilder>,
+    data: IntMap<DataKey, DatumState>,
     node_busy: Vec<f64>,
     /// Per-node, per-cost-class busy seconds (duration × cores claimed) —
     /// the observation the criterion-aware weight recalibration keys on.
@@ -130,7 +131,7 @@ impl VirtualSchedule {
                 .map(|spec| (0..spec.cores).map(|_| Reverse(OrderedF64(0.0))).collect())
                 .collect(),
             net: Network::new(platform.nodes()),
-            data: HashMap::default(),
+            data: IntMap::default(),
             node_busy: vec![0.0; platform.nodes()],
             node_class_seconds: vec![[0.0; CostClass::COUNT]; platform.nodes()],
             node_class_flops: vec![[0.0; CostClass::COUNT]; platform.nodes()],
