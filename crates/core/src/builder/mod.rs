@@ -45,12 +45,12 @@ pub mod panel;
 pub mod stream_source;
 pub mod update;
 
-use std::collections::HashMap;
 use std::sync::Arc;
 use std::sync::OnceLock;
 
 use luqr_kernels::qr::TFactor;
 use luqr_kernels::Mat;
+use luqr_runtime::hash::IntMap;
 use luqr_runtime::{DataKey, GraphBuilder, TaskBuilder, TaskId, TaskSink};
 use luqr_tile::{Dist, TiledMatrix};
 use parking_lot::Mutex;
@@ -116,7 +116,7 @@ pub struct SharedState {
     /// planning — the real-transport layer serializes payloads out of (and
     /// into) these ([`crate::net`]). Harmless off-transport: registration
     /// is a map insert per declared datum.
-    pub(crate) payloads: Arc<Mutex<HashMap<DataKey, PayloadSlot>>>,
+    pub(crate) payloads: Arc<Mutex<IntMap<DataKey, PayloadSlot>>>,
 }
 
 impl SharedState {

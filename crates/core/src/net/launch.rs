@@ -26,7 +26,7 @@ use luqr_runtime::{LinkMsgStats, MsgStats, StreamOptions, Transport};
 use luqr_tile::Grid;
 
 use super::factor_stream_net_rank;
-use super::payload::{encode_mat, encode_record, put_u64, Rd};
+use super::payload::{encode_record, put_mat, put_u64, Rd};
 use crate::config::{Algorithm, FactorOptions, StepRecord};
 use crate::criteria::Criterion;
 use crate::StreamFactorization;
@@ -190,7 +190,7 @@ pub fn encode_result(fact: &StreamFactorization) -> Vec<u8> {
     match &fact.error {
         None => {
             out.push(1);
-            out.extend_from_slice(&encode_mat(&fact.solution()));
+            put_mat(&mut out, &fact.solution());
         }
         Some(_) => out.push(0),
     }

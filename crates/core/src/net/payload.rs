@@ -13,13 +13,13 @@
 //! length-and-tag fields plus `f64::to_bits` for floats, so a round-trip is
 //! bitwise — the property the distributed parity oracle relies on.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
 use luqr_kernels::incpiv::PairPivot;
 use luqr_kernels::{Mat, TFactor};
+use luqr_runtime::hash::IntMap;
 use luqr_runtime::{DataKey, PayloadStore};
 use luqr_tile::{TileRef, TiledMatrix};
 
@@ -64,13 +64,13 @@ pub(crate) enum PayloadSlot {
 /// into the rank's [`TiledMatrix`]; everything else resolves through the
 /// [`SharedState`] payload registry the planners fill while planning.
 pub(crate) struct RegistryStore {
-    tiles: HashMap<DataKey, TileRef>,
+    tiles: IntMap<DataKey, TileRef>,
     shared: SharedState,
 }
 
 impl RegistryStore {
     pub(crate) fn new(aug: &TiledMatrix, shared: &SharedState) -> Self {
-        let mut tiles = HashMap::new();
+        let mut tiles = IntMap::default();
         for i in 0..aug.mt() {
             for j in 0..aug.nt() {
                 tiles.insert(keys::tile(i, j), aug.tile(i, j));
@@ -120,7 +120,9 @@ impl PayloadStore for RegistryStore {
         }
         let mut rd = Rd::new(bytes);
         if let Some(tile) = self.tiles.get(&key) {
-            *tile.lock() = rd.mat();
+            // Straight into the tile's own buffer: a frame overwrites a
+            // whole tile, so nothing of the old contents needs to survive.
+            rd.mat_into(&mut tile.lock());
             rd.finish(key);
             return;
         }
@@ -174,11 +176,16 @@ pub(crate) fn put_f64(out: &mut Vec<u8>, v: f64) {
     put_u64(out, v.to_bits());
 }
 
+/// Append `vs` as little-endian bit patterns: one exactly-sized extend
+/// (the flattened iterator knows its length), a block copy on a
+/// little-endian host.
+fn put_f64_slice(out: &mut Vec<u8>, vs: &[f64]) {
+    out.extend(vs.iter().flat_map(|v| v.to_bits().to_le_bytes()));
+}
+
 fn put_f64s(out: &mut Vec<u8>, vs: &[f64]) {
     put_u64(out, vs.len() as u64);
-    for &v in vs {
-        put_f64(out, v);
-    }
+    put_f64_slice(out, vs);
 }
 
 fn put_usizes(out: &mut Vec<u8>, vs: &[usize]) {
@@ -201,8 +208,17 @@ fn put_pivots(out: &mut Vec<u8>, vs: &[PairPivot]) {
     }
 }
 
+fn le_u64(word: &[u8]) -> u64 {
+    u64::from_le_bytes(word.try_into().expect("an 8-byte word"))
+}
+
+fn le_f64(word: &[u8]) -> f64 {
+    f64::from_bits(le_u64(word))
+}
+
 /// Bounds-checked little-endian reader; payload bytes arrive framed and
-/// length-checked, so a decode failure here is a codec bug — panic loudly.
+/// length-checked, so a decode failure here is a codec bug — panic loudly,
+/// and before allocating anything a bad count would size.
 pub(crate) struct Rd<'a> {
     b: &'a [u8],
     p: usize,
@@ -215,7 +231,7 @@ impl<'a> Rd<'a> {
 
     fn take(&mut self, n: usize) -> &'a [u8] {
         assert!(
-            self.p + n <= self.b.len(),
+            n <= self.remaining(),
             "payload truncated: wanted {} bytes at {}, have {}",
             n,
             self.p,
@@ -231,7 +247,7 @@ impl<'a> Rd<'a> {
     }
 
     pub(crate) fn u64(&mut self) -> u64 {
-        u64::from_le_bytes(self.take(8).try_into().unwrap())
+        le_u64(self.take(8))
     }
 
     pub(crate) fn f64(&mut self) -> f64 {
@@ -246,18 +262,39 @@ impl<'a> Rd<'a> {
         self.b.len() - self.p
     }
 
+    /// The next `count` 8-byte words. Counts and dimensions come off the
+    /// wire: the byte length is formed without overflow and bounds-checked
+    /// by [`Rd::take`] *before* anything is sized by it (a count too large
+    /// to express is just a payload that is too short).
+    fn words(&mut self, count: Option<usize>) -> std::slice::ChunksExact<'a, u8> {
+        let len = count.and_then(|c| c.checked_mul(8)).unwrap_or(usize::MAX);
+        self.take(len).chunks_exact(8)
+    }
+
+    /// A `u64` element count, as a `usize` when it fits.
+    fn count(&mut self) -> Option<usize> {
+        usize::try_from(self.u64()).ok()
+    }
+
     fn f64s(&mut self) -> Vec<f64> {
-        let n = self.u64() as usize;
-        (0..n).map(|_| self.f64()).collect()
+        let n = self.count();
+        self.words(n).map(le_f64).collect()
     }
 
     fn usizes(&mut self) -> Vec<usize> {
-        let n = self.u64() as usize;
-        (0..n).map(|_| self.u64() as usize).collect()
+        let n = self.count();
+        self.words(n).map(|w| le_u64(w) as usize).collect()
     }
 
     pub(crate) fn pivots(&mut self) -> Vec<PairPivot> {
-        let n = self.u64() as usize;
+        // Every pivot takes at least its tag byte.
+        let n = self.count().unwrap_or(usize::MAX);
+        assert!(
+            n <= self.remaining(),
+            "payload truncated: wanted {n} pivots at {}, have {}",
+            self.p,
+            self.b.len()
+        );
         (0..n)
             .map(|_| match self.u8() {
                 0 => None,
@@ -275,10 +312,23 @@ impl<'a> Rd<'a> {
     }
 
     pub(crate) fn mat(&mut self) -> Mat {
+        let mut a = Mat::zeros(0, 0);
+        self.mat_into(&mut a);
+        a
+    }
+
+    /// Decode a matrix into `dst`, keeping `dst`'s buffer when the
+    /// dimensions on the wire match its own.
+    pub(crate) fn mat_into(&mut self, dst: &mut Mat) {
         let m = self.u32() as usize;
         let n = self.u32() as usize;
-        let data: Vec<f64> = (0..m * n).map(|_| self.f64()).collect();
-        Mat::from_col_major(m, n, &data)
+        let words = self.words(m.checked_mul(n));
+        if dst.dims() != (m, n) {
+            *dst = Mat::zeros(m, n);
+        }
+        for (d, w) in dst.as_mut_slice().iter_mut().zip(words) {
+            *d = le_f64(w);
+        }
     }
 
     fn tfactor(&mut self) -> TFactor {
@@ -339,20 +389,23 @@ impl<'a> Rd<'a> {
     }
 }
 
-pub(crate) fn encode_mat(m: &Mat) -> Vec<u8> {
-    let mut out = Vec::with_capacity(8 + m.rows() * m.cols() * 8);
-    put_u32(&mut out, m.rows() as u32);
-    put_u32(&mut out, m.cols() as u32);
-    for &v in m.as_slice() {
-        put_f64(&mut out, v);
-    }
+pub(crate) fn put_mat(out: &mut Vec<u8>, m: &Mat) {
+    out.reserve(8 + 8 * m.as_slice().len());
+    put_u32(out, m.rows() as u32);
+    put_u32(out, m.cols() as u32);
+    put_f64_slice(out, m.as_slice());
+}
+
+fn encode_mat(m: &Mat) -> Vec<u8> {
+    let mut out = Vec::new();
+    put_mat(&mut out, m);
     out
 }
 
 fn encode_tfactor(t: &TFactor) -> Vec<u8> {
     let mut out = Vec::new();
     put_u32(&mut out, t.ib as u32);
-    out.extend_from_slice(&encode_mat(&t.t));
+    put_mat(&mut out, &t.t);
     out
 }
 
@@ -420,6 +473,152 @@ mod tests {
         assert_eq!(rd.remaining(), 0);
         assert_eq!(m.as_slice(), back.as_slice());
         assert_eq!((m.rows(), m.cols()), (back.rows(), back.cols()));
+    }
+
+    fn bits(m: &Mat) -> Vec<u64> {
+        m.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// The codec moves bit patterns, not values: NaN payloads, signed
+    /// zeros, subnormals and infinities all survive.
+    #[test]
+    fn special_values_round_trip_bitwise() {
+        let specials = [
+            f64::from_bits(0x7ff8_0000_dead_beef), // quiet NaN with a payload
+            f64::from_bits(0xfff0_0000_0000_0001), // negative signalling NaN
+            -0.0,
+            0.0,
+            f64::MIN_POSITIVE / 4.0, // subnormal
+            -f64::from_bits(1),      // smallest negative subnormal
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MAX,
+        ];
+        let m = Mat::from_fn(3, 3, |i, j| specials[i + 3 * j]);
+        let bytes = encode_mat(&m);
+        assert_eq!(bytes.len(), 8 + 9 * 8);
+        let mut rd = Rd::new(&bytes);
+        let back = rd.mat();
+        assert_eq!(rd.remaining(), 0);
+        assert_eq!(bits(&m), bits(&back));
+    }
+
+    #[test]
+    fn empty_matrices_keep_their_shape() {
+        for (m, n) in [(0, 5), (5, 0), (0, 0)] {
+            let bytes = encode_mat(&Mat::zeros(m, n));
+            assert_eq!(bytes.len(), 8, "{m}x{n} carries dimensions only");
+            let mut rd = Rd::new(&bytes);
+            assert_eq!(rd.mat().dims(), (m, n));
+            assert_eq!(rd.remaining(), 0);
+        }
+    }
+
+    /// Dimensions come off the wire: a product that overflows, or merely
+    /// exceeds the payload, must fail the bounds check — not size an
+    /// allocation first.
+    #[test]
+    #[should_panic(expected = "payload truncated")]
+    fn hostile_dimensions_fail_before_allocating() {
+        let mut bytes = Vec::new();
+        put_u32(&mut bytes, u32::MAX);
+        put_u32(&mut bytes, u32::MAX);
+        bytes.extend_from_slice(&[0; 64]);
+        Rd::new(&bytes).mat();
+    }
+
+    #[test]
+    #[should_panic(expected = "payload truncated")]
+    fn matrix_one_element_short_is_rejected() {
+        let bytes = encode_mat(&Mat::random(4, 3, 1));
+        Rd::new(&bytes[..bytes.len() - 8]).mat();
+    }
+
+    #[test]
+    #[should_panic(expected = "payload truncated")]
+    fn hostile_vector_count_fails_before_allocating() {
+        let mut bytes = Vec::new();
+        put_u64(&mut bytes, u64::MAX);
+        bytes.extend_from_slice(&[0; 64]);
+        Rd::new(&bytes).f64s();
+    }
+
+    #[test]
+    #[should_panic(expected = "payload truncated")]
+    fn hostile_pivot_count_fails_before_allocating() {
+        let mut bytes = Vec::new();
+        put_u64(&mut bytes, 1 << 40);
+        bytes.extend_from_slice(&[0; 64]);
+        Rd::new(&bytes).pivots();
+    }
+
+    #[test]
+    fn tfactor_and_l_payloads_round_trip() {
+        let tf = TFactor {
+            ib: 4,
+            t: Mat::random(4, 12, 3),
+        };
+        let bytes = encode_tfactor(&tf);
+        assert_eq!(bytes.len(), 4 + 8 + 48 * 8);
+        let mut rd = Rd::new(&bytes);
+        let back = rd.tfactor();
+        assert_eq!(rd.remaining(), 0);
+        assert_eq!((back.ib, bits(&back.t)), (tf.ib, bits(&tf.t)));
+
+        let (l, piv) = (Mat::random(6, 6, 4), vec![None, Some(5), Some(0)]);
+        let mut bytes = encode_mat(&l);
+        put_pivots(&mut bytes, &piv);
+        let mut rd = Rd::new(&bytes);
+        assert_eq!((bits(&rd.mat()), rd.pivots()), (bits(&l), piv));
+        assert_eq!(rd.remaining(), 0);
+    }
+
+    fn one_tile_store() -> (TiledMatrix, RegistryStore) {
+        let aug = TiledMatrix::from_dense(&Mat::random(4, 4, 5), 4);
+        let store = RegistryStore::new(&aug, &SharedState::default());
+        (aug, store)
+    }
+
+    /// A tile frame is decoded into the tile's own buffer; only a frame of
+    /// another shape replaces it.
+    #[test]
+    fn store_decodes_a_tile_in_place() {
+        let (aug, store) = one_tile_store();
+        let tile = aug.tile(0, 0);
+        let before = tile.lock().as_slice().as_ptr();
+
+        let same_shape = Mat::random(4, 4, 6);
+        store.store(keys::tile(0, 0), &encode_mat(&same_shape));
+        assert_eq!(bits(&tile.lock()), bits(&same_shape));
+        assert_eq!(tile.lock().as_slice().as_ptr(), before, "allocation kept");
+
+        let other_shape = Mat::random(2, 8, 7);
+        store.store(keys::tile(0, 0), &encode_mat(&other_shape));
+        assert_eq!(tile.lock().dims(), (2, 8));
+        assert_eq!(bits(&tile.lock()), bits(&other_shape));
+
+        // And what `load` ships is what `store` took.
+        assert_eq!(
+            store.load(keys::tile(0, 0)).unwrap(),
+            encode_mat(&other_shape)
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "payload truncated")]
+    fn store_rejects_a_truncated_tile() {
+        let (_aug, store) = one_tile_store();
+        let bytes = encode_mat(&Mat::random(4, 4, 8));
+        store.store(keys::tile(0, 0), &bytes[..bytes.len() - 1]);
+    }
+
+    #[test]
+    #[should_panic(expected = "trailing bytes")]
+    fn store_rejects_trailing_bytes() {
+        let (_aug, store) = one_tile_store();
+        let mut bytes = encode_mat(&Mat::random(4, 4, 9));
+        bytes.push(0);
+        store.store(keys::tile(0, 0), &bytes);
     }
 
     #[test]

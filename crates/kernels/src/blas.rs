@@ -608,13 +608,9 @@ fn trsm_blocked(side: Side, uplo: UpLo, trans: Trans, diag: Diag, a: &Mat, b: &m
         Side::Left => m,
         Side::Right => n,
     };
-    let starts: Vec<usize> = (0..d).step_by(TRSM_NB).collect();
-    let order: Box<dyn Iterator<Item = usize>> = if forward {
-        Box::new(starts.into_iter())
-    } else {
-        Box::new(starts.into_iter().rev())
-    };
-    for i0 in order {
+    let nblocks = d.div_ceil(TRSM_NB);
+    for blk in 0..nblocks {
+        let i0 = TRSM_NB * if forward { blk } else { nblocks - 1 - blk };
         let tb = TRSM_NB.min(d - i0);
         let i1 = i0 + tb;
         let (s0, slen) = if forward { (0, i0) } else { (i1, d - i1) };
@@ -902,12 +898,8 @@ fn right_solve(uplo: UpLo, trans: Trans, unit: bool, a: &Mat, b: &mut Mat) {
         }
     };
     let bs = b.as_mut_slice();
-    let cols: Box<dyn Iterator<Item = usize>> = if forward {
-        Box::new(0..n)
-    } else {
-        Box::new((0..n).rev())
-    };
-    for j in cols {
+    for step in 0..n {
+        let j = if forward { step } else { n - 1 - step };
         // Split so target column j is mutable while the already-solved
         // columns (before j when forward, after j otherwise) stay shared.
         let (xj, solved_base, s0): (&mut [f64], &[f64], usize) = if forward {
@@ -1121,6 +1113,64 @@ mod tests {
                             b.max_abs_diff(&x) < 1e-10,
                             "side={side:?} uplo={uplo:?} trans={trans:?} diag={diag:?}"
                         );
+                    }
+                }
+            }
+        }
+    }
+
+    /// Only the selected triangle is referenced (and not its diagonal when
+    /// `Diag::Unit`): the rest of a factored tile holds another kernel's
+    /// data. Poisoning it with NaN must not change a bit of the solve, on
+    /// the skinny (`nrhs <= 2`), unblocked and blocked paths alike.
+    #[test]
+    fn trsm_never_reads_outside_its_triangle() {
+        for d in [5, TRSM_NB + 1, 2 * TRSM_NB + 8] {
+            let mut tri = Mat::random(d, d, 21);
+            for i in 0..d {
+                tri[(i, i)] = 4.0 + tri[(i, i)].abs();
+            }
+            for nrhs in [1, 2, 3, 7] {
+                for side in [Side::Left, Side::Right] {
+                    for uplo in [UpLo::Upper, UpLo::Lower] {
+                        for trans in [Trans::NoTrans, Trans::Trans] {
+                            for diag in [Diag::NonUnit, Diag::Unit] {
+                                let referenced = |i: usize, j: usize| match uplo {
+                                    _ if i == j => diag == Diag::NonUnit,
+                                    UpLo::Upper => i < j,
+                                    UpLo::Lower => i > j,
+                                };
+                                let masked = |fill: f64| {
+                                    Mat::from_fn(d, d, |i, j| {
+                                        if referenced(i, j) {
+                                            tri[(i, j)]
+                                        } else {
+                                            fill
+                                        }
+                                    })
+                                };
+                                let b0 = if side == Side::Left {
+                                    Mat::random(d, nrhs, 22)
+                                } else {
+                                    Mat::random(nrhs, d, 22)
+                                };
+                                let (mut clean, mut poisoned) = (b0.clone(), b0);
+                                trsm(side, uplo, trans, diag, 1.0, &masked(0.0), &mut clean);
+                                trsm(
+                                    side,
+                                    uplo,
+                                    trans,
+                                    diag,
+                                    1.0,
+                                    &masked(f64::NAN),
+                                    &mut poisoned,
+                                );
+                                assert!(
+                                    clean.all_finite() && clean == poisoned,
+                                    "d={d} nrhs={nrhs} {side:?} {uplo:?} {trans:?} {diag:?}"
+                                );
+                            }
+                        }
                     }
                 }
             }

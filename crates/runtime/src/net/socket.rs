@@ -8,7 +8,7 @@
 //! gets a dedicated reader thread feeding one inbox queue; writes take a
 //! per-peer mutex so concurrent senders cannot interleave frames.
 
-use std::io::{Read, Write};
+use std::io::{BufReader, IoSlice, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
@@ -75,6 +75,15 @@ impl Write for Stream {
         match self {
             Stream::Unix(s) => s.write(buf),
             Stream::Tcp(s) => s.write(buf),
+        }
+    }
+
+    // The default would write only the first buffer: a frame's header and
+    // payload must leave in one syscall.
+    fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> std::io::Result<usize> {
+        match self {
+            Stream::Unix(s) => s.write_vectored(bufs),
+            Stream::Tcp(s) => s.write_vectored(bufs),
         }
     }
 
@@ -238,12 +247,12 @@ fn accept(listener: &Listener, deadline: Instant) -> Result<Stream, TransportErr
     }
 }
 
-fn spawn_reader(
-    peer: usize,
-    mut stream: Stream,
-    tx: mpsc::Sender<InboxItem>,
-    closed: Arc<AtomicBool>,
-) {
+fn spawn_reader(peer: usize, stream: Stream, tx: mpsc::Sender<InboxItem>, closed: Arc<AtomicBool>) {
+    // Buffered: a frame's length prefix and header then cost no syscall of
+    // their own, and small frames arrive several to a read. Large payloads
+    // bypass the buffer (`BufReader` reads straight into a destination at
+    // least as large as itself).
+    let mut stream = BufReader::new(stream);
     std::thread::Builder::new()
         .name(format!("luqr-net-rx-{peer}"))
         .spawn(move || loop {

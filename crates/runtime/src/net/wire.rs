@@ -7,8 +7,14 @@
 //! `[len: u32 LE] [bytes]`. The same codec backs every transport — the
 //! in-process `Loopback` and `Channel` endpoints round-trip the encoded
 //! bytes too, so the format is exercised even when no socket is involved.
+//!
+//! A payload is the one large field of a frame and always its last, so the
+//! stream path never copies it in user space: [`write_frame`] sends the
+//! stack-built header and the payload in one vectored write, and
+//! [`read_frame`] parses the header out of a small read-ahead and reads the
+//! rest of the payload straight into the `Vec` the frame will own.
 
-use std::io::{Read, Write};
+use std::io::{ErrorKind, IoSlice, Read, Write};
 
 use crate::graph::{DataClass, DataKey, TaskId};
 
@@ -92,34 +98,185 @@ impl Frame {
     }
 }
 
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
+/// Longest frame header after the length prefix: magic, version and kind,
+/// then every fixed-width field of a `Data` frame with a producer, up to
+/// and including its payload length. Only a payload lies beyond it.
+const HEAD_MAX: usize = 3 + 8 + 9 + 4 + 4 + 1 + 8 + 4;
+
+/// A frame's header (length prefix included), built on the stack; the
+/// payload, if any, follows it on the wire and is never copied into it.
+struct Head {
+    buf: [u8; 4 + HEAD_MAX],
+    len: usize,
 }
 
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
+impl Head {
+    fn put(&mut self, bytes: &[u8]) {
+        self.buf[self.len..self.len + bytes.len()].copy_from_slice(bytes);
+        self.len += bytes.len();
+    }
+
+    fn u8(&mut self, v: u8) {
+        self.put(&[v]);
+    }
+
+    fn u32(&mut self, v: u32) {
+        self.put(&v.to_le_bytes());
+    }
+
+    fn u64(&mut self, v: u64) {
+        self.put(&v.to_le_bytes());
+    }
+
+    fn bytes(&self) -> &[u8] {
+        &self.buf[..self.len]
+    }
 }
 
-fn put_blob(out: &mut Vec<u8>, b: &[u8]) {
-    put_u32(out, b.len() as u32);
-    out.extend_from_slice(b);
+/// Split a frame into its encoded header and the payload that follows it
+/// (empty for the kinds that carry none).
+fn encode_head(frame: &Frame) -> (Head, &[u8]) {
+    let mut h = Head {
+        buf: [0; 4 + HEAD_MAX],
+        len: 4, // the length prefix is filled in last
+    };
+    h.u8(MAGIC);
+    h.u8(VERSION);
+    let mut blob: Option<&[u8]> = None;
+    match frame {
+        Frame::Hello { rank } => {
+            h.u8(KIND_HELLO);
+            h.u32(*rank);
+        }
+        Frame::Data {
+            key,
+            producer,
+            from,
+            to,
+            class,
+            modeled_bytes,
+            payload,
+        } => {
+            h.u8(KIND_DATA);
+            h.u64(key.0);
+            match producer {
+                Some(id) => {
+                    h.u8(1);
+                    h.u64(*id as u64);
+                }
+                None => h.u8(0),
+            }
+            h.u32(*from);
+            h.u32(*to);
+            h.u8(match class {
+                DataClass::Payload => 0,
+                DataClass::Decision => 1,
+            });
+            h.u64(*modeled_bytes);
+            blob = Some(payload);
+        }
+        Frame::Retire { step, node } => {
+            h.u8(KIND_RETIRE);
+            h.u64(*step);
+            h.u32(*node);
+        }
+        Frame::Sync {
+            key,
+            producer,
+            payload,
+        } => {
+            h.u8(KIND_SYNC);
+            h.u64(key.0);
+            h.u64(*producer as u64);
+            blob = Some(payload);
+        }
+        Frame::Result { key, payload } => {
+            h.u8(KIND_RESULT);
+            h.u64(key.0);
+            blob = Some(payload);
+        }
+        Frame::Done => h.u8(KIND_DONE),
+        Frame::Fin => h.u8(KIND_FIN),
+        Frame::Shutdown => h.u8(KIND_SHUTDOWN),
+    }
+    if let Some(b) = blob {
+        h.u32(b.len() as u32);
+    }
+    let payload = blob.unwrap_or_default();
+    let len = (h.len - 4 + payload.len()) as u32;
+    h.buf[..4].copy_from_slice(&len.to_le_bytes());
+    (h, payload)
 }
 
-/// Cursor over a received frame body.
-struct Reader<'a> {
-    buf: &'a [u8],
+/// Encode a frame into its full wire representation (length prefix
+/// included).
+pub fn encode_frame(frame: &Frame) -> Vec<u8> {
+    let (head, payload) = encode_head(frame);
+    let mut out = Vec::with_capacity(head.len + payload.len());
+    out.extend_from_slice(head.bytes());
+    out.extend_from_slice(payload);
+    out
+}
+
+/// Write one frame to a byte stream: header and payload go out in one
+/// vectored write, so the payload is not first copied behind its header.
+pub fn write_frame(w: &mut impl Write, frame: &Frame) -> Result<(), TransportError> {
+    let (head, mut payload) = encode_head(frame);
+    let mut head = head.bytes();
+    let mut write_all = || -> std::io::Result<()> {
+        while !(head.is_empty() && payload.is_empty()) {
+            match w.write_vectored(&[IoSlice::new(head), IoSlice::new(payload)]) {
+                Ok(0) => return Err(ErrorKind::WriteZero.into()),
+                Ok(n) => {
+                    let h = n.min(head.len());
+                    head = &head[h..];
+                    payload = &payload[n - h..];
+                }
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+        w.flush()
+    };
+    write_all().map_err(|e| TransportError::Frame(format!("write: {e}")))
+}
+
+/// Fill `buf` from `r`, stopping early only at end of stream; returns the
+/// number of bytes that arrived.
+fn read_full(r: &mut impl Read, buf: &mut [u8]) -> Result<usize, TransportError> {
+    let mut got = 0;
+    while got < buf.len() {
+        match r.read(&mut buf[got..]) {
+            Ok(0) => break,
+            Ok(n) => got += n,
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) => return Err(TransportError::Frame(format!("read: {e}"))),
+        }
+    }
+    Ok(got)
+}
+
+/// Cursor over a received frame: the header fields come out of `head`
+/// (the first `min(len, HEAD_MAX)` bytes after the length prefix, already
+/// read), a payload's remainder straight from the stream into its own
+/// buffer.
+struct Reader<'a, R> {
+    /// The frame's declared length (magic + version + kind + body).
+    len: usize,
+    head: &'a [u8],
     pos: usize,
+    stream: &'a mut R,
 }
 
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], TransportError> {
-        if self.pos + n > self.buf.len() {
+impl<R: Read> Reader<'_, R> {
+    fn take(&mut self, n: usize) -> Result<&[u8], TransportError> {
+        if n > self.head.len() - self.pos {
             return Err(TransportError::ShortRead {
                 wanted: n,
-                got: self.buf.len() - self.pos,
+                got: self.head.len() - self.pos,
             });
         }
-        let s = &self.buf[self.pos..self.pos + n];
+        let s = &self.head[self.pos..self.pos + n];
         self.pos += n;
         Ok(s)
     }
@@ -136,117 +293,88 @@ impl<'a> Reader<'a> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
+    /// A payload is its frame's last field: its length must account for
+    /// exactly what the frame has left, which also bounds the allocation
+    /// by the (already checked) frame length.
     fn blob(&mut self) -> Result<Vec<u8>, TransportError> {
         let n = self.u32()? as usize;
-        Ok(self.take(n)?.to_vec())
+        let left = self.len - self.pos;
+        if n > left {
+            return Err(TransportError::ShortRead {
+                wanted: n,
+                got: left,
+            });
+        }
+        self.pos += n;
+        self.done()?;
+        let buffered = &self.head[self.pos - n..];
+        let mut payload = vec![0u8; n];
+        payload[..buffered.len()].copy_from_slice(buffered);
+        let got = read_full(self.stream, &mut payload[buffered.len()..])?;
+        if buffered.len() + got < n {
+            return Err(TransportError::ShortRead {
+                wanted: self.len,
+                got: self.head.len() + got,
+            });
+        }
+        Ok(payload)
     }
 
     fn done(&self) -> Result<(), TransportError> {
-        if self.pos != self.buf.len() {
+        if self.pos != self.len {
             return Err(TransportError::Frame(format!(
                 "{} trailing bytes after frame body",
-                self.buf.len() - self.pos
+                self.len - self.pos
             )));
         }
         Ok(())
     }
 }
 
-/// Encode a frame into its full wire representation (length prefix
-/// included).
-pub fn encode_frame(frame: &Frame) -> Vec<u8> {
-    let mut body = Vec::new();
-    let kind = match frame {
-        Frame::Hello { rank } => {
-            put_u32(&mut body, *rank);
-            KIND_HELLO
-        }
-        Frame::Data {
-            key,
-            producer,
-            from,
-            to,
-            class,
-            modeled_bytes,
-            payload,
-        } => {
-            put_u64(&mut body, key.0);
-            match producer {
-                Some(id) => {
-                    body.push(1);
-                    put_u64(&mut body, *id as u64);
-                }
-                None => body.push(0),
-            }
-            put_u32(&mut body, *from);
-            put_u32(&mut body, *to);
-            body.push(match class {
-                DataClass::Payload => 0,
-                DataClass::Decision => 1,
-            });
-            put_u64(&mut body, *modeled_bytes);
-            put_blob(&mut body, payload);
-            KIND_DATA
-        }
-        Frame::Retire { step, node } => {
-            put_u64(&mut body, *step);
-            put_u32(&mut body, *node);
-            KIND_RETIRE
-        }
-        Frame::Sync {
-            key,
-            producer,
-            payload,
-        } => {
-            put_u64(&mut body, key.0);
-            put_u64(&mut body, *producer as u64);
-            put_blob(&mut body, payload);
-            KIND_SYNC
-        }
-        Frame::Result { key, payload } => {
-            put_u64(&mut body, key.0);
-            put_blob(&mut body, payload);
-            KIND_RESULT
-        }
-        Frame::Done => KIND_DONE,
-        Frame::Fin => KIND_FIN,
-        Frame::Shutdown => KIND_SHUTDOWN,
-    };
-    let mut out = Vec::with_capacity(4 + 3 + body.len());
-    put_u32(&mut out, (3 + body.len()) as u32);
-    out.push(MAGIC);
-    out.push(VERSION);
-    out.push(kind);
-    out.extend_from_slice(&body);
-    out
-}
-
 /// Decode one full wire frame (length prefix included), as produced by
 /// [`encode_frame`].
-pub fn decode_frame(bytes: &[u8]) -> Result<Frame, TransportError> {
-    if bytes.len() < 4 {
-        return Err(TransportError::ShortRead {
-            wanted: 4,
-            got: bytes.len(),
-        });
+pub fn decode_frame(mut bytes: &[u8]) -> Result<Frame, TransportError> {
+    let frame = match read_frame(&mut bytes) {
+        // A buffer holds a whole frame or is cut short; it cannot "close".
+        Err(TransportError::Closed) => Err(TransportError::ShortRead { wanted: 4, got: 0 }),
+        other => other,
+    }?;
+    if !bytes.is_empty() {
+        return Err(TransportError::Frame(format!(
+            "{} bytes after the frame",
+            bytes.len()
+        )));
     }
-    let len = u32::from_le_bytes(bytes[..4].try_into().unwrap());
+    Ok(frame)
+}
+
+/// Read one frame from a byte stream. A clean EOF before any byte of the
+/// length prefix maps to [`TransportError::Closed`]; EOF anywhere else is
+/// a [`TransportError::ShortRead`].
+pub fn read_frame(r: &mut impl Read) -> Result<Frame, TransportError> {
+    let mut len_buf = [0u8; 4];
+    match read_full(r, &mut len_buf)? {
+        4 => {}
+        0 => return Err(TransportError::Closed),
+        got => return Err(TransportError::ShortRead { wanted: 4, got }),
+    }
+    let len = u32::from_le_bytes(len_buf);
     if len > MAX_FRAME {
         return Err(TransportError::Frame(format!("oversized frame: {len}")));
     }
-    let rest = &bytes[4..];
-    if rest.len() != len as usize {
-        return Err(TransportError::ShortRead {
-            wanted: len as usize,
-            got: rest.len(),
-        });
+    let len = len as usize;
+    let mut head = [0u8; HEAD_MAX];
+    let head = &mut head[..len.min(HEAD_MAX)];
+    let got = read_full(r, head)?;
+    if got < head.len() {
+        return Err(TransportError::ShortRead { wanted: len, got });
     }
-    decode_body(rest)
-}
-
-/// Decode the post-length portion (magic + version + kind + body).
-fn decode_body(buf: &[u8]) -> Result<Frame, TransportError> {
-    let mut r = Reader { buf, pos: 0 };
+    let mut r = Reader {
+        len,
+        head,
+        pos: 0,
+        stream: r,
+    };
     let magic = r.u8()?;
     if magic != MAGIC {
         return Err(TransportError::Frame(format!("bad magic 0x{magic:02X}")));
@@ -306,55 +434,6 @@ fn decode_body(buf: &[u8]) -> Result<Frame, TransportError> {
     Ok(frame)
 }
 
-/// Write one frame to a byte stream.
-pub fn write_frame(w: &mut impl Write, frame: &Frame) -> Result<(), TransportError> {
-    let bytes = encode_frame(frame);
-    w.write_all(&bytes)
-        .and_then(|()| w.flush())
-        .map_err(|e| TransportError::Frame(format!("write: {e}")))
-}
-
-/// Read one frame from a byte stream. A clean EOF before any byte of the
-/// length prefix maps to [`TransportError::Closed`]; EOF anywhere else is
-/// a [`TransportError::ShortRead`].
-pub fn read_frame(r: &mut impl Read) -> Result<Frame, TransportError> {
-    let mut len_buf = [0u8; 4];
-    let mut got = 0;
-    while got < 4 {
-        match r.read(&mut len_buf[got..]) {
-            Ok(0) => {
-                if got == 0 {
-                    return Err(TransportError::Closed);
-                }
-                return Err(TransportError::ShortRead { wanted: 4, got });
-            }
-            Ok(n) => got += n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(TransportError::Frame(format!("read: {e}"))),
-        }
-    }
-    let len = u32::from_le_bytes(len_buf);
-    if len > MAX_FRAME {
-        return Err(TransportError::Frame(format!("oversized frame: {len}")));
-    }
-    let mut body = vec![0u8; len as usize];
-    let mut filled = 0;
-    while filled < body.len() {
-        match r.read(&mut body[filled..]) {
-            Ok(0) => {
-                return Err(TransportError::ShortRead {
-                    wanted: len as usize,
-                    got: filled,
-                })
-            }
-            Ok(n) => filled += n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(TransportError::Frame(format!("read: {e}"))),
-        }
-    }
-    decode_body(&body)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -401,6 +480,135 @@ mod tests {
         roundtrip(Frame::Done);
         roundtrip(Frame::Fin);
         roundtrip(Frame::Shutdown);
+    }
+
+    fn tile_frame(payload: Vec<u8>) -> Frame {
+        Frame::Data {
+            key: DataKey(5),
+            producer: None,
+            from: 0,
+            to: 1,
+            class: DataClass::Payload,
+            modeled_bytes: payload.len() as u64,
+            payload,
+        }
+    }
+
+    /// A stream that hands out (and accepts) a few bytes per call: frames
+    /// must survive short reads and partial vectored writes.
+    struct Trickle {
+        data: Vec<u8>,
+        pos: usize,
+        writes: usize,
+    }
+
+    impl Read for Trickle {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let n = buf.len().min(3).min(self.data.len() - self.pos);
+            buf[..n].copy_from_slice(&self.data[self.pos..self.pos + n]);
+            self.pos += n;
+            Ok(n)
+        }
+    }
+
+    impl Write for Trickle {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            let n = buf.len().min(7);
+            self.data.extend_from_slice(&buf[..n]);
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn frames_survive_short_reads_and_partial_writes() {
+        let frames = [
+            tile_frame((0..=255).collect()),
+            Frame::Retire { step: 3, node: 1 },
+            tile_frame(vec![]),
+            tile_frame(vec![9; 5]), // shorter than the header read-ahead
+        ];
+        let mut pipe = Trickle {
+            data: Vec::new(),
+            pos: 0,
+            writes: 0,
+        };
+        for f in &frames {
+            write_frame(&mut pipe, f).unwrap();
+        }
+        let expected: Vec<u8> = frames.iter().flat_map(encode_frame).collect();
+        assert_eq!(pipe.data, expected);
+        for f in &frames {
+            assert_eq!(&read_frame(&mut pipe).unwrap(), f);
+        }
+        assert_eq!(read_frame(&mut pipe), Err(TransportError::Closed));
+    }
+
+    /// Header and payload leave in one vectored write: one syscall per
+    /// frame on a socket, and no copy of the payload behind its header.
+    #[test]
+    fn a_frame_is_one_vectored_write() {
+        struct Vectored {
+            data: Vec<u8>,
+            calls: usize,
+        }
+        impl Write for Vectored {
+            fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
+                panic!("write_frame must use write_vectored");
+            }
+            fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> std::io::Result<usize> {
+                self.calls += 1;
+                bufs.iter().for_each(|b| self.data.extend_from_slice(b));
+                Ok(bufs.iter().map(|b| b.len()).sum())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut w = Vectored {
+            data: Vec::new(),
+            calls: 0,
+        };
+        let frame = tile_frame(vec![0x5a; 72 << 10]);
+        write_frame(&mut w, &frame).unwrap();
+        assert_eq!(w.calls, 1);
+        assert_eq!(w.data, encode_frame(&frame));
+    }
+
+    /// A payload must account for exactly the rest of its frame.
+    #[test]
+    fn payload_length_must_match_the_frame() {
+        let good = encode_frame(&tile_frame(vec![1, 2, 3, 4]));
+        let blob_len_at = good.len() - 4 - 4;
+        assert_eq!(good[blob_len_at..blob_len_at + 4], [4, 0, 0, 0]);
+
+        let mut short = good.clone();
+        short[blob_len_at] = 3; // one payload byte left over
+        assert!(matches!(
+            decode_frame(&short),
+            Err(TransportError::Frame(_))
+        ));
+
+        let mut long = good.clone();
+        long[blob_len_at..blob_len_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert_eq!(
+            decode_frame(&long),
+            Err(TransportError::ShortRead {
+                wanted: u32::MAX as usize,
+                got: 4
+            })
+        );
+
+        let mut trailing = good;
+        trailing.push(0);
+        assert!(matches!(
+            decode_frame(&trailing),
+            Err(TransportError::Frame(_))
+        ));
     }
 
     #[test]

@@ -8,6 +8,7 @@ use luqr_kernels::blas::{gemm, Trans};
 use luqr_kernels::Mat;
 
 pub mod qr_ref;
+pub mod solve_ref;
 
 /// Machine epsilon for `f64`; the unit roundoff of the standard model is
 /// `u = EPS / 2`.
