@@ -1,60 +1,19 @@
 //! The QR elimination step (hybrid's QR branch and the HQR baseline), and
 //! the [`HqrPlanner`] running it unconditionally at every step.
 
-use std::sync::Arc;
-
-use luqr_kernels::flops::geqrt_flops;
-use luqr_kernels::qr::{geqrt, tpmqrt, tpqrt};
-use luqr_kernels::Trans;
-use luqr_runtime::CostClass;
-
-use crate::keys;
+use crate::op::{ix, Gate, TaskOp};
+use crate::state::{cells, StepCells};
 use crate::trees::{elimination_list, ElimOp};
 
-use super::tname;
-use super::{with_sub, BranchGate, Gated, Inserter, StepPlanner, TfCell};
-
-/// Lazily declared per-row T-factor cells for one QR step.
-struct TfCells {
-    k: usize,
-    cells: Vec<Option<TfCell>>,
-}
-
-impl TfCells {
-    fn new(k: usize, mt: usize) -> Self {
-        TfCells {
-            k,
-            cells: vec![None; mt],
-        }
-    }
-
-    /// The T-factor cell of panel row `i`, declaring its datum on first use.
-    fn get(&mut self, ins: &mut Inserter<'_>, i: usize) -> TfCell {
-        if self.cells[i].is_none() {
-            let nbk = ins.aug.tile_cols(self.k);
-            let ib = ins.opts.ib;
-            ins.b.declare(
-                keys::tfactor(i, self.k),
-                ib * nbk * 8,
-                ins.dist.owner(i, self.k),
-            );
-            let cell: TfCell = Arc::new(parking_lot::Mutex::new(None));
-            ins.shared.register_payload(
-                keys::tfactor(i, self.k),
-                crate::net::PayloadSlot::Tf(Arc::clone(&cell)),
-            );
-            self.cells[i] = Some(cell);
-        }
-        Arc::clone(self.cells[i].as_ref().unwrap())
-    }
-}
+use super::{panel, Inserter, StepPlanner};
 
 /// Insert one QR elimination step: the reduction-tree factorization of
 /// panel column `k` (GEQRT / TSQRT / TTQRT) interleaved with its trailing
-/// updates (UNMQR / TSMQR / TTMQR). `gate` is the hybrid's QR-branch gate,
-/// or `None` for the HQR baseline.
-pub(crate) fn insert_qr_step(ins: &mut Inserter<'_>, k: usize, gate: Option<&BranchGate>) {
-    let mt = ins.aug.mt();
+/// updates (UNMQR / TSMQR / TTMQR). `gate` is [`Gate::Qr`] for the hybrid's
+/// QR branch, [`Gate::None`] for the HQR baseline. A row's T-factor datum
+/// is declared when the row's first factor kernel is inserted.
+pub(crate) fn insert_qr_step(ins: &mut Inserter<'_>, k: usize, gate: Gate) {
+    let mt = ins.ctx.aug.mt();
 
     // Panel rows grouped by owning node, diagonal domain first (the first
     // group necessarily contains row k since rows ascend).
@@ -70,148 +29,62 @@ pub(crate) fn insert_qr_step(ins: &mut Inserter<'_>, k: usize, gate: Option<&Bra
         debug_assert_eq!(ordered[0].1[0], k);
         ordered.into_iter().map(|(_, rows)| rows).collect()
     };
-    let ops = elimination_list(&domains, &ins.opts.trees);
 
-    let mut tf_cells = TfCells::new(k, mt);
-
-    for op in ops {
+    let mut declared = vec![false; mt];
+    let mut factor_row = |ins: &mut Inserter<'_>, i: usize| {
+        if !std::mem::replace(&mut declared[i], true) {
+            panel::declare_tfactor(ins, k, i);
+        }
+    };
+    for op in elimination_list(&domains, &ins.ctx.opts.trees) {
         match op {
-            ElimOp::Geqrt { row } => insert_geqrt(ins, k, row, &mut tf_cells, gate),
+            // GEQRT of one panel row plus its trailing updates
+            // (`A_row,j <- Qᵀ A_row,j`).
+            ElimOp::Geqrt { row } => {
+                factor_row(ins, row);
+                ins.push(TaskOp::Geqrt {
+                    k: ix(k),
+                    i: ix(row),
+                    gate,
+                });
+                for j in ins.trailing(k) {
+                    ins.push(TaskOp::Unmqr {
+                        k: ix(k),
+                        i: ix(row),
+                        j: ix(j),
+                        gate,
+                    });
+                }
+            }
+            // TSQRT (`ts`, full square victim) or TTQRT (triangular victim)
+            // of a victim/eliminator pair, plus the trailing updates on
+            // the pair of rows.
             ElimOp::Kill {
                 victim,
                 eliminator,
                 ts,
-            } => insert_kill(ins, k, victim, eliminator, ts, &mut tf_cells, gate),
-        }
-    }
-}
-
-/// GEQRT of one panel row plus its trailing updates (`A_row,j <- Qᵀ A_row,j`).
-fn insert_geqrt(
-    ins: &mut Inserter<'_>,
-    k: usize,
-    row: usize,
-    tf_cells: &mut TfCells,
-    gate: Option<&BranchGate>,
-) {
-    let nbk = ins.aug.tile_cols(k);
-    let ib = ins.opts.ib;
-    let (tm, _) = ins.aug.tile_dims(row, k);
-    let tile = ins.aug.tile(row, k);
-    let tf = tf_cells.get(ins, row);
-    let flops = geqrt_flops(tm, nbk) as f64;
-    ins.b
-        .insert(tname!("GEQRT(", row, ",k=", k, ")"), ins.dist.owner(row, k))
-        .writes(keys::tile(row, k))
-        .writes(keys::tfactor(row, k))
-        .gated(gate)
-        .spawn_costed(flops, CostClass::QrFactor, move || {
-            let mut t = tile.lock();
-            let f = geqrt(&mut t, ib);
-            *tf.lock() = Some(f);
-        });
-    for j in ins.trailing(k) {
-        let tf = tf_cells.get(ins, row);
-        super::update::insert_qt_apply(
-            ins,
-            k,
-            row,
-            j,
-            tname!("UNMQR(", row, ",", j, ",k=", k, ")"),
-            tf,
-            gate,
-        );
-    }
-}
-
-/// TSQRT (`ts = true`, full square victim) or TTQRT (`ts = false`,
-/// triangular victim) of a victim/eliminator pair, plus the trailing
-/// updates on the pair of rows.
-fn insert_kill(
-    ins: &mut Inserter<'_>,
-    k: usize,
-    victim: usize,
-    eliminator: usize,
-    ts: bool,
-    tf_cells: &mut TfCells,
-    gate: Option<&BranchGate>,
-) {
-    let nbk = ins.aug.tile_cols(k);
-    let ib = ins.opts.ib;
-    let (vm, _) = ins.aug.tile_dims(victim, k);
-    // TS: full square victim, l = 0. TT: triangular victim, l = its
-    // (possibly short) row count.
-    let l = if ts { 0 } else { vm.min(nbk) };
-    let tile_e = ins.aug.tile(eliminator, k);
-    let tile_v = ins.aug.tile(victim, k);
-    let tf = tf_cells.get(ins, victim);
-    let kname = if ts { "TSQRT" } else { "TTQRT" };
-    let flops = if ts {
-        2.0 * (vm * nbk * nbk) as f64
-    } else {
-        (2.0 / 3.0) * (vm * nbk * nbk) as f64
-    };
-    ins.b
-        .insert(
-            tname!(kname, "(", victim, ",", eliminator, ",k=", k, ")"),
-            ins.dist.owner(victim, k),
-        )
-        .writes(keys::tile(eliminator, k))
-        .writes(keys::tile(victim, k))
-        .writes(keys::tfactor(victim, k))
-        .gated(gate)
-        .spawn_costed(flops, CostClass::QrFactor, move || {
-            let mut eg = tile_e.lock();
-            let mut vg = tile_v.lock();
-            let f = with_sub(&mut eg, nbk, nbk, |r| {
-                with_sub(&mut vg, vm, nbk, |b| tpqrt(l, r, b, ib))
-            });
-            *tf.lock() = Some(f);
-        });
-    // Trailing updates on the pair of rows.
-    for j in ins.trailing(k) {
-        let w = ins.aug.tile_cols(j);
-        let v_src = ins.aug.tile(victim, k);
-        let top = ins.aug.tile(eliminator, j);
-        let bot = ins.aug.tile(victim, j);
-        let tf = tf_cells.get(ins, victim);
-        let uname = if ts { "TSMQR" } else { "TTMQR" };
-        let flops = if ts {
-            4.0 * (vm * nbk * w) as f64
-        } else {
-            2.0 * (vm * nbk * w) as f64
-        };
-        ins.b
-            .insert(
-                tname!(uname, "(", victim, ",", eliminator, ",", j, ",k=", k, ")"),
-                ins.dist.owner(victim, j),
-            )
-            .reads(keys::tile(victim, k))
-            .reads(keys::tfactor(victim, k))
-            .writes(keys::tile(eliminator, j))
-            .writes(keys::tile(victim, j))
-            .gated(gate)
-            .spawn_costed(flops, CostClass::QrApply, move || {
-                let vsg = v_src.lock();
-                // Borrow the reflector tile in place when it already has the
-                // needed shape (all but ragged-edge tiles).
-                let copy;
-                let vview = if vsg.dims() == (vm, nbk) {
-                    &*vsg
-                } else {
-                    copy = vsg.sub(0, 0, vm, nbk);
-                    &copy
-                };
-                let tfg = tf.lock();
-                let tfr = tfg.as_ref().expect("missing T factor");
-                let mut tg = top.lock();
-                let mut bg = bot.lock();
-                with_sub(&mut tg, nbk, w, |a| {
-                    with_sub(&mut bg, vm, w, |b2| {
-                        tpmqrt(Trans::Trans, l, vview, tfr, a, b2)
-                    })
+            } => {
+                factor_row(ins, victim);
+                let (v, e) = (ix(victim), ix(eliminator));
+                ins.push(TaskOp::Tpqrt {
+                    k: ix(k),
+                    v,
+                    e,
+                    ts,
+                    gate,
                 });
-            });
+                for j in ins.trailing(k) {
+                    ins.push(TaskOp::Tpmqrt {
+                        k: ix(k),
+                        v,
+                        e,
+                        j: ix(j),
+                        ts,
+                        gate,
+                    });
+                }
+            }
+        }
     }
 }
 
@@ -224,6 +97,11 @@ impl StepPlanner for HqrPlanner {
     }
 
     fn plan_step(&self, k: usize, ins: &mut Inserter<'_>) {
-        insert_qr_step(ins, k, None);
+        let step = StepCells {
+            tf: cells(ins.ctx.aug.mt()),
+            ..StepCells::default()
+        };
+        ins.ctx.steps.open(k, step);
+        insert_qr_step(ins, k, Gate::None);
     }
 }

@@ -10,122 +10,65 @@
 //! * **Streaming** ([`StepPlanner::plan_step_prelude`] /
 //!   [`StepPlanner::plan_step_rest`]): the prelude stops after the PANEL
 //!   task; once it has *executed*, the recorded decision is read back at
-//!   planning time and only the chosen branch is inserted. The branch
-//!   tasks keep their gate (which now trivially passes), so their access
-//!   lists — and therefore the hazard structure among executed tasks —
-//!   are identical to the batch graph's.
-
-use std::sync::Arc;
-use std::sync::OnceLock;
+//!   planning time — from the step's cells — and only the chosen branch is
+//!   inserted. The branch tasks keep their gate (which now trivially
+//!   passes), so their access lists — and therefore the hazard structure
+//!   among executed tasks — are identical to the batch graph's.
 
 use luqr_runtime::TaskId;
 
 use crate::config::{Decision, LuVariant};
-use crate::criteria::Criterion;
+use crate::op::{ix, Gate, TaskOp};
+use crate::state::{cells, StepCells};
 
-use super::tname;
-use super::{
-    hqr, lu, panel, update, BranchGate, DecCell, Inserter, PanelCell, StepPlanner, TfCell,
-};
+use super::{hqr, lu, panel, Inserter, StepPlanner};
 
-/// Per-step state carried from the prelude to the branch insertion in
-/// streaming mode.
-struct PendingStep {
-    k: usize,
-    dec: DecCell,
-    pan: PanelCell,
-    a2_tf: TfCell,
-    trial_rows: Vec<usize>,
-}
-
-/// The hybrid LU-QR algorithm with its per-step robustness criterion.
-pub struct HybridPlanner {
-    criterion: Criterion,
-    /// Streaming-mode state between `plan_step_prelude` and
-    /// `plan_step_rest` (unused in batch mode).
-    pending: Option<PendingStep>,
-}
+/// The hybrid LU-QR algorithm; its per-step robustness criterion is the
+/// run's ([`crate::Algorithm::LuQr`] in the options).
+pub struct HybridPlanner;
 
 impl HybridPlanner {
-    pub fn new(criterion: Criterion) -> Self {
-        HybridPlanner {
-            criterion,
-            pending: None,
-        }
-    }
-
-    /// Insert everything up to the decision point: backup, criterion
-    /// collection, the trial-panel task (whose id is returned), and the
-    /// decision-gated Propagate restores.
-    fn insert_prelude(&self, k: usize, ins: &mut Inserter<'_>) -> (TaskId, PendingStep) {
-        let variant = ins.opts.lu_variant;
+    /// Publish the step's cells and insert everything up to the decision
+    /// point: backup, criterion collection, the trial-panel task (whose id
+    /// is returned), and the decision-gated Propagate restores.
+    fn insert_prelude(&self, k: usize, ins: &mut Inserter<'_>) -> TaskId {
+        let mt = ins.ctx.aug.mt();
         let trial_rows = panel::trial_rows(ins, k);
-        let dec: DecCell = Arc::new(OnceLock::new());
-        let pan: PanelCell = Arc::new(OnceLock::new());
+        let crit_groups = panel::crit_groups(ins, k, &trial_rows);
+        let step = StepCells {
+            crit: cells(crit_groups.len()),
+            crit_groups,
+            backup: cells(mt),
+            tf: cells(mt),
+            ..lu::lu_step_cells(ins, k, trial_rows)
+        };
+        ins.ctx.steps.open(k, step);
 
         // --- Backup the trial panel tiles.
-        let backups = panel::insert_backups(ins, k, &trial_rows);
+        panel::insert_backups(ins, k);
 
         // --- Off-trial criterion collection, one task per owning node.
-        let (crit_cells, crit_keys) =
-            panel::insert_crit_collection(ins, k, &trial_rows, &self.criterion);
+        panel::insert_crit_collection(ins, k);
 
         // --- Panel: trial factorization + criterion decision.
-        let a2_tf: TfCell = Arc::new(parking_lot::Mutex::new(None));
-        let panel_task = if variant == LuVariant::A2 {
-            panel::insert_a2_panel(
-                ins,
-                k,
-                &self.criterion,
-                &dec,
-                &pan,
-                &a2_tf,
-                &crit_cells,
-                &crit_keys,
-            )
+        let panel_task = if ins.ctx.opts.lu_variant == LuVariant::A2 {
+            panel::insert_a2_panel(ins, k)
         } else {
-            panel::insert_trial_panel(
-                ins,
-                k,
-                &self.criterion,
-                &trial_rows,
-                &dec,
-                &pan,
-                &crit_cells,
-                &crit_keys,
-            )
+            panel::insert_trial_panel(ins, k)
         };
 
         // --- Propagate: restore the panel from backup on a QR decision.
-        panel::insert_propagate(ins, k, &trial_rows, &backups, &dec);
-
-        (
-            panel_task,
-            PendingStep {
-                k,
-                dec,
-                pan,
-                a2_tf,
-                trial_rows,
-            },
-        )
+        panel::insert_propagate(ins, k);
+        panel_task
     }
 
-    /// Insert the LU branch of `step` (discarded when the decision is QR).
-    fn insert_lu_branch(&self, ins: &mut Inserter<'_>, step: &PendingStep) {
-        let k = step.k;
-        let lu_gate = BranchGate::lu(k, &step.dec);
-        if ins.opts.lu_variant == LuVariant::A2 {
-            insert_lu_step_a2(ins, k, &lu_gate, &step.a2_tf);
+    /// Insert the LU branch of step `k` (discarded when the decision is QR).
+    fn insert_lu_branch(&self, ins: &mut Inserter<'_>, k: usize) {
+        if ins.ctx.opts.lu_variant == LuVariant::A2 {
+            insert_lu_step_a2(ins, k);
         } else {
-            lu::insert_lu_step(ins, k, &step.trial_rows, Some(&lu_gate), &step.pan);
+            lu::insert_lu_step(ins, k, Gate::Lu);
         }
-    }
-
-    /// Insert the QR branch of `step` (discarded when the decision is LU).
-    fn insert_qr_branch(&self, ins: &mut Inserter<'_>, step: &PendingStep) {
-        let qr_gate = BranchGate::qr(step.k, &step.dec);
-        hqr::insert_qr_step(ins, step.k, Some(&qr_gate));
     }
 }
 
@@ -135,55 +78,39 @@ impl StepPlanner for HybridPlanner {
     }
 
     fn plan_step(&self, k: usize, ins: &mut Inserter<'_>) {
-        let (_panel_task, step) = self.insert_prelude(k, ins);
-        self.insert_lu_branch(ins, &step);
-        self.insert_qr_branch(ins, &step);
+        self.insert_prelude(k, ins);
+        self.insert_lu_branch(ins, k);
+        hqr::insert_qr_step(ins, k, Gate::Qr);
     }
 
-    fn plan_step_prelude(&mut self, k: usize, ins: &mut Inserter<'_>) -> Option<TaskId> {
-        let (panel_task, step) = self.insert_prelude(k, ins);
-        self.pending = Some(step);
-        Some(panel_task)
+    fn plan_step_prelude(&self, k: usize, ins: &mut Inserter<'_>) -> Option<TaskId> {
+        Some(self.insert_prelude(k, ins))
     }
 
-    fn plan_step_rest(&mut self, k: usize, ins: &mut Inserter<'_>) {
-        let step = self
-            .pending
-            .take()
-            .expect("plan_step_rest without a pending prelude");
-        assert_eq!(step.k, k, "streaming steps planned out of order");
+    fn plan_step_rest(&self, k: usize, ins: &mut Inserter<'_>) {
         // The panel task has executed: consume its decision *now* and
         // unroll only the surviving branch.
-        let decision = *step
-            .dec
-            .get()
-            .expect("decision task completed without recording a decision");
-        match decision {
-            Decision::Lu => self.insert_lu_branch(ins, &step),
-            Decision::Qr => self.insert_qr_branch(ins, &step),
+        match ins.ctx.steps.get(k).decided() {
+            Decision::Lu => self.insert_lu_branch(ins, k),
+            Decision::Qr => hqr::insert_qr_step(ins, k, Gate::Qr),
         }
     }
 }
 
-/// LU-step tasks for variant A2: Apply is `A_kj <- Qᵀ A_kj` (UNMQR),
-/// Eliminate is `A_ik <- A_ik R⁻¹`, Update is the usual GEMM.
-fn insert_lu_step_a2(ins: &mut Inserter<'_>, k: usize, gate: &BranchGate, a2_tf: &TfCell) {
-    let mt = ins.aug.mt();
+/// LU-step tasks for variant A2: Apply is `A_kj <- Qᵀ A_kj` (the ORMQR
+/// flavour of UNMQR), Eliminate is `A_ik <- A_ik R⁻¹`, Update is the usual
+/// GEMM.
+fn insert_lu_step_a2(ins: &mut Inserter<'_>, k: usize) {
     // Apply Qᵀ to row k (including rhs columns).
     for j in ins.trailing(k) {
-        update::insert_qt_apply(
-            ins,
-            k,
-            k,
-            j,
-            tname!("ORMQR(", j, ",k=", k, ")"),
-            Arc::clone(a2_tf),
-            Some(gate),
-        );
+        ins.push(TaskOp::Ormqr {
+            k: ix(k),
+            j: ix(j),
+            gate: Gate::Lu,
+        });
     }
     // Eliminate + update every row below.
-    for i in k + 1..mt {
-        update::insert_trsm_eliminate(ins, k, i, Some(gate));
-        update::insert_row_updates(ins, k, i, Some(gate));
+    for i in k + 1..ins.ctx.aug.mt() {
+        lu::insert_row_elimination(ins, k, i, true, Gate::Lu);
     }
 }

@@ -2,21 +2,11 @@
 //! diagonal tile, GESSM applies along the pivot row, then a TSTRF/SSSSM
 //! elimination chain down the panel.
 
-use std::sync::Arc;
-use std::sync::OnceLock;
-
-use luqr_kernels::incpiv::{gessm, ssssm, tstrf, PairPivot};
-use luqr_kernels::Mat;
-use luqr_runtime::CostClass;
-
 use crate::keys;
+use crate::op::{ix, TaskOp};
+use crate::state::{cells, StepCells};
 
-use super::tname;
-use super::{panel, with_sub, Inserter, PanelCell, StepPlanner};
-
-/// Output of one TSTRF: the L-factor block and its pairwise pivot record,
-/// consumed by the row's SSSSM updates.
-type LCell = Arc<OnceLock<(Mat, Vec<PairPivot>)>>;
+use super::{panel, Inserter, StepPlanner};
 
 /// LU with incremental (pairwise) pivoting across the panel.
 pub struct IncPivPlanner;
@@ -27,99 +17,35 @@ impl StepPlanner for IncPivPlanner {
     }
 
     fn plan_step(&self, k: usize, ins: &mut Inserter<'_>) {
-        let mt = ins.aug.mt();
-        let nbk = ins.aug.tile_cols(k);
+        let mt = ins.ctx.aug.mt();
+        let nbk = ins.ctx.aug.tile_cols(k);
+        let step = StepCells {
+            l: cells(mt),
+            ..StepCells::default()
+        };
+        ins.ctx.steps.open(k, step);
         // Diagonal tile: GETRF with in-tile pivoting.
-        let pan: PanelCell = Arc::new(OnceLock::new());
-        panel::insert_incpiv_diag(ins, k, &pan);
+        panel::insert_incpiv_diag(ins, k);
         // Apply to the diagonal row: GESSM.
         for j in ins.trailing(k) {
-            let w = ins.aug.tile_cols(j);
-            let lu_t = ins.aug.tile(k, k);
-            let c = ins.aug.tile(k, j);
-            let pan2 = Arc::clone(&pan);
-            let flops = (nbk * nbk * w) as f64;
-            ins.b
-                .insert(tname!("GESSM(k=", k, ",j=", j, ")"), ins.dist.owner(k, j))
-                .reads(keys::pivots(k))
-                .reads(keys::tile(k, k))
-                .writes(keys::tile(k, j))
-                .spawn_costed(flops, CostClass::Trsm, move || {
-                    let pf = pan2.get().expect("diag LU missing");
-                    let lu = lu_t.lock();
-                    // GESSM reads only the unit-lower part of the LU tile;
-                    // square diagonal tiles are borrowed in place.
-                    let copy;
-                    let lu_sq = if lu.dims() == (nbk, nbk) {
-                        &*lu
-                    } else {
-                        copy = lu.sub(0, 0, nbk.min(lu.rows()), nbk);
-                        &copy
-                    };
-                    let mut cg = c.lock();
-                    with_sub(&mut cg, lu_sq.rows(), w, |top| gessm(lu_sq, &pf.ipiv, top));
-                });
+            ins.push(TaskOp::Gessm { k: ix(k), j: ix(j) });
         }
-        // Pairwise elimination chain down the panel.
+        // Pairwise elimination chain down the panel: TSTRF produces the
+        // row's L factor and pivots, which its SSSSM updates consume.
         for i in k + 1..mt {
-            let (tm, _) = ins.aug.tile_dims(i, k);
-            let lcell: LCell = Arc::new(OnceLock::new());
+            let tm = ins.ctx.aug.tile_rows(i);
             ins.b.declare(
                 keys::incpiv_l(i, k),
                 (tm * nbk + nbk) * 8,
                 ins.dist.owner(i, k),
             );
-            ins.shared.register_payload(
-                keys::incpiv_l(i, k),
-                crate::net::PayloadSlot::L(Arc::clone(&lcell)),
-            );
-            {
-                let u_t = ins.aug.tile(k, k);
-                let a_t = ins.aug.tile(i, k);
-                let lc = Arc::clone(&lcell);
-                let shared = ins.shared.clone();
-                let flops = (tm * nbk * nbk) as f64;
-                ins.b
-                    .insert(tname!("TSTRF(", i, ",k=", k, ")"), ins.dist.owner(i, k))
-                    .writes(keys::tile(k, k))
-                    .writes(keys::tile(i, k))
-                    .writes(keys::incpiv_l(i, k))
-                    .spawn_costed(flops, CostClass::Trsm, move || {
-                        let mut ug = u_t.lock();
-                        let mut ag = a_t.lock();
-                        let mut l = Mat::zeros(ag.rows(), nbk);
-                        let r = with_sub(&mut ug, nbk, nbk, |u| tstrf(u, &mut ag, &mut l));
-                        match r {
-                            Ok(piv) => {
-                                let _ = lc.set((l, piv));
-                            }
-                            Err(e) => {
-                                shared.fail(format!("TSTRF({i},{k}): {e}"));
-                                let _ = lc.set((l, Vec::new()));
-                            }
-                        }
-                    });
-            }
+            ins.push(TaskOp::Tstrf { k: ix(k), i: ix(i) });
             for j in ins.trailing(k) {
-                let w = ins.aug.tile_cols(j);
-                let top = ins.aug.tile(k, j);
-                let bot = ins.aug.tile(i, j);
-                let lc = Arc::clone(&lcell);
-                let flops = 2.0 * (tm * nbk * w) as f64;
-                ins.b
-                    .insert(
-                        tname!("SSSSM(", i, ",", j, ",k=", k, ")"),
-                        ins.dist.owner(i, j),
-                    )
-                    .reads(keys::incpiv_l(i, k))
-                    .writes(keys::tile(k, j))
-                    .writes(keys::tile(i, j))
-                    .spawn_costed(flops, CostClass::Gemm, move || {
-                        let (l, piv) = lc.get().expect("TSTRF output missing");
-                        let mut tg = top.lock();
-                        let mut bg = bot.lock();
-                        with_sub(&mut tg, nbk, w, |t| ssssm(l, piv, t, &mut bg));
-                    });
+                ins.push(TaskOp::Ssssm {
+                    k: ix(k),
+                    i: ix(i),
+                    j: ix(j),
+                });
             }
         }
     }

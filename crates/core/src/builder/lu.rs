@@ -2,191 +2,132 @@
 //! the hybrid's LU branch and the LU NoPiv / LUPP baselines, plus the
 //! [`LuSimplePlanner`] implementing those two baselines.
 
-use std::sync::Arc;
-
-use luqr_kernels::blas::{trsm, Diag, Side, Trans, UpLo};
-use luqr_kernels::Mat;
-use luqr_runtime::{CostClass, TaskResult};
-
 use crate::keys;
-use crate::panel::apply_swap_plan;
+use crate::op::{ix, Gate, TaskOp};
+use crate::state::{cells, StepCells};
 
-use super::tname;
-use super::{panel, update, BranchGate, Gated, Inserter, PanelCell, StepPlanner};
+use super::{panel, Inserter, StepPlanner};
+
+/// The plan lists of an LU-shaped step whose panel is factored over
+/// `trial_rows`: the row-exchange groups — trial rows other than the
+/// diagonal tile, grouped by grid row (for any trailing column `j`, all
+/// tiles `(i, j)` of one grid row live on the same node) with their
+/// offsets in the stacked panel — and the panel's height and fan-in.
+pub(crate) fn lu_step_cells(ins: &Inserter<'_>, k: usize, trial_rows: Vec<usize>) -> StepCells {
+    let aug = &ins.ctx.aug;
+    let mut swap_groups: Vec<(usize, Vec<(usize, usize)>)> = Vec::new();
+    let mut offset = 0usize;
+    for (idx, &i) in trial_rows.iter().enumerate() {
+        if idx > 0 {
+            let grid_row = ins.dist.row_group(i);
+            match swap_groups.iter_mut().find(|(g, _)| *g == grid_row) {
+                Some((_, rows)) => rows.push((i, offset)),
+                None => swap_groups.push((grid_row, vec![(i, offset)])),
+            }
+        }
+        offset += aug.tile_rows(i);
+    }
+    StepCells {
+        trial_rows,
+        swap_groups: swap_groups.into_iter().map(|(_, rows)| rows).collect(),
+        total_rows: offset,
+        panel_nodes: ins.dist.panel_node_count(k, aug.mt()),
+        scratch: cells(aug.nt()),
+        ..StepCells::default()
+    }
+}
+
+/// Insert the Eliminate task `A_ik <- A_ik U_kk^{-1}` (TRSM against the
+/// upper triangle of the factored diagonal tile) and the Schur update of
+/// panel row `i`: one GEMM `A_ij -= A_ik A_kj` per trailing tile column
+/// (matrix and right-hand-side columns alike). Rows that already hold
+/// their multipliers (`eliminate = false`) get the update only. Shared by
+/// every LU-shaped step: LU NoPiv, LUPP, and the hybrid's LU branch in
+/// both variants.
+pub(crate) fn insert_row_elimination(
+    ins: &mut Inserter<'_>,
+    k: usize,
+    i: usize,
+    eliminate: bool,
+    gate: Gate,
+) {
+    if eliminate {
+        ins.push(TaskOp::Trsm {
+            k: ix(k),
+            i: ix(i),
+            gate,
+        });
+    }
+    for j in ins.trailing(k) {
+        ins.push(TaskOp::Gemm {
+            k: ix(k),
+            i: ix(i),
+            j: ix(j),
+            gate,
+        });
+    }
+}
 
 /// Insert the Apply/Eliminate/Update tasks of an LU step whose panel has
-/// been factored over `trial_rows`, with the pivot record in `pan` (written
-/// by the caller's panel task). `gate` is `None` for the unconditional
-/// baselines and the hybrid's LU branch gate otherwise.
+/// been factored over the step's trial rows. `gate` is [`Gate::None`] for
+/// the unconditional baselines and [`Gate::Lu`] for the hybrid's LU branch.
 ///
 /// Apply phase, ScaLAPACK PDLASWP-style: snapshot the pivot-block tile, let
 /// each owning node exchange *its own* rows with the pivot block (disjoint
 /// writes, so the exchanges parallelize and each node only communicates one
 /// pivot-block tile), then solve the top with `L11`. The per-tile Schur
 /// updates are separate GEMM tasks.
-pub(crate) fn insert_lu_step(
-    ins: &mut Inserter<'_>,
-    k: usize,
-    trial_rows: &[usize],
-    gate: Option<&BranchGate>,
-    pan: &PanelCell,
-) {
-    let mt = ins.aug.mt();
-    let nbk = ins.aug.tile_cols(k);
+pub(crate) fn insert_lu_step(ins: &mut Inserter<'_>, k: usize, gate: Gate) {
+    let cells = ins.ctx.steps.get(k);
+    let mt = ins.ctx.aug.mt();
+    let nbk = ins.ctx.aug.tile_cols(k);
 
     // The diagonal tile of a square matrix is always square; the
-    // fine-grained apply below relies on it (its rows are exactly the
-    // pivoted `U` rows).
-    debug_assert_eq!(ins.aug.tile_rows(k), nbk);
-
-    // Stack offsets of the trial rows (ascending, diagonal tile first).
-    let offsets: Vec<usize> = {
-        let mut off = 0usize;
-        trial_rows
-            .iter()
-            .map(|&i| {
-                let o = off;
-                off += ins.aug.tile_rows(i);
-                o
-            })
-            .collect()
-    };
-    // Group trial rows (excluding the top tile) by grid row: for any
-    // trailing column j, all tiles (i, j) of one grid row live on the same
-    // node.
-    let mut swap_groups: Vec<(usize, Vec<(usize, usize)>)> = Vec::new(); // (grid_row, [(row, offset)])
-    for (idx, &i) in trial_rows.iter().enumerate().skip(1) {
-        let gr = ins.dist.row_group(i);
-        let entry = (i, offsets[idx]);
-        match swap_groups.iter_mut().find(|(n, _)| *n == gr) {
-            Some((_, v)) => v.push(entry),
-            None => swap_groups.push((gr, vec![entry])),
-        }
-    }
-    let total_rows: usize = trial_rows.iter().map(|&i| ins.aug.tile_rows(i)).sum();
+    // fine-grained apply relies on it (its rows are exactly the pivoted
+    // `U` rows).
+    debug_assert_eq!(ins.ctx.aug.tile_rows(k), nbk);
 
     for j in ins.trailing(k) {
-        let w = ins.aug.tile_cols(j);
-        let scratch: Arc<parking_lot::Mutex<Option<Mat>>> = Arc::new(parking_lot::Mutex::new(None));
-        let scratch_key = keys::swap_scratch(j, k);
+        let w = ins.ctx.aug.tile_cols(j);
+        let top_owner = ins.dist.owner(k, j);
         ins.b
-            .declare(scratch_key, nbk * w * 8, ins.dist.owner(k, j));
-        ins.shared.register_payload(
-            scratch_key,
-            crate::net::PayloadSlot::Scratch(Arc::clone(&scratch)),
-        );
+            .declare(keys::swap_scratch(j, k), nbk * w * 8, top_owner);
 
         // Snapshot the pivot-block tile.
-        {
-            let top = ins.aug.tile(k, j);
-            let sc = Arc::clone(&scratch);
-            let bytes = nbk * w * 8;
-            ins.b
-                .insert(tname!("SWPINIT(", j, ",k=", k, ")"), ins.dist.owner(k, j))
-                .reads(keys::tile(k, j))
-                .writes(scratch_key)
-                .gated(gate)
-                .spawn_memory(bytes, move || {
-                    *sc.lock() = Some(top.lock().clone());
-                });
-        }
+        ins.push(TaskOp::SwpInit {
+            k: ix(k),
+            j: ix(j),
+            gate,
+        });
 
-        // One exchange task per grid row; the first also applies the
-        // pivot-block-internal permutation.
-        let mut first = true;
-        for (node, rows) in std::iter::once((ins.dist.owner(k, j), Vec::new())).chain(
-            swap_groups
-                .iter()
-                .map(|(_, v)| (ins.dist.owner(v[0].0, j), v.clone())),
-        ) {
-            if rows.is_empty() && !first {
-                continue;
-            }
-            let handles_top = first;
-            first = false;
-            let top = ins.aug.tile(k, j);
-            let sc = Arc::clone(&scratch);
-            let pan2 = Arc::clone(pan);
-            let tiles: Vec<(usize, luqr_tile::TileRef)> = rows
-                .iter()
-                .map(|&(i, off)| (off, ins.aug.tile(i, j)))
-                .collect();
-            let spans: Vec<(usize, usize)> = rows
-                .iter()
-                .map(|&(i, off)| (off, ins.aug.tile_rows(i)))
-                .collect();
-            let bytes = nbk * w * 8;
-            ins.b
-                .insert(tname!("PIVSWP(n", node, ",", j, ",k=", k, ")"), node)
-                .reads(keys::pivots(k))
-                .reads(scratch_key)
-                .writes(keys::tile(k, j))
-                .writes_each(rows.iter().map(|&(i, _)| keys::tile(i, j)))
-                .gated(gate)
-                .spawn(move || {
-                    let Some(pf) = pan2.get() else {
-                        return TaskResult::discarded();
-                    };
-                    let plan = pf.swap_plan(total_rows, nbk, &spans);
-                    let sg = sc.lock();
-                    let orig = sg.as_ref().expect("missing swap snapshot");
-                    let mut tg = top.lock();
-                    let mut guards: Vec<_> = tiles.iter().map(|(o, t)| (*o, t.lock())).collect();
-                    let mut refs: Vec<(usize, &mut Mat)> =
-                        guards.iter_mut().map(|(o, g)| (*o, &mut **g)).collect();
-                    apply_swap_plan(&plan, orig, &mut tg, &mut refs, handles_top);
-                    TaskResult::memory(bytes)
-                });
+        // One exchange task per group; group 0 (on the pivot block's
+        // owner) applies the pivot-block-internal permutation.
+        for g in 0..=cells.swap_groups.len() {
+            let node = match cells.swap_rows(ix(g)).first() {
+                Some(&(row, _)) => ins.dist.owner(row, j),
+                None => top_owner,
+            };
+            ins.push(TaskOp::PivSwp {
+                k: ix(k),
+                j: ix(j),
+                g: ix(g),
+                node: ix(node),
+                gate,
+            });
         }
 
         // Top solve: U_kj = L11^{-1} (P C)_top.
-        {
-            let l11 = ins.aug.tile(k, k);
-            let top = ins.aug.tile(k, j);
-            let pan2 = Arc::clone(pan);
-            let flops = (nbk * nbk * w) as f64;
-            ins.b
-                .insert(tname!("TRSMTOP(", j, ",k=", k, ")"), ins.dist.owner(k, j))
-                .reads(keys::tile(k, k))
-                .writes(keys::tile(k, j))
-                .gated(gate)
-                .spawn(move || {
-                    if pan2.get().is_none() {
-                        return TaskResult::discarded();
-                    }
-                    let lg = l11.lock();
-                    // The solve reads only the strictly-lower triangle (unit
-                    // diagonal), so a square diagonal tile can be borrowed
-                    // in place; only ragged-edge tiles need the copy.
-                    let copy;
-                    let l_top = if lg.dims() == (nbk, nbk) {
-                        &*lg
-                    } else {
-                        copy = lg.sub(0, 0, nbk.min(lg.rows()), nbk.min(lg.cols()));
-                        &copy
-                    };
-                    let mut tg = top.lock();
-                    trsm(
-                        Side::Left,
-                        UpLo::Lower,
-                        Trans::NoTrans,
-                        Diag::Unit,
-                        1.0,
-                        l_top,
-                        &mut tg,
-                    );
-                    TaskResult::executed(flops, CostClass::Trsm)
-                });
-        }
+        ins.push(TaskOp::TrsmTop {
+            k: ix(k),
+            j: ix(j),
+            gate,
+        });
     }
 
     // Eliminate (off-trial rows only; trial rows already hold their
     // multipliers from the panel factorization) + per-tile update.
     for i in k + 1..mt {
-        if !trial_rows.contains(&i) {
-            update::insert_trsm_eliminate(ins, k, i, gate);
-        }
-        update::insert_row_updates(ins, k, i, gate);
+        insert_row_elimination(ins, k, i, !cells.trial_rows.contains(&i), gate);
     }
 }
 
@@ -221,14 +162,13 @@ impl StepPlanner for LuSimplePlanner {
     }
 
     fn plan_step(&self, k: usize, ins: &mut Inserter<'_>) {
-        let mt = ins.aug.mt();
         let trial_rows: Vec<usize> = if self.full_panel {
-            (k..mt).collect()
+            (k..ins.ctx.aug.mt()).collect()
         } else {
             vec![k]
         };
-        let pan: PanelCell = Arc::new(std::sync::OnceLock::new());
-        panel::insert_simple_panel(ins, k, self.full_panel, &trial_rows, &pan);
-        insert_lu_step(ins, k, &trial_rows, None, &pan);
+        ins.ctx.steps.open(k, lu_step_cells(ins, k, trial_rows));
+        panel::insert_simple_panel(ins, k, self.full_panel);
+        insert_lu_step(ins, k, Gate::None);
     }
 }

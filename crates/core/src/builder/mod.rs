@@ -11,14 +11,13 @@
 //! The module tree mirrors the algorithm structure:
 //! * [`hybrid`] — the paper's LU-QR hybrid (Algorithm 1), including the A2
 //!   trial variant;
-//! * [`lu`] — the shared LU elimination step plus the LU NoPiv / LUPP
-//!   baselines;
+//! * [`lu`] — the shared LU elimination step (row exchanges, TRSM
+//!   eliminate, GEMM update) plus the LU NoPiv / LUPP baselines;
 //! * [`incpiv`] — the LU IncPiv baseline (pairwise pivoting);
 //! * [`hqr`] — the QR elimination step (hybrid's QR branch and the HQR
 //!   baseline);
 //! * [`panel`] — panel-phase task insertion shared by the planners (backup,
 //!   criterion collection, trial factorization, propagate);
-//! * [`update`] — the shared trailing-update tasks (TRSM eliminate, GEMM).
 //!
 //! The hybrid insertion mirrors Figure 1 of the paper step by step:
 //!
@@ -33,9 +32,18 @@
 //! ```
 //!
 //! Both branches are always present in the graph (the paper's static PTG
-//! constraint); branch tasks are inserted through
-//! [`luqr_runtime::TaskBuilder::guard`], which makes them read the decision
-//! at run time and either execute or discard themselves.
+//! constraint); branch tasks carry a [`crate::Gate`], which makes them read the
+//! decision at run time and either execute or discard themselves.
+//!
+//! **Tasks are data.** A planner does not build task bodies: it pushes one
+//! [`TaskOp`] per task — a `Copy` descriptor `(kind, k, i, j, …, gate)` —
+//! into the [`TaskSink`], after publishing the step's
+//! [`crate::state::StepCells`] (the lists an op cannot carry, and the cells
+//! the step's tasks communicate through). The op's owner node is derived
+//! from it here, at the current distribution; its name, accesses and body
+//! are derived by the runtime when it needs them ([`crate::op`],
+//! [`crate::interp`]). A plan is therefore a sequence of small hashable
+//! values, identical for the batch graph and the streaming window.
 
 pub mod hqr;
 pub mod hybrid;
@@ -43,175 +51,16 @@ pub mod incpiv;
 pub mod lu;
 pub mod panel;
 pub mod stream_source;
-pub mod update;
 
-use std::sync::Arc;
-use std::sync::OnceLock;
-
-use luqr_kernels::qr::TFactor;
-use luqr_kernels::Mat;
-use luqr_runtime::hash::IntMap;
-use luqr_runtime::{DataKey, GraphBuilder, TaskBuilder, TaskId, TaskSink};
+use luqr_runtime::{GraphBuilder, TaskId, TaskSink};
 use luqr_tile::{Dist, TiledMatrix};
-use parking_lot::Mutex;
 
-use crate::net::PayloadSlot;
-
-use crate::config::{Decision, FactorOptions, StepRecord};
-use crate::criteria::DomainCritData;
+use crate::config::FactorOptions;
 use crate::keys;
-use crate::panel::PanelFactorization;
+use crate::op::TaskOp;
+use crate::state::RunCtx;
 
-/// Fast task-name assembly: the builders mint one small `String` per task,
-/// and `format!`'s formatting machinery is a measurable slice of
-/// graph-construction time on fine-grained graphs. `tname!` concatenates
-/// literal segments and indices with plain pushes instead.
-macro_rules! tname {
-    ($($seg:expr),+ $(,)?) => {{
-        let mut s = String::with_capacity(24);
-        $(crate::builder::NameSeg::push_to(&$seg, &mut s);)+
-        s
-    }};
-}
-pub(crate) use tname;
-
-/// One segment of a task name (see [`tname!`]).
-pub(crate) trait NameSeg {
-    fn push_to(&self, s: &mut String);
-}
-
-impl NameSeg for &str {
-    #[inline]
-    fn push_to(&self, s: &mut String) {
-        s.push_str(self);
-    }
-}
-
-impl NameSeg for usize {
-    #[inline]
-    fn push_to(&self, s: &mut String) {
-        let mut buf = [0u8; 20];
-        let mut i = buf.len();
-        let mut v = *self;
-        loop {
-            i -= 1;
-            buf[i] = b'0' + (v % 10) as u8;
-            v /= 10;
-            if v == 0 {
-                break;
-            }
-        }
-        s.push_str(std::str::from_utf8(&buf[i..]).unwrap());
-    }
-}
-
-/// Shared state written by tasks and read back by the driver.
-#[derive(Clone, Default)]
-pub struct SharedState {
-    /// Per-step criterion records (hybrid only), pushed in step order.
-    pub records: Arc<Mutex<Vec<StepRecord>>>,
-    /// First numerical failure observed (zero pivot etc.).
-    pub error: Arc<Mutex<Option<String>>>,
-    /// Live cells of every declared non-tile datum, registered while
-    /// planning — the real-transport layer serializes payloads out of (and
-    /// into) these ([`crate::net`]). Harmless off-transport: registration
-    /// is a map insert per declared datum.
-    pub(crate) payloads: Arc<Mutex<IntMap<DataKey, PayloadSlot>>>,
-}
-
-impl SharedState {
-    pub(crate) fn fail(&self, msg: String) {
-        let mut e = self.error.lock();
-        if e.is_none() {
-            *e = Some(msg);
-        }
-    }
-
-    /// Register the live cell behind a declared datum key. Re-registration
-    /// overwrites (the hybrid's A2 trial and its QR branch both declare
-    /// `tfactor(k,k)`; the later, consumer-captured cell wins).
-    pub(crate) fn register_payload(&self, key: DataKey, slot: PayloadSlot) {
-        self.payloads.lock().insert(key, slot);
-    }
-}
-
-/// T-factor produced by a QR kernel, shared between factor and apply tasks.
-pub(crate) type TfCell = Arc<Mutex<Option<TFactor>>>;
-/// Trial panel factorization, written once by the panel task.
-pub(crate) type PanelCell = Arc<OnceLock<PanelFactorization>>;
-/// The per-step LU/QR decision, written once by the panel task.
-pub(crate) type DecCell = Arc<OnceLock<Decision>>;
-/// Backup copy of one panel tile.
-pub(crate) type BackupCell = Arc<Mutex<Option<Mat>>>;
-/// Criterion data contributed by one off-trial domain.
-pub(crate) type CritCell = Arc<OnceLock<DomainCritData>>;
-
-/// One side of the hybrid's per-step branch pair: tasks gated on this
-/// execute only when the panel task recorded the matching [`Decision`].
-#[derive(Clone)]
-pub(crate) struct BranchGate {
-    k: usize,
-    dec: DecCell,
-    want: Decision,
-}
-
-impl BranchGate {
-    pub(crate) fn lu(k: usize, dec: &DecCell) -> Self {
-        BranchGate {
-            k,
-            dec: Arc::clone(dec),
-            want: Decision::Lu,
-        }
-    }
-
-    pub(crate) fn qr(k: usize, dec: &DecCell) -> Self {
-        BranchGate {
-            k,
-            dec: Arc::clone(dec),
-            want: Decision::Qr,
-        }
-    }
-}
-
-/// Gating extension for [`TaskBuilder`]: `gated(None)` inserts the task
-/// unconditionally (baseline algorithms); `gated(Some(gate))` makes it a
-/// branch task that discards itself when the step's decision differs.
-pub(crate) trait Gated: Sized {
-    fn gated(self, gate: Option<&BranchGate>) -> Self;
-}
-
-impl Gated for TaskBuilder<'_> {
-    fn gated(self, gate: Option<&BranchGate>) -> Self {
-        match gate {
-            None => self,
-            Some(g) => {
-                let dec = Arc::clone(&g.dec);
-                let want = g.want;
-                self.guard(keys::decision(g.k), move || {
-                    *dec.get().expect("decision missing") == want
-                })
-            }
-        }
-    }
-}
-
-/// Run `f` on the top-left `rows x cols` of `tile`, copying through a
-/// sub-matrix when the tile is larger (border tiles, R-region operations).
-pub(crate) fn with_sub<R>(
-    tile: &mut Mat,
-    rows: usize,
-    cols: usize,
-    f: impl FnOnce(&mut Mat) -> R,
-) -> R {
-    if tile.dims() == (rows, cols) {
-        f(tile)
-    } else {
-        let mut s = tile.sub(0, 0, rows, cols);
-        let r = f(&mut s);
-        tile.set_sub(0, 0, &s);
-        r
-    }
-}
+pub use crate::state::SharedState;
 
 /// Insertion context handed to every planner: the task sink under
 /// construction — the batch [`GraphBuilder`] or the streaming window —
@@ -220,28 +69,26 @@ pub(crate) fn with_sub<R>(
 /// distribution re-shapes every planner's placement without the planners
 /// knowing.
 pub struct Inserter<'a> {
-    pub(crate) b: &'a mut (dyn TaskSink + 'a),
-    pub(crate) aug: &'a TiledMatrix,
-    pub(crate) nt_a: usize,
+    pub(crate) b: &'a mut (dyn TaskSink<TaskOp> + 'a),
+    /// The run's context: matrix, options, per-step cells.
+    pub(crate) ctx: &'a RunCtx,
     pub(crate) dist: Dist,
-    pub(crate) opts: &'a FactorOptions,
-    pub(crate) shared: SharedState,
 }
 
 impl Inserter<'_> {
     /// Number of tile columns of `A` (elimination steps to plan).
     pub fn num_steps(&self) -> usize {
-        self.nt_a
+        self.ctx.nt_a
     }
 
-    pub(crate) fn tile_bytes(&self, i: usize, j: usize) -> usize {
-        let (tm, tn) = self.aug.tile_dims(i, j);
-        tm * tn * 8
+    /// Insert `op`, placed on its owner under the current distribution.
+    pub(crate) fn push(&mut self, op: TaskOp) -> TaskId {
+        self.b.push(op.node(&self.dist), op)
     }
 
     /// All trailing column indices of step `k` (matrix + rhs tile columns).
     pub(crate) fn trailing(&self, k: usize) -> std::ops::Range<usize> {
-        k + 1..self.aug.nt()
+        k + 1..self.ctx.aug.nt()
     }
 }
 
@@ -268,9 +115,9 @@ pub trait StepPlanner {
     /// runtime decision (all baselines).
     ///
     /// The streaming driver awaits the returned task, then calls
-    /// [`StepPlanner::plan_step_rest`]; the planner may stash per-step
-    /// state (decision cells, trial metadata) in `&mut self` in between.
-    fn plan_step_prelude(&mut self, k: usize, ins: &mut Inserter<'_>) -> Option<TaskId> {
+    /// [`StepPlanner::plan_step_rest`]; what the two halves share lives in
+    /// the step's cells.
+    fn plan_step_prelude(&self, k: usize, ins: &mut Inserter<'_>) -> Option<TaskId> {
         self.plan_step(k, ins);
         None
     }
@@ -280,7 +127,7 @@ pub trait StepPlanner {
     /// executed, so the planner can read the recorded decision and insert
     /// **only the chosen branch** — the streaming runtime's online
     /// counterpart of the batch path's insert-both-and-discard.
-    fn plan_step_rest(&mut self, _k: usize, _ins: &mut Inserter<'_>) {}
+    fn plan_step_rest(&self, _k: usize, _ins: &mut Inserter<'_>) {}
 }
 
 /// Insert the complete factorization of `aug` (an augmented `[A | B]` tiled
@@ -290,32 +137,29 @@ pub fn build_graph(
     aug: &TiledMatrix,
     nt_a: usize,
     opts: &FactorOptions,
-) -> (luqr_runtime::Graph, SharedState) {
-    let shared = SharedState::default();
+) -> (crate::Graph, SharedState) {
+    let ctx = RunCtx::new(aug, nt_a, opts);
     let dist = opts.tile_dist();
-    let mut b = GraphBuilder::new(dist.nodes());
+    let mut b = GraphBuilder::new(dist.nodes(), std::sync::Arc::clone(&ctx));
 
     // Declare every tile with its (possibly weighted) block-cyclic home.
     declare_tiles(&mut b, aug, &dist);
 
     let mut ins = Inserter {
         b: &mut b,
-        aug,
-        nt_a,
+        ctx: &ctx,
         dist,
-        opts,
-        shared: shared.clone(),
     };
     let planner = crate::planner_for(&opts.algorithm);
     for k in 0..nt_a {
         planner.plan_step(k, &mut ins);
     }
-    (b.build(), shared)
+    (b.build(), ctx.shared.clone())
 }
 
 /// Declare every tile of `aug` with its distribution-assigned home node
 /// (shared by the batch builder and the streaming source).
-pub(crate) fn declare_tiles(sink: &mut dyn TaskSink, aug: &TiledMatrix, dist: &Dist) {
+pub(crate) fn declare_tiles(sink: &mut dyn TaskSink<TaskOp>, aug: &TiledMatrix, dist: &Dist) {
     for i in 0..aug.mt() {
         for j in 0..aug.nt() {
             let (tm, tn) = aug.tile_dims(i, j);

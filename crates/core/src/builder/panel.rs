@@ -3,441 +3,136 @@
 //! task (A1 and A2 variants), panel restore (Propagate), and the baseline
 //! panel factorizations (NoPiv / LUPP / IncPiv diagonal).
 
-use std::sync::Arc;
+use luqr_runtime::TaskId;
 
-use luqr_kernels::flops::{geqrt_flops, getrf_flops};
-use luqr_kernels::lu::getrf_continue;
-use luqr_kernels::qr::geqrt;
-use luqr_kernels::Mat;
-use luqr_runtime::{CostClass, DataKey, TaskResult};
-
-use crate::config::{Decision, LuVariant, PivotScope, StepRecord};
-use crate::criteria::{decide, Criterion, DomainCritData, PanelCritData};
+use crate::config::{LuVariant, PivotScope};
+use crate::criteria::Criterion;
 use crate::keys;
-use crate::net::PayloadSlot;
-use crate::panel::{factor_diagonal_domain, with_stacked, PanelFactorization};
+use crate::op::{ix, TaskOp};
 
-use super::tname;
-use super::{BackupCell, CritCell, DecCell, Inserter, PanelCell, TfCell};
+use super::Inserter;
 
 /// The rows participating in the hybrid's trial LU factorization at step
 /// `k`. Variant A2 factors the diagonal tile with QR — no pivot pool beyond
 /// the tile, so the trial is always tile-scoped.
 pub(crate) fn trial_rows(ins: &Inserter<'_>, k: usize) -> Vec<usize> {
-    let mt = ins.aug.mt();
-    match (ins.opts.lu_variant, ins.opts.pivot_scope) {
+    let mt = ins.ctx.aug.mt();
+    match (ins.ctx.opts.lu_variant, ins.ctx.opts.pivot_scope) {
         (LuVariant::A2, _) => vec![k],
         (_, PivotScope::DiagonalDomain) => ins.dist.diagonal_domain_rows(k, mt),
         (_, PivotScope::DiagonalTile) => vec![k],
     }
 }
 
-/// Insert one BACKUP task per trial tile, saving its contents so Propagate
-/// can restore the panel if the decision is QR.
-pub(crate) fn insert_backups(ins: &mut Inserter<'_>, k: usize, rows: &[usize]) -> Vec<BackupCell> {
-    let mut backups = Vec::new();
-    for &i in rows {
-        let cell: BackupCell = Arc::new(parking_lot::Mutex::new(None));
-        let bytes = ins.tile_bytes(i, k);
-        ins.b
-            .declare(keys::backup(i, k), bytes, ins.dist.owner(i, k));
-        ins.shared
-            .register_payload(keys::backup(i, k), PayloadSlot::Backup(Arc::clone(&cell)));
-        let tile = ins.aug.tile(i, k);
-        let c = Arc::clone(&cell);
-        ins.b
-            .insert(tname!("BACKUP(", i, ",k=", k, ")"), ins.dist.owner(i, k))
-            .reads(keys::tile(i, k))
-            .writes(keys::backup(i, k))
-            .spawn_memory(bytes, move || {
-                *c.lock() = Some(tile.lock().clone());
-            });
-        backups.push(cell);
-    }
-    backups
-}
-
-/// Insert the off-trial criterion-collection tasks: one CRIT task per node
-/// owning panel rows outside the trial, each reducing its rows' column
-/// norms locally (the paper's communication-avoiding criterion all-reduce).
-/// Returns the per-domain data cells and the scratch keys the panel task
-/// must read. Criteria that never look at the off-trial rows skip the
+/// The off-trial criterion-collection groups: the panel rows outside the
+/// trial, grouped by owning node — each node reduces its rows' column
+/// norms locally (the paper's communication-avoiding criterion
+/// all-reduce). Criteria that never look at the off-trial rows skip the
 /// collection entirely.
-pub(crate) fn insert_crit_collection(
-    ins: &mut Inserter<'_>,
+pub(crate) fn crit_groups(
+    ins: &Inserter<'_>,
     k: usize,
-    rows: &[usize],
-    criterion: &Criterion,
-) -> (Vec<CritCell>, Vec<DataKey>) {
-    let mt = ins.aug.mt();
-    let mut groups: Vec<(usize, Vec<usize>)> = Vec::new(); // (node, rows)
-    for i in k..mt {
-        if rows.contains(&i) {
-            continue;
-        }
+    trial_rows: &[usize],
+) -> Vec<(usize, Vec<usize>)> {
+    if matches!(
+        ins.ctx.criterion(),
+        Criterion::AlwaysLu | Criterion::AlwaysQr | Criterion::Random { .. }
+    ) {
+        return Vec::new();
+    }
+    let mut groups: Vec<(usize, Vec<usize>)> = Vec::new();
+    for i in (k..ins.ctx.aug.mt()).filter(|i| !trial_rows.contains(i)) {
         let node = ins.dist.owner(i, k);
         match groups.iter_mut().find(|(n, _)| *n == node) {
-            Some((_, v)) => v.push(i),
+            Some((_, rows)) => rows.push(i),
             None => groups.push((node, vec![i])),
         }
     }
-    let needs_collect = !matches!(
-        criterion,
-        Criterion::AlwaysLu | Criterion::AlwaysQr | Criterion::Random { .. }
-    );
-    let mut crit_cells: Vec<CritCell> = Vec::new();
-    let mut crit_keys = Vec::new();
-    if needs_collect {
-        for (gidx, (node, rows)) in groups.iter().enumerate() {
-            let key = keys::crit_scratch(gidx, k);
-            let nbk = ins.aug.tile_cols(k);
-            ins.b.declare(key, (2 + nbk) * 8, *node);
-            let cell: CritCell = Arc::new(std::sync::OnceLock::new());
-            ins.shared
-                .register_payload(key, PayloadSlot::Crit(Arc::clone(&cell)));
-            let tiles: Vec<_> = rows.iter().map(|&i| ins.aug.tile(i, k)).collect();
-            let area: usize = rows
-                .iter()
-                .map(|&i| {
-                    let (tm, tn) = ins.aug.tile_dims(i, k);
-                    tm * tn
-                })
-                .sum();
-            let c = Arc::clone(&cell);
-            ins.b
-                .insert(tname!("CRIT(d=", gidx, ",k=", k, ")"), *node)
-                .reads_each(rows.iter().map(|&i| keys::tile(i, k)))
-                .writes(key)
-                .spawn_costed(2.0 * area as f64, CostClass::Estimate, move || {
-                    let guards: Vec<_> = tiles.iter().map(|t| t.lock()).collect();
-                    let data = DomainCritData::from_tiles(guards.iter().map(|g| &**g));
-                    let _ = c.set(data);
-                });
-            crit_cells.push(cell);
-            crit_keys.push(key);
-        }
+    groups
+}
+
+/// Insert one BACKUP task per trial tile, saving its contents so Propagate
+/// can restore the panel if the decision is QR.
+pub(crate) fn insert_backups(ins: &mut Inserter<'_>, k: usize) {
+    for &i in &ins.ctx.steps.get(k).trial_rows {
+        let bytes = ins.ctx.tile_bytes(i, k);
+        ins.b
+            .declare(keys::backup(i, k), bytes, ins.dist.owner(i, k));
+        ins.push(TaskOp::Backup { k: ix(k), i: ix(i) });
     }
-    (crit_cells, crit_keys)
+}
+
+/// Insert one CRIT task per off-trial group.
+pub(crate) fn insert_crit_collection(ins: &mut Inserter<'_>, k: usize) {
+    let nbk = ins.ctx.aug.tile_cols(k);
+    for (d, (node, _)) in ins.ctx.steps.get(k).crit_groups.iter().enumerate() {
+        ins.b
+            .declare(keys::crit_scratch(d, k), (2 + nbk) * 8, *node);
+        ins.push(TaskOp::Crit {
+            k: ix(k),
+            d: ix(d),
+            node: ix(*node),
+        });
+    }
+}
+
+/// Declare the panel task's outputs: the pivot record (`pivot_words`
+/// 8-byte words) and, for the hybrid, the decision.
+fn declare_panel_outputs(ins: &mut Inserter<'_>, k: usize, pivot_words: usize, decides: bool) {
+    let diag = ins.dist.diag_owner(k);
+    ins.b.declare(keys::pivots(k), pivot_words * 8, diag);
+    if decides {
+        ins.b.declare(keys::decision(k), 8, diag);
+    }
 }
 
 /// Insert the hybrid's PANEL task (variant A1): trial LU of the diagonal
 /// domain, criterion evaluation against the collected off-trial data, and
 /// the step's decision + record. Returns the panel task's id (the
 /// streaming driver awaits it before unrolling the chosen branch).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn insert_trial_panel(
-    ins: &mut Inserter<'_>,
-    k: usize,
-    criterion: &Criterion,
-    rows: &[usize],
-    dec: &DecCell,
-    pan: &PanelCell,
-    crit_cells: &[CritCell],
-    crit_keys: &[DataKey],
-) -> luqr_runtime::TaskId {
-    let mt = ins.aug.mt();
-    let nbk = ins.aug.tile_cols(k);
-    ins.b
-        .declare(keys::pivots(k), mt * 8, ins.dist.diag_owner(k));
-    ins.b.declare(keys::decision(k), 8, ins.dist.diag_owner(k));
-    // Cross-node reads of the decision datum are the paper's criterion
-    // broadcast: the distributed window accounts them as DecisionMsgs.
-    ins.b
-        .declare_class(keys::decision(k), luqr_runtime::DataClass::Decision);
-    ins.shared
-        .register_payload(keys::pivots(k), PayloadSlot::Panel(Arc::clone(pan)));
-    ins.shared.register_payload(
-        keys::decision(k),
-        PayloadSlot::Dec {
-            cell: Arc::clone(dec),
-            records: Arc::clone(&ins.shared.records),
-            k,
-        },
-    );
-    let tiles: Vec<_> = rows.iter().map(|&i| ins.aug.tile(i, k)).collect();
-    let rows_total: usize = rows.iter().map(|&i| ins.aug.tile_rows(i)).sum();
-    let crit_cells = crit_cells.to_vec();
-    let dec2 = Arc::clone(dec);
-    let pan2 = Arc::clone(pan);
-    let shared = ins.shared.clone();
-    let criterion = criterion.clone();
-    let flops = getrf_flops(rows_total, nbk) as f64 + 2.0 * (nbk * nbk) as f64;
-    let allreduce_rounds = (ins.dist.panel_node_count(k, mt) as f64).log2().ceil() as u32;
-    ins.b
-        .insert(tname!("PANEL(k=", k, ")"), ins.dist.diag_owner(k))
-        .writes_each(rows.iter().map(|&i| keys::tile(i, k)))
-        .reads_each(crit_keys.iter().copied())
-        .writes(keys::pivots(k))
-        .writes(keys::decision(k))
-        .spawn(move || {
-            let mut guards: Vec<_> = tiles.iter().map(|t| t.lock()).collect();
-            let mut refs: Vec<&mut Mat> = guards.iter_mut().map(|g| &mut **g).collect();
-            let (pf, crit_panel) = match factor_diagonal_domain(&mut refs, 4) {
-                Ok(pf) => {
-                    let crit = pf.crit.clone();
-                    (Some(pf), crit)
-                }
-                Err((e, crit)) => {
-                    shared.fail(format!("panel {k}: {e}"));
-                    (None, crit)
-                }
-            };
-            let domains: Vec<DomainCritData> = crit_cells
-                .iter()
-                .map(|c| c.get().cloned().unwrap_or_default())
-                .collect();
-            let outcome = if pf.is_none() {
-                // Unfactorable panel: force the QR path.
-                crate::criteria::CritOutcome {
-                    decision: Decision::Qr,
-                    lhs: 0.0,
-                    rhs: f64::INFINITY,
-                }
-            } else {
-                decide(&criterion, k, &crit_panel, &domains)
-            };
-            let panel_norm = crit_panel
-                .below_diag_max_norm1
-                .max(domains.iter().map(|d| d.max_tile_norm1).fold(0.0, f64::max));
-            shared.records.lock().push(StepRecord {
-                k,
-                decision: outcome.decision,
-                lhs: outcome.lhs,
-                rhs: outcome.rhs,
-                panel_norm,
-            });
-            let _ = dec2.set(outcome.decision);
-            if let Some(pf) = pf {
-                let _ = pan2.set(pf);
-            }
-            // The trial factorization uses the node's multi-threaded
-            // recursive-LU kernel (paper §IV); the criterion all-reduce
-            // costs log2(p) rounds.
-            TaskResult::executed(flops, CostClass::PanelFactor)
-                .with_cores(u32::MAX)
-                .with_latency_events(allreduce_rounds)
-        })
+pub(crate) fn insert_trial_panel(ins: &mut Inserter<'_>, k: usize) -> TaskId {
+    declare_panel_outputs(ins, k, ins.ctx.aug.mt(), true);
+    ins.push(TaskOp::Panel { k: ix(k) })
 }
 
 /// Insert the hybrid's PANELA2 task (paper §II-C1): the trial factors the
 /// diagonal tile by QR, so a rejected trial is already the first kernel of
-/// the QR step. The criterion sees the tile's pre-factorization column
-/// norms and the `R` factor's inverse-norm estimate. Returns the panel
-/// task's id.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn insert_a2_panel(
-    ins: &mut Inserter<'_>,
-    k: usize,
-    criterion: &Criterion,
-    dec: &DecCell,
-    pan: &PanelCell,
-    a2_tf: &TfCell,
-    crit_cells: &[CritCell],
-    crit_keys: &[DataKey],
-) -> luqr_runtime::TaskId {
-    let nbk = ins.aug.tile_cols(k);
-    let ib = ins.opts.ib;
-    let mt = ins.aug.mt();
-    ins.b.declare(keys::pivots(k), 8, ins.dist.diag_owner(k));
-    ins.b.declare(keys::decision(k), 8, ins.dist.diag_owner(k));
+/// the QR step. Returns the panel task's id.
+pub(crate) fn insert_a2_panel(ins: &mut Inserter<'_>, k: usize) -> TaskId {
+    declare_panel_outputs(ins, k, 1, true);
+    declare_tfactor(ins, k, k);
+    ins.push(TaskOp::PanelA2 { k: ix(k) })
+}
+
+/// Declare the T-factor of panel row `i` at step `k`.
+pub(crate) fn declare_tfactor(ins: &mut Inserter<'_>, k: usize, i: usize) {
+    let bytes = ins.ctx.opts.ib * ins.ctx.aug.tile_cols(k) * 8;
     ins.b
-        .declare_class(keys::decision(k), luqr_runtime::DataClass::Decision);
-    ins.b
-        .declare(keys::tfactor(k, k), ib * nbk * 8, ins.dist.diag_owner(k));
-    ins.shared
-        .register_payload(keys::pivots(k), PayloadSlot::Panel(Arc::clone(pan)));
-    ins.shared.register_payload(
-        keys::decision(k),
-        PayloadSlot::Dec {
-            cell: Arc::clone(dec),
-            records: Arc::clone(&ins.shared.records),
-            k,
-        },
-    );
-    ins.shared
-        .register_payload(keys::tfactor(k, k), PayloadSlot::Tf(Arc::clone(a2_tf)));
-    let tile = ins.aug.tile(k, k);
-    let dec2 = Arc::clone(dec);
-    let pan2 = Arc::clone(pan);
-    let tf2 = Arc::clone(a2_tf);
-    let crit_cells = crit_cells.to_vec();
-    let shared = ins.shared.clone();
-    let criterion = criterion.clone();
-    let flops = geqrt_flops(ins.aug.tile_rows(k), nbk) as f64 + 2.0 * (nbk * nbk) as f64;
-    let allreduce_rounds = (ins.dist.panel_node_count(k, mt) as f64).log2().ceil() as u32;
-    ins.b
-        .insert(format!("PANELA2(k={k})"), ins.dist.diag_owner(k))
-        .writes(keys::tile(k, k))
-        .writes(keys::tfactor(k, k))
-        .reads_each(crit_keys.iter().copied())
-        .writes(keys::pivots(k))
-        .writes(keys::decision(k))
-        .spawn(move || {
-            let mut g = tile.lock();
-            // Pre-factorization criterion data from the tile itself.
-            let mut crit = PanelCritData {
-                local_col_max: (0..g.cols()).map(|j| g.col_max_abs_from(j, 0)).collect(),
-                ..Default::default()
-            };
-            let tf = geqrt(&mut g, ib);
-            crit.pivot_abs = (0..g.rows().min(g.cols()))
-                .map(|j| g[(j, j)].abs())
-                .collect();
-            let est = luqr_kernels::norm_est::invnorm_est_r(&g, 4);
-            crit.inv_norm_recip = if est > 0.0 { 1.0 / est } else { 0.0 };
-            *tf2.lock() = Some(tf);
-            let domains: Vec<DomainCritData> = crit_cells
-                .iter()
-                .map(|c| c.get().cloned().unwrap_or_default())
-                .collect();
-            let outcome = decide(&criterion, k, &crit, &domains);
-            let panel_norm = domains
-                .iter()
-                .map(|d| d.max_tile_norm1)
-                .fold(crit.below_diag_max_norm1, f64::max);
-            shared.records.lock().push(StepRecord {
-                k,
-                decision: outcome.decision,
-                lhs: outcome.lhs,
-                rhs: outcome.rhs,
-                panel_norm,
-            });
-            let _ = dec2.set(outcome.decision);
-            let _ = pan2.set(PanelFactorization::new(Vec::new(), crit, vec![g.rows()]));
-            TaskResult::executed(flops, CostClass::PanelFactor)
-                .with_cores(u32::MAX)
-                .with_latency_events(allreduce_rounds)
-        })
+        .declare(keys::tfactor(i, k), bytes, ins.dist.owner(i, k));
 }
 
 /// Insert the PROP tasks: restore each trial tile from its backup when the
 /// decision was QR (the LU trial is then dead weight), or drop the backup
 /// on an LU decision.
-pub(crate) fn insert_propagate(
-    ins: &mut Inserter<'_>,
-    k: usize,
-    rows: &[usize],
-    backups: &[BackupCell],
-    dec: &DecCell,
-) {
-    for (idx, &i) in rows.iter().enumerate() {
-        let tile = ins.aug.tile(i, k);
-        let backup = Arc::clone(&backups[idx]);
-        let dec2 = Arc::clone(dec);
-        let bytes = ins.tile_bytes(i, k);
-        ins.b
-            .insert(tname!("PROP(", i, ",k=", k, ")"), ins.dist.owner(i, k))
-            .reads(keys::decision(k))
-            .reads(keys::backup(i, k))
-            .writes(keys::tile(i, k))
-            .spawn(move || {
-                let restore = *dec2.get().expect("decision missing") == Decision::Qr;
-                let saved = backup.lock().take().expect("backup missing");
-                if restore {
-                    *tile.lock() = saved;
-                    TaskResult::memory(bytes)
-                } else {
-                    TaskResult::control()
-                }
-            });
+pub(crate) fn insert_propagate(ins: &mut Inserter<'_>, k: usize) {
+    for &i in &ins.ctx.steps.get(k).trial_rows {
+        ins.push(TaskOp::Prop { k: ix(k), i: ix(i) });
     }
 }
 
 /// Insert the baseline panel task of LU NoPiv (`full_panel = false`, pivots
 /// inside the diagonal tile) or LUPP (`full_panel = true`, pivots across
-/// the whole panel). Both continue LAPACK-style past zero pivots (NaN
-/// flood, recorded in [`super::SharedState`]).
-pub(crate) fn insert_simple_panel(
-    ins: &mut Inserter<'_>,
-    k: usize,
-    full_panel: bool,
-    rows: &[usize],
-    pan: &PanelCell,
-) {
-    let mt = ins.aug.mt();
-    let nbk = ins.aug.tile_cols(k);
-    ins.b
-        .declare(keys::pivots(k), mt * 8, ins.dist.diag_owner(k));
-    ins.shared
-        .register_payload(keys::pivots(k), PayloadSlot::Panel(Arc::clone(pan)));
-    let tiles: Vec<_> = rows.iter().map(|&i| ins.aug.tile(i, k)).collect();
-    let rows_total: usize = rows.iter().map(|&i| ins.aug.tile_rows(i)).sum();
-    let heights: Vec<usize> = rows.iter().map(|&i| ins.aug.tile_rows(i)).collect();
-    let pan2 = Arc::clone(pan);
-    let shared = ins.shared.clone();
-    let name = if full_panel { "PANELPP" } else { "PANELNP" };
-    // ScaLAPACK's PDGETRF is bulk-synchronous: the panel of step k starts
-    // only after the *entire* trailing update of step k-1 — no lookahead.
-    // Model the barrier by reading the whole trailing matrix.
-    let barrier: Vec<DataKey> = if full_panel {
-        (k..mt)
-            .flat_map(|i| ins.trailing(k).map(move |j| keys::tile(i, j)))
-            .collect()
-    } else {
-        Vec::new()
-    };
-    let flops = getrf_flops(rows_total, nbk) as f64;
-    let (panel_cores, latency_events) = if full_panel {
-        let p_nodes = ins.dist.panel_node_count(k, mt);
-        let rounds = (p_nodes as f64).log2().ceil().max(0.0) as u32;
-        (u32::MAX, nbk as u32 * rounds)
-    } else {
-        (1, 0)
-    };
-    ins.b
-        .insert(tname!(name, "(k=", k, ")"), ins.dist.diag_owner(k))
-        .writes_each(rows.iter().map(|&i| keys::tile(i, k)))
-        .writes(keys::pivots(k))
-        .controls_each(barrier)
-        .spawn(move || {
-            let mut guards: Vec<_> = tiles.iter().map(|t| t.lock()).collect();
-            let mut refs_mut: Vec<&mut Mat> = guards.iter_mut().map(|g| &mut **g).collect();
-            let (ipiv, info) = with_stacked(&mut refs_mut, getrf_continue);
-            if let Some(step) = info {
-                shared.fail(format!("zero pivot at step {k} (panel column {step})"));
-            }
-            let _ = pan2.set(PanelFactorization::new(
-                ipiv,
-                PanelCritData::default(),
-                heights,
-            ));
-            // A full-panel LUPP factorization spans the grid column: every
-            // pivot search is an all-reduce over its p nodes (the latency
-            // the paper blames for LUPP's poor distributed performance).
-            TaskResult::executed(flops, CostClass::PanelFactor)
-                .with_cores(panel_cores)
-                .with_latency_events(latency_events)
-        });
+/// the whole panel).
+pub(crate) fn insert_simple_panel(ins: &mut Inserter<'_>, k: usize, full_panel: bool) {
+    declare_panel_outputs(ins, k, ins.ctx.aug.mt(), false);
+    ins.push(TaskOp::PanelLu {
+        k: ix(k),
+        full_panel,
+    });
 }
 
-/// Insert the IncPiv diagonal GETRF: in-tile partial pivoting, continuing
-/// past zero pivots.
-pub(crate) fn insert_incpiv_diag(ins: &mut Inserter<'_>, k: usize, pan: &PanelCell) {
-    let nbk = ins.aug.tile_cols(k);
-    ins.b
-        .declare(keys::pivots(k), nbk * 8, ins.dist.diag_owner(k));
-    ins.shared
-        .register_payload(keys::pivots(k), PayloadSlot::Panel(Arc::clone(pan)));
-    let tile = ins.aug.tile(k, k);
-    let pan2 = Arc::clone(pan);
-    let shared = ins.shared.clone();
-    let (tm, _) = ins.aug.tile_dims(k, k);
-    let flops = getrf_flops(tm, nbk) as f64;
-    ins.b
-        .insert(tname!("GETRF(k=", k, ")"), ins.dist.diag_owner(k))
-        .writes(keys::tile(k, k))
-        .writes(keys::pivots(k))
-        .spawn_costed(flops, CostClass::PanelFactor, move || {
-            let mut t = tile.lock();
-            let (ipiv, info) = getrf_continue(&mut t);
-            if let Some(step) = info {
-                shared.fail(format!("zero pivot at step {k} (column {step})"));
-            }
-            let heights = vec![t.rows()];
-            let _ = pan2.set(PanelFactorization::new(
-                ipiv,
-                PanelCritData::default(),
-                heights,
-            ));
-        });
+/// Insert the IncPiv diagonal GETRF: in-tile partial pivoting.
+pub(crate) fn insert_incpiv_diag(ins: &mut Inserter<'_>, k: usize) {
+    declare_panel_outputs(ins, k, ins.ctx.aug.tile_cols(k), false);
+    ins.push(TaskOp::Getrf { k: ix(k) });
 }

@@ -18,87 +18,81 @@
 //! window knows to account cross-node reads of it as the paper's criterion
 //! broadcast ([`luqr_runtime::DecisionMsg`]).
 
+use std::sync::Arc;
+
 use luqr_runtime::stream::{StepPhase, StepSource};
 use luqr_runtime::TaskSink;
 use luqr_tile::{Dist, TiledMatrix};
 
 use crate::config::FactorOptions;
+use crate::op::TaskOp;
+use crate::state::RunCtx;
 
 use super::{declare_tiles, Inserter, SharedState, StepPlanner};
 
 /// A factorization exposed step by step to [`luqr_runtime::stream::execute`].
-pub struct PlannerStepSource<'a> {
+pub struct PlannerStepSource {
     planner: Box<dyn StepPlanner>,
-    aug: &'a TiledMatrix,
-    nt_a: usize,
+    ctx: Arc<RunCtx>,
     dist: Dist,
-    opts: &'a FactorOptions,
-    shared: SharedState,
 }
 
-impl<'a> PlannerStepSource<'a> {
+impl PlannerStepSource {
     /// Stream the factorization of `aug` (an augmented `[A | B]` tiled
     /// matrix with `nt_a` tile columns of `A`) using the planner registered
     /// for `opts.algorithm`.
-    pub fn new(aug: &'a TiledMatrix, nt_a: usize, opts: &'a FactorOptions) -> Self {
+    pub fn new(aug: &TiledMatrix, nt_a: usize, opts: &FactorOptions) -> Self {
         PlannerStepSource {
             planner: crate::planner_for(&opts.algorithm),
-            aug,
-            nt_a,
+            ctx: RunCtx::new(aug, nt_a, opts),
             dist: opts.tile_dist(),
-            opts,
-            shared: SharedState::default(),
         }
     }
 
     /// Shared state written by the factorization's tasks (criterion
     /// records, first numerical failure).
     pub fn shared(&self) -> &SharedState {
-        &self.shared
+        &self.ctx.shared
+    }
+
+    /// The planner-facing insertion context over `sink`.
+    fn inserter<'s>(&'s self, sink: &'s mut dyn TaskSink<TaskOp>) -> Inserter<'s> {
+        Inserter {
+            b: sink,
+            ctx: &self.ctx,
+            dist: self.dist.clone(),
+        }
     }
 }
 
-/// Build the planner-facing insertion context. A macro rather than a
-/// method: it reads `$src`'s fields directly (the `aug`/`opts` references
-/// are copied out, `dist` and `shared` are cloned), so the caller keeps
-/// `$src.planner` free for a simultaneous mutable borrow.
-macro_rules! inserter {
-    ($src:expr, $sink:expr) => {
-        Inserter {
-            b: $sink,
-            aug: $src.aug,
-            nt_a: $src.nt_a,
-            dist: $src.dist.clone(),
-            opts: $src.opts,
-            shared: $src.shared.clone(),
-        }
-    };
-}
+impl StepSource for PlannerStepSource {
+    type Op = TaskOp;
 
-impl StepSource for PlannerStepSource<'_> {
+    fn context(&self) -> Arc<RunCtx> {
+        Arc::clone(&self.ctx)
+    }
+
     fn num_steps(&self) -> usize {
-        self.nt_a
+        self.ctx.nt_a
     }
 
     fn num_nodes(&self) -> usize {
         self.dist.nodes()
     }
 
-    fn prepare(&mut self, sink: &mut dyn TaskSink) {
-        declare_tiles(sink, self.aug, &self.dist);
+    fn prepare(&mut self, sink: &mut dyn TaskSink<TaskOp>) {
+        declare_tiles(sink, &self.ctx.aug, &self.dist);
     }
 
-    fn plan_prelude(&mut self, k: usize, sink: &mut dyn TaskSink) -> StepPhase {
-        let mut ins = inserter!(self, sink);
-        match self.planner.plan_step_prelude(k, &mut ins) {
+    fn plan_prelude(&mut self, k: usize, sink: &mut dyn TaskSink<TaskOp>) -> StepPhase {
+        match self.planner.plan_step_prelude(k, &mut self.inserter(sink)) {
             Some(decision_task) => StepPhase::AwaitDecision(decision_task),
             None => StepPhase::Complete,
         }
     }
 
-    fn plan_finish(&mut self, k: usize, sink: &mut dyn TaskSink) {
-        let mut ins = inserter!(self, sink);
-        self.planner.plan_step_rest(k, &mut ins);
+    fn plan_finish(&mut self, k: usize, sink: &mut dyn TaskSink<TaskOp>) {
+        self.planner.plan_step_rest(k, &mut self.inserter(sink));
     }
 
     fn recalibrate(&mut self, observed_speeds: &[f64]) {
@@ -113,6 +107,6 @@ impl StepSource for PlannerStepSource<'_> {
         // factorization that may differ from the fixed-distribution one
         // at round-off — exactly as a static run under the new
         // distribution would.
-        self.dist = Dist::calibrated(self.opts.grid, observed_speeds);
+        self.dist = Dist::calibrated(self.ctx.opts.grid, observed_speeds);
     }
 }

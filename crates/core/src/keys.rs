@@ -13,7 +13,7 @@ const MASK: u64 = (1 << 28) - 1;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u64)]
-enum Kind {
+pub(crate) enum Kind {
     Tile = 1,
     TFactor = 2,
     Backup = 3,
@@ -27,6 +27,24 @@ enum Kind {
 fn pack(kind: Kind, i: usize, j: usize) -> DataKey {
     debug_assert!((i as u64) <= MASK && (j as u64) <= MASK);
     DataKey(((kind as u64) << KIND_SHIFT) | ((i as u64) << I_SHIFT) | j as u64)
+}
+
+/// The kind and the two indices packed in `key`, if it is one of ours
+/// (keys also arrive off the wire, from peers).
+pub(crate) fn unpack(key: DataKey) -> Option<(Kind, usize, usize)> {
+    let kind = match key.0 >> KIND_SHIFT {
+        1 => Kind::Tile,
+        2 => Kind::TFactor,
+        3 => Kind::Backup,
+        4 => Kind::Pivot,
+        5 => Kind::Decision,
+        6 => Kind::CritScratch,
+        7 => Kind::IncPivL,
+        8 => Kind::SwapScratch,
+        _ => return None,
+    };
+    let i = (key.0 >> I_SHIFT) & MASK;
+    Some((kind, i as usize, (key.0 & MASK) as usize))
 }
 
 /// Tile `(i, j)` of the augmented matrix.
@@ -95,6 +113,20 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn unpack_inverts_every_constructor() {
+        assert_eq!(unpack(tile(3, 4)), Some((Kind::Tile, 3, 4)));
+        assert_eq!(unpack(tfactor(5, 2)), Some((Kind::TFactor, 5, 2)));
+        assert_eq!(unpack(backup(1, 0)), Some((Kind::Backup, 1, 0)));
+        assert_eq!(unpack(pivots(7)), Some((Kind::Pivot, 0, 7)));
+        assert_eq!(unpack(decision(7)), Some((Kind::Decision, 0, 7)));
+        assert_eq!(unpack(crit_scratch(2, 9)), Some((Kind::CritScratch, 2, 9)));
+        assert_eq!(unpack(incpiv_l(6, 1)), Some((Kind::IncPivL, 6, 1)));
+        assert_eq!(unpack(swap_scratch(8, 3)), Some((Kind::SwapScratch, 8, 3)));
+        assert_eq!(unpack(DataKey(0)), None);
+        assert_eq!(unpack(DataKey(u64::MAX)), None);
     }
 
     #[test]

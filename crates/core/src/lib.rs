@@ -31,7 +31,9 @@
 //! * [`panel`] — diagonal-domain trial factorization (§II-A);
 //! * [`builder`] — per-step task planners ([`builder::StepPlanner`]) for
 //!   the hybrid and all four baselines (LU NoPiv, LU IncPiv, LUPP, HQR)
-//!   (§IV, Figure 1), dispatched through [`planner_for`];
+//!   (§IV, Figure 1), dispatched through [`planner_for`]; a planner emits
+//!   [`TaskOp`] descriptors ([`op`]) — everything else about a task is
+//!   derived from its descriptor against the run's [`state`];
 //! * [`net`] — real-transport distributed runs: SPMD ranks over loopback /
 //!   channels / UDS / TCP, in-process or as `luqr-worker` processes;
 //! * [`solve`] / [`stability`] — augmented-rhs solve and HPL3 metrics (§V).
@@ -39,11 +41,14 @@
 pub mod builder;
 pub mod config;
 pub mod criteria;
+mod interp;
 pub mod keys;
 pub mod net;
+pub mod op;
 pub mod panel;
 pub mod solve;
 pub mod stability;
+pub mod state;
 pub mod trees;
 
 pub use builder::stream_source::PlannerStepSource;
@@ -55,13 +60,15 @@ pub use criteria::Criterion;
 pub use net::{
     factor_stream_net, factor_stream_net_opts, factor_stream_net_rank, NetTransportKind,
 };
+pub use op::{Gate, TaskOp};
+pub use state::RunCtx;
 pub use trees::{TreeConfig, TreeKind};
 
 use luqr_kernels::Mat;
 use luqr_runtime::stream::StreamReport;
 use luqr_runtime::trace::TraceOptions;
 use luqr_runtime::{
-    execute, simulate, simulate_probed, simulate_with, ExecReport, Graph, Platform, SimReport,
+    execute, simulate, simulate_probed, simulate_with, ExecReport, Platform, SimReport,
 };
 use luqr_tile::{Grid, TiledMatrix};
 
@@ -70,6 +77,9 @@ pub use luqr_runtime::{
     Probe, ProbeReport, SchedPolicy, SimOptions, StreamOptions, Topology, TraceEvent,
     TransportError, WindowPolicy,
 };
+
+/// A batch task graph of [`TaskOp`]s.
+pub type Graph = luqr_runtime::Graph<TaskOp>;
 
 /// A process grid that does not fit its platform — the typed form of what
 /// used to surface as a downstream core-heap index panic. Produced by
@@ -242,9 +252,7 @@ impl Factorization {
 /// [`Algorithm`] variant, and register it here.
 pub fn planner_for(algorithm: &Algorithm) -> Box<dyn StepPlanner> {
     match algorithm {
-        Algorithm::LuQr(criterion) => {
-            Box::new(builder::hybrid::HybridPlanner::new(criterion.clone()))
-        }
+        Algorithm::LuQr(_) => Box::new(builder::hybrid::HybridPlanner),
         Algorithm::LuNoPiv => Box::new(builder::lu::LuSimplePlanner::nopiv()),
         Algorithm::Lupp => Box::new(builder::lu::LuSimplePlanner::partial_pivoting()),
         Algorithm::LuIncPiv => Box::new(builder::incpiv::IncPivPlanner),

@@ -22,7 +22,7 @@ use std::sync::Arc;
 
 use luqr_kernels::Mat;
 use luqr_runtime::net::socket::{SocketEndpoint, SocketSpec};
-use luqr_runtime::{LinkMsgStats, MsgStats, StreamOptions, Transport};
+use luqr_runtime::{LinkMsgStats, MsgStats, StreamOptions, Transport, TransportError};
 use luqr_tile::Grid;
 
 use super::factor_stream_net_rank;
@@ -229,60 +229,64 @@ fn encode_msg_stats(out: &mut Vec<u8>, m: &MsgStats) {
 /// Decode a worker result file. Panics on a malformed file (the launcher
 /// and worker are the same build; a mismatch is a bug, not an input).
 pub fn decode_result(bytes: &[u8]) -> WorkerResult {
+    try_decode_result(bytes).unwrap_or_else(|e| panic!("malformed worker result: {e}"))
+}
+
+fn try_decode_result(bytes: &[u8]) -> Result<WorkerResult, TransportError> {
     let mut rd = Rd::new(bytes);
-    let magic = [rd.u8(), rd.u8(), rd.u8(), rd.u8()];
+    let magic = [rd.u8()?, rd.u8()?, rd.u8()?, rd.u8()?];
     assert_eq!(&magic, RESULT_MAGIC, "bad worker-result magic");
-    let error = match rd.u8() {
+    let error = match rd.u8()? {
         0 => None,
         _ => {
-            let len = rd.u64() as usize;
-            let s: Vec<u8> = (0..len).map(|_| rd.u8()).collect();
+            let len = rd.u64()? as usize;
+            let s = (0..len).map(|_| rd.u8()).collect::<Result<Vec<u8>, _>>()?;
             Some(String::from_utf8(s).expect("worker error not utf8"))
         }
     };
-    let solution = match rd.u8() {
+    let solution = match rd.u8()? {
         0 => None,
-        _ => Some(rd.mat()),
+        _ => Some(rd.mat()?),
     };
-    let nrec = rd.u64() as usize;
-    let records: Vec<StepRecord> = (0..nrec).map(|_| rd.record()).collect();
-    let msgs = decode_msg_stats(&mut rd);
-    let nlinks = rd.u64() as usize;
-    let link_msgs: Vec<LinkMsgStats> = (0..nlinks)
+    let nrec = rd.u64()? as usize;
+    let records = (0..nrec)
+        .map(|_| rd.record())
+        .collect::<Result<Vec<StepRecord>, _>>()?;
+    let msgs = decode_msg_stats(&mut rd)?;
+    let nlinks = rd.u64()? as usize;
+    let link_msgs = (0..nlinks)
         .map(|_| {
-            let src = rd.u64() as usize;
-            let dst = rd.u64() as usize;
-            LinkMsgStats {
-                src,
-                dst,
-                msgs: decode_msg_stats(&mut rd),
-            }
+            Ok(LinkMsgStats {
+                src: rd.u64()? as usize,
+                dst: rd.u64()? as usize,
+                msgs: decode_msg_stats(&mut rd)?,
+            })
         })
-        .collect();
+        .collect::<Result<Vec<LinkMsgStats>, TransportError>>()?;
     let r = WorkerResult {
         error,
         solution,
         records,
         msgs,
         link_msgs,
-        frames_sent: rd.u64(),
-        frames_received: rd.u64(),
-        ctrl_frames_sent: rd.u64(),
-        ctrl_frames_received: rd.u64(),
-        payload_bytes_sent: rd.u64(),
-        payload_bytes_received: rd.u64(),
+        frames_sent: rd.u64()?,
+        frames_received: rd.u64()?,
+        ctrl_frames_sent: rd.u64()?,
+        ctrl_frames_received: rd.u64()?,
+        payload_bytes_sent: rd.u64()?,
+        payload_bytes_received: rd.u64()?,
     };
     assert_eq!(rd.remaining(), 0, "trailing bytes in worker result");
-    r
+    Ok(r)
 }
 
-fn decode_msg_stats(rd: &mut Rd<'_>) -> MsgStats {
-    MsgStats {
-        data_msgs: rd.u64(),
-        decision_msgs: rd.u64(),
-        retire_msgs: rd.u64(),
-        bytes: rd.u64(),
-    }
+fn decode_msg_stats(rd: &mut Rd<'_>) -> Result<MsgStats, TransportError> {
+    Ok(MsgStats {
+        data_msgs: rd.u64()?,
+        decision_msgs: rd.u64()?,
+        retire_msgs: rd.u64()?,
+        bytes: rd.u64()?,
+    })
 }
 
 /// Where a multi-process mesh rendezvouses.

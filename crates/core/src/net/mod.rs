@@ -8,8 +8,8 @@
 //! remote tasks degenerate to placement stubs, and the data / decision /
 //! retirement protocol crosses a [`luqr_runtime::Transport`] as
 //! length-prefixed wire frames. Payload bytes are produced and consumed by
-//! the [`payload`] registry, which maps every declared datum key to its
-//! live cell.
+//! the [`payload`] store, which resolves every declared datum key to a
+//! tile of the rank's mirror or a cell of the run's per-step table.
 //!
 //! Three deployment shapes:
 //!
@@ -28,7 +28,7 @@
 pub mod launch;
 mod payload;
 
-pub(crate) use payload::{PayloadSlot, RegistryStore};
+use payload::StepStore;
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -37,7 +37,7 @@ use luqr_kernels::Mat;
 use luqr_runtime::net::channel::channel_set;
 use luqr_runtime::net::loopback::loopback_set;
 use luqr_runtime::net::socket::{socket_set, SocketSpec};
-use luqr_runtime::stream::execute_net;
+use luqr_runtime::stream::{execute_net, StepSource};
 use luqr_runtime::{NetConfig, PayloadStore, Probe, StreamOptions, Transport, TransportError};
 use luqr_tile::TiledMatrix;
 
@@ -200,7 +200,7 @@ pub fn factor_stream_net_rank(
     let aug = TiledMatrix::from_dense_augmented(a, rhs, opts.nb);
     let nt_a = aug.nt() - rhs.cols().div_ceil(opts.nb);
     let mut source = PlannerStepSource::new(&aug, nt_a, opts);
-    let store: Arc<dyn PayloadStore> = Arc::new(RegistryStore::new(&aug, source.shared()));
+    let store: Arc<dyn PayloadStore> = Arc::new(StepStore::new(source.context()));
     let report = execute_net(&mut source, stream_opts, NetConfig { transport, store })?;
     let shared = source.shared();
     let mut records = shared.records.lock().clone();

@@ -1,13 +1,16 @@
 //! Payload serialization for the real transport layer.
 //!
 //! The runtime moves wire frames; the *contents* of a data frame are the
-//! algorithm layer's business. Every datum the planners declare — tiles,
-//! T-factors, panel factorizations, criterion data, the per-step decision —
-//! has a live cell shared between its producer and consumer tasks. This
-//! module keeps a registry mapping [`DataKey`]s to those cells
-//! ([`PayloadSlot`]), and [`RegistryStore`] implements the runtime's
-//! [`PayloadStore`]: `load` snapshots a cell as little-endian wire bytes,
-//! `store` decodes wire bytes back into the (remote mirror's) cell.
+//! algorithm layer's business. Every datum the planners declare is either
+//! a tile of the rank's matrix mirror or a cell of the run's per-step
+//! table ([`crate::state::StepCells`]), and its [`DataKey`] says which:
+//! [`StepStore`] implements the runtime's [`PayloadStore`] by unpacking
+//! the key (`(kind, i, k)`) and indexing the mirror or the table — `load`
+//! snapshots a cell as little-endian wire bytes, `store` decodes wire
+//! bytes back into the (remote mirror's) cell.
+//!
+//! Keys and bytes arrive from peers: a key that names nothing here, and
+//! bytes that do not decode, are a [`TransportError`], never a panic.
 //!
 //! The codecs are hand-rolled (the workspace vendors no serde): `u32`/`u64`
 //! length-and-tag fields plus `f64::to_bits` for floats, so a round-trip is
@@ -15,96 +18,85 @@
 
 use std::sync::Arc;
 
-use parking_lot::Mutex;
-
 use luqr_kernels::incpiv::PairPivot;
 use luqr_kernels::{Mat, TFactor};
-use luqr_runtime::hash::IntMap;
-use luqr_runtime::{DataKey, PayloadStore};
-use luqr_tile::{TileRef, TiledMatrix};
+use luqr_runtime::{DataKey, PayloadStore, TransportError};
 
-use crate::builder::{BackupCell, CritCell, DecCell, PanelCell, SharedState, TfCell};
 use crate::config::{Decision, StepRecord};
 use crate::criteria::{DomainCritData, PanelCritData};
-use crate::keys;
+use crate::keys::{self, Kind};
 use crate::panel::PanelFactorization;
+use crate::state::RunCtx;
 
-/// Scratch tile shared by a step's row-exchange tasks (same shape as a
-/// backup cell, distinct meaning).
-pub(crate) type ScratchCell = Arc<Mutex<Option<Mat>>>;
-/// Pairwise-elimination L factor + pivots (LU IncPiv).
-pub(crate) type LCell = Arc<std::sync::OnceLock<(Mat, Vec<PairPivot>)>>;
-
-/// A live datum cell, registered when the planner declares the datum.
-#[derive(Clone)]
-pub(crate) enum PayloadSlot {
-    /// A T-factor cell (`keys::tfactor`).
-    Tf(TfCell),
-    /// A panel factorization (`keys::pivots`).
-    Panel(PanelCell),
-    /// The per-step LU/QR decision plus its criterion record
-    /// (`keys::decision`). Shipping the decision also ships the step's
-    /// [`StepRecord`], so every rank's record list is complete.
-    Dec {
-        cell: DecCell,
-        records: Arc<Mutex<Vec<StepRecord>>>,
-        k: usize,
-    },
-    /// A panel-tile backup (`keys::backup`).
-    Backup(BackupCell),
-    /// Off-trial domain criterion data (`keys::crit_scratch`).
-    Crit(CritCell),
-    /// IncPiv L factor + pivots (`keys::incpiv_l`).
-    L(LCell),
-    /// Row-exchange scratch tile (`keys::swap_scratch`).
-    Scratch(ScratchCell),
+/// [`PayloadStore`] over a rank's run context: tile payloads resolve into
+/// the rank's matrix mirror, everything else into the cells of the step
+/// the key names.
+pub(crate) struct StepStore {
+    ctx: Arc<RunCtx>,
 }
 
-/// [`PayloadStore`] over a rank's mirror: tile payloads resolve directly
-/// into the rank's [`TiledMatrix`]; everything else resolves through the
-/// [`SharedState`] payload registry the planners fill while planning.
-pub(crate) struct RegistryStore {
-    tiles: IntMap<DataKey, TileRef>,
-    shared: SharedState,
-}
+impl StepStore {
+    pub(crate) fn new(ctx: Arc<RunCtx>) -> Self {
+        StepStore { ctx }
+    }
 
-impl RegistryStore {
-    pub(crate) fn new(aug: &TiledMatrix, shared: &SharedState) -> Self {
-        let mut tiles = IntMap::default();
-        for i in 0..aug.mt() {
-            for j in 0..aug.nt() {
-                tiles.insert(keys::tile(i, j), aug.tile(i, j));
-            }
-        }
-        RegistryStore {
-            tiles,
-            shared: shared.clone(),
+    /// Exclusive bounds of the two indices a `kind` key packs, in this
+    /// run — the one place that says which keys name a datum here.
+    fn bounds(&self, kind: Kind) -> (usize, usize) {
+        let (aug, steps) = (&self.ctx.aug, self.ctx.nt_a);
+        match kind {
+            Kind::Tile => (aug.mt(), aug.nt()),
+            Kind::Pivot | Kind::Decision => (1, steps),
+            Kind::SwapScratch => (aug.nt(), steps),
+            // By tile row — or criterion group, of which a step has at
+            // most one per panel row.
+            Kind::TFactor | Kind::Backup | Kind::IncPivL | Kind::CritScratch => (aug.mt(), steps),
         }
     }
 
-    fn slot(&self, key: DataKey) -> Option<PayloadSlot> {
-        self.shared.payloads.lock().get(&key).cloned()
+    /// `key` unpacked, if it is in bounds for this run.
+    fn resolve(&self, key: DataKey) -> Option<(Kind, usize, usize)> {
+        let (kind, i, k) = keys::unpack(key)?;
+        let (rows, steps) = self.bounds(kind);
+        (i < rows && k < steps).then_some((kind, i, k))
     }
 }
 
-impl PayloadStore for RegistryStore {
+/// Cell `i` of a step's `cells`, which a planner sizes to what its ops
+/// index: a key in bounds for the run may still name none.
+fn cell<T>(cells: &[T], i: usize, key: DataKey) -> Result<&T, TransportError> {
+    cells.get(i).ok_or_else(|| unknown(key))
+}
+
+fn unknown(key: DataKey) -> TransportError {
+    TransportError::Protocol(format!("no payload cell for {key:?}"))
+}
+
+impl PayloadStore for StepStore {
+    fn knows(&self, key: DataKey) -> bool {
+        self.resolve(key).is_some()
+    }
+
     fn load(&self, key: DataKey) -> Option<Vec<u8>> {
-        if let Some(tile) = self.tiles.get(&key) {
-            return Some(encode_mat(&tile.lock()));
+        let (kind, i, k) = keys::unpack(key).unwrap_or_else(|| panic!("{key:?} is not ours"));
+        if kind == Kind::Tile {
+            return Some(encode_mat(&self.ctx.aug.tile_ref(i, k).lock()));
         }
-        let slot = self
-            .slot(key)
-            .unwrap_or_else(|| panic!("no payload slot registered for {key:?}"));
-        match slot {
-            PayloadSlot::Tf(c) => c.lock().as_ref().map(encode_tfactor),
-            PayloadSlot::Panel(c) => c.get().map(encode_panel),
-            PayloadSlot::Dec { cell, records, k } => cell.get().map(|d| {
-                let recs = records.lock();
+        let cells = self.ctx.steps.get(k);
+        match kind {
+            Kind::Tile => unreachable!("tiles resolve into the mirror"),
+            Kind::TFactor => cells.tf[i].lock().as_ref().map(encode_tfactor),
+            Kind::Pivot => cells.panel.get().map(encode_panel),
+            // Shipping the decision also ships the step's record, so every
+            // rank's record list is complete.
+            Kind::Decision => cells.decision.get().map(|d| {
+                let recs = self.ctx.shared.records.lock();
                 encode_decision(*d, recs.iter().find(|r| r.k == k))
             }),
-            PayloadSlot::Backup(c) | PayloadSlot::Scratch(c) => c.lock().as_ref().map(encode_mat),
-            PayloadSlot::Crit(c) => c.get().map(encode_domain_crit),
-            PayloadSlot::L(c) => c.get().map(|(l, piv)| {
+            Kind::Backup => cells.backup[i].lock().as_ref().map(encode_mat),
+            Kind::SwapScratch => cells.scratch[i].lock().as_ref().map(encode_mat),
+            Kind::CritScratch => cells.crit[i].get().map(encode_domain_crit),
+            Kind::IncPivL => cells.l[i].get().map(|(l, piv)| {
                 let mut out = encode_mat(l);
                 put_pivots(&mut out, piv);
                 out
@@ -112,52 +104,56 @@ impl PayloadStore for RegistryStore {
         }
     }
 
-    fn store(&self, key: DataKey, bytes: &[u8]) {
-        // An empty payload means the producer's cell was empty (nothing to
-        // ship); leave the mirror's cell empty too.
-        if bytes.is_empty() {
-            return;
-        }
+    fn store(&self, key: DataKey, bytes: &[u8]) -> Result<(), TransportError> {
+        let (kind, i, k) = self.resolve(key).ok_or_else(|| unknown(key))?;
         let mut rd = Rd::new(bytes);
-        if let Some(tile) = self.tiles.get(&key) {
+        if kind == Kind::Tile {
+            // An empty payload means the producer's cell was empty
+            // (nothing to ship); leave the mirror's cell as it is too.
+            if bytes.is_empty() {
+                return Ok(());
+            }
             // Straight into the tile's own buffer: a frame overwrites a
             // whole tile, so nothing of the old contents needs to survive.
-            rd.mat_into(&mut tile.lock());
-            rd.finish(key);
-            return;
+            rd.mat_into(&mut self.ctx.aug.tile_ref(i, k).lock())?;
+            return rd.finish(key);
         }
-        let slot = self
-            .slot(key)
-            .unwrap_or_else(|| panic!("no payload slot registered for {key:?}"));
-        match slot {
-            PayloadSlot::Tf(c) => *c.lock() = Some(rd.tfactor()),
-            PayloadSlot::Panel(c) => {
-                let _ = c.set(rd.panel());
+        let cells = self.ctx.steps.try_get(k).ok_or_else(|| unknown(key))?;
+        if bytes.is_empty() {
+            return Ok(());
+        }
+        match kind {
+            Kind::Tile => unreachable!("tiles resolve into the mirror"),
+            Kind::TFactor => *cell(&cells.tf, i, key)?.lock() = Some(rd.tfactor()?),
+            Kind::Pivot => {
+                let _ = cells.panel.set(rd.panel()?);
             }
-            PayloadSlot::Dec { cell, records, k } => {
-                let (d, rec) = rd.decision();
-                let _ = cell.set(d);
+            Kind::Decision => {
+                let (d, rec) = rd.decision()?;
+                let _ = cells.decision.set(d);
                 if let Some(rec) = rec {
                     // The decision arrives both broadcast and (on rank 0)
                     // again with the end-of-run results — push its record
                     // at most once per step.
-                    let mut recs = records.lock();
+                    let mut recs = self.ctx.shared.records.lock();
                     if !recs.iter().any(|r| r.k == k) {
                         recs.push(rec);
                     }
                 }
             }
-            PayloadSlot::Backup(c) | PayloadSlot::Scratch(c) => *c.lock() = Some(rd.mat()),
-            PayloadSlot::Crit(c) => {
-                let _ = c.set(rd.domain_crit());
+            Kind::Backup => *cell(&cells.backup, i, key)?.lock() = Some(rd.mat()?),
+            Kind::SwapScratch => *cell(&cells.scratch, i, key)?.lock() = Some(rd.mat()?),
+            Kind::CritScratch => {
+                let _ = cell(&cells.crit, i, key)?.set(rd.domain_crit()?);
             }
-            PayloadSlot::L(c) => {
-                let l = rd.mat();
-                let piv = rd.pivots();
-                let _ = c.set((l, piv));
+            Kind::IncPivL => {
+                let slot = cell(&cells.l, i, key)?;
+                let l = rd.mat()?;
+                let piv = rd.pivots()?;
+                let _ = slot.set((l, piv));
             }
         }
-        rd.finish(key);
+        rd.finish(key)
     }
 }
 
@@ -216,46 +212,51 @@ fn le_f64(word: &[u8]) -> f64 {
     f64::from_bits(le_u64(word))
 }
 
-/// Bounds-checked little-endian reader; payload bytes arrive framed and
-/// length-checked, so a decode failure here is a codec bug — panic loudly,
-/// and before allocating anything a bad count would size.
+/// Bounds-checked little-endian reader. Payload bytes come from a peer:
+/// a read past the end is a [`TransportError::Frame`], reported before
+/// anything is allocated that a bad count would size.
 pub(crate) struct Rd<'a> {
     b: &'a [u8],
     p: usize,
 }
+
+type Decoded<T> = Result<T, TransportError>;
 
 impl<'a> Rd<'a> {
     pub(crate) fn new(b: &'a [u8]) -> Self {
         Rd { b, p: 0 }
     }
 
-    fn take(&mut self, n: usize) -> &'a [u8] {
-        assert!(
-            n <= self.remaining(),
-            "payload truncated: wanted {} bytes at {}, have {}",
-            n,
-            self.p,
-            self.b.len()
-        );
+    fn take(&mut self, n: usize) -> Decoded<&'a [u8]> {
+        if n > self.remaining() {
+            return Err(TransportError::Frame(format!(
+                "payload truncated: wanted {} bytes at {}, have {}",
+                n,
+                self.p,
+                self.b.len()
+            )));
+        }
         let s = &self.b[self.p..self.p + n];
         self.p += n;
-        s
+        Ok(s)
     }
 
-    pub(crate) fn u32(&mut self) -> u32 {
-        u32::from_le_bytes(self.take(4).try_into().unwrap())
+    pub(crate) fn u32(&mut self) -> Decoded<u32> {
+        Ok(u32::from_le_bytes(
+            self.take(4)?.try_into().expect("a 4-byte word"),
+        ))
     }
 
-    pub(crate) fn u64(&mut self) -> u64 {
-        le_u64(self.take(8))
+    pub(crate) fn u64(&mut self) -> Decoded<u64> {
+        Ok(le_u64(self.take(8)?))
     }
 
-    pub(crate) fn f64(&mut self) -> f64 {
-        f64::from_bits(self.u64())
+    pub(crate) fn f64(&mut self) -> Decoded<f64> {
+        Ok(f64::from_bits(self.u64()?))
     }
 
-    pub(crate) fn u8(&mut self) -> u8 {
-        self.take(1)[0]
+    pub(crate) fn u8(&mut self) -> Decoded<u8> {
+        Ok(self.take(1)?[0])
     }
 
     pub(crate) fn remaining(&self) -> usize {
@@ -266,126 +267,131 @@ impl<'a> Rd<'a> {
     /// wire: the byte length is formed without overflow and bounds-checked
     /// by [`Rd::take`] *before* anything is sized by it (a count too large
     /// to express is just a payload that is too short).
-    fn words(&mut self, count: Option<usize>) -> std::slice::ChunksExact<'a, u8> {
+    fn words(&mut self, count: Option<usize>) -> Decoded<std::slice::ChunksExact<'a, u8>> {
         let len = count.and_then(|c| c.checked_mul(8)).unwrap_or(usize::MAX);
-        self.take(len).chunks_exact(8)
+        Ok(self.take(len)?.chunks_exact(8))
     }
 
     /// A `u64` element count, as a `usize` when it fits.
-    fn count(&mut self) -> Option<usize> {
-        usize::try_from(self.u64()).ok()
+    fn count(&mut self) -> Decoded<Option<usize>> {
+        Ok(usize::try_from(self.u64()?).ok())
     }
 
-    fn f64s(&mut self) -> Vec<f64> {
-        let n = self.count();
-        self.words(n).map(le_f64).collect()
+    fn f64s(&mut self) -> Decoded<Vec<f64>> {
+        let n = self.count()?;
+        Ok(self.words(n)?.map(le_f64).collect())
     }
 
-    fn usizes(&mut self) -> Vec<usize> {
-        let n = self.count();
-        self.words(n).map(|w| le_u64(w) as usize).collect()
+    fn usizes(&mut self) -> Decoded<Vec<usize>> {
+        let n = self.count()?;
+        Ok(self.words(n)?.map(|w| le_u64(w) as usize).collect())
     }
 
-    pub(crate) fn pivots(&mut self) -> Vec<PairPivot> {
+    pub(crate) fn pivots(&mut self) -> Decoded<Vec<PairPivot>> {
         // Every pivot takes at least its tag byte.
-        let n = self.count().unwrap_or(usize::MAX);
-        assert!(
-            n <= self.remaining(),
-            "payload truncated: wanted {n} pivots at {}, have {}",
-            self.p,
-            self.b.len()
-        );
+        let n = self.count()?.unwrap_or(usize::MAX);
+        if n > self.remaining() {
+            return Err(TransportError::Frame(format!(
+                "payload truncated: wanted {n} pivots at {}, have {}",
+                self.p,
+                self.b.len()
+            )));
+        }
         (0..n)
-            .map(|_| match self.u8() {
-                0 => None,
-                _ => Some(self.u64() as usize),
+            .map(|_| {
+                Ok(match self.u8()? {
+                    0 => None,
+                    _ => Some(self.u64()? as usize),
+                })
             })
             .collect()
     }
 
-    fn finish(self, key: DataKey) {
-        assert_eq!(
-            self.remaining(),
-            0,
-            "trailing bytes after decoding payload for {key:?}"
-        );
+    /// The payload must end here.
+    pub(crate) fn finish(self, key: DataKey) -> Decoded<()> {
+        match self.remaining() {
+            0 => Ok(()),
+            n => Err(TransportError::Frame(format!(
+                "{n} trailing bytes after decoding payload for {key:?}"
+            ))),
+        }
     }
 
-    pub(crate) fn mat(&mut self) -> Mat {
+    pub(crate) fn mat(&mut self) -> Decoded<Mat> {
         let mut a = Mat::zeros(0, 0);
-        self.mat_into(&mut a);
-        a
+        self.mat_into(&mut a)?;
+        Ok(a)
     }
 
     /// Decode a matrix into `dst`, keeping `dst`'s buffer when the
-    /// dimensions on the wire match its own.
-    pub(crate) fn mat_into(&mut self, dst: &mut Mat) {
-        let m = self.u32() as usize;
-        let n = self.u32() as usize;
-        let words = self.words(m.checked_mul(n));
+    /// dimensions on the wire match its own. `dst` is untouched on error.
+    pub(crate) fn mat_into(&mut self, dst: &mut Mat) -> Decoded<()> {
+        let m = self.u32()? as usize;
+        let n = self.u32()? as usize;
+        let words = self.words(m.checked_mul(n))?;
         if dst.dims() != (m, n) {
             *dst = Mat::zeros(m, n);
         }
         for (d, w) in dst.as_mut_slice().iter_mut().zip(words) {
             *d = le_f64(w);
         }
+        Ok(())
     }
 
-    fn tfactor(&mut self) -> TFactor {
-        let ib = self.u32() as usize;
-        TFactor { ib, t: self.mat() }
+    fn tfactor(&mut self) -> Decoded<TFactor> {
+        let ib = self.u32()? as usize;
+        Ok(TFactor { ib, t: self.mat()? })
     }
 
-    fn panel(&mut self) -> PanelFactorization {
-        let ipiv = self.usizes();
-        let crit = self.panel_crit();
-        let heights = self.usizes();
-        PanelFactorization::new(ipiv, crit, heights)
+    fn panel(&mut self) -> Decoded<PanelFactorization> {
+        let ipiv = self.usizes()?;
+        let crit = self.panel_crit()?;
+        let heights = self.usizes()?;
+        Ok(PanelFactorization::new(ipiv, crit, heights))
     }
 
-    fn panel_crit(&mut self) -> PanelCritData {
-        PanelCritData {
-            inv_norm_recip: self.f64(),
-            below_diag_max_norm1: self.f64(),
-            below_diag_sum_norm1: self.f64(),
-            local_col_max: self.f64s(),
-            pivot_abs: self.f64s(),
-        }
+    fn panel_crit(&mut self) -> Decoded<PanelCritData> {
+        Ok(PanelCritData {
+            inv_norm_recip: self.f64()?,
+            below_diag_max_norm1: self.f64()?,
+            below_diag_sum_norm1: self.f64()?,
+            local_col_max: self.f64s()?,
+            pivot_abs: self.f64s()?,
+        })
     }
 
-    fn domain_crit(&mut self) -> DomainCritData {
-        DomainCritData {
-            max_tile_norm1: self.f64(),
-            sum_tile_norm1: self.f64(),
-            col_max: self.f64s(),
-        }
+    fn domain_crit(&mut self) -> Decoded<DomainCritData> {
+        Ok(DomainCritData {
+            max_tile_norm1: self.f64()?,
+            sum_tile_norm1: self.f64()?,
+            col_max: self.f64s()?,
+        })
     }
 
-    pub(crate) fn record(&mut self) -> StepRecord {
-        StepRecord {
-            k: self.u64() as usize,
-            decision: if self.u8() == 0 {
-                Decision::Lu
-            } else {
-                Decision::Qr
-            },
-            lhs: self.f64(),
-            rhs: self.f64(),
-            panel_norm: self.f64(),
-        }
+    fn which(&mut self) -> Decoded<Decision> {
+        Ok(match self.u8()? {
+            0 => Decision::Lu,
+            _ => Decision::Qr,
+        })
     }
 
-    fn decision(&mut self) -> (Decision, Option<StepRecord>) {
-        let d = if self.u8() == 0 {
-            Decision::Lu
-        } else {
-            Decision::Qr
-        };
-        let rec = match self.u8() {
+    pub(crate) fn record(&mut self) -> Decoded<StepRecord> {
+        Ok(StepRecord {
+            k: self.u64()? as usize,
+            decision: self.which()?,
+            lhs: self.f64()?,
+            rhs: self.f64()?,
+            panel_norm: self.f64()?,
+        })
+    }
+
+    fn decision(&mut self) -> Decoded<(Decision, Option<StepRecord>)> {
+        let d = self.which()?;
+        let rec = match self.u8()? {
             0 => None,
-            _ => Some(self.record()),
+            _ => Some(self.record()?),
         };
-        (d, rec)
+        Ok((d, rec))
     }
 }
 
@@ -463,13 +469,23 @@ fn encode_decision(d: Decision, rec: Option<&StepRecord>) -> Vec<u8> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::FactorOptions;
+    use luqr_tile::TiledMatrix;
+
+    /// The decode failed, as a malformed frame whose message has `what`.
+    fn assert_frame_error<T: std::fmt::Debug>(got: Decoded<T>, what: &str) {
+        match got {
+            Err(TransportError::Frame(m)) if m.contains(what) => {}
+            other => panic!("expected a frame error with '{what}', got {other:?}"),
+        }
+    }
 
     #[test]
     fn mat_round_trips_bitwise() {
         let m = Mat::random(7, 3, 42);
         let bytes = encode_mat(&m);
         let mut rd = Rd::new(&bytes);
-        let back = rd.mat();
+        let back = rd.mat().unwrap();
         assert_eq!(rd.remaining(), 0);
         assert_eq!(m.as_slice(), back.as_slice());
         assert_eq!((m.rows(), m.cols()), (back.rows(), back.cols()));
@@ -498,7 +514,7 @@ mod tests {
         let bytes = encode_mat(&m);
         assert_eq!(bytes.len(), 8 + 9 * 8);
         let mut rd = Rd::new(&bytes);
-        let back = rd.mat();
+        let back = rd.mat().unwrap();
         assert_eq!(rd.remaining(), 0);
         assert_eq!(bits(&m), bits(&back));
     }
@@ -509,7 +525,7 @@ mod tests {
             let bytes = encode_mat(&Mat::zeros(m, n));
             assert_eq!(bytes.len(), 8, "{m}x{n} carries dimensions only");
             let mut rd = Rd::new(&bytes);
-            assert_eq!(rd.mat().dims(), (m, n));
+            assert_eq!(rd.mat().unwrap().dims(), (m, n));
             assert_eq!(rd.remaining(), 0);
         }
     }
@@ -518,38 +534,35 @@ mod tests {
     /// exceeds the payload, must fail the bounds check — not size an
     /// allocation first.
     #[test]
-    #[should_panic(expected = "payload truncated")]
     fn hostile_dimensions_fail_before_allocating() {
         let mut bytes = Vec::new();
         put_u32(&mut bytes, u32::MAX);
         put_u32(&mut bytes, u32::MAX);
         bytes.extend_from_slice(&[0; 64]);
-        Rd::new(&bytes).mat();
+        assert_frame_error(Rd::new(&bytes).mat(), "payload truncated");
     }
 
     #[test]
-    #[should_panic(expected = "payload truncated")]
     fn matrix_one_element_short_is_rejected() {
         let bytes = encode_mat(&Mat::random(4, 3, 1));
-        Rd::new(&bytes[..bytes.len() - 8]).mat();
+        let short = &bytes[..bytes.len() - 8];
+        assert_frame_error(Rd::new(short).mat(), "payload truncated");
     }
 
     #[test]
-    #[should_panic(expected = "payload truncated")]
     fn hostile_vector_count_fails_before_allocating() {
         let mut bytes = Vec::new();
         put_u64(&mut bytes, u64::MAX);
         bytes.extend_from_slice(&[0; 64]);
-        Rd::new(&bytes).f64s();
+        assert_frame_error(Rd::new(&bytes).f64s(), "payload truncated");
     }
 
     #[test]
-    #[should_panic(expected = "payload truncated")]
     fn hostile_pivot_count_fails_before_allocating() {
         let mut bytes = Vec::new();
         put_u64(&mut bytes, 1 << 40);
         bytes.extend_from_slice(&[0; 64]);
-        Rd::new(&bytes).pivots();
+        assert_frame_error(Rd::new(&bytes).pivots(), "payload truncated");
     }
 
     #[test]
@@ -561,7 +574,7 @@ mod tests {
         let bytes = encode_tfactor(&tf);
         assert_eq!(bytes.len(), 4 + 8 + 48 * 8);
         let mut rd = Rd::new(&bytes);
-        let back = rd.tfactor();
+        let back = rd.tfactor().unwrap();
         assert_eq!(rd.remaining(), 0);
         assert_eq!((back.ib, bits(&back.t)), (tf.ib, bits(&tf.t)));
 
@@ -569,13 +582,21 @@ mod tests {
         let mut bytes = encode_mat(&l);
         put_pivots(&mut bytes, &piv);
         let mut rd = Rd::new(&bytes);
-        assert_eq!((bits(&rd.mat()), rd.pivots()), (bits(&l), piv));
+        assert_eq!(
+            (bits(&rd.mat().unwrap()), rd.pivots().unwrap()),
+            (bits(&l), piv)
+        );
         assert_eq!(rd.remaining(), 0);
     }
 
-    fn one_tile_store() -> (TiledMatrix, RegistryStore) {
+    /// A store over a one-tile matrix with no step planned.
+    fn one_tile_store() -> (TiledMatrix, StepStore) {
         let aug = TiledMatrix::from_dense(&Mat::random(4, 4, 5), 4);
-        let store = RegistryStore::new(&aug, &SharedState::default());
+        let opts = FactorOptions {
+            nb: 4,
+            ..FactorOptions::default()
+        };
+        let store = StepStore::new(RunCtx::new(&aug, 1, &opts));
         (aug, store)
     }
 
@@ -588,12 +609,16 @@ mod tests {
         let before = tile.lock().as_slice().as_ptr();
 
         let same_shape = Mat::random(4, 4, 6);
-        store.store(keys::tile(0, 0), &encode_mat(&same_shape));
+        store
+            .store(keys::tile(0, 0), &encode_mat(&same_shape))
+            .unwrap();
         assert_eq!(bits(&tile.lock()), bits(&same_shape));
         assert_eq!(tile.lock().as_slice().as_ptr(), before, "allocation kept");
 
         let other_shape = Mat::random(2, 8, 7);
-        store.store(keys::tile(0, 0), &encode_mat(&other_shape));
+        store
+            .store(keys::tile(0, 0), &encode_mat(&other_shape))
+            .unwrap();
         assert_eq!(tile.lock().dims(), (2, 8));
         assert_eq!(bits(&tile.lock()), bits(&other_shape));
 
@@ -605,20 +630,45 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "payload truncated")]
-    fn store_rejects_a_truncated_tile() {
-        let (_aug, store) = one_tile_store();
+    fn store_rejects_a_truncated_tile_and_leaves_it_alone() {
+        let (aug, store) = one_tile_store();
+        let before = bits(&aug.tile(0, 0).lock());
         let bytes = encode_mat(&Mat::random(4, 4, 8));
-        store.store(keys::tile(0, 0), &bytes[..bytes.len() - 1]);
+        let short = &bytes[..bytes.len() - 1];
+        assert_frame_error(store.store(keys::tile(0, 0), short), "payload truncated");
+        assert_eq!(bits(&aug.tile(0, 0).lock()), before);
     }
 
     #[test]
-    #[should_panic(expected = "trailing bytes")]
     fn store_rejects_trailing_bytes() {
         let (_aug, store) = one_tile_store();
         let mut bytes = encode_mat(&Mat::random(4, 4, 9));
         bytes.push(0);
-        store.store(keys::tile(0, 0), &bytes);
+        assert_frame_error(store.store(keys::tile(0, 0), &bytes), "trailing bytes");
+    }
+
+    /// Keys come off the wire too: one that names no tile, no planned
+    /// step, or nothing at all is a protocol error.
+    #[test]
+    fn store_rejects_keys_it_has_no_cell_for() {
+        let (_aug, store) = one_tile_store();
+        let payload = encode_mat(&Mat::random(4, 4, 10));
+        for key in [
+            keys::tile(0, 7),
+            keys::tile(3, 0),
+            keys::tfactor(0, 0), // a real datum, but step 0 is not planned
+            keys::backup(0, 5),
+            DataKey(0),
+            DataKey(u64::MAX),
+        ] {
+            match store.store(key, &payload) {
+                Err(TransportError::Protocol(m)) => assert!(m.contains("no payload cell")),
+                other => panic!("{key:?}: expected a protocol error, got {other:?}"),
+            }
+        }
+        assert!(store.knows(keys::tile(0, 0)) && store.knows(keys::tfactor(0, 0)));
+        assert!(!store.knows(keys::tile(0, 7)) && !store.knows(keys::backup(0, 5)));
+        assert!(!store.knows(DataKey(0)) && !store.knows(DataKey(u64::MAX)));
     }
 
     #[test]
@@ -632,7 +682,7 @@ mod tests {
         };
         let bytes = encode_decision(Decision::Qr, Some(&rec));
         let mut rd = Rd::new(&bytes);
-        let (d, r) = rd.decision();
+        let (d, r) = rd.decision().unwrap();
         assert_eq!(rd.remaining(), 0);
         assert_eq!(d, Decision::Qr);
         let r = r.unwrap();
@@ -646,6 +696,6 @@ mod tests {
         let mut out = Vec::new();
         put_pivots(&mut out, &piv);
         let mut rd = Rd::new(&out);
-        assert_eq!(rd.pivots(), piv);
+        assert_eq!(rd.pivots().unwrap(), piv);
     }
 }

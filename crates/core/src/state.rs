@@ -1,0 +1,173 @@
+//! What one factorization run shares between its planner, its tasks and
+//! its driver: the tiles, the options, and one table of per-step cells.
+//!
+//! A [`crate::TaskOp`] carries indices only. Everything a task body reads
+//! or writes besides tiles — the step's LU/QR decision, the trial panel
+//! factorization, panel backups, criterion data, T-factors, row-exchange
+//! snapshots, IncPiv L factors — lives in the [`StepCells`] of its step,
+//! indexed by tile row or column; so does the part of a step's plan that
+//! is a list rather than an index (the trial rows, the criterion and
+//! row-exchange groups). The planner publishes a step's cells before it
+//! pushes the step's first op; task bodies, access derivation and the
+//! payload codec all resolve `(k, row)` through the same table.
+
+use std::sync::{Arc, OnceLock};
+
+use luqr_kernels::incpiv::PairPivot;
+use luqr_kernels::{Mat, TFactor};
+use luqr_tile::TiledMatrix;
+use parking_lot::Mutex;
+
+use crate::config::{Decision, FactorOptions, StepRecord};
+use crate::criteria::{Criterion, DomainCritData};
+use crate::panel::PanelFactorization;
+use crate::Algorithm;
+
+/// Shared state written by tasks and read back by the driver.
+#[derive(Clone, Default)]
+pub struct SharedState {
+    /// Per-step criterion records (hybrid only), pushed in step order.
+    pub records: Arc<Mutex<Vec<StepRecord>>>,
+    /// First numerical failure observed (zero pivot etc.).
+    pub error: Arc<Mutex<Option<String>>>,
+}
+
+impl SharedState {
+    pub(crate) fn fail(&self, msg: String) {
+        let mut e = self.error.lock();
+        if e.is_none() {
+            *e = Some(msg);
+        }
+    }
+}
+
+/// `n` empty cells.
+pub(crate) fn cells<T: Default>(n: usize) -> Vec<T> {
+    (0..n).map(|_| T::default()).collect()
+}
+
+/// The plan lists and the live cells of one elimination step. A planner
+/// fills in the lists and sizes the cell vectors its step's ops index;
+/// the rest stay empty.
+#[derive(Default)]
+pub(crate) struct StepCells {
+    /// Rows of the panel factorization (hybrid trial, NoPiv, LUPP),
+    /// ascending, diagonal tile first.
+    pub trial_rows: Vec<usize>,
+    /// Off-trial criterion collection: `(node, its panel rows)` per group
+    /// (empty when the criterion never looks at those rows).
+    pub crit_groups: Vec<(usize, Vec<usize>)>,
+    /// Row exchanges of an LU step, one group per grid row holding trial
+    /// rows other than the diagonal tile: `(row, offset in the stacked
+    /// panel)`.
+    pub swap_groups: Vec<Vec<(usize, usize)>>,
+    /// Total height of the stacked trial rows.
+    pub total_rows: usize,
+    /// Nodes holding tiles of the panel column (all-reduce fan-in).
+    pub panel_nodes: usize,
+
+    /// The step's LU/QR decision, written once by the panel task.
+    pub decision: OnceLock<Decision>,
+    /// The panel factorization (pivots, criterion data), written once by
+    /// the panel task.
+    pub panel: OnceLock<PanelFactorization>,
+    /// Criterion data contributed by each off-trial group.
+    pub crit: Vec<OnceLock<DomainCritData>>,
+    /// By tile row: backup copy of the panel tile.
+    pub backup: Vec<Mutex<Option<Mat>>>,
+    /// By tile row: T-factor of the row's GEQRT / TSQRT / TTQRT.
+    pub tf: Vec<Mutex<Option<TFactor>>>,
+    /// By tile row: IncPiv L factor and pairwise pivots of the row's TSTRF.
+    pub l: Vec<OnceLock<(Mat, Vec<PairPivot>)>>,
+    /// By tile column: pivot-block snapshot for the column's row exchanges.
+    pub scratch: Vec<Mutex<Option<Mat>>>,
+}
+
+impl StepCells {
+    /// The `(row, stack offset)` pairs of exchange group `g`: none for
+    /// group 0 (the pivot block itself), `swap_groups[g - 1]` otherwise.
+    pub fn swap_rows(&self, g: crate::op::Ix) -> &[(usize, usize)] {
+        match g {
+            0 => &[],
+            g => &self.swap_groups[g as usize - 1],
+        }
+    }
+
+    /// The decision, which the caller knows has been taken (it runs after
+    /// the panel task, by a hazard edge or by the streaming driver's wait).
+    pub fn decided(&self) -> Decision {
+        *self.decision.get().expect("decision missing")
+    }
+}
+
+/// The per-step cells of one run, by step.
+pub(crate) struct StepState {
+    steps: Vec<OnceLock<StepCells>>,
+}
+
+impl StepState {
+    fn new(steps: usize) -> Self {
+        StepState {
+            steps: cells(steps),
+        }
+    }
+
+    /// Publish the cells of step `k`. Called by the planner, once per
+    /// step, before it pushes any op of the step.
+    pub fn open(&self, k: usize, cells: StepCells) -> &StepCells {
+        assert!(
+            self.steps[k].set(cells).is_ok(),
+            "step {k} planned twice in one run"
+        );
+        self.get(k)
+    }
+
+    /// The cells of a planned step.
+    pub fn get(&self, k: usize) -> &StepCells {
+        self.try_get(k)
+            .unwrap_or_else(|| panic!("step {k} has not been planned"))
+    }
+
+    /// The cells of step `k`, if there is such a step and it has been
+    /// planned (the question a peer's payload key poses).
+    pub fn try_get(&self, k: usize) -> Option<&StepCells> {
+        self.steps.get(k)?.get()
+    }
+}
+
+/// The context every [`crate::TaskOp`] of one run is interpreted against.
+pub struct RunCtx {
+    /// The augmented matrix `[A | B]` (tiles shared with the caller's).
+    pub(crate) aug: TiledMatrix,
+    /// Tile columns of `A` — the number of elimination steps.
+    pub(crate) nt_a: usize,
+    pub(crate) opts: FactorOptions,
+    pub(crate) steps: StepState,
+    pub(crate) shared: SharedState,
+}
+
+impl RunCtx {
+    pub(crate) fn new(aug: &TiledMatrix, nt_a: usize, opts: &FactorOptions) -> Arc<Self> {
+        Arc::new(RunCtx {
+            aug: aug.share(),
+            nt_a,
+            opts: opts.clone(),
+            steps: StepState::new(nt_a),
+            shared: SharedState::default(),
+        })
+    }
+
+    /// Size of tile `(i, j)` in bytes.
+    pub(crate) fn tile_bytes(&self, i: usize, j: usize) -> usize {
+        let (tm, tn) = self.aug.tile_dims(i, j);
+        tm * tn * 8
+    }
+
+    /// The hybrid's robustness criterion.
+    pub(crate) fn criterion(&self) -> &Criterion {
+        match &self.opts.algorithm {
+            Algorithm::LuQr(c) => c,
+            other => panic!("{} has no criterion", other.name()),
+        }
+    }
+}

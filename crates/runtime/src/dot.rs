@@ -8,60 +8,58 @@
 
 use std::fmt::Write as _;
 
-use crate::graph::Graph;
-use crate::trace::step_index;
+use crate::graph::{Graph, TaskOp};
 
 /// Render the whole graph as a Graphviz `digraph`.
-pub fn to_dot(graph: &Graph) -> String {
-    to_dot_filtered(graph, |_| true)
+pub fn to_dot<O: TaskOp>(graph: &Graph<O>) -> String {
+    render(graph, vec![true; graph.len()])
 }
 
-/// Render only the tasks of elimination step `k` (matched on the `k=NN`
-/// encoded in task names), preserving edges among them.
-pub fn to_dot_step(graph: &Graph, k: usize) -> String {
-    to_dot_filtered(graph, |name| step_index(name) == Some(k))
+/// Render only the tasks of elimination step `k` (by their ops' step),
+/// preserving edges among them.
+pub fn to_dot_step<O: TaskOp>(graph: &Graph<O>, k: usize) -> String {
+    render(graph, graph.tasks().map(|t| t.step() == Some(k)).collect())
 }
 
 /// Render the subgraph of tasks whose *name* passes `keep`, preserving edges
 /// among kept tasks.
+pub fn to_dot_filtered<O: TaskOp>(graph: &Graph<O>, keep: impl Fn(&str) -> bool) -> String {
+    render(graph, graph.tasks().map(|t| keep(&t.name())).collect())
+}
+
+/// Render the `kept` tasks; names are rendered here, for those only.
 ///
 /// Discarded-branch tasks — the dead paths a run-time LU/QR decision
 /// rejected — render fully distinct: gray dashed boxes, with their
 /// incident edges dashed too, so the surviving branch reads as the solid
 /// subgraph (exactly the set a streaming run would have materialized).
-pub fn to_dot_filtered(graph: &Graph, keep: impl Fn(&str) -> bool) -> String {
+fn render<O: TaskOp>(graph: &Graph<O>, kept: Vec<bool>) -> String {
     let mut s = String::new();
     s.push_str("digraph luqr {\n  rankdir=TB;\n  node [shape=box, fontname=\"monospace\"];\n");
-    let kept: Vec<bool> = graph.tasks.iter().map(|t| keep(&t.name)).collect();
     let discarded: Vec<bool> = graph
-        .tasks
-        .iter()
+        .tasks()
         .map(|t| matches!(t.result(), Some(r) if !r.executed))
         .collect();
-    for (i, t) in graph.tasks.iter().enumerate() {
-        if !kept[i] {
-            continue;
-        }
-        let (color, style) = if discarded[i] {
+    for t in graph.tasks().filter(|t| kept[t.id]) {
+        let name = t.name();
+        let (color, style) = if discarded[t.id] {
             ("gray", ", style=dashed, fontcolor=gray")
         } else {
-            (task_color(&t.name), "")
+            (task_color(&name), "")
         };
         let _ = writeln!(
             s,
             "  t{} [label=\"{}\\nnode {}\", color={}{}];",
-            i,
-            t.name.replace('"', "'"),
-            t.node,
+            t.id,
+            name.replace('"', "'"),
+            t.node(),
             color,
             style
         );
     }
-    for (i, t) in graph.tasks.iter().enumerate() {
-        if !kept[i] {
-            continue;
-        }
-        for &succ in &t.successors {
+    for t in graph.tasks().filter(|t| kept[t.id]) {
+        let i = t.id;
+        for &succ in t.successors() {
             if kept[succ] {
                 if discarded[i] || discarded[succ] {
                     let _ = writeln!(s, "  t{i} -> t{succ} [style=dashed, color=gray];");
@@ -99,11 +97,12 @@ fn task_color(name: &str) -> &'static str {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::{Access, DataKey, GraphBuilder, TaskResult};
+    use crate::graph::{Access, DataKey, TaskResult};
+    use crate::testing::TestGraph;
 
     #[test]
     fn dot_contains_nodes_and_edges() {
-        let mut b = GraphBuilder::new(1);
+        let mut b = TestGraph::new(1);
         b.declare(DataKey(0), 8, 0);
         b.task(
             "PANEL(k=0)",
@@ -128,7 +127,7 @@ mod tests {
 
     #[test]
     fn filter_drops_tasks_and_their_edges() {
-        let mut b = GraphBuilder::new(1);
+        let mut b = TestGraph::new(1);
         b.declare(DataKey(0), 8, 0);
         b.task("keep", 0, &[Access::Mut(DataKey(0))], TaskResult::control);
         b.task("drop", 0, &[Access::Mut(DataKey(0))], TaskResult::control);
@@ -141,7 +140,7 @@ mod tests {
 
     #[test]
     fn discarded_tasks_render_gray_dashed_with_dashed_edges() {
-        let mut b = GraphBuilder::new(1);
+        let mut b = TestGraph::new(1);
         b.declare(DataKey(0), 8, 0);
         b.task("GEMM(1,1,k=0)", 0, &[Access::Mut(DataKey(0))], || {
             TaskResult::executed(1.0, crate::graph::CostClass::Gemm)
@@ -167,7 +166,7 @@ mod tests {
 
     #[test]
     fn to_dot_step_filters_by_step_index() {
-        let mut b = GraphBuilder::new(1);
+        let mut b = TestGraph::new(1);
         b.declare(DataKey(0), 8, 0);
         b.task(
             "PANEL(k=3)",

@@ -14,9 +14,9 @@ use std::time::Instant;
 
 use crossbeam::channel;
 
-use crate::graph::{CostClass, Graph, TaskId, TaskResult};
+use crate::graph::{CostClass, Graph, TaskId, TaskOp, TaskResult};
 use crate::sched::{ReadyQueue, SchedPolicy};
-use crate::trace::{step_index, TraceEvent};
+use crate::trace::TraceEvent;
 
 /// Running tally of task outcomes, shared by the batch executor's report
 /// and the streaming window's incremental counters so both runtimes count
@@ -59,20 +59,93 @@ pub struct ExecReport {
     pub total_flops: f64,
 }
 
+impl<O: TaskOp> Graph<O> {
+    /// Rearm every countdown, so that executing a graph twice trips the
+    /// "executed twice" check instead of hanging.
+    fn reset_countdowns(&self) {
+        for (t, cell) in self.tasks().zip(&self.run) {
+            cell.preds_remaining
+                .store(t.num_preds() as u32, Ordering::Relaxed);
+        }
+    }
+
+    /// Run task `id`'s op against the graph's context and record the
+    /// result.
+    fn run_task(&self, id: TaskId) -> TaskResult {
+        let cell = &self.run[id];
+        assert!(
+            cell.result.get().is_none(),
+            "task '{}' executed twice",
+            self.task(id).name()
+        );
+        let result = self.task(id).op().run(self.ctx());
+        cell.result
+            .set(result)
+            .expect("task result already recorded");
+        result
+    }
+
+    /// Count task `id` as done on each of its successors, handing the ones
+    /// it was the last predecessor of to `ready`.
+    fn release_successors(&self, id: TaskId, mut ready: impl FnMut(TaskId)) {
+        for &s in self.task(id).successors() {
+            let prev = self.run[s].preds_remaining.fetch_sub(1, Ordering::AcqRel);
+            debug_assert!(prev >= 1, "dependency underflow");
+            if prev == 1 {
+                ready(s);
+            }
+        }
+    }
+
+    /// The span of task `id` on `worker`, named and step-tagged from its op.
+    fn trace_event(&self, id: TaskId, worker: usize, start: f64, end: f64) -> TraceEvent {
+        let t = self.task(id);
+        TraceEvent {
+            name: t.name(),
+            node: t.node(),
+            worker,
+            step: t.step(),
+            start,
+            end,
+        }
+    }
+
+    /// The report of a finished execution that took `wall_seconds`.
+    fn report(&self, wall_seconds: f64) -> ExecReport {
+        let mut tally = Tally::default();
+        for t in self.tasks() {
+            match t.result() {
+                Some(r) => tally.record(&r),
+                None => panic!("task '{}' never ran — cyclic or broken graph", t.name()),
+            }
+        }
+        ExecReport {
+            wall_seconds,
+            tasks_executed: tally.executed,
+            tasks_discarded: tally.discarded,
+            total_flops: tally.flops,
+        }
+    }
+}
+
 /// Execute the graph on `threads` worker threads (must be ≥ 1).
 ///
 /// Each task's [`crate::graph::TaskResult`] is recorded in the graph for later inspection
-/// or platform simulation. Panics if a kernel is missing (graph already
-/// executed) or if the dependency counts are inconsistent.
-pub fn execute(graph: &Graph, threads: usize) -> ExecReport {
+/// or platform simulation. Panics if the graph was already executed or if
+/// the dependency counts are inconsistent.
+pub fn execute<O: TaskOp>(graph: &Graph<O>, threads: usize) -> ExecReport {
     execute_inner(graph, threads, None)
 }
 
 /// Execute the graph and additionally record one [`TraceEvent`] per
 /// executed task — real wall-clock spans with the worker that ran each
-/// kernel — mirroring what the streaming runtime records behind
+/// kernel, named and step-tagged from the op as the event is recorded —
+/// mirroring what the streaming runtime records behind
 /// [`crate::stream::StreamOptions::trace`].
-pub fn execute_traced(graph: &Graph, threads: usize) -> (ExecReport, Vec<TraceEvent>) {
+pub fn execute_traced<O: TaskOp>(
+    graph: &Graph<O>,
+    threads: usize,
+) -> (ExecReport, Vec<TraceEvent>) {
     let events = parking_lot::Mutex::new(Vec::with_capacity(graph.len()));
     let report = execute_inner(graph, threads, Some(&events));
     let mut events = events.into_inner();
@@ -97,21 +170,15 @@ pub fn execute_traced(graph: &Graph, threads: usize) -> (ExecReport, Vec<TraceEv
 /// shared tie-break. Numerical results are identical under every policy
 /// and thread count: the hazard edges serialize all conflicting accesses,
 /// scheduling only permutes the interleaving (pinned in `sched_props.rs`).
-pub fn execute_scheduled(graph: &Graph, threads: usize, policy: SchedPolicy) -> ExecReport {
+pub fn execute_scheduled<O: TaskOp>(
+    graph: &Graph<O>,
+    threads: usize,
+    policy: SchedPolicy,
+) -> ExecReport {
     let threads = threads.max(1);
     let n = graph.len();
     let start = Instant::now();
-    if n == 0 {
-        return ExecReport {
-            wall_seconds: 0.0,
-            tasks_executed: 0,
-            tasks_discarded: 0,
-            total_flops: 0.0,
-        };
-    }
-    for t in &graph.tasks {
-        t.preds_remaining.store(t.num_preds, Ordering::Relaxed);
-    }
+    graph.reset_countdowns();
 
     // Structural priority per task: 0 for FIFO (the id tie-break of the
     // shared ReadyQueue then yields insertion order), chain depth
@@ -121,9 +188,9 @@ pub fn execute_scheduled(graph: &Graph, threads: usize, policy: SchedPolicy) -> 
         SchedPolicy::Fifo => vec![0; n],
         _ => {
             let mut depth = vec![1u64; n];
-            for (id, t) in graph.tasks.iter().enumerate() {
-                for &s in &t.successors {
-                    depth[s] = depth[s].max(depth[id] + 1);
+            for t in graph.tasks() {
+                for &s in t.successors() {
+                    depth[s] = depth[s].max(depth[t.id] + 1);
                 }
             }
             depth
@@ -136,7 +203,7 @@ pub fn execute_scheduled(graph: &Graph, threads: usize, policy: SchedPolicy) -> 
     }
     let mut ready = ReadyQueue::default();
     for root in graph.roots() {
-        ready.push(depth[root], root, graph.tasks[root].node);
+        ready.push(depth[root], root, graph.task(root).node());
     }
     let pool = Mutex::new(Pool {
         ready,
@@ -162,29 +229,14 @@ pub fn execute_scheduled(graph: &Graph, threads: usize, policy: SchedPolicy) -> 
                         st = work_cv.wait(st).unwrap_or_else(|e| e.into_inner());
                     }
                 };
-                let task = &graph.tasks[tid];
-                let kernel = task
-                    .kernel
-                    .lock()
-                    .take()
-                    .unwrap_or_else(|| panic!("task '{}' executed twice", task.name));
-                let result = kernel();
-                task.result
-                    .set(result)
-                    .expect("task result already recorded");
+                graph.run_task(tid);
                 let mut newly_ready = 0usize;
                 {
                     let mut st = pool.lock().unwrap_or_else(|e| e.into_inner());
-                    for &s in &task.successors {
-                        let prev = graph.tasks[s]
-                            .preds_remaining
-                            .fetch_sub(1, Ordering::AcqRel);
-                        debug_assert!(prev >= 1, "dependency underflow");
-                        if prev == 1 {
-                            st.ready.push(depth[s], s, graph.tasks[s].node);
-                            newly_ready += 1;
-                        }
-                    }
+                    graph.release_successors(tid, |s| {
+                        st.ready.push(depth[s], s, graph.task(s).node());
+                        newly_ready += 1;
+                    });
                     st.remaining -= 1;
                     if st.remaining == 0 {
                         work_cv.notify_all();
@@ -197,23 +249,11 @@ pub fn execute_scheduled(graph: &Graph, threads: usize, policy: SchedPolicy) -> 
         }
     });
 
-    let mut tally = Tally::default();
-    for t in &graph.tasks {
-        match t.result() {
-            Some(r) => tally.record(&r),
-            None => panic!("task '{}' never ran — cyclic or broken graph", t.name),
-        }
-    }
-    ExecReport {
-        wall_seconds: start.elapsed().as_secs_f64(),
-        tasks_executed: tally.executed,
-        tasks_discarded: tally.discarded,
-        total_flops: tally.flops,
-    }
+    graph.report(start.elapsed().as_secs_f64())
 }
 
-fn execute_inner(
-    graph: &Graph,
+fn execute_inner<O: TaskOp>(
+    graph: &Graph<O>,
     threads: usize,
     events: Option<&parking_lot::Mutex<Vec<TraceEvent>>>,
 ) -> ExecReport {
@@ -221,19 +261,23 @@ fn execute_inner(
     let n = graph.len();
     let start = Instant::now();
     if n == 0 {
-        return ExecReport {
-            wall_seconds: 0.0,
-            tasks_executed: 0,
-            tasks_discarded: 0,
-            total_flops: 0.0,
-        };
+        return graph.report(0.0);
     }
+    graph.reset_countdowns();
 
-    // Reset countdowns (allows re-execution safety checks to fire instead of
-    // hanging if someone calls execute twice).
-    for t in &graph.tasks {
-        t.preds_remaining.store(t.num_preds, Ordering::Relaxed);
-    }
+    // One task, start to finish: run the op, record its span when traced,
+    // and hand the successors it releases to `ready`.
+    let run_one = |tid: TaskId, worker: usize, ready: &mut dyn FnMut(TaskId)| {
+        let t0 = events.map(|_| start.elapsed().as_secs_f64());
+        let result = graph.run_task(tid);
+        if let (Some(events), Some(t0)) = (events, t0) {
+            if result.executed {
+                let t1 = start.elapsed().as_secs_f64();
+                events.lock().push(graph.trace_event(tid, worker, t0, t1));
+            }
+        }
+        graph.release_successors(tid, ready);
+    };
 
     // Single-worker fast path: run the same FIFO discipline inline on the
     // calling thread. The ready order — and therefore every task
@@ -242,55 +286,10 @@ fn execute_inner(
     // measurable slice of wall time on fine-grained graphs.
     if threads == 1 {
         let mut queue: std::collections::VecDeque<TaskId> = graph.roots().into();
-        let mut tally = Tally::default();
         while let Some(tid) = queue.pop_front() {
-            let task = &graph.tasks[tid];
-            let kernel = task
-                .kernel
-                .lock()
-                .take()
-                .unwrap_or_else(|| panic!("task '{}' executed twice", task.name));
-            let t0 = events.map(|_| start.elapsed().as_secs_f64());
-            let result = kernel();
-            if let Some(events) = events {
-                if result.executed {
-                    events.lock().push(TraceEvent {
-                        name: task.name.clone(),
-                        node: task.node,
-                        worker: 0,
-                        step: step_index(&task.name),
-                        start: t0.unwrap(),
-                        end: start.elapsed().as_secs_f64(),
-                    });
-                }
-            }
-            tally.record(&result);
-            task.result
-                .set(result)
-                .expect("task result already recorded");
-            for &s in &task.successors {
-                let prev = graph.tasks[s]
-                    .preds_remaining
-                    .fetch_sub(1, Ordering::AcqRel);
-                debug_assert!(prev >= 1, "dependency underflow");
-                if prev == 1 {
-                    queue.push_back(s);
-                }
-            }
+            run_one(tid, 0, &mut |s| queue.push_back(s));
         }
-        for t in &graph.tasks {
-            assert!(
-                t.result().is_some(),
-                "task '{}' never ran — cyclic or broken graph",
-                t.name
-            );
-        }
-        return ExecReport {
-            wall_seconds: start.elapsed().as_secs_f64(),
-            tasks_executed: tally.executed,
-            tasks_discarded: tally.discarded,
-            total_flops: tally.flops,
-        };
+        return graph.report(start.elapsed().as_secs_f64());
     }
 
     let (tx, rx) = channel::unbounded::<TaskId>();
@@ -304,44 +303,15 @@ fn execute_inner(
             let rx = rx.clone();
             let tx = tx.clone();
             let remaining = &remaining;
+            let run_one = &run_one;
             scope.spawn(move || {
                 while let Ok(tid) = rx.recv() {
                     if tid == usize::MAX {
                         break; // all tasks done — sentinel
                     }
-                    let task = &graph.tasks[tid];
-                    let kernel = task
-                        .kernel
-                        .lock()
-                        .take()
-                        .unwrap_or_else(|| panic!("task '{}' executed twice", task.name));
-                    let t0 = start.elapsed().as_secs_f64();
-                    let result = kernel();
-                    if let Some(events) = events {
-                        if result.executed {
-                            events.lock().push(TraceEvent {
-                                name: task.name.clone(),
-                                node: task.node,
-                                worker,
-                                step: step_index(&task.name),
-                                start: t0,
-                                end: start.elapsed().as_secs_f64(),
-                            });
-                        }
-                    }
-                    task.result
-                        .set(result)
-                        .expect("task result already recorded");
-                    // Release successors.
-                    for &s in &task.successors {
-                        let prev = graph.tasks[s]
-                            .preds_remaining
-                            .fetch_sub(1, Ordering::AcqRel);
-                        debug_assert!(prev >= 1, "dependency underflow");
-                        if prev == 1 {
-                            let _ = tx.send(s);
-                        }
-                    }
+                    run_one(tid, worker, &mut |s| {
+                        let _ = tx.send(s);
+                    });
                     // The worker finishing the last task wakes everyone up
                     // with one sentinel per worker.
                     if remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
@@ -358,26 +328,14 @@ fn execute_inner(
         drop(rx);
     });
 
-    // Collect statistics.
-    let mut tally = Tally::default();
-    for t in &graph.tasks {
-        match t.result() {
-            Some(r) => tally.record(&r),
-            None => panic!("task '{}' never ran — cyclic or broken graph", t.name),
-        }
-    }
-    ExecReport {
-        wall_seconds: start.elapsed().as_secs_f64(),
-        tasks_executed: tally.executed,
-        tasks_discarded: tally.discarded,
-        total_flops: tally.flops,
-    }
+    graph.report(start.elapsed().as_secs_f64())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::{Access, DataKey, GraphBuilder, TaskResult};
+    use crate::graph::{Access, DataKey, TaskResult};
+    use crate::testing::TestGraph;
     use std::sync::atomic::AtomicU64;
     use std::sync::Arc;
 
@@ -388,7 +346,7 @@ mod tests {
     #[test]
     fn executes_chain_in_order() {
         let log = Arc::new(parking_lot::Mutex::new(Vec::new()));
-        let mut b = GraphBuilder::new(1);
+        let mut b = TestGraph::new(1);
         b.declare(k(0), 8, 0);
         for i in 0..50u64 {
             let log = Arc::clone(&log);
@@ -408,7 +366,7 @@ mod tests {
     #[test]
     fn parallel_tasks_all_run() {
         let counter = Arc::new(AtomicU64::new(0));
-        let mut b = GraphBuilder::new(1);
+        let mut b = TestGraph::new(1);
         for i in 0..200u64 {
             b.declare(k(i), 8, 0);
             let c = Arc::clone(&counter);
@@ -428,7 +386,7 @@ mod tests {
     fn fork_join_respects_dependencies() {
         // src -> 100 readers -> sink; sink must observe all reader effects.
         let acc = Arc::new(AtomicU64::new(0));
-        let mut b = GraphBuilder::new(1);
+        let mut b = TestGraph::new(1);
         b.declare(k(0), 8, 0);
         b.task("src", 0, &[Access::Mut(k(0))], TaskResult::control);
         for i in 0..100u64 {
@@ -449,7 +407,7 @@ mod tests {
 
     #[test]
     fn discarded_tasks_counted() {
-        let mut b = GraphBuilder::new(1);
+        let mut b = TestGraph::new(1);
         b.declare(k(0), 8, 0);
         b.task("real", 0, &[Access::Mut(k(0))], || {
             TaskResult::executed(5.0, CostClass::Trsm)
@@ -467,7 +425,7 @@ mod tests {
         // arithmetic regardless of worker count.
         fn run(threads: usize) -> f64 {
             let cell = Arc::new(parking_lot::Mutex::new(1.0f64));
-            let mut b = GraphBuilder::new(1);
+            let mut b = TestGraph::new(1);
             b.declare(k(0), 8, 0);
             for i in 0..40 {
                 let cell = Arc::clone(&cell);
@@ -494,7 +452,7 @@ mod tests {
         // policy only permutes independent work.
         fn run(threads: usize, policy: SchedPolicy) -> (f64, usize) {
             let cell = Arc::new(parking_lot::Mutex::new(1.0f64));
-            let mut b = GraphBuilder::new(1);
+            let mut b = TestGraph::new(1);
             b.declare(k(0), 8, 0);
             for i in 0..40 {
                 let cell = Arc::clone(&cell);
@@ -533,7 +491,7 @@ mod tests {
         // two-level graph separates them: depth-first pops the second
         // level's deep chain before the remaining shallow roots.
         let log = Arc::new(parking_lot::Mutex::new(Vec::new()));
-        let mut b = GraphBuilder::new(1);
+        let mut b = TestGraph::new(1);
         for i in 0..6u64 {
             b.declare(k(i), 8, 0);
             let log = Arc::clone(&log);
@@ -549,7 +507,7 @@ mod tests {
 
     #[test]
     fn memory_tasks_not_counted_as_flops() {
-        let mut b = GraphBuilder::new(1);
+        let mut b = TestGraph::new(1);
         b.declare(k(0), 8, 0);
         b.task("bk", 0, &[Access::Read(k(0))], || TaskResult::memory(4096));
         let g = b.build();

@@ -1,24 +1,32 @@
 //! Task graph with superscalar (data-hazard) dependency inference.
 //!
 //! The PaRSEC runtime used by the paper represents algorithms as
-//! parameterized task graphs. Here tasks are inserted sequentially by the
-//! algorithm driver and dependencies are inferred from the data each task
-//! reads and writes (RAW, WAR, WAW hazards over [`DataKey`]s) — the
-//! "superscalar" insertion model. This gives the same DAG a PTG would,
-//! including automatic pipelining between consecutive elimination steps.
+//! parameterized task graphs: a task is `(class, k, i, j)` and its body,
+//! name, accesses and cost are functions of that tuple. Here a task is a
+//! [`TaskOp`] — a `Copy` descriptor the algorithm layer defines — and the
+//! runtime stores that descriptor, the task's placement and its hazard
+//! edges, and nothing else per task: names are rendered when a trace event
+//! or a DOT node is emitted, accesses are re-derived when a graph is
+//! replayed, and the body is one call into the op's interpreter against
+//! the run's shared context ([`TaskOp::Ctx`]). The runtime is generic over
+//! the op type and never sees the algorithm layer's op set.
+//!
+//! Tasks are inserted sequentially by the algorithm driver and
+//! dependencies are inferred from the data each op reads and writes (RAW,
+//! WAR, WAW hazards over [`DataKey`]s) — the "superscalar" insertion
+//! model. This gives the same DAG a PTG would, including automatic
+//! pipelining between consecutive elimination steps.
 //!
 //! The paper's *dynamic* task-graph extension (Section IV) is modelled
 //! exactly: the graph statically contains **both** the LU-branch and the
 //! QR-branch tasks of every step; the panel task records its criterion
-//! decision, and each branch task consults it at execution time, either
+//! decision, and each branch op consults it at execution time, either
 //! performing its kernel or reporting itself "discarded" (`executed =
 //! false`). Discarded tasks cost nothing and transfer nothing — they are
 //! the Propagate-selected dead paths of Figure 1.
 
-use std::sync::atomic::AtomicUsize;
-use std::sync::OnceLock;
-
-use parking_lot::Mutex;
+use std::sync::atomic::AtomicU32;
+use std::sync::{Arc, OnceLock};
 
 use crate::hash::IntMap;
 
@@ -63,11 +71,11 @@ pub enum DataClass {
     Decision,
 }
 
-/// An access paired with the accessed datum's declaration, snapshotted at
-/// task-insertion time. This is what the virtual-time simulator consumes:
-/// it lets the communication model be replayed from the task sequence
-/// alone, identically for a materialized batch graph and for the streaming
-/// window's reclaimed records.
+/// An access paired with the accessed datum's declaration. This is what
+/// the virtual-time simulator consumes: it lets the communication model be
+/// replayed from the task sequence alone, identically for a materialized
+/// batch graph (which re-derives the accesses from each op) and for the
+/// streaming window's reclaimed records.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostedAccess {
     pub access: Access,
@@ -230,98 +238,209 @@ impl TaskResult {
     }
 }
 
-/// A boxed task body, consumed exactly once when the task executes.
-pub type Kernel = Box<dyn FnOnce() -> TaskResult + Send>;
+/// A task descriptor: plain `Copy` data from which everything the runtime
+/// needs about the task is *derived on demand* — its body, its name, its
+/// elimination step and its data accesses — against one per-run context
+/// ([`TaskOp::Ctx`]: the tiles, the per-step cells, the options). This is
+/// PaRSEC's `(class, k, i, j)`: the runtime stores the descriptor and
+/// nothing per task that the descriptor determines.
+///
+/// The runtime is generic over the op type, so it knows nothing of the
+/// algorithm layer's op set; its own tests implement the trait for a body
+/// table of their own.
+pub trait TaskOp: Copy + Send + Sync + 'static {
+    /// What an op is interpreted against. One per run, shared by every
+    /// thread that plans, executes or renders ops.
+    type Ctx: Send + Sync + 'static;
+
+    /// Execute the task body.
+    fn run(self, ctx: &Self::Ctx) -> TaskResult;
+
+    /// The elimination step the task belongs to — the streaming window's
+    /// retirement unit and the `step` of a [`crate::trace::TraceEvent`].
+    fn step(self, ctx: &Self::Ctx) -> Option<usize>;
+
+    /// Append the task's human-readable name (`"GEMM(3,4,k=2)"`). Called
+    /// only when a trace event, a DOT node or a diagnostic is rendered.
+    fn write_name(self, ctx: &Self::Ctx, out: &mut String);
+
+    /// Visit the task's data accesses, in declaration order. Must yield
+    /// the same sequence every time it is called for the same op.
+    fn for_each_access(self, ctx: &Self::Ctx, f: impl FnMut(Access));
+
+    /// Message class of a datum (see [`DataClass`]).
+    fn data_class(_ctx: &Self::Ctx, _key: DataKey) -> DataClass {
+        DataClass::Payload
+    }
+
+    /// The rendered name, as an owned string.
+    fn name(self, ctx: &Self::Ctx) -> String {
+        let mut s = String::new();
+        self.write_name(ctx, &mut s);
+        s
+    }
+}
 
 /// Destination of task insertion: either the batch [`GraphBuilder`] (the
 /// whole factorization is materialized, then executed) or the streaming
 /// window ([`crate::stream::StreamWindow`], tasks execute while later steps
 /// are still being planned). Algorithm planners write against this trait so
 /// the same insertion code drives both runtimes; both implementations infer
-/// dependencies from `accesses` with identical hazard rules, which is what
-/// keeps batch and streaming execution bitwise-identical.
-pub trait TaskSink {
+/// dependencies from the op's accesses with identical hazard rules, which
+/// is what keeps batch and streaming execution bitwise-identical.
+pub trait TaskSink<O: TaskOp> {
     /// Number of virtual nodes task placements may reference.
     fn num_nodes(&self) -> usize;
 
     /// Declare a datum: its size in bytes (communication costing) and the
-    /// node where it initially resides.
+    /// node where it initially resides. Redeclaring a key keeps its hazard
+    /// state and replaces both values, but the two sinks differ in which
+    /// tasks see the replacement: the streaming window prices a task's
+    /// accesses when it is inserted, so only later tasks do; the batch
+    /// [`GraphBuilder`] keeps one declaration per key and prices accesses
+    /// when the graph is replayed ([`TaskRef::accesses`], the simulator),
+    /// so every task of the graph does. A planner that wants both sinks to
+    /// agree declares a key's size and home once.
     fn declare(&mut self, key: DataKey, bytes: usize, home_node: usize);
 
-    /// Classify an already-declared datum (default: every datum is
-    /// [`DataClass::Payload`]). Sinks that do not account messages may
-    /// ignore this.
-    fn declare_class(&mut self, _key: DataKey, _class: DataClass) {}
-
-    /// Insert a task whose dependencies are inferred from `accesses`.
-    fn push_task(
-        &mut self,
-        name: String,
-        node: usize,
-        accesses: &[Access],
-        kernel: Kernel,
-    ) -> TaskId;
+    /// Insert a task placed on `node`; its dependencies are inferred from
+    /// the op's accesses.
+    fn push(&mut self, node: usize, op: O) -> TaskId;
 }
 
-impl dyn TaskSink + '_ {
-    /// Start a typed task insertion (the planner-facing surface; see
-    /// [`GraphBuilder::insert`] for the batch equivalent).
-    pub fn insert(&mut self, name: impl Into<String>, node: usize) -> TaskBuilder<'_> {
-        TaskBuilder {
-            sink: self,
-            name: name.into(),
-            node,
-            // Typical tasks declare a handful of accesses; start with room
-            // for them so the builder chain doesn't reallocate.
-            accesses: Vec::with_capacity(8),
-            guard: None,
-        }
-    }
+/// The stored part of one task: its descriptor, its placement and how many
+/// tasks it waits for. Everything else is derived from `op`.
+struct TaskRec<O> {
+    op: O,
+    node: u32,
+    num_preds: u32,
 }
 
-/// One node of the task graph.
-pub struct Task {
-    /// Human-readable name (trace / DOT export), e.g. `"GEMM(3,4,k=2)"`.
-    pub name: String,
-    /// Owner node in the virtual platform (owner-computes placement).
-    pub node: usize,
-    /// Successor task ids (deduplicated).
-    pub successors: Vec<TaskId>,
-    /// Number of predecessors (for the executor's countdown).
-    pub num_preds: usize,
+/// Execution state of one task.
+pub(crate) struct RunCell {
     /// Remaining predecessor count during execution.
-    pub(crate) preds_remaining: AtomicUsize,
-    /// The task's declared accesses with datum metadata snapshotted at
-    /// insertion time (what the virtual-time simulator consumes for both
-    /// dependency timing and communication accounting).
-    pub accesses: Vec<CostedAccess>,
-    /// The kernel (consumed on execution).
-    pub(crate) kernel: Mutex<Option<Kernel>>,
+    pub(crate) preds_remaining: AtomicU32,
     /// Result recorded by the executor.
     pub(crate) result: OnceLock<TaskResult>,
 }
 
-impl Task {
+/// Metadata for one declared datum.
+#[derive(Debug, Clone, Copy)]
+struct DataInfo {
+    bytes: usize,
+    home_node: usize,
+}
+
+/// Immutable, executable task graph: one descriptor record per task, the
+/// successor lists of all tasks in one compressed array, and the run
+/// context the descriptors are interpreted against.
+pub struct Graph<O: TaskOp> {
+    /// Number of virtual nodes referenced by task placements.
+    pub num_nodes: usize,
+    ctx: Arc<O::Ctx>,
+    tasks: Vec<TaskRec<O>>,
+    /// `succs[succ_start[id]..succ_start[id + 1]]` are the successors of
+    /// task `id`, ascending.
+    succ_start: Vec<u32>,
+    succs: Vec<TaskId>,
+    pub(crate) run: Vec<RunCell>,
+    data: IntMap<DataKey, DataInfo>,
+}
+
+/// One task of a [`Graph`], for inspection (simulation, traces, tests).
+pub struct TaskRef<'g, O: TaskOp> {
+    graph: &'g Graph<O>,
+    /// The task's id (its insertion index).
+    pub id: TaskId,
+}
+
+impl<'g, O: TaskOp> TaskRef<'g, O> {
+    /// The task's descriptor.
+    pub fn op(&self) -> O {
+        self.graph.tasks[self.id].op
+    }
+
+    /// Owner node in the virtual platform (owner-computes placement).
+    pub fn node(&self) -> usize {
+        self.graph.tasks[self.id].node as usize
+    }
+
+    /// Number of predecessors.
+    pub fn num_preds(&self) -> usize {
+        self.graph.tasks[self.id].num_preds as usize
+    }
+
+    /// Successor task ids, ascending.
+    pub fn successors(&self) -> &'g [TaskId] {
+        let (a, b) = (
+            self.graph.succ_start[self.id],
+            self.graph.succ_start[self.id + 1],
+        );
+        &self.graph.succs[a as usize..b as usize]
+    }
+
     /// The recorded execution result, if the task has run.
     pub fn result(&self) -> Option<TaskResult> {
-        self.result.get().copied()
+        self.graph.run[self.id].result.get().copied()
+    }
+
+    /// Human-readable name (trace / DOT export), e.g. `"GEMM(3,4,k=2)"`,
+    /// rendered now.
+    pub fn name(&self) -> String {
+        self.op().name(&self.graph.ctx)
+    }
+
+    /// Elimination step of the task.
+    pub fn step(&self) -> Option<usize> {
+        self.op().step(&self.graph.ctx)
+    }
+
+    /// The task's accesses paired with their data's declarations — what
+    /// the virtual-time simulator consumes.
+    pub fn accesses(&self) -> Vec<CostedAccess> {
+        let mut out = Vec::new();
+        self.accesses_into(&mut out);
+        out
+    }
+
+    /// [`TaskRef::accesses`] into a caller-kept buffer (cleared first).
+    pub fn accesses_into(&self, out: &mut Vec<CostedAccess>) {
+        out.clear();
+        let data = &self.graph.data;
+        self.op().for_each_access(&self.graph.ctx, |access| {
+            let info = data[&access.key()];
+            out.push(CostedAccess {
+                access,
+                bytes: info.bytes,
+                home: info.home_node,
+            });
+        });
     }
 }
 
-/// Immutable, executable task graph.
-pub struct Graph {
-    pub tasks: Vec<Task>,
-    /// Number of virtual nodes referenced by task placements.
-    pub num_nodes: usize,
-}
-
-impl Graph {
+impl<O: TaskOp> Graph<O> {
     pub fn len(&self) -> usize {
         self.tasks.len()
     }
 
     pub fn is_empty(&self) -> bool {
         self.tasks.is_empty()
+    }
+
+    /// The context the graph's ops are interpreted against.
+    pub fn ctx(&self) -> &O::Ctx {
+        &self.ctx
+    }
+
+    /// Task `id`.
+    pub fn task(&self, id: TaskId) -> TaskRef<'_, O> {
+        assert!(id < self.tasks.len(), "task id out of range");
+        TaskRef { graph: self, id }
+    }
+
+    /// Every task, in insertion order.
+    pub fn tasks(&self) -> impl Iterator<Item = TaskRef<'_, O>> {
+        (0..self.tasks.len()).map(move |id| TaskRef { graph: self, id })
     }
 
     /// Ids of tasks with no predecessors.
@@ -335,13 +454,13 @@ impl Graph {
     /// hazard-inferred graphs are acyclic by construction since edges only
     /// point from earlier to later insertions).
     pub fn validate(&self) -> Result<(), String> {
-        for (id, t) in self.tasks.iter().enumerate() {
-            for &s in &t.successors {
-                if s <= id {
-                    return Err(format!("edge {id} -> {s} violates insertion order"));
+        for t in self.tasks() {
+            for &s in t.successors() {
+                if s <= t.id {
+                    return Err(format!("edge {} -> {s} violates insertion order", t.id));
                 }
                 if s >= self.tasks.len() {
-                    return Err(format!("edge {id} -> {s} out of range"));
+                    return Err(format!("edge {} -> {s} out of range", t.id));
                 }
             }
         }
@@ -349,40 +468,67 @@ impl Graph {
     }
 }
 
-/// Metadata for one declared datum.
-#[derive(Debug, Clone, Copy)]
-struct DataInfo {
-    bytes: usize,
-    home_node: usize,
+/// One declared datum of the builder: its declaration and hazard state.
+struct Datum {
+    info: DataInfo,
+    hazard: crate::hazard::HazardCell<()>,
 }
 
 /// Builds a [`Graph`] by sequential task insertion with hazard-inferred
 /// dependencies (the shared [`crate::hazard`] core; no writer payload and
 /// no depth tracking here — the graph keeps every task record, so depth
 /// is recomputable and liveness is universal).
-pub struct GraphBuilder {
+///
+/// Per insertion the builder appends one descriptor record and the task's
+/// predecessor ids to one flat edge array; [`GraphBuilder::build`] turns
+/// that array into the successor lists.
+pub struct GraphBuilder<O: TaskOp> {
     num_nodes: usize,
-    tasks: Vec<Task>,
-    data: IntMap<DataKey, DataInfo>,
-    hazards: IntMap<DataKey, crate::hazard::HazardCell<()>>,
+    ctx: Arc<O::Ctx>,
+    tasks: Vec<TaskRec<O>>,
+    /// Predecessor ids of every task, in insertion order of the tasks
+    /// (`num_preds` of them per task).
+    pred_edges: Vec<u32>,
+    data: Vec<Datum>,
+    slot_of: IntMap<DataKey, u32>,
+    /// Per-insertion work vectors, kept across insertions.
+    slots: Vec<(Access, u32)>,
+    preds: Vec<TaskId>,
 }
 
-impl GraphBuilder {
-    pub fn new(num_nodes: usize) -> Self {
+impl<O: TaskOp> GraphBuilder<O> {
+    pub fn new(num_nodes: usize, ctx: Arc<O::Ctx>) -> Self {
         assert!(num_nodes >= 1);
         GraphBuilder {
             num_nodes,
+            ctx,
             tasks: Vec::new(),
-            data: IntMap::default(),
-            hazards: IntMap::default(),
+            pred_edges: Vec::new(),
+            data: Vec::new(),
+            slot_of: IntMap::default(),
+            slots: Vec::new(),
+            preds: Vec::new(),
         }
     }
 
     /// Declare a datum: its size in bytes (for communication costing) and
-    /// the node where it initially resides.
+    /// the node where it initially resides. A redeclaration replaces both
+    /// (for every task of the graph: accesses are priced when replayed)
+    /// and keeps the hazard state.
     pub fn declare(&mut self, key: DataKey, bytes: usize, home_node: usize) {
         assert!(home_node < self.num_nodes);
-        self.data.insert(key, DataInfo { bytes, home_node });
+        let info = DataInfo { bytes, home_node };
+        match self.slot_of.get(&key) {
+            Some(&slot) => self.data[slot as usize].info = info,
+            None => {
+                let slot = u32::try_from(self.data.len()).expect("datum slots fit 32 bits");
+                self.slot_of.insert(key, slot);
+                self.data.push(Datum {
+                    info,
+                    hazard: Default::default(),
+                });
+            }
+        }
     }
 
     /// Number of virtual nodes task placements may reference.
@@ -399,109 +545,113 @@ impl GraphBuilder {
         self.tasks.is_empty()
     }
 
-    /// Insert a task. Dependencies on all previously inserted tasks are
-    /// inferred from `accesses`; `kernel` runs when they have completed.
-    pub fn task(
-        &mut self,
-        name: impl Into<String>,
-        node: usize,
-        accesses: &[Access],
-        kernel: impl FnOnce() -> TaskResult + Send + 'static,
-    ) -> TaskId {
-        self.push_boxed(name.into(), node, accesses, Box::new(kernel))
-    }
-
-    fn push_boxed(
-        &mut self,
-        name: String,
-        node: usize,
-        accesses: &[Access],
-        kernel: Kernel,
-    ) -> TaskId {
+    /// Insert a task placed on `node`. Dependencies on all previously
+    /// inserted tasks are inferred from the op's accesses; the op runs
+    /// when they have completed.
+    pub fn push(&mut self, node: usize, op: O) -> TaskId {
         assert!(node < self.num_nodes, "task placed on unknown node");
         let id = self.tasks.len();
-        let mut preds: Vec<TaskId> = Vec::with_capacity(accesses.len());
-        let mut costed: Vec<CostedAccess> = Vec::with_capacity(accesses.len());
+        assert!(id < u32::MAX as usize, "task ids fit 32 bits");
+        let GraphBuilder {
+            ctx,
+            data,
+            slot_of,
+            slots,
+            preds,
+            ..
+        } = self;
+        slots.clear();
+        preds.clear();
 
-        // Pass 1: costed snapshots + hazard predecessors over the
+        // Pass 1: resolve each access to its datum (the one hashed look-up
+        // per access) and collect hazard predecessors over the
         // pre-insertion cells (RAW/WAW/control via the last writer, WAR
         // via the readers since that write). Who the data *moves* from is
-        // the simulator's business — it re-derives flow from the access
-        // snapshots, skipping discarded writers.
+        // the simulator's business — it re-derives flow from the accesses,
+        // skipping discarded writers.
         let mut depth = 0u64;
-        for acc in accesses {
+        op.for_each_access(ctx, |acc| {
             let key = acc.key();
-            let info = *self
-                .data
+            let slot = *slot_of
                 .get(&key)
                 .unwrap_or_else(|| panic!("access to undeclared data {key:?} by task '{id}'"));
-            costed.push(CostedAccess {
-                access: *acc,
-                bytes: info.bytes,
-                home: info.home_node,
-            });
-            if let Some(cell) = self.hazards.get(&key) {
-                cell.fold_preds(matches!(acc, Access::Mut(_)), &mut preds, &mut depth);
-            }
-        }
+            slots.push((acc, slot));
+            data[slot as usize]
+                .hazard
+                .fold_preds(matches!(acc, Access::Mut(_)), preds, &mut depth);
+        });
 
         // Pass 2: update the cells in access order.
-        for acc in accesses {
-            let key = acc.key();
+        for &(acc, slot) in slots.iter() {
+            let hazard = &mut data[slot as usize].hazard;
             match acc {
-                Access::Read(_) => self.hazards.entry(key).or_default().note_read(id, 0),
+                Access::Read(_) => hazard.note_read(id, 0),
                 Access::Control(_) => {}
-                Access::Mut(_) => self.hazards.entry(key).or_default().note_write(id, 0, ()),
+                Access::Mut(_) => hazard.note_write(id, 0, ()),
             }
         }
 
         // Pass 3: dedup predecessors, drop self-references from repeated
         // keys (every inserted task stays live in a batch graph).
-        crate::hazard::finalize_preds(&mut preds, id, |_| true);
+        crate::hazard::finalize_preds(preds, id, |_| true);
 
-        let num_preds = preds.len();
-        let task = Task {
-            name,
-            node,
-            successors: Vec::new(),
-            num_preds,
-            preds_remaining: AtomicUsize::new(num_preds),
-            accesses: costed,
-            kernel: Mutex::new(Some(kernel)),
-            result: OnceLock::new(),
-        };
-        self.tasks.push(task);
-        for p in preds {
-            self.tasks[p].successors.push(id);
-        }
+        self.pred_edges.extend(preds.iter().map(|&p| p as u32));
+        self.tasks.push(TaskRec {
+            op,
+            node: node as u32,
+            num_preds: preds.len() as u32,
+        });
         id
     }
 
-    /// Start a typed task insertion: declare accesses fluently, optionally
-    /// gate the task on a runtime branch decision, then [`TaskBuilder::spawn`]
-    /// the kernel. This is the preferred insertion surface for algorithm
-    /// planners — it removes hand-rolled `&[Access::...]` arrays and
-    /// centralizes the dynamic branch-discard mechanism.
-    pub fn insert(&mut self, name: impl Into<String>, node: usize) -> TaskBuilder<'_> {
-        (self as &mut dyn TaskSink).insert(name, node)
-    }
-
-    /// Finalize into an executable [`Graph`].
-    pub fn build(mut self) -> Graph {
-        for t in &mut self.tasks {
-            t.successors.sort_unstable();
-            t.successors.dedup();
+    /// Finalize into an executable [`Graph`]: transpose the predecessor
+    /// edges into per-task successor lists (ascending and free of
+    /// duplicates, because tasks are visited in id order and each task's
+    /// predecessors were deduplicated).
+    pub fn build(self) -> Graph<O> {
+        let n = self.tasks.len();
+        let mut succ_start = vec![0u32; n + 1];
+        for &p in &self.pred_edges {
+            succ_start[p as usize + 1] += 1;
+        }
+        for i in 0..n {
+            succ_start[i + 1] += succ_start[i];
+        }
+        let mut cursor = succ_start.clone();
+        let mut succs = vec![0 as TaskId; self.pred_edges.len()];
+        let mut edges = self.pred_edges.iter();
+        for (id, t) in self.tasks.iter().enumerate() {
+            for &p in edges.by_ref().take(t.num_preds as usize) {
+                succs[cursor[p as usize] as usize] = id;
+                cursor[p as usize] += 1;
+            }
         }
         let g = Graph {
-            tasks: self.tasks,
             num_nodes: self.num_nodes,
+            ctx: self.ctx,
+            run: self
+                .tasks
+                .iter()
+                .map(|t| RunCell {
+                    preds_remaining: AtomicU32::new(t.num_preds),
+                    result: OnceLock::new(),
+                })
+                .collect(),
+            tasks: self.tasks,
+            succ_start,
+            succs,
+            data: self
+                .slot_of
+                .into_iter()
+                .map(|(key, slot)| (key, self.data[slot as usize].info))
+                .collect(),
         };
         debug_assert!(g.validate().is_ok());
         g
     }
 }
 
-impl TaskSink for GraphBuilder {
+impl<O: TaskOp> TaskSink<O> for GraphBuilder<O> {
     fn num_nodes(&self) -> usize {
         self.num_nodes
     }
@@ -510,136 +660,15 @@ impl TaskSink for GraphBuilder {
         GraphBuilder::declare(self, key, bytes, home_node);
     }
 
-    fn push_task(
-        &mut self,
-        name: String,
-        node: usize,
-        accesses: &[Access],
-        kernel: Kernel,
-    ) -> TaskId {
-        self.push_boxed(name, node, accesses, kernel)
-    }
-}
-
-/// Fluent, typed task insertion (created by [`GraphBuilder::insert`]).
-///
-/// Accesses are recorded in call order; [`TaskBuilder::guard`] implements
-/// the paper's dynamic task-graph discard: both branch alternatives are
-/// statically present in the graph, and a guarded task consults its branch
-/// predicate at execution time, running its kernel or reporting itself
-/// [`TaskResult::discarded`].
-pub struct TaskBuilder<'b> {
-    sink: &'b mut dyn TaskSink,
-    name: String,
-    node: usize,
-    accesses: Vec<Access>,
-    guard: Option<Box<dyn Fn() -> bool + Send + 'static>>,
-}
-
-impl TaskBuilder<'_> {
-    /// Shared-read access.
-    pub fn reads(mut self, key: DataKey) -> Self {
-        self.accesses.push(Access::Read(key));
-        self
-    }
-
-    /// Shared-read access to each key in `keys`.
-    pub fn reads_each(mut self, keys: impl IntoIterator<Item = DataKey>) -> Self {
-        self.accesses.extend(keys.into_iter().map(Access::Read));
-        self
-    }
-
-    /// Exclusive read-write access.
-    pub fn writes(mut self, key: DataKey) -> Self {
-        self.accesses.push(Access::Mut(key));
-        self
-    }
-
-    /// Exclusive read-write access to each key in `keys`.
-    pub fn writes_each(mut self, keys: impl IntoIterator<Item = DataKey>) -> Self {
-        self.accesses.extend(keys.into_iter().map(Access::Mut));
-        self
-    }
-
-    /// Ordering-only access (synchronize with the key's last writer, move no
-    /// data).
-    pub fn controls(mut self, key: DataKey) -> Self {
-        self.accesses.push(Access::Control(key));
-        self
-    }
-
-    /// Ordering-only access to each key in `keys`.
-    pub fn controls_each(mut self, keys: impl IntoIterator<Item = DataKey>) -> Self {
-        self.accesses.extend(keys.into_iter().map(Access::Control));
-        self
-    }
-
-    /// Gate this task on a branch decision stored under `decision_key`: the
-    /// task reads the decision datum and, at execution time, runs its kernel
-    /// only if `selected()` returns true — otherwise it discards itself
-    /// (zero cost, no data flow). One task of every branch pair survives.
-    pub fn guard(
-        mut self,
-        decision_key: DataKey,
-        selected: impl Fn() -> bool + Send + 'static,
-    ) -> Self {
-        // The decision read is ordered first so trace output shows the gate.
-        self.accesses.insert(0, Access::Read(decision_key));
-        self.guard = Some(Box::new(selected));
-        self
-    }
-
-    /// Insert the task with a raw kernel returning its own [`TaskResult`].
-    pub fn spawn(self, kernel: impl FnOnce() -> TaskResult + Send + 'static) -> TaskId {
-        let TaskBuilder {
-            sink,
-            name,
-            node,
-            accesses,
-            guard,
-        } = self;
-        let kernel: Kernel = match guard {
-            None => Box::new(kernel),
-            Some(selected) => Box::new(move || {
-                if !selected() {
-                    return TaskResult::discarded();
-                }
-                kernel()
-            }),
-        };
-        sink.push_task(name, node, &accesses, kernel)
-    }
-
-    /// Insert a compute task with declared cost: the kernel body just does
-    /// the work, and the task result is tagged `(flops, class)` — the
-    /// cost-class tagging used by the platform simulator's efficiency model.
-    pub fn spawn_costed(
-        self,
-        flops: f64,
-        class: CostClass,
-        body: impl FnOnce() + Send + 'static,
-    ) -> TaskId {
-        self.spawn(move || {
-            body();
-            TaskResult::executed(flops, class)
-        })
-    }
-
-    /// Insert a memory-movement task of `bytes` volume (backup / restore /
-    /// swap traffic; costed by bandwidth, not flops).
-    pub fn spawn_memory(self, bytes: usize, body: impl FnOnce() + Send + 'static) -> TaskId {
-        self.spawn(move || {
-            body();
-            TaskResult::memory(bytes)
-        })
+    fn push(&mut self, node: usize, op: O) -> TaskId {
+        GraphBuilder::push(self, node, op)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::Arc;
+    use crate::testing::TestGraph;
 
     fn k(i: u64) -> DataKey {
         DataKey(i)
@@ -651,19 +680,19 @@ mod tests {
 
     #[test]
     fn raw_dependency() {
-        let mut b = GraphBuilder::new(1);
+        let mut b = TestGraph::new(1);
         b.declare(k(0), 8, 0);
         let w = b.task("w", 0, &[Access::Mut(k(0))], noop);
         let r = b.task("r", 0, &[Access::Read(k(0))], noop);
         let g = b.build();
-        assert_eq!(g.tasks[w].successors, vec![r]);
-        assert_eq!(g.tasks[r].num_preds, 1);
-        assert_eq!(g.tasks[r].accesses[0].access, Access::Read(k(0)));
+        assert_eq!(g.task(w).successors(), [r]);
+        assert_eq!(g.task(r).num_preds(), 1);
+        assert_eq!(g.task(r).accesses()[0].access, Access::Read(k(0)));
     }
 
     #[test]
     fn war_and_waw_dependencies() {
-        let mut b = GraphBuilder::new(1);
+        let mut b = TestGraph::new(1);
         b.declare(k(0), 8, 0);
         let w1 = b.task("w1", 0, &[Access::Mut(k(0))], noop);
         let r1 = b.task("r1", 0, &[Access::Read(k(0))], noop);
@@ -671,192 +700,118 @@ mod tests {
         let w2 = b.task("w2", 0, &[Access::Mut(k(0))], noop);
         let g = b.build();
         // w2 must wait for both readers (WAR) and the previous writer (WAW).
-        assert!(g.tasks[r1].successors.contains(&w2));
-        assert!(g.tasks[r2].successors.contains(&w2));
-        assert!(g.tasks[w1].successors.contains(&r1));
-        assert_eq!(g.tasks[w2].num_preds, 3);
+        assert!(g.task(r1).successors().contains(&w2));
+        assert!(g.task(r2).successors().contains(&w2));
+        assert!(g.task(w1).successors().contains(&r1));
+        assert_eq!(g.task(w2).num_preds(), 3);
     }
 
     #[test]
     fn independent_tasks_have_no_edges() {
-        let mut b = GraphBuilder::new(1);
+        let mut b = TestGraph::new(1);
         b.declare(k(0), 8, 0);
         b.declare(k(1), 8, 0);
         let a = b.task("a", 0, &[Access::Mut(k(0))], noop);
         let c = b.task("c", 0, &[Access::Mut(k(1))], noop);
         let g = b.build();
-        assert!(g.tasks[a].successors.is_empty());
-        assert!(g.tasks[c].successors.is_empty());
+        assert!(g.task(a).successors().is_empty());
+        assert!(g.task(c).successors().is_empty());
         assert_eq!(g.roots(), vec![a, c]);
     }
 
     #[test]
     fn concurrent_readers_share_no_edges() {
-        let mut b = GraphBuilder::new(1);
+        let mut b = TestGraph::new(1);
         b.declare(k(0), 8, 0);
         let w = b.task("w", 0, &[Access::Mut(k(0))], noop);
         let r1 = b.task("r1", 0, &[Access::Read(k(0))], noop);
         let r2 = b.task("r2", 0, &[Access::Read(k(0))], noop);
         let g = b.build();
-        assert!(!g.tasks[r1].successors.contains(&r2));
-        assert_eq!(g.tasks[w].successors, vec![r1, r2]);
+        assert!(!g.task(r1).successors().contains(&r2));
+        assert_eq!(g.task(w).successors(), [r1, r2]);
     }
 
     #[test]
-    fn access_snapshot_records_declaration() {
-        let mut b = GraphBuilder::new(4);
+    fn accesses_carry_the_declaration() {
+        let mut b = TestGraph::new(4);
         b.declare(k(7), 1024, 3);
         let t = b.task("t", 1, &[Access::Read(k(7))], noop);
         let g = b.build();
         // The simulator fetches never-written data from its declared home
-        // with its declared size — both snapshotted at insertion time.
-        let ca = g.tasks[t].accesses[0];
+        // with its declared size.
+        let ca = g.task(t).accesses()[0];
         assert_eq!(ca.access, Access::Read(k(7)));
         assert_eq!(ca.home, 3);
         assert_eq!(ca.bytes, 1024);
     }
 
     #[test]
-    fn access_snapshot_survives_redeclaration() {
-        let mut b = GraphBuilder::new(2);
+    fn redeclaration_keeps_hazards_and_replaces_the_declaration() {
+        let mut b = TestGraph::new(2);
         b.declare(k(0), 64, 0);
-        let early = b.task("early", 0, &[Access::Read(k(0))], noop);
+        let early = b.task("early", 0, &[Access::Mut(k(0))], noop);
         b.declare(k(0), 128, 1); // redeclare: new size and home
         let late = b.task("late", 0, &[Access::Read(k(0))], noop);
         let g = b.build();
-        assert_eq!(g.tasks[early].accesses[0].bytes, 64);
-        assert_eq!(g.tasks[early].accesses[0].home, 0);
-        assert_eq!(g.tasks[late].accesses[0].bytes, 128);
-        assert_eq!(g.tasks[late].accesses[0].home, 1);
+        assert_eq!(g.task(early).successors(), [late]);
+        for t in [early, late] {
+            assert_eq!(g.task(t).accesses()[0].bytes, 128);
+            assert_eq!(g.task(t).accesses()[0].home, 1);
+        }
     }
 
     #[test]
     fn duplicate_key_access_does_not_self_depend() {
-        let mut b = GraphBuilder::new(1);
+        let mut b = TestGraph::new(1);
         b.declare(k(0), 8, 0);
         // A task that both reads and mutates the same tile (in-place update).
         let t = b.task("t", 0, &[Access::Read(k(0)), Access::Mut(k(0))], noop);
         let g = b.build();
-        assert_eq!(g.tasks[t].num_preds, 0);
-        assert!(!g.tasks[t].successors.contains(&t));
+        assert_eq!(g.task(t).num_preds(), 0);
+        assert!(!g.task(t).successors().contains(&t));
     }
 
     #[test]
     fn diamond_counts_preds_once() {
-        let mut b = GraphBuilder::new(1);
+        let mut b = TestGraph::new(1);
         b.declare(k(0), 8, 0);
         b.declare(k(1), 8, 0);
         let src = b.task("src", 0, &[Access::Mut(k(0)), Access::Mut(k(1))], noop);
         let mid = b.task("mid", 0, &[Access::Read(k(0)), Access::Read(k(1))], noop);
         let g = b.build();
         // Two data accesses, but only one precedence edge.
-        assert_eq!(g.tasks[mid].num_preds, 1);
-        assert_eq!(g.tasks[mid].accesses.len(), 2);
-        assert_eq!(g.tasks[src].successors, vec![mid]);
+        assert_eq!(g.task(mid).num_preds(), 1);
+        assert_eq!(g.task(mid).accesses().len(), 2);
+        assert_eq!(g.task(src).successors(), [mid]);
     }
 
     #[test]
-    fn kernels_are_consumed_once() {
-        let counter = Arc::new(AtomicU64::new(0));
-        let c2 = Arc::clone(&counter);
-        let mut b = GraphBuilder::new(1);
-        b.declare(k(0), 8, 0);
-        let t = b.task("t", 0, &[Access::Mut(k(0))], move || {
-            c2.fetch_add(1, Ordering::SeqCst);
-            TaskResult::control()
-        });
-        let g = b.build();
-        let kern = g.tasks[t].kernel.lock().take().unwrap();
-        let _ = kern();
-        assert_eq!(counter.load(Ordering::SeqCst), 1);
-        assert!(g.tasks[t].kernel.lock().is_none());
-    }
-
-    #[test]
-    fn task_builder_matches_raw_insertion() {
-        let mut b = GraphBuilder::new(2);
+    fn names_steps_and_accesses_are_derived_from_the_op() {
+        let mut b = TestGraph::new(2);
         b.declare(k(0), 8, 0);
         b.declare(k(1), 16, 1);
         b.declare(k(2), 8, 0);
-        let w = b
-            .insert("w", 0)
-            .writes(k(0))
-            .writes_each([k(1)])
-            .spawn(noop);
-        let r = b
-            .insert("r", 1)
-            .reads(k(0))
-            .reads_each([k(1)])
-            .controls(k(2))
-            .spawn(noop);
+        let accs = [
+            Access::Read(k(0)),
+            Access::Read(k(1)),
+            Access::Control(k(2)),
+        ];
+        let r = b.task("GEMM(1,2,k=3)", 1, &accs, noop);
         let g = b.build();
-        assert_eq!(g.tasks[w].successors, vec![r]);
-        assert_eq!(g.tasks[r].num_preds, 1);
-        // All three accesses are snapshotted, in call order.
-        let accs: Vec<Access> = g.tasks[r].accesses.iter().map(|c| c.access).collect();
+        let t = g.task(r);
         assert_eq!(
-            accs,
-            vec![
-                Access::Read(k(0)),
-                Access::Read(k(1)),
-                Access::Control(k(2))
-            ]
+            (t.name().as_str(), t.step(), t.node()),
+            ("GEMM(1,2,k=3)", Some(3), 1)
         );
-        // The datum declared on node 1 carries its home in the snapshot.
-        assert_eq!(g.tasks[r].accesses[1].home, 1);
-    }
-
-    #[test]
-    fn guarded_task_discards_when_branch_unselected() {
-        use std::sync::atomic::AtomicBool;
-        let decision = Arc::new(AtomicBool::new(false)); // "QR" selected
-        let mut b = GraphBuilder::new(1);
-        b.declare(k(0), 8, 0);
-        b.declare(k(9), 1, 0); // decision datum
-        let lu_branch = {
-            let d = Arc::clone(&decision);
-            b.insert("lu", 0)
-                .writes(k(0))
-                .guard(k(9), move || d.load(Ordering::SeqCst))
-                .spawn(|| TaskResult::executed(10.0, CostClass::Gemm))
-        };
-        let qr_branch = {
-            let d = Arc::clone(&decision);
-            b.insert("qr", 0)
-                .writes(k(0))
-                .guard(k(9), move || !d.load(Ordering::SeqCst))
-                .spawn(|| TaskResult::executed(20.0, CostClass::QrFactor))
-        };
-        let g = b.build();
-        let run = |t: TaskId| g.tasks[t].kernel.lock().take().unwrap()();
-        let lu = run(lu_branch);
-        let qr = run(qr_branch);
-        assert!(!lu.executed, "unselected branch must discard");
-        assert_eq!(lu.flops, 0.0);
-        assert!(qr.executed);
-        assert_eq!(qr.flops, 20.0);
-    }
-
-    #[test]
-    fn spawn_costed_and_memory_tag_results() {
-        let mut b = GraphBuilder::new(1);
-        b.declare(k(0), 8, 0);
-        let c = b
-            .insert("c", 0)
-            .writes(k(0))
-            .spawn_costed(42.0, CostClass::Trsm, || {});
-        let m = b.insert("m", 0).reads(k(0)).spawn_memory(4096, || {});
-        let g = b.build();
-        let run = |t: TaskId| g.tasks[t].kernel.lock().take().unwrap()();
-        let rc = run(c);
-        assert_eq!((rc.flops, rc.class), (42.0, CostClass::Trsm));
-        let rm = run(m);
-        assert_eq!((rm.flops, rm.class), (4096.0, CostClass::Memory));
+        let got: Vec<Access> = t.accesses().iter().map(|c| c.access).collect();
+        assert_eq!(got, accs);
+        // The datum declared on node 1 carries its home.
+        assert_eq!(t.accesses()[1].home, 1);
     }
 
     #[test]
     fn validate_accepts_builder_output() {
-        let mut b = GraphBuilder::new(2);
+        let mut b = TestGraph::new(2);
         for i in 0..10 {
             b.declare(k(i), 8, (i % 2) as usize);
         }

@@ -53,6 +53,11 @@ use crate::graph::TaskId;
 /// Prune reader lists beyond this length (amortized O(1) per insertion).
 pub const READER_PRUNE_LEN: usize = 32;
 
+/// Room a reader list starts with. A datum that is read at all is
+/// typically read by a row or a column of updates, and every regrowth on
+/// the way there is an allocation on the planner's per-task path.
+const FIRST_READERS: usize = 8;
+
 /// A hazard-map entry: a task and its critical-path depth (kept usable
 /// after the task is scheduled or completed, so later insertions still
 /// inherit depth until the entry is pruned).
@@ -92,6 +97,13 @@ impl Default for ReaderSet {
 }
 
 impl ReaderSet {
+    fn push(&mut self, dep: Dep) {
+        if self.entries.capacity() == 0 {
+            self.entries.reserve_exact(FIRST_READERS);
+        }
+        self.entries.push(dep);
+    }
+
     /// Drop entries whose tasks are no longer `live`, folding their depth
     /// into [`ReaderSet::folded_depth`]. Bulk form for client-chosen
     /// prune points (the streaming window prunes at step retirement).
@@ -164,7 +176,7 @@ impl<W> HazardCell<W> {
     /// Pass 2 (Read): join the reader set.
     #[inline]
     pub fn note_read(&mut self, id: TaskId, depth: u64) {
-        self.readers.entries.push(Dep { id, depth });
+        self.readers.push(Dep { id, depth });
     }
 
     /// Pass 2 (Read) with amortized pruning: when the reader list reaches
@@ -177,7 +189,7 @@ impl<W> HazardCell<W> {
             rs.prune(live);
             rs.prune_at = (rs.entries.len() * 2).max(READER_PRUNE_LEN);
         }
-        rs.entries.push(Dep { id, depth });
+        rs.push(Dep { id, depth });
     }
 
     /// Pass 2 (Mut): become the new writer. Clears the reader set (its

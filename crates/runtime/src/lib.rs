@@ -3,13 +3,14 @@
 //! A library-form reproduction of the runtime substrate the paper builds on
 //! PaRSEC (Section IV):
 //!
-//! * [`graph`] — task graphs with *superscalar* dependency inference: tasks
-//!   declare the tiles they read/write and RAW/WAR/WAW hazards become edges.
-//!   Both the LU and the QR branch of every elimination step live in the
-//!   graph; branch tasks consult the recorded criterion decision when they
-//!   run and either execute or discard themselves — the paper's dynamic
-//!   task-graph mechanism ("select the adequate tasks on the fly, and
-//!   discard the useless ones").
+//! * [`graph`] — task graphs with *superscalar* dependency inference: a task
+//!   is a `Copy` descriptor ([`TaskOp`]) whose body, name and accesses are
+//!   derived from it on demand; the tiles it reads/write become
+//!   RAW/WAR/WAW hazard edges. Both the LU and the QR branch of every
+//!   elimination step live in the graph; branch ops consult the recorded
+//!   criterion decision when they run and either execute or discard
+//!   themselves — the paper's dynamic task-graph mechanism ("select the
+//!   adequate tasks on the fly, and discard the useless ones").
 //! * [`hazard`] — the one RAW/WAR/WAW inference implementation behind
 //!   [`graph`], [`sched`], and the streaming window's datum directories,
 //!   parameterized over the per-writer payload each client keeps.
@@ -59,6 +60,8 @@ pub mod probe;
 pub mod sched;
 pub mod sim;
 pub mod stream;
+#[cfg(test)]
+pub(crate) mod testing;
 pub mod trace;
 pub mod vtime;
 
@@ -67,8 +70,8 @@ pub use comm::{
 };
 pub use exec::{execute, execute_scheduled, execute_traced, ExecReport, Tally};
 pub use graph::{
-    Access, CostClass, CostedAccess, DataClass, DataKey, Graph, GraphBuilder, Kernel, TaskBuilder,
-    TaskId, TaskResult, TaskSink,
+    Access, CostClass, CostedAccess, DataClass, DataKey, Graph, GraphBuilder, TaskId, TaskOp,
+    TaskRef, TaskResult, TaskSink,
 };
 pub use net::{Frame, NetReport, PayloadStore, Transport, TransportError};
 pub use platform::{Efficiency, LinkSpec, NodeCountMismatch, NodeSpec, Platform, Topology};

@@ -90,11 +90,18 @@ pub trait Transport: Send + Sync {
 ///
 /// `load` snapshots the current contents of `key`'s cell as wire bytes
 /// (`None` when the cell is empty — nothing to ship); `store` decodes
-/// wire bytes into the cell. Implementations must be callable from any
-/// runtime thread.
+/// wire bytes into the cell. Payload bytes and keys come from a peer:
+/// `store` reports bytes it cannot decode, and a key it has no cell for,
+/// as a [`TransportError`] — which fails the run — and never panics on
+/// them. Implementations must be callable from any runtime thread.
 pub trait PayloadStore: Send + Sync {
     fn load(&self, key: DataKey) -> Option<Vec<u8>>;
-    fn store(&self, key: DataKey, bytes: &[u8]);
+    fn store(&self, key: DataKey, bytes: &[u8]) -> Result<(), TransportError>;
+    /// Whether `key` names a datum of this run at all (whether or not its
+    /// cell exists yet: a payload may arrive before its consumer is
+    /// planned). The window checks every inbound payload frame against
+    /// this on arrival.
+    fn knows(&self, key: DataKey) -> bool;
 }
 
 /// Wire-level traffic totals of one rank's run, reported alongside the

@@ -36,7 +36,7 @@
 //! paper's performance shapes (Figure 2, Table II).
 
 use crate::comm::LinkTraffic;
-use crate::graph::{CostClass, Graph};
+use crate::graph::{CostClass, Graph, TaskOp, TaskRef, TaskResult};
 use crate::platform::Platform;
 use crate::probe::{Probe, ProbeReport};
 use crate::sched::{SchedEngine, SchedPolicy};
@@ -192,84 +192,88 @@ impl SimReport {
     }
 }
 
-/// Simulate an executed graph on `platform` under the insertion-order
-/// (FIFO) schedule — the policy-free reference path that
-/// [`SchedPolicy::Fifo`] pins bitwise (see `sched_props.rs`).
+/// Check the platform can host the graph, then feed every task — its
+/// placement, its re-derived accesses, its recorded result — to `submit`
+/// in insertion order.
 ///
 /// Panics if any task lacks a recorded result (run
 /// [`crate::exec::execute`] first) or is placed on a node outside the
 /// platform.
-pub fn simulate(graph: &Graph, platform: &Platform) -> SimReport {
+fn replay<O: TaskOp>(
+    graph: &Graph<O>,
+    platform: &Platform,
+    mut submit: impl FnMut(&TaskRef<'_, O>, &[crate::graph::CostedAccess], TaskResult),
+) {
     if let Err(e) = platform.require_nodes(graph.num_nodes) {
         panic!(
             "cannot simulate: {e} (graph placements reference {} nodes)",
             graph.num_nodes
         );
     }
-    let mut v = VirtualSchedule::with_spans(platform);
-    for t in &graph.tasks {
+    let mut accesses = Vec::new();
+    for t in graph.tasks() {
         let r = t
             .result()
-            .unwrap_or_else(|| panic!("task '{}' has no result; execute first", t.name));
-        v.process(t.node, &t.accesses, &r);
+            .unwrap_or_else(|| panic!("task '{}' has no result; execute first", t.name()));
+        t.accesses_into(&mut accesses);
+        submit(&t, &accesses, r);
     }
+}
+
+/// Simulate an executed graph on `platform` under the insertion-order
+/// (FIFO) schedule — the policy-free reference path that
+/// [`SchedPolicy::Fifo`] pins bitwise (see `sched_props.rs`).
+pub fn simulate<O: TaskOp>(graph: &Graph<O>, platform: &Platform) -> SimReport {
+    let mut v = VirtualSchedule::with_spans(platform);
+    replay(graph, platform, |t, accesses, r| {
+        v.process(t.node(), accesses, &r);
+    });
     v.report()
+}
+
+fn engine(platform: &Platform, opts: &SimOptions) -> SchedEngine {
+    let eng = SchedEngine::with_spans(platform, opts.scheduler);
+    if opts.steal {
+        eng.with_stealing()
+    } else {
+        eng
+    }
 }
 
 /// Simulate an executed graph under a scheduling policy: the whole graph
 /// is submitted to the policy-driven engine ([`SchedEngine`], full
 /// lookahead) and drained in the order the policy selects. Report spans
 /// stay indexed by task id whatever order that is.
-pub fn simulate_with(graph: &Graph, platform: &Platform, opts: &SimOptions) -> SimReport {
-    if let Err(e) = platform.require_nodes(graph.num_nodes) {
-        panic!(
-            "cannot simulate: {e} (graph placements reference {} nodes)",
-            graph.num_nodes
-        );
-    }
-    let mut eng = SchedEngine::with_spans(platform, opts.scheduler);
-    if opts.steal {
-        eng = eng.with_stealing();
-    }
-    for t in &graph.tasks {
-        let r = t
-            .result()
-            .unwrap_or_else(|| panic!("task '{}' has no result; execute first", t.name));
-        eng.submit(t.node, &t.accesses, r);
-    }
+pub fn simulate_with<O: TaskOp>(
+    graph: &Graph<O>,
+    platform: &Platform,
+    opts: &SimOptions,
+) -> SimReport {
+    let mut eng = engine(platform, opts);
+    replay(graph, platform, |t, accesses, r| {
+        eng.submit(t.node(), accesses, r);
+    });
     eng.drain();
     eng.report()
 }
 
 /// [`simulate_with`] with metrics probes attached: tasks are tagged with
-/// their elimination step (parsed from the task name), the probe's
-/// registry fills with scheduler / network / vtime metrics as the replay
-/// runs, and the makespan-attribution pass lands in the returned
-/// [`ProbeReport`]. The [`SimReport`] is bitwise identical to an unprobed
-/// [`simulate_with`] run — probes observe the schedule, never shape it.
-pub fn simulate_probed(
-    graph: &Graph,
+/// their op's elimination step, the probe's registry fills with scheduler
+/// / network / vtime metrics as the replay runs, and the
+/// makespan-attribution pass lands in the returned [`ProbeReport`]. The
+/// [`SimReport`] is bitwise identical to an unprobed [`simulate_with`] run
+/// — probes observe the schedule, never shape it.
+pub fn simulate_probed<O: TaskOp>(
+    graph: &Graph<O>,
     platform: &Platform,
     opts: &SimOptions,
     probe: &Probe,
 ) -> (SimReport, ProbeReport) {
-    if let Err(e) = platform.require_nodes(graph.num_nodes) {
-        panic!(
-            "cannot simulate: {e} (graph placements reference {} nodes)",
-            graph.num_nodes
-        );
-    }
-    let mut eng = SchedEngine::with_spans(platform, opts.scheduler);
-    if opts.steal {
-        eng = eng.with_stealing();
-    }
+    let mut eng = engine(platform, opts);
     eng.attach_probe(probe);
-    for t in &graph.tasks {
-        let r = t
-            .result()
-            .unwrap_or_else(|| panic!("task '{}' has no result; execute first", t.name));
-        eng.submit_tagged(t.node, &t.accesses, r, crate::trace::step_index(&t.name));
-    }
+    replay(graph, platform, |t, accesses, r| {
+        eng.submit_tagged(t.node(), accesses, r, t.step());
+    });
     eng.drain();
     eng.flush_probe();
     if let Some(att) = eng.attribution() {
@@ -282,7 +286,8 @@ pub fn simulate_probed(
 mod tests {
     use super::*;
     use crate::exec::execute;
-    use crate::graph::{Access, CostClass, DataKey, GraphBuilder, TaskResult};
+    use crate::graph::{Access, CostClass, DataKey, TaskResult};
+    use crate::testing::TestGraph;
 
     fn k(i: u64) -> DataKey {
         DataKey(i)
@@ -310,7 +315,7 @@ mod tests {
 
     #[test]
     fn serial_chain_equals_sum() {
-        let mut b = GraphBuilder::new(1);
+        let mut b = TestGraph::new(1);
         b.declare(k(0), 0, 0);
         for i in 0..5 {
             b.task(format!("t{i}"), 0, &[Access::Mut(k(0))], one_sec_task);
@@ -325,7 +330,7 @@ mod tests {
 
     #[test]
     fn independent_tasks_fill_cores() {
-        let mut b = GraphBuilder::new(1);
+        let mut b = TestGraph::new(1);
         for i in 0..8u64 {
             b.declare(k(i), 0, 0);
             b.task(format!("t{i}"), 0, &[Access::Mut(k(i))], one_sec_task);
@@ -342,7 +347,7 @@ mod tests {
 
     #[test]
     fn cross_node_edge_pays_latency() {
-        let mut b = GraphBuilder::new(2);
+        let mut b = TestGraph::new(2);
         b.declare(k(0), 1000, 0);
         b.task("producer", 0, &[Access::Mut(k(0))], one_sec_task);
         b.task("consumer", 1, &[Access::Read(k(0))], one_sec_task);
@@ -358,7 +363,7 @@ mod tests {
 
     #[test]
     fn same_node_edge_is_free() {
-        let mut b = GraphBuilder::new(2);
+        let mut b = TestGraph::new(2);
         b.declare(k(0), 1000, 0);
         b.task("p", 0, &[Access::Mut(k(0))], one_sec_task);
         b.task("c", 0, &[Access::Read(k(0))], one_sec_task);
@@ -371,7 +376,7 @@ mod tests {
 
     #[test]
     fn discarded_tasks_cost_nothing() {
-        let mut b = GraphBuilder::new(2);
+        let mut b = TestGraph::new(2);
         b.declare(k(0), 1_000_000, 0);
         b.task("real", 0, &[Access::Mut(k(0))], one_sec_task);
         b.task("dead", 1, &[Access::Mut(k(0))], TaskResult::discarded);
@@ -386,7 +391,7 @@ mod tests {
 
     #[test]
     fn zero_latency_is_pure_bandwidth_cost() {
-        let mut b = GraphBuilder::new(2);
+        let mut b = TestGraph::new(2);
         b.declare(k(0), 500_000_000, 0); // 0.5 s of wire at 1 GB/s
         b.task("p", 0, &[Access::Mut(k(0))], one_sec_task);
         b.task("c", 1, &[Access::Read(k(0))], one_sec_task);
@@ -401,7 +406,7 @@ mod tests {
 
     #[test]
     fn initial_data_fetched_from_home() {
-        let mut b = GraphBuilder::new(2);
+        let mut b = TestGraph::new(2);
         b.declare(k(0), 1000, 1); // lives on node 1
         b.task("t", 0, &[Access::Read(k(0))], one_sec_task); // runs on node 0
         let g = b.build();
@@ -414,7 +419,7 @@ mod tests {
     #[test]
     fn initial_fetch_cached_per_node() {
         // Two tasks on node 0 reading the same remote datum: one fetch.
-        let mut b = GraphBuilder::new(2);
+        let mut b = TestGraph::new(2);
         b.declare(k(0), 1000, 1);
         b.task("t1", 0, &[Access::Read(k(0))], one_sec_task);
         b.task("t2", 0, &[Access::Read(k(0))], one_sec_task);
@@ -428,7 +433,7 @@ mod tests {
     fn broadcast_sends_once_per_destination_node() {
         // Producer on node 0; 3 consumer tasks on node 1, 2 on node 2:
         // exactly 2 messages (one per destination node).
-        let mut b = GraphBuilder::new(3);
+        let mut b = TestGraph::new(3);
         b.declare(k(0), 1000, 0);
         b.task("p", 0, &[Access::Mut(k(0))], one_sec_task);
         for i in 0..3 {
@@ -447,7 +452,7 @@ mod tests {
     #[test]
     fn makespan_bounded_by_critical_path_and_serial() {
         // Chain of diamonds.
-        let mut b = GraphBuilder::new(1);
+        let mut b = TestGraph::new(1);
         b.declare(k(0), 0, 0);
         b.declare(k(1), 0, 0);
         b.declare(k(2), 0, 0);
@@ -486,7 +491,7 @@ mod tests {
         // The same two independent unit tasks, one per node; node 1 runs
         // at a quarter speed, so it alone sets the makespan and its
         // utilization stays at 1.0 while the fast node idles.
-        let mut b = GraphBuilder::new(2);
+        let mut b = TestGraph::new(2);
         b.declare(k(0), 0, 0);
         b.declare(k(1), 0, 1);
         b.task("fast", 0, &[Access::Mut(k(0))], one_sec_task);
@@ -520,7 +525,7 @@ mod tests {
 
     #[test]
     fn simulate_with_fifo_matches_simulate_bitwise() {
-        let mut b = GraphBuilder::new(2);
+        let mut b = TestGraph::new(2);
         b.declare(k(0), 1000, 0);
         b.declare(k(1), 500, 1);
         b.task("p", 0, &[Access::Mut(k(0))], one_sec_task);
@@ -545,7 +550,7 @@ mod tests {
     fn probed_replay_is_bitwise_identical_and_reconciles() {
         use crate::probe::Probe;
 
-        let mut b = GraphBuilder::new(2);
+        let mut b = TestGraph::new(2);
         b.declare(k(0), 1000, 0);
         b.declare(k(1), 500, 1);
         b.task("PANEL(k=0)", 0, &[Access::Mut(k(0))], one_sec_task);
@@ -605,7 +610,7 @@ mod tests {
             Topology::Uniform(LinkSpec::new(0.0, 1e9)),
             1e9,
         );
-        let mut b = GraphBuilder::new(2);
+        let mut b = TestGraph::new(2);
         b.declare(k(0), 0, 0);
         b.declare(k(1), 0, 1);
         b.task("gemm", 0, &[Access::Mut(k(0))], || {
@@ -635,7 +640,7 @@ mod tests {
         // trunk at the same bandwidth, one waits for the other and the
         // makespan stretches by the wire time.
         let build = || {
-            let mut b = GraphBuilder::new(4);
+            let mut b = TestGraph::new(4);
             b.declare(k(0), 100_000_000, 0); // 0.1 s of wire at 1 GB/s
             b.declare(k(1), 100_000_000, 1);
             b.task("p0", 0, &[Access::Mut(k(0))], one_sec_task);
@@ -678,7 +683,7 @@ mod tests {
     fn nic_serializes_distinct_sends() {
         // One producer on node 0 sending distinct 1 GB data to 3 other
         // nodes: egress serializes on node 0's NIC.
-        let mut b = GraphBuilder::new(4);
+        let mut b = TestGraph::new(4);
         for i in 0..3u64 {
             b.declare(k(i), 1_000_000_000, 0);
         }

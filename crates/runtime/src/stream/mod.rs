@@ -36,6 +36,7 @@
 //! never-executed branch removes no executed writer and so changes no
 //! per-datum mutation order.
 
+mod chain;
 pub mod priority;
 pub mod retire;
 pub mod window;
@@ -44,7 +45,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use crate::comm::{LinkMsgStats, MsgStats};
-use crate::graph::{TaskId, TaskSink};
+use crate::graph::{TaskId, TaskOp, TaskSink};
 use crate::net::{NetReport, PayloadStore, Transport, TransportError};
 use crate::platform::Platform;
 use crate::probe::{metric, Label, Probe};
@@ -74,6 +75,14 @@ pub enum StepPhase {
 /// the decision task and calling `plan_finish` in between when a step asks
 /// for it.
 pub trait StepSource {
+    /// The task descriptors this source plans.
+    type Op: TaskOp;
+
+    /// The context those descriptors are interpreted against — shared by
+    /// the planner (through the source) and the workers (through the
+    /// window) for the whole run.
+    fn context(&self) -> Arc<<Self::Op as TaskOp>::Ctx>;
+
     /// Number of elimination steps.
     fn num_steps(&self) -> usize;
 
@@ -83,15 +92,15 @@ pub trait StepSource {
     }
 
     /// Called once before planning; declare data here (no task insertion).
-    fn prepare(&mut self, _sink: &mut dyn TaskSink) {}
+    fn prepare(&mut self, _sink: &mut dyn TaskSink<Self::Op>) {}
 
     /// Plan step `k` up to (and including) its decision point — or the
     /// whole step, for algorithms with no runtime decision.
-    fn plan_prelude(&mut self, k: usize, sink: &mut dyn TaskSink) -> StepPhase;
+    fn plan_prelude(&mut self, k: usize, sink: &mut dyn TaskSink<Self::Op>) -> StepPhase;
 
     /// Plan the decision-dependent remainder of step `k` (only called
     /// after the task named by [`StepPhase::AwaitDecision`] completed).
-    fn plan_finish(&mut self, _k: usize, _sink: &mut dyn TaskSink) {}
+    fn plan_finish(&mut self, _k: usize, _sink: &mut dyn TaskSink<Self::Op>) {}
 
     /// Observed per-node effective speeds (GFLOP/s over fully-retired
     /// steps), delivered before each `plan_prelude` when
@@ -297,13 +306,17 @@ pub struct NetConfig {
 /// results are deterministic across `window` and `threads` because the
 /// hazard edges serialize all conflicting accesses in insertion order —
 /// the same guarantee the batch executor gives.
-pub fn execute(source: &mut dyn StepSource, window: usize, threads: usize) -> StreamReport {
+pub fn execute<S: StepSource + ?Sized>(
+    source: &mut S,
+    window: usize,
+    threads: usize,
+) -> StreamReport {
     execute_with(source, &StreamOptions::fixed(window, threads))
 }
 
 /// Execute `source` under the full streaming configuration: window policy,
 /// optional online platform simulation, optional trace recording.
-pub fn execute_with(source: &mut dyn StepSource, opts: &StreamOptions) -> StreamReport {
+pub fn execute_with<S: StepSource + ?Sized>(source: &mut S, opts: &StreamOptions) -> StreamReport {
     drive(source, opts, None).expect("only a transport can fail a run, and there is none")
 }
 
@@ -325,8 +338,8 @@ pub fn execute_with(source: &mut dyn StepSource, opts: &StreamOptions) -> Stream
 /// scheduling, no stealing, no recalibration — net runs pin the
 /// bitwise-reproducible configuration. The transport's world size must
 /// equal `source.num_nodes()`.
-pub fn execute_net(
-    source: &mut dyn StepSource,
+pub fn execute_net<S: StepSource + ?Sized>(
+    source: &mut S,
     opts: &StreamOptions,
     net: NetConfig,
 ) -> Result<StreamReport, TransportError> {
@@ -345,12 +358,12 @@ pub fn execute_net(
 /// Unwinding out of the driver's scope with workers (and, in net mode, the
 /// receiver and the peers) still asleep would hang the scope's join: fail
 /// the run on the way out so every thread returns.
-struct AbortOnUnwind<'a> {
-    win: &'a StreamWindow,
+struct AbortOnUnwind<'a, O: TaskOp> {
+    win: &'a StreamWindow<O>,
     net: Option<&'a NetConfig>,
 }
 
-impl Drop for AbortOnUnwind<'_> {
+impl<O: TaskOp> Drop for AbortOnUnwind<'_, O> {
     fn drop(&mut self) {
         if std::thread::panicking() {
             self.win
@@ -367,25 +380,18 @@ impl Drop for AbortOnUnwind<'_> {
 /// calling thread opens, plans, awaits and closes steps under the window
 /// policy while `threads` workers execute; with a transport, a receiver
 /// thread pumps inbound frames and the run ends with the rank protocol.
-fn drive(
-    source: &mut dyn StepSource,
+fn drive<S: StepSource + ?Sized>(
+    source: &mut S,
     opts: &StreamOptions,
     net: Option<NetConfig>,
 ) -> Result<StreamReport, TransportError> {
     let threads = opts.threads.max(1);
     let start = Instant::now();
     let win = match &net {
-        None => StreamWindow::with_options(
-            source.num_nodes(),
-            opts.platform.as_ref(),
-            opts.trace,
-            opts.scheduler,
-            &opts.probe,
-            opts.steal,
-            opts.recalibrate,
-        ),
+        None => StreamWindow::with_options(source.num_nodes(), source.context(), opts),
         Some(net) => StreamWindow::with_net(
             source.num_nodes(),
+            source.context(),
             opts.trace,
             &opts.probe,
             Arc::clone(&net.transport),
@@ -561,9 +567,27 @@ fn drive(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::{CostClass, DataKey, TaskResult};
+    use crate::graph::{Access, CostClass, DataKey, TaskResult};
+    use crate::testing::{TestCtx, TestOp};
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
+
+    type Sink<'a> = &'a mut dyn TaskSink<TestOp>;
+
+    /// The op plumbing every test source shares: its ops are [`TestOp`]s
+    /// over the body table in `self.ctx`.
+    macro_rules! test_ops {
+        () => {
+            type Op = TestOp;
+            fn context(&self) -> Arc<TestCtx> {
+                Arc::clone(&self.ctx)
+            }
+        };
+    }
+
+    fn gemm_unit() -> TaskResult {
+        TaskResult::executed(1.0, CostClass::Gemm)
+    }
 
     fn k(i: u64) -> DataKey {
         DataKey(i)
@@ -575,27 +599,40 @@ mod tests {
         steps: usize,
         width: usize,
         log: Arc<parking_lot::Mutex<Vec<usize>>>,
+        ctx: Arc<TestCtx>,
+    }
+
+    impl ChainSource {
+        fn new(steps: usize, width: usize) -> Self {
+            ChainSource {
+                steps,
+                width,
+                log: Arc::default(),
+                ctx: Arc::default(),
+            }
+        }
     }
 
     impl StepSource for ChainSource {
+        test_ops!();
+
         fn num_steps(&self) -> usize {
             self.steps
         }
 
-        fn prepare(&mut self, sink: &mut dyn TaskSink) {
+        fn prepare(&mut self, sink: Sink<'_>) {
             sink.declare(k(0), 8, 0);
         }
 
-        fn plan_prelude(&mut self, s: usize, sink: &mut dyn TaskSink) -> StepPhase {
+        fn plan_prelude(&mut self, s: usize, sink: Sink<'_>) -> StepPhase {
             for t in 0..self.width {
                 let log = Arc::clone(&self.log);
                 let tag = s * self.width + t;
-                sink.insert(format!("t{tag}"), 0)
-                    .writes(k(0))
-                    .spawn(move || {
-                        log.lock().push(tag);
-                        TaskResult::executed(1.0, CostClass::Gemm)
-                    });
+                let name = format!("t{tag}");
+                self.ctx.task(sink, name, 0, &[Access::Mut(k(0))], move || {
+                    log.lock().push(tag);
+                    gemm_unit()
+                });
             }
             StepPhase::Complete
         }
@@ -604,12 +641,8 @@ mod tests {
     #[test]
     fn chain_runs_in_order_across_steps() {
         for (window, threads) in [(1, 1), (1, 4), (2, 2), (8, 3)] {
-            let log = Arc::new(parking_lot::Mutex::new(Vec::new()));
-            let mut src = ChainSource {
-                steps: 6,
-                width: 5,
-                log: Arc::clone(&log),
-            };
+            let mut src = ChainSource::new(6, 5);
+            let log = Arc::clone(&src.log);
             let report = execute(&mut src, window, threads);
             assert_eq!(report.tasks_executed, 30);
             assert_eq!(report.tasks_planned, 30);
@@ -623,28 +656,32 @@ mod tests {
     fn window_bounds_live_tasks() {
         // Independent tasks per step: with window = 1, at most one step's
         // tasks may ever be materialized.
-        struct WideSource;
+        #[derive(Default)]
+        struct WideSource {
+            ctx: Arc<TestCtx>,
+        }
         impl StepSource for WideSource {
+            test_ops!();
             fn num_steps(&self) -> usize {
                 10
             }
-            fn prepare(&mut self, sink: &mut dyn TaskSink) {
+            fn prepare(&mut self, sink: Sink<'_>) {
                 for s in 0..10u64 {
                     for t in 0..20u64 {
                         sink.declare(k(s * 100 + t), 8, 0);
                     }
                 }
             }
-            fn plan_prelude(&mut self, s: usize, sink: &mut dyn TaskSink) -> StepPhase {
+            fn plan_prelude(&mut self, s: usize, sink: Sink<'_>) -> StepPhase {
                 for t in 0..20 {
-                    sink.insert(format!("t{s}/{t}"), 0)
-                        .writes(k((s as u64) * 100 + t as u64))
-                        .spawn(|| TaskResult::executed(1.0, CostClass::Gemm));
+                    let key = k((s as u64) * 100 + t as u64);
+                    self.ctx
+                        .task(sink, format!("t{s}/{t}"), 0, &[Access::Mut(key)], gemm_unit);
                 }
                 StepPhase::Complete
             }
         }
-        let report = execute(&mut WideSource, 1, 4);
+        let report = execute(&mut WideSource::default(), 1, 4);
         assert_eq!(report.tasks_executed, 200);
         assert_eq!(report.peak_live_steps, 1);
         assert!(
@@ -664,30 +701,35 @@ mod tests {
         struct DecidingSource {
             decided: Arc<AtomicUsize>,
             branch_ran: Arc<AtomicUsize>,
+            ctx: Arc<TestCtx>,
         }
         impl StepSource for DecidingSource {
+            test_ops!();
             fn num_steps(&self) -> usize {
                 1
             }
-            fn prepare(&mut self, sink: &mut dyn TaskSink) {
+            fn prepare(&mut self, sink: Sink<'_>) {
                 sink.declare(k(0), 8, 0);
             }
-            fn plan_prelude(&mut self, _s: usize, sink: &mut dyn TaskSink) -> StepPhase {
+            fn plan_prelude(&mut self, _s: usize, sink: Sink<'_>) -> StepPhase {
                 let d = Arc::clone(&self.decided);
-                let id = sink.insert("decide", 0).writes(k(0)).spawn(move || {
-                    d.store(7, Ordering::SeqCst);
-                    TaskResult::control()
-                });
+                let id = self
+                    .ctx
+                    .task(sink, "decide", 0, &[Access::Mut(k(0))], move || {
+                        d.store(7, Ordering::SeqCst);
+                        TaskResult::control()
+                    });
                 StepPhase::AwaitDecision(id)
             }
-            fn plan_finish(&mut self, _s: usize, sink: &mut dyn TaskSink) {
+            fn plan_finish(&mut self, _s: usize, sink: Sink<'_>) {
                 // The decision value is visible *at planning time*.
                 assert_eq!(self.decided.load(Ordering::SeqCst), 7);
                 let b = Arc::clone(&self.branch_ran);
-                sink.insert("branch", 0).writes(k(0)).spawn(move || {
-                    b.store(1, Ordering::SeqCst);
-                    TaskResult::executed(2.0, CostClass::Trsm)
-                });
+                self.ctx
+                    .task(sink, "branch", 0, &[Access::Mut(k(0))], move || {
+                        b.store(1, Ordering::SeqCst);
+                        TaskResult::executed(2.0, CostClass::Trsm)
+                    });
             }
         }
         let decided = Arc::new(AtomicUsize::new(0));
@@ -695,6 +737,7 @@ mod tests {
         let mut src = DecidingSource {
             decided: Arc::clone(&decided),
             branch_ran: Arc::clone(&branch_ran),
+            ctx: Arc::default(),
         };
         let report = execute(&mut src, 2, 3);
         assert_eq!(report.tasks_executed, 2);
@@ -703,16 +746,20 @@ mod tests {
 
     #[test]
     fn empty_source_completes() {
-        struct Empty;
+        #[derive(Default)]
+        struct Empty {
+            ctx: Arc<TestCtx>,
+        }
         impl StepSource for Empty {
+            test_ops!();
             fn num_steps(&self) -> usize {
                 0
             }
-            fn plan_prelude(&mut self, _: usize, _: &mut dyn TaskSink) -> StepPhase {
+            fn plan_prelude(&mut self, _: usize, _: Sink<'_>) -> StepPhase {
                 unreachable!()
             }
         }
-        let report = execute(&mut Empty, 4, 2);
+        let report = execute(&mut Empty::default(), 4, 2);
         assert_eq!(report.tasks_planned, 0);
         assert_eq!(report.peak_live_steps, 0);
     }
@@ -725,29 +772,33 @@ mod tests {
             let cell = Arc::new(parking_lot::Mutex::new(1.0f64));
             struct Reduce {
                 cell: Arc<parking_lot::Mutex<f64>>,
+                ctx: Arc<TestCtx>,
             }
             impl StepSource for Reduce {
+                test_ops!();
                 fn num_steps(&self) -> usize {
                     8
                 }
-                fn prepare(&mut self, sink: &mut dyn TaskSink) {
+                fn prepare(&mut self, sink: Sink<'_>) {
                     sink.declare(k(0), 8, 0);
                 }
-                fn plan_prelude(&mut self, s: usize, sink: &mut dyn TaskSink) -> StepPhase {
+                fn plan_prelude(&mut self, s: usize, sink: Sink<'_>) -> StepPhase {
                     for t in 0..5usize {
                         let cell = Arc::clone(&self.cell);
                         let i = s * 5 + t;
-                        sink.insert(format!("r{i}"), 0).writes(k(0)).spawn(move || {
-                            let mut v = cell.lock();
-                            *v = (*v * 1.0000001).sin() + i as f64 * 1e-3;
-                            TaskResult::control()
-                        });
+                        self.ctx
+                            .task(sink, format!("r{i}"), 0, &[Access::Mut(k(0))], move || {
+                                let mut v = cell.lock();
+                                *v = (*v * 1.0000001).sin() + i as f64 * 1e-3;
+                                TaskResult::control()
+                            });
                     }
                     StepPhase::Complete
                 }
             }
             let mut src = Reduce {
                 cell: Arc::clone(&cell),
+                ctx: Arc::default(),
             };
             execute(&mut src, window, threads);
             let v = *cell.lock();
@@ -762,28 +813,30 @@ mod tests {
     /// A two-node source: step tasks on node 1 consume a datum produced on
     /// node 0, so the window must route cross-node releases and count the
     /// transfers.
-    struct TwoNodeSource;
+    #[derive(Default)]
+    struct TwoNodeSource {
+        ctx: Arc<TestCtx>,
+    }
     impl StepSource for TwoNodeSource {
+        test_ops!();
         fn num_steps(&self) -> usize {
             3
         }
         fn num_nodes(&self) -> usize {
             2
         }
-        fn prepare(&mut self, sink: &mut dyn TaskSink) {
+        fn prepare(&mut self, sink: Sink<'_>) {
             sink.declare(k(0), 100, 0);
             sink.declare(k(1), 100, 1);
         }
-        fn plan_prelude(&mut self, s: usize, sink: &mut dyn TaskSink) -> StepPhase {
-            sink.insert(format!("p{s}"), 0)
-                .writes(k(0))
-                .spawn(|| TaskResult::executed(1.0, CostClass::Gemm));
+        fn plan_prelude(&mut self, s: usize, sink: Sink<'_>) -> StepPhase {
+            self.ctx
+                .task(sink, format!("p{s}"), 0, &[Access::Mut(k(0))], gemm_unit);
             // Two consumers on node 1: the version crosses once.
             for t in 0..2 {
-                sink.insert(format!("c{s}/{t}"), 1)
-                    .reads(k(0))
-                    .writes(k(1))
-                    .spawn(|| TaskResult::executed(1.0, CostClass::Gemm));
+                let accesses = [Access::Read(k(0)), Access::Mut(k(1))];
+                self.ctx
+                    .task(sink, format!("c{s}/{t}"), 1, &accesses, gemm_unit);
             }
             StepPhase::Complete
         }
@@ -791,7 +844,7 @@ mod tests {
 
     #[test]
     fn cross_node_flow_counts_one_msg_per_version_and_destination() {
-        let mut src = TwoNodeSource;
+        let mut src = TwoNodeSource::default();
         let report = execute(&mut src, 2, 2);
         assert_eq!(report.tasks_executed, 9);
         // One DataMsg per step for k(0) (producer → node 1), regardless
@@ -805,12 +858,7 @@ mod tests {
 
     #[test]
     fn single_node_source_moves_no_messages() {
-        let log = Arc::new(parking_lot::Mutex::new(Vec::new()));
-        let mut src = ChainSource {
-            steps: 4,
-            width: 3,
-            log,
-        };
+        let mut src = ChainSource::new(4, 3);
         let report = execute(&mut src, 2, 2);
         assert_eq!(report.msgs.data_msgs, 0);
         assert_eq!(report.msgs.decision_msgs, 0);
@@ -823,43 +871,42 @@ mod tests {
     /// the protocol count stays equal to the virtual-time engine's.
     #[test]
     fn discarded_writer_reroutes_transfers_to_executed_version() {
-        struct DiscardingSource;
+        #[derive(Default)]
+        struct DiscardingSource {
+            ctx: Arc<TestCtx>,
+        }
         impl StepSource for DiscardingSource {
+            test_ops!();
             fn num_steps(&self) -> usize {
                 1
             }
             fn num_nodes(&self) -> usize {
                 2
             }
-            fn prepare(&mut self, sink: &mut dyn TaskSink) {
+            fn prepare(&mut self, sink: Sink<'_>) {
                 sink.declare(k(0), 100, 0);
                 sink.declare(k(1), 100, 1);
             }
-            fn plan_prelude(&mut self, _s: usize, sink: &mut dyn TaskSink) -> StepPhase {
-                use crate::graph::TaskResult;
+            fn plan_prelude(&mut self, _s: usize, sink: Sink<'_>) -> StepPhase {
                 // Executed version of k(0) on node 0.
-                sink.insert("v", 0)
-                    .writes(k(0))
-                    .spawn(|| TaskResult::executed(1.0, CostClass::Gemm));
+                self.ctx.task(sink, "v", 0, &[Access::Mut(k(0))], gemm_unit);
                 // A later writer of k(0) that discards itself (e.g. a
                 // breakdown path).
-                sink.insert("dead", 0)
-                    .writes(k(0))
-                    .spawn(TaskResult::discarded);
+                self.ctx
+                    .task(sink, "dead", 0, &[Access::Mut(k(0))], TaskResult::discarded);
                 // Two consumers on node 1: the payload still comes from
                 // "v", once.
                 for t in 0..2 {
-                    sink.insert(format!("c{t}"), 1)
-                        .reads(k(0))
-                        .writes(k(1))
-                        .spawn(|| TaskResult::executed(1.0, CostClass::Gemm));
+                    let accesses = [Access::Read(k(0)), Access::Mut(k(1))];
+                    self.ctx
+                        .task(sink, format!("c{t}"), 1, &accesses, gemm_unit);
                 }
                 StepPhase::Complete
             }
         }
         let platform = crate::platform::Platform::dancer_nodes(2);
         let opts = StreamOptions::fixed(1, 2).with_platform(platform);
-        let report = execute_with(&mut DiscardingSource, &opts);
+        let report = execute_with(&mut DiscardingSource::default(), &opts);
         assert_eq!(report.tasks_discarded, 1);
         assert_eq!(
             report.msgs.data_msgs, 1,
@@ -875,34 +922,35 @@ mod tests {
     /// like the batch builder's overwrite.
     #[test]
     fn redeclared_home_moves_the_fetch_source() {
-        struct Redeclare;
+        #[derive(Default)]
+        struct Redeclare {
+            ctx: Arc<TestCtx>,
+        }
         impl StepSource for Redeclare {
+            test_ops!();
             fn num_steps(&self) -> usize {
                 1
             }
             fn num_nodes(&self) -> usize {
                 2
             }
-            fn prepare(&mut self, sink: &mut dyn TaskSink) {
+            fn prepare(&mut self, sink: Sink<'_>) {
                 sink.declare(k(0), 100, 0);
                 sink.declare(k(0), 100, 1); // overwrite: now homed on node 1
             }
-            fn plan_prelude(&mut self, _s: usize, sink: &mut dyn TaskSink) -> StepPhase {
-                use crate::graph::TaskResult;
+            fn plan_prelude(&mut self, _s: usize, sink: Sink<'_>) -> StepPhase {
                 // Reader on node 1 = the (re)declared home: no fetch.
-                sink.insert("local", 1)
-                    .reads(k(0))
-                    .spawn(|| TaskResult::executed(1.0, CostClass::Gemm));
+                self.ctx
+                    .task(sink, "local", 1, &[Access::Read(k(0))], gemm_unit);
                 // Reader on node 0: fetches from node 1.
-                sink.insert("remote", 0)
-                    .reads(k(0))
-                    .spawn(|| TaskResult::executed(1.0, CostClass::Gemm));
+                self.ctx
+                    .task(sink, "remote", 0, &[Access::Read(k(0))], gemm_unit);
                 StepPhase::Complete
             }
         }
         let platform = crate::platform::Platform::dancer_nodes(2);
         let opts = StreamOptions::fixed(1, 1).with_platform(platform);
-        let report = execute_with(&mut Redeclare, &opts);
+        let report = execute_with(&mut Redeclare::default(), &opts);
         assert_eq!(report.msgs.data_msgs, 1, "one initial fetch, to node 0");
         let sim = report.sim.expect("platform given");
         assert_eq!(sim.messages, 1);
@@ -910,12 +958,7 @@ mod tests {
 
     #[test]
     fn auto_window_records_choices_within_bounds() {
-        let log = Arc::new(parking_lot::Mutex::new(Vec::new()));
-        let mut src = ChainSource {
-            steps: 8,
-            width: 4,
-            log,
-        };
+        let mut src = ChainSource::new(8, 4);
         let opts = StreamOptions {
             window: WindowPolicy::Auto {
                 min: 1,
@@ -937,7 +980,7 @@ mod tests {
         let opts = StreamOptions::fixed(2, 2)
             .with_platform(platform.clone())
             .with_probe(probe.clone());
-        let report = execute_with(&mut TwoNodeSource, &opts);
+        let report = execute_with(&mut TwoNodeSource::default(), &opts);
 
         // Per-link counters reconcile with the aggregate, and retire
         // reports ride the (node, 0) links.
@@ -969,7 +1012,7 @@ mod tests {
         // Probes never perturb the run: a probe-free rerun reports the
         // same simulation, message counts, and link breakdown.
         let plain = execute_with(
-            &mut TwoNodeSource,
+            &mut TwoNodeSource::default(),
             &StreamOptions::fixed(2, 2).with_platform(platform),
         );
         assert_eq!(plain.sim, report.sim);
@@ -979,12 +1022,7 @@ mod tests {
 
     #[test]
     fn trace_mode_records_every_executed_task() {
-        let log = Arc::new(parking_lot::Mutex::new(Vec::new()));
-        let mut src = ChainSource {
-            steps: 3,
-            width: 2,
-            log,
-        };
+        let mut src = ChainSource::new(3, 2);
         let opts = StreamOptions::fixed(2, 2).with_trace();
         let report = execute_with(&mut src, &opts);
         assert_eq!(report.trace.len(), 6);
@@ -1033,6 +1071,7 @@ mod tests {
         steps: usize,
         nodes: usize,
         cells: Arc<parking_lot::Mutex<MixedCells>>,
+        ctx: Arc<TestCtx>,
     }
 
     impl MixedSource {
@@ -1048,6 +1087,7 @@ mod tests {
                 steps,
                 nodes,
                 cells: Arc::new(parking_lot::Mutex::new(cells)),
+                ctx: Arc::default(),
             }
         }
 
@@ -1074,6 +1114,8 @@ mod tests {
     }
 
     impl StepSource for MixedSource {
+        test_ops!();
+
         fn num_steps(&self) -> usize {
             self.steps
         }
@@ -1082,60 +1124,65 @@ mod tests {
             self.nodes
         }
 
-        fn prepare(&mut self, sink: &mut dyn TaskSink) {
+        fn prepare(&mut self, sink: Sink<'_>) {
             sink.declare(k(Self::ACC), 8, 0);
             for j in 1..=4u64 {
                 sink.declare(k(j), 8, j as usize % self.nodes);
             }
+            self.ctx.mark_decision(k(Self::DECISION));
             sink.declare(k(Self::DECISION), 1, 0);
-            sink.declare_class(k(Self::DECISION), crate::graph::DataClass::Decision);
         }
 
-        fn plan_prelude(&mut self, s: usize, sink: &mut dyn TaskSink) -> StepPhase {
+        fn plan_prelude(&mut self, s: usize, sink: Sink<'_>) -> StepPhase {
+            let acc = k(Self::ACC);
             for t in 0..3 {
                 let tag = (3 * s + t) as f64;
-                sink.insert(format!("chain{s}/{t}"), 0)
-                    .writes(k(Self::ACC))
-                    .spawn(self.task(move |c| c.acc = (c.acc * 1.0000001).sin() + tag * 1e-3));
+                let body = self.task(move |c| c.acc = (c.acc * 1.0000001).sin() + tag * 1e-3);
+                self.ctx
+                    .task(sink, format!("chain{s}/{t}"), 0, &[Access::Mut(acc)], body);
             }
             for j in 0..4usize {
-                sink.insert(format!("leaf{s}/{j}"), (j + 1) % self.nodes)
-                    .reads(k(Self::ACC))
-                    .writes(k(j as u64 + 1))
-                    .spawn(self.task(move |c| c.leaves[j] = c.acc + j as f64));
+                let accesses = [Access::Read(acc), Access::Mut(k(j as u64 + 1))];
+                let body = self.task(move |c| c.leaves[j] = c.acc + j as f64);
+                let node = (j + 1) % self.nodes;
+                self.ctx
+                    .task(sink, format!("leaf{s}/{j}"), node, &accesses, body);
             }
-            sink.insert(format!("join{s}"), self.nodes - 1)
-                .reads(k(1))
-                .reads(k(2))
-                .reads(k(3))
-                .reads(k(4))
-                .writes(k(Self::ACC))
-                .spawn(self.task(|c| c.acc += c.leaves.iter().sum::<f64>() * 1e-3));
+            let accesses = [
+                Access::Read(k(1)),
+                Access::Read(k(2)),
+                Access::Read(k(3)),
+                Access::Read(k(4)),
+                Access::Mut(acc),
+            ];
+            let body = self.task(|c| c.acc += c.leaves.iter().sum::<f64>() * 1e-3);
+            self.ctx
+                .task(sink, format!("join{s}"), self.nodes - 1, &accesses, body);
             if s.is_multiple_of(2) {
                 return StepPhase::Complete;
             }
-            let decide = sink
-                .insert(format!("decide{s}"), 0)
-                .reads(k(Self::ACC))
-                .writes(k(Self::DECISION))
-                .spawn(self.task(|c| c.decision = Some(c.acc.to_bits() & 1 == 0)));
+            let accesses = [Access::Read(acc), Access::Mut(k(Self::DECISION))];
+            let body = self.task(|c| c.decision = Some(c.acc.to_bits() & 1 == 0));
+            let decide = self
+                .ctx
+                .task(sink, format!("decide{s}"), 0, &accesses, body);
             StepPhase::AwaitDecision(decide)
         }
 
-        fn plan_finish(&mut self, s: usize, sink: &mut dyn TaskSink) {
+        fn plan_finish(&mut self, s: usize, sink: Sink<'_>) {
             let branch = self
                 .cells
                 .lock()
                 .decision
                 .take()
                 .expect("the awaited decision task ran before plan_finish");
-            sink.insert(format!("branch{s}"), 0)
-                .reads(k(Self::DECISION))
-                .writes(k(Self::ACC))
-                .spawn(self.task(move |c| {
-                    c.branches.push(branch);
-                    c.acc = if branch { c.acc * 1.5 } else { c.acc - 0.25 };
-                }));
+            let accesses = [Access::Read(k(Self::DECISION)), Access::Mut(k(Self::ACC))];
+            let body = self.task(move |c| {
+                c.branches.push(branch);
+                c.acc = if branch { c.acc * 1.5 } else { c.acc - 0.25 };
+            });
+            self.ctx
+                .task(sink, format!("branch{s}"), 0, &accesses, body);
         }
     }
 
@@ -1204,27 +1251,32 @@ mod tests {
     /// the thread scope forever.
     #[test]
     fn panicking_kernel_propagates_instead_of_hanging() {
-        struct PanicAtStepZero;
+        #[derive(Default)]
+        struct PanicAtStepZero {
+            ctx: Arc<TestCtx>,
+        }
         impl StepSource for PanicAtStepZero {
+            test_ops!();
             fn num_steps(&self) -> usize {
                 3
             }
-            fn prepare(&mut self, sink: &mut dyn TaskSink) {
+            fn prepare(&mut self, sink: Sink<'_>) {
                 sink.declare(k(0), 8, 0);
             }
-            fn plan_prelude(&mut self, s: usize, sink: &mut dyn TaskSink) -> StepPhase {
-                sink.insert(format!("t{s}"), 0).writes(k(0)).spawn(move || {
-                    if s == 0 {
-                        panic!("kernel exploded at step 0");
-                    }
-                    TaskResult::executed(1.0, CostClass::Gemm)
-                });
+            fn plan_prelude(&mut self, s: usize, sink: Sink<'_>) -> StepPhase {
+                self.ctx
+                    .task(sink, format!("t{s}"), 0, &[Access::Mut(k(0))], move || {
+                        if s == 0 {
+                            panic!("kernel exploded at step 0");
+                        }
+                        gemm_unit()
+                    });
                 StepPhase::Complete
             }
         }
         for threads in [1, 3] {
             let caught = with_watchdog("panicking kernel", move || {
-                std::panic::catch_unwind(|| execute(&mut PanicAtStepZero, 1, threads))
+                std::panic::catch_unwind(|| execute(&mut PanicAtStepZero::default(), 1, threads))
             });
             let payload = caught.expect_err("the kernel's panic must reach the caller");
             assert_eq!(
@@ -1239,24 +1291,26 @@ mod tests {
     /// under the scope's join.
     #[test]
     fn panicking_planner_propagates_instead_of_hanging() {
-        struct PanicWhilePlanning;
+        #[derive(Default)]
+        struct PanicWhilePlanning {
+            ctx: Arc<TestCtx>,
+        }
         impl StepSource for PanicWhilePlanning {
+            test_ops!();
             fn num_steps(&self) -> usize {
                 3
             }
-            fn prepare(&mut self, sink: &mut dyn TaskSink) {
+            fn prepare(&mut self, sink: Sink<'_>) {
                 sink.declare(k(0), 8, 0);
             }
-            fn plan_prelude(&mut self, s: usize, sink: &mut dyn TaskSink) -> StepPhase {
+            fn plan_prelude(&mut self, s: usize, sink: Sink<'_>) -> StepPhase {
                 assert!(s < 1, "planner exploded at step {s}");
-                sink.insert("t", 0)
-                    .writes(k(0))
-                    .spawn(|| TaskResult::executed(1.0, CostClass::Gemm));
+                self.ctx.task(sink, "t", 0, &[Access::Mut(k(0))], gemm_unit);
                 StepPhase::Complete
             }
         }
         let caught = with_watchdog("panicking planner", || {
-            std::panic::catch_unwind(|| execute(&mut PanicWhilePlanning, 2, 2))
+            std::panic::catch_unwind(|| execute(&mut PanicWhilePlanning::default(), 2, 2))
         });
         let payload = caught.expect_err("the planner's panic must reach the caller");
         let msg = payload.downcast_ref::<String>().expect("assert! message");

@@ -3,15 +3,31 @@
 //! whose cross-node progress flows through explicit messages.
 //!
 //! [`StreamWindow`] accepts task insertions through the same [`TaskSink`]
-//! surface as the batch [`crate::graph::GraphBuilder`] and infers the same
-//! RAW / WAR / WAW hazard edges — with one twist: a dependency on a task
-//! that has *already completed* is vacuous and produces no edge, so the
-//! hazard metadata may keep referring to completed (reclaimed) tasks
-//! without pinning their records. A task record is dropped the moment its
-//! kernel finishes; completed reader entries are pruned — their depth
-//! folded into a per-key scalar — at every step retirement, so the
-//! metadata stays bounded by the declared data plus the live window, not
-//! by the factorization's O(N³) task count.
+//! surface as the batch [`crate::graph::GraphBuilder`] — one [`TaskOp`]
+//! descriptor per task — and infers the same RAW / WAR / WAW hazard edges
+//! from the op's accesses, with one twist: a dependency on a task that has
+//! *already completed* is vacuous and produces no edge, so the hazard
+//! metadata may keep referring to completed (reclaimed) tasks without
+//! pinning their records. A task record is dropped the moment its kernel
+//! finishes; completed reader entries are pruned — their depth folded into
+//! a per-key scalar — at every step retirement, so the metadata stays
+//! bounded by the declared data plus the live window, not by the
+//! factorization's O(N³) task count.
+//!
+//! A live record is the op plus bookkeeping: no name (rendered from the op
+//! when a trace event is recorded), no body (a worker calls the op's
+//! interpreter against the run's context; an op placed on another rank is
+//! never run here), no list of written data (re-derived from the op at
+//! completion), and its successor and owed-transfer lists live in shared
+//! arenas (`chain`) — so planning a task allocates nothing.
+//!
+//! The one thing a record keeps that an op may also say is its *step*.
+//! The window retires what the driver opens and closes — the step a
+//! [`StepSink`] is bound to — and a source is free to plan tasks with no
+//! step of their own (`op.step()` is `None`) into one; so the record
+//! stores the open step, and insertion refuses an op whose own step is a
+//! different one. Ledger, recalibration tally and trace events read the
+//! record.
 //!
 //! **Tables.** Task ids are issued sequentially and the live span is
 //! bounded by the window, so live records sit in one id-indexed ring
@@ -82,19 +98,21 @@ use std::time::Instant;
 use crate::comm::{flow_msg, LinkMsgStats, Msg, MsgStats, RetireMsg};
 use crate::exec::Tally;
 use crate::graph::{
-    Access, CostClass, CostedAccess, DataClass, DataKey, Kernel, TaskId, TaskResult, TaskSink,
+    Access, CostClass, CostedAccess, DataClass, DataKey, TaskId, TaskOp, TaskResult, TaskSink,
 };
-use crate::hash::{IntMap, IntSet};
+use crate::hash::IntMap;
 use crate::hazard::{HazardCell, Writer};
 use crate::net::{Frame, NetReport, PayloadStore, Transport, TransportError};
 use crate::platform::Platform;
 use crate::probe::{metric, Histogram, Label, Probe};
-use crate::sched::{SchedEngine, SchedPolicy};
+use crate::sched::SchedEngine;
 use crate::sim::SimReport;
 use crate::trace::TraceEvent;
 
+use super::chain::{Chain, Chains};
 use super::priority::ReadyQueue;
 use super::retire::StepLedger;
+use super::StreamOptions;
 
 /// Scheduling lookahead of the online virtual-time engine: how many
 /// completed-but-unscheduled task records the policy may hold for choice.
@@ -120,23 +138,25 @@ struct WriterMeta {
 type DirCell = HazardCell<WriterMeta>;
 
 /// The last *executed* version of a datum: where its payload actually
-/// lives, and which nodes already hold a copy. This is what transfers
-/// resolve against — a runtime-discarded writer produces nothing, so its
-/// consumers fetch the previous executed version (or the initial tile),
-/// exactly like the virtual-time engine's scoreboard.
-#[derive(Debug)]
+/// lives. This is what transfers resolve against — a runtime-discarded
+/// writer produces nothing, so its consumers fetch the previous executed
+/// version (or the initial tile), exactly like the virtual-time engine's
+/// scoreboard. Which nodes already hold a copy is in
+/// [`WindowState::holds`].
+#[derive(Debug, Clone, Copy)]
 struct ExecVersion {
     id: TaskId,
     node: usize,
-    /// Destination nodes already holding this version.
-    sent: IntSet<usize>,
 }
+
+/// The version stamp of a never-written datum, as fetched from its home.
+const INITIAL: TaskId = TaskId::MAX;
 
 /// Index of a declared datum in [`WindowState::data`].
 type Slot = u32;
 
 /// Per-datum directory entry: declaration metadata, hazard state, and the
-/// once-per-destination transfer cache of the last executed version.
+/// last executed version.
 #[derive(Debug)]
 struct DatumDir {
     key: DataKey,
@@ -145,10 +165,8 @@ struct DatumDir {
     class: DataClass,
     /// Hazard state: last writer (with routing metadata) + readers.
     hazard: DirCell,
-    /// Last executed version (transfer source + cache).
+    /// Last executed version (transfer source).
     exec: Option<ExecVersion>,
-    /// Nodes that fetched the never-written datum from its home.
-    initial_fetched: IntSet<usize>,
 }
 
 /// Arrival state of one inbound payload, keyed by `(datum, producer)`.
@@ -240,11 +258,25 @@ impl NetState {
     }
 
     /// Decode an arrived payload into the local mirror (timed into the
-    /// deserialize histogram).
+    /// deserialize histogram). A payload the store rejects — truncated,
+    /// malformed, for a datum it does not hold — fails the run.
     fn store_payload(&mut self, key: DataKey, bytes: &[u8]) {
         let t0 = Instant::now();
-        self.store.store(key, bytes);
+        if let Err(e) = self.store.store(key, bytes) {
+            self.fail(e);
+        }
         self.de_hist.observe(t0.elapsed().as_secs_f64());
+    }
+
+    /// A payload frame arrived for `key`: fail the run unless the store
+    /// has such a datum (nothing would ever consume the frame, and the
+    /// peer that sent it is not running this protocol).
+    fn check_known(&mut self, key: DataKey, from: usize) {
+        if !self.store.knows(key) {
+            self.fail(TransportError::Protocol(format!(
+                "rank {from} sent a payload for {key:?}, which is not a datum of this run"
+            )));
+        }
     }
 
     /// Decode the arrived payload `(key, producer)` into the local mirror,
@@ -273,6 +305,7 @@ pub(crate) enum FramePump {
 
 /// A data transfer a live producer owes one destination node at
 /// completion, deduplicated per `(datum, destination)`.
+#[derive(Clone, Copy)]
 struct OwedSend {
     key: DataKey,
     slot: Slot,
@@ -281,20 +314,24 @@ struct OwedSend {
     class: DataClass,
 }
 
-/// A materialized, not-yet-completed task.
-struct LiveTask {
-    name: String,
+/// A materialized, not-yet-completed task: its descriptor plus the
+/// window's bookkeeping. What the descriptor determines — the name, the
+/// data it writes — is derived from `op` when needed, not stored.
+struct LiveTask<O> {
+    op: O,
     /// Node the task is placed on.
     node: usize,
+    /// The open step the task was inserted into — `op.step()` whenever the
+    /// op has one (see the module header).
     step: usize,
     cp: u64,
     preds_remaining: usize,
     /// Live successors, released at completion (same-node ones directly,
-    /// cross-node ones standing for a message delivery).
-    succs: Vec<TaskId>,
-    pending_sends: Vec<OwedSend>,
-    /// Slots of the data this task mutates.
-    writes: Vec<Slot>,
+    /// cross-node ones standing for a message delivery). A chain in
+    /// [`WindowState::succ_links`].
+    succs: Chain,
+    /// Owed transfers, a chain in [`WindowState::send_links`].
+    pending_sends: Chain,
     /// Declared accesses with datum metadata — the virtual-time engine's
     /// input, kept only while a platform is modeled.
     accesses: Vec<CostedAccess>,
@@ -302,10 +339,10 @@ struct LiveTask {
     /// extra predecessor resolved by frame arrival. Applied to the local
     /// mirror when the task is popped for execution.
     net_needs: Vec<ArrivalKey>,
-    /// `None` for a net-mode *stub* (a task placed on another rank: its
-    /// hazard edges and message bookkeeping are mirrored here, its kernel
-    /// runs on the owning rank only) and once a worker has taken it.
-    kernel: Option<Kernel>,
+    /// A net-mode *stub*: a task placed on another rank. Its hazard edges
+    /// and message bookkeeping are mirrored here; its op is never run on
+    /// this rank.
+    stub: bool,
 }
 
 /// Live task records, indexed by id.
@@ -317,27 +354,36 @@ struct LiveTask {
 /// base therefore names a completed task and a dependency on it is
 /// vacuous. The span `slots.len()` is bounded by the tasks of the live
 /// window of steps.
-#[derive(Default)]
-struct TaskRing {
+struct TaskRing<O> {
     base: TaskId,
-    slots: VecDeque<Option<LiveTask>>,
+    slots: VecDeque<Option<LiveTask<O>>>,
     live: usize,
 }
 
-impl TaskRing {
+impl<O> Default for TaskRing<O> {
+    fn default() -> Self {
+        TaskRing {
+            base: 0,
+            slots: VecDeque::new(),
+            live: 0,
+        }
+    }
+}
+
+impl<O> TaskRing<O> {
     /// The id the next [`TaskRing::push`] will issue.
     fn next_id(&self) -> TaskId {
         self.base + self.slots.len()
     }
 
-    fn push(&mut self, task: LiveTask) -> TaskId {
+    fn push(&mut self, task: LiveTask<O>) -> TaskId {
         let id = self.next_id();
         self.slots.push_back(Some(task));
         self.live += 1;
         id
     }
 
-    fn get_mut(&mut self, id: TaskId) -> Option<&mut LiveTask> {
+    fn get_mut(&mut self, id: TaskId) -> Option<&mut LiveTask<O>> {
         self.slots.get_mut(id.checked_sub(self.base)?)?.as_mut()
     }
 
@@ -348,7 +394,7 @@ impl TaskRing {
     }
 
     /// Reclaim the record of `id` (`None` if it is not live).
-    fn remove(&mut self, id: TaskId) -> Option<LiveTask> {
+    fn remove(&mut self, id: TaskId) -> Option<LiveTask<O>> {
         let task = self.slots.get_mut(id.checked_sub(self.base)?)?.take()?;
         self.live -= 1;
         while let Some(None) = self.slots.front() {
@@ -476,22 +522,31 @@ struct Wakes {
 /// declaration and last writer *before* the insertion.
 type Flow = (Slot, DataKey, usize, DataClass, Option<Writer<WriterMeta>>);
 
-/// Per-insertion work vectors, kept across insertions so the planner's
-/// hot path allocates only what the record keeps.
+/// Per-insertion work vectors, kept across insertions: with the records'
+/// own lists in shared arenas ([`Chains`]), the planner's hot path
+/// allocates nothing per task.
 #[derive(Default)]
 struct InsertScratch {
+    accesses: Vec<Access>,
     slots: Vec<Slot>,
     preds: Vec<TaskId>,
     flows: Vec<Flow>,
 }
 
-pub(crate) struct WindowState {
+pub(crate) struct WindowState<O> {
     /// Live task records (also issues the task ids).
-    tasks: TaskRing,
+    tasks: TaskRing<O>,
+    /// Arenas of the records' successor and owed-transfer lists.
+    succ_links: Chains<TaskId>,
+    send_links: Chains<OwedSend>,
     /// Runnable tasks, deepest first.
     ready: ReadyQueue,
     /// Declared data, by slot.
     data: Vec<DatumDir>,
+    /// The once-per-destination transfer cache: the version of the datum
+    /// in `slot` that node `dest` holds a copy of, by `(slot, dest)` —
+    /// [`INITIAL`] for the never-written datum fetched from its home.
+    holds: IntMap<(Slot, usize), TaskId>,
     slot_of: IntMap<DataKey, Slot>,
     scratch: InsertScratch,
     /// Net mode: unblocked stubs awaiting their inline completion (drained
@@ -564,7 +619,7 @@ pub(crate) struct WindowStats {
     pub worker_parks: u64,
 }
 
-impl WindowState {
+impl<O: TaskOp> WindowState<O> {
     /// Has the run failed (a kernel or the planner panicked, or — net mode
     /// — a transport/protocol error)? Sticky; every blocking wait bails.
     fn failed(&self) -> bool {
@@ -640,7 +695,7 @@ impl WindowState {
         debug_assert!(t.preds_remaining >= 1, "dependency underflow");
         t.preds_remaining -= 1;
         if t.preds_remaining == 0 {
-            let (cp, node, stub) = (t.cp, t.node, t.kernel.is_none());
+            let (cp, node, stub) = (t.cp, t.node, t.stub);
             self.unblocked(id, cp, node, stub);
         }
     }
@@ -649,14 +704,15 @@ impl WindowState {
     /// all in (they were extra predecessors); decode them into the local
     /// mirror now, under the lock — every ready task touching the same
     /// datum needs the same version (hazards serialize writers), so the
-    /// write cannot race a reader.
-    fn pop_ready(&mut self) -> Option<(TaskId, Kernel)> {
+    /// write cannot race a reader. `None` when there is nothing to run —
+    /// or an arrival could not be decoded, which has failed the run.
+    fn pop_ready(&mut self) -> Option<(TaskId, O)> {
         let r = self.ready.pop()?;
         // The popping worker runs this one itself: one task fewer to
         // announce to sleepers.
         self.newly_ready = self.newly_ready.saturating_sub(1);
         let t = self.tasks.get_mut(r.id).expect("ready task not live");
-        let kernel = t.kernel.take().expect("ready task holds its kernel");
+        let op = t.op;
         let needs = std::mem::take(&mut t.net_needs);
         if let Some(net) = &mut self.net {
             for (key, producer) in needs {
@@ -665,8 +721,11 @@ impl WindowState {
                     "task ready before its input {key:?} arrived"
                 );
             }
+            if net.error.is_some() {
+                return None;
+            }
         }
-        Some((r.id, kernel))
+        Some((r.id, op))
     }
 
     /// Drop reader entries whose tasks have completed, folding their
@@ -763,26 +822,21 @@ impl WindowState {
     /// (successfully) written — in either case at most once per (version,
     /// destination). No-ops when `dest` already holds the payload.
     fn resolve_transfer(&mut self, slot: Slot, dest: usize, bytes: usize, class: DataClass) {
-        let dir = &mut self.data[slot as usize];
+        let dir = &self.data[slot as usize];
         let key = dir.key;
-        let (msg, producer) = match &mut dir.exec {
-            Some(v) => {
-                if v.node == dest || !v.sent.insert(dest) {
-                    return;
-                }
-                (
-                    flow_msg(key, class, Some(v.id), v.node, dest, bytes),
-                    Some(v.id),
-                )
-            }
-            None => {
-                if dir.home == dest || !dir.initial_fetched.insert(dest) {
-                    return;
-                }
-                (flow_msg(key, class, None, dir.home, dest, bytes), None)
-            }
+        let (producer, src) = match dir.exec {
+            Some(v) => (Some(v.id), v.node),
+            None => (None, dir.home),
         };
-        self.route(msg, producer);
+        if src != dest && self.newly_held(slot, dest, producer.unwrap_or(INITIAL)) {
+            self.route(flow_msg(key, class, producer, src, dest, bytes), producer);
+        }
+    }
+
+    /// Note that `dest` now holds `version` of the datum in `slot`; `false`
+    /// if it already did.
+    fn newly_held(&mut self, slot: Slot, dest: usize, version: TaskId) -> bool {
+        self.holds.insert((slot, dest), version) != Some(version)
     }
 
     /// Record the completion of live task `id`: reclaim its record, publish
@@ -790,6 +844,7 @@ impl WindowState {
     /// release its successors (onto the ready queue, or the stub list).
     fn complete_task(
         &mut self,
+        ctx: &O::Ctx,
         id: TaskId,
         result: TaskResult,
         worker: usize,
@@ -814,7 +869,7 @@ impl WindowState {
                 net.fail(TransportError::Protocol(format!(
                     "task '{}' discarded itself; breakdown rerouting is not \
                      supported over a real transport",
-                    task.name
+                    task.op.name(ctx)
                 )));
             }
         }
@@ -838,7 +893,7 @@ impl WindowState {
         if result.executed {
             if let Some(events) = &mut self.trace {
                 events.push(TraceEvent {
-                    name: std::mem::take(&mut task.name),
+                    name: task.op.name(ctx),
                     node,
                     worker,
                     step: Some(task.step),
@@ -853,24 +908,22 @@ impl WindowState {
         // conflicting writers, so executed completions promote in
         // insertion order) with a fresh transfer cache.
         let mut sync_decisions: Vec<DataKey> = Vec::new();
-        for &slot in &task.writes {
-            let dir = &mut self.data[slot as usize];
+        let (data, slot_of) = (&mut self.data, &self.slot_of);
+        task.op.for_each_access(ctx, |acc| {
+            let Access::Mut(key) = acc else { return };
+            let dir = &mut data[slot_of[&key] as usize];
             if let Some(w) = &mut dir.hazard.writer {
                 if w.id == id {
                     w.meta.done = Some(result.executed);
                 }
             }
             if result.executed {
-                dir.exec = Some(ExecVersion {
-                    id,
-                    node,
-                    sent: IntSet::default(),
-                });
+                dir.exec = Some(ExecVersion { id, node });
                 if dir.class == DataClass::Decision {
-                    sync_decisions.push(dir.key);
+                    sync_decisions.push(key);
                 }
             }
-        }
+        });
 
         // Net mode: a decision computed on this rank is broadcast eagerly
         // to *every* peer as a control frame — the driver on each rank
@@ -902,18 +955,14 @@ impl WindowState {
         // (datum, destination node). A discarded task produced nothing —
         // its consumers fetch the previous executed version (or the
         // initial tile) instead, wherever that lives.
-        for s in &task.pending_sends {
+        let mut at = task.pending_sends.head();
+        while let Some((s, next)) = self.send_links.get(at) {
+            at = next;
             if !result.executed {
                 self.resolve_transfer(s.slot, s.dest, s.bytes, s.class);
-            } else if s.dest != node {
-                let v = self.data[s.slot as usize]
-                    .exec
-                    .as_mut()
-                    .expect("executed writer was promoted");
-                if v.sent.insert(s.dest) {
-                    let msg = flow_msg(s.key, s.class, Some(id), node, s.dest, s.bytes);
-                    self.route(msg, Some(id));
-                }
+            } else if s.dest != node && self.newly_held(s.slot, s.dest, id) {
+                let msg = flow_msg(s.key, s.class, Some(id), node, s.dest, s.bytes);
+                self.route(msg, Some(id));
             }
         }
 
@@ -933,9 +982,13 @@ impl WindowState {
             }
         }
 
-        for s in task.succs {
+        let mut at = task.succs.head();
+        while let Some((s, next)) = self.succ_links.get(at) {
+            at = next;
             self.release(s);
         }
+        self.succ_links.release(task.succs);
+        self.send_links.release(task.pending_sends);
 
         let ev = self.ledger.on_completed(task.step, node);
         self.on_step_events(ev.node_drained.as_slice(), ev.retired, task.step, end_s);
@@ -960,10 +1013,12 @@ impl WindowState {
 }
 
 /// Shared streaming execution state (the live window + scheduler queue +
-/// the online communication/virtual-time accounting).
-pub struct StreamWindow {
+/// the online communication/virtual-time accounting), over the ops of one
+/// run and the context they are interpreted against.
+pub struct StreamWindow<O: TaskOp> {
     num_nodes: usize,
-    state: Mutex<WindowState>,
+    ctx: Arc<O::Ctx>,
+    state: Mutex<WindowState<O>>,
     /// Workers sleep here (module docs, "Locking and wake-ups").
     work_cv: Condvar,
     /// The driver thread sleeps here.
@@ -975,32 +1030,26 @@ pub struct StreamWindow {
 /// Sentinel step used while no step is open (declaration phase).
 const NO_STEP: usize = usize::MAX;
 
-impl StreamWindow {
-    pub fn new(num_nodes: usize) -> Self {
-        StreamWindow::with_options(
-            num_nodes,
-            None,
-            false,
-            SchedPolicy::Fifo,
-            &Probe::disabled(),
-            false,
-            false,
-        )
+impl<O: TaskOp> StreamWindow<O> {
+    pub fn new(num_nodes: usize, ctx: Arc<O::Ctx>) -> Self {
+        StreamWindow::with_options(num_nodes, ctx, &StreamOptions::fixed(1, 1))
     }
 
-    /// A window that additionally drives the platform communication model
-    /// online (`platform`, virtual time scheduled by `scheduler`), records
-    /// per-task trace events (`trace`), and/or emits runtime metrics into
-    /// an enabled `probe`.
-    pub fn with_options(
-        num_nodes: usize,
-        platform: Option<&Platform>,
-        trace: bool,
-        scheduler: SchedPolicy,
-        probe: &Probe,
-        steal: bool,
-        recalibrate: bool,
-    ) -> Self {
+    /// A window configured by `opts` (the window policy and thread count
+    /// are the driver's business, not the window's): it may drive the
+    /// platform communication model online, record per-task trace events,
+    /// and emit runtime metrics into an enabled probe.
+    pub fn with_options(num_nodes: usize, ctx: Arc<O::Ctx>, opts: &StreamOptions) -> Self {
+        let &StreamOptions {
+            trace,
+            scheduler,
+            steal,
+            recalibrate,
+            ref platform,
+            ref probe,
+            ..
+        } = opts;
+        let platform = platform.as_ref();
         assert!(num_nodes >= 1);
         if let Some(p) = platform {
             if let Err(e) = p.require_nodes(num_nodes) {
@@ -1009,10 +1058,14 @@ impl StreamWindow {
         }
         StreamWindow {
             num_nodes,
+            ctx,
             state: Mutex::new(WindowState {
                 tasks: TaskRing::default(),
+                succ_links: Chains::default(),
+                send_links: Chains::default(),
                 ready: ReadyQueue::default(),
                 data: Vec::new(),
+                holds: IntMap::default(),
                 slot_of: IntMap::default(),
                 scratch: InsertScratch::default(),
                 stubs: Vec::new(),
@@ -1070,6 +1123,7 @@ impl StreamWindow {
     /// restrictions (no platform model, FIFO, no stealing).
     pub(crate) fn with_net(
         num_nodes: usize,
+        ctx: Arc<O::Ctx>,
         trace: bool,
         probe: &Probe,
         transport: Arc<dyn Transport>,
@@ -1082,15 +1136,12 @@ impl StreamWindow {
         );
         let rank = transport.rank();
         assert!(rank < num_nodes, "transport rank out of range");
-        let mut win = StreamWindow::with_options(
-            num_nodes,
-            None,
+        let opts = StreamOptions {
             trace,
-            SchedPolicy::Fifo,
-            probe,
-            false,
-            false,
-        );
+            probe: probe.clone(),
+            ..StreamOptions::fixed(1, 1)
+        };
+        let mut win = StreamWindow::with_options(num_nodes, ctx, &opts);
         win.state.get_mut().unwrap_or_else(|e| e.into_inner()).net = Some(NetState {
             rank,
             transport,
@@ -1119,7 +1170,7 @@ impl StreamWindow {
         self.num_nodes
     }
 
-    fn lock(&self) -> MutexGuard<'_, WindowState> {
+    fn lock(&self) -> MutexGuard<'_, WindowState<O>> {
         self.state.lock().unwrap_or_else(|e| e.into_inner())
     }
 
@@ -1141,7 +1192,7 @@ impl StreamWindow {
     /// End a critical section: complete the stubs it unblocked, release
     /// the lock, then wake exactly the sleepers whose condition it made
     /// true. Every mutation of the state goes through here.
-    fn finish(&self, mut st: MutexGuard<'_, WindowState>, worker: usize) {
+    fn finish(&self, mut st: MutexGuard<'_, WindowState<O>>, worker: usize) {
         self.drain_stubs(&mut st, worker);
         let wakes = st.take_wakes();
         drop(st);
@@ -1154,7 +1205,7 @@ impl StreamWindow {
     /// originates a wire frame (its `route`d messages start on its own
     /// rank), so the per-link wire/protocol reconciliation is unaffected
     /// by who completes it, and when.
-    fn drain_stubs(&self, st: &mut WindowState, worker: usize) {
+    fn drain_stubs(&self, st: &mut WindowState<O>, worker: usize) {
         if st.stubs.is_empty() {
             return;
         }
@@ -1164,7 +1215,7 @@ impl StreamWindow {
             0.0
         };
         while let Some(id) = st.stubs.pop() {
-            st.complete_task(id, TaskResult::control(), worker, now, now);
+            st.complete_task(&self.ctx, id, TaskResult::control(), worker, now, now);
         }
     }
 
@@ -1173,9 +1224,9 @@ impl StreamWindow {
     /// Sleep once on `plan_cv`, registered as waiting for `wait`.
     fn park_planner<'a>(
         &'a self,
-        mut st: MutexGuard<'a, WindowState>,
+        mut st: MutexGuard<'a, WindowState<O>>,
         wait: PlannerWait,
-    ) -> MutexGuard<'a, WindowState> {
+    ) -> MutexGuard<'a, WindowState<O>> {
         st.planner_wait = Some(wait);
         st = self.plan_cv.wait(st).unwrap_or_else(|e| e.into_inner());
         st.planner_wait = None;
@@ -1446,55 +1497,46 @@ impl StreamWindow {
                     key,
                     bytes,
                     home: home_node,
-                    class: DataClass::Payload,
+                    class: O::data_class(&self.ctx, key),
                     hazard: DirCell::default(),
                     exec: None,
-                    initial_fetched: IntSet::default(),
                 });
             }
         }
     }
 
-    fn declare_class(&self, key: DataKey, class: DataClass) {
-        let mut st = self.lock();
-        let slot = *st
-            .slot_of
-            .get(&key)
-            .unwrap_or_else(|| panic!("classifying undeclared data {key:?}"));
-        st.data[slot as usize].class = class;
-    }
-
-    fn insert_task(
-        &self,
-        step: usize,
-        name: String,
-        node: usize,
-        accesses: &[Access],
-        kernel: Kernel,
-    ) -> TaskId {
+    fn insert_task(&self, step: usize, node: usize, op: O) -> TaskId {
         assert!(node < self.num_nodes, "task placed on unknown node");
         assert_ne!(
             step, NO_STEP,
             "tasks may only be inserted into an open step"
         );
+        let ctx = &*self.ctx;
+        assert!(
+            op.step(ctx).is_none_or(|s| s == step),
+            "op of another step inserted into step {step}"
+        );
         let mut guard = self.lock();
         let st = &mut *guard;
         let id = st.tasks.next_id();
         let InsertScratch {
+            mut accesses,
             mut slots,
             mut preds,
             mut flows,
         } = std::mem::take(&mut st.scratch);
+        accesses.clear();
         slots.clear();
         preds.clear();
         flows.clear();
+        op.for_each_access(ctx, |acc| accesses.push(acc));
 
         // Pass 1: resolve every access to its datum slot (the one hashed
         // look-up per access) and consult the directories for hazard
         // predecessors and the critical-path depth over *all* of them
         // (completed predecessors contribute depth but no edge) — the
         // shared [`crate::hazard`] core, the same rules as
-        // GraphBuilder::push_boxed.
+        // GraphBuilder::push.
         let mut max_pred_cp = 0u64;
         let costed_len = if st.vtime.is_some() {
             accesses.len()
@@ -1502,16 +1544,17 @@ impl StreamWindow {
             0
         };
         let mut costed: Vec<CostedAccess> = Vec::with_capacity(costed_len);
-        let mut writes: Vec<Slot> = Vec::new();
         // Net mode: the decision datum this task writes, if any (the
         // driver waits for its applied value, not just task completion).
         let mut wrote_decision: Option<DataKey> = None;
-        for acc in accesses {
+        for acc in &accesses {
             let key = acc.key();
-            let slot = *st
-                .slot_of
-                .get(&key)
-                .unwrap_or_else(|| panic!("access to undeclared data {key:?} by task '{name}'"));
+            let slot = *st.slot_of.get(&key).unwrap_or_else(|| {
+                panic!(
+                    "access to undeclared data {key:?} by task '{}'",
+                    op.name(ctx)
+                )
+            });
             slots.push(slot);
             let dir = &st.data[slot as usize];
             if st.vtime.is_some() {
@@ -1528,11 +1571,8 @@ impl StreamWindow {
                 // and the writer-at-insertion.
                 flows.push((slot, key, dir.bytes, dir.class, dir.hazard.writer));
             }
-            if is_mut {
-                writes.push(slot);
-                if dir.class == DataClass::Decision {
-                    wrote_decision = Some(key);
-                }
+            if is_mut && dir.class == DataClass::Decision {
+                wrote_decision = Some(key);
             }
         }
         let cp = 1 + max_pred_cp;
@@ -1540,12 +1580,9 @@ impl StreamWindow {
         // Net mode: tasks placed on other ranks are stubs here — their
         // hazard edges and message bookkeeping are identical (that is what
         // keeps every rank's MsgStats equal to the simulated run's), but
-        // the actual kernel executes only on the owning rank.
+        // the op is interpreted on the owning rank only.
         let net_rank = st.net.as_ref().map(|n| n.rank);
-        let kernel = match net_rank {
-            Some(rank) if node != rank => None,
-            _ => Some(kernel),
-        };
+        let stub = net_rank.is_some_and(|rank| node != rank);
 
         // Steal-at-insert (opt-in): re-decide the execution node against
         // the online finish oracle before any placement-dependent state
@@ -1624,14 +1661,16 @@ impl StreamWindow {
                         .get_mut(w.id)
                         .expect("undone writer is live")
                         .pending_sends;
-                    if !owed.iter().any(|s| s.slot == slot && s.dest == node) {
-                        owed.push(OwedSend {
+                    let known = |s: OwedSend| s.slot == slot && s.dest == node;
+                    if !st.send_links.iter(*owed).any(known) {
+                        let send = OwedSend {
                             key,
                             slot,
                             dest: node,
                             bytes,
                             class,
-                        });
+                        };
+                        st.send_links.push(owed, send);
                     }
                 }
                 None => st.resolve_transfer(slot, node, bytes, class),
@@ -1655,7 +1694,8 @@ impl StreamWindow {
         crate::hazard::finalize_preds(&mut preds, id, |p| tasks.is_live(p));
         let mut preds_remaining = preds.len();
         for &p in &preds {
-            tasks.get_mut(p).expect("retained pred").succs.push(id);
+            let succs = &mut tasks.get_mut(p).expect("retained pred").succs;
+            st.succ_links.push(succs, id);
         }
 
         // Net mode: gate on not-yet-arrived remote inputs (one extra
@@ -1672,22 +1712,21 @@ impl StreamWindow {
             }
         }
 
-        let stub = kernel.is_none();
         let pushed = st.tasks.push(LiveTask {
-            name,
+            op,
             node,
             step,
             cp,
             preds_remaining,
-            succs: Vec::new(),
-            pending_sends: Vec::new(),
-            writes,
+            succs: Chain::EMPTY,
+            pending_sends: Chain::EMPTY,
             accesses: costed,
             net_needs,
-            kernel,
+            stub,
         });
         debug_assert_eq!(pushed, id);
         st.scratch = InsertScratch {
+            accesses,
             slots,
             preds,
             flows,
@@ -1712,15 +1751,16 @@ impl StreamWindow {
     /// asleep.
     pub(crate) fn worker_loop(&self, worker: usize) {
         let mut next = self.next_task(self.lock(), worker);
-        while let Some((id, kernel)) = next {
+        while let Some((id, op)) = next {
             let t0 = self.now();
-            let result = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(kernel)) {
+            let run = std::panic::AssertUnwindSafe(|| op.run(&self.ctx));
+            let result = match std::panic::catch_unwind(run) {
                 Ok(result) => result,
                 Err(payload) => return self.fail_panicked(payload),
             };
             let t1 = self.now();
             let mut st = self.lock();
-            st.complete_task(id, result, worker, t0, t1);
+            st.complete_task(&self.ctx, id, result, worker, t0, t1);
             next = self.next_task(st, worker);
         }
     }
@@ -1729,9 +1769,9 @@ impl StreamWindow {
     /// task, sleeping while there is none; `None` once the run is over.
     fn next_task(
         &self,
-        mut st: MutexGuard<'_, WindowState>,
+        mut st: MutexGuard<'_, WindowState<O>>,
         worker: usize,
-    ) -> Option<(TaskId, Kernel)> {
+    ) -> Option<(TaskId, O)> {
         loop {
             // Stubs first: completing them may unblock a deeper task.
             self.drain_stubs(&mut st, worker);
@@ -1787,6 +1827,7 @@ impl StreamWindow {
                     .or_default()
                     .record(&msg);
                 net.payload_bytes_recv += payload.len() as u64;
+                net.check_known(key, from);
                 st.net_arrival(key, producer, payload);
             }
             Frame::Sync {
@@ -1797,6 +1838,7 @@ impl StreamWindow {
                 let net = st.net.as_mut().expect("checked above");
                 net.ctrl_recv += 1;
                 net.payload_bytes_recv += payload.len() as u64;
+                net.check_known(key, from);
                 st.net_arrival(key, Some(producer), payload);
             }
             Frame::Retire { step, node } => {
@@ -1818,6 +1860,7 @@ impl StreamWindow {
                 let net = st.net.as_mut().expect("checked above");
                 net.ctrl_recv += 1;
                 net.payload_bytes_recv += payload.len() as u64;
+                net.check_known(key, from);
                 net.store_payload(key, &payload);
             }
             Frame::Done => {
@@ -2081,23 +2124,23 @@ impl StreamWindow {
 /// [`TaskSink`] adapter binding insertions to one step of a
 /// [`StreamWindow`]. Created by the streaming driver for each planning
 /// phase; `usize::MAX` (declaration phase) accepts `declare` only.
-pub struct StepSink<'a> {
-    win: &'a StreamWindow,
+pub struct StepSink<'a, O: TaskOp> {
+    win: &'a StreamWindow<O>,
     step: usize,
 }
 
-impl<'a> StepSink<'a> {
-    pub fn new(win: &'a StreamWindow, step: usize) -> Self {
+impl<'a, O: TaskOp> StepSink<'a, O> {
+    pub fn new(win: &'a StreamWindow<O>, step: usize) -> Self {
         StepSink { win, step }
     }
 
     /// Declaration-phase sink (no step open; task insertion panics).
-    pub fn declarations(win: &'a StreamWindow) -> Self {
+    pub fn declarations(win: &'a StreamWindow<O>) -> Self {
         StepSink { win, step: NO_STEP }
     }
 }
 
-impl TaskSink for StepSink<'_> {
+impl<O: TaskOp> TaskSink<O> for StepSink<'_, O> {
     fn num_nodes(&self) -> usize {
         self.win.num_nodes()
     }
@@ -2106,64 +2149,53 @@ impl TaskSink for StepSink<'_> {
         self.win.declare(key, bytes, home_node);
     }
 
-    fn declare_class(&mut self, key: DataKey, class: DataClass) {
-        self.win.declare_class(key, class);
-    }
-
-    fn push_task(
-        &mut self,
-        name: String,
-        node: usize,
-        accesses: &[Access],
-        kernel: Kernel,
-    ) -> TaskId {
-        self.win
-            .insert_task(self.step, name, node, accesses, kernel)
+    fn push(&mut self, node: usize, op: O) -> TaskId {
+        self.win.insert_task(self.step, node, op)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testing::{TestCtx, TestOp};
 
-    fn record(name: &str) -> LiveTask {
+    fn record(tag: u64) -> LiveTask<u64> {
         LiveTask {
-            name: name.to_string(),
+            op: tag,
             node: 0,
             step: 0,
             cp: 1,
             preds_remaining: 0,
-            succs: Vec::new(),
-            pending_sends: Vec::new(),
-            writes: Vec::new(),
+            succs: Chain::EMPTY,
+            pending_sends: Chain::EMPTY,
             accesses: Vec::new(),
             net_needs: Vec::new(),
-            kernel: None,
+            stub: false,
         }
     }
 
-    fn occupied(ring: &TaskRing) -> usize {
+    fn occupied(ring: &TaskRing<u64>) -> usize {
         ring.slots.iter().filter(|s| s.is_some()).count()
     }
 
     #[test]
     fn ring_issues_sequential_ids_and_counts_live_records() {
-        let mut ring = TaskRing::default();
+        let mut ring = TaskRing::<u64>::default();
         for expect in 0..5 {
             assert_eq!(ring.next_id(), expect);
-            assert_eq!(ring.push(record("t")), expect);
+            assert_eq!(ring.push(record(7)), expect);
         }
         assert_eq!(ring.live(), 5);
         assert_eq!(ring.live(), occupied(&ring));
         assert!(ring.is_live(4) && !ring.is_live(5));
-        assert_eq!(ring.get_mut(3).map(|t| t.name.as_str()), Some("t"));
+        assert_eq!(ring.get_mut(3).map(|t| t.op), Some(7));
     }
 
     #[test]
     fn out_of_order_completion_holds_the_base() {
-        let mut ring = TaskRing::default();
+        let mut ring = TaskRing::<u64>::default();
         for _ in 0..4 {
-            ring.push(record("t"));
+            ring.push(record(7));
         }
         // 1 and 2 complete before 0: their slots empty, the base stays.
         assert!(ring.remove(2).is_some());
@@ -2178,9 +2210,9 @@ mod tests {
 
     #[test]
     fn base_advances_past_the_completed_prefix() {
-        let mut ring = TaskRing::default();
+        let mut ring = TaskRing::<u64>::default();
         for _ in 0..4 {
-            ring.push(record("t"));
+            ring.push(record(7));
         }
         ring.remove(1);
         ring.remove(2);
@@ -2190,7 +2222,7 @@ mod tests {
         assert_eq!(ring.live(), occupied(&ring));
         // Ids keep counting from where they were, and a drained ring's
         // base sits at the next id.
-        assert_eq!(ring.push(record("t")), 4);
+        assert_eq!(ring.push(record(7)), 4);
         ring.remove(3);
         ring.remove(4);
         assert_eq!((ring.base, ring.slots.len(), ring.live()), (5, 0, 0));
@@ -2199,9 +2231,9 @@ mod tests {
 
     #[test]
     fn a_dependency_on_an_id_below_the_base_is_vacuous() {
-        let mut ring = TaskRing::default();
+        let mut ring = TaskRing::<u64>::default();
         for _ in 0..3 {
-            ring.push(record("t"));
+            ring.push(record(7));
         }
         ring.remove(0);
         ring.remove(1);
@@ -2218,20 +2250,20 @@ mod tests {
     /// its producer completed gets no edge and is runnable at once.
     #[test]
     fn completed_producer_leaves_no_edge() {
-        let win = StreamWindow::new(1);
+        let ctx = Arc::new(TestCtx::default());
+        let win = StreamWindow::<TestOp>::new(1, Arc::clone(&ctx));
         let key = DataKey(1);
         win.declare(key, 8, 0);
         win.open_step(0);
-        let kernel = || Box::new(TaskResult::control) as Kernel;
-        let a = win.insert_task(0, "a".into(), 0, &[Access::Mut(key)], kernel());
+        let a = win.insert_task(0, 0, ctx.op("a", &[Access::Mut(key)], TaskResult::control));
         {
             let mut st = win.lock();
             let (id, _) = st.pop_ready().expect("a is runnable");
             assert_eq!(id, a);
-            st.complete_task(a, TaskResult::control(), 0, 0.0, 0.0);
+            st.complete_task(&ctx, a, TaskResult::control(), 0, 0.0, 0.0);
             assert_eq!((st.tasks.base, st.tasks.live()), (1, 0));
         }
-        let b = win.insert_task(0, "b".into(), 0, &[Access::Read(key)], kernel());
+        let b = win.insert_task(0, 0, ctx.op("b", &[Access::Read(key)], TaskResult::control));
         let mut st = win.lock();
         assert_eq!(st.tasks.get_mut(b).expect("b is live").preds_remaining, 0);
         assert_eq!(st.pop_ready().map(|(id, _)| id), Some(b));

@@ -1,0 +1,133 @@
+//! The op type of the runtime's own unit tests: a [`TaskOp`] whose context
+//! is a table of test-supplied bodies, so tests keep describing tasks as
+//! `(name, accesses, closure)` while the runtime under test only ever sees
+//! the descriptor.
+
+use std::sync::{Arc, Mutex, RwLock};
+
+use crate::graph::{
+    Access, DataClass, DataKey, Graph, GraphBuilder, TaskId, TaskOp, TaskResult, TaskSink,
+};
+
+type Body = Box<dyn FnOnce() -> TaskResult + Send>;
+
+struct Entry {
+    name: String,
+    accesses: Vec<Access>,
+    body: Mutex<Option<Body>>,
+}
+
+/// Index into a [`TestCtx`]'s body table.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct TestOp(u32);
+
+/// The body table, appendable while a streaming run executes.
+#[derive(Default)]
+pub(crate) struct TestCtx {
+    entries: RwLock<Vec<Arc<Entry>>>,
+    decisions: RwLock<Vec<DataKey>>,
+}
+
+impl TestCtx {
+    /// Register a task body; the step is the `k=NN` of its name, if any.
+    pub(crate) fn op(
+        &self,
+        name: impl Into<String>,
+        accesses: &[Access],
+        body: impl FnOnce() -> TaskResult + Send + 'static,
+    ) -> TestOp {
+        let mut entries = self.entries.write().unwrap();
+        entries.push(Arc::new(Entry {
+            name: name.into(),
+            accesses: accesses.to_vec(),
+            body: Mutex::new(Some(Box::new(body))),
+        }));
+        TestOp(entries.len() as u32 - 1)
+    }
+
+    /// Register a body and insert it into `sink` on `node`.
+    pub(crate) fn task(
+        &self,
+        sink: &mut dyn TaskSink<TestOp>,
+        name: impl Into<String>,
+        node: usize,
+        accesses: &[Access],
+        body: impl FnOnce() -> TaskResult + Send + 'static,
+    ) -> TaskId {
+        sink.push(node, self.op(name, accesses, body))
+    }
+
+    /// Classify `key` as a decision datum.
+    pub(crate) fn mark_decision(&self, key: DataKey) {
+        self.decisions.write().unwrap().push(key);
+    }
+
+    fn entry(&self, op: TestOp) -> Arc<Entry> {
+        Arc::clone(&self.entries.read().unwrap()[op.0 as usize])
+    }
+}
+
+impl TaskOp for TestOp {
+    type Ctx = TestCtx;
+
+    fn run(self, ctx: &TestCtx) -> TaskResult {
+        let entry = ctx.entry(self);
+        let body = entry.body.lock().unwrap().take();
+        body.unwrap_or_else(|| panic!("task '{}' executed twice", entry.name))()
+    }
+
+    fn step(self, ctx: &TestCtx) -> Option<usize> {
+        crate::trace::step_index(&ctx.entry(self).name)
+    }
+
+    fn write_name(self, ctx: &TestCtx, out: &mut String) {
+        out.push_str(&ctx.entry(self).name);
+    }
+
+    fn for_each_access(self, ctx: &TestCtx, f: impl FnMut(Access)) {
+        ctx.entry(self).accesses.iter().copied().for_each(f);
+    }
+
+    fn data_class(ctx: &TestCtx, key: DataKey) -> DataClass {
+        if ctx.decisions.read().unwrap().contains(&key) {
+            DataClass::Decision
+        } else {
+            DataClass::Payload
+        }
+    }
+}
+
+/// A [`GraphBuilder`] over [`TestOp`]s with the closure-style insertion the
+/// tests are written in.
+pub(crate) struct TestGraph {
+    pub(crate) b: GraphBuilder<TestOp>,
+    ctx: Arc<TestCtx>,
+}
+
+impl TestGraph {
+    pub(crate) fn new(num_nodes: usize) -> Self {
+        let ctx = Arc::new(TestCtx::default());
+        TestGraph {
+            b: GraphBuilder::new(num_nodes, Arc::clone(&ctx)),
+            ctx,
+        }
+    }
+
+    pub(crate) fn declare(&mut self, key: DataKey, bytes: usize, home_node: usize) {
+        self.b.declare(key, bytes, home_node);
+    }
+
+    pub(crate) fn task(
+        &mut self,
+        name: impl Into<String>,
+        node: usize,
+        accesses: &[Access],
+        body: impl FnOnce() -> TaskResult + Send + 'static,
+    ) -> TaskId {
+        self.ctx.task(&mut self.b, name, node, accesses, body)
+    }
+
+    pub(crate) fn build(self) -> Graph<TestOp> {
+        self.b.build()
+    }
+}

@@ -20,7 +20,7 @@
 
 use std::fmt::Write as _;
 
-use crate::graph::Graph;
+use crate::graph::{Graph, TaskOp};
 use crate::platform::Platform;
 use crate::probe::ProbeSnapshot;
 use crate::sched::SchedPolicy;
@@ -60,9 +60,9 @@ pub struct TraceOptions<'a> {
     pub counters: Option<&'a ProbeSnapshot>,
 }
 
-/// Elimination-step index encoded in a task name (the `k=NN` of
-/// `"GEMM(3,4,k=2)"`). This is the per-task retirement unit of the
-/// streaming runtime, so traces and DOT exports key on it.
+/// Elimination-step index encoded in a rendered task name (the `k=NN` of
+/// `"GEMM(3,4,k=2)"`), for readers of exported traces. The runtime itself
+/// never parses names: a task's step is [`crate::graph::TaskOp::step`].
 pub fn step_index(name: &str) -> Option<usize> {
     let start = name.rfind("k=")? + 2;
     let digits: &str = &name[start..];
@@ -172,20 +172,24 @@ pub fn render_chrome_trace(events: &[TraceEvent], opts: &TraceOptions) -> String
 /// index in `args.step` (when the task name carries one), so step
 /// retirement — the streaming window's unit of memory reclamation — is
 /// visible as a column in the trace viewer.
-pub fn to_chrome_trace(graph: &Graph, sim: &SimReport) -> String {
+pub fn to_chrome_trace<O: TaskOp>(graph: &Graph<O>, sim: &SimReport) -> String {
     events_to_chrome_trace(&sim_events(graph, sim))
 }
 
 /// [`to_chrome_trace`] with node lanes named by the platform's specs.
-pub fn to_chrome_trace_on(graph: &Graph, sim: &SimReport, platform: &Platform) -> String {
+pub fn to_chrome_trace_on<O: TaskOp>(
+    graph: &Graph<O>,
+    sim: &SimReport,
+    platform: &Platform,
+) -> String {
     events_to_chrome_trace_on(&sim_events(graph, sim), Some(platform))
 }
 
 /// [`to_chrome_trace_on`] with lanes additionally stamped with the
 /// scheduling policy that produced `sim` (pass the policy you simulated
 /// with — the report does not carry it).
-pub fn to_chrome_trace_sched(
-    graph: &Graph,
+pub fn to_chrome_trace_sched<O: TaskOp>(
+    graph: &Graph<O>,
     sim: &SimReport,
     platform: &Platform,
     policy: SchedPolicy,
@@ -196,23 +200,25 @@ pub fn to_chrome_trace_sched(
 /// [`to_chrome_trace`] with full [`TraceOptions`] — the entry point for
 /// probed replays, where counter tracks from a
 /// [`crate::probe::ProbeReport`] snapshot overlay the simulated spans.
-pub fn to_chrome_trace_with(graph: &Graph, sim: &SimReport, opts: &TraceOptions) -> String {
+pub fn to_chrome_trace_with<O: TaskOp>(
+    graph: &Graph<O>,
+    sim: &SimReport,
+    opts: &TraceOptions,
+) -> String {
     render_chrome_trace(&sim_events(graph, sim), opts)
 }
 
-fn sim_events(graph: &Graph, sim: &SimReport) -> Vec<TraceEvent> {
+fn sim_events<O: TaskOp>(graph: &Graph<O>, sim: &SimReport) -> Vec<TraceEvent> {
     graph
-        .tasks
-        .iter()
-        .enumerate()
-        .filter(|(_, t)| t.result().map(|r| r.executed).unwrap_or(false))
-        .map(|(i, t)| TraceEvent {
-            name: t.name.clone(),
-            node: t.node,
+        .tasks()
+        .filter(|t| t.result().map(|r| r.executed).unwrap_or(false))
+        .map(|t| TraceEvent {
+            name: t.name(),
+            node: t.node(),
             worker: 0,
-            step: step_index(&t.name),
-            start: sim.starts[i],
-            end: sim.finishes[i],
+            step: t.step(),
+            start: sim.starts[t.id],
+            end: sim.finishes[t.id],
         })
         .collect()
 }
@@ -221,14 +227,15 @@ fn sim_events(graph: &Graph, sim: &SimReport) -> Vec<TraceEvent> {
 mod tests {
     use super::*;
     use crate::exec::execute;
-    use crate::graph::{Access, CostClass, DataKey, GraphBuilder, TaskResult};
+    use crate::graph::{Access, CostClass, DataKey, TaskResult};
     use crate::platform::Platform;
     use crate::probe::{metric, Label, Probe};
     use crate::sim::simulate;
+    use crate::testing::TestGraph;
 
     #[test]
     fn trace_contains_executed_tasks_only() {
-        let mut b = GraphBuilder::new(2);
+        let mut b = TestGraph::new(2);
         b.declare(DataKey(0), 64, 0);
         b.task("work", 0, &[Access::Mut(DataKey(0))], || {
             TaskResult::executed(1e6, CostClass::Gemm)
@@ -274,7 +281,7 @@ mod tests {
 
     #[test]
     fn trace_records_step_index() {
-        let mut b = GraphBuilder::new(1);
+        let mut b = TestGraph::new(1);
         b.declare(DataKey(0), 64, 0);
         b.task("PANEL(k=3)", 0, &[Access::Mut(DataKey(0))], || {
             TaskResult::executed(1e6, CostClass::PanelFactor)
@@ -293,7 +300,7 @@ mod tests {
 
     #[test]
     fn trace_times_are_consistent() {
-        let mut b = GraphBuilder::new(1);
+        let mut b = TestGraph::new(1);
         b.declare(DataKey(0), 64, 0);
         for i in 0..3 {
             b.task(format!("t{i}"), 0, &[Access::Mut(DataKey(0))], || {

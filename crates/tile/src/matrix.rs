@@ -183,6 +183,20 @@ impl TiledMatrix {
         a
     }
 
+    /// A second handle onto the *same* tiles: the layout is copied, every
+    /// tile is shared. What a run context keeps so that its tasks can
+    /// reach the tiles by index.
+    pub fn share(&self) -> TiledMatrix {
+        TiledMatrix {
+            m: self.m,
+            n: self.n,
+            nb: self.nb,
+            mt: self.mt,
+            col_starts: self.col_starts.clone(),
+            tiles: self.tiles.clone(),
+        }
+    }
+
     /// Deep copy (fresh tile allocations).
     pub fn deep_clone(&self) -> TiledMatrix {
         let t = TiledMatrix::with_col_starts(self.m, self.nb, self.col_starts.clone());
@@ -246,8 +260,13 @@ impl TiledMatrix {
 
     /// Shared handle to tile `(i, j)`.
     pub fn tile(&self, i: usize, j: usize) -> TileRef {
+        Arc::clone(self.tile_ref(i, j))
+    }
+
+    /// Tile `(i, j)`, borrowed.
+    pub fn tile_ref(&self, i: usize, j: usize) -> &TileRef {
         assert!(i < self.mt && j < self.nt(), "tile index out of range");
-        Arc::clone(&self.tiles[j * self.mt + i])
+        &self.tiles[j * self.mt + i]
     }
 
     /// Tile column containing global column `gj`.

@@ -302,3 +302,121 @@ fn mid_run_peer_loss_fails_the_run() {
     );
     deserter.join().unwrap();
 }
+
+/// A rank-1 endpoint that runs the protocol faithfully except for the
+/// first payload-class data frame it sends (a decision also travels as a
+/// control frame, so tampering with its data frame would go unnoticed),
+/// which `tamper` rewrites.
+struct TamperingPeer<T> {
+    inner: std::sync::Arc<T>,
+    tamper: fn(&mut DataKey, &mut Vec<u8>),
+    tampered: std::sync::atomic::AtomicBool,
+}
+
+impl<T: Transport> Transport for TamperingPeer<T> {
+    fn rank(&self) -> usize {
+        self.inner.rank()
+    }
+    fn nranks(&self) -> usize {
+        self.inner.nranks()
+    }
+    fn send(&self, to: usize, frame: &Frame) -> Result<(), TransportError> {
+        use std::sync::atomic::Ordering;
+        let mut frame = frame.clone();
+        if let Frame::Data {
+            key,
+            payload,
+            class: DataClass::Payload,
+            ..
+        } = &mut frame
+        {
+            if !payload.is_empty() && !self.tampered.swap(true, Ordering::SeqCst) {
+                (self.tamper)(key, payload);
+            }
+        }
+        self.inner.send(to, &frame)
+    }
+    fn recv(&self) -> Result<(usize, Frame), TransportError> {
+        self.inner.recv()
+    }
+    fn shutdown(&self) {
+        self.inner.shutdown()
+    }
+}
+
+/// Run a two-rank loopback factorization whose rank 1 tampers with its
+/// first data frame, and return what rank 0's run ended with. Under a
+/// watchdog: a hostile payload must end the run, not hang or panic it.
+fn rank0_outcome_with_tampering_peer(
+    tamper: fn(&mut DataKey, &mut Vec<u8>),
+) -> Result<(), TransportError> {
+    use luqr::{factor_stream_net_rank, Algorithm, Criterion, FactorOptions, StreamOptions};
+    use luqr_tile::Grid;
+    use std::sync::mpsc::{channel, RecvTimeoutError};
+    use std::sync::Arc;
+
+    let (tx, rx) = channel();
+    let runner = std::thread::spawn(move || {
+        let (a, b) = luqr_tests::dominant_system(64, 5, 1);
+        let opts = FactorOptions {
+            nb: 8,
+            ib: 4,
+            threads: 2,
+            grid: Grid::new(1, 2),
+            algorithm: Algorithm::LuQr(Criterion::Max { alpha: 100.0 }),
+            ..FactorOptions::default()
+        };
+        let sopts = StreamOptions::fixed(2, 2);
+        let mut set = luqr_runtime::net::loopback::loopback_set(2).into_iter();
+        let (t0, t1) = (set.next().unwrap(), set.next().unwrap());
+        let t1 = Arc::new(TamperingPeer {
+            inner: t1,
+            tamper,
+            tampered: Default::default(),
+        });
+        let outcome = std::thread::scope(|s| {
+            // Rank 1 loses rank 0 once rank 0 fails; its error is the echo.
+            s.spawn(|| {
+                let _ = factor_stream_net_rank(&a, &b, &opts, &sopts, t1);
+            });
+            factor_stream_net_rank(&a, &b, &opts, &sopts, t0).map(|_| ())
+        });
+        let _ = tx.send(outcome);
+    });
+    match rx.recv_timeout(std::time::Duration::from_secs(60)) {
+        Ok(outcome) => {
+            runner.join().expect("no rank may panic");
+            outcome
+        }
+        Err(RecvTimeoutError::Timeout) => panic!("hostile payload hung the run"),
+        Err(RecvTimeoutError::Disconnected) => {
+            std::panic::resume_unwind(runner.join().expect_err("sender dropped by a panic"))
+        }
+    }
+}
+
+/// A data frame whose payload stops short of the matrix it announces
+/// fails the run with the codec's typed error.
+#[test]
+fn truncated_payload_from_a_peer_fails_the_run() {
+    let outcome = rank0_outcome_with_tampering_peer(|_key, payload| {
+        payload.truncate(payload.len() - 1);
+    });
+    match outcome {
+        Err(TransportError::Frame(m)) => assert!(m.contains("payload truncated"), "{m}"),
+        other => panic!("expected a truncated-payload frame error, got {other:?}"),
+    }
+}
+
+/// A data frame for a datum that does not exist in this run fails the run
+/// on arrival — nothing would ever consume it.
+#[test]
+fn payload_for_an_unknown_datum_fails_the_run() {
+    let outcome = rank0_outcome_with_tampering_peer(|key, _payload| {
+        *key = DataKey(0xdead << 40);
+    });
+    match outcome {
+        Err(TransportError::Protocol(m)) => assert!(m.contains("not a datum of this run"), "{m}"),
+        other => panic!("expected an unknown-datum protocol error, got {other:?}"),
+    }
+}

@@ -117,15 +117,16 @@ fn hybrid_discards_exactly_one_branch_per_step() {
         let suffix = format!("k={k})");
         let mut lu_exec = 0;
         let mut qr_exec = 0;
-        for t in &f.graph.tasks {
-            if !t.name.ends_with(&suffix) {
+        for t in f.graph.tasks() {
+            let name = t.name();
+            if !name.ends_with(&suffix) {
                 continue;
             }
             let executed = t.result().map(|r| r.executed).unwrap_or(false);
-            if t.name.starts_with("GEMM") || t.name.starts_with("TRSM(") {
+            if name.starts_with("GEMM") || name.starts_with("TRSM(") {
                 lu_exec += executed as usize;
             }
-            if t.name.contains("QRT") || t.name.contains("MQR") {
+            if name.contains("QRT") || name.contains("MQR") {
                 qr_exec += executed as usize;
             }
         }

@@ -95,9 +95,9 @@ proptest! {
         // ... and its generic buffer-and-select machinery, forced.
         let mut eng = SchedEngine::with_spans(&platform, SchedPolicy::Fifo)
             .with_forced_buffering();
-        for t in &f.graph.tasks {
+        for t in f.graph.tasks() {
             let r = t.result().expect("executed graph");
-            eng.submit(t.node, &t.accesses, r);
+            eng.submit(t.node(), &t.accesses(), r);
         }
         eng.drain();
         prop_assert_eq!(&reference, &eng.report(), "buffered fifo diverged");
@@ -206,14 +206,15 @@ proptest! {
         // The extracted core, driven standalone over the same accesses.
         let mut cells: HashMap<u64, HazardCell<()>> = HashMap::new();
 
-        let mut succ: Vec<Vec<usize>> = vec![Vec::new(); f.graph.tasks.len()];
-        for (id, t) in f.graph.tasks.iter().enumerate() {
+        let mut succ: Vec<Vec<usize>> = vec![Vec::new(); f.graph.len()];
+        for t in f.graph.tasks() {
+            let (id, accesses) = (t.id, t.accesses());
             let mut naive: Vec<usize> = Vec::new();
             let mut core: Vec<usize> = Vec::new();
             let mut depth = 0u64;
             // Pass 1: fold predecessors over pre-insertion state, exactly
             // as GraphBuilder does (all accesses before any update).
-            for ca in &t.accesses {
+            for ca in &accesses {
                 let key = ca.access.key().0;
                 match ca.access {
                     Access::Read(_) | Access::Control(_) => {
@@ -229,7 +230,7 @@ proptest! {
                 }
             }
             // Pass 2: update both states in access order.
-            for ca in &t.accesses {
+            for ca in &accesses {
                 let key = ca.access.key().0;
                 match ca.access {
                     Access::Read(_) => {
@@ -249,15 +250,16 @@ proptest! {
             naive.retain(|&p| p != id);
             finalize_preds(&mut core, id, |_| true);
             prop_assert_eq!(&naive, &core, "task {}: standalone core vs naive rules", id);
-            prop_assert_eq!(naive.len(), t.num_preds, "task {}: num_preds", id);
+            prop_assert_eq!(naive.len(), t.num_preds(), "task {}: num_preds", id);
             for &p in &naive {
                 succ[p].push(id);
             }
         }
-        for (p, t) in f.graph.tasks.iter().enumerate() {
+        for t in f.graph.tasks() {
+            let p = t.id;
             succ[p].sort_unstable();
             succ[p].dedup();
-            prop_assert_eq!(&succ[p], &t.successors, "task {}: successors", p);
+            prop_assert_eq!(&succ[p][..], t.successors(), "task {}: successors", p);
         }
     }
 }
