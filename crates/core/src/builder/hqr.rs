@@ -2,7 +2,7 @@
 //! the [`HqrPlanner`] running it unconditionally at every step.
 
 use crate::op::{ix, Gate, TaskOp};
-use crate::state::{cells, StepCells};
+use crate::state::{cells, StepCells, StepData, StepPlan};
 use crate::trees::{elimination_list, ElimOp};
 
 use super::{panel, Inserter, StepPlanner};
@@ -97,11 +97,13 @@ impl StepPlanner for HqrPlanner {
     }
 
     fn plan_step(&self, k: usize, ins: &mut Inserter<'_>) {
-        let step = StepCells {
+        let data = StepData {
             tf: cells(ins.ctx.aug.mt()),
-            ..StepCells::default()
+            ..StepData::default()
         };
-        ins.ctx.steps.open(k, step);
+        ins.ctx
+            .steps
+            .open(k, StepCells::new(StepPlan::default(), data));
         insert_qr_step(ins, k, Gate::None);
     }
 }

@@ -19,7 +19,7 @@ use luqr_runtime::TaskId;
 
 use crate::config::{Decision, LuVariant};
 use crate::op::{ix, Gate, TaskOp};
-use crate::state::{cells, StepCells};
+use crate::state::{cells, StepCells, StepData, StepPlan};
 
 use super::{hqr, lu, panel, Inserter, StepPlanner};
 
@@ -35,14 +35,17 @@ impl HybridPlanner {
         let mt = ins.ctx.aug.mt();
         let trial_rows = panel::trial_rows(ins, k);
         let crit_groups = panel::crit_groups(ins, k, &trial_rows);
-        let step = StepCells {
+        let data = StepData {
             crit: cells(crit_groups.len()),
-            crit_groups,
             backup: cells(mt),
             tf: cells(mt),
-            ..lu::lu_step_cells(ins, k, trial_rows)
+            ..lu::lu_step_data(ins)
         };
-        ins.ctx.steps.open(k, step);
+        let plan = StepPlan {
+            crit_groups,
+            ..lu::lu_step_plan(ins, k, trial_rows)
+        };
+        ins.ctx.steps.open(k, StepCells::new(plan, data));
 
         // --- Backup the trial panel tiles.
         panel::insert_backups(ins, k);

@@ -4,7 +4,7 @@
 
 use crate::keys;
 use crate::op::{ix, TaskOp};
-use crate::state::{cells, StepCells};
+use crate::state::{cells, StepCells, StepData, StepPlan};
 
 use super::{panel, Inserter, StepPlanner};
 
@@ -19,11 +19,13 @@ impl StepPlanner for IncPivPlanner {
     fn plan_step(&self, k: usize, ins: &mut Inserter<'_>) {
         let mt = ins.ctx.aug.mt();
         let nbk = ins.ctx.aug.tile_cols(k);
-        let step = StepCells {
+        let data = StepData {
             l: cells(mt),
-            ..StepCells::default()
+            ..StepData::default()
         };
-        ins.ctx.steps.open(k, step);
+        ins.ctx
+            .steps
+            .open(k, StepCells::new(StepPlan::default(), data));
         // Diagonal tile: GETRF with in-tile pivoting.
         panel::insert_incpiv_diag(ins, k);
         // Apply to the diagonal row: GESSM.

@@ -4,7 +4,7 @@
 
 use crate::keys;
 use crate::op::{ix, Gate, TaskOp};
-use crate::state::{cells, StepCells};
+use crate::state::{cells, StepCells, StepData, StepPlan};
 
 use super::{panel, Inserter, StepPlanner};
 
@@ -13,7 +13,7 @@ use super::{panel, Inserter, StepPlanner};
 /// diagonal tile, grouped by grid row (for any trailing column `j`, all
 /// tiles `(i, j)` of one grid row live on the same node) with their
 /// offsets in the stacked panel — and the panel's height and fan-in.
-pub(crate) fn lu_step_cells(ins: &Inserter<'_>, k: usize, trial_rows: Vec<usize>) -> StepCells {
+pub(crate) fn lu_step_plan(ins: &Inserter<'_>, k: usize, trial_rows: Vec<usize>) -> StepPlan {
     let aug = &ins.ctx.aug;
     let mut swap_groups: Vec<(usize, Vec<(usize, usize)>)> = Vec::new();
     let mut offset = 0usize;
@@ -27,13 +27,21 @@ pub(crate) fn lu_step_cells(ins: &Inserter<'_>, k: usize, trial_rows: Vec<usize>
         }
         offset += aug.tile_rows(i);
     }
-    StepCells {
+    StepPlan {
         trial_rows,
         swap_groups: swap_groups.into_iter().map(|(_, rows)| rows).collect(),
         total_rows: offset,
         panel_nodes: ins.dist.panel_node_count(k, aug.mt()),
-        scratch: cells(aug.nt()),
-        ..StepCells::default()
+        ..StepPlan::default()
+    }
+}
+
+/// The data cells of an LU-shaped step: the panel factorization and one
+/// pivot-row snapshot per tile column.
+pub(crate) fn lu_step_data(ins: &Inserter<'_>) -> StepData {
+    StepData {
+        scratch: cells(ins.ctx.aug.nt()),
+        ..StepData::default()
     }
 }
 
@@ -78,7 +86,7 @@ pub(crate) fn insert_row_elimination(
 /// pivot-block tile), then solve the top with `L11`. The per-tile Schur
 /// updates are separate GEMM tasks.
 pub(crate) fn insert_lu_step(ins: &mut Inserter<'_>, k: usize, gate: Gate) {
-    let cells = ins.ctx.steps.get(k);
+    let plan = &ins.ctx.steps.get(k).plan;
     let mt = ins.ctx.aug.mt();
     let nbk = ins.ctx.aug.tile_cols(k);
 
@@ -102,8 +110,8 @@ pub(crate) fn insert_lu_step(ins: &mut Inserter<'_>, k: usize, gate: Gate) {
 
         // One exchange task per group; group 0 (on the pivot block's
         // owner) applies the pivot-block-internal permutation.
-        for g in 0..=cells.swap_groups.len() {
-            let node = match cells.swap_rows(ix(g)).first() {
+        for g in 0..=plan.swap_groups.len() {
+            let node = match plan.swap_rows(ix(g)).first() {
                 Some(&(row, _)) => ins.dist.owner(row, j),
                 None => top_owner,
             };
@@ -127,7 +135,7 @@ pub(crate) fn insert_lu_step(ins: &mut Inserter<'_>, k: usize, gate: Gate) {
     // Eliminate (off-trial rows only; trial rows already hold their
     // multipliers from the panel factorization) + per-tile update.
     for i in k + 1..mt {
-        insert_row_elimination(ins, k, i, !cells.trial_rows.contains(&i), gate);
+        insert_row_elimination(ins, k, i, !plan.trial_rows.contains(&i), gate);
     }
 }
 
@@ -167,7 +175,10 @@ impl StepPlanner for LuSimplePlanner {
         } else {
             vec![k]
         };
-        ins.ctx.steps.open(k, lu_step_cells(ins, k, trial_rows));
+        let plan = lu_step_plan(ins, k, trial_rows);
+        ins.ctx
+            .steps
+            .open(k, StepCells::new(plan, lu_step_data(ins)));
         panel::insert_simple_panel(ins, k, self.full_panel);
         insert_lu_step(ins, k, Gate::None);
     }

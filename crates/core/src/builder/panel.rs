@@ -54,7 +54,7 @@ pub(crate) fn crit_groups(
 /// Insert one BACKUP task per trial tile, saving its contents so Propagate
 /// can restore the panel if the decision is QR.
 pub(crate) fn insert_backups(ins: &mut Inserter<'_>, k: usize) {
-    for &i in &ins.ctx.steps.get(k).trial_rows {
+    for &i in &ins.ctx.steps.get(k).plan.trial_rows {
         let bytes = ins.ctx.tile_bytes(i, k);
         ins.b
             .declare(keys::backup(i, k), bytes, ins.dist.owner(i, k));
@@ -65,7 +65,7 @@ pub(crate) fn insert_backups(ins: &mut Inserter<'_>, k: usize) {
 /// Insert one CRIT task per off-trial group.
 pub(crate) fn insert_crit_collection(ins: &mut Inserter<'_>, k: usize) {
     let nbk = ins.ctx.aug.tile_cols(k);
-    for (d, (node, _)) in ins.ctx.steps.get(k).crit_groups.iter().enumerate() {
+    for (d, (node, _)) in ins.ctx.steps.get(k).plan.crit_groups.iter().enumerate() {
         ins.b
             .declare(keys::crit_scratch(d, k), (2 + nbk) * 8, *node);
         ins.push(TaskOp::Crit {
@@ -115,7 +115,7 @@ pub(crate) fn declare_tfactor(ins: &mut Inserter<'_>, k: usize, i: usize) {
 /// decision was QR (the LU trial is then dead weight), or drop the backup
 /// on an LU decision.
 pub(crate) fn insert_propagate(ins: &mut Inserter<'_>, k: usize) {
-    for &i in &ins.ctx.steps.get(k).trial_rows {
+    for &i in &ins.ctx.steps.get(k).plan.trial_rows {
         ins.push(TaskOp::Prop { k: ix(k), i: ix(i) });
     }
 }

@@ -15,7 +15,7 @@ use crate::config::{Decision, StepRecord};
 use crate::criteria::{decide, CritOutcome, DomainCritData, PanelCritData};
 use crate::op::TaskOp;
 use crate::panel::{apply_swap_plan, factor_diagonal_domain, with_stacked, PanelFactorization};
-use crate::state::{RunCtx, StepCells};
+use crate::state::{RunCtx, StepCells, StepData};
 
 /// Execute `op` against the run's tiles and step cells. A gated op whose
 /// branch lost the step's decision does nothing and reports itself
@@ -79,27 +79,27 @@ fn top_left<'a>(tile: &'a Mat, rows: usize, cols: usize, copy: &'a mut Option<Ma
 
 /// Rounds of a criterion / pivot all-reduce over the panel's nodes.
 fn allreduce_rounds(cells: &StepCells) -> u32 {
-    (cells.panel_nodes as f64).log2().ceil().max(0.0) as u32
+    (cells.plan.panel_nodes as f64).log2().ceil().max(0.0) as u32
 }
 
 // --- hybrid panel phase -----------------------------------------------------
 
 fn backup(ctx: &RunCtx, cells: &StepCells, k: usize, i: usize) -> TaskResult {
-    *cells.backup[i].lock() = Some(ctx.aug.tile_ref(i, k).lock().clone());
+    *cells.data().backup[i].lock() = Some(ctx.aug.tile_ref(i, k).lock().clone());
     TaskResult::memory(ctx.tile_bytes(i, k))
 }
 
 /// One node reduces the column norms of its off-trial panel rows locally
 /// (the paper's communication-avoiding criterion all-reduce).
 fn crit(ctx: &RunCtx, cells: &StepCells, k: usize, d: usize) -> TaskResult {
-    let rows = &cells.crit_groups[d].1;
+    let rows = &cells.plan.crit_groups[d].1;
     let guards: Vec<_> = rows
         .iter()
         .map(|&i| ctx.aug.tile_ref(i, k).lock())
         .collect();
     let area: usize = guards.iter().map(|g| g.rows() * g.cols()).sum();
     let data = DomainCritData::from_tiles(guards.iter().map(|g| &**g));
-    let _ = cells.crit[d].set(data);
+    let _ = cells.data().crit[d].set(data);
     TaskResult::executed(2.0 * area as f64, CostClass::Estimate)
 }
 
@@ -108,11 +108,12 @@ fn crit(ctx: &RunCtx, cells: &StepCells, k: usize, d: usize) -> TaskResult {
 fn decide_step(
     ctx: &RunCtx,
     cells: &StepCells,
+    data: &StepData,
     k: usize,
     crit_panel: &PanelCritData,
     forced_qr: bool,
 ) {
-    let domains: Vec<DomainCritData> = cells
+    let domains: Vec<DomainCritData> = data
         .crit
         .iter()
         .map(|c| c.get().cloned().unwrap_or_default())
@@ -143,7 +144,9 @@ fn decide_step(
 /// against the collected off-trial data, and the step's decision + record.
 fn trial_panel(ctx: &RunCtx, cells: &StepCells, k: usize) -> TaskResult {
     let nbk = ctx.aug.tile_cols(k);
+    let data = cells.data();
     let mut guards: Vec<_> = cells
+        .plan
         .trial_rows
         .iter()
         .map(|&i| ctx.aug.tile_ref(i, k).lock())
@@ -160,13 +163,13 @@ fn trial_panel(ctx: &RunCtx, cells: &StepCells, k: usize) -> TaskResult {
         }
     };
     // An unfactorable panel forces the QR path.
-    decide_step(ctx, cells, k, &crit_panel, pf.is_none());
+    decide_step(ctx, cells, &data, k, &crit_panel, pf.is_none());
     if let Some(pf) = pf {
-        let _ = cells.panel.set(pf);
+        let _ = data.panel.set(pf);
     }
     // The trial factorization uses the node's multi-threaded recursive-LU
     // kernel (paper §IV); the criterion all-reduce costs log2(p) rounds.
-    let flops = getrf_flops(cells.total_rows, nbk) as f64 + 2.0 * (nbk * nbk) as f64;
+    let flops = getrf_flops(cells.plan.total_rows, nbk) as f64 + 2.0 * (nbk * nbk) as f64;
     TaskResult::executed(flops, CostClass::PanelFactor)
         .with_cores(u32::MAX)
         .with_latency_events(allreduce_rounds(cells))
@@ -190,9 +193,10 @@ fn a2_panel(ctx: &RunCtx, cells: &StepCells, k: usize) -> TaskResult {
         .collect();
     let est = luqr_kernels::norm_est::invnorm_est_r(&g, 4);
     crit.inv_norm_recip = if est > 0.0 { 1.0 / est } else { 0.0 };
-    *cells.tf[k].lock() = Some(tf);
-    decide_step(ctx, cells, k, &crit, false);
-    let _ = cells
+    let data = cells.data();
+    *data.tf[k].lock() = Some(tf);
+    decide_step(ctx, cells, &data, k, &crit, false);
+    let _ = data
         .panel
         .set(PanelFactorization::new(Vec::new(), crit, vec![g.rows()]));
     let flops = geqrt_flops(ctx.aug.tile_rows(k), nbk) as f64 + 2.0 * (nbk * nbk) as f64;
@@ -204,7 +208,10 @@ fn a2_panel(ctx: &RunCtx, cells: &StepCells, k: usize) -> TaskResult {
 /// Restore the trial tile from its backup when the decision was QR (the LU
 /// trial is then dead weight), or drop the backup on an LU decision.
 fn propagate(ctx: &RunCtx, cells: &StepCells, k: usize, i: usize) -> TaskResult {
-    let saved = cells.backup[i].lock().take().expect("backup missing");
+    let saved = cells.data().backup[i]
+        .lock()
+        .take()
+        .expect("backup missing");
     if cells.decided() == Decision::Qr {
         *ctx.aug.tile_ref(i, k).lock() = saved;
         TaskResult::memory(ctx.tile_bytes(i, k))
@@ -221,6 +228,7 @@ fn propagate(ctx: &RunCtx, cells: &StepCells, k: usize, i: usize) -> TaskResult 
 fn simple_panel(ctx: &RunCtx, cells: &StepCells, k: usize, full_panel: bool) -> TaskResult {
     let nbk = ctx.aug.tile_cols(k);
     let mut guards: Vec<_> = cells
+        .plan
         .trial_rows
         .iter()
         .map(|&i| ctx.aug.tile_ref(i, k).lock())
@@ -232,7 +240,7 @@ fn simple_panel(ctx: &RunCtx, cells: &StepCells, k: usize, full_panel: bool) -> 
         ctx.shared
             .fail(format!("zero pivot at step {k} (panel column {step})"));
     }
-    let _ = cells.panel.set(PanelFactorization::new(
+    let _ = cells.data().panel.set(PanelFactorization::new(
         ipiv,
         PanelCritData::default(),
         heights,
@@ -246,7 +254,7 @@ fn simple_panel(ctx: &RunCtx, cells: &StepCells, k: usize, full_panel: bool) -> 
         (1, 0)
     };
     TaskResult::executed(
-        getrf_flops(cells.total_rows, nbk) as f64,
+        getrf_flops(cells.plan.total_rows, nbk) as f64,
         CostClass::PanelFactor,
     )
     .with_cores(cores)
@@ -263,7 +271,7 @@ fn incpiv_diag(ctx: &RunCtx, cells: &StepCells, k: usize) -> TaskResult {
         ctx.shared
             .fail(format!("zero pivot at step {k} (column {step})"));
     }
-    let _ = cells.panel.set(PanelFactorization::new(
+    let _ = cells.data().panel.set(PanelFactorization::new(
         ipiv,
         PanelCritData::default(),
         vec![t.rows()],
@@ -274,7 +282,7 @@ fn incpiv_diag(ctx: &RunCtx, cells: &StepCells, k: usize) -> TaskResult {
 // --- the LU step ------------------------------------------------------------
 
 fn swap_init(ctx: &RunCtx, cells: &StepCells, k: usize, j: usize) -> TaskResult {
-    *cells.scratch[j].lock() = Some(ctx.aug.tile_ref(k, j).lock().clone());
+    *cells.data().scratch[j].lock() = Some(ctx.aug.tile_ref(k, j).lock().clone());
     TaskResult::memory(ctx.aug.tile_cols(k) * ctx.aug.tile_cols(j) * 8)
 }
 
@@ -282,17 +290,18 @@ fn swap_init(ctx: &RunCtx, cells: &StepCells, k: usize, j: usize) -> TaskResult 
 /// (ScaLAPACK PDLASWP-style); group 0 also applies the permutation inside
 /// the pivot block.
 fn pivot_swap(ctx: &RunCtx, cells: &StepCells, k: usize, j: usize, g: u32) -> TaskResult {
-    let Some(pf) = cells.panel.get() else {
+    let data = cells.data();
+    let Some(pf) = data.panel.get() else {
         return TaskResult::discarded();
     };
     let nbk = ctx.aug.tile_cols(k);
-    let rows = cells.swap_rows(g);
+    let rows = cells.plan.swap_rows(g);
     let spans: Vec<(usize, usize)> = rows
         .iter()
         .map(|&(i, off)| (off, ctx.aug.tile_rows(i)))
         .collect();
-    let plan = pf.swap_plan(cells.total_rows, nbk, &spans);
-    let snapshot = cells.scratch[j].lock();
+    let plan = pf.swap_plan(cells.plan.total_rows, nbk, &spans);
+    let snapshot = data.scratch[j].lock();
     let orig = snapshot.as_ref().expect("missing swap snapshot");
     let mut top = ctx.aug.tile_ref(k, j).lock();
     let mut guards: Vec<_> = rows
@@ -306,7 +315,7 @@ fn pivot_swap(ctx: &RunCtx, cells: &StepCells, k: usize, j: usize, g: u32) -> Ta
 
 /// Top solve: `U_kj = L11⁻¹ (P C)_top`.
 fn trsm_top(ctx: &RunCtx, cells: &StepCells, k: usize, j: usize) -> TaskResult {
-    if cells.panel.get().is_none() {
+    if cells.data().panel.get().is_none() {
         return TaskResult::discarded();
     }
     let nbk = ctx.aug.tile_cols(k);
@@ -374,7 +383,7 @@ fn gemm_update(ctx: &RunCtx, k: usize, i: usize, j: usize) -> TaskResult {
 fn geqrt_tile(ctx: &RunCtx, cells: &StepCells, k: usize, i: usize) -> TaskResult {
     let (tm, nbk) = ctx.aug.tile_dims(i, k);
     let f = geqrt(&mut ctx.aug.tile_ref(i, k).lock(), ctx.opts.ib);
-    *cells.tf[i].lock() = Some(f);
+    *cells.data().tf[i].lock() = Some(f);
     TaskResult::executed(geqrt_flops(tm, nbk) as f64, CostClass::QrFactor)
 }
 
@@ -386,7 +395,8 @@ fn qt_apply(ctx: &RunCtx, cells: &StepCells, k: usize, row: usize, j: usize) -> 
     let tm = ctx.aug.tile_rows(row);
     let w = ctx.aug.tile_cols(j);
     let v = ctx.aug.tile_ref(row, k).lock();
-    let tf = cells.tf[row].lock();
+    let data = cells.data();
+    let tf = data.tf[row].lock();
     let mut c = ctx.aug.tile_ref(row, j).lock();
     unmqr(
         Trans::Trans,
@@ -418,7 +428,7 @@ fn kill(ctx: &RunCtx, cells: &StepCells, k: usize, v: usize, e: usize, ts: bool)
             tpqrt(kill_l(ts, vm, nbk), r, b, ctx.opts.ib)
         })
     });
-    *cells.tf[v].lock() = Some(f);
+    *cells.data().tf[v].lock() = Some(f);
     let scale = if ts { 2.0 } else { 2.0 / 3.0 };
     TaskResult::executed(scale * (vm * nbk * nbk) as f64, CostClass::QrFactor)
 }
@@ -438,7 +448,8 @@ fn kill_update(
     let vsg = ctx.aug.tile_ref(v, k).lock();
     let mut copy = None;
     let vview = top_left(&vsg, vm, nbk, &mut copy);
-    let tf = cells.tf[v].lock();
+    let data = cells.data();
+    let tf = data.tf[v].lock();
     let tfr = tf.as_ref().expect("missing T factor");
     let mut top = ctx.aug.tile_ref(e, j).lock();
     let mut bot = ctx.aug.tile_ref(v, j).lock();
@@ -456,7 +467,8 @@ fn kill_update(
 fn incpiv_gessm(ctx: &RunCtx, cells: &StepCells, k: usize, j: usize) -> TaskResult {
     let nbk = ctx.aug.tile_cols(k);
     let w = ctx.aug.tile_cols(j);
-    let pf = cells.panel.get().expect("diag LU missing");
+    let data = cells.data();
+    let pf = data.panel.get().expect("diag LU missing");
     let lu = ctx.aug.tile_ref(k, k).lock();
     // GESSM reads only the unit-lower part of the LU tile.
     let mut copy = None;
@@ -478,14 +490,15 @@ fn incpiv_tstrf(ctx: &RunCtx, cells: &StepCells, k: usize, i: usize) -> TaskResu
             Vec::new()
         }
     };
-    let _ = cells.l[i].set((l, piv));
+    let _ = cells.data().l[i].set((l, piv));
     TaskResult::executed((tm * nbk * nbk) as f64, CostClass::Trsm)
 }
 
 fn incpiv_ssssm(ctx: &RunCtx, cells: &StepCells, k: usize, i: usize, j: usize) -> TaskResult {
     let nbk = ctx.aug.tile_cols(k);
     let w = ctx.aug.tile_cols(j);
-    let (l, piv) = cells.l[i].get().expect("TSTRF output missing");
+    let data = cells.data();
+    let (l, piv) = data.l[i].get().expect("TSTRF output missing");
     let mut top = ctx.aug.tile_ref(k, j).lock();
     let mut bot = ctx.aug.tile_ref(i, j).lock();
     with_sub(&mut top, nbk, w, |t| ssssm(l, piv, t, &mut bot));

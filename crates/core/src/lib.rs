@@ -64,8 +64,10 @@ pub use op::{Gate, TaskOp};
 pub use state::RunCtx;
 pub use trees::{TreeConfig, TreeKind};
 
+use std::sync::Arc;
+
 use luqr_kernels::Mat;
-use luqr_runtime::stream::StreamReport;
+use luqr_runtime::stream::{StepSource, StreamReport};
 use luqr_runtime::trace::TraceOptions;
 use luqr_runtime::{
     execute, simulate, simulate_probed, simulate_with, ExecReport, Platform, SimReport,
@@ -324,12 +326,33 @@ pub struct StreamFactorization {
     pub nrhs: usize,
     /// The algorithm that produced this factorization.
     pub algorithm: Algorithm,
+    /// The context the run's ops were interpreted against.
+    pub(crate) ctx: Arc<RunCtx>,
+    /// Whether `aug` holds the result. `false` on every rank but 0 of a
+    /// real-transport run: a rank's mirror is its share of the matrix, and
+    /// the end-of-run hand-off ships the result to rank 0 only.
+    pub(crate) holds_result: bool,
 }
 
 impl StreamFactorization {
     /// Back-substitute for the solution of `A x = B`.
+    ///
+    /// Panics on a rank other than 0 of a real-transport run
+    /// ([`factor_stream_net_rank`]), whose mirror never held the result.
     pub fn solution(&self) -> Mat {
+        assert!(
+            self.holds_result,
+            "only rank 0 holds the result of a distributed run: this rank's mirror is its \
+             share of the matrix, which cannot be back-substituted"
+        );
         solve::back_substitute(&self.aug, self.n, self.nrhs)
+    }
+
+    /// The context the run's ops were interpreted against: every step's
+    /// plan, and no step's data cells once the run has drained
+    /// ([`RunCtx::live_steps`]).
+    pub fn ctx(&self) -> &RunCtx {
+        &self.ctx
     }
 
     /// Fraction of elimination steps that were LU steps.
@@ -462,6 +485,8 @@ pub fn factor_stream_with(
         n,
         nrhs: rhs.cols(),
         algorithm: opts.algorithm.clone(),
+        ctx: source.context(),
+        holds_result: true,
     }
 }
 

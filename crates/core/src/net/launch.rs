@@ -497,6 +497,9 @@ pub fn worker_main(args: &[String]) -> Result<(), String> {
     if job.n == 0 {
         return Err("--n is required".into());
     }
+    if out.is_some() && rank != 0 {
+        return Err("--out is for rank 0: only rank 0 holds the result".into());
+    }
     let spec = match (uds, tcp) {
         (Some(dir), None) => SocketSpec::Uds { dir },
         (None, Some(base_port)) => SocketSpec::Tcp { base_port },

@@ -3,13 +3,24 @@
 //!
 //! [`crate::factor_stream_distributed`] *models* a distributed run — one
 //! process, per-node sub-windows, message counters. This module *performs*
-//! one: every rank of the process grid runs its own mirror of the
-//! factorization (same planner, same window, same hazard bookkeeping),
-//! remote tasks degenerate to placement stubs, and the data / decision /
-//! retirement protocol crosses a [`luqr_runtime::Transport`] as
+//! one: every rank of the process grid plans the full factorization over
+//! its own *share* of the matrix (same planner, same window, same hazard
+//! bookkeeping), remote tasks degenerate to placement stubs, and the data /
+//! decision / retirement protocol crosses a [`luqr_runtime::Transport`] as
 //! length-prefixed wire frames. Payload bytes are produced and consumed by
 //! the [`payload`] store, which resolves every declared datum key to a
 //! tile of the rank's mirror or a cell of the run's per-step table.
+//!
+//! **What a rank holds.** Its mirror starts with the tiles homed on it
+//! under the run's distribution and nothing else; a tile from another rank
+//! materialises when its first payload arrives (a rank never runs an op it
+//! does not own, so it never touches a tile it neither owns nor was sent)
+//! and then stays — received tiles are not evicted, because the sender's
+//! record of which version each rank holds assumes a delivered version
+//! stays delivered. Step cells live as long as their step. At the end,
+//! ranks other than 0 ship rank 0 the tiles the solve reads (on or above
+//! the diagonal, and the right-hand side) whose final version they hold;
+//! rank 0's mirror then holds the result, every other rank's never does.
 //!
 //! Three deployment shapes:
 //!
@@ -69,8 +80,7 @@ fn dyn_transports<T: Transport + 'static>(set: Vec<Arc<T>>) -> Vec<Arc<dyn Trans
 /// wire frames over `kind`. Numerics, per-step decisions, and protocol
 /// message statistics are identical to [`crate::factor_stream`] /
 /// [`crate::factor_stream_distributed`] under the same options; rank 0's
-/// factorization (whose mirror holds every result tile at the end) is
-/// returned.
+/// factorization (whose mirror holds the result at the end) is returned.
 pub fn factor_stream_net(
     a: &Mat,
     rhs: &Mat,
@@ -172,12 +182,14 @@ pub fn factor_stream_net_opts(
 /// Run **one rank** of a real-transport distributed factorization on an
 /// already-connected endpoint. Every rank of the set must call this with
 /// identical `a`, `rhs`, and options (SPMD: each rank plans the full
-/// factorization over its own mirror and executes its owned share).
+/// factorization over its own share of the tiles and executes the ops it
+/// owns).
 ///
-/// Only rank 0's mirror is guaranteed complete at return (peers ship their
-/// result data to rank 0 during the end-of-run handshake), so call
-/// [`StreamFactorization::solution`] on rank 0's result. The per-step
-/// records and protocol message statistics are identical on every rank.
+/// Only rank 0's mirror holds the result at return (peers ship it the
+/// result tiles they hold during the end-of-run handshake), so call
+/// [`StreamFactorization::solution`] on rank 0's factorization — on any
+/// other rank it panics. The per-step records and protocol message
+/// statistics are identical on every rank.
 pub fn factor_stream_net_rank(
     a: &Mat,
     rhs: &Mat,
@@ -197,7 +209,8 @@ pub fn factor_stream_net_rank(
     );
     luqr_kernels::gemm_kernel::set_kernel_threads(opts.threads.max(1));
 
-    let aug = TiledMatrix::from_dense_augmented(a, rhs, opts.nb);
+    let rank = transport.rank();
+    let aug = rank_share(a, rhs, opts, rank);
     let nt_a = aug.nt() - rhs.cols().div_ceil(opts.nb);
     let mut source = PlannerStepSource::new(&aug, nt_a, opts);
     let store: Arc<dyn PayloadStore> = Arc::new(StepStore::new(source.context()));
@@ -214,5 +227,46 @@ pub fn factor_stream_net_rank(
         n,
         nrhs: rhs.cols(),
         algorithm: opts.algorithm.clone(),
+        ctx: source.context(),
+        holds_result: rank == 0,
     })
+}
+
+/// What `rank` packs of `[A | rhs]`: the tiles homed on it under the run's
+/// distribution (the home the planner declares for each tile).
+fn rank_share(a: &Mat, rhs: &Mat, opts: &FactorOptions, rank: usize) -> TiledMatrix {
+    let dist = opts.tile_dist();
+    TiledMatrix::from_dense_augmented_where(a, rhs, opts.nb, |i, j| dist.owner(i, j) == rank)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use luqr_tile::Grid;
+
+    /// At the start of a run the ranks' mirrors partition the matrix: each
+    /// holds exactly the tiles the planner will declare it the home of.
+    #[test]
+    fn a_rank_starts_with_exactly_its_home_tiles() {
+        let (a, rhs) = (Mat::random(40, 40, 1), Mat::random(40, 2, 2));
+        let opts = FactorOptions {
+            nb: 8,
+            grid: Grid::new(2, 2),
+            ..FactorOptions::default()
+        };
+        let dist = opts.tile_dist();
+        let shares: Vec<TiledMatrix> = (0..4).map(|r| rank_share(&a, &rhs, &opts, r)).collect();
+        let full = TiledMatrix::from_dense_augmented(&a, &rhs, opts.nb);
+        for i in 0..full.mt() {
+            for j in 0..full.nt() {
+                for (r, share) in shares.iter().enumerate() {
+                    let home = dist.owner(i, j) == r;
+                    assert_eq!(share.holds_tile(i, j), home, "rank {r}, tile ({i},{j})");
+                    if home {
+                        assert_eq!(*share.tile(i, j).lock(), *full.tile(i, j).lock());
+                    }
+                }
+            }
+        }
+    }
 }

@@ -7,10 +7,14 @@
 //! [`StepStore`] implements the runtime's [`PayloadStore`] by unpacking
 //! the key (`(kind, i, k)`) and indexing the mirror or the table — `load`
 //! snapshots a cell as little-endian wire bytes, `store` decodes wire
-//! bytes back into the (remote mirror's) cell.
+//! bytes back into the (remote mirror's) cell. A rank's mirror holds the
+//! tiles homed on it; a tile from elsewhere is an empty `Mat` until its
+//! first payload arrives, and the tile-shaped frame materialises it.
 //!
-//! Keys and bytes arrive from peers: a key that names nothing here, and
-//! bytes that do not decode, are a [`TransportError`], never a panic.
+//! Keys and bytes arrive from peers: a key that names nothing here — or a
+//! cell of a step that has retired and dropped its data — and bytes that
+//! do not decode, are a [`TransportError`], never a panic, and never bring
+//! a dropped cell back.
 //!
 //! The codecs are hand-rolled (the workspace vendors no serde): `u32`/`u64`
 //! length-and-tag fields plus `f64::to_bits` for floats, so a round-trip is
@@ -72,9 +76,30 @@ fn unknown(key: DataKey) -> TransportError {
     TransportError::Protocol(format!("no payload cell for {key:?}"))
 }
 
+fn retired(key: DataKey) -> TransportError {
+    TransportError::Protocol(format!(
+        "payload for {key:?}, whose step has retired and dropped its cells"
+    ))
+}
+
 impl PayloadStore for StepStore {
     fn knows(&self, key: DataKey) -> bool {
-        self.resolve(key).is_some()
+        // A step that is not planned yet is still to come (a payload may
+        // overtake its consumer's planning); one that has retired is over.
+        self.resolve(key).is_some_and(|(kind, _, k)| {
+            matches!(kind, Kind::Tile | Kind::Decision)
+                || self
+                    .ctx
+                    .steps
+                    .try_get(k)
+                    .is_none_or(|c| c.try_data().is_some())
+        })
+    }
+
+    fn in_result(&self, key: DataKey) -> bool {
+        // Back-substitution reads `U` and the transformed right-hand side:
+        // nothing below the diagonal, no step cell.
+        matches!(self.resolve(key), Some((Kind::Tile, i, j)) if i <= j || j >= self.ctx.nt_a)
     }
 
     fn load(&self, key: DataKey) -> Option<Vec<u8>> {
@@ -83,16 +108,20 @@ impl PayloadStore for StepStore {
             return Some(encode_mat(&self.ctx.aug.tile_ref(i, k).lock()));
         }
         let cells = self.ctx.steps.get(k);
-        match kind {
-            Kind::Tile => unreachable!("tiles resolve into the mirror"),
-            Kind::TFactor => cells.tf[i].lock().as_ref().map(encode_tfactor),
-            Kind::Pivot => cells.panel.get().map(encode_panel),
+        if kind == Kind::Decision {
             // Shipping the decision also ships the step's record, so every
             // rank's record list is complete.
-            Kind::Decision => cells.decision.get().map(|d| {
+            return cells.decision.get().map(|d| {
                 let recs = self.ctx.shared.records.lock();
                 encode_decision(*d, recs.iter().find(|r| r.k == k))
-            }),
+            });
+        }
+        // A retired step has nothing left to ship.
+        let cells = cells.try_data()?;
+        match kind {
+            Kind::Tile | Kind::Decision => unreachable!("resolved above"),
+            Kind::TFactor => cells.tf[i].lock().as_ref().map(encode_tfactor),
+            Kind::Pivot => cells.panel.get().map(encode_panel),
             Kind::Backup => cells.backup[i].lock().as_ref().map(encode_mat),
             Kind::SwapScratch => cells.scratch[i].lock().as_ref().map(encode_mat),
             Kind::CritScratch => cells.crit[i].get().map(encode_domain_crit),
@@ -122,24 +151,25 @@ impl PayloadStore for StepStore {
         if bytes.is_empty() {
             return Ok(());
         }
+        if kind == Kind::Decision {
+            let (d, rec) = rd.decision()?;
+            let _ = cells.decision.set(d);
+            if let Some(rec) = rec {
+                // The decision may arrive twice (broadcast, and as the
+                // modeled message) — push its record at most once per step.
+                let mut recs = self.ctx.shared.records.lock();
+                if !recs.iter().any(|r| r.k == k) {
+                    recs.push(rec);
+                }
+            }
+            return rd.finish(key);
+        }
+        let cells = cells.try_data().ok_or_else(|| retired(key))?;
         match kind {
-            Kind::Tile => unreachable!("tiles resolve into the mirror"),
+            Kind::Tile | Kind::Decision => unreachable!("resolved above"),
             Kind::TFactor => *cell(&cells.tf, i, key)?.lock() = Some(rd.tfactor()?),
             Kind::Pivot => {
                 let _ = cells.panel.set(rd.panel()?);
-            }
-            Kind::Decision => {
-                let (d, rec) = rd.decision()?;
-                let _ = cells.decision.set(d);
-                if let Some(rec) = rec {
-                    // The decision arrives both broadcast and (on rank 0)
-                    // again with the end-of-run results — push its record
-                    // at most once per step.
-                    let mut recs = self.ctx.shared.records.lock();
-                    if !recs.iter().any(|r| r.k == k) {
-                        recs.push(rec);
-                    }
-                }
             }
             Kind::Backup => *cell(&cells.backup, i, key)?.lock() = Some(rd.mat()?),
             Kind::SwapScratch => *cell(&cells.scratch, i, key)?.lock() = Some(rd.mat()?),
@@ -669,6 +699,103 @@ mod tests {
         assert!(store.knows(keys::tile(0, 0)) && store.knows(keys::tfactor(0, 0)));
         assert!(!store.knows(keys::tile(0, 7)) && !store.knows(keys::backup(0, 5)));
         assert!(!store.knows(DataKey(0)) && !store.knows(DataKey(u64::MAX)));
+    }
+
+    /// A rank's mirror holds no tile it neither owns nor was sent: the
+    /// first payload for such a tile materialises it, with the frame's
+    /// dimensions.
+    #[test]
+    fn store_materialises_an_absent_tile() {
+        let (a, rhs) = (Mat::random(8, 8, 5), Mat::random(8, 1, 6));
+        let aug = TiledMatrix::from_dense_augmented_where(&a, &rhs, 4, |i, _| i == 0);
+        let opts = FactorOptions {
+            nb: 4,
+            ..FactorOptions::default()
+        };
+        let store = StepStore::new(RunCtx::new(&aug, 2, &opts));
+        assert!(aug.holds_tile(0, 1) && !aug.holds_tile(1, 1));
+        let sent = a.sub(4, 4, 4, 4);
+        store.store(keys::tile(1, 1), &encode_mat(&sent)).unwrap();
+        assert!(aug.holds_tile(1, 1));
+        assert_eq!(bits(&aug.tile(1, 1).lock()), bits(&sent));
+        assert!(!aug.holds_tile(1, 0), "nothing else appeared");
+    }
+
+    /// The hand-off ships what back-substitution reads.
+    #[test]
+    fn the_result_is_the_upper_triangle_and_the_right_hand_side() {
+        let aug =
+            TiledMatrix::from_dense_augmented(&Mat::random(8, 8, 5), &Mat::random(8, 1, 6), 4);
+        let opts = FactorOptions {
+            nb: 4,
+            ..FactorOptions::default()
+        };
+        let store = StepStore::new(RunCtx::new(&aug, 2, &opts));
+        for (i, j, want) in [
+            (0, 0, true),
+            (0, 1, true),
+            (1, 1, true),
+            (1, 0, false), // below the diagonal
+            (0, 2, true),  // right-hand side
+            (1, 2, true),
+        ] {
+            assert_eq!(store.in_result(keys::tile(i, j)), want, "tile ({i},{j})");
+        }
+        for key in [
+            keys::tfactor(0, 0),
+            keys::pivots(1),
+            keys::decision(0),
+            keys::swap_scratch(1, 0),
+            keys::tile(2, 0), // no such tile
+            DataKey(0),
+        ] {
+            assert!(!store.in_result(key), "{key:?}");
+        }
+    }
+
+    /// A retired step has dropped its cells: it ships nothing, takes
+    /// nothing — a typed error, and no cell comes back — and only its
+    /// decision, which is part of the plan, stays.
+    #[test]
+    fn a_retired_step_neither_ships_nor_takes_payloads() {
+        use crate::state::{cells, StepCells, StepData, StepPlan};
+        let aug = TiledMatrix::from_dense(&Mat::random(4, 4, 5), 4);
+        let opts = FactorOptions {
+            nb: 4,
+            ..FactorOptions::default()
+        };
+        let ctx = RunCtx::new(&aug, 1, &opts);
+        let data = StepData {
+            tf: cells(1),
+            ..StepData::default()
+        };
+        ctx.steps.open(0, StepCells::new(StepPlan::default(), data));
+        let store = StepStore::new(Arc::clone(&ctx));
+        let key = keys::tfactor(0, 0);
+        let payload = encode_tfactor(&TFactor {
+            ib: 2,
+            t: Mat::random(2, 4, 7),
+        });
+
+        assert!(store.knows(key));
+        store.store(key, &payload).unwrap();
+        assert_eq!(store.load(key), Some(payload.clone()));
+        assert_eq!(ctx.live_steps(), 1);
+
+        ctx.retire_step(0);
+        assert_eq!(ctx.live_steps(), 0);
+        assert!(!store.knows(key));
+        assert_eq!(store.load(key), None);
+        match store.store(key, &payload) {
+            Err(TransportError::Protocol(m)) => assert!(m.contains("has retired"), "{m}"),
+            other => panic!("expected a retired-step protocol error, got {other:?}"),
+        }
+        assert_eq!(ctx.live_steps(), 0, "the cell did not come back");
+
+        let decision = encode_decision(Decision::Qr, None);
+        assert!(store.knows(keys::decision(0)));
+        store.store(keys::decision(0), &decision).unwrap();
+        assert_eq!(store.load(keys::decision(0)), Some(decision));
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! elimination step, its owner node, its data accesses (here) and its body
 //! ([`crate::interp`]). Lists an op cannot carry — the trial rows of a
 //! panel, the rows of a row-exchange group — are read from the step's
-//! [`crate::state::StepCells`].
+//! [`crate::state::StepPlan`], which outlives the step's tasks.
 
 use luqr_runtime::{Access, DataClass, DataKey, TaskResult};
 use luqr_tile::Dist;
@@ -256,7 +256,7 @@ impl TaskOp {
             f(Access::Read(keys::decision(k)));
         }
         let crit_keys = |f: &mut dyn FnMut(Access)| {
-            for d in 0..ctx.steps.get(k).crit_groups.len() {
+            for d in 0..ctx.steps.get(k).plan.crit_groups.len() {
                 f(Access::Read(keys::crit_scratch(d, k)));
             }
         };
@@ -266,13 +266,13 @@ impl TaskOp {
                 f(Access::Mut(keys::backup(i as usize, k)));
             }
             Crit { d, .. } => {
-                for &i in &ctx.steps.get(k).crit_groups[d as usize].1 {
+                for &i in &ctx.steps.get(k).plan.crit_groups[d as usize].1 {
                     f(Access::Read(keys::tile(i, k)));
                 }
                 f(Access::Mut(keys::crit_scratch(d as usize, k)));
             }
             Panel { .. } => {
-                for &i in &ctx.steps.get(k).trial_rows {
+                for &i in &ctx.steps.get(k).plan.trial_rows {
                     f(Access::Mut(keys::tile(i, k)));
                 }
                 crit_keys(&mut f);
@@ -292,7 +292,7 @@ impl TaskOp {
                 f(Access::Mut(keys::tile(i as usize, k)));
             }
             PanelLu { full_panel, .. } => {
-                for &i in &ctx.steps.get(k).trial_rows {
+                for &i in &ctx.steps.get(k).plan.trial_rows {
                     f(Access::Mut(keys::tile(i, k)));
                 }
                 f(Access::Mut(keys::pivots(k)));
@@ -320,7 +320,7 @@ impl TaskOp {
                 f(Access::Read(keys::pivots(k)));
                 f(Access::Read(keys::swap_scratch(j as usize, k)));
                 f(Access::Mut(keys::tile(k, j as usize)));
-                for &(i, _) in ctx.steps.get(k).swap_rows(g) {
+                for &(i, _) in ctx.steps.get(k).plan.swap_rows(g) {
                     f(Access::Mut(keys::tile(i, j as usize)));
                 }
             }
@@ -398,6 +398,10 @@ impl luqr_runtime::TaskOp for TaskOp {
 
     fn for_each_access(self, ctx: &RunCtx, f: impl FnMut(Access)) {
         TaskOp::for_each_access(self, ctx, f);
+    }
+
+    fn retire_step(ctx: &RunCtx, step: usize) {
+        ctx.retire_step(step);
     }
 
     /// Cross-node reads of the per-step decision datum are the paper's

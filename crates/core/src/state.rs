@@ -1,22 +1,35 @@
 //! What one factorization run shares between its planner, its tasks and
 //! its driver: the tiles, the options, and one table of per-step cells.
 //!
-//! A [`crate::TaskOp`] carries indices only. Everything a task body reads
-//! or writes besides tiles — the step's LU/QR decision, the trial panel
-//! factorization, panel backups, criterion data, T-factors, row-exchange
-//! snapshots, IncPiv L factors — lives in the [`StepCells`] of its step,
-//! indexed by tile row or column; so does the part of a step's plan that
-//! is a list rather than an index (the trial rows, the criterion and
-//! row-exchange groups). The planner publishes a step's cells before it
-//! pushes the step's first op; task bodies, access derivation and the
-//! payload codec all resolve `(k, row)` through the same table.
+//! A [`crate::TaskOp`] carries indices only. Everything else about a step
+//! lives in the [`StepCells`] of that step, in two parts with two
+//! lifetimes:
+//!
+//! * the **plan** ([`StepPlan`] and the step's LU/QR decision) — the part
+//!   of a step's plan that is a list rather than an index (the trial rows,
+//!   the criterion and row-exchange groups). A few words per panel row,
+//!   kept for the whole run, because names, accesses and owners are
+//!   re-derived from it whenever a graph is replayed, simulated or drawn;
+//! * the **data** ([`StepData`]) — what the step's task bodies read and
+//!   write besides tiles: the trial panel factorization, panel backups,
+//!   criterion data, T-factors, row-exchange snapshots, IncPiv L factors,
+//!   indexed by tile row or column. Tile-sized, touched by tasks of the
+//!   step only, and dropped by [`RunCtx::retire_step`] when the last of
+//!   them has completed — the batch executor, the streaming window and a
+//!   net rank all call it through [`luqr_runtime::TaskOp::retire_step`].
+//!   A run therefore holds the data of its live steps, not of every step
+//!   so far.
+//!
+//! The planner publishes a step's cells before it pushes the step's first
+//! op; task bodies, access derivation and the payload codec all resolve
+//! `(k, row)` through the same table.
 
 use std::sync::{Arc, OnceLock};
 
 use luqr_kernels::incpiv::PairPivot;
 use luqr_kernels::{Mat, TFactor};
 use luqr_tile::TiledMatrix;
-use parking_lot::Mutex;
+use parking_lot::{Mutex, RwLock, RwLockReadGuard};
 
 use crate::config::{Decision, FactorOptions, StepRecord};
 use crate::criteria::{Criterion, DomainCritData};
@@ -46,11 +59,12 @@ pub(crate) fn cells<T: Default>(n: usize) -> Vec<T> {
     (0..n).map(|_| T::default()).collect()
 }
 
-/// The plan lists and the live cells of one elimination step. A planner
-/// fills in the lists and sizes the cell vectors its step's ops index;
-/// the rest stay empty.
+/// The part of a step's plan that is a list rather than an index. Small,
+/// and kept for the whole run: access derivation ([`crate::TaskOp::for_each_access`]),
+/// graph replay, the simulator and the DOT / trace renderers re-derive from
+/// it after the step's tasks are gone.
 #[derive(Default)]
-pub(crate) struct StepCells {
+pub(crate) struct StepPlan {
     /// Rows of the panel factorization (hybrid trial, NoPiv, LUPP),
     /// ascending, diagonal tile first.
     pub trial_rows: Vec<usize>,
@@ -65,9 +79,24 @@ pub(crate) struct StepCells {
     pub total_rows: usize,
     /// Nodes holding tiles of the panel column (all-reduce fan-in).
     pub panel_nodes: usize,
+}
 
-    /// The step's LU/QR decision, written once by the panel task.
-    pub decision: OnceLock<Decision>,
+impl StepPlan {
+    /// The `(row, stack offset)` pairs of exchange group `g`: none for
+    /// group 0 (the pivot block itself), `swap_groups[g - 1]` otherwise.
+    pub fn swap_rows(&self, g: crate::op::Ix) -> &[(usize, usize)] {
+        match g {
+            0 => &[],
+            g => &self.swap_groups[g as usize - 1],
+        }
+    }
+}
+
+/// The cells a step's tasks communicate through. A planner sizes the
+/// vectors its step's ops index; the rest stay empty. Only tasks of the
+/// step touch them, so they are dropped when the step retires.
+#[derive(Default)]
+pub(crate) struct StepData {
     /// The panel factorization (pivots, criterion data), written once by
     /// the panel task.
     pub panel: OnceLock<PanelFactorization>,
@@ -83,13 +112,34 @@ pub(crate) struct StepCells {
     pub scratch: Vec<Mutex<Option<Mat>>>,
 }
 
+/// Shared access to the data cells of a step that has not retired.
+pub(crate) struct StepDataRef<'a>(RwLockReadGuard<'a, Option<StepData>>);
+
+impl std::ops::Deref for StepDataRef<'_> {
+    type Target = StepData;
+
+    fn deref(&self) -> &StepData {
+        self.0.as_ref().expect("checked when the guard was taken")
+    }
+}
+
+/// One elimination step: its plan, its decision, and — until it retires —
+/// its data cells.
+pub(crate) struct StepCells {
+    pub plan: StepPlan,
+    /// The step's LU/QR decision, written once by the panel task. Kept:
+    /// the streaming planner and every gated op read it.
+    pub decision: OnceLock<Decision>,
+    /// `None` once the step has retired.
+    data: RwLock<Option<StepData>>,
+}
+
 impl StepCells {
-    /// The `(row, stack offset)` pairs of exchange group `g`: none for
-    /// group 0 (the pivot block itself), `swap_groups[g - 1]` otherwise.
-    pub fn swap_rows(&self, g: crate::op::Ix) -> &[(usize, usize)] {
-        match g {
-            0 => &[],
-            g => &self.swap_groups[g as usize - 1],
+    pub fn new(plan: StepPlan, data: StepData) -> Self {
+        StepCells {
+            plan,
+            decision: OnceLock::new(),
+            data: RwLock::new(Some(data)),
         }
     }
 
@@ -97,6 +147,25 @@ impl StepCells {
     /// the panel task, by a hazard edge or by the streaming driver's wait).
     pub fn decided(&self) -> Decision {
         *self.decision.get().expect("decision missing")
+    }
+
+    /// The step's data cells, unless the step has retired (the question a
+    /// peer's payload poses).
+    pub fn try_data(&self) -> Option<StepDataRef<'_>> {
+        let guard = self.data.read();
+        guard.is_some().then_some(StepDataRef(guard))
+    }
+
+    /// The step's data cells, for one of its own tasks: a step retires
+    /// after its last task, so they are there.
+    pub fn data(&self) -> StepDataRef<'_> {
+        self.try_data()
+            .expect("a task ran after its step had retired")
+    }
+
+    /// Drop the data cells: every task of the step has completed.
+    fn release(&self) {
+        *self.data.write() = None;
     }
 }
 
@@ -155,6 +224,24 @@ impl RunCtx {
             steps: StepState::new(nt_a),
             shared: SharedState::default(),
         })
+    }
+
+    /// Every task of step `k` has completed: drop the step's data cells
+    /// (its plan stays). The one release path of the batch executor, the
+    /// streaming window and the net ranks.
+    pub(crate) fn retire_step(&self, k: usize) {
+        // A step the planner never reached (the run failed first) holds
+        // nothing.
+        if let Some(cells) = self.steps.try_get(k) {
+            cells.release();
+        }
+    }
+
+    /// Planned steps whose data cells are still held — the steps in
+    /// flight during a run, none once it has drained.
+    pub fn live_steps(&self) -> usize {
+        let held = |s: &OnceLock<StepCells>| s.get().is_some_and(|c| c.try_data().is_some());
+        self.steps.steps.iter().filter(|s| held(s)).count()
     }
 
     /// Size of tile `(i, j)` in bytes.

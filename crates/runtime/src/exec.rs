@@ -70,7 +70,7 @@ impl<O: TaskOp> Graph<O> {
     }
 
     /// Run task `id`'s op against the graph's context and record the
-    /// result.
+    /// result; the last task of a step to finish retires the step.
     fn run_task(&self, id: TaskId) -> TaskResult {
         let cell = &self.run[id];
         assert!(
@@ -78,10 +78,18 @@ impl<O: TaskOp> Graph<O> {
             "task '{}' executed twice",
             self.task(id).name()
         );
-        let result = self.task(id).op().run(self.ctx());
+        let op = self.task(id).op();
+        let result = op.run(self.ctx());
         cell.result
             .set(result)
             .expect("task result already recorded");
+        if let Some(step) = op.step(self.ctx()) {
+            // AcqRel: the retiring thread must see what every other task
+            // of the step wrote before it drops the step's cells.
+            if self.step_remaining[step].fetch_sub(1, Ordering::AcqRel) == 1 {
+                O::retire_step(self.ctx(), step);
+            }
+        }
         result
     }
 
@@ -503,6 +511,49 @@ mod tests {
         let g = b.build();
         execute_scheduled(&g, 1, SchedPolicy::Fifo);
         assert_eq!(*log.lock(), (0..6).collect::<Vec<_>>());
+    }
+
+    /// A step retires when the last of its tasks has run — once, under
+    /// every executor — and tasks with no step retire nothing.
+    #[test]
+    fn each_step_retires_once_after_its_last_task() {
+        type Run = fn(&Graph<crate::testing::TestOp>) -> ExecReport;
+        let runs: [Run; 3] = [
+            |g| execute(g, 1),
+            |g| execute(g, 4),
+            |g| execute_scheduled(g, 3, SchedPolicy::CriticalPath),
+        ];
+        for run in runs {
+            let mut b = TestGraph::new(1);
+            let ctx = Arc::clone(&b.ctx);
+            let done = Arc::new(AtomicU64::new(0));
+            for i in 0..12u64 {
+                b.declare(k(i), 8, 0);
+                let (ctx, done) = (Arc::clone(&ctx), Arc::clone(&done));
+                // Steps 0, 1, 2 interleaved, four tasks each.
+                b.task(
+                    format!("t{i}(k={})", i % 3),
+                    0,
+                    &[Access::Mut(k(i))],
+                    move || {
+                        assert!(
+                            !ctx.retired.lock().unwrap().contains(&(i as usize % 3)),
+                            "step retired before task {i} ran"
+                        );
+                        done.fetch_add(1, Ordering::SeqCst);
+                        TaskResult::control()
+                    },
+                );
+            }
+            b.declare(k(99), 8, 0);
+            b.task("stepless", 0, &[Access::Mut(k(99))], TaskResult::control);
+            let g = b.build();
+            assert_eq!(run(&g).tasks_executed, 13);
+            assert_eq!(done.load(Ordering::SeqCst), 12);
+            let mut retired = ctx.retired.lock().unwrap().clone();
+            retired.sort_unstable();
+            assert_eq!(retired, [0, 1, 2]);
+        }
     }
 
     #[test]

@@ -273,6 +273,13 @@ pub trait TaskOp: Copy + Send + Sync + 'static {
         DataClass::Payload
     }
 
+    /// Every task of `step` has completed (on this rank, in a distributed
+    /// run): the context may drop what only that step's task bodies used.
+    /// Called once per step by the batch executor and by the streaming
+    /// window; names, steps and accesses of the step's ops must keep
+    /// deriving afterwards (graphs are replayed after they ran).
+    fn retire_step(_ctx: &Self::Ctx, _step: usize) {}
+
     /// The rendered name, as an owned string.
     fn name(self, ctx: &Self::Ctx) -> String {
         let mut s = String::new();
@@ -293,7 +300,11 @@ pub trait TaskSink<O: TaskOp> {
     fn num_nodes(&self) -> usize;
 
     /// Declare a datum: its size in bytes (communication costing) and the
-    /// node where it initially resides. Redeclaring a key keeps its hazard
+    /// node where it initially resides. A datum declared while a step is
+    /// being planned belongs to that step: only the step's tasks may
+    /// access it, and the streaming window forgets it when the step
+    /// retires (the batch graph keeps every declaration, for replay).
+    /// Redeclaring a key keeps its hazard
     /// state and replaces both values, but the two sinks differ in which
     /// tasks see the replacement: the streaming window prices a task's
     /// accesses when it is inserted, so only later tasks do; the batch
@@ -344,6 +355,9 @@ pub struct Graph<O: TaskOp> {
     succ_start: Vec<u32>,
     succs: Vec<TaskId>,
     pub(crate) run: Vec<RunCell>,
+    /// Tasks of each step that have not run yet, by step; the executor
+    /// retires a step when its count reaches zero.
+    pub(crate) step_remaining: Vec<AtomicU32>,
     data: IntMap<DataKey, DataInfo>,
 }
 
@@ -626,8 +640,18 @@ impl<O: TaskOp> GraphBuilder<O> {
                 cursor[p as usize] += 1;
             }
         }
+        let mut step_remaining: Vec<AtomicU32> = Vec::new();
+        for t in &self.tasks {
+            if let Some(step) = t.op.step(&self.ctx) {
+                if step_remaining.len() <= step {
+                    step_remaining.resize_with(step + 1, AtomicU32::default);
+                }
+                *step_remaining[step].get_mut() += 1;
+            }
+        }
         let g = Graph {
             num_nodes: self.num_nodes,
+            step_remaining,
             ctx: self.ctx,
             run: self
                 .tasks

@@ -97,11 +97,16 @@ pub trait Transport: Send + Sync {
 pub trait PayloadStore: Send + Sync {
     fn load(&self, key: DataKey) -> Option<Vec<u8>>;
     fn store(&self, key: DataKey, bytes: &[u8]) -> Result<(), TransportError>;
-    /// Whether `key` names a datum of this run at all (whether or not its
-    /// cell exists yet: a payload may arrive before its consumer is
-    /// planned). The window checks every inbound payload frame against
-    /// this on arrival.
+    /// Whether `key` names a datum of this run that a payload can still be
+    /// for: its cell exists, or will (a payload may arrive before its
+    /// consumer is planned) — not one whose step has retired and dropped
+    /// it. The window checks every first delivery of an inbound payload
+    /// against this on arrival.
     fn knows(&self, key: DataKey) -> bool;
+    /// Whether `key` is part of what the run hands back (what the caller's
+    /// solve will read), as opposed to an intermediate. At the end of a
+    /// run a rank ships rank 0 the result data it holds and nothing else.
+    fn in_result(&self, key: DataKey) -> bool;
 }
 
 /// Wire-level traffic totals of one rank's run, reported alongside the

@@ -9,6 +9,15 @@
 //! counts, the live-step population the planner gates on, and the peak
 //! statistics the reports expose.
 //!
+//! Retirement is the end of a step's memory, not only of its planner
+//! slot: on the [`StepEvent::retired`] event the window drops the
+//! directory entries of the data declared inside the step and calls
+//! [`crate::graph::TaskOp::retire_step`], so the run context drops the
+//! cells the step's task bodies communicated through. What a run holds is
+//! then its run-scoped data plus at most `window` steps' worth of step
+//! data. (The batch executor has no ledger; it reaches the same hook from
+//! a per-step countdown built with the graph.)
+//!
 //! With per-node sub-windows the counts are additionally split by owner
 //! node: when one node's share of a closed step drains, that node reports
 //! it (a [`crate::comm::RetireMsg`] in the distributed protocol), and the
@@ -61,6 +70,11 @@ impl StepLedger {
             peak_live_steps: 0,
             per_step_planned: Vec::new(),
         }
+    }
+
+    /// Nodes the step counts are split over.
+    pub fn num_nodes(&self) -> usize {
+        self.num_nodes
     }
 
     /// Number of steps currently materialized (open or with outstanding

@@ -12,7 +12,12 @@
 //! finishes; completed reader entries are pruned — their depth folded into
 //! a per-key scalar — at every step retirement, so the metadata stays
 //! bounded by the declared data plus the live window, not by the
-//! factorization's O(N³) task count.
+//! factorization's O(N³) task count. Retirement is also where a step's
+//! memory ends: the directory entries of the data declared while the step
+//! was being planned are dropped (only that step's tasks could name them),
+//! and [`TaskOp::retire_step`] tells the run context to drop what the
+//! step's task bodies kept — in net mode when this rank's view of the step
+//! (its own tasks and the stubs of everyone else's) has drained.
 //!
 //! A live record is the op plus bookkeeping: no name (rendered from the op
 //! when a trace event is recorded), no body (a worker calls the op's
@@ -160,6 +165,9 @@ type Slot = u32;
 #[derive(Debug)]
 struct DatumDir {
     key: DataKey,
+    /// The step the datum was declared in and is dropped with; [`NO_STEP`]
+    /// for data declared before planning (they last the whole run).
+    step: usize,
     bytes: usize,
     home: usize,
     class: DataClass,
@@ -269,12 +277,14 @@ impl NetState {
     }
 
     /// A payload frame arrived for `key`: fail the run unless the store
-    /// has such a datum (nothing would ever consume the frame, and the
-    /// peer that sent it is not running this protocol).
+    /// has such a datum and its step is still to come or in flight
+    /// (nothing would ever consume the frame, and the peer that sent it is
+    /// not running this protocol).
     fn check_known(&mut self, key: DataKey, from: usize) {
         if !self.store.knows(key) {
             self.fail(TransportError::Protocol(format!(
-                "rank {from} sent a payload for {key:?}, which is not a datum of this run"
+                "rank {from} sent a payload for {key:?}, which is not a datum of this run \
+                 (or belongs to a step that has retired)"
             )));
         }
     }
@@ -541,8 +551,11 @@ pub(crate) struct WindowState<O> {
     send_links: Chains<OwedSend>,
     /// Runnable tasks, deepest first.
     ready: ReadyQueue,
-    /// Declared data, by slot.
+    /// Declared data, by slot; the live entries are the ones `slot_of`
+    /// names.
     data: Vec<DatumDir>,
+    /// Slots of dropped step data, reused by later declarations.
+    free_slots: Vec<Slot>,
     /// The once-per-destination transfer cache: the version of the datum
     /// in `slot` that node `dest` holds a copy of, by `(slot, dest)` —
     /// [`INITIAL`] for the never-written datum fetched from its home.
@@ -728,16 +741,29 @@ impl<O: TaskOp> WindowState<O> {
         Some((r.id, op))
     }
 
-    /// Drop reader entries whose tasks have completed, folding their
-    /// critical-path depth into the per-key scalar. Run at every step
-    /// retirement: without it, reads of data that is never written again
-    /// (decisions, T-factors, finalized panel columns) would accumulate
-    /// hazard metadata proportional to the *total* task count, defeating
-    /// the window's memory bound.
-    fn prune_completed_readers(&mut self) {
+    /// Step `step` retired: forget the data declared in it, and on every
+    /// other datum drop the reader entries whose tasks have completed,
+    /// folding their critical-path depth into the per-key scalar. Without
+    /// the pruning, reads of data that is never written again (finalized
+    /// panel columns) would accumulate hazard metadata proportional to the
+    /// *total* task count, defeating the window's memory bound.
+    fn prune_directories(&mut self, step: usize) {
+        let nodes = self.ledger.num_nodes();
         let tasks = &self.tasks;
-        for dir in &mut self.data {
-            dir.hazard.readers.prune(|id| tasks.is_live(id));
+        for (slot, dir) in self.data.iter_mut().enumerate() {
+            if dir.step != step {
+                dir.hazard.readers.prune(|id| tasks.is_live(id));
+                continue;
+            }
+            let slot = slot as Slot;
+            self.slot_of.remove(&dir.key);
+            for dest in 0..nodes {
+                self.holds.remove(&(slot, dest));
+            }
+            dir.step = NO_STEP;
+            dir.hazard = DirCell::default();
+            dir.exec = None;
+            self.free_slots.push(slot);
         }
     }
 
@@ -796,7 +822,14 @@ impl<O: TaskOp> WindowState<O> {
     /// report is local), and a retired step prunes reader metadata.
     /// `now` is the wall clock (seconds since the window's epoch) of the
     /// triggering event; it only feeds the probed retirement-lag metric.
-    fn on_step_events(&mut self, reports: &[usize], retired: bool, step: usize, now: f64) {
+    fn on_step_events(
+        &mut self,
+        ctx: &O::Ctx,
+        reports: &[usize],
+        retired: bool,
+        step: usize,
+        now: f64,
+    ) {
         for &n in reports {
             if n != 0 {
                 self.route(Msg::Retire(RetireMsg { step, node: n }), None);
@@ -813,7 +846,8 @@ impl<O: TaskOp> WindowState<O> {
             if let Some(c) = &mut self.calib {
                 c.fold_retired(step);
             }
-            self.prune_completed_readers();
+            self.prune_directories(step);
+            O::retire_step(ctx, step);
         }
     }
 
@@ -991,21 +1025,34 @@ impl<O: TaskOp> WindowState<O> {
         self.send_links.release(task.pending_sends);
 
         let ev = self.ledger.on_completed(task.step, node);
-        self.on_step_events(ev.node_drained.as_slice(), ev.retired, task.step, end_s);
+        self.on_step_events(
+            ctx,
+            ev.node_drained.as_slice(),
+            ev.retired,
+            task.step,
+            end_s,
+        );
     }
 
-    /// Record one payload arrival and release the tasks gated on it.
-    /// Duplicate deliveries (a Sync broadcast racing the modeled
-    /// DecisionMsg for the same version) are ignored: first one wins.
-    fn net_arrival(&mut self, key: DataKey, producer: Option<TaskId>, payload: Vec<u8>) {
-        use std::collections::hash_map::Entry;
+    /// Record one payload arrival from rank `from` and release the tasks
+    /// gated on it. Duplicate deliveries (a Sync broadcast racing the
+    /// modeled DecisionMsg for the same version; a replayed frame) are
+    /// ignored, whatever has become of the datum since: first one wins.
+    /// Anything else must name a datum the store still has a place for.
+    fn net_arrival(
+        &mut self,
+        key: DataKey,
+        producer: Option<TaskId>,
+        payload: Vec<u8>,
+        from: usize,
+    ) {
         let net = self.net.as_mut().expect("net mode");
-        match net.arrivals.entry((key, producer)) {
-            Entry::Occupied(_) => return,
-            Entry::Vacant(slot) => {
-                slot.insert(Arrival::Bytes(payload));
-            }
+        if net.arrivals.contains_key(&(key, producer)) {
+            return;
         }
+        net.check_known(key, from);
+        net.arrivals
+            .insert((key, producer), Arrival::Bytes(payload));
         for id in net.waiters.remove(&(key, producer)).unwrap_or_default() {
             self.release(id);
         }
@@ -1065,6 +1112,7 @@ impl<O: TaskOp> StreamWindow<O> {
                 send_links: Chains::default(),
                 ready: ReadyQueue::default(),
                 data: Vec::new(),
+                free_slots: Vec::new(),
                 holds: IntMap::default(),
                 slot_of: IntMap::default(),
                 scratch: InsertScratch::default(),
@@ -1266,7 +1314,7 @@ impl<O: TaskOp> StreamWindow<O> {
         // Closing may report already-drained node shares and retire the
         // step on the spot.
         let (reports, retired) = st.ledger.close_step(k);
-        st.on_step_events(&reports, retired, k, now);
+        st.on_step_events(&self.ctx, &reports, retired, k, now);
         self.finish(st, 0);
     }
 
@@ -1477,30 +1525,42 @@ impl<O: TaskOp> StreamWindow<O> {
 
     // ---- insertion (TaskSink via StepSink) -----------------------------
 
-    fn declare(&self, key: DataKey, bytes: usize, home_node: usize) {
+    /// Declare a datum from the sink of `step` ([`NO_STEP`]: before
+    /// planning). A datum first declared in a step is dropped with it.
+    fn declare(&self, step: usize, key: DataKey, bytes: usize, home_node: usize) {
         assert!(home_node < self.num_nodes);
         let mut st = self.lock();
         let st = &mut *st;
         match st.slot_of.get(&key) {
             // Redeclaration updates the declaration (size *and* home,
             // mirroring GraphBuilder::declare's overwrite) but keeps the
-            // hazard state.
+            // hazard state and the scope.
             Some(&slot) => {
                 let dir = &mut st.data[slot as usize];
                 dir.bytes = bytes;
                 dir.home = home_node;
             }
             None => {
-                let slot = Slot::try_from(st.data.len()).expect("datum slots fit 32 bits");
-                st.slot_of.insert(key, slot);
-                st.data.push(DatumDir {
+                let dir = DatumDir {
                     key,
+                    step,
                     bytes,
                     home: home_node,
                     class: O::data_class(&self.ctx, key),
                     hazard: DirCell::default(),
                     exec: None,
-                });
+                };
+                let slot = match st.free_slots.pop() {
+                    Some(slot) => {
+                        st.data[slot as usize] = dir;
+                        slot
+                    }
+                    None => {
+                        st.data.push(dir);
+                        Slot::try_from(st.data.len() - 1).expect("datum slots fit 32 bits")
+                    }
+                };
+                st.slot_of.insert(key, slot);
             }
         }
     }
@@ -1827,8 +1887,7 @@ impl<O: TaskOp> StreamWindow<O> {
                     .or_default()
                     .record(&msg);
                 net.payload_bytes_recv += payload.len() as u64;
-                net.check_known(key, from);
-                st.net_arrival(key, producer, payload);
+                st.net_arrival(key, producer, payload, from);
             }
             Frame::Sync {
                 key,
@@ -1838,8 +1897,7 @@ impl<O: TaskOp> StreamWindow<O> {
                 let net = st.net.as_mut().expect("checked above");
                 net.ctrl_recv += 1;
                 net.payload_bytes_recv += payload.len() as u64;
-                net.check_known(key, from);
-                st.net_arrival(key, Some(producer), payload);
+                st.net_arrival(key, Some(producer), payload, from);
             }
             Frame::Retire { step, node } => {
                 let net = st.net.as_mut().expect("checked above");
@@ -1972,10 +2030,10 @@ impl<O: TaskOp> StreamWindow<O> {
     /// 2. wait for all peers' `Done`s — now every inbound protocol frame
     ///    has been counted — and reconcile wire counters against the
     ///    modeled per-link tallies;
-    /// 3. ranks != 0 ship every datum whose final version they own as
-    ///    `Result` frames, send `Fin`, and park until `Shutdown`; rank 0
-    ///    waits for all `Fin`s (its mirror now holds the full factored
-    ///    matrix) and broadcasts `Shutdown`.
+    /// 3. ranks != 0 ship the result data whose final version they hold
+    ///    as `Result` frames, send `Fin`, and park until `Shutdown`; rank 0
+    ///    waits for all `Fin`s (its mirror now holds the result) and
+    ///    broadcasts `Shutdown`.
     pub(crate) fn net_finish(&self) -> Result<(), TransportError> {
         let (rank, nranks) = {
             let mut st = self.lock();
@@ -2066,21 +2124,23 @@ impl<O: TaskOp> StreamWindow<O> {
         Ok(())
     }
 
-    /// Ship every datum whose *final executed version* lives on this rank
-    /// to rank 0. Exactly one rank owns each written datum's final
-    /// version, so rank 0's mirror ends bitwise-complete; data a kernel
-    /// consumed destructively (`load` returns `None`) is skipped — its
-    /// value is dead in the algorithm too.
+    /// Ship to rank 0 every datum of the result
+    /// ([`PayloadStore::in_result`]) whose final version lives on this
+    /// rank: its last executed writer ran here, or nothing ever wrote it
+    /// and it is homed here. Exactly one rank holds each datum's final
+    /// version, so rank 0's mirror ends with the whole result, bitwise.
     fn net_send_results(&self) -> Result<(), TransportError> {
         let mut st = self.lock();
         let st = &mut *st;
         let net = st.net.as_mut().expect("net mode");
         let rank = net.rank;
         let mut owned: Vec<DataKey> = st
-            .data
-            .iter()
-            .filter(|dir| dir.exec.as_ref().is_some_and(|v| v.node == rank))
+            .slot_of
+            .values()
+            .map(|&slot| &st.data[slot as usize])
+            .filter(|dir| dir.exec.map_or(dir.home, |v| v.node) == rank)
             .map(|dir| dir.key)
+            .filter(|&key| net.store.in_result(key))
             .collect();
         owned.sort_unstable();
         for key in owned {
@@ -2146,7 +2206,7 @@ impl<O: TaskOp> TaskSink<O> for StepSink<'_, O> {
     }
 
     fn declare(&mut self, key: DataKey, bytes: usize, home_node: usize) {
-        self.win.declare(key, bytes, home_node);
+        self.win.declare(self.step, key, bytes, home_node);
     }
 
     fn push(&mut self, node: usize, op: O) -> TaskId {
@@ -2246,6 +2306,52 @@ mod tests {
         assert!(ring.get_mut(0).is_none() && ring.remove(1).is_none());
     }
 
+    /// A datum declared through a step's sink lives as long as the step:
+    /// retirement drops its directory entry and its transfer-cache entries,
+    /// tells the context, and hands the slot to the next declaration; data
+    /// declared before planning stay.
+    #[test]
+    fn step_data_leave_the_directory_when_their_step_retires() {
+        let ctx = Arc::new(TestCtx::default());
+        let win = StreamWindow::<TestOp>::new(2, Arc::clone(&ctx));
+        let (tile, cell0, cell1) = (DataKey(1), DataKey(100), DataKey(101));
+        win.declare(NO_STEP, tile, 8, 0);
+        for (step, cell) in [(0, cell0), (1, cell1)] {
+            win.open_step(step);
+            StepSink::new(&win, step).declare(cell, 8, 0);
+            // Produced on node 0, consumed on node 1: the cell is cached
+            // for node 1 in `holds`.
+            let accs = [Access::Read(tile), Access::Mut(cell)];
+            let w = win.insert_task(step, 0, ctx.op("w", &accs, TaskResult::control));
+            let r = win.insert_task(
+                step,
+                1,
+                ctx.op("r", &[Access::Read(cell)], TaskResult::control),
+            );
+            win.close_step(step);
+            let mut st = win.lock();
+            let slot = st.slot_of[&cell];
+            assert_eq!(
+                slot,
+                1,
+                "step {step} reuses the slot step {} freed",
+                step.max(1) - 1
+            );
+            for id in [w, r] {
+                assert_eq!(st.pop_ready().map(|(id, _)| id), Some(id));
+                st.complete_task(&ctx, id, TaskResult::control(), 0, 0.0, 0.0);
+            }
+            assert_eq!(*ctx.retired.lock().unwrap(), (0..=step).collect::<Vec<_>>());
+            assert!(
+                !st.slot_of.contains_key(&cell),
+                "step {step}'s cell is forgotten"
+            );
+            assert!(st.slot_of.contains_key(&tile), "run-scoped data stay");
+            assert!(st.holds.keys().all(|&(s, _)| s != slot), "{:?}", st.holds);
+            assert_eq!((st.data.len(), st.free_slots.as_slice()), (2, &[slot][..]));
+        }
+    }
+
     /// The window end to end at the table level: a consumer inserted after
     /// its producer completed gets no edge and is runnable at once.
     #[test]
@@ -2253,7 +2359,7 @@ mod tests {
         let ctx = Arc::new(TestCtx::default());
         let win = StreamWindow::<TestOp>::new(1, Arc::clone(&ctx));
         let key = DataKey(1);
-        win.declare(key, 8, 0);
+        win.declare(NO_STEP, key, 8, 0);
         win.open_step(0);
         let a = win.insert_task(0, 0, ctx.op("a", &[Access::Mut(key)], TaskResult::control));
         {

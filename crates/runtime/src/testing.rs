@@ -26,6 +26,8 @@ pub(crate) struct TestOp(u32);
 pub(crate) struct TestCtx {
     entries: RwLock<Vec<Arc<Entry>>>,
     decisions: RwLock<Vec<DataKey>>,
+    /// The steps the runtime has retired, in the order it did.
+    pub(crate) retired: Mutex<Vec<usize>>,
 }
 
 impl TestCtx {
@@ -95,13 +97,17 @@ impl TaskOp for TestOp {
             DataClass::Payload
         }
     }
+
+    fn retire_step(ctx: &TestCtx, step: usize) {
+        ctx.retired.lock().unwrap().push(step);
+    }
 }
 
 /// A [`GraphBuilder`] over [`TestOp`]s with the closure-style insertion the
 /// tests are written in.
 pub(crate) struct TestGraph {
     pub(crate) b: GraphBuilder<TestOp>,
-    ctx: Arc<TestCtx>,
+    pub(crate) ctx: Arc<TestCtx>,
 }
 
 impl TestGraph {

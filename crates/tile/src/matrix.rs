@@ -95,18 +95,24 @@ impl TiledMatrix {
     /// Build from a dense matrix (uniform tiling).
     pub fn from_dense(a: &Mat, nb: usize) -> Self {
         let (m, n) = a.dims();
-        Self::build(m, nb, uniform_starts(n, nb), |i0, j0, tm, tn| {
-            a.sub(i0, j0, tm, tn)
-        })
+        Self::build(
+            m,
+            nb,
+            uniform_starts(n, nb),
+            |_, _| true,
+            |i0, j0, tm, tn| a.sub(i0, j0, tm, tn),
+        )
     }
 
     /// Build tiles directly from a per-tile constructor, with no
     /// intermediate zero fill: `f(row0, col0, tm, tn)` produces the tile
-    /// whose top-left global element is `(row0, col0)`.
+    /// whose top-left global element is `(row0, col0)`, for every tile
+    /// `(i, j)` that `keep` selects; the others are left empty (`0 x 0`).
     fn build(
         m: usize,
         nb: usize,
         col_starts: Vec<usize>,
+        keep: impl Fn(usize, usize) -> bool,
         mut f: impl FnMut(usize, usize, usize, usize) -> Mat,
     ) -> Self {
         assert!(nb >= 1, "tile size must be positive");
@@ -119,8 +125,13 @@ impl TiledMatrix {
             let tn = col_starts[j + 1] - col_starts[j];
             for i in 0..mt {
                 let tm = Self::row_dim(i, mt, m, nb);
-                let t = f(i * nb, col_starts[j], tm, tn);
-                debug_assert_eq!(t.dims(), (tm, tn));
+                let t = if keep(i, j) {
+                    let t = f(i * nb, col_starts[j], tm, tn);
+                    debug_assert_eq!(t.dims(), (tm, tn));
+                    t
+                } else {
+                    Mat::zeros(0, 0)
+                };
                 tiles.push(Arc::new(Mutex::new(t)));
             }
         }
@@ -138,6 +149,20 @@ impl TiledMatrix {
     /// inputs — one copy per tile, against `from_dense(..).augment(..)`'s
     /// zero-fill plus tile-clone round trip.
     pub fn from_dense_augmented(a: &Mat, rhs: &Mat, nb: usize) -> Self {
+        Self::from_dense_augmented_where(a, rhs, nb, |_, _| true)
+    }
+
+    /// [`TiledMatrix::from_dense_augmented`] holding only the tiles
+    /// `keep(i, j)` selects — one rank's share of a distributed matrix.
+    /// Every other tile is an empty (`0 x 0`) `Mat` until something is
+    /// stored into it; dimensions always come from the layout
+    /// ([`TiledMatrix::tile_dims`]), never from an absent tile.
+    pub fn from_dense_augmented_where(
+        a: &Mat,
+        rhs: &Mat,
+        nb: usize,
+        keep: impl Fn(usize, usize) -> bool,
+    ) -> Self {
         let (m, n) = a.dims();
         assert_eq!(rhs.rows(), m, "rhs row mismatch");
         let mut col_starts = uniform_starts(n, nb);
@@ -146,13 +171,19 @@ impl TiledMatrix {
             c = (c + nb).min(n + rhs.cols());
             col_starts.push(c);
         }
-        Self::build(m, nb, col_starts, |i0, j0, tm, tn| {
+        Self::build(m, nb, col_starts, keep, |i0, j0, tm, tn| {
             if j0 < n {
                 a.sub(i0, j0, tm, tn)
             } else {
                 rhs.sub(i0, j0 - n, tm, tn)
             }
         })
+    }
+
+    /// Whether tile `(i, j)` is held (see
+    /// [`TiledMatrix::from_dense_augmented_where`]).
+    pub fn holds_tile(&self, i: usize, j: usize) -> bool {
+        self.tile_ref(i, j).lock().dims() == self.tile_dims(i, j)
     }
 
     /// Build elementwise from a function of global `(row, col)` (uniform
@@ -477,6 +508,29 @@ mod tests {
         assert_eq!(aug.nt(), 2 + 3); // rhs: 4 + 4 + 2
         assert_eq!(aug.tile_cols(4), 2);
         assert_eq!(aug.dense_columns(8, 10), b);
+    }
+
+    #[test]
+    fn a_share_holds_the_selected_tiles_and_the_full_layout() {
+        // n = 10, nb = 4, three right-hand sides: tile columns 4, 4, 2 | 3.
+        let a = Mat::random(10, 10, 11);
+        let b = Mat::random(10, 3, 12);
+        let full = TiledMatrix::from_dense_augmented(&a, &b, 4);
+        let mine = |i: usize, j: usize| (i + j) % 2 == 1;
+        let share = TiledMatrix::from_dense_augmented_where(&a, &b, 4, mine);
+        assert_eq!((share.mt(), share.nt()), (full.mt(), full.nt()));
+        for i in 0..full.mt() {
+            for j in 0..full.nt() {
+                assert_eq!(share.tile_dims(i, j), full.tile_dims(i, j));
+                assert_eq!(share.holds_tile(i, j), mine(i, j), "tile ({i},{j})");
+                if mine(i, j) {
+                    assert_eq!(*share.tile(i, j).lock(), *full.tile(i, j).lock());
+                } else {
+                    assert_eq!(share.tile(i, j).lock().dims(), (0, 0));
+                }
+            }
+        }
+        assert!(full.holds_tile(2, 3));
     }
 
     #[test]

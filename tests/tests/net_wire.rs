@@ -6,6 +6,7 @@
 
 use std::io::Cursor;
 
+use luqr_runtime::net::loopback::LoopbackEndpoint;
 use luqr_runtime::net::wire::{
     decode_frame, encode_frame, read_frame, write_frame, Frame, MAGIC, MAX_FRAME, VERSION,
 };
@@ -344,14 +345,16 @@ impl<T: Transport> Transport for TamperingPeer<T> {
     }
 }
 
-/// Run a two-rank loopback factorization whose rank 1 tampers with its
-/// first data frame, and return what rank 0's run ended with. Under a
-/// watchdog: a hostile payload must end the run, not hang or panic it.
-fn rank0_outcome_with_tampering_peer(
-    tamper: fn(&mut DataKey, &mut Vec<u8>),
+/// Run a two-rank loopback hybrid factorization (`n = 64`, `nb = 8`) on
+/// `grid` whose rank 1 sits behind the endpoint `peer` builds, and return
+/// what rank 0's run ended with. Under a watchdog: a hostile peer must end
+/// the run, not hang or panic it.
+fn rank0_outcome_with_peer<T: Transport + 'static>(
+    grid: luqr_tile::Grid,
+    window: usize,
+    peer: impl FnOnce(std::sync::Arc<LoopbackEndpoint>) -> T + Send + 'static,
 ) -> Result<(), TransportError> {
     use luqr::{factor_stream_net_rank, Algorithm, Criterion, FactorOptions, StreamOptions};
-    use luqr_tile::Grid;
     use std::sync::mpsc::{channel, RecvTimeoutError};
     use std::sync::Arc;
 
@@ -362,18 +365,14 @@ fn rank0_outcome_with_tampering_peer(
             nb: 8,
             ib: 4,
             threads: 2,
-            grid: Grid::new(1, 2),
+            grid,
             algorithm: Algorithm::LuQr(Criterion::Max { alpha: 100.0 }),
             ..FactorOptions::default()
         };
-        let sopts = StreamOptions::fixed(2, 2);
+        let sopts = StreamOptions::fixed(window, 2);
         let mut set = luqr_runtime::net::loopback::loopback_set(2).into_iter();
         let (t0, t1) = (set.next().unwrap(), set.next().unwrap());
-        let t1 = Arc::new(TamperingPeer {
-            inner: t1,
-            tamper,
-            tampered: Default::default(),
-        });
+        let t1 = Arc::new(peer(t1));
         let outcome = std::thread::scope(|s| {
             // Rank 1 loses rank 0 once rank 0 fails; its error is the echo.
             s.spawn(|| {
@@ -388,11 +387,23 @@ fn rank0_outcome_with_tampering_peer(
             runner.join().expect("no rank may panic");
             outcome
         }
-        Err(RecvTimeoutError::Timeout) => panic!("hostile payload hung the run"),
+        Err(RecvTimeoutError::Timeout) => panic!("hostile peer hung the run"),
         Err(RecvTimeoutError::Disconnected) => {
             std::panic::resume_unwind(runner.join().expect_err("sender dropped by a panic"))
         }
     }
+}
+
+/// [`rank0_outcome_with_peer`] on a 1×2 grid, window 2, with a rank 1 that
+/// tampers with its first data frame.
+fn rank0_outcome_with_tampering_peer(
+    tamper: fn(&mut DataKey, &mut Vec<u8>),
+) -> Result<(), TransportError> {
+    rank0_outcome_with_peer(luqr_tile::Grid::new(1, 2), 2, move |inner| TamperingPeer {
+        inner,
+        tamper,
+        tampered: Default::default(),
+    })
 }
 
 /// A data frame whose payload stops short of the matrix it announces
@@ -418,5 +429,87 @@ fn payload_for_an_unknown_datum_fails_the_run() {
     match outcome {
         Err(TransportError::Protocol(m)) => assert!(m.contains("not a datum of this run"), "{m}"),
         other => panic!("expected an unknown-datum protocol error, got {other:?}"),
+    }
+}
+
+/// A rank-1 endpoint that runs the protocol faithfully and, once, sends
+/// rank 0 a step-0 payload a second time after rank 0 has retired step 0.
+///
+/// On a 2×1 grid the panel rows alternate between the ranks, so the
+/// hybrid's criterion collection crosses the wire every step: rank 1 ships
+/// `crit_scratch(0, 0)` for step 0's panel on rank 0, and rank 0 ships
+/// `crit_scratch(0, 1)` for step 1's panel here. With a window of one step
+/// rank 0 opens step 1 only after step 0 has retired there, so the arrival
+/// of its step-1 frame is the cue: whatever `alter` makes of the saved
+/// step-0 frame reaches a rank 0 that has dropped step 0's cells.
+struct ReplayingPeer {
+    inner: std::sync::Arc<LoopbackEndpoint>,
+    alter: fn(&mut Frame),
+    saved: std::sync::Mutex<Option<Frame>>,
+}
+
+impl Transport for ReplayingPeer {
+    fn rank(&self) -> usize {
+        self.inner.rank()
+    }
+    fn nranks(&self) -> usize {
+        self.inner.nranks()
+    }
+    fn send(&self, to: usize, frame: &Frame) -> Result<(), TransportError> {
+        if matches!(frame, Frame::Data { key, .. } if *key == luqr::keys::crit_scratch(0, 0)) {
+            *self.saved.lock().unwrap() = Some(frame.clone());
+        }
+        self.inner.send(to, frame)
+    }
+    fn recv(&self) -> Result<(usize, Frame), TransportError> {
+        let (from, frame) = self.inner.recv()?;
+        if matches!(&frame, Frame::Data { key, .. } if *key == luqr::keys::crit_scratch(0, 1)) {
+            let mut replay = (self.saved.lock().unwrap().take())
+                .expect("step 0's criterion data left before step 1's arrived");
+            (self.alter)(&mut replay);
+            self.inner.send(0, &replay)?;
+        }
+        Ok((from, frame))
+    }
+    fn shutdown(&self) {
+        self.inner.shutdown()
+    }
+}
+
+fn rank0_outcome_with_replaying_peer(alter: fn(&mut Frame)) -> Result<(), TransportError> {
+    rank0_outcome_with_peer(luqr_tile::Grid::new(2, 1), 1, move |inner| ReplayingPeer {
+        inner,
+        alter,
+        saved: Default::default(),
+    })
+}
+
+/// An exact replay duplicates an arrival rank 0 has applied: the arrival
+/// path ignores it — first one wins, whatever has become of the cell — and
+/// the run goes on to its end, where the surplus frame on the link fails
+/// the wire/protocol reconciliation. No panic on the missing cell, and the
+/// cell is not brought back.
+#[test]
+fn replayed_payload_of_a_retired_step_is_ignored_on_arrival() {
+    match rank0_outcome_with_replaying_peer(|_| {}) {
+        Err(TransportError::Protocol(m)) => assert!(m.contains("reconciliation failed"), "{m}"),
+        other => panic!("expected the end-of-run reconciliation to object, got {other:?}"),
+    }
+}
+
+/// The same payload under another producer id duplicates nothing: it is a
+/// first delivery for a step whose cells are gone, and fails the run on
+/// arrival with a typed error.
+#[test]
+fn fresh_payload_for_a_retired_step_fails_the_run() {
+    let outcome = rank0_outcome_with_replaying_peer(|frame| {
+        let Frame::Data { producer, .. } = frame else {
+            unreachable!("only data frames are saved")
+        };
+        *producer = Some(producer.expect("a criterion task produced it") + 1_000_000);
+    });
+    match outcome {
+        Err(TransportError::Protocol(m)) => assert!(m.contains("has retired"), "{m}"),
+        other => panic!("expected a retired-step protocol error, got {other:?}"),
     }
 }
