@@ -11,7 +11,7 @@
 
 use luqr::{factor, Algorithm, FactorOptions, TreeConfig, TreeKind};
 use luqr_bench::{random_system, Args};
-use luqr_runtime::Platform;
+use luqr_runtime::{simulate, Platform};
 use luqr_tile::Grid;
 
 fn main() {
@@ -50,7 +50,7 @@ fn main() {
                 ..FactorOptions::default()
             };
             let f = factor(&sys.a, &sys.b, &opts);
-            let sim = f.simulate(&platform);
+            let sim = simulate(&f.graph, &platform);
             let label = format!("{intra:?}/{inter:?}");
             if sim.makespan < best.0 {
                 best = (sim.makespan, label);

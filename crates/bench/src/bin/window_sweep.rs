@@ -10,9 +10,9 @@
 //! so the trade reads off one table, and checks the window-invariance of
 //! the simulated makespan while it is at it.
 //!
-//! Seeded from `BENCH_distsim.json`'s configuration (N = 320, nb = 8,
-//! hybrid Max α = 1000 on Dancer nodes); override with `--n`, `--nb`,
-//! `--alpha`.
+//! Seeded from the `distsim` fixture of `tests/tests/pins.rs` (N = 320,
+//! nb = 8, hybrid Max α = 1000 on Dancer nodes); override with `--n`,
+//! `--nb`, `--alpha`.
 //!
 //! ```sh
 //! cargo run --release -p luqr-bench --bin window_sweep [--n 320] [--nb 8]

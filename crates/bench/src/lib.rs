@@ -8,7 +8,7 @@
 use luqr::{factor, stability, Algorithm, FactorOptions};
 use luqr_kernels::blas::{gemm, Trans};
 use luqr_kernels::Mat;
-use luqr_runtime::Platform;
+use luqr_runtime::{simulate, Platform};
 
 /// A linear system with a known solution.
 pub struct System {
@@ -67,7 +67,7 @@ pub fn run(sys: &System, opts: &FactorOptions, platform: &Platform) -> RunMetric
     let wall = t0.elapsed().as_secs_f64();
     let x = f.solution();
     let hpl3 = stability::hpl3(&sys.a, &x, &sys.b);
-    let sim = f.simulate(platform);
+    let sim = simulate(&f.graph, platform);
     RunMetrics {
         hpl3,
         lu_fraction: f.lu_step_fraction(),
@@ -77,70 +77,6 @@ pub fn run(sys: &System, opts: &FactorOptions, platform: &Platform) -> RunMetric
         messages: sim.messages,
         error: f.error.clone(),
         wall_seconds: wall,
-    }
-}
-
-/// Shared custom-harness utilities for the `stream` / `distsim` benches,
-/// whose JSON baselines carry extra fields the vendored criterion shim's
-/// fixed record schema cannot (peak live tasks, simulated makespans).
-pub mod harness {
-    use std::io::Write as _;
-    use std::time::Instant;
-
-    pub const SAMPLES: usize = 5;
-
-    /// One bench record: timings plus a pre-rendered tail of extra JSON
-    /// fields (`, "key": value, ...`).
-    pub struct Record {
-        pub group: String,
-        pub bench: String,
-        pub min_ns: f64,
-        pub median_ns: f64,
-        pub mean_ns: f64,
-        pub extra_json: String,
-    }
-
-    /// Time `f` over [`SAMPLES`] runs after one warmup: (min, median,
-    /// mean) nanoseconds.
-    pub fn sample(mut f: impl FnMut()) -> (f64, f64, f64) {
-        f(); // warmup
-        let mut ns: Vec<f64> = (0..SAMPLES)
-            .map(|_| {
-                let t0 = Instant::now();
-                f();
-                t0.elapsed().as_nanos() as f64
-            })
-            .collect();
-        ns.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        let mean = ns.iter().sum::<f64>() / ns.len() as f64;
-        (ns[0], ns[ns.len() / 2], mean)
-    }
-
-    /// Write the criterion-shim-compatible JSON baseline to the path in
-    /// `CRITERION_JSON`, if set.
-    pub fn write_json(records: &[Record]) {
-        let Ok(path) = std::env::var("CRITERION_JSON") else {
-            return;
-        };
-        let mut out = String::from("[\n");
-        for (i, r) in records.iter().enumerate() {
-            out.push_str(&format!(
-                "  {{\"group\": \"{}\", \"bench\": \"{}\", \"samples\": {SAMPLES}, \
-                 \"min_ns\": {:.1}, \"median_ns\": {:.1}, \"mean_ns\": {:.1}{}}}{}\n",
-                r.group,
-                r.bench,
-                r.min_ns,
-                r.median_ns,
-                r.mean_ns,
-                r.extra_json,
-                if i + 1 < records.len() { "," } else { "" },
-            ));
-        }
-        out.push_str("]\n");
-        match std::fs::File::create(&path).and_then(|mut f| f.write_all(out.as_bytes())) {
-            Ok(()) => eprintln!("bench results written to {path}"),
-            Err(e) => eprintln!("failed to write {path}: {e}"),
-        }
     }
 }
 

@@ -69,9 +69,7 @@ use std::sync::Arc;
 use luqr_kernels::Mat;
 use luqr_runtime::stream::{StepSource, StreamReport};
 use luqr_runtime::trace::TraceOptions;
-use luqr_runtime::{
-    execute, simulate, simulate_probed, simulate_with, ExecReport, Platform, SimReport,
-};
+use luqr_runtime::{execute, ExecReport, Platform, SimReport};
 use luqr_tile::{Grid, TiledMatrix};
 
 pub use luqr_runtime::{
@@ -127,7 +125,11 @@ pub struct Factorization {
     /// The factored augmented matrix (upper triangle = `U`/`R`; below lives
     /// whatever the eliminations left there).
     pub aug: TiledMatrix,
-    /// The executed task graph (replayable by the platform simulator).
+    /// The executed task graph: replay it on a virtual platform with
+    /// [`luqr_runtime::simulate`] (insertion order),
+    /// [`luqr_runtime::simulate_with`] (a scheduling policy) or
+    /// [`luqr_runtime::simulate_probed`] (the same, with metrics), and
+    /// render the replay with [`luqr_runtime::trace::to_chrome_trace_with`].
     pub graph: Graph,
     /// Executor statistics.
     pub exec: ExecReport,
@@ -148,33 +150,6 @@ impl Factorization {
     /// Back-substitute for the solution of `A x = B`.
     pub fn solution(&self) -> Mat {
         solve::back_substitute(&self.aug, self.n, self.nrhs)
-    }
-
-    /// Replay the executed task graph on a virtual platform (insertion-
-    /// order schedule — [`SchedPolicy::Fifo`]).
-    pub fn simulate(&self, platform: &Platform) -> SimReport {
-        simulate(&self.graph, platform)
-    }
-
-    /// Replay the executed task graph under a scheduling policy
-    /// ([`SimOptions::scheduler`]): same numerics, same data flow, a
-    /// policy-chosen timeline. See [`luqr_runtime::sched`].
-    pub fn simulate_with(&self, platform: &Platform, opts: &SimOptions) -> SimReport {
-        simulate_with(&self.graph, platform, opts)
-    }
-
-    /// [`Factorization::simulate_with`] with an attached metrics [`Probe`]:
-    /// the replayed schedule is bitwise-identical, and the returned
-    /// [`ProbeReport`] additionally carries scheduler/comm/vtime metrics
-    /// plus the makespan [`Attribution`] (compute / transfer / trunk
-    /// contention / scheduler idle, per node and per elimination step).
-    pub fn simulate_probed(
-        &self,
-        platform: &Platform,
-        opts: &SimOptions,
-        probe: &Probe,
-    ) -> (SimReport, ProbeReport) {
-        simulate_probed(&self.graph, platform, opts, probe)
     }
 
     /// Fraction of elimination steps that were LU steps.
@@ -201,47 +176,6 @@ impl Factorization {
     pub fn dot_for_step(&self, k: usize) -> String {
         luqr_runtime::dot::to_dot_step(&self.graph, k)
     }
-
-    /// Simulate on `platform` and render the schedule as Chrome trace-event
-    /// JSON (open in `chrome://tracing` or Perfetto). Node lanes are named
-    /// by their [`NodeSpec`] — `node1 (4c @ 8 GF)` — so heterogeneous
-    /// schedules read at a glance.
-    pub fn chrome_trace(&self, platform: &Platform) -> String {
-        let sim = self.simulate(platform);
-        luqr_runtime::trace::to_chrome_trace_on(&self.graph, &sim, platform)
-    }
-
-    /// [`Factorization::chrome_trace`] under a scheduling policy, with
-    /// every node lane labelled by it — `node1 (4c @ 8 GF) [eft]` — so a
-    /// trace says which schedule it shows.
-    pub fn chrome_trace_sched(&self, platform: &Platform, opts: &SimOptions) -> String {
-        let sim = self.simulate_with(platform, opts);
-        luqr_runtime::trace::to_chrome_trace_sched(&self.graph, &sim, platform, opts.scheduler)
-    }
-
-    /// [`Factorization::chrome_trace_sched`] through a probed replay: the
-    /// returned JSON carries the task spans *and* the probe's gauge series
-    /// as Chrome counter tracks (ready-pool depth, per-node busy time),
-    /// and the [`ProbeReport`] comes back alongside for the other export
-    /// formats ([`luqr_runtime::probe::export`]).
-    pub fn chrome_trace_probed(
-        &self,
-        platform: &Platform,
-        opts: &SimOptions,
-        probe: &Probe,
-    ) -> (String, ProbeReport) {
-        let (sim, report) = self.simulate_probed(platform, opts, probe);
-        let json = luqr_runtime::trace::to_chrome_trace_with(
-            &self.graph,
-            &sim,
-            &TraceOptions {
-                platform: Some(platform),
-                policy: Some(opts.scheduler),
-                counters: Some(&report.snapshot),
-            },
-        );
-        (json, report)
-    }
 }
 
 /// The planner registry: map an [`Algorithm`] to the [`StepPlanner`] that
@@ -262,29 +196,41 @@ pub fn planner_for(algorithm: &Algorithm) -> Box<dyn StepPlanner> {
     }
 }
 
+/// What every `factor*` entry point does before it plans: check the input
+/// shapes, and give the packed-GEMM engine the same worker budget as the
+/// executor so large trailing updates can split across threads
+/// deterministically. Returns the order of `a`.
+fn prelude(a: &Mat, rhs: &Mat, opts: &FactorOptions) -> usize {
+    let n = a.rows();
+    assert_eq!(a.cols(), n, "A must be square");
+    assert_eq!(rhs.rows(), n, "rhs row mismatch");
+    assert!(rhs.cols() >= 1, "need at least one rhs column");
+    assert!(opts.nb >= 2, "tile size must be at least 2");
+    luqr_kernels::gemm_kernel::set_kernel_threads(opts.threads.max(1));
+    n
+}
+
+/// What every `factor*` entry point reads back after the run: the per-step
+/// records in step order, and the first numerical breakdown.
+fn epilogue(shared: &state::SharedState) -> (Vec<StepRecord>, Option<String>) {
+    let mut records = shared.records.lock().clone();
+    records.sort_by_key(|r| r.k);
+    (records, shared.error.lock().clone())
+}
+
 /// Factor `[A | rhs]` with the configured algorithm and solve-ready output.
 ///
 /// `a` must be square; `rhs` must have the same row count and at least one
 /// column (the paper's augmented-matrix workflow always carries the
 /// right-hand side through the factorization).
 pub fn factor(a: &Mat, rhs: &Mat, opts: &FactorOptions) -> Factorization {
-    let n = a.rows();
-    assert_eq!(a.cols(), n, "A must be square");
-    assert_eq!(rhs.rows(), n, "rhs row mismatch");
-    assert!(rhs.cols() >= 1, "need at least one rhs column");
-    assert!(opts.nb >= 2, "tile size must be at least 2");
-    // Give the packed-GEMM engine the same worker budget as the executor so
-    // large trailing updates can split across threads deterministically.
-    luqr_kernels::gemm_kernel::set_kernel_threads(opts.threads.max(1));
+    let n = prelude(a, rhs, opts);
 
     let aug = TiledMatrix::from_dense_augmented(a, rhs, opts.nb);
     let nt_a = aug.nt() - rhs.cols().div_ceil(opts.nb);
     let (graph, shared) = builder::build_graph(&aug, nt_a, opts);
     let exec = execute(&graph, opts.threads);
-    let records = shared.records.lock().clone();
-    let error = shared.error.lock().clone();
-    let mut records = records;
-    records.sort_by_key(|r| r.k);
+    let (records, error) = epilogue(&shared);
     Factorization {
         aug,
         graph,
@@ -364,19 +310,17 @@ impl StreamFactorization {
     /// unless the factorization was streamed with
     /// [`StreamOptions::trace`] on): windowed runs are inspectable in
     /// `chrome://tracing` like batch runs, with `pid` = virtual node and
-    /// `tid` = worker thread.
-    pub fn chrome_trace(&self) -> String {
-        luqr_runtime::events_to_chrome_trace(&self.report.trace)
-    }
-
-    /// [`StreamFactorization::chrome_trace`] with node lanes named by the
-    /// platform's [`NodeSpec`]s and stamped with the run's virtual-time
+    /// `tid` = worker thread. Given the run's platform, node lanes are
+    /// named by its [`NodeSpec`]s and stamped with the run's virtual-time
     /// scheduling policy.
-    pub fn chrome_trace_on(&self, platform: &Platform) -> String {
-        luqr_runtime::trace::events_to_chrome_trace_sched(
+    pub fn chrome_trace(&self, platform: Option<&Platform>) -> String {
+        luqr_runtime::render_chrome_trace(
             &self.report.trace,
-            Some(platform),
-            Some(self.report.scheduler),
+            &TraceOptions {
+                platform,
+                policy: Some(self.report.scheduler),
+                counters: None,
+            },
         )
     }
 }
@@ -388,7 +332,7 @@ impl StreamFactorization {
 /// Numerics are bitwise-identical to [`factor`] and [`factor_stream`];
 /// `sim` is the virtual-time summary — equal (to fp round-off) to
 /// replaying the equivalent batch graph through
-/// [`Factorization::simulate`] on the same [`Platform`], but computed
+/// [`luqr_runtime::simulate`] on the same [`Platform`], but computed
 /// without ever materializing that graph.
 pub struct DistStreamFactorization {
     /// The streamed factorization (matrix, records, streaming report —
@@ -460,23 +404,13 @@ pub fn factor_stream_with(
     opts: &FactorOptions,
     stream_opts: &StreamOptions,
 ) -> StreamFactorization {
-    let n = a.rows();
-    assert_eq!(a.cols(), n, "A must be square");
-    assert_eq!(rhs.rows(), n, "rhs row mismatch");
-    assert!(rhs.cols() >= 1, "need at least one rhs column");
-    assert!(opts.nb >= 2, "tile size must be at least 2");
-    // Give the packed-GEMM engine the same worker budget as the executor so
-    // large trailing updates can split across threads deterministically.
-    luqr_kernels::gemm_kernel::set_kernel_threads(opts.threads.max(1));
+    let n = prelude(a, rhs, opts);
 
     let aug = TiledMatrix::from_dense_augmented(a, rhs, opts.nb);
     let nt_a = aug.nt() - rhs.cols().div_ceil(opts.nb);
     let mut source = PlannerStepSource::new(&aug, nt_a, opts);
     let report = luqr_runtime::stream::execute_with(&mut source, stream_opts);
-    let shared = source.shared();
-    let mut records = shared.records.lock().clone();
-    let error = shared.error.lock().clone();
-    records.sort_by_key(|r| r.k);
+    let (records, error) = epilogue(source.shared());
     StreamFactorization {
         aug,
         report,
@@ -708,7 +642,7 @@ mod tests {
             ..FactorOptions::default()
         };
         let f = factor(&a, &b, &opts);
-        let sim = f.simulate(&Platform::dancer());
+        let sim = luqr_runtime::simulate(&f.graph, &Platform::dancer());
         assert!(sim.makespan > 0.0);
         assert!(sim.makespan >= sim.critical_path - 1e-12);
         assert!(sim.total_flops > 0.0);

@@ -41,6 +41,7 @@ mod payload;
 
 use payload::StepStore;
 
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -70,6 +71,16 @@ pub enum NetTransportKind {
 }
 
 static UDS_RUN: AtomicUsize = AtomicUsize::new(0);
+
+/// The socket directory of one UDS run, removed when the run leaves —
+/// whether it returns, fails to mesh, or unwinds from a rank's panic.
+struct ScratchDir(PathBuf);
+
+impl Drop for ScratchDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
 
 fn dyn_transports<T: Transport + 'static>(set: Vec<Arc<T>>) -> Vec<Arc<dyn Transport>> {
     set.into_iter().map(|e| e as Arc<dyn Transport>).collect()
@@ -122,7 +133,7 @@ pub fn factor_stream_net_opts(
             ));
             std::fs::create_dir_all(&dir)
                 .map_err(|e| TransportError::Connect(format!("create {}: {e}", dir.display())))?;
-            uds_dir = Some(dir.clone());
+            let dir = uds_dir.insert(ScratchDir(dir)).0.clone();
             dyn_transports(socket_set(&SocketSpec::Uds { dir }, nranks)?)
         }
         NetTransportKind::Tcp { base_port } => dyn_transports(socket_set(
@@ -150,10 +161,6 @@ pub fn factor_stream_net_opts(
             .collect();
         (r0, peers)
     });
-
-    if let Some(dir) = uds_dir {
-        let _ = std::fs::remove_dir_all(dir);
-    }
 
     // A failing rank aborts the set, surfacing as `PeerLost` everywhere
     // else — prefer reporting the root cause over the secondary noise.
@@ -197,17 +204,12 @@ pub fn factor_stream_net_rank(
     stream_opts: &StreamOptions,
     transport: Arc<dyn Transport>,
 ) -> Result<StreamFactorization, TransportError> {
-    let n = a.rows();
-    assert_eq!(a.cols(), n, "A must be square");
-    assert_eq!(rhs.rows(), n, "rhs row mismatch");
-    assert!(rhs.cols() >= 1, "need at least one rhs column");
-    assert!(opts.nb >= 2, "tile size must be at least 2");
+    let n = crate::prelude(a, rhs, opts);
     assert_eq!(
         transport.nranks(),
         opts.grid.nodes(),
         "transport set size must match the process grid"
     );
-    luqr_kernels::gemm_kernel::set_kernel_threads(opts.threads.max(1));
 
     let rank = transport.rank();
     let aug = rank_share(a, rhs, opts, rank);
@@ -215,10 +217,7 @@ pub fn factor_stream_net_rank(
     let mut source = PlannerStepSource::new(&aug, nt_a, opts);
     let store: Arc<dyn PayloadStore> = Arc::new(StepStore::new(source.context()));
     let report = execute_net(&mut source, stream_opts, NetConfig { transport, store })?;
-    let shared = source.shared();
-    let mut records = shared.records.lock().clone();
-    let error = shared.error.lock().clone();
-    records.sort_by_key(|r| r.k);
+    let (records, error) = crate::epilogue(source.shared());
     Ok(StreamFactorization {
         aug,
         report,
@@ -243,6 +242,22 @@ fn rank_share(a: &Mat, rhs: &Mat, opts: &FactorOptions, rank: usize) -> TiledMat
 mod tests {
     use super::*;
     use luqr_tile::Grid;
+
+    /// A run that leaves through `?` still removes its socket directory,
+    /// files and all.
+    #[test]
+    fn scratch_dir_is_removed_on_an_early_error_return() {
+        fn mesh_that_fails(dir: &std::path::Path) -> Result<(), TransportError> {
+            std::fs::create_dir_all(dir).unwrap();
+            let _dir = ScratchDir(dir.to_path_buf());
+            std::fs::write(dir.join("rank0.sock"), b"bound before rank 1 failed").unwrap();
+            Err(TransportError::Connect("rank 1 never came up".into()))?;
+            unreachable!()
+        }
+        let dir = std::env::temp_dir().join(format!("luqr-net-guard-{}", std::process::id()));
+        assert!(mesh_that_fails(&dir).is_err());
+        assert!(!dir.exists(), "{} leaked", dir.display());
+    }
 
     /// At the start of a run the ranks' mirrors partition the matrix: each
     /// holds exactly the tiles the planner will declare it the home of.

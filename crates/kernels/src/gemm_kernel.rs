@@ -45,7 +45,8 @@
 //! * `NC` bounds the packed-B panel (`KC * NC * 8` bytes) to a fraction of
 //!   L3; on these tile sizes (`nb ≤ 480`) it mostly just caps buffer size.
 //!
-//! To retune, run `cargo bench -p luqr-bench --bench gemm` and adjust: raise
+//! To retune, read `kernels.gemm_gflops` from the benchmark's traced pass
+//! (`benchmark/README.md`) and adjust: raise
 //! `MR`/`NR` until the compiler starts spilling accumulators (visible as a
 //! sharp GFLOP/s drop), then grow `KC` until L1 misses dominate, then `MC`
 //! against L2.

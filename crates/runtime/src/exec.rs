@@ -9,13 +9,11 @@
 //! changes.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex};
 use std::time::Instant;
 
 use crossbeam::channel;
 
 use crate::graph::{CostClass, Graph, TaskId, TaskOp, TaskResult};
-use crate::sched::{ReadyQueue, SchedPolicy};
 use crate::trace::TraceEvent;
 
 /// Running tally of task outcomes, shared by the batch executor's report
@@ -163,101 +161,6 @@ pub fn execute_traced<O: TaskOp>(
             .unwrap_or(std::cmp::Ordering::Equal)
     });
     (report, events)
-}
-
-/// Execute the graph with policy-driven ready-task selection: workers pop
-/// the shared ready pool in the order `policy` dictates instead of the
-/// plain FIFO channel of [`execute`].
-///
-/// On the host there is no platform model to consult, so the policies
-/// reduce to their structural priorities: [`SchedPolicy::Fifo`] pops the
-/// smallest ready id (insertion order); the other three pop by
-/// critical-path depth — [`SchedPolicy::LocalityAware`] and
-/// [`SchedPolicy::Eft`] are virtual-time-state policies whose residency /
-/// finish-time oracles only exist in the simulator, and depth is their
-/// shared tie-break. Numerical results are identical under every policy
-/// and thread count: the hazard edges serialize all conflicting accesses,
-/// scheduling only permutes the interleaving (pinned in `sched_props.rs`).
-pub fn execute_scheduled<O: TaskOp>(
-    graph: &Graph<O>,
-    threads: usize,
-    policy: SchedPolicy,
-) -> ExecReport {
-    let threads = threads.max(1);
-    let n = graph.len();
-    let start = Instant::now();
-    graph.reset_countdowns();
-
-    // Structural priority per task: 0 for FIFO (the id tie-break of the
-    // shared ReadyQueue then yields insertion order), chain depth
-    // otherwise. Depth is a forward pass over the id-ordered tasks (edges
-    // always point to higher ids).
-    let depth: Vec<u64> = match policy {
-        SchedPolicy::Fifo => vec![0; n],
-        _ => {
-            let mut depth = vec![1u64; n];
-            for t in graph.tasks() {
-                for &s in t.successors() {
-                    depth[s] = depth[s].max(depth[t.id] + 1);
-                }
-            }
-            depth
-        }
-    };
-
-    struct Pool {
-        ready: ReadyQueue,
-        remaining: usize,
-    }
-    let mut ready = ReadyQueue::default();
-    for root in graph.roots() {
-        ready.push(depth[root], root, graph.task(root).node());
-    }
-    let pool = Mutex::new(Pool {
-        ready,
-        remaining: n,
-    });
-    let work_cv = Condvar::new();
-
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            let pool = &pool;
-            let work_cv = &work_cv;
-            let depth = &depth;
-            scope.spawn(move || loop {
-                let tid = {
-                    let mut st = pool.lock().unwrap_or_else(|e| e.into_inner());
-                    loop {
-                        if let Some(r) = st.ready.pop() {
-                            break r.id;
-                        }
-                        if st.remaining == 0 {
-                            return;
-                        }
-                        st = work_cv.wait(st).unwrap_or_else(|e| e.into_inner());
-                    }
-                };
-                graph.run_task(tid);
-                let mut newly_ready = 0usize;
-                {
-                    let mut st = pool.lock().unwrap_or_else(|e| e.into_inner());
-                    graph.release_successors(tid, |s| {
-                        st.ready.push(depth[s], s, graph.task(s).node());
-                        newly_ready += 1;
-                    });
-                    st.remaining -= 1;
-                    if st.remaining == 0 {
-                        work_cv.notify_all();
-                    }
-                }
-                for _ in 0..newly_ready {
-                    work_cv.notify_one();
-                }
-            });
-        }
-    });
-
-    graph.report(start.elapsed().as_secs_f64())
 }
 
 fn execute_inner<O: TaskOp>(
@@ -453,76 +356,12 @@ mod tests {
         assert_eq!(a.to_bits(), b_.to_bits());
     }
 
-    #[test]
-    fn scheduled_execution_is_deterministic_and_complete() {
-        // The float-reduction determinism check of `execute`, across every
-        // policy and thread count: hazard order fixes the arithmetic, the
-        // policy only permutes independent work.
-        fn run(threads: usize, policy: SchedPolicy) -> (f64, usize) {
-            let cell = Arc::new(parking_lot::Mutex::new(1.0f64));
-            let mut b = TestGraph::new(1);
-            b.declare(k(0), 8, 0);
-            for i in 0..40 {
-                let cell = Arc::clone(&cell);
-                b.task(format!("t{i}"), 0, &[Access::Mut(k(0))], move || {
-                    let mut v = cell.lock();
-                    *v = (*v * 1.0000001).sin() + i as f64 * 1e-3;
-                    TaskResult::control()
-                });
-            }
-            // Independent work the policy may interleave freely.
-            for i in 0..20u64 {
-                b.declare(k(100 + i), 8, 0);
-                b.task(format!("w{i}"), 0, &[Access::Mut(k(100 + i))], || {
-                    TaskResult::executed(5.0, CostClass::Gemm)
-                });
-            }
-            let g = b.build();
-            let r = execute_scheduled(&g, threads, policy);
-            let v = *cell.lock();
-            (v, r.tasks_executed)
-        }
-        let (base, _) = run(1, SchedPolicy::Fifo);
-        for policy in SchedPolicy::all() {
-            for threads in [1, 4] {
-                let (v, executed) = run(threads, policy);
-                assert_eq!(base.to_bits(), v.to_bits(), "{} t{threads}", policy.name());
-                assert_eq!(executed, 60);
-            }
-        }
-    }
-
-    #[test]
-    fn scheduled_fifo_pops_ready_tasks_in_insertion_order() {
-        // Independent tasks, one worker: FIFO must run them in id order,
-        // the depth policies in their (equal-depth) id order too — but a
-        // two-level graph separates them: depth-first pops the second
-        // level's deep chain before the remaining shallow roots.
-        let log = Arc::new(parking_lot::Mutex::new(Vec::new()));
-        let mut b = TestGraph::new(1);
-        for i in 0..6u64 {
-            b.declare(k(i), 8, 0);
-            let log = Arc::clone(&log);
-            b.task(format!("t{i}"), 0, &[Access::Mut(k(i))], move || {
-                log.lock().push(i);
-                TaskResult::control()
-            });
-        }
-        let g = b.build();
-        execute_scheduled(&g, 1, SchedPolicy::Fifo);
-        assert_eq!(*log.lock(), (0..6).collect::<Vec<_>>());
-    }
-
     /// A step retires when the last of its tasks has run — once, under
     /// every executor — and tasks with no step retire nothing.
     #[test]
     fn each_step_retires_once_after_its_last_task() {
         type Run = fn(&Graph<crate::testing::TestOp>) -> ExecReport;
-        let runs: [Run; 3] = [
-            |g| execute(g, 1),
-            |g| execute(g, 4),
-            |g| execute_scheduled(g, 3, SchedPolicy::CriticalPath),
-        ];
+        let runs: [Run; 2] = [|g| execute(g, 1), |g| execute(g, 4)];
         for run in runs {
             let mut b = TestGraph::new(1);
             let ctx = Arc::clone(&b.ctx);

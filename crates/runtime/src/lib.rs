@@ -68,7 +68,7 @@ pub mod vtime;
 pub use comm::{
     DataMsg, DecisionMsg, LinkMsgStats, LinkTraffic, Msg, MsgStats, Network, RetireMsg,
 };
-pub use exec::{execute, execute_scheduled, execute_traced, ExecReport, Tally};
+pub use exec::{execute, execute_traced, ExecReport, Tally};
 pub use graph::{
     Access, CostClass, CostedAccess, DataClass, DataKey, Graph, GraphBuilder, TaskId, TaskOp,
     TaskRef, TaskResult, TaskSink,
@@ -84,5 +84,5 @@ pub use sim::{simulate, simulate_probed, simulate_with, SimOptions, SimReport};
 pub use stream::{
     NetConfig, StepPhase, StepSource, StreamOptions, StreamReport, StreamWindow, WindowPolicy,
 };
-pub use trace::{events_to_chrome_trace, render_chrome_trace, TraceEvent, TraceOptions};
+pub use trace::{render_chrome_trace, TraceEvent, TraceOptions};
 pub use vtime::VirtualSchedule;

@@ -4,9 +4,8 @@
 //! smallest ready id is always the smallest *unscheduled* id — popping it
 //! replays insertion order exactly, claim for claim, transfer for
 //! transfer. `sched_props.rs` pins this bitwise against a raw
-//! [`crate::vtime::VirtualSchedule`] feed, which is what lets the
-//! committed `BENCH_distsim.json` / `BENCH_hetero.json` makespans survive
-//! the subsystem refactor unchanged.
+//! [`crate::vtime::VirtualSchedule`] feed, which is what keeps the
+//! makespans pinned in `tests/tests/pins.rs` valid under the policy engine.
 
 use std::collections::BTreeMap;
 

@@ -276,7 +276,7 @@ pub struct StreamReport {
     /// recording them would grow with the task count, not the window.
     pub sim: Option<SimReport>,
     /// Per-task execution spans (set when [`StreamOptions::trace`] was
-    /// on); render with [`crate::trace::events_to_chrome_trace`].
+    /// on); render with [`crate::trace::render_chrome_trace`].
     pub trace: Vec<TraceEvent>,
     /// The virtual-time scheduling policy this run was configured with
     /// (trace exports label their lanes with it).
@@ -1031,7 +1031,7 @@ mod tests {
             assert_eq!(ev.node, 0);
             assert!(ev.step.is_some());
         }
-        let json = crate::trace::events_to_chrome_trace(&report.trace);
+        let json = crate::trace::render_chrome_trace(&report.trace, &Default::default());
         assert_eq!(json.matches("\"ph\": \"X\"").count(), 6);
     }
 

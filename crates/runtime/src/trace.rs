@@ -2,21 +2,21 @@
 //!
 //! Two producers feed the same renderer:
 //!
-//! * [`to_chrome_trace`] renders a simulated schedule
+//! * [`to_chrome_trace_with`] renders a simulated schedule
 //!   ([`crate::sim::SimReport`]) of a materialized graph — one process per
 //!   virtual node, one duration event per executed task;
-//! * the streaming runtime records [`TraceEvent`]s online (behind
+//! * the batch and streaming runtimes record [`TraceEvent`]s online
+//!   ([`crate::exec::execute_traced`],
 //!   [`crate::stream::StreamOptions::trace`]) — real wall-clock start/end,
 //!   the worker that ran the task, its elimination step and owner node —
-//!   and [`events_to_chrome_trace`] renders them, so windowed runs are
+//!   and [`render_chrome_trace`] renders them, so windowed runs are
 //!   inspectable in `chrome://tracing` / Perfetto even though no graph
 //!   survives the run.
 //!
-//! All variants funnel through [`render_chrome_trace`], parameterized by
-//! [`TraceOptions`]: node lanes named from a [`Platform`], a scheduler
-//! policy stamp, and probe counter tracks (`"ph": "C"` events from a
-//! [`ProbeSnapshot`]) merged into the same JSON array so gauges render as
-//! overlay graphs above the task spans.
+//! [`TraceOptions`] parameterizes the render: node lanes named from a
+//! [`Platform`], a scheduler policy stamp, and probe counter tracks
+//! (`"ph": "C"` events from a [`ProbeSnapshot`]) merged into the same JSON
+//! array so gauges render as overlay graphs above the task spans.
 
 use std::fmt::Write as _;
 
@@ -44,8 +44,7 @@ pub struct TraceEvent {
 }
 
 /// Rendering knobs for [`render_chrome_trace`]. `Default` renders bare
-/// spans — no lane metadata, no policy stamp, no counter tracks — which
-/// is exactly what [`events_to_chrome_trace`] produces.
+/// spans: no lane metadata, no policy stamp, no counter tracks.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct TraceOptions<'a> {
     /// Name each node lane from its spec (`node1 (4c @ 8 GF)`) via
@@ -75,48 +74,11 @@ pub fn step_index(name: &str) -> Option<usize> {
     digits[..end].parse().ok()
 }
 
-/// Render trace spans as Chrome trace-event JSON (times exported in
-/// microseconds; `pid` = node, `tid` = worker, `args.step` = elimination
-/// step when known).
-pub fn events_to_chrome_trace(events: &[TraceEvent]) -> String {
-    render_chrome_trace(events, &TraceOptions::default())
-}
-
-/// Like [`events_to_chrome_trace`], but when a [`Platform`] is given each
-/// node lane is named by its spec — `node1 (4c @ 8 GF)` — via
-/// `process_name` metadata events, so heterogeneous traces read at a
-/// glance in `chrome://tracing` / Perfetto.
-pub fn events_to_chrome_trace_on(events: &[TraceEvent], platform: Option<&Platform>) -> String {
-    render_chrome_trace(
-        events,
-        &TraceOptions {
-            platform,
-            ..TraceOptions::default()
-        },
-    )
-}
-
-/// Like [`events_to_chrome_trace_on`], additionally stamping the active
-/// scheduler policy into each lane's `process_name` metadata —
-/// `node1 (4c @ 8 GF) [eft]` — so a trace says *which schedule* it shows.
-pub fn events_to_chrome_trace_sched(
-    events: &[TraceEvent],
-    platform: Option<&Platform>,
-    policy: Option<SchedPolicy>,
-) -> String {
-    render_chrome_trace(
-        events,
-        &TraceOptions {
-            platform,
-            policy,
-            counters: None,
-        },
-    )
-}
-
 /// The one Chrome trace-event renderer: lane metadata (when a platform is
-/// given), one `"ph": "X"` span per event, then probe counter tracks
-/// (when a snapshot is given) — all in a single JSON array.
+/// given), one `"ph": "X"` span per event (times exported in microseconds;
+/// `pid` = node, `tid` = worker, `args.step` = elimination step when
+/// known), then probe counter tracks (when a snapshot is given) — all in a
+/// single JSON array.
 pub fn render_chrome_trace(events: &[TraceEvent], opts: &TraceOptions) -> String {
     let mut out = String::from("[\n");
     let mut first = true;
@@ -169,37 +131,12 @@ pub fn render_chrome_trace(events: &[TraceEvent], opts: &TraceOptions) -> String
 /// Render a simulated schedule as Chrome trace-event JSON.
 ///
 /// Discarded tasks are omitted. Each event records its elimination-step
-/// index in `args.step` (when the task name carries one), so step
-/// retirement — the streaming window's unit of memory reclamation — is
-/// visible as a column in the trace viewer.
-pub fn to_chrome_trace<O: TaskOp>(graph: &Graph<O>, sim: &SimReport) -> String {
-    events_to_chrome_trace(&sim_events(graph, sim))
-}
-
-/// [`to_chrome_trace`] with node lanes named by the platform's specs.
-pub fn to_chrome_trace_on<O: TaskOp>(
-    graph: &Graph<O>,
-    sim: &SimReport,
-    platform: &Platform,
-) -> String {
-    events_to_chrome_trace_on(&sim_events(graph, sim), Some(platform))
-}
-
-/// [`to_chrome_trace_on`] with lanes additionally stamped with the
-/// scheduling policy that produced `sim` (pass the policy you simulated
-/// with — the report does not carry it).
-pub fn to_chrome_trace_sched<O: TaskOp>(
-    graph: &Graph<O>,
-    sim: &SimReport,
-    platform: &Platform,
-    policy: SchedPolicy,
-) -> String {
-    events_to_chrome_trace_sched(&sim_events(graph, sim), Some(platform), Some(policy))
-}
-
-/// [`to_chrome_trace`] with full [`TraceOptions`] — the entry point for
-/// probed replays, where counter tracks from a
-/// [`crate::probe::ProbeReport`] snapshot overlay the simulated spans.
+/// index in `args.step` (when the task carries one), so step retirement —
+/// the streaming window's unit of memory reclamation — is visible as a
+/// column in the trace viewer. Pass the platform and policy you simulated
+/// with (the report does not carry them) to name and stamp the lanes, and
+/// a probed replay's [`crate::probe::ProbeReport`] snapshot to overlay its
+/// counter tracks on the simulated spans.
 pub fn to_chrome_trace_with<O: TaskOp>(
     graph: &Graph<O>,
     sim: &SimReport,
@@ -244,7 +181,7 @@ mod tests {
         let g = b.build();
         execute(&g, 1);
         let sim = simulate(&g, &Platform::dancer_nodes(2));
-        let json = to_chrome_trace(&g, &sim);
+        let json = to_chrome_trace_with(&g, &sim, &TraceOptions::default());
         assert!(json.contains("\"work\""));
         assert!(!json.contains("\"dead\""));
         assert!(json.trim_start().starts_with('['));
@@ -292,7 +229,7 @@ mod tests {
         let g = b.build();
         execute(&g, 1);
         let sim = simulate(&g, &Platform::dancer_nodes(1));
-        let json = to_chrome_trace(&g, &sim);
+        let json = to_chrome_trace_with(&g, &sim, &TraceOptions::default());
         assert!(json.contains("\"args\": {\"step\": 3}"));
         // Tasks without a step keep a well-formed event (no args field).
         assert!(json.contains("\"untagged\""));
@@ -310,7 +247,7 @@ mod tests {
         let g = b.build();
         execute(&g, 1);
         let sim = simulate(&g, &Platform::dancer_nodes(1));
-        let json = to_chrome_trace(&g, &sim);
+        let json = to_chrome_trace_with(&g, &sim, &TraceOptions::default());
         // Three events, consecutive, with positive durations.
         assert_eq!(json.matches("\"ph\": \"X\"").count(), 3);
         assert!(!json.contains("\"dur\": 0.000,"));
@@ -332,13 +269,19 @@ mod tests {
             start: 0.0,
             end: 1.0,
         }];
-        let json = events_to_chrome_trace_on(&events, Some(&p));
+        let json = render_chrome_trace(
+            &events,
+            &TraceOptions {
+                platform: Some(&p),
+                ..TraceOptions::default()
+            },
+        );
         assert!(json.contains("\"name\": \"node0 (8c @ 8.52 GF)\""));
         assert!(json.contains("\"name\": \"node1 (4c @ 8 GF)\""));
         assert_eq!(json.matches("\"ph\": \"M\"").count(), 2);
         assert_eq!(json.matches("\"ph\": \"X\"").count(), 1);
-        // The metadata-free renderer stays byte-stable.
-        assert!(!events_to_chrome_trace(&events).contains("process_name"));
+        // Without a platform there is no lane metadata.
+        assert!(!render_chrome_trace(&events, &TraceOptions::default()).contains("process_name"));
     }
 
     #[test]
@@ -351,15 +294,17 @@ mod tests {
             start: 0.5,
             end: 1.0,
         }];
-        let json = events_to_chrome_trace(&events);
+        let json = render_chrome_trace(&events, &TraceOptions::default());
         assert!(json.contains("\"pid\": 3"));
         assert!(json.contains("\"tid\": 2"));
         assert!(json.contains("\"args\": {\"step\": 1}"));
         assert!(json.contains("\"ts\": 500000.000"));
     }
 
+    /// One byte-exact golden per [`TraceOptions`] field: what a trace
+    /// viewer (and the CI telemetry validator) parses is this exact text.
     #[test]
-    fn legacy_wrappers_match_unified_renderer_bytes() {
+    fn golden_bytes_per_trace_option() {
         let p = Platform::dancer_nodes(2);
         let events = vec![
             TraceEvent {
@@ -371,39 +316,64 @@ mod tests {
                 end: 0.5,
             },
             TraceEvent {
-                name: "GEMM(1,1,k=0)".into(),
+                name: "say \"hi\"".into(),
                 node: 1,
                 worker: 1,
-                step: Some(0),
+                step: None,
                 start: 0.5,
                 end: 1.25,
             },
         ];
-        let unified = render_chrome_trace(
-            &events,
-            &TraceOptions {
-                platform: Some(&p),
-                policy: Some(SchedPolicy::Eft),
-                counters: None,
-            },
-        );
-        assert_eq!(
-            events_to_chrome_trace_sched(&events, Some(&p), Some(SchedPolicy::Eft)),
-            unified
-        );
-        assert_eq!(
-            events_to_chrome_trace_on(&events, Some(&p)),
+        let probe = Probe::enabled();
+        probe.gauge(metric::VTIME_NODE_BUSY, Label::Node(1), 0.5, 0.125);
+        let snap = probe.snapshot();
+        let render = |platform, policy, counters| {
             render_chrome_trace(
                 &events,
                 &TraceOptions {
-                    platform: Some(&p),
-                    ..TraceOptions::default()
-                }
+                    platform,
+                    policy,
+                    counters,
+                },
             )
+        };
+
+        assert_eq!(
+            render(None, None, None),
+            r#"[
+  {"name": "PANEL(k=0)", "ph": "X", "ts": 0.000, "dur": 500000.000, "pid": 0, "tid": 0, "cat": "task", "args": {"step": 0}},
+  {"name": "say 'hi'", "ph": "X", "ts": 500000.000, "dur": 750000.000, "pid": 1, "tid": 1, "cat": "task"}
+]
+"#
         );
         assert_eq!(
-            events_to_chrome_trace(&events),
-            render_chrome_trace(&events, &TraceOptions::default())
+            render(Some(&p), None, None),
+            r#"[
+  {"name": "process_name", "ph": "M", "pid": 0, "args": {"name": "node0 (8c @ 8.52 GF)"}},
+  {"name": "process_name", "ph": "M", "pid": 1, "args": {"name": "node1 (8c @ 8.52 GF)"}},
+  {"name": "PANEL(k=0)", "ph": "X", "ts": 0.000, "dur": 500000.000, "pid": 0, "tid": 0, "cat": "task", "args": {"step": 0}},
+  {"name": "say 'hi'", "ph": "X", "ts": 500000.000, "dur": 750000.000, "pid": 1, "tid": 1, "cat": "task"}
+]
+"#
+        );
+        assert_eq!(
+            render(Some(&p), Some(SchedPolicy::Eft), None),
+            r#"[
+  {"name": "process_name", "ph": "M", "pid": 0, "args": {"name": "node0 (8c @ 8.52 GF) [eft]"}},
+  {"name": "process_name", "ph": "M", "pid": 1, "args": {"name": "node1 (8c @ 8.52 GF) [eft]"}},
+  {"name": "PANEL(k=0)", "ph": "X", "ts": 0.000, "dur": 500000.000, "pid": 0, "tid": 0, "cat": "task", "args": {"step": 0}},
+  {"name": "say 'hi'", "ph": "X", "ts": 500000.000, "dur": 750000.000, "pid": 1, "tid": 1, "cat": "task"}
+]
+"#
+        );
+        assert_eq!(
+            render(None, None, Some(&snap)),
+            r#"[
+  {"name": "PANEL(k=0)", "ph": "X", "ts": 0.000, "dur": 500000.000, "pid": 0, "tid": 0, "cat": "task", "args": {"step": 0}},
+  {"name": "say 'hi'", "ph": "X", "ts": 500000.000, "dur": 750000.000, "pid": 1, "tid": 1, "cat": "task"},
+  {"name": "vtime_node_busy_seconds[node1]", "ph": "C", "ts": 500000.000, "pid": 1, "args": {"value": 0.125}}
+]
+"#
         );
     }
 

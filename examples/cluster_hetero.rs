@@ -23,7 +23,8 @@
 //! ```
 
 use luqr::{factor_stream_distributed, Algorithm, Criterion, DistPolicy, FactorOptions};
-use luqr_runtime::Platform;
+use luqr_runtime::trace::{to_chrome_trace_with, TraceOptions};
+use luqr_runtime::{simulate, Platform};
 use luqr_tile::Grid;
 
 #[path = "support/mod.rs"]
@@ -125,7 +126,14 @@ fn main() {
         ..FactorOptions::default()
     };
     let f = luqr::factor(&a_small, &b_small, &opts);
-    let json = f.chrome_trace(&platform);
+    let json = to_chrome_trace_with(
+        &f.graph,
+        &simulate(&f.graph, &platform),
+        &TraceOptions {
+            platform: Some(&platform),
+            ..TraceOptions::default()
+        },
+    );
     let path = std::env::temp_dir().join("luqr_hetero_trace.json");
     std::fs::write(&path, &json).expect("write trace");
     assert!(json.contains("node2 (4c @ 4.26 GF)"), "named lanes missing");

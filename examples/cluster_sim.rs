@@ -8,7 +8,8 @@
 
 use luqr::{factor, Algorithm, Criterion, FactorOptions};
 use luqr_kernels::Mat;
-use luqr_runtime::Platform;
+use luqr_runtime::trace::{to_chrome_trace_with, TraceOptions};
+use luqr_runtime::{simulate, Platform};
 use luqr_tile::Grid;
 
 fn main() {
@@ -47,7 +48,7 @@ fn main() {
             ..FactorOptions::default()
         };
         let f = factor(&a, &b, &opts);
-        let sim = f.simulate(&platform);
+        let sim = simulate(&f.graph, &platform);
         println!(
             "{:<22} {:>9.4}s {:>10.1} {:>8.1}% {:>10} {:>10.1}",
             algorithm.name(),
@@ -68,7 +69,14 @@ fn main() {
             ..FactorOptions::default()
         };
         let f = factor(&a, &b, &opts);
-        let json = f.chrome_trace(&platform);
+        let json = to_chrome_trace_with(
+            &f.graph,
+            &simulate(&f.graph, &platform),
+            &TraceOptions {
+                platform: Some(&platform),
+                ..TraceOptions::default()
+            },
+        );
         let path = std::env::temp_dir().join("luqr_trace.json");
         std::fs::write(&path, json).expect("write trace");
         println!(

@@ -11,11 +11,11 @@
 //! what list-scheduling order is worth on a heterogeneous platform:
 //!
 //! * `fifo` pins the insertion-order baseline (bitwise equal to
-//!   `simulate()` and to the committed BENCH baselines);
+//!   `simulate()`);
 //! * `critical-path` keeps the panel chain hot;
 //! * `locality` / `eft` run resident work while transfers queue on the
 //!   trunk — the win this example *asserts* (≥ 5% over FIFO, the bar
-//!   recorded in BENCH_sched.json).
+//!   `tests/tests/pins.rs` holds the policies to).
 //!
 //! A second, coarse-tiled factorization (64² tiles, the granularity at
 //! which placement can amortize the trunk latency) demonstrates EFT-guided
@@ -42,7 +42,8 @@ use luqr::{
 };
 use luqr_runtime::probe::export::{to_json, to_prometheus};
 use luqr_runtime::probe::metric;
-use luqr_runtime::{Label, Platform};
+use luqr_runtime::trace::{to_chrome_trace_with, TraceOptions};
+use luqr_runtime::{simulate, simulate_probed, simulate_with, Label, Platform};
 use luqr_tile::Grid;
 
 #[path = "support/mod.rs"]
@@ -99,7 +100,7 @@ fn main() {
     );
     let mut makespans = Vec::new();
     for policy in SchedPolicy::all() {
-        let sim = f.simulate_with(&platform, &SimOptions::with_scheduler(policy));
+        let sim = simulate_with(&f.graph, &platform, &SimOptions::with_scheduler(policy));
         makespans.push((policy, sim.makespan));
         println!(
             "{:<16} {:>11.6}s {:>10.1} {:>8} {:>8.2}%",
@@ -113,7 +114,7 @@ fn main() {
     let fifo = makespans[0].1;
     // FIFO through the policy engine must equal the plain replay bitwise.
     assert_eq!(
-        f.simulate(&platform).makespan.to_bits(),
+        simulate(&f.graph, &platform).makespan.to_bits(),
         fifo.to_bits(),
         "fifo must pin the insertion-order schedule"
     );
@@ -155,7 +156,7 @@ fn main() {
     // taxed steal pass correctly abstains (a handful of steals, makespan
     // within ±0.1% — measured), which would demonstrate nothing.
     let (steal_n, steal_nb) = (448, 64);
-    // The BENCH_sched.json steal fixture, verbatim: a general random
+    // The reduced steal fixture of `tests/tests/pins.rs`: a general random
     // system (pivoting swaps and criterion-driven QR steps give the DAG
     // its movable bulk; the diagonally dominant demo system above
     // factors as pure swap-free LU, which leaves little to re-home).
@@ -178,7 +179,7 @@ fn main() {
     );
     let mut best_nonsteal = f64::INFINITY;
     for policy in SchedPolicy::all() {
-        let sim = sf.simulate_with(&platform, &SimOptions::with_scheduler(policy));
+        let sim = simulate_with(&sf.graph, &platform, &SimOptions::with_scheduler(policy));
         best_nonsteal = best_nonsteal.min(sim.makespan);
         println!(
             "{:<16} makespan {:>11.6}s  {:>5} msgs",
@@ -188,7 +189,7 @@ fn main() {
         );
     }
     let steal_opts = SimOptions::with_scheduler(SchedPolicy::Eft).with_stealing();
-    let steal_sim = sf.simulate_with(&platform, &steal_opts);
+    let steal_sim = simulate_with(&sf.graph, &platform, &steal_opts);
     println!(
         "{:<16} makespan {:>11.6}s  {:>5} msgs  ({:.2}% under best non-steal)",
         "eft + stealing",
@@ -204,7 +205,8 @@ fn main() {
     );
     // Probes must observe the stealing pass without perturbing it.
     let steal_probe = Probe::enabled();
-    let (probed_sim, steal_report) = sf.simulate_probed(&platform, &steal_opts, &steal_probe);
+    let (probed_sim, steal_report) =
+        simulate_probed(&sf.graph, &platform, &steal_opts, &steal_probe);
     assert_eq!(
         probed_sim, steal_sim,
         "probed and unprobed stealing replays must agree exactly"
@@ -248,7 +250,16 @@ fn main() {
     // ---- probed EFT replay: where does the makespan go? ----------------
     let probe = Probe::enabled();
     let sim_opts = SimOptions::with_scheduler(SchedPolicy::Eft);
-    let (trace_json, report) = f.chrome_trace_probed(&platform, &sim_opts, &probe);
+    let (sim, report) = simulate_probed(&f.graph, &platform, &sim_opts, &probe);
+    let trace_json = to_chrome_trace_with(
+        &f.graph,
+        &sim,
+        &TraceOptions {
+            platform: Some(&platform),
+            policy: Some(sim_opts.scheduler),
+            counters: Some(&report.snapshot),
+        },
+    );
     let att = report.attribution.as_ref().expect("probed replay");
     println!(
         "\nEFT makespan attribution ({:.6}s makespan, per node):",

@@ -22,7 +22,7 @@ use luqr::{
     factor, factor_stream, factor_stream_distributed, stability, Algorithm, Criterion,
     FactorOptions,
 };
-use luqr_runtime::Platform;
+use luqr_runtime::{simulate, Platform};
 use luqr_tile::Grid;
 
 #[path = "support/mod.rs"]
@@ -88,7 +88,7 @@ fn main() {
         0.0,
         "distributed streaming must be bitwise-identical to batch"
     );
-    let replay = batch.simulate(&platform);
+    let replay = simulate(&batch.graph, &platform);
     let rel = |a: f64, b: f64| (a - b).abs() / a.abs().max(b.abs()).max(1e-30);
     assert!(
         rel(replay.makespan, dist.sim.makespan) <= 1e-9,

@@ -8,7 +8,7 @@
 use luqr::{factor, stability, Algorithm, Criterion, FactorOptions};
 use luqr_kernels::blas::{gemm, Trans};
 use luqr_kernels::Mat;
-use luqr_runtime::Platform;
+use luqr_runtime::{simulate, Platform};
 use luqr_tile::Grid;
 
 fn main() {
@@ -56,7 +56,7 @@ fn main() {
         };
         let f = factor(&a, &b, &opts);
         let h = stability::hpl3(&a, &f.solution(), &b);
-        let sim = f.simulate(&platform);
+        let sim = simulate(&f.graph, &platform);
         println!(
             "{:>9} {:>6.0}% {:>14.3} {:>12.1} {:>11.1}%",
             if alpha.is_infinite() {

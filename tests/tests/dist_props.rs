@@ -15,7 +15,7 @@
 
 use luqr::{factor, factor_stream, factor_stream_distributed, Algorithm, Criterion, FactorOptions};
 use luqr_kernels::Mat;
-use luqr_runtime::{LinkSpec, NodeSpec, Platform, Topology};
+use luqr_runtime::{simulate, LinkSpec, NodeSpec, Platform, Topology};
 use luqr_tests::dominant_system;
 use luqr_tile::Grid;
 use proptest::prelude::*;
@@ -89,7 +89,7 @@ proptest! {
         }
 
         // Online virtual time ≡ batch replay.
-        let sim = batch.simulate(&platform);
+        let sim = simulate(&batch.graph, &platform);
         prop_assert!(
             close(sim.makespan, dist.sim.makespan),
             "makespan {} vs {}", sim.makespan, dist.sim.makespan
@@ -136,8 +136,8 @@ proptest! {
             ..FactorOptions::default()
         };
         let batch = factor(&a, &b, &opts);
-        let sim_u = batch.simulate(&uniform);
-        let sim_h = batch.simulate(&hetero);
+        let sim_u = simulate(&batch.graph, &uniform);
+        let sim_h = simulate(&batch.graph, &hetero);
         prop_assert_eq!(&sim_u, &sim_h, "batch replay diverged");
 
         let dist_u = factor_stream_distributed(&a, &b, &opts, &uniform, 2)

@@ -11,7 +11,7 @@ use luqr::{
     WindowPolicy,
 };
 use luqr_kernels::Mat;
-use luqr_runtime::{LinkSpec, NodeSpec, Platform, SimReport, Topology};
+use luqr_runtime::{simulate, LinkSpec, NodeSpec, Platform, SimReport, Topology};
 use luqr_tile::Grid;
 
 fn system(n: usize, seed: u64) -> (Mat, Mat) {
@@ -98,7 +98,7 @@ fn check_three_way(opts: &FactorOptions, platform: &Platform, window: usize, n: 
     }
 
     // The online virtual-time report equals a batch-graph replay.
-    let batch_sim = batch.simulate(platform);
+    let batch_sim = simulate(&batch.graph, platform);
     assert_sim_matches(&batch_sim, &dist.sim, &what);
 
     // Protocol payload messages are exactly the simulator's messages:
@@ -282,7 +282,7 @@ fn zero_latency_platform_costs_pure_bandwidth() {
     // Same run replayed from the batch graph must agree even at the
     // degenerate point.
     let batch = factor(&a, &b, &opts);
-    let sim = batch.simulate(&p);
+    let sim = simulate(&batch.graph, &p);
     assert_eq!(sim.messages, dist.sim.messages);
     assert!(close(sim.makespan, dist.sim.makespan));
     assert!(dist.sim.bytes > 0);
@@ -347,12 +347,16 @@ fn streaming_trace_export_covers_executed_tasks() {
         nodes_seen.iter().all(|&s| s),
         "2x2 grid must execute on all 4 nodes"
     );
-    let json = f.chrome_trace();
+    let json = f.chrome_trace(None);
     assert!(json.contains("\"args\": {\"step\": 0}"));
     assert!(json.contains("PANEL(k=0)"));
+    assert!(!json.contains("process_name"));
+    // Given a platform, lanes carry the node spec and the run's policy.
+    let named = f.chrome_trace(Some(&Platform::dancer_nodes(4)));
+    assert!(named.contains("\"name\": \"node3 (8c @ 8.52 GF) [fifo]\""));
     // Untraced runs render an empty (but valid) document.
     let untraced = factor_stream(&a, &b, &opts, 2);
-    assert_eq!(untraced.chrome_trace().trim(), "[\n\n]");
+    assert_eq!(untraced.chrome_trace(None).trim(), "[\n\n]");
 }
 
 /// EFT-guided work stealing is strictly opt-in and placement-independent:

@@ -1,0 +1,356 @@
+//! Deterministic pins of the cost model, the schedulers and the protocol.
+//!
+//! Every exact value below is a field of the `BENCH_{sched,distsim,hetero,
+//! stream,net}.json` baselines the `cargo bench` harnesses used to write,
+//! reproduced to the last digit by a run of those harnesses at the commit
+//! that retired them. They are counts and *simulated* nanoseconds — none
+//! is a measurement of this host — so a change that moves one has changed
+//! what a planner emits, what the platform model charges, or what a
+//! scheduling policy decides, and must say so by updating the value here.
+//! `peak_live_tasks` is absent on purpose: it depends on thread timing
+//! (`stream_exec` and `stream_props` bound it instead).
+//!
+//! The two wall-clock bars the harnesses asserted are `#[ignore]`d; CI runs
+//! them with
+//! `cargo test --release -p luqr-tests --test pins -- --include-ignored`.
+
+use std::time::Instant;
+
+use luqr::{
+    factor, factor_stream, factor_stream_distributed, factor_stream_net, factor_stream_with,
+    Algorithm, Criterion, FactorOptions, Factorization, NetTransportKind, Probe, SchedPolicy,
+    SimOptions, StreamOptions,
+};
+use luqr_kernels::blas::{gemm, gemm_reference, Trans};
+use luqr_kernels::Mat;
+use luqr_runtime::probe::metric;
+use luqr_runtime::{
+    simulate, simulate_probed, simulate_with, Label, LinkSpec, NodeSpec, Platform, SimReport,
+    Topology,
+};
+use luqr_tile::Grid;
+
+/// The fixture every retired harness shared: a general random system (its
+/// pivoting and criterion-driven QR steps give the DAG both branches) under
+/// the hybrid at Max α = 1000, one worker.
+fn fixture(n: usize, nb: usize, grid: Grid) -> (Mat, Mat, FactorOptions) {
+    let opts = FactorOptions {
+        nb,
+        ib: nb / 2,
+        threads: 1,
+        grid,
+        algorithm: Algorithm::LuQr(Criterion::Max { alpha: 1000.0 }),
+        ..FactorOptions::default()
+    };
+    (Mat::random(n, n, 1), Mat::random(n, 1, 2), opts)
+}
+
+fn factored(n: usize, nb: usize) -> Factorization {
+    let (a, b, opts) = fixture(n, nb, Grid::new(2, 2));
+    factor(&a, &b, &opts)
+}
+
+/// `(sim_makespan_ns, sim_messages)` of a report, the makespan as the
+/// baselines recorded it: nanoseconds, printed to one decimal.
+fn row(sim: &SimReport) -> (f64, u64) {
+    let printed = format!("{:.1}", sim.makespan * 1e9);
+    (printed.parse().expect("a decimal"), sim.messages)
+}
+
+/// Replay under every policy, in [`SchedPolicy::all`] order (fifo,
+/// critical-path, locality, eft). FIFO through the policy engine must be
+/// the insertion-order `simulate()` bitwise.
+fn policy_sweep(f: &Factorization, platform: &Platform) -> [SimReport; 4] {
+    let sims = SchedPolicy::all()
+        .map(|policy| simulate_with(&f.graph, platform, &SimOptions::with_scheduler(policy)));
+    assert_eq!(
+        sims[0],
+        simulate(&f.graph, platform),
+        "fifo must pin the insertion-order engine bitwise"
+    );
+    sims
+}
+
+/// Replay under EFT with work stealing: the report, and how many tasks the
+/// steal pass re-homed and kept on their owner.
+fn steal_replay(f: &Factorization, platform: &Platform) -> (SimReport, u64, u64) {
+    let opts = SimOptions::with_scheduler(SchedPolicy::Eft).with_stealing();
+    let (sim, report) = simulate_probed(&f.graph, platform, &opts, &Probe::enabled());
+    let eft = Label::Policy("eft");
+    (
+        sim,
+        report.snapshot.counter(metric::SCHED_STEALS, eft),
+        report.snapshot.counter(metric::SCHED_STEAL_KEPT, eft),
+    )
+}
+
+fn contended_cluster() -> Platform {
+    Platform::mixed_islands().with_backbone(1.25e9)
+}
+
+/// The depth-primary re-ranking's bar on a homogeneous cluster.
+fn assert_locality_does_not_regress(sims: &[SimReport; 4]) {
+    let [fifo, _, locality, _] = sims;
+    assert!(
+        locality.makespan <= fifo.makespan,
+        "locality must not regress below fifo on the homogeneous cluster"
+    );
+}
+
+/// The scheduling subsystem's payoff bars on the contended mixed cluster.
+fn assert_contended_bars(sims: &[SimReport; 4], steal: &SimReport) {
+    let [fifo, _, locality, eft] = sims;
+    let best_overlap = locality.makespan.min(eft.makespan);
+    assert!(
+        best_overlap <= 0.95 * fifo.makespan,
+        "locality/eft must beat fifo by >= 5% ({best_overlap:.3e}s vs {:.3e}s)",
+        fifo.makespan
+    );
+    let best_nonsteal = sims
+        .iter()
+        .map(|s| s.makespan)
+        .fold(f64::INFINITY, f64::min);
+    assert!(
+        steal.makespan <= 0.90 * best_nonsteal,
+        "steal-eft must beat the best non-steal policy by >= 10% ({:.3e}s vs {best_nonsteal:.3e}s)",
+        steal.makespan
+    );
+}
+
+#[test]
+fn sched_homogeneous_n320_pins() {
+    let sims = policy_sweep(&factored(320, 16), &Platform::dancer_nodes(4));
+    assert_eq!(
+        sims.each_ref().map(row),
+        [
+            (743441.6, 538),
+            (670287.9, 538),
+            (689218.0, 538),
+            (732970.0, 538),
+        ]
+    );
+    assert_locality_does_not_regress(&sims);
+}
+
+/// Known gap, not a goal: on the homogeneous fixture there is no slow node
+/// to take work from, yet the steal pass re-homes 109 tasks, adds 210
+/// messages and ends 0.98x FIFO. It should abstain (ROADMAP, "Small carried
+/// follow-ups"); the change that makes it do so flips the last assertion
+/// and re-pins the row.
+#[test]
+fn steal_on_homogeneous_fixture_is_a_known_regression() {
+    let (f, platform) = (factored(320, 16), Platform::dancer_nodes(4));
+    let (steal, steals, steal_kept) = steal_replay(&f, &platform);
+    assert_eq!(row(&steal), (756365.2, 748));
+    assert_eq!((steals, steal_kept), (109, 3747));
+    assert!(steal.makespan > simulate(&f.graph, &platform).makespan);
+}
+
+/// Coarse tiles (nb = 64): work stealing is a placement optimization, and
+/// placement only has leverage once a tile's compute amortizes the ~10 µs
+/// trunk latency.
+#[test]
+fn sched_mixed_contended_n1024_pins() {
+    let (f, platform) = (factored(1024, 64), contended_cluster());
+    let sims = policy_sweep(&f, &platform);
+    assert_eq!(
+        sims.each_ref().map(row),
+        [
+            (23488243.6, 405),
+            (23118126.2, 405),
+            (25255061.5, 405),
+            (19776035.5, 405),
+        ]
+    );
+    let (steal, steals, steal_kept) = steal_replay(&f, &platform);
+    assert_eq!(row(&steal), (17159937.9, 1016));
+    assert_eq!((steals, steal_kept), (306, 1912));
+    assert_contended_bars(&sims, &steal);
+}
+
+/// The same inequalities at the sizes the harness ran under `--test`.
+#[test]
+fn sched_bars_hold_at_reduced_sizes() {
+    let sims = policy_sweep(&factored(160, 8), &Platform::dancer_nodes(4));
+    assert_locality_does_not_regress(&sims);
+
+    let (f, platform) = (factored(448, 64), contended_cluster());
+    let (steal, steals, _) = steal_replay(&f, &platform);
+    assert!(steals > 0, "coarse-tile replay must actually steal");
+    assert_contended_bars(&policy_sweep(&f, &platform), &steal);
+}
+
+/// Replaying the batch graph and advancing the virtual clocks online are
+/// one cost model: same makespan, same messages, at every window.
+#[test]
+fn distsim_batch_replay_and_online_sim_agree_on_pinned_values() {
+    let platform = Platform::dancer_nodes(4);
+    for (n, batch_tasks, want) in [
+        (160, 9786, (402220.2, 535)),
+        (240, 30956, (676501.4, 1105)),
+        (320, 70976, (999070.0, 1875)),
+    ] {
+        let (a, b, opts) = fixture(n, 8, Grid::new(2, 2));
+        let batch = factor(&a, &b, &opts);
+        assert_eq!(batch.graph.len(), batch_tasks, "n = {n}");
+        assert_eq!(row(&simulate(&batch.graph, &platform)), want, "n = {n}");
+        for window in [2, 4] {
+            let online = factor_stream_distributed(&a, &b, &opts, &platform, window)
+                .expect("grid fits platform");
+            assert_eq!(row(&online.sim), want, "n = {n}, window {window}");
+        }
+    }
+}
+
+#[test]
+fn hetero_weighted_distribution_pins() {
+    // A platform built from identical specs is the homogeneous constructor.
+    let f = factored(160, 8);
+    assert_eq!(
+        simulate(&f.graph, &Platform::dancer_nodes(4)),
+        simulate(
+            &f.graph,
+            &Platform::heterogeneous(
+                vec![NodeSpec::new(8, 8.52); 4],
+                Topology::Uniform(LinkSpec::new(5e-6, 1.25e9)),
+                12e9,
+            )
+        ),
+        "uniform degeneracy broke"
+    );
+
+    let platform = Platform::mixed_islands();
+    for (n, block_cyclic, speed_weighted) in [
+        (240, (626105.4, 325), (579262.0, 319)),
+        (320, (1092170.4, 538), (914561.7, 535)),
+    ] {
+        let (a, b, plain) = fixture(n, 16, Grid::new(2, 2));
+        let weighted = plain.clone().with_speed_weights(platform.node_speeds());
+        let [plain, weighted] = [plain, weighted].map(|opts| {
+            factor_stream_distributed(&a, &b, &opts, &platform, 4)
+                .expect("grid fits platform")
+                .sim
+        });
+        assert_eq!(row(&plain), block_cyclic);
+        assert_eq!(row(&weighted), speed_weighted);
+        assert!(
+            weighted.makespan < plain.makespan,
+            "weighted distribution must beat plain block-cyclic at n = {n}"
+        );
+    }
+}
+
+/// The batch graph carries both branches of every hybrid step; the window
+/// plans only the chosen one, whatever its depth.
+#[test]
+fn stream_task_count_pins() {
+    for (n, batch_tasks, tasks_planned) in
+        [(160, 9869, 3939), (240, 31154, 11809), (320, 71339, 26279)]
+    {
+        let (a, b, opts) = fixture(n, 8, Grid::single());
+        assert_eq!(factor(&a, &b, &opts).graph.len(), batch_tasks, "n = {n}");
+        for window in [2, 4] {
+            let report = factor_stream(&a, &b, &opts, window).report;
+            assert_eq!(
+                report.tasks_planned, tasks_planned,
+                "n = {n}, window {window}"
+            );
+        }
+    }
+}
+
+/// What crosses the wire is a property of the protocol, not of the
+/// transport that carries it.
+#[test]
+fn net_e2e_n320_counts_are_the_same_on_every_transport() {
+    let (n, nb) = (320, 32);
+    let mut a = Mat::random(n, n, 42);
+    for i in 0..n {
+        if (i / nb).is_multiple_of(2) {
+            a[(i, i)] += n as f64;
+        }
+    }
+    let b = Mat::random(n, 2, 7);
+    let mut opts = FactorOptions::default()
+        .with_nb(nb)
+        .with_grid(Grid::new(2, 2))
+        .with_algorithm(Algorithm::LuQr(Criterion::Max { alpha: 6.0 }));
+    opts.ib = 8;
+    opts.threads = 2;
+    for kind in [
+        NetTransportKind::Loopback,
+        NetTransportKind::Channel,
+        NetTransportKind::Uds,
+    ] {
+        let report = factor_stream_net(&a, &b, &opts, 4, &kind)
+            .expect("net run")
+            .report;
+        let msgs = report.msgs;
+        let wire = report.net.expect("net report");
+        assert_eq!(
+            (
+                msgs.data_msgs + msgs.decision_msgs + msgs.retire_msgs,
+                wire.frames_sent,
+                wire.payload_bytes_sent
+            ),
+            (299, 73, 331_446),
+            "{kind:?}"
+        );
+    }
+}
+
+/// How many times slower `g` is than `f`: the median, over twenty
+/// alternating rounds after one warm-up round, of the round's own ratio.
+/// Pairing each `g` with the `f` that ran beside it keeps a slow spell of
+/// the host from landing on one side only.
+fn times_slower(mut f: impl FnMut(), mut g: impl FnMut()) -> f64 {
+    let seconds = |run: &mut dyn FnMut()| {
+        let t0 = Instant::now();
+        run();
+        t0.elapsed().as_secs_f64()
+    };
+    let mut ratios: Vec<f64> = (0..21)
+        .map(|_| {
+            let t = seconds(&mut f);
+            seconds(&mut g) / t
+        })
+        .skip(1)
+        .collect();
+    ratios.sort_by(f64::total_cmp);
+    ratios[ratios.len() / 2]
+}
+
+#[test]
+#[ignore = "wall-clock bar; run in the release profile"]
+fn packed_gemm_is_twice_the_reference_at_n256() {
+    let n = 256;
+    let (a, b) = (Mat::random(n, n, 1), Mat::random(n, n, 2));
+    let (mut c, mut c_ref) = (Mat::random(n, n, 3), Mat::random(n, n, 3));
+    let no = Trans::NoTrans;
+    let speedup = times_slower(
+        || gemm(no, no, 1.0, &a, &b, 0.0, &mut c),
+        || gemm_reference(no, no, 1.0, &a, &b, 0.0, &mut c_ref),
+    );
+    eprintln!("packed GEMM at n = {n}: {speedup:.2}x the reference");
+    assert!(speedup >= 2.0, "packed GEMM is {speedup:.2}x the reference");
+}
+
+#[test]
+#[ignore = "wall-clock bar; run in the release profile"]
+fn probes_on_cost_under_five_percent() {
+    let (a, b, opts) = fixture(256, 8, Grid::single());
+    let ratio = times_slower(
+        || {
+            factor_stream_with(&a, &b, &opts, &StreamOptions::fixed(4, 1));
+        },
+        || {
+            let probe = Probe::enabled();
+            let stream_opts = StreamOptions::fixed(4, 1).with_probe(probe.clone());
+            factor_stream_with(&a, &b, &opts, &stream_opts);
+            probe.report();
+        },
+    );
+    let overhead_pct = 100.0 * (ratio - 1.0);
+    eprintln!("probe overhead (median of twenty paired runs): {overhead_pct:.2}%");
+    assert!(ratio <= 1.05, "probes-on costs {overhead_pct:.2}% > 5%");
+}

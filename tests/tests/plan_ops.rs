@@ -30,7 +30,8 @@ use luqr::{
     PlannerStepSource, RunCtx, StreamOptions, TaskOp,
 };
 use luqr_runtime::stream::{self, StepPhase, StepSource};
-use luqr_runtime::{Access, DataKey, Platform, TaskId, TaskSink};
+use luqr_runtime::trace::{to_chrome_trace_with, TraceOptions};
+use luqr_runtime::{simulate, Access, DataKey, Platform, TaskId, TaskSink};
 use luqr_tests::dominant_system;
 use luqr_tile::{Grid, TiledMatrix};
 
@@ -401,7 +402,15 @@ fn dot_and_chrome_trace_render_the_same_bytes_as_stored_names_did() {
     fnv(&mut h, dot.as_bytes());
     assert_eq!((dot.len(), h), (18150, 0x01c65ffc24c192dd), "DOT of step 1");
 
-    let trace = f.chrome_trace(&Platform::dancer_nodes(4));
+    let platform = Platform::dancer_nodes(4);
+    let trace = to_chrome_trace_with(
+        &f.graph,
+        &simulate(&f.graph, &platform),
+        &TraceOptions {
+            platform: Some(&platform),
+            ..TraceOptions::default()
+        },
+    );
     let mut h = FNV_OFFSET;
     fnv(&mut h, trace.as_bytes());
     assert_eq!(

@@ -10,7 +10,8 @@ use luqr::{
 };
 use luqr_runtime::probe::export::{chrome_counter_events, to_json, to_prometheus};
 use luqr_runtime::probe::metric;
-use luqr_runtime::{Label, Platform};
+use luqr_runtime::trace::{to_chrome_trace_with, TraceOptions};
+use luqr_runtime::{simulate_probed, simulate_with, Label, Platform};
 use luqr_tile::Grid;
 
 fn hybrid_opts(grid: Grid) -> FactorOptions {
@@ -33,9 +34,9 @@ fn probed_batch_replay_matches_and_reconciles_across_policies() {
 
     for policy in SchedPolicy::all() {
         let sim_opts = SimOptions::with_scheduler(policy);
-        let plain = f.simulate_with(&platform, &sim_opts);
+        let plain = simulate_with(&f.graph, &platform, &sim_opts);
         let probe = Probe::enabled();
-        let (probed, report) = f.simulate_probed(&platform, &sim_opts, &probe);
+        let (probed, report) = simulate_probed(&f.graph, &platform, &sim_opts, &probe);
         assert_eq!(
             plain,
             probed,
@@ -115,7 +116,8 @@ fn export_formats_are_well_formed_on_real_telemetry() {
     let f = factor(&a, &b, &opts);
     let platform = Platform::dancer_nodes(4);
     let probe = Probe::enabled();
-    let (_, report) = f.simulate_probed(
+    let (sim, report) = simulate_probed(
+        &f.graph,
         &platform,
         &SimOptions::with_scheduler(SchedPolicy::Eft),
         &probe,
@@ -151,10 +153,14 @@ fn export_formats_are_well_formed_on_real_telemetry() {
     let counters = chrome_counter_events(&report.snapshot);
     assert!(counters.trim_start().starts_with('['));
     assert!(counters.contains("\"ph\": \"C\""));
-    let (merged, _) = f.chrome_trace_probed(
-        &platform,
-        &SimOptions::with_scheduler(SchedPolicy::Eft),
-        &Probe::enabled(),
+    let merged = to_chrome_trace_with(
+        &f.graph,
+        &sim,
+        &TraceOptions {
+            platform: Some(&platform),
+            policy: Some(SchedPolicy::Eft),
+            counters: Some(&report.snapshot),
+        },
     );
     assert!(merged.contains("\"ph\": \"X\""));
     assert!(merged.contains("\"ph\": \"C\""));

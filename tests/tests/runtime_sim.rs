@@ -3,7 +3,7 @@
 
 use luqr::{factor, Algorithm, Criterion, FactorOptions};
 use luqr_kernels::Mat;
-use luqr_runtime::Platform;
+use luqr_runtime::{simulate, Platform};
 use luqr_tile::Grid;
 
 fn system(n: usize) -> (Mat, Mat) {
@@ -33,7 +33,7 @@ fn simulation_invariants_hold_across_algorithms() {
             ..FactorOptions::default()
         };
         let f = factor(&a, &b, &opts);
-        let sim = f.simulate(&platform);
+        let sim = simulate(&f.graph, &platform);
         let name = f.algorithm.name();
         assert!(sim.makespan > 0.0, "{name}");
         assert!(
@@ -71,7 +71,7 @@ fn single_node_platform_has_no_messages() {
         ..FactorOptions::default()
     };
     let f = factor(&a, &b, &opts);
-    let sim = f.simulate(&Platform::single_node(8));
+    let sim = simulate(&f.graph, &Platform::single_node(8));
     assert_eq!(sim.messages, 0);
     assert_eq!(sim.bytes, 0);
 }
@@ -89,7 +89,7 @@ fn more_nodes_reduce_makespan_for_big_problems() {
             ..FactorOptions::default()
         };
         let f = factor(&a, &b, &opts);
-        f.simulate(&Platform::dancer_nodes(p * q)).makespan
+        simulate(&f.graph, &Platform::dancer_nodes(p * q)).makespan
     };
     let t1 = mk(1, 1);
     let t4 = mk(2, 2);

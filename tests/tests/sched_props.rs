@@ -24,7 +24,7 @@ use luqr::{
     factor, factor_stream_distributed, factor_stream_distributed_with, Algorithm, Criterion,
     FactorOptions, SchedPolicy, SimOptions,
 };
-use luqr_runtime::{Platform, SchedEngine};
+use luqr_runtime::{simulate, simulate_with, Platform, SchedEngine};
 use luqr_tests::dominant_system;
 use luqr_tile::Grid;
 use proptest::prelude::*;
@@ -86,10 +86,10 @@ proptest! {
 
         // The pre-refactor engine: a raw insertion-order VirtualSchedule
         // feed (what simulate() still is).
-        let reference = f.simulate(&platform);
+        let reference = simulate(&f.graph, &platform);
 
         // The policy engine's FIFO — eager fast path.
-        let fifo = f.simulate_with(&platform, &SimOptions::default());
+        let fifo = simulate_with(&f.graph, &platform, &SimOptions::default());
         prop_assert_eq!(&reference, &fifo, "eager fifo diverged");
 
         // ... and its generic buffer-and-select machinery, forced.
@@ -130,11 +130,11 @@ proptest! {
         };
         let batch = factor(&a, &b, &opts);
         let x_ref = batch.solution();
-        let fifo = batch.simulate(&platform);
+        let fifo = simulate(&batch.graph, &platform);
 
         for policy in SchedPolicy::all() {
             // Batch replay: timeline may move, data flow may not.
-            let sim = batch.simulate_with(&platform, &SimOptions::with_scheduler(policy));
+            let sim = simulate_with(&batch.graph, &platform, &SimOptions::with_scheduler(policy));
             prop_assert_eq!(sim.messages, fifo.messages, "{}", policy.name());
             prop_assert_eq!(sim.bytes, fifo.bytes);
             prop_assert!(close(sim.serial_seconds, fifo.serial_seconds));

@@ -18,7 +18,7 @@ use luqr::{
     Factorization, RunCtx, StreamFactorization, StreamOptions, TaskOp,
 };
 use luqr_runtime::net::loopback::loopback_set;
-use luqr_runtime::{Access, Platform, Transport};
+use luqr_runtime::{simulate, Access, Platform, Transport};
 use luqr_tests::dominant_system;
 use luqr_tile::{Grid, TiledMatrix};
 
@@ -129,7 +129,7 @@ fn every_run_releases_its_step_data_and_keeps_its_plans() {
                 assert_eq!(ran.accesses(), planned.accesses(), "{what}: {}", ran.name());
                 assert_eq!(ran.successors(), planned.successors(), "{what}");
             }
-            let sim = batch.simulate(&platform);
+            let sim = simulate(&batch.graph, &platform);
             assert!(sim.makespan > 0.0 && sim.messages > 0, "{what}");
             let x = batch.solution();
             let ops = executed_ops(&batch);
