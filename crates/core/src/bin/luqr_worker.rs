@@ -10,8 +10,11 @@
 //!
 //! Every rank rebuilds the same seeded problem, meshes over UDS or TCP,
 //! and runs its SPMD share; rank 0 (whose mirror holds all results at the
-//! end) writes the solution + statistics to `--out`. All logic lives in
-//! [`luqr::net::launch::worker_main`].
+//! end) writes the solution + statistics to `--out`. The launcher also
+//! passes `--plan <hex>`, the fingerprint of the task graph *it* would
+//! unroll for the job: a worker that plans the job differently (a stale
+//! binary) exits with a protocol error instead of joining the mesh. All
+//! logic lives in [`luqr::net::launch::worker_main`].
 
 use std::process::ExitCode;
 

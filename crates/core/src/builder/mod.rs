@@ -52,7 +52,11 @@ pub mod lu;
 pub mod panel;
 pub mod stream_source;
 
-use luqr_runtime::{GraphBuilder, TaskId, TaskSink};
+use std::hash::{Hash, Hasher};
+
+use luqr_kernels::Mat;
+use luqr_runtime::hash::IntHasher;
+use luqr_runtime::{DataKey, GraphBuilder, TaskId, TaskSink};
 use luqr_tile::{Dist, TiledMatrix};
 
 use crate::config::FactorOptions;
@@ -155,6 +159,54 @@ pub fn build_graph(
         planner.plan_step(k, &mut ins);
     }
     (b.build(), ctx.shared.clone())
+}
+
+/// A fingerprint of what this build plans for an `n x n` system with `nrhs`
+/// right-hand sides under `opts`: the tile counts of `[A | B]` and every op
+/// of step 0 with its placement (both branches of a hybrid step), hashed.
+/// A change to a planner, a reduction tree, a default option or the op
+/// encoding moves step 0's ops, so two builds that agree on this plan the
+/// same graph — what the processes of a multi-process run must have in
+/// common before they exchange a frame ([`crate::net::launch`]).
+pub fn plan_fingerprint(n: usize, nrhs: usize, opts: &FactorOptions) -> u64 {
+    /// Hashes what is pushed and keeps nothing.
+    struct HashSink {
+        nodes: usize,
+        pushed: TaskId,
+        hasher: IntHasher,
+    }
+
+    impl TaskSink<TaskOp> for HashSink {
+        fn num_nodes(&self) -> usize {
+            self.nodes
+        }
+        fn declare(&mut self, _key: DataKey, _bytes: usize, _home_node: usize) {}
+        fn push(&mut self, node: usize, op: TaskOp) -> TaskId {
+            (node, op).hash(&mut self.hasher);
+            self.pushed += 1;
+            self.pushed - 1
+        }
+    }
+
+    // Planning reads the layout only: no tile of the matrix is held.
+    let (a, rhs) = (Mat::zeros(n, n), Mat::zeros(n, nrhs));
+    let aug = TiledMatrix::from_dense_augmented_where(&a, &rhs, opts.nb, |_, _| false);
+    let nt_a = aug.nt() - nrhs.div_ceil(opts.nb);
+    let ctx = RunCtx::new(&aug, nt_a, opts);
+    let dist = opts.tile_dist();
+    let mut sink = HashSink {
+        nodes: dist.nodes(),
+        pushed: 0,
+        hasher: IntHasher::default(),
+    };
+    (aug.mt(), aug.nt(), nt_a).hash(&mut sink.hasher);
+    let mut ins = Inserter {
+        b: &mut sink,
+        ctx: &ctx,
+        dist,
+    };
+    crate::planner_for(&opts.algorithm).plan_step(0, &mut ins);
+    sink.hasher.finish()
 }
 
 /// Declare every tile of `aug` with its distribution-assigned home node

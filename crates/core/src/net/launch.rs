@@ -1,14 +1,19 @@
 //! Multi-process deployment: the `luqr-worker` protocol and launcher.
 //!
-//! A distributed run across real processes needs three agreements between
+//! A distributed run across real processes needs four agreements between
 //! the launcher and its workers: the *problem* (every rank must build the
-//! same matrix — SPMD), the *rendezvous* (where the socket mesh lives),
-//! and the *result* (how rank 0 reports back). All three are deliberately
-//! minimal: a [`NetJob`] is a seed-and-shape description passed on the
-//! command line (no matrix ever crosses a pipe), the rendezvous is a UDS
-//! directory or a TCP base port, and the result is a small hand-rolled
-//! binary file ([`WorkerResult`]) with the solution, per-step records, and
-//! message statistics — everything the parity oracles compare.
+//! same matrix — SPMD), the *plan* (every rank must unroll the same task
+//! graph from it), the *rendezvous* (where the socket mesh lives), and the
+//! *result* (how rank 0 reports back). All four are deliberately minimal:
+//! a [`NetJob`] is a seed-and-shape description passed on the command line
+//! (no matrix ever crosses a pipe) together with the launcher's
+//! [`NetJob::plan_fingerprint`], which a worker built from other sources —
+//! a stale binary of the sibling profile, typically — checks against its
+//! own and refuses on a mismatch instead of diverging mid-run; the
+//! rendezvous is a UDS directory or a TCP base port; and the result is a
+//! small hand-rolled binary file ([`WorkerResult`]) with the solution,
+//! per-step records, and message statistics — everything the parity
+//! oracles compare.
 //!
 //! [`launch_multiprocess`] spawns one `luqr-worker` per rank (binary
 //! located via `$LUQR_WORKER` or next to the current executable), waits
@@ -84,6 +89,27 @@ impl NetJob {
         opts
     }
 
+    /// What this build plans for the job
+    /// ([`crate::builder::plan_fingerprint`]).
+    pub fn plan_fingerprint(&self) -> u64 {
+        crate::builder::plan_fingerprint(self.n, self.nrhs, &self.options())
+    }
+
+    /// Refuse a job whose launcher planned it differently: the two were
+    /// built from different sources, and their ranks would diverge (or
+    /// hang) mid-run.
+    fn check_plan(&self, launcher: u64) -> Result<(), TransportError> {
+        let own = self.plan_fingerprint();
+        if own == launcher {
+            return Ok(());
+        }
+        Err(TransportError::Protocol(format!(
+            "this luqr-worker plans the job as {own:016x}, its launcher as {launcher:016x}: \
+             a stale binary? rebuild it in the launcher's profile \
+             (cargo build [--release] -p luqr --bin luqr-worker)"
+        )))
+    }
+
     fn to_args(&self) -> Vec<String> {
         vec![
             "--n".into(),
@@ -106,6 +132,8 @@ impl NetJob {
             self.window.to_string(),
             "--alg".into(),
             alg_spec(&self.algorithm).expect("algorithm has no CLI spec"),
+            "--plan".into(),
+            format!("{:016x}", self.plan_fingerprint()),
         ]
     }
 }
@@ -361,13 +389,14 @@ pub fn launch_multiprocess(
     };
     let out_path = scratch.join("rank0.bin");
 
+    let job_args = job.to_args();
     let mut children = Vec::new();
     for rank in 0..nranks {
         let mut cmd = Command::new(&worker);
         cmd.args(["--rank".to_string(), rank.to_string()])
             .args(["--nranks".to_string(), nranks.to_string()])
             .args(&conn_args)
-            .args(job.to_args());
+            .args(&job_args);
         if rank == 0 {
             cmd.args(["--out".to_string(), out_path.display().to_string()]);
         }
@@ -406,6 +435,7 @@ pub fn worker_main(args: &[String]) -> Result<(), String> {
     let mut uds = None;
     let mut tcp = None;
     let mut out = None;
+    let mut plan = None;
     let mut job = NetJob {
         n: 0,
         nrhs: 1,
@@ -482,6 +512,7 @@ pub fn worker_main(args: &[String]) -> Result<(), String> {
                 job.algorithm =
                     parse_alg_spec(&s).ok_or_else(|| format!("unknown --alg spec {s:?}"))?;
             }
+            "--plan" => plan = Some(u64::from_str_radix(&val()?, 16).map_err(|e| e.to_string())?),
             other => return Err(format!("unknown flag {other:?}")),
         }
     }
@@ -505,6 +536,11 @@ pub fn worker_main(args: &[String]) -> Result<(), String> {
         (None, Some(base_port)) => SocketSpec::Tcp { base_port },
         _ => return Err("exactly one of --uds DIR / --tcp BASEPORT is required".into()),
     };
+
+    if let Some(launcher) = plan {
+        job.check_plan(launcher)
+            .map_err(|e| format!("rank {rank}: {e}"))?;
+    }
 
     let transport: Arc<dyn Transport> = Arc::new(
         SocketEndpoint::connect(&spec, rank, nranks).map_err(|e| format!("connect: {e}"))?,
@@ -575,9 +611,8 @@ mod tests {
         std::fs::remove_dir_all(&root).unwrap();
     }
 
-    #[test]
-    fn job_problem_is_deterministic() {
-        let job = NetJob {
+    fn small_job(algorithm: Algorithm) -> NetJob {
+        NetJob {
             n: 16,
             nrhs: 2,
             seed: 7,
@@ -587,8 +622,73 @@ mod tests {
             q: 2,
             threads: 1,
             window: 2,
-            algorithm: Algorithm::Lupp,
+            algorithm,
+        }
+    }
+
+    /// A worker handed a job that its launcher planned differently — the
+    /// stale-binary case — refuses with a typed error naming both hashes,
+    /// before it touches the mesh.
+    #[test]
+    fn a_worker_refuses_a_job_its_launcher_planned_differently() {
+        let job = small_job(Algorithm::Hqr);
+        let own = job.plan_fingerprint();
+        assert_eq!(job.check_plan(own), Ok(()));
+        let other = own ^ 1;
+        match job.check_plan(other) {
+            Err(TransportError::Protocol(m)) => {
+                assert!(m.contains(&format!("{own:016x}")), "{m}");
+                assert!(m.contains(&format!("{other:016x}")), "{m}");
+            }
+            r => panic!("expected a protocol error, got {r:?}"),
+        }
+
+        // Through the binary's entry point: no socket directory exists, so
+        // passing the check would fail on `connect:` instead.
+        let args = |plan: u64| {
+            let mut args: Vec<String> = ["--rank", "1", "--nranks", "2", "--uds", "/nonexistent"]
+                .map(String::from)
+                .to_vec();
+            args.extend(job.to_args());
+            let at = args.iter().position(|a| a == "--plan").unwrap() + 1;
+            args[at] = format!("{plan:016x}");
+            args
         };
+        let refused = worker_main(&args(other)).unwrap_err();
+        assert!(
+            refused.starts_with("rank 1: protocol violation")
+                && refused.contains(&format!("{own:016x}"))
+                && refused.contains(&format!("{other:016x}")),
+            "{refused}"
+        );
+        let accepted = worker_main(&args(own)).unwrap_err();
+        assert!(accepted.starts_with("connect:"), "{accepted}");
+    }
+
+    /// The fingerprint repeats, and moves with anything that moves the
+    /// plan: the reduction tree, the algorithm, the tile counts.
+    #[test]
+    fn plan_fingerprint_follows_the_plan() {
+        use crate::trees::TreeConfig;
+        let job = small_job(Algorithm::Hqr);
+        let opts = job.options();
+        let fp = |n, opts: &FactorOptions| crate::builder::plan_fingerprint(n, 2, opts);
+        assert_eq!(job.plan_fingerprint(), fp(16, &opts));
+        let two_level = TreeConfig {
+            ts: 1,
+            ..opts.trees
+        };
+        assert_ne!(fp(16, &opts), fp(16, &opts.clone().with_trees(two_level)));
+        assert_ne!(fp(16, &opts), fp(20, &opts));
+        assert_ne!(
+            job.plan_fingerprint(),
+            small_job(Algorithm::Lupp).plan_fingerprint()
+        );
+    }
+
+    #[test]
+    fn job_problem_is_deterministic() {
+        let job = small_job(Algorithm::Lupp);
         let (a1, b1) = job.problem();
         let (a2, b2) = job.problem();
         assert_eq!(a1.as_slice(), a2.as_slice());

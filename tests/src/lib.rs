@@ -4,11 +4,23 @@
 //! tiled storage, runtime, and the factorization drivers — together. This
 //! library target holds the fixtures they share.
 
+use luqr::{TreeConfig, TreeKind};
 use luqr_kernels::blas::{gemm, Trans};
 use luqr_kernels::Mat;
 
 pub mod qr_ref;
 pub mod solve_ref;
+
+/// The reduction trees as they were before the TS level existed: every
+/// panel tile triangularized, GREEDY inside nodes, FIBONACCI across them.
+/// Pins and goldens recorded then are checked under these; at `ts = 1`
+/// plans, simulated makespans, message counts and `x` are bitwise what they
+/// were.
+pub const TWO_LEVEL: TreeConfig = TreeConfig {
+    ts: 1,
+    intra: TreeKind::Greedy,
+    inter: TreeKind::Fibonacci,
+};
 
 /// Machine epsilon for `f64`; the unit roundoff of the standard model is
 /// `u = EPS / 2`.

@@ -10,6 +10,11 @@
 //! `peak_live_tasks` is absent on purpose: it depends on thread timing
 //! (`stream_exec` and `stream_props` bound it instead).
 //!
+//! Those baselines predate the reduction trees' TS level, so the shared
+//! fixture runs the trees they were recorded under ([`luqr_tests::TWO_LEVEL`], `ts = 1`);
+//! the rows marked "default tree" pin the same quantities under
+//! [`TreeConfig::default`].
+//!
 //! The two wall-clock bars the harnesses asserted are `#[ignore]`d; CI runs
 //! them with
 //! `cargo test --release -p luqr-tests --test pins -- --include-ignored`.
@@ -19,7 +24,7 @@ use std::time::Instant;
 use luqr::{
     factor, factor_stream, factor_stream_distributed, factor_stream_net, factor_stream_with,
     Algorithm, Criterion, FactorOptions, Factorization, NetTransportKind, Probe, SchedPolicy,
-    SimOptions, StreamOptions,
+    SimOptions, StreamOptions, TreeConfig,
 };
 use luqr_kernels::blas::{gemm, gemm_reference, Trans};
 use luqr_kernels::Mat;
@@ -28,6 +33,7 @@ use luqr_runtime::{
     simulate, simulate_probed, simulate_with, Label, LinkSpec, NodeSpec, Platform, SimReport,
     Topology,
 };
+use luqr_tests::TWO_LEVEL;
 use luqr_tile::Grid;
 
 /// The fixture every retired harness shared: a general random system (its
@@ -40,6 +46,7 @@ fn fixture(n: usize, nb: usize, grid: Grid) -> (Mat, Mat, FactorOptions) {
         threads: 1,
         grid,
         algorithm: Algorithm::LuQr(Criterion::Max { alpha: 1000.0 }),
+        trees: TWO_LEVEL,
         ..FactorOptions::default()
     };
     (Mat::random(n, n, 1), Mat::random(n, 1, 2), opts)
@@ -244,16 +251,23 @@ fn hetero_weighted_distribution_pins() {
 /// plans only the chosen one, whatever its depth.
 #[test]
 fn stream_task_count_pins() {
-    for (n, batch_tasks, tasks_planned) in
-        [(160, 9869, 3939), (240, 31154, 11809), (320, 71339, 26279)]
-    {
+    for (trees, n, batch_tasks, tasks_planned) in [
+        (TWO_LEVEL, 160, 9869, 3939),
+        (TWO_LEVEL, 240, 31154, 11809),
+        (TWO_LEVEL, 320, 71339, 26279),
+        // Default tree: every step of this fixture takes LU, so only the
+        // batch graph's discarded QR branches shrink.
+        (TreeConfig::default(), 240, 23906, 11809),
+    ] {
         let (a, b, opts) = fixture(n, 8, Grid::single());
-        assert_eq!(factor(&a, &b, &opts).graph.len(), batch_tasks, "n = {n}");
+        let opts = opts.with_trees(trees);
+        let what = format!("n = {n}, ts = {}", trees.ts);
+        assert_eq!(factor(&a, &b, &opts).graph.len(), batch_tasks, "{what}");
         for window in [2, 4] {
             let report = factor_stream(&a, &b, &opts, window).report;
             assert_eq!(
                 report.tasks_planned, tasks_planned,
-                "n = {n}, window {window}"
+                "{what}, window {window}"
             );
         }
     }
@@ -277,25 +291,33 @@ fn net_e2e_n320_counts_are_the_same_on_every_transport() {
         .with_algorithm(Algorithm::LuQr(Criterion::Max { alpha: 6.0 }));
     opts.ib = 8;
     opts.threads = 2;
-    for kind in [
-        NetTransportKind::Loopback,
-        NetTransportKind::Channel,
-        NetTransportKind::Uds,
+    for (trees, want) in [
+        (TWO_LEVEL, (299, 73, 331_446)),
+        // Default tree.
+        (TreeConfig::default(), (245, 61, 269_886)),
     ] {
-        let report = factor_stream_net(&a, &b, &opts, 4, &kind)
-            .expect("net run")
-            .report;
-        let msgs = report.msgs;
-        let wire = report.net.expect("net report");
-        assert_eq!(
-            (
-                msgs.data_msgs + msgs.decision_msgs + msgs.retire_msgs,
-                wire.frames_sent,
-                wire.payload_bytes_sent
-            ),
-            (299, 73, 331_446),
-            "{kind:?}"
-        );
+        let opts = opts.clone().with_trees(trees);
+        for kind in [
+            NetTransportKind::Loopback,
+            NetTransportKind::Channel,
+            NetTransportKind::Uds,
+        ] {
+            let report = factor_stream_net(&a, &b, &opts, 4, &kind)
+                .expect("net run")
+                .report;
+            let msgs = report.msgs;
+            let wire = report.net.expect("net report");
+            assert_eq!(
+                (
+                    msgs.data_msgs + msgs.decision_msgs + msgs.retire_msgs,
+                    wire.frames_sent,
+                    wire.payload_bytes_sent
+                ),
+                want,
+                "{kind:?}, ts = {}",
+                trees.ts
+            );
+        }
     }
 }
 

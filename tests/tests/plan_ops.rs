@@ -14,7 +14,9 @@
 //!   planners still built a name string, a boxed closure and an access
 //!   vector per task — pin, per planner × fixture, the task names and
 //!   placements, the priced access lists in order, and the hazard edges
-//!   the accesses induce.
+//!   the accesses induce. They predate the reduction trees' TS level, so
+//!   they are checked under the trees of that commit ([`luqr_tests::TWO_LEVEL`],
+//!   `ts = 1`); one more row pins the hybrid under [`TreeConfig::default`].
 //! * **Streamed ≡ batch.** The op sequence a streamed run plans is the
 //!   batch sequence with each step's losing branch filtered out.
 //! * **Rendering.** DOT and Chrome-trace output of a fixed run, which now
@@ -27,12 +29,12 @@ use std::time::Instant;
 
 use luqr::{
     builder, factor, Algorithm, Criterion, Decision, FactorOptions, LuVariant, PivotScope,
-    PlannerStepSource, RunCtx, StreamOptions, TaskOp,
+    PlannerStepSource, RunCtx, StreamOptions, TaskOp, TreeConfig,
 };
 use luqr_runtime::stream::{self, StepPhase, StepSource};
 use luqr_runtime::trace::{to_chrome_trace_with, TraceOptions};
 use luqr_runtime::{simulate, Access, DataKey, Platform, TaskId, TaskSink};
-use luqr_tests::dominant_system;
+use luqr_tests::{dominant_system, TWO_LEVEL};
 use luqr_tile::{Grid, TiledMatrix};
 
 // --- the counting allocator -------------------------------------------------
@@ -121,7 +123,12 @@ fn planner(label: &str) -> (Algorithm, LuVariant, PivotScope) {
 
 /// The fixture of one golden row: an `n x n` dominant system with one
 /// right-hand side, `nb = 16`, on a `p x q` grid.
-fn fixture(label: &str, n: usize, p: usize, q: usize) -> (TiledMatrix, usize, FactorOptions) {
+fn fixture(
+    label: &str,
+    n: usize,
+    (p, q): (usize, usize),
+    trees: TreeConfig,
+) -> (TiledMatrix, usize, FactorOptions) {
     let (algorithm, lu_variant, pivot_scope) = planner(label);
     let (a, b) = dominant_system(n, 11, 1);
     let opts = FactorOptions {
@@ -132,6 +139,7 @@ fn fixture(label: &str, n: usize, p: usize, q: usize) -> (TiledMatrix, usize, Fa
         threads: 1,
         pivot_scope,
         lu_variant,
+        trees,
         ..FactorOptions::default()
     };
     let aug = TiledMatrix::from_dense_augmented(&a, &b, opts.nb);
@@ -156,7 +164,7 @@ fn planning_allocates_at_most_once_per_task() {
         "planner", "path", "tasks", "allocs/task", "bytes/task", "plan ns/task"
     );
     for label in BUDGET_PLANNERS {
-        let (aug, nt_a, opts) = fixture(label, 192, 1, 2);
+        let (aug, nt_a, opts) = fixture(label, 192, (1, 2), TreeConfig::default());
 
         let (graph, allocs, bytes, secs) = measured(|| builder::build_graph(&aug, nt_a, &opts).0);
         let tasks = graph.len() as f64;
@@ -245,40 +253,62 @@ const GOLDEN_PLANS: [GoldenPlan; 24] = [
     ("hqr", 192, 1, 2, 1366, 0x60ae2958b74c9c15, 0x5f369e37a2ad55e7, 0xccaa83d093877ca3),
 ];
 
+/// `(tasks, names+placements, priced accesses, hazard edges)` of the batch
+/// plan of a fixture.
+fn plan_hashes(label: &str, n: usize, grid: (usize, usize), trees: TreeConfig) -> [u64; 4] {
+    let (aug, nt_a, opts) = fixture(label, n, grid, trees);
+    let (graph, _shared) = builder::build_graph(&aug, nt_a, &opts);
+    let (mut names, mut accesses, mut edges) = (FNV_OFFSET, FNV_OFFSET, FNV_OFFSET);
+    for t in graph.tasks() {
+        fnv(&mut names, t.name().as_bytes());
+        fnv_u64(&mut names, t.node() as u64);
+        let costed = t.accesses();
+        fnv_u64(&mut accesses, costed.len() as u64);
+        for ca in &costed {
+            let (tag, DataKey(key)) = match ca.access {
+                Access::Read(k) => (0u64, k),
+                Access::Mut(k) => (1, k),
+                Access::Control(k) => (2, k),
+            };
+            fnv_u64(&mut accesses, tag);
+            fnv_u64(&mut accesses, key);
+            fnv_u64(&mut accesses, ca.bytes as u64);
+            fnv_u64(&mut accesses, ca.home as u64);
+        }
+        fnv_u64(&mut edges, t.num_preds() as u64);
+        fnv_u64(&mut edges, t.successors().len() as u64);
+        for &s in t.successors() {
+            fnv_u64(&mut edges, s as u64);
+        }
+    }
+    [graph.len() as u64, names, accesses, edges]
+}
+
 #[test]
 fn plans_match_the_closure_era_goldens() {
-    for (label, n, p, q, tasks, names_want, accesses_want, edges_want) in GOLDEN_PLANS {
-        let (aug, nt_a, opts) = fixture(label, n, p, q);
-        let (graph, _shared) = builder::build_graph(&aug, nt_a, &opts);
-        let (mut names, mut accesses, mut edges) = (FNV_OFFSET, FNV_OFFSET, FNV_OFFSET);
-        for t in graph.tasks() {
-            fnv(&mut names, t.name().as_bytes());
-            fnv_u64(&mut names, t.node() as u64);
-            let costed = t.accesses();
-            fnv_u64(&mut accesses, costed.len() as u64);
-            for ca in &costed {
-                let (tag, DataKey(key)) = match ca.access {
-                    Access::Read(k) => (0u64, k),
-                    Access::Mut(k) => (1, k),
-                    Access::Control(k) => (2, k),
-                };
-                fnv_u64(&mut accesses, tag);
-                fnv_u64(&mut accesses, key);
-                fnv_u64(&mut accesses, ca.bytes as u64);
-                fnv_u64(&mut accesses, ca.home as u64);
-            }
-            fnv_u64(&mut edges, t.num_preds() as u64);
-            fnv_u64(&mut edges, t.successors().len() as u64);
-            for &s in t.successors() {
-                fnv_u64(&mut edges, s as u64);
-            }
-        }
-        let what = format!("{label} n={n} grid {p}x{q}");
-        assert_eq!(graph.len(), tasks, "{what}: task count");
-        assert_eq!(names, names_want, "{what}: names and placements");
-        assert_eq!(accesses, accesses_want, "{what}: priced access lists");
-        assert_eq!(edges, edges_want, "{what}: hazard edges");
+    for (label, n, p, q, tasks, names, accesses, edges) in GOLDEN_PLANS {
+        assert_eq!(
+            plan_hashes(label, n, (p, q), TWO_LEVEL),
+            [tasks as u64, names, accesses, edges],
+            "{label} n={n} grid {p}x{q}: task count, names and placements, priced access \
+             lists, hazard edges"
+        );
     }
+}
+
+/// The hybrid's plan under the default tree (TS domains of 4): six panel
+/// rows per node at step 0, so both a full and a short TS domain occur.
+#[test]
+fn default_tree_plan_pin() {
+    assert_eq!(
+        plan_hashes("hybrid-a1-domain", 192, (1, 2), TreeConfig::default()),
+        [
+            1901,
+            0xe5e1400d557589f2,
+            0xf96798026dfd9f63,
+            0x9ac95c4db3234ec6
+        ]
+    );
 }
 
 // --- streamed ≡ batch, filtered to the chosen branch ------------------------
@@ -393,6 +423,7 @@ fn dot_and_chrome_trace_render_the_same_bytes_as_stored_names_did() {
             seed: 5,
         }),
         threads: 2,
+        trees: TWO_LEVEL,
         ..FactorOptions::default()
     };
     let f = factor(&a, &b, &opts);

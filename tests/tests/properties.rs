@@ -106,12 +106,12 @@ proptest! {
         p in 1usize..6,
         mt in 2usize..20,
         k in 0usize..4,
-        intra_i in 0usize..5,
-        inter_i in 0usize..5,
+        ts in prop_oneof![Just(1usize), Just(2), Just(3), Just(4), Just(7), Just(usize::MAX)],
+        intra_i in 0usize..4,
+        inter_i in 0usize..4,
     ) {
         use luqr::trees::{elimination_list, ElimOp, TreeConfig, TreeKind};
-        let kinds = [TreeKind::FlatTs, TreeKind::FlatTt, TreeKind::Binary,
-                     TreeKind::Greedy, TreeKind::Fibonacci];
+        let kinds = TreeKind::ALL;
         let k = k.min(mt - 1);
         let grid = Grid::new(p, 1);
         let mut domains: Vec<Vec<usize>> = Vec::new();
@@ -122,31 +122,32 @@ proptest! {
                 domains.push(rows);
             }
         }
-        let cfg = TreeConfig { intra: kinds[intra_i], inter: kinds[inter_i] };
+        let cfg = TreeConfig { ts, intra: kinds[intra_i], inter: kinds[inter_i] };
         let ops = elimination_list(&domains, &cfg);
         // Every row except k killed exactly once by a live, lower-indexed,
-        // triangularized eliminator.
+        // triangularized eliminator; a TT victim is triangular, a TS victim
+        // never GEQRT'd; one GEQRT per TS domain.
         let mut killed = std::collections::HashSet::new();
         let mut tri = std::collections::HashSet::new();
         for op in &ops {
             match *op {
                 ElimOp::Geqrt { row } => {
                     prop_assert!(!killed.contains(&row));
-                    tri.insert(row);
+                    prop_assert!(tri.insert(row));
                 }
                 ElimOp::Kill { victim, eliminator, ts } => {
                     prop_assert!(eliminator < victim);
                     prop_assert!(!killed.contains(&victim));
                     prop_assert!(!killed.contains(&eliminator));
                     prop_assert!(tri.contains(&eliminator));
-                    if !ts {
-                        prop_assert!(tri.contains(&victim));
-                    }
+                    prop_assert_eq!(tri.contains(&victim), !ts);
                     killed.insert(victim);
                 }
             }
         }
         prop_assert_eq!(killed.len(), mt - k - 1);
+        let heads: usize = domains.iter().map(|d| d.len().div_ceil(cfg.ts)).sum();
+        prop_assert_eq!(tri.len(), heads);
     }
 
     #[test]
