@@ -1,5 +1,6 @@
 //! Configuration types for the factorization drivers.
 
+use luqr_kernels::DEFAULT_IB;
 use luqr_tile::{Dist, Grid};
 
 use crate::criteria::Criterion;
@@ -92,7 +93,7 @@ pub enum DistPolicy {
 pub struct FactorOptions {
     /// Tile size.
     pub nb: usize,
-    /// Inner blocking of the QR kernels.
+    /// Inner blocking of the QR kernels (default [`DEFAULT_IB`]).
     pub ib: usize,
     /// Virtual process grid (2D block-cyclic distribution).
     pub grid: Grid,
@@ -115,7 +116,7 @@ impl Default for FactorOptions {
     fn default() -> Self {
         FactorOptions {
             nb: 80,
-            ib: 16,
+            ib: DEFAULT_IB,
             grid: Grid::single(),
             dist: DistPolicy::BlockCyclic,
             algorithm: Algorithm::LuQr(Criterion::Max { alpha: 100.0 }),

@@ -66,10 +66,25 @@
 //! unconditionally when compiled with `target-feature=+avx2,+fma`, else via
 //! a one-time cached CPUID probe. Small products whose `B` is column-major
 //! additionally take a direct AVX-512 path when AVX-512F is present: `B` and
-//! `C` are read in place, and so is an untransposed `A`; a transposed `A` —
-//! the skinny `Vᵀ·C` of the QR block reflectors, only `ib` rows deep — is
+//! `C` are read in place, and so is an untransposed `A`; a transposed `A` is
 //! gathered into the A pack buffer first, which is `1/n` of the work the
-//! packed path would spend repacking `B`. FMA contracts each multiply-add into one
+//! packed path would spend repacking `B`.
+//!
+//! # The shared register tile
+//!
+//! The direct path's inner loop — a `16 × 8` tile of `C` in sixteen zmm
+//! accumulators, one FMA chain per entry over ascending depth, one fold into
+//! the destination — is a primitive of its own, `TileEngine::tile`, with
+//! an explicit AVX-512 body, an explicit AVX2+FMA body and a portable
+//! `f64::mul_add` body that agree bitwise. `gemm_direct_avx512` is a loop
+//! of such tiles over `C`; the QR block-reflector applier (`crate::qr`)
+//! runs its three products per 8-column strip on the same tile, which is
+//! both why it runs at the GEMM's rate and why its results are those of the
+//! engine calls it replaced. The trait also carries the two data movements
+//! the applier needs at vector width: a block transpose and a zero-padded
+//! column window.
+//!
+//! FMA contracts each multiply-add into one
 //! rounding, so results differ between the SIMD and scalar kernels (and
 //! therefore across machines); the selection is fixed per process, keeping
 //! every within-run comparison deterministic. Numerical acceptance is
@@ -502,23 +517,445 @@ unsafe fn microkernel_avx2(kc: usize, ap: &[f64], bp: &[f64]) -> [[f64; MR]; NR]
 
 /// Cached CPUID probe for AVX-512F.
 #[cfg(target_arch = "x86_64")]
-fn avx512f_available() -> bool {
+pub(crate) fn avx512f_available() -> bool {
     use std::sync::OnceLock;
     static OK: OnceLock<bool> = OnceLock::new();
     *OK.get_or_init(|| std::arch::is_x86_feature_detected!("avx512f"))
 }
 
+/// Rows of the direct engine's register tile: two 8-lane vectors.
+pub(crate) const TILE_M: usize = 16;
+/// Columns of the direct engine's register tile.
+pub(crate) const TILE_N: usize = 8;
+
+/// The register tile of the direct engine, the one arithmetic primitive
+/// under [`gemm_strided`]'s direct path and under the QR block-reflector
+/// applier (`crate::qr`), in three bodies: explicit AVX-512 ([`Avx512`]),
+/// explicit AVX2+FMA ([`Avx2`]) and `f64::mul_add` loops ([`Portable`]).
+///
+/// The bodies are `#[inline(always)]` and carry no `target_feature`
+/// themselves: a driver is written once, generic over `TileEngine`, and
+/// instantiated inside a `#[target_feature]` wrapper chosen by the cached
+/// CPUID probes, the way [`microkernel`] is — so the whole driver, not only
+/// the tile, is compiled for the ISA it runs on.
+///
+/// **What every entry sees** — the contract the bitwise guarantees of this
+/// crate rest on: `D(i, j)` becomes `fma(acc, alpha, S(i, j))`, where `acc`
+/// starts at `+0.0` and takes `fma(A(i, p), B(p, j), acc)` for
+/// `p = 0, 1, …, depth − 1` in that order. One chain per entry, no partial
+/// sums, one fold. How a caller cuts its rows and columns into tiles
+/// therefore never changes a result, and neither does the choice of body.
+pub(crate) trait TileEngine {
+    /// `D[0..rows, 0..cols] ← S + alpha · A · B` with `A` `rows × depth`
+    /// column-major (`a[i + p·lda]`), `B` `depth × cols` (`b[p + j·ldb]`),
+    /// the addend `S` (`src[i + j·lds]`) and the destination `D`
+    /// (`dst[i + j·ldd]`) column-major; `rows ≤ TILE_M`, `cols ≤ TILE_N`.
+    /// `src == dst` is the in-place `C += alpha·A·B`; a null `src` stands
+    /// for a block of `+0.0`.
+    ///
+    /// # Safety
+    /// Every address named above must be inside a live allocation, `D` must
+    /// not overlap `A` or `B` nor — unless it *is* `S` — `S`, and the CPU
+    /// must support the body's ISA.
+    #[allow(clippy::too_many_arguments)]
+    unsafe fn tile(
+        rows: usize,
+        cols: usize,
+        depth: usize,
+        alpha: f64,
+        a: *const f64,
+        lda: usize,
+        b: *const f64,
+        ldb: usize,
+        src: *const f64,
+        lds: usize,
+        dst: *mut f64,
+        ldd: usize,
+    );
+
+    /// `out[c + r·ldo] ← v[r + c·ldv]` for `r < rows`, `c < cols`: the
+    /// transpose of a column-major block, which is how the applier turns the
+    /// rows of a reflector block into the `A` operand of `Vᵀ·C`.
+    ///
+    /// # Safety
+    /// As [`TileEngine::tile`]: every address read or written must be live,
+    /// `out` must not overlap `v`.
+    unsafe fn transpose(
+        rows: usize,
+        cols: usize,
+        v: *const f64,
+        ldv: usize,
+        out: *mut f64,
+        ldo: usize,
+    );
+
+    /// `dst[i] ← src[i]` for `lo ≤ i < hi`, `dst[i] ← +0.0` for every other
+    /// `i < n`: a column of a zero-padded operand that keeps one window of
+    /// its source. Entries of `src` outside the window are never read.
+    ///
+    /// # Safety
+    /// `lo ≤ hi ≤ n`; `src[lo..hi]` and `dst[0..n]` must be live and must
+    /// not overlap.
+    unsafe fn column_window(src: *const f64, lo: usize, hi: usize, n: usize, dst: *mut f64);
+}
+
+/// The `f64::mul_add` body of the tile: correct wherever Rust runs and fused
+/// like the SIMD bodies, so all three agree bitwise. It is the whole engine
+/// where no SIMD body applies, and the edge handler of [`Avx2`].
+pub(crate) struct Portable;
+
+impl TileEngine for Portable {
+    #[inline(always)]
+    unsafe fn tile(
+        rows: usize,
+        cols: usize,
+        depth: usize,
+        alpha: f64,
+        a: *const f64,
+        lda: usize,
+        b: *const f64,
+        ldb: usize,
+        src: *const f64,
+        lds: usize,
+        dst: *mut f64,
+        ldd: usize,
+    ) {
+        debug_assert!(rows <= TILE_M && cols <= TILE_N);
+        let mut acc = [[0.0f64; TILE_M]; TILE_N];
+        // SAFETY: the caller vouches for every address formed here.
+        unsafe {
+            for p in 0..depth {
+                let col = a.add(p * lda);
+                for (j, accj) in acc.iter_mut().enumerate().take(cols) {
+                    let bj = *b.add(p + j * ldb);
+                    for (i, x) in accj.iter_mut().enumerate().take(rows) {
+                        *x = (*col.add(i)).mul_add(bj, *x);
+                    }
+                }
+            }
+            for (j, accj) in acc.iter().enumerate().take(cols) {
+                for (i, x) in accj.iter().enumerate().take(rows) {
+                    let s = if src.is_null() {
+                        0.0
+                    } else {
+                        *src.add(i + j * lds)
+                    };
+                    *dst.add(i + j * ldd) = x.mul_add(alpha, s);
+                }
+            }
+        }
+    }
+
+    #[inline(always)]
+    unsafe fn transpose(
+        rows: usize,
+        cols: usize,
+        v: *const f64,
+        ldv: usize,
+        out: *mut f64,
+        ldo: usize,
+    ) {
+        // SAFETY: the caller vouches for every address formed here.
+        unsafe {
+            for r in 0..rows {
+                for c in 0..cols {
+                    *out.add(c + r * ldo) = *v.add(r + c * ldv);
+                }
+            }
+        }
+    }
+
+    #[inline(always)]
+    unsafe fn column_window(src: *const f64, lo: usize, hi: usize, n: usize, dst: *mut f64) {
+        // SAFETY: the caller vouches for `src[lo..hi]` and `dst[0..n]`.
+        unsafe {
+            for i in 0..n {
+                *dst.add(i) = if lo <= i && i < hi { *src.add(i) } else { 0.0 };
+            }
+        }
+    }
+}
+
+/// The explicit AVX2+FMA body of the tile, for x86-64 hosts without AVX-512.
+/// It walks the tile in `8 × 4` quarters — which the contract allows, an
+/// entry's chain does not know its neighbours — because that is what sixteen
+/// 4-lane registers hold (eight accumulators, two vectors of `A`, one
+/// broadcast). Edge quarters, the transpose and the column window are
+/// [`Portable`]'s, compiled with FMA enabled by the instantiating wrapper.
+#[cfg(target_arch = "x86_64")]
+pub(crate) struct Avx2;
+
+#[cfg(target_arch = "x86_64")]
+impl TileEngine for Avx2 {
+    #[inline(always)]
+    unsafe fn tile(
+        rows: usize,
+        cols: usize,
+        depth: usize,
+        alpha: f64,
+        a: *const f64,
+        lda: usize,
+        b: *const f64,
+        ldb: usize,
+        src: *const f64,
+        lds: usize,
+        dst: *mut f64,
+        ldd: usize,
+    ) {
+        use std::arch::x86_64::*;
+        const QM: usize = 8;
+        const QN: usize = 4;
+        debug_assert!(rows <= TILE_M && cols <= TILE_N);
+        for j0 in (0..cols).step_by(QN) {
+            for i0 in (0..rows).step_by(QM) {
+                let (qm, qn) = (QM.min(rows - i0), QN.min(cols - j0));
+                // SAFETY: the caller vouches for every address of the tile
+                // and for AVX2+FMA; this quarter is its rows i0 .. i0 + qm,
+                // columns j0 .. j0 + qn.
+                unsafe {
+                    let (a, b) = (a.add(i0), b.add(j0 * ldb));
+                    let s = if src.is_null() {
+                        src
+                    } else {
+                        src.add(i0 + j0 * lds)
+                    };
+                    let d = dst.add(i0 + j0 * ldd);
+                    if qm < QM || qn < QN {
+                        Portable::tile(qm, qn, depth, alpha, a, lda, b, ldb, s, lds, d, ldd);
+                        continue;
+                    }
+                    let mut lo = [_mm256_setzero_pd(); QN];
+                    let mut hi = [_mm256_setzero_pd(); QN];
+                    for p in 0..depth {
+                        let col = a.add(p * lda);
+                        let (a0, a1) = (_mm256_loadu_pd(col), _mm256_loadu_pd(col.add(4)));
+                        for j in 0..QN {
+                            let bj = _mm256_set1_pd(*b.add(p + j * ldb));
+                            lo[j] = _mm256_fmadd_pd(a0, bj, lo[j]);
+                            hi[j] = _mm256_fmadd_pd(a1, bj, hi[j]);
+                        }
+                    }
+                    let alpha_v = _mm256_set1_pd(alpha);
+                    for j in 0..QN {
+                        let (s0, s1) = if s.is_null() {
+                            (_mm256_setzero_pd(), _mm256_setzero_pd())
+                        } else {
+                            let sj = s.add(j * lds);
+                            (_mm256_loadu_pd(sj), _mm256_loadu_pd(sj.add(4)))
+                        };
+                        let dj = d.add(j * ldd);
+                        _mm256_storeu_pd(dj, _mm256_fmadd_pd(lo[j], alpha_v, s0));
+                        _mm256_storeu_pd(dj.add(4), _mm256_fmadd_pd(hi[j], alpha_v, s1));
+                    }
+                }
+            }
+        }
+    }
+
+    #[inline(always)]
+    unsafe fn transpose(
+        rows: usize,
+        cols: usize,
+        v: *const f64,
+        ldv: usize,
+        out: *mut f64,
+        ldo: usize,
+    ) {
+        // SAFETY: the caller's.
+        unsafe { Portable::transpose(rows, cols, v, ldv, out, ldo) }
+    }
+
+    #[inline(always)]
+    unsafe fn column_window(src: *const f64, lo: usize, hi: usize, n: usize, dst: *mut f64) {
+        // SAFETY: the caller's.
+        unsafe { Portable::column_window(src, lo, hi, n, dst) }
+    }
+}
+
+/// The explicit AVX-512 body of the tile: sixteen accumulator registers
+/// (two zmm row vectors × eight columns), one broadcast per `B` element;
+/// row and column fringes use masked loads and stores, so every shape stays
+/// on the vector path and masked lanes are never touched.
+#[cfg(target_arch = "x86_64")]
+pub(crate) struct Avx512;
+
+/// The low `n` lanes of an 8-lane mask (`n ≥ 8` gives all eight).
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+fn lanes(n: usize) -> u8 {
+    if n >= 8 {
+        0xff
+    } else {
+        (1u8 << n) - 1
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+impl TileEngine for Avx512 {
+    #[inline(always)]
+    unsafe fn tile(
+        rows: usize,
+        cols: usize,
+        depth: usize,
+        alpha: f64,
+        a: *const f64,
+        lda: usize,
+        b: *const f64,
+        ldb: usize,
+        src: *const f64,
+        lds: usize,
+        dst: *mut f64,
+        ldd: usize,
+    ) {
+        use std::arch::x86_64::*;
+        debug_assert!(rows <= TILE_M && cols <= TILE_N);
+        // SAFETY: the caller vouches for the addresses and for AVX-512F;
+        // lanes past `rows` are masked out of every load and store.
+        unsafe {
+            let alpha_v = _mm512_set1_pd(alpha);
+            let mut lo = [_mm512_setzero_pd(); TILE_N];
+            let mut hi = [_mm512_setzero_pd(); TILE_N];
+            if rows == TILE_M && cols == TILE_N {
+                // Hot tile: constant-trip loops, all accumulators in
+                // registers.
+                for p in 0..depth {
+                    let col = a.add(p * lda);
+                    let a0 = _mm512_loadu_pd(col);
+                    let a1 = _mm512_loadu_pd(col.add(8));
+                    let brow = b.add(p);
+                    for j in 0..TILE_N {
+                        let bj = _mm512_set1_pd(*brow.add(j * ldb));
+                        lo[j] = _mm512_fmadd_pd(a0, bj, lo[j]);
+                        hi[j] = _mm512_fmadd_pd(a1, bj, hi[j]);
+                    }
+                }
+                for j in 0..TILE_N {
+                    let (s0, s1) = if src.is_null() {
+                        (_mm512_setzero_pd(), _mm512_setzero_pd())
+                    } else {
+                        let sj = src.add(j * lds);
+                        (_mm512_loadu_pd(sj), _mm512_loadu_pd(sj.add(8)))
+                    };
+                    let dj = dst.add(j * ldd);
+                    _mm512_storeu_pd(dj, _mm512_fmadd_pd(lo[j], alpha_v, s0));
+                    _mm512_storeu_pd(dj.add(8), _mm512_fmadd_pd(hi[j], alpha_v, s1));
+                }
+            } else {
+                // Fringe tile: masked rows and/or a short column strip.
+                let mlo: __mmask8 = lanes(rows);
+                let mhi: __mmask8 = lanes(rows.saturating_sub(8));
+                for p in 0..depth {
+                    let col = a.add(p * lda);
+                    let a0 = _mm512_maskz_loadu_pd(mlo, col);
+                    let a1 = if mhi != 0 {
+                        _mm512_maskz_loadu_pd(mhi, col.add(8))
+                    } else {
+                        _mm512_setzero_pd()
+                    };
+                    let brow = b.add(p);
+                    for (j, (l, h)) in lo.iter_mut().zip(hi.iter_mut()).enumerate().take(cols) {
+                        let bj = _mm512_set1_pd(*brow.add(j * ldb));
+                        *l = _mm512_fmadd_pd(a0, bj, *l);
+                        *h = _mm512_fmadd_pd(a1, bj, *h);
+                    }
+                }
+                for j in 0..cols {
+                    let zero = _mm512_setzero_pd();
+                    let (sj, dj) = (src.wrapping_add(j * lds), dst.add(j * ldd));
+                    let s0 = if src.is_null() {
+                        zero
+                    } else {
+                        _mm512_maskz_loadu_pd(mlo, sj)
+                    };
+                    _mm512_mask_storeu_pd(dj, mlo, _mm512_fmadd_pd(lo[j], alpha_v, s0));
+                    if mhi != 0 {
+                        let s1 = if src.is_null() {
+                            zero
+                        } else {
+                            _mm512_maskz_loadu_pd(mhi, sj.add(8))
+                        };
+                        _mm512_mask_storeu_pd(dj.add(8), mhi, _mm512_fmadd_pd(hi[j], alpha_v, s1));
+                    }
+                }
+            }
+        }
+    }
+
+    /// Full 8 × 8 blocks take no shuffle-network: 128-bit lane inserts
+    /// straight from memory (load ports, not the shuffle port) gather rows
+    /// `2s, 2s + 1` of the even columns into one vector and of the odd
+    /// columns into another, and one unpack pair interleaves them into two
+    /// finished rows. Edge blocks are [`Portable`]'s.
+    #[inline(always)]
+    unsafe fn transpose(
+        rows: usize,
+        cols: usize,
+        v: *const f64,
+        ldv: usize,
+        out: *mut f64,
+        ldo: usize,
+    ) {
+        use std::arch::x86_64::*;
+        // SAFETY: the caller vouches for the addresses and for AVX-512F; a
+        // full block reads v[r0 .. r0 + 8] of eight columns and writes
+        // out[c0 .. c0 + 8] of eight rows, an edge block only its entries.
+        unsafe {
+            // Lanes q = 0..4 ← the two doubles at `p + q · step`.
+            let gather = |p: *const f64, step: usize| {
+                let lane = |q: usize| _mm_castpd_ps(_mm_loadu_pd(p.add(q * step)));
+                let x = _mm512_castps128_ps512(lane(0));
+                let x = _mm512_insertf32x4::<1>(x, lane(1));
+                let x = _mm512_insertf32x4::<2>(x, lane(2));
+                _mm512_castps_pd(_mm512_insertf32x4::<3>(x, lane(3)))
+            };
+            for c0 in (0..cols).step_by(8) {
+                let cc = 8.min(cols - c0);
+                for r0 in (0..rows).step_by(8) {
+                    let rr = 8.min(rows - r0);
+                    let (src, dst) = (v.add(r0 + c0 * ldv), out.add(c0 + r0 * ldo));
+                    if rr == 8 && cc == 8 {
+                        for s in 0..4 {
+                            let even = gather(src.add(2 * s), 2 * ldv);
+                            let odd = gather(src.add(2 * s + ldv), 2 * ldv);
+                            let row = dst.add(2 * s * ldo);
+                            _mm512_storeu_pd(row, _mm512_unpacklo_pd(even, odd));
+                            _mm512_storeu_pd(row.add(ldo), _mm512_unpackhi_pd(even, odd));
+                        }
+                    } else {
+                        Portable::transpose(rr, cc, src, ldv, dst, ldo);
+                    }
+                }
+            }
+        }
+    }
+
+    #[inline(always)]
+    unsafe fn column_window(src: *const f64, lo: usize, hi: usize, n: usize, dst: *mut f64) {
+        use std::arch::x86_64::*;
+        // SAFETY: the caller vouches for `src[lo..hi]` and `dst[0..n]`;
+        // lanes outside the window are masked out of the load (a masked
+        // lane touches no memory) and lanes past `n` out of the store.
+        unsafe {
+            for i0 in (0..n).step_by(8) {
+                // Lanes i0 + b with lo ≤ i0 + b < hi.
+                let window = lanes(hi.saturating_sub(i0)) & !lanes(lo.saturating_sub(i0));
+                let x = _mm512_maskz_loadu_pd(window, src.wrapping_add(i0));
+                _mm512_mask_storeu_pd(dst.add(i0), lanes(n - i0), x);
+            }
+        }
+    }
+}
+
 /// Direct (unpacked) AVX-512 driver for small untransposed products:
 /// `C += alpha * A * B` with both operands read in place from column-major
-/// storage. Register tile is `16 × 8` (two zmm row vectors × eight columns,
-/// sixteen accumulator registers); row fringes use masked loads/stores, so
-/// every shape stays on the vector path. Each `C(i, j)` accumulates its
-/// `k` products in ascending order through one FMA chain — the same
-/// per-element order as the packed microkernel, and deterministic for a
-/// fixed build.
+/// storage, one [`TileEngine::tile`] per `16 × 8` block of `C`. Each
+/// `C(i, j)` accumulates its `k` products in ascending order through one FMA
+/// chain — the same per-element order as the packed microkernel, and
+/// deterministic for a fixed build.
 ///
 /// # Safety
-/// Caller must ensure the CPU supports AVX-512F.
+/// Caller must ensure the CPU supports AVX-512F and that the slices cover
+/// the declared shapes.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
 #[allow(clippy::too_many_arguments)]
@@ -534,94 +971,26 @@ unsafe fn gemm_direct_avx512(
     c: &mut [f64],
     ldc: usize,
 ) {
-    use std::arch::x86_64::*;
-    const BM: usize = 16;
-    const BN: usize = 8;
-    // Safety: all pointer arithmetic stays inside the operand slices —
-    // column p of A spans a[p*lda .. p*lda+m], of B b[p + j*ldb], of C
-    // c[j*ldc .. j*ldc+m]; masked lanes are never touched.
-    unsafe {
-        let alpha_v = _mm512_set1_pd(alpha);
-        let ap = a.as_ptr();
-        let bp = b.as_ptr();
-        let cp = c.as_mut_ptr();
-        let mut i0 = 0;
-        while i0 < m {
-            let rows = BM.min(m - i0);
-            let full = rows == BM;
-            let mlo: __mmask8 = if rows >= 8 {
-                0xff
-            } else {
-                ((1u16 << rows) - 1) as __mmask8
-            };
-            let mhi: __mmask8 = if rows > 8 {
-                ((1u16 << (rows - 8)) - 1) as __mmask8
-            } else {
-                0
-            };
-            let mut j0 = 0;
-            while j0 < n {
-                let cols = BN.min(n - j0);
-                if full && cols == BN {
-                    // Hot tile: constant-trip loops, all accumulators in
-                    // registers.
-                    let mut lo = [_mm512_setzero_pd(); BN];
-                    let mut hi = [_mm512_setzero_pd(); BN];
-                    for p in 0..k {
-                        let col = ap.add(p * lda + i0);
-                        let a0 = _mm512_loadu_pd(col);
-                        let a1 = _mm512_loadu_pd(col.add(8));
-                        let brow = bp.add(p + j0 * ldb);
-                        for j in 0..BN {
-                            let bj = _mm512_set1_pd(*brow.add(j * ldb));
-                            lo[j] = _mm512_fmadd_pd(a0, bj, lo[j]);
-                            hi[j] = _mm512_fmadd_pd(a1, bj, hi[j]);
-                        }
-                    }
-                    for j in 0..BN {
-                        let cc = cp.add(i0 + (j0 + j) * ldc);
-                        let c0 = _mm512_loadu_pd(cc);
-                        _mm512_storeu_pd(cc, _mm512_fmadd_pd(lo[j], alpha_v, c0));
-                        let c1 = _mm512_loadu_pd(cc.add(8));
-                        _mm512_storeu_pd(cc.add(8), _mm512_fmadd_pd(hi[j], alpha_v, c1));
-                    }
-                } else {
-                    // Fringe tile: masked rows and/or a short column strip.
-                    let mut lo = [_mm512_setzero_pd(); BN];
-                    let mut hi = [_mm512_setzero_pd(); BN];
-                    for p in 0..k {
-                        let col = ap.add(p * lda + i0);
-                        let a0 = _mm512_maskz_loadu_pd(mlo, col);
-                        let a1 = if mhi != 0 {
-                            _mm512_maskz_loadu_pd(mhi, col.add(8))
-                        } else {
-                            _mm512_setzero_pd()
-                        };
-                        let brow = bp.add(p + j0 * ldb);
-                        for (j, (l, h)) in lo.iter_mut().zip(hi.iter_mut()).enumerate().take(cols) {
-                            let bj = _mm512_set1_pd(*brow.add(j * ldb));
-                            *l = _mm512_fmadd_pd(a0, bj, *l);
-                            *h = _mm512_fmadd_pd(a1, bj, *h);
-                        }
-                    }
-                    for j in 0..cols {
-                        let cc = cp.add(i0 + (j0 + j) * ldc);
-                        let c0 = _mm512_maskz_loadu_pd(mlo, cc);
-                        _mm512_mask_storeu_pd(cc, mlo, _mm512_fmadd_pd(lo[j], alpha_v, c0));
-                        if mhi != 0 {
-                            let c1 = _mm512_maskz_loadu_pd(mhi, cc.add(8));
-                            _mm512_mask_storeu_pd(
-                                cc.add(8),
-                                mhi,
-                                _mm512_fmadd_pd(hi[j], alpha_v, c1),
-                            );
-                        }
-                    }
-                }
-                j0 += cols;
+    let (ap, bp, cp) = (a.as_ptr(), b.as_ptr(), c.as_mut_ptr());
+    let mut i0 = 0;
+    while i0 < m {
+        let rows = TILE_M.min(m - i0);
+        let mut j0 = 0;
+        while j0 < n {
+            let cols = TILE_N.min(n - j0);
+            // SAFETY: all pointer arithmetic stays inside the operand
+            // slices — column p of this tile's A spans a[p*lda+i0 ..][..rows],
+            // its B entries are b[p + (j0+j)*ldb], its C columns
+            // c[i0 + (j0+j)*ldc ..][..rows]; `c` is a `&mut` borrow, so it
+            // overlaps neither input.
+            unsafe {
+                let ct = cp.add(i0 + j0 * ldc);
+                let (at, bt) = (ap.add(i0), bp.add(j0 * ldb));
+                Avx512::tile(rows, cols, k, alpha, at, lda, bt, ldb, ct, ldc, ct, ldc);
             }
-            i0 += rows;
+            j0 += cols;
         }
+        i0 += rows;
     }
 }
 
@@ -706,6 +1075,152 @@ mod tests {
                     assert!(
                         err < 1e-10,
                         "m={m} n={n} k={k} ta={trans_a} tb={trans_b}: err {err}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// The three bodies of the register tile — and of the transpose and the
+    /// column window beside it — agree bit for bit on full and masked
+    /// shapes, so the AVX2 and the portable body are tested on an AVX-512
+    /// host although they never run there.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn tile_bodies_agree_bitwise() {
+        if !(avx512f_available() && avx2_fma_available()) {
+            eprintln!("skipped: this host lacks AVX-512F or AVX2+FMA");
+            return;
+        }
+        #[target_feature(enable = "avx512f,avx2,fma")]
+        unsafe fn run(body: usize, what: usize, args: &Args, out: &mut [f64]) {
+            // SAFETY: the caller sized every buffer for `args`.
+            unsafe {
+                match body {
+                    0 => drive::<Portable>(what, args, out),
+                    1 => drive::<Avx2>(what, args, out),
+                    _ => drive::<Avx512>(what, args, out),
+                }
+            }
+        }
+        struct Args<'a> {
+            rows: usize,
+            cols: usize,
+            depth: usize,
+            alpha: f64,
+            a: &'a [f64],
+            b: &'a [f64],
+            src: Option<&'a [f64]>,
+            ld: usize,
+        }
+        #[inline(always)]
+        unsafe fn drive<E: TileEngine>(what: usize, x: &Args, out: &mut [f64]) {
+            // SAFETY: as `run`.
+            unsafe {
+                match what {
+                    0 => {
+                        let src = x.src.map_or(std::ptr::null(), |s| s.as_ptr());
+                        let (a, b, d) = (x.a.as_ptr(), x.b.as_ptr(), out.as_mut_ptr());
+                        let (m, n, k) = (x.rows, x.cols, x.depth);
+                        E::tile(m, n, k, x.alpha, a, x.ld, b, x.ld, src, x.ld, d, x.ld)
+                    }
+                    1 => E::transpose(x.rows, x.cols, x.a.as_ptr(), x.ld, out.as_mut_ptr(), x.ld),
+                    _ => E::column_window(x.a.as_ptr(), x.depth, x.cols, x.rows, out.as_mut_ptr()),
+                }
+            }
+        }
+        let ld = 19; // ≥ every dimension used below
+        let same = |what: usize, args: &Args, init: &[f64]| {
+            let mut outs = [init.to_vec(), init.to_vec(), init.to_vec()];
+            for (body, out) in outs.iter_mut().enumerate() {
+                // SAFETY: the ISAs were probed; every operand holds ld × ld
+                // entries and no dimension exceeds ld.
+                unsafe { run(body, what, args, out) };
+            }
+            let [p, rest @ ..] = outs;
+            for (body, v) in rest.iter().enumerate() {
+                assert!(
+                    p.iter().zip(v).all(|(x, y)| x.to_bits() == y.to_bits()),
+                    "primitive {what}, SIMD body {body}: rows={} cols={} depth={} src={}",
+                    args.rows,
+                    args.cols,
+                    args.depth,
+                    args.src.is_some()
+                );
+            }
+            p
+        };
+        let (a, b, c) = (
+            filled(ld * ld, 21),
+            filled(ld * ld, 22),
+            filled(ld * ld, 23),
+        );
+        for rows in [1, 7, 8, 9, 15, 16] {
+            for cols in [1, 5, 8] {
+                for depth in [0, 1, 16, 19] {
+                    for src in [None, Some(&c[..])] {
+                        let args = Args {
+                            rows,
+                            cols,
+                            depth,
+                            alpha: -1.0,
+                            a: &a,
+                            b: &b,
+                            src,
+                            ld,
+                        };
+                        let out = same(0, &args, &c);
+                        // Entries outside the tile are left alone.
+                        for (i, (o, c0)) in out.iter().zip(&c).enumerate() {
+                            let inside = i % ld < rows && i / ld < cols;
+                            assert!(
+                                inside || o.to_bits() == c0.to_bits(),
+                                "tile wrote entry {i}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+        for rows in [1, 8, 9, 16, 19] {
+            for cols in [1, 3, 8, 16, 19] {
+                let args = Args {
+                    rows,
+                    cols,
+                    depth: 0,
+                    alpha: 0.0,
+                    a: &a,
+                    b: &b,
+                    src: None,
+                    ld,
+                };
+                let out = same(1, &args, &c);
+                for r in 0..rows {
+                    for col in 0..cols {
+                        assert_eq!(out[col + r * ld], a[r + col * ld]);
+                    }
+                }
+            }
+        }
+        for n in [1, 8, 9, 16, 19] {
+            for (lo, hi) in [(0, 0), (0, n), (n / 2, n), (1.min(n), n / 2 + 1), (n, n)] {
+                let args = Args {
+                    rows: n,
+                    cols: hi,
+                    depth: lo,
+                    alpha: 0.0,
+                    a: &a,
+                    b: &b,
+                    src: None,
+                    ld,
+                };
+                let out = same(2, &args, &c);
+                for (i, o) in out.iter().enumerate().take(n) {
+                    let want = if lo <= i && i < hi { a[i] } else { 0.0 };
+                    assert_eq!(
+                        o.to_bits(),
+                        want.to_bits(),
+                        "window [{lo}, {hi}) of {n}, entry {i}"
                     );
                 }
             }

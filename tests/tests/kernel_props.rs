@@ -20,7 +20,9 @@
 //! pentagon parameter class (l = 0, 0 < l < min(m, n), l = min(m, n)), both
 //! `Q` and `Qᵀ`, and inner block sizes that do not divide n. Entries a
 //! kernel must never read (R above V1, whatever lies below a pentagon's
-//! trapezoid) are poisoned with NaN.
+//! trapezoid) are poisoned with NaN. One further case per apply kernel
+//! draws tile-sized shapes (up to 100), so the applier's 8-column strips,
+//! 16-row blocks and their masked fringes are crossed under the same bound.
 
 use luqr_kernels::blas::{gemm, gemm_reference, trsm, Diag, Side, Trans, UpLo};
 use luqr_kernels::qr::{form_q, geqrt, tpmqrt, tpqrt, unmqr};
@@ -195,6 +197,69 @@ proptest! {
         gemm(Trans::Trans, Trans::NoTrans, 1.0, &qa, &qa, 0.0, &mut qtq);
         gemm(Trans::Trans, Trans::NoTrans, 1.0, &qb, &qb, 1.0, &mut qtq);
         assert_cols_close("QᵀQ", &qtq, &Mat::eye(s), |_| 2.0 * qr_apply_bound(m + 1, n) + EPS);
+    }
+
+    /// UNMQR at tile-sized shapes: `m`, `w` up to 100 cross the applier's
+    /// 16-row block and 8-column strip boundaries many times over, with
+    /// `ib` both under and over one register tile of reflectors.
+    #[test]
+    fn unmqr_matches_reference_across_strips_and_row_blocks(
+        m in 17usize..101,
+        nv in 9usize..101,
+        w in 9usize..101,
+        ib in prop_oneof![Just(5usize), Just(16), Just(24)],
+        transposed in any::<bool>(),
+        seed in any::<u64>(),
+    ) {
+        let tr = trans_of(transposed);
+        let mut v = Mat::random(m, nv, seed);
+        let tf = geqrt(&mut v, ib);
+        for j in 0..nv {
+            for i in 0..=j.min(m - 1) {
+                v[(i, j)] = f64::NAN;
+            }
+        }
+        let c0 = Mat::random(m, w, seed ^ 0xc);
+        let zero = Mat::zeros(0, w);
+        let tol = |j: usize| 2.0 * qr_apply_bound(m, m.min(nv)) * stacked_col_norm(&c0, &zero, j) + EPS;
+        let mut c = c0.clone();
+        unmqr(tr, &v, &tf, &mut c);
+        let mut c_ref = c0.clone();
+        unmqr_ref(tr, &v, &tf, &mut c_ref);
+        assert_cols_close("unmqr vs reference", &c, &c_ref, tol);
+    }
+
+    /// TSMQR / TTMQR / partial pentagons at tile-sized shapes (see above).
+    #[test]
+    fn tpmqrt_matches_reference_across_strips_and_row_blocks(
+        m in 17usize..101,
+        n in 9usize..101,
+        w in 9usize..101,
+        l_class in 0usize..3,
+        ib in prop_oneof![Just(5usize), Just(16), Just(24)],
+        transposed in any::<bool>(),
+        seed in any::<u64>(),
+    ) {
+        let tr = trans_of(transposed);
+        let l = [0, m.min(n) / 2, m.min(n)][l_class];
+        let mut r = Mat::random(n, n, seed).upper_triangular();
+        for i in 0..n {
+            r[(i, i)] += 2.0;
+        }
+        let rand_b = Mat::random(m, n, seed ^ 0xb);
+        let mut v = Mat::from_fn(m, n, |i, j| {
+            if i < rows_of_reflector(m, l, j) { rand_b[(i, j)] } else { f64::NAN }
+        });
+        let tf = tpqrt(l, &mut r, &mut v, ib);
+        let a0 = Mat::random(n, w, seed ^ 0xa);
+        let c0 = Mat::random(m, w, seed ^ 0xc);
+        let tol = |j: usize| 2.0 * qr_apply_bound(m + 1, n) * stacked_col_norm(&a0, &c0, j) + EPS;
+        let (mut a, mut c) = (a0.clone(), c0.clone());
+        tpmqrt(tr, l, &v, &tf, &mut a, &mut c);
+        let (mut a_ref, mut c_ref) = (a0.clone(), c0.clone());
+        tpmqrt_ref(tr, l, &v, &tf, &mut a_ref, &mut c_ref);
+        assert_cols_close("tpmqrt vs reference, top", &a, &a_ref, tol);
+        assert_cols_close("tpmqrt vs reference, bottom", &c, &c_ref, tol);
     }
 
     /// Blocked GEMM matches the naive loops within the documented bound, for
