@@ -1,8 +1,11 @@
-//! Hot-loop rates of the tile kernels, as fractions of the core's own FMA
-//! peak — the number a kernel change is sized and checked on before the
-//! benchmark's end-to-end run (`kernels.*_gflops` there is timed cold, on a
-//! pool of fresh tiles; here the operands stay in cache, so what moves is
-//! the kernel's own instruction stream).
+//! Hot-loop and streamed rates of the tile kernels, as fractions of the
+//! core's own FMA peak — the numbers a kernel change is sized and checked on
+//! before the benchmark's end-to-end run. Hot, the operands stay in cache, so
+//! what moves is the kernel's own instruction stream; streamed, every call
+//! meets a tile it has not seen for megabytes, the way a kernel meets the
+//! trailing matrix inside a run, so the gap between the two columns is what
+//! the memory system costs the kernel — read off one table instead of off a
+//! trace.
 //!
 //! Prints, pinned to one CPU:
 //!
@@ -14,6 +17,16 @@
 //!   ib = 16. The factor kernels destroy their input, so each call is
 //!   preceded by a restore from a template whose separately timed cost is
 //!   subtracted;
+//! * beside it, µs per call of the same kernel swept once over a pool of
+//!   distinct tiles of 8 MB and of 64 MB (larger than L2, and than what L3
+//!   keeps for one tenant of a shared host) in the executor's order: the
+//!   panel-side operand (`A` of the GEMM, the reflectors) fixed, the
+//!   row-side operand (`B`, the top tile of a TSMQR) cycling over one tile
+//!   row, the updated tile streaming. The pool is rewritten from a template
+//!   before every sweep, untimed, which is also what pushes its first tiles
+//!   out of the near caches;
+//! * `getrf` on the stacked diagonal domain of a tall panel (1 440 and
+//!   2 880 rows of 96 columns), hot;
 //! * for the three apply kernels at nb = 16, the per-call intercept and the
 //!   per-8-column-strip slope of a least-squares line through
 //!   w ∈ {8, 16, 32, 64} — the fixed cost of a call and the cost of one
@@ -37,12 +50,25 @@ use luqr_kernels::Mat;
 
 const IB: usize = 16;
 
-/// How long one timed batch runs and how many batches the minimum is over.
+/// How long one timed batch runs, how many batches the minimum is over, how
+/// many sweeps of a tile pool the streamed minimum is over and how many
+/// tiles of the pool one sweep times (the whole pool is rewritten before
+/// each, so even a short sweep meets tiles last touched a pool ago).
 #[derive(Clone, Copy)]
 struct Budget {
     batch_s: f64,
     batches: usize,
+    sweeps: usize,
+    sweep_tiles: usize,
 }
+
+/// Sizes of the tile pools the streamed columns sweep, in bytes.
+const POOLS: [usize; 2] = [8 << 20, 64 << 20];
+
+/// Tiles in one tile row of the trailing matrix: how many distinct row-side
+/// operands a streamed sweep cycles through (the benchmark's `lu-dominant`
+/// has 30).
+const ROW_TILES: usize = 30;
 
 /// Pin the calling thread to the first CPU it is allowed on; `None` when
 /// the platform has no such call or it fails (the run goes on, noisier).
@@ -197,21 +223,54 @@ fn reflectors(nb: usize) -> Reflectors {
     }
 }
 
-/// `(name, seconds, flops)` of the nine kernels on `nb × nb` tiles.
-fn tile_rates(nb: usize, budget: Budget) -> Vec<(&'static str, f64, f64)> {
+/// The operands the hot and the streamed table time their kernels on: three
+/// random `nb × nb` tiles, a well-conditioned upper triangle, an upper
+/// triangular bottom tile for the TT factor kernel, and the reflectors.
+struct Tiles {
+    nb: usize,
+    a: Mat,
+    b: Mat,
+    c: Mat,
+    u: Mat,
+    tt_bottom: Mat,
+    refl: Reflectors,
+}
+
+fn tiles(nb: usize) -> Tiles {
     let tile = |s: u64| Mat::random(nb, nb, s);
     let (a, b, c) = (tile(1), tile(2), tile(3));
     let mut u = tile(4).upper_triangular();
     for i in 0..nb {
         u[(i, i)] += nb as f64;
     }
-    let refl = reflectors(nb);
+    Tiles {
+        nb,
+        tt_bottom: b.upper_triangular(),
+        refl: reflectors(nb),
+        a,
+        b,
+        c,
+        u,
+    }
+}
+
+/// `(name, seconds, flops)` of the nine kernels on `nb × nb` tiles.
+fn tile_rates(tiles: &Tiles, budget: Budget) -> Vec<(&'static str, f64, f64)> {
+    let Tiles {
+        nb,
+        a,
+        b,
+        c,
+        u,
+        tt_bottom,
+        refl,
+    } = tiles;
+    let nb = *nb;
     let pair = (a.clone(), c.clone());
     let restore_pair = |dst: &mut (Mat, Mat), src: &(Mat, Mat)| {
         copy_mat(&mut dst.0, &src.0);
         copy_mat(&mut dst.1, &src.1);
     };
-    let tt_bottom = b.upper_triangular();
 
     let mut rows = Vec::new();
     let mut put = |name, (secs, flops)| rows.push((name, secs, flops));
@@ -222,32 +281,32 @@ fn tile_rates(nb: usize, budget: Budget) -> Vec<(&'static str, f64, f64)> {
         "gemm",
         hot(budget, &mut c.clone(), |c| {
             sign.set(-sign.get());
-            gemm(Trans::NoTrans, Trans::NoTrans, sign.get(), &a, &b, 1.0, c)
+            gemm(Trans::NoTrans, Trans::NoTrans, sign.get(), a, b, 1.0, c)
         }),
     );
     put(
         "trsm",
-        hot_restored(budget, &b, copy_mat, |b| {
+        hot_restored(budget, b, copy_mat, |b| {
             trsm(
                 Side::Right,
                 UpLo::Upper,
                 Trans::NoTrans,
                 Diag::NonUnit,
                 1.0,
-                &u,
+                u,
                 b,
             )
         }),
     );
     put(
         "getrf",
-        hot_restored(budget, &a, copy_mat, |a| {
+        hot_restored(budget, a, copy_mat, |a| {
             getrf(a).expect("a random tile is not singular");
         }),
     );
     put(
         "geqrt",
-        hot_restored(budget, &a, copy_mat, |a| {
+        hot_restored(budget, a, copy_mat, |a| {
             geqrt(a, IB);
         }),
     );
@@ -272,7 +331,7 @@ fn tile_rates(nb: usize, budget: Budget) -> Vec<(&'static str, f64, f64)> {
         "tpqrt TT",
         hot_restored(
             budget,
-            &(refl.r.clone(), tt_bottom),
+            &(refl.r.clone(), tt_bottom.clone()),
             restore_pair,
             |(r, b)| {
                 tpqrt(nb, r, b, IB);
@@ -292,6 +351,99 @@ fn tile_rates(nb: usize, budget: Budget) -> Vec<(&'static str, f64, f64)> {
         }),
     );
     rows
+}
+
+/// Seconds per call of the nine kernels of [`tile_rates`], same order, each
+/// swept over a pool of distinct `nb × nb` tiles of `POOLS[p]` bytes.
+fn streamed_rates(tiles: &Tiles, budget: Budget) -> Vec<(&'static str, [f64; 2])> {
+    let Tiles {
+        nb,
+        a,
+        b,
+        c,
+        u,
+        tt_bottom,
+        refl,
+    } = tiles;
+    let nb = *nb;
+    // (name, template of the streamed tile, template of the cycling tile,
+    // the call on one of each).
+    type Call<'a> = &'a dyn Fn(&mut Mat, &mut Mat);
+    let kernels: [(&'static str, &Mat, &Mat, Call); 9] = [
+        ("gemm", c, b, &|c, b| {
+            gemm(Trans::NoTrans, Trans::NoTrans, -1.0, a, b, 1.0, c)
+        }),
+        ("trsm", b, b, &|x, _| {
+            trsm(
+                Side::Right,
+                UpLo::Upper,
+                Trans::NoTrans,
+                Diag::NonUnit,
+                1.0,
+                u,
+                x,
+            )
+        }),
+        ("getrf", a, b, &|x, _| {
+            getrf(x).expect("a random tile is not singular");
+        }),
+        ("geqrt", a, b, &|x, _| {
+            geqrt(x, IB);
+        }),
+        ("unmqr", c, b, &|x, _| {
+            unmqr(Trans::Trans, &refl.geqrt.0, &refl.geqrt.1, x)
+        }),
+        ("tpqrt TS", b, &refl.r, &|x, r| {
+            tpqrt(0, r, x, IB);
+        }),
+        ("tpqrt TT", tt_bottom, &refl.r, &|x, r| {
+            tpqrt(nb, r, x, IB);
+        }),
+        ("tpmqrt TS", c, a, &|x, top| {
+            tpmqrt(Trans::Trans, 0, &refl.ts.0, &refl.ts.1, top, x)
+        }),
+        ("tpmqrt TT", c, a, &|x, top| {
+            tpmqrt(Trans::Trans, nb, &refl.tt.0, &refl.tt.1, top, x)
+        }),
+    ];
+    let tiles_in = |bytes: usize| (bytes / (8 * nb * nb)).max(1);
+    let mut pool = vec![c.clone(); tiles_in(POOLS[1])];
+    let mut row = vec![b.clone(); ROW_TILES];
+    kernels
+        .iter()
+        .map(|&(name, streamed, cycling, call)| {
+            let per_call = POOLS.map(|bytes| {
+                let pool = &mut pool[..tiles_in(bytes)];
+                (0..budget.sweeps)
+                    .map(|_| {
+                        row.iter_mut().for_each(|t| copy_mat(t, cycling));
+                        pool.iter_mut().for_each(|t| copy_mat(t, streamed));
+                        let timed = pool.len().min(budget.sweep_tiles);
+                        let t0 = Instant::now();
+                        for (i, t) in pool[..timed].iter_mut().enumerate() {
+                            call(black_box(t), &mut row[i % ROW_TILES]);
+                        }
+                        t0.elapsed().as_secs_f64() / timed as f64
+                    })
+                    .fold(f64::INFINITY, f64::min)
+            });
+            (name, per_call)
+        })
+        .collect()
+}
+
+/// `(rows, seconds, flops)` of `getrf` on the stacked diagonal domain of a
+/// tall panel, 96 columns: the `PANEL` task of a grid with one process row.
+fn panel_rates(budget: Budget) -> Vec<(usize, f64, f64)> {
+    [1440usize, 2880]
+        .into_iter()
+        .map(|m| {
+            let (secs, flops) = hot_restored(budget, &Mat::random(m, 96, 8), copy_mat, |a| {
+                getrf(a).expect("a random panel is not singular");
+            });
+            (m, secs, flops)
+        })
+        .collect()
 }
 
 /// Least-squares `(intercept, slope)` of `y` over `x`.
@@ -350,11 +502,15 @@ fn main() {
         Budget {
             batch_s: 0.001,
             batches: 12,
+            sweeps: 1,
+            sweep_tiles: ROW_TILES,
         }
     } else {
         Budget {
             batch_s: 0.002,
             batches: 100,
+            sweeps: 5,
+            sweep_tiles: usize::MAX,
         }
     };
     match pin_to_first_cpu() {
@@ -365,20 +521,46 @@ fn main() {
     println!("FMA peak of this core: {peak:.1} GFlop/s ({width})\n");
 
     println!(
-        "{:<10} {:>4} {:>10} {:>9} {:>8}",
-        "kernel", "nb", "µs/call", "GFlop/s", "of peak"
+        "{:<10} {:>4} {:>10} {:>9} {:>8} {:>13} {:>13}",
+        "", "", "hot", "", "", "streamed over", "streamed over"
+    );
+    println!(
+        "{:<10} {:>4} {:>10} {:>9} {:>8} {:>13} {:>13}",
+        "kernel", "nb", "µs/call", "GFlop/s", "of peak", "8 MB, µs", "64 MB, µs"
     );
     for nb in [16usize, 96, 240] {
-        for (name, secs, flops) in tile_rates(nb, budget) {
+        let tiles = tiles(nb);
+        let streamed = streamed_rates(&tiles, budget);
+        for ((name, secs, flops), (also, pools)) in
+            tile_rates(&tiles, budget).into_iter().zip(streamed)
+        {
+            assert_eq!(name, also, "the two tables list the kernels in one order");
             let rate = flops / secs / 1e9;
             println!(
-                "{name:<10} {nb:>4} {:>10.3} {rate:>9.2} {:>7.0}%",
+                "{name:<10} {nb:>4} {:>10.3} {rate:>9.2} {:>7.0}% {:>13.3} {:>13.3}",
                 secs * 1e6,
-                100.0 * rate / peak
+                100.0 * rate / peak,
+                pools[0] * 1e6,
+                pools[1] * 1e6
             );
         }
         println!();
     }
+
+    println!("getrf on a stacked diagonal domain, 96 columns (hot)");
+    println!(
+        "{:<10} {:>10} {:>9} {:>8}",
+        "rows", "µs/call", "GFlop/s", "of peak"
+    );
+    for (m, secs, flops) in panel_rates(budget) {
+        let rate = flops / secs / 1e9;
+        println!(
+            "{m:<10} {:>10.1} {rate:>9.2} {:>7.0}%",
+            secs * 1e6,
+            100.0 * rate / peak
+        );
+    }
+    println!();
 
     println!("apply kernels at nb = 16, ib = {IB}: time = call + strips · strip (w = 8 · strips)");
     println!(

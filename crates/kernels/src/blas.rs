@@ -330,6 +330,17 @@ pub fn scal(alpha: f64, x: &mut [f64]) {
     }
 }
 
+/// The `beta·C` half of a BLAS update. `beta = 0` means the output is *not
+/// read*: it is overwritten with `+0.0`, so a NaN or Inf left in a reused
+/// buffer does not survive as `0·NaN`, nor a negative entry as `−0.0`.
+fn scale_output(beta: f64, c: &mut [f64]) {
+    if beta == 0.0 {
+        c.fill(0.0);
+    } else if beta != 1.0 {
+        scal(beta, c);
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Level 2
 // ---------------------------------------------------------------------------
@@ -341,9 +352,7 @@ pub fn gemv(trans: Trans, alpha: f64, a: &Mat, x: &[f64], beta: f64, y: &mut [f6
         Trans::NoTrans => {
             debug_assert_eq!(x.len(), n);
             debug_assert_eq!(y.len(), m);
-            if beta != 1.0 {
-                scal(beta, y);
-            }
+            scale_output(beta, y);
             for (j, &xj) in x.iter().enumerate() {
                 let axj = alpha * xj;
                 if axj != 0.0 {
@@ -354,8 +363,9 @@ pub fn gemv(trans: Trans, alpha: f64, a: &Mat, x: &[f64], beta: f64, y: &mut [f6
         Trans::Trans => {
             debug_assert_eq!(x.len(), m);
             debug_assert_eq!(y.len(), n);
+            scale_output(beta, y);
             for (j, yj) in y.iter_mut().enumerate() {
-                *yj = alpha * dot(a.col(j), x) + beta * *yj;
+                *yj += alpha * dot(a.col(j), x);
             }
         }
     }
@@ -382,17 +392,20 @@ pub fn ger(alpha: f64, x: &[f64], y: &[f64], a: &mut Mat) {
 
 /// `C = alpha * op(A) * op(B) + beta * C`.
 ///
-/// Dimensions: `op(A)` is m×k, `op(B)` is k×n, `C` is m×n. Backed by the
-/// packed register-tiled microkernel of [`crate::gemm_kernel`]; transposition
-/// is folded into the operand strides, so every combination takes the same
-/// packed path.
+/// Dimensions: `op(A)` is m×k, `op(B)` is k×n, `C` is m×n; `beta = 0`
+/// overwrites `C` without reading it. Backed by [`crate::gemm_kernel`], with
+/// transposition folded into the operand strides. Which engine runs depends
+/// on the shape, never on the values: with AVX-512, an untransposed `B` and
+/// `m·n·k ≤ 10⁶` (every tile product up to nb = 100) the product runs on the
+/// direct 16 × 8 register tile, `A` read in place or, transposed, gathered
+/// once; a transposed `B`, a larger product or a host without AVX-512 takes
+/// the packed 8 × 6 path (see the module docs there, "Which shapes run
+/// where").
 pub fn gemm(transa: Trans, transb: Trans, alpha: f64, a: &Mat, b: &Mat, beta: f64, c: &mut Mat) {
     let (m, n) = c.dims();
     let k = gemm_check_dims(transa, transb, a, b, c);
 
-    if beta != 1.0 {
-        scal(beta, c.as_mut_slice());
-    }
+    scale_output(beta, c.as_mut_slice());
     if alpha == 0.0 || m == 0 || n == 0 || k == 0 {
         add_flops(KernelClass::Gemm, 0);
         return;
@@ -468,9 +481,7 @@ pub fn gemm_reference(
     let (m, n) = c.dims();
     let k = gemm_check_dims(transa, transb, a, b, c);
 
-    if beta != 1.0 {
-        scal(beta, c.as_mut_slice());
-    }
+    scale_output(beta, c.as_mut_slice());
     if alpha == 0.0 || m == 0 || n == 0 || k == 0 {
         add_flops(KernelClass::Gemm, 0);
         return;
@@ -992,6 +1003,55 @@ mod tests {
             let mut c = c0.clone();
             gemm(ta, tb, 1.5, &a, &b, -0.5, &mut c);
             assert!(c.max_abs_diff(&expected) < 1e-12, "ta={ta:?} tb={tb:?}");
+        }
+    }
+
+    /// `beta = 0` means "C is not read": whatever a reused output buffer
+    /// held — NaN, Inf, a negative entry — the result is that of a fresh
+    /// zero matrix, bit for bit.
+    #[test]
+    fn beta_zero_overwrites_a_poisoned_output() {
+        let (m, n, k) = (13, 9, 17);
+        let (a, b) = (Mat::random(m, k, 1), Mat::random(k, n, 2));
+        let poison = [f64::NAN, f64::INFINITY, -1.0];
+        let poisoned = |rows, cols| Mat::from_fn(rows, cols, |i, j| poison[(i + j) % 3]);
+        type Gemm = fn(Trans, Trans, f64, &Mat, &Mat, f64, &mut Mat);
+        for (name, f) in [("gemm", gemm as Gemm), ("gemm_reference", gemm_reference)] {
+            // alpha = 0 too: the early return must not skip the overwrite.
+            for alpha in [1.5, 0.0] {
+                let mut fresh = Mat::zeros(m, n);
+                f(
+                    Trans::NoTrans,
+                    Trans::NoTrans,
+                    alpha,
+                    &a,
+                    &b,
+                    0.0,
+                    &mut fresh,
+                );
+                let mut reused = poisoned(m, n);
+                f(
+                    Trans::NoTrans,
+                    Trans::NoTrans,
+                    alpha,
+                    &a,
+                    &b,
+                    0.0,
+                    &mut reused,
+                );
+                assert!(
+                    crate::same_bits(fresh.as_slice(), reused.as_slice()),
+                    "{name}, alpha = {alpha}"
+                );
+            }
+        }
+        for (trans, len) in [(Trans::NoTrans, m), (Trans::Trans, k)] {
+            let x = Mat::random(m + k - len, 1, 3);
+            let mut fresh = vec![0.0; len];
+            gemv(trans, 1.5, &a, x.col(0), 0.0, &mut fresh);
+            let mut reused = poisoned(len, 1);
+            gemv(trans, 1.5, &a, x.col(0), 0.0, reused.col_mut(0));
+            assert!(crate::same_bits(&fresh, reused.col(0)), "gemv {trans:?}");
         }
     }
 

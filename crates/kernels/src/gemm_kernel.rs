@@ -1,18 +1,44 @@
-//! Packed, register-tiled GEMM microkernel (GotoBLAS/BLIS-style).
+//! The GEMM engines: a packed, register-tiled microkernel
+//! (GotoBLAS/BLIS-style) and a direct register tile for tile-sized products.
 //!
 //! This is the single inner engine behind [`crate::blas::gemm`], the blocked
-//! large-triangle path of [`crate::blas::trsm`], and the GEMM-shaped parts of
-//! the QR trailing updates. It implements the accumulation
+//! large-triangle path of [`crate::blas::trsm`], the Schur update of the LU
+//! panel and the QR block-reflector applier. It implements the accumulation
 //!
 //! ```text
 //! C += alpha * op(A) * op(B)
 //! ```
 //!
 //! on raw column-major storage with arbitrary row/column strides for the
-//! inputs (transposition is folded into the strides, so all four transpose
-//! combinations share one code path and one set of packing routines).
+//! inputs (transposition is folded into the strides).
 //!
-//! # Blocking structure and parameters
+//! # Which shapes run where
+//!
+//! [`gemm_strided`] picks an engine from the shape and the CPU, never from
+//! the values:
+//!
+//! * **the direct tile** — with AVX-512F, a column-major `B` (`b_rs == 1`)
+//!   and `m·n·k ≤ 10⁶` (`DIRECT_MAX_MNK`): every product between tiles up
+//!   to nb = 100, which is everything the factorizations run at the
+//!   benchmark's nb = 16 and nb = 96 — the trailing-matrix GEMM, the
+//!   updates inside the blocked TRSM, the LU panel's Schur update (cut into
+//!   row chunks under the bound, `crate::lu`). `B` and `C` are read in
+//!   place, and so is an untransposed `A`; a transposed `A` is first
+//!   gathered into the A pack buffer, `1/n` of the work the packed path
+//!   would spend repacking `B`. One `16 × 8` register tile per block of `C`
+//!   (section "The shared register tile");
+//! * **the packed path** — everything else: a row-strided (transposed) `B`,
+//!   a larger product (nb = 240 tiles, the dense products of tests and
+//!   tools), or a host without AVX-512F, where it is the only GEMM. Its
+//!   `8 × 6` microkernel is explicit AVX2+FMA when the CPU has it and an
+//!   autovectorized scalar loop otherwise, and only it splits across
+//!   threads (`set_kernel_threads`).
+//!
+//! The QR applier (`crate::qr`) does not go through `gemm_strided` at all:
+//! it runs the register tile directly, in the AVX-512, AVX2+FMA or portable
+//! body its own CPUID dispatch selects.
+//!
+//! # Blocking structure and parameters of the packed path
 //!
 //! The classic three-loop cache blocking around a register-tile microkernel:
 //!
@@ -32,7 +58,12 @@
 //! see `crate::flops`; note this module reports **no** flops itself, its
 //! callers do).
 //!
-//! ## Tuning
+//! ## Tuning the packed path
+//!
+//! These parameters shape the packed path only; the direct tile is `16 × 8`
+//! because sixteen zmm accumulators plus two vectors of `A` and one
+//! broadcast fill the AVX-512 register file, and has no cache blocking to
+//! tune — its operands are tiles.
 //!
 //! * `MR × NR` is the register tile: `MR * NR + MR + NR` f64 values must fit
 //!   in the vector register file. 8×6 uses fifteen of the sixteen 256-bit
@@ -45,8 +76,10 @@
 //! * `NC` bounds the packed-B panel (`KC * NC * 8` bytes) to a fraction of
 //!   L3; on these tile sizes (`nb ≤ 480`) it mostly just caps buffer size.
 //!
-//! To retune, read `kernels.gemm_gflops` from the benchmark's traced pass
-//! (`benchmark/README.md`) and adjust: raise
+//! To retune, time a product that takes this path (nb = 240 in
+//! `kernel_rates`, or any shape on a host without AVX-512F;
+//! `kernels.gemm_gflops` of the benchmark's traced pass times nb ≤ 96 and
+//! so sees the direct tile) and adjust: raise
 //! `MR`/`NR` until the compiler starts spilling accumulators (visible as a
 //! sharp GFLOP/s drop), then grow `KC` until L1 misses dominate, then `MC`
 //! against L2.
@@ -62,13 +95,9 @@
 //! only the `n` dimension, so any thread count produces bitwise-identical
 //! results — the executor-level determinism tests rely on this.
 //!
-//! On x86_64 an explicit AVX2+FMA microkernel is used when available —
-//! unconditionally when compiled with `target-feature=+avx2,+fma`, else via
-//! a one-time cached CPUID probe. Small products whose `B` is column-major
-//! additionally take a direct AVX-512 path when AVX-512F is present: `B` and
-//! `C` are read in place, and so is an untransposed `A`; a transposed `A` is
-//! gathered into the A pack buffer first, which is `1/n` of the work the
-//! packed path would spend repacking `B`.
+//! On x86_64 the packed path's explicit AVX2+FMA microkernel is used when
+//! available — unconditionally when compiled with
+//! `target-feature=+avx2,+fma`, else via a one-time cached CPUID probe.
 //!
 //! # The shared register tile
 //!
@@ -84,6 +113,44 @@
 //! the applier needs at vector width: a block transpose and a zero-padded
 //! column window.
 //!
+//! # Memory
+//!
+//! Inside a run a tile kernel meets tiles it has not touched for megabytes:
+//! the trailing matrix of a step streams through the caches once per step.
+//! The chain hides the streams it *reads as it goes* — `A` is reused by
+//! every tile of a block row, `B` arrives in ascending addresses the
+//! hardware prefetcher follows — but not the block it **folds into**: the
+//! tile touches `src` only after its whole chain (96 deep at nb = 96,
+//! ≈ 770 cycles), far beyond the out-of-order window, so left alone each
+//! `16 × 8` block of `C` pays its miss exposed, 72 times per GEMM (measured
+//! without the prefetch: 32 µs per GEMM in a run against 21 µs hot). So the
+//! SIMD bodies of `TileEngine::tile` prefetch the
+//! lines of `src` *before* the depth loop (as the BLIS microkernels prefetch
+//! their `C` block), full and masked tiles alike, and the applier, whose
+//! strip of `C` is a `B` operand *inside* the chain, prefetches one strip
+//! ahead (`crate::qr`). Three rules:
+//!
+//! * **gated on depth, an observable of the call** (`PREFETCH_MIN_DEPTH`):
+//!   a chain must be long enough to cover a miss, and at 16 deep (nb = 16
+//!   tiles, every `ib`-deep product) the operands are L1/L2-resident and
+//!   the prefetches would only cost issue slots — unconditionally they cost
+//!   the nb = 16 workload 0 … 3 %;
+//! * **never an input**: a prefetch reads nothing architecturally, so no
+//!   result, decision or hash can depend on it, and `Portable` issues none;
+//! * **never a dereference**: the lines are those overlapping the block,
+//!   whatever its alignment, found by rounding addresses down — a line can
+//!   start before the operand and a look-ahead strip can lie past it — so
+//!   every such address is formed with `wrapping_add`/`wrapping_sub`, which
+//!   unlike `ptr::add` may leave the allocation, and is handed only to the
+//!   prefetch instruction, which faults on nothing.
+//!
+//! The other half is alignment: every `Mat` and every workspace of this
+//! crate starts on a cache line (`crate::mat`), so with a row count that is
+//! a multiple of eight no vector of a tile straddles two lines. A foreign,
+//! misaligned slice is as correct, one line per column slower.
+//!
+//! # Determinism across machines
+//!
 //! FMA contracts each multiply-add into one
 //! rounding, so results differ between the SIMD and scalar kernels (and
 //! therefore across machines); the selection is fixed per process, keeping
@@ -93,6 +160,8 @@
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicUsize, Ordering};
+
+use crate::mat::AlignedBuf;
 
 /// Rows of the register tile.
 pub const MR: usize = 8;
@@ -114,8 +183,10 @@ const PAR_CHUNK_FLOPS: u64 = 1_000_000;
 /// `nb = 48` tile size the direct kernel saves ~25% wall time. The bound
 /// also keeps the direct path strictly below the parallel-split threshold
 /// (`2 m n k < 2 * PAR_CHUNK_FLOPS`), so a call is either direct-serial or
-/// packed, never a thread-count-dependent mix.
-const DIRECT_MAX_MNK: usize = 1_000_000;
+/// packed, never a thread-count-dependent mix. A caller with a tall skinny
+/// product (the LU panel's Schur update) cuts its rows into chunks under the
+/// bound to stay on the direct tile, which changes no entry's chain.
+pub(crate) const DIRECT_MAX_MNK: usize = 1_000_000;
 
 /// Worker-thread budget for large GEMM calls (set from
 /// `FactorOptions::threads` by the factorization drivers; default 1).
@@ -135,7 +206,10 @@ pub fn kernel_threads() -> usize {
 thread_local! {
     /// Reusable packing buffers (A-panel, B-panel) — tile kernels call GEMM
     /// thousands of times per factorization; this avoids a malloc per call.
-    static PACK_BUFS: RefCell<(Vec<f64>, Vec<f64>)> = const { RefCell::new((Vec::new(), Vec::new())) };
+    /// Cache-line aligned like a tile (`crate::mat`), so a gathered `A`
+    /// panel is read in whole lines.
+    static PACK_BUFS: RefCell<(AlignedBuf, AlignedBuf)> =
+        const { RefCell::new((AlignedBuf::new(), AlignedBuf::new())) };
 }
 
 /// `C += alpha * op(A) * op(B)` on raw column-major storage.
@@ -189,7 +263,7 @@ pub fn gemm_strided(
             PACK_BUFS.with(|bufs| {
                 let apack = &mut bufs.borrow_mut().0;
                 if apack.len() < m * k {
-                    apack.resize(m * k, 0.0);
+                    apack.reset_zeroed(m * k);
                 }
                 for (p, col) in apack.chunks_exact_mut(m).take(k).enumerate() {
                     for (i, x) in col.iter_mut().enumerate() {
@@ -277,10 +351,10 @@ fn gemm_serial(
         let a_len = round_up(MC.min(m), MR) * KC.min(k);
         let b_len = KC.min(k) * round_up(NC.min(n), NR);
         if apack.len() < a_len {
-            apack.resize(a_len, 0.0);
+            apack.reset_zeroed(a_len);
         }
         if bpack.len() < b_len {
-            bpack.resize(b_len, 0.0);
+            bpack.reset_zeroed(b_len);
         }
 
         for jc in (0..n).step_by(NC) {
@@ -528,6 +602,35 @@ pub(crate) const TILE_M: usize = 16;
 /// Columns of the direct engine's register tile.
 pub(crate) const TILE_N: usize = 8;
 
+/// Chain length from which a tile, or a sweep over strips of such tiles,
+/// prefetches what it will touch next (module docs, "Memory"): the chain
+/// must be long enough to cover a miss, and at 16 deep (nb = 16 tiles, every
+/// `ib`-deep product) the operands are L1/L2-resident anyway.
+pub(crate) const PREFETCH_MIN_DEPTH: usize = 32;
+
+/// Prefetch every cache line of the `rows × cols` column-major block at `p`
+/// (leading dimension `ld`) into L1. Safe for any `p`, live or not: no
+/// address formed here is dereferenced.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+fn prefetch_block(p: *const f64, ld: usize, rows: usize, cols: usize) {
+    use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+    const LINE: usize = 64;
+    for j in 0..cols {
+        let col = p.wrapping_add(j * ld).cast::<i8>();
+        // A column that does not start on a line spills into one more.
+        let skew = col.addr() % LINE;
+        let first = col.wrapping_sub(skew);
+        for line in 0..(skew + rows * 8).div_ceil(LINE) {
+            // SAFETY: PREFETCHT0 is a hint of baseline x86-64 (SSE): it
+            // reads nothing architecturally and faults on no address, so the
+            // pointer — formed with wrapping arithmetic, possibly past its
+            // operand — need not be dereferenceable.
+            unsafe { _mm_prefetch::<_MM_HINT_T0>(first.wrapping_add(line * LINE)) };
+        }
+    }
+}
+
 /// The register tile of the direct engine, the one arithmetic primitive
 /// under [`gemm_strided`]'s direct path and under the QR block-reflector
 /// applier (`crate::qr`), in three bodies: explicit AVX-512 ([`Avx512`]),
@@ -597,6 +700,13 @@ pub(crate) trait TileEngine {
     /// `lo ≤ hi ≤ n`; `src[lo..hi]` and `dst[0..n]` must be live and must
     /// not overlap.
     unsafe fn column_window(src: *const f64, lo: usize, hi: usize, n: usize, dst: *mut f64);
+
+    /// Hint that the `rows × cols` column-major block at `p` (leading
+    /// dimension `ld`) is about to be used. Never an input of a result and
+    /// never a memory access: `p` may point anywhere, a body may do nothing
+    /// ([`Portable`] does).
+    #[inline(always)]
+    fn prefetch(_p: *const f64, _ld: usize, _rows: usize, _cols: usize) {}
 }
 
 /// The `f64::mul_add` body of the tile: correct wherever Rust runs and fused
@@ -706,6 +816,11 @@ impl TileEngine for Avx2 {
         const QM: usize = 8;
         const QN: usize = 4;
         debug_assert!(rows <= TILE_M && cols <= TILE_N);
+        // As in the AVX-512 body: the lines every quarter will fold into,
+        // before the first chain.
+        if depth >= PREFETCH_MIN_DEPTH && !src.is_null() {
+            Self::prefetch(src, lds, rows, cols);
+        }
         for j0 in (0..cols).step_by(QN) {
             for i0 in (0..rows).step_by(QM) {
                 let (qm, qn) = (QM.min(rows - i0), QN.min(cols - j0));
@@ -770,6 +885,11 @@ impl TileEngine for Avx2 {
         // SAFETY: the caller's.
         unsafe { Portable::column_window(src, lo, hi, n, dst) }
     }
+
+    #[inline(always)]
+    fn prefetch(p: *const f64, ld: usize, rows: usize, cols: usize) {
+        prefetch_block(p, ld, rows, cols);
+    }
 }
 
 /// The explicit AVX-512 body of the tile: sixteen accumulator registers
@@ -809,6 +929,11 @@ impl TileEngine for Avx512 {
     ) {
         use std::arch::x86_64::*;
         debug_assert!(rows <= TILE_M && cols <= TILE_N);
+        // The fold reads `src` only after the whole chain, far past the
+        // out-of-order window: ask for its lines now (module docs, "Memory").
+        if depth >= PREFETCH_MIN_DEPTH && !src.is_null() {
+            Self::prefetch(src, lds, rows, cols);
+        }
         // SAFETY: the caller vouches for the addresses and for AVX-512F;
         // lanes past `rows` are masked out of every load and store.
         unsafe {
@@ -944,6 +1069,11 @@ impl TileEngine for Avx512 {
             }
         }
     }
+
+    #[inline(always)]
+    fn prefetch(p: *const f64, ld: usize, rows: usize, cols: usize) {
+        prefetch_block(p, ld, rows, cols);
+    }
 }
 
 /// Direct (unpacked) AVX-512 driver for small untransposed products:
@@ -997,6 +1127,7 @@ unsafe fn gemm_direct_avx512(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::same_bits;
 
     /// Dense reference on the same strided views.
     #[allow(clippy::too_many_arguments)]
@@ -1221,6 +1352,90 @@ mod tests {
                         o.to_bits(),
                         want.to_bits(),
                         "window [{lo}, {hi}) of {n}, entry {i}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// An address is not an input of the arithmetic: every base offset of
+    /// `A`, `B` and `C` within a cache line gives the bits of the aligned
+    /// call — on full and masked tiles, chains long enough to prefetch and
+    /// too short to, `A` in place and gathered — with each operand ending
+    /// exactly where its allocation ends, so a vector load, a masked lane or
+    /// a dereferenced look-ahead past an operand would be out of bounds.
+    #[test]
+    fn results_do_not_depend_on_alignment() {
+        for &(m, n, k, trans_a) in &[
+            (37, 21, 40, false),
+            (16, 8, 33, false),
+            (19, 9, 7, false),
+            (33, 10, 64, true),
+        ] {
+            let (a_rs, a_cs) = if trans_a { (k, 1) } else { (1, m) };
+            let (a0, b0, c0) = (filled(m * k, 31), filled(k * n, 32), filled(m * n, 33));
+            // The operand at the end of a buffer it shares with `off`
+            // leading entries.
+            let at = |off: usize, x: &[f64]| [&filled(off, 34)[..], x].concat();
+            let mut want = c0.clone();
+            gemm_strided(m, n, k, -1.0, &a0, a_rs, a_cs, &b0, 1, k, &mut want, m);
+            for oa in 0..8 {
+                let a = at(oa, &a0);
+                for ob in 0..8 {
+                    let b = at(ob, &b0);
+                    for oc in 0..8 {
+                        let mut c = at(oc, &c0);
+                        let (a, b, c_view) = (&a[oa..], &b[ob..], &mut c[oc..]);
+                        gemm_strided(m, n, k, -1.0, a, a_rs, a_cs, b, 1, k, c_view, m);
+                        assert!(
+                            same_bits(&c[oc..], &want) && same_bits(&c[..oc], &filled(oc, 34)),
+                            "m={m} n={n} k={k} ta={trans_a}: offsets {oa}, {ob}, {oc}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// What lets a caller cut a product to stay on the direct tile (the LU
+    /// panel's Schur update): for `alpha = ±1` and one `KC` panel of depth
+    /// the direct and the packed engine give the same bits. Both run one FMA
+    /// chain per entry over ascending depth from `+0.0`; the packed one
+    /// folds `alpha` into `A` and adds, the direct one folds by
+    /// `fma(acc, alpha, c)`, and negation is exact — `Σ fma(−a, b, ·)` then
+    /// `c + acc` is `Σ fma(a, b, ·)` then `fma(acc, −1, c)`. (The one
+    /// exception is the sign of a zero: where the chain is exactly `0` and
+    /// `c` is `−0.0`, the direct fold keeps `−0.0` and the packed one gives
+    /// `+0.0`; no such entry is drawn here.)
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn direct_and_packed_agree_bitwise_for_unit_alpha() {
+        if !(avx512f_available() && avx2_fma_available()) {
+            eprintln!(
+                "skipped: needs the direct (AVX-512F) and the fused packed (AVX2+FMA) engine"
+            );
+            return;
+        }
+        for &(m, n, k) in &[
+            (1, 1, 1),
+            (7, 3, 5),
+            (17, 9, 8),
+            (130, 88, 8),
+            (100, 35, 60),
+            (96, 96, 96),
+            (33, 50, KC),
+        ] {
+            assert!(m * n * k <= DIRECT_MAX_MNK && k <= KC);
+            for trans_a in [false, true] {
+                let (a_rs, a_cs) = if trans_a { (k, 1) } else { (1, m) };
+                let (a, b, c0) = (filled(m * k, 41), filled(k * n, 42), filled(m * n, 43));
+                for alpha in [1.0, -1.0] {
+                    let (mut direct, mut packed) = (c0.clone(), c0.clone());
+                    gemm_strided(m, n, k, alpha, &a, a_rs, a_cs, &b, 1, k, &mut direct, m);
+                    gemm_serial(m, n, k, alpha, &a, a_rs, a_cs, &b, 1, k, &mut packed, m);
+                    assert!(
+                        same_bits(&direct, &packed),
+                        "m={m} n={n} k={k} ta={trans_a} alpha={alpha}"
                     );
                 }
             }

@@ -37,3 +37,10 @@ pub use blas::{Diag, Side, Trans, UpLo};
 pub use lu::KernelError;
 pub use mat::Mat;
 pub use qr::{TFactor, DEFAULT_IB};
+
+/// Bitwise equality of two slices, for the tests that hold one code path to
+/// the bits of another (`==` would let `-0.0 == 0.0` and reject NaN).
+#[cfg(test)]
+pub(crate) fn same_bits(x: &[f64], y: &[f64]) -> bool {
+    x.len() == y.len() && x.iter().zip(y).all(|(a, b)| a.to_bits() == b.to_bits())
+}

@@ -15,6 +15,7 @@
 
 use crate::blas::{axpy, gemm, iamax, trsm, Diag, Side, Trans, UpLo};
 use crate::flops::{add_flops, getrf_flops, KernelClass};
+use crate::gemm_kernel::{gemm_strided, DIRECT_MAX_MNK, TILE_M};
 use crate::mat::Mat;
 
 /// Error type for factorization kernels.
@@ -229,7 +230,30 @@ fn block_trailing_update(a: &mut Mat, k0: usize, w: usize, u12: &mut Vec<f64>) {
         let (left, right) = a.as_mut_slice().split_at_mut((k0 + w) * lda);
         let l21 = &left[k0 * lda + k0 + w..];
         let c22 = &mut right[k0 + w..];
-        crate::gemm_kernel::gemm_strided(mr, nr, w, -1.0, l21, 1, lda, u12, 1, w, c22, lda);
+        // In row chunks (whole register tiles) small enough for the direct
+        // engine: a tall panel — the stacked diagonal domain is
+        // `(nt − k)·nb` rows — would otherwise cross its size bound and
+        // repack `L21` and `U12` for a product only `w` deep. Row grouping
+        // never changes an entry's chain, so any panel height gives the bits
+        // of the single call.
+        let chunk = (DIRECT_MAX_MNK / (nr * w) / TILE_M * TILE_M).max(TILE_M);
+        for i0 in (0..mr).step_by(chunk) {
+            let rows = chunk.min(mr - i0);
+            gemm_strided(
+                rows,
+                nr,
+                w,
+                -1.0,
+                &l21[i0..],
+                1,
+                lda,
+                u12,
+                1,
+                w,
+                &mut c22[i0..],
+                lda,
+            );
+        }
     }
 }
 
@@ -581,6 +605,49 @@ mod tests {
         laswp(&mut a, &ipiv, 0, 4);
         laswp_backward(&mut a, &ipiv, 0, 4);
         assert_eq!(a, a0);
+    }
+
+    /// The Schur update of a tall panel is cut into row chunks that stay on
+    /// the direct engine; the factors are, bit for bit, those of the form
+    /// that hands each block's whole update to one `gemm_strided` call
+    /// (which past ~1 420 rows at 96 columns is the packed engine).
+    #[test]
+    fn getrf_tall_panel_is_bitwise_the_single_call_form() {
+        const IB: usize = 8;
+        for (m, n) in [(96, 96), (480, 96), (1440, 96), (2880, 96), (1501, 61)] {
+            let a0 = Mat::random(m, n, (m + n) as u64);
+            let mut a = a0.clone();
+            let ipiv = getrf(&mut a).unwrap();
+
+            let (mut r, mut ipiv_ref) = (a0.clone(), Vec::new());
+            for k0 in (0..n).step_by(IB) {
+                let w = IB.min(n - k0);
+                getf2_in_place(&mut r, k0, w, &mut ipiv_ref).unwrap();
+                let (nr, mr) = (n - k0 - w, m - k0 - w);
+                if nr == 0 {
+                    continue;
+                }
+                // U12 <- L11⁻¹ U12, as `block_trailing_update` does it.
+                for j in k0 + w..n {
+                    for kp in k0..k0 + w {
+                        let (lcol, x) = r.two_cols_mut(kp, j);
+                        let xp = x[kp];
+                        if xp != 0.0 {
+                            axpy(-xp, &lcol[kp + 1..k0 + w], &mut x[kp + 1..k0 + w]);
+                        }
+                    }
+                }
+                let u12 = r.sub(k0, k0 + w, w, nr);
+                let (left, right) = r.as_mut_slice().split_at_mut((k0 + w) * m);
+                let (l21, c22) = (&left[k0 * m + k0 + w..], &mut right[k0 + w..]);
+                gemm_strided(mr, nr, w, -1.0, l21, 1, m, u12.as_slice(), 1, w, c22, m);
+            }
+            assert_eq!(ipiv, ipiv_ref, "{m}x{n}: pivots");
+            assert!(
+                crate::same_bits(a.as_slice(), r.as_slice()),
+                "{m}x{n}: factors"
+            );
+        }
     }
 
     #[test]

@@ -49,6 +49,23 @@
 //! inner loop *is* the GEMM's; any `ib` works (`k > 16` in row panels of 16)
 //! and any shape (row and column fringes are masked).
 //!
+//! Inside a run the tile `C` is cold — part of the trailing matrix, last
+//! touched a step ago — and `Vᵀ·C` reads its strip as the `B` operand, in the
+//! middle of the chain, where the tile's own fold-side prefetch cannot reach.
+//! So the sweep **looks one strip ahead**: while it works on strip `j0` it
+//! prefetches the lines of strip `j0 + 8` of `C` and of the block's rows of
+//! the top tile (the first strip while the block is packed), one column per
+//! register tile of the strip in work — a strip's hundred lines asked for in
+//! one burst fill the load buffers and stall the very tile they should
+//! overlap. It does so only where it can pay: when `C` has rows enough for
+//! the chain to cover a miss (`gemm_kernel`, "Memory"), and only at rows the
+//! kernel call meets for the first time (`Block::cold`, which `unmqr`,
+//! `tpmqrt` and the blocked factorizations keep as they go down their
+//! blocks) — the second block of a TSMQR finds all of `C` in cache, and a
+//! prefetch of a resident line costs its issue slot for nothing (measured at
+//! nb = 96 with every block looking ahead: TSMQR 5 µs slower hot, for the
+//! same streamed time). A hint, never an input: no result depends on it.
+//!
 //! So a TT block costs its rectangle plus two `ib`-sized triangles, never
 //! the full TS rectangle: TTMQR stays near half of TSMQR, which the paper's
 //! reduction-tree analysis depends on (a TTQRT is ~`2/3 nb³` flops versus
@@ -89,8 +106,8 @@ use crate::blas::{axpy, dot, nrm2, scal, Trans, UpLo};
 use crate::flops::{add_flops, Attribution, KernelClass};
 #[cfg(target_arch = "x86_64")]
 use crate::gemm_kernel::{avx2_fma_available, avx512f_available, Avx2, Avx512};
-use crate::gemm_kernel::{Portable, TileEngine, TILE_M, TILE_N};
-use crate::mat::Mat;
+use crate::gemm_kernel::{Portable, TileEngine, PREFETCH_MIN_DEPTH, TILE_M, TILE_N};
+use crate::mat::{AlignedBuf, Mat};
 
 /// Triangular block-reflector factors produced by [`geqrt`] / [`tpqrt`].
 ///
@@ -270,32 +287,35 @@ thread_local! {
     /// blocks per factorization).
     static SCRATCH: RefCell<Scratch> = const {
         RefCell::new(Scratch {
-            vt: Vec::new(),
-            tri: Vec::new(),
-            t: Vec::new(),
-            strip: Vec::new(),
+            vt: AlignedBuf::new(),
+            tri: AlignedBuf::new(),
+            t: AlignedBuf::new(),
+            strip: AlignedBuf::new(),
         })
     };
 }
 
+/// Cache-line aligned buffers (`crate::mat`): with `k` a multiple of eight
+/// every column of `Vᵀ`, `op(T)`, `W` and `TW` is whole vectors on whole lines.
 #[derive(Default)]
 struct Scratch {
     /// `Vᵀ` of the block, `k × m` column-major: transposed rectangle rows and
     /// the expanded transposed triangle, in the row order of `V`.
-    vt: Vec<f64>,
+    vt: AlignedBuf,
     /// The triangle (or trapezoid) of `V`, untransposed, dense, zero-padded.
-    tri: Vec<f64>,
+    tri: AlignedBuf,
     /// `op(T)`, dense, zero-padded, `k × k`; behind it `T` itself expanded,
     /// which `Tᵀ` is transposed from.
-    t: Vec<f64>,
+    t: AlignedBuf,
     /// `W` then `TW` of the strip being swept, `k × 8` each.
-    strip: Vec<f64>,
+    strip: AlignedBuf,
 }
 
-/// The first `len` entries of `buf`, grown if it is shorter.
-fn grown(buf: &mut Vec<f64>, len: usize) -> &mut [f64] {
+/// The first `len` entries of `buf`, regrown (contents forgotten) if it is
+/// shorter: every user writes what it reads.
+fn grown(buf: &mut AlignedBuf, len: usize) -> &mut [f64] {
     if buf.len() < len {
-        buf.resize(len, 0.0);
+        buf.reset_zeroed(len);
     }
     &mut buf[..len]
 }
@@ -362,6 +382,9 @@ struct Block<'a> {
     top: Option<(&'a mut [f64], usize)>,
     c: &'a mut [f64],
     ldc: usize,
+    /// Rows of `c` that no earlier block of this kernel call has touched:
+    /// where the sweep looks ahead. A hint; results do not depend on it.
+    cold: Range<usize>,
 }
 
 /// A run of rows of a block's `V` as the applier's untransposed operand:
@@ -373,6 +396,65 @@ struct Piece {
     rows: Range<usize>,
     v: *const f64,
     ldv: usize,
+}
+
+/// The sweep's look-ahead (module docs): the rows of `C` the kernel call has
+/// not touched yet — `rows` of them from `c` on, leading dimension `ldc` —
+/// and the block's `k` rows of the top tile, asked of the caches one strip
+/// ahead, a column per [`Ahead::tick`]. It only ever prefetches: its pointers
+/// are never dereferenced.
+struct Ahead {
+    c: *const f64,
+    ldc: usize,
+    rows: usize,
+    top: Option<(*const f64, usize)>,
+    k: usize,
+    /// Columns of `C`.
+    n: usize,
+    /// Next column to ask for, and how many of its strip are still to ask.
+    col: usize,
+    left: usize,
+}
+
+impl Ahead {
+    /// Aim at the strip that starts at column `j0`, if there is one.
+    #[inline(always)]
+    fn aim(&mut self, j0: usize) {
+        self.col = j0;
+        self.left = if self.rows > 0 && j0 < self.n {
+            TILE_N.min(self.n - j0)
+        } else {
+            0
+        };
+    }
+
+    /// Ask for the next column of the strip aimed at, if any is left. One
+    /// column per register tile of the strip in work spreads a strip's
+    /// hundred lines over its eight or so tiles; asked for in one burst they
+    /// fill the load buffers and stall the tile they were meant to overlap.
+    #[inline(always)]
+    fn tick<E: TileEngine>(&mut self) {
+        if self.left > 0 {
+            E::prefetch(
+                self.c.wrapping_add(self.col * self.ldc),
+                self.ldc,
+                self.rows,
+                1,
+            );
+            if let Some((a, lda)) = self.top {
+                E::prefetch(a.wrapping_add(self.col * lda), lda, self.k, 1);
+            }
+            self.col += 1;
+            self.left -= 1;
+        }
+    }
+
+    #[inline(always)]
+    fn flush<E: TileEngine>(&mut self) {
+        while self.left > 0 {
+            self.tick::<E>();
+        }
+    }
 }
 
 /// `D[0..m, 0..cols] ← S + alpha · A · B` for one strip of `cols ≤ 8`
@@ -397,9 +479,11 @@ unsafe fn strip_product<E: TileEngine>(
     lds: usize,
     dst: *mut f64,
     ldd: usize,
+    ahead: &mut Ahead,
 ) {
     for i0 in (0..m).step_by(TILE_M) {
         let rows = TILE_M.min(m - i0);
+        ahead.tick::<E>();
         // SAFETY: rows i0 .. i0 + rows of the caller's A, S and D.
         unsafe {
             let s = if src.is_null() { src } else { src.add(i0) };
@@ -489,12 +573,33 @@ impl Block<'_> {
             mut top,
             c,
             ldc,
+            cold,
         } = self;
         let rect = if tri.start == 0 {
             tri.end..m
         } else {
             0..tri.start
         };
+
+        let c = c.as_mut_ptr();
+        // Look ahead only when the chain of `Vᵀ·C` (`m` deep) is long enough
+        // to cover a miss, and only at rows this call meets for the first
+        // time: what an earlier block swept is a cache hit already, and a
+        // prefetch of it would cost its issue slot for nothing.
+        let cold = if m >= PREFETCH_MIN_DEPTH { cold } else { 0..0 };
+        let mut ahead = Ahead {
+            c: c.wrapping_add(cold.start),
+            ldc,
+            rows: cold.len(),
+            top: top.as_ref().map(|(a, lda)| (a.as_ptr(), *lda)),
+            k,
+            n,
+            col: 0,
+            left: 0,
+        };
+        // The first strip, while the block is packed.
+        ahead.aim(0);
+        ahead.flush::<E>();
 
         // Pack: the triangle of V untransposed, Vᵀ (rectangle and triangle
         // transposed), op(T).
@@ -549,9 +654,9 @@ impl Block<'_> {
 
         let (vt, op_t) = (vt.as_ptr(), op_t.as_ptr());
         let (w, tw) = grown(&mut scratch.strip, 2 * k * TILE_N).split_at_mut(k * TILE_N);
-        let c = c.as_mut_ptr();
         for j0 in (0..n).step_by(TILE_N) {
             let cols = TILE_N.min(n - j0);
+            ahead.aim(j0 + TILE_N);
             // SAFETY: columns j0 .. j0 + cols of `c` and `top`, rows
             // `p.rows` of `c` and the same rows of `vt`; `op_t` is k × k;
             // `w`, `tw` are k × 8. A product's destination (`w`, `tw`, `c`)
@@ -570,7 +675,9 @@ impl Block<'_> {
                 for p in pieces.iter().filter(|p| !p.rows.is_empty()) {
                     let (vt_p, c_p) = (vt.add(p.rows.start * k), cj.add(p.rows.start));
                     let depth = p.rows.len();
-                    strip_product::<E>(k, cols, depth, 1.0, vt_p, k, c_p, ldc, w_src, w_ld, w, k);
+                    strip_product::<E>(
+                        k, cols, depth, 1.0, vt_p, k, c_p, ldc, w_src, w_ld, w, k, &mut ahead,
+                    );
                     (w_src, w_ld) = (w, k);
                 }
                 if w_src != w.cast_const() {
@@ -586,13 +693,30 @@ impl Block<'_> {
                     }
                 }
                 // TW = 0 + op(T)·W.
-                strip_product::<E>(k, cols, k, 1.0, op_t, k, w, k, std::ptr::null(), 0, tw, k);
+                strip_product::<E>(
+                    k,
+                    cols,
+                    k,
+                    1.0,
+                    op_t,
+                    k,
+                    w,
+                    k,
+                    std::ptr::null(),
+                    0,
+                    tw,
+                    k,
+                    &mut ahead,
+                );
                 // C −= V·TW, row block by row block.
                 for p in &pieces {
                     let (rows, c_p) = (p.rows.len(), cj.add(p.rows.start));
-                    strip_product::<E>(rows, cols, k, -1.0, p.v, p.ldv, tw, k, c_p, ldc, c_p, ldc);
+                    strip_product::<E>(
+                        rows, cols, k, -1.0, p.v, p.ldv, tw, k, c_p, ldc, c_p, ldc, &mut ahead,
+                    );
                 }
             }
+            ahead.flush::<E>();
             // A −= TW.
             if let Some((a, lda)) = &mut top {
                 for (aj, twj) in a[j0 * *lda..].chunks_mut(*lda).zip(tw.chunks_exact(k)) {
@@ -615,7 +739,8 @@ impl Block<'_> {
 /// (`(m−k) × k`); `t` is the `k × k` upper-triangular factor; `c` is `m × n`.
 ///
 /// `W = V1ᵀ C1 + V2ᵀ C2`, `TW = op(T) W`, `C2 −= V2 TW`, `C1 −= V1 TW`, one
-/// 8-column strip of `C` at a time ([`Block::apply`]).
+/// 8-column strip of `C` at a time ([`Block::apply`]). `cold` names the rows
+/// of `c` this kernel call has not touched before ([`Block::cold`]).
 #[allow(clippy::too_many_arguments)]
 fn larfb_left(
     trans: Trans,
@@ -628,6 +753,7 @@ fn larfb_left(
     ldt: usize,
     c: &mut [f64],
     ldc: usize,
+    cold: Range<usize>,
 ) {
     if k == 0 || n == 0 {
         return;
@@ -646,6 +772,7 @@ fn larfb_left(
         top: None,
         c,
         ldc,
+        cold,
     }
     .apply();
     // Closed form of the elementwise kernel: 2(m − i) per (reflector i,
@@ -697,6 +824,9 @@ pub fn geqrt(a: &mut Mat, ib: usize) -> TFactor {
                 ib,
                 trailing,
                 m,
+                // The first block sweeps every trailing column; the later
+                // ones find them in cache.
+                0..if i == 0 { m } else { 0 },
             );
         }
         i += ibb;
@@ -727,6 +857,8 @@ pub fn unmqr(trans: Trans, v_src: &Mat, tf: &TFactor, c: &mut Mat) {
     assert_eq!(c.rows(), m, "unmqr: C row mismatch");
     assert_eq!(tf.n(), k, "unmqr: T factor width mismatch");
     let (ib, n) = (tf.ib, c.cols());
+    // A block works on rows `i..m` of `c`; rows from `seen` on have been met.
+    let mut seen = m;
     for i in block_starts(trans, k, ib) {
         larfb_left(
             trans,
@@ -739,7 +871,9 @@ pub fn unmqr(trans: Trans, v_src: &Mat, tf: &TFactor, c: &mut Mat) {
             ib,
             &mut c.as_mut_slice()[i..],
             m,
+            0..seen.saturating_sub(i),
         );
+        seen = seen.min(i);
     }
 }
 
@@ -872,7 +1006,8 @@ fn pent_block(m: usize, l: usize, i: usize, ibb: usize) -> (usize, usize) {
 ///
 /// `W = A + V₂ᵀ B`, `TW = op(T) W`, `A −= TW`, `B −= V₂ TW`, one 8-column
 /// strip of `[A; B]` at a time ([`Block::apply`]); a TS block (`lb = 0`) has
-/// no trapezoid and expands none.
+/// no trapezoid and expands none. `cold` names the rows of `b` this kernel
+/// call has not touched before ([`Block::cold`]).
 #[allow(clippy::too_many_arguments)]
 fn tprfb_left(
     trans: Trans,
@@ -888,6 +1023,7 @@ fn tprfb_left(
     lda: usize,
     b: &mut [f64],
     ldb: usize,
+    cold: Range<usize>,
 ) {
     if k == 0 || n == 0 {
         return;
@@ -906,6 +1042,7 @@ fn tprfb_left(
         top: Some((a, lda)),
         c: b,
         ldc: ldb,
+        cold,
     }
     .apply();
     // Closed form of the elementwise kernel: 2·pⱼ per (reflector j, column)
@@ -933,6 +1070,8 @@ pub fn tpqrt(l: usize, a: &mut Mat, b: &mut Mat, ib: usize) -> TFactor {
     let ib = ib.clamp(1, n.max(1));
     let mut tf = TFactor::new(ib, n);
 
+    // A block works on rows `0..mb` of `b`; rows below `seen` have been met.
+    let mut seen = 0;
     let mut i = 0;
     while i < n {
         let ibb = ib.min(n - i);
@@ -969,7 +1108,9 @@ pub fn tpqrt(l: usize, a: &mut Mat, b: &mut Mat, ib: usize) -> TFactor {
                 n,
                 b_trailing,
                 m,
+                seen.min(mb)..mb,
             );
+            seen = seen.max(mb);
         }
         i += ibb;
     }
@@ -991,6 +1132,8 @@ pub fn tpmqrt(trans: Trans, l: usize, v: &Mat, tf: &TFactor, a: &mut Mat, b: &mu
     assert_eq!(tf.n(), k);
     assert!(l <= m.min(k), "tpmqrt: l out of range");
     let ib = tf.ib;
+    // A block works on rows `0..mb` of `b`; rows below `seen` have been met.
+    let mut seen = 0;
     for i in block_starts(trans, k, ib) {
         let ibb = ib.min(k - i);
         let (mb, lb) = pent_block(m, l, i, ibb);
@@ -1008,7 +1151,9 @@ pub fn tpmqrt(trans: Trans, l: usize, v: &Mat, tf: &TFactor, a: &mut Mat, b: &mu
             k,
             b.as_mut_slice(),
             m,
+            seen.min(mb)..mb,
         );
+        seen = seen.max(mb);
     }
 }
 
@@ -1326,6 +1471,69 @@ mod tests {
                             let what = format!("m={m} nv={nv} ib={ib} w={w} {trans:?}");
                             assert!(c_ref.all_finite(), "{what}");
                             assert_bitwise(&what, &c, &c_ref);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// An address is not an input of the arithmetic: through their strided
+    /// view entry points both appliers give the bits of the aligned call for
+    /// every base offset of `V` (and `T`), of the top tile and of `C` within
+    /// a cache line — with and without a trapezoid, with rows enough to
+    /// prefetch a strip ahead and too few to — each view ending exactly
+    /// where its allocation ends, so a vector access or a dereferenced
+    /// look-ahead past an operand would be out of bounds.
+    #[test]
+    fn results_do_not_depend_on_alignment() {
+        // The same `len` entries behind `off` entries of one buffer.
+        let at = |off: usize, len: usize, seed: u64| -> Vec<f64> {
+            let vals = Mat::random(len, 1, seed);
+            let view = vals.as_slice().iter().map(|x| 0.25 * x);
+            std::iter::repeat_n(f64::NAN, off).chain(view).collect()
+        };
+        // (rows of V and C, trapezoid rows, reflectors, columns of C)
+        for (m, lb, k, n) in [(40, 0, 16, 19), (40, 16, 16, 8), (21, 5, 7, 9)] {
+            let (ldv, ldt, lda, ldc) = (m + 3, k + 1, k + 2, m + 5);
+            let v_len = (k - 1) * ldv + m;
+            let t_len = (k - 1) * ldt + k;
+            let a_len = (n - 1) * lda + k;
+            let c_len = (n - 1) * ldc + m;
+            for trans in [Trans::Trans, Trans::NoTrans] {
+                let mut want: Option<[Vec<f64>; 3]> = None;
+                for ov in 0..8 {
+                    let (v, t) = (at(ov, v_len, 1), at(ov, t_len, 2));
+                    for oa in 0..8 {
+                        for oc in 0..8 {
+                            let (mut a, mut c) = (at(oa, a_len, 3), at(oc, c_len, 4));
+                            let mut c2 = c.clone();
+                            let (v, t) = (&v[ov..], &t[ov..]);
+                            tprfb_left(
+                                trans,
+                                lb,
+                                m,
+                                k,
+                                n,
+                                v,
+                                ldv,
+                                t,
+                                ldt,
+                                &mut a[oa..],
+                                lda,
+                                &mut c[oc..],
+                                ldc,
+                                0..m,
+                            );
+                            larfb_left(trans, m, k, n, v, ldv, t, ldt, &mut c2[oc..], ldc, 0..m);
+                            let got = [a.split_off(oa), c.split_off(oc), c2.split_off(oc)];
+                            let want = want.get_or_insert_with(|| got.clone());
+                            assert!(
+                                got.iter()
+                                    .zip(want.iter())
+                                    .all(|(g, w)| crate::same_bits(g, w)),
+                                "m={m} lb={lb} k={k} n={n} {trans:?}: offsets {ov}, {oa}, {oc}"
+                            );
                         }
                     }
                 }

@@ -23,6 +23,10 @@
 //! trapezoid) are poisoned with NaN. One further case per apply kernel
 //! draws tile-sized shapes (up to 100), so the applier's 8-column strips,
 //! 16-row blocks and their masked fringes are crossed under the same bound.
+//!
+//! Last, `Mat` itself: its cache-line-aligned buffer must behave as the
+//! plain `Vec<f64>` it replaced, so indexing, `Clone`, `PartialEq`,
+//! sub-blocks and the in-place reshapes are run against a `Vec` model.
 
 use luqr_kernels::blas::{gemm, gemm_reference, trsm, Diag, Side, Trans, UpLo};
 use luqr_kernels::qr::{form_q, geqrt, tpmqrt, tpqrt, unmqr};
@@ -92,6 +96,68 @@ fn assert_cols_close(what: &str, got: &Mat, want: &Mat, tol_of: impl Fn(usize) -
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// `Mat` against a column-major `Vec<f64>` model, empty shapes included.
+    #[test]
+    fn mat_behaves_as_the_vec_it_replaced(
+        m in 0usize..20,
+        n in 0usize..20,
+        m2 in 0usize..20,
+        n2 in 0usize..20,
+        seed in any::<u64>(),
+    ) {
+        let r = Mat::random(m, n, seed);
+        let mut model: Vec<f64> = r.as_slice().to_vec();
+        prop_assert_eq!(model.len(), m * n);
+        let mut a = Mat::from_fn(m, n, |i, j| model[i + j * m]);
+        prop_assert_eq!(a.as_slice(), &model[..]);
+        prop_assert_eq!(&a, &r);
+        prop_assert_eq!(Mat::from_col_major(m, n, &model), r);
+        prop_assert_eq!(a.as_slice().as_ptr().addr() % 64, 0);
+
+        // A write through the index shows in the slice, the column and `==`.
+        if m * n > 0 {
+            let (i, j) = (seed as usize % m, (seed >> 32) as usize % n);
+            a[(i, j)] += 1.0;
+            model[i + j * m] += 1.0;
+            prop_assert!(a != r);
+            prop_assert_eq!(a[(i, j)], model[i + j * m]);
+            prop_assert_eq!(a.col(j), &model[j * m..(j + 1) * m]);
+        }
+        // Same entries, other shape: not equal.
+        if m != n {
+            prop_assert!(Mat::from_col_major(n, m, &model) != a);
+        }
+        // A clone is deep and aligned.
+        let b = a.clone();
+        a.fill(2.0);
+        prop_assert_eq!(b.as_slice(), &model[..]);
+        prop_assert_eq!(b.as_slice().as_ptr().addr() % 64, 0);
+        // Sub-block out, sub-block in.
+        let (i0, j0) = (m / 3, n / 2);
+        let s = b.sub(i0, j0, m - i0, n - j0);
+        for j in 0..n - j0 {
+            prop_assert_eq!(s.col(j), &model[(j0 + j) * m + i0..(j0 + j + 1) * m]);
+        }
+        a.set_sub(i0, j0, &s);
+        for j in 0..n {
+            for i in 0..m {
+                let want = if i >= i0 && j >= j0 { model[i + j * m] } else { 2.0 };
+                prop_assert_eq!(a[(i, j)], want);
+            }
+        }
+        // In-place reshapes: to zeros of any other shape, to a stack.
+        a.reset_zeroed(m2, n2);
+        prop_assert_eq!(&a, &Mat::zeros(m2, n2));
+        prop_assert_eq!(a.as_slice(), &vec![0.0; m2 * n2][..]);
+        a.reset_stacked(&[&b, &b]);
+        prop_assert_eq!(a.dims(), (2 * m, n));
+        for j in 0..n {
+            let col = &model[j * m..(j + 1) * m];
+            prop_assert_eq!(a.col(j), &[col, col].concat()[..]);
+        }
+        prop_assert_eq!(a.as_slice().as_ptr().addr() % 64, 0);
+    }
 
     /// UNMQR matches the elementwise reference, `Qᵀ(QC) = C`, and the formed
     /// `Q` is orthogonal — for tall, square and wide reflector tiles.
