@@ -8,7 +8,7 @@
 //!     --threads 2 --window 4 --alg luqr-max:100 --out /tmp/rank0.bin
 //! ```
 //!
-//! Every rank rebuilds the same seeded problem, meshes over UDS or TCP,
+//! Every rank rebuilds the same seeded problem, meshes over UDS,
 //! and runs its SPMD share; rank 0 (whose mirror holds all results at the
 //! end) writes the solution + statistics to `--out`. The launcher also
 //! passes `--plan <hex>`, the fingerprint of the task graph *it* would

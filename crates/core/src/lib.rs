@@ -34,8 +34,9 @@
 //!   (§IV, Figure 1), dispatched through [`planner_for`]; a planner emits
 //!   [`TaskOp`] descriptors ([`op`]) — everything else about a task is
 //!   derived from its descriptor against the run's [`state`];
-//! * [`net`] — real-transport distributed runs: SPMD ranks over loopback /
-//!   channels / UDS / TCP, in-process or as `luqr-worker` processes;
+//! * [`net`] — real-transport distributed runs: SPMD ranks over loopback
+//!   mailboxes or Unix-domain sockets, in-process or as `luqr-worker`
+//!   processes;
 //! * [`solve`] / [`stability`] — augmented-rhs solve and HPL3 metrics (§V).
 
 pub mod builder;

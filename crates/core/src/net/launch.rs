@@ -10,7 +10,7 @@
 //! [`NetJob::plan_fingerprint`], which a worker built from other sources —
 //! a stale binary of the sibling profile, typically — checks against its
 //! own and refuses on a mismatch instead of diverging mid-run; the
-//! rendezvous is a UDS directory or a TCP base port; and the result is a
+//! rendezvous is a UDS directory; and the result is a
 //! small hand-rolled binary file ([`WorkerResult`]) with the solution,
 //! per-step records, and message statistics — everything the parity
 //! oracles compare.
@@ -317,15 +317,6 @@ fn decode_msg_stats(rd: &mut Rd<'_>) -> Result<MsgStats, TransportError> {
     })
 }
 
-/// Where a multi-process mesh rendezvouses.
-#[derive(Debug, Clone)]
-pub enum LaunchTransport {
-    /// Unix-domain sockets under a fresh temp directory.
-    Uds,
-    /// TCP on localhost; rank `r` listens at `base_port + r`.
-    Tcp { base_port: u16 },
-}
-
 /// Locate the `luqr-worker` binary: `$LUQR_WORKER` first, then the current
 /// executable's own build profile, then the sibling profile.
 pub fn locate_worker() -> Option<PathBuf> {
@@ -357,14 +348,10 @@ fn locate_worker_from(env: Option<PathBuf>, exe: &Path) -> Option<PathBuf> {
 static MP_RUN: AtomicUsize = AtomicUsize::new(0);
 
 /// Run `job` as `p·q` real `luqr-worker` processes meshed over
-/// `transport`, and return rank 0's decoded result. Worker stderr is
-/// inherited, so breakdown/transport diagnostics surface in the caller's
-/// log.
-pub fn launch_multiprocess(
-    job: &NetJob,
-    transport: &LaunchTransport,
-    worker: Option<PathBuf>,
-) -> Result<WorkerResult, String> {
+/// Unix-domain sockets, and return rank 0's decoded result. Worker stderr
+/// is inherited, so breakdown/transport diagnostics surface in the
+/// caller's log.
+pub fn launch_multiprocess(job: &NetJob, worker: Option<PathBuf>) -> Result<WorkerResult, String> {
     let nranks = job.p * job.q;
     assert!(nranks >= 1);
     let worker = worker.or_else(locate_worker).ok_or_else(|| {
@@ -379,14 +366,8 @@ pub fn launch_multiprocess(
         MP_RUN.fetch_add(1, Ordering::Relaxed)
     ));
     std::fs::create_dir_all(&scratch).map_err(|e| format!("create {}: {e}", scratch.display()))?;
-    let conn_args: Vec<String> = match transport {
-        LaunchTransport::Uds => {
-            let dir = scratch.join("uds");
-            std::fs::create_dir_all(&dir).map_err(|e| e.to_string())?;
-            vec!["--uds".into(), dir.display().to_string()]
-        }
-        LaunchTransport::Tcp { base_port } => vec!["--tcp".into(), base_port.to_string()],
-    };
+    let uds_dir = scratch.join("uds");
+    std::fs::create_dir_all(&uds_dir).map_err(|e| e.to_string())?;
     let out_path = scratch.join("rank0.bin");
 
     let job_args = job.to_args();
@@ -395,7 +376,7 @@ pub fn launch_multiprocess(
         let mut cmd = Command::new(&worker);
         cmd.args(["--rank".to_string(), rank.to_string()])
             .args(["--nranks".to_string(), nranks.to_string()])
-            .args(&conn_args)
+            .args(["--uds".to_string(), uds_dir.display().to_string()])
             .args(&job_args);
         if rank == 0 {
             cmd.args(["--out".to_string(), out_path.display().to_string()]);
@@ -433,7 +414,6 @@ pub fn worker_main(args: &[String]) -> Result<(), String> {
     let mut rank = None;
     let mut nranks = None;
     let mut uds = None;
-    let mut tcp = None;
     let mut out = None;
     let mut plan = None;
     let mut job = NetJob {
@@ -460,7 +440,6 @@ pub fn worker_main(args: &[String]) -> Result<(), String> {
             "--rank" => rank = Some(val()?.parse::<usize>().map_err(|e| e.to_string())?),
             "--nranks" => nranks = Some(val()?.parse::<usize>().map_err(|e| e.to_string())?),
             "--uds" => uds = Some(PathBuf::from(val()?)),
-            "--tcp" => tcp = Some(val()?.parse::<u16>().map_err(|e| e.to_string())?),
             "--out" => out = Some(PathBuf::from(val()?)),
             "--n" => {
                 job.n = val()?
@@ -531,10 +510,8 @@ pub fn worker_main(args: &[String]) -> Result<(), String> {
     if out.is_some() && rank != 0 {
         return Err("--out is for rank 0: only rank 0 holds the result".into());
     }
-    let spec = match (uds, tcp) {
-        (Some(dir), None) => SocketSpec::Uds { dir },
-        (None, Some(base_port)) => SocketSpec::Tcp { base_port },
-        _ => return Err("exactly one of --uds DIR / --tcp BASEPORT is required".into()),
+    let spec = SocketSpec::Uds {
+        dir: uds.ok_or("--uds DIR is required")?,
     };
 
     if let Some(launcher) = plan {

@@ -1,5 +1,5 @@
 //! Real-transport distributed factorization: run the SPMD streaming
-//! executor over actual channels and sockets.
+//! executor over in-process mailboxes or actual sockets.
 //!
 //! [`crate::factor_stream_distributed`] *models* a distributed run — one
 //! process, per-node sub-windows, message counters. This module *performs*
@@ -25,11 +25,11 @@
 //! Three deployment shapes:
 //!
 //! * [`factor_stream_net`] — all ranks as threads of this process, over
-//!   loopback mailboxes, crossbeam channels, or real UDS/TCP sockets;
+//!   loopback mailboxes or real Unix-domain sockets;
 //! * [`factor_stream_net_rank`] — one rank on an arbitrary endpoint (the
 //!   building block the `luqr-worker` binary uses);
 //! * [`launch::launch_multiprocess`] — N separate `luqr-worker` processes
-//!   meshed over UDS or TCP, results collected from rank 0.
+//!   meshed over UDS, results collected from rank 0.
 //!
 //! Every shape reproduces the simulated run's protocol message counts
 //! exactly and its residuals and LU/QR decisions bitwise; the runtime
@@ -46,7 +46,6 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use luqr_kernels::Mat;
-use luqr_runtime::net::channel::channel_set;
 use luqr_runtime::net::loopback::loopback_set;
 use luqr_runtime::net::socket::{socket_set, SocketSpec};
 use luqr_runtime::stream::{execute_net, StepSource};
@@ -62,12 +61,8 @@ use crate::StreamFactorization;
 pub enum NetTransportKind {
     /// In-process mailboxes (the reference implementation).
     Loopback,
-    /// Crossbeam channels between rank threads.
-    Channel,
     /// Unix-domain sockets under a fresh temp directory.
     Uds,
-    /// TCP on `127.0.0.1`, rank `r` listening at `base_port + r`.
-    Tcp { base_port: u16 },
 }
 
 static UDS_RUN: AtomicUsize = AtomicUsize::new(0);
@@ -110,9 +105,10 @@ pub fn factor_stream_net(
 
 /// [`factor_stream_net`] under full [`StreamOptions`] (window policy,
 /// probe). The probe observes rank 0's window — including the wire-level
-/// frame/byte/latency metrics; peer ranks run unprobed. Platform
-/// simulation, steal-at-insert, and recalibration are not available over a
-/// real transport.
+/// frame/byte/latency metrics; peer ranks run unprobed. A platform model
+/// (and with it steal-at-insert and recalibration) is not available over a
+/// real transport: such options are refused with
+/// [`TransportError::Protocol`] before any rank starts.
 pub fn factor_stream_net_opts(
     a: &Mat,
     rhs: &Mat,
@@ -120,11 +116,11 @@ pub fn factor_stream_net_opts(
     stream_opts: &StreamOptions,
     kind: &NetTransportKind,
 ) -> Result<StreamFactorization, TransportError> {
+    stream_opts.check_wire()?;
     let nranks = opts.grid.nodes();
     let mut uds_dir = None;
     let transports: Vec<Arc<dyn Transport>> = match kind {
         NetTransportKind::Loopback => dyn_transports(loopback_set(nranks)),
-        NetTransportKind::Channel => dyn_transports(channel_set(nranks)),
         NetTransportKind::Uds => {
             let dir = std::env::temp_dir().join(format!(
                 "luqr-net-{}-{}",
@@ -136,12 +132,6 @@ pub fn factor_stream_net_opts(
             let dir = uds_dir.insert(ScratchDir(dir)).0.clone();
             dyn_transports(socket_set(&SocketSpec::Uds { dir }, nranks)?)
         }
-        NetTransportKind::Tcp { base_port } => dyn_transports(socket_set(
-            &SocketSpec::Tcp {
-                base_port: *base_port,
-            },
-            nranks,
-        )?),
     };
 
     let (r0, peers) = std::thread::scope(|s| {
@@ -257,6 +247,39 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("luqr-net-guard-{}", std::process::id()));
         assert!(mesh_that_fails(&dir).is_err());
         assert!(!dir.exists(), "{} leaked", dir.display());
+    }
+
+    /// A platform model, stealing or recalibration cannot run over a real
+    /// transport: each is a typed error — not a panic on every rank thread
+    /// — before a rank is spawned or a socket directory is named.
+    #[test]
+    fn options_a_wire_cannot_run_are_refused_before_any_rank_starts() {
+        let (a, rhs) = (Mat::random(16, 16, 1), Mat::random(16, 1, 2));
+        let opts = FactorOptions {
+            nb: 8,
+            grid: Grid::new(1, 2),
+            ..FactorOptions::default()
+        };
+        let fixed = StreamOptions::fixed(2, 1);
+        for bad in [
+            fixed
+                .clone()
+                .with_platform(luqr_runtime::Platform::dancer_nodes(2)),
+            fixed.clone().with_stealing(),
+            fixed.clone().with_recalibration(),
+        ] {
+            for kind in [NetTransportKind::Loopback, NetTransportKind::Uds] {
+                let runs = UDS_RUN.load(Ordering::Relaxed);
+                let refused = factor_stream_net_opts(&a, &rhs, &opts, &bad, &kind).err();
+                assert!(
+                    matches!(refused, Some(TransportError::Protocol(_))),
+                    "{kind:?}: {refused:?}"
+                );
+                assert_eq!(UDS_RUN.load(Ordering::Relaxed), runs);
+            }
+        }
+        factor_stream_net_opts(&a, &rhs, &opts, &fixed, &NetTransportKind::Loopback)
+            .expect("the plain options run");
     }
 
     /// At the start of a run the ranks' mirrors partition the matrix: each

@@ -64,41 +64,23 @@ pub fn laswp_backward(a: &mut Mat, ipiv: &[usize], k0: usize, k1: usize) {
     }
 }
 
+/// The strict reading of a `_continue` result: the pivots, or the first
+/// zero-pivot step as an error.
+fn strict((ipiv, first_zero): (Vec<usize>, Option<usize>)) -> Result<Vec<usize>, KernelError> {
+    match first_zero {
+        None => Ok(ipiv),
+        Some(k) => Err(KernelError::ZeroPivot(k)),
+    }
+}
+
 /// Unblocked LU with partial pivoting on the m×n matrix `a` (dgetf2).
 ///
 /// On success, `L` (unit lower) and `U` (upper) overwrite `a`, and the pivot
-/// vector is returned. Fails only if an entire pivot column is exactly zero.
+/// vector is returned. Fails only if an entire pivot column is exactly zero
+/// (or not finite) — [`getf2_continue`]'s report, as an error; `a` then
+/// holds no usable factors.
 pub fn getf2(a: &mut Mat) -> Result<Vec<usize>, KernelError> {
-    let (m, n) = a.dims();
-    let steps = m.min(n);
-    let mut ipiv = vec![0usize; steps];
-    for k in 0..steps {
-        // Pivot search in column k, rows k..m.
-        let rel = iamax(&a.col(k)[k..]);
-        let p = k + rel;
-        ipiv[k] = p;
-        let pivot = a[(p, k)];
-        if pivot == 0.0 || !pivot.is_finite() {
-            return Err(KernelError::ZeroPivot(k));
-        }
-        swap_rows(a, k, p, 0, n);
-        // Scale multipliers.
-        let inv = 1.0 / a[(k, k)];
-        for i in k + 1..m {
-            a[(i, k)] *= inv;
-        }
-        // Rank-1 update of the trailing block, as contiguous-slice axpys
-        // (bitwise-identical to the indexed loop, but vectorizable).
-        for j in k + 1..n {
-            let ukj = a[(k, j)];
-            if ukj != 0.0 {
-                let (ck, cj) = a.two_cols_mut(k, j);
-                axpy(-ukj, &ck[k + 1..], &mut cj[k + 1..]);
-            }
-        }
-    }
-    add_flops(KernelClass::Getrf, getrf_flops(m, n));
-    Ok(ipiv)
+    strict(getf2_continue(a))
 }
 
 /// Unblocked LU with partial pivoting that, like LAPACK's DGETF2, *keeps
@@ -125,10 +107,13 @@ pub fn getf2_continue(a: &mut Mat) -> (Vec<usize>, Option<usize>) {
             }
             continue; // LAPACK: skip the division, record info.
         }
+        // Scale multipliers.
         let inv = 1.0 / pivot;
         for i in k + 1..m {
             a[(i, k)] *= inv;
         }
+        // Rank-1 update of the trailing block, as contiguous-slice axpys
+        // (bitwise-identical to the indexed loop, but vectorizable).
         for j in k + 1..n {
             let ukj = a[(k, j)];
             if ukj != 0.0 {
@@ -148,25 +133,11 @@ pub fn getf2_continue(a: &mut Mat) -> (Vec<usize>, Option<usize>) {
 /// factor `IB`-wide block columns in place with [`getf2`]-style pivoting,
 /// then push the deferred trailing update through the packed GEMM engine.
 /// Everything happens inside `a`'s own buffer — the only copy is the
-/// `IB x (n-IB)` `U12` strip the Schur update needs aliasing-free.
+/// `IB x (n-IB)` `U12` strip the Schur update needs aliasing-free. A zero
+/// (or non-finite) pivot is an error — [`getrf_continue`]'s report — and
+/// `a` then holds no usable factors.
 pub fn getrf(a: &mut Mat) -> Result<Vec<usize>, KernelError> {
-    let (m, n) = a.dims();
-    let steps = m.min(n);
-    if steps == 0 {
-        return Ok(vec![]);
-    }
-    const IB: usize = 8;
-    let mut ipiv = Vec::with_capacity(steps);
-    let mut u12 = Vec::new();
-    let mut k0 = 0;
-    while k0 < steps {
-        let w = IB.min(steps - k0);
-        getf2_in_place(a, k0, w, &mut ipiv)?;
-        block_trailing_update(a, k0, w, &mut u12);
-        k0 += w;
-    }
-    add_flops(KernelClass::Getrf, getrf_flops(m, n));
-    Ok(ipiv)
+    strict(getrf_continue(a))
 }
 
 /// Blocked LU with partial pivoting that *continues* past zero pivots
@@ -186,7 +157,7 @@ pub fn getrf_continue(a: &mut Mat) -> (Vec<usize>, Option<usize>) {
     let mut k0 = 0;
     while k0 < steps {
         let w = IB.min(steps - k0);
-        getf2_in_place_continue(a, k0, w, &mut ipiv, &mut first_zero);
+        getf2_in_place(a, k0, w, &mut ipiv, &mut first_zero);
         block_trailing_update(a, k0, w, &mut u12);
         k0 += w;
     }
@@ -261,44 +232,11 @@ fn block_trailing_update(a: &mut Mat, k0: usize, w: usize, u12: &mut Vec<f64>) {
 /// `k0..k0+w`, in place: pivot rows swap across the *full* width of `a`
 /// (deferred-update convention — columns right of the block are updated by
 /// the caller's TRSM/GEMM), rank-1 updates stay inside the block. Pivots
-/// are appended to `ipiv` in absolute row indices. Flops are accounted by
-/// the caller's closed-form total.
+/// are appended to `ipiv` in absolute row indices. LAPACK `info`
+/// semantics: a zero (or non-finite) pivot records the step in
+/// `first_zero` and skips that column's division and in-block update.
+/// Flops are accounted by the caller's closed-form total.
 fn getf2_in_place(
-    a: &mut Mat,
-    k0: usize,
-    w: usize,
-    ipiv: &mut Vec<usize>,
-) -> Result<(), KernelError> {
-    let n = a.cols();
-    for kk in 0..w {
-        let k = k0 + kk;
-        let rel = iamax(&a.col(k)[k..]);
-        let p = k + rel;
-        ipiv.push(p);
-        let pivot = a[(p, k)];
-        if pivot == 0.0 || !pivot.is_finite() {
-            return Err(KernelError::ZeroPivot(k));
-        }
-        swap_rows(a, k, p, 0, n);
-        let inv = 1.0 / a[(k, k)];
-        for v in &mut a.col_mut(k)[k + 1..] {
-            *v *= inv;
-        }
-        for j in k + 1..k0 + w {
-            let ukj = a[(k, j)];
-            if ukj != 0.0 {
-                let (ck, cj) = a.two_cols_mut(k, j);
-                axpy(-ukj, &ck[k + 1..], &mut cj[k + 1..]);
-            }
-        }
-    }
-    Ok(())
-}
-
-/// [`getf2_in_place`] with LAPACK `info` semantics: a zero (or non-finite)
-/// pivot records the step in `first_zero` and skips that column's division
-/// and in-block update instead of aborting.
-fn getf2_in_place_continue(
     a: &mut Mat,
     k0: usize,
     w: usize,
@@ -622,7 +560,7 @@ mod tests {
             let (mut r, mut ipiv_ref) = (a0.clone(), Vec::new());
             for k0 in (0..n).step_by(IB) {
                 let w = IB.min(n - k0);
-                getf2_in_place(&mut r, k0, w, &mut ipiv_ref).unwrap();
+                getf2_in_place(&mut r, k0, w, &mut ipiv_ref, &mut None);
                 let (nr, mr) = (n - k0 - w, m - k0 - w);
                 if nr == 0 {
                     continue;

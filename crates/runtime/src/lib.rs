@@ -31,9 +31,9 @@
 //!   *distributed* streaming window: NIC-serialized transfers plus the
 //!   protocol message records (DataMsg / DecisionMsg / RetireMsg).
 //! * [`net`] — real transports for that protocol: a [`net::Transport`]
-//!   endpoint per rank (in-process loopback, crossbeam channels, or
-//!   UDS/TCP sockets between worker processes) moving length-prefixed
-//!   wire frames, driven by the SPMD executor [`stream::execute_net`].
+//!   endpoint per rank (in-process loopback, or Unix-domain sockets
+//!   between worker processes) moving length-prefixed wire frames, driven
+//!   by the SPMD executor [`stream::execute_net`].
 //! * [`vtime`] — the online virtual-time engine: the discrete-event model
 //!   consumed one task at a time, so a streaming run emits the same report
 //!   as a batch replay without materializing the graph.

@@ -4,14 +4,13 @@
 //! distributed run without moving a byte. This module gives that protocol
 //! a wire: a [`Transport`] endpoint per rank, over which the SPMD
 //! streaming executor ([`crate::stream::execute_net`]) exchanges
-//! length-prefixed [`wire::Frame`]s. Three implementations ship:
+//! length-prefixed [`wire::Frame`]s. Two implementations ship, one
+//! in-process and one socket family:
 //!
 //! * [`loopback::loopback_set`] — in-process mailboxes, the reference
 //!   implementation pinned bitwise to the routed-record path;
-//! * [`channel::channel_set`] — one OS thread per rank over crossbeam
-//!   channels;
 //! * [`socket::SocketEndpoint`] — length-prefixed frames over Unix-domain
-//!   or TCP sockets between real worker processes.
+//!   sockets between rank threads or real worker processes.
 //!
 //! Every implementation round-trips frames through the [`wire`] codec, so
 //! the serialized format is exercised even in-process. Payload bytes come
@@ -24,7 +23,6 @@ use std::fmt;
 use crate::graph::DataKey;
 use crate::probe::Histogram;
 
-pub mod channel;
 pub mod loopback;
 pub mod socket;
 pub mod wire;

@@ -1,15 +1,13 @@
-//! Socket transport: length-prefixed frames over Unix-domain or TCP
-//! sockets between real worker processes.
+//! Socket transport: length-prefixed frames over Unix-domain sockets
+//! between real worker processes.
 //!
-//! The set forms a full mesh. Rank `r` listens at its own address
-//! (`{dir}/rank{r}.sock` for UDS, `127.0.0.1:{base_port}+r` for TCP);
+//! The set forms a full mesh. Rank `r` listens at `{dir}/rank{r}.sock`;
 //! every pair `(i, j)` with `i < j` is connected by `j` dialing `i` and
 //! opening with a [`Frame::Hello`] carrying its rank. Each peer stream
 //! gets a dedicated reader thread feeding one inbox queue; writes take a
 //! per-peer mutex so concurrent senders cannot interleave frames.
 
-use std::io::{BufReader, IoSlice, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::io::BufReader;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -30,69 +28,11 @@ const DIAL_BACKOFF: Duration = Duration::from_millis(2);
 pub enum SocketSpec {
     /// Unix-domain sockets `rank{r}.sock` under one directory.
     Uds { dir: PathBuf },
-    /// TCP on `127.0.0.1`, rank `r` at `base_port + r`.
-    Tcp { base_port: u16 },
 }
 
 /// The UDS path rank `rank` listens on under `dir`.
 pub fn uds_path(dir: &Path, rank: usize) -> PathBuf {
     dir.join(format!("rank{rank}.sock"))
-}
-
-/// Either flavor of connected stream.
-enum Stream {
-    Unix(UnixStream),
-    Tcp(TcpStream),
-}
-
-impl Stream {
-    fn try_clone(&self) -> std::io::Result<Stream> {
-        match self {
-            Stream::Unix(s) => s.try_clone().map(Stream::Unix),
-            Stream::Tcp(s) => s.try_clone().map(Stream::Tcp),
-        }
-    }
-
-    fn shutdown_both(&self) {
-        let _ = match self {
-            Stream::Unix(s) => s.shutdown(std::net::Shutdown::Both),
-            Stream::Tcp(s) => s.shutdown(std::net::Shutdown::Both),
-        };
-    }
-}
-
-impl Read for Stream {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        match self {
-            Stream::Unix(s) => s.read(buf),
-            Stream::Tcp(s) => s.read(buf),
-        }
-    }
-}
-
-impl Write for Stream {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        match self {
-            Stream::Unix(s) => s.write(buf),
-            Stream::Tcp(s) => s.write(buf),
-        }
-    }
-
-    // The default would write only the first buffer: a frame's header and
-    // payload must leave in one syscall.
-    fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> std::io::Result<usize> {
-        match self {
-            Stream::Unix(s) => s.write_vectored(bufs),
-            Stream::Tcp(s) => s.write_vectored(bufs),
-        }
-    }
-
-    fn flush(&mut self) -> std::io::Result<()> {
-        match self {
-            Stream::Unix(s) => s.flush(),
-            Stream::Tcp(s) => s.flush(),
-        }
-    }
 }
 
 type InboxItem = Result<(usize, Frame), TransportError>;
@@ -102,7 +42,7 @@ pub struct SocketEndpoint {
     rank: usize,
     nranks: usize,
     /// Writer half per peer (`None` at our own index).
-    writers: Vec<Option<Mutex<Stream>>>,
+    writers: Vec<Option<Mutex<UnixStream>>>,
     inbox: Mutex<mpsc::Receiver<InboxItem>>,
     wake: mpsc::Sender<InboxItem>,
     closed: Arc<AtomicBool>,
@@ -115,7 +55,7 @@ impl SocketEndpoint {
         assert!(rank < nranks, "rank {rank} out of range for {nranks} ranks");
         let deadline = Instant::now() + CONNECT_TIMEOUT;
         let listener = bind(spec, rank)?;
-        let mut streams: Vec<Option<Stream>> = (0..nranks).map(|_| None).collect();
+        let mut streams: Vec<Option<UnixStream>> = (0..nranks).map(|_| None).collect();
 
         // Dial every lower rank, announcing ourselves. The peer's listener
         // may not exist yet — retry until the deadline.
@@ -147,7 +87,7 @@ impl SocketEndpoint {
 
         let (wake, rx) = mpsc::channel::<InboxItem>();
         let closed = Arc::new(AtomicBool::new(false));
-        let mut writers: Vec<Option<Mutex<Stream>>> = Vec::with_capacity(nranks);
+        let mut writers: Vec<Option<Mutex<UnixStream>>> = Vec::with_capacity(nranks);
         for (peer, slot) in streams.into_iter().enumerate() {
             let Some(stream) = slot else {
                 writers.push(None);
@@ -170,38 +110,18 @@ impl SocketEndpoint {
     }
 }
 
-fn bind(spec: &SocketSpec, rank: usize) -> Result<Listener, TransportError> {
-    match spec {
-        SocketSpec::Uds { dir } => {
-            let path = uds_path(dir, rank);
-            let _ = std::fs::remove_file(&path);
-            UnixListener::bind(&path)
-                .map(Listener::Unix)
-                .map_err(|e| TransportError::Connect(format!("bind {}: {e}", path.display())))
-        }
-        SocketSpec::Tcp { base_port } => {
-            let addr = format!("127.0.0.1:{}", base_port + rank as u16);
-            TcpListener::bind(&addr)
-                .map(Listener::Tcp)
-                .map_err(|e| TransportError::Connect(format!("bind {addr}: {e}")))
-        }
-    }
+fn bind(spec: &SocketSpec, rank: usize) -> Result<UnixListener, TransportError> {
+    let SocketSpec::Uds { dir } = spec;
+    let path = uds_path(dir, rank);
+    let _ = std::fs::remove_file(&path);
+    UnixListener::bind(&path)
+        .map_err(|e| TransportError::Connect(format!("bind {}: {e}", path.display())))
 }
 
-enum Listener {
-    Unix(UnixListener),
-    Tcp(TcpListener),
-}
-
-fn dial(spec: &SocketSpec, peer: usize, deadline: Instant) -> Result<Stream, TransportError> {
+fn dial(spec: &SocketSpec, peer: usize, deadline: Instant) -> Result<UnixStream, TransportError> {
+    let SocketSpec::Uds { dir } = spec;
     loop {
-        let attempt = match spec {
-            SocketSpec::Uds { dir } => UnixStream::connect(uds_path(dir, peer)).map(Stream::Unix),
-            SocketSpec::Tcp { base_port } => {
-                TcpStream::connect(("127.0.0.1", base_port + peer as u16)).map(Stream::Tcp)
-            }
-        };
-        match attempt {
+        match UnixStream::connect(uds_path(dir, peer)) {
             Ok(s) => return Ok(s),
             Err(e) => {
                 if Instant::now() >= deadline {
@@ -213,27 +133,18 @@ fn dial(spec: &SocketSpec, peer: usize, deadline: Instant) -> Result<Stream, Tra
     }
 }
 
-fn accept(listener: &Listener, deadline: Instant) -> Result<Stream, TransportError> {
+fn accept(listener: &UnixListener, deadline: Instant) -> Result<UnixStream, TransportError> {
     // Poll non-blockingly so a peer that never shows up turns into a
     // Connect error instead of a hang.
-    let set_nonblocking = |on: bool| match listener {
-        Listener::Unix(l) => l.set_nonblocking(on),
-        Listener::Tcp(l) => l.set_nonblocking(on),
-    };
-    set_nonblocking(true).map_err(|e| TransportError::Connect(format!("nonblocking: {e}")))?;
+    listener
+        .set_nonblocking(true)
+        .map_err(|e| TransportError::Connect(format!("nonblocking: {e}")))?;
     loop {
-        let attempt = match listener {
-            Listener::Unix(l) => l.accept().map(|(s, _)| Stream::Unix(s)),
-            Listener::Tcp(l) => l.accept().map(|(s, _)| Stream::Tcp(s)),
-        };
-        match attempt {
-            Ok(s) => {
+        match listener.accept() {
+            Ok((s, _)) => {
                 // The accepted stream inherits nonblocking on some
                 // platforms; force it back to blocking.
-                let _ = match &s {
-                    Stream::Unix(us) => us.set_nonblocking(false),
-                    Stream::Tcp(ts) => ts.set_nonblocking(false),
-                };
+                let _ = s.set_nonblocking(false);
                 return Ok(s);
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
@@ -247,7 +158,12 @@ fn accept(listener: &Listener, deadline: Instant) -> Result<Stream, TransportErr
     }
 }
 
-fn spawn_reader(peer: usize, stream: Stream, tx: mpsc::Sender<InboxItem>, closed: Arc<AtomicBool>) {
+fn spawn_reader(
+    peer: usize,
+    stream: UnixStream,
+    tx: mpsc::Sender<InboxItem>,
+    closed: Arc<AtomicBool>,
+) {
     // Buffered: a frame's length prefix and header then cost no syscall of
     // their own, and small frames arrive several to a read. Large payloads
     // bypass the buffer (`BufReader` reads straight into a destination at
@@ -317,10 +233,8 @@ impl Transport for SocketEndpoint {
             return;
         }
         for writer in self.writers.iter().flatten() {
-            writer
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .shutdown_both();
+            let stream = writer.lock().unwrap_or_else(|e| e.into_inner());
+            let _ = stream.shutdown(std::net::Shutdown::Both);
         }
         let _ = self.wake.send(Err(TransportError::Closed));
     }

@@ -37,15 +37,18 @@
 //! per-datum mutation order.
 
 mod chain;
+mod modelled;
 pub mod priority;
 pub mod retire;
+mod ring;
 pub mod window;
+mod wire;
 
 use std::sync::Arc;
 use std::time::Instant;
 
-use crate::comm::{LinkMsgStats, MsgStats};
-use crate::graph::{TaskId, TaskOp, TaskSink};
+use crate::comm::{LinkMsgStats, Msg, MsgStats};
+use crate::graph::{CostedAccess, DataKey, TaskId, TaskOp, TaskResult, TaskSink};
 use crate::net::{NetReport, PayloadStore, Transport, TransportError};
 use crate::platform::Platform;
 use crate::probe::{metric, Label, Probe};
@@ -53,8 +56,10 @@ use crate::sched::SchedPolicy;
 use crate::sim::SimReport;
 use crate::trace::TraceEvent;
 
-use window::FramePump;
-pub use window::{StepSink, StreamWindow};
+use modelled::Modelled;
+pub use window::StreamWindow;
+use window::NO_STEP;
+use wire::{ArrivalKey, Wire};
 
 /// What a source planned for one step.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -231,7 +236,7 @@ impl StreamOptions {
 }
 
 /// Summary of one streaming execution.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct StreamReport {
     /// Wall-clock seconds, planning and execution interleaved.
     pub wall_seconds: f64,
@@ -299,6 +304,39 @@ pub struct NetConfig {
     pub store: Arc<dyn PayloadStore>,
 }
 
+/// [`TaskSink`] adapter binding insertions to one step of a
+/// [`StreamWindow`]. Created by the streaming driver for each planning
+/// phase; `usize::MAX` (declaration phase) accepts `declare` only.
+pub struct StepSink<'a, O: TaskOp> {
+    win: &'a StreamWindow<O>,
+    step: usize,
+}
+
+impl<'a, O: TaskOp> StepSink<'a, O> {
+    pub fn new(win: &'a StreamWindow<O>, step: usize) -> Self {
+        StepSink { win, step }
+    }
+
+    /// Declaration-phase sink (no step open; task insertion panics).
+    pub fn declarations(win: &'a StreamWindow<O>) -> Self {
+        StepSink { win, step: NO_STEP }
+    }
+}
+
+impl<O: TaskOp> TaskSink<O> for StepSink<'_, O> {
+    fn num_nodes(&self) -> usize {
+        self.win.num_nodes()
+    }
+
+    fn declare(&mut self, key: DataKey, bytes: usize, home_node: usize) {
+        self.win.declare(self.step, key, bytes, home_node);
+    }
+
+    fn push(&mut self, node: usize, op: O) -> TaskId {
+        self.win.insert_task(self.step, node, op)
+    }
+}
+
 /// Execute `source` with at most `window` consecutive steps materialized,
 /// on `threads` worker threads (both clamped to ≥ 1).
 ///
@@ -317,7 +355,8 @@ pub fn execute<S: StepSource + ?Sized>(
 /// Execute `source` under the full streaming configuration: window policy,
 /// optional online platform simulation, optional trace recording.
 pub fn execute_with<S: StepSource + ?Sized>(source: &mut S, opts: &StreamOptions) -> StreamReport {
-    drive(source, opts, None).expect("only a transport can fail a run, and there is none")
+    let fabric = Fabric::local(opts, source.num_nodes());
+    drive(source, opts, fabric).expect("only a transport can fail a run, and there is none")
 }
 
 /// Execute `source` as one rank of a real distributed run (SPMD): every
@@ -334,43 +373,227 @@ pub fn execute_with<S: StepSource + ?Sized>(source: &mut S, opts: &StreamOptions
 /// than 0 ship the final version of every datum they own to rank 0, whose
 /// mirror then holds the complete factorization.
 ///
-/// Restrictions (asserted): no platform model / virtual time, FIFO
-/// scheduling, no stealing, no recalibration — net runs pin the
-/// bitwise-reproducible configuration. The transport's world size must
-/// equal `source.num_nodes()`.
+/// A configuration that cannot run over a wire is a typed error before
+/// anything starts: a platform model, stealing or recalibration
+/// ([`StreamOptions::check_wire`]), or an endpoint whose world size is not
+/// `source.num_nodes()`.
 pub fn execute_net<S: StepSource + ?Sized>(
     source: &mut S,
     opts: &StreamOptions,
     net: NetConfig,
 ) -> Result<StreamReport, TransportError> {
-    assert!(
-        opts.platform.is_none(),
-        "execute_net drives real transports, not the platform model"
-    );
-    assert!(!opts.steal, "stealing would desynchronize SPMD planning");
-    assert!(
-        !opts.recalibrate,
-        "recalibration would desynchronize SPMD planning"
-    );
-    drive(source, opts, Some(net))
+    let fabric = Fabric::resolve(opts, Some(net), source.num_nodes())?;
+    drive(source, opts, fabric)
 }
 
-/// Unwinding out of the driver's scope with workers (and, in net mode, the
+/// What carries a run's cross-node traffic — the one value the streaming
+/// window's distribution mode is. Routing (which message goes where, once
+/// per version and destination) is the window's and the same for all
+/// three; the fabric is what happens *to* a routed message and what a
+/// task's placement means:
+///
+/// * `Counted` — messages are tallied, nothing else;
+/// * `Modelled` — completions are also priced against a platform model
+///   ([`modelled`]);
+/// * `Wire` — this rank's messages become frames on a real transport and
+///   its tasks wait for the frames of others ([`wire`]).
+///
+/// The window calls it at four seams — [`Fabric::place`] at insertion,
+/// [`Fabric::send`] for a routed message, [`Fabric::completed`] (and its
+/// step-granular twin [`Fabric::retired`]) at completion,
+/// [`Fabric::arrived`] at pop — plus [`Fabric::report`]. The per-task ones
+/// are `#[inline]`: the window is generic over the op and so compiled in
+/// the crate that names it, where a plain method here would be a call.
+// One per run, built once and never moved out of its window: an arm's size
+// costs nothing, a `Box` would cost a hop per seam.
+#[allow(clippy::large_enum_variant)]
+enum Fabric {
+    Counted,
+    Modelled(Modelled),
+    Wire(Wire),
+}
+
+/// What the fabric made of a task at insertion; kept in the live record.
+struct Placed {
+    /// The node the task runs on.
+    node: usize,
+    /// Placed on another rank of a wire: mirrored here, never run here,
+    /// completed inline once unblocked (a *stub*).
+    stub: bool,
+    /// Priced accesses, owed to the model at completion.
+    accesses: Vec<CostedAccess>,
+    /// Inputs that cross the wire to this task, decoded into the local
+    /// mirror when it is popped for execution.
+    needs: Vec<ArrivalKey>,
+}
+
+impl Placed {
+    /// Where the planner put it, and nothing more to keep.
+    #[inline]
+    fn on(node: usize) -> Placed {
+        Placed {
+            node,
+            stub: false,
+            accesses: Vec::new(),
+            needs: Vec::new(),
+        }
+    }
+}
+
+impl StreamOptions {
+    /// Whether these options can drive a real transport: a platform
+    /// model has no meaning over one, and stealing or recalibration would
+    /// re-place tasks from what one rank observed, desynchronizing the
+    /// ranks' identical plans.
+    pub fn check_wire(&self) -> Result<(), TransportError> {
+        let refused = [
+            (self.platform.is_some(), "a platform model"),
+            (self.steal, "steal-at-insert"),
+            (self.recalibrate, "recalibration"),
+        ];
+        match refused.iter().find(|(set, _)| *set) {
+            None => Ok(()),
+            Some((_, what)) => Err(TransportError::Protocol(format!(
+                "{what} is not available over a real transport: SPMD ranks must plan identically"
+            ))),
+        }
+    }
+}
+
+impl Fabric {
+    /// The fabric `opts` and an optional transport binding select for a
+    /// run over `num_nodes` nodes. `steal` and `recalibrate` are modifiers
+    /// of the platform model and inert without one.
+    fn resolve(
+        opts: &StreamOptions,
+        net: Option<NetConfig>,
+        num_nodes: usize,
+    ) -> Result<Fabric, TransportError> {
+        assert!(num_nodes >= 1);
+        match (net, &opts.platform) {
+            (Some(net), _) => {
+                opts.check_wire()?;
+                Wire::new(net, num_nodes).map(Fabric::Wire)
+            }
+            (None, Some(platform)) => {
+                Ok(Fabric::Modelled(Modelled::new(platform, opts, num_nodes)))
+            }
+            (None, None) => Ok(Fabric::Counted),
+        }
+    }
+
+    /// [`Fabric::resolve`] without a transport, which cannot fail.
+    fn local(opts: &StreamOptions, num_nodes: usize) -> Fabric {
+        Fabric::resolve(opts, None, num_nodes).expect("no transport, no transport error")
+    }
+
+    /// Seam 1, insertion: where task `id`, planned for `node`, runs, and
+    /// how many gates — predecessors beyond its hazard edges — it waits
+    /// for. `accesses` prices its declared accesses and `inputs` lists its
+    /// data-flow inputs as routing resolved them (`(datum, producer, source
+    /// node)`); each is walked only by the arm that needs it.
+    fn place(
+        &mut self,
+        id: TaskId,
+        node: usize,
+        accesses: impl Iterator<Item = CostedAccess>,
+        inputs: impl Iterator<Item = (DataKey, Option<TaskId>, usize)>,
+        wrote_decision: Option<DataKey>,
+    ) -> (Placed, usize) {
+        match self {
+            Fabric::Counted => (Placed::on(node), 0),
+            Fabric::Modelled(m) => (m.place(node, accesses), 0),
+            Fabric::Wire(w) => w.place(id, node, inputs, wrote_decision),
+        }
+    }
+
+    /// Seam 2, routing: `msg` was recorded on `link`; move it.
+    #[inline]
+    fn send(&mut self, msg: &Msg, link: (usize, usize), producer: Option<TaskId>) {
+        if let Fabric::Wire(w) = self {
+            w.send(msg, link, producer);
+        }
+    }
+
+    /// Seam 3, completion of task `id` (named by `name`) of `step`, placed
+    /// as `placed`, which wrote the decision data `decisions`.
+    fn completed(
+        &mut self,
+        id: TaskId,
+        step: usize,
+        placed: Placed,
+        result: TaskResult,
+        decisions: &[DataKey],
+        name: impl FnOnce() -> String,
+    ) {
+        match self {
+            Fabric::Counted => {}
+            Fabric::Modelled(m) => m.completed(id, placed.node, step, placed.accesses, result),
+            Fabric::Wire(w) => w.completed(id, placed.node, &result, decisions, name),
+        }
+    }
+
+    /// Seam 3 at step granularity: `step` retired.
+    #[inline]
+    fn retired(&mut self, step: usize) {
+        if let Fabric::Modelled(m) = self {
+            m.retired(step);
+        }
+    }
+
+    /// Seam 4, pop: the inputs `needs` must be in the local mirror before
+    /// the task runs. `false` if that failed the run.
+    #[inline]
+    fn arrived(&mut self, needs: Vec<ArrivalKey>) -> bool {
+        match self {
+            Fabric::Wire(w) => w.apply(needs),
+            _ => true,
+        }
+    }
+
+    /// The fabric's sticky failure, if any (only a wire can fail).
+    #[inline]
+    fn error(&self) -> Option<&TransportError> {
+        match self {
+            Fabric::Wire(w) => w.error(),
+            _ => None,
+        }
+    }
+
+    /// Observed per-node speeds, while the model recalibrates.
+    fn speeds(&self) -> Option<Vec<f64>> {
+        match self {
+            Fabric::Modelled(m) => m.speeds(),
+            _ => None,
+        }
+    }
+
+    /// End of the run: the fabric's statistics, into `report` and on `probe`.
+    fn report(&mut self, probe: &Probe, report: &mut StreamReport) {
+        match self {
+            Fabric::Counted => {}
+            Fabric::Modelled(m) => {
+                let (sim, steals, kept) = m.report(probe);
+                (report.sim, report.steals, report.steal_kept) = (Some(sim), steals, kept);
+            }
+            Fabric::Wire(w) => report.net = Some(w.report(probe)),
+        }
+    }
+}
+
+/// Unwinding out of the driver's scope with workers (and, on a wire, the
 /// receiver and the peers) still asleep would hang the scope's join: fail
 /// the run on the way out so every thread returns.
-struct AbortOnUnwind<'a, O: TaskOp> {
-    win: &'a StreamWindow<O>,
-    net: Option<&'a NetConfig>,
-}
+struct AbortOnUnwind<'a, O: TaskOp>(&'a StreamWindow<O>);
 
 impl<O: TaskOp> Drop for AbortOnUnwind<'_, O> {
     fn drop(&mut self) {
         if std::thread::panicking() {
-            self.win
+            self.0
                 .fail_panicked(Box::new("the streaming planner panicked"));
-            if let Some(net) = self.net {
-                self.win.net_abort();
-                net.transport.shutdown();
+            if let Some(transport) = self.0.endpoint() {
+                self.0.abort();
+                transport.shutdown();
             }
         }
     }
@@ -378,26 +601,16 @@ impl<O: TaskOp> Drop for AbortOnUnwind<'_, O> {
 
 /// The one driver loop behind [`execute_with`] and [`execute_net`]: the
 /// calling thread opens, plans, awaits and closes steps under the window
-/// policy while `threads` workers execute; with a transport, a receiver
-/// thread pumps inbound frames and the run ends with the rank protocol.
+/// policy while `threads` workers execute; on a wire, a receiver thread
+/// pumps inbound frames and the run ends with the rank protocol.
 fn drive<S: StepSource + ?Sized>(
     source: &mut S,
     opts: &StreamOptions,
-    net: Option<NetConfig>,
+    fabric: Fabric,
 ) -> Result<StreamReport, TransportError> {
     let threads = opts.threads.max(1);
     let start = Instant::now();
-    let win = match &net {
-        None => StreamWindow::with_options(source.num_nodes(), source.context(), opts),
-        Some(net) => StreamWindow::with_net(
-            source.num_nodes(),
-            source.context(),
-            opts.trace,
-            &opts.probe,
-            Arc::clone(&net.transport),
-            Arc::clone(&net.store),
-        ),
-    };
+    let win = StreamWindow::with_fabric(source.num_nodes(), source.context(), opts, fabric);
     let steps = source.num_steps();
     let probing = opts.probe.is_enabled();
 
@@ -413,40 +626,18 @@ fn drive<S: StepSource + ?Sized>(
         }
     };
     let mut per_step_window = Vec::with_capacity(steps);
-    let mut net_result = Ok(());
+    let mut wire_result = Ok(());
 
     std::thread::scope(|scope| {
         for w in 0..threads {
             let win = &win;
             scope.spawn(move || win.worker_loop(w));
         }
-        // Receiver: pump inbound frames into the window until the run's
-        // shutdown frame (or the endpoint closes underneath us).
-        if let Some(net) = &net {
+        if let Some(transport) = win.endpoint() {
             let win = &win;
-            let transport = Arc::clone(&net.transport);
-            scope.spawn(move || loop {
-                match transport.recv() {
-                    Ok((from, frame)) => {
-                        if matches!(win.on_frame(from, frame), FramePump::Stop) {
-                            break;
-                        }
-                    }
-                    Err(TransportError::Closed) => break,
-                    // A peer tearing down after the shutdown broadcast is
-                    // not a failure — keep pumping for our own Shutdown.
-                    Err(e) if win.net_disconnect_benign(&e) => continue,
-                    Err(e) => {
-                        win.net_fail(e);
-                        break;
-                    }
-                }
-            });
+            scope.spawn(move || win.pump_frames(&*transport));
         }
-        let _abort = AbortOnUnwind {
-            win: &win,
-            net: net.as_ref(),
-        };
+        let _abort = AbortOnUnwind(&win);
 
         source.prepare(&mut StepSink::declarations(&win));
         for k in 0..steps {
@@ -510,57 +701,21 @@ fn drive<S: StepSource + ?Sized>(
         }
         win.finish_planning();
         win.wait_drained();
-        if let Some(net) = &net {
-            net_result = if win.failed() {
-                win.net_check()
-            } else {
-                win.net_finish()
-            };
-            if win.failed() {
-                // Take the peers down with us — they cannot make progress
-                // without this rank's frames, and over in-process
-                // transports nobody would notice a silently missing peer.
-                win.net_abort();
-            }
-            // Stop the receiver in every case: rank 0 never gets a
-            // Shutdown frame of its own, and an erroring rank's receiver
-            // may still be blocked in recv().
-            net.transport.shutdown();
-        }
+        wire_result = win.end_of_run();
     });
 
     // A kernel panic outranks whatever it made of the transport.
     if let Some(payload) = win.take_panic() {
         std::panic::resume_unwind(payload);
     }
-    net_result?;
-    let stats = win.stats();
-    opts.probe.counter(
-        metric::STREAM_PLANNER_WAKEUPS,
-        Label::None,
-        stats.planner_wakeups,
-    );
-    opts.probe
-        .counter(metric::STREAM_WORKER_PARKS, Label::None, stats.worker_parks);
+    wire_result?;
+    let counted = win.report();
     Ok(StreamReport {
         wall_seconds: start.elapsed().as_secs_f64(),
         steps,
-        tasks_planned: stats.tasks_planned,
-        tasks_executed: stats.tally.executed,
-        tasks_discarded: stats.tally.discarded,
-        total_flops: stats.tally.flops,
-        peak_live_tasks: stats.peak_live_tasks,
-        peak_live_steps: stats.peak_live_steps,
-        per_step_tasks: stats.per_step_tasks,
         per_step_window,
-        steals: stats.steals,
-        steal_kept: stats.steal_kept,
-        msgs: stats.msgs,
-        link_msgs: stats.link_msgs,
-        sim: stats.sim,
-        trace: stats.trace,
         scheduler: opts.scheduler,
-        net: stats.net,
+        ..counted
     })
 }
 
@@ -568,6 +723,7 @@ fn drive<S: StepSource + ?Sized>(
 mod tests {
     use super::*;
     use crate::graph::{Access, CostClass, DataKey, TaskResult};
+    use crate::net::loopback::loopback_set;
     use crate::testing::{TestCtx, TestOp};
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
@@ -1186,6 +1342,122 @@ mod tests {
         }
     }
 
+    /// A rank's payload store over the mixed source's cells: the
+    /// accumulator and the leaves travel as their eight bytes, the awaited
+    /// decision as one.
+    struct MixedStore(Arc<parking_lot::Mutex<MixedCells>>);
+
+    impl PayloadStore for MixedStore {
+        fn load(&self, key: DataKey) -> Option<Vec<u8>> {
+            let c = self.0.lock();
+            match key.0 {
+                MixedSource::ACC => Some(c.acc.to_le_bytes().to_vec()),
+                j @ 1..=4 => Some(c.leaves[j as usize - 1].to_le_bytes().to_vec()),
+                MixedSource::DECISION => c.decision.map(|d| vec![d as u8]),
+                _ => None,
+            }
+        }
+
+        fn store(&self, key: DataKey, bytes: &[u8]) -> Result<(), TransportError> {
+            let mut c = self.0.lock();
+            match (key.0, bytes) {
+                (MixedSource::DECISION, &[d]) => c.decision = Some(d != 0),
+                (j @ 0..=4, &[..]) if bytes.len() == 8 => {
+                    let v = f64::from_le_bytes(bytes.try_into().expect("eight bytes"));
+                    match j {
+                        0 => c.acc = v,
+                        _ => c.leaves[j as usize - 1] = v,
+                    }
+                }
+                _ => return Err(TransportError::Frame(format!("bad payload for {key:?}"))),
+            }
+            Ok(())
+        }
+
+        fn knows(&self, key: DataKey) -> bool {
+            matches!(key.0, 0..=4 | MixedSource::DECISION)
+        }
+
+        fn in_result(&self, key: DataKey) -> bool {
+            key.0 == MixedSource::ACC
+        }
+    }
+
+    /// The mixed source on two nodes as two SPMD ranks over loopback
+    /// mailboxes — each rank its own source, cells and store; rank 0's
+    /// outcome and report.
+    fn mixed_on_the_wire(window: usize, threads: usize) -> ((u64, Vec<bool>), StreamReport) {
+        let opts = StreamOptions::fixed(window, threads);
+        let rank = |transport: Arc<dyn Transport>| {
+            let mut src = MixedSource::new(6, 2);
+            let store = Arc::new(MixedStore(Arc::clone(&src.cells)));
+            let report = execute_net(&mut src, &opts, NetConfig { transport, store });
+            (src.outcome(), report.expect("the wire run completes"))
+        };
+        let mut set = loopback_set(2);
+        let (r1, r0) = (set.pop().expect("rank 1"), set.pop().expect("rank 0"));
+        std::thread::scope(|s| {
+            let peer = s.spawn(|| rank(r1));
+            let got = rank(r0);
+            peer.join().expect("rank 1 panicked");
+            got
+        })
+    }
+
+    /// Every `(platform?, steal, recalibrate, transport?)` combination
+    /// resolves to the arm it names, or to the typed error: a wire takes
+    /// none of the three, and without a platform the two modifiers are
+    /// inert.
+    #[test]
+    fn fabric_resolution_covers_every_option_combination() {
+        let net = || NetConfig {
+            transport: loopback_set(2).remove(0),
+            store: Arc::new(MixedStore(Arc::default())),
+        };
+        for bits in 0..16u32 {
+            let [platform, steal, recalibrate, wire] = [1, 2, 4, 8].map(|b| bits & b != 0);
+            let opts = StreamOptions {
+                platform: platform.then(|| Platform::dancer_nodes(2)),
+                steal,
+                recalibrate,
+                ..StreamOptions::fixed(1, 1)
+            };
+            let what = format!("platform={platform} steal={steal} recalibrate={recalibrate}");
+            match (Fabric::resolve(&opts, wire.then(net), 2), wire) {
+                (Ok(Fabric::Wire(_)), true) => {
+                    assert!(!(platform || steal || recalibrate), "{what}")
+                }
+                (Err(TransportError::Protocol(m)), true) => {
+                    assert!(platform || steal || recalibrate, "{what}: {m}");
+                    assert_eq!(opts.check_wire(), Err(TransportError::Protocol(m)));
+                }
+                (Ok(Fabric::Modelled(mut m)), false) => {
+                    assert!(platform, "{what}");
+                    // A placement is a steal evaluation, a retired step an
+                    // observation, exactly when the modifier is on.
+                    m.place(0, std::iter::empty());
+                    m.retired(0);
+                    let (_, steals, kept) = m.report(&Probe::disabled());
+                    let modifiers = (steals + kept == 1, m.speeds().is_some());
+                    assert_eq!(modifiers, (steal, recalibrate), "{what}");
+                }
+                (Ok(Fabric::Counted), false) => assert!(!platform, "{what}"),
+                (got, _) => panic!("{what} wire={wire}: resolved to {}", got.is_ok()),
+            }
+        }
+        // Stealing needs somewhere to steal to; an endpoint of another
+        // world size is refused like a bad option.
+        let opts = StreamOptions::fixed(1, 1).with_platform(Platform::dancer_nodes(2));
+        let Fabric::Modelled(mut m) = Fabric::local(&opts.with_stealing(), 1) else {
+            panic!("a platform resolves to the modelled fabric");
+        };
+        m.place(0, std::iter::empty());
+        let (_, steals, kept) = m.report(&Probe::disabled());
+        assert_eq!(steals + kept, 0);
+        let mismatch = Fabric::resolve(&StreamOptions::fixed(1, 1), Some(net()), 3);
+        assert!(matches!(mismatch, Err(TransportError::Protocol(_))));
+    }
+
     /// The planner is woken when what it sleeps on became true — not once
     /// per completed task.
     #[test]
@@ -1216,7 +1488,8 @@ mod tests {
     /// Lost-wake-up stress: every (threads, window) point runs the mixed
     /// source many times under a watchdog — a lost wake-up is a hang, which
     /// the watchdog turns into a failure — and every run must produce the
-    /// same bits.
+    /// same bits. On two nodes the point also runs as two ranks over a
+    /// wire, where the planner sleeps on frames and stubs drain inline.
     #[test]
     fn no_wakeup_is_lost_across_threads_and_windows() {
         const REPS: usize = 200;
@@ -1226,15 +1499,22 @@ mod tests {
                 for window in [1, 2, 7] {
                     let what = format!("nodes={nodes} threads={threads} window={window}");
                     let outcomes = with_watchdog(&what, move || {
-                        (0..REPS)
-                            .map(|_| {
-                                let mut src = MixedSource::new(6, nodes);
-                                let report = execute(&mut src, window, threads);
-                                assert_eq!(report.tasks_executed, report.tasks_planned);
-                                assert!(report.peak_live_steps <= window);
-                                src.outcome()
-                            })
-                            .collect::<Vec<_>>()
+                        let local = (0..REPS).map(|_| {
+                            let mut src = MixedSource::new(6, nodes);
+                            let report = execute(&mut src, window, threads);
+                            assert_eq!(report.tasks_executed, report.tasks_planned);
+                            assert!(report.peak_live_steps <= window);
+                            src.outcome()
+                        });
+                        let wired = (0..if nodes == 2 { REPS } else { 0 }).map(|_| {
+                            let (outcome, report) = mixed_on_the_wire(window, threads);
+                            assert_eq!(report.tasks_executed, report.tasks_planned);
+                            assert!(report.peak_live_steps <= window);
+                            let wire = report.net.expect("a wire run reports its wire");
+                            assert!(wire.frames_sent > 0 && wire.frames_received > 0);
+                            outcome
+                        });
+                        local.chain(wired).collect::<Vec<_>>()
                     });
                     let first = expected.get_or_insert_with(|| outcomes[0].clone());
                     assert_eq!(first.1.len(), 3, "three awaited decisions");

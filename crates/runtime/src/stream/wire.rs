@@ -1,0 +1,740 @@
+//! The wire fabric: one rank of an SPMD run over a real [`Transport`].
+//!
+//! **Stubs.** Every rank plans the *full* task graph deterministically
+//! into its own window, so the protocol messages each rank records are
+//! identical to the modelled run's. A task placed on another rank is a
+//! *stub* here: its hazard edges and message bookkeeping are mirrored, its
+//! op is never run, and it completes inline the moment its local
+//! predecessors are gone. What the wire arm adds to the shared routing is
+//! real frames for the messages this rank *sends* (`link.0 == rank`) and
+//! wire-level counters reconciled against the protocol tallies at the end.
+//!
+//! **Arrival gating.** A local task whose input version originates on
+//! another rank gains one extra predecessor per such input, resolved when
+//! the matching frame arrives. The `(datum, producer)` pair is a pure
+//! function of planning-order directory state, hence the same on both
+//! ends. Frames are buffered as raw bytes at receipt and decoded into the
+//! local mirror *lazily* — when a consumer is popped for execution (under
+//! the window lock, so hazard ordering makes the write safe) or when the
+//! driver awaits a remote decision. Decoding eagerly in the receiver would
+//! race the planner: a frame may arrive before the rank has even declared
+//! the datum it updates. A decision computed here is also broadcast to
+//! *every* peer as a `Sync` control frame — each rank's driver blocks on it
+//! before planning the rest of the step, and the modelled `DecisionMsg`
+//! (routed only to branch-task hosts) cannot cover ranks whose share of the
+//! chosen branch is empty.
+//!
+//! **End of run.** After the window drains:
+//!
+//! 1. broadcast `Done` (a fence: per-link FIFO means every protocol frame
+//!    this rank sent precedes it);
+//! 2. wait for all peers' `Done`s — now every inbound protocol frame has
+//!    been counted — and reconcile wire counters against the per-link
+//!    protocol tallies;
+//! 3. ranks != 0 ship the result data whose final version they hold as
+//!    `Result` frames, send `Fin`, and park until `Shutdown`; rank 0 waits
+//!    for all `Fin`s (its mirror now holds the result) and broadcasts
+//!    `Shutdown`.
+//!
+//! A failed rank broadcasts `Shutdown` early instead, which every peer
+//! reads as [`TransportError::PeerLost`]: the set unwinds, nobody hangs.
+
+use std::collections::{BTreeMap, HashSet};
+use std::sync::Arc;
+use std::time::Instant;
+
+use crate::comm::{flow_msg, Msg, MsgStats, RetireMsg};
+use crate::graph::{DataClass, DataKey, TaskId, TaskOp, TaskResult};
+use crate::hash::IntMap;
+use crate::net::{Frame, NetReport, PayloadStore, Transport, TransportError};
+use crate::probe::{metric, Histogram, Label, Probe};
+
+use super::window::{PlannerWait, StreamWindow};
+use super::{Fabric, NetConfig, Placed};
+
+/// Key of one inbound payload: the datum plus its producing task
+/// (`None` = an initial fetch from the datum's home rank).
+pub(super) type ArrivalKey = (DataKey, Option<TaskId>);
+
+/// Arrival state of one inbound payload.
+enum Arrival {
+    /// Received, not yet decoded into the local mirror.
+    Bytes(Vec<u8>),
+    /// Decoded and stored into the local mirror.
+    Applied,
+}
+
+/// Per-link wire traffic, counted in protocol-message terms.
+type LinkTally = BTreeMap<(usize, usize), MsgStats>;
+
+/// Wire-execution state of one rank.
+pub(super) struct Wire {
+    rank: usize,
+    transport: Arc<dyn Transport>,
+    store: Arc<dyn PayloadStore>,
+    arrivals: IntMap<ArrivalKey, Arrival>,
+    /// Local tasks blocked on a not-yet-arrived input.
+    waiters: IntMap<ArrivalKey, Vec<TaskId>>,
+    /// Decision-writing tasks by id: `(decision datum, written locally)`.
+    /// The driver consults this to await the *applied* decision (not just
+    /// the stub's completion) before planning the rest of the step.
+    pending_decisions: IntMap<TaskId, (DataKey, bool)>,
+    /// Frames actually sent/received per protocol link, for reconciliation
+    /// against the window's `link_msgs`.
+    sent: LinkTally,
+    received: LinkTally,
+    /// Control frames (Sync / Result / Done / Fin / Shutdown) — protocol
+    /// overhead outside the message model, counted separately.
+    ctrl_sent: u64,
+    ctrl_recv: u64,
+    payload_bytes_sent: u64,
+    payload_bytes_recv: u64,
+    ser_hist: Histogram,
+    de_hist: Histogram,
+    /// End-of-run barrier state.
+    dones: HashSet<usize>,
+    fins: HashSet<usize>,
+    shutdown_seen: bool,
+    /// This rank has discharged all its protocol obligations: peers have
+    /// sent their `Fin`, rank 0 has broadcast `Shutdown`. From here on a
+    /// non-zero peer closing its endpoint is the normal staggered teardown
+    /// (it got its `Shutdown` first), not a failure.
+    complete: bool,
+    /// First transport/protocol error; sticky, fails the whole run.
+    error: Option<TransportError>,
+}
+
+/// What the receiver pump should do after delivering a frame.
+enum FramePump {
+    Continue,
+    Stop,
+}
+
+impl Wire {
+    /// Bind `net`'s endpoint as one of `num_nodes` ranks.
+    pub(super) fn new(net: NetConfig, num_nodes: usize) -> Result<Self, TransportError> {
+        let NetConfig { transport, store } = net;
+        let (rank, nranks) = (transport.rank(), transport.nranks());
+        if nranks != num_nodes || rank >= nranks {
+            return Err(TransportError::Protocol(format!(
+                "endpoint is rank {rank} of {nranks}, the run has {num_nodes} node(s)"
+            )));
+        }
+        Ok(Wire {
+            rank,
+            transport,
+            store,
+            arrivals: IntMap::default(),
+            waiters: IntMap::default(),
+            pending_decisions: IntMap::default(),
+            sent: BTreeMap::new(),
+            received: BTreeMap::new(),
+            ctrl_sent: 0,
+            ctrl_recv: 0,
+            payload_bytes_sent: 0,
+            payload_bytes_recv: 0,
+            ser_hist: Histogram::default(),
+            de_hist: Histogram::default(),
+            dones: HashSet::new(),
+            fins: HashSet::new(),
+            shutdown_seen: false,
+            complete: false,
+            error: None,
+        })
+    }
+
+    fn nranks(&self) -> usize {
+        self.transport.nranks()
+    }
+
+    #[inline]
+    pub(super) fn error(&self) -> Option<&TransportError> {
+        self.error.as_ref()
+    }
+
+    fn fail(&mut self, e: TransportError) {
+        self.error.get_or_insert(e);
+    }
+
+    fn check(&self) -> Result<(), TransportError> {
+        self.error.clone().map_or(Ok(()), Err)
+    }
+
+    /// Serialize `key`'s current payload from the local mirror (timed into
+    /// the serialize histogram). Missing payloads serialize as empty — the
+    /// peer's store treats an empty blob as "nothing to apply".
+    fn load_payload(&mut self, key: DataKey) -> Vec<u8> {
+        let t0 = Instant::now();
+        let bytes = self.store.load(key).unwrap_or_default();
+        self.ser_hist.observe(t0.elapsed().as_secs_f64());
+        bytes
+    }
+
+    /// Decode an arrived payload into the local mirror (timed into the
+    /// deserialize histogram). A payload the store rejects — truncated,
+    /// malformed, for a datum it does not hold — fails the run.
+    fn store_payload(&mut self, key: DataKey, bytes: &[u8]) {
+        let t0 = Instant::now();
+        if let Err(e) = self.store.store(key, bytes) {
+            self.fail(e);
+        }
+        self.de_hist.observe(t0.elapsed().as_secs_f64());
+    }
+
+    /// A payload frame arrived for `key`: fail the run unless the store
+    /// has such a datum and its step is still to come or in flight
+    /// (nothing would ever consume the frame, and the peer that sent it is
+    /// not running this protocol).
+    fn check_known(&mut self, key: DataKey, from: usize) {
+        if !self.store.knows(key) {
+            self.fail(TransportError::Protocol(format!(
+                "rank {from} sent a payload for {key:?}, which is not a datum of this run \
+                 (or belongs to a step that has retired)"
+            )));
+        }
+    }
+
+    /// Send one frame; an error fails the run.
+    fn send_frame(&mut self, to: usize, frame: &Frame) {
+        if let Err(e) = self.transport.send(to, frame) {
+            self.fail(e);
+        }
+    }
+
+    /// Send one control frame to every peer.
+    fn broadcast(&mut self, frame: &Frame) {
+        let rank = self.rank;
+        for peer in (0..self.nranks()).filter(|&p| p != rank) {
+            self.ctrl_sent += 1;
+            self.send_frame(peer, frame);
+        }
+    }
+
+    // ---- the window's seams --------------------------------------------
+
+    /// Insertion of task `id` on `node`: is it a stub, which of its
+    /// `inputs` — `(datum, producer, source rank)`, as routing resolved
+    /// them — must cross the wire to it, and (second result) how many of
+    /// those has no frame brought yet: extra predecessors, released by
+    /// [`Wire::arrival`]. A decision writer is indexed for the driver.
+    pub(super) fn place(
+        &mut self,
+        id: TaskId,
+        node: usize,
+        inputs: impl Iterator<Item = (DataKey, Option<TaskId>, usize)>,
+        wrote_decision: Option<DataKey>,
+    ) -> (Placed, usize) {
+        let mut placed = Placed::on(node);
+        placed.stub = node != self.rank;
+        if let Some(key) = wrote_decision {
+            self.pending_decisions.insert(id, (key, !placed.stub));
+        }
+        if placed.stub {
+            return (placed, 0);
+        }
+        placed.needs = inputs
+            .filter(|&(_, _, src)| src != node)
+            .map(|(key, producer, _)| (key, producer))
+            .collect();
+        let mut gates = 0;
+        for &arrival in &placed.needs {
+            if !self.arrivals.contains_key(&arrival) {
+                self.waiters.entry(arrival).or_default().push(id);
+                gates += 1;
+            }
+        }
+        (placed, gates)
+    }
+
+    /// Put a routed protocol message on the wire if this rank originates
+    /// it. `producer` is the executed version the payload carries (`None`
+    /// for initial fetches and retire reports);
+    /// [`crate::comm::DecisionMsg`] does not model it, so it is threaded
+    /// here for the receiver's arrival key.
+    pub(super) fn send(&mut self, msg: &Msg, link: (usize, usize), producer: Option<TaskId>) {
+        if link.0 != self.rank {
+            return;
+        }
+        self.sent.entry(link).or_default().record(msg);
+        let frame = match msg {
+            Msg::Data(m) => Frame::Data {
+                key: m.key,
+                producer: m.producer,
+                from: m.from as u32,
+                to: m.to as u32,
+                class: DataClass::Payload,
+                modeled_bytes: m.bytes as u64,
+                payload: self.load_payload(m.key),
+            },
+            Msg::Decision(m) => Frame::Data {
+                key: m.key,
+                producer,
+                from: m.from as u32,
+                to: m.to as u32,
+                class: DataClass::Decision,
+                modeled_bytes: m.bytes as u64,
+                payload: self.load_payload(m.key),
+            },
+            Msg::Retire(m) => Frame::Retire {
+                step: m.step as u64,
+                node: m.node as u32,
+            },
+        };
+        if let Frame::Data { payload, .. } = &frame {
+            self.payload_bytes_sent += payload.len() as u64;
+        }
+        self.send_frame(link.1, &frame);
+    }
+
+    /// Task `id` completed on `node`, having written `decisions`. A local
+    /// task that discarded itself fails the run: a runtime discard means
+    /// numerical breakdown rerouting, which would desynchronize the ranks'
+    /// identically-planned message streams (remote stubs always report
+    /// executed). A decision computed here goes to every peer.
+    pub(super) fn completed(
+        &mut self,
+        id: TaskId,
+        node: usize,
+        result: &TaskResult,
+        decisions: &[DataKey],
+        name: impl FnOnce() -> String,
+    ) {
+        if !result.executed {
+            return self.fail(TransportError::Protocol(format!(
+                "task '{}' discarded itself; breakdown rerouting is not \
+                 supported over a real transport",
+                name()
+            )));
+        }
+        if node != self.rank {
+            return;
+        }
+        for &key in decisions {
+            let payload = self.load_payload(key);
+            self.payload_bytes_sent += (payload.len() * (self.nranks() - 1)) as u64;
+            self.broadcast(&Frame::Sync {
+                key,
+                producer: id,
+                payload,
+            });
+        }
+    }
+
+    /// Decode the arrived payload `(key, producer)` into the local mirror,
+    /// once: the first caller applies the bytes, later ones find the slot
+    /// already `Applied`. `false` when nothing has arrived yet.
+    fn apply_arrival(&mut self, (key, producer): ArrivalKey) -> bool {
+        match self.arrivals.get_mut(&(key, producer)) {
+            Some(slot @ Arrival::Bytes(_)) => {
+                let Arrival::Bytes(b) = std::mem::replace(slot, Arrival::Applied) else {
+                    unreachable!()
+                };
+                self.store_payload(key, &b);
+                true
+            }
+            Some(Arrival::Applied) => true,
+            None => false,
+        }
+    }
+
+    /// A task is popped for execution: decode its gating arrivals into the
+    /// local mirror. They are all in (they were extra predecessors); every
+    /// ready task touching the same datum needs the same version (hazards
+    /// serialize writers), so the write cannot race a reader. `false` when
+    /// one could not be decoded, which has failed the run.
+    pub(super) fn apply(&mut self, needs: Vec<ArrivalKey>) -> bool {
+        for arrival in needs {
+            assert!(
+                self.apply_arrival(arrival),
+                "task ready before its input {:?} arrived",
+                arrival.0
+            );
+        }
+        self.error.is_none()
+    }
+
+    // ---- inbound frames -------------------------------------------------
+
+    /// Record one payload arrival from rank `from` and hand back the tasks
+    /// gated on it. Duplicate deliveries (a Sync broadcast racing the
+    /// modelled DecisionMsg for the same version; a replayed frame) are
+    /// ignored, whatever has become of the datum since: first one wins.
+    /// Anything else must name a datum the store still has a place for.
+    fn arrival(&mut self, arrival: ArrivalKey, payload: Vec<u8>, from: usize) -> Vec<TaskId> {
+        self.payload_bytes_recv += payload.len() as u64;
+        if self.arrivals.contains_key(&arrival) {
+            return Vec::new();
+        }
+        self.check_known(arrival.0, from);
+        self.arrivals.insert(arrival, Arrival::Bytes(payload));
+        self.waiters.remove(&arrival).unwrap_or_default()
+    }
+
+    /// Account one received frame; returns the tasks it releases.
+    /// `drained` says whether this rank has planned and run everything.
+    fn on_frame(&mut self, from: usize, frame: Frame, drained: bool) -> (Vec<TaskId>, FramePump) {
+        let mut released = Vec::new();
+        let mut pump = FramePump::Continue;
+        if !matches!(
+            frame,
+            Frame::Hello { .. } | Frame::Data { .. } | Frame::Retire { .. }
+        ) {
+            self.ctrl_recv += 1;
+        }
+        match frame {
+            Frame::Hello { .. } => {}
+            Frame::Data {
+                key,
+                producer,
+                from: src,
+                to,
+                class,
+                modeled_bytes,
+                payload,
+            } => {
+                let link = (src as usize, to as usize);
+                let msg = flow_msg(key, class, producer, link.0, link.1, modeled_bytes as usize);
+                self.received.entry(link).or_default().record(&msg);
+                released = self.arrival((key, producer), payload, from);
+            }
+            Frame::Sync {
+                key,
+                producer,
+                payload,
+            } => released = self.arrival((key, Some(producer)), payload, from),
+            Frame::Retire { step, node } => {
+                let (step, node) = (step as usize, node as usize);
+                let msg = Msg::Retire(RetireMsg { step, node });
+                self.received.entry((node, 0)).or_default().record(&msg);
+            }
+            Frame::Result { key, payload } => {
+                // Rank 0 collecting the factored matrix: by the time any
+                // Result arrives this rank is drained (per-link FIFO puts
+                // it after the peer's Done, which follows our own drain),
+                // so the store write cannot race a kernel.
+                self.payload_bytes_recv += payload.len() as u64;
+                self.check_known(key, from);
+                self.store_payload(key, &payload);
+            }
+            Frame::Done => {
+                self.dones.insert(from);
+            }
+            Frame::Fin => {
+                self.fins.insert(from);
+            }
+            Frame::Shutdown => {
+                // Legitimate only after this rank sent its Fin (it is
+                // fully drained and parked in `end_of_run`); mid-run it is
+                // a peer's abort broadcast.
+                self.shutdown_seen = true;
+                if !drained {
+                    self.fail(TransportError::PeerLost { peer: from });
+                }
+                pump = FramePump::Stop;
+            }
+        }
+        (released, pump)
+    }
+
+    // ---- end of run -----------------------------------------------------
+
+    /// Cross-check this rank's wire traffic against the protocol: on every
+    /// link it touches, the frames actually moved must equal the messages
+    /// the (identically planned) protocol recorded — the sent side by
+    /// construction, the received side across a real wire.
+    fn reconcile(&mut self, link_msgs: &LinkTally) -> Result<(), TransportError> {
+        let rank = self.rank;
+        let mut mismatch: Option<String> = None;
+        for (&(src, dst), msgs) in link_msgs {
+            let (side, wire) = if src == rank {
+                ("sent", self.sent.get(&(src, dst)))
+            } else if dst == rank {
+                ("received", self.received.get(&(src, dst)))
+            } else {
+                continue;
+            };
+            let wire = wire.copied().unwrap_or_default();
+            if wire != *msgs {
+                mismatch = Some(format!(
+                    "link ({src},{dst}) {side}: wire {wire:?} != protocol {msgs:?}"
+                ));
+                break;
+            }
+        }
+        if mismatch.is_none() {
+            let stray = self
+                .sent
+                .iter()
+                .filter(|(&(s, _), _)| s == rank)
+                .chain(self.received.iter().filter(|(&(_, d), _)| d == rank))
+                .find(|(l, _)| !link_msgs.contains_key(l));
+            if let Some((&(src, dst), wire)) = stray {
+                mismatch = Some(format!(
+                    "link ({src},{dst}): wire traffic {wire:?} on a link the \
+                     protocol never used"
+                ));
+            }
+        }
+        if let Some(m) = mismatch {
+            self.fail(TransportError::Protocol(format!(
+                "rank {rank} wire/protocol reconciliation failed: {m}"
+            )));
+        }
+        self.check()
+    }
+
+    /// Ship rank 0 the result data ([`PayloadStore::in_result`]) among
+    /// `held` — the data whose final version lives on this rank — then
+    /// `Fin`. Exactly one rank holds each datum's final version, so rank
+    /// 0's mirror ends with the whole result, bitwise.
+    fn send_results(&mut self, mut held: Vec<DataKey>) -> Result<(), TransportError> {
+        held.retain(|&key| self.store.in_result(key));
+        held.sort_unstable();
+        for key in held {
+            let t0 = Instant::now();
+            let Some(payload) = self.store.load(key) else {
+                continue;
+            };
+            self.ser_hist.observe(t0.elapsed().as_secs_f64());
+            self.ctrl_sent += 1;
+            self.payload_bytes_sent += payload.len() as u64;
+            self.send_frame(0, &Frame::Result { key, payload });
+            if self.error.is_some() {
+                break;
+            }
+        }
+        self.ctrl_sent += 1;
+        self.send_frame(0, &Frame::Fin);
+        self.complete = true;
+        self.check()
+    }
+
+    /// Wire-level totals of the run, exported to an enabled `probe` too.
+    pub(super) fn report(&self, probe: &Probe) -> NetReport {
+        let by_kind = |tally: &LinkTally| {
+            tally.values().fold([0u64; 3], |s, m| {
+                [
+                    s[0] + m.data_msgs,
+                    s[1] + m.decision_msgs,
+                    s[2] + m.retire_msgs,
+                ]
+            })
+        };
+        let (sent, received) = (by_kind(&self.sent), by_kind(&self.received));
+        probe.record_batch(|sink| {
+            let (to, from) = (self.payload_bytes_sent, self.payload_bytes_recv);
+            let sides = [
+                (metric::NET_FRAMES_SENT, "sent", sent, self.ctrl_sent, to),
+                (
+                    metric::NET_FRAMES_RECV,
+                    "received",
+                    received,
+                    self.ctrl_recv,
+                    from,
+                ),
+            ];
+            for (frames, side, [data, decision, retire], ctrl, bytes) in sides {
+                let kinds = [
+                    ("data", data),
+                    ("decision", decision),
+                    ("retire", retire),
+                    ("ctrl", ctrl),
+                ];
+                for (kind, n) in kinds {
+                    if n > 0 {
+                        sink.counter(frames, Label::Kind(kind), n);
+                    }
+                }
+                if bytes > 0 {
+                    sink.counter(metric::NET_PAYLOAD_BYTES, Label::Kind(side), bytes);
+                }
+            }
+            sink.merge_histogram(metric::NET_SERIALIZE, Label::None, &self.ser_hist);
+            sink.merge_histogram(metric::NET_DESERIALIZE, Label::None, &self.de_hist);
+        });
+        NetReport {
+            rank: self.rank,
+            nranks: self.nranks(),
+            frames_sent: sent.iter().sum(),
+            frames_received: received.iter().sum(),
+            ctrl_frames_sent: self.ctrl_sent,
+            ctrl_frames_received: self.ctrl_recv,
+            payload_bytes_sent: self.payload_bytes_sent,
+            payload_bytes_received: self.payload_bytes_recv,
+            serialize_seconds: self.ser_hist,
+            deserialize_seconds: self.de_hist,
+        }
+    }
+}
+
+/// The wire arm's side of the driver: the receiver pump, the planner's
+/// wait for a remote decision, and the end-of-run protocol. Each is a
+/// no-op on the other fabrics.
+impl<O: TaskOp> StreamWindow<O> {
+    /// The endpoint of a wire run, for the receiver thread to block on
+    /// outside the window lock.
+    pub(crate) fn endpoint(&self) -> Option<Arc<dyn Transport>> {
+        match &self.lock().fabric {
+            Fabric::Wire(wire) => Some(Arc::clone(&wire.transport)),
+            _ => None,
+        }
+    }
+
+    /// Receiver thread: deliver inbound frames into the window until the
+    /// run's shutdown frame (or the endpoint closes underneath us).
+    pub(crate) fn pump_frames(&self, transport: &dyn Transport) {
+        loop {
+            let pump = match transport.recv() {
+                Ok((from, frame)) => self.on_frame(from, frame),
+                Err(TransportError::Closed) => FramePump::Stop,
+                Err(e) => self.on_recv_error(e),
+            };
+            if matches!(pump, FramePump::Stop) {
+                break;
+            }
+        }
+    }
+
+    fn on_frame(&self, from: usize, frame: Frame) -> FramePump {
+        let mut st = self.lock();
+        let drained = st.drained();
+        let Fabric::Wire(wire) = &mut st.fabric else {
+            return FramePump::Stop;
+        };
+        let (released, pump) = wire.on_frame(from, frame, drained);
+        for id in released {
+            st.release(id);
+        }
+        st.frame_event = true;
+        self.finish(st, 0);
+        pump
+    }
+
+    /// A receiver-side transport failure. Once this rank's protocol
+    /// obligations are discharged (`Fin` sent / `Shutdown` broadcast),
+    /// peers that received their `Shutdown` first close their endpoints
+    /// while we may still be waiting on rank 0's link: the normal staggered
+    /// teardown, keep pumping for our own `Shutdown`. Losing rank 0 itself
+    /// is never benign — a parked peer would wait for its `Shutdown`
+    /// forever. Anything else fails the run and wakes every blocked thread.
+    fn on_recv_error(&self, e: TransportError) -> FramePump {
+        let mut st = self.lock();
+        let Fabric::Wire(wire) = &mut st.fabric else {
+            return FramePump::Stop;
+        };
+        if wire.complete && matches!(e, TransportError::PeerLost { peer } if peer != 0) {
+            return FramePump::Continue;
+        }
+        wire.fail(e);
+        self.finish(st, 0);
+        FramePump::Stop
+    }
+
+    /// After [`StreamWindow::wait_for_task`] on a decision task: block
+    /// until the decision *value* is in the local mirror, `false` if the
+    /// run failed instead. `wait_for_task` also returns on a failed run —
+    /// the decision task may then never have run, so there is no value to
+    /// plan on even when it is local. Otherwise a locally computed decision
+    /// is already there; on the wire a remote one is applied from its
+    /// Sync/DecisionMsg frame the moment it arrives (the stub completing
+    /// only means its hazard slots released).
+    pub(crate) fn wait_decision_value(&self, id: TaskId) -> bool {
+        let mut st = self.lock();
+        loop {
+            if st.failed() {
+                return false;
+            }
+            let Fabric::Wire(wire) = &mut st.fabric else {
+                return true;
+            };
+            let Some(&(key, false)) = wire.pending_decisions.get(&id) else {
+                return true;
+            };
+            if wire.apply_arrival((key, Some(id))) {
+                return true;
+            }
+            st = self.park_planner(st, PlannerWait::Frame);
+        }
+    }
+
+    /// Block until `cond` holds on the wire state (or the run failed).
+    fn wire_wait(&self, cond: impl Fn(&Wire) -> bool) -> Result<(), TransportError> {
+        let mut st = self.lock();
+        loop {
+            if let Some(e) = st.failure() {
+                return Err(e);
+            }
+            match &st.fabric {
+                Fabric::Wire(wire) if !cond(wire) => {}
+                _ => return Ok(()),
+            }
+            st = self.park_planner(st, PlannerWait::Frame);
+        }
+    }
+
+    /// Run `f` on the wire state under the window lock.
+    fn with_wire<R>(&self, f: impl FnOnce(&mut Wire) -> R) -> Option<R> {
+        match &mut self.lock().fabric {
+            Fabric::Wire(wire) => Some(f(wire)),
+            _ => None,
+        }
+    }
+
+    /// The end-of-run protocol of the module header, called after
+    /// [`StreamWindow::wait_drained`]; on a failed run, the error and the
+    /// abort broadcast instead. Closes the endpoint in every case: rank 0
+    /// never gets a `Shutdown` frame of its own, and an erroring rank's
+    /// receiver may still be blocked in `recv()`.
+    pub(crate) fn end_of_run(&self) -> Result<(), TransportError> {
+        let Some(transport) = self.endpoint() else {
+            return Ok(());
+        };
+        let failure = self.lock().failure();
+        let result = match failure {
+            Some(e) => Err(e),
+            None => self.handshake(transport.rank(), transport.nranks()),
+        };
+        if result.is_err() {
+            self.abort();
+        }
+        transport.shutdown();
+        result
+    }
+
+    fn handshake(&self, rank: usize, nranks: usize) -> Result<(), TransportError> {
+        self.with_wire(|wire| wire.broadcast(&Frame::Done));
+        self.wire_wait(|wire| wire.dones.len() == nranks - 1)?;
+        {
+            let mut st = self.lock();
+            let st = &mut *st;
+            if let Fabric::Wire(wire) = &mut st.fabric {
+                wire.reconcile(&st.link_msgs)?;
+            }
+        }
+        if rank == 0 {
+            self.wire_wait(|wire| wire.fins.len() == nranks - 1)?;
+            let sent = self.with_wire(|wire| {
+                wire.broadcast(&Frame::Shutdown);
+                wire.complete = true;
+                wire.check()
+            });
+            sent.unwrap_or(Ok(()))
+        } else {
+            let mut st = self.lock();
+            let held = st.final_versions_on(rank);
+            if let Fabric::Wire(wire) = &mut st.fabric {
+                wire.send_results(held)?;
+            }
+            drop(st);
+            self.wire_wait(|wire| wire.shutdown_seen)
+        }
+    }
+
+    /// Best-effort abort broadcast: on a failed run, wake every peer out
+    /// of its blocking waits so the whole set unwinds instead of hanging —
+    /// they cannot make progress without this rank's frames, and over an
+    /// in-process transport nobody would notice a silently missing peer.
+    pub(crate) fn abort(&self) {
+        self.with_wire(|wire| wire.broadcast(&Frame::Shutdown));
+    }
+}

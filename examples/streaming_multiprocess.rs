@@ -13,7 +13,7 @@
 //! executable; build it first with
 //! `cargo build --release -p luqr --bin luqr-worker`.
 
-use luqr::net::launch::{launch_multiprocess, LaunchTransport, NetJob};
+use luqr::net::launch::{launch_multiprocess, NetJob};
 use luqr::net::NetTransportKind;
 use luqr::{factor_stream, factor_stream_net, Algorithm, Criterion};
 
@@ -60,7 +60,7 @@ fn main() {
         factor_stream_net(&a, &b, &opts, window, &NetTransportKind::Loopback).expect("loopback");
 
     // The real thing: `workers` separate OS processes over UDS.
-    let mp = launch_multiprocess(&job, &LaunchTransport::Uds, None).expect("multi-process run");
+    let mp = launch_multiprocess(&job, None).expect("multi-process run");
     assert!(mp.error.is_none(), "multi-process run broke down");
     let x_mp = mp.solution.as_ref().expect("rank 0 reports a solution");
 

@@ -514,7 +514,7 @@ fn recalibration_keeps_numerics_and_protocol_consistency() {
 // Real-transport distributed runs: the simulated protocol, performed.
 // ---------------------------------------------------------------------------
 
-use luqr::net::launch::{launch_multiprocess, LaunchTransport, NetJob};
+use luqr::net::launch::{launch_multiprocess, NetJob};
 use luqr::{factor_stream_net, factor_stream_net_opts, NetTransportKind, Probe};
 
 /// One real-transport run against its two oracles: the batch factorization
@@ -638,10 +638,10 @@ fn net_loopback_matches_simulated_run_across_algorithms() {
     }
 }
 
-/// The same hybrid run over crossbeam channels and over real Unix-domain
+/// The same hybrid run over in-process mailboxes and over real Unix-domain
 /// sockets: transport choice must be invisible to numerics and protocol.
 #[test]
-fn net_channel_and_uds_match_simulated_run() {
+fn net_loopback_and_uds_match_simulated_run() {
     let opts = FactorOptions {
         nb: 8,
         ib: 4,
@@ -650,7 +650,7 @@ fn net_channel_and_uds_match_simulated_run() {
         algorithm: Algorithm::LuQr(Criterion::Max { alpha: 100.0 }),
         ..FactorOptions::default()
     };
-    check_net(&opts, 2, 50, 2014, &NetTransportKind::Channel);
+    check_net(&opts, 2, 50, 2014, &NetTransportKind::Loopback);
     check_net(&opts, 2, 50, 2014, &NetTransportKind::Uds);
 }
 
@@ -756,7 +756,7 @@ fn net_four_worker_uds_processes_match_simulated_run() {
     let dist = factor_stream_distributed(&a, &b, &opts, &Platform::dancer_nodes(4), job.window)
         .expect("grid fits platform");
 
-    let mp = launch_multiprocess(&job, &LaunchTransport::Uds, None).expect("multi-process run");
+    let mp = launch_multiprocess(&job, None).expect("multi-process run");
     assert_eq!(mp.error, None);
     let x = mp.solution.as_ref().expect("rank 0 reports a solution");
     assert_eq!(batch.solution().max_abs_diff(x), 0.0, "solution diverged");

@@ -297,11 +297,7 @@ fn net_e2e_n320_counts_are_the_same_on_every_transport() {
         (TreeConfig::default(), (245, 61, 269_886)),
     ] {
         let opts = opts.clone().with_trees(trees);
-        for kind in [
-            NetTransportKind::Loopback,
-            NetTransportKind::Channel,
-            NetTransportKind::Uds,
-        ] {
+        for kind in [NetTransportKind::Loopback, NetTransportKind::Uds] {
             let report = factor_stream_net(&a, &b, &opts, 4, &kind)
                 .expect("net run")
                 .report;
