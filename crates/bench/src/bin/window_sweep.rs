@@ -71,7 +71,7 @@ fn main() {
             }
             .with_platform(platform.clone());
             let t0 = std::time::Instant::now();
-            let f = factor_stream_with(&a, &b, &opts, &stream_opts);
+            let f = factor_stream_with(&a, &b, &opts, &stream_opts).expect("grid fits platform");
             let wall = t0.elapsed().as_secs_f64();
             assert!(f.error.is_none(), "breakdown: {:?}", f.error);
             let sim = f.report.sim.as_ref().expect("platform given");

@@ -30,7 +30,7 @@ use crate::state::RunCtx;
 
 use super::{declare_tiles, Inserter, SharedState, StepPlanner};
 
-/// A factorization exposed step by step to [`luqr_runtime::stream::execute`].
+/// A factorization exposed step by step to [`luqr_runtime::stream::execute_with`].
 pub struct PlannerStepSource {
     planner: Box<dyn StepPlanner>,
     ctx: Arc<RunCtx>,

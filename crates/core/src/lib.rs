@@ -25,6 +25,13 @@
 //! assert!(luqr::stability::hpl3(&a, &x, &b) < 10.0);
 //! ```
 //!
+//! The same factorization runs three ways, bitwise alike: [`factor`] builds
+//! and executes the whole task graph; [`factor_stream`] /
+//! [`factor_stream_with`] unroll it through a bounded window, and a
+//! [`StreamOptions::platform`] makes that one call a simulated cluster run
+//! (per-node message accounting, online virtual time in `report.sim`);
+//! [`factor_stream_net`] performs it over a real transport.
+//!
 //! Module map:
 //! * [`criteria`] — Max / Sum / MUMPS / Random robustness criteria (§III);
 //! * [`trees`] — reduction trees for QR steps (§II-B, §IV);
@@ -70,56 +77,17 @@ use std::sync::Arc;
 use luqr_kernels::Mat;
 use luqr_runtime::stream::{StepSource, StreamReport};
 use luqr_runtime::trace::TraceOptions;
-use luqr_runtime::{execute, ExecReport, Platform, SimReport};
-use luqr_tile::{Grid, TiledMatrix};
+use luqr_runtime::{execute, ExecReport, Platform};
+use luqr_tile::TiledMatrix;
 
 pub use luqr_runtime::{
-    AttribBuckets, Attribution, LinkMsgStats, LinkSpec, LinkTraffic, MsgStats, NetReport, NodeSpec,
-    Probe, ProbeReport, SchedPolicy, SimOptions, StreamOptions, Topology, TraceEvent,
-    TransportError, WindowPolicy,
+    AttribBuckets, Attribution, LinkMsgStats, LinkSpec, LinkTraffic, MsgStats, NetReport,
+    NodeCountMismatch, NodeSpec, Probe, ProbeReport, SchedPolicy, SimOptions, StreamOptions,
+    Topology, TraceEvent, TransportError, WindowPolicy,
 };
 
 /// A batch task graph of [`TaskOp`]s.
 pub type Graph = luqr_runtime::Graph<TaskOp>;
-
-/// A process grid that does not fit its platform — the typed form of what
-/// used to surface as a downstream core-heap index panic. Produced by
-/// [`validate_grid_platform`] and the distributed entry points.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GridPlatformError {
-    /// Grid rows.
-    pub p: usize,
-    /// Grid columns.
-    pub q: usize,
-    /// Nodes the platform actually has.
-    pub platform_nodes: usize,
-}
-
-impl std::fmt::Display for GridPlatformError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "process grid {}x{} needs {} node(s) but the platform has {}",
-            self.p,
-            self.q,
-            self.p * self.q,
-            self.platform_nodes
-        )
-    }
-}
-
-impl std::error::Error for GridPlatformError {}
-
-/// Check that `platform` can host every rank of `grid`.
-pub fn validate_grid_platform(grid: &Grid, platform: &Platform) -> Result<(), GridPlatformError> {
-    platform
-        .require_nodes(grid.nodes())
-        .map_err(|e| GridPlatformError {
-            p: grid.p,
-            q: grid.q,
-            platform_nodes: e.available,
-        })
-}
 
 /// A completed factorization of an augmented system `[A | B]`.
 pub struct Factorization {
@@ -255,9 +223,10 @@ pub fn factor_solve(a: &Mat, rhs: &Mat, opts: &FactorOptions) -> (Mat, Factoriza
 ///
 /// Unlike [`Factorization`] there is no retained task graph: task records
 /// were reclaimed as they completed (that bounded memory was the point), so
-/// the platform simulator and DOT export are unavailable. Everything
-/// numerical — the factored matrix, solution, criterion records — is
-/// identical to the batch path, bitwise.
+/// there is no graph to replay or export to DOT — a run streamed with a
+/// [`StreamOptions::platform`] reports its virtual-time summary in
+/// `report.sim` instead. Everything numerical — the factored matrix,
+/// solution, criterion records — is identical to the batch path, bitwise.
 pub struct StreamFactorization {
     /// The factored augmented matrix.
     pub aug: TiledMatrix,
@@ -326,36 +295,6 @@ impl StreamFactorization {
     }
 }
 
-/// A factorization produced by the **distributed** streaming runtime:
-/// per-node sub-windows exchanging data/decision/retirement messages, with
-/// the platform communication model driven online.
-///
-/// Numerics are bitwise-identical to [`factor`] and [`factor_stream`];
-/// `sim` is the virtual-time summary — equal (to fp round-off) to
-/// replaying the equivalent batch graph through
-/// [`luqr_runtime::simulate`] on the same [`Platform`], but computed
-/// without ever materializing that graph.
-pub struct DistStreamFactorization {
-    /// The streamed factorization (matrix, records, streaming report —
-    /// including [`MsgStats`] in `report.msgs`).
-    pub stream: StreamFactorization,
-    /// Online makespan / messages / bytes / utilization summary.
-    pub sim: SimReport,
-}
-
-impl DistStreamFactorization {
-    /// Back-substitute for the solution of `A x = B`.
-    pub fn solution(&self) -> Mat {
-        self.stream.solution()
-    }
-
-    /// Protocol message counters (data transfers, decision broadcasts,
-    /// retirement reports).
-    pub fn msgs(&self) -> MsgStats {
-        self.stream.report.msgs
-    }
-}
-
 /// Fraction of elimination steps that were LU steps: counted from the
 /// hybrid's per-step records; by definition 0 for HQR and 1 for the LU
 /// baselines.
@@ -392,14 +331,39 @@ pub fn factor_stream(
     opts: &FactorOptions,
     window: usize,
 ) -> StreamFactorization {
-    factor_stream_with(a, rhs, opts, &StreamOptions::fixed(window, opts.threads))
+    stream(a, rhs, opts, &StreamOptions::fixed(window, opts.threads))
 }
 
 /// Factor `[A | rhs]` with the streaming runtime under a full
 /// [`StreamOptions`] configuration: window policy (fixed or
-/// [`WindowPolicy::Auto`]), optional online platform simulation, optional
-/// per-task trace recording.
+/// [`WindowPolicy::Auto`]), per-task trace recording, metrics [`Probe`],
+/// and the cluster the run is modelled on.
+///
+/// With [`StreamOptions::platform`] set, the window is split per virtual
+/// node of `opts.grid` (owner-computes), cross-node dependencies become
+/// data / decision / retirement messages (counted in `report.msgs`, the
+/// hybrid's decision broadcast from the panel owner as in the paper), and
+/// the platform model advances per-node virtual clocks online under
+/// [`StreamOptions::scheduler`]: `report.sim` is then equal to replaying
+/// the equivalent batch graph through [`luqr_runtime::simulate`], without
+/// that graph ever existing. Numerics are bitwise [`factor`]'s whatever the
+/// options. The one error is a grid with more ranks than the platform has
+/// nodes.
 pub fn factor_stream_with(
+    a: &Mat,
+    rhs: &Mat,
+    opts: &FactorOptions,
+    stream_opts: &StreamOptions,
+) -> Result<StreamFactorization, NodeCountMismatch> {
+    if let Some(platform) = &stream_opts.platform {
+        platform.require_nodes(opts.grid.nodes())?;
+    }
+    Ok(stream(a, rhs, opts, stream_opts))
+}
+
+/// The streamed run behind [`factor_stream`] and [`factor_stream_with`],
+/// once the options are known to fit the grid.
+fn stream(
     a: &Mat,
     rhs: &Mat,
     opts: &FactorOptions,
@@ -423,68 +387,6 @@ pub fn factor_stream_with(
         ctx: source.context(),
         holds_result: true,
     }
-}
-
-/// Factor `[A | rhs]` with the **distributed streaming runtime**: the
-/// window is split per virtual node of `opts.grid` (owner-computes, as the
-/// 2D block-cyclic distribution dictates), cross-node dependencies are
-/// satisfied by data/decision/retirement messages, and the `platform`
-/// communication model advances per-node virtual clocks online — so
-/// cluster-shaped runs get both the streaming runtime's bounded graph
-/// memory and the simulator's makespan/message accounting, at any `N`.
-///
-/// The hybrid's LU-vs-QR criterion decision is computed on the panel-owner
-/// node and broadcast (counted in [`MsgStats::decision_msgs`]), as in the
-/// paper. Numerics are bitwise-identical to [`factor`] and
-/// [`factor_stream`] for every algorithm and criterion.
-pub fn factor_stream_distributed(
-    a: &Mat,
-    rhs: &Mat,
-    opts: &FactorOptions,
-    platform: &Platform,
-    window: usize,
-) -> Result<DistStreamFactorization, GridPlatformError> {
-    factor_stream_distributed_with(a, rhs, opts, platform, window, SchedPolicy::Fifo)
-}
-
-/// [`factor_stream_distributed`] under an explicit virtual-time scheduling
-/// policy ([`SchedPolicy`]): the online engine orders completed tasks by
-/// the policy instead of insertion order. Numerics are unchanged — the
-/// policy only shapes the simulated timeline ([`SimReport`]).
-pub fn factor_stream_distributed_with(
-    a: &Mat,
-    rhs: &Mat,
-    opts: &FactorOptions,
-    platform: &Platform,
-    window: usize,
-    scheduler: SchedPolicy,
-) -> Result<DistStreamFactorization, GridPlatformError> {
-    let stream_opts = StreamOptions::fixed(window, opts.threads)
-        .with_platform(platform.clone())
-        .with_scheduler(scheduler);
-    factor_stream_distributed_opts(a, rhs, opts, platform, &stream_opts)
-}
-
-/// The fully general distributed streaming entry point: any
-/// [`StreamOptions`] — window policy, trace recording, metrics
-/// [`Probe`] — against `platform` (which overrides
-/// [`StreamOptions::platform`]; the grid must fit it).
-pub fn factor_stream_distributed_opts(
-    a: &Mat,
-    rhs: &Mat,
-    opts: &FactorOptions,
-    platform: &Platform,
-    stream_opts: &StreamOptions,
-) -> Result<DistStreamFactorization, GridPlatformError> {
-    validate_grid_platform(&opts.grid, platform)?;
-    let stream_opts = stream_opts.clone().with_platform(platform.clone());
-    let stream = factor_stream_with(a, rhs, opts, &stream_opts);
-    let sim = stream
-        .report
-        .sim
-        .clone()
-        .expect("virtual time runs whenever a platform is given");
-    Ok(DistStreamFactorization { stream, sim })
 }
 
 #[cfg(test)]

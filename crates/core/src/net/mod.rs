@@ -1,9 +1,10 @@
 //! Real-transport distributed factorization: run the SPMD streaming
 //! executor over in-process mailboxes or actual sockets.
 //!
-//! [`crate::factor_stream_distributed`] *models* a distributed run — one
-//! process, per-node sub-windows, message counters. This module *performs*
-//! one: every rank of the process grid plans the full factorization over
+//! [`crate::factor_stream_with`] given a [`StreamOptions::platform`]
+//! *models* a distributed run — one process, per-node sub-windows, message
+//! counters, virtual clocks. This module *performs* one: every rank of the
+//! process grid plans the full factorization over
 //! its own *share* of the matrix (same planner, same window, same hazard
 //! bookkeeping), remote tasks degenerate to placement stubs, and the data /
 //! decision / retirement protocol crosses a [`luqr_runtime::Transport`] as
@@ -85,8 +86,9 @@ fn dyn_transports<T: Transport + 'static>(set: Vec<Arc<T>>) -> Vec<Arc<dyn Trans
 /// SPMD rank per node of `opts.grid`, all inside this process, exchanging
 /// wire frames over `kind`. Numerics, per-step decisions, and protocol
 /// message statistics are identical to [`crate::factor_stream`] /
-/// [`crate::factor_stream_distributed`] under the same options; rank 0's
-/// factorization (whose mirror holds the result at the end) is returned.
+/// [`crate::factor_stream_with`] (modelled on a platform) under the same
+/// options; rank 0's factorization (whose mirror holds the result at the
+/// end) is returned.
 pub fn factor_stream_net(
     a: &Mat,
     rhs: &Mat,

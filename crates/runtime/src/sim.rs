@@ -10,24 +10,26 @@
 //! tasks (the unselected LU/QR branch) take zero time and move zero data —
 //! like PaRSEC's dropped alternatives.
 //!
-//! The replay is a thin driver over [`crate::vtime::VirtualSchedule`]: the
-//! graph's tasks are fed to the online engine in insertion order, which is
-//! exactly what the *streaming* runtime does as its window drains — so a
-//! windowed run's virtual-time report and a batch replay of the equivalent
-//! graph are bitwise identical (the engine's state depends only on the
-//! sequence of executed tasks, and discarded branches contribute nothing).
+//! The replay is a thin driver over the policy engine
+//! ([`crate::sched::SchedEngine`], costing each task with
+//! [`crate::vtime::VirtualSchedule`]): the graph's tasks are submitted in
+//! insertion order, which is exactly what the *streaming* runtime does as
+//! its window drains — so a windowed run's virtual-time report and a batch
+//! replay of the equivalent graph are bitwise identical (the engine's state
+//! depends only on the sequence of executed tasks, and discarded branches
+//! contribute nothing).
 //!
 //! **Scheduling policy.** [`simulate`] produces an insertion-order list
 //! schedule: task `i` claims cores and network slots strictly after tasks
 //! `0..i` (a valid topological order — hazard edges always point
-//! forward). That order is one policy among several: [`simulate_with`]
-//! routes the replay through the pluggable scheduler subsystem
-//! ([`crate::sched`]), where a [`crate::sched::Scheduler`] picks which
-//! *ready* task advances the virtual clock next — FIFO (pinning this
-//! function bitwise), critical-path, locality-aware, or HEFT-style
-//! earliest finish time. Scheduling never changes the factorization or
-//! the data flow (messages/bytes are policy-invariant); it only chooses
-//! which valid list schedule the platform model costs.
+//! forward); it is [`simulate_with`] under the default FIFO policy, whose
+//! engine costs each task the moment it is submitted. The other policies
+//! of the pluggable scheduler subsystem ([`crate::sched`]) buffer the
+//! graph and let a [`crate::sched::Scheduler`] pick which *ready* task
+//! advances the virtual clock next — critical-path, locality-aware, or
+//! HEFT-style earliest finish time. Scheduling never changes the
+//! factorization or the data flow (messages/bytes are policy-invariant); it
+//! only chooses which valid list schedule the platform model costs.
 //!
 //! This is the performance vehicle of the reproduction: the build machine
 //! cannot physically reproduce a 128-core cluster, but the task graph it
@@ -40,14 +42,12 @@ use crate::graph::{CostClass, Graph, TaskOp, TaskRef, TaskResult};
 use crate::platform::Platform;
 use crate::probe::{Probe, ProbeReport};
 use crate::sched::{SchedEngine, SchedPolicy};
-use crate::vtime::VirtualSchedule;
 
 /// Configuration of one simulation run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SimOptions {
     /// Ready-task selection policy for the virtual-time schedule (see
-    /// [`crate::sched`]). [`SchedPolicy::Fifo`] reproduces [`simulate`]
-    /// bitwise.
+    /// [`crate::sched`]). [`SchedPolicy::Fifo`] is [`simulate`].
     pub scheduler: SchedPolicy,
     /// EFT-guided work stealing
     /// ([`crate::sched::SchedEngine::with_stealing`]): after the policy
@@ -221,14 +221,10 @@ fn replay<O: TaskOp>(
 }
 
 /// Simulate an executed graph on `platform` under the insertion-order
-/// (FIFO) schedule — the policy-free reference path that
-/// [`SchedPolicy::Fifo`] pins bitwise (see `sched_props.rs`).
+/// (FIFO) schedule: [`simulate_with`] under [`SimOptions::default`], whose
+/// engine costs each task as it is submitted.
 pub fn simulate<O: TaskOp>(graph: &Graph<O>, platform: &Platform) -> SimReport {
-    let mut v = VirtualSchedule::with_spans(platform);
-    replay(graph, platform, |t, accesses, r| {
-        v.process(t.node(), accesses, &r);
-    });
-    v.report()
+    simulate_with(graph, platform, &SimOptions::default())
 }
 
 fn engine(platform: &Platform, opts: &SimOptions) -> SchedEngine {
@@ -521,29 +517,6 @@ mod tests {
         assert!((util[1] - 1.0).abs() < 1e-9, "{util:?}");
         // Aggregate utilization averages over the platform's cores.
         assert!((r.avg_utilization(&p) - 0.625).abs() < 1e-9);
-    }
-
-    #[test]
-    fn simulate_with_fifo_matches_simulate_bitwise() {
-        let mut b = TestGraph::new(2);
-        b.declare(k(0), 1000, 0);
-        b.declare(k(1), 500, 1);
-        b.task("p", 0, &[Access::Mut(k(0))], one_sec_task);
-        b.task(
-            "q",
-            1,
-            &[Access::Read(k(0)), Access::Mut(k(1))],
-            one_sec_task,
-        );
-        b.task("dead", 0, &[Access::Mut(k(0))], TaskResult::discarded);
-        b.task("r", 0, &[Access::Read(k(1))], one_sec_task);
-        let g = b.build();
-        execute(&g, 2);
-        let p = flat_platform(2, 2);
-        assert_eq!(
-            simulate(&g, &p),
-            simulate_with(&g, &p, &SimOptions::default())
-        );
     }
 
     #[test]

@@ -337,26 +337,21 @@ impl<O: TaskOp> TaskSink<O> for StepSink<'_, O> {
     }
 }
 
-/// Execute `source` with at most `window` consecutive steps materialized,
-/// on `threads` worker threads (both clamped to ≥ 1).
+/// Execute `source` under the full streaming configuration: window policy
+/// and worker threads (both clamped to ≥ 1), optional online platform
+/// simulation, optional trace recording.
 ///
 /// The calling thread plans; workers execute concurrently. Numerical
-/// results are deterministic across `window` and `threads` because the
+/// results are deterministic across window and thread count because the
 /// hazard edges serialize all conflicting accesses in insertion order —
 /// the same guarantee the batch executor gives.
-pub fn execute<S: StepSource + ?Sized>(
-    source: &mut S,
-    window: usize,
-    threads: usize,
-) -> StreamReport {
-    execute_with(source, &StreamOptions::fixed(window, threads))
-}
-
-/// Execute `source` under the full streaming configuration: window policy,
-/// optional online platform simulation, optional trace recording.
+///
+/// Panics if [`StreamOptions::platform`] has fewer nodes than
+/// `source.num_nodes()`.
 pub fn execute_with<S: StepSource + ?Sized>(source: &mut S, opts: &StreamOptions) -> StreamReport {
-    let fabric = Fabric::local(opts, source.num_nodes());
-    drive(source, opts, fabric).expect("only a transport can fail a run, and there is none")
+    Fabric::resolve(opts, None, source.num_nodes())
+        .and_then(|fabric| drive(source, opts, fabric))
+        .expect("only a transport can fail a run, and there is none")
 }
 
 /// Execute `source` as one rank of a real distributed run (SPMD): every
@@ -480,11 +475,6 @@ impl Fabric {
             }
             (None, None) => Ok(Fabric::Counted),
         }
-    }
-
-    /// [`Fabric::resolve`] without a transport, which cannot fail.
-    fn local(opts: &StreamOptions, num_nodes: usize) -> Fabric {
-        Fabric::resolve(opts, None, num_nodes).expect("no transport, no transport error")
     }
 
     /// Seam 1, insertion: where task `id`, planned for `node`, runs, and
@@ -799,7 +789,7 @@ mod tests {
         for (window, threads) in [(1, 1), (1, 4), (2, 2), (8, 3)] {
             let mut src = ChainSource::new(6, 5);
             let log = Arc::clone(&src.log);
-            let report = execute(&mut src, window, threads);
+            let report = execute_with(&mut src, &StreamOptions::fixed(window, threads));
             assert_eq!(report.tasks_executed, 30);
             assert_eq!(report.tasks_planned, 30);
             assert!(report.peak_live_steps <= window);
@@ -837,7 +827,7 @@ mod tests {
                 StepPhase::Complete
             }
         }
-        let report = execute(&mut WideSource::default(), 1, 4);
+        let report = execute_with(&mut WideSource::default(), &StreamOptions::fixed(1, 4));
         assert_eq!(report.tasks_executed, 200);
         assert_eq!(report.peak_live_steps, 1);
         assert!(
@@ -895,7 +885,7 @@ mod tests {
             branch_ran: Arc::clone(&branch_ran),
             ctx: Arc::default(),
         };
-        let report = execute(&mut src, 2, 3);
+        let report = execute_with(&mut src, &StreamOptions::fixed(2, 3));
         assert_eq!(report.tasks_executed, 2);
         assert_eq!(branch_ran.load(Ordering::SeqCst), 1);
     }
@@ -915,7 +905,7 @@ mod tests {
                 unreachable!()
             }
         }
-        let report = execute(&mut Empty::default(), 4, 2);
+        let report = execute_with(&mut Empty::default(), &StreamOptions::fixed(4, 2));
         assert_eq!(report.tasks_planned, 0);
         assert_eq!(report.peak_live_steps, 0);
     }
@@ -956,7 +946,7 @@ mod tests {
                 cell: Arc::clone(&cell),
                 ctx: Arc::default(),
             };
-            execute(&mut src, window, threads);
+            execute_with(&mut src, &StreamOptions::fixed(window, threads));
             let v = *cell.lock();
             v
         }
@@ -1001,7 +991,7 @@ mod tests {
     #[test]
     fn cross_node_flow_counts_one_msg_per_version_and_destination() {
         let mut src = TwoNodeSource::default();
-        let report = execute(&mut src, 2, 2);
+        let report = execute_with(&mut src, &StreamOptions::fixed(2, 2));
         assert_eq!(report.tasks_executed, 9);
         // One DataMsg per step for k(0) (producer → node 1), regardless
         // of the two consumers there.
@@ -1015,7 +1005,7 @@ mod tests {
     #[test]
     fn single_node_source_moves_no_messages() {
         let mut src = ChainSource::new(4, 3);
-        let report = execute(&mut src, 2, 2);
+        let report = execute_with(&mut src, &StreamOptions::fixed(2, 2));
         assert_eq!(report.msgs.data_msgs, 0);
         assert_eq!(report.msgs.decision_msgs, 0);
         assert_eq!(report.msgs.retire_msgs, 0);
@@ -1448,7 +1438,7 @@ mod tests {
         // Stealing needs somewhere to steal to; an endpoint of another
         // world size is refused like a bad option.
         let opts = StreamOptions::fixed(1, 1).with_platform(Platform::dancer_nodes(2));
-        let Fabric::Modelled(mut m) = Fabric::local(&opts.with_stealing(), 1) else {
+        let Ok(Fabric::Modelled(mut m)) = Fabric::resolve(&opts.with_stealing(), None, 1) else {
             panic!("a platform resolves to the modelled fabric");
         };
         m.place(0, std::iter::empty());
@@ -1501,7 +1491,8 @@ mod tests {
                     let outcomes = with_watchdog(&what, move || {
                         let local = (0..REPS).map(|_| {
                             let mut src = MixedSource::new(6, nodes);
-                            let report = execute(&mut src, window, threads);
+                            let report =
+                                execute_with(&mut src, &StreamOptions::fixed(window, threads));
                             assert_eq!(report.tasks_executed, report.tasks_planned);
                             assert!(report.peak_live_steps <= window);
                             src.outcome()
@@ -1556,7 +1547,12 @@ mod tests {
         }
         for threads in [1, 3] {
             let caught = with_watchdog("panicking kernel", move || {
-                std::panic::catch_unwind(|| execute(&mut PanicAtStepZero::default(), 1, threads))
+                std::panic::catch_unwind(|| {
+                    execute_with(
+                        &mut PanicAtStepZero::default(),
+                        &StreamOptions::fixed(1, threads),
+                    )
+                })
             });
             let payload = caught.expect_err("the kernel's panic must reach the caller");
             assert_eq!(
@@ -1590,7 +1586,12 @@ mod tests {
             }
         }
         let caught = with_watchdog("panicking planner", || {
-            std::panic::catch_unwind(|| execute(&mut PanicWhilePlanning::default(), 2, 2))
+            std::panic::catch_unwind(|| {
+                execute_with(
+                    &mut PanicWhilePlanning::default(),
+                    &StreamOptions::fixed(2, 2),
+                )
+            })
         });
         let payload = caught.expect_err("the planner's panic must reach the caller");
         let msg = payload.downcast_ref::<String>().expect("assert! message");

@@ -625,21 +625,10 @@ pub struct StreamWindow<O: TaskOp> {
 pub(super) const NO_STEP: usize = usize::MAX;
 
 impl<O: TaskOp> StreamWindow<O> {
-    pub fn new(num_nodes: usize, ctx: Arc<O::Ctx>) -> Self {
-        StreamWindow::with_options(num_nodes, ctx, &StreamOptions::fixed(1, 1))
-    }
-
-    /// A window configured by `opts` (the window policy and thread count
-    /// are the driver's business, not the window's): it may drive the
-    /// platform communication model online, record per-task trace events,
-    /// and emit runtime metrics into an enabled probe.
-    pub fn with_options(num_nodes: usize, ctx: Arc<O::Ctx>, opts: &StreamOptions) -> Self {
-        let fabric = Fabric::local(opts, num_nodes);
-        StreamWindow::with_fabric(num_nodes, ctx, opts, fabric)
-    }
-
     /// A window over `fabric`, as [`Fabric::resolve`] made it from `opts`
-    /// for `num_nodes` nodes.
+    /// for `num_nodes` nodes (the window policy and thread count are the
+    /// driver's business, not the window's): it may record per-task trace
+    /// events and emit runtime metrics into an enabled probe.
     pub(super) fn with_fabric(
         num_nodes: usize,
         ctx: Arc<O::Ctx>,
@@ -1269,7 +1258,12 @@ mod tests {
     #[test]
     fn step_data_leave_the_directory_when_their_step_retires() {
         let ctx = Arc::new(TestCtx::default());
-        let win = StreamWindow::<TestOp>::new(2, Arc::clone(&ctx));
+        let win = StreamWindow::<TestOp>::with_fabric(
+            2,
+            Arc::clone(&ctx),
+            &StreamOptions::fixed(1, 1),
+            Fabric::Counted,
+        );
         let (tile, cell0, cell1) = (DataKey(1), DataKey(100), DataKey(101));
         win.declare(NO_STEP, tile, 8, 0);
         for (step, cell) in [(0, cell0), (1, cell1)] {
@@ -1313,7 +1307,12 @@ mod tests {
     #[test]
     fn completed_producer_leaves_no_edge() {
         let ctx = Arc::new(TestCtx::default());
-        let win = StreamWindow::<TestOp>::new(1, Arc::clone(&ctx));
+        let win = StreamWindow::<TestOp>::with_fabric(
+            1,
+            Arc::clone(&ctx),
+            &StreamOptions::fixed(1, 1),
+            Fabric::Counted,
+        );
         let key = DataKey(1);
         win.declare(NO_STEP, key, 8, 0);
         win.open_step(0);

@@ -2,16 +2,16 @@
 //! consumed one task at a time.
 //!
 //! [`VirtualSchedule`] is the costing core behind both performance
-//! vehicles:
+//! vehicles. Both reach it through the policy engine
+//! ([`crate::sched::SchedEngine`]), which feeds it tasks in id order under
+//! FIFO and in whatever order a [`crate::sched::Scheduler`] policy selects
+//! otherwise — any topological order of the hazard DAG keeps the
+//! scoreboard consistent:
 //!
-//! * [`crate::sim::simulate`] replays a materialized batch graph by feeding
-//!   its tasks in id order ([`crate::sim::simulate_with`] feeds them in
-//!   whatever order a [`crate::sched::Scheduler`] policy selects — any
-//!   topological order of the hazard DAG keeps the scoreboard consistent);
-//! * the streaming window submits each task to the policy engine
-//!   ([`crate::sched::SchedEngine`]) the moment every earlier-inserted
-//!   task has completed, so a windowed run produces the same
-//!   makespan/message accounting **without ever materializing the
+//! * [`crate::sim::simulate_with`] replays a materialized batch graph;
+//! * the streaming window submits each task the moment every
+//!   earlier-inserted task has completed, so a windowed run produces the
+//!   same makespan/message accounting **without ever materializing the
 //!   graph** — per-datum scoreboard entries are all that persists.
 //!
 //! Determinism is by construction: the schedule is a *list schedule in
@@ -88,15 +88,6 @@ pub struct VirtualSchedule {
     serial_seconds: f64,
     cp_max: f64,
     total_flops: f64,
-    /// Record per-task (start, finish) spans. Off by default: the
-    /// streaming runtime must stay bounded by the window, not the task
-    /// count; the batch replay turns it on so [`SimReport`] spans line up
-    /// with task ids for trace export.
-    record_spans: bool,
-    /// Per-task (start, finish), by processing order; (0, 0) for tasks
-    /// that discarded themselves. Empty unless spans are recorded.
-    starts: Vec<f64>,
-    finishes: Vec<f64>,
     /// Metrics probe (disabled by default — every recording is a branch).
     probe: Probe,
     /// Makespan-attribution accumulators; present only when a probe is
@@ -122,7 +113,9 @@ struct AttribState {
 
 impl VirtualSchedule {
     /// An engine that keeps only the per-datum scoreboard (O(declared
-    /// data) memory, whatever the task count).
+    /// data) memory, whatever the task count). Per-task spans are the
+    /// caller's: [`VirtualSchedule::process`] returns each one, and
+    /// [`crate::sched::SchedEngine`] records them by task id.
     pub fn new(platform: &Platform) -> Self {
         VirtualSchedule {
             cores: platform
@@ -139,25 +132,12 @@ impl VirtualSchedule {
             serial_seconds: 0.0,
             cp_max: 0.0,
             total_flops: 0.0,
-            record_spans: false,
-            starts: Vec::new(),
-            finishes: Vec::new(),
             probe: Probe::disabled(),
             attrib: None,
             probe_tick: 0,
             probe_flushed: false,
             sync_latency: platform.sync_latency(),
             platform: platform.clone(),
-        }
-    }
-
-    /// An engine that additionally records every task's simulated
-    /// (start, finish) span — O(task count) memory; what
-    /// [`crate::sim::simulate`] uses so report spans index by task id.
-    pub fn with_spans(platform: &Platform) -> Self {
-        VirtualSchedule {
-            record_spans: true,
-            ..VirtualSchedule::new(platform)
         }
     }
 
@@ -208,10 +188,6 @@ impl VirtualSchedule {
     ) -> (f64, f64) {
         assert!(node < self.platform.nodes(), "task on unknown node");
         if !result.executed {
-            if self.record_spans {
-                self.starts.push(0.0);
-                self.finishes.push(0.0);
-            }
             return (0.0, 0.0);
         }
 
@@ -411,17 +387,11 @@ impl VirtualSchedule {
             }
         }
 
-        if self.record_spans {
-            self.starts.push(start);
-            self.finishes.push(finish);
-        }
         (start, finish)
     }
 
-    /// Totals so far, as a [`SimReport`]. `starts`/`finishes` are indexed
-    /// by processing order (equal to task id when the whole graph was
-    /// fed) and empty unless the engine was built
-    /// [`VirtualSchedule::with_spans`].
+    /// Totals so far, as a [`SimReport`] with empty `starts`/`finishes`
+    /// (spans are [`crate::sched::SchedEngine`]'s to record).
     pub fn report(&self) -> SimReport {
         SimReport {
             makespan: self.makespan,
@@ -434,8 +404,8 @@ impl VirtualSchedule {
             node_class_flops: self.node_class_flops.clone(),
             total_flops: self.total_flops,
             link_messages: self.net.link_traffic(),
-            starts: self.starts.clone(),
-            finishes: self.finishes.clone(),
+            starts: Vec::new(),
+            finishes: Vec::new(),
         }
     }
 
@@ -676,17 +646,17 @@ mod tests {
 
     #[test]
     fn discarded_tasks_leave_no_trace() {
-        let mut v = VirtualSchedule::with_spans(&flat(2, 1));
+        let mut v = VirtualSchedule::new(&flat(2, 1));
         let k = DataKey(0);
-        v.process(0, &[acc(Access::Mut(k), 1000, 0)], &one_sec());
+        let (s0, _) = v.process(0, &[acc(Access::Mut(k), 1000, 0)], &one_sec());
         // A discarded writer on node 1 neither moves data nor bumps the
         // scoreboard: the next consumer still reads node 0's version.
-        v.process(1, &[acc(Access::Mut(k), 1000, 0)], &TaskResult::discarded());
+        let (s1, _) = v.process(1, &[acc(Access::Mut(k), 1000, 0)], &TaskResult::discarded());
         let (start, _) = v.process(0, &[acc(Access::Read(k), 1000, 0)], &one_sec());
         assert!((start - 1.0).abs() < 1e-12);
         let r = v.report();
         assert_eq!(r.messages, 0);
-        assert_eq!(r.starts, vec![0.0, 0.0, 1.0]);
+        assert_eq!(vec![s0, s1, start], vec![0.0, 0.0, 1.0]);
     }
 
     #[test]

@@ -22,7 +22,7 @@
 //! cargo run --release --example cluster_hetero [N] [nb]
 //! ```
 
-use luqr::{factor_stream_distributed, Algorithm, Criterion, DistPolicy, FactorOptions};
+use luqr::{factor_stream_with, Algorithm, Criterion, DistPolicy, FactorOptions, StreamOptions};
 use luqr_runtime::trace::{to_chrome_trace_with, TraceOptions};
 use luqr_runtime::{simulate, Platform};
 use luqr_tile::Grid;
@@ -54,7 +54,7 @@ fn main() {
     );
 
     let (a, b) = system(n);
-    let mut runs = Vec::new();
+    let mut makespans = Vec::new();
     for (label, dist) in [
         ("block-cyclic", DistPolicy::BlockCyclic),
         (
@@ -70,16 +70,18 @@ fn main() {
             dist,
             ..FactorOptions::default()
         };
-        let f = factor_stream_distributed(&a, &b, &opts, &platform, window)
-            .expect("grid fits platform");
-        assert!(f.stream.error.is_none(), "breakdown: {:?}", f.stream.error);
-        let util = f.sim.node_utilization(&platform);
+        let stream_opts =
+            StreamOptions::fixed(window, opts.threads).with_platform(platform.clone());
+        let f = factor_stream_with(&a, &b, &opts, &stream_opts).expect("grid fits platform");
+        assert!(f.error.is_none(), "breakdown: {:?}", f.error);
+        let sim = f.report.sim.expect("a platform run reports virtual time");
+        let util = sim.node_utilization(&platform);
         println!(
             "{label:<16} makespan {:>9.5}s  {:>7.1} GFLOP/s  {:>5} msgs  {:>6.2} MB",
-            f.sim.makespan,
-            f.sim.gflops_normalized(2.0 / 3.0 * (n as f64).powi(3)),
-            f.sim.messages,
-            f.sim.bytes as f64 / 1e6,
+            sim.makespan,
+            sim.gflops_normalized(2.0 / 3.0 * (n as f64).powi(3)),
+            sim.messages,
+            sim.bytes as f64 / 1e6,
         );
         println!(
             "{:<16} node utilization: {}",
@@ -90,11 +92,10 @@ fn main() {
                 .collect::<Vec<_>>()
                 .join("  ")
         );
-        runs.push((label, f));
+        makespans.push(sim.makespan);
     }
 
-    let plain = runs[0].1.sim.makespan;
-    let weighted = runs[1].1.sim.makespan;
+    let (plain, weighted) = (makespans[0], makespans[1]);
     println!(
         "\nspeed-weighted vs block-cyclic: {:.2}x faster ({:.5}s vs {:.5}s)",
         plain / weighted,

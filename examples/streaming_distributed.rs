@@ -19,8 +19,8 @@
 //! 16 → 4x4 (the paper's Dancer configuration).
 
 use luqr::{
-    factor, factor_stream, factor_stream_distributed, stability, Algorithm, Criterion,
-    FactorOptions,
+    factor, factor_stream, factor_stream_with, stability, Algorithm, Criterion, FactorOptions,
+    StreamOptions,
 };
 use luqr_runtime::{simulate, Platform};
 use luqr_tile::Grid;
@@ -61,6 +61,7 @@ fn main() {
         algorithm: Algorithm::LuQr(Criterion::Max { alpha: 100.0 }),
         ..FactorOptions::default()
     };
+    let dist_opts = StreamOptions::fixed(window, opts.threads).with_platform(platform.clone());
 
     // ---- Phase 1: three-way parity + online-sim == batch replay. --------
     let n_small = (n_big / 2).max(4 * opts.nb);
@@ -74,8 +75,12 @@ fn main() {
     let (a, b) = system(n_small);
     let batch = factor(&a, &b, &opts);
     let stream = factor_stream(&a, &b, &opts, window);
-    let dist =
-        factor_stream_distributed(&a, &b, &opts, &platform, window).expect("grid fits platform");
+    let dist = factor_stream_with(&a, &b, &opts, &dist_opts).expect("grid fits platform");
+    let sim = dist
+        .report
+        .sim
+        .as_ref()
+        .expect("a platform run reports virtual time");
 
     let xb = batch.solution();
     assert_eq!(
@@ -91,19 +96,19 @@ fn main() {
     let replay = simulate(&batch.graph, &platform);
     let rel = |a: f64, b: f64| (a - b).abs() / a.abs().max(b.abs()).max(1e-30);
     assert!(
-        rel(replay.makespan, dist.sim.makespan) <= 1e-9,
+        rel(replay.makespan, sim.makespan) <= 1e-9,
         "online sim makespan {} != batch replay {}",
-        dist.sim.makespan,
+        sim.makespan,
         replay.makespan
     );
-    assert_eq!(replay.messages, dist.sim.messages, "message counts differ");
-    assert_eq!(replay.bytes, dist.sim.bytes, "byte counts differ");
+    assert_eq!(replay.messages, sim.messages, "message counts differ");
+    assert_eq!(replay.bytes, sim.bytes, "byte counts differ");
     println!("  solutions bitwise identical across all three runtimes");
     println!(
         "  online virtual time == batch replay: makespan {:.4}s, {} msgs, {} bytes",
-        dist.sim.makespan, dist.sim.messages, dist.sim.bytes
+        sim.makespan, sim.messages, sim.bytes
     );
-    let msgs = dist.msgs();
+    let msgs = dist.report.msgs;
     println!(
         "  protocol: {} DataMsg + {} DecisionMsg + {} RetireMsg",
         msgs.data_msgs, msgs.decision_msgs, msgs.retire_msgs
@@ -118,13 +123,13 @@ fn main() {
         grid.nodes()
     );
     let t0 = std::time::Instant::now();
-    let f =
-        factor_stream_distributed(&a, &b, &opts, &platform, window).expect("grid fits platform");
+    let f = factor_stream_with(&a, &b, &opts, &dist_opts).expect("grid fits platform");
     let dt = t0.elapsed().as_secs_f64();
-    assert!(f.stream.error.is_none(), "breakdown: {:?}", f.stream.error);
+    assert!(f.error.is_none(), "breakdown: {:?}", f.error);
     let x = f.solution();
     let hpl3 = stability::hpl3(&a, &x, &b);
-    let r = &f.stream.report;
+    let r = &f.report;
+    let sim = r.sim.as_ref().expect("a platform run reports virtual time");
     println!(
         "  {} tasks executed in {dt:.3}s wall; peak live tasks {} \
          ({:.1}x reclaimed vs {} planned)",
@@ -136,16 +141,16 @@ fn main() {
     println!(
         "  virtual cluster: makespan {:.4}s, {:.1} GFLOP/s normalized \
          ({:.0}% of peak), {} messages, {:.1} MB moved",
-        f.sim.makespan,
-        f.sim.gflops_normalized(2.0 / 3.0 * (n_big as f64).powi(3)),
-        100.0 * f.sim.peak_fraction(&platform),
-        f.sim.messages,
-        f.sim.bytes as f64 / 1e6,
+        sim.makespan,
+        sim.gflops_normalized(2.0 / 3.0 * (n_big as f64).powi(3)),
+        100.0 * sim.peak_fraction(&platform),
+        sim.messages,
+        sim.bytes as f64 / 1e6,
     );
     println!(
         "  LU steps: {:.0}% of {}; HPL3 backward error = {hpl3:.3e}",
-        100.0 * f.stream.lu_step_fraction(),
-        f.stream.records.len()
+        100.0 * f.lu_step_fraction(),
+        f.records.len()
     );
 
     // CI smoke bar: the window must keep graph memory an order of

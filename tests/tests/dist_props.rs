@@ -13,7 +13,9 @@
 //! and the online distributed run. This is what guarantees the
 //! heterogeneity refactor changed nothing in the uniform case.
 
-use luqr::{factor, factor_stream, factor_stream_distributed, Algorithm, Criterion, FactorOptions};
+use luqr::{
+    factor, factor_stream, factor_stream_with, Algorithm, Criterion, FactorOptions, StreamOptions,
+};
 use luqr_kernels::Mat;
 use luqr_runtime::{simulate, LinkSpec, NodeSpec, Platform, Topology};
 use luqr_tests::dominant_system;
@@ -75,33 +77,35 @@ proptest! {
 
         let batch = factor(&a, &b, &opts);
         let stream = factor_stream(&a, &b, &opts, window);
-        let dist = factor_stream_distributed(&a, &b, &opts, &platform, window).expect("grid fits platform");
+        let dist_opts = StreamOptions::fixed(window, threads).with_platform(platform.clone());
+        let dist = factor_stream_with(&a, &b, &opts, &dist_opts).expect("grid fits platform");
+        let online = dist.report.sim.as_ref().expect("a platform run reports virtual time");
 
         // Identical arithmetic and failure behavior across all three.
         prop_assert_eq!(&batch.error, &stream.error);
-        prop_assert_eq!(&batch.error, &dist.stream.error);
+        prop_assert_eq!(&batch.error, &dist.error);
         let xb = batch.solution();
         prop_assert_eq!(xb.max_abs_diff(&stream.solution()), 0.0);
         prop_assert_eq!(xb.max_abs_diff(&dist.solution()), 0.0);
-        prop_assert_eq!(batch.records.len(), dist.stream.records.len());
-        for (rb, rd) in batch.records.iter().zip(&dist.stream.records) {
+        prop_assert_eq!(batch.records.len(), dist.records.len());
+        for (rb, rd) in batch.records.iter().zip(&dist.records) {
             prop_assert_eq!(rb.decision, rd.decision);
         }
 
         // Online virtual time ≡ batch replay.
         let sim = simulate(&batch.graph, &platform);
         prop_assert!(
-            close(sim.makespan, dist.sim.makespan),
-            "makespan {} vs {}", sim.makespan, dist.sim.makespan
+            close(sim.makespan, online.makespan),
+            "makespan {} vs {}", sim.makespan, online.makespan
         );
-        prop_assert!(close(sim.serial_seconds, dist.sim.serial_seconds));
-        prop_assert!(close(sim.critical_path, dist.sim.critical_path));
-        prop_assert_eq!(sim.messages, dist.sim.messages);
-        prop_assert_eq!(sim.bytes, dist.sim.bytes);
-        prop_assert_eq!(dist.msgs().payload_msgs(), dist.sim.messages);
+        prop_assert!(close(sim.serial_seconds, online.serial_seconds));
+        prop_assert!(close(sim.critical_path, online.critical_path));
+        prop_assert_eq!(sim.messages, online.messages);
+        prop_assert_eq!(sim.bytes, online.bytes);
+        prop_assert_eq!(dist.report.msgs.payload_msgs(), online.messages);
 
         // Window bound in steps, as in the single-process runtime.
-        prop_assert!(dist.stream.report.peak_live_steps <= window);
+        prop_assert!(dist.report.peak_live_steps <= window);
     }
 
     /// Degeneracy pin: an explicitly heterogeneous platform whose specs
@@ -140,11 +144,11 @@ proptest! {
         let sim_h = simulate(&batch.graph, &hetero);
         prop_assert_eq!(&sim_u, &sim_h, "batch replay diverged");
 
-        let dist_u = factor_stream_distributed(&a, &b, &opts, &uniform, 2)
-            .expect("grid fits platform");
-        let dist_h = factor_stream_distributed(&a, &b, &opts, &hetero, 2)
-            .expect("grid fits platform");
-        prop_assert_eq!(&dist_u.sim, &dist_h.sim, "online virtual time diverged");
+        let [dist_u, dist_h] = [uniform, hetero].map(|platform| {
+            let dist_opts = StreamOptions::fixed(2, opts.threads).with_platform(platform);
+            factor_stream_with(&a, &b, &opts, &dist_opts).expect("grid fits platform")
+        });
+        prop_assert_eq!(&dist_u.report.sim, &dist_h.report.sim, "online virtual time diverged");
         prop_assert_eq!(
             dist_u.solution().max_abs_diff(&dist_h.solution()), 0.0
         );

@@ -6,9 +6,8 @@
 //! graph on the same platform.
 
 use luqr::{
-    factor, factor_stream, factor_stream_distributed, factor_stream_distributed_opts,
-    factor_stream_with, Algorithm, Criterion, FactorOptions, SchedPolicy, StreamOptions,
-    WindowPolicy,
+    factor, factor_stream, factor_stream_with, Algorithm, Criterion, FactorOptions,
+    NodeCountMismatch, SchedPolicy, StreamFactorization, StreamOptions, WindowPolicy,
 };
 use luqr_kernels::Mat;
 use luqr_runtime::{simulate, LinkSpec, NodeSpec, Platform, SimReport, Topology};
@@ -16,6 +15,14 @@ use luqr_tile::Grid;
 
 fn system(n: usize, seed: u64) -> (Mat, Mat) {
     luqr_tests::dominant_system(n, seed, 2)
+}
+
+/// The virtual-time summary of a run streamed with a platform.
+fn sim(f: &StreamFactorization) -> &SimReport {
+    f.report
+        .sim
+        .as_ref()
+        .expect("a platform run reports virtual time")
 }
 
 /// 1e-9 relative-tolerance comparison (the acceptance bar; in practice the
@@ -70,11 +77,11 @@ fn check_three_way(opts: &FactorOptions, platform: &Platform, window: usize, n: 
     let (a, b) = system(n, seed);
     let batch = factor(&a, &b, opts);
     let stream = factor_stream(&a, &b, opts, window);
-    let dist =
-        factor_stream_distributed(&a, &b, opts, platform, window).expect("grid fits platform");
+    let dist_opts = StreamOptions::fixed(window, opts.threads).with_platform(platform.clone());
+    let dist = factor_stream_with(&a, &b, opts, &dist_opts).expect("grid fits platform");
 
     assert_eq!(batch.error, stream.error, "{what}: error mismatch");
-    assert_eq!(batch.error, dist.stream.error, "{what}: error mismatch");
+    assert_eq!(batch.error, dist.error, "{what}: error mismatch");
 
     let xb = batch.solution();
     let xs = stream.solution();
@@ -91,22 +98,22 @@ fn check_three_way(opts: &FactorOptions, platform: &Platform, window: usize, n: 
     );
 
     // Criterion decisions match step for step.
-    assert_eq!(batch.records.len(), dist.stream.records.len());
-    for (rb, rd) in batch.records.iter().zip(&dist.stream.records) {
+    assert_eq!(batch.records.len(), dist.records.len());
+    for (rb, rd) in batch.records.iter().zip(&dist.records) {
         assert_eq!(rb.k, rd.k);
         assert_eq!(rb.decision, rd.decision, "{what}: step {} decision", rb.k);
     }
 
     // The online virtual-time report equals a batch-graph replay.
     let batch_sim = simulate(&batch.graph, platform);
-    assert_sim_matches(&batch_sim, &dist.sim, &what);
+    assert_sim_matches(&batch_sim, sim(&dist), &what);
 
     // Protocol payload messages are exactly the simulator's messages:
     // both count one transfer per (produced version, destination node).
-    let msgs = dist.msgs();
+    let msgs = dist.report.msgs;
     assert_eq!(
         msgs.payload_msgs(),
-        dist.sim.messages,
+        sim(&dist).messages,
         "{what}: protocol DataMsg+DecisionMsg count must equal sim messages \
          (data {} decision {})",
         msgs.data_msgs,
@@ -114,7 +121,7 @@ fn check_three_way(opts: &FactorOptions, platform: &Platform, window: usize, n: 
     );
 
     // The window bound survives distribution.
-    assert!(dist.stream.report.peak_live_steps <= window, "{what}");
+    assert!(dist.report.peak_live_steps <= window, "{what}");
 }
 
 #[test]
@@ -153,7 +160,7 @@ fn distributed_streaming_parity_every_algorithm_and_criterion() {
 }
 
 /// A grid bigger than the platform is a typed error from the entry point,
-/// not a downstream index panic.
+/// not a panic inside the window's platform model.
 #[test]
 fn oversized_grid_is_a_typed_error() {
     let opts = FactorOptions {
@@ -164,24 +171,23 @@ fn oversized_grid_is_a_typed_error() {
         ..FactorOptions::default()
     };
     let (a, b) = system(32, 1);
-    let err = match factor_stream_distributed(&a, &b, &opts, &Platform::dancer_nodes(4), 2) {
+    let on_four = StreamOptions::fixed(2, opts.threads).with_platform(Platform::dancer_nodes(4));
+    let err = match factor_stream_with(&a, &b, &opts, &on_four) {
         Err(e) => e,
         Ok(_) => panic!("16-rank grid cannot fit a 4-node platform"),
     };
     assert_eq!(
         err,
-        luqr::GridPlatformError {
-            p: 4,
-            q: 4,
-            platform_nodes: 4
+        NodeCountMismatch {
+            required: 16,
+            available: 4
         }
     );
-    assert!(err.to_string().contains("4x4"));
-    assert!(err.to_string().contains("16"));
-    assert_eq!(
-        luqr::validate_grid_platform(&Grid::new(2, 2), &Platform::dancer_nodes(4)),
-        Ok(())
-    );
+    let msg = err.to_string();
+    assert!(msg.contains("16") && msg.contains("4 node"), "{msg}");
+    let fits = factor_stream_with(&a, &b, &opts.with_grid(Grid::new(2, 2)), &on_four)
+        .expect("a 2x2 grid fits a 4-node platform");
+    assert!(fits.report.sim.is_some());
 }
 
 /// The speed-weighted distribution keeps the three-runtime bitwise parity
@@ -223,9 +229,9 @@ fn distributed_hybrid_counts_decision_broadcasts() {
         ..FactorOptions::default()
     };
     let (a, b) = system(64, 99);
-    let dist = factor_stream_distributed(&a, &b, &opts, &Platform::dancer_nodes(4), 2)
-        .expect("grid fits platform");
-    let msgs = dist.msgs();
+    let dist_opts = StreamOptions::fixed(2, opts.threads).with_platform(Platform::dancer_nodes(4));
+    let dist = factor_stream_with(&a, &b, &opts, &dist_opts).expect("grid fits platform");
+    let msgs = dist.report.msgs;
     assert!(msgs.data_msgs > 0, "2x2 grid must move tiles");
     assert!(
         msgs.decision_msgs > 0,
@@ -235,8 +241,8 @@ fn distributed_hybrid_counts_decision_broadcasts() {
         msgs.retire_msgs > 0,
         "remote nodes must report step retirement"
     );
-    assert!(dist.sim.makespan > 0.0);
-    assert!(dist.sim.makespan >= dist.sim.critical_path - 1e-12);
+    assert!(sim(&dist).makespan > 0.0);
+    assert!(sim(&dist).makespan >= sim(&dist).critical_path - 1e-12);
 }
 
 /// Distributed streaming on a single-node platform moves zero messages
@@ -252,15 +258,15 @@ fn single_node_distributed_run_moves_nothing() {
         ..FactorOptions::default()
     };
     let (a, b) = system(48, 5);
-    let dist = factor_stream_distributed(&a, &b, &opts, &Platform::single_node(8), 3)
-        .expect("grid fits platform");
-    let msgs = dist.msgs();
+    let dist_opts = StreamOptions::fixed(3, opts.threads).with_platform(Platform::single_node(8));
+    let dist = factor_stream_with(&a, &b, &opts, &dist_opts).expect("grid fits platform");
+    let msgs = dist.report.msgs;
     assert_eq!(msgs.data_msgs, 0);
     assert_eq!(msgs.decision_msgs, 0);
     assert_eq!(msgs.retire_msgs, 0);
     assert_eq!(msgs.bytes, 0);
-    assert_eq!(dist.sim.messages, 0);
-    assert_eq!(dist.sim.bytes, 0);
+    assert_eq!(sim(&dist).messages, 0);
+    assert_eq!(sim(&dist).bytes, 0);
 }
 
 /// `latency = 0` degenerates the communication model to pure bandwidth
@@ -278,14 +284,15 @@ fn zero_latency_platform_costs_pure_bandwidth() {
     };
     let (a, b) = system(48, 17);
     let p = Platform::dancer_nodes(4).with_latency(0.0);
-    let dist = factor_stream_distributed(&a, &b, &opts, &p, 2).expect("grid fits platform");
+    let dist_opts = StreamOptions::fixed(2, opts.threads).with_platform(p.clone());
+    let dist = factor_stream_with(&a, &b, &opts, &dist_opts).expect("grid fits platform");
     // Same run replayed from the batch graph must agree even at the
     // degenerate point.
     let batch = factor(&a, &b, &opts);
-    let sim = simulate(&batch.graph, &p);
-    assert_eq!(sim.messages, dist.sim.messages);
-    assert!(close(sim.makespan, dist.sim.makespan));
-    assert!(dist.sim.bytes > 0);
+    let replay = simulate(&batch.graph, &p);
+    assert_eq!(replay.messages, sim(&dist).messages);
+    assert!(close(replay.makespan, sim(&dist).makespan));
+    assert!(sim(&dist).bytes > 0);
 }
 
 /// The autotuned window policy keeps bitwise parity and records a window
@@ -310,7 +317,7 @@ fn auto_window_keeps_parity_and_records_choices() {
         },
         ..StreamOptions::fixed(1, opts.threads)
     };
-    let stream = factor_stream_with(&a, &b, &opts, &stream_opts);
+    let stream = factor_stream_with(&a, &b, &opts, &stream_opts).expect("no platform to fit");
     assert_eq!(batch.solution().max_abs_diff(&stream.solution()), 0.0);
     assert_eq!(stream.report.per_step_window.len(), stream.report.steps);
     assert!(stream
@@ -335,7 +342,7 @@ fn streaming_trace_export_covers_executed_tasks() {
     };
     let (a, b) = system(48, 8);
     let stream_opts = StreamOptions::fixed(2, 2).with_trace();
-    let f = factor_stream_with(&a, &b, &opts, &stream_opts);
+    let f = factor_stream_with(&a, &b, &opts, &stream_opts).expect("no platform to fit");
     assert_eq!(f.report.trace.len(), f.report.tasks_executed);
     let mut nodes_seen = [false; 4];
     for ev in &f.report.trace {
@@ -394,25 +401,25 @@ fn stealing_keeps_numerics_and_message_accounting() {
     );
     let batch = factor(&a, &b, &opts);
 
-    let base_opts = StreamOptions::fixed(3, opts.threads).with_scheduler(SchedPolicy::Eft);
-    let base = factor_stream_distributed_opts(&a, &b, &opts, &platform, &base_opts)
-        .expect("grid fits platform");
+    let base_opts = StreamOptions::fixed(3, opts.threads)
+        .with_platform(platform)
+        .with_scheduler(SchedPolicy::Eft);
+    let base = factor_stream_with(&a, &b, &opts, &base_opts).expect("grid fits platform");
     let steal_opts = base_opts.clone().with_stealing();
-    let steal = factor_stream_distributed_opts(&a, &b, &opts, &platform, &steal_opts)
-        .expect("grid fits platform");
+    let steal = factor_stream_with(&a, &b, &opts, &steal_opts).expect("grid fits platform");
 
     // Numerics are placement-independent: bitwise vs batch, errors and
     // criterion decisions identical.
-    assert_eq!(batch.error, steal.stream.error);
+    assert_eq!(batch.error, steal.error);
     assert_eq!(batch.solution().max_abs_diff(&steal.solution()), 0.0);
-    assert_eq!(batch.records.len(), steal.stream.records.len());
-    for (rb, rd) in batch.records.iter().zip(&steal.stream.records) {
+    assert_eq!(batch.records.len(), steal.records.len());
+    for (rb, rd) in batch.records.iter().zip(&steal.records) {
         assert_eq!(rb.decision, rd.decision, "step {} decision", rb.k);
     }
 
     // The steal pass evaluated candidates, and on this heterogeneous
     // platform (crippled island) actually re-homed work.
-    let report = &steal.stream.report;
+    let report = &steal.report;
     assert!(
         report.steals + report.steal_kept > 0,
         "steal pass never evaluated a candidate"
@@ -422,14 +429,14 @@ fn stealing_keeps_numerics_and_message_accounting() {
     // Message accounting stays consistent *within* the run: the protocol
     // counts one transfer per (produced version, destination node) off
     // the same placements the simulator prices.
-    assert_eq!(steal.msgs().payload_msgs(), steal.sim.messages);
-    assert!(steal.sim.makespan >= steal.sim.critical_path - 1e-12);
+    assert_eq!(report.msgs.payload_msgs(), sim(&steal).messages);
+    assert!(sim(&steal).makespan >= sim(&steal).critical_path - 1e-12);
     assert!(report.peak_live_steps <= 3);
 
     // Flag off: counters zero, baseline consistency untouched.
-    assert_eq!(base.stream.report.steals, 0);
-    assert_eq!(base.stream.report.steal_kept, 0);
-    assert_eq!(base.msgs().payload_msgs(), base.sim.messages);
+    assert_eq!(base.report.steals, 0);
+    assert_eq!(base.report.steal_kept, 0);
+    assert_eq!(base.report.msgs.payload_msgs(), sim(&base).messages);
 }
 
 /// On a single node there is nowhere to steal to: the gate keeps the
@@ -445,28 +452,20 @@ fn stealing_is_inert_on_a_single_node() {
         ..FactorOptions::default()
     };
     let (a, b) = system(48, 9);
-    let platform = Platform::dancer_nodes(1);
-    let plain_opts = StreamOptions::fixed(2, opts.threads);
-    let plain = factor_stream_distributed_opts(&a, &b, &opts, &platform, &plain_opts)
+    let plain_opts = StreamOptions::fixed(2, opts.threads).with_platform(Platform::dancer_nodes(1));
+    let plain = factor_stream_with(&a, &b, &opts, &plain_opts).expect("grid fits platform");
+    let steal = factor_stream_with(&a, &b, &opts, &plain_opts.clone().with_stealing())
         .expect("grid fits platform");
-    let steal = factor_stream_distributed_opts(
-        &a,
-        &b,
-        &opts,
-        &platform,
-        &plain_opts.clone().with_stealing(),
-    )
-    .expect("grid fits platform");
 
-    assert_eq!(steal.stream.report.steals, 0);
-    assert_eq!(steal.stream.report.steal_kept, 0);
+    assert_eq!(steal.report.steals, 0);
+    assert_eq!(steal.report.steal_kept, 0);
     assert_eq!(plain.solution().max_abs_diff(&steal.solution()), 0.0);
     assert_eq!(
-        plain.sim.makespan.to_bits(),
-        steal.sim.makespan.to_bits(),
+        sim(&plain).makespan.to_bits(),
+        sim(&steal).makespan.to_bits(),
         "single-node steal run must replay the unflagged timeline bitwise"
     );
-    assert_eq!(plain.sim.messages, steal.sim.messages);
+    assert_eq!(sim(&plain).messages, sim(&steal).messages);
 }
 
 /// Online recalibration re-aims the tile distribution mid-run from
@@ -488,26 +487,26 @@ fn recalibration_keeps_numerics_and_protocol_consistency() {
         ..FactorOptions::default()
     };
     let (a, b) = system(64, 7);
-    let platform = Platform::mixed_islands();
     let batch = factor(&a, &b, &opts);
 
-    let recal_opts = StreamOptions::fixed(2, opts.threads).with_recalibration();
-    let recal = factor_stream_distributed_opts(&a, &b, &opts, &platform, &recal_opts)
-        .expect("grid fits platform");
+    let recal_opts = StreamOptions::fixed(2, opts.threads)
+        .with_platform(Platform::mixed_islands())
+        .with_recalibration();
+    let recal = factor_stream_with(&a, &b, &opts, &recal_opts).expect("grid fits platform");
 
-    assert_eq!(batch.error, recal.stream.error);
+    assert_eq!(batch.error, recal.error);
     let drift = batch.solution().max_abs_diff(&recal.solution());
     assert!(
         drift <= 1e-10,
         "recalibrated solution drifted beyond round-off: {drift}"
     );
-    assert_eq!(batch.records.len(), recal.stream.records.len());
-    for (rb, rd) in batch.records.iter().zip(&recal.stream.records) {
+    assert_eq!(batch.records.len(), recal.records.len());
+    for (rb, rd) in batch.records.iter().zip(&recal.records) {
         assert_eq!(rb.decision, rd.decision, "step {} decision", rb.k);
     }
-    assert_eq!(recal.msgs().payload_msgs(), recal.sim.messages);
-    assert!(recal.stream.report.peak_live_steps <= 2);
-    assert!(recal.sim.makespan >= recal.sim.critical_path - 1e-12);
+    assert_eq!(recal.report.msgs.payload_msgs(), sim(&recal).messages);
+    assert!(recal.report.peak_live_steps <= 2);
+    assert!(sim(&recal).makespan >= sim(&recal).critical_path - 1e-12);
 }
 
 // ---------------------------------------------------------------------------
@@ -532,8 +531,8 @@ fn check_net(opts: &FactorOptions, window: usize, n: usize, seed: u64, kind: &Ne
     let (a, b) = system(n, seed);
     let batch = factor(&a, &b, opts);
     let platform = Platform::dancer_nodes(opts.grid.nodes());
-    let dist =
-        factor_stream_distributed(&a, &b, opts, &platform, window).expect("grid fits platform");
+    let dist_opts = StreamOptions::fixed(window, opts.threads).with_platform(platform);
+    let dist = factor_stream_with(&a, &b, opts, &dist_opts).expect("grid fits platform");
     let net = factor_stream_net(&a, &b, opts, window, kind).expect("net run failed");
 
     assert_eq!(batch.error, net.error, "{what}: error mismatch");
@@ -544,8 +543,8 @@ fn check_net(opts: &FactorOptions, window: usize, n: usize, seed: u64, kind: &Ne
     );
 
     // Step records agree with the simulated distributed run bitwise.
-    assert_eq!(net.records.len(), dist.stream.records.len(), "{what}");
-    for (rn, rd) in net.records.iter().zip(&dist.stream.records) {
+    assert_eq!(net.records.len(), dist.records.len(), "{what}");
+    for (rn, rd) in net.records.iter().zip(&dist.records) {
         assert_eq!(rn.k, rd.k, "{what}");
         assert_eq!(rn.decision, rd.decision, "{what}: step {} decision", rn.k);
         assert_eq!(
@@ -565,11 +564,11 @@ fn check_net(opts: &FactorOptions, window: usize, n: usize, seed: u64, kind: &Ne
     // The performed protocol moved exactly the messages the simulation
     // modeled — in total and on every directed link.
     assert_eq!(
-        net.report.msgs, dist.stream.report.msgs,
+        net.report.msgs, dist.report.msgs,
         "{what}: MsgStats diverged from the simulated run"
     );
     assert_eq!(
-        net.report.link_msgs, dist.stream.report.link_msgs,
+        net.report.link_msgs, dist.report.link_msgs,
         "{what}: per-link MsgStats diverged"
     );
 
@@ -753,24 +752,25 @@ fn net_four_worker_uds_processes_match_simulated_run() {
     let (a, b) = job.problem();
     let opts = job.options();
     let batch = factor(&a, &b, &opts);
-    let dist = factor_stream_distributed(&a, &b, &opts, &Platform::dancer_nodes(4), job.window)
-        .expect("grid fits platform");
+    let dist_opts =
+        StreamOptions::fixed(job.window, opts.threads).with_platform(Platform::dancer_nodes(4));
+    let dist = factor_stream_with(&a, &b, &opts, &dist_opts).expect("grid fits platform");
 
     let mp = launch_multiprocess(&job, None).expect("multi-process run");
     assert_eq!(mp.error, None);
     let x = mp.solution.as_ref().expect("rank 0 reports a solution");
     assert_eq!(batch.solution().max_abs_diff(x), 0.0, "solution diverged");
 
-    assert_eq!(mp.records.len(), dist.stream.records.len());
-    for (rm, rd) in mp.records.iter().zip(&dist.stream.records) {
+    assert_eq!(mp.records.len(), dist.records.len());
+    for (rm, rd) in mp.records.iter().zip(&dist.records) {
         assert_eq!(rm.k, rd.k);
         assert_eq!(rm.decision, rd.decision, "step {} decision", rm.k);
         assert_eq!(rm.lhs.to_bits(), rd.lhs.to_bits(), "step {} lhs", rm.k);
         assert_eq!(rm.rhs.to_bits(), rd.rhs.to_bits(), "step {} rhs", rm.k);
     }
-    assert_eq!(mp.msgs, dist.stream.report.msgs, "MsgStats diverged");
+    assert_eq!(mp.msgs, dist.report.msgs, "MsgStats diverged");
     assert_eq!(
-        mp.link_msgs, dist.stream.report.link_msgs,
+        mp.link_msgs, dist.report.link_msgs,
         "per-link MsgStats diverged"
     );
     assert!(mp.frames_sent > 0 && mp.frames_received > 0);

@@ -22,9 +22,9 @@
 use std::time::Instant;
 
 use luqr::{
-    factor, factor_stream, factor_stream_distributed, factor_stream_net, factor_stream_with,
-    Algorithm, Criterion, FactorOptions, Factorization, NetTransportKind, Probe, SchedPolicy,
-    SimOptions, StreamOptions, TreeConfig,
+    factor, factor_stream, factor_stream_net, factor_stream_with, Algorithm, Criterion,
+    FactorOptions, Factorization, NetTransportKind, Probe, SchedPolicy, SimOptions, StreamOptions,
+    TreeConfig,
 };
 use luqr_kernels::blas::{gemm, gemm_reference, Trans};
 use luqr_kernels::Mat;
@@ -65,17 +65,26 @@ fn row(sim: &SimReport) -> (f64, u64) {
 }
 
 /// Replay under every policy, in [`SchedPolicy::all`] order (fifo,
-/// critical-path, locality, eft). FIFO through the policy engine must be
-/// the insertion-order `simulate()` bitwise.
+/// critical-path, locality, eft). FIFO is the insertion-order `simulate()`.
 fn policy_sweep(f: &Factorization, platform: &Platform) -> [SimReport; 4] {
-    let sims = SchedPolicy::all()
-        .map(|policy| simulate_with(&f.graph, platform, &SimOptions::with_scheduler(policy)));
-    assert_eq!(
-        sims[0],
-        simulate(&f.graph, platform),
-        "fifo must pin the insertion-order engine bitwise"
-    );
-    sims
+    SchedPolicy::all()
+        .map(|policy| simulate_with(&f.graph, platform, &SimOptions::with_scheduler(policy)))
+}
+
+/// The virtual-time summary of `opts` streamed at `window` on `platform`.
+fn online_sim(
+    a: &Mat,
+    b: &Mat,
+    opts: &FactorOptions,
+    platform: &Platform,
+    window: usize,
+) -> SimReport {
+    let stream_opts = StreamOptions::fixed(window, opts.threads).with_platform(platform.clone());
+    factor_stream_with(a, b, opts, &stream_opts)
+        .expect("grid fits platform")
+        .report
+        .sim
+        .expect("a platform run reports virtual time")
 }
 
 /// Replay under EFT with work stealing: the report, and how many tasks the
@@ -202,9 +211,8 @@ fn distsim_batch_replay_and_online_sim_agree_on_pinned_values() {
         assert_eq!(batch.graph.len(), batch_tasks, "n = {n}");
         assert_eq!(row(&simulate(&batch.graph, &platform)), want, "n = {n}");
         for window in [2, 4] {
-            let online = factor_stream_distributed(&a, &b, &opts, &platform, window)
-                .expect("grid fits platform");
-            assert_eq!(row(&online.sim), want, "n = {n}, window {window}");
+            let online = online_sim(&a, &b, &opts, &platform, window);
+            assert_eq!(row(&online), want, "n = {n}, window {window}");
         }
     }
 }
@@ -233,11 +241,8 @@ fn hetero_weighted_distribution_pins() {
     ] {
         let (a, b, plain) = fixture(n, 16, Grid::new(2, 2));
         let weighted = plain.clone().with_speed_weights(platform.node_speeds());
-        let [plain, weighted] = [plain, weighted].map(|opts| {
-            factor_stream_distributed(&a, &b, &opts, &platform, 4)
-                .expect("grid fits platform")
-                .sim
-        });
+        let [plain, weighted] =
+            [plain, weighted].map(|opts| online_sim(&a, &b, &opts, &platform, 4));
         assert_eq!(row(&plain), block_cyclic);
         assert_eq!(row(&weighted), speed_weighted);
         assert!(
@@ -359,12 +364,12 @@ fn probes_on_cost_under_five_percent() {
     let (a, b, opts) = fixture(256, 8, Grid::single());
     let ratio = times_slower(
         || {
-            factor_stream_with(&a, &b, &opts, &StreamOptions::fixed(4, 1));
+            factor_stream_with(&a, &b, &opts, &StreamOptions::fixed(4, 1)).unwrap();
         },
         || {
             let probe = Probe::enabled();
             let stream_opts = StreamOptions::fixed(4, 1).with_probe(probe.clone());
-            factor_stream_with(&a, &b, &opts, &stream_opts);
+            factor_stream_with(&a, &b, &opts, &stream_opts).unwrap();
             probe.report();
         },
     );

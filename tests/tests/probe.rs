@@ -5,8 +5,8 @@
 //! export formats are well-formed on real factorization telemetry.
 
 use luqr::{
-    factor, factor_stream_distributed_opts, factor_stream_distributed_with, Algorithm, Criterion,
-    FactorOptions, Probe, SchedPolicy, SimOptions, StreamOptions,
+    factor, factor_stream_with, Algorithm, Criterion, FactorOptions, Probe, SchedPolicy,
+    SimOptions, StreamOptions,
 };
 use luqr_runtime::probe::export::{chrome_counter_events, to_json, to_prometheus};
 use luqr_runtime::probe::metric;
@@ -68,27 +68,26 @@ fn probed_batch_replay_matches_and_reconciles_across_policies() {
 fn probed_distributed_streaming_is_bitwise_invariant() {
     let (a, b) = luqr_tests::dominant_system(50, 2014, 2);
     let opts = hybrid_opts(Grid::new(2, 2));
-    let platform = Platform::dancer_nodes(4);
-
-    let plain =
-        factor_stream_distributed_with(&a, &b, &opts, &platform, 2, SchedPolicy::Eft).unwrap();
+    let plain_opts = StreamOptions::fixed(2, opts.threads)
+        .with_platform(Platform::dancer_nodes(4))
+        .with_scheduler(SchedPolicy::Eft);
+    let plain = factor_stream_with(&a, &b, &opts, &plain_opts).unwrap();
     let probe = Probe::enabled();
-    let stream_opts = StreamOptions::fixed(2, opts.threads)
-        .with_scheduler(SchedPolicy::Eft)
-        .with_probe(probe.clone());
-    let probed = factor_stream_distributed_opts(&a, &b, &opts, &platform, &stream_opts).unwrap();
+    let stream_opts = plain_opts.with_probe(probe.clone());
+    let probed = factor_stream_with(&a, &b, &opts, &stream_opts).unwrap();
 
     assert_eq!(
         plain.solution().max_abs_diff(&probed.solution()),
         0.0,
         "probe changed the numerics"
     );
-    assert_eq!(plain.sim, probed.sim, "probe changed the virtual time");
-    assert_eq!(plain.stream.report.msgs, probed.stream.report.msgs);
+    assert!(plain.report.sim.is_some());
     assert_eq!(
-        plain.stream.report.link_msgs,
-        probed.stream.report.link_msgs
+        plain.report.sim, probed.report.sim,
+        "probe changed the virtual time"
     );
+    assert_eq!(plain.report.msgs, probed.report.msgs);
+    assert_eq!(plain.report.link_msgs, probed.report.link_msgs);
 
     // The probe saw the run: kernels, protocol messages, attribution.
     let report = probe.report();

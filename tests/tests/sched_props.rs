@@ -21,10 +21,10 @@
 //! 1-node and 4-node grids.
 
 use luqr::{
-    factor, factor_stream_distributed, factor_stream_distributed_with, Algorithm, Criterion,
-    FactorOptions, SchedPolicy, SimOptions,
+    factor, factor_stream_with, Algorithm, Criterion, FactorOptions, SchedPolicy, SimOptions,
+    StreamOptions,
 };
-use luqr_runtime::{simulate, simulate_with, Platform, SchedEngine};
+use luqr_runtime::{simulate, simulate_with, Platform, SchedEngine, SimReport, VirtualSchedule};
 use luqr_tests::dominant_system;
 use luqr_tile::Grid;
 use proptest::prelude::*;
@@ -85,11 +85,21 @@ proptest! {
         let f = factor(&a, &b, &opts);
 
         // The pre-refactor engine: a raw insertion-order VirtualSchedule
-        // feed (what simulate() still is).
-        let reference = simulate(&f.graph, &platform);
+        // feed, its spans collected in task-id order.
+        let mut raw = VirtualSchedule::new(&platform);
+        let spans: Vec<(f64, f64)> = f
+            .graph
+            .tasks()
+            .map(|t| raw.process(t.node(), &t.accesses(), &t.result().expect("executed graph")))
+            .collect();
+        let reference = SimReport {
+            starts: spans.iter().map(|s| s.0).collect(),
+            finishes: spans.iter().map(|s| s.1).collect(),
+            ..raw.report()
+        };
 
-        // The policy engine's FIFO — eager fast path.
-        let fifo = simulate_with(&f.graph, &platform, &SimOptions::default());
+        // The policy engine's FIFO — eager fast path, what simulate() is.
+        let fifo = simulate(&f.graph, &platform);
         prop_assert_eq!(&reference, &fifo, "eager fifo diverged");
 
         // ... and its generic buffer-and-select machinery, forced.
@@ -103,10 +113,11 @@ proptest! {
         prop_assert_eq!(&reference, &eng.report(), "buffered fifo diverged");
 
         // The online engine (distributed streaming, Fifo) agrees too.
-        let dist = factor_stream_distributed(&a, &b, &opts, &platform, 2)
-            .expect("grid fits platform");
-        prop_assert_eq!(reference.makespan.to_bits(), dist.sim.makespan.to_bits());
-        prop_assert_eq!(reference.messages, dist.sim.messages);
+        let dist_opts = StreamOptions::fixed(2, opts.threads).with_platform(platform.clone());
+        let dist = factor_stream_with(&a, &b, &opts, &dist_opts).expect("grid fits platform");
+        let online = dist.report.sim.expect("a platform run reports virtual time");
+        prop_assert_eq!(reference.makespan.to_bits(), online.makespan.to_bits());
+        prop_assert_eq!(reference.messages, online.messages);
     }
 
     #[test]
@@ -148,17 +159,20 @@ proptest! {
 
             // Online distributed streaming under the policy: numerics
             // bitwise, failure behavior and decisions identical.
-            let dist = factor_stream_distributed_with(&a, &b, &opts, &platform, 2, policy)
-                .expect("grid fits platform");
-            prop_assert_eq!(&batch.error, &dist.stream.error, "{}", policy.name());
+            let dist_opts = StreamOptions::fixed(2, opts.threads)
+                .with_platform(platform.clone())
+                .with_scheduler(policy);
+            let dist = factor_stream_with(&a, &b, &opts, &dist_opts).expect("grid fits platform");
+            let online = dist.report.sim.as_ref().expect("a platform run reports virtual time");
+            prop_assert_eq!(&batch.error, &dist.error, "{}", policy.name());
             prop_assert_eq!(x_ref.max_abs_diff(&dist.solution()), 0.0, "{}", policy.name());
-            prop_assert_eq!(batch.records.len(), dist.stream.records.len());
-            for (rb, rd) in batch.records.iter().zip(&dist.stream.records) {
+            prop_assert_eq!(batch.records.len(), dist.records.len());
+            for (rb, rd) in batch.records.iter().zip(&dist.records) {
                 prop_assert_eq!(rb.decision, rd.decision);
             }
-            prop_assert_eq!(dist.sim.messages, fifo.messages);
-            prop_assert_eq!(dist.sim.bytes, fifo.bytes);
-            prop_assert_eq!(dist.msgs().payload_msgs(), dist.sim.messages);
+            prop_assert_eq!(online.messages, fifo.messages);
+            prop_assert_eq!(online.bytes, fifo.bytes);
+            prop_assert_eq!(dist.report.msgs.payload_msgs(), online.messages);
         }
     }
 
