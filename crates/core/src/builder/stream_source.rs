@@ -94,19 +94,4 @@ impl StepSource for PlannerStepSource {
     fn plan_finish(&mut self, k: usize, sink: &mut dyn TaskSink<TaskOp>) {
         self.planner.plan_step_rest(k, &mut self.inserter(sink));
     }
-
-    fn recalibrate(&mut self, observed_speeds: &[f64]) {
-        // Re-aim the tile distribution at the speeds the run has actually
-        // observed (retired steps only): tasks of *future* steps are
-        // placed by the refreshed weights, while already-declared tile
-        // homes and already-planned placements stay put — the owed
-        // transfers and hazard state of live steps must not be rewritten
-        // under them. Note the panel planners *group* their reduction
-        // trees (QR kills, LU swap/reduce fan-in) by owner node, so a
-        // regrouped future step computes a numerically equivalent
-        // factorization that may differ from the fixed-distribution one
-        // at round-off — exactly as a static run under the new
-        // distribution would.
-        self.dist = Dist::calibrated(self.ctx.opts.grid, observed_speeds);
-    }
 }

@@ -78,7 +78,7 @@ pub enum DistPolicy {
     /// vector); faster nodes own proportionally more tiles. See
     /// [`luqr_tile::Dist::speed_weighted`].
     SpeedWeighted(Vec<f64>),
-    /// Criterion-aware recalibrated weighting: per-rank *observed*
+    /// Criterion-aware calibrated weighting: per-rank *observed*
     /// effective speeds from a first run's simulation report
     /// ([`luqr_runtime::SimReport::observed_node_speeds`]), so the weights
     /// reflect the kernel-class mix the run actually executed (a QR-heavy
@@ -152,10 +152,10 @@ impl FactorOptions {
         self
     }
 
-    /// Criterion-aware recalibration: weight the distribution by the
+    /// Criterion-aware calibration: weight the distribution by the
     /// effective per-node speeds *observed* in `report` (a first run on
-    /// `platform` — batch replay or online distributed stream), instead of
-    /// the platform's nominal GEMM throughput. See
+    /// `platform` — batch replay, or a streamed run's `report.sim`),
+    /// instead of the platform's nominal GEMM throughput. See
     /// [`DistPolicy::Calibrated`].
     pub fn calibrated_from(
         mut self,

@@ -82,8 +82,8 @@ use luqr_tile::TiledMatrix;
 
 pub use luqr_runtime::{
     AttribBuckets, Attribution, LinkMsgStats, LinkSpec, LinkTraffic, MsgStats, NetReport,
-    NodeCountMismatch, NodeSpec, Probe, ProbeReport, SchedPolicy, SimOptions, StreamOptions,
-    Topology, TraceEvent, TransportError, WindowPolicy,
+    NodeCountMismatch, NodeSpec, Probe, ProbeReport, SchedPolicy, StreamOptions, Topology,
+    TraceEvent, TransportError, WindowPolicy,
 };
 
 /// A batch task graph of [`TaskOp`]s.
@@ -344,9 +344,11 @@ pub fn factor_stream(
 /// data / decision / retirement messages (counted in `report.msgs`, the
 /// hybrid's decision broadcast from the panel owner as in the paper), and
 /// the platform model advances per-node virtual clocks online under
-/// [`StreamOptions::scheduler`]: `report.sim` is then equal to replaying
-/// the equivalent batch graph through [`luqr_runtime::simulate`], without
-/// that graph ever existing. Numerics are bitwise [`factor`]'s whatever the
+/// [`StreamOptions::scheduler`]. Under the default FIFO `report.sim` then
+/// equals replaying the equivalent batch graph through
+/// [`luqr_runtime::simulate`], without that graph ever existing; other
+/// policies choose within a bounded look-ahead online, so their report is
+/// their own. Numerics are bitwise [`factor`]'s whatever the
 /// options. The one error is a grid with more ranks than the platform has
 /// nodes.
 pub fn factor_stream_with(

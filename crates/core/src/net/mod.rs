@@ -108,8 +108,7 @@ pub fn factor_stream_net(
 /// [`factor_stream_net`] under full [`StreamOptions`] (window policy,
 /// probe). The probe observes rank 0's window — including the wire-level
 /// frame/byte/latency metrics; peer ranks run unprobed. A platform model
-/// (and with it steal-at-insert and recalibration) is not available over a
-/// real transport: such options are refused with
+/// is not available over a real transport: it is refused with
 /// [`TransportError::Protocol`] before any rank starts.
 pub fn factor_stream_net_opts(
     a: &Mat,
@@ -251,9 +250,9 @@ mod tests {
         assert!(!dir.exists(), "{} leaked", dir.display());
     }
 
-    /// A platform model, stealing or recalibration cannot run over a real
-    /// transport: each is a typed error — not a panic on every rank thread
-    /// — before a rank is spawned or a socket directory is named.
+    /// A platform model cannot run over a real transport: it is a typed
+    /// error — not a panic on every rank thread — before a rank is spawned
+    /// or a socket directory is named.
     #[test]
     fn options_a_wire_cannot_run_are_refused_before_any_rank_starts() {
         let (a, rhs) = (Mat::random(16, 16, 1), Mat::random(16, 1, 2));
@@ -263,22 +262,17 @@ mod tests {
             ..FactorOptions::default()
         };
         let fixed = StreamOptions::fixed(2, 1);
-        for bad in [
-            fixed
-                .clone()
-                .with_platform(luqr_runtime::Platform::dancer_nodes(2)),
-            fixed.clone().with_stealing(),
-            fixed.clone().with_recalibration(),
-        ] {
-            for kind in [NetTransportKind::Loopback, NetTransportKind::Uds] {
-                let runs = UDS_RUN.load(Ordering::Relaxed);
-                let refused = factor_stream_net_opts(&a, &rhs, &opts, &bad, &kind).err();
-                assert!(
-                    matches!(refused, Some(TransportError::Protocol(_))),
-                    "{kind:?}: {refused:?}"
-                );
-                assert_eq!(UDS_RUN.load(Ordering::Relaxed), runs);
-            }
+        let bad = fixed
+            .clone()
+            .with_platform(luqr_runtime::Platform::dancer_nodes(2));
+        for kind in [NetTransportKind::Loopback, NetTransportKind::Uds] {
+            let runs = UDS_RUN.load(Ordering::Relaxed);
+            let refused = factor_stream_net_opts(&a, &rhs, &opts, &bad, &kind).err();
+            assert!(
+                matches!(refused, Some(TransportError::Protocol(_))),
+                "{kind:?}: {refused:?}"
+            );
+            assert_eq!(UDS_RUN.load(Ordering::Relaxed), runs);
         }
         factor_stream_net_opts(&a, &rhs, &opts, &fixed, &NetTransportKind::Loopback)
             .expect("the plain options run");

@@ -239,8 +239,8 @@ impl Network {
     }
 
     /// Estimated arrival time of an *un-issued* transfer: [`Network::send`]
-    /// minus the tallies and the state mutation. Lookahead scheduling
-    /// policies (EFT, steal decisions) price hypothetical transfers with
+    /// minus the tallies and the state mutation. The lookahead scheduling
+    /// policy (EFT) prices hypothetical transfers with
     /// this; it reads the same NIC backlog **and trunk backlog** the real
     /// send would pay, so a saturated backbone is no longer priced as an
     /// uncontended link. Same-node moves are free.

@@ -36,7 +36,7 @@
 //!   by the SPMD executor [`stream::execute_net`].
 //! * [`vtime`] — the online virtual-time engine: the discrete-event model
 //!   consumed one task at a time, so a streaming run emits the same report
-//!   as a batch replay without materializing the graph.
+//!   as a batch replay (under FIFO) without materializing the graph.
 //! * [`sched`] — pluggable ready-task selection over that engine: FIFO
 //!   (insertion order, the bitwise-pinned default), critical-path,
 //!   locality-aware, and HEFT-style earliest-finish-time policies, shared
@@ -80,7 +80,7 @@ pub use probe::{
     ProbeSnapshot, Registry,
 };
 pub use sched::{SchedEngine, SchedPolicy, Scheduler};
-pub use sim::{simulate, simulate_probed, simulate_with, SimOptions, SimReport};
+pub use sim::{simulate, simulate_probed, simulate_with, SimReport};
 pub use stream::{
     NetConfig, StepPhase, StepSource, StreamOptions, StreamReport, StreamWindow, WindowPolicy,
 };

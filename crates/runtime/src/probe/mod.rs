@@ -52,13 +52,6 @@ pub mod metric {
     pub const SCHED_TASK_WAIT: &str = "sched_task_wait_seconds";
     /// Histogram: wall-clock latency of one policy pop decision.
     pub const SCHED_DECISION: &str = "sched_decision_seconds";
-    /// Counter: tasks executed away from their owner by the stealing pass.
-    pub const SCHED_STEALS: &str = "sched_steals_total";
-    /// Counter: steal evaluations that kept the task on its owner node.
-    pub const SCHED_STEAL_KEPT: &str = "sched_steal_kept_total";
-    /// Histogram: estimated finish-time win of each executed steal
-    /// (owner-node finish minus thief-node finish), virtual seconds.
-    pub const SCHED_STEAL_WIN: &str = "sched_steal_win_seconds";
     /// Gauge: live task records in the streaming window, over wall time.
     pub const STREAM_LIVE_TASKS: &str = "stream_live_tasks";
     /// Gauge: window size in force as each step was planned.

@@ -37,14 +37,6 @@ use crate::probe::{metric, Histogram, Label, Probe};
 use crate::sim::SimReport;
 use crate::vtime::VirtualSchedule;
 
-/// Weight of the congestion tax in [`SchedEngine::steal_target`]'s
-/// scoring: the fraction of a shipped input's wire time charged to the
-/// steal as an externality on other transfers. Swept empirically on the
-/// contended mixed cluster (0.5–2.0): below ~0.6 marginal steals slip
-/// through and churn the trunk, above ~1.25 productive steals are vetoed;
-/// the optimum plateau is flat around 0.75.
-const STEAL_TAX: f64 = 0.75;
-
 /// A submitted task awaiting its turn in the virtual schedule.
 pub(crate) struct Buffered {
     node: usize,
@@ -105,16 +97,6 @@ pub struct SchedEngine {
     /// weight on the hottest path (the streaming window feeds the engine
     /// under its lock).
     eager: bool,
-    /// EFT-guided work stealing (opt-in, [`SchedEngine::with_stealing`]):
-    /// after the policy picks *which* task runs, re-decide *where* — if
-    /// the finish estimate says an idle node beats the owner even after
-    /// shipping the inputs, execute there. Moves data flow, so it is off
-    /// by default (the policy-invariance contract).
-    steal: bool,
-    nodes: usize,
-    steals: u64,
-    steal_kept: u64,
-    steal_win: Histogram,
     next_id: TaskId,
     buffered: IntMap<TaskId, Buffered>,
     /// Per-datum hazard state (the shared [`crate::hazard`] core; no
@@ -146,11 +128,6 @@ impl SchedEngine {
             policy: policy.scheduler(),
             policy_kind: policy,
             eager: policy == SchedPolicy::Fifo,
-            steal: false,
-            nodes: platform.nodes(),
-            steals: 0,
-            steal_kept: 0,
-            steal_win: Histogram::default(),
             lookahead: usize::MAX,
             next_id: 0,
             buffered: IntMap::default(),
@@ -184,133 +161,12 @@ impl SchedEngine {
         self
     }
 
-    /// The active policy.
-    pub fn policy(&self) -> SchedPolicy {
-        self.policy_kind
-    }
-
     /// Attach a metrics probe to the engine and its virtual-time core
     /// (turning on the makespan-attribution pass there). A disabled probe
     /// changes nothing; an enabled one never alters scheduling decisions.
     pub fn attach_probe(&mut self, probe: &Probe) {
         self.probe = probe.clone();
         self.vt.attach_probe(probe);
-    }
-
-    /// Enable EFT-guided work stealing: once the policy has selected the
-    /// next task, its execution node is re-decided by the same
-    /// earliest-finish oracle scoring every node — owner-computes unless
-    /// shipping the inputs to an idle node *strictly* beats waiting for
-    /// the owner's cores (ties keep the owner; equal thieves break to the
-    /// lowest node id). The stolen task's outputs then live where it ran,
-    /// so later consumers fetch from the thief — placement and schedule
-    /// co-optimized by one estimate. **Opt-in** because it changes the
-    /// data flow (message/byte totals are only policy-invariant with
-    /// stealing off). Forces the generic buffering path even for FIFO.
-    pub fn with_stealing(mut self) -> Self {
-        self.steal = true;
-        self.eager = false;
-        self
-    }
-
-    /// Estimated `(start, finish)` of running a task with these accesses
-    /// on `node` right now — the stealing oracle
-    /// ([`crate::vtime::VirtualSchedule::estimate`]), exposed so the
-    /// streaming window can make the same placement decision at insert
-    /// time.
-    pub fn estimate(
-        &self,
-        node: usize,
-        accesses: &[CostedAccess],
-        result: &TaskResult,
-    ) -> (f64, f64) {
-        self.vt.estimate(node, accesses, result)
-    }
-
-    /// The stealing decision, shared by the engine's post-pop pass and
-    /// the streaming window's steal-at-insert: score every node by the
-    /// earliest-finish oracle plus the two costs that oracle cannot see.
-    ///
-    /// * **Publish penalty** — the wire cost of shipping the task's
-    ///   written bytes from the thief back toward their consumers. The
-    ///   unified hazard core pays off a second time here: the engine's
-    ///   buffered successor lists name the actual consumer nodes
-    ///   (`consumers`), and the worst single export prices the
-    ///   publication. When no consumer is buffered yet — the streaming
-    ///   window steals at insert time, before any successor exists — the
-    ///   owner stands in (owner-computes makes its node the default
-    ///   reader).
-    /// * **Congestion tax** — the wire time of the *inputs* the steal
-    ///   ships. The thief's own wait for those inputs is already in its
-    ///   finish estimate; the tax prices the externality instead: every
-    ///   shipped input occupies sender NICs and shared-trunk slots that
-    ///   other (often chain-critical) transfers then queue behind.
-    ///   Without it, greedy per-task stealing chases µs-scale finish wins
-    ///   while its transfer storm regresses the whole schedule (measured
-    ///   on the contended mixed cluster: every untaxed variant — owner
-    ///   penalty only, consumer-symmetric, holder-sticky — lost makespan;
-    ///   with the tax, stealing abstains at latency-bound granularity and
-    ///   wins double digits once tiles amortize the trunk latency).
-    ///
-    /// Owner wins ties; equal thieves break to the lowest node id.
-    /// Returns `(chosen node, owner finish, winner's penalized finish)`.
-    pub fn steal_target(
-        &self,
-        owner: usize,
-        accesses: &[CostedAccess],
-        result: &TaskResult,
-        consumers: &[usize],
-    ) -> (usize, f64, f64) {
-        let written: usize = accesses
-            .iter()
-            .filter(|ca| matches!(ca.access, Access::Mut(_)))
-            .map(|ca| ca.bytes)
-            .sum();
-        let publish = |from: usize| -> f64 {
-            if from == owner {
-                return 0.0;
-            }
-            // Export of the outputs back toward their consumers (the
-            // owner, if none is buffered yet), plus a congestion tax: the
-            // wire time of the inputs the steal ships occupies sender
-            // NICs and trunk slots that other (often chain-critical)
-            // transfers then queue behind — a cost the stolen task's own
-            // finish estimate never sees.
-            let missing = self.vt.missing_input_bytes(from, accesses) as usize;
-            let tax = STEAL_TAX * self.vt.platform().transfer_seconds(owner, from, missing);
-            let back = self.vt.platform().transfer_seconds(from, owner, written);
-            if consumers.is_empty() {
-                return back + tax;
-            }
-            let mut cost = 0.0;
-            for &c in consumers {
-                if c != from {
-                    cost = f64::max(cost, self.vt.platform().transfer_seconds(from, c, written));
-                }
-            }
-            cost + tax
-        };
-        let (_, owner_finish) = self.vt.estimate(owner, accesses, result);
-        let mut chosen = owner;
-        let mut best = owner_finish;
-        for n in 0..self.nodes {
-            if n == owner {
-                continue;
-            }
-            let (_, finish) = self.vt.estimate(n, accesses, result);
-            let f = finish + publish(n);
-            if f < best {
-                best = f;
-                chosen = n;
-            }
-        }
-        (chosen, owner_finish, best)
-    }
-
-    /// `(stolen, kept)` counts of the stealing pass so far (both zero
-    /// unless built [`SchedEngine::with_stealing`]).
-    pub fn steal_stats(&self) -> (u64, u64) {
-        (self.steals, self.steal_kept)
     }
 
     /// Disable the FIFO eager fast path and force the generic
@@ -454,35 +310,12 @@ impl SchedEngine {
                 );
             }
         }
-        // Stealing pass: the policy chose *which* task runs; the finish
-        // oracle now re-decides *where*. Owner-computes unless another
-        // node strictly wins even after shipping the inputs there and
-        // publishing the outputs back (see [`SchedEngine::steal_target`]).
-        let mut exec_node = task.node;
-        if self.steal && task.result.executed && self.nodes > 1 {
-            // The hazard core already knows who reads these outputs: the
-            // buffered successors' owner nodes are the publication targets.
-            let consumers: Vec<usize> = task
-                .succs
-                .iter()
-                .filter_map(|s| self.buffered.get(s).map(|b| b.node))
-                .collect();
-            let (chosen, owner_finish, best) =
-                self.steal_target(task.node, &task.accesses, &task.result, &consumers);
-            exec_node = chosen;
-            if exec_node != task.node {
-                self.steals += 1;
-                self.steal_win.observe(owner_finish - best);
-            } else {
-                self.steal_kept += 1;
-            }
-        }
         let (start, finish) =
             self.vt
-                .process_tagged(exec_node, &task.accesses, &task.result, task.step);
-        // Residency and clocks on the execution node just moved; let
+                .process_tagged(task.node, &task.accesses, &task.result, task.step);
+        // Residency and clocks on the task's node just moved; let
         // cache-keeping policies re-score only entries that could change.
-        self.policy.invalidate(exec_node);
+        self.policy.invalidate(task.node);
         self.record_span(next.id, start, finish);
         for s in task.succs {
             let b = self
@@ -528,21 +361,12 @@ impl SchedEngine {
         if self.probe.is_enabled() {
             let name = self.policy_kind.name();
             let (task_wait, decision) = (self.task_wait, self.decision);
-            let (steals, steal_kept, steal_win) = (self.steals, self.steal_kept, self.steal_win);
             self.probe.record_batch(|sink| {
                 sink.merge_histogram(metric::SCHED_TASK_WAIT, Label::Policy(name), &task_wait);
                 sink.merge_histogram(metric::SCHED_DECISION, Label::Policy(name), &decision);
-                if steals + steal_kept > 0 {
-                    sink.counter(metric::SCHED_STEALS, Label::Policy(name), steals);
-                    sink.counter(metric::SCHED_STEAL_KEPT, Label::Policy(name), steal_kept);
-                    sink.merge_histogram(metric::SCHED_STEAL_WIN, Label::Policy(name), &steal_win);
-                }
             });
             self.task_wait = Histogram::default();
             self.decision = Histogram::default();
-            self.steals = 0;
-            self.steal_kept = 0;
-            self.steal_win = Histogram::default();
         }
         self.vt.flush_probe();
     }
@@ -781,57 +605,6 @@ mod tests {
             .is_some());
         let att = probed.attribution().expect("attribution with probes on");
         assert!(att.max_reconciliation_error() <= 1e-9 * att.makespan.max(1.0));
-    }
-
-    /// Stealing is opt-in, moves work off a backlogged owner when the
-    /// finish oracle says shipping the input wins, ships exactly the
-    /// stolen task's inputs, and is observable (bitwise-unperturbed) by
-    /// probes.
-    #[test]
-    fn stealing_is_opt_in_and_moves_work_off_a_backlogged_owner() {
-        use crate::probe::Probe;
-        let p = flat(2, 1);
-        let feed = |eng: &mut SchedEngine| {
-            // A long task then a short one, both owned by node 0; node 1
-            // idles. Shipping the short task's 8-byte input (1 s latency)
-            // beats waiting 10 s for the owner's core.
-            eng.submit(0, &[acc(Access::Mut(DataKey(0)), 8, 0)], secs(10.0));
-            eng.submit(0, &[acc(Access::Mut(DataKey(1)), 8, 0)], secs(1.0));
-            eng.drain();
-        };
-        let mut plain = SchedEngine::with_spans(&p, SchedPolicy::Fifo);
-        feed(&mut plain);
-        let base = plain.report();
-        assert!((base.makespan - 11.0).abs() < 1e-3, "{}", base.makespan);
-        assert_eq!(base.messages, 0);
-        assert_eq!(plain.steal_stats(), (0, 0), "stealing is opt-in");
-
-        let mut stealing = SchedEngine::with_spans(&p, SchedPolicy::Fifo).with_stealing();
-        feed(&mut stealing);
-        assert_eq!(stealing.steal_stats(), (1, 1), "one stolen, one kept");
-        let stolen = stealing.report();
-        assert!((stolen.makespan - 10.0).abs() < 1e-3, "{}", stolen.makespan);
-        assert_eq!(stolen.messages, 1, "exactly the stolen input shipped");
-
-        // Probed stealing run: bitwise identical, counters land under the
-        // policy label.
-        let probe = Probe::enabled();
-        let mut probed = SchedEngine::with_spans(&p, SchedPolicy::Fifo).with_stealing();
-        probed.attach_probe(&probe);
-        feed(&mut probed);
-        probed.flush_probe();
-        assert_eq!(stolen, probed.report());
-        let snap = probe.snapshot();
-        assert_eq!(snap.counter(metric::SCHED_STEALS, Label::Policy("fifo")), 1);
-        assert_eq!(
-            snap.counter(metric::SCHED_STEAL_KEPT, Label::Policy("fifo")),
-            1
-        );
-        let win = snap
-            .histogram(metric::SCHED_STEAL_WIN, Label::Policy("fifo"))
-            .expect("steal-win histogram");
-        assert_eq!(win.count, 1);
-        assert!(win.sum > 0.0, "a steal must strictly win its estimate");
     }
 
     /// The incremental selection structures (locality's dirty-node score

@@ -14,10 +14,10 @@
 //! ([`crate::sched::SchedEngine`], costing each task with
 //! [`crate::vtime::VirtualSchedule`]): the graph's tasks are submitted in
 //! insertion order, which is exactly what the *streaming* runtime does as
-//! its window drains — so a windowed run's virtual-time report and a batch
-//! replay of the equivalent graph are bitwise identical (the engine's state
-//! depends only on the sequence of executed tasks, and discarded branches
-//! contribute nothing).
+//! its window drains — so under FIFO a windowed run's virtual-time report
+//! and a batch replay of the equivalent graph are bitwise identical (the
+//! engine's state depends only on the sequence of executed tasks, and
+//! discarded branches contribute nothing).
 //!
 //! **Scheduling policy.** [`simulate`] produces an insertion-order list
 //! schedule: task `i` claims cores and network slots strictly after tasks
@@ -43,35 +43,6 @@ use crate::platform::Platform;
 use crate::probe::{Probe, ProbeReport};
 use crate::sched::{SchedEngine, SchedPolicy};
 
-/// Configuration of one simulation run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct SimOptions {
-    /// Ready-task selection policy for the virtual-time schedule (see
-    /// [`crate::sched`]). [`SchedPolicy::Fifo`] is [`simulate`].
-    pub scheduler: SchedPolicy,
-    /// EFT-guided work stealing
-    /// ([`crate::sched::SchedEngine::with_stealing`]): after the policy
-    /// picks the next task, re-decide its execution node by finish
-    /// estimate. Off by default — stealing moves the data flow, so
-    /// message/byte totals are only policy-invariant without it.
-    pub steal: bool,
-}
-
-impl SimOptions {
-    pub fn with_scheduler(scheduler: SchedPolicy) -> Self {
-        SimOptions {
-            scheduler,
-            steal: false,
-        }
-    }
-
-    /// Enable the stealing pass on top of the selected policy.
-    pub fn with_stealing(mut self) -> Self {
-        self.steal = true;
-        self
-    }
-}
-
 /// Result of simulating a graph on a platform.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimReport {
@@ -89,7 +60,7 @@ pub struct SimReport {
     pub node_busy: Vec<f64>,
     /// Per-node, per-cost-class busy seconds (duration × cores claimed),
     /// indexed `[node][CostClass::index()]` — the observation the
-    /// criterion-aware weight recalibration keys on.
+    /// criterion-aware weight calibration keys on.
     pub node_class_seconds: Vec<[f64; CostClass::COUNT]>,
     /// Per-node, per-cost-class executed flops (Memory entries carry the
     /// moved bytes, as everywhere in the cost model).
@@ -221,19 +192,10 @@ fn replay<O: TaskOp>(
 }
 
 /// Simulate an executed graph on `platform` under the insertion-order
-/// (FIFO) schedule: [`simulate_with`] under [`SimOptions::default`], whose
+/// (FIFO) schedule: [`simulate_with`] under [`SchedPolicy::Fifo`], whose
 /// engine costs each task as it is submitted.
 pub fn simulate<O: TaskOp>(graph: &Graph<O>, platform: &Platform) -> SimReport {
-    simulate_with(graph, platform, &SimOptions::default())
-}
-
-fn engine(platform: &Platform, opts: &SimOptions) -> SchedEngine {
-    let eng = SchedEngine::with_spans(platform, opts.scheduler);
-    if opts.steal {
-        eng.with_stealing()
-    } else {
-        eng
-    }
+    simulate_with(graph, platform, SchedPolicy::Fifo)
 }
 
 /// Simulate an executed graph under a scheduling policy: the whole graph
@@ -243,9 +205,9 @@ fn engine(platform: &Platform, opts: &SimOptions) -> SchedEngine {
 pub fn simulate_with<O: TaskOp>(
     graph: &Graph<O>,
     platform: &Platform,
-    opts: &SimOptions,
+    policy: SchedPolicy,
 ) -> SimReport {
-    let mut eng = engine(platform, opts);
+    let mut eng = SchedEngine::with_spans(platform, policy);
     replay(graph, platform, |t, accesses, r| {
         eng.submit(t.node(), accesses, r);
     });
@@ -262,10 +224,10 @@ pub fn simulate_with<O: TaskOp>(
 pub fn simulate_probed<O: TaskOp>(
     graph: &Graph<O>,
     platform: &Platform,
-    opts: &SimOptions,
+    policy: SchedPolicy,
     probe: &Probe,
 ) -> (SimReport, ProbeReport) {
-    let mut eng = engine(platform, opts);
+    let mut eng = SchedEngine::with_spans(platform, policy);
     eng.attach_probe(probe);
     replay(graph, platform, |t, accesses, r| {
         eng.submit_tagged(t.node(), accesses, r, t.step());
@@ -539,10 +501,9 @@ mod tests {
         execute(&g, 2);
         let p = flat_platform(2, 2);
         for policy in SchedPolicy::all() {
-            let opts = SimOptions::with_scheduler(policy);
-            let plain = simulate_with(&g, &p, &opts);
+            let plain = simulate_with(&g, &p, policy);
             let probe = Probe::enabled();
-            let (probed, report) = simulate_probed(&g, &p, &opts, &probe);
+            let (probed, report) = simulate_probed(&g, &p, policy, &probe);
             assert_eq!(plain, probed, "probes must not perturb {policy:?}");
             let att = report.attribution.expect("attribution with probes on");
             assert!(

@@ -24,9 +24,11 @@
 //! its homed data; cross-node progress flows through [`crate::comm`]
 //! message records. Passing a [`Platform`] in [`StreamOptions`] drives the
 //! communication model *online*: per-node virtual clocks advance as the
-//! window drains and the run emits a [`SimReport`]-compatible summary —
-//! equal to replaying the equivalent batch graph through
-//! [`crate::sim::simulate`] — without ever materializing that graph. The
+//! window drains and the run emits a [`SimReport`]-compatible summary
+//! without ever materializing the batch graph. Under the default FIFO
+//! policy that summary equals replaying the equivalent batch graph through
+//! [`crate::sim::simulate`]; the other policies choose online within a
+//! bounded look-ahead, the replay within the whole graph. The
 //! platform may be heterogeneous: each task is costed at its owner node's
 //! [`crate::platform::NodeSpec`] speed and width, and transfers on the
 //! actual `(src, dst)` link of the platform's topology.
@@ -106,13 +108,6 @@ pub trait StepSource {
     /// Plan the decision-dependent remainder of step `k` (only called
     /// after the task named by [`StepPhase::AwaitDecision`] completed).
     fn plan_finish(&mut self, _k: usize, _sink: &mut dyn TaskSink<Self::Op>) {}
-
-    /// Observed per-node effective speeds (GFLOP/s over fully-retired
-    /// steps), delivered before each `plan_prelude` when
-    /// [`StreamOptions::recalibrate`] is on. Sources may re-aim the
-    /// placement of *future* steps (e.g. refresh a speed-weighted tile
-    /// distribution); the default ignores the measurement.
-    fn recalibrate(&mut self, _observed_speeds: &[f64]) {}
 }
 
 /// How the streaming driver sizes its window of live steps.
@@ -162,28 +157,16 @@ pub struct StreamOptions {
     /// Ready-task selection policy for the *online* virtual-time schedule
     /// (no effect unless [`StreamOptions::platform`] is set; the host-side
     /// workers always pop by critical-path depth, which keeps numerics
-    /// independent of the platform model). [`SchedPolicy::Fifo`]
-    /// reproduces the pre-subsystem reports bitwise.
+    /// independent of the platform model). Only under [`SchedPolicy::Fifo`]
+    /// does [`StreamReport::sim`] equal the batch replay: the other
+    /// policies choose online among a bounded look-ahead of 256 completed
+    /// tasks, the replay among the whole graph.
     pub scheduler: SchedPolicy,
     /// Metrics probe. [`Probe::disabled`] (the default) records nothing
     /// and costs a branch per emission site; an enabled probe collects
     /// window/scheduler/comm/kernel metrics and a makespan attribution,
     /// retrieved afterwards via [`Probe::report`].
     pub probe: Probe,
-    /// EFT-guided steal-at-insert (no effect without
-    /// [`StreamOptions::platform`]): each task's execution node may be
-    /// re-decided against the online finish oracle at insertion, moving
-    /// work off backlogged owners. Changes message routing (not
-    /// numerics), so it is off by default.
-    pub steal: bool,
-    /// Online distribution recalibration: feed
-    /// [`StepSource::recalibrate`] the speeds observed over retired steps
-    /// before planning each next step. Off by default (placement then
-    /// stays exactly as planned up front). Sources that regroup per-node
-    /// reduction trees under the new placement produce numerically
-    /// equivalent — not bitwise-identical — factorizations, as a static
-    /// run under the refreshed distribution would.
-    pub recalibrate: bool,
 }
 
 impl StreamOptions {
@@ -197,8 +180,6 @@ impl StreamOptions {
             trace: false,
             scheduler: SchedPolicy::Fifo,
             probe: Probe::disabled(),
-            steal: false,
-            recalibrate: false,
         }
     }
 
@@ -219,18 +200,6 @@ impl StreamOptions {
 
     pub fn with_probe(mut self, probe: Probe) -> Self {
         self.probe = probe;
-        self
-    }
-
-    /// Enable EFT-guided steal-at-insert (see [`StreamOptions::steal`]).
-    pub fn with_stealing(mut self) -> Self {
-        self.steal = true;
-        self
-    }
-
-    /// Enable online recalibration (see [`StreamOptions::recalibrate`]).
-    pub fn with_recalibration(mut self) -> Self {
-        self.recalibrate = true;
         self
     }
 }
@@ -264,10 +233,6 @@ pub struct StreamReport {
     pub per_step_tasks: Vec<usize>,
     /// Window size in force when each step was opened.
     pub per_step_window: Vec<usize>,
-    /// Tasks re-homed by steal-at-insert / evaluations that kept the
-    /// owner (both 0 unless [`StreamOptions::steal`] was on).
-    pub steals: u64,
-    pub steal_kept: u64,
     /// Distributed-protocol message counters (data transfers, decision
     /// broadcasts, retirement reports).
     pub msgs: MsgStats,
@@ -276,9 +241,12 @@ pub struct StreamReport {
     /// planner lives with node 0). Empty for single-node runs.
     pub link_msgs: Vec<LinkMsgStats>,
     /// Online virtual-time summary (set when [`StreamOptions::platform`]
-    /// was given); equal to `simulate()` on the equivalent batch graph,
-    /// except that per-task spans (`starts`/`finishes`) are left empty —
-    /// recording them would grow with the task count, not the window.
+    /// was given). Under [`SchedPolicy::Fifo`] it equals `simulate()` on
+    /// the equivalent batch graph; other policies schedule online within a
+    /// bounded look-ahead (see [`StreamOptions::scheduler`]), so their
+    /// summary differs from `simulate_with`'s full-graph replay. Per-task
+    /// spans (`starts`/`finishes`) are left empty — recording them would
+    /// grow with the task count, not the window.
     pub sim: Option<SimReport>,
     /// Per-task execution spans (set when [`StreamOptions::trace`] was
     /// on); render with [`crate::trace::render_chrome_trace`].
@@ -369,9 +337,8 @@ pub fn execute_with<S: StepSource + ?Sized>(source: &mut S, opts: &StreamOptions
 /// mirror then holds the complete factorization.
 ///
 /// A configuration that cannot run over a wire is a typed error before
-/// anything starts: a platform model, stealing or recalibration
-/// ([`StreamOptions::check_wire`]), or an endpoint whose world size is not
-/// `source.num_nodes()`.
+/// anything starts: a platform model ([`StreamOptions::check_wire`]), or an
+/// endpoint whose world size is not `source.num_nodes()`.
 pub fn execute_net<S: StepSource + ?Sized>(
     source: &mut S,
     opts: &StreamOptions,
@@ -394,11 +361,11 @@ pub fn execute_net<S: StepSource + ?Sized>(
 ///   its tasks wait for the frames of others ([`wire`]).
 ///
 /// The window calls it at four seams — [`Fabric::place`] at insertion,
-/// [`Fabric::send`] for a routed message, [`Fabric::completed`] (and its
-/// step-granular twin [`Fabric::retired`]) at completion,
-/// [`Fabric::arrived`] at pop — plus [`Fabric::report`]. The per-task ones
-/// are `#[inline]`: the window is generic over the op and so compiled in
-/// the crate that names it, where a plain method here would be a call.
+/// [`Fabric::send`] for a routed message, [`Fabric::completed`] at
+/// completion, [`Fabric::arrived`] at pop — plus [`Fabric::report`]. The
+/// per-task ones are `#[inline]`: the window is generic over the op and so
+/// compiled in the crate that names it, where a plain method here would be
+/// a call.
 // One per run, built once and never moved out of its window: an arm's size
 // costs nothing, a `Box` would cost a hop per seam.
 #[allow(clippy::large_enum_variant)]
@@ -436,29 +403,21 @@ impl Placed {
 }
 
 impl StreamOptions {
-    /// Whether these options can drive a real transport: a platform
-    /// model has no meaning over one, and stealing or recalibration would
-    /// re-place tasks from what one rank observed, desynchronizing the
-    /// ranks' identical plans.
+    /// Whether these options can drive a real transport: a platform model
+    /// has no meaning over one.
     pub fn check_wire(&self) -> Result<(), TransportError> {
-        let refused = [
-            (self.platform.is_some(), "a platform model"),
-            (self.steal, "steal-at-insert"),
-            (self.recalibrate, "recalibration"),
-        ];
-        match refused.iter().find(|(set, _)| *set) {
+        match self.platform {
             None => Ok(()),
-            Some((_, what)) => Err(TransportError::Protocol(format!(
-                "{what} is not available over a real transport: SPMD ranks must plan identically"
-            ))),
+            Some(_) => Err(TransportError::Protocol(
+                "a platform model is not available over a real transport".into(),
+            )),
         }
     }
 }
 
 impl Fabric {
     /// The fabric `opts` and an optional transport binding select for a
-    /// run over `num_nodes` nodes. `steal` and `recalibrate` are modifiers
-    /// of the platform model and inert without one.
+    /// run over `num_nodes` nodes.
     fn resolve(
         opts: &StreamOptions,
         net: Option<NetConfig>,
@@ -477,9 +436,9 @@ impl Fabric {
         }
     }
 
-    /// Seam 1, insertion: where task `id`, planned for `node`, runs, and
-    /// how many gates — predecessors beyond its hazard edges — it waits
-    /// for. `accesses` prices its declared accesses and `inputs` lists its
+    /// Seam 1, insertion: what placing task `id` on `node` means here (on a
+    /// wire, a stub when `node` is another rank), and how many gates —
+    /// predecessors beyond its hazard edges — it waits for. `accesses` prices its declared accesses and `inputs` lists its
     /// data-flow inputs as routing resolved them (`(datum, producer, source
     /// node)`); each is walked only by the arm that needs it.
     fn place(
@@ -492,7 +451,11 @@ impl Fabric {
     ) -> (Placed, usize) {
         match self {
             Fabric::Counted => (Placed::on(node), 0),
-            Fabric::Modelled(m) => (m.place(node, accesses), 0),
+            Fabric::Modelled(_) => {
+                let mut placed = Placed::on(node);
+                placed.accesses = accesses.collect();
+                (placed, 0)
+            }
             Fabric::Wire(w) => w.place(id, node, inputs, wrote_decision),
         }
     }
@@ -523,14 +486,6 @@ impl Fabric {
         }
     }
 
-    /// Seam 3 at step granularity: `step` retired.
-    #[inline]
-    fn retired(&mut self, step: usize) {
-        if let Fabric::Modelled(m) = self {
-            m.retired(step);
-        }
-    }
-
     /// Seam 4, pop: the inputs `needs` must be in the local mirror before
     /// the task runs. `false` if that failed the run.
     #[inline]
@@ -550,22 +505,11 @@ impl Fabric {
         }
     }
 
-    /// Observed per-node speeds, while the model recalibrates.
-    fn speeds(&self) -> Option<Vec<f64>> {
-        match self {
-            Fabric::Modelled(m) => m.speeds(),
-            _ => None,
-        }
-    }
-
     /// End of the run: the fabric's statistics, into `report` and on `probe`.
     fn report(&mut self, probe: &Probe, report: &mut StreamReport) {
         match self {
             Fabric::Counted => {}
-            Fabric::Modelled(m) => {
-                let (sim, steals, kept) = m.report(probe);
-                (report.sim, report.steals, report.steal_kept) = (Some(sim), steals, kept);
-            }
+            Fabric::Modelled(m) => report.sim = Some(m.report(probe)),
             Fabric::Wire(w) => report.net = Some(w.report(probe)),
         }
     }
@@ -648,13 +592,6 @@ fn drive<S: StepSource + ?Sized>(
             }
             let step_t0 = Instant::now();
             let mut decision_wait = 0.0f64;
-            if opts.recalibrate {
-                // Speeds observed over steps that fully retired; the
-                // source may re-aim placement of the steps still ahead.
-                if let Some(speeds) = win.calibrated_speeds() {
-                    source.recalibrate(&speeds);
-                }
-            }
             let mut sink = StepSink::new(&win, k);
             match source.plan_prelude(k, &mut sink) {
                 StepPhase::Complete => {}
@@ -1394,56 +1331,32 @@ mod tests {
         })
     }
 
-    /// Every `(platform?, steal, recalibrate, transport?)` combination
-    /// resolves to the arm it names, or to the typed error: a wire takes
-    /// none of the three, and without a platform the two modifiers are
-    /// inert.
+    /// Every `(platform?, transport?)` combination resolves to the arm it
+    /// names, or to the typed error: a wire takes no platform model.
     #[test]
     fn fabric_resolution_covers_every_option_combination() {
         let net = || NetConfig {
             transport: loopback_set(2).remove(0),
             store: Arc::new(MixedStore(Arc::default())),
         };
-        for bits in 0..16u32 {
-            let [platform, steal, recalibrate, wire] = [1, 2, 4, 8].map(|b| bits & b != 0);
+        for (platform, wire) in [(false, false), (true, false), (false, true), (true, true)] {
             let opts = StreamOptions {
                 platform: platform.then(|| Platform::dancer_nodes(2)),
-                steal,
-                recalibrate,
                 ..StreamOptions::fixed(1, 1)
             };
-            let what = format!("platform={platform} steal={steal} recalibrate={recalibrate}");
+            let what = format!("platform={platform} wire={wire}");
             match (Fabric::resolve(&opts, wire.then(net), 2), wire) {
-                (Ok(Fabric::Wire(_)), true) => {
-                    assert!(!(platform || steal || recalibrate), "{what}")
-                }
+                (Ok(Fabric::Wire(_)), true) => assert!(!platform, "{what}"),
                 (Err(TransportError::Protocol(m)), true) => {
-                    assert!(platform || steal || recalibrate, "{what}: {m}");
+                    assert!(platform, "{what}: {m}");
                     assert_eq!(opts.check_wire(), Err(TransportError::Protocol(m)));
                 }
-                (Ok(Fabric::Modelled(mut m)), false) => {
-                    assert!(platform, "{what}");
-                    // A placement is a steal evaluation, a retired step an
-                    // observation, exactly when the modifier is on.
-                    m.place(0, std::iter::empty());
-                    m.retired(0);
-                    let (_, steals, kept) = m.report(&Probe::disabled());
-                    let modifiers = (steals + kept == 1, m.speeds().is_some());
-                    assert_eq!(modifiers, (steal, recalibrate), "{what}");
-                }
+                (Ok(Fabric::Modelled(_)), false) => assert!(platform, "{what}"),
                 (Ok(Fabric::Counted), false) => assert!(!platform, "{what}"),
-                (got, _) => panic!("{what} wire={wire}: resolved to {}", got.is_ok()),
+                (got, _) => panic!("{what}: resolved to {}", got.is_ok()),
             }
         }
-        // Stealing needs somewhere to steal to; an endpoint of another
-        // world size is refused like a bad option.
-        let opts = StreamOptions::fixed(1, 1).with_platform(Platform::dancer_nodes(2));
-        let Ok(Fabric::Modelled(mut m)) = Fabric::resolve(&opts.with_stealing(), None, 1) else {
-            panic!("a platform resolves to the modelled fabric");
-        };
-        m.place(0, std::iter::empty());
-        let (_, steals, kept) = m.report(&Probe::disabled());
-        assert_eq!(steals + kept, 0);
+        // An endpoint of another world size is refused like a bad option.
         let mismatch = Fabric::resolve(&StreamOptions::fixed(1, 1), Some(net()), 3);
         assert!(matches!(mismatch, Err(TransportError::Protocol(_))));
     }

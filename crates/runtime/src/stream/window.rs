@@ -30,8 +30,7 @@
 //! [`StepSink`] is bound to — and a source is free to plan tasks with no
 //! step of their own (`op.step()` is `None`) into one; so the record
 //! stores the open step, and insertion refuses an op whose own step is a
-//! different one. Ledger, recalibration tally and trace events read the
-//! record.
+//! different one. Ledger and trace events read the record.
 //!
 //! **Tables.** Live records sit in one id-indexed ring ([`TaskRing`]).
 //! Every declared datum gets a dense slot in a `Vec<DatumDir>`; an
@@ -457,7 +456,6 @@ impl<O: TaskOp> WindowState<O> {
                     (now - closed).max(0.0),
                 );
             }
-            self.fabric.retired(step);
             self.prune_directories(step);
             O::retire_step(ctx, step);
         }
@@ -825,13 +823,6 @@ impl<O: TaskOp> StreamWindow<O> {
         self.lock().panic.take()
     }
 
-    /// Per-node effective speeds (GFLOP/s) observed over fully-retired
-    /// steps, for [`crate::stream::StepSource::recalibrate`]. `None`
-    /// until recalibration is enabled *and* at least one step retired.
-    pub fn calibrated_speeds(&self) -> Option<Vec<f64>> {
-        self.lock().fabric.speeds()
-    }
-
     /// Live task records right now (the auto-window policy's memory
     /// signal).
     pub fn live_tasks(&self) -> usize {
@@ -994,12 +985,13 @@ impl<O: TaskOp> StreamWindow<O> {
         }
         let cp = 1 + max_pred_cp;
 
-        // Seam 1: the fabric settles where the task runs (a model may
-        // re-home it) before any placement-dependent state is written, and
-        // what it waits for beyond its hazard predecessors (a wire gates it
-        // on the frames of its remote inputs). It is shown the priced
-        // accesses and where each data-flow input comes from — the live
-        // writer, else the last executed version, else the datum's home.
+        // Seam 1: the fabric settles what the task's placement means (a
+        // wire makes a remote one a stub) before any placement-dependent
+        // state is written, and what it waits for beyond its hazard
+        // predecessors (a wire gates it on the frames of its remote
+        // inputs). It is shown the priced accesses and where each
+        // data-flow input comes from — the live writer, else the last
+        // executed version, else the datum's home.
         let data = &st.data;
         let priced = accesses.iter().zip(&slots).map(|(&access, &slot)| {
             let dir = &data[slot as usize];

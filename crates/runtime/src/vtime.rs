@@ -10,9 +10,10 @@
 //!
 //! * [`crate::sim::simulate_with`] replays a materialized batch graph;
 //! * the streaming window submits each task the moment every
-//!   earlier-inserted task has completed, so a windowed run produces the
-//!   same makespan/message accounting **without ever materializing the
-//!   graph** — per-datum scoreboard entries are all that persists.
+//!   earlier-inserted task has completed, so a windowed run under FIFO
+//!   produces the replay's makespan/message accounting **without ever
+//!   materializing the graph** — per-datum scoreboard entries are all that
+//!   persists.
 //!
 //! Determinism is by construction: the schedule is a *list schedule in
 //! processing order*. Each processed task claims cores and network slots
@@ -80,7 +81,7 @@ pub struct VirtualSchedule {
     data: IntMap<DataKey, DatumState>,
     node_busy: Vec<f64>,
     /// Per-node, per-cost-class busy seconds (duration × cores claimed) —
-    /// the observation the criterion-aware weight recalibration keys on.
+    /// the observation the criterion-aware weight calibration keys on.
     node_class_seconds: Vec<[f64; CostClass::COUNT]>,
     /// Per-node, per-cost-class executed flops (Memory entries carry bytes).
     node_class_flops: Vec<[f64; CostClass::COUNT]>,
@@ -139,10 +140,6 @@ impl VirtualSchedule {
             sync_latency: platform.sync_latency(),
             platform: platform.clone(),
         }
-    }
-
-    pub fn platform(&self) -> &Platform {
-        &self.platform
     }
 
     /// Current virtual clock: the latest finish processed so far.
@@ -520,7 +517,7 @@ impl VirtualSchedule {
     /// saturated backbone is no longer estimated at the uncontended link —
     /// and core availability comes from the node's heap. This is the
     /// HEFT-style earliest-finish-time oracle of the [`crate::sched::Eft`]
-    /// policy and of the work-stealing placement decision.
+    /// policy.
     pub fn estimate(
         &self,
         node: usize,

@@ -197,7 +197,7 @@ impl Dist {
     }
 
     /// Weighted block-cyclic from *observed* per-node speeds — the
-    /// criterion-aware recalibration constructor. Non-positive entries
+    /// criterion-aware calibration constructor. Non-positive entries
     /// (nodes that executed no compute work in the observation run) are
     /// floored to the smallest positive speed so every node keeps a place
     /// in the pattern; an all-non-positive vector degenerates to
@@ -229,7 +229,7 @@ impl Dist {
     /// ([`SimReport::observed_node_speeds`]), not by its nominal GEMM
     /// throughput. On a QR-heavy hybrid run this shifts tiles toward the
     /// nodes whose QR kernels run well — the ROADMAP's criterion-aware
-    /// weight recalibration.
+    /// weight calibration.
     pub fn calibrated_from(grid: Grid, report: &SimReport, platform: &Platform) -> Self {
         Dist::calibrated(grid, &report.observed_node_speeds(platform))
     }

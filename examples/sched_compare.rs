@@ -17,18 +17,13 @@
 //!   trunk — the win this example *asserts* (≥ 5% over FIFO, the bar
 //!   `tests/tests/pins.rs` holds the policies to).
 //!
-//! A second, coarse-tiled factorization (64² tiles, the granularity at
-//! which placement can amortize the trunk latency) demonstrates EFT-guided
-//! work stealing: the steal pass must beat the best non-steal policy by
-//! ≥ 10%, probed and unprobed stealing replays must agree exactly, and the
-//! attribution table carries the steal counters.
-//!
 //! Also demonstrated: the same comparison through the *online* distributed
 //! streaming engine (policies thread through both paths), a probed EFT
-//! replay with its makespan attribution (compute / transfer / trunk
-//! contention / idle per node), and the three telemetry exports — a
-//! Chrome trace with counter tracks, structured JSON, and Prometheus text
-//! — written to `$LUQR_PROBE_DIR` (or the system temp dir).
+//! replay — asserted equal to the unprobed one — with its makespan
+//! attribution (compute / transfer / trunk contention / idle per node),
+//! and the three telemetry exports — a Chrome trace with counter tracks,
+//! structured JSON, and Prometheus text — written to `$LUQR_PROBE_DIR` (or
+//! the system temp dir).
 //!
 //! ```sh
 //! cargo run --release --example sched_compare [N] [nb]
@@ -38,12 +33,11 @@ use std::path::PathBuf;
 
 use luqr::{
     factor, factor_stream_with, Algorithm, Criterion, DistPolicy, FactorOptions, Probe,
-    SchedPolicy, SimOptions, StreamOptions, TreeConfig,
+    SchedPolicy, StreamOptions,
 };
 use luqr_runtime::probe::export::{to_json, to_prometheus};
-use luqr_runtime::probe::metric;
 use luqr_runtime::trace::{to_chrome_trace_with, TraceOptions};
-use luqr_runtime::{simulate_probed, simulate_with, Label, Platform};
+use luqr_runtime::{simulate_probed, simulate_with, Platform};
 use luqr_tile::Grid;
 
 #[path = "support/mod.rs"]
@@ -99,8 +93,9 @@ fn main() {
         "policy", "makespan", "GFLOP/s", "msgs", "vs fifo"
     );
     let mut makespans = Vec::new();
+    let mut eft_sim = None;
     for policy in SchedPolicy::all() {
-        let sim = simulate_with(&f.graph, &platform, &SimOptions::with_scheduler(policy));
+        let sim = simulate_with(&f.graph, &platform, policy);
         makespans.push((policy, sim.makespan));
         println!(
             "{:<16} {:>11.6}s {:>10.1} {:>8} {:>8.2}%",
@@ -110,6 +105,9 @@ fn main() {
             sim.messages,
             100.0 * (makespans[0].1 - sim.makespan) / makespans[0].1,
         );
+        if policy == SchedPolicy::Eft {
+            eft_sim = Some(sim);
+        }
     }
     let fifo = makespans[0].1;
 
@@ -142,94 +140,6 @@ fn main() {
          cluster ({best}s vs {fifo}s)"
     );
 
-    // ---- EFT-guided work stealing on coarse tiles ----------------------
-    // Stealing is a *placement* optimization: it pays only once a tile's
-    // compute amortizes the ~10µs trunk latency, so it gets its own
-    // coarse-grained factorization (64² tiles ≈ 57–115µs kernels) on the
-    // same platform. At the fine-grained fixture above the congestion-
-    // taxed steal pass correctly abstains (a handful of steals, makespan
-    // within ±0.1% — measured), which would demonstrate nothing.
-    let (steal_n, steal_nb) = (448, 64);
-    // The reduced steal fixture of `tests/tests/pins.rs`: a general random
-    // system (pivoting swaps and criterion-driven QR steps give the DAG
-    // its movable bulk; the diagonally dominant demo system above
-    // factors as pure swap-free LU, which leaves little to re-home).
-    let sa = luqr_kernels::Mat::random(steal_n, steal_n, 1);
-    let sb = luqr_kernels::Mat::random(steal_n, 1, 2);
-    // `pins.rs` holds the steal bar on it under the two-level tree
-    // (`ts = 1`), so this runs that tree too: under the default TS domains
-    // (`ts = 4`, since PR 21) the same replay's steals lose — steal-EFT
-    // ends 6.9% slower than plain EFT, with 170 messages against 106
-    // (ROADMAP, "Small carried follow-ups").
-    let steal_fopts = FactorOptions {
-        nb: steal_nb,
-        ib: steal_nb / 2,
-        threads: 1,
-        grid,
-        algorithm: Algorithm::LuQr(Criterion::Max { alpha: 1000.0 }),
-        dist: DistPolicy::BlockCyclic,
-        trees: TreeConfig {
-            ts: 1,
-            ..TreeConfig::default()
-        },
-        ..FactorOptions::default()
-    };
-    let sf = factor(&sa, &sb, &steal_fopts);
-    assert!(sf.error.is_none(), "breakdown: {:?}", sf.error);
-    println!(
-        "\nEFT-guided work stealing (N = {steal_n}, nb = {steal_nb}; placement \
-         needs tiles that amortize the trunk latency):"
-    );
-    let mut best_nonsteal = f64::INFINITY;
-    for policy in SchedPolicy::all() {
-        let sim = simulate_with(&sf.graph, &platform, &SimOptions::with_scheduler(policy));
-        best_nonsteal = best_nonsteal.min(sim.makespan);
-        println!(
-            "{:<16} makespan {:>11.6}s  {:>5} msgs",
-            policy.name(),
-            sim.makespan,
-            sim.messages
-        );
-    }
-    let steal_opts = SimOptions::with_scheduler(SchedPolicy::Eft).with_stealing();
-    let steal_sim = simulate_with(&sf.graph, &platform, &steal_opts);
-    println!(
-        "{:<16} makespan {:>11.6}s  {:>5} msgs  ({:.2}% under best non-steal)",
-        "eft + stealing",
-        steal_sim.makespan,
-        steal_sim.messages,
-        100.0 * (best_nonsteal - steal_sim.makespan) / best_nonsteal,
-    );
-    assert!(
-        steal_sim.makespan <= 0.90 * best_nonsteal,
-        "steal-eft must beat the best non-steal policy by >= 10% on the \
-         contended mixed cluster ({:.6}s vs {best_nonsteal:.6}s)",
-        steal_sim.makespan
-    );
-    // Probes must observe the stealing pass without perturbing it.
-    let steal_probe = Probe::enabled();
-    let (probed_sim, steal_report) =
-        simulate_probed(&sf.graph, &platform, &steal_opts, &steal_probe);
-    assert_eq!(
-        probed_sim, steal_sim,
-        "probed and unprobed stealing replays must agree exactly"
-    );
-    let snap = steal_report.snapshot.clone();
-    let steals = snap.counter(metric::SCHED_STEALS, Label::Policy("eft"));
-    let kept = snap.counter(metric::SCHED_STEAL_KEPT, Label::Policy("eft"));
-    assert!(steals > 0, "coarse-tile replay must actually steal");
-    let satt = steal_report.attribution.as_ref().expect("probed replay");
-    println!("steal-EFT attribution ({steals} re-homed, {kept} kept on their owner):");
-    for (node, bucket) in satt.nodes.iter().enumerate() {
-        println!(
-            "node{node:<4} compute {:>5.1}%  transfer {:>5.1}%  contention {:>5.1}%  idle {:>5.1}%",
-            100.0 * bucket.compute / satt.makespan,
-            100.0 * bucket.transfer / satt.makespan,
-            100.0 * bucket.contention / satt.makespan,
-            100.0 * bucket.idle / satt.makespan,
-        );
-    }
-
     // The same policies drive the *online* engine of the distributed
     // streaming runtime — no graph materialized, same decision quality.
     println!("\nonline distributed streaming (window 4):");
@@ -259,14 +169,18 @@ fn main() {
 
     // ---- probed EFT replay: where does the makespan go? ----------------
     let probe = Probe::enabled();
-    let sim_opts = SimOptions::with_scheduler(SchedPolicy::Eft);
-    let (sim, report) = simulate_probed(&f.graph, &platform, &sim_opts, &probe);
+    let (sim, report) = simulate_probed(&f.graph, &platform, SchedPolicy::Eft, &probe);
+    assert_eq!(
+        Some(&sim),
+        eft_sim.as_ref(),
+        "probed and unprobed EFT replays must agree exactly"
+    );
     let trace_json = to_chrome_trace_with(
         &f.graph,
         &sim,
         &TraceOptions {
             platform: Some(&platform),
-            policy: Some(sim_opts.scheduler),
+            policy: Some(SchedPolicy::Eft),
             counters: Some(&report.snapshot),
         },
     );

@@ -50,7 +50,8 @@ fn main() {
     let mut args = std::env::args().skip(1);
     let n_big: usize = args.next().and_then(|s| s.parse().ok()).unwrap_or(480);
     let nodes: usize = args.next().and_then(|s| s.parse().ok()).unwrap_or(4);
-    let window: usize = args.next().and_then(|s| s.parse().ok()).unwrap_or(3);
+    // The driver clamps the window to >= 1; so does the bar below.
+    let window: usize = args.next().and_then(|s| s.parse().ok()).unwrap_or(3).max(1);
 
     let grid = grid_for(nodes);
     let platform = Platform::dancer_nodes(grid.nodes());
@@ -153,12 +154,21 @@ fn main() {
         f.records.len()
     );
 
-    // CI smoke bar: the window must keep graph memory an order of
-    // magnitude below the materialized-graph task count.
+    // CI smoke bar, the window's structural contract (the reclaimed ratio
+    // above depends on thread timing, these do not): at most `window`
+    // steps are live at once, so live tasks never exceed the `window`
+    // largest steps' task counts.
     assert!(
-        r.tasks_planned >= 10 * r.peak_live_tasks,
-        "window did not bound live tasks (peak {} of {} planned)",
-        r.peak_live_tasks,
-        r.tasks_planned
+        r.peak_live_steps <= window,
+        "{} live steps under a window of {window}",
+        r.peak_live_steps
+    );
+    let mut per_step = r.per_step_tasks.clone();
+    per_step.sort_unstable_by(|x, y| y.cmp(x));
+    let bound: usize = per_step.iter().take(window).sum();
+    assert!(
+        r.peak_live_tasks <= bound,
+        "window did not bound live tasks (peak {} over the {window} largest steps' {bound})",
+        r.peak_live_tasks
     );
 }

@@ -1,8 +1,9 @@
-//! Criterion-aware weight recalibration (ROADMAP): on a QR-heavy run, the
+//! Criterion-aware weight calibration (ROADMAP): on a QR-heavy run, the
 //! GEMM-keyed speed weights mis-rank nodes whose QR kernels behave
-//! differently from their GEMM — recalibrating from the *observed*
+//! differently from their GEMM — calibrating from the *observed*
 //! per-node, per-cost-class seconds of a first run fixes the ranking and
-//! improves the simulated makespan.
+//! improves the simulated makespan. The first run may be a batch replay or
+//! a streamed run's online `report.sim`: both observe the same speeds.
 //!
 //! The platform is adversarial to GEMM keying on purpose: a wide node
 //! whose QR kernels run at a tenth of peak, next to a narrower node with
@@ -10,7 +11,7 @@
 //! wide node 4x faster; on an all-QR factorization (HQR) the narrow node
 //! is actually the stronger one.
 
-use luqr::{factor, Algorithm, DistPolicy, FactorOptions};
+use luqr::{factor, factor_stream_with, Algorithm, DistPolicy, FactorOptions, StreamOptions};
 use luqr_kernels::Mat;
 use luqr_runtime::{simulate, Efficiency, LinkSpec, NodeSpec, Platform, Topology};
 use luqr_tests::dominant_system;
@@ -86,7 +87,7 @@ fn calibrated_weights_beat_gemm_keyed_on_qr_heavy_run() {
         "QR-heavy run must expose node 1 as the faster one: {measured:?}"
     );
 
-    // Second run: recalibrated from the first run's report.
+    // Second run: calibrated from the first run's report.
     let calibrated = gemm_keyed.clone().calibrated_from(&observed, &platform);
     assert!(matches!(calibrated.dist, DistPolicy::Calibrated(_)));
     let second = factor(&a, &b, &calibrated);
@@ -113,4 +114,30 @@ fn calibrated_weights_beat_gemm_keyed_on_qr_heavy_run() {
     let x2 = second.solution();
     let (xa, _) = (x1.max_abs_diff(&x2), ());
     assert!(xa < 1e-8, "placements must not change the math: {xa}");
+
+    // The same loop over streamed runs: the first one's online report
+    // observes the batch replay's speeds bitwise, so it calibrates the
+    // same distribution, and the calibrated stream clears the same bar.
+    let streamed = |opts: &FactorOptions| {
+        let stream_opts = StreamOptions::fixed(2, 2).with_platform(platform.clone());
+        let f = factor_stream_with(&a, &b, opts, &stream_opts).expect("grid fits platform");
+        assert!(f.error.is_none());
+        f.report.sim.expect("a platform run reports virtual time")
+    };
+    let first_online = streamed(&gemm_keyed);
+    let bits = |speeds: &[f64]| speeds.iter().map(|s| s.to_bits()).collect::<Vec<_>>();
+    assert_eq!(
+        bits(&first_online.observed_node_speeds(&platform)),
+        bits(&measured),
+        "online and batch observations must agree bitwise"
+    );
+    let calibrated_online = gemm_keyed.clone().calibrated_from(&first_online, &platform);
+    assert_eq!(calibrated_online.tile_dist(), calibrated.tile_dist());
+    let second_online = streamed(&calibrated_online);
+    assert!(
+        second_online.makespan * 1.3 < first_online.makespan,
+        "calibrated weights must improve a streamed QR-heavy run: {} vs {}",
+        second_online.makespan,
+        first_online.makespan
+    );
 }

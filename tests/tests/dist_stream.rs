@@ -7,10 +7,10 @@
 
 use luqr::{
     factor, factor_stream, factor_stream_with, Algorithm, Criterion, FactorOptions,
-    NodeCountMismatch, SchedPolicy, StreamFactorization, StreamOptions, WindowPolicy,
+    NodeCountMismatch, StreamFactorization, StreamOptions, WindowPolicy,
 };
 use luqr_kernels::Mat;
-use luqr_runtime::{simulate, LinkSpec, NodeSpec, Platform, SimReport, Topology};
+use luqr_runtime::{simulate, Platform, SimReport};
 use luqr_tile::Grid;
 
 fn system(n: usize, seed: u64) -> (Mat, Mat) {
@@ -364,149 +364,6 @@ fn streaming_trace_export_covers_executed_tasks() {
     // Untraced runs render an empty (but valid) document.
     let untraced = factor_stream(&a, &b, &opts, 2);
     assert_eq!(untraced.chrome_trace(None).trim(), "[\n\n]");
-}
-
-/// EFT-guided work stealing is strictly opt-in and placement-independent:
-/// a steal-enabled distributed run produces the *bitwise* batch solution
-/// and identical per-step decisions, its protocol message count stays
-/// consistent with the simulator even as work moves off its owner node,
-/// and with the flag off the steal counters stay at zero.
-#[test]
-fn stealing_keeps_numerics_and_message_accounting() {
-    let opts = FactorOptions {
-        nb: 8,
-        ib: 4,
-        threads: 2,
-        grid: Grid::new(2, 2),
-        algorithm: Algorithm::LuQr(Criterion::Max { alpha: 100.0 }),
-        ..FactorOptions::default()
-    };
-    let (a, b) = system(64, 31);
-    // The mixed cluster's two islands, the second one a thousand times
-    // slower per core: for a task owned there the finish oracle prefers a
-    // fast node — shipping the inputs, the tax and the way back included
-    // (tens of µs) — on an *empty* scoreboard already, at the owner's
-    // ~250 µs per tile kernel. The steal oracle prices completed work only,
-    // so how much of it has been seen at each insertion depends on thread
-    // timing; that the owner loses must not.
-    let platform = Platform::heterogeneous(
-        vec![
-            NodeSpec::new(8, 8.52),
-            NodeSpec::new(8, 8.52),
-            NodeSpec::new(4, 4.26e-3),
-            NodeSpec::new(4, 4.26e-3),
-        ],
-        Topology::hierarchical(LinkSpec::new(2e-6, 2.5e9), LinkSpec::new(1e-5, 1.25e9), 2),
-        12e9,
-    );
-    let batch = factor(&a, &b, &opts);
-
-    let base_opts = StreamOptions::fixed(3, opts.threads)
-        .with_platform(platform)
-        .with_scheduler(SchedPolicy::Eft);
-    let base = factor_stream_with(&a, &b, &opts, &base_opts).expect("grid fits platform");
-    let steal_opts = base_opts.clone().with_stealing();
-    let steal = factor_stream_with(&a, &b, &opts, &steal_opts).expect("grid fits platform");
-
-    // Numerics are placement-independent: bitwise vs batch, errors and
-    // criterion decisions identical.
-    assert_eq!(batch.error, steal.error);
-    assert_eq!(batch.solution().max_abs_diff(&steal.solution()), 0.0);
-    assert_eq!(batch.records.len(), steal.records.len());
-    for (rb, rd) in batch.records.iter().zip(&steal.records) {
-        assert_eq!(rb.decision, rd.decision, "step {} decision", rb.k);
-    }
-
-    // The steal pass evaluated candidates, and on this heterogeneous
-    // platform (crippled island) actually re-homed work.
-    let report = &steal.report;
-    assert!(
-        report.steals + report.steal_kept > 0,
-        "steal pass never evaluated a candidate"
-    );
-    assert!(report.steals > 0, "a crippled island should trigger steals");
-
-    // Message accounting stays consistent *within* the run: the protocol
-    // counts one transfer per (produced version, destination node) off
-    // the same placements the simulator prices.
-    assert_eq!(report.msgs.payload_msgs(), sim(&steal).messages);
-    assert!(sim(&steal).makespan >= sim(&steal).critical_path - 1e-12);
-    assert!(report.peak_live_steps <= 3);
-
-    // Flag off: counters zero, baseline consistency untouched.
-    assert_eq!(base.report.steals, 0);
-    assert_eq!(base.report.steal_kept, 0);
-    assert_eq!(base.report.msgs.payload_msgs(), sim(&base).messages);
-}
-
-/// On a single node there is nowhere to steal to: the gate keeps the
-/// steal machinery inert and the run bitwise equal to the unflagged one.
-#[test]
-fn stealing_is_inert_on_a_single_node() {
-    let opts = FactorOptions {
-        nb: 8,
-        ib: 4,
-        threads: 2,
-        grid: Grid::single(),
-        algorithm: Algorithm::Hqr,
-        ..FactorOptions::default()
-    };
-    let (a, b) = system(48, 9);
-    let plain_opts = StreamOptions::fixed(2, opts.threads).with_platform(Platform::dancer_nodes(1));
-    let plain = factor_stream_with(&a, &b, &opts, &plain_opts).expect("grid fits platform");
-    let steal = factor_stream_with(&a, &b, &opts, &plain_opts.clone().with_stealing())
-        .expect("grid fits platform");
-
-    assert_eq!(steal.report.steals, 0);
-    assert_eq!(steal.report.steal_kept, 0);
-    assert_eq!(plain.solution().max_abs_diff(&steal.solution()), 0.0);
-    assert_eq!(
-        sim(&plain).makespan.to_bits(),
-        sim(&steal).makespan.to_bits(),
-        "single-node steal run must replay the unflagged timeline bitwise"
-    );
-    assert_eq!(sim(&plain).messages, sim(&steal).messages);
-}
-
-/// Online recalibration re-aims the tile distribution mid-run from
-/// observed per-node speeds. The panel planners group their reduction
-/// trees by owner node, so regrouped future steps compute a numerically
-/// *equivalent* factorization — round-off-level agreement with the batch
-/// run, not bitwise (exactly as a static run under the new distribution
-/// would differ). Decisions still match step for step, and the
-/// protocol's message count stays equal to the simulator's even as
-/// future steps land on different owners.
-#[test]
-fn recalibration_keeps_numerics_and_protocol_consistency() {
-    let opts = FactorOptions {
-        nb: 8,
-        ib: 4,
-        threads: 2,
-        grid: Grid::new(2, 2),
-        algorithm: Algorithm::LuQr(Criterion::Max { alpha: 100.0 }),
-        ..FactorOptions::default()
-    };
-    let (a, b) = system(64, 7);
-    let batch = factor(&a, &b, &opts);
-
-    let recal_opts = StreamOptions::fixed(2, opts.threads)
-        .with_platform(Platform::mixed_islands())
-        .with_recalibration();
-    let recal = factor_stream_with(&a, &b, &opts, &recal_opts).expect("grid fits platform");
-
-    assert_eq!(batch.error, recal.error);
-    let drift = batch.solution().max_abs_diff(&recal.solution());
-    assert!(
-        drift <= 1e-10,
-        "recalibrated solution drifted beyond round-off: {drift}"
-    );
-    assert_eq!(batch.records.len(), recal.records.len());
-    for (rb, rd) in batch.records.iter().zip(&recal.records) {
-        assert_eq!(rb.decision, rd.decision, "step {} decision", rb.k);
-    }
-    assert_eq!(recal.report.msgs.payload_msgs(), sim(&recal).messages);
-    assert!(recal.report.peak_live_steps <= 2);
-    assert!(sim(&recal).makespan >= sim(&recal).critical_path - 1e-12);
 }
 
 // ---------------------------------------------------------------------------

@@ -23,16 +23,11 @@ use std::time::Instant;
 
 use luqr::{
     factor, factor_stream, factor_stream_net, factor_stream_with, Algorithm, Criterion,
-    FactorOptions, Factorization, NetTransportKind, Probe, SchedPolicy, SimOptions, StreamOptions,
-    TreeConfig,
+    FactorOptions, Factorization, NetTransportKind, Probe, SchedPolicy, StreamOptions, TreeConfig,
 };
 use luqr_kernels::blas::{gemm, gemm_reference, Trans};
 use luqr_kernels::Mat;
-use luqr_runtime::probe::metric;
-use luqr_runtime::{
-    simulate, simulate_probed, simulate_with, Label, LinkSpec, NodeSpec, Platform, SimReport,
-    Topology,
-};
+use luqr_runtime::{simulate, simulate_with, LinkSpec, NodeSpec, Platform, SimReport, Topology};
 use luqr_tests::TWO_LEVEL;
 use luqr_tile::Grid;
 
@@ -67,8 +62,7 @@ fn row(sim: &SimReport) -> (f64, u64) {
 /// Replay under every policy, in [`SchedPolicy::all`] order (fifo,
 /// critical-path, locality, eft). FIFO is the insertion-order `simulate()`.
 fn policy_sweep(f: &Factorization, platform: &Platform) -> [SimReport; 4] {
-    SchedPolicy::all()
-        .map(|policy| simulate_with(&f.graph, platform, &SimOptions::with_scheduler(policy)))
+    SchedPolicy::all().map(|policy| simulate_with(&f.graph, platform, policy))
 }
 
 /// The virtual-time summary of `opts` streamed at `window` on `platform`.
@@ -87,19 +81,6 @@ fn online_sim(
         .expect("a platform run reports virtual time")
 }
 
-/// Replay under EFT with work stealing: the report, and how many tasks the
-/// steal pass re-homed and kept on their owner.
-fn steal_replay(f: &Factorization, platform: &Platform) -> (SimReport, u64, u64) {
-    let opts = SimOptions::with_scheduler(SchedPolicy::Eft).with_stealing();
-    let (sim, report) = simulate_probed(&f.graph, platform, &opts, &Probe::enabled());
-    let eft = Label::Policy("eft");
-    (
-        sim,
-        report.snapshot.counter(metric::SCHED_STEALS, eft),
-        report.snapshot.counter(metric::SCHED_STEAL_KEPT, eft),
-    )
-}
-
 fn contended_cluster() -> Platform {
     Platform::mixed_islands().with_backbone(1.25e9)
 }
@@ -114,22 +95,13 @@ fn assert_locality_does_not_regress(sims: &[SimReport; 4]) {
 }
 
 /// The scheduling subsystem's payoff bars on the contended mixed cluster.
-fn assert_contended_bars(sims: &[SimReport; 4], steal: &SimReport) {
+fn assert_contended_bars(sims: &[SimReport; 4]) {
     let [fifo, _, locality, eft] = sims;
     let best_overlap = locality.makespan.min(eft.makespan);
     assert!(
         best_overlap <= 0.95 * fifo.makespan,
         "locality/eft must beat fifo by >= 5% ({best_overlap:.3e}s vs {:.3e}s)",
         fifo.makespan
-    );
-    let best_nonsteal = sims
-        .iter()
-        .map(|s| s.makespan)
-        .fold(f64::INFINITY, f64::min);
-    assert!(
-        steal.makespan <= 0.90 * best_nonsteal,
-        "steal-eft must beat the best non-steal policy by >= 10% ({:.3e}s vs {best_nonsteal:.3e}s)",
-        steal.makespan
     );
 }
 
@@ -148,23 +120,9 @@ fn sched_homogeneous_n320_pins() {
     assert_locality_does_not_regress(&sims);
 }
 
-/// Known gap, not a goal: on the homogeneous fixture there is no slow node
-/// to take work from, yet the steal pass re-homes 109 tasks, adds 210
-/// messages and ends 0.98x FIFO. It should abstain (ROADMAP, "Small carried
-/// follow-ups"); the change that makes it do so flips the last assertion
-/// and re-pins the row.
-#[test]
-fn steal_on_homogeneous_fixture_is_a_known_regression() {
-    let (f, platform) = (factored(320, 16), Platform::dancer_nodes(4));
-    let (steal, steals, steal_kept) = steal_replay(&f, &platform);
-    assert_eq!(row(&steal), (756365.2, 748));
-    assert_eq!((steals, steal_kept), (109, 3747));
-    assert!(steal.makespan > simulate(&f.graph, &platform).makespan);
-}
-
-/// Coarse tiles (nb = 64): work stealing is a placement optimization, and
-/// placement only has leverage once a tile's compute amortizes the ~10 µs
-/// trunk latency.
+/// Coarse tiles (nb = 64) on the contended mixed cluster, where a tile's
+/// compute amortizes the ~10 µs trunk latency and the overlap policies
+/// (locality, EFT) have room to beat insertion order.
 #[test]
 fn sched_mixed_contended_n1024_pins() {
     let (f, platform) = (factored(1024, 64), contended_cluster());
@@ -178,10 +136,7 @@ fn sched_mixed_contended_n1024_pins() {
             (19776035.5, 405),
         ]
     );
-    let (steal, steals, steal_kept) = steal_replay(&f, &platform);
-    assert_eq!(row(&steal), (17159937.9, 1016));
-    assert_eq!((steals, steal_kept), (306, 1912));
-    assert_contended_bars(&sims, &steal);
+    assert_contended_bars(&sims);
 }
 
 /// The same inequalities at the sizes the harness ran under `--test`.
@@ -190,10 +145,7 @@ fn sched_bars_hold_at_reduced_sizes() {
     let sims = policy_sweep(&factored(160, 8), &Platform::dancer_nodes(4));
     assert_locality_does_not_regress(&sims);
 
-    let (f, platform) = (factored(448, 64), contended_cluster());
-    let (steal, steals, _) = steal_replay(&f, &platform);
-    assert!(steals > 0, "coarse-tile replay must actually steal");
-    assert_contended_bars(&policy_sweep(&f, &platform), &steal);
+    assert_contended_bars(&policy_sweep(&factored(448, 64), &contended_cluster()));
 }
 
 /// Replaying the batch graph and advancing the virtual clocks online are

@@ -6,7 +6,7 @@
 
 use luqr::{
     factor, factor_stream_with, Algorithm, Criterion, FactorOptions, Probe, SchedPolicy,
-    SimOptions, StreamOptions,
+    StreamOptions,
 };
 use luqr_runtime::probe::export::{chrome_counter_events, to_json, to_prometheus};
 use luqr_runtime::probe::metric;
@@ -33,10 +33,9 @@ fn probed_batch_replay_matches_and_reconciles_across_policies() {
     let platform = Platform::mixed_islands().with_backbone(1.25e9);
 
     for policy in SchedPolicy::all() {
-        let sim_opts = SimOptions::with_scheduler(policy);
-        let plain = simulate_with(&f.graph, &platform, &sim_opts);
+        let plain = simulate_with(&f.graph, &platform, policy);
         let probe = Probe::enabled();
-        let (probed, report) = simulate_probed(&f.graph, &platform, &sim_opts, &probe);
+        let (probed, report) = simulate_probed(&f.graph, &platform, policy, &probe);
         assert_eq!(
             plain,
             probed,
@@ -115,12 +114,7 @@ fn export_formats_are_well_formed_on_real_telemetry() {
     let f = factor(&a, &b, &opts);
     let platform = Platform::dancer_nodes(4);
     let probe = Probe::enabled();
-    let (sim, report) = simulate_probed(
-        &f.graph,
-        &platform,
-        &SimOptions::with_scheduler(SchedPolicy::Eft),
-        &probe,
-    );
+    let (sim, report) = simulate_probed(&f.graph, &platform, SchedPolicy::Eft, &probe);
 
     // Prometheus: every non-comment line is `name{labels} value`.
     let prom = to_prometheus(&report);

@@ -21,8 +21,7 @@
 //! 1-node and 4-node grids.
 
 use luqr::{
-    factor, factor_stream_with, Algorithm, Criterion, FactorOptions, SchedPolicy, SimOptions,
-    StreamOptions,
+    factor, factor_stream_with, Algorithm, Criterion, FactorOptions, SchedPolicy, StreamOptions,
 };
 use luqr_runtime::{simulate, simulate_with, Platform, SchedEngine, SimReport, VirtualSchedule};
 use luqr_tests::dominant_system;
@@ -145,7 +144,7 @@ proptest! {
 
         for policy in SchedPolicy::all() {
             // Batch replay: timeline may move, data flow may not.
-            let sim = simulate_with(&batch.graph, &platform, &SimOptions::with_scheduler(policy));
+            let sim = simulate_with(&batch.graph, &platform, policy);
             prop_assert_eq!(sim.messages, fifo.messages, "{}", policy.name());
             prop_assert_eq!(sim.bytes, fifo.bytes);
             prop_assert!(close(sim.serial_seconds, fifo.serial_seconds));
