@@ -153,9 +153,9 @@ impl FactorOptions {
     }
 
     /// Criterion-aware calibration: weight the distribution by the
-    /// effective per-node speeds *observed* in `report` (a first run on
-    /// `platform` — batch replay, or a streamed run's `report.sim`),
-    /// instead of the platform's nominal GEMM throughput. See
+    /// effective per-node speeds *observed* in `report` (the replay of a
+    /// first run on `platform`), instead of the platform's nominal GEMM
+    /// throughput. See
     /// [`DistPolicy::Calibrated`].
     pub fn calibrated_from(
         mut self,

@@ -27,10 +27,11 @@
 //!
 //! The same factorization runs three ways, bitwise alike: [`factor`] builds
 //! and executes the whole task graph; [`factor_stream`] /
-//! [`factor_stream_with`] unroll it through a bounded window, and a
-//! [`StreamOptions::platform`] makes that one call a simulated cluster run
-//! (per-node message accounting, online virtual time in `report.sim`);
-//! [`factor_stream_net`] performs it over a real transport.
+//! [`factor_stream_with`] unroll it through a bounded window, split per
+//! node of `opts.grid` (per-link message accounting in
+//! `report.link_msgs`); [`factor_stream_net`] performs it over a real
+//! transport. Virtual time on a simulated cluster is one thing: replaying
+//! [`Factorization::graph`] with [`luqr_runtime::simulate`].
 //!
 //! Module map:
 //! * [`criteria`] — Max / Sum / MUMPS / Random robustness criteria (§III);
@@ -81,9 +82,9 @@ use luqr_runtime::{execute, ExecReport, Platform};
 use luqr_tile::TiledMatrix;
 
 pub use luqr_runtime::{
-    AttribBuckets, Attribution, LinkMsgStats, LinkSpec, LinkTraffic, MsgStats, NetReport,
-    NodeCountMismatch, NodeSpec, Probe, ProbeReport, SchedPolicy, StreamOptions, Topology,
-    TraceEvent, TransportError, WindowPolicy,
+    AttribBuckets, Attribution, LinkMsgStats, LinkSpec, LinkTraffic, MsgStats, NetReport, NodeSpec,
+    Probe, ProbeReport, SchedPolicy, StreamOptions, Topology, TraceEvent, TransportError,
+    WindowPolicy,
 };
 
 /// A batch task graph of [`TaskOp`]s.
@@ -223,10 +224,10 @@ pub fn factor_solve(a: &Mat, rhs: &Mat, opts: &FactorOptions) -> (Mat, Factoriza
 ///
 /// Unlike [`Factorization`] there is no retained task graph: task records
 /// were reclaimed as they completed (that bounded memory was the point), so
-/// there is no graph to replay or export to DOT — a run streamed with a
-/// [`StreamOptions::platform`] reports its virtual-time summary in
-/// `report.sim` instead. Everything numerical — the factored matrix,
-/// solution, criterion records — is identical to the batch path, bitwise.
+/// there is no graph to replay or export to DOT — replay the same
+/// factorization's batch graph for virtual time. Everything numerical — the
+/// factored matrix, solution, criterion records — is identical to the
+/// batch path, bitwise.
 pub struct StreamFactorization {
     /// The factored augmented matrix.
     pub aug: TiledMatrix,
@@ -280,16 +281,15 @@ impl StreamFactorization {
     /// unless the factorization was streamed with
     /// [`StreamOptions::trace`] on): windowed runs are inspectable in
     /// `chrome://tracing` like batch runs, with `pid` = virtual node and
-    /// `tid` = worker thread. Given the run's platform, node lanes are
-    /// named by its [`NodeSpec`]s and stamped with the run's virtual-time
-    /// scheduling policy.
+    /// `tid` = worker thread. Given a platform, node lanes are named by its
+    /// [`NodeSpec`]s; they carry no policy stamp, because the host workers
+    /// pop by critical-path depth, not by a virtual-time policy.
     pub fn chrome_trace(&self, platform: Option<&Platform>) -> String {
         luqr_runtime::render_chrome_trace(
             &self.report.trace,
             &TraceOptions {
                 platform,
-                policy: Some(self.report.scheduler),
-                counters: None,
+                ..TraceOptions::default()
             },
         )
     }
@@ -331,41 +331,23 @@ pub fn factor_stream(
     opts: &FactorOptions,
     window: usize,
 ) -> StreamFactorization {
-    stream(a, rhs, opts, &StreamOptions::fixed(window, opts.threads))
+    factor_stream_with(a, rhs, opts, &StreamOptions::fixed(window, opts.threads))
 }
 
 /// Factor `[A | rhs]` with the streaming runtime under a full
 /// [`StreamOptions`] configuration: window policy (fixed or
-/// [`WindowPolicy::Auto`]), per-task trace recording, metrics [`Probe`],
-/// and the cluster the run is modelled on.
+/// [`WindowPolicy::Auto`]), per-task trace recording and metrics
+/// [`Probe`].
 ///
-/// With [`StreamOptions::platform`] set, the window is split per virtual
-/// node of `opts.grid` (owner-computes), cross-node dependencies become
-/// data / decision / retirement messages (counted in `report.msgs`, the
-/// hybrid's decision broadcast from the panel owner as in the paper), and
-/// the platform model advances per-node virtual clocks online under
-/// [`StreamOptions::scheduler`]. Under the default FIFO `report.sim` then
-/// equals replaying the equivalent batch graph through
-/// [`luqr_runtime::simulate`], without that graph ever existing; other
-/// policies choose within a bounded look-ahead online, so their report is
-/// their own. Numerics are bitwise [`factor`]'s whatever the
-/// options. The one error is a grid with more ranks than the platform has
-/// nodes.
+/// The window is split per virtual node of `opts.grid` (owner-computes):
+/// cross-node dependencies become data / decision / retirement messages,
+/// counted in `report.msgs` and per link in `report.link_msgs` (the
+/// hybrid's decision broadcast from the panel owner as in the paper). The
+/// payload messages on every link are the `link_messages` of
+/// [`luqr_runtime::simulate`] replaying [`factor`]'s graph of the same
+/// system, which is where this run's virtual time comes from. Numerics are
+/// bitwise [`factor`]'s whatever the options.
 pub fn factor_stream_with(
-    a: &Mat,
-    rhs: &Mat,
-    opts: &FactorOptions,
-    stream_opts: &StreamOptions,
-) -> Result<StreamFactorization, NodeCountMismatch> {
-    if let Some(platform) = &stream_opts.platform {
-        platform.require_nodes(opts.grid.nodes())?;
-    }
-    Ok(stream(a, rhs, opts, stream_opts))
-}
-
-/// The streamed run behind [`factor_stream`] and [`factor_stream_with`],
-/// once the options are known to fit the grid.
-fn stream(
     a: &Mat,
     rhs: &Mat,
     opts: &FactorOptions,

@@ -1,11 +1,10 @@
 //! Real-transport distributed factorization: run the SPMD streaming
 //! executor over in-process mailboxes or actual sockets.
 //!
-//! [`crate::factor_stream_with`] given a [`StreamOptions::platform`]
-//! *models* a distributed run — one process, per-node sub-windows, message
-//! counters, virtual clocks. This module *performs* one: every rank of the
-//! process grid plans the full factorization over
-//! its own *share* of the matrix (same planner, same window, same hazard
+//! [`crate::factor_stream_with`] *counts* a distributed run — one process,
+//! per-node sub-windows, message counters. This module *performs* one:
+//! every rank of the process grid plans the full factorization over its
+//! own *share* of the matrix (same planner, same window, same hazard
 //! bookkeeping), remote tasks degenerate to placement stubs, and the data /
 //! decision / retirement protocol crosses a [`luqr_runtime::Transport`] as
 //! length-prefixed wire frames. Payload bytes are produced and consumed by
@@ -32,8 +31,9 @@
 //! * [`launch::launch_multiprocess`] — N separate `luqr-worker` processes
 //!   meshed over UDS, results collected from rank 0.
 //!
-//! Every shape reproduces the simulated run's protocol message counts
-//! exactly and its residuals and LU/QR decisions bitwise; the runtime
+//! Every shape reproduces the single-process streamed run's protocol
+//! message counts exactly and its residuals and LU/QR decisions bitwise;
+//! the runtime
 //! asserts wire-frame/protocol-message reconciliation per link before
 //! results are accepted.
 
@@ -86,8 +86,8 @@ fn dyn_transports<T: Transport + 'static>(set: Vec<Arc<T>>) -> Vec<Arc<dyn Trans
 /// SPMD rank per node of `opts.grid`, all inside this process, exchanging
 /// wire frames over `kind`. Numerics, per-step decisions, and protocol
 /// message statistics are identical to [`crate::factor_stream`] /
-/// [`crate::factor_stream_with`] (modelled on a platform) under the same
-/// options; rank 0's factorization (whose mirror holds the result at the
+/// [`crate::factor_stream_with`] under the same options; rank 0's
+/// factorization (whose mirror holds the result at the
 /// end) is returned.
 pub fn factor_stream_net(
     a: &Mat,
@@ -107,9 +107,7 @@ pub fn factor_stream_net(
 
 /// [`factor_stream_net`] under full [`StreamOptions`] (window policy,
 /// probe). The probe observes rank 0's window — including the wire-level
-/// frame/byte/latency metrics; peer ranks run unprobed. A platform model
-/// is not available over a real transport: it is refused with
-/// [`TransportError::Protocol`] before any rank starts.
+/// frame/byte/latency metrics; peer ranks run unprobed.
 pub fn factor_stream_net_opts(
     a: &Mat,
     rhs: &Mat,
@@ -117,7 +115,6 @@ pub fn factor_stream_net_opts(
     stream_opts: &StreamOptions,
     kind: &NetTransportKind,
 ) -> Result<StreamFactorization, TransportError> {
-    stream_opts.check_wire()?;
     let nranks = opts.grid.nodes();
     let mut uds_dir = None;
     let transports: Vec<Arc<dyn Transport>> = match kind {
@@ -248,34 +245,6 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("luqr-net-guard-{}", std::process::id()));
         assert!(mesh_that_fails(&dir).is_err());
         assert!(!dir.exists(), "{} leaked", dir.display());
-    }
-
-    /// A platform model cannot run over a real transport: it is a typed
-    /// error — not a panic on every rank thread — before a rank is spawned
-    /// or a socket directory is named.
-    #[test]
-    fn options_a_wire_cannot_run_are_refused_before_any_rank_starts() {
-        let (a, rhs) = (Mat::random(16, 16, 1), Mat::random(16, 1, 2));
-        let opts = FactorOptions {
-            nb: 8,
-            grid: Grid::new(1, 2),
-            ..FactorOptions::default()
-        };
-        let fixed = StreamOptions::fixed(2, 1);
-        let bad = fixed
-            .clone()
-            .with_platform(luqr_runtime::Platform::dancer_nodes(2));
-        for kind in [NetTransportKind::Loopback, NetTransportKind::Uds] {
-            let runs = UDS_RUN.load(Ordering::Relaxed);
-            let refused = factor_stream_net_opts(&a, &rhs, &opts, &bad, &kind).err();
-            assert!(
-                matches!(refused, Some(TransportError::Protocol(_))),
-                "{kind:?}: {refused:?}"
-            );
-            assert_eq!(UDS_RUN.load(Ordering::Relaxed), runs);
-        }
-        factor_stream_net_opts(&a, &rhs, &opts, &fixed, &NetTransportKind::Loopback)
-            .expect("the plain options run");
     }
 
     /// At the start of a run the ranks' mirrors partition the matrix: each

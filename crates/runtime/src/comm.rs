@@ -5,8 +5,8 @@
 //! node (consumers on that node then hit the local cache), serializes
 //! egress on the sender's NIC, and charges `latency + bytes/bandwidth` per
 //! message. That cost model used to live inline in [`crate::sim::simulate`];
-//! it is factored out here so the *streaming* runtime can drive the same
-//! model online, and so the distributed window can account its protocol
+//! it is factored out here so the replay and the distributed window share
+//! one definition of a message, the window accounting its protocol
 //! traffic — [`DataMsg`] tile transfers, [`DecisionMsg`] broadcasts of the
 //! hybrid's LU-vs-QR criterion decision from the panel-owner node, and
 //! [`RetireMsg`] per-node step-completion reports — through one chokepoint.

@@ -50,9 +50,6 @@
 
 use crate::graph::TaskId;
 
-/// Prune reader lists beyond this length (amortized O(1) per insertion).
-pub const READER_PRUNE_LEN: usize = 32;
-
 /// Room a reader list starts with. A datum that is read at all is
 /// typically read by a row or a column of updates, and every regrowth on
 /// the way there is an allocation on the planner's per-task path.
@@ -72,28 +69,12 @@ pub struct Dep {
 
 /// Readers of a datum since its last writer: live entries (potential WAR
 /// predecessors) plus the folded depth of pruned, no-longer-live ones.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct ReaderSet {
     /// Max depth over pruned readers.
     pub folded_depth: u64,
     /// Readers not yet known to be dead.
     pub entries: Vec<Dep>,
-    /// Next entry count at which [`HazardCell::note_read_pruned`] attempts
-    /// a prune. Doubles whenever a prune removes nothing (full-lookahead
-    /// batch mode, where every reader is still live and unprunable),
-    /// keeping pushes amortized O(1) instead of rescanning an
-    /// unshrinkable list on every Read.
-    prune_at: usize,
-}
-
-impl Default for ReaderSet {
-    fn default() -> Self {
-        ReaderSet {
-            folded_depth: 0,
-            entries: Vec::new(),
-            prune_at: READER_PRUNE_LEN,
-        }
-    }
 }
 
 impl ReaderSet {
@@ -105,8 +86,8 @@ impl ReaderSet {
     }
 
     /// Drop entries whose tasks are no longer `live`, folding their depth
-    /// into [`ReaderSet::folded_depth`]. Bulk form for client-chosen
-    /// prune points (the streaming window prunes at step retirement).
+    /// into [`ReaderSet::folded_depth`], at client-chosen prune points
+    /// (the streaming window prunes at step retirement).
     pub fn prune(&mut self, mut live: impl FnMut(TaskId) -> bool) {
         let mut folded = self.folded_depth;
         self.entries.retain(|d| {
@@ -179,27 +160,13 @@ impl<W> HazardCell<W> {
         self.readers.push(Dep { id, depth });
     }
 
-    /// Pass 2 (Read) with amortized pruning: when the reader list reaches
-    /// its prune threshold, drop dead entries (folding their depth) before
-    /// joining. The threshold doubles when nothing was prunable.
-    #[inline]
-    pub fn note_read_pruned(&mut self, id: TaskId, depth: u64, live: impl FnMut(TaskId) -> bool) {
-        let rs = &mut self.readers;
-        if rs.entries.len() >= rs.prune_at {
-            rs.prune(live);
-            rs.prune_at = (rs.entries.len() * 2).max(READER_PRUNE_LEN);
-        }
-        rs.push(Dep { id, depth });
-    }
-
     /// Pass 2 (Mut): become the new writer. Clears the reader set (its
     /// members are now ordered behind this task through the WAR edges
-    /// pass 1 collected) and resets the fold and prune threshold.
+    /// pass 1 collected) and resets the fold.
     #[inline]
     pub fn note_write(&mut self, id: TaskId, depth: u64, meta: W) {
         self.readers.entries.clear();
         self.readers.folded_depth = 0;
-        self.readers.prune_at = READER_PRUNE_LEN;
         self.writer = Some(Writer { id, depth, meta });
     }
 }
@@ -248,15 +215,16 @@ mod tests {
 
     #[test]
     fn pruning_folds_depth_and_preserves_edscope() {
+        const READERS: usize = 32;
         let mut cell: HazardCell<()> = HazardCell::default();
-        for id in 0..READER_PRUNE_LEN {
-            cell.note_read_pruned(id, (id + 1) as u64, |_| true);
+        for id in 0..READERS {
+            cell.note_read(id, (id + 1) as u64);
         }
-        assert_eq!(cell.readers.entries.len(), READER_PRUNE_LEN);
-        // Next read prunes everything but the last two "live" ids.
-        cell.note_read_pruned(READER_PRUNE_LEN, 40, |t| t >= READER_PRUNE_LEN - 2);
+        // Prune everything but the last two "live" ids, then read again.
+        cell.readers.prune(|t| t >= READERS - 2);
+        cell.note_read(READERS, 40);
         assert_eq!(cell.readers.entries.len(), 3);
-        assert_eq!(cell.readers.folded_depth, (READER_PRUNE_LEN - 2) as u64);
+        assert_eq!(cell.readers.folded_depth, (READERS - 2) as u64);
         // A Mut still sees the folded depth.
         let (mut preds, mut depth) = (Vec::new(), 0u64);
         cell.fold_preds(true, &mut preds, &mut depth);

@@ -34,18 +34,17 @@
 //!   endpoint per rank (in-process loopback, or Unix-domain sockets
 //!   between worker processes) moving length-prefixed wire frames, driven
 //!   by the SPMD executor [`stream::execute_net`].
-//! * [`vtime`] — the online virtual-time engine: the discrete-event model
-//!   consumed one task at a time, so a streaming run emits the same report
-//!   as a batch replay (under FIFO) without materializing the graph.
-//! * [`sched`] — pluggable ready-task selection over that engine: FIFO
-//!   (insertion order, the bitwise-pinned default), critical-path,
-//!   locality-aware, and HEFT-style earliest-finish-time policies, shared
-//!   by the batch simulator, the host executor, and both streaming paths.
+//! * [`vtime`] — the virtual-time engine behind [`sim`]: the discrete-event
+//!   model consumed one task at a time.
+//! * [`sched`] — pluggable ready-task selection over that engine for the
+//!   replay: FIFO (insertion order, the bitwise-pinned default),
+//!   critical-path, locality-aware, and HEFT-style earliest-finish-time
+//!   policies; its critical-path queue also orders the streaming workers.
 //! * [`probe`] — typed metrics probes (counters, gauges, time-series
 //!   histograms) threaded through the scheduler, the streaming window, the
-//!   comm model, and the vtime engine, plus a makespan-attribution pass
-//!   (compute / transfer / contention / idle) and Chrome-trace, Prometheus,
-//!   and JSON export.
+//!   comm model, and the vtime engine, plus a replay's makespan
+//!   attribution (compute / transfer / contention / idle) and
+//!   Chrome-trace, Prometheus, and JSON export.
 //! * [`dot`] — Graphviz export (Figure 1's dataflow, from a live graph).
 
 pub mod comm;

@@ -9,21 +9,9 @@
 //! order of the hazard DAG, so the underlying scoreboard stays consistent;
 //! the policy only chooses *which* valid list schedule the run gets.
 //!
-//! Two operating modes share the code path:
-//!
-//! * **batch** (`simulate_with`): every task is submitted, then
-//!   [`SchedEngine::drain`] schedules the whole graph with full lookahead;
-//! * **online** (the streaming window): a bounded `lookahead` caps how many
-//!   submitted-but-unscheduled task records may accumulate — the window's
-//!   memory bound extends to the scheduler — and the engine schedules just
-//!   enough to stay under it, keeping the rest available for choice. The
-//!   buffered prefix is dependency-closed (all lower ids are submitted),
-//!   so the ready set is never empty while anything is buffered.
-//!
-//! Hazard metadata is bounded by the declared data plus the buffer: reader
-//! entries referencing already-scheduled tasks are pruned (their depth
-//! folded into a per-key scalar) the same way the streaming window prunes
-//! completed readers.
+//! Its one caller is the replay ([`crate::sim::simulate_with`]): every
+//! task is submitted, then [`SchedEngine::drain`] schedules the whole graph
+//! with full lookahead, recording each task's span by submission id.
 
 use std::time::Instant;
 
@@ -88,24 +76,17 @@ pub struct SchedEngine {
     vt: VirtualSchedule,
     policy: Box<dyn Scheduler>,
     policy_kind: SchedPolicy,
-    /// Max submitted-but-unscheduled tasks held for choice; `usize::MAX`
-    /// means full lookahead (batch mode).
-    lookahead: usize,
     /// Schedule at submit time, skipping dependency bookkeeping entirely.
     /// On by default for [`SchedPolicy::Fifo`]: submission order *is* its
     /// pop order, so buffering buys nothing and the hazard maps are dead
-    /// weight on the hottest path (the streaming window feeds the engine
-    /// under its lock).
+    /// weight.
     eager: bool,
     next_id: TaskId,
     buffered: IntMap<TaskId, Buffered>,
     /// Per-datum hazard state (the shared [`crate::hazard`] core; no
-    /// writer payload — the scoreboard lives in `vt`). Reader entries
-    /// referencing already-scheduled tasks are pruned amortized, their
-    /// depth folded, exactly like the streaming window's directories.
+    /// writer payload — the scoreboard lives in `vt`).
     hazards: IntMap<DataKey, HazardCell<()>>,
-    /// Per-task spans indexed by id (empty unless span recording is on).
-    record_spans: bool,
+    /// Per-task spans indexed by submission id.
     starts: Vec<f64>,
     finishes: Vec<f64>,
     /// Metrics probe (disabled by default). Scheduler latencies accumulate
@@ -119,20 +100,18 @@ pub struct SchedEngine {
 }
 
 impl SchedEngine {
-    /// An engine with full lookahead and no span recording (what the
-    /// streaming window further bounds via
-    /// [`SchedEngine::with_lookahead`]).
+    /// An engine that records every task's `(start, finish)` span, indexed
+    /// by submission id, so report spans line up with task ids whatever
+    /// order the policy chose.
     pub fn new(platform: &Platform, policy: SchedPolicy) -> Self {
         SchedEngine {
             vt: VirtualSchedule::new(platform),
             policy: policy.scheduler(),
             policy_kind: policy,
             eager: policy == SchedPolicy::Fifo,
-            lookahead: usize::MAX,
             next_id: 0,
             buffered: IntMap::default(),
             hazards: IntMap::default(),
-            record_spans: false,
             starts: Vec::new(),
             finishes: Vec::new(),
             probe: Probe::disabled(),
@@ -140,25 +119,6 @@ impl SchedEngine {
             decision: Histogram::default(),
             probe_tick: 0,
         }
-    }
-
-    /// An engine that records every task's `(start, finish)` span, indexed
-    /// by submission id — what `simulate_with` uses so report spans line
-    /// up with task ids whatever order the policy chose.
-    pub fn with_spans(platform: &Platform, policy: SchedPolicy) -> Self {
-        SchedEngine {
-            record_spans: true,
-            ..SchedEngine::new(platform, policy)
-        }
-    }
-
-    /// Bound the scheduling buffer: once more than `lookahead` tasks are
-    /// submitted and unscheduled, the engine schedules down to the bound.
-    /// This is the streaming window's memory guarantee extended to the
-    /// scheduler — and the policy's online decision horizon.
-    pub fn with_lookahead(mut self, lookahead: usize) -> Self {
-        self.lookahead = lookahead.max(1);
-        self
     }
 
     /// Attach a metrics probe to the engine and its virtual-time core
@@ -182,8 +142,7 @@ impl SchedEngine {
     /// Submit the next task **in insertion order**. Hazard dependencies on
     /// earlier submissions are inferred from `accesses` exactly like
     /// [`crate::graph::GraphBuilder`]; the task is scheduled whenever the
-    /// policy selects it (possibly immediately, if the lookahead bound is
-    /// hit).
+    /// policy selects it.
     pub fn submit(&mut self, node: usize, accesses: &[CostedAccess], result: TaskResult) -> TaskId {
         self.submit_tagged(node, accesses, result, None)
     }
@@ -204,7 +163,7 @@ impl SchedEngine {
         if self.eager {
             // FIFO: submission order is the schedule; cost the task now
             // and keep no records at all (in particular, no clone of the
-            // access list — this path runs under the streaming lock).
+            // access list).
             let (start, finish) = self.vt.process_tagged(node, accesses, &result, step);
             self.record_span(id, start, finish);
             return id;
@@ -228,16 +187,10 @@ impl SchedEngine {
 
         // Pass 2: update the hazard cells in access order (a Mut after a
         // Read of the same key clears the reader fold, like the builder).
-        let buffered = &self.buffered;
         for ca in accesses {
             let key = ca.access.key();
             match ca.access {
-                Access::Read(_) => {
-                    self.hazards
-                        .entry(key)
-                        .or_default()
-                        .note_read_pruned(id, depth, |t| buffered.contains_key(&t))
-                }
+                Access::Read(_) => self.hazards.entry(key).or_default().note_read(id, depth),
                 Access::Control(_) => {}
                 Access::Mut(_) => self
                     .hazards
@@ -275,7 +228,6 @@ impl SchedEngine {
         if num_preds == 0 {
             self.policy.push(ReadyTask { id, node, depth });
         }
-        while self.buffered.len() > self.lookahead && self.step() {}
         id
     }
 
@@ -337,14 +289,12 @@ impl SchedEngine {
     }
 
     fn record_span(&mut self, id: TaskId, start: f64, finish: f64) {
-        if self.record_spans {
-            if self.starts.len() <= id {
-                self.starts.resize(id + 1, 0.0);
-                self.finishes.resize(id + 1, 0.0);
-            }
-            self.starts[id] = start;
-            self.finishes[id] = finish;
+        if self.starts.len() <= id {
+            self.starts.resize(id + 1, 0.0);
+            self.finishes.resize(id + 1, 0.0);
         }
+        self.starts[id] = start;
+        self.finishes[id] = finish;
     }
 
     /// Schedule everything still buffered.
@@ -379,20 +329,18 @@ impl SchedEngine {
     }
 
     /// Totals so far, as a [`SimReport`] with spans indexed by submission
-    /// id (empty unless built [`SchedEngine::with_spans`]). Call after
-    /// [`SchedEngine::drain`].
+    /// id. Call after [`SchedEngine::drain`].
     pub fn report(&self) -> SimReport {
         debug_assert!(self.buffered.is_empty(), "report() before drain()");
-        let mut r = self.vt.report();
-        if self.record_spans {
-            let mut starts = self.starts.clone();
-            let mut finishes = self.finishes.clone();
-            starts.resize(self.next_id, 0.0);
-            finishes.resize(self.next_id, 0.0);
-            r.starts = starts;
-            r.finishes = finishes;
+        let mut starts = self.starts.clone();
+        let mut finishes = self.finishes.clone();
+        starts.resize(self.next_id, 0.0);
+        finishes.resize(self.next_id, 0.0);
+        SimReport {
+            starts,
+            finishes,
+            ..self.vt.report()
         }
-        r
     }
 }
 
@@ -460,7 +408,7 @@ mod tests {
         // Both the eager fast path and the forced generic buffer-and-
         // select machinery must match the raw engine bitwise.
         for forced in [false, true] {
-            let mut eng = SchedEngine::with_spans(&p, SchedPolicy::Fifo);
+            let mut eng = SchedEngine::new(&p, SchedPolicy::Fifo);
             if forced {
                 eng = eng.with_forced_buffering();
             }
@@ -470,29 +418,6 @@ mod tests {
             eng.drain();
             assert_eq!(raw, eng.report(), "forced buffering: {forced}");
         }
-    }
-
-    /// Lookahead-bounded online submission must match the full-lookahead
-    /// batch drain for Fifo (both are insertion order).
-    #[test]
-    fn fifo_is_lookahead_invariant() {
-        let p = flat(2, 1);
-        let k = DataKey(7);
-        let run = |lookahead: usize, forced: bool| {
-            let mut eng = SchedEngine::with_spans(&p, SchedPolicy::Fifo).with_lookahead(lookahead);
-            if forced {
-                eng = eng.with_forced_buffering();
-            }
-            for i in 0..20usize {
-                eng.submit(i % 2, &[acc(Access::Mut(k), 64, 0)], secs(0.25));
-            }
-            eng.drain();
-            eng.report()
-        };
-        let full = run(usize::MAX, true);
-        assert_eq!(full, run(1, true));
-        assert_eq!(full, run(3, true));
-        assert_eq!(full, run(usize::MAX, false), "eager fast path diverged");
     }
 
     /// An insertion-order schedule strands a core behind a late-data task;
@@ -587,10 +512,10 @@ mod tests {
             }
             eng.drain();
         };
-        let mut plain = SchedEngine::with_spans(&p, SchedPolicy::Eft);
+        let mut plain = SchedEngine::new(&p, SchedPolicy::Eft);
         feed(&mut plain);
         let probe = Probe::enabled();
-        let mut probed = SchedEngine::with_spans(&p, SchedPolicy::Eft);
+        let mut probed = SchedEngine::new(&p, SchedPolicy::Eft);
         probed.attach_probe(&probe);
         feed(&mut probed);
         probed.flush_probe();
@@ -676,12 +601,12 @@ mod tests {
             (SchedPolicy::LocalityAware, false),
             (SchedPolicy::Eft, true),
         ] {
-            let mut reference = SchedEngine::with_spans(&p, policy);
+            let mut reference = SchedEngine::new(&p, policy);
             reference.policy = Box::new(Rescan {
                 ready: Vec::new(),
                 eft,
             });
-            let mut incremental = SchedEngine::with_spans(&p, policy);
+            let mut incremental = SchedEngine::new(&p, policy);
             for (node, accs, r) in &tasks {
                 reference.submit(*node, accs, *r);
                 incremental.submit(*node, accs, *r);
@@ -703,7 +628,7 @@ mod tests {
     fn critical_path_prefers_the_deep_chain() {
         let p = flat(1, 1);
         let chain = DataKey(0);
-        let mut eng = SchedEngine::with_spans(&p, SchedPolicy::CriticalPath);
+        let mut eng = SchedEngine::new(&p, SchedPolicy::CriticalPath);
         // Two-task chain (depths 1, 2) then a shallow independent task
         // (depth 1, later id).
         eng.submit(0, &[acc(Access::Mut(chain), 8, 0)], secs(1.0));

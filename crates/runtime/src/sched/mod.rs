@@ -40,7 +40,8 @@
 //! Scheduling **never** changes the factorization: placements, kernels,
 //! and numerical results are fixed by the algorithm layer; a policy only
 //! permutes the virtual timeline. The timeline-only invariant is
-//! property-tested in `sched_props.rs` (batch replay + online streaming).
+//! property-tested in `sched_props.rs` (every policy's replay moves the
+//! data the streaming window routed, link for link).
 
 mod critical_path;
 mod eft;

@@ -13,11 +13,11 @@
 //! The replay is a thin driver over the policy engine
 //! ([`crate::sched::SchedEngine`], costing each task with
 //! [`crate::vtime::VirtualSchedule`]): the graph's tasks are submitted in
-//! insertion order, which is exactly what the *streaming* runtime does as
-//! its window drains — so under FIFO a windowed run's virtual-time report
-//! and a batch replay of the equivalent graph are bitwise identical (the
-//! engine's state depends only on the sequence of executed tasks, and
-//! discarded branches contribute nothing).
+//! insertion order. It is the one platform model: a streamed run of the
+//! same factorization inserts the chosen branch's tasks in the same order
+//! and routes the same transfers (its per-link payload messages are this
+//! report's `link_messages`), so its virtual time is this replay's —
+//! discarded branches contribute nothing.
 //!
 //! **Scheduling policy.** [`simulate`] produces an insertion-order list
 //! schedule: task `i` claims cores and network slots strictly after tasks
@@ -199,15 +199,15 @@ pub fn simulate<O: TaskOp>(graph: &Graph<O>, platform: &Platform) -> SimReport {
 }
 
 /// Simulate an executed graph under a scheduling policy: the whole graph
-/// is submitted to the policy-driven engine ([`SchedEngine`], full
-/// lookahead) and drained in the order the policy selects. Report spans
-/// stay indexed by task id whatever order that is.
+/// is submitted to the policy-driven engine ([`SchedEngine`]) and drained
+/// in the order the policy selects. Report spans stay indexed by task id
+/// whatever order that is.
 pub fn simulate_with<O: TaskOp>(
     graph: &Graph<O>,
     platform: &Platform,
     policy: SchedPolicy,
 ) -> SimReport {
-    let mut eng = SchedEngine::with_spans(platform, policy);
+    let mut eng = SchedEngine::new(platform, policy);
     replay(graph, platform, |t, accesses, r| {
         eng.submit(t.node(), accesses, r);
     });
@@ -227,7 +227,7 @@ pub fn simulate_probed<O: TaskOp>(
     policy: SchedPolicy,
     probe: &Probe,
 ) -> (SimReport, ProbeReport) {
-    let mut eng = SchedEngine::with_spans(platform, policy);
+    let mut eng = SchedEngine::new(platform, policy);
     eng.attach_probe(probe);
     replay(graph, platform, |t, accesses, r| {
         eng.submit_tagged(t.node(), accesses, r, t.step());

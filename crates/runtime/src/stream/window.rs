@@ -53,9 +53,9 @@
 //! without payload and are not counted as messages — matching the platform
 //! simulator's cost model. This is one path whatever carries the messages:
 //! what happens to a routed message, and what a placement means, is the
-//! run's [`Fabric`] (counted, priced against a platform model, or put on a
-//! real wire), which the window calls at four seams — insertion, routing,
-//! completion, pop. The ready queue orders by `(depth, insertion id)`
+//! run's [`Fabric`] (counted, or put on a real wire), which the window
+//! calls at four seams — insertion, routing, completion, pop. The ready
+//! queue orders by `(depth, insertion id)`
 //! only, so one queue pops exactly what a scan of per-node queues would.
 //!
 //! **Locking and wake-ups.** All mutable state sits behind one mutex.
@@ -101,9 +101,7 @@ use std::time::Instant;
 
 use crate::comm::{flow_msg, LinkMsgStats, Msg, MsgStats, RetireMsg};
 use crate::exec::Tally;
-use crate::graph::{
-    Access, CostClass, CostedAccess, DataClass, DataKey, TaskId, TaskOp, TaskResult,
-};
+use crate::graph::{Access, CostClass, DataClass, DataKey, TaskId, TaskOp, TaskResult};
 use crate::hash::IntMap;
 use crate::hazard::{HazardCell, Writer};
 use crate::net::TransportError;
@@ -555,9 +553,7 @@ impl<O: TaskOp> WindowState<O> {
 
         let op = task.op;
         self.fabric
-            .completed(id, task.step, task.placed, result, &sync_decisions, || {
-                op.name(ctx)
-            });
+            .completed(id, node, &result, &sync_decisions, || op.name(ctx));
 
         // Flush the owed transfers: one DataMsg (or DecisionMsg) per
         // (datum, destination node). A discarded task produced nothing —
@@ -604,9 +600,9 @@ impl<O: TaskOp> WindowState<O> {
     }
 }
 
-/// Shared streaming execution state (the live window + scheduler queue +
-/// the online communication/virtual-time accounting), over the ops of one
-/// run and the context they are interpreted against.
+/// Shared streaming execution state (the live window, its ready queue and
+/// message routing), over the ops of one run and the context they are
+/// interpreted against.
 pub struct StreamWindow<O: TaskOp> {
     num_nodes: usize,
     ctx: Arc<O::Ctx>,
@@ -831,7 +827,7 @@ impl<O: TaskOp> StreamWindow<O> {
 
     /// End of the run: what the window and its fabric counted, as the
     /// run's report (the driver fills in what it timed and chose: wall
-    /// clock, steps, per-step window, scheduler) and on the probe.
+    /// clock, steps, per-step window) and on the probe.
     pub(super) fn report(&self) -> StreamReport {
         let mut st = self.lock();
         let st = &mut *st;
@@ -849,10 +845,9 @@ impl<O: TaskOp> StreamWindow<O> {
                     }
                 }
             }
-            // Per-link payload traffic on the probe comes from the
-            // virtual-time network (COMM_LINK_*); here we count the
-            // *protocol* messages by kind, links included via
-            // `StreamReport::link_msgs`.
+            // Per-link payload traffic on the probe comes from a replay's
+            // network (COMM_LINK_*); here we count the *protocol* messages
+            // by kind, links included via `StreamReport::link_msgs`.
             for (kind, n) in [
                 ("data", totals.data_msgs),
                 ("decision", totals.decision_msgs),
@@ -989,18 +984,10 @@ impl<O: TaskOp> StreamWindow<O> {
         // wire makes a remote one a stub) before any placement-dependent
         // state is written, and what it waits for beyond its hazard
         // predecessors (a wire gates it on the frames of its remote
-        // inputs). It is shown the priced accesses and where each
-        // data-flow input comes from — the live writer, else the last
-        // executed version, else the datum's home.
+        // inputs). It is shown where each data-flow input comes from — the
+        // live writer, else the last executed version, else the datum's
+        // home.
         let data = &st.data;
-        let priced = accesses.iter().zip(&slots).map(|(&access, &slot)| {
-            let dir = &data[slot as usize];
-            CostedAccess {
-                access,
-                bytes: dir.bytes,
-                home: dir.home,
-            }
-        });
         let inputs = flows.iter().filter(|&&(_, _, bytes, _, _)| bytes != 0).map(
             |&(slot, key, _, _, writer)| {
                 let dir = &data[slot as usize];
@@ -1011,7 +998,7 @@ impl<O: TaskOp> StreamWindow<O> {
                 }
             },
         );
-        let (placed, gates) = st.fabric.place(id, node, priced, inputs, wrote_decision);
+        let (placed, gates) = st.fabric.place(id, node, inputs, wrote_decision);
         let (node, stub) = (placed.node, placed.stub);
 
         // Data-flow transfers, resolved against the *pre-insertion*

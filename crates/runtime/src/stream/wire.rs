@@ -2,7 +2,7 @@
 //!
 //! **Stubs.** Every rank plans the *full* task graph deterministically
 //! into its own window, so the protocol messages each rank records are
-//! identical to the modelled run's. A task placed on another rank is a
+//! identical to a single-process run's. A task placed on another rank is a
 //! *stub* here: its hazard edges and message bookkeeping are mirrored, its
 //! op is never run, and it completes inline the moment its local
 //! predecessors are gone. What the wire arm adds to the shared routing is
@@ -20,7 +20,7 @@
 //! race the planner: a frame may arrive before the rank has even declared
 //! the datum it updates. A decision computed here is also broadcast to
 //! *every* peer as a `Sync` control frame — each rank's driver blocks on it
-//! before planning the rest of the step, and the modelled `DecisionMsg`
+//! before planning the rest of the step, and the routed `DecisionMsg`
 //! (routed only to branch-task hosts) cannot cover ranks whose share of the
 //! chosen branch is empty.
 //!
@@ -357,7 +357,7 @@ impl Wire {
 
     /// Record one payload arrival from rank `from` and hand back the tasks
     /// gated on it. Duplicate deliveries (a Sync broadcast racing the
-    /// modelled DecisionMsg for the same version; a replayed frame) are
+    /// routed DecisionMsg for the same version; a replayed frame) are
     /// ignored, whatever has become of the datum since: first one wins.
     /// Anything else must name a datum the store still has a place for.
     fn arrival(&mut self, arrival: ArrivalKey, payload: Vec<u8>, from: usize) -> Vec<TaskId> {

@@ -1,31 +1,22 @@
-//! Online virtual-time scheduling: the discrete-event platform model
-//! consumed one task at a time.
+//! Virtual-time scheduling: the discrete-event platform model, consumed
+//! one task at a time.
 //!
-//! [`VirtualSchedule`] is the costing core behind both performance
-//! vehicles. Both reach it through the policy engine
+//! [`VirtualSchedule`] is the costing core of the replay
+//! ([`crate::sim::simulate_with`]), reached through the policy engine
 //! ([`crate::sched::SchedEngine`]), which feeds it tasks in id order under
 //! FIFO and in whatever order a [`crate::sched::Scheduler`] policy selects
 //! otherwise — any topological order of the hazard DAG keeps the
-//! scoreboard consistent:
-//!
-//! * [`crate::sim::simulate_with`] replays a materialized batch graph;
-//! * the streaming window submits each task the moment every
-//!   earlier-inserted task has completed, so a windowed run under FIFO
-//!   produces the replay's makespan/message accounting **without ever
-//!   materializing the graph** — per-datum scoreboard entries are all that
-//!   persists.
+//! scoreboard consistent.
 //!
 //! Determinism is by construction: the schedule is a *list schedule in
 //! processing order*. Each processed task claims cores and network slots
 //! strictly after every task processed before it; callers must feed a
 //! topological order of the hazard DAG (insertion order is one — hazard
-//! edges always point from lower to higher ids). Because the state
-//! evolution depends only on the sequence of **executed** tasks — their
-//! placements, declared accesses, and recorded results — a batch graph
-//! (where the losing hybrid branch is present but discarded) and a
-//! streaming run (where it was never planned) yield bitwise-identical
-//! reports: discarded tasks contribute no time, no data flow, and no
-//! scoreboard updates.
+//! edges always point from lower to higher ids). The state evolution
+//! depends only on the sequence of **executed** tasks — their placements,
+//! declared accesses, and recorded results: discarded tasks (the losing
+//! hybrid branch, present in the batch graph, never planned by a streamed
+//! run) contribute no time, no data flow, and no scoreboard updates.
 //!
 //! The communication model (shared with [`crate::comm`]): data flows from
 //! the last *executed* writer of each datum (or its home node if never
@@ -68,7 +59,7 @@ struct DatumState {
     initial_sent: HashMap<usize, f64>,
 }
 
-/// The online discrete-event engine. Feed tasks with [`VirtualSchedule::process`]
+/// The discrete-event engine. Feed tasks with [`VirtualSchedule::process`]
 /// in insertion order; read the totals back with [`VirtualSchedule::report`].
 pub struct VirtualSchedule {
     platform: Platform,

@@ -5,7 +5,8 @@
 //! island of two fast nodes (8 cores @ 8.52 GFLOP/s) and one island of two
 //! slow nodes (4 cores @ 4.26 GFLOP/s), fast intra-island links, a slower
 //! inter-island backbone. The same hybrid factorization runs through the
-//! distributed streaming runtime twice:
+//! distributed streaming runtime twice, and its batch graph is replayed on
+//! the cluster each time:
 //!
 //! 1. **plain block-cyclic** — every node owns the same tile share, so the
 //!    slow island sets the pace while the fast island idles;
@@ -13,8 +14,8 @@
 //!    in the ownership pattern, giving fast nodes proportionally more
 //!    tiles ([`luqr_tile::Dist::speed_weighted`]).
 //!
-//! The weighted run must beat the plain one on simulated makespan — that
-//! is the point of modeling heterogeneity at all — and the per-node
+//! The weighted replay must beat the plain one on simulated makespan —
+//! that is the point of modeling heterogeneity at all — and the per-node
 //! utilization table shows why. A Chrome trace with lanes named by node
 //! spec (`node2 (4c @ 4.26 GF)`) is written for `chrome://tracing`.
 //!
@@ -22,7 +23,7 @@
 //! cargo run --release --example cluster_hetero [N] [nb]
 //! ```
 
-use luqr::{factor_stream_with, Algorithm, Criterion, DistPolicy, FactorOptions, StreamOptions};
+use luqr::{factor, factor_stream, Algorithm, Criterion, DistPolicy, FactorOptions};
 use luqr_runtime::trace::{to_chrome_trace_with, TraceOptions};
 use luqr_runtime::{simulate, Platform};
 use luqr_tile::Grid;
@@ -70,11 +71,11 @@ fn main() {
             dist,
             ..FactorOptions::default()
         };
-        let stream_opts =
-            StreamOptions::fixed(window, opts.threads).with_platform(platform.clone());
-        let f = factor_stream_with(&a, &b, &opts, &stream_opts).expect("grid fits platform");
+        let f = factor_stream(&a, &b, &opts, window);
         assert!(f.error.is_none(), "breakdown: {:?}", f.error);
-        let sim = f.report.sim.expect("a platform run reports virtual time");
+        let batch = factor(&a, &b, &opts);
+        assert_eq!(f.solution().max_abs_diff(&batch.solution()), 0.0);
+        let sim = simulate(&batch.graph, &platform);
         let util = sim.node_utilization(&platform);
         println!(
             "{label:<16} makespan {:>9.5}s  {:>7.1} GFLOP/s  {:>5} msgs  {:>6.2} MB",
@@ -126,7 +127,7 @@ fn main() {
         dist: DistPolicy::SpeedWeighted(platform.node_speeds()),
         ..FactorOptions::default()
     };
-    let f = luqr::factor(&a_small, &b_small, &opts);
+    let f = factor(&a_small, &b_small, &opts);
     let json = to_chrome_trace_with(
         &f.graph,
         &simulate(&f.graph, &platform),

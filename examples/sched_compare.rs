@@ -17,13 +17,12 @@
 //!   trunk — the win this example *asserts* (≥ 5% over FIFO, the bar
 //!   `tests/tests/pins.rs` holds the policies to).
 //!
-//! Also demonstrated: the same comparison through the *online* distributed
-//! streaming engine (policies thread through both paths), a probed EFT
-//! replay — asserted equal to the unprobed one — with its makespan
-//! attribution (compute / transfer / trunk contention / idle per node),
-//! and the three telemetry exports — a Chrome trace with counter tracks,
-//! structured JSON, and Prometheus text — written to `$LUQR_PROBE_DIR` (or
-//! the system temp dir).
+//! Also demonstrated: a probed EFT replay — asserted equal to the unprobed
+//! one — with its makespan attribution (compute / transfer / trunk
+//! contention / idle per node), and the three telemetry exports of that
+//! replay — a Chrome trace with counter tracks, structured JSON, and
+//! Prometheus text — written to `$LUQR_PROBE_DIR` (or the system temp
+//! dir).
 //!
 //! ```sh
 //! cargo run --release --example sched_compare [N] [nb]
@@ -31,10 +30,7 @@
 
 use std::path::PathBuf;
 
-use luqr::{
-    factor, factor_stream_with, Algorithm, Criterion, DistPolicy, FactorOptions, Probe,
-    SchedPolicy, StreamOptions,
-};
+use luqr::{factor, Algorithm, Criterion, DistPolicy, FactorOptions, Probe, SchedPolicy};
 use luqr_runtime::probe::export::{to_json, to_prometheus};
 use luqr_runtime::trace::{to_chrome_trace_with, TraceOptions};
 use luqr_runtime::{simulate_probed, simulate_with, Platform};
@@ -140,33 +136,6 @@ fn main() {
          cluster ({best}s vs {fifo}s)"
     );
 
-    // The same policies drive the *online* engine of the distributed
-    // streaming runtime — no graph materialized, same decision quality.
-    println!("\nonline distributed streaming (window 4):");
-    for policy in [SchedPolicy::Fifo, SchedPolicy::Eft] {
-        let online_opts = StreamOptions::fixed(4, opts.threads)
-            .with_platform(platform.clone())
-            .with_scheduler(policy);
-        let d = factor_stream_with(&a, &b, &opts, &online_opts).expect("grid fits platform");
-        let sim = d
-            .report
-            .sim
-            .as_ref()
-            .expect("a platform run reports virtual time");
-        println!(
-            "{:<16} makespan {:>11.6}s  {:>5} msgs  peak {:>5} live tasks",
-            policy.name(),
-            sim.makespan,
-            sim.messages,
-            d.report.peak_live_tasks,
-        );
-        assert_eq!(
-            d.solution().max_abs_diff(&f.solution()),
-            0.0,
-            "scheduling must never change the factorization"
-        );
-    }
-
     // ---- probed EFT replay: where does the makespan go? ----------------
     let probe = Probe::enabled();
     let (sim, report) = simulate_probed(&f.graph, &platform, SchedPolicy::Eft, &probe);
@@ -214,15 +183,6 @@ fn main() {
         "counter tracks missing from merged trace"
     );
 
-    // A probed *streaming* run feeds the Prometheus exposition: live
-    // window/scheduler/kernel metrics from the online engine.
-    let stream_probe = Probe::enabled();
-    let stream_opts = StreamOptions::fixed(4, opts.threads)
-        .with_platform(platform.clone())
-        .with_scheduler(SchedPolicy::Eft)
-        .with_probe(stream_probe.clone());
-    factor_stream_with(&a, &b, &opts, &stream_opts).expect("grid fits platform");
-
     // ---- telemetry exports ---------------------------------------------
     let dir = std::env::var_os("LUQR_PROBE_DIR")
         .map(PathBuf::from)
@@ -233,7 +193,7 @@ fn main() {
     let report_path = dir.join("probe_report.json");
     std::fs::write(&report_path, to_json(&report)).expect("write report");
     let prom_path = dir.join("probe.prom");
-    std::fs::write(&prom_path, to_prometheus(&stream_probe.report())).expect("write prom");
+    std::fs::write(&prom_path, to_prometheus(&report)).expect("write prom");
     println!(
         "\ntelemetry written:\n  {} (Chrome spans + counter tracks; lanes read e.g. \
          \"node2 (4c @ 4.26 GF) [eft]\")\n  {} (structured JSON)\n  {} (Prometheus text)",

@@ -1,15 +1,14 @@
-//! Distributed streaming demo: per-node windows composed with the
-//! platform communication model.
+//! Distributed streaming demo: per-node windows whose message routing is
+//! the platform simulator's communication model.
 //!
-//! Phase 1 runs a moderate-size hybrid factorization three ways — batch,
-//! single-process streaming, and distributed streaming — and verifies the
-//! solutions are bitwise identical *and* that the distributed run's online
-//! virtual-time report (makespan / messages / bytes, computed while the
-//! window drains) equals a discrete-event replay of the materialized batch
-//! graph. Phase 2 scales up with distributed streaming only: cluster-level
-//! makespan and message accounting at a size where the window's peak is
-//! orders of magnitude below the task count the batch path would have to
-//! materialize.
+//! Phase 1 runs a moderate-size hybrid factorization twice — batch and
+//! distributed streaming — and verifies the solutions are bitwise
+//! identical *and* that the window routed, on every directed link, exactly
+//! the payload messages and bytes a discrete-event replay of the
+//! materialized batch graph prices; the replay's virtual cluster time is
+//! printed. Phase 2 scales up with distributed streaming only: protocol
+//! accounting at a size where the window's peak is orders of magnitude
+//! below the task count the batch path would have to materialize.
 //!
 //! ```sh
 //! cargo run --release --example streaming_distributed [N] [nodes] [window]
@@ -18,10 +17,7 @@
 //! `nodes` picks the virtual process grid: 1 → 1x1, 2 → 2x1, 4 → 2x2,
 //! 16 → 4x4 (the paper's Dancer configuration).
 
-use luqr::{
-    factor, factor_stream, factor_stream_with, stability, Algorithm, Criterion, FactorOptions,
-    StreamOptions,
-};
+use luqr::{factor, factor_stream, stability, Algorithm, Criterion, FactorOptions};
 use luqr_runtime::{simulate, Platform};
 use luqr_tile::Grid;
 
@@ -62,12 +58,11 @@ fn main() {
         algorithm: Algorithm::LuQr(Criterion::Max { alpha: 100.0 }),
         ..FactorOptions::default()
     };
-    let dist_opts = StreamOptions::fixed(window, opts.threads).with_platform(platform.clone());
 
-    // ---- Phase 1: three-way parity + online-sim == batch replay. --------
+    // ---- Phase 1: parity + window routing == replay network. -----------
     let n_small = (n_big / 2).max(4 * opts.nb);
     println!(
-        "phase 1: batch vs streaming vs distributed at N = {n_small}, \
+        "phase 1: batch vs distributed streaming at N = {n_small}, \
          grid {}x{} ({} nodes), window = {window}",
         grid.p,
         grid.q,
@@ -75,39 +70,32 @@ fn main() {
     );
     let (a, b) = system(n_small);
     let batch = factor(&a, &b, &opts);
-    let stream = factor_stream(&a, &b, &opts, window);
-    let dist = factor_stream_with(&a, &b, &opts, &dist_opts).expect("grid fits platform");
-    let sim = dist
-        .report
-        .sim
-        .as_ref()
-        .expect("a platform run reports virtual time");
-
-    let xb = batch.solution();
+    let dist = factor_stream(&a, &b, &opts, window);
     assert_eq!(
-        xb.max_abs_diff(&stream.solution()),
-        0.0,
-        "single-process streaming must be bitwise-identical to batch"
-    );
-    assert_eq!(
-        xb.max_abs_diff(&dist.solution()),
+        batch.solution().max_abs_diff(&dist.solution()),
         0.0,
         "distributed streaming must be bitwise-identical to batch"
     );
+    // Per directed link: payload messages and bytes (retire reports are
+    // protocol, not payload).
     let replay = simulate(&batch.graph, &platform);
-    let rel = |a: f64, b: f64| (a - b).abs() / a.abs().max(b.abs()).max(1e-30);
-    assert!(
-        rel(replay.makespan, sim.makespan) <= 1e-9,
-        "online sim makespan {} != batch replay {}",
-        sim.makespan,
-        replay.makespan
-    );
-    assert_eq!(replay.messages, sim.messages, "message counts differ");
-    assert_eq!(replay.bytes, sim.bytes, "byte counts differ");
-    println!("  solutions bitwise identical across all three runtimes");
+    let routed: Vec<_> = dist
+        .report
+        .link_msgs
+        .iter()
+        .filter(|l| l.msgs.payload_msgs() > 0)
+        .map(|l| (l.src, l.dst, l.msgs.payload_msgs(), l.msgs.bytes))
+        .collect();
+    let priced: Vec<_> = replay
+        .link_messages
+        .iter()
+        .map(|l| (l.src, l.dst, l.messages, l.bytes))
+        .collect();
+    assert_eq!(routed, priced, "window routing != replay network");
+    println!("  solutions bitwise identical; window routing == replay network on every link");
     println!(
-        "  online virtual time == batch replay: makespan {:.4}s, {} msgs, {} bytes",
-        sim.makespan, sim.messages, sim.bytes
+        "  replayed virtual cluster: makespan {:.4}s, {} msgs, {} bytes",
+        replay.makespan, replay.messages, replay.bytes
     );
     let msgs = dist.report.msgs;
     println!(
@@ -124,13 +112,12 @@ fn main() {
         grid.nodes()
     );
     let t0 = std::time::Instant::now();
-    let f = factor_stream_with(&a, &b, &opts, &dist_opts).expect("grid fits platform");
+    let f = factor_stream(&a, &b, &opts, window);
     let dt = t0.elapsed().as_secs_f64();
     assert!(f.error.is_none(), "breakdown: {:?}", f.error);
     let x = f.solution();
     let hpl3 = stability::hpl3(&a, &x, &b);
     let r = &f.report;
-    let sim = r.sim.as_ref().expect("a platform run reports virtual time");
     println!(
         "  {} tasks executed in {dt:.3}s wall; peak live tasks {} \
          ({:.1}x reclaimed vs {} planned)",
@@ -140,13 +127,10 @@ fn main() {
         r.tasks_planned,
     );
     println!(
-        "  virtual cluster: makespan {:.4}s, {:.1} GFLOP/s normalized \
-         ({:.0}% of peak), {} messages, {:.1} MB moved",
-        sim.makespan,
-        sim.gflops_normalized(2.0 / 3.0 * (n_big as f64).powi(3)),
-        100.0 * sim.peak_fraction(&platform),
-        sim.messages,
-        sim.bytes as f64 / 1e6,
+        "  protocol: {} payload messages, {:.1} MB routed, {} retire reports",
+        r.msgs.payload_msgs(),
+        r.msgs.bytes as f64 / 1e6,
+        r.msgs.retire_msgs,
     );
     println!(
         "  LU steps: {:.0}% of {}; HPL3 backward error = {hpl3:.3e}",

@@ -4,7 +4,7 @@
 //! tiled storage, runtime, and the factorization drivers — together. This
 //! library target holds the fixtures they share.
 
-use luqr::{TreeConfig, TreeKind};
+use luqr::{LinkMsgStats, LinkTraffic, TreeConfig, TreeKind};
 use luqr_kernels::blas::{gemm, Trans};
 use luqr_kernels::Mat;
 
@@ -119,4 +119,25 @@ pub fn dominant_system(n: usize, seed: u64, nrhs: usize) -> (Mat, Mat) {
         &mut b,
     );
     (a, b)
+}
+
+/// A streamed run's window routes what the replay of the same
+/// factorization's batch graph prices: on every directed link, its payload
+/// messages (data + decision) and their bytes are the replay's
+/// `link_messages`. Retire reports are protocol, not payload.
+pub fn assert_routing_matches_replay(links: &[LinkMsgStats], replay: &[LinkTraffic], what: &str) {
+    let routed: Vec<LinkTraffic> = links
+        .iter()
+        .filter(|l| l.msgs.payload_msgs() > 0)
+        .map(|l| LinkTraffic {
+            src: l.src,
+            dst: l.dst,
+            messages: l.msgs.payload_msgs(),
+            bytes: l.msgs.bytes,
+        })
+        .collect();
+    assert_eq!(
+        routed, replay,
+        "{what}: per-link payload traffic, window vs replay"
+    );
 }

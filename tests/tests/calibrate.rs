@@ -2,8 +2,9 @@
 //! GEMM-keyed speed weights mis-rank nodes whose QR kernels behave
 //! differently from their GEMM — calibrating from the *observed*
 //! per-node, per-cost-class seconds of a first run fixes the ranking and
-//! improves the simulated makespan. The first run may be a batch replay or
-//! a streamed run's online `report.sim`: both observe the same speeds.
+//! improves the simulated makespan. The observation is the replay of the
+//! first run's batch graph; a streamed run under the calibrated
+//! distribution routes exactly what its replay priced.
 //!
 //! The platform is adversarial to GEMM keying on purpose: a wide node
 //! whose QR kernels run at a tenth of peak, next to a narrower node with
@@ -11,7 +12,7 @@
 //! wide node 4x faster; on an all-QR factorization (HQR) the narrow node
 //! is actually the stronger one.
 
-use luqr::{factor, factor_stream_with, Algorithm, DistPolicy, FactorOptions, StreamOptions};
+use luqr::{factor, factor_stream, Algorithm, DistPolicy, FactorOptions};
 use luqr_kernels::Mat;
 use luqr_runtime::{simulate, Efficiency, LinkSpec, NodeSpec, Platform, Topology};
 use luqr_tests::dominant_system;
@@ -115,29 +116,13 @@ fn calibrated_weights_beat_gemm_keyed_on_qr_heavy_run() {
     let (xa, _) = (x1.max_abs_diff(&x2), ());
     assert!(xa < 1e-8, "placements must not change the math: {xa}");
 
-    // The same loop over streamed runs: the first one's online report
-    // observes the batch replay's speeds bitwise, so it calibrates the
-    // same distribution, and the calibrated stream clears the same bar.
-    let streamed = |opts: &FactorOptions| {
-        let stream_opts = StreamOptions::fixed(2, 2).with_platform(platform.clone());
-        let f = factor_stream_with(&a, &b, opts, &stream_opts).expect("grid fits platform");
-        assert!(f.error.is_none());
-        f.report.sim.expect("a platform run reports virtual time")
-    };
-    let first_online = streamed(&gemm_keyed);
-    let bits = |speeds: &[f64]| speeds.iter().map(|s| s.to_bits()).collect::<Vec<_>>();
-    assert_eq!(
-        bits(&first_online.observed_node_speeds(&platform)),
-        bits(&measured),
-        "online and batch observations must agree bitwise"
-    );
-    let calibrated_online = gemm_keyed.clone().calibrated_from(&first_online, &platform);
-    assert_eq!(calibrated_online.tile_dist(), calibrated.tile_dist());
-    let second_online = streamed(&calibrated_online);
-    assert!(
-        second_online.makespan * 1.3 < first_online.makespan,
-        "calibrated weights must improve a streamed QR-heavy run: {} vs {}",
-        second_online.makespan,
-        first_online.makespan
+    // A streamed run under the calibrated distribution is the calibrated
+    // batch run, bitwise, and routes what that run's replay priced.
+    let streamed = factor_stream(&a, &b, &calibrated, 2);
+    assert_eq!(streamed.solution().max_abs_diff(&x2), 0.0);
+    luqr_tests::assert_routing_matches_replay(
+        &streamed.report.link_msgs,
+        &recal.link_messages,
+        "calibrated stream",
     );
 }

@@ -1,24 +1,21 @@
 //! Property tests for distributed streaming: for random systems,
-//! criteria, process grids, window sizes, and thread counts, (1) batch,
-//! single-process streaming, and distributed streaming produce bitwise
-//! identical solutions, and (2) the distributed run's online virtual-time
-//! report equals a `simulate()` replay of the equivalent batch graph on
-//! the same platform (makespan/serial/critical-path within 1e-9 relative,
-//! messages and bytes exactly).
+//! criteria, process grids, window sizes, and thread counts, (1) batch and
+//! distributed streaming produce bitwise identical solutions, and (2) the
+//! streamed run's window routes, on every directed link, exactly the
+//! payload messages and bytes of a `simulate()` replay of the equivalent
+//! batch graph on the same platform.
 //!
 //! Plus the heterogeneous-platform degeneracy pin: a [`Platform`] built as
 //! an explicit list of identical `NodeSpec`s under a `Uniform` topology is
 //! **bitwise** interchangeable with the homogeneous constructors — same
-//! `SimReport` (every field, spans included) from both the batch replay
-//! and the online distributed run. This is what guarantees the
-//! heterogeneity refactor changed nothing in the uniform case.
+//! `SimReport` (every field, spans included) from the batch replay. This is
+//! what guarantees the heterogeneity refactor changed nothing in the
+//! uniform case.
 
-use luqr::{
-    factor, factor_stream, factor_stream_with, Algorithm, Criterion, FactorOptions, StreamOptions,
-};
+use luqr::{factor, factor_stream, Algorithm, Criterion, FactorOptions};
 use luqr_kernels::Mat;
 use luqr_runtime::{simulate, LinkSpec, NodeSpec, Platform, Topology};
-use luqr_tests::dominant_system;
+use luqr_tests::{assert_routing_matches_replay, dominant_system};
 use luqr_tile::Grid;
 use proptest::prelude::*;
 
@@ -40,10 +37,6 @@ fn criterion_from(kind: usize, raw: u64) -> Criterion {
         3 => Criterion::AlwaysQr,
         _ => Criterion::AlwaysLu,
     }
-}
-
-fn close(a: f64, b: f64) -> bool {
-    a == b || (a - b).abs() <= 1e-9 * a.abs().max(b.abs()).max(1e-30)
 }
 
 proptest! {
@@ -77,42 +70,28 @@ proptest! {
 
         let batch = factor(&a, &b, &opts);
         let stream = factor_stream(&a, &b, &opts, window);
-        let dist_opts = StreamOptions::fixed(window, threads).with_platform(platform.clone());
-        let dist = factor_stream_with(&a, &b, &opts, &dist_opts).expect("grid fits platform");
-        let online = dist.report.sim.as_ref().expect("a platform run reports virtual time");
 
-        // Identical arithmetic and failure behavior across all three.
+        // Identical arithmetic and failure behavior.
         prop_assert_eq!(&batch.error, &stream.error);
-        prop_assert_eq!(&batch.error, &dist.error);
-        let xb = batch.solution();
-        prop_assert_eq!(xb.max_abs_diff(&stream.solution()), 0.0);
-        prop_assert_eq!(xb.max_abs_diff(&dist.solution()), 0.0);
-        prop_assert_eq!(batch.records.len(), dist.records.len());
-        for (rb, rd) in batch.records.iter().zip(&dist.records) {
-            prop_assert_eq!(rb.decision, rd.decision);
+        prop_assert_eq!(batch.solution().max_abs_diff(&stream.solution()), 0.0);
+        prop_assert_eq!(batch.records.len(), stream.records.len());
+        for (rb, rs) in batch.records.iter().zip(&stream.records) {
+            prop_assert_eq!(rb.decision, rs.decision);
         }
 
-        // Online virtual time ≡ batch replay.
+        // Window routing ≡ replay network, link for link.
         let sim = simulate(&batch.graph, &platform);
-        prop_assert!(
-            close(sim.makespan, online.makespan),
-            "makespan {} vs {}", sim.makespan, online.makespan
-        );
-        prop_assert!(close(sim.serial_seconds, online.serial_seconds));
-        prop_assert!(close(sim.critical_path, online.critical_path));
-        prop_assert_eq!(sim.messages, online.messages);
-        prop_assert_eq!(sim.bytes, online.bytes);
-        prop_assert_eq!(dist.report.msgs.payload_msgs(), online.messages);
+        assert_routing_matches_replay(&stream.report.link_msgs, &sim.link_messages, "stream");
 
         // Window bound in steps, as in the single-process runtime.
-        prop_assert!(dist.report.peak_live_steps <= window);
+        prop_assert!(stream.report.peak_live_steps <= window);
     }
 
     /// Degeneracy pin: an explicitly heterogeneous platform whose specs
     /// are all equal (and whose topology is `Uniform`) is bitwise
     /// indistinguishable from the homogeneous constructor — the whole
     /// `SimReport` (makespan, messages, bytes, spans, busy vector) is
-    /// `==` for both the batch replay and the online distributed run.
+    /// `==`, and both price what the window routed.
     #[test]
     fn identical_nodespecs_reproduce_the_homogeneous_path_bitwise(
         seed in any::<u64>(),
@@ -144,13 +123,7 @@ proptest! {
         let sim_h = simulate(&batch.graph, &hetero);
         prop_assert_eq!(&sim_u, &sim_h, "batch replay diverged");
 
-        let [dist_u, dist_h] = [uniform, hetero].map(|platform| {
-            let dist_opts = StreamOptions::fixed(2, opts.threads).with_platform(platform);
-            factor_stream_with(&a, &b, &opts, &dist_opts).expect("grid fits platform")
-        });
-        prop_assert_eq!(&dist_u.report.sim, &dist_h.report.sim, "online virtual time diverged");
-        prop_assert_eq!(
-            dist_u.solution().max_abs_diff(&dist_h.solution()), 0.0
-        );
+        let stream = factor_stream(&a, &b, &opts, 2);
+        assert_routing_matches_replay(&stream.report.link_msgs, &sim_h.link_messages, "hetero");
     }
 }

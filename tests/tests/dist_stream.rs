@@ -1,72 +1,25 @@
 //! Distributed-streaming integration tests: bitwise residual parity
-//! between batch, single-process streaming, and distributed streaming for
-//! every algorithm × robustness criterion at node counts {1, 4} and
-//! windows {1, 2, 7} — and equality of the streaming runtime's *online*
-//! virtual-time report with a `simulate()` replay of the equivalent batch
-//! graph on the same platform.
+//! between batch and streaming for every algorithm × robustness criterion
+//! at node counts {1, 4} and windows {1, 2, 7} — and, on every directed
+//! link, equality of the window's routed payload traffic with a
+//! `simulate()` replay of the equivalent batch graph on the same platform.
 
 use luqr::{
-    factor, factor_stream, factor_stream_with, Algorithm, Criterion, FactorOptions,
-    NodeCountMismatch, StreamFactorization, StreamOptions, WindowPolicy,
+    factor, factor_stream, factor_stream_with, Algorithm, Criterion, FactorOptions, StreamOptions,
+    WindowPolicy,
 };
 use luqr_kernels::Mat;
-use luqr_runtime::{simulate, Platform, SimReport};
+use luqr_runtime::{simulate, Platform};
+use luqr_tests::assert_routing_matches_replay;
 use luqr_tile::Grid;
 
 fn system(n: usize, seed: u64) -> (Mat, Mat) {
     luqr_tests::dominant_system(n, seed, 2)
 }
 
-/// The virtual-time summary of a run streamed with a platform.
-fn sim(f: &StreamFactorization) -> &SimReport {
-    f.report
-        .sim
-        .as_ref()
-        .expect("a platform run reports virtual time")
-}
-
-/// 1e-9 relative-tolerance comparison (the acceptance bar; in practice the
-/// two reports come from the same engine fed the same executed-task
-/// sequence, so they agree bitwise).
-fn close(a: f64, b: f64) -> bool {
-    a == b || (a - b).abs() <= 1e-9 * a.abs().max(b.abs()).max(1e-30)
-}
-
-fn assert_sim_matches(batch_sim: &SimReport, online: &SimReport, what: &str) {
-    assert!(
-        close(batch_sim.makespan, online.makespan),
-        "{what}: makespan {} (batch replay) vs {} (online)",
-        batch_sim.makespan,
-        online.makespan
-    );
-    assert!(
-        close(batch_sim.serial_seconds, online.serial_seconds),
-        "{what}: serial time diverged"
-    );
-    assert!(
-        close(batch_sim.critical_path, online.critical_path),
-        "{what}: critical path diverged"
-    );
-    assert!(
-        close(batch_sim.total_flops, online.total_flops),
-        "{what}: flops diverged"
-    );
-    assert_eq!(batch_sim.messages, online.messages, "{what}: messages");
-    assert_eq!(batch_sim.bytes, online.bytes, "{what}: bytes");
-    assert_eq!(batch_sim.node_busy.len(), online.node_busy.len());
-    for (i, (a, b)) in batch_sim
-        .node_busy
-        .iter()
-        .zip(&online.node_busy)
-        .enumerate()
-    {
-        assert!(close(*a, *b), "{what}: node {i} busy time diverged");
-    }
-}
-
-/// Batch vs single-process streaming vs distributed streaming, one
-/// configuration: bitwise solutions, step-for-step decisions, and the
-/// virtual-time ≡ batch-replay equality.
+/// Batch vs streaming vs the batch graph's replay, one configuration:
+/// bitwise solutions, step-for-step decisions, and the window's per-link
+/// payload traffic ≡ the replay's network.
 fn check_three_way(opts: &FactorOptions, platform: &Platform, window: usize, n: usize, seed: u64) {
     let what = format!(
         "{} grid={}x{} window={window}",
@@ -77,51 +30,28 @@ fn check_three_way(opts: &FactorOptions, platform: &Platform, window: usize, n: 
     let (a, b) = system(n, seed);
     let batch = factor(&a, &b, opts);
     let stream = factor_stream(&a, &b, opts, window);
-    let dist_opts = StreamOptions::fixed(window, opts.threads).with_platform(platform.clone());
-    let dist = factor_stream_with(&a, &b, opts, &dist_opts).expect("grid fits platform");
 
     assert_eq!(batch.error, stream.error, "{what}: error mismatch");
-    assert_eq!(batch.error, dist.error, "{what}: error mismatch");
-
-    let xb = batch.solution();
-    let xs = stream.solution();
-    let xd = dist.solution();
     assert_eq!(
-        xb.max_abs_diff(&xs),
+        batch.solution().max_abs_diff(&stream.solution()),
         0.0,
-        "{what}: single-process streaming diverged from batch"
-    );
-    assert_eq!(
-        xb.max_abs_diff(&xd),
-        0.0,
-        "{what}: distributed streaming diverged from batch"
+        "{what}: streaming diverged from batch"
     );
 
     // Criterion decisions match step for step.
-    assert_eq!(batch.records.len(), dist.records.len());
-    for (rb, rd) in batch.records.iter().zip(&dist.records) {
-        assert_eq!(rb.k, rd.k);
-        assert_eq!(rb.decision, rd.decision, "{what}: step {} decision", rb.k);
+    assert_eq!(batch.records.len(), stream.records.len());
+    for (rb, rs) in batch.records.iter().zip(&stream.records) {
+        assert_eq!(rb.k, rs.k);
+        assert_eq!(rb.decision, rs.decision, "{what}: step {} decision", rb.k);
     }
 
-    // The online virtual-time report equals a batch-graph replay.
-    let batch_sim = simulate(&batch.graph, platform);
-    assert_sim_matches(&batch_sim, sim(&dist), &what);
-
-    // Protocol payload messages are exactly the simulator's messages:
-    // both count one transfer per (produced version, destination node).
-    let msgs = dist.report.msgs;
-    assert_eq!(
-        msgs.payload_msgs(),
-        sim(&dist).messages,
-        "{what}: protocol DataMsg+DecisionMsg count must equal sim messages \
-         (data {} decision {})",
-        msgs.data_msgs,
-        msgs.decision_msgs
-    );
+    // The window routes what the replay prices: one payload message per
+    // (produced version, destination node), on every link.
+    let replay = simulate(&batch.graph, platform);
+    assert_routing_matches_replay(&stream.report.link_msgs, &replay.link_messages, &what);
 
     // The window bound survives distribution.
-    assert!(dist.report.peak_live_steps <= window, "{what}");
+    assert!(stream.report.peak_live_steps <= window, "{what}");
 }
 
 #[test]
@@ -159,40 +89,9 @@ fn distributed_streaming_parity_every_algorithm_and_criterion() {
     }
 }
 
-/// A grid bigger than the platform is a typed error from the entry point,
-/// not a panic inside the window's platform model.
-#[test]
-fn oversized_grid_is_a_typed_error() {
-    let opts = FactorOptions {
-        nb: 8,
-        ib: 4,
-        grid: Grid::new(4, 4),
-        algorithm: Algorithm::Hqr,
-        ..FactorOptions::default()
-    };
-    let (a, b) = system(32, 1);
-    let on_four = StreamOptions::fixed(2, opts.threads).with_platform(Platform::dancer_nodes(4));
-    let err = match factor_stream_with(&a, &b, &opts, &on_four) {
-        Err(e) => e,
-        Ok(_) => panic!("16-rank grid cannot fit a 4-node platform"),
-    };
-    assert_eq!(
-        err,
-        NodeCountMismatch {
-            required: 16,
-            available: 4
-        }
-    );
-    let msg = err.to_string();
-    assert!(msg.contains("16") && msg.contains("4 node"), "{msg}");
-    let fits = factor_stream_with(&a, &b, &opts.with_grid(Grid::new(2, 2)), &on_four)
-        .expect("a 2x2 grid fits a 4-node platform");
-    assert!(fits.report.sim.is_some());
-}
-
-/// The speed-weighted distribution keeps the three-runtime bitwise parity
-/// and the online-sim ≡ batch-replay equality on a genuinely mixed
-/// cluster (two fast nodes, two slow, hierarchical network).
+/// The speed-weighted distribution keeps the bitwise parity and the
+/// per-link routing ≡ replay equality on a genuinely mixed cluster (two
+/// fast nodes, two slow, hierarchical network).
 #[test]
 fn weighted_distribution_keeps_parity_on_a_mixed_cluster() {
     let platform = Platform::mixed_islands();
@@ -229,8 +128,7 @@ fn distributed_hybrid_counts_decision_broadcasts() {
         ..FactorOptions::default()
     };
     let (a, b) = system(64, 99);
-    let dist_opts = StreamOptions::fixed(2, opts.threads).with_platform(Platform::dancer_nodes(4));
-    let dist = factor_stream_with(&a, &b, &opts, &dist_opts).expect("grid fits platform");
+    let dist = factor_stream(&a, &b, &opts, 2);
     let msgs = dist.report.msgs;
     assert!(msgs.data_msgs > 0, "2x2 grid must move tiles");
     assert!(
@@ -241,12 +139,13 @@ fn distributed_hybrid_counts_decision_broadcasts() {
         msgs.retire_msgs > 0,
         "remote nodes must report step retirement"
     );
-    assert!(sim(&dist).makespan > 0.0);
-    assert!(sim(&dist).makespan >= sim(&dist).critical_path - 1e-12);
+    let replay = simulate(&factor(&a, &b, &opts).graph, &Platform::dancer_nodes(4));
+    assert!(replay.makespan > 0.0);
+    assert!(replay.makespan >= replay.critical_path - 1e-12);
 }
 
-/// Distributed streaming on a single-node platform moves zero messages
-/// and zero bytes, through every layer (protocol and virtual time).
+/// Distributed streaming on a single node moves zero messages and zero
+/// bytes, through every layer (protocol and replay).
 #[test]
 fn single_node_distributed_run_moves_nothing() {
     let opts = FactorOptions {
@@ -258,20 +157,19 @@ fn single_node_distributed_run_moves_nothing() {
         ..FactorOptions::default()
     };
     let (a, b) = system(48, 5);
-    let dist_opts = StreamOptions::fixed(3, opts.threads).with_platform(Platform::single_node(8));
-    let dist = factor_stream_with(&a, &b, &opts, &dist_opts).expect("grid fits platform");
+    let dist = factor_stream(&a, &b, &opts, 3);
     let msgs = dist.report.msgs;
     assert_eq!(msgs.data_msgs, 0);
     assert_eq!(msgs.decision_msgs, 0);
     assert_eq!(msgs.retire_msgs, 0);
     assert_eq!(msgs.bytes, 0);
-    assert_eq!(sim(&dist).messages, 0);
-    assert_eq!(sim(&dist).bytes, 0);
+    let replay = simulate(&factor(&a, &b, &opts).graph, &Platform::single_node(8));
+    assert_eq!(replay.messages, 0);
+    assert_eq!(replay.bytes, 0);
 }
 
 /// `latency = 0` degenerates the communication model to pure bandwidth
-/// cost: halving the bandwidth exactly doubles the total transfer time
-/// embedded in the makespan difference from the infinite-bandwidth run.
+/// cost; the replay still moves exactly what the window routed.
 #[test]
 fn zero_latency_platform_costs_pure_bandwidth() {
     let opts = FactorOptions {
@@ -284,15 +182,11 @@ fn zero_latency_platform_costs_pure_bandwidth() {
     };
     let (a, b) = system(48, 17);
     let p = Platform::dancer_nodes(4).with_latency(0.0);
-    let dist_opts = StreamOptions::fixed(2, opts.threads).with_platform(p.clone());
-    let dist = factor_stream_with(&a, &b, &opts, &dist_opts).expect("grid fits platform");
-    // Same run replayed from the batch graph must agree even at the
-    // degenerate point.
-    let batch = factor(&a, &b, &opts);
-    let replay = simulate(&batch.graph, &p);
-    assert_eq!(replay.messages, sim(&dist).messages);
-    assert!(close(replay.makespan, sim(&dist).makespan));
-    assert!(sim(&dist).bytes > 0);
+    let dist = factor_stream(&a, &b, &opts, 2);
+    let replay = simulate(&factor(&a, &b, &opts).graph, &p);
+    assert_routing_matches_replay(&dist.report.link_msgs, &replay.link_messages, "latency 0");
+    assert!(replay.bytes > 0);
+    assert!(replay.makespan > 0.0);
 }
 
 /// The autotuned window policy keeps bitwise parity and records a window
@@ -317,7 +211,7 @@ fn auto_window_keeps_parity_and_records_choices() {
         },
         ..StreamOptions::fixed(1, opts.threads)
     };
-    let stream = factor_stream_with(&a, &b, &opts, &stream_opts).expect("no platform to fit");
+    let stream = factor_stream_with(&a, &b, &opts, &stream_opts);
     assert_eq!(batch.solution().max_abs_diff(&stream.solution()), 0.0);
     assert_eq!(stream.report.per_step_window.len(), stream.report.steps);
     assert!(stream
@@ -342,7 +236,7 @@ fn streaming_trace_export_covers_executed_tasks() {
     };
     let (a, b) = system(48, 8);
     let stream_opts = StreamOptions::fixed(2, 2).with_trace();
-    let f = factor_stream_with(&a, &b, &opts, &stream_opts).expect("no platform to fit");
+    let f = factor_stream_with(&a, &b, &opts, &stream_opts);
     assert_eq!(f.report.trace.len(), f.report.tasks_executed);
     let mut nodes_seen = [false; 4];
     for ev in &f.report.trace {
@@ -358,26 +252,28 @@ fn streaming_trace_export_covers_executed_tasks() {
     assert!(json.contains("\"args\": {\"step\": 0}"));
     assert!(json.contains("PANEL(k=0)"));
     assert!(!json.contains("process_name"));
-    // Given a platform, lanes carry the node spec and the run's policy.
+    // Given a platform, lanes carry the node spec — and no policy stamp:
+    // the host workers pop by critical-path depth, not by a sim policy.
     let named = f.chrome_trace(Some(&Platform::dancer_nodes(4)));
-    assert!(named.contains("\"name\": \"node3 (8c @ 8.52 GF) [fifo]\""));
+    assert!(named.contains("\"name\": \"node3 (8c @ 8.52 GF)\""));
+    assert!(!named.contains("[fifo]"));
     // Untraced runs render an empty (but valid) document.
     let untraced = factor_stream(&a, &b, &opts, 2);
     assert_eq!(untraced.chrome_trace(None).trim(), "[\n\n]");
 }
 
 // ---------------------------------------------------------------------------
-// Real-transport distributed runs: the simulated protocol, performed.
+// Real-transport distributed runs: the counted protocol, performed.
 // ---------------------------------------------------------------------------
 
 use luqr::net::launch::{launch_multiprocess, NetJob};
 use luqr::{factor_stream_net, factor_stream_net_opts, NetTransportKind, Probe};
 
 /// One real-transport run against its two oracles: the batch factorization
-/// (bitwise numerics) and the *simulated* distributed run on a uniform
-/// platform (exact protocol message statistics, total and per link) —
-/// plus the runtime's own wire/protocol reconciliation surfaced through
-/// rank 0's [`luqr::NetReport`].
+/// (bitwise numerics) and the single-process distributed run, whose window
+/// simulates the ranks as virtual nodes (exact protocol message
+/// statistics, total and per link) — plus the runtime's own wire/protocol
+/// reconciliation surfaced through rank 0's [`luqr::NetReport`].
 fn check_net(opts: &FactorOptions, window: usize, n: usize, seed: u64, kind: &NetTransportKind) {
     let what = format!(
         "{} grid={}x{} window={window} over {kind:?}",
@@ -387,9 +283,7 @@ fn check_net(opts: &FactorOptions, window: usize, n: usize, seed: u64, kind: &Ne
     );
     let (a, b) = system(n, seed);
     let batch = factor(&a, &b, opts);
-    let platform = Platform::dancer_nodes(opts.grid.nodes());
-    let dist_opts = StreamOptions::fixed(window, opts.threads).with_platform(platform);
-    let dist = factor_stream_with(&a, &b, opts, &dist_opts).expect("grid fits platform");
+    let dist = factor_stream(&a, &b, opts, window);
     let net = factor_stream_net(&a, &b, opts, window, kind).expect("net run failed");
 
     assert_eq!(batch.error, net.error, "{what}: error mismatch");
@@ -609,9 +503,7 @@ fn net_four_worker_uds_processes_match_simulated_run() {
     let (a, b) = job.problem();
     let opts = job.options();
     let batch = factor(&a, &b, &opts);
-    let dist_opts =
-        StreamOptions::fixed(job.window, opts.threads).with_platform(Platform::dancer_nodes(4));
-    let dist = factor_stream_with(&a, &b, &opts, &dist_opts).expect("grid fits platform");
+    let dist = factor_stream(&a, &b, &opts, job.window);
 
     let mp = launch_multiprocess(&job, None).expect("multi-process run");
     assert_eq!(mp.error, None);

@@ -28,7 +28,7 @@ use luqr::{
 use luqr_kernels::blas::{gemm, gemm_reference, Trans};
 use luqr_kernels::Mat;
 use luqr_runtime::{simulate, simulate_with, LinkSpec, NodeSpec, Platform, SimReport, Topology};
-use luqr_tests::TWO_LEVEL;
+use luqr_tests::{assert_routing_matches_replay, TWO_LEVEL};
 use luqr_tile::Grid;
 
 /// The fixture every retired harness shared: a general random system (its
@@ -63,22 +63,6 @@ fn row(sim: &SimReport) -> (f64, u64) {
 /// critical-path, locality, eft). FIFO is the insertion-order `simulate()`.
 fn policy_sweep(f: &Factorization, platform: &Platform) -> [SimReport; 4] {
     SchedPolicy::all().map(|policy| simulate_with(&f.graph, platform, policy))
-}
-
-/// The virtual-time summary of `opts` streamed at `window` on `platform`.
-fn online_sim(
-    a: &Mat,
-    b: &Mat,
-    opts: &FactorOptions,
-    platform: &Platform,
-    window: usize,
-) -> SimReport {
-    let stream_opts = StreamOptions::fixed(window, opts.threads).with_platform(platform.clone());
-    factor_stream_with(a, b, opts, &stream_opts)
-        .expect("grid fits platform")
-        .report
-        .sim
-        .expect("a platform run reports virtual time")
 }
 
 fn contended_cluster() -> Platform {
@@ -148,8 +132,9 @@ fn sched_bars_hold_at_reduced_sizes() {
     assert_contended_bars(&policy_sweep(&factored(448, 64), &contended_cluster()));
 }
 
-/// Replaying the batch graph and advancing the virtual clocks online are
-/// one cost model: same makespan, same messages, at every window.
+/// The batch graph's replay is the one cost model, and what the streamed
+/// run routes online is what it prices: the same messages on every link,
+/// at every window.
 #[test]
 fn distsim_batch_replay_and_online_sim_agree_on_pinned_values() {
     let platform = Platform::dancer_nodes(4);
@@ -161,10 +146,12 @@ fn distsim_batch_replay_and_online_sim_agree_on_pinned_values() {
         let (a, b, opts) = fixture(n, 8, Grid::new(2, 2));
         let batch = factor(&a, &b, &opts);
         assert_eq!(batch.graph.len(), batch_tasks, "n = {n}");
-        assert_eq!(row(&simulate(&batch.graph, &platform)), want, "n = {n}");
+        let replay = simulate(&batch.graph, &platform);
+        assert_eq!(row(&replay), want, "n = {n}");
         for window in [2, 4] {
-            let online = online_sim(&a, &b, &opts, &platform, window);
-            assert_eq!(row(&online), want, "n = {n}, window {window}");
+            let links = factor_stream(&a, &b, &opts, window).report.link_msgs;
+            let what = format!("n = {n}, window {window}");
+            assert_routing_matches_replay(&links, &replay.link_messages, &what);
         }
     }
 }
@@ -194,7 +181,7 @@ fn hetero_weighted_distribution_pins() {
         let (a, b, plain) = fixture(n, 16, Grid::new(2, 2));
         let weighted = plain.clone().with_speed_weights(platform.node_speeds());
         let [plain, weighted] =
-            [plain, weighted].map(|opts| online_sim(&a, &b, &opts, &platform, 4));
+            [plain, weighted].map(|opts| simulate(&factor(&a, &b, &opts).graph, &platform));
         assert_eq!(row(&plain), block_cyclic);
         assert_eq!(row(&weighted), speed_weighted);
         assert!(
@@ -316,12 +303,12 @@ fn probes_on_cost_under_five_percent() {
     let (a, b, opts) = fixture(256, 8, Grid::single());
     let ratio = times_slower(
         || {
-            factor_stream_with(&a, &b, &opts, &StreamOptions::fixed(4, 1)).unwrap();
+            factor_stream_with(&a, &b, &opts, &StreamOptions::fixed(4, 1));
         },
         || {
             let probe = Probe::enabled();
             let stream_opts = StreamOptions::fixed(4, 1).with_probe(probe.clone());
-            factor_stream_with(&a, &b, &opts, &stream_opts).unwrap();
+            factor_stream_with(&a, &b, &opts, &stream_opts);
             probe.report();
         },
     );

@@ -1,6 +1,6 @@
 //! Probe-subsystem integration tests: probes never perturb what they
-//! measure (bitwise report parity with unprobed runs, across schedulers
-//! and across the batch / streaming / distributed paths), the makespan
+//! measure (bitwise report parity with unprobed runs, across the replay's
+//! schedulers and on the distributed streaming path), a replay's makespan
 //! attribution reconciles with the makespan on every node, and the three
 //! export formats are well-formed on real factorization telemetry.
 
@@ -67,28 +67,22 @@ fn probed_batch_replay_matches_and_reconciles_across_policies() {
 fn probed_distributed_streaming_is_bitwise_invariant() {
     let (a, b) = luqr_tests::dominant_system(50, 2014, 2);
     let opts = hybrid_opts(Grid::new(2, 2));
-    let plain_opts = StreamOptions::fixed(2, opts.threads)
-        .with_platform(Platform::dancer_nodes(4))
-        .with_scheduler(SchedPolicy::Eft);
-    let plain = factor_stream_with(&a, &b, &opts, &plain_opts).unwrap();
+    let plain_opts = StreamOptions::fixed(2, opts.threads);
+    let plain = factor_stream_with(&a, &b, &opts, &plain_opts);
     let probe = Probe::enabled();
     let stream_opts = plain_opts.with_probe(probe.clone());
-    let probed = factor_stream_with(&a, &b, &opts, &stream_opts).unwrap();
+    let probed = factor_stream_with(&a, &b, &opts, &stream_opts);
 
     assert_eq!(
         plain.solution().max_abs_diff(&probed.solution()),
         0.0,
         "probe changed the numerics"
     );
-    assert!(plain.report.sim.is_some());
-    assert_eq!(
-        plain.report.sim, probed.report.sim,
-        "probe changed the virtual time"
-    );
     assert_eq!(plain.report.msgs, probed.report.msgs);
     assert_eq!(plain.report.link_msgs, probed.report.link_msgs);
 
-    // The probe saw the run: kernels, protocol messages, attribution.
+    // The probe saw the run: kernels and protocol messages. Virtual-time
+    // attribution is a replay's (above).
     let report = probe.report();
     assert!(
         report
@@ -102,9 +96,7 @@ fn probed_distributed_streaming_is_bitwise_invariant() {
             .counter(metric::COMM_MSGS, Label::Kind("data"))
             > 0
     );
-    let att = report.attribution.as_ref().expect("attribution");
-    assert!(att.max_reconciliation_error() <= 1e-9 * att.makespan.max(1.0));
-    assert_eq!(att.nodes.len(), 4);
+    assert!(report.attribution.is_none());
 }
 
 #[test]

@@ -9,22 +9,21 @@
 //!    **bitwise equal** to the pre-refactor insertion-order engine
 //!    (`simulate()`, a raw `VirtualSchedule` feed). This is what
 //!    guarantees the committed BENCH baselines survived the subsystem.
-//! 2. **Scheduling never changes the factorization.** Every policy, on
-//!    both the batch replay and the online distributed-streaming engine,
-//!    leaves numerics bitwise identical (solutions, per-step decisions,
-//!    failure behavior) and moves exactly the same data (messages, bytes,
-//!    serial seconds, per-node-per-class observations) — only the
-//!    timeline may differ, and even then never below the critical path.
+//! 2. **Scheduling never changes the factorization.** Every policy's
+//!    replay moves exactly the same data (messages and bytes per link,
+//!    serial seconds, per-node-per-class observations) — only the timeline
+//!    may differ, and even then never below the critical path — and that
+//!    data is what the distributed streaming window routed, link for link,
+//!    while computing the batch path's numerics bitwise (solutions,
+//!    per-step decisions, failure behavior).
 //!
 //! The algorithm space is the full menu: all five hybrid criteria plus
 //! Random, and the four baselines — 10 algorithm/criterion combos — on
 //! 1-node and 4-node grids.
 
-use luqr::{
-    factor, factor_stream_with, Algorithm, Criterion, FactorOptions, SchedPolicy, StreamOptions,
-};
+use luqr::{factor, factor_stream, Algorithm, Criterion, FactorOptions, SchedPolicy};
 use luqr_runtime::{simulate, simulate_with, Platform, SchedEngine, SimReport, VirtualSchedule};
-use luqr_tests::dominant_system;
+use luqr_tests::{assert_routing_matches_replay, dominant_system};
 use luqr_tile::Grid;
 use proptest::prelude::*;
 
@@ -102,7 +101,7 @@ proptest! {
         prop_assert_eq!(&reference, &fifo, "eager fifo diverged");
 
         // ... and its generic buffer-and-select machinery, forced.
-        let mut eng = SchedEngine::with_spans(&platform, SchedPolicy::Fifo)
+        let mut eng = SchedEngine::new(&platform, SchedPolicy::Fifo)
             .with_forced_buffering();
         for t in f.graph.tasks() {
             let r = t.result().expect("executed graph");
@@ -110,13 +109,6 @@ proptest! {
         }
         eng.drain();
         prop_assert_eq!(&reference, &eng.report(), "buffered fifo diverged");
-
-        // The online engine (distributed streaming, Fifo) agrees too.
-        let dist_opts = StreamOptions::fixed(2, opts.threads).with_platform(platform.clone());
-        let dist = factor_stream_with(&a, &b, &opts, &dist_opts).expect("grid fits platform");
-        let online = dist.report.sim.expect("a platform run reports virtual time");
-        prop_assert_eq!(reference.makespan.to_bits(), online.makespan.to_bits());
-        prop_assert_eq!(reference.messages, online.messages);
     }
 
     #[test]
@@ -139,12 +131,24 @@ proptest! {
             ..FactorOptions::default()
         };
         let batch = factor(&a, &b, &opts);
-        let x_ref = batch.solution();
         let fifo = simulate(&batch.graph, &platform);
+
+        // Distributed streaming: numerics bitwise, failure behavior and
+        // decisions identical, and the replay's data flow routed link for
+        // link.
+        let dist = factor_stream(&a, &b, &opts, 2);
+        prop_assert_eq!(&batch.error, &dist.error);
+        prop_assert_eq!(batch.solution().max_abs_diff(&dist.solution()), 0.0);
+        prop_assert_eq!(batch.records.len(), dist.records.len());
+        for (rb, rd) in batch.records.iter().zip(&dist.records) {
+            prop_assert_eq!(rb.decision, rd.decision);
+        }
+        assert_routing_matches_replay(&dist.report.link_msgs, &fifo.link_messages, "stream");
 
         for policy in SchedPolicy::all() {
             // Batch replay: timeline may move, data flow may not.
             let sim = simulate_with(&batch.graph, &platform, policy);
+            prop_assert_eq!(&sim.link_messages, &fifo.link_messages, "{}", policy.name());
             prop_assert_eq!(sim.messages, fifo.messages, "{}", policy.name());
             prop_assert_eq!(sim.bytes, fifo.bytes);
             prop_assert!(close(sim.serial_seconds, fifo.serial_seconds));
@@ -155,23 +159,6 @@ proptest! {
                 }
             }
             prop_assert!(sim.makespan >= sim.critical_path - 1e-12);
-
-            // Online distributed streaming under the policy: numerics
-            // bitwise, failure behavior and decisions identical.
-            let dist_opts = StreamOptions::fixed(2, opts.threads)
-                .with_platform(platform.clone())
-                .with_scheduler(policy);
-            let dist = factor_stream_with(&a, &b, &opts, &dist_opts).expect("grid fits platform");
-            let online = dist.report.sim.as_ref().expect("a platform run reports virtual time");
-            prop_assert_eq!(&batch.error, &dist.error, "{}", policy.name());
-            prop_assert_eq!(x_ref.max_abs_diff(&dist.solution()), 0.0, "{}", policy.name());
-            prop_assert_eq!(batch.records.len(), dist.records.len());
-            for (rb, rd) in batch.records.iter().zip(&dist.records) {
-                prop_assert_eq!(rb.decision, rd.decision);
-            }
-            prop_assert_eq!(online.messages, fifo.messages);
-            prop_assert_eq!(online.bytes, fifo.bytes);
-            prop_assert_eq!(dist.report.msgs.payload_msgs(), online.messages);
         }
     }
 

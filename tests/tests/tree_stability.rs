@@ -113,8 +113,7 @@ fn two_stream_workers_match_one_bitwise_at_the_default_tree() {
     ] {
         let opts = options(algorithm, TreeConfig::default());
         let [one, two] = [1, 2].map(|workers| {
-            let f = factor_stream_with(&a, &b, &opts, &StreamOptions::fixed(3, workers))
-                .expect("no platform to fit");
+            let f = factor_stream_with(&a, &b, &opts, &StreamOptions::fixed(3, workers));
             assert!(f.error.is_none(), "{:?}", f.error);
             f.solution()
         });
