@@ -38,11 +38,11 @@
 //! **Tasks are data.** A planner does not build task bodies: it pushes one
 //! [`TaskOp`] per task — a `Copy` descriptor `(kind, k, i, j, …, gate)` —
 //! into the [`TaskSink`], after publishing the step's
-//! [`crate::state::StepCells`] (the lists an op cannot carry, and the cells
+//! `state::StepCells` (the lists an op cannot carry, and the cells
 //! the step's tasks communicate through). The op's owner node is derived
 //! from it here, at the current distribution; its name, accesses and body
 //! are derived by the runtime when it needs them ([`crate::op`],
-//! [`crate::interp`]). A plan is therefore a sequence of small hashable
+//! `interp`). A plan is therefore a sequence of small hashable
 //! values, identical for the batch graph and the streaming window.
 
 pub mod hqr;

@@ -8,7 +8,7 @@
 //! bookkeeping), remote tasks degenerate to placement stubs, and the data /
 //! decision / retirement protocol crosses a [`luqr_runtime::Transport`] as
 //! length-prefixed wire frames. Payload bytes are produced and consumed by
-//! the [`payload`] store, which resolves every declared datum key to a
+//! the `payload` store, which resolves every declared datum key to a
 //! tile of the rank's mirror or a cell of the run's per-step table.
 //!
 //! **What a rank holds.** Its mirror starts with the tiles homed on it

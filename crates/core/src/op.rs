@@ -2,9 +2,9 @@
 //! kind plus its `(k, i, j, …)` tile indices and a branch gate — and
 //! everything else about the task is a function of it: its name, its
 //! elimination step, its owner node, its data accesses (here) and its body
-//! ([`crate::interp`]). Lists an op cannot carry — the trial rows of a
+//! (`interp`). Lists an op cannot carry — the trial rows of a
 //! panel, the rows of a row-exchange group — are read from the step's
-//! [`crate::state::StepPlan`], which outlives the step's tasks.
+//! `state::StepPlan`, which outlives the step's tasks.
 
 use luqr_runtime::{Access, DataClass, DataKey, TaskResult};
 use luqr_tile::Dist;

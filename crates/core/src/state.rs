@@ -2,19 +2,19 @@
 //! its driver: the tiles, the options, and one table of per-step cells.
 //!
 //! A [`crate::TaskOp`] carries indices only. Everything else about a step
-//! lives in the [`StepCells`] of that step, in two parts with two
+//! lives in the `StepCells` of that step, in two parts with two
 //! lifetimes:
 //!
-//! * the **plan** ([`StepPlan`] and the step's LU/QR decision) — the part
+//! * the **plan** (`StepPlan` and the step's LU/QR decision) — the part
 //!   of a step's plan that is a list rather than an index (the trial rows,
 //!   the criterion and row-exchange groups). A few words per panel row,
 //!   kept for the whole run, because names, accesses and owners are
 //!   re-derived from it whenever a graph is replayed, simulated or drawn;
-//! * the **data** ([`StepData`]) — what the step's task bodies read and
+//! * the **data** (`StepData`) — what the step's task bodies read and
 //!   write besides tiles: the trial panel factorization, panel backups,
 //!   criterion data, T-factors, row-exchange snapshots, IncPiv L factors,
 //!   indexed by tile row or column. Tile-sized, touched by tasks of the
-//!   step only, and dropped by [`RunCtx::retire_step`] when the last of
+//!   step only, and dropped by `RunCtx::retire_step` when the last of
 //!   them has completed — the batch executor, the streaming window and a
 //!   net rank all call it through [`luqr_runtime::TaskOp::retire_step`].
 //!   A run therefore holds the data of its live steps, not of every step

@@ -563,7 +563,7 @@ const TRSM_NB: usize = 16;
 ///
 /// `A` is the triangular factor; only the triangle selected by `uplo` is
 /// referenced (plus the diagonal unless `Diag::Unit`). Triangles larger than
-/// [`TRSM_NB`] take a blocked path whose bulk work runs on the packed GEMM
+/// `TRSM_NB` take a blocked path whose bulk work runs on the packed GEMM
 /// microkernel.
 pub fn trsm(side: Side, uplo: UpLo, trans: Trans, diag: Diag, alpha: f64, a: &Mat, b: &mut Mat) {
     let (m, n) = b.dims();

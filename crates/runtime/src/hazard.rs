@@ -1,13 +1,13 @@
 //! The one superscalar hazard-inference implementation.
 //!
-//! Three subsystems infer RAW / WAR / WAW dependence edges from declared
-//! data accesses: the batch [`crate::graph::GraphBuilder`], the streaming
-//! window's per-node datum directories (`stream/window.rs`), and the
-//! policy-driven [`crate::sched::SchedEngine`]. They used to carry three
-//! hand-kept copies of the same rules; this module is the shared core all
-//! three now call, parameterized over the writer payload `W` each client
-//! needs to remember about the last writer (nothing for the builder and
-//! the engine, the placement/completion record for the window).
+//! Two subsystems infer RAW / WAR / WAW dependence edges from declared
+//! data accesses: the batch [`crate::graph::GraphBuilder`] and the
+//! streaming window's per-node datum directories (`stream/window.rs`).
+//! This module is the core both call, parameterized over the writer
+//! payload `W` each client needs to remember about the last writer
+//! (nothing for the builder, the placement/completion record for the
+//! window). The replay ([`crate::sim::simulate_with`]) infers nothing: it
+//! schedules the edges the builder stored in the graph.
 //!
 //! The rules, per datum (one [`HazardCell`]):
 //!

@@ -12,10 +12,10 @@
 //!   themselves — the paper's dynamic task-graph mechanism ("select the
 //!   adequate tasks on the fly, and discard the useless ones").
 //! * [`hazard`] — the one RAW/WAR/WAW inference implementation behind
-//!   [`graph`], [`sched`], and the streaming window's datum directories,
+//!   [`graph`]'s builder and the streaming window's datum directories,
 //!   parameterized over the per-writer payload each client keeps.
 //! * [`hash`] — the one integer hasher behind every sparse-key table
-//!   ([`graph`], [`sched`], [`vtime`], the streaming window).
+//!   ([`graph`], [`sched`]'s ready set, [`vtime`], the streaming window).
 //! * [`exec`] — a dependency-counting multithreaded executor.
 //! * [`platform`] / [`sim`] — a description of the paper's *Dancer* cluster
 //!   and a discrete-event simulator replaying executed graphs against it:
@@ -36,10 +36,12 @@
 //!   by the SPMD executor [`stream::execute_net`].
 //! * [`vtime`] — the virtual-time engine behind [`sim`]: the discrete-event
 //!   model consumed one task at a time.
-//! * [`sched`] — pluggable ready-task selection over that engine for the
-//!   replay: FIFO (insertion order, the bitwise-pinned default),
-//!   critical-path, locality-aware, and HEFT-style earliest-finish-time
-//!   policies; its critical-path queue also orders the streaming workers.
+//! * [`sched`] — the replay's driver and its pluggable ready-task
+//!   selection: the graph's stored edges release tasks into a ready set,
+//!   and a policy — FIFO (id order, the bitwise-pinned default),
+//!   critical-path, locality-aware, or HEFT-style earliest finish time —
+//!   picks which one the virtual-time engine costs next; its
+//!   critical-path queue also orders the streaming workers.
 //! * [`probe`] — typed metrics probes (counters, gauges, time-series
 //!   histograms) threaded through the scheduler, the streaming window, the
 //!   comm model, and the vtime engine, plus a replay's makespan
@@ -78,7 +80,7 @@ pub use probe::{
     AttribBuckets, Attribution, Histogram, Label, NoopSink, Probe, ProbeReport, ProbeSink,
     ProbeSnapshot, Registry,
 };
-pub use sched::{SchedEngine, SchedPolicy, Scheduler};
+pub use sched::{SchedPolicy, Scheduler};
 pub use sim::{simulate, simulate_probed, simulate_with, SimReport};
 pub use stream::{
     NetConfig, StepPhase, StepSource, StreamOptions, StreamReport, StreamWindow, WindowPolicy,

@@ -1,12 +1,14 @@
 //! Critical-path-depth priority: the deepest ready chain runs first.
 //!
-//! For every task the engine computes its longest hazard chain from the
-//! sources (`depth = 1 + max depth(pred)`, over *all* hazard predecessors,
-//! scheduled ones included). The deepest chain in an LU/QR factorization
-//! is the panel chain — PANEL(k) → column-(k+1) updates → PANEL(k+1) → … —
-//! so popping the deepest ready task first keeps the panel chain hot
-//! instead of draining a step's embarrassingly parallel trailing updates
-//! first. This is the online analogue of HEFT's upward rank: with
+//! Every task's priority is its longest dependency chain from the sources,
+//! `depth = 1 + max depth(pred)` over *all* its predecessors, scheduled
+//! ones included: the replay computes it in one forward pass over the
+//! graph's edges in id order, the streaming window folds it along the
+//! hazard edges it infers at insertion. The deepest chain in an LU/QR
+//! factorization is the panel chain — PANEL(k) → column-(k+1) updates →
+//! PANEL(k+1) → … — so popping the deepest ready task first keeps the
+//! panel chain hot instead of draining a step's embarrassingly parallel
+//! trailing updates first. This is the online analogue of HEFT's upward rank: with
 //! successors unknown at submission time (the streaming window plans
 //! steps lazily), chain depth *from the entry* is the computable stand-in,
 //! and in a factorization's forward-flowing DAG the two orders agree along
@@ -79,10 +81,6 @@ pub struct CriticalPath {
 }
 
 impl Scheduler for CriticalPath {
-    fn name(&self) -> &'static str {
-        "critical-path"
-    }
-
     fn push(&mut self, task: ReadyTask) {
         self.queue.push(task.depth, task.id, task.node);
     }

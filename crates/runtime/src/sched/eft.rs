@@ -87,10 +87,6 @@ pub struct Eft {
 }
 
 impl Scheduler for Eft {
-    fn name(&self) -> &'static str {
-        "eft"
-    }
-
     fn push(&mut self, task: ReadyTask) {
         self.heap.push(Reverse(Entry::unscored(task)));
     }

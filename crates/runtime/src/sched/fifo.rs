@@ -1,11 +1,12 @@
 //! Insertion-order selection: the policy that pins history.
 //!
-//! Hazard edges always point from lower to higher submission ids, so the
+//! Graph edges always point from lower to higher task ids, so the
 //! smallest ready id is always the smallest *unscheduled* id — popping it
 //! replays insertion order exactly, claim for claim, transfer for
 //! transfer. `sched_props.rs` pins this bitwise against a raw
-//! [`crate::vtime::VirtualSchedule`] feed, which is what keeps the
-//! makespans pinned in `tests/tests/pins.rs` valid under the policy engine.
+//! [`crate::vtime::VirtualSchedule`] fed the graph's tasks in id order,
+//! which is what keeps the makespans pinned in `tests/tests/pins.rs`
+//! valid: FIFO is one more policy of the replay, with no path of its own.
 
 use std::collections::BTreeMap;
 
@@ -19,10 +20,6 @@ pub struct Fifo {
 }
 
 impl Scheduler for Fifo {
-    fn name(&self) -> &'static str {
-        "fifo"
-    }
-
     fn push(&mut self, task: ReadyTask) {
         self.ready.insert(task.id, task);
     }
@@ -50,10 +47,10 @@ mod tests {
                 depth: 1,
             });
         }
-        let view_tasks = crate::hash::IntMap::default();
-        let platform = crate::platform::Platform::single_node(1);
-        let vt = crate::vtime::VirtualSchedule::new(&platform);
-        let view = SchedView::new(&vt, &view_tasks);
+        // Fifo never scores: a view of an empty ready set will do.
+        let vt = crate::vtime::VirtualSchedule::new(&crate::platform::Platform::single_node(1));
+        let pending = crate::hash::IntMap::default();
+        let view = SchedView::new(&vt, &pending);
         let order: Vec<TaskId> = std::iter::from_fn(|| f.pop(&view).map(|t| t.id)).collect();
         assert_eq!(order, vec![1, 3, 5, 9]);
     }

@@ -70,10 +70,6 @@ pub struct LocalityAware {
 }
 
 impl Scheduler for LocalityAware {
-    fn name(&self) -> &'static str {
-        "locality"
-    }
-
     fn push(&mut self, task: ReadyTask) {
         self.ready.push(Entry {
             task,

@@ -9,22 +9,23 @@
 //! queues, the setting the source paper's PLASMA/DPLASMA work builds on)
 //! says matters most on heterogeneous platforms.
 //!
-//! A [`Scheduler`] owns exactly that choice: the engine layer
-//! ([`SchedEngine`]) infers hazard dependencies from each submitted task's
-//! declared accesses (the same RAW/WAR/WAW rules as
-//! [`crate::graph::GraphBuilder`] and the streaming window), maintains the
-//! ready set, and asks the policy which ready task claims resources next.
-//! Four policies ship:
+//! A [`Scheduler`] owns exactly that choice. The replay driver
+//! (`engine.rs`, behind [`crate::sim::simulate_with`]) schedules the graph
+//! it is given: each task's remaining-predecessor count starts at the
+//! graph's `num_preds`, a task enters the ready set when its last
+//! predecessor has been costed, and the policy picks which ready task
+//! claims resources next. No hazard is inferred here — the edges are the
+//! ones [`crate::graph::GraphBuilder`] stored. Four policies ship:
 //!
 //! * [`Fifo`] — insertion order. Pins the pre-subsystem behavior **bitwise**
-//!   (property-tested): with every hazard edge pointing from lower to
+//!   (property-tested): with every graph edge pointing from lower to
 //!   higher ids, always popping the smallest ready id replays insertion
 //!   order exactly.
 //! * [`CriticalPath`] — deepest-chain first, the generalization of the
 //!   streaming window's ready queue (one implementation, shared): priority
-//!   is the task's longest hazard chain from the sources, the online
-//!   analogue of HEFT's upward rank for a DAG whose successors are not yet
-//!   known.
+//!   is the task's longest dependency chain from the sources, the
+//!   analogue of HEFT's upward rank the streaming window can compute
+//!   online, before a task's successors exist.
 //! * [`LocalityAware`] — deepest chain first, fewest missing input bytes
 //!   among equals: keep the makespan-bounding chain fed, and break depth
 //!   ties toward tasks whose input tiles are already resident on (or
@@ -40,8 +41,9 @@
 //! Scheduling **never** changes the factorization: placements, kernels,
 //! and numerical results are fixed by the algorithm layer; a policy only
 //! permutes the virtual timeline. The timeline-only invariant is
-//! property-tested in `sched_props.rs` (every policy's replay moves the
-//! data the streaming window routed, link for link).
+//! property-tested in `sched_props.rs`: every policy's replay moves the
+//! data the streaming window routed, link for link, and finishes every
+//! executed task before any executed successor of it starts.
 
 mod critical_path;
 mod eft;
@@ -51,7 +53,8 @@ mod locality;
 
 pub use critical_path::{CriticalPath, Ready, ReadyQueue};
 pub use eft::Eft;
-pub use engine::{SchedEngine, SchedView};
+pub(crate) use engine::replay;
+pub use engine::SchedView;
 pub use fifo::Fifo;
 pub use locality::LocalityAware;
 
@@ -103,39 +106,36 @@ impl SchedPolicy {
     }
 }
 
-/// A task whose hazard predecessors have all been scheduled, with the
+/// A task whose graph predecessors have all been scheduled, with the
 /// static metadata policies key on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReadyTask {
-    /// Submission id (insertion order).
+    /// Task id (insertion order).
     pub id: TaskId,
     /// Owner node (owner-computes placement — policies pick *when*, never
     /// *where*).
     pub node: usize,
-    /// Critical-path depth: `1 + max` over hazard predecessors.
+    /// Critical-path depth: `1 + max` over graph predecessors.
     pub depth: u64,
 }
 
 /// Ready-task selection: the one decision the subsystem owns.
 ///
-/// The engine pushes a task the moment its last hazard predecessor is
+/// The replay pushes a task the moment its last graph predecessor is
 /// scheduled and pops one whenever it wants to advance the virtual clock;
-/// `pop` receives a read-only [`SchedView`] of the engine so dynamic
+/// `pop` receives a read-only [`SchedView`] of the replay so dynamic
 /// policies (locality, EFT) can score candidates against the *current*
 /// core and network state. Implementations must be deterministic: equal
 /// scores break toward the earliest-inserted task everywhere, which keeps
 /// every report reproducible run to run.
 pub trait Scheduler: Send {
-    /// Stable policy name.
-    fn name(&self) -> &'static str;
-
     /// A task entered the ready set.
     fn push(&mut self, task: ReadyTask);
 
     /// Select and remove the next task to schedule (`None` iff empty).
     fn pop(&mut self, view: &SchedView<'_>) -> Option<ReadyTask>;
 
-    /// The engine just processed a task executing on `node`: any cached
+    /// The replay just processed a task executing on `node`: any cached
     /// score that depends on that node's residency or clocks is stale.
     /// Policies that score fresh at pop time (or key on static metadata)
     /// ignore this; cache-keeping policies ([`LocalityAware`]) use it to
@@ -155,7 +155,7 @@ pub trait Scheduler: Send {
 /// toward the deeper chain and then the earlier insertion — the
 /// determinism contract both production implementations (locality's
 /// dirty-node cache, EFT's lazy heap) must reproduce, and what the
-/// engine's equivalence tests pin them against. Scores are evaluated at
+/// replay's equivalence tests pin them against. Scores are evaluated at
 /// call time. An unordered score comparison (NaN) never wins.
 #[cfg(test)]
 pub(crate) fn take_best_scored<K: PartialOrd>(

@@ -10,26 +10,24 @@
 //! tasks (the unselected LU/QR branch) take zero time and move zero data —
 //! like PaRSEC's dropped alternatives.
 //!
-//! The replay is a thin driver over the policy engine
-//! ([`crate::sched::SchedEngine`], costing each task with
-//! [`crate::vtime::VirtualSchedule`]): the graph's tasks are submitted in
-//! insertion order. It is the one platform model: a streamed run of the
-//! same factorization inserts the chosen branch's tasks in the same order
-//! and routes the same transfers (its per-link payload messages are this
-//! report's `link_messages`), so its virtual time is this replay's —
-//! discarded branches contribute nothing.
+//! The replay schedules the graph's stored edges through the scheduler
+//! subsystem's driver ([`crate::sched`]), costing each task with
+//! [`crate::vtime::VirtualSchedule`]. It is the one platform model: a
+//! streamed run of the same factorization inserts the chosen branch's
+//! tasks in the same order and routes the same transfers (its per-link
+//! payload messages are this report's `link_messages`), so its virtual
+//! time is this replay's — discarded branches contribute nothing.
 //!
-//! **Scheduling policy.** [`simulate`] produces an insertion-order list
-//! schedule: task `i` claims cores and network slots strictly after tasks
-//! `0..i` (a valid topological order — hazard edges always point
-//! forward); it is [`simulate_with`] under the default FIFO policy, whose
-//! engine costs each task the moment it is submitted. The other policies
-//! of the pluggable scheduler subsystem ([`crate::sched`]) buffer the
-//! graph and let a [`crate::sched::Scheduler`] pick which *ready* task
-//! advances the virtual clock next — critical-path, locality-aware, or
-//! HEFT-style earliest finish time. Scheduling never changes the
-//! factorization or the data flow (messages/bytes are policy-invariant); it
-//! only chooses which valid list schedule the platform model costs.
+//! **Scheduling policy.** Ready tasks — those whose graph predecessors
+//! have all been costed — advance the virtual clock in the order a
+//! [`crate::sched::Scheduler`] picks. [`simulate`] is [`simulate_with`]
+//! under FIFO, the smallest ready id first: an insertion-order list
+//! schedule in which task `i` claims cores and network slots strictly
+//! after tasks `0..i` (edges always point forward). The other policies
+//! are critical-path, locality-aware and HEFT-style earliest finish time.
+//! Scheduling never changes the factorization or the data flow
+//! (messages/bytes are policy-invariant); it only chooses which valid
+//! list schedule the platform model costs.
 //!
 //! This is the performance vehicle of the reproduction: the build machine
 //! cannot physically reproduce a 128-core cluster, but the task graph it
@@ -38,10 +36,10 @@
 //! paper's performance shapes (Figure 2, Table II).
 
 use crate::comm::LinkTraffic;
-use crate::graph::{CostClass, Graph, TaskOp, TaskRef, TaskResult};
+use crate::graph::{CostClass, Graph, TaskOp};
 use crate::platform::Platform;
 use crate::probe::{Probe, ProbeReport};
-use crate::sched::{SchedEngine, SchedPolicy};
+use crate::sched::{replay, SchedPolicy};
 
 /// Result of simulating a graph on a platform.
 #[derive(Debug, Clone, PartialEq)]
@@ -68,7 +66,7 @@ pub struct SimReport {
     /// Total executed flops (Memory/Control excluded).
     pub total_flops: f64,
     /// Per-(src, dst) payload traffic, in link order. Sums to `messages`
-    /// / `bytes`; identical across every engine path for the same run
+    /// / `bytes`; identical under every scheduling policy for the same run
     /// (the network model tallies at its one send chokepoint).
     pub link_messages: Vec<LinkTraffic>,
     /// Per-task start times (simulation seconds, by task id).
@@ -163,56 +161,31 @@ impl SimReport {
     }
 }
 
-/// Check the platform can host the graph, then feed every task — its
-/// placement, its re-derived accesses, its recorded result — to `submit`
-/// in insertion order.
-///
-/// Panics if any task lacks a recorded result (run
-/// [`crate::exec::execute`] first) or is placed on a node outside the
-/// platform.
-fn replay<O: TaskOp>(
-    graph: &Graph<O>,
-    platform: &Platform,
-    mut submit: impl FnMut(&TaskRef<'_, O>, &[crate::graph::CostedAccess], TaskResult),
-) {
-    if let Err(e) = platform.require_nodes(graph.num_nodes) {
-        panic!(
-            "cannot simulate: {e} (graph placements reference {} nodes)",
-            graph.num_nodes
-        );
-    }
-    let mut accesses = Vec::new();
-    for t in graph.tasks() {
-        let r = t
-            .result()
-            .unwrap_or_else(|| panic!("task '{}' has no result; execute first", t.name()));
-        t.accesses_into(&mut accesses);
-        submit(&t, &accesses, r);
-    }
-}
-
 /// Simulate an executed graph on `platform` under the insertion-order
-/// (FIFO) schedule: [`simulate_with`] under [`SchedPolicy::Fifo`], whose
-/// engine costs each task as it is submitted.
+/// (FIFO) schedule: [`simulate_with`] under [`SchedPolicy::Fifo`].
 pub fn simulate<O: TaskOp>(graph: &Graph<O>, platform: &Platform) -> SimReport {
     simulate_with(graph, platform, SchedPolicy::Fifo)
 }
 
-/// Simulate an executed graph under a scheduling policy: the whole graph
-/// is submitted to the policy-driven engine ([`SchedEngine`]) and drained
-/// in the order the policy selects. Report spans stay indexed by task id
-/// whatever order that is.
+/// Simulate an executed graph under a scheduling policy: the graph's
+/// ready tasks claim cores and network slots in the order the policy
+/// selects. Report spans stay indexed by task id whatever order that is.
+///
+/// Panics if any task lacks a recorded result (run
+/// [`crate::exec::execute`] first) or is placed on a node outside the
+/// platform.
 pub fn simulate_with<O: TaskOp>(
     graph: &Graph<O>,
     platform: &Platform,
     policy: SchedPolicy,
 ) -> SimReport {
-    let mut eng = SchedEngine::new(platform, policy);
-    replay(graph, platform, |t, accesses, r| {
-        eng.submit(t.node(), accesses, r);
-    });
-    eng.drain();
-    eng.report()
+    replay(
+        graph,
+        platform,
+        policy,
+        policy.scheduler(),
+        &Probe::disabled(),
+    )
 }
 
 /// [`simulate_with`] with metrics probes attached: tasks are tagged with
@@ -227,17 +200,8 @@ pub fn simulate_probed<O: TaskOp>(
     policy: SchedPolicy,
     probe: &Probe,
 ) -> (SimReport, ProbeReport) {
-    let mut eng = SchedEngine::new(platform, policy);
-    eng.attach_probe(probe);
-    replay(graph, platform, |t, accesses, r| {
-        eng.submit_tagged(t.node(), accesses, r, t.step());
-    });
-    eng.drain();
-    eng.flush_probe();
-    if let Some(att) = eng.attribution() {
-        probe.set_attribution(att);
-    }
-    (eng.report(), probe.report())
+    let sim = replay(graph, platform, policy, policy.scheduler(), probe);
+    (sim, probe.report())
 }
 
 #[cfg(test)]

@@ -1,7 +1,7 @@
 //! Critical-path-depth task priorities for the streaming window's
 //! host-side workers.
 //!
-//! The implementation moved to [`crate::sched::critical_path`] when the
+//! The implementation moved to [`crate::sched::ReadyQueue`] when the
 //! scheduler subsystem generalized it: the same depth metric and the same
 //! max-heap now drive both the batch virtual-time schedule (as the
 //! [`crate::sched::CriticalPath`] policy) and the streaming workers' pop

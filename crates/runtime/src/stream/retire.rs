@@ -10,7 +10,7 @@
 //! statistics the reports expose.
 //!
 //! Retirement is the end of a step's memory, not only of its planner
-//! slot: on the [`StepEvent::retired`] event the window drops the
+//! slot: on the `StepEvent::retired` event the window drops the
 //! directory entries of the data declared inside the step and calls
 //! [`crate::graph::TaskOp::retire_step`], so the run context drops the
 //! cells the step's task bodies communicated through. What a run holds is

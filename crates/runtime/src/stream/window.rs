@@ -2,7 +2,7 @@
 //! edge and shrinks at the completion edge, distributed over virtual nodes
 //! whose cross-node progress flows through explicit messages.
 //!
-//! [`StreamWindow`] accepts task insertions through the same [`TaskSink`]
+//! [`StreamWindow`] accepts task insertions through the same [`crate::graph::TaskSink`]
 //! surface as the batch [`crate::graph::GraphBuilder`] — one [`TaskOp`]
 //! descriptor per task — and infers the same RAW / WAR / WAW hazard edges
 //! from the op's accesses, with one twist: a dependency on a task that has
@@ -27,12 +27,12 @@
 //!
 //! The one thing a record keeps that an op may also say is its *step*.
 //! The window retires what the driver opens and closes — the step a
-//! [`StepSink`] is bound to — and a source is free to plan tasks with no
+//! [`crate::stream::StepSink`] is bound to — and a source is free to plan tasks with no
 //! step of their own (`op.step()` is `None`) into one; so the record
 //! stores the open step, and insertion refuses an op whose own step is a
 //! different one. Ledger and trace events read the record.
 //!
-//! **Tables.** Live records sit in one id-indexed ring ([`TaskRing`]).
+//! **Tables.** Live records sit in one id-indexed ring (`TaskRing`).
 //! Every declared datum gets a dense slot in a `Vec<DatumDir>`; an
 //! insertion resolves each access's [`DataKey`] to its slot once and the
 //! record remembers the slots it will need at completion. The per-task
@@ -53,7 +53,7 @@
 //! without payload and are not counted as messages — matching the platform
 //! simulator's cost model. This is one path whatever carries the messages:
 //! what happens to a routed message, and what a placement means, is the
-//! run's [`Fabric`] (counted, or put on a real wire), which the window
+//! run's `Fabric` (counted, or put on a real wire), which the window
 //! calls at four seams — insertion, routing, completion, pop. The ready
 //! queue orders by `(depth, insertion id)`
 //! only, so one queue pops exactly what a scan of per-node queues would.

@@ -2,10 +2,9 @@
 //! one task at a time.
 //!
 //! [`VirtualSchedule`] is the costing core of the replay
-//! ([`crate::sim::simulate_with`]), reached through the policy engine
-//! ([`crate::sched::SchedEngine`]), which feeds it tasks in id order under
-//! FIFO and in whatever order a [`crate::sched::Scheduler`] policy selects
-//! otherwise — any topological order of the hazard DAG keeps the
+//! ([`crate::sim::simulate_with`]), which feeds it a graph's tasks in the
+//! order a [`crate::sched::Scheduler`] policy pops them from the ready set
+//! (id order under FIFO) — any topological order of the graph keeps the
 //! scoreboard consistent.
 //!
 //! Determinism is by construction: the schedule is a *list schedule in
@@ -106,8 +105,8 @@ struct AttribState {
 impl VirtualSchedule {
     /// An engine that keeps only the per-datum scoreboard (O(declared
     /// data) memory, whatever the task count). Per-task spans are the
-    /// caller's: [`VirtualSchedule::process`] returns each one, and
-    /// [`crate::sched::SchedEngine`] records them by task id.
+    /// caller's: [`VirtualSchedule::process`] returns each one, and the
+    /// replay records them by task id.
     pub fn new(platform: &Platform) -> Self {
         VirtualSchedule {
             cores: platform
@@ -379,7 +378,7 @@ impl VirtualSchedule {
     }
 
     /// Totals so far, as a [`SimReport`] with empty `starts`/`finishes`
-    /// (spans are [`crate::sched::SchedEngine`]'s to record).
+    /// (spans are the caller's to record).
     pub fn report(&self) -> SimReport {
         SimReport {
             makespan: self.makespan,

@@ -1,14 +1,13 @@
 //! Property tests for the scheduler subsystem.
 //!
-//! Two invariants hold for random systems, algorithms, criteria, and
+//! Three invariants hold for random systems, algorithms, criteria, and
 //! grids:
 //!
-//! 1. **FIFO pins history.** `simulate_with(SchedPolicy::Fifo)` — through
-//!    the policy engine, via both its eager fast path and its forced
-//!    generic buffer-and-select machinery — produces a `SimReport`
-//!    **bitwise equal** to the pre-refactor insertion-order engine
-//!    (`simulate()`, a raw `VirtualSchedule` feed). This is what
-//!    guarantees the committed BENCH baselines survived the subsystem.
+//! 1. **FIFO pins history.** `simulate()` — the replay under
+//!    `SchedPolicy::Fifo`, popping the smallest ready id of the graph —
+//!    produces a `SimReport` **bitwise equal** to the pre-refactor
+//!    insertion-order engine: a raw `VirtualSchedule` fed the graph's
+//!    tasks in id order. This is what keeps the pinned makespans valid.
 //! 2. **Scheduling never changes the factorization.** Every policy's
 //!    replay moves exactly the same data (messages and bytes per link,
 //!    serial seconds, per-node-per-class observations) — only the timeline
@@ -16,13 +15,16 @@
 //!    data is what the distributed streaming window routed, link for link,
 //!    while computing the batch path's numerics bitwise (solutions,
 //!    per-step decisions, failure behavior).
+//! 3. **A replay is a schedule of the graph it is given.** Under every
+//!    policy, for every graph edge `p → s` between executed tasks, `p`
+//!    finishes no later than `s` starts.
 //!
 //! The algorithm space is the full menu: all five hybrid criteria plus
 //! Random, and the four baselines — 10 algorithm/criterion combos — on
 //! 1-node and 4-node grids.
 
 use luqr::{factor, factor_stream, Algorithm, Criterion, FactorOptions, SchedPolicy};
-use luqr_runtime::{simulate, simulate_with, Platform, SchedEngine, SimReport, VirtualSchedule};
+use luqr_runtime::{simulate, simulate_with, Platform, SimReport, VirtualSchedule};
 use luqr_tests::{assert_routing_matches_replay, dominant_system};
 use luqr_tile::Grid;
 use proptest::prelude::*;
@@ -96,19 +98,9 @@ proptest! {
             ..raw.report()
         };
 
-        // The policy engine's FIFO — eager fast path, what simulate() is.
+        // The replay's FIFO: popping the smallest ready id of the graph.
         let fifo = simulate(&f.graph, &platform);
-        prop_assert_eq!(&reference, &fifo, "eager fifo diverged");
-
-        // ... and its generic buffer-and-select machinery, forced.
-        let mut eng = SchedEngine::new(&platform, SchedPolicy::Fifo)
-            .with_forced_buffering();
-        for t in f.graph.tasks() {
-            let r = t.result().expect("executed graph");
-            eng.submit(t.node(), &t.accesses(), r);
-        }
-        eng.drain();
-        prop_assert_eq!(&reference, &eng.report(), "buffered fifo diverged");
+        prop_assert_eq!(&reference, &fifo, "fifo replay diverged");
     }
 
     #[test]
@@ -162,9 +154,44 @@ proptest! {
         }
     }
 
+    #[test]
+    fn every_replay_is_a_valid_schedule_of_its_graph(
+        seed in any::<u64>(),
+        n in 24usize..48,
+        algo_sel in 0usize..10,
+        algo_raw in any::<u64>(),
+        grid_sel in 0usize..2,
+    ) {
+        let grid = [Grid::single(), Grid::new(2, 2)][grid_sel];
+        let platform = Platform::dancer_nodes(grid.nodes());
+        let (a, b) = random_system(n, seed);
+        let opts = FactorOptions {
+            nb: 8,
+            ib: 4,
+            threads: 2,
+            grid,
+            algorithm: algorithm_from(algo_sel, algo_raw),
+            ..FactorOptions::default()
+        };
+        let g = factor(&a, &b, &opts).graph;
+        let executed = |id: usize| g.task(id).result().expect("executed graph").executed;
+        for policy in SchedPolicy::all() {
+            let sim = simulate_with(&g, &platform, policy);
+            for t in g.tasks().filter(|t| executed(t.id)) {
+                for &s in t.successors().iter().filter(|&&s| executed(s)) {
+                    prop_assert!(
+                        sim.finishes[t.id] <= sim.starts[s],
+                        "{}: edge {} -> {} finishes at {} after the successor starts at {}",
+                        policy.name(), t.id, s, sim.finishes[t.id], sim.starts[s]
+                    );
+                }
+            }
+        }
+    }
+
     /// The extracted hazard core ([`luqr_runtime::hazard`]) reproduces the
     /// RAW/WAR/WAW rules the three pre-refactor implementations
-    /// (GraphBuilder, SchedEngine, streaming window) each hand-rolled —
+    /// (GraphBuilder, the replay engine, streaming window) each hand-rolled —
     /// bitwise, across every algorithm/criterion combo. Three independent
     /// derivations of the dependency structure must agree edge for edge:
     ///
