@@ -16,9 +16,7 @@
 //! cargo run --release -p luqr-bench --bin window_sweep [--n 320] [--nb 8]
 //! ```
 
-use luqr::{
-    factor, factor_stream_with, Algorithm, Criterion, FactorOptions, StreamOptions, WindowPolicy,
-};
+use luqr::{factor, factor_stream_with, Algorithm, Criterion, FactorOptions, StreamOptions};
 use luqr_bench::Args;
 use luqr_kernels::Mat;
 use luqr_runtime::{simulate, Platform};
@@ -56,21 +54,9 @@ fn main() {
             ..FactorOptions::default()
         };
         let sim = simulate(&factor(&a, &b, &opts).graph, &platform);
-        let policies: Vec<(String, WindowPolicy)> = windows
-            .iter()
-            .map(|&w| (format!("{w}"), WindowPolicy::Fixed(w)))
-            .chain(std::iter::once((
-                "auto".to_string(),
-                WindowPolicy::auto(4 * nt * nt),
-            )))
-            .collect();
-        for (i, (label, window)) in policies.into_iter().enumerate() {
-            let stream_opts = StreamOptions {
-                window,
-                ..StreamOptions::fixed(1, 1)
-            };
+        for (i, &window) in windows.iter().enumerate() {
             let t0 = std::time::Instant::now();
-            let f = factor_stream_with(&a, &b, &opts, &stream_opts);
+            let f = factor_stream_with(&a, &b, &opts, &StreamOptions::fixed(window, 1));
             let wall = t0.elapsed().as_secs_f64();
             assert!(f.error.is_none(), "breakdown: {:?}", f.error);
             let (grid_col, sim_col) = if i == 0 {
@@ -82,7 +68,7 @@ fn main() {
                 (String::new(), String::new())
             };
             println!(
-                "{grid_col:<6} {sim_col:>12} | {label:>8} {wall:>10.3} {:>10}",
+                "{grid_col:<6} {sim_col:>12} | {window:>8} {wall:>10.3} {:>10}",
                 f.report.peak_live_tasks,
             );
         }

@@ -140,11 +140,6 @@ impl FactorOptions {
         self
     }
 
-    pub fn with_dist(mut self, d: DistPolicy) -> Self {
-        self.dist = d;
-        self
-    }
-
     /// Speed-aware weighted distribution from per-node speeds (one entry
     /// per grid rank).
     pub fn with_speed_weights(mut self, speeds: Vec<f64>) -> Self {
@@ -187,11 +182,6 @@ impl FactorOptions {
 
     pub fn with_trees(mut self, t: TreeConfig) -> Self {
         self.trees = t;
-        self
-    }
-
-    pub fn with_pivot_scope(mut self, s: PivotScope) -> Self {
-        self.pivot_scope = s;
         self
     }
 }

@@ -84,7 +84,6 @@ use luqr_tile::TiledMatrix;
 pub use luqr_runtime::{
     AttribBuckets, Attribution, LinkMsgStats, LinkSpec, LinkTraffic, MsgStats, NetReport, NodeSpec,
     Probe, ProbeReport, SchedPolicy, StreamOptions, Topology, TraceEvent, TransportError,
-    WindowPolicy,
 };
 
 /// A batch task graph of [`TaskOp`]s.
@@ -335,9 +334,8 @@ pub fn factor_stream(
 }
 
 /// Factor `[A | rhs]` with the streaming runtime under a full
-/// [`StreamOptions`] configuration: window policy (fixed or
-/// [`WindowPolicy::Auto`]), per-task trace recording and metrics
-/// [`Probe`].
+/// [`StreamOptions`] configuration: window, per-task trace recording and
+/// metrics [`Probe`].
 ///
 /// The window is split per virtual node of `opts.grid` (owner-computes):
 /// cross-node dependencies become data / decision / retirement messages,

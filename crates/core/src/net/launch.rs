@@ -22,7 +22,6 @@
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use luqr_kernels::Mat;
@@ -30,8 +29,8 @@ use luqr_runtime::net::socket::{SocketEndpoint, SocketSpec};
 use luqr_runtime::{LinkMsgStats, MsgStats, StreamOptions, Transport, TransportError};
 use luqr_tile::Grid;
 
-use super::factor_stream_net_rank;
 use super::payload::{encode_record, put_mat, put_u64, Rd};
+use super::{factor_stream_net_rank, ScratchDir};
 use crate::config::{Algorithm, FactorOptions, StepRecord};
 use crate::criteria::Criterion;
 use crate::StreamFactorization;
@@ -345,12 +344,11 @@ fn locate_worker_from(env: Option<PathBuf>, exe: &Path) -> Option<PathBuf> {
         .find(|p| p.is_file())
 }
 
-static MP_RUN: AtomicUsize = AtomicUsize::new(0);
-
 /// Run `job` as `p·q` real `luqr-worker` processes meshed over
 /// Unix-domain sockets, and return rank 0's decoded result. Worker stderr
 /// is inherited, so breakdown/transport diagnostics surface in the
-/// caller's log.
+/// caller's log. Whatever the outcome, the run's scratch directory is
+/// removed and no worker it started outlives the call.
 pub fn launch_multiprocess(job: &NetJob, worker: Option<PathBuf>) -> Result<WorkerResult, String> {
     let nranks = job.p * job.q;
     assert!(nranks >= 1);
@@ -360,15 +358,10 @@ pub fn launch_multiprocess(job: &NetJob, worker: Option<PathBuf>) -> Result<Work
             .to_string()
     })?;
 
-    let scratch = std::env::temp_dir().join(format!(
-        "luqr-mp-{}-{}",
-        std::process::id(),
-        MP_RUN.fetch_add(1, Ordering::Relaxed)
-    ));
-    std::fs::create_dir_all(&scratch).map_err(|e| format!("create {}: {e}", scratch.display()))?;
-    let uds_dir = scratch.join("uds");
-    std::fs::create_dir_all(&uds_dir).map_err(|e| e.to_string())?;
-    let out_path = scratch.join("rank0.bin");
+    let scratch = ScratchDir::create("luqr-mp")?;
+    let uds_dir = scratch.0.join("uds");
+    std::fs::create_dir_all(&uds_dir).map_err(|e| format!("create {}: {e}", uds_dir.display()))?;
+    let out_path = scratch.0.join("rank0.bin");
 
     let job_args = job.to_args();
     let mut children = Vec::new();
@@ -381,11 +374,18 @@ pub fn launch_multiprocess(job: &NetJob, worker: Option<PathBuf>) -> Result<Work
         if rank == 0 {
             cmd.args(["--out".to_string(), out_path.display().to_string()]);
         }
-        children.push((
-            rank,
-            cmd.spawn()
-                .map_err(|e| format!("spawn {}: {e}", worker.display()))?,
-        ));
+        match cmd.spawn() {
+            Ok(child) => children.push((rank, child)),
+            Err(e) => {
+                // The ranks already started would wait out their connect
+                // timeout for a peer that never comes.
+                for (_, mut child) in children {
+                    let _ = child.kill();
+                    let _ = child.wait();
+                }
+                return Err(format!("spawn {}: {e}", worker.display()));
+            }
+        }
     }
 
     let mut failures = Vec::new();
@@ -396,15 +396,12 @@ pub fn launch_multiprocess(job: &NetJob, worker: Option<PathBuf>) -> Result<Work
             Err(e) => failures.push(format!("rank {rank} wait failed: {e}")),
         }
     }
-    let result = if failures.is_empty() {
-        let bytes =
-            std::fs::read(&out_path).map_err(|e| format!("read {}: {e}", out_path.display()))?;
-        Ok(decode_result(&bytes))
-    } else {
-        Err(failures.join("; "))
-    };
-    let _ = std::fs::remove_dir_all(&scratch);
-    result
+    if !failures.is_empty() {
+        return Err(failures.join("; "));
+    }
+    let bytes =
+        std::fs::read(&out_path).map_err(|e| format!("read {}: {e}", out_path.display()))?;
+    Ok(decode_result(&bytes))
 }
 
 /// The `luqr-worker` entry point: parse args, connect the mesh, run this
@@ -661,6 +658,26 @@ mod tests {
             job.plan_fingerprint(),
             small_job(Algorithm::Lupp).plan_fingerprint()
         );
+    }
+
+    /// A launch that cannot start its workers fails cleanly: an `Err`, and
+    /// no scratch directory left behind.
+    #[test]
+    fn a_failed_spawn_leaves_no_scratch_directory() {
+        let pid = std::process::id();
+        let worker = std::env::temp_dir().join(format!("luqr-noexec-{pid}"));
+        std::fs::write(&worker, b"not a program").unwrap();
+        let leftovers = || {
+            std::fs::read_dir(std::env::temp_dir())
+                .unwrap()
+                .filter_map(|e| e.ok()?.file_name().into_string().ok())
+                .filter(|name| name.starts_with(&format!("luqr-mp-{pid}-")))
+                .collect::<Vec<_>>()
+        };
+        let err = launch_multiprocess(&small_job(Algorithm::Hqr), Some(worker.clone()));
+        std::fs::remove_file(&worker).unwrap();
+        assert!(err.unwrap_err().starts_with("spawn "));
+        assert_eq!(leftovers(), Vec::<String>::new());
     }
 
     #[test]

@@ -66,11 +66,25 @@ pub enum NetTransportKind {
     Uds,
 }
 
-static UDS_RUN: AtomicUsize = AtomicUsize::new(0);
+static RUN: AtomicUsize = AtomicUsize::new(0);
 
-/// The socket directory of one UDS run, removed when the run leaves —
-/// whether it returns, fails to mesh, or unwinds from a rank's panic.
+/// The scratch directory of one socket run (in-process or multi-process),
+/// removed when the run leaves — whether it returns, fails, or unwinds
+/// from a rank's panic.
 struct ScratchDir(PathBuf);
+
+impl ScratchDir {
+    /// Create a fresh `<prefix>-<pid>-<run>` directory under the temp dir.
+    fn create(prefix: &str) -> Result<ScratchDir, String> {
+        let dir = std::env::temp_dir().join(format!(
+            "{prefix}-{}-{}",
+            std::process::id(),
+            RUN.fetch_add(1, Ordering::Relaxed)
+        ));
+        std::fs::create_dir_all(&dir).map_err(|e| format!("create {}: {e}", dir.display()))?;
+        Ok(ScratchDir(dir))
+    }
+}
 
 impl Drop for ScratchDir {
     fn drop(&mut self) {
@@ -105,8 +119,8 @@ pub fn factor_stream_net(
     )
 }
 
-/// [`factor_stream_net`] under full [`StreamOptions`] (window policy,
-/// probe). The probe observes rank 0's window — including the wire-level
+/// [`factor_stream_net`] under full [`StreamOptions`] (window, probe).
+/// The probe observes rank 0's window — including the wire-level
 /// frame/byte/latency metrics; peer ranks run unprobed.
 pub fn factor_stream_net_opts(
     a: &Mat,
@@ -120,14 +134,8 @@ pub fn factor_stream_net_opts(
     let transports: Vec<Arc<dyn Transport>> = match kind {
         NetTransportKind::Loopback => dyn_transports(loopback_set(nranks)),
         NetTransportKind::Uds => {
-            let dir = std::env::temp_dir().join(format!(
-                "luqr-net-{}-{}",
-                std::process::id(),
-                UDS_RUN.fetch_add(1, Ordering::Relaxed)
-            ));
-            std::fs::create_dir_all(&dir)
-                .map_err(|e| TransportError::Connect(format!("create {}: {e}", dir.display())))?;
-            let dir = uds_dir.insert(ScratchDir(dir)).0.clone();
+            let scratch = ScratchDir::create("luqr-net").map_err(TransportError::Connect)?;
+            let dir = uds_dir.insert(scratch).0.clone();
             dyn_transports(socket_set(&SocketSpec::Uds { dir }, nranks)?)
         }
     };

@@ -31,17 +31,6 @@ pub fn hpl3(a: &Mat, x: &Mat, b: &Mat) -> f64 {
     r.norm_inf() / (a.norm_inf() * x.norm_inf() * eps * n as f64)
 }
 
-/// Componentwise relative residual `‖Ax − b‖∞ / (‖A‖∞‖x‖∞ + ‖b‖∞)`
-/// (a scale-free sanity metric used by the tests).
-pub fn relative_residual(a: &Mat, x: &Mat, b: &Mat) -> f64 {
-    if !x.all_finite() {
-        return f64::INFINITY;
-    }
-    let mut r = b.clone();
-    gemm(Trans::NoTrans, Trans::NoTrans, 1.0, a, x, -1.0, &mut r);
-    r.norm_inf() / (a.norm_inf() * x.norm_inf() + b.norm_inf())
-}
-
 /// Ratio of two HPL3 values with careful handling of breakdowns: a failed
 /// numerator gives `inf`, a failed reference gives `0` (better than a
 /// broken LUPP — the Fiedler case).

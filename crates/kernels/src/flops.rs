@@ -124,12 +124,6 @@ pub fn add_flops(class: KernelClass, flops: u64) {
     COUNTERS[effective as usize].fetch_add(flops, Ordering::Relaxed);
 }
 
-/// Record `flops` against `class` bypassing any attribution scope.
-#[inline]
-pub fn add_flops_exact(class: KernelClass, flops: u64) {
-    COUNTERS[class as usize].fetch_add(flops, Ordering::Relaxed);
-}
-
 /// Snapshot of all counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FlopSnapshot {

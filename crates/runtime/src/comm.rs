@@ -192,19 +192,12 @@ impl Network {
         }
     }
 
-    /// Earliest time `node`'s egress NIC is free — what lookahead
-    /// scheduling policies use to estimate un-issued transfers without
-    /// mutating the queue.
-    pub fn egress_free(&self, node: usize) -> f64 {
-        self.nic_free[node]
-    }
-
     /// Send `nbytes` from `from` to `to` at `ready` (or later, NIC and
     /// trunk permitting); returns the arrival time at the destination. The
     /// cost comes from the platform's `(from, to)` link, so hierarchical
-    /// and per-link topologies charge what that pair actually pays; a
-    /// finite hierarchical backbone serializes inter-island messages on
-    /// the shared trunk.
+    /// topologies charge what that pair actually pays; a finite
+    /// hierarchical backbone serializes inter-island messages on the
+    /// shared trunk.
     pub fn send(
         &mut self,
         platform: &Platform,

@@ -76,14 +76,9 @@ pub use graph::{
 };
 pub use net::{Frame, NetReport, PayloadStore, Transport, TransportError};
 pub use platform::{Efficiency, LinkSpec, NodeCountMismatch, NodeSpec, Platform, Topology};
-pub use probe::{
-    AttribBuckets, Attribution, Histogram, Label, NoopSink, Probe, ProbeReport, ProbeSink,
-    ProbeSnapshot, Registry,
-};
+pub use probe::{AttribBuckets, Attribution, Histogram, Label, Probe, ProbeReport, ProbeSnapshot};
 pub use sched::{SchedPolicy, Scheduler};
 pub use sim::{simulate, simulate_probed, simulate_with, SimReport};
-pub use stream::{
-    NetConfig, StepPhase, StepSource, StreamOptions, StreamReport, StreamWindow, WindowPolicy,
-};
+pub use stream::{NetConfig, StepPhase, StepSource, StreamOptions, StreamReport, StreamWindow};
 pub use trace::{render_chrome_trace, TraceEvent, TraceOptions};
 pub use vtime::VirtualSchedule;

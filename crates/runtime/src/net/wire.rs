@@ -5,8 +5,8 @@
 //! The body is a hand-rolled little-endian encoding (the workspace vendors
 //! offline — no serde): integers as fixed-width LE, payload blobs as
 //! `[len: u32 LE] [bytes]`. The same codec backs every transport — the
-//! in-process `Loopback` and `Channel` endpoints round-trip the encoded
-//! bytes too, so the format is exercised even when no socket is involved.
+//! in-process loopback endpoint round-trips the encoded bytes too, so the
+//! format is exercised even when no socket is involved.
 //!
 //! A payload is the one large field of a frame and always its last, so the
 //! stream path never copies it in user space: [`write_frame`] sends the
@@ -78,25 +78,6 @@ const KIND_RESULT: u8 = 4;
 const KIND_DONE: u8 = 5;
 const KIND_FIN: u8 = 6;
 const KIND_SHUTDOWN: u8 = 7;
-
-impl Frame {
-    /// The protocol-message kind this frame mirrors, if any (`Data` splits
-    /// by class); control frames return `None`.
-    pub fn msg_kind(&self) -> Option<&'static str> {
-        match self {
-            Frame::Data {
-                class: DataClass::Payload,
-                ..
-            } => Some("data"),
-            Frame::Data {
-                class: DataClass::Decision,
-                ..
-            } => Some("decision"),
-            Frame::Retire { .. } => Some("retire"),
-            _ => None,
-        }
-    }
-}
 
 /// Longest frame header after the length prefix: magic, version and kind,
 /// then every fixed-width field of a `Data` frame with a producer, up to

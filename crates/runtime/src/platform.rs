@@ -5,15 +5,14 @@
 //! aggregate peak. This module describes such platforms — and anything less
 //! uniform: a [`Platform`] is a list of per-node [`NodeSpec`]s (core count,
 //! core speed, per-kernel-class efficiency) plus a [`Topology`] giving the
-//! latency/bandwidth of every node pair. Three topologies are modeled:
+//! latency/bandwidth of every node pair. Two topologies are modeled:
 //!
 //! * [`Topology::Uniform`] — one [`LinkSpec`] for every pair (the paper's
 //!   flat Infiniband fabric; what all the uniform constructors build);
 //! * [`Topology::Hierarchical`] — nodes grouped into islands of
 //!   `nodes_per_group`, a fast `intra` link inside a group and a slower
 //!   `inter` link across groups (rack/switch hierarchies, multi-island
-//!   clusters);
-//! * [`Topology::Matrix`] — a full per-link matrix for arbitrary fabrics.
+//!   clusters).
 //!
 //! Per-kernel-class [`Efficiency`] captures what a tuned BLAS achieves (a
 //! GEMM runs much closer to peak than a pivoted panel factorization; that
@@ -108,8 +107,6 @@ pub enum Topology {
         /// [`crate::comm::Network::send`]).
         backbone: Option<f64>,
     },
-    /// Full per-link matrix, indexed `links[src][dst]`.
-    Matrix(Vec<Vec<LinkSpec>>),
 }
 
 impl Topology {
@@ -134,7 +131,6 @@ impl Topology {
                     *inter
                 }
             }
-            Topology::Matrix(links) => links[src][dst],
         }
     }
 
@@ -170,16 +166,6 @@ impl Topology {
         match self {
             Topology::Uniform(l) => l.latency,
             Topology::Hierarchical { intra, inter, .. } => intra.latency.max(inter.latency),
-            Topology::Matrix(links) => links
-                .iter()
-                .enumerate()
-                .flat_map(|(s, row)| {
-                    row.iter()
-                        .enumerate()
-                        .filter(move |(d, _)| *d != s)
-                        .map(|(_, l)| l.latency)
-                })
-                .fold(0.0, f64::max),
         }
     }
 }
@@ -280,8 +266,8 @@ impl Efficiency {
 impl Platform {
     /// A heterogeneous platform from explicit specs and topology.
     ///
-    /// Panics if `specs` is empty, any node has zero cores, or a
-    /// [`Topology::Matrix`] is not `n × n`.
+    /// Panics if `specs` is empty, any node has zero cores or a zero core
+    /// speed, or a link of `topology` is malformed.
     pub fn heterogeneous(specs: Vec<NodeSpec>, topology: Topology, mem_bandwidth: f64) -> Self {
         assert!(!specs.is_empty(), "platform needs at least one node");
         assert!(
@@ -294,7 +280,7 @@ impl Platform {
                 .all(|s| s.core_gflops > 0.0 && s.core_gflops.is_finite()),
             "every node needs a positive, finite core speed"
         );
-        validate_topology(specs.len(), &topology);
+        validate_topology(&topology);
         Platform {
             specs,
             topology,
@@ -455,7 +441,7 @@ impl Platform {
 
     /// Replace the topology (builder-style).
     pub fn with_topology(mut self, topology: Topology) -> Self {
-        validate_topology(self.nodes(), &topology);
+        validate_topology(&topology);
         self.topology = topology;
         self
     }
@@ -479,10 +465,8 @@ impl Platform {
 
 /// Construction-time topology checks shared by [`Platform::heterogeneous`]
 /// and [`Platform::with_topology`] — a malformed topology must fail here,
-/// not as a divide-by-zero, infinite-makespan, or index surprise
-/// mid-simulation. Matrix diagonal entries are exempt from the link
-/// checks: a node never sends to itself, so that slot is dead.
-fn validate_topology(nodes: usize, topology: &Topology) {
+/// not as a divide-by-zero or infinite-makespan surprise mid-simulation.
+fn validate_topology(topology: &Topology) {
     let check_link = |l: &LinkSpec, what: &str| {
         assert!(
             l.bandwidth > 0.0,
@@ -496,19 +480,6 @@ fn validate_topology(nodes: usize, topology: &Topology) {
         );
     };
     match topology {
-        Topology::Matrix(links) => {
-            assert!(
-                links.len() == nodes && links.iter().all(|row| row.len() == nodes),
-                "link matrix must be {nodes} x {nodes}"
-            );
-            for (s, row) in links.iter().enumerate() {
-                for (d, l) in row.iter().enumerate() {
-                    if s != d {
-                        check_link(l, "every off-diagonal");
-                    }
-                }
-            }
-        }
         Topology::Hierarchical {
             intra,
             inter,
@@ -597,17 +568,6 @@ mod tests {
         assert_eq!(t.link(1, 2), inter, "across islands");
         assert_eq!(t.link(0, 3), inter);
         assert_eq!(t.max_latency(), 1e-5);
-    }
-
-    #[test]
-    fn matrix_topology_is_fully_general() {
-        let cheap = LinkSpec::new(0.0, f64::INFINITY);
-        let a = LinkSpec::new(1.0, 10.0);
-        let b = LinkSpec::new(2.0, 20.0);
-        let t = Topology::Matrix(vec![vec![cheap, a], vec![b, cheap]]);
-        assert_eq!(t.link(0, 1), a);
-        assert_eq!(t.link(1, 0), b, "links may be asymmetric");
-        assert_eq!(t.max_latency(), 2.0, "diagonal excluded");
     }
 
     #[test]

@@ -25,13 +25,13 @@ fn json_f64(v: f64) -> String {
 /// series in the snapshot. `first` tracks whether a comma separator is
 /// needed, matching the span-event writer in [`crate::trace`].
 pub(crate) fn write_chrome_counters(out: &mut String, first: &mut bool, snap: &ProbeSnapshot) {
-    for gauge in &snap.gauges {
-        let pid = match gauge.label {
+    for (&(name, label), series) in &snap.gauges {
+        let pid = match label {
             Label::Node(n) => n,
             _ => 0,
         };
-        let track = format!("{}{}", gauge.name, gauge.label.suffix());
-        for &(t, value) in &gauge.series.samples {
+        let track = format!("{name}{}", label.suffix());
+        for &(t, value) in &series.samples {
             if !*first {
                 out.push_str(",\n");
             }
@@ -109,49 +109,38 @@ pub fn to_prometheus(report: &ProbeReport) -> String {
     let snap = &report.snapshot;
 
     let mut last_name = "";
-    for c in &snap.counters {
-        if c.name != last_name {
-            let _ = writeln!(out, "# HELP {PROM_PREFIX}{} runtime probe counter", c.name);
-            let _ = writeln!(out, "# TYPE {PROM_PREFIX}{} counter", c.name);
-            last_name = c.name;
+    for (&(name, label), value) in &snap.counters {
+        if name != last_name {
+            let _ = writeln!(out, "# HELP {PROM_PREFIX}{name} runtime probe counter");
+            let _ = writeln!(out, "# TYPE {PROM_PREFIX}{name} counter");
+            last_name = name;
+        }
+        let _ = writeln!(out, "{PROM_PREFIX}{name}{} {value}", label.prometheus());
+    }
+
+    last_name = "";
+    for (&(name, label), series) in &snap.gauges {
+        if name != last_name {
+            let _ = writeln!(out, "# HELP {PROM_PREFIX}{name} runtime probe gauge");
+            let _ = writeln!(out, "# TYPE {PROM_PREFIX}{name} gauge");
+            last_name = name;
         }
         let _ = writeln!(
             out,
-            "{PROM_PREFIX}{}{} {}",
-            c.name,
-            c.label.prometheus(),
-            c.value
+            "{PROM_PREFIX}{name}{} {}",
+            label.prometheus(),
+            series.last
         );
     }
 
     last_name = "";
-    for g in &snap.gauges {
-        if g.name != last_name {
-            let _ = writeln!(out, "# HELP {PROM_PREFIX}{} runtime probe gauge", g.name);
-            let _ = writeln!(out, "# TYPE {PROM_PREFIX}{} gauge", g.name);
-            last_name = g.name;
+    for (&(name, label), histogram) in &snap.histograms {
+        if name != last_name {
+            let _ = writeln!(out, "# HELP {PROM_PREFIX}{name} runtime probe histogram");
+            let _ = writeln!(out, "# TYPE {PROM_PREFIX}{name} histogram");
+            last_name = name;
         }
-        let _ = writeln!(
-            out,
-            "{PROM_PREFIX}{}{} {}",
-            g.name,
-            g.label.prometheus(),
-            g.series.last
-        );
-    }
-
-    last_name = "";
-    for h in &snap.histograms {
-        if h.name != last_name {
-            let _ = writeln!(
-                out,
-                "# HELP {PROM_PREFIX}{} runtime probe histogram",
-                h.name
-            );
-            let _ = writeln!(out, "# TYPE {PROM_PREFIX}{} histogram", h.name);
-            last_name = h.name;
-        }
-        prom_histogram(&mut out, h.name, h.label, &h.histogram);
+        prom_histogram(&mut out, name, label, histogram);
     }
 
     if let Some(att) = &report.attribution {
@@ -235,32 +224,29 @@ pub fn to_json(report: &ProbeReport) -> String {
 
     let snap = &report.snapshot;
     out.push_str(",\n  \"counters\": [");
-    for (i, c) in snap.counters.iter().enumerate() {
+    for (i, (&(name, label), value)) in snap.counters.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
         let _ = write!(
             out,
-            "\n    {{\"name\": \"{}\", \"labels\": {}, \"value\": {}}}",
-            c.name,
-            json_labels(c.label),
-            c.value
+            "\n    {{\"name\": \"{name}\", \"labels\": {}, \"value\": {value}}}",
+            json_labels(label)
         );
     }
 
     out.push_str("\n  ],\n  \"gauges\": [");
-    for (i, g) in snap.gauges.iter().enumerate() {
+    for (i, (&(name, label), series)) in snap.gauges.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
         let _ = write!(
             out,
-            "\n    {{\"name\": \"{}\", \"labels\": {}, \"last\": {}, \"samples\": [",
-            g.name,
-            json_labels(g.label),
-            json_f64(g.series.last)
+            "\n    {{\"name\": \"{name}\", \"labels\": {}, \"last\": {}, \"samples\": [",
+            json_labels(label),
+            json_f64(series.last)
         );
-        for (j, (t, v)) in g.series.samples.iter().enumerate() {
+        for (j, (t, v)) in series.samples.iter().enumerate() {
             if j > 0 {
                 out.push(',');
             }
@@ -270,16 +256,14 @@ pub fn to_json(report: &ProbeReport) -> String {
     }
 
     out.push_str("\n  ],\n  \"histograms\": [");
-    for (i, h) in snap.histograms.iter().enumerate() {
+    for (i, (&(name, label), hist)) in snap.histograms.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        let hist = &h.histogram;
         let _ = write!(
             out,
-            "\n    {{\"name\": \"{}\", \"labels\": {}, \"count\": {}, \"sum\": {}, \"min\": {}, \"max\": {}, \"mean\": {}, \"buckets\": [",
-            h.name,
-            json_labels(h.label),
+            "\n    {{\"name\": \"{name}\", \"labels\": {}, \"count\": {}, \"sum\": {}, \"min\": {}, \"max\": {}, \"mean\": {}, \"buckets\": [",
+            json_labels(label),
             hist.count,
             json_f64(hist.sum),
             json_f64(hist.min),

@@ -9,23 +9,23 @@
 //! (the default), every recording call is a branch on `None` — nothing is
 //! allocated, locked, or computed, so probe-free runs pay nothing and the
 //! bitwise parity suites are untouched by construction. Enabled, samples
-//! flow into a [`ProbeSink`]; the in-memory [`Registry`] sink is what
-//! [`Probe::enabled`] installs and what snapshots/exports read back.
+//! land in one [`ProbeSnapshot`] — the store itself, which snapshots copy
+//! and exports read back.
 //!
 //! Three metric shapes cover the runtime's signals:
 //!
 //! * **counters** — monotone event totals (messages per link, flops per
 //!   kernel class);
 //! * **gauges** — sampled time series (ready-pool depth over virtual time,
-//!   live task records over wall time, the streaming window size);
+//!   live task records over wall time);
 //! * **histograms** — value distributions with log-scale buckets (task
 //!   wait, scheduler decision latency, trunk queueing delay, panel-wait
 //!   stalls, retirement lag).
 //!
 //! Hot paths that cannot afford a lock per event (the streaming window's
 //! completion path, the scheduler's pop loop) accumulate into local
-//! [`Histogram`]s and merge them into the registry once, at drain time —
-//! same data, none of the contention.
+//! [`Histogram`]s and merge them into the store once, at drain time
+//! ([`Probe::record_batch`]) — same data, none of the contention.
 //!
 //! On top of the raw streams, [`report::ProbeReport`] carries the
 //! makespan-attribution pass (compute / transfer / contention / idle per
@@ -39,7 +39,7 @@ pub mod report;
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 pub use report::{AttribBuckets, Attribution, ProbeReport};
 
@@ -54,8 +54,6 @@ pub mod metric {
     pub const SCHED_DECISION: &str = "sched_decision_seconds";
     /// Gauge: live task records in the streaming window, over wall time.
     pub const STREAM_LIVE_TASKS: &str = "stream_live_tasks";
-    /// Gauge: window size in force as each step was planned.
-    pub const STREAM_WINDOW: &str = "stream_window_size";
     /// Histogram: planner stall awaiting each step's panel decision task.
     pub const STREAM_PANEL_WAIT: &str = "stream_panel_wait_seconds";
     /// Histogram: wall delay between a step closing and it retiring.
@@ -162,7 +160,7 @@ pub const HISTOGRAM_BOUNDS: [f64; 8] = [1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.1, 1.0, 
 
 /// A fixed-bucket log-scale histogram with summary statistics. Plain data
 /// with no interior locking, so hot paths can keep a local one and
-/// [`Probe::merge_histogram`] it into the registry once at drain time.
+/// [`ProbeSnapshot::merge_histogram`] it into the store once at drain time.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Histogram {
     /// Observations recorded.
@@ -225,44 +223,6 @@ impl Histogram {
     }
 }
 
-/// Where probe samples go. The write half of the subsystem: runtime code
-/// records through this trait only, so alternative sinks (streaming
-/// aggregators, test spies) drop in without touching the instrumented
-/// call sites. [`NoopSink`] is the do-nothing implementation; [`Registry`]
-/// the in-memory one that snapshots and exports read back.
-pub trait ProbeSink: Send {
-    /// Add `delta` to a monotone counter.
-    fn counter(&mut self, name: &'static str, label: Label, delta: u64);
-
-    /// Record one gauge sample of a time series at time `t`.
-    fn gauge(&mut self, name: &'static str, label: Label, t: f64, value: f64);
-
-    /// Record one histogram observation.
-    fn observe(&mut self, name: &'static str, label: Label, value: f64);
-
-    /// Fold a locally-accumulated histogram into the sink.
-    fn merge_histogram(&mut self, name: &'static str, label: Label, histogram: &Histogram);
-}
-
-/// The sink that records nothing: every method is an empty `#[inline]`
-/// body, so a monomorphized caller compiles the calls away entirely. The
-/// disabled [`Probe`] goes one step further and never reaches a sink at
-/// all — this type exists for code paths that take a `&mut dyn ProbeSink`
-/// unconditionally.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NoopSink;
-
-impl ProbeSink for NoopSink {
-    #[inline]
-    fn counter(&mut self, _: &'static str, _: Label, _: u64) {}
-    #[inline]
-    fn gauge(&mut self, _: &'static str, _: Label, _: f64, _: f64) {}
-    #[inline]
-    fn observe(&mut self, _: &'static str, _: Label, _: f64) {}
-    #[inline]
-    fn merge_histogram(&mut self, _: &'static str, _: Label, _: &Histogram) {}
-}
-
 /// One gauge time series.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct GaugeSeries {
@@ -272,123 +232,56 @@ pub struct GaugeSeries {
     pub samples: Vec<(f64, f64)>,
 }
 
-/// The in-memory metric store behind an enabled [`Probe`].
-#[derive(Debug, Default)]
-pub struct Registry {
-    counters: BTreeMap<(&'static str, Label), u64>,
-    gauges: BTreeMap<(&'static str, Label), GaugeSeries>,
-    histograms: BTreeMap<(&'static str, Label), Histogram>,
-    attribution: Option<Attribution>,
+/// Every metric recorded so far, keyed by (name, label): the store an
+/// enabled [`Probe`] writes into, and the copy [`Probe::snapshot`] hands
+/// out. The maps iterate sorted by name, then label — the order every
+/// exporter writes.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct ProbeSnapshot {
+    pub counters: BTreeMap<(&'static str, Label), u64>,
+    pub gauges: BTreeMap<(&'static str, Label), GaugeSeries>,
+    pub histograms: BTreeMap<(&'static str, Label), Histogram>,
 }
 
-impl ProbeSink for Registry {
-    fn counter(&mut self, name: &'static str, label: Label, delta: u64) {
+impl ProbeSnapshot {
+    /// Add `delta` to a monotone counter.
+    pub fn add_counter(&mut self, name: &'static str, label: Label, delta: u64) {
         *self.counters.entry((name, label)).or_insert(0) += delta;
     }
 
-    fn gauge(&mut self, name: &'static str, label: Label, t: f64, value: f64) {
+    /// Record one gauge sample of a time series at time `t`.
+    pub fn push_gauge(&mut self, name: &'static str, label: Label, t: f64, value: f64) {
         let series = self.gauges.entry((name, label)).or_default();
         series.last = value;
         series.samples.push((t, value));
     }
 
-    fn observe(&mut self, name: &'static str, label: Label, value: f64) {
+    /// Record one histogram observation.
+    pub fn observe(&mut self, name: &'static str, label: Label, value: f64) {
         self.histograms
             .entry((name, label))
             .or_default()
             .observe(value);
     }
 
-    fn merge_histogram(&mut self, name: &'static str, label: Label, histogram: &Histogram) {
-        if histogram.count == 0 {
-            return;
-        }
-        self.histograms
-            .entry((name, label))
-            .or_default()
-            .merge(histogram);
-    }
-}
-
-impl Registry {
-    /// Copy the current contents out (sorted by name, then label).
-    pub fn snapshot(&self) -> ProbeSnapshot {
-        ProbeSnapshot {
-            counters: self
-                .counters
-                .iter()
-                .map(|(&(name, label), &value)| CounterSample { name, label, value })
-                .collect(),
-            gauges: self
-                .gauges
-                .iter()
-                .map(|(&(name, label), series)| GaugeSample {
-                    name,
-                    label,
-                    series: series.clone(),
-                })
-                .collect(),
-            histograms: self
-                .histograms
-                .iter()
-                .map(|(&(name, label), &histogram)| HistogramSample {
-                    name,
-                    label,
-                    histogram,
-                })
-                .collect(),
+    /// Fold a locally-accumulated histogram in; empty ones are dropped.
+    pub fn merge_histogram(&mut self, name: &'static str, label: Label, histogram: &Histogram) {
+        if histogram.count > 0 {
+            self.histograms
+                .entry((name, label))
+                .or_default()
+                .merge(histogram);
         }
     }
-}
 
-/// One counter at snapshot time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CounterSample {
-    pub name: &'static str,
-    pub label: Label,
-    pub value: u64,
-}
-
-/// One gauge time series at snapshot time.
-#[derive(Debug, Clone, PartialEq)]
-pub struct GaugeSample {
-    pub name: &'static str,
-    pub label: Label,
-    pub series: GaugeSeries,
-}
-
-/// One histogram at snapshot time.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct HistogramSample {
-    pub name: &'static str,
-    pub label: Label,
-    pub histogram: Histogram,
-}
-
-/// A point-in-time copy of every registered metric.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct ProbeSnapshot {
-    pub counters: Vec<CounterSample>,
-    pub gauges: Vec<GaugeSample>,
-    pub histograms: Vec<HistogramSample>,
-}
-
-impl ProbeSnapshot {
     /// Value of a counter, 0 when never ticked.
-    pub fn counter(&self, name: &str, label: Label) -> u64 {
-        self.counters
-            .iter()
-            .find(|c| c.name == name && c.label == label)
-            .map(|c| c.value)
-            .unwrap_or(0)
+    pub fn counter(&self, name: &'static str, label: Label) -> u64 {
+        self.counters.get(&(name, label)).copied().unwrap_or(0)
     }
 
     /// A histogram, if anything was observed under this (name, label).
-    pub fn histogram(&self, name: &str, label: Label) -> Option<&Histogram> {
-        self.histograms
-            .iter()
-            .find(|h| h.name == name && h.label == label)
-            .map(|h| &h.histogram)
+    pub fn histogram(&self, name: &'static str, label: Label) -> Option<&Histogram> {
+        self.histograms.get(&(name, label))
     }
 }
 
@@ -396,30 +289,23 @@ impl ProbeSnapshot {
 ///
 /// Disabled (the default, [`Probe::disabled`]), every method is a branch
 /// on `None` and returns immediately — probes cost nothing when off.
-/// Enabled ([`Probe::enabled`]), samples land in a shared [`Registry`]
-/// behind a mutex; clones share the same registry, so the handle given to
+/// Enabled ([`Probe::enabled`]), samples land in one shared
+/// [`ProbeReport`] behind a mutex; clones share it, so the handle given to
 /// [`crate::stream::StreamOptions`] and the one the caller keeps read the
-/// same data. [`Probe::with_sink`] installs a custom [`ProbeSink`]
-/// instead (snapshots then come from the sink owner, not the probe).
+/// same data.
 #[derive(Clone, Default)]
 pub struct Probe {
-    sink: Option<Arc<Mutex<dyn ProbeSink>>>,
-    /// The concrete registry when this probe was built by
-    /// [`Probe::enabled`] — the read half for snapshots and reports.
-    registry: Option<Arc<Mutex<Registry>>>,
+    store: Option<Arc<Mutex<ProbeReport>>>,
 }
 
 impl fmt::Debug for Probe {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "Probe({})",
-            if self.sink.is_some() {
-                "enabled"
-            } else {
-                "disabled"
-            }
-        )
+        let state = if self.is_enabled() {
+            "enabled"
+        } else {
+            "disabled"
+        };
+        write!(f, "Probe({state})")
     }
 }
 
@@ -429,34 +315,23 @@ impl Probe {
         Probe::default()
     }
 
-    /// A probe recording into a fresh in-memory [`Registry`].
+    /// A probe recording into a fresh, empty store.
     pub fn enabled() -> Self {
-        let registry = Arc::new(Mutex::new(Registry::default()));
         Probe {
-            sink: Some(registry.clone() as Arc<Mutex<dyn ProbeSink>>),
-            registry: Some(registry),
+            store: Some(Arc::default()),
         }
     }
 
-    /// A probe recording into a caller-provided sink. Snapshots and
-    /// reports from this handle are empty — the sink owner holds the data.
-    pub fn with_sink<S: ProbeSink + 'static>(sink: S) -> Self {
-        Probe {
-            sink: Some(Arc::new(Mutex::new(sink)) as Arc<Mutex<dyn ProbeSink>>),
-            registry: None,
-        }
-    }
-
-    /// Whether recording calls reach a sink. Hot paths check this once
+    /// Whether recording calls reach the store. Hot paths check this once
     /// before computing anything sample-related.
     #[inline]
     pub fn is_enabled(&self) -> bool {
-        self.sink.is_some()
+        self.store.is_some()
     }
 
     #[inline]
-    fn lock(&self) -> Option<std::sync::MutexGuard<'_, dyn ProbeSink + 'static>> {
-        self.sink
+    fn lock(&self) -> Option<MutexGuard<'_, ProbeReport>> {
+        self.store
             .as_ref()
             .map(|s| s.lock().unwrap_or_else(|e| e.into_inner()))
     }
@@ -464,73 +339,46 @@ impl Probe {
     /// Add `delta` to a monotone counter.
     #[inline]
     pub fn counter(&self, name: &'static str, label: Label, delta: u64) {
-        if let Some(mut sink) = self.lock() {
-            sink.counter(name, label, delta);
-        }
+        self.record_batch(|s| s.add_counter(name, label, delta));
     }
 
     /// Record one gauge sample at time `t`.
     #[inline]
     pub fn gauge(&self, name: &'static str, label: Label, t: f64, value: f64) {
-        if let Some(mut sink) = self.lock() {
-            sink.gauge(name, label, t, value);
-        }
+        self.record_batch(|s| s.push_gauge(name, label, t, value));
     }
 
     /// Record one histogram observation.
     #[inline]
     pub fn observe(&self, name: &'static str, label: Label, value: f64) {
-        if let Some(mut sink) = self.lock() {
-            sink.observe(name, label, value);
-        }
+        self.record_batch(|s| s.observe(name, label, value));
     }
 
-    /// Fold a locally-accumulated histogram into the sink.
+    /// Run several recordings under one lock (batch flushes).
     #[inline]
-    pub fn merge_histogram(&self, name: &'static str, label: Label, histogram: &Histogram) {
-        if let Some(mut sink) = self.lock() {
-            sink.merge_histogram(name, label, histogram);
-        }
-    }
-
-    /// Run several recordings under one sink lock (batch flushes).
-    #[inline]
-    pub fn record_batch(&self, f: impl FnOnce(&mut dyn ProbeSink)) {
-        if let Some(mut sink) = self.lock() {
-            f(&mut *sink);
+    pub fn record_batch(&self, f: impl FnOnce(&mut ProbeSnapshot)) {
+        if let Some(mut store) = self.lock() {
+            f(&mut store.snapshot);
         }
     }
 
     /// Attach the makespan attribution computed by the virtual-time
     /// engine, so [`Probe::report`] carries it.
     pub fn set_attribution(&self, attribution: Attribution) {
-        if let Some(r) = &self.registry {
-            r.lock().unwrap_or_else(|e| e.into_inner()).attribution = Some(attribution);
+        if let Some(mut store) = self.lock() {
+            store.attribution = Some(attribution);
         }
     }
 
-    /// Copy of everything recorded so far (empty for disabled probes and
-    /// custom sinks).
+    /// Copy of every metric recorded so far (empty when disabled).
     pub fn snapshot(&self) -> ProbeSnapshot {
-        match &self.registry {
-            Some(r) => r.lock().unwrap_or_else(|e| e.into_inner()).snapshot(),
-            None => ProbeSnapshot::default(),
-        }
+        self.lock().map(|s| s.snapshot.clone()).unwrap_or_default()
     }
 
     /// The full probe report: the metric snapshot plus the makespan
     /// attribution, if an attribution-enabled engine ran.
     pub fn report(&self) -> ProbeReport {
-        let attribution = self.registry.as_ref().and_then(|r| {
-            r.lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .attribution
-                .clone()
-        });
-        ProbeReport {
-            attribution,
-            snapshot: self.snapshot(),
-        }
+        self.lock().map(|s| s.clone()).unwrap_or_default()
     }
 }
 
@@ -577,10 +425,10 @@ mod tests {
         }
         let snap = p.snapshot();
         assert_eq!(snap.gauges.len(), 1);
-        let g = &snap.gauges[0];
-        assert_eq!(g.series.samples.len(), 4);
-        assert_eq!(g.series.last, 6.0);
-        assert_eq!(g.series.samples[1], (1.0, 2.0));
+        let g = &snap.gauges[&(metric::SCHED_READY_DEPTH, Label::Policy("eft"))];
+        assert_eq!(g.samples.len(), 4);
+        assert_eq!(g.last, 6.0);
+        assert_eq!(g.samples[1], (1.0, 2.0));
     }
 
     #[test]
@@ -608,36 +456,19 @@ mod tests {
         let mut local = Histogram::default();
         local.observe(1e-4);
         local.observe(2e-4);
-        p.merge_histogram(metric::SCHED_TASK_WAIT, Label::Policy("fifo"), &local);
-        p.merge_histogram(
-            metric::SCHED_TASK_WAIT,
-            Label::Policy("fifo"),
-            &Histogram::default(),
-        );
+        p.record_batch(|s| {
+            let label = Label::Policy("fifo");
+            s.merge_histogram(metric::SCHED_TASK_WAIT, label, &local);
+            s.merge_histogram(metric::SCHED_TASK_WAIT, label, &Histogram::default());
+            s.merge_histogram(metric::SCHED_DECISION, label, &Histogram::default());
+        });
         let snap = p.snapshot();
         let h = snap
             .histogram(metric::SCHED_TASK_WAIT, Label::Policy("fifo"))
             .expect("merged");
         assert_eq!(h.count, 2, "empty merges are dropped");
-    }
-
-    #[test]
-    fn custom_sinks_receive_the_stream() {
-        struct Spy(std::sync::Arc<std::sync::atomic::AtomicU64>);
-        impl ProbeSink for Spy {
-            fn counter(&mut self, _: &'static str, _: Label, delta: u64) {
-                self.0.fetch_add(delta, std::sync::atomic::Ordering::SeqCst);
-            }
-            fn gauge(&mut self, _: &'static str, _: Label, _: f64, _: f64) {}
-            fn observe(&mut self, _: &'static str, _: Label, _: f64) {}
-            fn merge_histogram(&mut self, _: &'static str, _: Label, _: &Histogram) {}
-        }
-        let hits = std::sync::Arc::new(std::sync::atomic::AtomicU64::new(0));
-        let p = Probe::with_sink(Spy(hits.clone()));
-        assert!(p.is_enabled());
-        p.counter(metric::COMM_MSGS, Label::None, 7);
-        assert_eq!(hits.load(std::sync::atomic::Ordering::SeqCst), 7);
-        // No registry behind a custom sink: snapshots are empty.
-        assert!(p.snapshot().counters.is_empty());
+        assert!(snap
+            .histogram(metric::SCHED_DECISION, Label::Policy("fifo"))
+            .is_none());
     }
 }

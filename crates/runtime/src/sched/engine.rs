@@ -67,7 +67,7 @@ impl<'a> SchedView<'a> {
 /// labels the probe metrics). Report spans are indexed by task id,
 /// whatever order the policy chose. With an enabled `probe`, tasks are
 /// tagged with their op's step, scheduler latencies and network tallies
-/// land in its registry, and the makespan attribution is set on it; the
+/// land in its store, and the makespan attribution is set on it; the
 /// report is bitwise the unprobed one.
 ///
 /// Panics if the platform has fewer nodes than the graph's placements
@@ -168,9 +168,9 @@ pub(crate) fn replay<O: TaskOp>(
     debug_assert!(pending.is_empty(), "ready set dried up early");
 
     if probing {
-        probe.record_batch(|sink| {
-            sink.merge_histogram(metric::SCHED_TASK_WAIT, label, &task_wait);
-            sink.merge_histogram(metric::SCHED_DECISION, label, &decision);
+        probe.record_batch(|snap| {
+            snap.merge_histogram(metric::SCHED_TASK_WAIT, label, &task_wait);
+            snap.merge_histogram(metric::SCHED_DECISION, label, &decision);
         });
         vt.flush_probe();
         if let Some(att) = vt.attribution() {
@@ -328,7 +328,7 @@ mod tests {
     }
 
     /// Probes observe the schedule without perturbing it: the probed report
-    /// is bitwise the plain one, and the registry fills with scheduler
+    /// is bitwise the plain one, and the store fills with scheduler
     /// latencies plus a reconciling attribution.
     #[test]
     fn probes_observe_without_perturbing() {

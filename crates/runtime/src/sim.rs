@@ -95,11 +95,6 @@ impl SimReport {
         }
     }
 
-    /// Fraction of the platform peak achieved (on executed flops).
-    pub fn peak_fraction(&self, platform: &Platform) -> f64 {
-        self.gflops() / platform.peak_gflops()
-    }
-
     /// Average utilization over the makespan, across every core of the
     /// platform (heterogeneous platforms weight each node by its own core
     /// count).
@@ -189,7 +184,7 @@ pub fn simulate_with<O: TaskOp>(
 }
 
 /// [`simulate_with`] with metrics probes attached: tasks are tagged with
-/// their op's elimination step, the probe's registry fills with scheduler
+/// their op's elimination step, the probe's store fills with scheduler
 /// / network / vtime metrics as the replay runs, and the
 /// makespan-attribution pass lands in the returned [`ProbeReport`]. The
 /// [`SimReport`] is bitwise identical to an unprobed [`simulate_with`] run

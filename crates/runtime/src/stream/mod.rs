@@ -101,42 +101,11 @@ pub trait StepSource {
     fn plan_finish(&mut self, _k: usize, _sink: &mut dyn TaskSink<Self::Op>) {}
 }
 
-/// How the streaming driver sizes its window of live steps.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WindowPolicy {
-    /// A constant number of live steps.
-    Fixed(usize),
-    /// Autotuned: after each step, grow the window (up to `max`) while the
-    /// measured panel-decision wait dominates the step's planning time —
-    /// the panel chain is starved for lookahead — and shrink it (down to
-    /// `min`) when the live-task count approaches `live_task_budget`.
-    /// The chosen window is recorded per step in
-    /// [`StreamReport::per_step_window`].
-    Auto {
-        min: usize,
-        max: usize,
-        /// Live-task memory budget; the window shrinks as the live count
-        /// nears it. `0` disables the memory brake.
-        live_task_budget: usize,
-    },
-}
-
-impl WindowPolicy {
-    /// An autotuned window with default bounds and the given live-task
-    /// memory budget.
-    pub fn auto(live_task_budget: usize) -> Self {
-        WindowPolicy::Auto {
-            min: 1,
-            max: 16,
-            live_task_budget,
-        }
-    }
-}
-
 /// Configuration of one streaming execution.
 #[derive(Debug, Clone)]
 pub struct StreamOptions {
-    pub window: WindowPolicy,
+    /// Live steps at most (clamped to ≥ 1).
+    pub window: usize,
     /// Worker threads (clamped to ≥ 1).
     pub threads: usize,
     /// Record per-task `(start, end, worker, step, node)` events
@@ -153,7 +122,7 @@ impl StreamOptions {
     /// A fixed window, untraced and unprobed.
     pub fn fixed(window: usize, threads: usize) -> Self {
         StreamOptions {
-            window: WindowPolicy::Fixed(window),
+            window,
             threads,
             trace: false,
             probe: Probe::disabled(),
@@ -198,8 +167,6 @@ pub struct StreamReport {
     pub peak_live_steps: usize,
     /// Tasks planned per elimination step (for window-bound accounting).
     pub per_step_tasks: Vec<usize>,
-    /// Window size in force when each step was opened.
-    pub per_step_window: Vec<usize>,
     /// Distributed-protocol message counters (data transfers, decision
     /// broadcasts, retirement reports).
     pub msgs: MsgStats,
@@ -261,8 +228,8 @@ impl<O: TaskOp> TaskSink<O> for StepSink<'_, O> {
     }
 }
 
-/// Execute `source` under the full streaming configuration: window policy
-/// and worker threads (both clamped to ≥ 1), optional trace recording.
+/// Execute `source` under the full streaming configuration: window and
+/// worker threads (both clamped to ≥ 1), optional trace recording.
 ///
 /// The calling thread plans; workers execute concurrently. Numerical
 /// results are deterministic across window and thread count because the
@@ -445,8 +412,8 @@ impl<O: TaskOp> Drop for AbortOnUnwind<'_, O> {
 }
 
 /// The one driver loop behind [`execute_with`] and [`execute_net`]: the
-/// calling thread opens, plans, awaits and closes steps under the window
-/// policy while `threads` workers execute; on a wire, a receiver thread
+/// calling thread opens, plans, awaits and closes steps, at most `window`
+/// live at once, while `threads` workers execute; on a wire, a receiver thread
 /// pumps inbound frames and the run ends with the rank protocol.
 fn drive<S: StepSource + ?Sized>(
     source: &mut S,
@@ -459,18 +426,7 @@ fn drive<S: StepSource + ?Sized>(
     let steps = source.num_steps();
     let probing = opts.probe.is_enabled();
 
-    let (mut window, auto) = match opts.window {
-        WindowPolicy::Fixed(w) => (w.max(1), None),
-        WindowPolicy::Auto {
-            min,
-            max,
-            live_task_budget,
-        } => {
-            let min = min.max(1);
-            (min, Some((min, max.max(min), live_task_budget)))
-        }
-    };
-    let mut per_step_window = Vec::with_capacity(steps);
+    let window = opts.window.max(1);
     let mut wire_result = Ok(());
 
     std::thread::scope(|scope| {
@@ -492,16 +448,6 @@ fn drive<S: StepSource + ?Sized>(
             }
             win.wait_for_capacity(window);
             win.open_step(k);
-            per_step_window.push(window);
-            if probing {
-                opts.probe.gauge(
-                    metric::STREAM_WINDOW,
-                    Label::None,
-                    start.elapsed().as_secs_f64(),
-                    window as f64,
-                );
-            }
-            let step_t0 = Instant::now();
             let mut decision_wait = 0.0f64;
             let mut sink = StepSink::new(&win, k);
             match source.plan_prelude(k, &mut sink) {
@@ -524,18 +470,6 @@ fn drive<S: StepSource + ?Sized>(
                     .observe(metric::STREAM_PANEL_WAIT, Label::None, decision_wait);
             }
             win.close_step(k);
-            if let Some((min, max, budget)) = auto {
-                // Shrink when live tasks near the memory budget; grow
-                // while the planner mostly sat waiting on the panel
-                // decision (the chain wants more lookahead).
-                let live = win.live_tasks();
-                let elapsed = step_t0.elapsed().as_secs_f64();
-                if budget > 0 && live * 10 >= budget * 8 {
-                    window = window.saturating_sub(1).max(min);
-                } else if decision_wait > 0.5 * elapsed && window < max {
-                    window += 1;
-                }
-            }
         }
         win.finish_planning();
         win.wait_drained();
@@ -551,7 +485,6 @@ fn drive<S: StepSource + ?Sized>(
     Ok(StreamReport {
         wall_seconds: start.elapsed().as_secs_f64(),
         steps,
-        per_step_window,
         ..counted
     })
 }
@@ -683,7 +616,6 @@ mod tests {
             report.peak_live_tasks
         );
         assert_eq!(report.per_step_tasks, vec![20; 10]);
-        assert_eq!(report.per_step_window, vec![1; 10]);
     }
 
     #[test]
@@ -947,23 +879,6 @@ mod tests {
             msgs: report.msgs,
         };
         assert_eq!(report.link_msgs, vec![fetch], "from the new home");
-    }
-
-    #[test]
-    fn auto_window_records_choices_within_bounds() {
-        let mut src = ChainSource::new(8, 4);
-        let opts = StreamOptions {
-            window: WindowPolicy::Auto {
-                min: 1,
-                max: 4,
-                live_task_budget: 64,
-            },
-            ..StreamOptions::fixed(1, 2)
-        };
-        let report = execute_with(&mut src, &opts);
-        assert_eq!(report.per_step_window.len(), 8);
-        assert!(report.per_step_window.iter().all(|&w| (1..=4).contains(&w)));
-        assert_eq!(report.tasks_executed, 32);
     }
 
     #[test]

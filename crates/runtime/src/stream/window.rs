@@ -620,7 +620,7 @@ pub(super) const NO_STEP: usize = usize::MAX;
 
 impl<O: TaskOp> StreamWindow<O> {
     /// A window over `fabric`, as [`Fabric::resolve`] made it from `opts`
-    /// for `num_nodes` nodes (the window policy and thread count are the
+    /// for `num_nodes` nodes (the window size and thread count are the
     /// driver's business, not the window's): it may record per-task trace
     /// events and emit runtime metrics into an enabled probe.
     pub(super) fn with_fabric(
@@ -819,29 +819,23 @@ impl<O: TaskOp> StreamWindow<O> {
         self.lock().panic.take()
     }
 
-    /// Live task records right now (the auto-window policy's memory
-    /// signal).
-    pub fn live_tasks(&self) -> usize {
-        self.lock().tasks.live()
-    }
-
     /// End of the run: what the window and its fabric counted, as the
-    /// run's report (the driver fills in what it timed and chose: wall
-    /// clock, steps, per-step window) and on the probe.
+    /// run's report (the driver fills in what it timed: wall clock and
+    /// steps) and on the probe.
     pub(super) fn report(&self) -> StreamReport {
         let mut st = self.lock();
         let st = &mut *st;
         let (kernel_stats, totals) = (st.kernel_stats.take(), st.msgs);
         let (planner_wakeups, worker_parks) = (st.planner_wakeups, st.worker_parks);
-        st.probe.record_batch(|sink| {
-            sink.counter(metric::STREAM_PLANNER_WAKEUPS, Label::None, planner_wakeups);
-            sink.counter(metric::STREAM_WORKER_PARKS, Label::None, worker_parks);
+        st.probe.record_batch(|snap| {
+            snap.add_counter(metric::STREAM_PLANNER_WAKEUPS, Label::None, planner_wakeups);
+            snap.add_counter(metric::STREAM_WORKER_PARKS, Label::None, worker_parks);
             if let Some(ks) = &kernel_stats {
                 for (class, (flops, hist)) in CostClass::ALL.iter().zip(ks.iter()) {
                     if hist.count > 0 {
                         let label = Label::Class(class.name());
-                        sink.counter(metric::KERNEL_FLOPS, label, *flops as u64);
-                        sink.merge_histogram(metric::KERNEL_SECONDS, label, hist);
+                        snap.add_counter(metric::KERNEL_FLOPS, label, *flops as u64);
+                        snap.merge_histogram(metric::KERNEL_SECONDS, label, hist);
                     }
                 }
             }
@@ -854,7 +848,7 @@ impl<O: TaskOp> StreamWindow<O> {
                 ("retire", totals.retire_msgs),
             ] {
                 if n > 0 {
-                    sink.counter(metric::COMM_MSGS, Label::Kind(kind), n);
+                    snap.add_counter(metric::COMM_MSGS, Label::Kind(kind), n);
                 }
             }
         });

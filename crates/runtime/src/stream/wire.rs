@@ -521,7 +521,7 @@ impl Wire {
             })
         };
         let (sent, received) = (by_kind(&self.sent), by_kind(&self.received));
-        probe.record_batch(|sink| {
+        probe.record_batch(|snap| {
             let (to, from) = (self.payload_bytes_sent, self.payload_bytes_recv);
             let sides = [
                 (metric::NET_FRAMES_SENT, "sent", sent, self.ctrl_sent, to),
@@ -542,15 +542,15 @@ impl Wire {
                 ];
                 for (kind, n) in kinds {
                     if n > 0 {
-                        sink.counter(frames, Label::Kind(kind), n);
+                        snap.add_counter(frames, Label::Kind(kind), n);
                     }
                 }
                 if bytes > 0 {
-                    sink.counter(metric::NET_PAYLOAD_BYTES, Label::Kind(side), bytes);
+                    snap.add_counter(metric::NET_PAYLOAD_BYTES, Label::Kind(side), bytes);
                 }
             }
-            sink.merge_histogram(metric::NET_SERIALIZE, Label::None, &self.ser_hist);
-            sink.merge_histogram(metric::NET_DESERIALIZE, Label::None, &self.de_hist);
+            snap.merge_histogram(metric::NET_SERIALIZE, Label::None, &self.ser_hist);
+            snap.merge_histogram(metric::NET_DESERIALIZE, Label::None, &self.de_hist);
         });
         NetReport {
             rank: self.rank,

@@ -62,9 +62,6 @@ struct DatumState {
 /// in insertion order; read the totals back with [`VirtualSchedule::report`].
 pub struct VirtualSchedule {
     platform: Platform,
-    /// Cached [`Platform::sync_latency`] — constant per platform, and a
-    /// full link scan on `Matrix` topologies, so not recomputed per task.
-    sync_latency: f64,
     /// Core availability per node (min-heap of free times).
     cores: Vec<BinaryHeap<Reverse<OrderedF64>>>,
     net: Network,
@@ -88,7 +85,7 @@ pub struct VirtualSchedule {
     /// would dominate probe overhead without sharpening the timeline).
     probe_tick: u64,
     /// Guards [`VirtualSchedule::flush_probe`] against double-flushing
-    /// link counters into the registry.
+    /// link counters into the probe.
     probe_flushed: bool,
 }
 
@@ -127,7 +124,6 @@ impl VirtualSchedule {
             attrib: None,
             probe_tick: 0,
             probe_flushed: false,
-            sync_latency: platform.sync_latency(),
             platform: platform.clone(),
         }
     }
@@ -282,7 +278,7 @@ impl VirtualSchedule {
             .min(self.platform.node(node).cores)
             .max(1);
         let duration = self.platform.task_seconds(node, result.flops, result.class) / claim as f64
-            + result.latency_events as f64 * self.sync_latency;
+            + result.latency_events as f64 * self.platform.sync_latency();
         let mut core_free = 0.0f64;
         let mut scratch = match self.attrib.as_mut() {
             Some(a) => std::mem::take(&mut a.scratch),
@@ -429,16 +425,16 @@ impl VirtualSchedule {
         self.probe_flushed = true;
         let links = self.net.link_traffic();
         let trunk = *self.net.trunk_wait();
-        self.probe.record_batch(|sink| {
+        self.probe.record_batch(|snap| {
             for lt in &links {
                 let label = Label::Link {
                     src: lt.src,
                     dst: lt.dst,
                 };
-                sink.counter(metric::COMM_LINK_MSGS, label, lt.messages);
-                sink.counter(metric::COMM_LINK_BYTES, label, lt.bytes);
+                snap.add_counter(metric::COMM_LINK_MSGS, label, lt.messages);
+                snap.add_counter(metric::COMM_LINK_BYTES, label, lt.bytes);
             }
-            sink.merge_histogram(metric::COMM_TRUNK_WAIT, Label::None, &trunk);
+            snap.merge_histogram(metric::COMM_TRUNK_WAIT, Label::None, &trunk);
         });
     }
 
@@ -574,7 +570,7 @@ impl VirtualSchedule {
             .min(self.platform.node(node).cores)
             .max(1);
         let duration = self.platform.task_seconds(node, result.flops, result.class) / claim as f64
-            + result.latency_events as f64 * self.sync_latency;
+            + result.latency_events as f64 * self.platform.sync_latency();
         let start = data_ready.max(self.cores_free_at(node, claim));
         (start, start + duration)
     }
@@ -783,7 +779,7 @@ mod tests {
         assert!((steps[&Some(0)].compute - 2.0).abs() < 1e-12);
         assert!((steps[&Some(1)].compute - 2.0).abs() < 1e-12);
 
-        // Flushing pushes the per-link counters into the registry, once.
+        // Flushing pushes the per-link counters into the probe, once.
         v.flush_probe();
         v.flush_probe();
         let snap = probe.snapshot();

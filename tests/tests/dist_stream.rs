@@ -6,7 +6,6 @@
 
 use luqr::{
     factor, factor_stream, factor_stream_with, Algorithm, Criterion, FactorOptions, StreamOptions,
-    WindowPolicy,
 };
 use luqr_kernels::Mat;
 use luqr_runtime::{simulate, Platform};
@@ -187,38 +186,6 @@ fn zero_latency_platform_costs_pure_bandwidth() {
     assert_routing_matches_replay(&dist.report.link_msgs, &replay.link_messages, "latency 0");
     assert!(replay.bytes > 0);
     assert!(replay.makespan > 0.0);
-}
-
-/// The autotuned window policy keeps bitwise parity and records a window
-/// choice for every step, inside its bounds.
-#[test]
-fn auto_window_keeps_parity_and_records_choices() {
-    let opts = FactorOptions {
-        nb: 8,
-        ib: 4,
-        threads: 4,
-        grid: Grid::new(2, 1),
-        algorithm: Algorithm::LuQr(Criterion::Max { alpha: 100.0 }),
-        ..FactorOptions::default()
-    };
-    let (a, b) = system(64, 23);
-    let batch = factor(&a, &b, &opts);
-    let stream_opts = StreamOptions {
-        window: WindowPolicy::Auto {
-            min: 1,
-            max: 6,
-            live_task_budget: 400,
-        },
-        ..StreamOptions::fixed(1, opts.threads)
-    };
-    let stream = factor_stream_with(&a, &b, &opts, &stream_opts);
-    assert_eq!(batch.solution().max_abs_diff(&stream.solution()), 0.0);
-    assert_eq!(stream.report.per_step_window.len(), stream.report.steps);
-    assert!(stream
-        .report
-        .per_step_window
-        .iter()
-        .all(|&w| (1..=6).contains(&w)));
 }
 
 /// Streaming trace export: behind the flag, every executed task gets a
