@@ -2,25 +2,21 @@
 //! the [`HqrPlanner`] running it unconditionally at every step.
 
 use crate::op::{ix, Gate, TaskOp};
-use crate::state::{cells, StepCells, StepData, StepPlan};
+use crate::state::{cells, RowOrder, StepCells, StepData, StepPlan};
 use crate::trees::{elimination_list, ElimOp};
 
 use super::{panel, Inserter, StepPlanner};
 
-/// Insert one QR elimination step: the reduction-tree factorization of
-/// panel column `k` (GEQRT / TSQRT / TTQRT) interleaved with its trailing
-/// updates (UNMQR / TSMQR / TTMQR). `gate` is [`Gate::Qr`] for the hybrid's
-/// QR branch, [`Gate::None`] for the HQR baseline. A row's T-factor datum
-/// is declared when the row's first factor kernel is inserted.
-pub(crate) fn insert_qr_step(ins: &mut Inserter<'_>, k: usize, gate: Gate) {
+/// The plan lists of a step with a QR branch: the elimination list of
+/// panel column `k`, over its rows grouped by owning node, diagonal domain
+/// first, and that list in per-row order.
+pub(crate) fn elimination(ins: &Inserter<'_>, k: usize) -> (Vec<ElimOp>, RowOrder) {
     let mt = ins.ctx.aug.mt();
-
-    // Panel rows grouped by owning node, diagonal domain first (the first
-    // group necessarily contains row k since rows ascend).
+    // The first group necessarily contains row k since rows ascend.
     let domains: Vec<Vec<usize>> = {
         let mut ordered: Vec<(usize, Vec<usize>)> = Vec::new();
         for i in k..mt {
-            let node = ins.dist.owner(i, k);
+            let node = ins.ctx.dist.owner(i, k);
             match ordered.iter_mut().find(|(n, _)| *n == node) {
                 Some((_, rows)) => rows.push(i),
                 None => ordered.push((node, vec![i])),
@@ -29,14 +25,26 @@ pub(crate) fn insert_qr_step(ins: &mut Inserter<'_>, k: usize, gate: Gate) {
         debug_assert_eq!(ordered[0].1[0], k);
         ordered.into_iter().map(|(_, rows)| rows).collect()
     };
+    let elim = elimination_list(&domains, &ins.ctx.opts.trees);
+    let rows = RowOrder::new(&elim, k, mt);
+    (elim, rows)
+}
 
-    let mut declared = vec![false; mt];
+/// Insert one QR elimination step: the reduction-tree factorization of
+/// panel column `k` (GEQRT / TSQRT / TTQRT) interleaved with its trailing
+/// updates (UNMQR / TSMQR / TTMQR), in the order of the step's
+/// elimination list. `gate` is [`Gate::Qr`] for the hybrid's QR branch,
+/// [`Gate::None`] for the HQR baseline. A row's T-factor datum is declared
+/// when the row's first factor kernel is inserted.
+pub(crate) fn insert_qr_step(ins: &mut Inserter<'_>, k: usize, gate: Gate) {
+    let mut declared = vec![false; ins.ctx.aug.mt()];
     let mut factor_row = |ins: &mut Inserter<'_>, i: usize| {
         if !std::mem::replace(&mut declared[i], true) {
             panel::declare_tfactor(ins, k, i);
         }
     };
-    for op in elimination_list(&domains, &ins.ctx.opts.trees) {
+    let ctx = ins.ctx;
+    for &op in &ctx.steps.get(k).plan.elim {
         match op {
             // GEQRT of one panel row plus its trailing updates
             // (`A_row,j <- Qᵀ A_row,j`).
@@ -101,9 +109,13 @@ impl StepPlanner for HqrPlanner {
             tf: cells(ins.ctx.aug.mt()),
             ..StepData::default()
         };
-        ins.ctx
-            .steps
-            .open(k, StepCells::new(StepPlan::default(), data));
+        let (elim, elim_rows) = elimination(ins, k);
+        let plan = StepPlan {
+            elim,
+            elim_rows,
+            ..StepPlan::default()
+        };
+        ins.ctx.steps.open(k, StepCells::new(plan, data));
         insert_qr_step(ins, k, Gate::None);
     }
 }

@@ -41,8 +41,11 @@ impl HybridPlanner {
             tf: cells(mt),
             ..lu::lu_step_data(ins)
         };
+        let (elim, elim_rows) = hqr::elimination(ins, k);
         let plan = StepPlan {
             crit_groups,
+            elim,
+            elim_rows,
             ..lu::lu_step_plan(ins, k, trial_rows)
         };
         ins.ctx.steps.open(k, StepCells::new(plan, data));

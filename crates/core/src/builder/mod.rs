@@ -4,9 +4,10 @@
 //! inserts every task of elimination step `k` (panel through trailing
 //! updates, right-hand-side columns included) into the shared [`Inserter`].
 //! [`build_graph`] looks the algorithm's planner up in the registry
-//! ([`crate::planner_for`]) and drives it once per step; the runtime's
-//! hazard inference then yields the full dependency structure, including
-//! pipelining between consecutive steps.
+//! ([`crate::planner_for`]) and drives it once per step, then takes every
+//! task's edges in closed form from its op ([`TaskOp::for_each_successor`]),
+//! including the pipelining between consecutive steps; the streaming
+//! window infers the same edges from the same insertions.
 //!
 //! The module tree mirrors the algorithm structure:
 //! * [`hybrid`] — the paper's LU-QR hybrid (Algorithm 1), including the A2
@@ -57,7 +58,7 @@ use std::hash::{Hash, Hasher};
 use luqr_kernels::Mat;
 use luqr_runtime::hash::IntHasher;
 use luqr_runtime::{DataKey, GraphBuilder, TaskId, TaskSink};
-use luqr_tile::{Dist, TiledMatrix};
+use luqr_tile::TiledMatrix;
 
 use crate::config::FactorOptions;
 use crate::keys;
@@ -68,15 +69,14 @@ pub use crate::state::SharedState;
 
 /// Insertion context handed to every planner: the task sink under
 /// construction — the batch [`GraphBuilder`] or the streaming window —
-/// plus the matrix, distribution, and options it describes. All ownership
-/// and panel-domain queries go through `dist`, so a speed-weighted
-/// distribution re-shapes every planner's placement without the planners
-/// knowing.
+/// plus the run's context: the matrix, distribution, and options it
+/// describes. All ownership and panel-domain queries go through the
+/// context's `dist`, so a speed-weighted distribution re-shapes every
+/// planner's placement without the planners knowing.
 pub struct Inserter<'a> {
     pub(crate) b: &'a mut (dyn TaskSink<TaskOp> + 'a),
-    /// The run's context: matrix, options, per-step cells.
+    /// The run's context: matrix, options, distribution, per-step cells.
     pub(crate) ctx: &'a RunCtx,
-    pub(crate) dist: Dist,
 }
 
 impl Inserter<'_> {
@@ -85,9 +85,9 @@ impl Inserter<'_> {
         self.ctx.nt_a
     }
 
-    /// Insert `op`, placed on its owner under the current distribution.
+    /// Insert `op`, placed on its owner under the run's distribution.
     pub(crate) fn push(&mut self, op: TaskOp) -> TaskId {
-        self.b.push(op.node(&self.dist), op)
+        self.b.push(op.node(&self.ctx.dist), op)
     }
 
     /// All trailing column indices of step `k` (matrix + rhs tile columns).
@@ -137,28 +137,40 @@ pub trait StepPlanner {
 /// Insert the complete factorization of `aug` (an augmented `[A | B]` tiled
 /// matrix with `nt_a` tile columns of `A`) into a fresh graph, using the
 /// planner registered for `opts.algorithm` (see [`crate::planner_for`]).
+///
+/// The edges are the ops' closed-form ones ([`TaskOp::for_each_successor`]):
+/// a step's tasks are consecutive ids, so a successor's id is where its
+/// step starts plus its dense index in the step.
 pub fn build_graph(
     aug: &TiledMatrix,
     nt_a: usize,
     opts: &FactorOptions,
 ) -> (crate::Graph, SharedState) {
     let ctx = RunCtx::new(aug, nt_a, opts);
-    let dist = opts.tile_dist();
-    let mut b = GraphBuilder::new(dist.nodes(), std::sync::Arc::clone(&ctx));
+    let mut b = GraphBuilder::new(ctx.dist.nodes(), std::sync::Arc::clone(&ctx));
 
     // Declare every tile with its (possibly weighted) block-cyclic home.
-    declare_tiles(&mut b, aug, &dist);
+    declare_tiles(&mut b, &ctx);
 
-    let mut ins = Inserter {
-        b: &mut b,
-        ctx: &ctx,
-        dist,
-    };
     let planner = crate::planner_for(&opts.algorithm);
+    let mut step_start = Vec::with_capacity(nt_a);
     for k in 0..nt_a {
+        step_start.push(b.len());
+        let mut ins = Inserter {
+            b: &mut b,
+            ctx: &ctx,
+        };
         planner.plan_step(k, &mut ins);
     }
-    (b.build(), ctx.shared.clone())
+    let graph = b.build(|_, op, out| {
+        crate::edges::successors(&ctx, op, &mut |s, dense| {
+            out.push(step_start[s.step()] + dense)
+        });
+    });
+    debug_assert!(graph
+        .tasks()
+        .all(|t| step_start[t.op().step()] + t.op().dense_index(&ctx) == t.id));
+    (graph, ctx.shared.clone())
 }
 
 /// A fingerprint of what this build plans for an `n x n` system with `nrhs`
@@ -193,9 +205,8 @@ pub fn plan_fingerprint(n: usize, nrhs: usize, opts: &FactorOptions) -> u64 {
     let aug = TiledMatrix::from_dense_augmented_where(&a, &rhs, opts.nb, |_, _| false);
     let nt_a = aug.nt() - nrhs.div_ceil(opts.nb);
     let ctx = RunCtx::new(&aug, nt_a, opts);
-    let dist = opts.tile_dist();
     let mut sink = HashSink {
-        nodes: dist.nodes(),
+        nodes: ctx.dist.nodes(),
         pushed: 0,
         hasher: IntHasher::default(),
     };
@@ -203,19 +214,19 @@ pub fn plan_fingerprint(n: usize, nrhs: usize, opts: &FactorOptions) -> u64 {
     let mut ins = Inserter {
         b: &mut sink,
         ctx: &ctx,
-        dist,
     };
     crate::planner_for(&opts.algorithm).plan_step(0, &mut ins);
     sink.hasher.finish()
 }
 
-/// Declare every tile of `aug` with its distribution-assigned home node
-/// (shared by the batch builder and the streaming source).
-pub(crate) fn declare_tiles(sink: &mut dyn TaskSink<TaskOp>, aug: &TiledMatrix, dist: &Dist) {
+/// Declare every tile of the run's matrix with its distribution-assigned
+/// home node (shared by the batch builder and the streaming source).
+pub(crate) fn declare_tiles(sink: &mut dyn TaskSink<TaskOp>, ctx: &RunCtx) {
+    let aug = &ctx.aug;
     for i in 0..aug.mt() {
         for j in 0..aug.nt() {
             let (tm, tn) = aug.tile_dims(i, j);
-            sink.declare(keys::tile(i, j), tm * tn * 8, dist.owner(i, j));
+            sink.declare(keys::tile(i, j), tm * tn * 8, ctx.dist.owner(i, j));
         }
     }
 }

@@ -22,7 +22,7 @@ use std::sync::Arc;
 
 use luqr_runtime::stream::{StepPhase, StepSource};
 use luqr_runtime::TaskSink;
-use luqr_tile::{Dist, TiledMatrix};
+use luqr_tile::TiledMatrix;
 
 use crate::config::FactorOptions;
 use crate::op::TaskOp;
@@ -34,7 +34,6 @@ use super::{declare_tiles, Inserter, SharedState, StepPlanner};
 pub struct PlannerStepSource {
     planner: Box<dyn StepPlanner>,
     ctx: Arc<RunCtx>,
-    dist: Dist,
 }
 
 impl PlannerStepSource {
@@ -45,7 +44,6 @@ impl PlannerStepSource {
         PlannerStepSource {
             planner: crate::planner_for(&opts.algorithm),
             ctx: RunCtx::new(aug, nt_a, opts),
-            dist: opts.tile_dist(),
         }
     }
 
@@ -60,7 +58,6 @@ impl PlannerStepSource {
         Inserter {
             b: sink,
             ctx: &self.ctx,
-            dist: self.dist.clone(),
         }
     }
 }
@@ -77,11 +74,11 @@ impl StepSource for PlannerStepSource {
     }
 
     fn num_nodes(&self) -> usize {
-        self.dist.nodes()
+        self.ctx.dist.nodes()
     }
 
     fn prepare(&mut self, sink: &mut dyn TaskSink<TaskOp>) {
-        declare_tiles(sink, &self.ctx.aug, &self.dist);
+        declare_tiles(sink, &self.ctx);
     }
 
     fn plan_prelude(&mut self, k: usize, sink: &mut dyn TaskSink<TaskOp>) -> StepPhase {

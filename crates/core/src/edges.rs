@@ -1,0 +1,1063 @@
+//! Closed-form edges: the batch graph as a parameterized task graph.
+//!
+//! In the paper's PaRSEC implementation a task is `KIND(k, i, j)` and its
+//! inputs and outputs are functions of those indices. Here too: every
+//! [`TaskOp`] of a planned run knows its successors
+//! ([`TaskOp::for_each_successor`]) and how many tasks it waits for
+//! ([`TaskOp::num_predecessors`]) from its indices, the reduction trees and
+//! the lists of its step's `StepPlan`, with no record of what ran or was
+//! inserted before it. The batch graph takes its edges from here; the
+//! streaming window still infers the same edges from each op's accesses
+//! (`luqr_runtime::hazard`), and a test checks the two agree.
+//!
+//! **The access sequences.** For every datum, a step's ops touch it in a
+//! fixed order, which [`Step`] writes out as a short list of *slots* — one
+//! writer, one control access, or a group of readers given by its indices
+//! (the GEMMs of a tile row, the PIVSWPs of a column, …). A hybrid step's
+//! list is its prelude's, then its LU branch's, then its QR branch's: both
+//! branches are planned, so the QR branch's first write of a tile waits
+//! for the LU branch's last readers of it. A tile's lists of consecutive
+//! steps join up (every step writes each tile it touches, so one step back
+//! is always far enough). The hazard rules then read off the list: an
+//! access depends on the datum's last writer, and a write also on the
+//! readers since. A successor walk starts just past the op's own access,
+//! which its indices locate; the predecessor count reads from the top.
+//!
+//! **Ids.** Each op also has a dense index within its step, its position
+//! in the step's insertion order computed from its kind and indices
+//! (`TaskOp::dense_index`): the batch builder records where each step
+//! starts and maps a successor to its task id with one addition.
+
+use std::ops::ControlFlow::{self, Break, Continue};
+use std::ops::Range;
+
+use luqr_runtime::Access;
+
+use crate::config::LuVariant;
+use crate::keys::{self, Kind};
+use crate::op::{ix, Gate, Ix, TaskOp};
+use crate::state::{RunCtx, StepPlan};
+use crate::trees::ElimOp;
+use crate::Algorithm;
+
+type Flow = ControlFlow<()>;
+
+impl TaskOp {
+    /// Visit the tasks that wait for this one: for each of its accesses,
+    /// the tasks whose access to the same datum comes next under the
+    /// RAW / WAR / WAW rules (every later access up to and including the
+    /// next write, after a write; the next write, after a read). A
+    /// successor may be visited more than once. The run's steps up to the
+    /// next one must have been planned.
+    pub fn for_each_successor(self, ctx: &RunCtx, mut f: impl FnMut(TaskOp)) {
+        successors(ctx, self, &mut |op, _| f(op));
+    }
+
+    /// How many distinct tasks this one waits for: for each of its
+    /// accesses, the datum's last writer before it, and for a write the
+    /// readers since.
+    pub fn num_predecessors(self, ctx: &RunCtx) -> usize {
+        let st = Step::new(ctx, self.step());
+        let mut preds = Vec::new();
+        self.for_each_access(ctx, |acc| {
+            st.predecessors_through(self, acc, &mut |op, dense| preds.push((op.step(), dense)))
+        });
+        preds.sort_unstable();
+        preds.dedup();
+        preds.len()
+    }
+
+    /// The op's position in its step's insertion order.
+    pub(crate) fn dense_index(self, ctx: &RunCtx) -> usize {
+        Step::new(ctx, self.step()).dense(self)
+    }
+}
+
+/// [`TaskOp::for_each_successor`], each successor with its dense index.
+pub(crate) fn successors(ctx: &RunCtx, me: TaskOp, f: &mut dyn FnMut(TaskOp, usize)) {
+    let st = Step::new(ctx, me.step());
+    me.for_each_access(ctx, |acc| st.successors_through(me, acc, f));
+}
+
+impl<'a> Step<'a> {
+    /// The successors of `me`, an op of this step, through one of its
+    /// accesses: the accesses to the same datum after it, up to and
+    /// including the next write (only that write, after a read).
+    fn successors_through(&self, me: TaskOp, acc: Access, f: &mut dyn FnMut(TaskOp, usize)) {
+        let (key, write) = match acc {
+            Access::Read(key) => (key, false),
+            Access::Mut(key) => (key, true),
+            Access::Control(_) => return,
+        };
+        let (kind, a, b) = keys::unpack(key).expect("a key of this crate");
+        // Written once in its step, by the task that opens its sequence:
+        // nothing waits for a reader of it.
+        if !write && !matches!(kind, Kind::Tile | Kind::TFactor) {
+            return;
+        }
+        let mut emit = |st: &Step<'_>, after| {
+            st.slots(kind, a, b, after, &mut |slot| match slot {
+                Slot::Write(op) => {
+                    f(op, st.dense(op));
+                    Break(())
+                }
+                Slot::Control(op) => {
+                    if write {
+                        f(op, st.dense(op));
+                    }
+                    Continue(())
+                }
+                Slot::Read(readers) => {
+                    if write {
+                        readers.for_each(st, f);
+                    }
+                    Continue(())
+                }
+            })
+        };
+        let done = emit(self, Some(me)).is_break();
+        // A tile is touched by every step up to min(i, j).
+        if !done && kind == Kind::Tile && self.k < a.min(b).min(self.ctx.nt_a - 1) {
+            let _ = emit(&Step::new(self.ctx, self.k + 1), None);
+        }
+    }
+
+    /// The predecessors of `me`, an op of this step, through one of its
+    /// accesses: the datum's last writer before it, and for a write the
+    /// readers since.
+    fn predecessors_through(&self, me: TaskOp, acc: Access, f: &mut dyn FnMut(TaskOp, usize)) {
+        let (key, write) = match acc {
+            Access::Read(key) | Access::Control(key) => (key, false),
+            Access::Mut(key) => (key, true),
+        };
+        let (kind, a, b) = keys::unpack(key).expect("a key of this crate");
+        let mut writer = None;
+        let mut readers = Vec::new();
+        let mut walk = |st: &Step<'a>| {
+            st.slots(kind, a, b, None, &mut |slot| {
+                match slot {
+                    _ if slot.holds(st, me) => return Break(()),
+                    Slot::Write(op) => {
+                        writer = Some((op, st.dense(op)));
+                        readers.clear();
+                    }
+                    Slot::Read(r) => readers.push((st.k, r)),
+                    Slot::Control(_) => {}
+                }
+                Continue(())
+            })
+        };
+        // Every step writes the tiles it touches: one step back is enough.
+        if kind == Kind::Tile && self.k > 0 {
+            let _ = walk(&Step::new(self.ctx, self.k - 1));
+        }
+        let found = walk(self).is_break();
+        debug_assert!(
+            found,
+            "{me:?} is not among step {}'s accesses to {key:?}",
+            self.k
+        );
+        // None: the datum's initial value (a tile at step 0).
+        if let Some((w, dense)) = writer {
+            f(w, dense);
+        }
+        if write {
+            for (s, r) in readers {
+                r.for_each(&Step::new(self.ctx, s), f);
+            }
+        }
+    }
+}
+
+/// One place in a datum's access sequence.
+#[derive(Clone, Copy)]
+enum Slot {
+    /// A write (`Access::Mut`).
+    Write(TaskOp),
+    /// An ordering-only access: waits for the last writer, holds up nobody.
+    Control(TaskOp),
+    /// Reads by every op of a group, in any order among themselves.
+    Read(Readers),
+}
+
+impl Slot {
+    /// Whether `op`'s access is this one (where a predecessor walk stops).
+    fn holds(self, st: &Step<'_>, op: TaskOp) -> bool {
+        match self {
+            Slot::Write(x) | Slot::Control(x) => x == op,
+            Slot::Read(readers) => readers.contains(st, op),
+        }
+    }
+}
+
+/// A group of readers, by its indices.
+#[derive(Clone, Copy)]
+enum Readers {
+    /// One op.
+    One(TaskOp),
+    /// The op in every trailing column of its step.
+    Cols(TaskOp),
+    /// The GEMM of every row below the pivot row in column `j`.
+    GemmCol(Ix),
+    /// The TRSM of every row the LU branch eliminates.
+    Trsms,
+    /// The PIVSWP of every exchange group, in column `j` or in every column.
+    Swaps(Option<Ix>),
+    /// Every op the step inserts after its panel task (the decision's
+    /// readers).
+    AfterPanel,
+}
+
+impl Readers {
+    fn contains(self, st: &Step<'_>, op: TaskOp) -> bool {
+        let (k, gate) = (st.kx(), st.lu_gate());
+        match self {
+            Readers::One(x) => x == op,
+            Readers::Cols(x) => col(op).is_some() && at_col(op, col(x).expect("a column op")) == x,
+            Readers::GemmCol(j) => matches!(op, TaskOp::Gemm { k: ok, j: oj, gate: og, .. }
+                if (ok, oj, og) == (k, j, gate)),
+            Readers::Trsms => matches!(op, TaskOp::Trsm { k: ok, i, gate: og }
+                if (ok, og) == (k, gate) && st.eliminates(i as usize)),
+            Readers::Swaps(j) => matches!(op, TaskOp::PivSwp { k: ok, j: oj, gate: og, .. }
+                if (ok, og) == (k, gate) && j.is_none_or(|j| j == oj)),
+            Readers::AfterPanel => {
+                op.step() == st.k && (op.gate() != Gate::None || matches!(op, TaskOp::Prop { .. }))
+            }
+        }
+    }
+
+    /// Visit the group's ops with their dense indices, which step through
+    /// the layout by a stride instead of being computed one by one.
+    fn for_each(self, st: &Step<'_>, f: &mut dyn FnMut(TaskOp, usize)) {
+        let (k, gate) = (st.kx(), st.lu_gate());
+        match self {
+            Readers::One(x) => f(x, st.dense(x)),
+            Readers::Cols(x) => {
+                let base = st.dense(at_col(x, ix(st.k + 1)));
+                // A pivot-row TRSM heads each column's exchange block.
+                let stride = match x {
+                    TaskOp::TrsmTop { .. } => st.col_block(),
+                    _ => 1,
+                };
+                for (c, j) in st.cols().enumerate() {
+                    f(at_col(x, ix(j)), base + c * stride);
+                }
+            }
+            Readers::GemmCol(j) => {
+                let c = j as usize - st.k - 1;
+                for i in st.below() {
+                    let at = st.lu_row(i) + usize::from(st.eliminates(i)) + c;
+                    f(
+                        TaskOp::Gemm {
+                            k,
+                            i: ix(i),
+                            j,
+                            gate,
+                        },
+                        at,
+                    );
+                }
+            }
+            Readers::Trsms => {
+                for i in st.below().filter(|&i| st.eliminates(i)) {
+                    f(TaskOp::Trsm { k, i: ix(i), gate }, st.lu_row(i));
+                }
+            }
+            Readers::Swaps(j) => {
+                for j in j.map_or(st.cols(), |j| j as usize..j as usize + 1) {
+                    let base = st.column(j);
+                    for g in 0..=st.groups() {
+                        f(st.pivswp(j, g), base + 1 + g);
+                    }
+                }
+            }
+            Readers::AfterPanel => {
+                let mut at = st.dense(st.panel());
+                st.after_panel(&mut |op| {
+                    at += 1;
+                    f(op, at);
+                });
+            }
+        }
+    }
+}
+
+/// The trailing column a column op works on.
+fn col(op: TaskOp) -> Option<Ix> {
+    use TaskOp::*;
+    match op {
+        SwpInit { j, .. }
+        | PivSwp { j, .. }
+        | TrsmTop { j, .. }
+        | Gemm { j, .. }
+        | Unmqr { j, .. }
+        | Ormqr { j, .. }
+        | Tpmqrt { j, .. }
+        | Gessm { j, .. }
+        | Ssssm { j, .. } => Some(j),
+        _ => None,
+    }
+}
+
+/// The column op `op` moved to column `c`.
+fn at_col(mut op: TaskOp, c: Ix) -> TaskOp {
+    use TaskOp::*;
+    match &mut op {
+        SwpInit { j, .. }
+        | PivSwp { j, .. }
+        | TrsmTop { j, .. }
+        | Gemm { j, .. }
+        | Unmqr { j, .. }
+        | Ormqr { j, .. }
+        | Tpmqrt { j, .. }
+        | Gessm { j, .. }
+        | Ssssm { j, .. } => *j = c,
+        _ => unreachable!("{op:?} has no trailing column"),
+    }
+    op
+}
+
+/// What every step of a run plans.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Shape {
+    /// Prelude, LU branch, QR branch; `a2`: the trial is a QR of the
+    /// diagonal tile and the LU branch applies it with ORMQRs.
+    Hybrid {
+        a2: bool,
+    },
+    /// LU NoPiv, or LUPP (`full_panel`).
+    Lu {
+        full_panel: bool,
+    },
+    IncPiv,
+    Hqr,
+}
+
+/// One planned step and what its closed forms read.
+struct Step<'a> {
+    ctx: &'a RunCtx,
+    plan: &'a StepPlan,
+    shape: Shape,
+    k: usize,
+    mt: usize,
+    nt: usize,
+}
+
+impl<'a> Step<'a> {
+    fn new(ctx: &'a RunCtx, k: usize) -> Self {
+        let shape = match ctx.opts.algorithm {
+            Algorithm::LuQr(_) => Shape::Hybrid {
+                a2: ctx.opts.lu_variant == LuVariant::A2,
+            },
+            Algorithm::LuNoPiv => Shape::Lu { full_panel: false },
+            Algorithm::Lupp => Shape::Lu { full_panel: true },
+            Algorithm::LuIncPiv => Shape::IncPiv,
+            Algorithm::Hqr => Shape::Hqr,
+        };
+        Step {
+            ctx,
+            plan: &ctx.steps.get(k).plan,
+            shape,
+            k,
+            mt: ctx.aug.mt(),
+            nt: ctx.aug.nt(),
+        }
+    }
+
+    fn kx(&self) -> Ix {
+        ix(self.k)
+    }
+
+    /// The trailing tile columns (right-hand sides included).
+    fn cols(&self) -> Range<usize> {
+        self.k + 1..self.nt
+    }
+
+    /// The tile rows below the pivot row.
+    fn below(&self) -> Range<usize> {
+        self.k + 1..self.mt
+    }
+
+    fn a2(&self) -> bool {
+        self.shape == Shape::Hybrid { a2: true }
+    }
+
+    fn lu_gate(&self) -> Gate {
+        match self.shape {
+            Shape::Hybrid { .. } => Gate::Lu,
+            _ => Gate::None,
+        }
+    }
+
+    fn qr_gate(&self) -> Gate {
+        match self.shape {
+            Shape::Hybrid { .. } => Gate::Qr,
+            _ => Gate::None,
+        }
+    }
+
+    fn is_trial(&self, i: usize) -> bool {
+        self.plan.trial_rows.binary_search(&i).is_ok()
+    }
+
+    /// Trial rows above row `i` (the diagonal row included).
+    fn trial_before(&self, i: usize) -> usize {
+        let rows = &self.plan.trial_rows;
+        if i >= self.mt {
+            rows.len()
+        } else {
+            rows.partition_point(|&r| r < i)
+        }
+    }
+
+    /// Whether the LU branch eliminates row `i > k` with a TRSM: rows of
+    /// the trial already hold their multipliers, except under A2.
+    fn eliminates(&self, i: usize) -> bool {
+        self.a2() || !self.is_trial(i)
+    }
+
+    /// The rows in `k + 1..i` the LU branch eliminates.
+    fn eliminated_before(&self, i: usize) -> usize {
+        let above = i - self.k - 1;
+        if self.a2() {
+            above
+        } else {
+            above + 1 - self.trial_before(i)
+        }
+    }
+
+    /// Number of row-exchange groups besides the pivot block.
+    fn groups(&self) -> usize {
+        self.plan.swap_groups.len()
+    }
+
+    /// The exchange group (`1..`) of row `i > k`, if the step swaps it.
+    fn swap_group(&self, i: usize) -> Option<usize> {
+        if self.a2() || !self.is_trial(i) {
+            return None;
+        }
+        let dist = &self.ctx.dist;
+        let grid_row = dist.row_group(i);
+        let groups = &self.plan.swap_groups;
+        let g = groups
+            .iter()
+            .position(|rows| dist.row_group(rows[0].0) == grid_row);
+        g.map(|g| g + 1)
+    }
+
+    fn pivswp(&self, j: usize, g: usize) -> TaskOp {
+        let node = match self.plan.swap_rows(ix(g)).first() {
+            Some(&(row, _)) => self.ctx.dist.owner(row, j),
+            None => self.ctx.dist.owner(self.k, j),
+        };
+        TaskOp::PivSwp {
+            k: self.kx(),
+            j: ix(j),
+            g: ix(g),
+            node: ix(node),
+            gate: self.lu_gate(),
+        }
+    }
+
+    fn crit(&self, d: usize) -> TaskOp {
+        TaskOp::Crit {
+            k: self.kx(),
+            d: ix(d),
+            node: ix(self.plan.crit_groups[d].0),
+        }
+    }
+
+    /// The criterion group of an off-trial row.
+    fn crit_of(&self, i: usize) -> usize {
+        let node = self.ctx.dist.owner(i, self.k);
+        let groups = &self.plan.crit_groups;
+        groups
+            .iter()
+            .position(|&(n, _)| n == node)
+            .expect("every off-trial row is in a criterion group")
+    }
+
+    /// The step's panel task.
+    fn panel(&self) -> TaskOp {
+        let k = self.kx();
+        match self.shape {
+            Shape::Hybrid { a2: false } => TaskOp::Panel { k },
+            Shape::Hybrid { a2: true } => TaskOp::PanelA2 { k },
+            Shape::Lu { full_panel } => TaskOp::PanelLu { k, full_panel },
+            Shape::IncPiv => TaskOp::Getrf { k },
+            Shape::Hqr => unreachable!("an HQR step has no panel task"),
+        }
+    }
+
+    // --- the QR branch ------------------------------------------------------
+
+    /// Positions in the elimination list of the ops touching row `i`.
+    fn row_elim(&self, i: usize) -> &'a [u32] {
+        self.plan.elim_rows.of(i - self.k)
+    }
+
+    /// The row the list's op `p` factors, whose T-factor its updates read:
+    /// a GEQRT's row, a kill's victim.
+    fn subject(&self, p: usize) -> usize {
+        match self.plan.elim[p] {
+            ElimOp::Geqrt { row } => row,
+            ElimOp::Kill { victim, .. } => victim,
+        }
+    }
+
+    /// The factor kernel of the list's op `p`.
+    fn factor(&self, p: usize) -> TaskOp {
+        let (k, gate) = (self.kx(), self.qr_gate());
+        match self.plan.elim[p] {
+            ElimOp::Geqrt { row } => TaskOp::Geqrt {
+                k,
+                i: ix(row),
+                gate,
+            },
+            ElimOp::Kill {
+                victim,
+                eliminator,
+                ts,
+            } => TaskOp::Tpqrt {
+                k,
+                v: ix(victim),
+                e: ix(eliminator),
+                ts,
+                gate,
+            },
+        }
+    }
+
+    /// The update of column `j` by the list's op `p`.
+    fn update(&self, p: usize, j: usize) -> TaskOp {
+        let (k, j, gate) = (self.kx(), ix(j), self.qr_gate());
+        match self.plan.elim[p] {
+            ElimOp::Geqrt { row } => TaskOp::Unmqr {
+                k,
+                i: ix(row),
+                j,
+                gate,
+            },
+            ElimOp::Kill {
+                victim,
+                eliminator,
+                ts,
+            } => TaskOp::Tpmqrt {
+                k,
+                v: ix(victim),
+                e: ix(eliminator),
+                j,
+                ts,
+                gate,
+            },
+        }
+    }
+
+    /// The position in the elimination list of a QR op of this step, if it
+    /// is one: a row's GEQRT is the first op on it (it comes before the
+    /// row eliminates anything), a victim's kill the last (a dead row does
+    /// nothing).
+    fn elim_pos(&self, op: TaskOp) -> Option<usize> {
+        let (row, geqrt) = match op {
+            TaskOp::Geqrt { i, .. } | TaskOp::Unmqr { i, .. } => (i as usize, true),
+            TaskOp::Tpqrt { v, .. } | TaskOp::Tpmqrt { v, .. } => (v as usize, false),
+            _ => return None,
+        };
+        let on_row = self.row_elim(row);
+        let p = if geqrt {
+            on_row[0]
+        } else {
+            on_row[on_row.len() - 1]
+        } as usize;
+        debug_assert!(
+            self.subject(p) == row && matches!(self.plan.elim[p], ElimOp::Geqrt { .. }) == geqrt,
+            "{op:?} is not at position {p} of its step's elimination list"
+        );
+        Some(p)
+    }
+
+    /// Where the QR walk of tile `(i, j)` resumes after QR op `op`:
+    /// `(link, past_factor)`, the link of row `i`'s list to start at and
+    /// whether its factor kernel is already behind.
+    fn qr_after(&self, i: usize, j: usize, op: TaskOp) -> Option<(usize, bool)> {
+        let p = self.elim_pos(op)? as u32;
+        let link = self
+            .row_elim(i)
+            .binary_search(&p)
+            .expect("the op works on row i");
+        let factor = matches!(op, TaskOp::Geqrt { .. } | TaskOp::Tpqrt { .. });
+        Some(if j == self.k && factor {
+            (link, true)
+        } else {
+            (link + 1, false)
+        })
+    }
+
+    // --- the layout -----------------------------------------------------------
+
+    /// Where the LU branch starts.
+    fn lu_start(&self) -> usize {
+        let (t, c) = (self.plan.trial_rows.len(), self.plan.crit_groups.len());
+        match self.shape {
+            Shape::Hybrid { .. } => 2 * t + c + 1,
+            _ => 1,
+        }
+    }
+
+    /// Ops per column of the LU branch's pivot-row phase.
+    fn col_block(&self) -> usize {
+        if self.a2() {
+            1
+        } else {
+            self.groups() + 3
+        }
+    }
+
+    /// Where the LU branch's block of pivot-row column `j` starts.
+    fn column(&self, j: usize) -> usize {
+        self.lu_start() + (j - self.k - 1) * self.col_block()
+    }
+
+    /// Where the LU branch's block of row `i > k` starts (`i = mt`: where
+    /// the LU branch ends).
+    fn lu_row(&self, i: usize) -> usize {
+        let nj = self.nt - self.k - 1;
+        self.column(self.nt) + (i - self.k - 1) * nj + self.eliminated_before(i)
+    }
+
+    /// Where the QR branch starts.
+    fn qr_start(&self) -> usize {
+        match self.shape {
+            Shape::Hybrid { .. } => self.lu_row(self.mt),
+            _ => 0,
+        }
+    }
+
+    /// `op`'s position in the step's insertion order.
+    fn dense(&self, op: TaskOp) -> usize {
+        use TaskOp::*;
+        let (k, nj) = (self.k, self.nt - self.k - 1);
+        let (t, c) = (self.plan.trial_rows.len(), self.plan.crit_groups.len());
+        let col = |j: Ix| j as usize - k - 1;
+        let column = |j: Ix| self.column(j as usize);
+        let incpiv_row = |i: Ix| 1 + nj + (i as usize - k - 1) * (1 + nj);
+        let qr = |op| self.qr_start() + self.elim_pos(op).expect("a QR op") * (1 + nj);
+        match op {
+            Backup { i, .. } => self.trial_before(i as usize),
+            Crit { d, .. } => t + d as usize,
+            Panel { .. } | PanelA2 { .. } => t + c,
+            Prop { i, .. } => t + c + 1 + self.trial_before(i as usize),
+            PanelLu { .. } | Getrf { .. } => 0,
+            SwpInit { j, .. } | Ormqr { j, .. } => column(j),
+            PivSwp { j, g, .. } => column(j) + 1 + g as usize,
+            TrsmTop { j, .. } => column(j) + self.groups() + 2,
+            Trsm { i, .. } => self.lu_row(i as usize),
+            Gemm { i, j, .. } => {
+                let i = i as usize;
+                self.lu_row(i) + usize::from(self.eliminates(i)) + col(j)
+            }
+            Geqrt { .. } | Tpqrt { .. } => qr(op),
+            Unmqr { j, .. } | Tpmqrt { j, .. } => qr(op) + 1 + col(j),
+            Gessm { j, .. } => 1 + col(j),
+            Tstrf { i, .. } => incpiv_row(i),
+            Ssssm { i, j, .. } => incpiv_row(i) + 1 + col(j),
+        }
+    }
+
+    /// What a hybrid step inserts after its panel task, in order: the
+    /// PROPs, the LU branch, the QR branch.
+    fn after_panel(&self, f: &mut dyn FnMut(TaskOp)) {
+        for &i in &self.plan.trial_rows {
+            f(TaskOp::Prop {
+                k: self.kx(),
+                i: ix(i),
+            });
+        }
+        self.lu_ops(f);
+        self.qr_ops(f);
+    }
+
+    /// The LU branch's ops, in insertion order.
+    fn lu_ops(&self, f: &mut dyn FnMut(TaskOp)) {
+        let (k, gate) = (self.kx(), self.lu_gate());
+        for j in self.cols() {
+            let jx = ix(j);
+            if self.a2() {
+                f(TaskOp::Ormqr { k, j: jx, gate });
+            } else {
+                f(TaskOp::SwpInit { k, j: jx, gate });
+                (0..=self.groups()).for_each(|g| f(self.pivswp(j, g)));
+                f(TaskOp::TrsmTop { k, j: jx, gate });
+            }
+        }
+        for i in self.below() {
+            if self.eliminates(i) {
+                f(TaskOp::Trsm { k, i: ix(i), gate });
+            }
+            for j in self.cols().map(ix) {
+                f(TaskOp::Gemm {
+                    k,
+                    i: ix(i),
+                    j,
+                    gate,
+                });
+            }
+        }
+    }
+
+    /// The QR branch's ops, in insertion order.
+    fn qr_ops(&self, f: &mut dyn FnMut(TaskOp)) {
+        for p in 0..self.plan.elim.len() {
+            f(self.factor(p));
+            self.cols().for_each(|j| f(self.update(p, j)));
+        }
+    }
+
+    // --- the access sequences -------------------------------------------------
+    //
+    // Each walks the step's accesses to one datum in insertion order. With
+    // `after` set — an op of this step that accesses the datum — the walk
+    // starts just past that op's access (past its whole reader group, for a
+    // read), located from the op's indices: where a successor walk starts.
+
+    /// The step's accesses to datum `(kind, a, b)` (as [`keys::unpack`]
+    /// spells it).
+    fn slots(
+        &self,
+        kind: Kind,
+        a: usize,
+        b: usize,
+        after: Option<TaskOp>,
+        f: &mut impl FnMut(Slot) -> Flow,
+    ) -> Flow {
+        match kind {
+            Kind::Tile => self.tile(a, b, after, f),
+            _ => self.datum(kind, a, after, f),
+        }
+    }
+
+    fn tile(
+        &self,
+        i: usize,
+        j: usize,
+        after: Option<TaskOp>,
+        f: &mut impl FnMut(Slot) -> Flow,
+    ) -> Flow {
+        let k = self.k;
+        if i < k || j < k {
+            return Continue(());
+        }
+        let qr_after = after.and_then(|op| self.qr_after(i, j, op));
+        match self.shape {
+            Shape::Hybrid { .. } => {
+                if let Some((link, past_factor)) = qr_after {
+                    return self.qr_tile(i, j, link, past_factor, f);
+                }
+                // An LU-branch op comes after the prelude.
+                if j == k && !after.is_some_and(|op| op.gate() == Gate::Lu) {
+                    self.prelude_tile(i, after, f)?;
+                }
+                self.lu_tile(i, j, after, f)?;
+                self.qr_tile(i, j, 0, false, f)
+            }
+            Shape::Lu { full_panel } => {
+                if after.is_none() {
+                    if j > k && full_panel {
+                        // LUPP's bulk-synchronous barrier.
+                        f(Slot::Control(self.panel()))?;
+                    }
+                    if j == k && self.is_trial(i) {
+                        f(Slot::Write(self.panel()))?;
+                    }
+                }
+                self.lu_tile(i, j, after, f)
+            }
+            Shape::IncPiv => self.incpiv_tile(i, j, after, f),
+            Shape::Hqr => {
+                let (link, past_factor) = qr_after.unwrap_or((0, false));
+                self.qr_tile(i, j, link, past_factor, f)
+            }
+        }
+    }
+
+    /// A hybrid prelude's accesses to panel tile `(i, k)`.
+    fn prelude_tile(
+        &self,
+        i: usize,
+        after: Option<TaskOp>,
+        f: &mut impl FnMut(Slot) -> Flow,
+    ) -> Flow {
+        let k = self.kx();
+        // How many of the tile's prelude accesses `after` has behind it.
+        let past = match after {
+            Some(TaskOp::Backup { .. }) => 1,
+            Some(TaskOp::Panel { .. } | TaskOp::PanelA2 { .. }) => 2,
+            Some(TaskOp::Prop { .. } | TaskOp::Crit { .. }) => 3,
+            _ => 0,
+        };
+        if self.is_trial(i) {
+            if past == 0 {
+                f(Slot::Read(Readers::One(TaskOp::Backup { k, i: ix(i) })))?;
+            }
+            if past <= 1 {
+                f(Slot::Write(self.panel()))?;
+            }
+            if past <= 2 {
+                f(Slot::Write(TaskOp::Prop { k, i: ix(i) }))?;
+            }
+        } else if past == 0 && !self.plan.crit_groups.is_empty() {
+            f(Slot::Read(Readers::One(self.crit(self.crit_of(i)))))?;
+        }
+        Continue(())
+    }
+
+    /// An LU step's, or LU branch's, accesses to tile `(i, j)` after the
+    /// panel task.
+    fn lu_tile(
+        &self,
+        i: usize,
+        j: usize,
+        after: Option<TaskOp>,
+        f: &mut impl FnMut(Slot) -> Flow,
+    ) -> Flow {
+        use TaskOp::{Gemm, Ormqr, PivSwp, SwpInit, Trsm, TrsmTop};
+        let (k, gate, next) = (self.kx(), self.lu_gate(), ix(self.k + 1));
+        let (i, j) = (ix(i), ix(j));
+        if i == k && j == k {
+            let past = match after {
+                Some(TrsmTop { .. } | Ormqr { .. }) => 1,
+                Some(Trsm { .. }) => 2,
+                _ => 0,
+            };
+            let top = if self.a2() {
+                Ormqr { k, j: next, gate }
+            } else {
+                TrsmTop { k, j: next, gate }
+            };
+            if past == 0 {
+                f(Slot::Read(Readers::Cols(top)))?;
+            }
+            if past <= 1 {
+                f(Slot::Read(Readers::Trsms))?;
+            }
+        } else if j == k {
+            let past = match after {
+                Some(Trsm { .. }) => 1,
+                Some(Gemm { .. }) => 2,
+                _ => 0,
+            };
+            if past == 0 && self.eliminates(i as usize) {
+                f(Slot::Write(Trsm { k, i, gate }))?;
+            }
+            if past <= 1 {
+                f(Slot::Read(Readers::Cols(Gemm {
+                    k,
+                    i,
+                    j: next,
+                    gate,
+                })))?;
+            }
+        } else if i == k {
+            // The column's snapshot, exchanges and solve (A2: its ORMQR),
+            // then its GEMMs' reads.
+            let groups = self.groups();
+            let past = match after {
+                Some(SwpInit { .. } | Ormqr { .. }) => 1,
+                Some(PivSwp { g, .. }) => 2 + g as usize,
+                Some(TrsmTop { .. }) => groups + 3,
+                Some(Gemm { .. }) => groups + 4,
+                _ => 0,
+            };
+            if self.a2() {
+                if past == 0 {
+                    f(Slot::Write(Ormqr { k, j, gate }))?;
+                }
+            } else {
+                if past == 0 {
+                    f(Slot::Read(Readers::One(SwpInit { k, j, gate })))?;
+                }
+                for g in past.saturating_sub(1)..=groups {
+                    f(Slot::Write(self.pivswp(j as usize, g)))?;
+                }
+                if past <= groups + 2 {
+                    f(Slot::Write(TrsmTop { k, j, gate }))?;
+                }
+            }
+            if past <= groups + 3 {
+                f(Slot::Read(Readers::GemmCol(j)))?;
+            }
+        } else {
+            let past = match after {
+                Some(PivSwp { .. }) => 1,
+                Some(Gemm { .. }) => 2,
+                _ => 0,
+            };
+            if past == 0 {
+                if let Some(g) = self.swap_group(i as usize) {
+                    f(Slot::Write(self.pivswp(j as usize, g)))?;
+                }
+            }
+            if past <= 1 {
+                f(Slot::Write(Gemm { k, i, j, gate }))?;
+            }
+        }
+        Continue(())
+    }
+
+    /// A QR step's, or QR branch's, accesses to tile `(i, j)`, from link
+    /// `from` of the list of ops touching row `i` on, that link's factor
+    /// kernel skipped if `past_factor`.
+    fn qr_tile(
+        &self,
+        i: usize,
+        j: usize,
+        from: usize,
+        past_factor: bool,
+        f: &mut impl FnMut(Slot) -> Flow,
+    ) -> Flow {
+        for (n, &p) in self.row_elim(i)[from..].iter().enumerate() {
+            let p = p as usize;
+            if j > self.k {
+                f(Slot::Write(self.update(p, j)))?;
+                continue;
+            }
+            if n > 0 || !past_factor {
+                f(Slot::Write(self.factor(p)))?;
+            }
+            if self.subject(p) == i {
+                f(Slot::Read(Readers::Cols(self.update(p, j + 1))))?;
+            }
+        }
+        Continue(())
+    }
+
+    /// An IncPiv step's accesses to tile `(i, j)`: the diagonal tile and
+    /// the pivot row are written down the whole panel, a tile below the
+    /// pivot row once.
+    fn incpiv_tile(
+        &self,
+        i: usize,
+        j: usize,
+        after: Option<TaskOp>,
+        f: &mut impl FnMut(Slot) -> Flow,
+    ) -> Flow {
+        let (k, mt) = (self.kx(), self.mt);
+        let (i, j) = (ix(i), ix(j));
+        if i != k && after.is_some() {
+            return Continue(());
+        }
+        // How many head accesses `after` has behind it, and where the
+        // chain down the panel resumes.
+        let (past, chain) = match after {
+            None => (0, self.k + 1),
+            Some(TaskOp::Getrf { .. }) => (1, self.k + 1),
+            Some(TaskOp::Tstrf { i: r, .. } | TaskOp::Ssssm { i: r, .. }) => (2, r as usize + 1),
+            Some(_) => (2, self.k + 1),
+        };
+        if i == k && j == k {
+            if past == 0 {
+                f(Slot::Write(TaskOp::Getrf { k }))?;
+            }
+            if past <= 1 {
+                f(Slot::Read(Readers::Cols(TaskOp::Gessm { k, j: k + 1 })))?;
+            }
+            for r in (chain..mt).map(ix) {
+                f(Slot::Write(TaskOp::Tstrf { k, i: r }))?;
+            }
+        } else if j == k {
+            f(Slot::Write(TaskOp::Tstrf { k, i }))?;
+        } else if i == k {
+            if past == 0 {
+                f(Slot::Write(TaskOp::Gessm { k, j }))?;
+            }
+            for r in (chain..mt).map(ix) {
+                f(Slot::Write(TaskOp::Ssssm { k, i: r, j }))?;
+            }
+        } else {
+            f(Slot::Write(TaskOp::Ssssm { k, i, j }))?;
+        }
+        Continue(())
+    }
+
+    /// The step's accesses to a datum of its own (`a` is its index: a row,
+    /// a column or a criterion group).
+    fn datum(
+        &self,
+        kind: Kind,
+        a: usize,
+        after: Option<TaskOp>,
+        f: &mut impl FnMut(Slot) -> Flow,
+    ) -> Flow {
+        let (k, ax, next) = (self.kx(), ix(a), ix(self.k + 1));
+        let gate = self.lu_gate();
+        // Everything but a T-factor is written once, by the task that opens
+        // its sequence, and then read.
+        let (writer, readers) = match kind {
+            Kind::Tile => unreachable!("tiles are walked across steps"),
+            Kind::TFactor => return self.tfactor(a, after, f),
+            Kind::Backup => (
+                TaskOp::Backup { k, i: ax },
+                Some(Readers::One(TaskOp::Prop { k, i: ax })),
+            ),
+            Kind::Pivot => (
+                self.panel(),
+                match self.shape {
+                    Shape::IncPiv => Some(Readers::Cols(TaskOp::Gessm { k, j: next })),
+                    Shape::Hybrid { a2: true } => None,
+                    _ => Some(Readers::Swaps(None)),
+                },
+            ),
+            Kind::Decision => (self.panel(), Some(Readers::AfterPanel)),
+            Kind::CritScratch => (self.crit(a), Some(Readers::One(self.panel()))),
+            Kind::IncPivL => (
+                TaskOp::Tstrf { k, i: ax },
+                Some(Readers::Cols(TaskOp::Ssssm { k, i: ax, j: next })),
+            ),
+            Kind::SwapScratch => (
+                TaskOp::SwpInit { k, j: ax, gate },
+                Some(Readers::Swaps(Some(ax))),
+            ),
+        };
+        if after.is_none() {
+            f(Slot::Write(writer))?;
+        }
+        match readers {
+            Some(r) => f(Slot::Read(r)),
+            None => Continue(()),
+        }
+    }
+
+    /// The step's accesses to the T-factor of row `a`: A2's trial and its
+    /// ORMQRs, then each kernel factoring the row and that kernel's
+    /// updates.
+    fn tfactor(&self, a: usize, after: Option<TaskOp>, f: &mut impl FnMut(Slot) -> Flow) -> Flow {
+        if self.a2() && a == self.k {
+            let (k, next, gate) = (self.kx(), ix(self.k + 1), self.lu_gate());
+            if after.is_none() {
+                f(Slot::Write(self.panel()))?;
+            }
+            if after.is_none_or(|op| op == self.panel()) {
+                f(Slot::Read(Readers::Cols(TaskOp::Ormqr {
+                    k,
+                    j: next,
+                    gate,
+                })))?;
+            }
+        }
+        let (from, past_factor) = match after.and_then(|op| self.qr_after(a, self.k, op)) {
+            Some((link, past_factor)) => (link, past_factor),
+            None => (0, false),
+        };
+        for (n, &p) in self.row_elim(a)[from..].iter().enumerate() {
+            let p = p as usize;
+            if self.subject(p) != a {
+                continue;
+            }
+            if n > 0 || !past_factor {
+                f(Slot::Write(self.factor(p)))?;
+            }
+            f(Slot::Read(Readers::Cols(self.update(p, self.k + 1))))?;
+        }
+        Continue(())
+    }
+}

@@ -2,8 +2,9 @@
 //!
 //! Every datum the tasks touch — tiles, T-factors, panel backups, pivot
 //! records, per-domain criterion scratch, per-step decisions — gets a unique
-//! [`DataKey`] so the runtime can infer dependencies. Keys pack a kind tag
-//! and up to two 24-bit indices.
+//! [`DataKey`]: the streaming window infers dependencies from them, the
+//! batch graph's closed-form edges unpack them, and the simulator prices
+//! them. Keys pack a kind tag and up to two 24-bit indices.
 
 use luqr_runtime::DataKey;
 

@@ -50,6 +50,7 @@
 pub mod builder;
 pub mod config;
 pub mod criteria;
+mod edges;
 mod interp;
 pub mod keys;
 pub mod net;

@@ -21,7 +21,7 @@
 //! whole worker binary, kept here so it is unit-testable.
 
 use std::path::{Path, PathBuf};
-use std::process::Command;
+use std::process::{Child, Command};
 use std::sync::Arc;
 
 use luqr_kernels::Mat;
@@ -379,29 +379,48 @@ pub fn launch_multiprocess(job: &NetJob, worker: Option<PathBuf>) -> Result<Work
             Err(e) => {
                 // The ranks already started would wait out their connect
                 // timeout for a peer that never comes.
-                for (_, mut child) in children {
-                    let _ = child.kill();
-                    let _ = child.wait();
-                }
+                reap(children);
                 return Err(format!("spawn {}: {e}", worker.display()));
             }
         }
     }
 
+    // Poll the whole set: a rank whose peer has died waits for it forever,
+    // so the first failure ends the run.
     let mut failures = Vec::new();
-    for (rank, mut child) in children {
-        match child.wait() {
-            Ok(status) if status.success() => {}
-            Ok(status) => failures.push(format!("rank {rank} exited with {status}")),
-            Err(e) => failures.push(format!("rank {rank} wait failed: {e}")),
+    while !children.is_empty() && failures.is_empty() {
+        children.retain_mut(|(rank, child)| match child.try_wait() {
+            Ok(None) => true,
+            Ok(Some(status)) => {
+                if !status.success() {
+                    failures.push(format!("rank {rank} exited with {status}"));
+                }
+                false
+            }
+            Err(e) => {
+                failures.push(format!("rank {rank} wait failed: {e}"));
+                true
+            }
+        });
+        if failures.is_empty() && !children.is_empty() {
+            std::thread::sleep(std::time::Duration::from_millis(5));
         }
     }
+    reap(children);
     if !failures.is_empty() {
         return Err(failures.join("; "));
     }
     let bytes =
         std::fs::read(&out_path).map_err(|e| format!("read {}: {e}", out_path.display()))?;
     Ok(decode_result(&bytes))
+}
+
+/// Kill and wait the ranks of a run that cannot complete.
+fn reap(children: Vec<(usize, Child)>) {
+    for (_, mut child) in children {
+        let _ = child.kill();
+        let _ = child.wait();
+    }
 }
 
 /// The `luqr-worker` entry point: parse args, connect the mesh, run this
@@ -660,24 +679,79 @@ mod tests {
         );
     }
 
+    /// The launch tests look for this process's scratch directories: one
+    /// launch at a time.
+    static ONE_LAUNCH: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    /// The scratch directories of this process's launches left behind.
+    fn leftovers() -> Vec<String> {
+        let prefix = format!("luqr-mp-{}-", std::process::id());
+        std::fs::read_dir(std::env::temp_dir())
+            .unwrap()
+            .filter_map(|e| e.ok()?.file_name().into_string().ok())
+            .filter(|name| name.starts_with(&prefix))
+            .collect()
+    }
+
     /// A launch that cannot start its workers fails cleanly: an `Err`, and
     /// no scratch directory left behind.
     #[test]
     fn a_failed_spawn_leaves_no_scratch_directory() {
+        let _one = ONE_LAUNCH.lock().unwrap_or_else(|e| e.into_inner());
         let pid = std::process::id();
         let worker = std::env::temp_dir().join(format!("luqr-noexec-{pid}"));
         std::fs::write(&worker, b"not a program").unwrap();
-        let leftovers = || {
-            std::fs::read_dir(std::env::temp_dir())
-                .unwrap()
-                .filter_map(|e| e.ok()?.file_name().into_string().ok())
-                .filter(|name| name.starts_with(&format!("luqr-mp-{pid}-")))
-                .collect::<Vec<_>>()
-        };
         let err = launch_multiprocess(&small_job(Algorithm::Hqr), Some(worker.clone()));
         std::fs::remove_file(&worker).unwrap();
         assert!(err.unwrap_err().starts_with("spawn "));
         assert_eq!(leftovers(), Vec::<String>::new());
+    }
+
+    /// A rank that fails ends the launch at once: the launcher kills the
+    /// rank still waiting on its mesh — which would wait for the dead peer
+    /// forever — and removes its scratch directory.
+    #[test]
+    fn a_failed_rank_ends_the_launch_and_reaps_its_peers() {
+        use std::os::unix::fs::PermissionsExt;
+        use std::sync::mpsc::channel;
+        let _one = ONE_LAUNCH.lock().unwrap_or_else(|e| e.into_inner());
+        let dir = std::env::temp_dir().join(format!("luqr-fake-worker-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let (worker, pid_file) = (dir.join("luqr-worker"), dir.join("rank1.pid"));
+        // Rank 0 fails once rank 1 is up; rank 1 sleeps, as a rank blocked
+        // on a dead peer does.
+        let script = format!(
+            "#!/bin/sh\n\
+             case \" $* \" in *\" --rank 0 \"*)\n\
+             \x20 while [ ! -s {pid} ]; do sleep 0.01; done; exit 3 ;;\n\
+             esac\n\
+             echo $$ > {pid}\n\
+             exec sleep 60\n",
+            pid = pid_file.display()
+        );
+        std::fs::write(&worker, script).unwrap();
+        std::fs::set_permissions(&worker, std::fs::Permissions::from_mode(0o755)).unwrap();
+
+        let (tx, rx) = channel();
+        std::thread::spawn(move || {
+            let _ = tx.send(launch_multiprocess(
+                &small_job(Algorithm::Hqr),
+                Some(worker),
+            ));
+        });
+        let launched = rx
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("the launch is still waiting 10 s after rank 0 failed");
+        let err = launched.unwrap_err();
+        assert!(err.starts_with("rank 0 exited"), "{err}");
+        let rank1 = std::fs::read_to_string(&pid_file).unwrap();
+        let alive = Command::new("kill")
+            .args(["-0", rank1.trim()])
+            .stderr(std::process::Stdio::null())
+            .status();
+        assert!(!alive.unwrap().success(), "rank 1 outlived the launch");
+        assert_eq!(leftovers(), Vec::<String>::new());
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -28,12 +28,13 @@ use std::sync::{Arc, OnceLock};
 
 use luqr_kernels::incpiv::PairPivot;
 use luqr_kernels::{Mat, TFactor};
-use luqr_tile::TiledMatrix;
+use luqr_tile::{Dist, TiledMatrix};
 use parking_lot::{Mutex, RwLock, RwLockReadGuard};
 
 use crate::config::{Decision, FactorOptions, StepRecord};
 use crate::criteria::{Criterion, DomainCritData};
 use crate::panel::PanelFactorization;
+use crate::trees::ElimOp;
 use crate::Algorithm;
 
 /// Shared state written by tasks and read back by the driver.
@@ -79,6 +80,12 @@ pub(crate) struct StepPlan {
     pub total_rows: usize,
     /// Nodes holding tiles of the panel column (all-reduce fan-in).
     pub panel_nodes: usize,
+    /// A step with a QR branch: its elimination list
+    /// ([`crate::trees::elimination_list`]), computed once per step.
+    pub elim: Vec<ElimOp>,
+    /// The same list in per-row order, for the QR branch's closed-form
+    /// edges (`crate::edges`).
+    pub elim_rows: RowOrder,
 }
 
 impl StepPlan {
@@ -89,6 +96,49 @@ impl StepPlan {
             0 => &[],
             g => &self.swap_groups[g as usize - 1],
         }
+    }
+}
+
+/// An elimination list in per-row order: for panel row `k + r`, the
+/// positions in the list of the ops that touch it (a GEQRT touches its row,
+/// a kill its victim and its eliminator), ascending.
+#[derive(Default)]
+pub(crate) struct RowOrder {
+    pos: Vec<u32>,
+    /// Row `r`'s positions are `pos[start[r]..start[r + 1]]`.
+    start: Vec<u32>,
+}
+
+impl RowOrder {
+    /// The per-row order of step `k`'s elimination list over rows `k..mt`.
+    pub fn new(elim: &[ElimOp], k: usize, mt: usize) -> Self {
+        let rows = |op: &ElimOp| match *op {
+            ElimOp::Geqrt { row } => [Some(row), None],
+            ElimOp::Kill {
+                victim, eliminator, ..
+            } => [Some(victim), Some(eliminator)],
+        };
+        let mut start = vec![0u32; mt - k + 1];
+        for row in elim.iter().flat_map(rows).flatten() {
+            start[row - k + 1] += 1;
+        }
+        for r in 0..mt - k {
+            start[r + 1] += start[r];
+        }
+        let mut next = start.clone();
+        let mut pos = vec![0u32; start[mt - k] as usize];
+        for (p, op) in elim.iter().enumerate() {
+            for row in rows(op).into_iter().flatten() {
+                pos[next[row - k] as usize] = p as u32;
+                next[row - k] += 1;
+            }
+        }
+        RowOrder { pos, start }
+    }
+
+    /// The list positions of the ops touching row `k + r`, ascending.
+    pub fn of(&self, r: usize) -> &[u32] {
+        &self.pos[self.start[r] as usize..self.start[r + 1] as usize]
     }
 }
 
@@ -211,6 +261,8 @@ pub struct RunCtx {
     /// Tile columns of `A` — the number of elimination steps.
     pub(crate) nt_a: usize,
     pub(crate) opts: FactorOptions,
+    /// The tile distribution (`opts.tile_dist()`).
+    pub(crate) dist: Dist,
     pub(crate) steps: StepState,
     pub(crate) shared: SharedState,
 }
@@ -221,6 +273,7 @@ impl RunCtx {
             aug: aug.share(),
             nt_a,
             opts: opts.clone(),
+            dist: opts.tile_dist(),
             steps: StepState::new(nt_a),
             shared: SharedState::default(),
         })

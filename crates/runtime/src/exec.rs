@@ -8,7 +8,7 @@
 //! results regardless of the number of workers — only the interleaving
 //! changes.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 use std::time::Instant;
 
 use crossbeam::channel;
@@ -69,7 +69,9 @@ impl<O: TaskOp> Graph<O> {
 
     /// Run task `id`'s op against the graph's context and record the
     /// result; the last task of a step to finish retires the step.
-    fn run_task(&self, id: TaskId) -> TaskResult {
+    /// `exclusive`: the calling thread is the only worker (see
+    /// [`count_down`]).
+    fn run_task(&self, id: TaskId, exclusive: bool) -> TaskResult {
         let cell = &self.run[id];
         assert!(
             cell.result.get().is_none(),
@@ -84,7 +86,7 @@ impl<O: TaskOp> Graph<O> {
         if let Some(step) = op.step(self.ctx()) {
             // AcqRel: the retiring thread must see what every other task
             // of the step wrote before it drops the step's cells.
-            if self.step_remaining[step].fetch_sub(1, Ordering::AcqRel) == 1 {
+            if count_down(&self.step_remaining[step], exclusive) == 1 {
                 O::retire_step(self.ctx(), step);
             }
         }
@@ -93,9 +95,9 @@ impl<O: TaskOp> Graph<O> {
 
     /// Count task `id` as done on each of its successors, handing the ones
     /// it was the last predecessor of to `ready`.
-    fn release_successors(&self, id: TaskId, mut ready: impl FnMut(TaskId)) {
+    fn release_successors(&self, id: TaskId, exclusive: bool, mut ready: impl FnMut(TaskId)) {
         for &s in self.task(id).successors() {
-            let prev = self.run[s].preds_remaining.fetch_sub(1, Ordering::AcqRel);
+            let prev = count_down(&self.run[s].preds_remaining, exclusive);
             debug_assert!(prev >= 1, "dependency underflow");
             if prev == 1 {
                 ready(s);
@@ -134,11 +136,27 @@ impl<O: TaskOp> Graph<O> {
     }
 }
 
+/// Decrement `counter` and return its value before. With `exclusive` — the
+/// one-worker loop, where no other thread touches the graph's counters — a
+/// relaxed load and store replaces the lock-prefixed read-modify-write;
+/// otherwise the decrement is `AcqRel`, so whoever takes a counter to zero
+/// sees everything the tasks before it wrote.
+fn count_down(counter: &AtomicU32, exclusive: bool) -> u32 {
+    if exclusive {
+        let prev = counter.load(Ordering::Relaxed);
+        counter.store(prev.wrapping_sub(1), Ordering::Relaxed);
+        prev
+    } else {
+        counter.fetch_sub(1, Ordering::AcqRel)
+    }
+}
+
 /// Execute the graph on `threads` worker threads (must be ≥ 1).
 ///
 /// Each task's [`crate::graph::TaskResult`] is recorded in the graph for later inspection
 /// or platform simulation. Panics if the graph was already executed or if
-/// the dependency counts are inconsistent.
+/// the dependency counts are inconsistent; a task that panics stops the
+/// run, and its panic is re-raised on the calling thread.
 pub fn execute<O: TaskOp>(graph: &Graph<O>, threads: usize) -> ExecReport {
     execute_inner(graph, threads, None)
 }
@@ -178,27 +196,28 @@ fn execute_inner<O: TaskOp>(
 
     // One task, start to finish: run the op, record its span when traced,
     // and hand the successors it releases to `ready`.
-    let run_one = |tid: TaskId, worker: usize, ready: &mut dyn FnMut(TaskId)| {
+    let run_one = |tid: TaskId, worker: usize, exclusive: bool, ready: &mut dyn FnMut(TaskId)| {
         let t0 = events.map(|_| start.elapsed().as_secs_f64());
-        let result = graph.run_task(tid);
+        let result = graph.run_task(tid, exclusive);
         if let (Some(events), Some(t0)) = (events, t0) {
             if result.executed {
                 let t1 = start.elapsed().as_secs_f64();
                 events.lock().push(graph.trace_event(tid, worker, t0, t1));
             }
         }
-        graph.release_successors(tid, ready);
+        graph.release_successors(tid, exclusive, ready);
     };
 
     // Single-worker fast path: run the same FIFO discipline inline on the
     // calling thread. The ready order — and therefore every task
     // interleaving — is identical to the one-worker channel loop below;
-    // only the thread spawn and channel traffic disappear, which is a
-    // measurable slice of wall time on fine-grained graphs.
+    // only the thread spawn, the channel traffic and the atomic
+    // read-modify-writes disappear, which is a measurable slice of wall
+    // time on fine-grained graphs.
     if threads == 1 {
         let mut queue: std::collections::VecDeque<TaskId> = graph.roots().into();
         while let Some(tid) = queue.pop_front() {
-            run_one(tid, 0, &mut |s| queue.push_back(s));
+            run_one(tid, 0, true, &mut |s| queue.push_back(s));
         }
         return graph.report(start.elapsed().as_secs_f64());
     }
@@ -208,36 +227,51 @@ fn execute_inner<O: TaskOp>(
         tx.send(root).expect("queue closed");
     }
     let remaining = AtomicUsize::new(n);
+    let panicked = parking_lot::Mutex::new(None);
 
     std::thread::scope(|scope| {
         for worker in 0..threads {
             let rx = rx.clone();
             let tx = tx.clone();
-            let remaining = &remaining;
+            let (remaining, panicked) = (&remaining, &panicked);
             let run_one = &run_one;
             scope.spawn(move || {
+                // One sentinel per worker ends the run: every worker holds a
+                // sender, so the channel never disconnects on its own.
+                let stop_all = || {
+                    for _ in 0..threads {
+                        let _ = tx.send(usize::MAX);
+                    }
+                };
                 while let Ok(tid) = rx.recv() {
                     if tid == usize::MAX {
-                        break; // all tasks done — sentinel
+                        break;
                     }
-                    run_one(tid, worker, &mut |s| {
-                        let _ = tx.send(s);
-                    });
-                    // The worker finishing the last task wakes everyone up
-                    // with one sentinel per worker.
+                    let ran = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                        run_one(tid, worker, false, &mut |s| {
+                            let _ = tx.send(s);
+                        })
+                    }));
+                    if let Err(payload) = ran {
+                        // The task's successors will never be released:
+                        // stop everyone, and re-raise on the caller's thread.
+                        panicked.lock().get_or_insert(payload);
+                        stop_all();
+                        break;
+                    }
+                    // The worker finishing the last task wakes everyone up.
                     if remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-                        for _ in 0..threads {
-                            let _ = tx.send(usize::MAX);
-                        }
+                        stop_all();
                     }
                 }
             });
         }
-        // Drop the main thread's sender so the channel can disconnect after
-        // the sentinels are consumed.
         drop(tx);
         drop(rx);
     });
+    if let Some(payload) = panicked.into_inner() {
+        std::panic::resume_unwind(payload);
+    }
 
     graph.report(start.elapsed().as_secs_f64())
 }
@@ -393,6 +427,23 @@ mod tests {
             retired.sort_unstable();
             assert_eq!(retired, [0, 1, 2]);
         }
+    }
+
+    /// A panicking task ends a multi-worker run with its panic, on the
+    /// caller's thread — it does not leave the other workers waiting for
+    /// successors it will never release.
+    #[test]
+    fn a_panicking_task_fails_the_run_instead_of_hanging_it() {
+        let caught = crate::testing::with_watchdog("panicking task, two workers", || {
+            let mut b = TestGraph::new(1);
+            b.declare(k(0), 8, 0);
+            b.task("boom", 0, &[Access::Mut(k(0))], || panic!("kernel failed"));
+            b.task("after", 0, &[Access::Read(k(0))], TaskResult::control);
+            let g = b.build();
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| execute(&g, 2)))
+        });
+        let payload = caught.expect_err("the task's panic reaches the caller");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"kernel failed"));
     }
 
     #[test]

@@ -1,21 +1,24 @@
-//! Task graph with superscalar (data-hazard) dependency inference.
+//! The batch task graph: a parameterized task graph, unrolled.
 //!
 //! The PaRSEC runtime used by the paper represents algorithms as
 //! parameterized task graphs: a task is `(class, k, i, j)` and its body,
-//! name, accesses and cost are functions of that tuple. Here a task is a
-//! [`TaskOp`] — a `Copy` descriptor the algorithm layer defines — and the
-//! runtime stores that descriptor, the task's placement and its hazard
-//! edges, and nothing else per task: names are rendered when a trace event
-//! or a DOT node is emitted, accesses are re-derived when a graph is
-//! replayed, and the body is one call into the op's interpreter against
-//! the run's shared context ([`TaskOp::Ctx`]). The runtime is generic over
-//! the op type and never sees the algorithm layer's op set.
+//! name, accesses, cost and dependencies are functions of that tuple. Here
+//! a task is a [`TaskOp`] — a `Copy` descriptor the algorithm layer
+//! defines — and the runtime stores that descriptor, the task's placement
+//! and its edges, and nothing else per task: names are rendered when a
+//! trace event or a DOT node is emitted, accesses are re-derived when a
+//! graph is replayed, and the body is one call into the op's interpreter
+//! against the run's shared context ([`TaskOp::Ctx`]). The runtime is
+//! generic over the op type and never sees the algorithm layer's op set.
 //!
-//! Tasks are inserted sequentially by the algorithm driver and
-//! dependencies are inferred from the data each op reads and writes (RAW,
-//! WAR, WAW hazards over [`DataKey`]s) — the "superscalar" insertion
-//! model. This gives the same DAG a PTG would, including automatic
-//! pipelining between consecutive elimination steps.
+//! Tasks are inserted in order by the algorithm driver, and the edges are
+//! the algorithm's: [`GraphBuilder::build`] asks for each task's
+//! successors, which the algorithm layer computes from the task's indices
+//! (the PTG's output flows), and counts predecessors from them. They are
+//! the RAW / WAR / WAW hazards over the [`DataKey`]s each op reads and
+//! writes — the edges the streaming window infers from those accesses
+//! ([`crate::hazard`]) — including the pipelining between consecutive
+//! elimination steps.
 //!
 //! The paper's *dynamic* task-graph extension (Section IV) is modelled
 //! exactly: the graph statically contains **both** the LU-branch and the
@@ -292,9 +295,11 @@ pub trait TaskOp: Copy + Send + Sync + 'static {
 /// whole factorization is materialized, then executed) or the streaming
 /// window ([`crate::stream::StreamWindow`], tasks execute while later steps
 /// are still being planned). Algorithm planners write against this trait so
-/// the same insertion code drives both runtimes; both implementations infer
-/// dependencies from the op's accesses with identical hazard rules, which
-/// is what keeps batch and streaming execution bitwise-identical.
+/// the same insertion code drives both runtimes. The window infers each
+/// task's dependencies from its accesses ([`crate::hazard`]); the batch
+/// graph takes the algorithm's closed-form edges, which are the same
+/// RAW/WAR/WAW edges — what keeps batch and streaming execution
+/// bitwise-identical.
 pub trait TaskSink<O: TaskOp> {
     /// Number of virtual nodes task placements may reference.
     fn num_nodes(&self) -> usize;
@@ -304,8 +309,7 @@ pub trait TaskSink<O: TaskOp> {
     /// being planned belongs to that step: only the step's tasks may
     /// access it, and the streaming window forgets it when the step
     /// retires (the batch graph keeps every declaration, for replay).
-    /// Redeclaring a key keeps its hazard
-    /// state and replaces both values, but the two sinks differ in which
+    /// Redeclaring a key replaces both values, but the two sinks differ in which
     /// tasks see the replacement: the streaming window prices a task's
     /// accesses when it is inserted, so only later tasks do; the batch
     /// [`GraphBuilder`] keeps one declaration per key and prices accesses
@@ -314,8 +318,8 @@ pub trait TaskSink<O: TaskOp> {
     /// agree declares a key's size and home once.
     fn declare(&mut self, key: DataKey, bytes: usize, home_node: usize);
 
-    /// Insert a task placed on `node`; its dependencies are inferred from
-    /// the op's accesses.
+    /// Insert a task placed on `node`: its dependencies are the RAW / WAR /
+    /// WAW hazards of its accesses on the tasks inserted before it.
     fn push(&mut self, node: usize, op: O) -> TaskId;
 }
 
@@ -465,8 +469,9 @@ impl<O: TaskOp> Graph<O> {
     }
 
     /// Verify the graph is acyclic and edges are well formed (debug aid;
-    /// hazard-inferred graphs are acyclic by construction since edges only
-    /// point from earlier to later insertions).
+    /// built graphs are acyclic by construction, since
+    /// [`GraphBuilder::build`] accepts edges only from earlier to later
+    /// insertions).
     pub fn validate(&self) -> Result<(), String> {
         for t in self.tasks() {
             for &s in t.successors() {
@@ -482,32 +487,17 @@ impl<O: TaskOp> Graph<O> {
     }
 }
 
-/// One declared datum of the builder: its declaration and hazard state.
-struct Datum {
-    info: DataInfo,
-    hazard: crate::hazard::HazardCell<()>,
-}
-
-/// Builds a [`Graph`] by sequential task insertion with hazard-inferred
-/// dependencies (the shared [`crate::hazard`] core; no writer payload and
-/// no depth tracking here — the graph keeps every task record, so depth
-/// is recomputable and liveness is universal).
-///
-/// Per insertion the builder appends one descriptor record and the task's
-/// predecessor ids to one flat edge array; [`GraphBuilder::build`] turns
-/// that array into the successor lists.
+/// Builds a [`Graph`]: tasks are inserted in order, each with its
+/// placement, and the edges come from the algorithm layer, which knows them
+/// in closed form — [`GraphBuilder::build`] asks it for each task's
+/// successors, in id order, as a PTG task enumerates its output flows.
+/// Nothing here looks at accesses: they are derived again only when the
+/// graph is replayed.
 pub struct GraphBuilder<O: TaskOp> {
     num_nodes: usize,
     ctx: Arc<O::Ctx>,
     tasks: Vec<TaskRec<O>>,
-    /// Predecessor ids of every task, in insertion order of the tasks
-    /// (`num_preds` of them per task).
-    pred_edges: Vec<u32>,
-    data: Vec<Datum>,
-    slot_of: IntMap<DataKey, u32>,
-    /// Per-insertion work vectors, kept across insertions.
-    slots: Vec<(Access, u32)>,
-    preds: Vec<TaskId>,
+    data: IntMap<DataKey, DataInfo>,
 }
 
 impl<O: TaskOp> GraphBuilder<O> {
@@ -517,32 +507,16 @@ impl<O: TaskOp> GraphBuilder<O> {
             num_nodes,
             ctx,
             tasks: Vec::new(),
-            pred_edges: Vec::new(),
-            data: Vec::new(),
-            slot_of: IntMap::default(),
-            slots: Vec::new(),
-            preds: Vec::new(),
+            data: IntMap::default(),
         }
     }
 
     /// Declare a datum: its size in bytes (for communication costing) and
     /// the node where it initially resides. A redeclaration replaces both
-    /// (for every task of the graph: accesses are priced when replayed)
-    /// and keeps the hazard state.
+    /// (for every task of the graph: accesses are priced when replayed).
     pub fn declare(&mut self, key: DataKey, bytes: usize, home_node: usize) {
         assert!(home_node < self.num_nodes);
-        let info = DataInfo { bytes, home_node };
-        match self.slot_of.get(&key) {
-            Some(&slot) => self.data[slot as usize].info = info,
-            None => {
-                let slot = u32::try_from(self.data.len()).expect("datum slots fit 32 bits");
-                self.slot_of.insert(key, slot);
-                self.data.push(Datum {
-                    info,
-                    hazard: Default::default(),
-                });
-            }
-        }
+        self.data.insert(key, DataInfo { bytes, home_node });
     }
 
     /// Number of virtual nodes task placements may reference.
@@ -559,86 +533,43 @@ impl<O: TaskOp> GraphBuilder<O> {
         self.tasks.is_empty()
     }
 
-    /// Insert a task placed on `node`. Dependencies on all previously
-    /// inserted tasks are inferred from the op's accesses; the op runs
-    /// when they have completed.
+    /// Insert a task placed on `node`. Its edges are supplied when the
+    /// graph is built.
     pub fn push(&mut self, node: usize, op: O) -> TaskId {
         assert!(node < self.num_nodes, "task placed on unknown node");
         let id = self.tasks.len();
         assert!(id < u32::MAX as usize, "task ids fit 32 bits");
-        let GraphBuilder {
-            ctx,
-            data,
-            slot_of,
-            slots,
-            preds,
-            ..
-        } = self;
-        slots.clear();
-        preds.clear();
-
-        // Pass 1: resolve each access to its datum (the one hashed look-up
-        // per access) and collect hazard predecessors over the
-        // pre-insertion cells (RAW/WAW/control via the last writer, WAR
-        // via the readers since that write). Who the data *moves* from is
-        // the simulator's business — it re-derives flow from the accesses,
-        // skipping discarded writers.
-        let mut depth = 0u64;
-        op.for_each_access(ctx, |acc| {
-            let key = acc.key();
-            let slot = *slot_of
-                .get(&key)
-                .unwrap_or_else(|| panic!("access to undeclared data {key:?} by task '{id}'"));
-            slots.push((acc, slot));
-            data[slot as usize]
-                .hazard
-                .fold_preds(matches!(acc, Access::Mut(_)), preds, &mut depth);
-        });
-
-        // Pass 2: update the cells in access order.
-        for &(acc, slot) in slots.iter() {
-            let hazard = &mut data[slot as usize].hazard;
-            match acc {
-                Access::Read(_) => hazard.note_read(id, 0),
-                Access::Control(_) => {}
-                Access::Mut(_) => hazard.note_write(id, 0, ()),
-            }
-        }
-
-        // Pass 3: dedup predecessors, drop self-references from repeated
-        // keys (every inserted task stays live in a batch graph).
-        crate::hazard::finalize_preds(preds, id, |_| true);
-
-        self.pred_edges.extend(preds.iter().map(|&p| p as u32));
         self.tasks.push(TaskRec {
             op,
             node: node as u32,
-            num_preds: preds.len() as u32,
+            num_preds: 0,
         });
         id
     }
 
-    /// Finalize into an executable [`Graph`]: transpose the predecessor
-    /// edges into per-task successor lists (ascending and free of
-    /// duplicates, because tasks are visited in id order and each task's
-    /// predecessors were deduplicated).
-    pub fn build(self) -> Graph<O> {
+    /// Finalize into an executable [`Graph`]. `successors(id, op, out)`
+    /// appends the ids of task `id`'s successors to `out`, in any order
+    /// and possibly repeated; every one must have been inserted after
+    /// `id`. The successor lists are written once, in id order, sorted and
+    /// deduplicated, and each task's predecessor count is counted in the
+    /// same pass.
+    pub fn build(mut self, mut successors: impl FnMut(TaskId, O, &mut Vec<TaskId>)) -> Graph<O> {
         let n = self.tasks.len();
-        let mut succ_start = vec![0u32; n + 1];
-        for &p in &self.pred_edges {
-            succ_start[p as usize + 1] += 1;
-        }
-        for i in 0..n {
-            succ_start[i + 1] += succ_start[i];
-        }
-        let mut cursor = succ_start.clone();
-        let mut succs = vec![0 as TaskId; self.pred_edges.len()];
-        let mut edges = self.pred_edges.iter();
-        for (id, t) in self.tasks.iter().enumerate() {
-            for &p in edges.by_ref().take(t.num_preds as usize) {
-                succs[cursor[p as usize] as usize] = id;
-                cursor[p as usize] += 1;
+        let mut succ_start = Vec::with_capacity(n + 1);
+        succ_start.push(0u32);
+        let mut succs: Vec<TaskId> = Vec::new();
+        let mut out = Vec::new();
+        for id in 0..n {
+            out.clear();
+            successors(id, self.tasks[id].op, &mut out);
+            out.sort_unstable();
+            out.dedup();
+            for &s in &out {
+                assert!(s > id, "edge {id} -> {s} violates insertion order");
+                self.tasks[s].num_preds += 1;
             }
+            succs.extend_from_slice(&out);
+            succ_start.push(u32::try_from(succs.len()).expect("edge count fits 32 bits"));
         }
         let mut step_remaining: Vec<AtomicU32> = Vec::new();
         for t in &self.tasks {
@@ -664,11 +595,7 @@ impl<O: TaskOp> GraphBuilder<O> {
             tasks: self.tasks,
             succ_start,
             succs,
-            data: self
-                .slot_of
-                .into_iter()
-                .map(|(key, slot)| (key, self.data[slot as usize].info))
-                .collect(),
+            data: self.data,
         };
         debug_assert!(g.validate().is_ok());
         g

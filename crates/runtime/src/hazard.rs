@@ -1,13 +1,15 @@
 //! The one superscalar hazard-inference implementation.
 //!
-//! Two subsystems infer RAW / WAR / WAW dependence edges from declared
-//! data accesses: the batch [`crate::graph::GraphBuilder`] and the
-//! streaming window's per-node datum directories (`stream/window.rs`).
-//! This module is the core both call, parameterized over the writer
-//! payload `W` each client needs to remember about the last writer
-//! (nothing for the builder, the placement/completion record for the
-//! window). The replay ([`crate::sim::simulate_with`]) infers nothing: it
-//! schedules the edges the builder stored in the graph.
+//! The streaming window's per-node datum directories (`stream/window.rs`)
+//! infer RAW / WAR / WAW dependence edges from declared data accesses, and
+//! this module is the core they call, parameterized over the writer
+//! payload `W` a client needs to remember about the last writer (the
+//! placement/completion record, for the window). Nothing else in the
+//! runtime infers an edge: the batch [`crate::graph::GraphBuilder`] takes
+//! the algorithm's closed-form edges, and the replay
+//! ([`crate::sim::simulate_with`]) schedules the edges stored in the
+//! graph. The runtime's unit tests, and the workspace's oracle of those
+//! closed forms, run the same rules over an op sequence.
 //!
 //! The rules, per datum (one [`HazardCell`]):
 //!

@@ -3,17 +3,18 @@
 //! A library-form reproduction of the runtime substrate the paper builds on
 //! PaRSEC (Section IV):
 //!
-//! * [`graph`] — task graphs with *superscalar* dependency inference: a task
-//!   is a `Copy` descriptor ([`TaskOp`]) whose body, name and accesses are
-//!   derived from it on demand; the tiles it reads/write become
-//!   RAW/WAR/WAW hazard edges. Both the LU and the QR branch of every
-//!   elimination step live in the graph; branch ops consult the recorded
-//!   criterion decision when they run and either execute or discard
-//!   themselves — the paper's dynamic task-graph mechanism ("select the
-//!   adequate tasks on the fly, and discard the useless ones").
-//! * [`hazard`] — the one RAW/WAR/WAW inference implementation behind
-//!   [`graph`]'s builder and the streaming window's datum directories,
-//!   parameterized over the per-writer payload each client keeps.
+//! * [`graph`] — the batch task graph, a parameterized task graph unrolled:
+//!   a task is a `Copy` descriptor ([`TaskOp`]) whose body, name and
+//!   accesses are derived from it on demand, and whose edges — the
+//!   RAW/WAR/WAW hazards of those accesses — the algorithm layer supplies
+//!   in closed form when the graph is built. Both the LU and the QR branch
+//!   of every elimination step live in the graph; branch ops consult the
+//!   recorded criterion decision when they run and either execute or
+//!   discard themselves — the paper's dynamic task-graph mechanism ("select
+//!   the adequate tasks on the fly, and discard the useless ones").
+//! * [`hazard`] — the one RAW/WAR/WAW inference implementation, behind the
+//!   streaming window's datum directories, parameterized over the
+//!   per-writer payload a client keeps.
 //! * [`hash`] — the one integer hasher behind every sparse-key table
 //!   ([`graph`], [`sched`]'s ready set, [`vtime`], the streaming window).
 //! * [`exec`] — a dependency-counting multithreaded executor.

@@ -494,7 +494,7 @@ mod tests {
     use super::*;
     use crate::graph::{Access, CostClass, DataKey, TaskResult};
     use crate::net::loopback::loopback_set;
-    use crate::testing::{TestCtx, TestOp};
+    use crate::testing::{with_watchdog, TestCtx, TestOp};
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
 
@@ -933,24 +933,6 @@ mod tests {
         }
         let json = crate::trace::render_chrome_trace(&report.trace, &Default::default());
         assert_eq!(json.matches("\"ph\": \"X\"").count(), 6);
-    }
-
-    /// Run `f` on its own thread and fail — instead of hanging the test
-    /// binary — if it has not returned within the deadline. A panic inside
-    /// `f` is re-raised here.
-    fn with_watchdog<T: Send + 'static>(what: &str, f: impl FnOnce() -> T + Send + 'static) -> T {
-        use std::sync::mpsc::{channel, RecvTimeoutError};
-        let (tx, rx) = channel();
-        let runner = std::thread::spawn(move || {
-            let _ = tx.send(f());
-        });
-        match rx.recv_timeout(std::time::Duration::from_secs(60)) {
-            Ok(v) => v,
-            Err(RecvTimeoutError::Timeout) => panic!("{what}: still running after 60 s (hang)"),
-            Err(RecvTimeoutError::Disconnected) => {
-                std::panic::resume_unwind(runner.join().expect_err("sender dropped by a panic"))
-            }
-        }
     }
 
     /// Order-sensitive arithmetic the mixed source's kernels share: any

@@ -945,8 +945,8 @@ impl<O: TaskOp> StreamWindow<O> {
         // look-up per access) and consult the directories for hazard
         // predecessors and the critical-path depth over *all* of them
         // (completed predecessors contribute depth but no edge) — the
-        // shared [`crate::hazard`] core, the same rules as
-        // GraphBuilder::push.
+        // shared [`crate::hazard`] core, whose edges the batch graph takes
+        // in closed form.
         let mut max_pred_cp = 0u64;
         // The decision datum this task writes, if any (on a wire the
         // driver waits for its applied value, not just task completion).

@@ -3,11 +3,13 @@
 //! `(name, accesses, closure)` while the runtime under test only ever sees
 //! the descriptor.
 
+use std::collections::HashMap;
 use std::sync::{Arc, Mutex, RwLock};
 
 use crate::graph::{
     Access, DataClass, DataKey, Graph, GraphBuilder, TaskId, TaskOp, TaskResult, TaskSink,
 };
+use crate::hazard::{finalize_preds, HazardCell};
 
 type Body = Box<dyn FnOnce() -> TaskResult + Send>;
 
@@ -103,11 +105,37 @@ impl TaskOp for TestOp {
     }
 }
 
+/// Run `f` on its own thread and fail — instead of hanging the test binary —
+/// if it has not returned within the deadline. A panic inside `f` is
+/// re-raised here.
+pub(crate) fn with_watchdog<T: Send + 'static>(
+    what: &str,
+    f: impl FnOnce() -> T + Send + 'static,
+) -> T {
+    use std::sync::mpsc::{channel, RecvTimeoutError};
+    let (tx, rx) = channel();
+    let runner = std::thread::spawn(move || {
+        let _ = tx.send(f());
+    });
+    match rx.recv_timeout(std::time::Duration::from_secs(60)) {
+        Ok(v) => v,
+        Err(RecvTimeoutError::Timeout) => panic!("{what}: still running after 60 s (hang)"),
+        Err(RecvTimeoutError::Disconnected) => {
+            std::panic::resume_unwind(runner.join().expect_err("sender dropped by a panic"))
+        }
+    }
+}
+
 /// A [`GraphBuilder`] over [`TestOp`]s with the closure-style insertion the
-/// tests are written in.
+/// tests are written in. Test ops have no closed-form edges, so this one
+/// infers them from each op's accesses with the hazard core, as the
+/// streaming window does, and hands them to the builder.
 pub(crate) struct TestGraph {
-    pub(crate) b: GraphBuilder<TestOp>,
+    b: GraphBuilder<TestOp>,
     pub(crate) ctx: Arc<TestCtx>,
+    cells: HashMap<DataKey, HazardCell<()>>,
+    /// Successor ids of every inserted task.
+    succs: Vec<Vec<TaskId>>,
 }
 
 impl TestGraph {
@@ -116,11 +144,14 @@ impl TestGraph {
         TestGraph {
             b: GraphBuilder::new(num_nodes, Arc::clone(&ctx)),
             ctx,
+            cells: HashMap::new(),
+            succs: Vec::new(),
         }
     }
 
     pub(crate) fn declare(&mut self, key: DataKey, bytes: usize, home_node: usize) {
         self.b.declare(key, bytes, home_node);
+        self.cells.entry(key).or_default();
     }
 
     pub(crate) fn task(
@@ -130,10 +161,33 @@ impl TestGraph {
         accesses: &[Access],
         body: impl FnOnce() -> TaskResult + Send + 'static,
     ) -> TaskId {
-        self.ctx.task(&mut self.b, name, node, accesses, body)
+        let id = self.ctx.task(&mut self.b, name, node, accesses, body);
+        let mut preds = Vec::new();
+        for acc in accesses {
+            let cell = self
+                .cells
+                .get(&acc.key())
+                .expect("access to undeclared data");
+            cell.fold_preds(matches!(acc, Access::Mut(_)), &mut preds, &mut 0);
+        }
+        for acc in accesses {
+            let cell = self.cells.get_mut(&acc.key()).expect("declared above");
+            match acc {
+                Access::Read(_) => cell.note_read(id, 0),
+                Access::Control(_) => {}
+                Access::Mut(_) => cell.note_write(id, 0, ()),
+            }
+        }
+        finalize_preds(&mut preds, id, |_| true);
+        self.succs.push(Vec::new());
+        for p in preds {
+            self.succs[p].push(id);
+        }
+        id
     }
 
     pub(crate) fn build(self) -> Graph<TestOp> {
-        self.b.build()
+        let succs = self.succs;
+        self.b.build(|id, _, out| out.extend_from_slice(&succs[id]))
     }
 }

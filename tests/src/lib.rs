@@ -8,6 +8,7 @@ use luqr::{LinkMsgStats, LinkTraffic, TreeConfig, TreeKind};
 use luqr_kernels::blas::{gemm, Trans};
 use luqr_kernels::Mat;
 
+pub mod oracle;
 pub mod qr_ref;
 pub mod solve_ref;
 

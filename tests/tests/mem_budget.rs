@@ -143,6 +143,12 @@ const STREAM_BUDGET: usize = (WINDOW + 1) * STEP_BYTES * 5 / 4;
 /// and 0.38 MB; with every step's cells kept, 2.6 MB and 1.6 MB.)
 const BATCH_BUDGET: usize = 2 * STEP_BYTES;
 
+/// Batch, planning: the graph itself — a task's record, its execution
+/// cell, its share of the successor array — and what building it holds
+/// besides. (Measured: 239.5 bytes a task on the all-LU fixture while the
+/// builder inferred its edges from the accesses.)
+const PLAN_BYTES_PER_TASK: usize = 170;
+
 #[test]
 fn peak_memory_over_the_tiles_is_a_few_steps_not_the_matrix() {
     println!(
@@ -167,6 +173,11 @@ fn peak_memory_over_the_tiles_is_a_few_steps_not_the_matrix() {
         let x = back_substitute(&aug, N, 1);
         println!(
             "{fixture:<7} batch  {} tasks, {planning} bytes to plan them",
+            graph.len()
+        );
+        assert!(
+            planning <= PLAN_BYTES_PER_TASK * graph.len(),
+            "{fixture}: {planning} bytes to plan {} tasks, budget {PLAN_BYTES_PER_TASK} a task",
             graph.len()
         );
         drop((graph, aug));

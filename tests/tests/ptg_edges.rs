@@ -1,0 +1,128 @@
+//! The batch graph is a parameterized task graph: every op's successors and
+//! predecessor count, computed in closed form from its indices, the
+//! reduction trees and its step's plan lists
+//! ([`TaskOp::for_each_successor`], [`TaskOp::num_predecessors`]), are the
+//! edges hazard inference finds from the ops' accesses in insertion order
+//! ([`luqr_tests::oracle`]) — as sets of ops, for every planner, on the
+//! `plan_ops` fixtures and on grids, ragged shapes, right-hand sides and
+//! reduction trees around them. Both branches of a hybrid step are in the
+//! graph, so this covers the cross-branch WAR/WAW edges, LUPP's control
+//! barrier and the TS kills, whose victim has no GEQRT in its step.
+
+use std::collections::HashSet;
+
+use luqr::{
+    builder, Algorithm, Criterion, FactorOptions, LuVariant, PivotScope, TaskOp, TreeConfig,
+};
+use luqr_tests::dominant_system;
+use luqr_tests::oracle::{hazard_predecessors, successors};
+use luqr_tile::{Grid, TiledMatrix};
+use proptest::prelude::*;
+
+/// The planners of `plan_ops`.
+fn planner(index: usize) -> (&'static str, Algorithm, LuVariant, PivotScope) {
+    let max = Algorithm::LuQr(Criterion::Max { alpha: 100.0 });
+    let random = Algorithm::LuQr(Criterion::Random {
+        lu_fraction: 0.5,
+        seed: 5,
+    });
+    let (a1, domain) = (LuVariant::A1, PivotScope::DiagonalDomain);
+    [
+        ("hybrid-a1-domain", max.clone(), a1, domain),
+        ("hybrid-a1-tile", max.clone(), a1, PivotScope::DiagonalTile),
+        ("hybrid-a2", max, LuVariant::A2, domain),
+        ("hybrid-random", random, a1, domain),
+        ("lu-nopiv", Algorithm::LuNoPiv, a1, domain),
+        ("lupp", Algorithm::Lupp, a1, domain),
+        ("lu-incpiv", Algorithm::LuIncPiv, a1, domain),
+        ("hqr", Algorithm::Hqr, a1, domain),
+    ][index]
+        .clone()
+}
+
+const PLANNERS: usize = 8;
+const TS: [usize; 3] = [1, 4, usize::MAX];
+const GRIDS: [(usize, usize); 4] = [(1, 1), (1, 2), (2, 2), (4, 1)];
+
+/// Build the batch graph of an `n x n` system with `nrhs` right-hand sides
+/// (`nb = 16`) and check every task's closed-form edges against the
+/// oracle's.
+fn check(index: usize, n: usize, (p, q): (usize, usize), nrhs: usize, ts: usize) {
+    let (label, algorithm, lu_variant, pivot_scope) = planner(index);
+    let what = format!("{label} n={n} grid {p}x{q} nrhs={nrhs} ts={ts}");
+    let (a, b) = dominant_system(n, 11, nrhs);
+    let opts = FactorOptions {
+        nb: 16,
+        ib: 4,
+        grid: Grid::new(p, q),
+        algorithm,
+        threads: 1,
+        pivot_scope,
+        lu_variant,
+        trees: TreeConfig {
+            ts,
+            ..TreeConfig::default()
+        },
+        ..FactorOptions::default()
+    };
+    let aug = TiledMatrix::from_dense_augmented(&a, &b, opts.nb);
+    let nt_a = aug.nt() - nrhs.div_ceil(opts.nb);
+    let (graph, _) = builder::build_graph(&aug, nt_a, &opts);
+    let ctx = graph.ctx();
+
+    let preds = hazard_predecessors(ctx, graph.tasks().map(|t| t.op()));
+    let succs = successors(&preds);
+    for t in graph.tasks() {
+        let op = t.op();
+        let mut closed = HashSet::new();
+        op.for_each_successor(ctx, |s| {
+            closed.insert(s);
+        });
+        let inferred: HashSet<TaskOp> = succs[t.id].iter().map(|&s| graph.task(s).op()).collect();
+        assert_eq!(closed, inferred, "{what}: successors of {}", t.name());
+        assert_eq!(
+            op.num_predecessors(ctx),
+            preds[t.id].len(),
+            "{what}: predecessors of {}",
+            t.name()
+        );
+        assert_eq!(t.successors(), &succs[t.id][..], "{what}: {}", t.name());
+        assert_eq!(t.num_preds(), preds[t.id].len(), "{what}: {}", t.name());
+    }
+}
+
+/// Every planner under each TS-domain size, on the `plan_ops` fixtures and
+/// on a ragged order (`n = 100`: a 4-row last tile) on every grid with one
+/// and three right-hand sides.
+#[test]
+fn closed_form_edges_are_the_hazard_edges_on_the_fixtures() {
+    for index in 0..PLANNERS {
+        for ts in TS {
+            for (n, grid) in [(96, (1, 1)), (104, (2, 2)), (192, (1, 2))] {
+                check(index, n, grid, 1, ts);
+            }
+            for grid in GRIDS {
+                for nrhs in [1, 3] {
+                    check(index, 100, grid, nrhs, ts);
+                }
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Ragged and tile-aligned orders, every grid, one or three right-hand
+    /// sides (a ragged right-hand-side column when `n` is).
+    #[test]
+    fn closed_form_edges_are_the_hazard_edges(
+        index in 0..PLANNERS,
+        n in 17usize..=120,
+        grid in 0..GRIDS.len(),
+        three_rhs in any::<bool>(),
+        ts in 0..TS.len(),
+    ) {
+        check(index, n, GRIDS[grid], if three_rhs { 3 } else { 1 }, TS[ts]);
+    }
+}

@@ -199,7 +199,8 @@ proptest! {
     ///    key: last writer, readers since that write);
     /// 2. the hazard core driven standalone over the same access lists;
     /// 3. the graph `factor()` actually built (`num_preds`/`successors`),
-    ///    which went through `GraphBuilder`'s fused single pass.
+    ///    whose edges are the ops' closed-form ones
+    ///    (`TaskOp::for_each_successor`).
     #[test]
     fn hazard_core_matches_naive_dependency_oracle(
         seed in any::<u64>(),
@@ -240,7 +241,7 @@ proptest! {
             let mut core: Vec<usize> = Vec::new();
             let mut depth = 0u64;
             // Pass 1: fold predecessors over pre-insertion state, exactly
-            // as GraphBuilder does (all accesses before any update).
+            // as the window does (all accesses before any update).
             for ca in &accesses {
                 let key = ca.access.key().0;
                 match ca.access {
