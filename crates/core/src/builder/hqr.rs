@@ -16,7 +16,7 @@ pub(crate) fn elimination(ins: &Inserter<'_>, k: usize) -> (Vec<ElimOp>, RowOrde
     let domains: Vec<Vec<usize>> = {
         let mut ordered: Vec<(usize, Vec<usize>)> = Vec::new();
         for i in k..mt {
-            let node = ins.ctx.dist.owner(i, k);
+            let node = ins.ctx.grid.owner(i, k);
             match ordered.iter_mut().find(|(n, _)| *n == node) {
                 Some((_, rows)) => rows.push(i),
                 None => ordered.push((node, vec![i])),

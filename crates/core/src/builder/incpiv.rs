@@ -39,7 +39,7 @@ impl StepPlanner for IncPivPlanner {
             ins.b.declare(
                 keys::incpiv_l(i, k),
                 (tm * nbk + nbk) * 8,
-                ins.ctx.dist.owner(i, k),
+                ins.ctx.grid.owner(i, k),
             );
             ins.push(TaskOp::Tstrf { k: ix(k), i: ix(i) });
             for j in ins.trailing(k) {

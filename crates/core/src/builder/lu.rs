@@ -19,7 +19,7 @@ pub(crate) fn lu_step_plan(ins: &Inserter<'_>, k: usize, trial_rows: Vec<usize>)
     let mut offset = 0usize;
     for (idx, &i) in trial_rows.iter().enumerate() {
         if idx > 0 {
-            let grid_row = ins.ctx.dist.row_group(i);
+            let grid_row = i % ins.ctx.grid.p;
             match swap_groups.iter_mut().find(|(g, _)| *g == grid_row) {
                 Some((_, rows)) => rows.push((i, offset)),
                 None => swap_groups.push((grid_row, vec![(i, offset)])),
@@ -31,7 +31,7 @@ pub(crate) fn lu_step_plan(ins: &Inserter<'_>, k: usize, trial_rows: Vec<usize>)
         trial_rows,
         swap_groups: swap_groups.into_iter().map(|(_, rows)| rows).collect(),
         total_rows: offset,
-        panel_nodes: ins.ctx.dist.panel_node_count(k, aug.mt()),
+        panel_nodes: ins.ctx.grid.panel_node_count(k, aug.mt()),
         ..StepPlan::default()
     }
 }
@@ -97,7 +97,7 @@ pub(crate) fn insert_lu_step(ins: &mut Inserter<'_>, k: usize, gate: Gate) {
 
     for j in ins.trailing(k) {
         let w = ins.ctx.aug.tile_cols(j);
-        let top_owner = ins.ctx.dist.owner(k, j);
+        let top_owner = ins.ctx.grid.owner(k, j);
         ins.b
             .declare(keys::swap_scratch(j, k), nbk * w * 8, top_owner);
 
@@ -112,7 +112,7 @@ pub(crate) fn insert_lu_step(ins: &mut Inserter<'_>, k: usize, gate: Gate) {
         // owner) applies the pivot-block-internal permutation.
         for g in 0..=plan.swap_groups.len() {
             let node = match plan.swap_rows(ix(g)).first() {
-                Some(&(row, _)) => ins.ctx.dist.owner(row, j),
+                Some(&(row, _)) => ins.ctx.grid.owner(row, j),
                 None => top_owner,
             };
             ins.push(TaskOp::PivSwp {

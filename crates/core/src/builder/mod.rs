@@ -69,13 +69,12 @@ pub use crate::state::SharedState;
 
 /// Insertion context handed to every planner: the task sink under
 /// construction — the batch [`GraphBuilder`] or the streaming window —
-/// plus the run's context: the matrix, distribution, and options it
+/// plus the run's context: the matrix, process grid, and options it
 /// describes. All ownership and panel-domain queries go through the
-/// context's `dist`, so a speed-weighted distribution re-shapes every
-/// planner's placement without the planners knowing.
+/// context's `grid`.
 pub struct Inserter<'a> {
     pub(crate) b: &'a mut (dyn TaskSink<TaskOp> + 'a),
-    /// The run's context: matrix, options, distribution, per-step cells.
+    /// The run's context: matrix, options, process grid, per-step cells.
     pub(crate) ctx: &'a RunCtx,
 }
 
@@ -85,9 +84,9 @@ impl Inserter<'_> {
         self.ctx.nt_a
     }
 
-    /// Insert `op`, placed on its owner under the run's distribution.
+    /// Insert `op`, placed on its owner on the run's grid.
     pub(crate) fn push(&mut self, op: TaskOp) -> TaskId {
-        self.b.push(op.node(&self.ctx.dist), op)
+        self.b.push(op.node(self.ctx.grid), op)
     }
 
     /// All trailing column indices of step `k` (matrix + rhs tile columns).
@@ -147,9 +146,9 @@ pub fn build_graph(
     opts: &FactorOptions,
 ) -> (crate::Graph, SharedState) {
     let ctx = RunCtx::new(aug, nt_a, opts);
-    let mut b = GraphBuilder::new(ctx.dist.nodes(), std::sync::Arc::clone(&ctx));
+    let mut b = GraphBuilder::new(ctx.grid.nodes(), std::sync::Arc::clone(&ctx));
 
-    // Declare every tile with its (possibly weighted) block-cyclic home.
+    // Declare every tile with its block-cyclic home.
     declare_tiles(&mut b, &ctx);
 
     let planner = crate::planner_for(&opts.algorithm);
@@ -206,7 +205,7 @@ pub fn plan_fingerprint(n: usize, nrhs: usize, opts: &FactorOptions) -> u64 {
     let nt_a = aug.nt() - nrhs.div_ceil(opts.nb);
     let ctx = RunCtx::new(&aug, nt_a, opts);
     let mut sink = HashSink {
-        nodes: ctx.dist.nodes(),
+        nodes: ctx.grid.nodes(),
         pushed: 0,
         hasher: IntHasher::default(),
     };
@@ -226,7 +225,7 @@ pub(crate) fn declare_tiles(sink: &mut dyn TaskSink<TaskOp>, ctx: &RunCtx) {
     for i in 0..aug.mt() {
         for j in 0..aug.nt() {
             let (tm, tn) = aug.tile_dims(i, j);
-            sink.declare(keys::tile(i, j), tm * tn * 8, ctx.dist.owner(i, j));
+            sink.declare(keys::tile(i, j), tm * tn * 8, ctx.grid.owner(i, j));
         }
     }
 }

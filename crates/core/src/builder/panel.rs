@@ -19,7 +19,7 @@ pub(crate) fn trial_rows(ins: &Inserter<'_>, k: usize) -> Vec<usize> {
     let mt = ins.ctx.aug.mt();
     match (ins.ctx.opts.lu_variant, ins.ctx.opts.pivot_scope) {
         (LuVariant::A2, _) => vec![k],
-        (_, PivotScope::DiagonalDomain) => ins.ctx.dist.diagonal_domain_rows(k, mt),
+        (_, PivotScope::DiagonalDomain) => ins.ctx.grid.diagonal_domain_rows(k, mt),
         (_, PivotScope::DiagonalTile) => vec![k],
     }
 }
@@ -42,7 +42,7 @@ pub(crate) fn crit_groups(
     }
     let mut groups: Vec<(usize, Vec<usize>)> = Vec::new();
     for i in (k..ins.ctx.aug.mt()).filter(|i| !trial_rows.contains(i)) {
-        let node = ins.ctx.dist.owner(i, k);
+        let node = ins.ctx.grid.owner(i, k);
         match groups.iter_mut().find(|(n, _)| *n == node) {
             Some((_, rows)) => rows.push(i),
             None => groups.push((node, vec![i])),
@@ -57,7 +57,7 @@ pub(crate) fn insert_backups(ins: &mut Inserter<'_>, k: usize) {
     for &i in &ins.ctx.steps.get(k).plan.trial_rows {
         let bytes = ins.ctx.tile_bytes(i, k);
         ins.b
-            .declare(keys::backup(i, k), bytes, ins.ctx.dist.owner(i, k));
+            .declare(keys::backup(i, k), bytes, ins.ctx.grid.owner(i, k));
         ins.push(TaskOp::Backup { k: ix(k), i: ix(i) });
     }
 }
@@ -79,7 +79,7 @@ pub(crate) fn insert_crit_collection(ins: &mut Inserter<'_>, k: usize) {
 /// Declare the panel task's outputs: the pivot record (`pivot_words`
 /// 8-byte words) and, for the hybrid, the decision.
 fn declare_panel_outputs(ins: &mut Inserter<'_>, k: usize, pivot_words: usize, decides: bool) {
-    let diag = ins.ctx.dist.diag_owner(k);
+    let diag = ins.ctx.grid.diag_owner(k);
     ins.b.declare(keys::pivots(k), pivot_words * 8, diag);
     if decides {
         ins.b.declare(keys::decision(k), 8, diag);
@@ -108,7 +108,7 @@ pub(crate) fn insert_a2_panel(ins: &mut Inserter<'_>, k: usize) -> TaskId {
 pub(crate) fn declare_tfactor(ins: &mut Inserter<'_>, k: usize, i: usize) {
     let bytes = ins.ctx.opts.ib * ins.ctx.aug.tile_cols(k) * 8;
     ins.b
-        .declare(keys::tfactor(i, k), bytes, ins.ctx.dist.owner(i, k));
+        .declare(keys::tfactor(i, k), bytes, ins.ctx.grid.owner(i, k));
 }
 
 /// Insert the PROP tasks: restore each trial tile from its backup when the

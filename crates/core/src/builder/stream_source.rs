@@ -74,7 +74,7 @@ impl StepSource for PlannerStepSource {
     }
 
     fn num_nodes(&self) -> usize {
-        self.ctx.dist.nodes()
+        self.ctx.grid.nodes()
     }
 
     fn prepare(&mut self, sink: &mut dyn TaskSink<TaskOp>) {

@@ -1,7 +1,7 @@
 //! Configuration types for the factorization drivers.
 
 use luqr_kernels::DEFAULT_IB;
-use luqr_tile::{Dist, Grid};
+use luqr_tile::Grid;
 
 use crate::criteria::Criterion;
 use crate::trees::TreeConfig;
@@ -21,7 +21,7 @@ pub enum Algorithm {
     /// LU with partial pivoting across the whole panel — the stability
     /// reference ("LUPP", ScaLAPACK-style).
     Lupp,
-    /// Hierarchical tiled QR — the performance-stability reference
+    /// Tiled hierarchical QR — the performance-stability reference
     /// ("HQR"); unconditionally stable, 2x flops.
     Hqr,
 }
@@ -67,27 +67,6 @@ pub enum LuVariant {
     A2,
 }
 
-/// How tiles map onto the process grid.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub enum DistPolicy {
-    /// Plain 2D block-cyclic: tile `(i, j)` → node `(i mod p, j mod q)`.
-    #[default]
-    BlockCyclic,
-    /// Speed-aware weighted block-cyclic: one speed per grid rank (use
-    /// [`luqr_runtime::Platform::node_speeds`] for a platform-derived
-    /// vector); faster nodes own proportionally more tiles. See
-    /// [`luqr_tile::Dist::speed_weighted`].
-    SpeedWeighted(Vec<f64>),
-    /// Criterion-aware calibrated weighting: per-rank *observed*
-    /// effective speeds from a first run's simulation report
-    /// ([`luqr_runtime::SimReport::observed_node_speeds`]), so the weights
-    /// reflect the kernel-class mix the run actually executed (a QR-heavy
-    /// hybrid run weights by QR throughput, not GEMM). Build via
-    /// [`FactorOptions::calibrated_from`]; resolved through
-    /// [`luqr_tile::Dist::calibrated`].
-    Calibrated(Vec<f64>),
-}
-
 /// Options for a factorization run.
 #[derive(Debug, Clone)]
 pub struct FactorOptions {
@@ -95,11 +74,9 @@ pub struct FactorOptions {
     pub nb: usize,
     /// Inner blocking of the QR kernels (default [`DEFAULT_IB`]).
     pub ib: usize,
-    /// Virtual process grid (2D block-cyclic distribution).
+    /// Virtual process grid: tile `(i, j)` lives on node
+    /// [`Grid::owner`]`(i, j)` (2D block-cyclic distribution).
     pub grid: Grid,
-    /// Tile-ownership policy over that grid (plain or speed-weighted
-    /// block-cyclic).
-    pub dist: DistPolicy,
     /// The algorithm to run.
     pub algorithm: Algorithm,
     /// Reduction trees for QR steps.
@@ -118,7 +95,6 @@ impl Default for FactorOptions {
             nb: 80,
             ib: DEFAULT_IB,
             grid: Grid::single(),
-            dist: DistPolicy::BlockCyclic,
             algorithm: Algorithm::LuQr(Criterion::Max { alpha: 100.0 }),
             trees: TreeConfig::default(),
             threads: available_threads(),
@@ -138,41 +114,6 @@ impl FactorOptions {
     pub fn with_grid(mut self, g: Grid) -> Self {
         self.grid = g;
         self
-    }
-
-    /// Speed-aware weighted distribution from per-node speeds (one entry
-    /// per grid rank).
-    pub fn with_speed_weights(mut self, speeds: Vec<f64>) -> Self {
-        self.dist = DistPolicy::SpeedWeighted(speeds);
-        self
-    }
-
-    /// Criterion-aware calibration: weight the distribution by the
-    /// effective per-node speeds *observed* in `report` (the replay of a
-    /// first run on `platform`), instead of the platform's nominal GEMM
-    /// throughput. See
-    /// [`DistPolicy::Calibrated`].
-    pub fn calibrated_from(
-        mut self,
-        report: &luqr_runtime::SimReport,
-        platform: &luqr_runtime::Platform,
-    ) -> Self {
-        self.dist = DistPolicy::Calibrated(report.observed_node_speeds(platform));
-        self
-    }
-
-    /// The concrete tile-ownership map these options describe.
-    ///
-    /// Panics if a [`DistPolicy::SpeedWeighted`] speed vector is shorter
-    /// than the grid's rank count (surplus entries — a platform with more
-    /// nodes than the grid — are ignored, since grid rank `r` runs on
-    /// platform node `r`).
-    pub fn tile_dist(&self) -> Dist {
-        match &self.dist {
-            DistPolicy::BlockCyclic => Dist::block_cyclic(self.grid),
-            DistPolicy::SpeedWeighted(speeds) => Dist::speed_weighted(self.grid, speeds),
-            DistPolicy::Calibrated(observed) => Dist::calibrated(self.grid, observed),
-        }
     }
 
     pub fn with_nb(mut self, nb: usize) -> Self {
@@ -225,14 +166,6 @@ mod tests {
         let o = FactorOptions::default();
         assert!(o.nb >= 1 && o.ib >= 1 && o.threads >= 1);
         assert_eq!(o.pivot_scope, PivotScope::DiagonalDomain);
-    }
-
-    #[test]
-    fn tile_dist_defaults_to_block_cyclic() {
-        let o = FactorOptions::default().with_grid(Grid::new(2, 2));
-        assert_eq!(o.tile_dist(), Dist::block_cyclic(Grid::new(2, 2)));
-        let w = o.with_speed_weights(vec![2.0, 2.0, 1.0, 1.0]);
-        assert!(w.tile_dist().ownership_fraction(0, 100, 100) > 0.25);
     }
 
     #[test]

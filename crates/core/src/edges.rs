@@ -436,19 +436,16 @@ impl<'a> Step<'a> {
         if self.a2() || !self.is_trial(i) {
             return None;
         }
-        let dist = &self.ctx.dist;
-        let grid_row = dist.row_group(i);
+        let p = self.ctx.grid.p;
         let groups = &self.plan.swap_groups;
-        let g = groups
-            .iter()
-            .position(|rows| dist.row_group(rows[0].0) == grid_row);
+        let g = groups.iter().position(|rows| rows[0].0 % p == i % p);
         g.map(|g| g + 1)
     }
 
     fn pivswp(&self, j: usize, g: usize) -> TaskOp {
         let node = match self.plan.swap_rows(ix(g)).first() {
-            Some(&(row, _)) => self.ctx.dist.owner(row, j),
-            None => self.ctx.dist.owner(self.k, j),
+            Some(&(row, _)) => self.ctx.grid.owner(row, j),
+            None => self.ctx.grid.owner(self.k, j),
         };
         TaskOp::PivSwp {
             k: self.kx(),
@@ -469,7 +466,7 @@ impl<'a> Step<'a> {
 
     /// The criterion group of an off-trial row.
     fn crit_of(&self, i: usize) -> usize {
-        let node = self.ctx.dist.owner(i, self.k);
+        let node = self.ctx.grid.owner(i, self.k);
         let groups = &self.plan.crit_groups;
         groups
             .iter()

@@ -63,9 +63,7 @@ pub mod trees;
 
 pub use builder::stream_source::PlannerStepSource;
 pub use builder::{Inserter, StepPlanner};
-pub use config::{
-    Algorithm, Decision, DistPolicy, FactorOptions, LuVariant, PivotScope, StepRecord,
-};
+pub use config::{Algorithm, Decision, FactorOptions, LuVariant, PivotScope, StepRecord};
 pub use criteria::Criterion;
 pub use net::{
     factor_stream_net, factor_stream_net_opts, factor_stream_net_rank, NetTransportKind,
@@ -84,7 +82,7 @@ use luqr_tile::TiledMatrix;
 
 pub use luqr_runtime::{
     AttribBuckets, Attribution, LinkMsgStats, LinkSpec, LinkTraffic, MsgStats, NetReport, NodeSpec,
-    Probe, ProbeReport, SchedPolicy, StreamOptions, Topology, TraceEvent, TransportError,
+    Probe, ProbeReport, SchedPolicy, StreamOptions, TraceEvent, TransportError,
 };
 
 /// A batch task graph of [`TaskOp`]s.

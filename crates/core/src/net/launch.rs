@@ -514,6 +514,16 @@ pub fn worker_main(args: &[String]) -> Result<(), String> {
 
     let rank = rank.ok_or("--rank is required")?;
     let nranks = nranks.ok_or("--nranks is required")?;
+    for (flag, value) in [("--p", job.p), ("--q", job.q), ("--nb", job.nb)] {
+        if value == 0 {
+            return Err(format!("{flag} must be positive"));
+        }
+    }
+    if rank >= nranks {
+        return Err(format!(
+            "--rank {rank} is out of range for --nranks {nranks}"
+        ));
+    }
     if nranks != job.p * job.q {
         return Err(format!(
             "--nranks {nranks} does not match the {}x{} grid",
@@ -752,6 +762,26 @@ mod tests {
         assert!(!alive.unwrap().success(), "rank 1 outlived the launch");
         assert_eq!(leftovers(), Vec::<String>::new());
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Arguments the job cannot run with are usage errors naming the flag,
+    /// reported before anything is planned or connected.
+    #[test]
+    fn a_worker_reports_bad_arguments_as_usage_errors() {
+        for (bad, flag) in [
+            // With `--plan` a worker plans the job before it connects.
+            ("--rank 0 --nranks 0 --p 0 --q 0 --plan 0", "--p"),
+            ("--rank 0 --nranks 0 --q 0 --plan 0", "--q"),
+            ("--rank 0 --nranks 1 --nb 0 --plan 0", "--nb"),
+            ("--rank 2 --nranks 1", "--rank"),
+        ] {
+            let args: Vec<String> = format!("{bad} --n 8 --uds /nonexistent")
+                .split_whitespace()
+                .map(String::from)
+                .collect();
+            let err = worker_main(&args).expect_err("a usage error");
+            assert!(err.starts_with(flag), "{bad}: {err}");
+        }
     }
 
     #[test]

@@ -227,11 +227,11 @@ pub fn factor_stream_net_rank(
     })
 }
 
-/// What `rank` packs of `[A | rhs]`: the tiles homed on it under the run's
-/// distribution (the home the planner declares for each tile).
+/// What `rank` packs of `[A | rhs]`: the tiles homed on it on the run's
+/// grid (the home the planner declares for each tile).
 fn rank_share(a: &Mat, rhs: &Mat, opts: &FactorOptions, rank: usize) -> TiledMatrix {
-    let dist = opts.tile_dist();
-    TiledMatrix::from_dense_augmented_where(a, rhs, opts.nb, |i, j| dist.owner(i, j) == rank)
+    let grid = opts.grid;
+    TiledMatrix::from_dense_augmented_where(a, rhs, opts.nb, |i, j| grid.owner(i, j) == rank)
 }
 
 #[cfg(test)]
@@ -265,13 +265,12 @@ mod tests {
             grid: Grid::new(2, 2),
             ..FactorOptions::default()
         };
-        let dist = opts.tile_dist();
         let shares: Vec<TiledMatrix> = (0..4).map(|r| rank_share(&a, &rhs, &opts, r)).collect();
         let full = TiledMatrix::from_dense_augmented(&a, &rhs, opts.nb);
         for i in 0..full.mt() {
             for j in 0..full.nt() {
                 for (r, share) in shares.iter().enumerate() {
-                    let home = dist.owner(i, j) == r;
+                    let home = opts.grid.owner(i, j) == r;
                     assert_eq!(share.holds_tile(i, j), home, "rank {r}, tile ({i},{j})");
                     if home {
                         assert_eq!(*share.tile(i, j).lock(), *full.tile(i, j).lock());

@@ -7,7 +7,7 @@
 //! `state::StepPlan`, which outlives the step's tasks.
 
 use luqr_runtime::{Access, DataClass, DataKey, TaskResult};
-use luqr_tile::Dist;
+use luqr_tile::Grid;
 
 use crate::config::Decision;
 use crate::keys::{self, Kind};
@@ -162,17 +162,17 @@ impl TaskOp {
         }
     }
 
-    /// The node that runs the task under `dist` (owner-computes: the owner
-    /// of the tile it mainly writes).
-    pub fn node(self, dist: &Dist) -> usize {
+    /// The node that runs the task on `grid` (owner-computes: the owner of
+    /// the tile it mainly writes).
+    pub fn node(self, grid: Grid) -> usize {
         use TaskOp::*;
-        let owner = |i: Ix, j: Ix| dist.owner(i as usize, j as usize);
+        let owner = |i: Ix, j: Ix| grid.owner(i as usize, j as usize);
         match self {
             Backup { k, i } | Prop { k, i } | Tstrf { k, i } => owner(i, k),
             Trsm { k, i, .. } | Geqrt { k, i, .. } => owner(i, k),
             Crit { node, .. } | PivSwp { node, .. } => node as usize,
             Panel { k } | PanelA2 { k } | PanelLu { k, .. } | Getrf { k } => {
-                dist.diag_owner(k as usize)
+                grid.diag_owner(k as usize)
             }
             SwpInit { k, j, .. } | TrsmTop { k, j, .. } | Ormqr { k, j, .. } | Gessm { k, j } => {
                 owner(k, j)

@@ -28,7 +28,7 @@ use std::sync::{Arc, OnceLock};
 
 use luqr_kernels::incpiv::PairPivot;
 use luqr_kernels::{Mat, TFactor};
-use luqr_tile::{Dist, TiledMatrix};
+use luqr_tile::{Grid, TiledMatrix};
 use parking_lot::{Mutex, RwLock, RwLockReadGuard};
 
 use crate::config::{Decision, FactorOptions, StepRecord};
@@ -261,8 +261,8 @@ pub struct RunCtx {
     /// Tile columns of `A` — the number of elimination steps.
     pub(crate) nt_a: usize,
     pub(crate) opts: FactorOptions,
-    /// The tile distribution (`opts.tile_dist()`).
-    pub(crate) dist: Dist,
+    /// The process grid tiles are distributed over (`opts.grid`).
+    pub(crate) grid: Grid,
     pub(crate) steps: StepState,
     pub(crate) shared: SharedState,
 }
@@ -273,7 +273,7 @@ impl RunCtx {
             aug: aug.share(),
             nt_a,
             opts: opts.clone(),
-            dist: opts.tile_dist(),
+            grid: opts.grid,
             steps: StepState::new(nt_a),
             shared: SharedState::default(),
         })

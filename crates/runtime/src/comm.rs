@@ -15,7 +15,6 @@ use std::collections::BTreeMap;
 
 use crate::graph::{DataClass, DataKey, TaskId};
 use crate::platform::Platform;
-use crate::probe::Histogram;
 
 /// A tile (or any payload datum) crossing a node boundary: sent once per
 /// destination node per produced version, regardless of how many tasks
@@ -150,24 +149,17 @@ pub struct LinkMsgStats {
     pub msgs: MsgStats,
 }
 
-/// Sender-side network state: one egress NIC per node, serialized, plus
-/// the (optional) shared inter-island trunk.
+/// Sender-side network state: one egress NIC per node, serialized.
 ///
-/// Wire time is `bytes / bandwidth` of the `(from, to)` link; a message
-/// arrives that link's `latency` after its wire time completes. Messages
+/// Wire time is `bytes / bandwidth` of the platform's link; a message
+/// arrives the link's `latency` after its wire time completes. Messages
 /// from one node queue on that node's NIC in the order they are issued,
-/// whatever their destinations — egress is the shared resource, the links
-/// themselves are not. When the platform's hierarchical topology declares
-/// a finite `backbone`, inter-island messages additionally serialize on
-/// one shared trunk (finite bisection bandwidth): the transfer starts when
-/// NIC *and* trunk are free and its wire time is paced by the slower of
-/// the link and the trunk.
+/// whatever their destinations — egress is the shared resource, the
+/// fabric itself is not.
 #[derive(Debug, Clone)]
 pub struct Network {
     /// Earliest next free egress slot per node.
     nic_free: Vec<f64>,
-    /// Earliest next free slot on the shared inter-island trunk.
-    trunk_free: f64,
     /// Payload messages sent.
     pub messages: u64,
     /// Payload bytes moved.
@@ -175,29 +167,21 @@ pub struct Network {
     /// Per-(src, dst) (messages, bytes) tallies. A `BTreeMap` so exports
     /// iterate in deterministic link order on every engine path.
     links: BTreeMap<(usize, usize), (u64, u64)>,
-    /// Extra queueing inter-island transfers paid for the shared trunk
-    /// beyond their own NIC backlog (empty when no backbone is declared).
-    trunk_wait: Histogram,
 }
 
 impl Network {
     pub fn new(nodes: usize) -> Self {
         Network {
             nic_free: vec![0.0; nodes],
-            trunk_free: 0.0,
             messages: 0,
             bytes: 0,
             links: BTreeMap::new(),
-            trunk_wait: Histogram::default(),
         }
     }
 
-    /// Send `nbytes` from `from` to `to` at `ready` (or later, NIC and
-    /// trunk permitting); returns the arrival time at the destination. The
-    /// cost comes from the platform's `(from, to)` link, so hierarchical
-    /// topologies charge what that pair actually pays; a finite
-    /// hierarchical backbone serializes inter-island messages on the
-    /// shared trunk.
+    /// Send `nbytes` from `from` to `to` (distinct nodes) at `ready` (or
+    /// later, once `from`'s NIC is free); returns the arrival time at the
+    /// destination.
     pub fn send(
         &mut self,
         platform: &Platform,
@@ -206,61 +190,16 @@ impl Network {
         ready: f64,
         nbytes: usize,
     ) -> f64 {
-        let link = platform.link(from, to);
+        let link = platform.link;
         self.messages += 1;
         self.bytes += nbytes as u64;
         let tally = self.links.entry((from, to)).or_insert((0, 0));
         tally.0 += 1;
         tally.1 += nbytes as u64;
-        match platform.topology.shared_trunk(from, to) {
-            None => {
-                let start = ready.max(self.nic_free[from]);
-                let wire = nbytes as f64 / link.bandwidth;
-                self.nic_free[from] = start + wire;
-                start + link.latency + wire
-            }
-            Some(trunk_bw) => {
-                let nic_ready = ready.max(self.nic_free[from]);
-                let start = nic_ready.max(self.trunk_free);
-                self.trunk_wait.observe(start - nic_ready);
-                let wire = nbytes as f64 / link.bandwidth.min(trunk_bw);
-                self.nic_free[from] = start + wire;
-                self.trunk_free = start + wire;
-                start + link.latency + wire
-            }
-        }
-    }
-
-    /// Estimated arrival time of an *un-issued* transfer: [`Network::send`]
-    /// minus the tallies and the state mutation. The lookahead scheduling
-    /// policy (EFT) prices hypothetical transfers with
-    /// this; it reads the same NIC backlog **and trunk backlog** the real
-    /// send would pay, so a saturated backbone is no longer priced as an
-    /// uncontended link. Same-node moves are free.
-    pub fn estimate_arrival(
-        &self,
-        platform: &Platform,
-        from: usize,
-        to: usize,
-        ready: f64,
-        nbytes: usize,
-    ) -> f64 {
-        if from == to {
-            return ready;
-        }
-        let link = platform.link(from, to);
-        match platform.topology.shared_trunk(from, to) {
-            None => {
-                let start = ready.max(self.nic_free[from]);
-                let wire = nbytes as f64 / link.bandwidth;
-                start + link.latency + wire
-            }
-            Some(trunk_bw) => {
-                let start = ready.max(self.nic_free[from]).max(self.trunk_free);
-                let wire = nbytes as f64 / link.bandwidth.min(trunk_bw);
-                start + link.latency + wire
-            }
-        }
+        let start = ready.max(self.nic_free[from]);
+        let wire = nbytes as f64 / link.bandwidth;
+        self.nic_free[from] = start + wire;
+        start + link.latency + wire
     }
 
     /// Per-link payload traffic so far, in `(src, dst)` order.
@@ -275,19 +214,11 @@ impl Network {
             })
             .collect()
     }
-
-    /// Distribution of trunk-queueing delays (wait for the shared trunk
-    /// beyond the sender's own NIC backlog). Empty without a backbone.
-    pub fn trunk_wait(&self) -> &Histogram {
-        &self.trunk_wait
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    use crate::platform::{LinkSpec, Topology};
 
     fn platform(latency: f64, bandwidth: f64) -> Platform {
         Platform::dancer_nodes(4)
@@ -330,88 +261,6 @@ mod tests {
     }
 
     #[test]
-    fn hierarchical_links_charge_by_island() {
-        // Islands of 2: {0,1} and {2,3}; fast intra, slow inter.
-        let p = Platform::dancer_nodes(4).with_topology(Topology::hierarchical(
-            LinkSpec::new(0.0, 1000.0),
-            LinkSpec::new(1.0, 100.0),
-            2,
-        ));
-        let mut net = Network::new(4);
-        let intra = net.send(&p, 0, 1, 0.0, 1000); // wire 1s, no latency
-        assert!((intra - 1.0).abs() < 1e-12);
-        let mut net = Network::new(4);
-        let inter = net.send(&p, 0, 2, 0.0, 1000); // wire 10s + 1s latency
-        assert!((inter - 11.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn finite_backbone_serializes_inter_island_senders() {
-        // Two senders on distinct NICs (nodes 0 and 1) each push 1 s of
-        // wire across the islands. Uncontended, the transfers overlap;
-        // with a shared trunk at the same bandwidth, the second queues.
-        let hier = |backbone: Option<Platform>| {
-            backbone.unwrap_or_else(|| {
-                Platform::dancer_nodes(4).with_topology(Topology::hierarchical(
-                    LinkSpec::new(0.0, 1000.0),
-                    LinkSpec::new(0.0, 100.0),
-                    2,
-                ))
-            })
-        };
-        let p = hier(None);
-        let mut net = Network::new(4);
-        let a = net.send(&p, 0, 2, 0.0, 100);
-        let b = net.send(&p, 1, 3, 0.0, 100);
-        assert!((a - 1.0).abs() < 1e-12);
-        assert!((b - 1.0).abs() < 1e-12, "uncontended transfers overlap");
-
-        let p = hier(None).with_backbone(100.0);
-        let mut net = Network::new(4);
-        let a = net.send(&p, 0, 2, 0.0, 100);
-        let b = net.send(&p, 1, 3, 0.0, 100);
-        assert!((a - 1.0).abs() < 1e-12);
-        assert!((b - 2.0).abs() < 1e-12, "trunk must serialize: {b}");
-    }
-
-    #[test]
-    fn backbone_spares_intra_island_traffic() {
-        // The trunk only paces *inter*-island messages: an intra-island
-        // send neither waits for the trunk nor occupies it.
-        let p = Platform::dancer_nodes(4)
-            .with_topology(Topology::hierarchical(
-                LinkSpec::new(0.0, 1000.0),
-                LinkSpec::new(0.0, 100.0),
-                2,
-            ))
-            .with_backbone(100.0);
-        let mut net = Network::new(4);
-        let inter = net.send(&p, 0, 2, 0.0, 100); // occupies the trunk 1 s
-        let intra = net.send(&p, 1, 0, 0.0, 100); // distinct NIC, no trunk
-        assert!((inter - 1.0).abs() < 1e-12);
-        assert!(
-            (intra - 0.1).abs() < 1e-12,
-            "intra send must not queue: {intra}"
-        );
-    }
-
-    #[test]
-    fn backbone_slower_than_link_paces_the_wire() {
-        // Trunk at a tenth of the inter link: the wire time stretches to
-        // the trunk's pace even for a single message.
-        let p = Platform::dancer_nodes(4)
-            .with_topology(Topology::hierarchical(
-                LinkSpec::new(0.0, 1000.0),
-                LinkSpec::new(0.0, 1000.0),
-                2,
-            ))
-            .with_backbone(100.0);
-        let mut net = Network::new(4);
-        let a = net.send(&p, 0, 3, 0.0, 100);
-        assert!((a - 1.0).abs() < 1e-12, "wire must run at trunk pace: {a}");
-    }
-
-    #[test]
     fn stats_classify_messages() {
         let mut s = MsgStats::default();
         s.record(&Msg::Data(DataMsg {
@@ -436,7 +285,7 @@ mod tests {
     }
 
     #[test]
-    fn per_link_tallies_and_trunk_wait() {
+    fn per_link_tallies() {
         let p = platform(0.0, 100.0);
         let mut net = Network::new(4);
         net.send(&p, 0, 1, 0.0, 100);
@@ -462,23 +311,6 @@ mod tests {
                 bytes: 25
             }
         );
-        assert_eq!(net.trunk_wait().count, 0, "no backbone, no trunk waits");
-
-        // With a shared trunk, the second inter-island sender queues and
-        // the wait beyond its own NIC backlog is observed.
-        let p = Platform::dancer_nodes(4)
-            .with_topology(Topology::hierarchical(
-                LinkSpec::new(0.0, 1000.0),
-                LinkSpec::new(0.0, 100.0),
-                2,
-            ))
-            .with_backbone(100.0);
-        let mut net = Network::new(4);
-        net.send(&p, 0, 2, 0.0, 100);
-        net.send(&p, 1, 3, 0.0, 100);
-        let h = net.trunk_wait();
-        assert_eq!(h.count, 2);
-        assert!((h.max - 1.0).abs() < 1e-12, "second transfer waited 1 s");
     }
 
     #[test]

@@ -19,10 +19,11 @@
 //!   ([`graph`], [`sched`]'s ready set, [`vtime`], the streaming window).
 //! * [`exec`] — a dependency-counting multithreaded executor.
 //! * [`platform`] / [`sim`] — a description of the paper's *Dancer* cluster
-//!   and a discrete-event simulator replaying executed graphs against it:
-//!   owner-computes placement, per-class kernel efficiencies, NIC-serialized
-//!   messages with latency + bandwidth. This regenerates the paper's
-//!   distributed performance results from a single machine.
+//!   (identical nodes, one flat link) and a discrete-event simulator
+//!   replaying executed graphs against it: owner-computes placement,
+//!   per-class kernel efficiencies, NIC-serialized messages with latency +
+//!   bandwidth. This regenerates the paper's distributed performance
+//!   results from a single machine.
 //! * [`stream`] — the windowed *streaming* executor: graph construction
 //!   interleaved with execution, at most `window` consecutive steps
 //!   materialized, completed steps retired, and per-step branch decisions
@@ -37,16 +38,15 @@
 //!   by the SPMD executor [`stream::execute_net`].
 //! * [`vtime`] — the virtual-time engine behind [`sim`]: the discrete-event
 //!   model consumed one task at a time.
-//! * [`sched`] — the replay's driver and its pluggable ready-task
-//!   selection: the graph's stored edges release tasks into a ready set,
-//!   and a policy — FIFO (id order, the bitwise-pinned default),
-//!   critical-path, locality-aware, or HEFT-style earliest finish time —
-//!   picks which one the virtual-time engine costs next; its
-//!   critical-path queue also orders the streaming workers.
+//! * [`sched`] — the replay's driver: the graph's stored edges release
+//!   tasks into one ready queue, popped in one of the two orders this
+//!   workspace's executors use — FIFO (id order, the batch executor's and
+//!   the bitwise-pinned default) or critical-path (deepest chain first,
+//!   the streaming workers' order, from the same queue).
 //! * [`probe`] — typed metrics probes (counters, gauges, time-series
-//!   histograms) threaded through the scheduler, the streaming window, the
+//!   histograms) threaded through the replay, the streaming window, the
 //!   comm model, and the vtime engine, plus a replay's makespan
-//!   attribution (compute / transfer / contention / idle) and
+//!   attribution (compute / transfer / NIC contention / idle) and
 //!   Chrome-trace, Prometheus, and JSON export.
 //! * [`dot`] — Graphviz export (Figure 1's dataflow, from a live graph).
 
@@ -76,9 +76,9 @@ pub use graph::{
     TaskRef, TaskResult, TaskSink,
 };
 pub use net::{Frame, NetReport, PayloadStore, Transport, TransportError};
-pub use platform::{Efficiency, LinkSpec, NodeCountMismatch, NodeSpec, Platform, Topology};
+pub use platform::{Efficiency, LinkSpec, NodeCountMismatch, NodeSpec, Platform};
 pub use probe::{AttribBuckets, Attribution, Histogram, Label, Probe, ProbeReport, ProbeSnapshot};
-pub use sched::{SchedPolicy, Scheduler};
+pub use sched::SchedPolicy;
 pub use sim::{simulate, simulate_probed, simulate_with, SimReport};
 pub use stream::{NetConfig, StepPhase, StepSource, StreamOptions, StreamReport, StreamWindow};
 pub use trace::{render_chrome_trace, TraceEvent, TraceOptions};

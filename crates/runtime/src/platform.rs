@@ -2,34 +2,20 @@
 //!
 //! The paper's experiments run on *Dancer*: 16 nodes × 8 cores (two Intel
 //! Westmere-EP E5606 @ 2.13 GHz per node), Infiniband 10G, 1091 GFLOP/s
-//! aggregate peak. This module describes such platforms — and anything less
-//! uniform: a [`Platform`] is a list of per-node [`NodeSpec`]s (core count,
-//! core speed, per-kernel-class efficiency) plus a [`Topology`] giving the
-//! latency/bandwidth of every node pair. Two topologies are modeled:
-//!
-//! * [`Topology::Uniform`] — one [`LinkSpec`] for every pair (the paper's
-//!   flat Infiniband fabric; what all the uniform constructors build);
-//! * [`Topology::Hierarchical`] — nodes grouped into islands of
-//!   `nodes_per_group`, a fast `intra` link inside a group and a slower
-//!   `inter` link across groups (rack/switch hierarchies, multi-island
-//!   clusters).
+//! aggregate peak — identical nodes on one flat fabric. A [`Platform`] is
+//! exactly that shape: `nodes` copies of one [`NodeSpec`] (core count, core
+//! speed, per-kernel-class efficiency) joined pairwise by one [`LinkSpec`]
+//! (latency, bandwidth).
 //!
 //! Per-kernel-class [`Efficiency`] captures what a tuned BLAS achieves (a
 //! GEMM runs much closer to peak than a pivoted panel factorization; that
-//! asymmetry is the entire reason the paper prefers LU steps). Because it
-//! lives in the [`NodeSpec`], a mixed cluster can model nodes that differ
-//! not just in speed but in how well each kernel class runs on them.
-//!
-//! The degenerate case is load-bearing: a heterogeneous platform whose
-//! [`NodeSpec`]s are identical and whose topology is [`Topology::Uniform`]
-//! costs every task and transfer exactly like the pre-refactor homogeneous
-//! model — pinned by the `dist_props` property tests.
+//! asymmetry is the entire reason the paper prefers LU steps).
 
 use std::fmt;
 
 use crate::graph::CostClass;
 
-/// One node of a (possibly heterogeneous) cluster.
+/// One node of the cluster.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NodeSpec {
     /// Cores on this node.
@@ -55,12 +41,6 @@ impl NodeSpec {
         self.cores as f64 * self.core_gflops
     }
 
-    /// Effective GEMM throughput (cores × speed × GEMM efficiency) — the
-    /// weight the speed-aware data distribution keys on.
-    pub fn gemm_gflops(&self) -> f64 {
-        self.peak_gflops() * self.efficiency.gemm
-    }
-
     /// Human-readable spec, e.g. `"8c @ 8.52 GF"` (Chrome-trace lane
     /// labels).
     pub fn label(&self) -> String {
@@ -68,7 +48,8 @@ impl NodeSpec {
     }
 }
 
-/// One directed network link: per-message latency and wire bandwidth.
+/// The network link between any two nodes: per-message latency and wire
+/// bandwidth.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkSpec {
     /// Latency per message, seconds.
@@ -88,100 +69,15 @@ impl LinkSpec {
     }
 }
 
-/// The network shape: which [`LinkSpec`] connects each node pair.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Topology {
-    /// Every pair of distinct nodes shares one link spec (flat fabric).
-    Uniform(LinkSpec),
-    /// Nodes are grouped into islands of `nodes_per_group` consecutive
-    /// ranks; pairs inside an island use `intra`, pairs across use `inter`.
-    Hierarchical {
-        intra: LinkSpec,
-        inter: LinkSpec,
-        nodes_per_group: usize,
-        /// Shared inter-island trunk capacity, bytes per second. `None`
-        /// models an uncontended backbone (every inter-island pair gets the
-        /// full `inter` link); `Some(bw)` serializes all inter-island
-        /// transfers on one trunk of finite bisection bandwidth, the way a
-        /// single top-of-fabric switch would (see
-        /// [`crate::comm::Network::send`]).
-        backbone: Option<f64>,
-    },
-}
-
-impl Topology {
-    /// The link from `src` to `dst` (`src != dst`; a same-node "link" is
-    /// free and infinitely fast, matching the cost model's never-send-local
-    /// invariant).
-    pub fn link(&self, src: usize, dst: usize) -> LinkSpec {
-        if src == dst {
-            return LinkSpec::new(0.0, f64::INFINITY);
-        }
-        match self {
-            Topology::Uniform(l) => *l,
-            Topology::Hierarchical {
-                intra,
-                inter,
-                nodes_per_group,
-                ..
-            } => {
-                if src / nodes_per_group == dst / nodes_per_group {
-                    *intra
-                } else {
-                    *inter
-                }
-            }
-        }
-    }
-
-    /// Islands-of-`nodes_per_group` topology with an uncontended backbone
-    /// (the common case; set `backbone` explicitly — or via
-    /// [`Platform::with_backbone`] — for a finite shared trunk).
-    pub fn hierarchical(intra: LinkSpec, inter: LinkSpec, nodes_per_group: usize) -> Self {
-        Topology::Hierarchical {
-            intra,
-            inter,
-            nodes_per_group,
-            backbone: None,
-        }
-    }
-
-    /// The shared-trunk capacity charged to a `src → dst` transfer: the
-    /// hierarchical backbone bandwidth when the pair crosses islands and a
-    /// finite backbone is configured, `None` otherwise (uncontended).
-    pub fn shared_trunk(&self, src: usize, dst: usize) -> Option<f64> {
-        match self {
-            Topology::Hierarchical {
-                nodes_per_group,
-                backbone: Some(bw),
-                ..
-            } if src / nodes_per_group != dst / nodes_per_group => Some(*bw),
-            _ => None,
-        }
-    }
-
-    /// The largest latency any link of the topology charges (what
-    /// kernel-internal synchronization rounds are billed at).
-    pub fn max_latency(&self) -> f64 {
-        match self {
-            Topology::Uniform(l) => l.latency,
-            Topology::Hierarchical { intra, inter, .. } => intra.latency.max(inter.latency),
-        }
-    }
-}
-
-/// A cluster of multicore nodes: per-node specs plus a network topology.
-///
-/// The uniform constructors ([`Platform::dancer`], [`Platform::dancer_nodes`],
-/// [`Platform::single_node`], [`Platform::uniform`]) build the degenerate
-/// homogeneous case; [`Platform::heterogeneous`] takes an explicit spec list
-/// and topology for mixed clusters.
+/// A cluster of identical multicore nodes on a flat network.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Platform {
-    /// One spec per node; node rank = index.
-    pub specs: Vec<NodeSpec>,
-    /// Network shape over those nodes.
-    pub topology: Topology,
+    /// Number of nodes; node ranks are `0..nodes`.
+    pub nodes: usize,
+    /// The spec every node shares.
+    pub node: NodeSpec,
+    /// The link every pair of distinct nodes shares.
+    pub link: LinkSpec,
     /// Node-local memory bandwidth, bytes per second (costs backup/restore).
     pub mem_bandwidth: f64,
 }
@@ -264,33 +160,45 @@ impl Efficiency {
 }
 
 impl Platform {
-    /// A heterogeneous platform from explicit specs and topology.
+    /// A cluster of `nodes` copies of `node` on a flat network.
     ///
-    /// Panics if `specs` is empty, any node has zero cores or a zero core
-    /// speed, or a link of `topology` is malformed.
-    pub fn heterogeneous(specs: Vec<NodeSpec>, topology: Topology, mem_bandwidth: f64) -> Self {
-        assert!(!specs.is_empty(), "platform needs at least one node");
+    /// Panics on zero nodes or cores, and on any divisor of the cost model
+    /// that is not positive and finite: the core speed, every efficiency
+    /// class and the memory bandwidth (tasks divide by them), the link's
+    /// bandwidth; the latency must be finite and non-negative.
+    pub fn uniform(nodes: usize, node: NodeSpec, link: LinkSpec, mem_bandwidth: f64) -> Self {
+        let positive = |x: f64| x > 0.0 && x.is_finite();
+        assert!(nodes >= 1, "platform needs at least one node");
+        assert!(node.cores >= 1, "every node needs at least one core");
         assert!(
-            specs.iter().all(|s| s.cores >= 1),
-            "every node needs at least one core"
-        );
-        assert!(
-            specs
-                .iter()
-                .all(|s| s.core_gflops > 0.0 && s.core_gflops.is_finite()),
+            positive(node.core_gflops),
             "every node needs a positive, finite core speed"
         );
-        validate_topology(&topology);
+        let e = node.efficiency;
+        assert!(
+            [
+                e.gemm,
+                e.trsm,
+                e.panel_factor,
+                e.qr_factor,
+                e.qr_apply,
+                e.estimate
+            ]
+            .into_iter()
+            .all(positive),
+            "every efficiency class must be positive and finite: {e:?}"
+        );
+        assert!(
+            positive(mem_bandwidth),
+            "memory bandwidth must be positive and finite (got {mem_bandwidth})"
+        );
+        check_link(&link);
         Platform {
-            specs,
-            topology,
+            nodes,
+            node,
+            link,
             mem_bandwidth,
         }
-    }
-
-    /// A homogeneous cluster: `nodes` copies of `spec` on a flat network.
-    pub fn uniform(nodes: usize, spec: NodeSpec, link: LinkSpec, mem_bandwidth: f64) -> Self {
-        Platform::heterogeneous(vec![spec; nodes], Topology::Uniform(link), mem_bandwidth)
     }
 
     /// The paper's Dancer cluster in its default 4×4-grid configuration:
@@ -310,25 +218,6 @@ impl Platform {
         )
     }
 
-    /// The reference *mixed* cluster of the heterogeneity studies (what
-    /// `examples/cluster_hetero.rs`, `benches/hetero.rs`, and the parity
-    /// tests all run against): one island of two Dancer nodes
-    /// (8c @ 8.52 GF) and one island of two half-speed nodes
-    /// (4c @ 4.26 GF), 20 Gbit/s intra-island links over a 10 Gbit/s
-    /// backbone.
-    pub fn mixed_islands() -> Self {
-        Platform::heterogeneous(
-            vec![
-                NodeSpec::new(8, 8.52),
-                NodeSpec::new(8, 8.52),
-                NodeSpec::new(4, 4.26),
-                NodeSpec::new(4, 4.26),
-            ],
-            Topology::hierarchical(LinkSpec::new(2e-6, 2.5e9), LinkSpec::new(1e-5, 1.25e9), 2),
-            12e9,
-        )
-    }
-
     /// A single shared-memory node (laptop-scale sanity runs).
     pub fn single_node(cores: usize) -> Self {
         let dancer = NodeSpec::new(8, 8.52);
@@ -340,49 +229,32 @@ impl Platform {
         )
     }
 
-    /// Number of nodes.
-    pub fn nodes(&self) -> usize {
-        self.specs.len()
-    }
-
-    /// The spec of one node.
-    pub fn node(&self, node: usize) -> &NodeSpec {
-        &self.specs[node]
-    }
-
     /// Total cores across all nodes.
     pub fn total_cores(&self) -> usize {
-        self.specs.iter().map(|s| s.cores).sum()
+        self.nodes * self.node.cores
     }
 
     /// Aggregate peak GFLOP/s.
     pub fn peak_gflops(&self) -> f64 {
-        self.specs.iter().map(|s| s.peak_gflops()).sum()
-    }
-
-    /// Effective per-node GEMM throughput — the weight vector for
-    /// speed-aware (weighted block-cyclic) tile distribution.
-    pub fn node_speeds(&self) -> Vec<f64> {
-        self.specs.iter().map(|s| s.gemm_gflops()).collect()
+        self.nodes as f64 * self.node.peak_gflops()
     }
 
     /// `Ok(())` when the platform can host `required` nodes; the typed
     /// mismatch otherwise. Entry points validate with this instead of
     /// letting node indices run off the end of the core heaps.
     pub fn require_nodes(&self, required: usize) -> Result<(), NodeCountMismatch> {
-        if required <= self.nodes() {
+        if required <= self.nodes {
             Ok(())
         } else {
             Err(NodeCountMismatch {
                 required,
-                available: self.nodes(),
+                available: self.nodes,
             })
         }
     }
 
-    /// Seconds one task takes on one core of `node`.
-    pub fn task_seconds(&self, node: usize, flops: f64, class: CostClass) -> f64 {
-        let spec = &self.specs[node];
+    /// Seconds one task takes on one core.
+    pub fn task_seconds(&self, flops: f64, class: CostClass) -> f64 {
         match class {
             CostClass::Control => 0.0,
             // Memory tasks carry bytes in the `flops` field.
@@ -391,113 +263,40 @@ impl Platform {
                 if flops <= 0.0 {
                     0.0
                 } else {
-                    flops / (spec.efficiency.of(class) * spec.core_gflops * 1e9)
+                    flops / (self.node.efficiency.of(class) * self.node.core_gflops * 1e9)
                 }
             }
         }
     }
 
-    /// The link connecting `src` to `dst`.
-    pub fn link(&self, src: usize, dst: usize) -> LinkSpec {
-        self.topology.link(src, dst)
-    }
-
-    /// Seconds to move `bytes` from `src` to `dst` over their link.
-    pub fn transfer_seconds(&self, src: usize, dst: usize, bytes: usize) -> f64 {
-        self.link(src, dst).transfer_seconds(bytes)
-    }
-
-    /// The latency one kernel-internal synchronization round costs (e.g.
-    /// the per-column pivot all-reduce of a distributed LUPP panel): the
-    /// worst link latency of the topology, since an all-reduce spans every
-    /// participant.
-    pub fn sync_latency(&self) -> f64 {
-        self.topology.max_latency()
-    }
-
-    /// The single link of a [`Topology::Uniform`] platform. Panics on
-    /// non-uniform topologies — callers reasoning about "the" latency or
-    /// bandwidth only make sense on a flat fabric.
-    pub fn uniform_link(&self) -> LinkSpec {
-        match &self.topology {
-            Topology::Uniform(l) => *l,
-            t => panic!("uniform_link() on a non-uniform topology: {t:?}"),
-        }
-    }
-
-    /// Replace the flat network's latency (uniform topologies only).
-    pub fn with_latency(self, latency: f64) -> Self {
-        let mut l = self.uniform_link();
-        l.latency = latency;
-        self.with_topology(Topology::Uniform(l))
-    }
-
-    /// Replace the flat network's bandwidth (uniform topologies only).
-    pub fn with_bandwidth(self, bandwidth: f64) -> Self {
-        let mut l = self.uniform_link();
-        l.bandwidth = bandwidth;
-        self.with_topology(Topology::Uniform(l))
-    }
-
-    /// Replace the topology (builder-style).
-    pub fn with_topology(mut self, topology: Topology) -> Self {
-        validate_topology(&topology);
-        self.topology = topology;
+    /// Replace the link's latency.
+    pub fn with_latency(mut self, latency: f64) -> Self {
+        self.link.latency = latency;
+        check_link(&self.link);
         self
     }
 
-    /// Give a [`Topology::Hierarchical`] platform a finite shared backbone:
-    /// all inter-island transfers serialize on one trunk of `bandwidth`
-    /// bytes per second. Panics on non-hierarchical topologies (a flat
-    /// fabric has no trunk to contend on) or a non-positive bandwidth.
-    pub fn with_backbone(mut self, bandwidth: f64) -> Self {
-        assert!(
-            bandwidth > 0.0 && bandwidth.is_finite(),
-            "backbone needs a positive, finite bandwidth (got {bandwidth})"
-        );
-        match &mut self.topology {
-            Topology::Hierarchical { backbone, .. } => *backbone = Some(bandwidth),
-            t => panic!("with_backbone() on a non-hierarchical topology: {t:?}"),
-        }
+    /// Replace the link's bandwidth.
+    pub fn with_bandwidth(mut self, bandwidth: f64) -> Self {
+        self.link.bandwidth = bandwidth;
+        check_link(&self.link);
         self
     }
 }
 
-/// Construction-time topology checks shared by [`Platform::heterogeneous`]
-/// and [`Platform::with_topology`] — a malformed topology must fail here,
-/// not as a divide-by-zero or infinite-makespan surprise mid-simulation.
-fn validate_topology(topology: &Topology) {
-    let check_link = |l: &LinkSpec, what: &str| {
-        assert!(
-            l.bandwidth > 0.0,
-            "{what} link needs positive bandwidth (got {})",
-            l.bandwidth
-        );
-        assert!(
-            l.latency >= 0.0 && l.latency.is_finite(),
-            "{what} link needs a finite, non-negative latency (got {})",
-            l.latency
-        );
-    };
-    match topology {
-        Topology::Hierarchical {
-            intra,
-            inter,
-            nodes_per_group,
-            backbone,
-        } => {
-            assert!(*nodes_per_group >= 1, "groups need at least one node");
-            check_link(intra, "the intra-group");
-            check_link(inter, "the inter-group");
-            if let Some(bw) = backbone {
-                assert!(
-                    *bw > 0.0 && bw.is_finite(),
-                    "backbone needs a positive, finite bandwidth (got {bw})"
-                );
-            }
-        }
-        Topology::Uniform(l) => check_link(l, "the uniform"),
-    }
+/// Construction-time link check: a malformed link must fail here, not as a
+/// divide-by-zero or infinite-makespan surprise mid-simulation.
+fn check_link(l: &LinkSpec) {
+    assert!(
+        l.bandwidth > 0.0,
+        "the link needs positive bandwidth (got {})",
+        l.bandwidth
+    );
+    assert!(
+        l.latency >= 0.0 && l.latency.is_finite(),
+        "the link needs a finite, non-negative latency (got {})",
+        l.latency
+    );
 }
 
 #[cfg(test)]
@@ -512,70 +311,32 @@ mod tests {
             "{}",
             p.peak_gflops()
         );
-        assert_eq!(p.nodes(), 16);
+        assert_eq!(p.nodes, 16);
         assert_eq!(p.total_cores(), 128);
     }
 
     #[test]
     fn task_seconds_scales_with_efficiency() {
         let p = Platform::dancer();
-        let g = p.task_seconds(0, 1e9, CostClass::Gemm);
-        let f = p.task_seconds(0, 1e9, CostClass::PanelFactor);
+        let g = p.task_seconds(1e9, CostClass::Gemm);
+        let f = p.task_seconds(1e9, CostClass::PanelFactor);
         assert!(f > 2.0 * g, "panel must be much slower per flop than GEMM");
-        assert_eq!(p.task_seconds(0, 1e9, CostClass::Control), 0.0);
+        assert_eq!(p.task_seconds(1e9, CostClass::Control), 0.0);
     }
 
     #[test]
     fn memory_tasks_use_bytes() {
         let p = Platform::dancer();
-        let s = p.task_seconds(0, 12e9, CostClass::Memory);
+        let s = p.task_seconds(12e9, CostClass::Memory);
         assert!((s - 1.0).abs() < 1e-12);
     }
 
     #[test]
     fn transfer_includes_latency() {
         let p = Platform::dancer();
-        assert!(p.transfer_seconds(0, 1, 0) >= 5e-6);
-        let big = p.transfer_seconds(0, 1, 1_250_000_000);
+        assert!(p.link.transfer_seconds(0) >= 5e-6);
+        let big = p.link.transfer_seconds(1_250_000_000);
         assert!((big - 1.0).abs() < 1e-3);
-    }
-
-    #[test]
-    fn heterogeneous_nodes_cost_tasks_differently() {
-        let fast = NodeSpec::new(8, 8.0);
-        let slow = NodeSpec::new(4, 2.0);
-        let p = Platform::heterogeneous(
-            vec![fast, slow],
-            Topology::Uniform(LinkSpec::new(1e-6, 1e9)),
-            12e9,
-        );
-        let on_fast = p.task_seconds(0, 1e9, CostClass::Gemm);
-        let on_slow = p.task_seconds(1, 1e9, CostClass::Gemm);
-        assert!((on_slow / on_fast - 4.0).abs() < 1e-12, "4x speed ratio");
-        assert_eq!(p.total_cores(), 12);
-        assert!((p.peak_gflops() - 72.0).abs() < 1e-12);
-        let speeds = p.node_speeds();
-        assert!((speeds[0] / speeds[1] - 8.0).abs() < 1e-12, "8x gemm ratio");
-    }
-
-    #[test]
-    fn hierarchical_topology_picks_links_by_group() {
-        let intra = LinkSpec::new(1e-6, 10e9);
-        let inter = LinkSpec::new(1e-5, 1e9);
-        let t = Topology::hierarchical(intra, inter, 2);
-        assert_eq!(t.link(0, 1), intra, "same island");
-        assert_eq!(t.link(2, 3), intra, "same island");
-        assert_eq!(t.link(1, 2), inter, "across islands");
-        assert_eq!(t.link(0, 3), inter);
-        assert_eq!(t.max_latency(), 1e-5);
-    }
-
-    #[test]
-    fn same_node_link_is_free() {
-        let p = Platform::dancer_nodes(2);
-        let l = p.link(1, 1);
-        assert_eq!(l.latency, 0.0);
-        assert_eq!(l.transfer_seconds(1 << 30), 0.0);
     }
 
     #[test]
@@ -599,20 +360,7 @@ mod tests {
         let p = Platform::dancer_nodes(2)
             .with_latency(0.0)
             .with_bandwidth(1e6);
-        let l = p.uniform_link();
-        assert_eq!(l.latency, 0.0);
-        assert_eq!(l.bandwidth, 1e6);
-        assert_eq!(p.sync_latency(), 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "groups need at least one node")]
-    fn with_topology_rejects_empty_groups() {
-        let _ = Platform::dancer_nodes(4).with_topology(Topology::hierarchical(
-            LinkSpec::new(0.0, 1e9),
-            LinkSpec::new(0.0, 1e9),
-            0,
-        ));
+        assert_eq!(p.link, LinkSpec::new(0.0, 1e6));
     }
 
     #[test]
@@ -634,15 +382,22 @@ mod tests {
     }
 
     #[test]
-    fn mixed_islands_is_the_documented_fixture() {
-        let p = Platform::mixed_islands();
-        assert_eq!(p.nodes(), 4);
-        assert_eq!(p.node(0).label(), "8c @ 8.52 GF");
-        assert_eq!(p.node(2).label(), "4c @ 4.26 GF");
-        let speeds = p.node_speeds();
-        assert!((speeds[0] / speeds[2] - 4.0).abs() < 1e-12, "4x gemm ratio");
-        assert_eq!(p.link(0, 1), LinkSpec::new(2e-6, 2.5e9));
-        assert_eq!(p.link(1, 2), LinkSpec::new(1e-5, 1.25e9));
+    #[should_panic(expected = "memory bandwidth must be positive and finite")]
+    fn zero_mem_bandwidth_fails_at_construction() {
+        let _ = Platform::uniform(2, NodeSpec::new(8, 8.52), LinkSpec::new(5e-6, 1.25e9), 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "every efficiency class must be positive and finite")]
+    fn zero_efficiency_class_fails_at_construction() {
+        let node = NodeSpec {
+            efficiency: Efficiency {
+                qr_apply: 0.0,
+                ..Efficiency::default()
+            },
+            ..NodeSpec::new(8, 8.52)
+        };
+        let _ = Platform::uniform(2, node, LinkSpec::new(5e-6, 1.25e9), 12e9);
     }
 
     #[test]

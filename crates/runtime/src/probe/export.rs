@@ -305,9 +305,23 @@ mod tests {
             Label::Link { src: 0, dst: 1 },
             4096,
         );
-        p.gauge(metric::SCHED_READY_DEPTH, Label::Policy("eft"), 0.5, 3.0);
-        p.gauge(metric::SCHED_READY_DEPTH, Label::Policy("eft"), 1.0, 1.0);
-        p.observe(metric::SCHED_TASK_WAIT, Label::Policy("eft"), 2e-4);
+        p.gauge(
+            metric::SCHED_READY_DEPTH,
+            Label::Policy("critical-path"),
+            0.5,
+            3.0,
+        );
+        p.gauge(
+            metric::SCHED_READY_DEPTH,
+            Label::Policy("critical-path"),
+            1.0,
+            1.0,
+        );
+        p.observe(
+            metric::SCHED_TASK_WAIT,
+            Label::Policy("critical-path"),
+            2e-4,
+        );
         p.set_attribution(Attribution {
             nodes: vec![AttribBuckets {
                 compute: 1.0,
@@ -334,7 +348,9 @@ mod tests {
         assert!(text.contains("luqr_comm_msgs_total{kind=\"data\"} 4"));
         assert!(text.contains("luqr_comm_link_bytes_total{src=\"0\",dst=\"1\"} 4096"));
         assert!(text.contains("# TYPE luqr_sched_task_wait_seconds histogram"));
-        assert!(text.contains("luqr_sched_task_wait_seconds_bucket{policy=\"eft\",le=\"+Inf\"} 1"));
+        assert!(text.contains(
+            "luqr_sched_task_wait_seconds_bucket{policy=\"critical-path\",le=\"+Inf\"} 1"
+        ));
         assert!(text.contains("luqr_attribution_seconds{node=\"0\",component=\"compute\"} 1"));
         assert!(text.contains("luqr_makespan_seconds 2"));
         // Every non-comment line is `name{labels}? value`.
@@ -370,7 +386,7 @@ mod tests {
         let trace = chrome_counter_events(&rep.snapshot);
         assert!(trace.starts_with('['));
         assert!(trace.contains("\"ph\": \"C\""));
-        assert!(trace.contains("\"name\": \"sched_ready_depth[eft]\""));
+        assert!(trace.contains("\"name\": \"sched_ready_depth[critical-path]\""));
         assert!(trace.contains("\"args\": {\"value\": 3}"));
         assert!(trace.contains("\"ts\": 500000.000"));
     }

@@ -19,8 +19,7 @@
 //! * **gauges** — sampled time series (ready-pool depth over virtual time,
 //!   live task records over wall time);
 //! * **histograms** — value distributions with log-scale buckets (task
-//!   wait, scheduler decision latency, trunk queueing delay, panel-wait
-//!   stalls, retirement lag).
+//!   wait in the replay's ready set, panel-wait stalls, retirement lag).
 //!
 //! Hot paths that cannot afford a lock per event (the streaming window's
 //! completion path, the scheduler's pop loop) accumulate into local
@@ -50,8 +49,6 @@ pub mod metric {
     /// Histogram: virtual-time wait between a task becoming ready and the
     /// policy selecting it.
     pub const SCHED_TASK_WAIT: &str = "sched_task_wait_seconds";
-    /// Histogram: wall-clock latency of one policy pop decision.
-    pub const SCHED_DECISION: &str = "sched_decision_seconds";
     /// Gauge: live task records in the streaming window, over wall time.
     pub const STREAM_LIVE_TASKS: &str = "stream_live_tasks";
     /// Histogram: planner stall awaiting each step's panel decision task.
@@ -70,8 +67,6 @@ pub mod metric {
     pub const COMM_LINK_MSGS: &str = "comm_link_msgs_total";
     /// Counter: simulated payload bytes per (src, dst) link.
     pub const COMM_LINK_BYTES: &str = "comm_link_bytes_total";
-    /// Histogram: extra queueing a transfer paid for the shared trunk.
-    pub const COMM_TRUNK_WAIT: &str = "comm_trunk_wait_seconds";
     /// Gauge: per-node cumulative busy seconds over virtual time.
     pub const VTIME_NODE_BUSY: &str = "vtime_node_busy_seconds";
     /// Counter: executed flops per kernel cost class.
@@ -139,7 +134,7 @@ impl Label {
         }
     }
 
-    /// Short suffix for Chrome counter-track names (`[0->1]`, `[eft]`).
+    /// Short suffix for Chrome counter-track names (`[0->1]`, `[fifo]`).
     pub fn suffix(&self) -> String {
         match self {
             Label::None => String::new(),
@@ -418,14 +413,14 @@ mod tests {
         for i in 0..4 {
             p.gauge(
                 metric::SCHED_READY_DEPTH,
-                Label::Policy("eft"),
+                Label::Policy("critical-path"),
                 i as f64,
                 (i * 2) as f64,
             );
         }
         let snap = p.snapshot();
         assert_eq!(snap.gauges.len(), 1);
-        let g = &snap.gauges[&(metric::SCHED_READY_DEPTH, Label::Policy("eft"))];
+        let g = &snap.gauges[&(metric::SCHED_READY_DEPTH, Label::Policy("critical-path"))];
         assert_eq!(g.samples.len(), 4);
         assert_eq!(g.last, 6.0);
         assert_eq!(g.samples[1], (1.0, 2.0));
@@ -460,15 +455,11 @@ mod tests {
             let label = Label::Policy("fifo");
             s.merge_histogram(metric::SCHED_TASK_WAIT, label, &local);
             s.merge_histogram(metric::SCHED_TASK_WAIT, label, &Histogram::default());
-            s.merge_histogram(metric::SCHED_DECISION, label, &Histogram::default());
         });
         let snap = p.snapshot();
         let h = snap
             .histogram(metric::SCHED_TASK_WAIT, Label::Policy("fifo"))
             .expect("merged");
         assert_eq!(h.count, 2, "empty merges are dropped");
-        assert!(snap
-            .histogram(metric::SCHED_DECISION, Label::Policy("fifo"))
-            .is_none());
     }
 }

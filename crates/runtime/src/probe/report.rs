@@ -5,20 +5,21 @@
 //!
 //! * `d0` — when the task's inputs *finished being produced* (writer /
 //!   WAR-reader finish times, no transfer cost at all);
-//! * `d1` — when its inputs would have arrived over *uncontended* links
-//!   (`d0` plus raw `transfer_seconds`, ignoring NIC serialization and
-//!   the shared trunk);
+//! * `d1` — when its inputs would have arrived over an *uncontended* link
+//!   (`d0` plus the link's raw `transfer_seconds`, ignoring NIC
+//!   serialization);
 //! * `d2` — when the inputs *actually* arrived (the full comm model,
-//!   with NIC egress queueing and trunk contention).
+//!   with NIC egress queueing).
 //!
 //! `d0 <= d1 <= d2 <= start` by construction, so the gap between a
 //! core's previous free time and the task's start splits cleanly:
 //! waiting below `d0` is **idle** (nothing to run — scheduler- or
 //! dependency-induced), `d0..d1` is **transfer** (the unavoidable price
 //! of moving bytes), `d1..d2` is **contention** (queueing behind other
-//! transfers), and the execution itself is **compute**. Tail idle after
-//! a core's last task runs to the makespan. Summed per node and divided
-//! by the core count, the four buckets partition the node's wall clock
+//! transfers on the sender's NIC), and the execution itself is
+//! **compute**. Tail idle after a core's last task runs to the makespan.
+//! Summed per node and divided by the core count, the four buckets
+//! partition the node's wall clock
 //! exactly: `compute + transfer + contention + idle == makespan` to
 //! floating-point roundoff (the reconciliation the acceptance tests
 //! assert at 1e-9).
@@ -33,7 +34,8 @@ pub struct AttribBuckets {
     pub compute: f64,
     /// Time waiting on uncontended data movement.
     pub transfer: f64,
-    /// Extra wait from NIC serialization and shared-trunk queueing.
+    /// Extra wait from NIC egress queueing: the sender's NIC was busy
+    /// with earlier messages.
     pub contention: f64,
     /// Time with no runnable work (dependency / scheduler idle).
     pub idle: f64,

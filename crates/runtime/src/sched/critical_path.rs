@@ -16,19 +16,19 @@
 //!
 //! [`ReadyQueue`] is shared verbatim with the streaming window's host-side
 //! worker scheduler (`stream::priority` re-exports it): batch virtual-time
-//! scheduling and streaming execution pop by one implementation.
+//! scheduling and streaming execution pop by one implementation. A queue
+//! whose priorities are all equal pops in id order — the replay's FIFO.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-use super::{ReadyTask, SchedView, Scheduler};
 use crate::graph::TaskId;
 
-/// One entry of the ready queue: a runnable task and its critical-path
-/// depth.
+/// One entry of the ready queue: a runnable task and its priority.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Ready {
-    /// Critical-path depth (longest chain from any source task).
+    /// Priority: the critical-path depth (longest chain from any source
+    /// task), or 0 for a queue that pops in id order.
     pub cp: u64,
     /// The runnable task.
     pub id: TaskId,
@@ -51,7 +51,7 @@ impl PartialOrd for Ready {
     }
 }
 
-/// Max-heap of runnable tasks ordered by critical-path depth.
+/// Max-heap of runnable tasks ordered by priority, then smallest id.
 #[derive(Default)]
 pub struct ReadyQueue(BinaryHeap<Ready>);
 
@@ -74,30 +74,6 @@ impl ReadyQueue {
     }
 }
 
-/// Deepest-chain-first ready selection (see the module docs).
-#[derive(Default)]
-pub struct CriticalPath {
-    queue: ReadyQueue,
-}
-
-impl Scheduler for CriticalPath {
-    fn push(&mut self, task: ReadyTask) {
-        self.queue.push(task.depth, task.id, task.node);
-    }
-
-    fn pop(&mut self, _view: &SchedView<'_>) -> Option<ReadyTask> {
-        self.queue.pop().map(|r| ReadyTask {
-            id: r.id,
-            node: r.node,
-            depth: r.cp,
-        })
-    }
-
-    fn len(&self) -> usize {
-        self.queue.len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -113,5 +89,15 @@ mod tests {
             std::iter::from_fn(|| q.pop().map(|r| (r.cp, r.id))).collect();
         assert_eq!(order, vec![(3, 7), (3, 11), (2, 12), (1, 10)]);
         assert!(q.pop().is_none());
+    }
+
+    #[test]
+    fn zero_priority_pops_in_id_order_regardless_of_push_order() {
+        let mut q = ReadyQueue::default();
+        for id in [5usize, 1, 9, 3] {
+            q.push(0, id, 0);
+        }
+        let order: Vec<TaskId> = std::iter::from_fn(|| q.pop().map(|r| r.id)).collect();
+        assert_eq!(order, vec![1, 3, 5, 9]);
     }
 }

@@ -20,14 +20,13 @@
 //!
 //! **Scheduling policy.** Ready tasks — those whose graph predecessors
 //! have all been costed — advance the virtual clock in the order a
-//! [`crate::sched::Scheduler`] picks. [`simulate`] is [`simulate_with`]
-//! under FIFO, the smallest ready id first: an insertion-order list
-//! schedule in which task `i` claims cores and network slots strictly
-//! after tasks `0..i` (edges always point forward). The other policies
-//! are critical-path, locality-aware and HEFT-style earliest finish time.
-//! Scheduling never changes the factorization or the data flow
-//! (messages/bytes are policy-invariant); it only chooses which valid
-//! list schedule the platform model costs.
+//! [`SchedPolicy`] pops them. [`simulate`] is [`simulate_with`] under
+//! FIFO, the smallest ready id first: an insertion-order list schedule in
+//! which task `i` claims cores and network slots strictly after tasks
+//! `0..i` (edges always point forward). The other policy is
+//! critical-path, deepest chain first. Scheduling never changes the
+//! factorization or the data flow (messages/bytes are policy-invariant);
+//! it only chooses which valid list schedule the platform model costs.
 //!
 //! This is the performance vehicle of the reproduction: the build machine
 //! cannot physically reproduce a 128-core cluster, but the task graph it
@@ -57,8 +56,8 @@ pub struct SimReport {
     /// Per-node busy seconds.
     pub node_busy: Vec<f64>,
     /// Per-node, per-cost-class busy seconds (duration × cores claimed),
-    /// indexed `[node][CostClass::index()]` — the observation the
-    /// criterion-aware weight calibration keys on.
+    /// indexed `[node][CostClass::index()]` — what a per-class calibration
+    /// of the efficiency profile keys on.
     pub node_class_seconds: Vec<[f64; CostClass::COUNT]>,
     /// Per-node, per-cost-class executed flops (Memory entries carry the
     /// moved bytes, as everywhere in the cost model).
@@ -96,63 +95,13 @@ impl SimReport {
     }
 
     /// Average utilization over the makespan, across every core of the
-    /// platform (heterogeneous platforms weight each node by its own core
-    /// count).
+    /// platform.
     pub fn avg_utilization(&self, platform: &Platform) -> f64 {
         if self.makespan <= 0.0 {
             return 0.0;
         }
         let busy: f64 = self.node_busy.iter().sum();
         busy / (self.makespan * platform.total_cores() as f64)
-    }
-
-    /// Observed effective speed of every node on *this run's* kernel mix:
-    /// executed compute flops over per-core busy seconds, scaled by the
-    /// node's core count (GFLOP/s). Where the platform's
-    /// [`Platform::node_speeds`] keys on GEMM throughput alone, this folds
-    /// in whatever classes the run actually executed — a QR-heavy hybrid
-    /// run weights nodes by their QR throughput. Nodes that executed no
-    /// compute work report `0.0` (callers substitute a floor; see
-    /// `luqr_tile::Dist::calibrated`).
-    pub fn observed_node_speeds(&self, platform: &Platform) -> Vec<f64> {
-        self.node_class_seconds
-            .iter()
-            .zip(&self.node_class_flops)
-            .enumerate()
-            .map(|(n, (secs, flops))| {
-                let (mut f, mut s) = (0.0f64, 0.0f64);
-                for class in CostClass::ALL {
-                    if class.is_compute() {
-                        f += flops[class.index()];
-                        s += secs[class.index()];
-                    }
-                }
-                if s > 0.0 {
-                    platform.node(n).cores as f64 * f / s / 1e9
-                } else {
-                    0.0
-                }
-            })
-            .collect()
-    }
-
-    /// Per-node utilization over the makespan: `busy / (makespan × cores)`
-    /// for each node, using that node's own core count. On a well-balanced
-    /// heterogeneous run these are roughly equal; a slow node pinned near
-    /// 1.0 while fast nodes idle is the signature of a speed-blind tile
-    /// distribution.
-    pub fn node_utilization(&self, platform: &Platform) -> Vec<f64> {
-        self.node_busy
-            .iter()
-            .enumerate()
-            .map(|(n, &busy)| {
-                if self.makespan <= 0.0 {
-                    0.0
-                } else {
-                    busy / (self.makespan * platform.node(n).cores as f64)
-                }
-            })
-            .collect()
     }
 }
 
@@ -174,13 +123,7 @@ pub fn simulate_with<O: TaskOp>(
     platform: &Platform,
     policy: SchedPolicy,
 ) -> SimReport {
-    replay(
-        graph,
-        platform,
-        policy,
-        policy.scheduler(),
-        &Probe::disabled(),
-    )
+    replay(graph, platform, policy, &Probe::disabled())
 }
 
 /// [`simulate_with`] with metrics probes attached: tasks are tagged with
@@ -195,7 +138,7 @@ pub fn simulate_probed<O: TaskOp>(
     policy: SchedPolicy,
     probe: &Probe,
 ) -> (SimReport, ProbeReport) {
-    let sim = replay(graph, platform, policy, policy.scheduler(), probe);
+    let sim = replay(graph, platform, policy, probe);
     (sim, probe.report())
 }
 
@@ -210,7 +153,7 @@ mod tests {
         DataKey(i)
     }
 
-    use crate::platform::{Efficiency, LinkSpec, NodeSpec, Topology};
+    use crate::platform::{Efficiency, LinkSpec, NodeSpec};
 
     fn flat_platform(nodes: usize, cores: usize) -> Platform {
         Platform::uniform(
@@ -404,43 +347,6 @@ mod tests {
     }
 
     #[test]
-    fn heterogeneous_platform_stretches_slow_node_tasks() {
-        // The same two independent unit tasks, one per node; node 1 runs
-        // at a quarter speed, so it alone sets the makespan and its
-        // utilization stays at 1.0 while the fast node idles.
-        let mut b = TestGraph::new(2);
-        b.declare(k(0), 0, 0);
-        b.declare(k(1), 0, 1);
-        b.task("fast", 0, &[Access::Mut(k(0))], one_sec_task);
-        b.task("slow", 1, &[Access::Mut(k(1))], one_sec_task);
-        let g = b.build();
-        execute(&g, 1);
-        let p = Platform::heterogeneous(
-            vec![
-                NodeSpec {
-                    cores: 1,
-                    core_gflops: 1.0,
-                    efficiency: Efficiency::flat(),
-                },
-                NodeSpec {
-                    cores: 1,
-                    core_gflops: 0.25,
-                    efficiency: Efficiency::flat(),
-                },
-            ],
-            Topology::Uniform(LinkSpec::new(1.0, 1e9)),
-            1e9,
-        );
-        let r = simulate(&g, &p);
-        assert!((r.makespan - 4.0).abs() < 1e-9, "{}", r.makespan);
-        let util = r.node_utilization(&p);
-        assert!((util[0] - 0.25).abs() < 1e-9, "{util:?}");
-        assert!((util[1] - 1.0).abs() < 1e-9, "{util:?}");
-        // Aggregate utilization averages over the platform's cores.
-        assert!((r.avg_utilization(&p) - 0.625).abs() < 1e-9);
-    }
-
-    #[test]
     fn probed_replay_is_bitwise_identical_and_reconciles() {
         use crate::probe::Probe;
 
@@ -475,101 +381,6 @@ mod tests {
                 "{policy:?} must tag step 0"
             );
         }
-    }
-
-    #[test]
-    fn observed_node_speeds_reflect_the_class_mix() {
-        // Node 0 runs GEMM at full efficiency, node 1 runs QR applies at
-        // a tenth: the observed speeds must report the achieved — not the
-        // nominal — throughput of each.
-        use crate::platform::Efficiency;
-        let eff = Efficiency {
-            qr_apply: 0.1,
-            ..Efficiency::flat()
-        };
-        let p = Platform::heterogeneous(
-            vec![
-                NodeSpec {
-                    cores: 2,
-                    core_gflops: 1.0,
-                    efficiency: Efficiency::flat(),
-                },
-                NodeSpec {
-                    cores: 2,
-                    core_gflops: 1.0,
-                    efficiency: eff,
-                },
-            ],
-            Topology::Uniform(LinkSpec::new(0.0, 1e9)),
-            1e9,
-        );
-        let mut b = TestGraph::new(2);
-        b.declare(k(0), 0, 0);
-        b.declare(k(1), 0, 1);
-        b.task("gemm", 0, &[Access::Mut(k(0))], || {
-            TaskResult::executed(1e9, CostClass::Gemm)
-        });
-        b.task("qr", 1, &[Access::Mut(k(1))], || {
-            TaskResult::executed(1e9, CostClass::QrApply)
-        });
-        let g = b.build();
-        execute(&g, 1);
-        let r = simulate(&g, &p);
-        let speeds = r.observed_node_speeds(&p);
-        // Node 0: 1 GFLOP in 1 s on one core × 2 cores = 2 GFLOP/s.
-        assert!((speeds[0] - 2.0).abs() < 1e-9, "{speeds:?}");
-        // Node 1: 1 GFLOP in 10 s on one core × 2 cores = 0.2 GFLOP/s.
-        assert!((speeds[1] - 0.2).abs() < 1e-9, "{speeds:?}");
-        // An idle third node would report 0.0 — covered by the per-class
-        // tables being all zero here for unused classes.
-        assert_eq!(r.node_class_flops[0][CostClass::QrApply.index()], 0.0);
-    }
-
-    #[test]
-    fn backbone_contention_stretches_makespan() {
-        // Two producers on the fast island each feed a consumer on the
-        // slow island; the transfers are the only serialization. With the
-        // backbone an uncontended pair of links, they overlap; as a shared
-        // trunk at the same bandwidth, one waits for the other and the
-        // makespan stretches by the wire time.
-        let build = || {
-            let mut b = TestGraph::new(4);
-            b.declare(k(0), 100_000_000, 0); // 0.1 s of wire at 1 GB/s
-            b.declare(k(1), 100_000_000, 1);
-            b.task("p0", 0, &[Access::Mut(k(0))], one_sec_task);
-            b.task("p1", 1, &[Access::Mut(k(1))], one_sec_task);
-            b.task("c0", 2, &[Access::Read(k(0))], one_sec_task);
-            b.task("c1", 3, &[Access::Read(k(1))], one_sec_task);
-            let g = b.build();
-            execute(&g, 1);
-            g
-        };
-        let hier = Platform::uniform(
-            4,
-            NodeSpec {
-                cores: 1,
-                core_gflops: 1.0,
-                efficiency: Efficiency::flat(),
-            },
-            LinkSpec::new(0.0, 1e9),
-            1e9,
-        )
-        .with_topology(Topology::hierarchical(
-            LinkSpec::new(0.0, 1e9),
-            LinkSpec::new(0.0, 1e9),
-            2,
-        ));
-        let free = simulate(&build(), &hier);
-        let contended = simulate(&build(), &hier.clone().with_backbone(1e9));
-        // Uncontended: 1 s produce + 0.1 s wire + 1 s consume.
-        assert!((free.makespan - 2.1).abs() < 1e-9, "{}", free.makespan);
-        // Shared trunk: the second transfer queues 0.1 s behind the first.
-        assert!(
-            (contended.makespan - 2.2).abs() < 1e-9,
-            "trunk contention must stretch the makespan: {}",
-            contended.makespan
-        );
-        assert_eq!(free.messages, contended.messages);
     }
 
     #[test]

@@ -47,12 +47,12 @@ pub struct TraceEvent {
 /// spans: no lane metadata, no policy stamp, no counter tracks.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct TraceOptions<'a> {
-    /// Name each node lane from its spec (`node1 (4c @ 8 GF)`) via
-    /// `process_name` metadata events.
+    /// Name each node lane from the platform's node spec
+    /// (`node1 (8c @ 8.52 GF)`) via `process_name` metadata events.
     pub platform: Option<&'a Platform>,
     /// Stamp the active scheduler policy into each lane name
-    /// (`node1 (4c @ 8 GF) [eft]`), so a trace says *which schedule* it
-    /// shows.
+    /// (`node1 (8c @ 8.52 GF) [critical-path]`), so a trace says *which
+    /// schedule* it shows.
     pub policy: Option<SchedPolicy>,
     /// Merge probe gauge series as Chrome counter tracks (`"ph": "C"`)
     /// into the same array as the task spans.
@@ -87,7 +87,8 @@ pub fn render_chrome_trace(events: &[TraceEvent], opts: &TraceOptions) -> String
             .policy
             .map(|s| format!(" [{}]", s.name()))
             .unwrap_or_default();
-        for (n, spec) in p.specs.iter().enumerate() {
+        let spec = p.node.label();
+        for n in 0..p.nodes {
             if !first {
                 out.push_str(",\n");
             }
@@ -95,8 +96,7 @@ pub fn render_chrome_trace(events: &[TraceEvent], opts: &TraceOptions) -> String
             let _ = write!(
                 out,
                 "  {{\"name\": \"process_name\", \"ph\": \"M\", \"pid\": {n}, \
-                 \"args\": {{\"name\": \"node{n} ({}){tag}\"}}}}",
-                spec.label(),
+                 \"args\": {{\"name\": \"node{n} ({spec}){tag}\"}}}}",
             );
         }
     }
@@ -255,12 +255,7 @@ mod tests {
 
     #[test]
     fn platform_lanes_are_named_by_node_spec() {
-        use crate::platform::{LinkSpec, NodeSpec, Topology};
-        let p = crate::platform::Platform::heterogeneous(
-            vec![NodeSpec::new(8, 8.52), NodeSpec::new(4, 8.0)],
-            Topology::Uniform(LinkSpec::new(5e-6, 1.25e9)),
-            12e9,
-        );
+        let p = Platform::dancer_nodes(2);
         let events = vec![TraceEvent {
             name: "GEMM(1,1,k=0)".into(),
             node: 1,
@@ -277,7 +272,7 @@ mod tests {
             },
         );
         assert!(json.contains("\"name\": \"node0 (8c @ 8.52 GF)\""));
-        assert!(json.contains("\"name\": \"node1 (4c @ 8 GF)\""));
+        assert!(json.contains("\"name\": \"node1 (8c @ 8.52 GF)\""));
         assert_eq!(json.matches("\"ph\": \"M\"").count(), 2);
         assert_eq!(json.matches("\"ph\": \"X\"").count(), 1);
         // Without a platform there is no lane metadata.
@@ -357,10 +352,10 @@ mod tests {
 "#
         );
         assert_eq!(
-            render(Some(&p), Some(SchedPolicy::Eft), None),
+            render(Some(&p), Some(SchedPolicy::CriticalPath), None),
             r#"[
-  {"name": "process_name", "ph": "M", "pid": 0, "args": {"name": "node0 (8c @ 8.52 GF) [eft]"}},
-  {"name": "process_name", "ph": "M", "pid": 1, "args": {"name": "node1 (8c @ 8.52 GF) [eft]"}},
+  {"name": "process_name", "ph": "M", "pid": 0, "args": {"name": "node0 (8c @ 8.52 GF) [critical-path]"}},
+  {"name": "process_name", "ph": "M", "pid": 1, "args": {"name": "node1 (8c @ 8.52 GF) [critical-path]"}},
   {"name": "PANEL(k=0)", "ph": "X", "ts": 0.000, "dur": 500000.000, "pid": 0, "tid": 0, "cat": "task", "args": {"step": 0}},
   {"name": "say 'hi'", "ph": "X", "ts": 500000.000, "dur": 750000.000, "pid": 1, "tid": 1, "cat": "task"}
 ]
@@ -380,7 +375,7 @@ mod tests {
     #[test]
     fn counter_tracks_merge_into_span_trace() {
         let probe = Probe::enabled();
-        probe.gauge(metric::SCHED_READY_DEPTH, Label::Policy("eft"), 0.25, 3.0);
+        probe.gauge(metric::SCHED_READY_DEPTH, Label::Policy("fifo"), 0.25, 3.0);
         probe.gauge(metric::VTIME_NODE_BUSY, Label::Node(1), 0.5, 0.125);
         let snap = probe.snapshot();
         let events = vec![TraceEvent {
@@ -402,7 +397,7 @@ mod tests {
         // One span plus two counter samples, all in one well-formed array.
         assert_eq!(json.matches("\"ph\": \"X\"").count(), 1);
         assert_eq!(json.matches("\"ph\": \"C\"").count(), 2);
-        assert!(json.contains("\"name\": \"sched_ready_depth[eft]\""));
+        assert!(json.contains("\"name\": \"sched_ready_depth[fifo]\""));
         assert!(json.contains("\"name\": \"vtime_node_busy_seconds[node1]\""));
         // Node-labelled counters land on that node's pid lane.
         assert!(json.contains("\"ph\": \"C\", \"ts\": 500000.000, \"pid\": 1"));

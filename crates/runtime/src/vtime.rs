@@ -3,9 +3,9 @@
 //!
 //! [`VirtualSchedule`] is the costing core of the replay
 //! ([`crate::sim::simulate_with`]), which feeds it a graph's tasks in the
-//! order a [`crate::sched::Scheduler`] policy pops them from the ready set
-//! (id order under FIFO) — any topological order of the graph keeps the
-//! scoreboard consistent.
+//! order a [`crate::sched::SchedPolicy`] pops them from the ready set (id
+//! order under FIFO, deepest chain first under critical-path) — any
+//! topological order of the graph keeps the scoreboard consistent.
 //!
 //! Determinism is by construction: the schedule is a *list schedule in
 //! processing order*. Each processed task claims cores and network slots
@@ -21,7 +21,8 @@
 //! the last *executed* writer of each datum (or its home node if never
 //! written); a version crosses to a given destination node once, however
 //! many tasks there consume it (tile caching); egress serializes on the
-//! sender's NIC; a transfer costs `latency + bytes/bandwidth`.
+//! sender's NIC; a transfer costs the platform link's
+//! `latency + bytes/bandwidth`.
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, HashMap};
@@ -68,7 +69,7 @@ pub struct VirtualSchedule {
     data: IntMap<DataKey, DatumState>,
     node_busy: Vec<f64>,
     /// Per-node, per-cost-class busy seconds (duration × cores claimed) —
-    /// the observation the criterion-aware weight calibration keys on.
+    /// what a per-class calibration of the efficiency profile keys on.
     node_class_seconds: Vec<[f64; CostClass::COUNT]>,
     /// Per-node, per-cost-class executed flops (Memory entries carry bytes).
     node_class_flops: Vec<[f64; CostClass::COUNT]>,
@@ -106,16 +107,18 @@ impl VirtualSchedule {
     /// replay records them by task id.
     pub fn new(platform: &Platform) -> Self {
         VirtualSchedule {
-            cores: platform
-                .specs
-                .iter()
-                .map(|spec| (0..spec.cores).map(|_| Reverse(OrderedF64(0.0))).collect())
+            cores: (0..platform.nodes)
+                .map(|_| {
+                    (0..platform.node.cores)
+                        .map(|_| Reverse(OrderedF64(0.0)))
+                        .collect()
+                })
                 .collect(),
-            net: Network::new(platform.nodes()),
+            net: Network::new(platform.nodes),
             data: IntMap::default(),
-            node_busy: vec![0.0; platform.nodes()],
-            node_class_seconds: vec![[0.0; CostClass::COUNT]; platform.nodes()],
-            node_class_flops: vec![[0.0; CostClass::COUNT]; platform.nodes()],
+            node_busy: vec![0.0; platform.nodes],
+            node_class_seconds: vec![[0.0; CostClass::COUNT]; platform.nodes],
+            node_class_flops: vec![[0.0; CostClass::COUNT]; platform.nodes],
             makespan: 0.0,
             serial_seconds: 0.0,
             cp_max: 0.0,
@@ -139,7 +142,7 @@ impl VirtualSchedule {
         self.probe = probe.clone();
         if probe.is_enabled() && self.attrib.is_none() {
             self.attrib = Some(AttribState {
-                node: vec![AttribBuckets::default(); self.platform.nodes()],
+                node: vec![AttribBuckets::default(); self.platform.nodes],
                 steps: BTreeMap::new(),
                 scratch: Vec::new(),
             });
@@ -169,7 +172,7 @@ impl VirtualSchedule {
         result: &TaskResult,
         step: Option<usize>,
     ) -> (f64, f64) {
-        assert!(node < self.platform.nodes(), "task on unknown node");
+        assert!(node < self.platform.nodes, "task on unknown node");
         if !result.executed {
             return (0.0, 0.0);
         }
@@ -208,7 +211,7 @@ impl VirtualSchedule {
                                     }
                                 };
                                 data_ready = data_ready.max(arrival);
-                                let raw = self.platform.transfer_seconds(w.node, node, ca.bytes);
+                                let raw = self.platform.link.transfer_seconds(ca.bytes);
                                 cp_ready = cp_ready.max(w.cp + raw);
                                 if track {
                                     dep_ready = dep_ready.max(w.finish);
@@ -244,9 +247,8 @@ impl VirtualSchedule {
                                 if track {
                                     // Produced at t=0; only wire time is
                                     // unavoidable.
-                                    uncont_ready = uncont_ready.max(
-                                        self.platform.transfer_seconds(ca.home, node, ca.bytes),
-                                    );
+                                    uncont_ready = uncont_ready
+                                        .max(self.platform.link.transfer_seconds(ca.bytes));
                                 }
                             }
                         }
@@ -273,12 +275,10 @@ impl VirtualSchedule {
             }
         }
 
-        // Claim cores and run, at this node's speed and width.
-        let claim = (result.cores as usize)
-            .min(self.platform.node(node).cores)
-            .max(1);
-        let duration = self.platform.task_seconds(node, result.flops, result.class) / claim as f64
-            + result.latency_events as f64 * self.platform.sync_latency();
+        // Claim cores and run.
+        let claim = (result.cores as usize).min(self.platform.node.cores).max(1);
+        let duration = self.platform.task_seconds(result.flops, result.class) / claim as f64
+            + result.latency_events as f64 * self.platform.link.latency;
         let mut core_free = 0.0f64;
         let mut scratch = match self.attrib.as_mut() {
             Some(a) => std::mem::take(&mut a.scratch),
@@ -404,7 +404,7 @@ impl VirtualSchedule {
             for &Reverse(OrderedF64(f)) in &self.cores[n] {
                 b.idle += self.makespan - f;
             }
-            let cores = self.platform.node(n).cores.max(1) as f64;
+            let cores = self.platform.node.cores as f64;
             nodes.push(b.scale(1.0 / cores));
         }
         let steps = att.steps.iter().map(|(&k, v)| (k, *v)).collect();
@@ -415,8 +415,7 @@ impl VirtualSchedule {
         })
     }
 
-    /// Push accumulated network tallies (per-link counters, trunk-wait
-    /// histogram) into the attached probe. Idempotent; a no-op without an
+    /// Push accumulated per-link network counters into the attached probe. Idempotent; a no-op without an
     /// enabled probe. Callers invoke this once, after the last task.
     pub fn flush_probe(&mut self) {
         if !self.probe.is_enabled() || self.probe_flushed {
@@ -424,7 +423,6 @@ impl VirtualSchedule {
         }
         self.probe_flushed = true;
         let links = self.net.link_traffic();
-        let trunk = *self.net.trunk_wait();
         self.probe.record_batch(|snap| {
             for lt in &links {
                 let label = Label::Link {
@@ -434,145 +432,7 @@ impl VirtualSchedule {
                 snap.add_counter(metric::COMM_LINK_MSGS, label, lt.messages);
                 snap.add_counter(metric::COMM_LINK_BYTES, label, lt.bytes);
             }
-            snap.merge_histogram(metric::COMM_TRUNK_WAIT, Label::None, &trunk);
         });
-    }
-
-    // ---- read-only queries for scheduling policies ---------------------
-    //
-    // The policy layer ([`crate::sched`]) selects among *ready* tasks by
-    // inspecting the engine state these expose. None of them mutate: an
-    // estimate must not issue transfers or claim cores, or the winning
-    // task's real `process` call would be double-charged.
-
-    /// Earliest time `claim` cores of `node` are simultaneously free.
-    pub fn cores_free_at(&self, node: usize, claim: usize) -> f64 {
-        let claim = claim.min(self.platform.node(node).cores).max(1);
-        if claim == 1 {
-            // The overwhelmingly common case (single-core kernels): the
-            // heap top is the answer — no allocation, no sort. This sits
-            // on EFT's per-candidate scoring path.
-            let Reverse(OrderedF64(f)) = self.cores[node].peek().expect("node has cores");
-            return *f;
-        }
-        let mut frees: Vec<f64> = self.cores[node]
-            .iter()
-            .map(|Reverse(OrderedF64(f))| *f)
-            .collect();
-        frees.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-        frees[claim - 1]
-    }
-
-    /// Input bytes of `accesses` whose current version is not yet resident
-    /// on `node` — the transfer volume scheduling this task there right now
-    /// would trigger. Zero means every input is local or already cached.
-    pub fn missing_input_bytes(&self, node: usize, accesses: &[CostedAccess]) -> u64 {
-        let mut missing = 0u64;
-        for ca in accesses {
-            if ca.bytes == 0 || matches!(ca.access, Access::Control(_)) {
-                continue;
-            }
-            match self.data.get(&ca.access.key()) {
-                Some(DatumState {
-                    writer: Some(w), ..
-                }) => {
-                    if w.node != node && !w.sent.contains_key(&node) {
-                        missing += ca.bytes as u64;
-                    }
-                }
-                Some(st) => {
-                    if ca.home != node && !st.initial_sent.contains_key(&node) {
-                        missing += ca.bytes as u64;
-                    }
-                }
-                None => {
-                    if ca.home != node {
-                        missing += ca.bytes as u64;
-                    }
-                }
-            }
-        }
-        missing
-    }
-
-    /// Estimated `(start, finish)` of running this task on `node` *now*,
-    /// mirroring [`VirtualSchedule::process`]'s timing without mutating
-    /// anything: cached arrivals are exact, un-issued transfers are
-    /// priced by [`crate::comm::Network::estimate_arrival`] — the sender's
-    /// current NIC backlog **and** the shared-trunk backlog, so a
-    /// saturated backbone is no longer estimated at the uncontended link —
-    /// and core availability comes from the node's heap. This is the
-    /// HEFT-style earliest-finish-time oracle of the [`crate::sched::Eft`]
-    /// policy.
-    pub fn estimate(
-        &self,
-        node: usize,
-        accesses: &[CostedAccess],
-        result: &TaskResult,
-    ) -> (f64, f64) {
-        if !result.executed {
-            return (0.0, 0.0);
-        }
-        let mut data_ready = 0.0f64;
-        for ca in accesses {
-            let key = ca.access.key();
-            let st = self.data.get(&key);
-            match ca.access {
-                Access::Read(_) | Access::Mut(_) => {
-                    match st.and_then(|s| s.writer.as_ref()) {
-                        Some(w) => {
-                            if w.node != node && ca.bytes > 0 {
-                                let arrival = match w.sent.get(&node) {
-                                    Some(&a) => a,
-                                    None => self.net.estimate_arrival(
-                                        &self.platform,
-                                        w.node,
-                                        node,
-                                        w.finish,
-                                        ca.bytes,
-                                    ),
-                                };
-                                data_ready = data_ready.max(arrival);
-                            } else {
-                                data_ready = data_ready.max(w.finish);
-                            }
-                        }
-                        None => {
-                            if ca.home != node && ca.bytes > 0 {
-                                let arrival = match st.and_then(|s| s.initial_sent.get(&node)) {
-                                    Some(&a) => a,
-                                    None => self.net.estimate_arrival(
-                                        &self.platform,
-                                        ca.home,
-                                        node,
-                                        0.0,
-                                        ca.bytes,
-                                    ),
-                                };
-                                data_ready = data_ready.max(arrival);
-                            }
-                        }
-                    }
-                    if matches!(ca.access, Access::Mut(_)) {
-                        if let Some(s) = st {
-                            data_ready = data_ready.max(s.readers_finish);
-                        }
-                    }
-                }
-                Access::Control(_) => {
-                    if let Some(w) = st.and_then(|s| s.writer.as_ref()) {
-                        data_ready = data_ready.max(w.finish);
-                    }
-                }
-            }
-        }
-        let claim = (result.cores as usize)
-            .min(self.platform.node(node).cores)
-            .max(1);
-        let duration = self.platform.task_seconds(node, result.flops, result.class) / claim as f64
-            + result.latency_events as f64 * self.platform.sync_latency();
-        let start = data_ready.max(self.cores_free_at(node, claim));
-        (start, start + duration)
     }
 }
 
@@ -600,7 +460,7 @@ impl Ord for OrderedF64 {
 mod tests {
     use super::*;
 
-    use crate::platform::{Efficiency, LinkSpec, NodeSpec, Topology};
+    use crate::platform::{Efficiency, LinkSpec, NodeSpec};
 
     fn flat(nodes: usize, cores: usize) -> Platform {
         Platform::uniform(
@@ -657,89 +517,18 @@ mod tests {
     }
 
     #[test]
-    fn per_node_speeds_shape_durations() {
-        // Node 0 at 2 GFLOP/s, node 1 at 0.5 GFLOP/s: the same 1-GFLOP
-        // task runs 4x longer on the slow node, and the busy accounting
-        // keeps the ratio.
-        let specs = vec![
-            NodeSpec {
-                cores: 1,
-                core_gflops: 2.0,
-                efficiency: Efficiency::flat(),
-            },
-            NodeSpec {
-                cores: 1,
-                core_gflops: 0.5,
-                efficiency: Efficiency::flat(),
-            },
-        ];
-        let p = Platform::heterogeneous(
-            specs,
-            Topology::Uniform(LinkSpec::new(0.0, f64::INFINITY)),
-            1e9,
-        );
-        let mut v = VirtualSchedule::new(&p);
-        let ka = DataKey(0);
-        let kb = DataKey(1);
-        let (_, f0) = v.process(0, &[acc(Access::Mut(ka), 0, 0)], &one_sec());
-        let (_, f1) = v.process(1, &[acc(Access::Mut(kb), 0, 1)], &one_sec());
-        assert!((f0 - 0.5).abs() < 1e-12, "fast node: {f0}");
-        assert!((f1 - 2.0).abs() < 1e-12, "slow node: {f1}");
-        let r = v.report();
-        assert!((r.node_busy[1] / r.node_busy[0] - 4.0).abs() < 1e-12);
-        assert!((r.makespan - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn per_node_core_counts_bound_the_claim() {
-        // A whole-node kernel claims 4 cores on the wide node but only 1
-        // on the narrow one.
-        let specs = vec![
-            NodeSpec {
-                cores: 4,
-                core_gflops: 1.0,
-                efficiency: Efficiency::flat(),
-            },
-            NodeSpec {
-                cores: 1,
-                core_gflops: 1.0,
-                efficiency: Efficiency::flat(),
-            },
-        ];
-        let p = Platform::heterogeneous(
-            specs,
-            Topology::Uniform(LinkSpec::new(0.0, f64::INFINITY)),
-            1e9,
-        );
-        let mut v = VirtualSchedule::new(&p);
+        // A whole-node kernel claims 4 cores on a 4-core node but only 1
+        // on a 1-core node.
         let whole_node = TaskResult::executed(1e9, CostClass::Gemm).with_cores(u32::MAX);
-        let (_, f0) = v.process(0, &[acc(Access::Mut(DataKey(0)), 0, 0)], &whole_node);
-        let (_, f1) = v.process(1, &[acc(Access::Mut(DataKey(1)), 0, 1)], &whole_node);
+        let finish = |cores: usize| {
+            let mut v = VirtualSchedule::new(&flat(1, cores));
+            v.process(0, &[acc(Access::Mut(DataKey(0)), 0, 0)], &whole_node)
+                .1
+        };
+        let (f0, f1) = (finish(4), finish(1));
         assert!((f0 - 0.25).abs() < 1e-12, "4-way kernel: {f0}");
         assert!((f1 - 1.0).abs() < 1e-12, "clamped to 1 core: {f1}");
-    }
-
-    #[test]
-    fn hierarchical_links_shape_arrivals() {
-        // Four 1-core nodes in islands of 2; moving a datum inside the
-        // island is cheap, across islands slow.
-        let mut p = flat(4, 1);
-        p = p.with_topology(Topology::hierarchical(
-            LinkSpec::new(0.0, 1e9),
-            LinkSpec::new(10.0, 1e9),
-            2,
-        ));
-        let k = DataKey(0);
-        // Intra-island consumer starts right after the 1 s producer.
-        let mut v = VirtualSchedule::new(&p);
-        v.process(0, &[acc(Access::Mut(k), 8, 0)], &one_sec());
-        let (s_intra, _) = v.process(1, &[acc(Access::Read(k), 8, 0)], &one_sec());
-        assert!(s_intra < 1.1, "intra-island start {s_intra}");
-        // Inter-island consumer waits out the 10 s link latency.
-        let mut v = VirtualSchedule::new(&p);
-        v.process(0, &[acc(Access::Mut(k), 8, 0)], &one_sec());
-        let (s_inter, _) = v.process(2, &[acc(Access::Read(k), 8, 0)], &one_sec());
-        assert!(s_inter >= 11.0, "inter-island start {s_inter}");
     }
 
     #[test]

@@ -15,5 +15,5 @@ pub mod gallery;
 pub mod layout;
 pub mod matrix;
 
-pub use layout::{Dist, Grid};
+pub use layout::Grid;
 pub use matrix::{TileRef, TiledMatrix};

@@ -23,8 +23,8 @@ fn main() {
 
     println!(
         "simulated Dancer cluster: {} nodes x {} cores, peak {:.0} GFLOP/s",
-        platform.nodes(),
-        platform.node(0).cores,
+        platform.nodes,
+        platform.node.cores,
         platform.peak_gflops()
     );
     println!("N = {n}, nb = {nb}, grid 4x4\n");

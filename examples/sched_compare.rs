@@ -1,28 +1,27 @@
-//! Scheduling-policy comparison on the PR-4 mixed hierarchical cluster.
+//! Replay-order comparison on four Dancer nodes.
 //!
-//! One hybrid factorization (the `cluster_hetero` platform: 2 fast + 2
-//! slow nodes in two islands, 2x2 grid — here with the 10 Gbit/s backbone
-//! modeled as a *shared trunk* of finite bisection bandwidth, so
-//! inter-island transfers contend) is executed once, then its task graph
-//! is replayed through the virtual-time engine under every scheduling
-//! policy ([`luqr::SchedPolicy`]). Placement, kernels, and numerics are
-//! identical across rows — the policy only chooses which ready task claims
-//! cores and network slots next — so the makespan column isolates exactly
-//! what list-scheduling order is worth on a heterogeneous platform:
+//! One hybrid factorization (2x2 grid) is executed once, then its task
+//! graph is replayed through the virtual-time engine in the two ready-task
+//! orders this workspace's executors use ([`luqr::SchedPolicy`]):
 //!
-//! * `fifo` pins the insertion-order baseline (bitwise equal to
-//!   `simulate()`);
-//! * `critical-path` keeps the panel chain hot;
-//! * `locality` / `eft` run resident work while transfers queue on the
-//!   trunk — the win this example *asserts* (≥ 5% over FIFO, the bar
-//!   `tests/tests/pins.rs` holds the policies to).
+//! * `fifo` — the batch executor's order; the replay pops the smallest
+//!   ready id, which is insertion order (bitwise equal to `simulate()`);
+//! * `critical-path` — the streaming workers' order: the deepest ready
+//!   chain first, which keeps the panel chain hot.
 //!
-//! Also demonstrated: a probed EFT replay — asserted equal to the unprobed
-//! one — with its makespan attribution (compute / transfer / trunk
-//! contention / idle per node), and the three telemetry exports of that
-//! replay — a Chrome trace with counter tracks, structured JSON, and
-//! Prometheus text — written to `$LUQR_PROBE_DIR` (or the system temp
-//! dir).
+//! Placement, kernels, and numerics are identical across rows — the policy
+//! only chooses which ready task claims cores and network slots next — so
+//! the makespan column isolates what list-scheduling order is worth. The
+//! example asserts that critical-path is no slower than FIFO; at the
+//! default size the two makespans are the ones `tests/tests/pins.rs` pins.
+//!
+//! Also demonstrated: a probed critical-path replay — asserted equal to
+//! the unprobed one — with its makespan attribution (compute / transfer /
+//! NIC contention / idle per node, asserted to sum to the makespan), and
+//! the three telemetry exports of that replay — a Chrome trace with
+//! counter tracks, structured JSON, and Prometheus text — written to
+//! `$LUQR_PROBE_DIR` (or the system temp dir). Every export is a function
+//! of the replay alone, so two runs write identical files.
 //!
 //! ```sh
 //! cargo run --release --example sched_compare [N] [nb]
@@ -30,51 +29,40 @@
 
 use std::path::PathBuf;
 
-use luqr::{factor, Algorithm, Criterion, DistPolicy, FactorOptions, Probe, SchedPolicy};
+use luqr::{factor, Algorithm, Criterion, FactorOptions, Probe, SchedPolicy, TreeConfig};
+use luqr_kernels::Mat;
 use luqr_runtime::probe::export::{to_json, to_prometheus};
 use luqr_runtime::trace::{to_chrome_trace_with, TraceOptions};
 use luqr_runtime::{simulate_probed, simulate_with, Platform};
 use luqr_tile::Grid;
-
-#[path = "support/mod.rs"]
-mod support;
-use support::dominant_system as system;
 
 fn main() {
     let mut args = std::env::args().skip(1);
     let n: usize = args.next().and_then(|s| s.parse().ok()).unwrap_or(320);
     let nb: usize = args.next().and_then(|s| s.parse().ok()).unwrap_or(16);
 
-    // The PR-4 mixed cluster, with its 10 Gbit/s inter-island backbone
-    // made a shared trunk: all cross-island transfers serialize on it.
-    let platform = Platform::mixed_islands().with_backbone(1.25e9);
-    let grid = Grid::new(2, 2);
+    let platform = Platform::dancer_nodes(4);
     println!(
-        "mixed hierarchical cluster ({} nodes, grid 2x2):",
-        platform.nodes()
-    );
-    for (rank, spec) in platform.specs.iter().enumerate() {
-        println!(
-            "  node{rank}: {:<14} peak {:>6.1} GFLOP/s",
-            spec.label(),
-            spec.peak_gflops()
-        );
-    }
-    println!(
-        "  network: islands of 2, intra 20 Gbit/s; 10 Gbit/s backbone shared \
-         across islands\nN = {n}, nb = {nb}\n"
+        "{} Dancer nodes ({}; link {} us, {} GB/s), grid 2x2\nN = {n}, nb = {nb}\n",
+        platform.nodes,
+        platform.node.label(),
+        platform.link.latency * 1e6,
+        platform.link.bandwidth / 1e9,
     );
 
-    let (a, b) = system(n);
+    // A general random system: its pivoting and criterion-driven QR steps
+    // give the graph both branches of the hybrid.
+    let (a, b) = (Mat::random(n, n, 1), Mat::random(n, 1, 2));
     let opts = FactorOptions {
         nb,
         ib: nb / 2,
-        grid,
-        algorithm: Algorithm::LuQr(Criterion::Max { alpha: 100.0 }),
-        // Block-cyclic keeps every node on the panel's critical path, so
-        // cross-island traffic — and with it the scheduler's room to hide
-        // it — is at its natural maximum.
-        dist: DistPolicy::BlockCyclic,
+        threads: 1,
+        grid: Grid::new(2, 2),
+        algorithm: Algorithm::LuQr(Criterion::Max { alpha: 1000.0 }),
+        trees: TreeConfig {
+            ts: 1,
+            ..TreeConfig::default()
+        },
         ..FactorOptions::default()
     };
     let f = factor(&a, &b, &opts);
@@ -85,77 +73,47 @@ fn main() {
         f.graph.len()
     );
     println!(
-        "{:<16} {:>12} {:>10} {:>8} {:>9}",
-        "policy", "makespan", "GFLOP/s", "msgs", "vs fifo"
+        "{:<16} {:>16} {:>10} {:>8}",
+        "policy", "makespan", "GFLOP/s", "msgs"
     );
-    let mut makespans = Vec::new();
-    let mut eft_sim = None;
-    for policy in SchedPolicy::all() {
+    let [fifo, critical_path] = SchedPolicy::all().map(|policy| {
         let sim = simulate_with(&f.graph, &platform, policy);
-        makespans.push((policy, sim.makespan));
         println!(
-            "{:<16} {:>11.6}s {:>10.1} {:>8} {:>8.2}%",
+            "{:<16} {:>13.1} ns {:>10.1} {:>8}",
             policy.name(),
-            sim.makespan,
+            sim.makespan * 1e9,
             sim.gflops_normalized(f.nominal_flops()),
             sim.messages,
-            100.0 * (makespans[0].1 - sim.makespan) / makespans[0].1,
         );
-        if policy == SchedPolicy::Eft {
-            eft_sim = Some(sim);
-        }
-    }
-    let fifo = makespans[0].1;
-
-    // The acceptance bar: on a mixed hierarchical cluster, resource-aware
-    // selection must beat insertion order by a real margin.
-    let locality = makespans
-        .iter()
-        .find(|(p, _)| *p == SchedPolicy::LocalityAware)
-        .expect("swept")
-        .1;
-    let eft = makespans
-        .iter()
-        .find(|(p, _)| *p == SchedPolicy::Eft)
-        .expect("swept")
-        .1;
-    let best = locality.min(eft);
-    println!(
-        "\nbest of locality/eft vs fifo: {:.2}% faster ({:.6}s vs {:.6}s)",
-        100.0 * (fifo - best) / fifo,
-        best,
-        fifo
-    );
+        sim
+    });
     assert!(
-        locality < fifo && eft < fifo,
-        "locality ({locality}s) and eft ({eft}s) must both beat fifo ({fifo}s)"
-    );
-    assert!(
-        best <= 0.95 * fifo,
-        "locality/eft must beat fifo makespan by >= 5% on the mixed \
-         cluster ({best}s vs {fifo}s)"
+        critical_path.makespan <= fifo.makespan,
+        "critical-path ({}s) must not be slower than fifo ({}s)",
+        critical_path.makespan,
+        fifo.makespan
     );
 
-    // ---- probed EFT replay: where does the makespan go? ----------------
+    // ---- probed critical-path replay: where does the makespan go? -------
+    let policy = SchedPolicy::CriticalPath;
     let probe = Probe::enabled();
-    let (sim, report) = simulate_probed(&f.graph, &platform, SchedPolicy::Eft, &probe);
+    let (sim, report) = simulate_probed(&f.graph, &platform, policy, &probe);
     assert_eq!(
-        Some(&sim),
-        eft_sim.as_ref(),
-        "probed and unprobed EFT replays must agree exactly"
+        sim, critical_path,
+        "probed and unprobed critical-path replays must agree exactly"
     );
     let trace_json = to_chrome_trace_with(
         &f.graph,
         &sim,
         &TraceOptions {
             platform: Some(&platform),
-            policy: Some(SchedPolicy::Eft),
+            policy: Some(policy),
             counters: Some(&report.snapshot),
         },
     );
     let att = report.attribution.as_ref().expect("probed replay");
     println!(
-        "\nEFT makespan attribution ({:.6}s makespan, per node):",
+        "\ncritical-path makespan attribution ({:.6}s makespan, per node):",
         att.makespan
     );
     println!(
@@ -177,7 +135,10 @@ fn main() {
             att.makespan
         );
     }
-    assert!(trace_json.contains("[eft]"), "policy-stamped lanes missing");
+    assert!(
+        trace_json.contains("[critical-path]"),
+        "policy-stamped lanes missing"
+    );
     assert!(
         trace_json.contains("\"ph\": \"C\""),
         "counter tracks missing from merged trace"
@@ -196,7 +157,7 @@ fn main() {
     std::fs::write(&prom_path, to_prometheus(&report)).expect("write prom");
     println!(
         "\ntelemetry written:\n  {} (Chrome spans + counter tracks; lanes read e.g. \
-         \"node2 (4c @ 4.26 GF) [eft]\")\n  {} (structured JSON)\n  {} (Prometheus text)",
+         \"node2 (8c @ 8.52 GF) [critical-path]\")\n  {} (structured JSON)\n  {} (Prometheus text)",
         trace_path.display(),
         report_path.display(),
         prom_path.display()

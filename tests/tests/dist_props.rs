@@ -4,17 +4,10 @@
 //! streamed run's window routes, on every directed link, exactly the
 //! payload messages and bytes of a `simulate()` replay of the equivalent
 //! batch graph on the same platform.
-//!
-//! Plus the heterogeneous-platform degeneracy pin: a [`Platform`] built as
-//! an explicit list of identical `NodeSpec`s under a `Uniform` topology is
-//! **bitwise** interchangeable with the homogeneous constructors — same
-//! `SimReport` (every field, spans included) from the batch replay. This is
-//! what guarantees the heterogeneity refactor changed nothing in the
-//! uniform case.
 
 use luqr::{factor, factor_stream, Algorithm, Criterion, FactorOptions};
 use luqr_kernels::Mat;
-use luqr_runtime::{simulate, LinkSpec, NodeSpec, Platform, Topology};
+use luqr_runtime::{simulate, Platform};
 use luqr_tests::{assert_routing_matches_replay, dominant_system};
 use luqr_tile::Grid;
 use proptest::prelude::*;
@@ -87,43 +80,4 @@ proptest! {
         prop_assert!(stream.report.peak_live_steps <= window);
     }
 
-    /// Degeneracy pin: an explicitly heterogeneous platform whose specs
-    /// are all equal (and whose topology is `Uniform`) is bitwise
-    /// indistinguishable from the homogeneous constructor — the whole
-    /// `SimReport` (makespan, messages, bytes, spans, busy vector) is
-    /// `==`, and both price what the window routed.
-    #[test]
-    fn identical_nodespecs_reproduce_the_homogeneous_path_bitwise(
-        seed in any::<u64>(),
-        n in 24usize..48,
-        crit_kind in 0usize..5,
-        crit_raw in any::<u64>(),
-        grid_sel in 0usize..3,
-    ) {
-        let grid = [Grid::single(), Grid::new(2, 1), Grid::new(2, 2)][grid_sel];
-        let uniform = Platform::dancer_nodes(grid.nodes());
-        let hetero = Platform::heterogeneous(
-            vec![NodeSpec::new(8, 8.52); grid.nodes()],
-            Topology::Uniform(LinkSpec::new(5e-6, 1.25e9)),
-            12e9,
-        );
-        prop_assert_eq!(&uniform, &hetero, "constructors must agree field for field");
-
-        let (a, b) = random_system(n, seed);
-        let opts = FactorOptions {
-            nb: 8,
-            ib: 4,
-            threads: 2,
-            grid,
-            algorithm: Algorithm::LuQr(criterion_from(crit_kind, crit_raw)),
-            ..FactorOptions::default()
-        };
-        let batch = factor(&a, &b, &opts);
-        let sim_u = simulate(&batch.graph, &uniform);
-        let sim_h = simulate(&batch.graph, &hetero);
-        prop_assert_eq!(&sim_u, &sim_h, "batch replay diverged");
-
-        let stream = factor_stream(&a, &b, &opts, 2);
-        assert_routing_matches_replay(&stream.report.link_msgs, &sim_h.link_messages, "hetero");
-    }
 }

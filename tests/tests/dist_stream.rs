@@ -88,32 +88,6 @@ fn distributed_streaming_parity_every_algorithm_and_criterion() {
     }
 }
 
-/// The speed-weighted distribution keeps the bitwise parity and the
-/// per-link routing ≡ replay equality on a genuinely mixed cluster (two
-/// fast nodes, two slow, hierarchical network).
-#[test]
-fn weighted_distribution_keeps_parity_on_a_mixed_cluster() {
-    let platform = Platform::mixed_islands();
-    for algorithm in [
-        Algorithm::LuQr(Criterion::Max { alpha: 100.0 }),
-        Algorithm::Hqr,
-        Algorithm::Lupp,
-    ] {
-        let opts = FactorOptions {
-            nb: 8,
-            ib: 4,
-            threads: 2,
-            grid: Grid::new(2, 2),
-            algorithm,
-            ..FactorOptions::default()
-        }
-        .with_speed_weights(platform.node_speeds());
-        for window in [1, 3] {
-            check_three_way(&opts, &platform, window, 50, 77);
-        }
-    }
-}
-
 /// A hybrid run on four nodes communicates, and the decision broadcast is
 /// visible as DecisionMsgs from the panel-owner node.
 #[test]

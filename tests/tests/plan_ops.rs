@@ -140,7 +140,6 @@ fn fixture(
         pivot_scope,
         lu_variant,
         trees,
-        ..FactorOptions::default()
     };
     let aug = TiledMatrix::from_dense_augmented(&a, &b, opts.nb);
     let nt_a = aug.nt() - 1;

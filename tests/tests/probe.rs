@@ -30,7 +30,7 @@ fn probed_batch_replay_matches_and_reconciles_across_policies() {
     let (a, b) = luqr_tests::dominant_system(48, 11, 2);
     let opts = hybrid_opts(Grid::new(2, 2));
     let f = factor(&a, &b, &opts);
-    let platform = Platform::mixed_islands().with_backbone(1.25e9);
+    let platform = Platform::dancer_nodes(4);
 
     for policy in SchedPolicy::all() {
         let plain = simulate_with(&f.graph, &platform, policy);
@@ -106,7 +106,7 @@ fn export_formats_are_well_formed_on_real_telemetry() {
     let f = factor(&a, &b, &opts);
     let platform = Platform::dancer_nodes(4);
     let probe = Probe::enabled();
-    let (sim, report) = simulate_probed(&f.graph, &platform, SchedPolicy::Eft, &probe);
+    let (sim, report) = simulate_probed(&f.graph, &platform, SchedPolicy::CriticalPath, &probe);
 
     // Prometheus: every non-comment line is `name{labels} value`.
     let prom = to_prometheus(&report);
@@ -143,11 +143,11 @@ fn export_formats_are_well_formed_on_real_telemetry() {
         &sim,
         &TraceOptions {
             platform: Some(&platform),
-            policy: Some(SchedPolicy::Eft),
+            policy: Some(SchedPolicy::CriticalPath),
             counters: Some(&report.snapshot),
         },
     );
     assert!(merged.contains("\"ph\": \"X\""));
     assert!(merged.contains("\"ph\": \"C\""));
-    assert!(merged.contains("[eft]"));
+    assert!(merged.contains("[critical-path]"));
 }

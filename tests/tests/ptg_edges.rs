@@ -63,7 +63,6 @@ fn check(index: usize, n: usize, (p, q): (usize, usize), nrhs: usize, ts: usize)
             ts,
             ..TreeConfig::default()
         },
-        ..FactorOptions::default()
     };
     let aug = TiledMatrix::from_dense_augmented(&a, &b, opts.nb);
     let nt_a = aug.nt() - nrhs.div_ceil(opts.nb);

@@ -42,7 +42,7 @@ fn simulation_invariants_hold_across_algorithms() {
         );
         // Makespan is bounded by all-serial execution plus worst-case
         // fully-serialized communication.
-        let link = platform.uniform_link();
+        let link = platform.link;
         let comm_bound =
             sim.messages as f64 * (link.latency + 8.0 * 8.0 * 8.0 * 64.0 / link.bandwidth);
         assert!(

@@ -158,18 +158,18 @@ fn a_net_rank_holds_its_share_and_what_it_was_sent() {
         &Algorithm::LuQr(Criterion::Max { alpha: 100.0 }),
         Grid::new(2, 2),
     );
-    let dist = opts.tile_dist();
+    let grid = opts.grid;
     let ranks = net_ranks(&a, &b, &opts);
     let (mt, nt) = (ranks[0].aug.mt(), ranks[0].aug.nt());
     for (r, f) in ranks.iter().enumerate() {
         let tiles = || (0..mt).flat_map(|i| (0..nt).map(move |j| (i, j)));
-        for (i, j) in tiles().filter(|&(i, j)| dist.owner(i, j) == r) {
+        for (i, j) in tiles().filter(|&(i, j)| grid.owner(i, j) == r) {
             assert!(f.aug.holds_tile(i, j), "rank {r} lost its tile ({i},{j})");
         }
         let guests = tiles()
-            .filter(|&(i, j)| dist.owner(i, j) != r && f.aug.holds_tile(i, j))
+            .filter(|&(i, j)| grid.owner(i, j) != r && f.aug.holds_tile(i, j))
             .count();
-        let foreign = tiles().filter(|&(i, j)| dist.owner(i, j) != r).count();
+        let foreign = tiles().filter(|&(i, j)| grid.owner(i, j) != r).count();
         let wire = f.report.net.as_ref().expect("net report");
         if r == 0 {
             // Rank 0 was also handed the result: everything the solve reads.
@@ -204,14 +204,14 @@ fn a_net_rank_holds_its_share_and_what_it_was_sent() {
 fn the_hand_off_ships_the_result_tiles_and_nothing_else() {
     let (a, b) = dominant_system(N, 11, 1);
     let opts = options(&Algorithm::LuNoPiv, Grid::new(2, 2));
-    let dist = opts.tile_dist();
+    let grid = opts.grid;
     let ranks = net_ranks(&a, &b, &opts);
     let (mt, nt) = (ranks[0].aug.mt(), ranks[0].aug.nt());
     let mut handed_over = 0;
     for (r, f) in ranks.iter().enumerate().skip(1) {
         let result_tiles = (0..mt)
             .flat_map(|i| (0..nt).map(move |j| (i, j)))
-            .filter(|&(i, j)| dist.owner(i, j) == r && (i <= j || j >= nt - 1))
+            .filter(|&(i, j)| grid.owner(i, j) == r && (i <= j || j >= nt - 1))
             .count() as u64;
         let wire = f.report.net.as_ref().expect("net report");
         let results = wire.ctrl_frames_sent - ranks.len() as u64;
