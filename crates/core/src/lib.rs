@@ -27,8 +27,8 @@
 //!
 //! The same factorization runs three ways, bitwise alike: [`factor`] builds
 //! and executes the whole task graph; [`factor_stream`] /
-//! [`factor_stream_with`] unroll it through a bounded window, split per
-//! node of `opts.grid` (per-link message accounting in
+//! [`factor_stream_with`] unroll it through a bounded window, each task
+//! placed on a node of `opts.grid` (per-link message accounting in
 //! `report.link_msgs`); [`factor_stream_net`] performs it over a real
 //! transport. Virtual time on a simulated cluster is one thing: replaying
 //! [`Factorization::graph`] with [`luqr_runtime::simulate`].
@@ -104,7 +104,9 @@ pub struct Factorization {
     /// Per-step criterion decisions (hybrid algorithm only; empty for the
     /// baselines).
     pub records: Vec<StepRecord>,
-    /// First numerical breakdown, if any (zero pivots in the baselines).
+    /// First numerical breakdown, if any: a zero pivot an LU kernel met
+    /// or, when no kernel flagged one, the first zero or non-finite
+    /// diagonal entry of the triangular factor (a singular `A` under HQR).
     pub error: Option<String>,
     /// Order of `A`.
     pub n: usize,
@@ -179,11 +181,33 @@ fn prelude(a: &Mat, rhs: &Mat, opts: &FactorOptions) -> usize {
 }
 
 /// What every `factor*` entry point reads back after the run: the per-step
-/// records in step order, and the first numerical breakdown.
-fn epilogue(shared: &state::SharedState) -> (Vec<StepRecord>, Option<String>) {
+/// records in step order, and the first numerical breakdown. `result` is
+/// the factored matrix if this run holds it; there, a run no kernel flagged
+/// still broke down if its triangular factor is singular (HQR has no pivot
+/// to find zero), at the first zero or non-finite diagonal entry.
+fn epilogue(
+    shared: &state::SharedState,
+    result: Option<&TiledMatrix>,
+) -> (Vec<StepRecord>, Option<String>) {
     let mut records = shared.records.lock().clone();
     records.sort_by_key(|r| r.k);
-    (records, shared.error.lock().clone())
+    let flagged = shared.error.lock().clone();
+    let error = flagged.or_else(|| result.and_then(singular_column));
+    (records, error)
+}
+
+/// The first column whose diagonal entry in `aug`'s triangular factor is
+/// zero or not finite, as a breakdown message.
+fn singular_column(aug: &TiledMatrix) -> Option<String> {
+    (0..aug.mt()).find_map(|k| {
+        let tile = aug.tile(k, k);
+        let t = tile.lock();
+        let c = (0..aug.tile_rows(k)).find(|&c| t[(c, c)] == 0.0 || !t[(c, c)].is_finite())?;
+        let (col, d) = (k * aug.nb() + c, t[(c, c)]);
+        Some(format!(
+            "singular triangular factor: diagonal entry {col} is {d}"
+        ))
+    })
 }
 
 /// Factor `[A | rhs]` with the configured algorithm and solve-ready output.
@@ -198,7 +222,7 @@ pub fn factor(a: &Mat, rhs: &Mat, opts: &FactorOptions) -> Factorization {
     let nt_a = aug.nt() - rhs.cols().div_ceil(opts.nb);
     let (graph, shared) = builder::build_graph(&aug, nt_a, opts);
     let exec = execute(&graph, opts.threads);
-    let (records, error) = epilogue(&shared);
+    let (records, error) = epilogue(&shared, Some(&aug));
     Factorization {
         aug,
         graph,
@@ -233,7 +257,8 @@ pub struct StreamFactorization {
     pub report: StreamReport,
     /// Per-step criterion decisions (hybrid algorithm only).
     pub records: Vec<StepRecord>,
-    /// First numerical breakdown, if any.
+    /// First numerical breakdown, if any, as in [`Factorization::error`]
+    /// (the diagonal is scanned on the rank that holds the result).
     pub error: Option<String>,
     /// Order of `A`.
     pub n: usize,
@@ -336,7 +361,7 @@ pub fn factor_stream(
 /// [`StreamOptions`] configuration: window, per-task trace recording and
 /// metrics [`Probe`].
 ///
-/// The window is split per virtual node of `opts.grid` (owner-computes):
+/// Each task is placed on a virtual node of `opts.grid` (owner-computes):
 /// cross-node dependencies become data / decision / retirement messages,
 /// counted in `report.msgs` and per link in `report.link_msgs` (the
 /// hybrid's decision broadcast from the panel owner as in the paper). The
@@ -356,7 +381,7 @@ pub fn factor_stream_with(
     let nt_a = aug.nt() - rhs.cols().div_ceil(opts.nb);
     let mut source = PlannerStepSource::new(&aug, nt_a, opts);
     let report = luqr_runtime::stream::execute_with(&mut source, stream_opts);
-    let (records, error) = epilogue(source.shared());
+    let (records, error) = epilogue(source.shared(), Some(&aug));
     StreamFactorization {
         aug,
         report,

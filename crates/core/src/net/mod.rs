@@ -201,19 +201,13 @@ pub fn factor_stream_net_rank(
     transport: Arc<dyn Transport>,
 ) -> Result<StreamFactorization, TransportError> {
     let n = crate::prelude(a, rhs, opts);
-    assert_eq!(
-        transport.nranks(),
-        opts.grid.nodes(),
-        "transport set size must match the process grid"
-    );
-
     let rank = transport.rank();
     let aug = rank_share(a, rhs, opts, rank);
     let nt_a = aug.nt() - rhs.cols().div_ceil(opts.nb);
     let mut source = PlannerStepSource::new(&aug, nt_a, opts);
     let store: Arc<dyn PayloadStore> = Arc::new(StepStore::new(source.context()));
     let report = execute_net(&mut source, stream_opts, NetConfig { transport, store })?;
-    let (records, error) = crate::epilogue(source.shared());
+    let (records, error) = crate::epilogue(source.shared(), (rank == 0).then_some(&aug));
     Ok(StreamFactorization {
         aug,
         report,
@@ -253,6 +247,22 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("luqr-net-guard-{}", std::process::id()));
         assert!(mesh_that_fails(&dir).is_err());
         assert!(!dir.exists(), "{} leaked", dir.display());
+    }
+
+    /// An endpoint of a set whose size is not the grid's is refused with
+    /// the typed error, not a panic.
+    #[test]
+    fn a_transport_of_the_wrong_world_size_is_a_protocol_error() {
+        let (a, rhs) = (Mat::random(16, 16, 1), Mat::random(16, 1, 2));
+        let opts = FactorOptions {
+            nb: 8,
+            grid: Grid::new(2, 2),
+            ..FactorOptions::default()
+        };
+        let rank0: Arc<dyn Transport> = loopback_set(3).swap_remove(0);
+        let sopts = StreamOptions::fixed(2, 1);
+        let err = factor_stream_net_rank(&a, &rhs, &opts, &sopts, rank0).err();
+        assert!(matches!(err, Some(TransportError::Protocol(_))), "{err:?}");
     }
 
     /// At the start of a run the ranks' mirrors partition the matrix: each

@@ -32,8 +32,8 @@ use luqr_tile::TiledMatrix;
 /// share the last tile column with `U` (a uniform tiling of `[U | c]`).
 ///
 /// Zero diagonal entries produce `inf`/`NaN` in the solution (LAPACK
-/// semantics) rather than an error — stability metrics downstream report
-/// the failure.
+/// semantics) rather than an error: the factorization's `error` already
+/// names the first of them (or the zero pivot that caused it).
 pub fn back_substitute(aug: &TiledMatrix, n: usize, nrhs: usize) -> Mat {
     assert_eq!(aug.n(), n + nrhs, "augmented width mismatch");
     assert_eq!(aug.m(), n, "factored matrix must be square");

@@ -1,6 +1,6 @@
 //! The one superscalar hazard-inference implementation.
 //!
-//! The streaming window's per-node datum directories (`stream/window.rs`)
+//! The streaming window's datum directories (`stream/window.rs`)
 //! infer RAW / WAR / WAW dependence edges from declared data accesses, and
 //! this module is the core they call, parameterized over the writer
 //! payload `W` a client needs to remember about the last writer (the
@@ -39,9 +39,11 @@
 //! 3. [`finalize_preds`] sorts, dedups, and drops self-references and
 //!    dead predecessors.
 //!
-//! **Equivalence with the fused builder loop** (pinned bitwise by
-//! `tests/tests/builder_parity.rs` and the hazard-oracle proptest in
-//! `tests/tests/sched_props.rs`): for a task touching the same key twice,
+//! **Equivalence with the fused builder loop** (pinned by the hazard-oracle
+//! proptest in `tests/tests/sched_props.rs` against a naive oracle, by
+//! `tests/tests/ptg_edges.rs` against the batch graph's closed-form edges,
+//! and end to end by every streamed run `luqr_tests::paths::check_parity`
+//! compares with the batch one): for a task touching the same key twice,
 //! the fused loop either saw itself as the last writer (Mut-then-Read:
 //! pushes its own id, dropped by the self-reference filter) or drained
 //! its own fresh reader entry into the predecessor list (Read-then-Mut:

@@ -19,10 +19,11 @@
 //!   can now consult fresh data and insert **only the chosen branch**
 //!   instead of both branches statically.
 //!
-//! The window is split per virtual node ([`window`]): each node holds the
-//! live records of its owner-computes tasks and the hazard directories of
-//! its homed data; cross-node progress flows through [`crate::comm`]
-//! message records, tallied per directed link in
+//! The window ([`window`]) places every task on a virtual node
+//! (owner-computes) and homes every datum on one, but its tables are
+//! shared: one ring of live records, one ready queue and one directory
+//! slot per declared datum, whatever its node. Cross-node progress flows
+//! through [`crate::comm`] message records, tallied per directed link in
 //! [`StreamReport::link_msgs`]. Routing sends what the platform simulator
 //! prices — one payload message per (executed version, destination node) —
 //! so a run's per-link payload traffic is the `link_messages` of

@@ -1,14 +1,15 @@
-//! Integration-test crate for the `luqr` workspace.
-//!
-//! The tests live in `tests/tests/` and exercise the full stack — kernels,
-//! tiled storage, runtime, and the factorization drivers — together. This
-//! library target holds the fixtures they share.
+//! Integration-test crate for the `luqr` workspace: the tests in
+//! `tests/tests/` exercise the full stack together, and this library holds
+//! what they share — the error model, the fixtures, the dependency
+//! [`oracle`], and the parity harness [`paths`] through which the suites
+//! run their factorizations, one case table per suite.
 
 use luqr::{LinkMsgStats, LinkTraffic, TreeConfig, TreeKind};
 use luqr_kernels::blas::{gemm, Trans};
 use luqr_kernels::Mat;
 
 pub mod oracle;
+pub mod paths;
 pub mod qr_ref;
 pub mod solve_ref;
 
@@ -23,8 +24,7 @@ pub const TWO_LEVEL: TreeConfig = TreeConfig {
     inter: TreeKind::Fibonacci,
 };
 
-/// Machine epsilon for `f64`; the unit roundoff of the standard model is
-/// `u = EPS / 2`.
+/// Machine epsilon for `f64`; the standard model's unit roundoff is `EPS / 2`.
 pub const EPS: f64 = f64::EPSILON;
 
 /// Higham's `γ_k = k·u / (1 − k·u)` with `u = ε/2` — the bound on the

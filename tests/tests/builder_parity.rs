@@ -1,4 +1,4 @@
-//! Golden parity tests for the graph builder and the streaming executor.
+//! Golden parity tests for the planners and the streaming executor.
 //!
 //! Each configuration below was run through the **pre-refactor monolithic**
 //! `crates/core/src/builder.rs` (seed commit, first buildable state) on
@@ -9,7 +9,9 @@
 //!
 //! * **Decision/schedule parity is exact.** Within one build, the batch
 //!   planner and the streaming executor (at every window size) must produce
-//!   **bitwise identical** solutions: streaming changes when tasks are
+//!   **bitwise identical** solutions and decisions, and the window must
+//!   route what the batch graph's replay prices
+//!   ([`luqr_tests::paths::check_parity`]): streaming changes when tasks are
 //!   planned, never what they compute.
 //! * **Kernel numerics follow the backward-error model.** The register-tiled
 //!   GEMM / blocked TRSM / compact-WY update kernels reorder floating-point
@@ -21,60 +23,13 @@
 //!   patterns are still printed on every run so the table can be re-pinned
 //!   if the golden record is ever re-captured.
 
-use luqr::{
-    factor_solve, factor_stream, stability, Algorithm, Criterion, FactorOptions, LuVariant,
-    PivotScope,
-};
-use luqr_kernels::blas::{gemm, Trans};
-use luqr_kernels::Mat;
+use luqr::{stability, Algorithm, Criterion, LuVariant, PivotScope};
 use luqr_tests::hpl3_within_model;
+use luqr_tests::paths::{check_parity, run, Case, Input, Path};
 use luqr_tile::Grid;
 
-/// Random + dominant diagonal: every algorithm factors this without breakdown.
-fn well_conditioned(n: usize, seed: u64) -> Mat {
-    let mut a = Mat::random(n, n, seed);
-    for i in 0..n {
-        a[(i, i)] += n as f64;
-    }
-    a
-}
-
-/// One fixed-seed system: N = 50 (ragged 8-tiles), two right-hand sides.
-fn fixture() -> (Mat, Mat) {
-    let n = 50;
-    let a = well_conditioned(n, 2014);
-    let x_true = Mat::random(n, 2, 41);
-    let mut b = Mat::zeros(n, 2);
-    gemm(
-        Trans::NoTrans,
-        Trans::NoTrans,
-        1.0,
-        &a,
-        &x_true,
-        0.0,
-        &mut b,
-    );
-    (a, b)
-}
-
-fn residual(algorithm: Algorithm, pivot_scope: PivotScope, lu_variant: LuVariant) -> f64 {
-    let (a, b) = fixture();
-    let opts = FactorOptions {
-        nb: 8,
-        ib: 4,
-        threads: 2,
-        grid: Grid::new(2, 2),
-        algorithm,
-        pivot_scope,
-        lu_variant,
-        ..FactorOptions::default()
-    };
-    let (x, f) = factor_solve(&a, &b, &opts);
-    assert!(f.error.is_none(), "{}: {:?}", f.algorithm.name(), f.error);
-    stability::hpl3(&a, &x, &b)
-}
-
 /// (label, algorithm, pivot scope, LU variant, golden HPL3 bits).
+#[rustfmt::skip]
 fn golden_table() -> Vec<(&'static str, Algorithm, PivotScope, LuVariant, u64)> {
     use Algorithm::*;
     use Criterion::*;
@@ -82,87 +37,53 @@ fn golden_table() -> Vec<(&'static str, Algorithm, PivotScope, LuVariant, u64)> 
     let dt = PivotScope::DiagonalTile;
     let a1 = LuVariant::A1;
     let a2 = LuVariant::A2;
+    let max = LuQr(Max { alpha: 100.0 });
+    let (sum, mumps) = (LuQr(Sum { alpha: 100.0 }), LuQr(Mumps { alpha: 100.0 }));
+    let random = LuQr(Random { lu_fraction: 0.5, seed: 7 });
     // On this diagonally dominant fixture every criterion that selects the
     // LU branch at each step yields identical arithmetic, hence the repeated
     // bit patterns — that coincidence is itself part of the golden record.
     vec![
-        (
-            "hybrid-max",
-            LuQr(Max { alpha: 100.0 }),
-            dd,
-            a1,
-            0x3f9dc7d8ae8618d1, // hpl3 = 2.908267e-2
-        ),
-        (
-            "hybrid-sum",
-            LuQr(Sum { alpha: 100.0 }),
-            dd,
-            a1,
-            0x3f9dc7d8ae8618d1, // hpl3 = 2.908267e-2
-        ),
-        (
-            "hybrid-mumps",
-            LuQr(Mumps { alpha: 100.0 }),
-            dd,
-            a1,
-            0x3f9dc7d8ae8618d1, // hpl3 = 2.908267e-2
-        ),
-        (
-            "hybrid-always-lu",
-            LuQr(AlwaysLu),
-            dd,
-            a1,
-            0x3f9dc7d8ae8618d1, // hpl3 = 2.908267e-2
-        ),
-        (
-            "hybrid-always-qr",
-            LuQr(AlwaysQr),
-            dd,
-            a1,
-            0x3fb26b7359a24a3b, // hpl3 = 7.195207e-2
-        ),
-        (
-            "hybrid-random",
-            LuQr(Random {
-                lu_fraction: 0.5,
-                seed: 7,
-            }),
-            dd,
-            a1,
-            0x3fb0c114f7306c51, // hpl3 = 6.544620e-2
-        ),
-        (
-            "hybrid-max-tile-scope",
-            LuQr(Max { alpha: 100.0 }),
-            dt,
-            a1,
-            0x3f9dc7d8ae8618d1, // hpl3 = 2.908267e-2
-        ),
-        (
-            "hybrid-max-a2",
-            LuQr(Max { alpha: 100.0 }),
-            dt,
-            a2,
-            0x3fa57e6da3cddc78, // hpl3 = 4.198020e-2
-        ),
-        ("lu-nopiv", LuNoPiv, dd, a1, 0x3f9dc7d8ae8618d1), // hpl3 = 2.908267e-2
-        ("lu-incpiv", LuIncPiv, dd, a1, 0x3f9dc7d8ae8618d1), // hpl3 = 2.908267e-2
-        ("lupp", Lupp, dd, a1, 0x3f9dc7d8ae8618d1),        // hpl3 = 2.908267e-2
-        ("hqr", Hqr, dd, a1, 0x3fb26b7359a24a3b),          // hpl3 = 7.195207e-2
+        ("hybrid-max", max.clone(), dd, a1, 0x3f9dc7d8ae8618d1),            // hpl3 = 2.908267e-2
+        ("hybrid-sum", sum, dd, a1, 0x3f9dc7d8ae8618d1),                    // hpl3 = 2.908267e-2
+        ("hybrid-mumps", mumps, dd, a1, 0x3f9dc7d8ae8618d1),                // hpl3 = 2.908267e-2
+        ("hybrid-always-lu", LuQr(AlwaysLu), dd, a1, 0x3f9dc7d8ae8618d1),   // hpl3 = 2.908267e-2
+        ("hybrid-always-qr", LuQr(AlwaysQr), dd, a1, 0x3fb26b7359a24a3b),   // hpl3 = 7.195207e-2
+        ("hybrid-random", random, dd, a1, 0x3fb0c114f7306c51),              // hpl3 = 6.544620e-2
+        ("hybrid-max-tile-scope", max.clone(), dt, a1, 0x3f9dc7d8ae8618d1), // hpl3 = 2.908267e-2
+        ("hybrid-max-a2", max, dt, a2, 0x3fa57e6da3cddc78),                 // hpl3 = 4.198020e-2
+        ("lu-nopiv", LuNoPiv, dd, a1, 0x3f9dc7d8ae8618d1),                  // hpl3 = 2.908267e-2
+        ("lu-incpiv", LuIncPiv, dd, a1, 0x3f9dc7d8ae8618d1),                // hpl3 = 2.908267e-2
+        ("lupp", Lupp, dd, a1, 0x3f9dc7d8ae8618d1),                         // hpl3 = 2.908267e-2
+        ("hqr", Hqr, dd, a1, 0x3fb26b7359a24a3b),                           // hpl3 = 7.195207e-2
     ]
 }
 
+/// The golden fixture on a 2×2 grid under one table row.
+fn case(algorithm: Algorithm, pivot_scope: PivotScope, lu_variant: LuVariant) -> Case {
+    let mut case = Case::new(algorithm, Grid::new(2, 2)).input(Input::Golden);
+    (case.opts.pivot_scope, case.opts.lu_variant) = (pivot_scope, lu_variant);
+    case
+}
+
+/// The batch residuals lie within the error model of the golden ones, and
+/// are small — which guards against a table recorded from a broken build.
 #[test]
 fn planner_matches_pre_refactor_residuals_under_error_model() {
     let mut failures = Vec::new();
     for (label, algorithm, scope, variant, golden_bits) in golden_table() {
-        let got = residual(algorithm, scope, variant);
+        let case = case(algorithm, scope, variant);
+        let (a, b) = case.system();
+        let batch = run(&case, Path::Batch);
+        assert!(batch.error.is_none(), "{label}: {:?}", batch.error);
+        let got = stability::hpl3(&a, &batch.x, &b);
         let golden = f64::from_bits(golden_bits);
         // Printed on every run so the table can be re-pinned from the output.
         println!(
             "(\"{label}\", 0x{:016x}), // hpl3 = {got:.6e} (golden {golden:.6e})",
             got.to_bits()
         );
+        assert!(got < 60.0, "{label}: hpl3 {got}");
         if !hpl3_within_model(got, golden) {
             failures.push(format!(
                 "{label}: hpl3 {got:.17e} (bits 0x{:016x}) outside error-model band of golden {golden:.6e}",
@@ -177,62 +98,18 @@ fn planner_matches_pre_refactor_residuals_under_error_model() {
     );
 }
 
-/// The *streaming* executor must reproduce the **batch** residual of the
-/// same build bitwise, for every `Algorithm × Criterion` configuration and
-/// for several window sizes — the streaming runtime changes when tasks are
-/// planned and which branch is materialized, but may never change the
-/// arithmetic. This comparison stays exact (kernel drift cancels out: both
-/// sides run the same kernels), while the cross-build golden record is only
-/// held to the error model.
+/// The streaming executor reproduces the batch run of every row bitwise at
+/// windows 1, 2 and 7, and routes the replay's traffic link by link. This
+/// comparison stays exact (kernel drift cancels out: both sides run the
+/// same kernels), while the cross-build golden record is only held to the
+/// error model. It is also the four-node half of the every-algorithm
+/// stream table (`dist_stream` holds the one-node half).
 #[test]
 fn streaming_reproduces_batch_residuals_bitwise() {
-    let mut failures = Vec::new();
-    for window in [1, 2, 7] {
-        for (label, algorithm, scope, variant, golden_bits) in golden_table() {
-            let batch = residual(algorithm.clone(), scope, variant);
-            let (a, b) = fixture();
-            let opts = FactorOptions {
-                nb: 8,
-                ib: 4,
-                threads: 2,
-                grid: Grid::new(2, 2),
-                algorithm,
-                pivot_scope: scope,
-                lu_variant: variant,
-                ..FactorOptions::default()
-            };
-            let f = factor_stream(&a, &b, &opts, window);
-            assert!(f.error.is_none(), "{label}: {:?}", f.error);
-            let x = f.solution();
-            let got = stability::hpl3(&a, &x, &b);
-            if got.to_bits() != batch.to_bits() {
-                failures.push(format!(
-                    "{label} (window {window}): stream hpl3 {got:.17e} (bits 0x{:016x}) != batch 0x{:016x}",
-                    got.to_bits(),
-                    batch.to_bits()
-                ));
-            }
-            if !hpl3_within_model(got, f64::from_bits(golden_bits)) {
-                failures.push(format!(
-                    "{label} (window {window}): hpl3 {got:.17e} outside error-model band of golden {:.6e}",
-                    f64::from_bits(golden_bits)
-                ));
-            }
+    for (_, algorithm, scope, variant, _) in golden_table() {
+        for window in [1, 2, 7] {
+            let case = case(algorithm.clone(), scope, variant).window(window);
+            check_parity(&case, &[Path::Batch, Path::Stream]);
         }
-    }
-    assert!(
-        failures.is_empty(),
-        "streaming parity broken:\n{}",
-        failures.join("\n")
-    );
-}
-
-/// The residuals themselves must also be *good* — guards against a golden
-/// table accidentally recorded from a broken build.
-#[test]
-fn all_golden_residuals_are_small() {
-    for (label, algorithm, scope, variant, _) in golden_table() {
-        let got = residual(algorithm, scope, variant);
-        assert!(got < 60.0, "{label}: hpl3 {got}");
     }
 }

@@ -1,41 +1,37 @@
 //! Probe-subsystem integration tests: probes never perturb what they
 //! measure (bitwise report parity with unprobed runs, across the replay's
-//! schedulers and on the distributed streaming path), a replay's makespan
-//! attribution reconciles with the makespan on every node, and the three
-//! export formats are well-formed on real factorization telemetry.
+//! schedulers and, through the parity harness, on the streamed and loopback
+//! paths), a replay's makespan attribution reconciles with the makespan on
+//! every node, and the three export formats are well-formed on real
+//! factorization telemetry.
 
-use luqr::{
-    factor, factor_stream_with, Algorithm, Criterion, FactorOptions, Probe, SchedPolicy,
-    StreamOptions,
-};
+use luqr::{Algorithm, Criterion, Probe, SchedPolicy};
 use luqr_runtime::probe::export::{chrome_counter_events, to_json, to_prometheus};
 use luqr_runtime::probe::metric;
 use luqr_runtime::trace::{to_chrome_trace_with, TraceOptions};
 use luqr_runtime::{simulate_probed, simulate_with, Label, Platform};
+use luqr_tests::paths::{check_parity, run, Case, Outcome, Path};
 use luqr_tile::Grid;
 
-fn hybrid_opts(grid: Grid) -> FactorOptions {
-    FactorOptions {
-        nb: 8,
-        ib: 4,
-        threads: 2,
-        grid,
-        algorithm: Algorithm::LuQr(Criterion::Max { alpha: 100.0 }),
-        ..FactorOptions::default()
-    }
+fn hybrid() -> Case {
+    let max = Algorithm::LuQr(Criterion::Max { alpha: 100.0 });
+    Case::new(max, Grid::new(2, 2))
+}
+
+/// The hybrid's batch run on `dominant_system(48, seed, 2)`.
+fn batch(seed: u64) -> Outcome {
+    run(&hybrid().dominant(48, seed, 2), Path::Batch)
 }
 
 #[test]
 fn probed_batch_replay_matches_and_reconciles_across_policies() {
-    let (a, b) = luqr_tests::dominant_system(48, 11, 2);
-    let opts = hybrid_opts(Grid::new(2, 2));
-    let f = factor(&a, &b, &opts);
+    let f = batch(11);
     let platform = Platform::dancer_nodes(4);
 
     for policy in SchedPolicy::all() {
-        let plain = simulate_with(&f.graph, &platform, policy);
+        let plain = simulate_with(f.graph(), &platform, policy);
         let probe = Probe::enabled();
-        let (probed, report) = simulate_probed(&f.graph, &platform, policy, &probe);
+        let (probed, report) = simulate_probed(f.graph(), &platform, policy, &probe);
         assert_eq!(
             plain,
             probed,
@@ -63,50 +59,37 @@ fn probed_batch_replay_matches_and_reconciles_across_policies() {
     }
 }
 
+/// The probed hybrid on the streamed and loopback paths: `check_parity`
+/// runs both unprobed too and finds the same bits, messages and wire
+/// counters. The probes saw the runs: kernels, protocol messages and, on
+/// rank 0 of the loopback run, the wire.
 #[test]
 fn probed_distributed_streaming_is_bitwise_invariant() {
-    let (a, b) = luqr_tests::dominant_system(50, 2014, 2);
-    let opts = hybrid_opts(Grid::new(2, 2));
-    let plain_opts = StreamOptions::fixed(2, opts.threads);
-    let plain = factor_stream_with(&a, &b, &opts, &plain_opts);
-    let probe = Probe::enabled();
-    let stream_opts = plain_opts.with_probe(probe.clone());
-    let probed = factor_stream_with(&a, &b, &opts, &stream_opts);
-
-    assert_eq!(
-        plain.solution().max_abs_diff(&probed.solution()),
-        0.0,
-        "probe changed the numerics"
-    );
-    assert_eq!(plain.report.msgs, probed.report.msgs);
-    assert_eq!(plain.report.link_msgs, probed.report.link_msgs);
-
-    // The probe saw the run: kernels and protocol messages. Virtual-time
-    // attribution is a replay's (above).
-    let report = probe.report();
-    assert!(
-        report
-            .snapshot
-            .counter(metric::KERNEL_FLOPS, Label::Class("gemm"))
-            > 0
-    );
-    assert!(
-        report
-            .snapshot
-            .counter(metric::COMM_MSGS, Label::Kind("data"))
-            > 0
-    );
+    let mut case = hybrid();
+    case.probe = true;
+    let outs = check_parity(&case, &[Path::Batch, Path::Stream, Path::Loopback]);
+    let report = outs[1].probe.as_ref().expect("a probed stream");
+    let counter = |name, label| report.snapshot.counter(name, label);
+    assert!(counter(metric::KERNEL_FLOPS, Label::Class("gemm")) > 0);
+    assert!(counter(metric::COMM_MSGS, Label::Kind("data")) > 0);
+    // Virtual-time attribution is a replay's (above).
     assert!(report.attribution.is_none());
+    let net = format!(
+        "{:?}",
+        outs[2].probe.as_ref().expect("a probed rank").snapshot
+    );
+    assert!(
+        net.contains("net"),
+        "probe snapshot has no net metrics: {net}"
+    );
 }
 
 #[test]
 fn export_formats_are_well_formed_on_real_telemetry() {
-    let (a, b) = luqr_tests::dominant_system(48, 5, 2);
-    let opts = hybrid_opts(Grid::new(2, 2));
-    let f = factor(&a, &b, &opts);
+    let f = batch(5);
     let platform = Platform::dancer_nodes(4);
     let probe = Probe::enabled();
-    let (sim, report) = simulate_probed(&f.graph, &platform, SchedPolicy::CriticalPath, &probe);
+    let (sim, report) = simulate_probed(f.graph(), &platform, SchedPolicy::CriticalPath, &probe);
 
     // Prometheus: every non-comment line is `name{labels} value`.
     let prom = to_prometheus(&report);
@@ -139,7 +122,7 @@ fn export_formats_are_well_formed_on_real_telemetry() {
     assert!(counters.trim_start().starts_with('['));
     assert!(counters.contains("\"ph\": \"C\""));
     let merged = to_chrome_trace_with(
-        &f.graph,
+        f.graph(),
         &sim,
         &TraceOptions {
             platform: Some(&platform),

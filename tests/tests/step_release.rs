@@ -10,21 +10,14 @@
 //! share: its home tiles, plus the tiles a frame brought; only rank 0 ends
 //! up holding the result, and only rank 0 will back-substitute.
 
-use std::sync::Arc;
-
 use luqr::builder::build_graph;
-use luqr::{
-    factor, factor_stream, factor_stream_net_rank, Algorithm, Criterion, FactorOptions,
-    Factorization, RunCtx, StreamFactorization, StreamOptions, TaskOp,
-};
-use luqr_runtime::net::loopback::loopback_set;
-use luqr_runtime::{simulate, Access, Platform, Transport};
-use luqr_tests::dominant_system;
+use luqr::{Algorithm, Criterion, Graph, RunCtx, TaskOp};
+use luqr_runtime::Access;
+use luqr_tests::paths::{check_parity, run, Case, Path};
 use luqr_tile::{Grid, TiledMatrix};
 
 const N: usize = 104;
 const NB: usize = 16;
-const WINDOW: usize = 2;
 
 fn planners() -> [(&'static str, Algorithm); 5] {
     let random = Criterion::Random {
@@ -40,38 +33,11 @@ fn planners() -> [(&'static str, Algorithm); 5] {
     ]
 }
 
-fn options(algorithm: &Algorithm, grid: Grid) -> FactorOptions {
-    FactorOptions {
-        nb: NB,
-        ib: 4,
-        grid,
-        algorithm: algorithm.clone(),
-        threads: 2,
-        ..FactorOptions::default()
-    }
-}
-
-/// Every rank of a loopback run, in rank order.
-fn net_ranks(
-    a: &luqr_kernels::Mat,
-    b: &luqr_kernels::Mat,
-    opts: &FactorOptions,
-) -> Vec<StreamFactorization> {
-    let sopts = StreamOptions::fixed(WINDOW, opts.threads);
-    std::thread::scope(|s| {
-        let ranks: Vec<_> = loopback_set(opts.grid.nodes())
-            .into_iter()
-            .map(|t| {
-                let t: Arc<dyn Transport> = t;
-                let sopts = &sopts;
-                s.spawn(move || factor_stream_net_rank(a, b, opts, sopts, t))
-            })
-            .collect();
-        ranks
-            .into_iter()
-            .map(|h| h.join().expect("rank panicked").expect("net run failed"))
-            .collect()
-    })
+/// `algorithm` on `grid` over `dominant_system(N, 11, 1)`, tiles of `NB`.
+fn case(algorithm: &Algorithm, grid: Grid) -> Case {
+    let mut case = Case::new(algorithm.clone(), grid);
+    case.opts.nb = NB;
+    case.dominant(N, 11, 1)
 }
 
 fn accesses(op: TaskOp, ctx: &RunCtx) -> Vec<Access> {
@@ -80,15 +46,13 @@ fn accesses(op: TaskOp, ctx: &RunCtx) -> Vec<Access> {
     out
 }
 
-/// The ops of `batch` that executed (the winning branch of every step):
+/// The ops of `graph` that executed (the winning branch of every step):
 /// what a streamed run of the same problem plans.
-fn executed_ops(batch: &Factorization) -> Vec<TaskOp> {
-    batch
-        .graph
+fn executed_ops(graph: &Graph) -> Vec<TaskOp> {
+    let executed = graph
         .tasks()
-        .filter(|t| t.result().is_some_and(|r| r.executed))
-        .map(|t| t.op())
-        .collect()
+        .filter(|t| t.result().is_some_and(|r| r.executed));
+    executed.map(|t| t.op()).collect()
 }
 
 /// `ctx` holds no step data, and its plans derive for `ops` what the batch
@@ -107,42 +71,42 @@ fn assert_released_and_intact(what: &str, ctx: &RunCtx, ops: &[TaskOp], batch: &
 
 #[test]
 fn every_run_releases_its_step_data_and_keeps_its_plans() {
-    let (a, b) = dominant_system(N, 11, 1);
     for (label, algorithm) in planners() {
         for grid in [Grid::new(1, 2), Grid::new(2, 2)] {
             let what = format!("{label} on {}x{}", grid.p, grid.q);
-            let opts = options(&algorithm, grid);
-            let platform = Platform::dancer_nodes(grid.nodes());
+            let case = case(&algorithm, grid);
+            let outs = check_parity(&case, &[Path::Batch, Path::Stream, Path::Loopback]);
+            let (batch, stream, net) = (&outs[0], &outs[1], &outs[2]);
+            assert_eq!(batch.error, None, "{what}");
 
             // Batch: every step retired by the executor; the graph still
             // replays — through the simulator, and access by access against
             // a graph that never ran.
-            let batch = factor(&a, &b, &opts);
-            assert_eq!(batch.error, None, "{what}");
-            assert_eq!(batch.graph.ctx().live_steps(), 0, "{what}: batch");
+            let graph = batch.graph();
+            assert_eq!(graph.ctx().live_steps(), 0, "{what}: batch");
+            let (a, b) = case.system();
             let aug = TiledMatrix::from_dense_augmented(&a, &b, NB);
-            let (fresh, _) = build_graph(&aug, aug.nt() - 1, &opts);
+            let (fresh, _) = build_graph(&aug, aug.nt() - 1, &case.opts);
             assert_eq!(fresh.ctx().live_steps(), aug.nt() - 1, "{what}: unexecuted");
-            assert_eq!(batch.graph.len(), fresh.len(), "{what}");
-            for (ran, planned) in batch.graph.tasks().zip(fresh.tasks()) {
+            assert_eq!(graph.len(), fresh.len(), "{what}");
+            for (ran, planned) in graph.tasks().zip(fresh.tasks()) {
                 assert_eq!(ran.name(), planned.name(), "{what}");
                 assert_eq!(ran.accesses(), planned.accesses(), "{what}: {}", ran.name());
                 assert_eq!(ran.successors(), planned.successors(), "{what}");
             }
-            let sim = simulate(&batch.graph, &platform);
+            let sim = batch.replay();
             assert!(sim.makespan > 0.0 && sim.messages > 0, "{what}");
-            let x = batch.solution();
-            let ops = executed_ops(&batch);
-            let batch_ctx = batch.graph.ctx();
 
-            let stream = factor_stream(&a, &b, &opts, WINDOW);
-            assert_eq!(x.max_abs_diff(&stream.solution()), 0.0, "{what}: stream");
-            assert_released_and_intact(&format!("{what}, stream"), stream.ctx(), &ops, batch_ctx);
-
-            let ranks = net_ranks(&a, &b, &opts);
-            assert_eq!(x.max_abs_diff(&ranks[0].solution()), 0.0, "{what}: net");
-            for (r, f) in ranks.iter().enumerate() {
-                assert_released_and_intact(&format!("{what}, rank {r}"), f.ctx(), &ops, batch_ctx);
+            let ops = executed_ops(graph);
+            let stream_ctx = stream.ranks[0].ctx();
+            assert_released_and_intact(&format!("{what}, stream"), stream_ctx, &ops, graph.ctx());
+            for (r, f) in net.ranks.iter().enumerate() {
+                assert_released_and_intact(
+                    &format!("{what}, rank {r}"),
+                    f.ctx(),
+                    &ops,
+                    graph.ctx(),
+                );
                 assert_eq!(f.records.len(), batch.records.len(), "{what}, rank {r}");
             }
         }
@@ -153,13 +117,9 @@ fn every_run_releases_its_step_data_and_keeps_its_plans() {
 /// data frame delivered, on rank 0 the result — and not the matrix.
 #[test]
 fn a_net_rank_holds_its_share_and_what_it_was_sent() {
-    let (a, b) = dominant_system(N, 11, 1);
-    let opts = options(
-        &Algorithm::LuQr(Criterion::Max { alpha: 100.0 }),
-        Grid::new(2, 2),
-    );
-    let grid = opts.grid;
-    let ranks = net_ranks(&a, &b, &opts);
+    let grid = Grid::new(2, 2);
+    let max = Algorithm::LuQr(Criterion::Max { alpha: 100.0 });
+    let ranks = run(&case(&max, grid), Path::Loopback).ranks;
     let (mt, nt) = (ranks[0].aug.mt(), ranks[0].aug.nt());
     for (r, f) in ranks.iter().enumerate() {
         let tiles = || (0..mt).flat_map(|i| (0..nt).map(move |j| (i, j)));
@@ -202,10 +162,8 @@ fn a_net_rank_holds_its_share_and_what_it_was_sent() {
 /// result tile (`TRSMTOP`) runs on the tile's home.
 #[test]
 fn the_hand_off_ships_the_result_tiles_and_nothing_else() {
-    let (a, b) = dominant_system(N, 11, 1);
-    let opts = options(&Algorithm::LuNoPiv, Grid::new(2, 2));
-    let grid = opts.grid;
-    let ranks = net_ranks(&a, &b, &opts);
+    let grid = Grid::new(2, 2);
+    let ranks = run(&case(&Algorithm::LuNoPiv, grid), Path::Loopback).ranks;
     let (mt, nt) = (ranks[0].aug.mt(), ranks[0].aug.nt());
     let mut handed_over = 0;
     for (r, f) in ranks.iter().enumerate().skip(1) {
@@ -230,14 +188,10 @@ fn the_hand_off_ships_the_result_tiles_and_nothing_else() {
 /// solution is a loud error, not numbers from a partial mirror.
 #[test]
 fn only_rank_zero_back_substitutes() {
-    let (a, b) = dominant_system(48, 3, 1);
-    let opts = FactorOptions {
-        nb: 8,
-        ..options(&Algorithm::LuNoPiv, Grid::new(1, 2))
-    };
-    let ranks = net_ranks(&a, &b, &opts);
-    let x = factor(&a, &b, &opts).solution();
-    assert_eq!(x.max_abs_diff(&ranks[0].solution()), 0.0);
+    let case = Case::new(Algorithm::LuNoPiv, Grid::new(1, 2)).dominant(48, 3, 1);
+    // Rank 0's solution is the batch one, bitwise.
+    let outs = check_parity(&case, &[Path::Batch, Path::Loopback]);
+    let ranks = &outs[1].ranks;
     let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| ranks[1].solution()));
     let payload = match refused {
         Ok(_) => panic!("rank 1 back-substituted a mirror that never held the result"),

@@ -1,204 +1,74 @@
-//! Streaming-runtime integration tests: bitwise batch/stream parity across
-//! algorithms, the window memory bound, and explicit 1-/4-thread
-//! invocations so scheduler races surface in CI.
+//! Streaming-runtime tests the parity harness does not own: the window's
+//! memory bound against the batch graph, explicit 1- and 4-thread runs so
+//! scheduler races surface in CI, thread and window invariance, and the
+//! report's task accounting. Batch ≡ stream for every algorithm and window
+//! is `builder_parity`'s and `dist_stream`'s table.
 
-use luqr::{
-    factor, factor_stream, stability, Algorithm, Criterion, FactorOptions, LuVariant, PivotScope,
-};
-use luqr_kernels::Mat;
+use luqr::{stability, Algorithm, Criterion};
+use luqr_tests::paths::{bits, check_parity, run, Case, Path};
 use luqr_tile::Grid;
 
-fn system(n: usize, seed: u64) -> (Mat, Mat) {
-    luqr_tests::dominant_system(n, seed, 2)
-}
+const MAX: Algorithm = Algorithm::LuQr(Criterion::Max { alpha: 100.0 });
 
-/// Factor the same system through both runtimes and assert the solutions
-/// are bitwise identical; returns (batch graph size, streaming report).
-fn check_parity(
-    opts: &FactorOptions,
-    window: usize,
-    n: usize,
-    seed: u64,
-) -> (usize, luqr_runtime::StreamReport) {
-    let (a, b) = system(n, seed);
-    let batch = factor(&a, &b, opts);
-    let stream = factor_stream(&a, &b, opts, window);
-    assert_eq!(
-        batch.error,
-        stream.error,
-        "{}: error mismatch",
-        opts.algorithm.name()
-    );
-    let xb = batch.solution();
-    let xs = stream.solution();
-    assert_eq!(
-        xb.max_abs_diff(&xs),
-        0.0,
-        "{} (window {window}): streaming solution differs from batch",
-        opts.algorithm.name()
-    );
-    // Criterion decisions must match step for step.
-    assert_eq!(batch.records.len(), stream.records.len());
-    for (rb, rs) in batch.records.iter().zip(&stream.records) {
-        assert_eq!(rb.k, rs.k);
-        assert_eq!(
-            rb.decision,
-            rs.decision,
-            "{}: decision diverged at step {}",
-            opts.algorithm.name(),
-            rb.k
-        );
-    }
-    assert!(
-        stream.report.peak_live_steps <= window,
-        "{}: {} live steps exceeds window {window}",
-        opts.algorithm.name(),
-        stream.report.peak_live_steps
-    );
-    (batch.graph.len(), stream.report)
-}
-
-#[test]
-fn streaming_matches_batch_for_every_algorithm() {
-    let algorithms = [
-        Algorithm::LuQr(Criterion::Max { alpha: 100.0 }),
-        Algorithm::LuQr(Criterion::Sum { alpha: 100.0 }),
-        Algorithm::LuQr(Criterion::Mumps { alpha: 100.0 }),
-        Algorithm::LuQr(Criterion::AlwaysQr),
-        Algorithm::LuQr(Criterion::AlwaysLu),
-        Algorithm::LuQr(Criterion::Random {
-            lu_fraction: 0.5,
-            seed: 7,
-        }),
-        Algorithm::LuNoPiv,
-        Algorithm::LuIncPiv,
-        Algorithm::Lupp,
-        Algorithm::Hqr,
-    ];
-    for algorithm in algorithms {
-        for window in [1, 2, 7] {
-            let opts = FactorOptions {
-                nb: 8,
-                ib: 4,
-                threads: 2,
-                grid: Grid::new(2, 2),
-                algorithm: algorithm.clone(),
-                ..FactorOptions::default()
-            };
-            check_parity(&opts, window, 50, 2014);
-        }
-    }
-}
-
-#[test]
-fn streaming_matches_batch_for_a2_variant_and_tile_scope() {
-    for (scope, variant) in [
-        (PivotScope::DiagonalTile, LuVariant::A1),
-        (PivotScope::DiagonalTile, LuVariant::A2),
-    ] {
-        let opts = FactorOptions {
-            nb: 8,
-            ib: 4,
-            threads: 2,
-            grid: Grid::new(2, 2),
-            algorithm: Algorithm::LuQr(Criterion::Max { alpha: 100.0 }),
-            pivot_scope: scope,
-            lu_variant: variant,
-            ..FactorOptions::default()
-        };
-        check_parity(&opts, 2, 50, 2014);
-    }
-}
-
-/// Acceptance criterion: with `window = 2`, a factorization whose full
-/// batch graph holds ≥ 10× more live tasks than the streaming peak, with
-/// bitwise-identical residuals.
+/// With `window = 2`, a factorization whose full batch graph holds ≥ 10×
+/// more live tasks than the streaming peak, with bitwise-identical results.
 #[test]
 fn window_two_uses_ten_times_fewer_live_tasks_than_batch() {
-    let n = 160;
-    let opts = FactorOptions {
-        nb: 4,
-        ib: 4,
-        threads: 4,
-        algorithm: Algorithm::LuQr(Criterion::Max { alpha: 100.0 }),
-        ..FactorOptions::default()
-    };
-    let (a, b) = system(n, 99);
-    let batch = factor(&a, &b, &opts);
-    let stream = factor_stream(&a, &b, &opts, 2);
-
-    // Bitwise-identical residuals.
-    let xb = batch.solution();
-    let xs = stream.solution();
-    let rb = stability::hpl3(&a, &xb, &b);
-    let rs = stability::hpl3(&a, &xs, &b);
-    assert_eq!(rb.to_bits(), rs.to_bits(), "residuals diverged");
+    let mut case = Case::new(MAX, Grid::single())
+        .threads(4)
+        .dominant(160, 99, 2);
+    case.opts.nb = 4;
+    let outs = check_parity(&case, &[Path::Batch, Path::Stream]);
+    let (a, b) = case.system();
+    let rb = stability::hpl3(&a, &outs[0].x, &b);
     assert!(rb < 60.0, "residual {rb} is not small");
 
     // The batch graph materializes every task of every step (both hybrid
     // branches); the streaming window keeps only un-completed records of at
     // most 2 consecutive steps.
-    let batch_live = batch.graph.len();
-    let stream_peak = stream.report.peak_live_tasks;
+    let batch_live = outs[0].graph().len();
+    let stream = outs[1].report();
+    let stream_peak = stream.peak_live_tasks;
     assert!(
         batch_live >= 10 * stream_peak,
         "batch graph holds {batch_live} tasks, streaming peak {stream_peak}: ratio {:.1} < 10",
         batch_live as f64 / stream_peak as f64
     );
-    assert!(stream.report.peak_live_steps <= 2);
     // Only the chosen branch was unrolled: far fewer tasks planned than the
     // batch graph's branch-pair construction.
-    assert!(stream.report.tasks_planned < batch_live);
+    assert!(stream.tasks_planned < batch_live);
+}
+
+/// The hybrid at α = 5 on a 2×1 grid, over `dominant_system(48, 5, 2)`.
+fn max5() -> Case {
+    let max5 = Algorithm::LuQr(Criterion::Max { alpha: 5.0 });
+    Case::new(max5, Grid::new(2, 1)).dominant(48, 5, 2)
 }
 
 /// Explicit single-thread invocation (deterministic reference schedule).
 #[test]
 fn streaming_single_thread() {
-    let opts = FactorOptions {
-        nb: 8,
-        ib: 4,
-        threads: 1,
-        grid: Grid::new(2, 1),
-        algorithm: Algorithm::LuQr(Criterion::Max { alpha: 5.0 }),
-        ..FactorOptions::default()
-    };
-    check_parity(&opts, 2, 48, 5);
+    check_parity(&max5().threads(1), &[Path::Batch, Path::Stream]);
 }
 
 /// Explicit 4-thread invocation (races between workers, the planner, and
 /// step retirement surface here).
 #[test]
 fn streaming_four_threads() {
-    let opts = FactorOptions {
-        nb: 8,
-        ib: 4,
-        threads: 4,
-        grid: Grid::new(2, 1),
-        algorithm: Algorithm::LuQr(Criterion::Max { alpha: 5.0 }),
-        ..FactorOptions::default()
-    };
-    check_parity(&opts, 3, 48, 5);
+    check_parity(&max5().threads(4).window(3), &[Path::Batch, Path::Stream]);
 }
 
 /// Thread count and window size never change the bits.
 #[test]
 fn streaming_deterministic_across_threads_and_windows() {
-    let (a, b) = system(40, 31);
-    let run = |threads: usize, window: usize| {
-        let opts = FactorOptions {
-            nb: 8,
-            ib: 4,
-            threads,
-            algorithm: Algorithm::LuQr(Criterion::Sum { alpha: 10.0 }),
-            ..FactorOptions::default()
-        };
-        factor_stream(&a, &b, &opts, window).solution()
-    };
-    let reference = run(1, 1);
+    let sum = Algorithm::LuQr(Criterion::Sum { alpha: 10.0 });
+    let case = Case::new(sum, Grid::single()).dominant(40, 31, 2);
+    let x = |t, w| bits(&run(&case.clone().threads(t).window(w), Path::Stream).x);
+    let reference = x(1, 1);
     for (threads, window) in [(1, 5), (2, 1), (4, 2), (8, 5)] {
         assert_eq!(
-            reference.max_abs_diff(&run(threads, window)),
-            0.0,
+            reference,
+            x(threads, window),
             "threads={threads} window={window} changed the result"
         );
     }
@@ -207,16 +77,11 @@ fn streaming_deterministic_across_threads_and_windows() {
 /// The streaming report's task accounting is self-consistent.
 #[test]
 fn streaming_report_accounting() {
-    let (a, b) = system(48, 12);
-    let opts = FactorOptions {
-        nb: 8,
-        ib: 4,
-        threads: 2,
-        algorithm: Algorithm::LuQr(Criterion::Max { alpha: 100.0 }),
-        ..FactorOptions::default()
-    };
-    let f = factor_stream(&a, &b, &opts, 2);
-    let r = &f.report;
+    let f = run(
+        &Case::new(MAX, Grid::single()).dominant(48, 12, 2),
+        Path::Stream,
+    );
+    let r = f.report();
     assert_eq!(r.steps, 6); // 48 / 8
     assert_eq!(r.tasks_executed + r.tasks_discarded, r.tasks_planned);
     assert_eq!(r.per_step_tasks.iter().sum::<usize>(), r.tasks_planned);
@@ -225,6 +90,6 @@ fn streaming_report_accounting() {
     // On a diagonally dominant matrix every step picks LU — and because
     // streaming unrolls only the chosen branch, *nothing* is planned that
     // then discards itself (the batch path discards the whole QR branch).
-    assert_eq!(f.lu_step_fraction(), 1.0);
+    assert_eq!(f.ranks[0].lu_step_fraction(), 1.0);
     assert_eq!(r.tasks_discarded, 0);
 }

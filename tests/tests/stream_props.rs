@@ -1,33 +1,11 @@
-//! Property tests for the streaming runtime: for random systems, window
-//! sizes (1, 2, N) and thread counts, streaming results are bitwise
-//! identical to the batch path and the window bound on live tasks holds.
+//! Property tests for the streaming runtime: for random systems, all ten
+//! algorithm combos, window sizes (1, 2, N) and thread counts, streaming is
+//! bitwise the batch path and the window bounds live steps and live tasks
+//! ([`luqr_tests::paths::check_parity`]).
 
-use luqr::{factor, factor_stream, Algorithm, Criterion, FactorOptions};
-use luqr_kernels::Mat;
-use luqr_tests::dominant_system;
+use luqr_tests::paths::{algorithm_from, check_parity, Case, Path};
 use luqr_tile::Grid;
 use proptest::prelude::*;
-
-/// Random diagonally dominant system so every criterion path is factorable.
-fn random_system(n: usize, seed: u64) -> (Mat, Mat) {
-    dominant_system(n, seed, 1)
-}
-
-/// Decode a criterion from two generated primitives (the vendored proptest
-/// shim has no heterogeneous `prop_oneof`).
-fn criterion_from(kind: usize, raw: u64) -> Criterion {
-    let alpha = (raw % 1000) as f64;
-    match kind {
-        0 => Criterion::Max { alpha },
-        1 => Criterion::Sum { alpha },
-        2 => Criterion::Random {
-            lu_fraction: 0.5,
-            seed: raw,
-        },
-        3 => Criterion::AlwaysQr,
-        _ => Criterion::AlwaysLu,
-    }
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
@@ -40,53 +18,14 @@ proptest! {
         n in 24usize..56,
         window_sel in 0usize..3,
         threads in 1usize..5,
-        crit_kind in 0usize..5,
-        crit_raw in any::<u64>(),
+        algo_sel in 0usize..10,
+        algo_raw in any::<u64>(),
         two_d_grid in any::<bool>(),
     ) {
-        let criterion = criterion_from(crit_kind, crit_raw);
-        let nb = 8;
-        let nt = n.div_ceil(nb);
-        let window = [1, 2, nt][window_sel];
-        let (a, b) = random_system(n, seed);
-        let opts = FactorOptions {
-            nb,
-            ib: 4,
-            threads,
-            grid: if two_d_grid { Grid::new(2, 2) } else { Grid::single() },
-            algorithm: Algorithm::LuQr(criterion),
-            ..FactorOptions::default()
-        };
-
-        let batch = factor(&a, &b, &opts);
-        let stream = factor_stream(&a, &b, &opts, window);
-
-        // Identical arithmetic, step decisions, and failure behavior.
-        prop_assert_eq!(&batch.error, &stream.error);
-        let xb = batch.solution();
-        let xs = stream.solution();
-        prop_assert_eq!(xb.max_abs_diff(&xs), 0.0);
-        prop_assert_eq!(batch.records.len(), stream.records.len());
-        for (rb, rs) in batch.records.iter().zip(&stream.records) {
-            prop_assert_eq!(rb.decision, rs.decision);
-        }
-
-        // Window bound, in steps and in tasks: the live-task peak can never
-        // exceed the total planned tasks of the heaviest `window`
-        // consecutive steps.
-        let r = &stream.report;
-        prop_assert!(r.peak_live_steps <= window);
-        let heaviest_window: usize = r
-            .per_step_tasks
-            .windows(window.min(r.per_step_tasks.len().max(1)))
-            .map(|w| w.iter().sum())
-            .max()
-            .unwrap_or(0);
-        prop_assert!(
-            r.peak_live_tasks <= heaviest_window,
-            "peak {} > heaviest {window}-step window {}",
-            r.peak_live_tasks,
-            heaviest_window
-        );
+        let grid = if two_d_grid { Grid::new(2, 2) } else { Grid::single() };
+        let window = [1, 2, n.div_ceil(8)][window_sel];
+        let case = Case::new(algorithm_from(algo_sel, algo_raw), grid).window(window);
+        let case = case.threads(threads).dominant(n, seed, 1);
+        check_parity(&case, &[Path::Batch, Path::Stream]);
     }
 }
