@@ -12,8 +12,8 @@
 //!   task; once it has *executed*, the recorded decision is read back at
 //!   planning time — from the step's cells — and only the chosen branch is
 //!   inserted. The branch tasks keep their gate (which now trivially
-//!   passes), so their access lists — and therefore the hazard structure
-//!   among executed tasks — are identical to the batch graph's.
+//!   passes), so their access lists — and therefore the edges among
+//!   executed tasks — are identical to the batch graph's.
 
 use luqr_runtime::TaskId;
 

@@ -3,25 +3,32 @@
 //! In the paper's PaRSEC implementation a task is `KIND(k, i, j)` and its
 //! inputs and outputs are functions of those indices. Here too: every
 //! [`TaskOp`] of a planned run knows its successors
-//! ([`TaskOp::for_each_successor`]) and how many tasks it waits for
-//! ([`TaskOp::num_predecessors`]) from its indices, the reduction trees and
-//! the lists of its step's `StepPlan`, with no record of what ran or was
-//! inserted before it. The batch graph takes its edges from here; the
-//! streaming window still infers the same edges from each op's accesses
-//! (`luqr_runtime::hazard`), and a test checks the two agree.
+//! ([`TaskOp::for_each_successor`]) and its predecessors
+//! ([`luqr_runtime::TaskOp::for_each_predecessor`]) from its indices, the
+//! reduction trees and the lists of its step's `StepPlan`, with no record
+//! of what ran or was inserted before it. The batch graph takes its
+//! successors from here, the streaming window its predecessors.
 //!
 //! **The access sequences.** For every datum, a step's ops touch it in a
 //! fixed order, which [`Step`] writes out as a short list of *slots* — one
 //! writer, one control access, or a group of readers given by its indices
 //! (the GEMMs of a tile row, the PIVSWPs of a column, …). A hybrid step's
-//! list is its prelude's, then its LU branch's, then its QR branch's: both
-//! branches are planned, so the QR branch's first write of a tile waits
-//! for the LU branch's last readers of it. A tile's lists of consecutive
-//! steps join up (every step writes each tile it touches, so one step back
-//! is always far enough). The hazard rules then read off the list: an
-//! access depends on the datum's last writer, and a write also on the
-//! readers since. A successor walk starts just past the op's own access,
-//! which its indices locate; the predecessor count reads from the top.
+//! list is its prelude's, then its LU branch's, then its QR branch's. The
+//! batch graph is built before any decision exists and plans both
+//! branches, so the QR branch's first write of a tile waits for the LU
+//! branch's last readers of it. A stream plans only the branch its
+//! decision chose, so once a step's decision is recorded a predecessor
+//! walk passes over the chosen branch alone (a QR op's walk skips the LU
+//! branch; an LU op's never reaches the QR branch). A tile's lists of
+//! consecutive steps join up: every step writes each tile it touches, so
+//! one step back is always far enough, and a step's last access to a tile
+//! the next step touches is a write. The hazard rules then read off the
+//! list: an access depends on the datum's last writer, and a write also on
+//! the readers since. A successor walk starts just past the op's own
+//! access, which its indices locate; a predecessor walk reads from the top
+//! of the step, unless the op's indices name the writer outright (the
+//! tiles a step only writes, the decision, a QR update's T-factor), and
+//! allocates nothing.
 //!
 //! **Ids.** Each op also has a dense index within its step, its position
 //! in the step's insertion order computed from its kind and indices
@@ -31,9 +38,9 @@
 use std::ops::ControlFlow::{self, Break, Continue};
 use std::ops::Range;
 
-use luqr_runtime::Access;
+use luqr_runtime::{Access, Pred};
 
-use crate::config::LuVariant;
+use crate::config::{Decision, LuVariant};
 use crate::keys::{self, Kind};
 use crate::op::{ix, Gate, Ix, TaskOp};
 use crate::state::{RunCtx, StepPlan};
@@ -57,11 +64,8 @@ impl TaskOp {
     /// accesses, the datum's last writer before it, and for a write the
     /// readers since.
     pub fn num_predecessors(self, ctx: &RunCtx) -> usize {
-        let st = Step::new(ctx, self.step());
         let mut preds = Vec::new();
-        self.for_each_access(ctx, |acc| {
-            st.predecessors_through(self, acc, &mut |op, dense| preds.push((op.step(), dense)))
-        });
+        predecessors(ctx, self, &mut |p| preds.push((p.step, p.pos)));
         preds.sort_unstable();
         preds.dedup();
         preds.len()
@@ -77,6 +81,22 @@ impl TaskOp {
 pub(crate) fn successors(ctx: &RunCtx, me: TaskOp, f: &mut dyn FnMut(TaskOp, usize)) {
     let st = Step::new(ctx, me.step());
     me.for_each_access(ctx, |acc| st.successors_through(me, acc, f));
+}
+
+/// [`luqr_runtime::TaskOp::for_each_predecessor`].
+pub(crate) fn predecessors(ctx: &RunCtx, me: TaskOp, f: &mut dyn FnMut(Pred)) {
+    let st = Step::new(ctx, me.step());
+    me.for_each_access(ctx, |acc| {
+        st.predecessors_through(me, acc, &mut |step, pos, writer| {
+            let key = acc.key();
+            f(Pred {
+                step,
+                pos,
+                key,
+                writer,
+            })
+        })
+    });
 }
 
 impl<'a> Step<'a> {
@@ -123,48 +143,56 @@ impl<'a> Step<'a> {
     }
 
     /// The predecessors of `me`, an op of this step, through one of its
-    /// accesses: the datum's last writer before it, and for a write the
-    /// readers since.
-    fn predecessors_through(&self, me: TaskOp, acc: Access, f: &mut dyn FnMut(TaskOp, usize)) {
+    /// accesses, as `(step, dense index)`: the datum's last writer before
+    /// it (`true`), and for a write the readers since (`false`).
+    fn predecessors_through(&self, me: TaskOp, acc: Access, f: &mut dyn FnMut(usize, usize, bool)) {
         let (key, write) = match acc {
             Access::Read(key) | Access::Control(key) => (key, false),
             Access::Mut(key) => (key, true),
         };
         let (kind, a, b) = keys::unpack(key).expect("a key of this crate");
-        let mut writer = None;
-        let mut readers = Vec::new();
-        let mut walk = |st: &Step<'a>| {
-            st.slots(kind, a, b, None, &mut |slot| {
-                match slot {
-                    _ if slot.holds(st, me) => return Break(()),
-                    Slot::Write(op) => {
-                        writer = Some((op, st.dense(op)));
-                        readers.clear();
-                    }
-                    Slot::Read(r) => readers.push((st.k, r)),
-                    Slot::Control(_) => {}
+        // The step's accesses before `me`'s, numbered from 1.
+        let walk = |g: &mut dyn FnMut(usize, Slot)| {
+            let mut n = 0;
+            let mut visit = |slot: Slot| {
+                if slot.holds(self, me) {
+                    return Break(());
                 }
+                n += 1;
+                g(n, slot);
                 Continue(())
-            })
+            };
+            let found = self.slots(kind, a, b, None, &mut visit);
+            debug_assert!(found.is_break(), "{me:?} does not access {key:?}");
         };
-        // Every step writes the tiles it touches: one step back is enough.
-        if kind == Kind::Tile && self.k > 0 {
-            let _ = walk(&Step::new(self.ctx, self.k - 1));
-        }
-        let found = walk(self).is_break();
-        debug_assert!(
-            found,
-            "{me:?} is not among step {}'s accesses to {key:?}",
-            self.k
-        );
-        // None: the datum's initial value (a tile at step 0).
-        if let Some((w, dense)) = writer {
-            f(w, dense);
-        }
-        if write {
-            for (s, r) in readers {
-                r.for_each(&Step::new(self.ctx, s), f);
+        // The last write before `me`, its number and whether it was read
+        // since: named by `me`'s indices, or found by a walk.
+        let (mut since, mut read) = (0, false);
+        let writer = self.named_writer(me, write, kind, a, b).unwrap_or_else(|| {
+            let mut writer = None;
+            walk(&mut |n, slot| match slot {
+                Slot::Write(op) => (writer, since, read) = (Some(op), n, false),
+                Slot::Read(_) => read = true,
+                Slot::Control(_) => {}
+            });
+            writer
+        });
+        // None in the step: for a tile, the step before wrote it last, else
+        // it is the datum's initial value (a tile at step 0).
+        match writer {
+            Some(op) => f(self.k, self.dense(op), true),
+            None if kind == Kind::Tile && self.k > 0 => {
+                let prev = Step::new(self.ctx, self.k - 1);
+                f(prev.k, prev.dense(prev.last_writer(a, b)), true);
             }
+            None => {}
+        }
+        // The readers since, by a second walk: nothing is collected.
+        if write && read {
+            walk(&mut |n, slot| match slot {
+                Slot::Read(r) if n > since => r.for_each(self, &mut |_, d| f(self.k, d, false)),
+                _ => {}
+            });
         }
     }
 }
@@ -337,6 +365,8 @@ enum Shape {
 struct Step<'a> {
     ctx: &'a RunCtx,
     plan: &'a StepPlan,
+    /// The step's recorded branch decision, if any.
+    decision: Option<Decision>,
     shape: Shape,
     k: usize,
     mt: usize,
@@ -354,9 +384,11 @@ impl<'a> Step<'a> {
             Algorithm::LuIncPiv => Shape::IncPiv,
             Algorithm::Hqr => Shape::Hqr,
         };
+        let cells = ctx.steps.get(k);
         Step {
             ctx,
-            plan: &ctx.steps.get(k).plan,
+            plan: &cells.plan,
+            decision: cells.decision.get().copied(),
             shape,
             k,
             mt: ctx.aug.mt(),
@@ -380,6 +412,13 @@ impl<'a> Step<'a> {
 
     fn a2(&self) -> bool {
         self.shape == Shape::Hybrid { a2: true }
+    }
+
+    /// Whether the step plans ops of `gate`: all of them until its
+    /// decision is recorded, then only the chosen branch's.
+    fn planned(&self, gate: Gate) -> bool {
+        gate.want()
+            .is_none_or(|want| self.decision.is_none_or(|d| d == want))
     }
 
     fn lu_gate(&self) -> Gate {
@@ -573,6 +612,74 @@ impl<'a> Step<'a> {
         Some(p)
     }
 
+    /// The last access of trailing tile `(i, j)` in this step, a write.
+    fn last_writer(&self, i: usize, j: usize) -> TaskOp {
+        let (k, i, j, gate) = (self.kx(), ix(i), ix(j), self.lu_gate());
+        match self.shape {
+            Shape::Hqr | Shape::Hybrid { .. } if self.planned(Gate::Qr) => {
+                let on_row = self.row_elim(i as usize);
+                self.update(on_row[on_row.len() - 1] as usize, j as usize)
+            }
+            Shape::IncPiv => TaskOp::Ssssm { k, i, j },
+            _ => TaskOp::Gemm { k, i, j, gate },
+        }
+    }
+
+    /// The last writer before `me`'s access to datum `(kind, i, j)` when
+    /// `me`'s indices name it (`Some(None)`: none in this step): for a
+    /// trailing tile, which the step only writes, and for the reads of the
+    /// busiest kinds — the decision (the panel), a QR update's panel tile
+    /// and T-factor (its factor kernel), a GEMM's operands (its row's TRSM,
+    /// else the trial row's writer, and its column's solve).
+    fn named_writer(
+        &self,
+        me: TaskOp,
+        write: bool,
+        kind: Kind,
+        i: usize,
+        j: usize,
+    ) -> Option<Option<TaskOp>> {
+        let (k, gate) = (self.kx(), self.lu_gate());
+        if kind == Kind::Tile && i > self.k && j > self.k {
+            return Some(self.trailing_write_before(i, j, me));
+        }
+        Some(Some(match me {
+            _ if write => return None,
+            _ if kind == Kind::Decision => self.panel(),
+            TaskOp::Unmqr { .. } | TaskOp::Tpmqrt { .. } => self.factor(self.elim_pos(me)?),
+            TaskOp::Gemm { .. } if j == self.k && self.eliminates(i) => {
+                TaskOp::Trsm { k, i: ix(i), gate }
+            }
+            TaskOp::Gemm { .. } if j == self.k && gate == Gate::Lu => TaskOp::Prop { k, i: ix(i) },
+            TaskOp::Gemm { .. } if j == self.k => self.panel(),
+            TaskOp::Gemm { .. } if self.a2() => TaskOp::Ormqr { k, j: ix(j), gate },
+            TaskOp::Gemm { .. } => TaskOp::TrsmTop { k, j: ix(j), gate },
+            _ => return None,
+        }))
+    }
+
+    /// The write of trailing tile `(i, j)` just before `me`'s, unless
+    /// `me`'s is the step's first access to it.
+    fn trailing_write_before(&self, i: usize, j: usize, me: TaskOp) -> Option<TaskOp> {
+        let (k, gate) = (self.kx(), self.lu_gate());
+        match me {
+            TaskOp::Gemm { .. } => self.swap_group(i).map(|g| self.pivswp(j, g)),
+            TaskOp::Unmqr { .. } | TaskOp::Tpmqrt { .. } => {
+                let on_row = self.row_elim(i);
+                let p = self.elim_pos(me).expect("a QR op") as u32;
+                match on_row.binary_search(&p).expect("the op works on row i") {
+                    0 if gate == Gate::Lu && self.planned(gate) => {
+                        let (i, j) = (ix(i), ix(j));
+                        Some(TaskOp::Gemm { k, i, j, gate })
+                    }
+                    0 => None,
+                    link => Some(self.update(on_row[link - 1] as usize, j)),
+                }
+            }
+            _ => None,
+        }
+    }
+
     /// Where the QR walk of tile `(i, j)` resumes after QR op `op`:
     /// `(link, past_factor)`, the link of row `i`'s list to start at and
     /// whether its factor kernel is already behind.
@@ -754,7 +861,9 @@ impl<'a> Step<'a> {
                 if j == k && !after.is_some_and(|op| op.gate() == Gate::Lu) {
                     self.prelude_tile(i, after, f)?;
                 }
-                self.lu_tile(i, j, after, f)?;
+                if self.planned(Gate::Lu) {
+                    self.lu_tile(i, j, after, f)?;
+                }
                 self.qr_tile(i, j, 0, false, f)
             }
             Shape::Lu { full_panel } => {
@@ -1033,7 +1142,7 @@ impl<'a> Step<'a> {
             if after.is_none() {
                 f(Slot::Write(self.panel()))?;
             }
-            if after.is_none_or(|op| op == self.panel()) {
+            if after.is_none_or(|op| op == self.panel()) && self.planned(Gate::Lu) {
                 f(Slot::Read(Readers::Cols(TaskOp::Ormqr {
                     k,
                     j: next,

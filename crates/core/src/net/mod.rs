@@ -4,8 +4,8 @@
 //! [`crate::factor_stream_with`] *counts* a distributed run — one process,
 //! per-node sub-windows, message counters. This module *performs* one:
 //! every rank of the process grid plans the full factorization over its
-//! own *share* of the matrix (same planner, same window, same hazard
-//! bookkeeping), remote tasks degenerate to placement stubs, and the data /
+//! own *share* of the matrix (same planner, same window, same closed-form
+//! edges), remote tasks degenerate to placement stubs, and the data /
 //! decision / retirement protocol crosses a [`luqr_runtime::Transport`] as
 //! length-prefixed wire frames. Payload bytes are produced and consumed by
 //! the `payload` store, which resolves every declared datum key to a

@@ -6,7 +6,7 @@
 //! panel, the rows of a row-exchange group — are read from the step's
 //! `state::StepPlan`, which outlives the step's tasks.
 
-use luqr_runtime::{Access, DataClass, DataKey, TaskResult};
+use luqr_runtime::{Access, DataClass, DataKey, Pred, TaskResult};
 use luqr_tile::Grid;
 
 use crate::config::Decision;
@@ -398,6 +398,14 @@ impl luqr_runtime::TaskOp for TaskOp {
 
     fn for_each_access(self, ctx: &RunCtx, f: impl FnMut(Access)) {
         TaskOp::for_each_access(self, ctx, f);
+    }
+
+    fn position(self, ctx: &RunCtx) -> usize {
+        self.dense_index(ctx)
+    }
+
+    fn for_each_predecessor(self, ctx: &RunCtx, mut f: impl FnMut(Pred)) {
+        crate::edges::predecessors(ctx, self, &mut f);
     }
 
     fn retire_step(ctx: &RunCtx, step: usize) {

@@ -268,12 +268,15 @@ pub struct RunCtx {
 }
 
 impl RunCtx {
+    /// Every run's options enter here: a TS domain holds at least its head.
     pub(crate) fn new(aug: &TiledMatrix, nt_a: usize, opts: &FactorOptions) -> Arc<Self> {
+        let mut opts = opts.clone();
+        opts.trees.ts = opts.trees.ts.max(1);
         Arc::new(RunCtx {
             aug: aug.share(),
             nt_a,
-            opts: opts.clone(),
             grid: opts.grid,
+            opts,
             steps: StepState::new(nt_a),
             shared: SharedState::default(),
         })

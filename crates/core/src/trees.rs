@@ -60,7 +60,8 @@ impl TreeKind {
 pub struct TreeConfig {
     /// Size of a TS domain: this many consecutive tiles of a node are
     /// killed square against the first of them. `1` triangularizes every
-    /// tile (no TS level); `usize::MAX` is one flat TS chain per node.
+    /// tile (no TS level); `usize::MAX` is one flat TS chain per node. A
+    /// run clamps it to ≥ 1, so `0` plans as `1`.
     pub ts: usize,
     /// TT tree over the TS-domain heads of each node (node-local, no
     /// communication).

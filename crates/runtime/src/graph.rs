@@ -16,9 +16,9 @@
 //! successors, which the algorithm layer computes from the task's indices
 //! (the PTG's output flows), and counts predecessors from them. They are
 //! the RAW / WAR / WAW hazards over the [`DataKey`]s each op reads and
-//! writes — the edges the streaming window infers from those accesses
-//! ([`crate::hazard`]) — including the pipelining between consecutive
-//! elimination steps.
+//! writes — the edges the streaming window links from each op's
+//! closed-form predecessors ([`TaskOp::for_each_predecessor`]) — including
+//! the pipelining between consecutive elimination steps.
 //!
 //! The paper's *dynamic* task-graph extension (Section IV) is modelled
 //! exactly: the graph statically contains **both** the LU-branch and the
@@ -72,6 +72,17 @@ pub enum DataClass {
     #[default]
     Payload,
     Decision,
+}
+
+/// A task an op waits for through datum `key`, named by its step and its
+/// position there ([`TaskOp::position`]): the datum's last writer, or a
+/// reader since that write.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Pred {
+    pub step: usize,
+    pub pos: usize,
+    pub key: DataKey,
+    pub writer: bool,
 }
 
 /// An access paired with the accessed datum's declaration. This is what
@@ -271,6 +282,16 @@ pub trait TaskOp: Copy + Send + Sync + 'static {
     /// the same sequence every time it is called for the same op.
     fn for_each_access(self, ctx: &Self::Ctx, f: impl FnMut(Access));
 
+    /// The op's position in its step's insertion order.
+    fn position(self, ctx: &Self::Ctx) -> usize;
+
+    /// Visit the tasks this op waits for, from its indices: for each
+    /// access, the datum's last writer before it, and for a write also the
+    /// readers since that write (a datum nobody wrote yet has no writer).
+    /// A task may be visited more than once. Steps count as planned: one
+    /// whose branch decision is recorded holds only the chosen branch.
+    fn for_each_predecessor(self, ctx: &Self::Ctx, f: impl FnMut(Pred));
+
     /// Message class of a datum (see [`DataClass`]).
     fn data_class(_ctx: &Self::Ctx, _key: DataKey) -> DataClass {
         DataClass::Payload
@@ -293,13 +314,13 @@ pub trait TaskOp: Copy + Send + Sync + 'static {
 
 /// Destination of task insertion: either the batch [`GraphBuilder`] (the
 /// whole factorization is materialized, then executed) or the streaming
-/// window ([`crate::stream::StreamWindow`], tasks execute while later steps
-/// are still being planned). Algorithm planners write against this trait so
-/// the same insertion code drives both runtimes. The window infers each
-/// task's dependencies from its accesses ([`crate::hazard`]); the batch
-/// graph takes the algorithm's closed-form edges, which are the same
-/// RAW/WAR/WAW edges — what keeps batch and streaming execution
-/// bitwise-identical.
+/// window ([`crate::stream`], tasks execute while later steps are still
+/// being planned). Algorithm planners write against this trait so the same
+/// insertion code drives both runtimes. Both take the algorithm's
+/// closed-form edges — the batch graph its successors, the window its
+/// predecessors ([`TaskOp::for_each_predecessor`]) — which are the
+/// RAW/WAR/WAW edges of the ops' accesses: what keeps batch and streaming
+/// execution bitwise-identical.
 pub trait TaskSink<O: TaskOp> {
     /// Number of virtual nodes task placements may reference.
     fn num_nodes(&self) -> usize;

@@ -7,14 +7,12 @@
 //!   a task is a `Copy` descriptor ([`TaskOp`]) whose body, name and
 //!   accesses are derived from it on demand, and whose edges — the
 //!   RAW/WAR/WAW hazards of those accesses — the algorithm layer supplies
-//!   in closed form when the graph is built. Both the LU and the QR branch
+//!   in closed form when the graph is built, as it supplies each op's
+//!   predecessors to the streaming window. Both the LU and the QR branch
 //!   of every elimination step live in the graph; branch ops consult the
 //!   recorded criterion decision when they run and either execute or
 //!   discard themselves — the paper's dynamic task-graph mechanism ("select
 //!   the adequate tasks on the fly, and discard the useless ones").
-//! * [`hazard`] — the one RAW/WAR/WAW inference implementation, behind the
-//!   streaming window's datum directories, parameterized over the
-//!   per-writer payload a client keeps.
 //! * [`hash`] — the one integer hasher behind every sparse-key table
 //!   ([`graph`], [`sched`]'s ready set, [`vtime`], the streaming window).
 //! * [`exec`] — a dependency-counting multithreaded executor.
@@ -55,7 +53,6 @@ pub mod dot;
 pub mod exec;
 pub mod graph;
 pub mod hash;
-pub mod hazard;
 pub mod net;
 pub mod platform;
 pub mod probe;
@@ -72,7 +69,7 @@ pub use comm::{
 };
 pub use exec::{execute, execute_traced, ExecReport, Tally};
 pub use graph::{
-    Access, CostClass, CostedAccess, DataClass, DataKey, Graph, GraphBuilder, TaskId, TaskOp,
+    Access, CostClass, CostedAccess, DataClass, DataKey, Graph, GraphBuilder, Pred, TaskId, TaskOp,
     TaskRef, TaskResult, TaskSink,
 };
 pub use net::{Frame, NetReport, PayloadStore, Transport, TransportError};
@@ -80,6 +77,6 @@ pub use platform::{Efficiency, LinkSpec, NodeCountMismatch, NodeSpec, Platform};
 pub use probe::{AttribBuckets, Attribution, Histogram, Label, Probe, ProbeReport, ProbeSnapshot};
 pub use sched::SchedPolicy;
 pub use sim::{simulate, simulate_probed, simulate_with, SimReport};
-pub use stream::{NetConfig, StepPhase, StepSource, StreamOptions, StreamReport, StreamWindow};
+pub use stream::{NetConfig, StepPhase, StepSource, StreamOptions, StreamReport};
 pub use trace::{render_chrome_trace, TraceEvent, TraceOptions};
 pub use vtime::VirtualSchedule;

@@ -3,8 +3,8 @@
 //! Every task's priority is its longest dependency chain from the sources,
 //! `depth = 1 + max depth(pred)` over *all* its predecessors, scheduled
 //! ones included: the replay computes it in one forward pass over the
-//! graph's edges in id order, the streaming window folds it along the
-//! hazard edges it infers at insertion. The deepest chain in an LU/QR
+//! graph's edges in id order, the streaming window folds it at insertion
+//! along the closed-form predecessors its live steps still hold. The deepest chain in an LU/QR
 //! factorization is the panel chain — PANEL(k) → column-(k+1) updates →
 //! PANEL(k+1) → … — so popping the deepest ready task first keeps the
 //! panel chain hot instead of draining a step's embarrassingly parallel
@@ -15,7 +15,7 @@
 //! the panel spine, where the choice matters.
 //!
 //! [`ReadyQueue`] is shared verbatim with the streaming window's host-side
-//! worker scheduler (`stream::priority` re-exports it): batch virtual-time
+//! worker scheduler: batch virtual-time
 //! scheduling and streaming execution pop by one implementation. A queue
 //! whose priorities are all equal pops in id order — the replay's FIFO.
 

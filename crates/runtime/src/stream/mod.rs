@@ -9,17 +9,18 @@
 //! * a [`StepSource`] (the algorithm layer) is pulled **one step at a
 //!   time**, and only when fewer than `window` steps are still live;
 //! * tasks execute while later steps are still being planned, scheduled by
-//!   critical-path depth ([`priority`]) so the panel chain stays hot;
+//!   critical-path depth ([`crate::sched::ReadyQueue`]) so the panel chain
+//!   stays hot;
 //! * a step's task records are reclaimed as they complete, and the step
-//!   retires when it drains ([`retire`]) — graph memory is bounded by the
-//!   window, not by the factorization;
+//!   retires when it drains — graph memory is bounded by the window, not
+//!   by the factorization;
 //! * a source may split a step at its *decision point*
 //!   ([`StepPhase::AwaitDecision`]): the driver blocks until the decision
 //!   task has executed, then asks the source to plan the remainder — which
 //!   can now consult fresh data and insert **only the chosen branch**
 //!   instead of both branches statically.
 //!
-//! The window ([`window`]) places every task on a virtual node
+//! The window places every task on a virtual node
 //! (owner-computes) and homes every datum on one, but its tables are
 //! shared: one ring of live records, one ready queue and one directory
 //! slot per declared datum, whatever its node. Cross-node progress flows
@@ -31,28 +32,28 @@
 //! streamed run executes; virtual time is that replay's.
 //!
 //! Execution is bitwise-identical to the batch path because the window
-//! infers the same hazards from the same insertion order; dropping a
+//! links each task to the same closed-form predecessors the batch graph's
+//! edges come from ([`TaskOp::for_each_predecessor`]); a step whose
+//! decision is recorded names only its chosen branch, and dropping a
 //! never-executed branch removes no executed writer and so changes no
 //! per-datum mutation order.
 
 mod chain;
-pub mod priority;
-pub mod retire;
+mod retire;
 mod ring;
-pub mod window;
+mod window;
 mod wire;
 
 use std::sync::Arc;
 use std::time::Instant;
 
 use crate::comm::{LinkMsgStats, Msg, MsgStats};
-use crate::graph::{DataKey, TaskId, TaskOp, TaskResult, TaskSink};
+use crate::graph::{DataKey, Pred, TaskId, TaskOp, TaskResult, TaskSink};
 use crate::net::{NetReport, PayloadStore, Transport, TransportError};
 use crate::probe::{metric, Label, Probe};
 use crate::trace::TraceEvent;
 
-pub use window::StreamWindow;
-use window::NO_STEP;
+use window::{StreamWindow, NO_STEP};
 use wire::{ArrivalKey, Wire};
 
 /// What a source planned for one step.
@@ -70,7 +71,7 @@ pub enum StepPhase {
 ///
 /// This is the streaming counterpart of driving a batch planner in a loop:
 /// the driver calls `plan_prelude(k, …)` for `k = 0..num_steps()` strictly
-/// in order (insertion order is what hazard inference keys on), awaiting
+/// in order (the order the ops' closed-form predecessors assume), awaiting
 /// the decision task and calling `plan_finish` in between when a step asks
 /// for it.
 pub trait StepSource {
@@ -196,22 +197,25 @@ pub struct NetConfig {
     pub store: Arc<dyn PayloadStore>,
 }
 
-/// [`TaskSink`] adapter binding insertions to one step of a
-/// [`StreamWindow`]. Created by the streaming driver for each planning
-/// phase; `usize::MAX` (declaration phase) accepts `declare` only.
-pub struct StepSink<'a, O: TaskOp> {
+/// [`TaskSink`] adapter binding insertions to one step of the window.
+/// Created by the streaming driver for each planning phase; `usize::MAX`
+/// (declaration phase) accepts `declare` only. It keeps the planner's
+/// predecessor list across insertions, walked before the window is locked.
+struct StepSink<'a, O: TaskOp> {
     win: &'a StreamWindow<O>,
     step: usize,
+    preds: Vec<Pred>,
 }
 
 impl<'a, O: TaskOp> StepSink<'a, O> {
-    pub fn new(win: &'a StreamWindow<O>, step: usize) -> Self {
-        StepSink { win, step }
+    fn new(win: &'a StreamWindow<O>, step: usize) -> Self {
+        let preds = Vec::new();
+        StepSink { win, step, preds }
     }
 
     /// Declaration-phase sink (no step open; task insertion panics).
-    pub fn declarations(win: &'a StreamWindow<O>) -> Self {
-        StepSink { win, step: NO_STEP }
+    fn declarations(win: &'a StreamWindow<O>) -> Self {
+        StepSink::new(win, NO_STEP)
     }
 }
 
@@ -225,7 +229,7 @@ impl<O: TaskOp> TaskSink<O> for StepSink<'_, O> {
     }
 
     fn push(&mut self, node: usize, op: O) -> TaskId {
-        self.win.insert_task(self.step, node, op)
+        self.win.insert_task(self.step, node, op, &mut self.preds)
     }
 }
 
@@ -234,7 +238,7 @@ impl<O: TaskOp> TaskSink<O> for StepSink<'_, O> {
 ///
 /// The calling thread plans; workers execute concurrently. Numerical
 /// results are deterministic across window and thread count because the
-/// hazard edges serialize all conflicting accesses in insertion order —
+/// closed-form edges serialize all conflicting accesses in planning order —
 /// the same guarantee the batch executor gives.
 pub fn execute_with<S: StepSource + ?Sized>(source: &mut S, opts: &StreamOptions) -> StreamReport {
     Fabric::resolve(None, source.num_nodes())
@@ -247,8 +251,8 @@ pub fn execute_with<S: StepSource + ?Sized>(source: &mut S, opts: &StreamOptions
 /// mirror of the matrix, its own transport endpoint, and its own payload
 /// store.
 ///
-/// Planning is identical on every rank — same task ids, same hazard
-/// edges, same protocol messages — so each rank's [`MsgStats`] equals
+/// Planning is identical on every rank — same task ids, same edges, same
+/// protocol messages — so each rank's [`MsgStats`] equals
 /// [`execute_with`]'s. What differs per rank is execution: tasks
 /// placed on other ranks are stubs that run nothing, local tasks gate on
 /// the arrival of their cross-rank inputs, and every protocol message this
@@ -328,7 +332,7 @@ impl Fabric {
 
     /// Seam 1, insertion: what placing task `id` on `node` means here (on a
     /// wire, a stub when `node` is another rank), and how many gates —
-    /// predecessors beyond its hazard edges — it waits for. `inputs` lists
+    /// predecessors beyond its closed-form ones — it waits for. `inputs` lists
     /// its data-flow inputs as routing resolved them (`(datum, producer,
     /// source node)`), walked only by a wire.
     fn place(
@@ -552,6 +556,7 @@ mod tests {
         }
 
         fn plan_prelude(&mut self, s: usize, sink: Sink<'_>) -> StepPhase {
+            self.ctx.at_step(s);
             for t in 0..self.width {
                 let log = Arc::clone(&self.log);
                 let tag = s * self.width + t;
@@ -600,6 +605,7 @@ mod tests {
                 }
             }
             fn plan_prelude(&mut self, s: usize, sink: Sink<'_>) -> StepPhase {
+                self.ctx.at_step(s);
                 for t in 0..20 {
                     let key = k((s as u64) * 100 + t as u64);
                     self.ctx
@@ -709,6 +715,7 @@ mod tests {
                     sink.declare(k(0), 8, 0);
                 }
                 fn plan_prelude(&mut self, s: usize, sink: Sink<'_>) -> StepPhase {
+                    self.ctx.at_step(s);
                     for t in 0..5usize {
                         let cell = Arc::clone(&self.cell);
                         let i = s * 5 + t;
@@ -756,6 +763,7 @@ mod tests {
             sink.declare(k(1), 100, 1);
         }
         fn plan_prelude(&mut self, s: usize, sink: Sink<'_>) -> StepPhase {
+            self.ctx.at_step(s);
             self.ctx
                 .task(sink, format!("p{s}"), 0, &[Access::Mut(k(0))], gemm_unit);
             // Two consumers on node 1: the version crosses once.
@@ -1017,6 +1025,7 @@ mod tests {
         }
 
         fn plan_prelude(&mut self, s: usize, sink: Sink<'_>) -> StepPhase {
+            self.ctx.at_step(s);
             let acc = k(Self::ACC);
             for t in 0..3 {
                 let tag = (3 * s + t) as f64;
@@ -1235,6 +1244,7 @@ mod tests {
                 sink.declare(k(0), 8, 0);
             }
             fn plan_prelude(&mut self, s: usize, sink: Sink<'_>) -> StepPhase {
+                self.ctx.at_step(s);
                 self.ctx
                     .task(sink, format!("t{s}"), 0, &[Access::Mut(k(0))], move || {
                         if s == 0 {
@@ -1280,6 +1290,7 @@ mod tests {
                 sink.declare(k(0), 8, 0);
             }
             fn plan_prelude(&mut self, s: usize, sink: Sink<'_>) -> StepPhase {
+                self.ctx.at_step(s);
                 assert!(s < 1, "planner exploded at step {s}");
                 self.ctx.task(sink, "t", 0, &[Access::Mut(k(0))], gemm_unit);
                 StepPhase::Complete

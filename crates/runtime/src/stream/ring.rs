@@ -47,10 +47,12 @@ impl<T> TaskRing<T> {
         self.slots.get_mut(id.checked_sub(self.base)?)?.as_mut()
     }
 
+    pub(super) fn get(&self, id: TaskId) -> Option<&T> {
+        self.slots.get(id.checked_sub(self.base)?)?.as_ref()
+    }
+
     pub(super) fn is_live(&self, id: TaskId) -> bool {
-        id.checked_sub(self.base)
-            .and_then(|i| self.slots.get(i))
-            .is_some_and(Option::is_some)
+        self.get(id).is_some()
     }
 
     /// Reclaim the record of `id` (`None` if it is not live).

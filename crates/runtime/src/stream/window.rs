@@ -4,13 +4,14 @@
 //!
 //! [`StreamWindow`] accepts task insertions through the same [`crate::graph::TaskSink`]
 //! surface as the batch [`crate::graph::GraphBuilder`] — one [`TaskOp`]
-//! descriptor per task — and infers the same RAW / WAR / WAW hazard edges
-//! from the op's accesses, with one twist: a dependency on a task that has
-//! *already completed* is vacuous and produces no edge, so the hazard
-//! metadata may keep referring to completed (reclaimed) tasks without
-//! pinning their records. A task record is dropped the moment its kernel
-//! finishes; completed reader entries are pruned — their depth folded into
-//! a per-key scalar — at every step retirement, so the metadata stays
+//! descriptor per task — and links each task to the closed-form
+//! predecessors its op names ([`TaskOp::for_each_predecessor`]), with one
+//! twist: a dependency on a task that has *already completed* is vacuous
+//! and produces no edge. Each live step keeps a dense table from an op's
+//! position in the step to its task id and critical-path depth; a
+//! predecessor outside every live table belongs to a retired step, so it
+//! has completed. A task record is dropped the moment its kernel finishes,
+//! and a step's table when the step retires, so the window's metadata is
 //! bounded by the declared data plus the live window, not by the
 //! factorization's O(N³) task count. Retirement is also where a step's
 //! memory ends: the directory entries of the data declared while the step
@@ -23,7 +24,7 @@
 //! interpreter against the run's context), no list of written data
 //! (re-derived from the op at completion), and its successor and
 //! owed-transfer lists live in shared arenas (`chain`) — so planning a task
-//! allocates nothing.
+//! allocates nothing beyond the amortized growth of its step's table.
 //!
 //! The one thing a record keeps that an op may also say is its *step*.
 //! The window retires what the driver opens and closes — the step a
@@ -33,10 +34,10 @@
 //! different one. Ledger and trace events read the record.
 //!
 //! **Tables.** Live records sit in one id-indexed ring (`TaskRing`).
-//! Every declared datum gets a dense slot in a `Vec<DatumDir>`; an
-//! insertion resolves each access's [`DataKey`] to its slot once and the
-//! record remembers the slots it will need at completion. The per-task
-//! path is array indexing.
+//! Every declared datum gets a dense slot in a `Vec<DatumDir>` holding
+//! what only data can say: its declaration and its last executed version;
+//! an insertion resolves each access's [`DataKey`] to its slot once. The
+//! rest of the per-task path is array indexing.
 //!
 //! **Routing.** Each task is *placed* on a virtual node (owner-computes)
 //! and each datum is *homed* on one. A dependency between tasks on the
@@ -55,8 +56,9 @@
 //! what happens to a routed message, and what a placement means, is the
 //! run's `Fabric` (counted, or put on a real wire), which the window
 //! calls at four seams — insertion, routing, completion, pop. The ready
-//! queue orders by `(depth, insertion id)`
-//! only, so one queue pops exactly what a scan of per-node queues would.
+//! queue orders by `(depth, insertion id)` only — the depth is `1 + max`
+//! over the predecessors in live tables — so one queue pops exactly what a
+//! scan of per-node queues would.
 //!
 //! **Locking and wake-ups.** All mutable state sits behind one mutex.
 //! Two kinds of thread sleep, each on its own condition variable, and
@@ -101,33 +103,17 @@ use std::time::Instant;
 
 use crate::comm::{flow_msg, LinkMsgStats, Msg, MsgStats, RetireMsg};
 use crate::exec::Tally;
-use crate::graph::{Access, CostClass, DataClass, DataKey, TaskId, TaskOp, TaskResult};
+use crate::graph::{Access, CostClass, DataClass, DataKey, Pred, TaskId, TaskOp, TaskResult};
 use crate::hash::IntMap;
-use crate::hazard::{HazardCell, Writer};
 use crate::net::TransportError;
 use crate::probe::{metric, Histogram, Label, Probe};
+use crate::sched::ReadyQueue;
 use crate::trace::TraceEvent;
 
 use super::chain::{Chain, Chains};
-use super::priority::ReadyQueue;
 use super::retire::StepLedger;
 use super::ring::TaskRing;
 use super::{Fabric, Placed, StreamOptions, StreamReport};
-
-/// Per-writer payload the window keeps in its hazard cells: everything
-/// message routing needs about the last writer once the task record
-/// itself is reclaimed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct WriterMeta {
-    /// Node the writer is placed on (the send source).
-    node: usize,
-    /// `None` while live; `Some(executed)` once completed.
-    done: Option<bool>,
-}
-
-/// The window's hazard state per datum (the shared [`crate::hazard`]
-/// core, carrying [`WriterMeta`]).
-type DirCell = HazardCell<WriterMeta>;
 
 /// The last *executed* version of a datum: where its payload actually
 /// lives. This is what transfers resolve against — a runtime-discarded
@@ -147,8 +133,8 @@ const INITIAL: TaskId = TaskId::MAX;
 /// Index of a declared datum in [`WindowState::data`].
 type Slot = u32;
 
-/// Per-datum directory entry: declaration metadata, hazard state, and the
-/// last executed version.
+/// Per-datum directory entry: declaration metadata and the last executed
+/// version.
 #[derive(Debug)]
 struct DatumDir {
     key: DataKey,
@@ -158,8 +144,6 @@ struct DatumDir {
     bytes: usize,
     home: usize,
     class: DataClass,
-    /// Hazard state: last writer (with routing metadata) + readers.
-    hazard: DirCell,
     /// Last executed version (transfer source).
     exec: Option<ExecVersion>,
 }
@@ -217,18 +201,26 @@ struct Wakes {
     planner: bool,
 }
 
-/// One data-flow input of the task being inserted: the datum's
-/// declaration and last writer *before* the insertion.
-type Flow = (Slot, DataKey, usize, DataClass, Option<Writer<WriterMeta>>);
+/// A live step's planned tasks by position: `(id, critical-path depth)`.
+type StepTable = Vec<Option<(TaskId, u64)>>;
+
+/// One data-flow input of the task being inserted: the datum's slot and
+/// declaration, and its closed-form writer with that writer's node while
+/// the writer is live.
+struct Flow {
+    slot: Slot,
+    key: DataKey,
+    bytes: usize,
+    class: DataClass,
+    writer: Option<(TaskId, usize)>,
+}
 
 /// Per-insertion work vectors, kept across insertions: with the records'
 /// own lists in shared arenas ([`Chains`]), the planner's hot path
 /// allocates nothing per task.
 #[derive(Default)]
 struct InsertScratch {
-    accesses: Vec<Access>,
-    slots: Vec<Slot>,
-    preds: Vec<TaskId>,
+    live_preds: Vec<TaskId>,
     flows: Vec<Flow>,
 }
 
@@ -240,6 +232,12 @@ pub(super) struct WindowState<O> {
     send_links: Chains<OwedSend>,
     /// Runnable tasks, deepest first.
     ready: ReadyQueue,
+    /// By step, its table while it is live (`None` before it opens and
+    /// after it retires).
+    steps: Vec<Option<StepTable>>,
+    /// The deepest task of a retired step: the depth a predecessor there
+    /// stands for.
+    retired_depth: u64,
     /// Declared data, by slot; the live entries are the ones `slot_of`
     /// names.
     data: Vec<DatumDir>,
@@ -388,18 +386,15 @@ impl<O: TaskOp> WindowState<O> {
         self.fabric.arrived(needs).then_some((r.id, op))
     }
 
-    /// Step `step` retired: forget the data declared in it, and on every
-    /// other datum drop the reader entries whose tasks have completed,
-    /// folding their critical-path depth into the per-key scalar. Without
-    /// the pruning, reads of data that is never written again (finalized
-    /// panel columns) would accumulate hazard metadata proportional to the
-    /// *total* task count, defeating the window's memory bound.
-    fn prune_directories(&mut self, step: usize) {
+    /// Step `step` retired: drop its table and forget the data declared
+    /// in it.
+    fn forget_step(&mut self, step: usize) {
+        let table = self.steps[step].take().into_iter().flatten().flatten();
+        let deepest = table.map(|(_, depth)| depth).max().unwrap_or(0);
+        self.retired_depth = self.retired_depth.max(deepest);
         let nodes = self.ledger.num_nodes();
-        let tasks = &self.tasks;
         for (slot, dir) in self.data.iter_mut().enumerate() {
             if dir.step != step {
-                dir.hazard.readers.prune(|id| tasks.is_live(id));
                 continue;
             }
             let slot = slot as Slot;
@@ -408,7 +403,6 @@ impl<O: TaskOp> WindowState<O> {
                 self.holds.remove(&(slot, dest));
             }
             dir.step = NO_STEP;
-            dir.hazard = DirCell::default();
             dir.exec = None;
             self.free_slots.push(slot);
         }
@@ -430,7 +424,7 @@ impl<O: TaskOp> WindowState<O> {
 
     /// Apply ledger feedback from a close/completion: per-node retirement
     /// reports become [`RetireMsg`]s (the planner lives with node 0, whose
-    /// report is local), and a retired step prunes reader metadata.
+    /// report is local), and a retired step drops its table and data.
     /// `now` is the wall clock (seconds since the window's epoch) of the
     /// triggering event; it only feeds the probed retirement-lag metric.
     fn on_step_events(
@@ -454,7 +448,7 @@ impl<O: TaskOp> WindowState<O> {
                     (now - closed).max(0.0),
                 );
             }
-            self.prune_directories(step);
+            self.forget_step(step);
             O::retire_step(ctx, step);
         }
     }
@@ -529,20 +523,15 @@ impl<O: TaskOp> WindowState<O> {
             }
         }
 
-        // Mark written data as done; an executed writer becomes the
-        // datum's current *executed version* (WAW hazards serialize
-        // conflicting writers, so executed completions promote in
-        // insertion order) with a fresh transfer cache.
+        // An executed writer becomes the datum's current *executed
+        // version* (WAW edges serialize conflicting writers, so executed
+        // completions promote in insertion order) with a fresh transfer
+        // cache.
         let mut sync_decisions: Vec<DataKey> = Vec::new();
         let (data, slot_of) = (&mut self.data, &self.slot_of);
         task.op.for_each_access(ctx, |acc| {
             let Access::Mut(key) = acc else { return };
             let dir = &mut data[slot_of[&key] as usize];
-            if let Some(w) = &mut dir.hazard.writer {
-                if w.id == id {
-                    w.meta.done = Some(result.executed);
-                }
-            }
             if result.executed {
                 dir.exec = Some(ExecVersion { id, node });
                 if dir.class == DataClass::Decision {
@@ -638,6 +627,8 @@ impl<O: TaskOp> StreamWindow<O> {
                 succ_links: Chains::default(),
                 send_links: Chains::default(),
                 ready: ReadyQueue::default(),
+                steps: Vec::new(),
+                retired_depth: 0,
                 data: Vec::new(),
                 free_slots: Vec::new(),
                 holds: IntMap::default(),
@@ -757,7 +748,12 @@ impl<O: TaskOp> StreamWindow<O> {
     /// Begin planning step `k`; subsequent insertions are charged to it.
     pub fn open_step(&self, k: usize) {
         assert_ne!(k, NO_STEP);
-        self.lock().ledger.open_step(k);
+        let mut st = self.lock();
+        st.ledger.open_step(k);
+        if st.steps.len() <= k {
+            st.steps.resize_with(k + 1, || None);
+        }
+        st.steps[k] = Some(Vec::new());
     }
 
     /// Planning of step `k` is complete.
@@ -884,7 +880,7 @@ impl<O: TaskOp> StreamWindow<O> {
         match st.slot_of.get(&key) {
             // Redeclaration updates the declaration (size *and* home,
             // mirroring GraphBuilder::declare's overwrite) but keeps the
-            // hazard state and the scope.
+            // executed version and the scope.
             Some(&slot) => {
                 let dir = &mut st.data[slot as usize];
                 dir.bytes = bytes;
@@ -897,7 +893,6 @@ impl<O: TaskOp> StreamWindow<O> {
                     bytes,
                     home: home_node,
                     class: O::data_class(&self.ctx, key),
-                    hazard: DirCell::default(),
                     exec: None,
                 };
                 let slot = match st.free_slots.pop() {
@@ -915,7 +910,15 @@ impl<O: TaskOp> StreamWindow<O> {
         }
     }
 
-    pub(super) fn insert_task(&self, step: usize, node: usize, op: O) -> TaskId {
+    /// Insert `op` into the open `step`, on `node`. Its closed-form
+    /// predecessors are walked into `preds` before the lock is taken.
+    pub(super) fn insert_task(
+        &self,
+        step: usize,
+        node: usize,
+        op: O,
+        preds: &mut Vec<Pred>,
+    ) -> TaskId {
         assert!(node < self.num_nodes, "task placed on unknown node");
         assert_ne!(
             step, NO_STEP,
@@ -926,32 +929,26 @@ impl<O: TaskOp> StreamWindow<O> {
             op.step(ctx).is_none_or(|s| s == step),
             "op of another step inserted into step {step}"
         );
+        preds.clear();
+        op.for_each_predecessor(ctx, |p| preds.push(p));
+        let pos = op.position(ctx);
         let mut guard = self.lock();
         let st = &mut *guard;
         let id = st.tasks.next_id();
         let InsertScratch {
-            mut accesses,
-            mut slots,
-            mut preds,
+            mut live_preds,
             mut flows,
         } = std::mem::take(&mut st.scratch);
-        accesses.clear();
-        slots.clear();
-        preds.clear();
+        live_preds.clear();
         flows.clear();
-        op.for_each_access(ctx, |acc| accesses.push(acc));
 
-        // Pass 1: resolve every access to its datum slot (the one hashed
-        // look-up per access) and consult the directories for hazard
-        // predecessors and the critical-path depth over *all* of them
-        // (completed predecessors contribute depth but no edge) — the
-        // shared [`crate::hazard`] core, whose edges the batch graph takes
-        // in closed form.
-        let mut max_pred_cp = 0u64;
-        // The decision datum this task writes, if any (on a wire the
-        // driver waits for its applied value, not just task completion).
+        // Resolve every access to its datum slot (the one hashed look-up
+        // per access): the data-flow inputs, with their declared bytes and
+        // class at this insertion, and the decision datum the task writes,
+        // if any (on a wire the driver waits for its applied value, not
+        // just task completion).
         let mut wrote_decision: Option<DataKey> = None;
-        for acc in &accesses {
+        op.for_each_access(ctx, |acc| {
             let key = acc.key();
             let slot = *st.slot_of.get(&key).unwrap_or_else(|| {
                 panic!(
@@ -959,103 +956,112 @@ impl<O: TaskOp> StreamWindow<O> {
                     op.name(ctx)
                 )
             });
-            slots.push(slot);
-            let dir = &st.data[slot as usize];
-            let is_mut = matches!(acc, Access::Mut(_));
-            dir.hazard.fold_preds(is_mut, &mut preds, &mut max_pred_cp);
-            if !matches!(acc, Access::Control(_)) {
-                // Data-flow input: declared bytes/class at this insertion
-                // and the writer-at-insertion.
-                flows.push((slot, key, dir.bytes, dir.class, dir.hazard.writer));
-            }
-            if is_mut && dir.class == DataClass::Decision {
+            let (bytes, class) = (st.data[slot as usize].bytes, st.data[slot as usize].class);
+            if matches!(acc, Access::Mut(_)) && class == DataClass::Decision {
                 wrote_decision = Some(key);
+            }
+            if !matches!(acc, Access::Control(_)) && bytes != 0 {
+                flows.push(Flow {
+                    slot,
+                    key,
+                    bytes,
+                    class,
+                    writer: None,
+                });
+            }
+        });
+
+        // The closed-form predecessors, through the live steps' tables:
+        // each gives its depth, a live one an edge, and the live last
+        // writer of an input is where that input comes from.
+        let mut max_pred_cp = 0u64;
+        for p in preds.iter() {
+            // Not live: the step retired, so the predecessor completed.
+            let Some(table) = &st.steps[p.step] else {
+                max_pred_cp = max_pred_cp.max(st.retired_depth);
+                continue;
+            };
+            let planned = table.get(p.pos).copied().flatten();
+            let (pred, depth) =
+                planned.unwrap_or_else(|| panic!("{p:?} of '{}' was not planned", op.name(ctx)));
+            max_pred_cp = max_pred_cp.max(depth);
+            let Some(task) = st.tasks.get(pred) else {
+                continue;
+            };
+            live_preds.push(pred);
+            if p.writer {
+                for f in flows.iter_mut().filter(|f| f.key == p.key) {
+                    f.writer = Some((pred, task.placed.node));
+                }
             }
         }
         let cp = 1 + max_pred_cp;
 
         // Seam 1: the fabric settles what the task's placement means (a
         // wire makes a remote one a stub) before any placement-dependent
-        // state is written, and what it waits for beyond its hazard
-        // predecessors (a wire gates it on the frames of its remote
-        // inputs). It is shown where each data-flow input comes from — the
-        // live writer, else the last executed version, else the datum's
-        // home.
+        // state is written, and what it waits for beyond its predecessors
+        // (a wire gates it on the frames of its remote inputs). It is shown
+        // where each data-flow input comes from — the live writer, else
+        // the last executed version, else the datum's home.
         let data = &st.data;
-        let inputs = flows.iter().filter(|&&(_, _, bytes, _, _)| bytes != 0).map(
-            |&(slot, key, _, _, writer)| {
-                let dir = &data[slot as usize];
-                match (writer.filter(|w| w.meta.done.is_none()), dir.exec) {
-                    (Some(w), _) => (key, Some(w.id), w.meta.node),
-                    (None, Some(v)) => (key, Some(v.id), v.node),
-                    (None, None) => (key, None, dir.home),
-                }
-            },
-        );
+        let inputs = flows.iter().map(|f| {
+            let dir = &data[f.slot as usize];
+            match (f.writer, dir.exec) {
+                (Some((w, node)), _) => (f.key, Some(w), node),
+                (None, Some(v)) => (f.key, Some(v.id), v.node),
+                (None, None) => (f.key, None, dir.home),
+            }
+        });
         let (placed, gates) = st.fabric.place(id, node, inputs, wrote_decision);
         let (node, stub) = (placed.node, placed.stub);
 
-        // Data-flow transfers, resolved against the *pre-insertion*
-        // directory state (a Mut below overwrites the hazard writer).
-        // An input whose hazard writer is still live is *owed*: the
-        // producer may yet execute (it sends at completion) or discard
-        // itself (the consumer then fetches the previous executed
+        // Data-flow transfers. An input whose writer is still live is
+        // *owed*: the producer may yet execute (it sends at completion) or
+        // discard itself (the consumer then fetches the previous executed
         // version). Anything else resolves against the last executed
         // version right away. Every path is cached once per (version,
         // destination node) — identical to the virtual-time scoreboard.
-        for &(slot, key, bytes, class, writer) in &flows {
-            if bytes == 0 {
+        for f in &flows {
+            let Some((w, _)) = f.writer else {
+                st.resolve_transfer(f.slot, node, f.bytes, f.class);
                 continue;
-            }
-            match writer.filter(|w| w.meta.done.is_none()) {
-                Some(w) => {
-                    // Producer live (completion cannot interleave: the
-                    // lock is held for the whole insertion). Register the
-                    // owed transfer even when producer and consumer share
-                    // a node — a later discard reroutes it to an executed
-                    // version that may live elsewhere.
-                    let owed = &mut st
-                        .tasks
-                        .get_mut(w.id)
-                        .expect("undone writer is live")
-                        .pending_sends;
-                    let known = |s: OwedSend| s.slot == slot && s.dest == node;
-                    if !st.send_links.iter(*owed).any(known) {
-                        let send = OwedSend {
-                            key,
-                            slot,
-                            dest: node,
-                            bytes,
-                            class,
-                        };
-                        st.send_links.push(owed, send);
-                    }
-                }
-                None => st.resolve_transfer(slot, node, bytes, class),
+            };
+            // Producer live (completion cannot interleave: the lock is
+            // held for the whole insertion). Register the owed transfer
+            // even when producer and consumer share a node — a later
+            // discard reroutes it to an executed version that may live
+            // elsewhere.
+            let owed = &mut st.tasks.get_mut(w).expect("a live writer").pending_sends;
+            let known = |s: OwedSend| s.slot == f.slot && s.dest == node;
+            if !st.send_links.iter(*owed).any(known) {
+                let send = OwedSend {
+                    key: f.key,
+                    slot: f.slot,
+                    dest: node,
+                    bytes: f.bytes,
+                    class: f.class,
+                };
+                st.send_links.push(owed, send);
             }
         }
 
-        // Pass 2: update the directories in access order.
-        for (acc, &slot) in accesses.iter().zip(&slots) {
-            let hazard = &mut st.data[slot as usize].hazard;
-            match acc {
-                Access::Read(_) => hazard.note_read(id, cp),
-                Access::Control(_) => {}
-                Access::Mut(_) => hazard.note_write(id, cp, WriterMeta { node, done: None }),
-            }
-        }
-
-        // Pass 3: link precedence. Only edges to still-live tasks count
-        // toward the countdown — plus the fabric's gates; a same-node edge
-        // is direct, a cross-node one stands for the message the
-        // predecessor's completion sends.
-        let tasks = &mut st.tasks;
-        crate::hazard::finalize_preds(&mut preds, id, |p| tasks.is_live(p));
-        let preds_remaining = preds.len() + gates;
-        for &p in &preds {
-            let succs = &mut tasks.get_mut(p).expect("retained pred").succs;
+        // Link precedence: only edges to still-live tasks count toward the
+        // countdown — plus the fabric's gates; a same-node edge is direct,
+        // a cross-node one stands for the message the predecessor's
+        // completion sends.
+        live_preds.sort_unstable();
+        live_preds.dedup();
+        let preds_remaining = live_preds.len() + gates;
+        for &p in &live_preds {
+            let succs = &mut st.tasks.get_mut(p).expect("a live predecessor").succs;
             st.succ_links.push(succs, id);
         }
+        let table = st.steps[step].as_mut().expect("an open step has a table");
+        if table.len() <= pos {
+            table.resize(pos + 1, None);
+        }
+        debug_assert!(table[pos].is_none(), "position {pos} planned twice");
+        table[pos] = Some((id, cp));
 
         let pushed = st.tasks.push(LiveTask {
             op,
@@ -1067,12 +1073,7 @@ impl<O: TaskOp> StreamWindow<O> {
             placed,
         });
         debug_assert_eq!(pushed, id);
-        st.scratch = InsertScratch {
-            accesses,
-            slots,
-            preds,
-            flows,
-        };
+        st.scratch = InsertScratch { live_preds, flows };
         st.tasks_planned += 1;
         st.ledger.on_planned(step, node);
         st.peak_live_tasks = st.peak_live_tasks.max(st.tasks.live());
@@ -1216,10 +1217,9 @@ mod tests {
         ring.remove(0);
         ring.remove(1);
         assert_eq!(ring.base, 2);
-        // Hazard metadata may still name the reclaimed tasks 0 and 1:
-        // neither is live, so neither survives predecessor finalization.
-        let mut preds = vec![0, 1, 2];
-        crate::hazard::finalize_preds(&mut preds, 3, |p| ring.is_live(p));
+        // A step's table may still name the reclaimed tasks 0 and 1:
+        // neither is live, so neither becomes an edge.
+        let preds: Vec<TaskId> = [0, 1, 2].into_iter().filter(|&p| ring.is_live(p)).collect();
         assert_eq!(preds, vec![2]);
         assert!(ring.get_mut(0).is_none() && ring.remove(1).is_none());
     }
@@ -1241,16 +1241,14 @@ mod tests {
         win.declare(NO_STEP, tile, 8, 0);
         for (step, cell) in [(0, cell0), (1, cell1)] {
             win.open_step(step);
-            StepSink::new(&win, step).declare(cell, 8, 0);
+            ctx.at_step(step);
+            let mut sink = StepSink::new(&win, step);
+            sink.declare(cell, 8, 0);
             // Produced on node 0, consumed on node 1: the cell is cached
             // for node 1 in `holds`.
             let accs = [Access::Read(tile), Access::Mut(cell)];
-            let w = win.insert_task(step, 0, ctx.op("w", &accs, TaskResult::control));
-            let r = win.insert_task(
-                step,
-                1,
-                ctx.op("r", &[Access::Read(cell)], TaskResult::control),
-            );
+            let w = sink.push(0, ctx.op("w", &accs, TaskResult::control));
+            let r = sink.push(1, ctx.op("r", &[Access::Read(cell)], TaskResult::control));
             win.close_step(step);
             let mut st = win.lock();
             let slot = st.slot_of[&cell];
@@ -1289,7 +1287,8 @@ mod tests {
         let key = DataKey(1);
         win.declare(NO_STEP, key, 8, 0);
         win.open_step(0);
-        let a = win.insert_task(0, 0, ctx.op("a", &[Access::Mut(key)], TaskResult::control));
+        let mut sink = StepSink::new(&win, 0);
+        let a = sink.push(0, ctx.op("a", &[Access::Mut(key)], TaskResult::control));
         {
             let mut st = win.lock();
             let (id, _) = st.pop_ready().expect("a is runnable");
@@ -1297,7 +1296,7 @@ mod tests {
             st.complete_task(&ctx, a, TaskResult::control(), 0, 0.0, 0.0);
             assert_eq!((st.tasks.base, st.tasks.live()), (1, 0));
         }
-        let b = win.insert_task(0, 0, ctx.op("b", &[Access::Read(key)], TaskResult::control));
+        let b = sink.push(0, ctx.op("b", &[Access::Read(key)], TaskResult::control));
         let mut st = win.lock();
         assert_eq!(st.tasks.get_mut(b).expect("b is live").preds_remaining, 0);
         assert_eq!(st.pop_ready().map(|(id, _)| id), Some(b));

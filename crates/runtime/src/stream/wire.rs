@@ -3,7 +3,7 @@
 //! **Stubs.** Every rank plans the *full* task graph deterministically
 //! into its own window, so the protocol messages each rank records are
 //! identical to a single-process run's. A task placed on another rank is a
-//! *stub* here: its hazard edges and message bookkeeping are mirrored, its
+//! *stub* here: its edges and message bookkeeping are mirrored, its
 //! op is never run, and it completes inline the moment its local
 //! predecessors are gone. What the wire arm adds to the shared routing is
 //! real frames for the messages this rank *sends* (`link.0 == rank`) and
@@ -15,7 +15,7 @@
 //! function of planning-order directory state, hence the same on both
 //! ends. Frames are buffered as raw bytes at receipt and decoded into the
 //! local mirror *lazily* — when a consumer is popped for execution (under
-//! the window lock, so hazard ordering makes the write safe) or when the
+//! the window lock, so the task graph's ordering makes the write safe) or when the
 //! driver awaits a remote decision. Decoding eagerly in the receiver would
 //! race the planner: a frame may arrive before the rank has even declared
 //! the datum it updates. A decision computed here is also broadcast to
@@ -339,8 +339,8 @@ impl Wire {
 
     /// A task is popped for execution: decode its gating arrivals into the
     /// local mirror. They are all in (they were extra predecessors); every
-    /// ready task touching the same datum needs the same version (hazards
-    /// serialize writers), so the write cannot race a reader. `false` when
+    /// ready task touching the same datum needs the same version (WAW
+    /// edges serialize writers), so the write cannot race a reader. `false` when
     /// one could not be decoded, which has failed the run.
     pub(super) fn apply(&mut self, needs: Vec<ArrivalKey>) -> bool {
         for arrival in needs {
@@ -637,7 +637,7 @@ impl<O: TaskOp> StreamWindow<O> {
     /// plan on even when it is local. Otherwise a locally computed decision
     /// is already there; on the wire a remote one is applied from its
     /// Sync/DecisionMsg frame the moment it arrives (the stub completing
-    /// only means its hazard slots released).
+    /// only means its successors were released).
     pub(crate) fn wait_decision_value(&self, id: TaskId) -> bool {
         let mut st = self.lock();
         loop {

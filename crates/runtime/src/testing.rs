@@ -7,15 +7,17 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex, RwLock};
 
 use crate::graph::{
-    Access, DataClass, DataKey, Graph, GraphBuilder, TaskId, TaskOp, TaskResult, TaskSink,
+    Access, DataClass, DataKey, Graph, GraphBuilder, Pred, TaskId, TaskOp, TaskResult, TaskSink,
 };
-use crate::hazard::{finalize_preds, HazardCell};
 
 type Body = Box<dyn FnOnce() -> TaskResult + Send>;
 
 struct Entry {
     name: String,
     accesses: Vec<Access>,
+    /// `(step, position)` the op was registered at.
+    at: (usize, usize),
+    preds: Vec<Pred>,
     body: Mutex<Option<Body>>,
 }
 
@@ -23,16 +25,30 @@ struct Entry {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct TestOp(u32);
 
-/// The body table, appendable while a streaming run executes.
+/// Per datum: the last writer and the readers since, as `(step, position)`.
+type Seen = (Option<(usize, usize)>, Vec<(usize, usize)>);
+
+/// The body table, appendable while a streaming run executes. Ops are
+/// registered in the order they are planned, into the step set by
+/// [`TestCtx::at_step`] (0 until then), at their index in the table, and
+/// get their predecessors there by the textbook rule: per datum, the last
+/// writer, and for a write also the readers since.
 #[derive(Default)]
 pub(crate) struct TestCtx {
     entries: RwLock<Vec<Arc<Entry>>>,
+    /// The step ops are registered into, and what each datum has seen.
+    planning: Mutex<(usize, HashMap<DataKey, Seen>)>,
     decisions: RwLock<Vec<DataKey>>,
     /// The steps the runtime has retired, in the order it did.
     pub(crate) retired: Mutex<Vec<usize>>,
 }
 
 impl TestCtx {
+    /// Register the ops that follow into `step`.
+    pub(crate) fn at_step(&self, step: usize) {
+        self.planning.lock().unwrap().0 = step;
+    }
+
     /// Register a task body; the step is the `k=NN` of its name, if any.
     pub(crate) fn op(
         &self,
@@ -41,9 +57,35 @@ impl TestCtx {
         body: impl FnOnce() -> TaskResult + Send + 'static,
     ) -> TestOp {
         let mut entries = self.entries.write().unwrap();
+        let (step, seen) = &mut *self.planning.lock().unwrap();
+        let at = (*step, entries.len());
+        let mut preds = Vec::new();
+        for acc in accesses {
+            let (key, write) = (acc.key(), matches!(acc, Access::Mut(_)));
+            let (writer, readers) = seen.get(&key).cloned().unwrap_or_default();
+            let since = readers.into_iter().filter(|_| write).map(|r| (r, false));
+            for ((step, pos), writer) in writer.map(|w| (w, true)).into_iter().chain(since) {
+                preds.push(Pred {
+                    step,
+                    pos,
+                    key,
+                    writer,
+                });
+            }
+        }
+        for acc in accesses {
+            let (writer, readers) = seen.entry(acc.key()).or_default();
+            match acc {
+                Access::Read(_) => readers.push(at),
+                Access::Control(_) => {}
+                Access::Mut(_) => (*writer, *readers) = (Some(at), Vec::new()),
+            }
+        }
         entries.push(Arc::new(Entry {
             name: name.into(),
             accesses: accesses.to_vec(),
+            at,
+            preds,
             body: Mutex::new(Some(Box::new(body))),
         }));
         TestOp(entries.len() as u32 - 1)
@@ -92,6 +134,14 @@ impl TaskOp for TestOp {
         ctx.entry(self).accesses.iter().copied().for_each(f);
     }
 
+    fn position(self, ctx: &TestCtx) -> usize {
+        ctx.entry(self).at.1
+    }
+
+    fn for_each_predecessor(self, ctx: &TestCtx, f: impl FnMut(Pred)) {
+        ctx.entry(self).preds.iter().copied().for_each(f);
+    }
+
     fn data_class(ctx: &TestCtx, key: DataKey) -> DataClass {
         if ctx.decisions.read().unwrap().contains(&key) {
             DataClass::Decision
@@ -127,13 +177,11 @@ pub(crate) fn with_watchdog<T: Send + 'static>(
 }
 
 /// A [`GraphBuilder`] over [`TestOp`]s with the closure-style insertion the
-/// tests are written in. Test ops have no closed-form edges, so this one
-/// infers them from each op's accesses with the hazard core, as the
-/// streaming window does, and hands them to the builder.
+/// tests are written in. Its ops are all registered into step 0, so a
+/// predecessor's position is its task id.
 pub(crate) struct TestGraph {
     b: GraphBuilder<TestOp>,
     pub(crate) ctx: Arc<TestCtx>,
-    cells: HashMap<DataKey, HazardCell<()>>,
     /// Successor ids of every inserted task.
     succs: Vec<Vec<TaskId>>,
 }
@@ -144,14 +192,12 @@ impl TestGraph {
         TestGraph {
             b: GraphBuilder::new(num_nodes, Arc::clone(&ctx)),
             ctx,
-            cells: HashMap::new(),
             succs: Vec::new(),
         }
     }
 
     pub(crate) fn declare(&mut self, key: DataKey, bytes: usize, home_node: usize) {
         self.b.declare(key, bytes, home_node);
-        self.cells.entry(key).or_default();
     }
 
     pub(crate) fn task(
@@ -161,28 +207,10 @@ impl TestGraph {
         accesses: &[Access],
         body: impl FnOnce() -> TaskResult + Send + 'static,
     ) -> TaskId {
-        let id = self.ctx.task(&mut self.b, name, node, accesses, body);
-        let mut preds = Vec::new();
-        for acc in accesses {
-            let cell = self
-                .cells
-                .get(&acc.key())
-                .expect("access to undeclared data");
-            cell.fold_preds(matches!(acc, Access::Mut(_)), &mut preds, &mut 0);
-        }
-        for acc in accesses {
-            let cell = self.cells.get_mut(&acc.key()).expect("declared above");
-            match acc {
-                Access::Read(_) => cell.note_read(id, 0),
-                Access::Control(_) => {}
-                Access::Mut(_) => cell.note_write(id, 0, ()),
-            }
-        }
-        finalize_preds(&mut preds, id, |_| true);
+        let op = self.ctx.op(name, accesses, body);
+        let id = self.b.push(node, op);
         self.succs.push(Vec::new());
-        for p in preds {
-            self.succs[p].push(id);
-        }
+        op.for_each_predecessor(&self.ctx, |p| self.succs[p.pos].push(id));
         id
     }
 

@@ -346,8 +346,7 @@ impl VirtualSchedule {
         }
 
         // Pass 2: update the scoreboard in access order (a Mut after a
-        // Read of the same key clears the reader fold, exactly like the
-        // hazard maps of the graph builder and the streaming window).
+        // Read of the same key clears the reader fold).
         for ca in accesses {
             let st = self.data.entry(ca.access.key()).or_default();
             match ca.access {

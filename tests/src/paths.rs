@@ -10,6 +10,8 @@
 //! link by link, what the batch graph's replay prices; wire frames that are
 //! the protocol's messages; and a probe that perturbs nothing.
 
+use std::sync::OnceLock;
+
 use luqr::net::launch::NetJob;
 use luqr::{
     factor, factor_stream_net_opts, factor_stream_net_rank, factor_stream_with, Algorithm,
@@ -147,8 +149,9 @@ pub struct Outcome {
     pub records: Vec<StepRecord>,
     pub error: Option<String>,
     /// `Batch`: the factorization, and its graph's replay on
-    /// `Platform::dancer_nodes(grid.nodes())`.
-    pub batch: Option<(Factorization, SimReport)>,
+    /// `Platform::dancer_nodes(grid.nodes())` once [`Outcome::replay`] has
+    /// asked for it.
+    pub batch: Option<(Factorization, OnceLock<SimReport>)>,
     /// The other paths: the run's factorizations, rank 0 first (every rank
     /// on `Loopback`, rank 0 alone otherwise).
     pub ranks: Vec<StreamFactorization>,
@@ -162,7 +165,8 @@ impl Outcome {
     }
 
     pub fn replay(&self) -> &SimReport {
-        &self.batch.as_ref().expect("a batch outcome").1
+        let (f, replay) = self.batch.as_ref().expect("a batch outcome");
+        replay.get_or_init(|| simulate(&f.graph, &Platform::dancer_nodes(f.graph.num_nodes)))
     }
 
     /// Rank 0's window report.
@@ -178,11 +182,7 @@ pub fn run(case: &Case, path: Path) -> Outcome {
     let mut sopts = StreamOptions::fixed(case.window, opts.threads).with_probe(probe.clone());
     sopts.trace = case.trace;
     let (batch, ranks) = match path {
-        Path::Batch => {
-            let f = factor(&a, &b, opts);
-            let replay = simulate(&f.graph, &Platform::dancer_nodes(opts.grid.nodes()));
-            (Some((f, replay)), Vec::new())
-        }
+        Path::Batch => (Some((factor(&a, &b, opts), OnceLock::new())), Vec::new()),
         Path::Stream => (None, vec![factor_stream_with(&a, &b, opts, &sopts)]),
         Path::Loopback => (None, loopback_ranks(&a, &b, opts, &sopts)),
         Path::Uds => {

@@ -24,16 +24,16 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::Arc;
 use std::time::Instant;
 
 use luqr::{
     builder, factor, Algorithm, Criterion, Decision, FactorOptions, LuVariant, PivotScope,
-    PlannerStepSource, RunCtx, StreamOptions, TaskOp, TreeConfig,
+    PlannerStepSource, StreamOptions, TaskOp, TreeConfig,
 };
-use luqr_runtime::stream::{self, StepPhase, StepSource};
+use luqr_runtime::stream;
 use luqr_runtime::trace::{to_chrome_trace_with, TraceOptions};
-use luqr_runtime::{simulate, Access, DataKey, Platform, TaskId, TaskSink};
+use luqr_runtime::{simulate, Access, DataKey, Platform};
+use luqr_tests::oracle::Logged;
 use luqr_tests::{dominant_system, TWO_LEVEL};
 use luqr_tile::{Grid, TiledMatrix};
 
@@ -311,56 +311,6 @@ fn default_tree_plan_pin() {
 }
 
 // --- streamed ≡ batch, filtered to the chosen branch ------------------------
-
-/// A sink that records what passes through it.
-struct Tee<'a> {
-    sink: &'a mut dyn TaskSink<TaskOp>,
-    log: &'a mut Vec<(usize, TaskOp)>,
-}
-
-impl TaskSink<TaskOp> for Tee<'_> {
-    fn num_nodes(&self) -> usize {
-        self.sink.num_nodes()
-    }
-    fn declare(&mut self, key: DataKey, bytes: usize, home_node: usize) {
-        self.sink.declare(key, bytes, home_node);
-    }
-    fn push(&mut self, node: usize, op: TaskOp) -> TaskId {
-        self.log.push((node, op));
-        self.sink.push(node, op)
-    }
-}
-
-/// A planner source whose planned ops are logged on their way to the
-/// window.
-struct Logged {
-    source: PlannerStepSource,
-    log: Vec<(usize, TaskOp)>,
-}
-
-impl StepSource for Logged {
-    type Op = TaskOp;
-    fn context(&self) -> Arc<RunCtx> {
-        self.source.context()
-    }
-    fn num_steps(&self) -> usize {
-        self.source.num_steps()
-    }
-    fn num_nodes(&self) -> usize {
-        self.source.num_nodes()
-    }
-    fn prepare(&mut self, sink: &mut dyn TaskSink<TaskOp>) {
-        self.source.prepare(sink);
-    }
-    fn plan_prelude(&mut self, k: usize, sink: &mut dyn TaskSink<TaskOp>) -> StepPhase {
-        let log = &mut self.log;
-        self.source.plan_prelude(k, &mut Tee { sink, log })
-    }
-    fn plan_finish(&mut self, k: usize, sink: &mut dyn TaskSink<TaskOp>) {
-        let log = &mut self.log;
-        self.source.plan_finish(k, &mut Tee { sink, log });
-    }
-}
 
 #[test]
 fn streamed_plan_is_the_batch_plan_minus_the_losing_branches() {

@@ -8,14 +8,22 @@
 //! reduction trees around them. Both branches of a hybrid step are in the
 //! graph, so this covers the cross-branch WAR/WAW edges, LUPP's control
 //! barrier and the TS kills, whose victim has no GEQRT in its step.
+//!
+//! A streamed run plans only each step's chosen branch, once its decision
+//! is recorded: there, every op's closed-form predecessors
+//! ([`luqr_runtime::TaskOp::for_each_predecessor`], which the window links)
+//! are the oracle's over the sequence the run planned.
 
 use std::collections::HashSet;
 
 use luqr::{
-    builder, Algorithm, Criterion, FactorOptions, LuVariant, PivotScope, TaskOp, TreeConfig,
+    builder, Algorithm, Criterion, Decision, FactorOptions, LuVariant, PivotScope,
+    PlannerStepSource, StreamOptions, TaskOp, TreeConfig,
 };
+use luqr_runtime::stream::{self, StepSource};
+use luqr_runtime::TaskOp as _;
 use luqr_tests::dominant_system;
-use luqr_tests::oracle::{hazard_predecessors, successors};
+use luqr_tests::oracle::{hazard_predecessors, successors, Logged};
 use luqr_tile::{Grid, TiledMatrix};
 use proptest::prelude::*;
 
@@ -44,14 +52,11 @@ const PLANNERS: usize = 8;
 const TS: [usize; 3] = [1, 4, usize::MAX];
 const GRIDS: [(usize, usize); 4] = [(1, 1), (1, 2), (2, 2), (4, 1)];
 
-/// Build the batch graph of an `n x n` system with `nrhs` right-hand sides
-/// (`nb = 16`) and check every task's closed-form edges against the
-/// oracle's.
-fn check(index: usize, n: usize, (p, q): (usize, usize), nrhs: usize, ts: usize) {
-    let (label, algorithm, lu_variant, pivot_scope) = planner(index);
-    let what = format!("{label} n={n} grid {p}x{q} nrhs={nrhs} ts={ts}");
-    let (a, b) = dominant_system(n, 11, nrhs);
-    let opts = FactorOptions {
+/// The options of planner `index` on a `(p, q)` grid under TS domains of
+/// `ts`, with `nb = 16`.
+fn options(index: usize, (p, q): (usize, usize), ts: usize) -> FactorOptions {
+    let (_, algorithm, lu_variant, pivot_scope) = planner(index);
+    FactorOptions {
         nb: 16,
         ib: 4,
         grid: Grid::new(p, q),
@@ -63,7 +68,17 @@ fn check(index: usize, n: usize, (p, q): (usize, usize), nrhs: usize, ts: usize)
             ts,
             ..TreeConfig::default()
         },
-    };
+    }
+}
+
+/// Build the batch graph of an `n x n` system with `nrhs` right-hand sides
+/// (`nb = 16`) and check every task's closed-form edges against the
+/// oracle's.
+fn check(index: usize, n: usize, (p, q): (usize, usize), nrhs: usize, ts: usize) {
+    let label = planner(index).0;
+    let what = format!("{label} n={n} grid {p}x{q} nrhs={nrhs} ts={ts}");
+    let (a, b) = dominant_system(n, 11, nrhs);
+    let opts = options(index, (p, q), ts);
     let aug = TiledMatrix::from_dense_augmented(&a, &b, opts.nb);
     let nt_a = aug.nt() - nrhs.div_ceil(opts.nb);
     let (graph, _) = builder::build_graph(&aug, nt_a, &opts);
@@ -107,6 +122,52 @@ fn closed_form_edges_are_the_hazard_edges_on_the_fixtures() {
             }
         }
     }
+}
+
+/// Stream an `n x n` system and check every planned op's closed-form
+/// predecessors against the oracle's over the planned sequence, as sets of
+/// `(step, position)`. Returns the run's decisions.
+fn check_streamed(index: usize, n: usize, grid: (usize, usize), ts: usize) -> Vec<Decision> {
+    let what = format!("{} n={n} grid {grid:?} ts={ts} streamed", planner(index).0);
+    let (a, b) = dominant_system(n, 11, 1);
+    let opts = options(index, grid, ts);
+    let aug = TiledMatrix::from_dense_augmented(&a, &b, opts.nb);
+    let mut logged = Logged {
+        source: PlannerStepSource::new(&aug, aug.nt() - 1, &opts),
+        log: Vec::new(),
+    };
+    stream::execute_with(&mut logged, &StreamOptions::fixed(2, 2));
+    let ctx = &*logged.source.context();
+    let at = |op: TaskOp| (op.step(), op.position(ctx));
+    let oracle = hazard_predecessors(ctx, logged.log.iter().map(|&(_, op)| op));
+    for (&(_, op), preds) in logged.log.iter().zip(&oracle) {
+        let mut closed = HashSet::new();
+        op.for_each_predecessor(ctx, |p| {
+            closed.insert((p.step, p.pos));
+        });
+        let inferred: HashSet<_> = preds.iter().map(|&p| at(logged.log[p].1)).collect();
+        assert_eq!(closed, inferred, "{what}: predecessors of {op:?}");
+    }
+    let records = logged.source.shared().records.lock();
+    records.iter().map(|r| r.decision).collect()
+}
+
+/// Every planner, streamed under each TS-domain size on the fixtures;
+/// the hybrid under `Random` takes both branches.
+#[test]
+fn closed_form_predecessors_are_the_hazard_edges_of_a_streamed_run() {
+    let mut random = Vec::new();
+    for index in 0..PLANNERS {
+        for ts in TS {
+            for (n, grid) in [(96, (1, 1)), (104, (2, 2)), (100, (1, 2))] {
+                let decisions = check_streamed(index, n, grid, ts);
+                if planner(index).0 == "hybrid-random" {
+                    random.extend(decisions);
+                }
+            }
+        }
+    }
+    assert!(random.contains(&Decision::Lu) && random.contains(&Decision::Qr));
 }
 
 proptest! {

@@ -1,6 +1,6 @@
 //! Property tests for the scheduler subsystem.
 //!
-//! Four invariants hold for random systems, algorithms, criteria, and
+//! Three invariants hold for random systems, algorithms, criteria, and
 //! grids:
 //!
 //! 1. **FIFO pins history.** `simulate()` — the replay under
@@ -18,20 +18,13 @@
 //! 3. **A replay is a schedule of the graph it is given.** Under every
 //!    policy, for every graph edge `p → s` between executed tasks, `p`
 //!    finishes no later than `s` starts.
-//! 4. **The hazard core is the textbook rules.** The window's edge
-//!    inference ([`luqr_runtime::hazard`]) derives, task for task, the
-//!    predecessors of a naive oracle, and they are the batch graph's
-//!    closed-form edges.
 //!
 //! The algorithm space is the full menu: all five hybrid criteria plus
 //! Random, and the four baselines — 10 algorithm/criterion combos
 //! ([`luqr_tests::paths::algorithm_from`]) — on 1-node and 4-node grids.
 
-use std::collections::HashMap;
-
 use luqr::SchedPolicy;
-use luqr_runtime::{simulate_with, Access, Platform, SimReport, VirtualSchedule};
-use luqr_tests::oracle::{hazard_predecessors, successors};
+use luqr_runtime::{simulate_with, Platform, SimReport, VirtualSchedule};
 use luqr_tests::paths::{algorithm_from, check_parity, run, Case, Path};
 use luqr_tile::Grid;
 use proptest::prelude::*;
@@ -122,61 +115,6 @@ proptest! {
                     );
                 }
             }
-        }
-    }
-
-    /// The hazard core ([`luqr_runtime::hazard`], the streaming window's
-    /// edge inference, driven over the batch graph's ops by
-    /// [`luqr_tests::oracle`]) derives, task for task, the predecessors a
-    /// naive oracle written out here from first principles does (per key:
-    /// last writer, readers since that write), across every
-    /// algorithm/criterion combo; and they are the edges of the graph
-    /// the batch path built (`num_preds` / `successors`), which are the ops'
-    /// closed-form ones (`TaskOp::for_each_successor`).
-    #[test]
-    fn hazard_core_matches_naive_dependency_oracle(case in cases(56)) {
-        let f = run(&case, Path::Batch);
-        let g = f.graph();
-        let core = hazard_predecessors(g.ctx(), g.tasks().map(|t| t.op()));
-
-        // Naive oracle state: per datum, the last writer and every reader
-        // since that write. A Read/Control depends on the writer (RAW /
-        // ordering); a Mut depends on the writer (WAW) and all readers
-        // since (WAR). Reads accumulate; a write resets the reader set.
-        let mut last_writer = HashMap::new();
-        let mut readers: HashMap<_, Vec<usize>> = HashMap::new();
-        for (t, core) in g.tasks().zip(&core) {
-            let (id, accesses) = (t.id, t.accesses());
-            let mut naive: Vec<usize> = Vec::new();
-            // Pass 1: fold predecessors over pre-insertion state, exactly
-            // as the window does (all accesses before any update).
-            for ca in &accesses {
-                let key = ca.access.key();
-                naive.extend(last_writer.get(&key));
-                if let Access::Mut(_) = ca.access {
-                    naive.extend(readers.get(&key).into_iter().flatten());
-                }
-            }
-            // Pass 2: update the state in access order.
-            for ca in &accesses {
-                let key = ca.access.key();
-                match ca.access {
-                    Access::Read(_) => readers.entry(key).or_default().push(id),
-                    Access::Control(_) => {}
-                    Access::Mut(_) => {
-                        last_writer.insert(key, id);
-                        readers.remove(&key);
-                    }
-                }
-            }
-            naive.sort_unstable();
-            naive.dedup();
-            naive.retain(|&p| p != id);
-            prop_assert_eq!(&naive, core, "task {}: hazard core vs naive rules", id);
-            prop_assert_eq!(naive.len(), t.num_preds(), "task {}: num_preds", id);
-        }
-        for (t, succ) in g.tasks().zip(successors(&core)) {
-            prop_assert_eq!(&succ[..], t.successors(), "task {}: successors", t.id);
         }
     }
 }

@@ -5,7 +5,7 @@
 //! is `builder_parity`'s and `dist_stream`'s table.
 
 use luqr::{stability, Algorithm, Criterion};
-use luqr_tests::paths::{bits, check_parity, run, Case, Path};
+use luqr_tests::paths::{bits, check_parity, run, Case, Outcome, Path};
 use luqr_tile::Grid;
 
 const MAX: Algorithm = Algorithm::LuQr(Criterion::Max { alpha: 100.0 });
@@ -92,4 +92,32 @@ fn streaming_report_accounting() {
     // then discards itself (the batch path discards the whole QR branch).
     assert_eq!(f.ranks[0].lu_step_fraction(), 1.0);
     assert_eq!(r.tasks_discarded, 0);
+}
+
+/// A run clamps TS domains to at least one tile: `ts = 0` plans, and
+/// computes, exactly what `ts = 1` does, batch and streamed, for the
+/// hybrid taking both branches and for HQR.
+#[test]
+fn ts_zero_runs_as_ts_one() {
+    let random = Algorithm::LuQr(Criterion::Random {
+        lu_fraction: 0.5,
+        seed: 5,
+    });
+    for algorithm in [random, Algorithm::Hqr] {
+        let case = |ts| {
+            let mut case = Case::new(algorithm.clone(), Grid::new(2, 1)).dominant(48, 5, 2);
+            case.opts.trees.ts = ts;
+            case
+        };
+        for path in [Path::Batch, Path::Stream] {
+            let (zero, one) = (run(&case(0), path), run(&case(1), path));
+            assert_eq!(bits(&zero.x), bits(&one.x), "{algorithm:?} on {path:?}");
+            let decisions = |o: &Outcome| o.records.iter().map(|r| r.decision).collect::<Vec<_>>();
+            assert_eq!(
+                decisions(&zero),
+                decisions(&one),
+                "{algorithm:?} on {path:?}"
+            );
+        }
+    }
 }
