@@ -25,10 +25,12 @@
 //! the next step touches is a write. The hazard rules then read off the
 //! list: an access depends on the datum's last writer, and a write also on
 //! the readers since. A successor walk starts just past the op's own
-//! access, which its indices locate; a predecessor walk reads from the top
-//! of the step, unless the op's indices name the writer outright (the
-//! tiles a step only writes, the decision, a QR update's T-factor), and
-//! allocates nothing.
+//! access, which its indices locate. A predecessor walk reads from the top
+//! of the step, or for a QR op's tile from the link before its own on the
+//! row's list; the reads of the busiest kinds (the decision, a QR update's
+//! operands, a GEMM's) have their writer named by the op's indices, and so
+//! has a tile the step has not written yet (the step before's last write).
+//! It allocates nothing.
 //!
 //! **Ids.** Each op also has a dense index within its step, its position
 //! in the step's insertion order computed from its kind and indices
@@ -86,17 +88,7 @@ pub(crate) fn successors(ctx: &RunCtx, me: TaskOp, f: &mut dyn FnMut(TaskOp, usi
 /// [`luqr_runtime::TaskOp::for_each_predecessor`].
 pub(crate) fn predecessors(ctx: &RunCtx, me: TaskOp, f: &mut dyn FnMut(Pred)) {
     let st = Step::new(ctx, me.step());
-    me.for_each_access(ctx, |acc| {
-        st.predecessors_through(me, acc, &mut |step, pos, writer| {
-            let key = acc.key();
-            f(Pred {
-                step,
-                pos,
-                key,
-                writer,
-            })
-        })
-    });
+    me.for_each_access(ctx, |acc| st.predecessors_through(me, acc, f));
 }
 
 impl<'a> Step<'a> {
@@ -143,14 +135,28 @@ impl<'a> Step<'a> {
     }
 
     /// The predecessors of `me`, an op of this step, through one of its
-    /// accesses, as `(step, dense index)`: the datum's last writer before
-    /// it (`true`), and for a write the readers since (`false`).
-    fn predecessors_through(&self, me: TaskOp, acc: Access, f: &mut dyn FnMut(usize, usize, bool)) {
+    /// accesses: the datum's last writer before it, and for a write the
+    /// readers since.
+    fn predecessors_through(&self, me: TaskOp, acc: Access, f: &mut dyn FnMut(Pred)) {
         let (key, write) = match acc {
             Access::Read(key) | Access::Control(key) => (key, false),
             Access::Mut(key) => (key, true),
         };
+        let mut f = |step, pos, writer| {
+            f(Pred {
+                step,
+                pos,
+                key,
+                writer,
+            })
+        };
         let (kind, a, b) = keys::unpack(key).expect("a key of this crate");
+        // A QR op's tile is written at the link before its own on the row's
+        // list: the walk may start there.
+        let link = match kind {
+            Kind::Tile => self.qr_link(a, me).and_then(|l| l.checked_sub(1)),
+            _ => None,
+        };
         // The step's accesses before `me`'s, numbered from 1.
         let walk = |g: &mut dyn FnMut(usize, Slot)| {
             let mut n = 0;
@@ -162,21 +168,24 @@ impl<'a> Step<'a> {
                 g(n, slot);
                 Continue(())
             };
-            let found = self.slots(kind, a, b, None, &mut visit);
+            let found = match link {
+                Some(link) => self.qr_tile(a, b, link, false, &mut visit),
+                None => self.slots(kind, a, b, None, &mut visit),
+            };
             debug_assert!(found.is_break(), "{me:?} does not access {key:?}");
         };
-        // The last write before `me`, its number and whether it was read
-        // since: named by `me`'s indices, or found by a walk.
-        let (mut since, mut read) = (0, false);
-        let writer = self.named_writer(me, write, kind, a, b).unwrap_or_else(|| {
-            let mut writer = None;
-            walk(&mut |n, slot| match slot {
+        // The last write before `me` in this step, its number and whether
+        // it was read since.
+        let (mut writer, mut since, mut read) = (None, 0, false);
+        let named = (!write).then(|| self.named_writer(me, kind, a, b));
+        match named.flatten() {
+            Some(op) => writer = Some(op),
+            None => walk(&mut |n, slot| match slot {
                 Slot::Write(op) => (writer, since, read) = (Some(op), n, false),
                 Slot::Read(_) => read = true,
                 Slot::Control(_) => {}
-            });
-            writer
-        });
+            }),
+        }
         // None in the step: for a tile, the step before wrote it last, else
         // it is the datum's initial value (a tile at step 0).
         match writer {
@@ -625,26 +634,13 @@ impl<'a> Step<'a> {
         }
     }
 
-    /// The last writer before `me`'s access to datum `(kind, i, j)` when
-    /// `me`'s indices name it (`Some(None)`: none in this step): for a
-    /// trailing tile, which the step only writes, and for the reads of the
-    /// busiest kinds — the decision (the panel), a QR update's panel tile
-    /// and T-factor (its factor kernel), a GEMM's operands (its row's TRSM,
-    /// else the trial row's writer, and its column's solve).
-    fn named_writer(
-        &self,
-        me: TaskOp,
-        write: bool,
-        kind: Kind,
-        i: usize,
-        j: usize,
-    ) -> Option<Option<TaskOp>> {
+    /// The last writer of datum `(kind, i, j)` before `me` reads it, where
+    /// `me`'s indices name it: the decision's (the panel), a QR update's
+    /// (its factor kernel), a GEMM's (its row's TRSM, else the trial row's
+    /// writer, and its column's solve).
+    fn named_writer(&self, me: TaskOp, kind: Kind, i: usize, j: usize) -> Option<TaskOp> {
         let (k, gate) = (self.kx(), self.lu_gate());
-        if kind == Kind::Tile && i > self.k && j > self.k {
-            return Some(self.trailing_write_before(i, j, me));
-        }
-        Some(Some(match me {
-            _ if write => return None,
+        Some(match me {
             _ if kind == Kind::Decision => self.panel(),
             TaskOp::Unmqr { .. } | TaskOp::Tpmqrt { .. } => self.factor(self.elim_pos(me)?),
             TaskOp::Gemm { .. } if j == self.k && self.eliminates(i) => {
@@ -655,40 +651,21 @@ impl<'a> Step<'a> {
             TaskOp::Gemm { .. } if self.a2() => TaskOp::Ormqr { k, j: ix(j), gate },
             TaskOp::Gemm { .. } => TaskOp::TrsmTop { k, j: ix(j), gate },
             _ => return None,
-        }))
+        })
     }
 
-    /// The write of trailing tile `(i, j)` just before `me`'s, unless
-    /// `me`'s is the step's first access to it.
-    fn trailing_write_before(&self, i: usize, j: usize, me: TaskOp) -> Option<TaskOp> {
-        let (k, gate) = (self.kx(), self.lu_gate());
-        match me {
-            TaskOp::Gemm { .. } => self.swap_group(i).map(|g| self.pivswp(j, g)),
-            TaskOp::Unmqr { .. } | TaskOp::Tpmqrt { .. } => {
-                let on_row = self.row_elim(i);
-                let p = self.elim_pos(me).expect("a QR op") as u32;
-                match on_row.binary_search(&p).expect("the op works on row i") {
-                    0 if gate == Gate::Lu && self.planned(gate) => {
-                        let (i, j) = (ix(i), ix(j));
-                        Some(TaskOp::Gemm { k, i, j, gate })
-                    }
-                    0 => None,
-                    link => Some(self.update(on_row[link - 1] as usize, j)),
-                }
-            }
-            _ => None,
-        }
+    /// The link of row `i`'s list of QR ops that holds QR op `op`.
+    fn qr_link(&self, i: usize, op: TaskOp) -> Option<usize> {
+        let p = self.elim_pos(op)? as u32;
+        let link = self.row_elim(i).binary_search(&p);
+        Some(link.expect("the op works on row i"))
     }
 
     /// Where the QR walk of tile `(i, j)` resumes after QR op `op`:
     /// `(link, past_factor)`, the link of row `i`'s list to start at and
     /// whether its factor kernel is already behind.
     fn qr_after(&self, i: usize, j: usize, op: TaskOp) -> Option<(usize, bool)> {
-        let p = self.elim_pos(op)? as u32;
-        let link = self
-            .row_elim(i)
-            .binary_search(&p)
-            .expect("the op works on row i");
+        let link = self.qr_link(i, op)?;
         let factor = matches!(op, TaskOp::Geqrt { .. } | TaskOp::Tpqrt { .. });
         Some(if j == self.k && factor {
             (link, true)

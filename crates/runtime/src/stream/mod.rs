@@ -556,15 +556,15 @@ mod tests {
         }
 
         fn plan_prelude(&mut self, s: usize, sink: Sink<'_>) -> StepPhase {
-            self.ctx.at_step(s);
             for t in 0..self.width {
                 let log = Arc::clone(&self.log);
                 let tag = s * self.width + t;
                 let name = format!("t{tag}");
-                self.ctx.task(sink, name, 0, &[Access::Mut(k(0))], move || {
-                    log.lock().push(tag);
-                    gemm_unit()
-                });
+                self.ctx
+                    .task(sink, s, name, 0, &[Access::Mut(k(0))], move || {
+                        log.lock().push(tag);
+                        gemm_unit()
+                    });
             }
             StepPhase::Complete
         }
@@ -605,11 +605,16 @@ mod tests {
                 }
             }
             fn plan_prelude(&mut self, s: usize, sink: Sink<'_>) -> StepPhase {
-                self.ctx.at_step(s);
                 for t in 0..20 {
                     let key = k((s as u64) * 100 + t as u64);
-                    self.ctx
-                        .task(sink, format!("t{s}/{t}"), 0, &[Access::Mut(key)], gemm_unit);
+                    self.ctx.task(
+                        sink,
+                        s,
+                        format!("t{s}/{t}"),
+                        0,
+                        &[Access::Mut(key)],
+                        gemm_unit,
+                    );
                 }
                 StepPhase::Complete
             }
@@ -643,22 +648,22 @@ mod tests {
             fn prepare(&mut self, sink: Sink<'_>) {
                 sink.declare(k(0), 8, 0);
             }
-            fn plan_prelude(&mut self, _s: usize, sink: Sink<'_>) -> StepPhase {
+            fn plan_prelude(&mut self, s: usize, sink: Sink<'_>) -> StepPhase {
                 let d = Arc::clone(&self.decided);
                 let id = self
                     .ctx
-                    .task(sink, "decide", 0, &[Access::Mut(k(0))], move || {
+                    .task(sink, s, "decide", 0, &[Access::Mut(k(0))], move || {
                         d.store(7, Ordering::SeqCst);
                         TaskResult::control()
                     });
                 StepPhase::AwaitDecision(id)
             }
-            fn plan_finish(&mut self, _s: usize, sink: Sink<'_>) {
+            fn plan_finish(&mut self, s: usize, sink: Sink<'_>) {
                 // The decision value is visible *at planning time*.
                 assert_eq!(self.decided.load(Ordering::SeqCst), 7);
                 let b = Arc::clone(&self.branch_ran);
                 self.ctx
-                    .task(sink, "branch", 0, &[Access::Mut(k(0))], move || {
+                    .task(sink, s, "branch", 0, &[Access::Mut(k(0))], move || {
                         b.store(1, Ordering::SeqCst);
                         TaskResult::executed(2.0, CostClass::Trsm)
                     });
@@ -715,16 +720,21 @@ mod tests {
                     sink.declare(k(0), 8, 0);
                 }
                 fn plan_prelude(&mut self, s: usize, sink: Sink<'_>) -> StepPhase {
-                    self.ctx.at_step(s);
                     for t in 0..5usize {
                         let cell = Arc::clone(&self.cell);
                         let i = s * 5 + t;
-                        self.ctx
-                            .task(sink, format!("r{i}"), 0, &[Access::Mut(k(0))], move || {
+                        self.ctx.task(
+                            sink,
+                            s,
+                            format!("r{i}"),
+                            0,
+                            &[Access::Mut(k(0))],
+                            move || {
                                 let mut v = cell.lock();
                                 *v = (*v * 1.0000001).sin() + i as f64 * 1e-3;
                                 TaskResult::control()
-                            });
+                            },
+                        );
                     }
                     StepPhase::Complete
                 }
@@ -763,14 +773,13 @@ mod tests {
             sink.declare(k(1), 100, 1);
         }
         fn plan_prelude(&mut self, s: usize, sink: Sink<'_>) -> StepPhase {
-            self.ctx.at_step(s);
             self.ctx
-                .task(sink, format!("p{s}"), 0, &[Access::Mut(k(0))], gemm_unit);
+                .task(sink, s, format!("p{s}"), 0, &[Access::Mut(k(0))], gemm_unit);
             // Two consumers on node 1: the version crosses once.
             for t in 0..2 {
                 let accesses = [Access::Read(k(0)), Access::Mut(k(1))];
                 self.ctx
-                    .task(sink, format!("c{s}/{t}"), 1, &accesses, gemm_unit);
+                    .task(sink, s, format!("c{s}/{t}"), 1, &accesses, gemm_unit);
             }
             StepPhase::Complete
         }
@@ -820,19 +829,26 @@ mod tests {
                 sink.declare(k(0), 100, 0);
                 sink.declare(k(1), 100, 1);
             }
-            fn plan_prelude(&mut self, _s: usize, sink: Sink<'_>) -> StepPhase {
+            fn plan_prelude(&mut self, s: usize, sink: Sink<'_>) -> StepPhase {
                 // Executed version of k(0) on node 0.
-                self.ctx.task(sink, "v", 0, &[Access::Mut(k(0))], gemm_unit);
+                self.ctx
+                    .task(sink, s, "v", 0, &[Access::Mut(k(0))], gemm_unit);
                 // A later writer of k(0) that discards itself (e.g. a
                 // breakdown path).
-                self.ctx
-                    .task(sink, "dead", 0, &[Access::Mut(k(0))], TaskResult::discarded);
+                self.ctx.task(
+                    sink,
+                    s,
+                    "dead",
+                    0,
+                    &[Access::Mut(k(0))],
+                    TaskResult::discarded,
+                );
                 // Two consumers on node 1: the payload still comes from
                 // "v", once.
                 for t in 0..2 {
                     let accesses = [Access::Read(k(0)), Access::Mut(k(1))];
                     self.ctx
-                        .task(sink, format!("c{t}"), 1, &accesses, gemm_unit);
+                        .task(sink, s, format!("c{t}"), 1, &accesses, gemm_unit);
                 }
                 StepPhase::Complete
             }
@@ -870,13 +886,13 @@ mod tests {
                 sink.declare(k(0), 100, 0);
                 sink.declare(k(0), 100, 1); // overwrite: now homed on node 1
             }
-            fn plan_prelude(&mut self, _s: usize, sink: Sink<'_>) -> StepPhase {
+            fn plan_prelude(&mut self, s: usize, sink: Sink<'_>) -> StepPhase {
                 // Reader on node 1 = the (re)declared home: no fetch.
                 self.ctx
-                    .task(sink, "local", 1, &[Access::Read(k(0))], gemm_unit);
+                    .task(sink, s, "local", 1, &[Access::Read(k(0))], gemm_unit);
                 // Reader on node 0: fetches from node 1.
                 self.ctx
-                    .task(sink, "remote", 0, &[Access::Read(k(0))], gemm_unit);
+                    .task(sink, s, "remote", 0, &[Access::Read(k(0))], gemm_unit);
                 StepPhase::Complete
             }
         }
@@ -1025,20 +1041,25 @@ mod tests {
         }
 
         fn plan_prelude(&mut self, s: usize, sink: Sink<'_>) -> StepPhase {
-            self.ctx.at_step(s);
             let acc = k(Self::ACC);
             for t in 0..3 {
                 let tag = (3 * s + t) as f64;
                 let body = self.task(move |c| c.acc = (c.acc * 1.0000001).sin() + tag * 1e-3);
-                self.ctx
-                    .task(sink, format!("chain{s}/{t}"), 0, &[Access::Mut(acc)], body);
+                self.ctx.task(
+                    sink,
+                    s,
+                    format!("chain{s}/{t}"),
+                    0,
+                    &[Access::Mut(acc)],
+                    body,
+                );
             }
             for j in 0..4usize {
                 let accesses = [Access::Read(acc), Access::Mut(k(j as u64 + 1))];
                 let body = self.task(move |c| c.leaves[j] = c.acc + j as f64);
                 let node = (j + 1) % self.nodes;
                 self.ctx
-                    .task(sink, format!("leaf{s}/{j}"), node, &accesses, body);
+                    .task(sink, s, format!("leaf{s}/{j}"), node, &accesses, body);
             }
             let accesses = [
                 Access::Read(k(1)),
@@ -1049,7 +1070,7 @@ mod tests {
             ];
             let body = self.task(|c| c.acc += c.leaves.iter().sum::<f64>() * 1e-3);
             self.ctx
-                .task(sink, format!("join{s}"), self.nodes - 1, &accesses, body);
+                .task(sink, s, format!("join{s}"), self.nodes - 1, &accesses, body);
             if s.is_multiple_of(2) {
                 return StepPhase::Complete;
             }
@@ -1057,7 +1078,7 @@ mod tests {
             let body = self.task(|c| c.decision = Some(c.acc.to_bits() & 1 == 0));
             let decide = self
                 .ctx
-                .task(sink, format!("decide{s}"), 0, &accesses, body);
+                .task(sink, s, format!("decide{s}"), 0, &accesses, body);
             StepPhase::AwaitDecision(decide)
         }
 
@@ -1074,7 +1095,7 @@ mod tests {
                 c.acc = if branch { c.acc * 1.5 } else { c.acc - 0.25 };
             });
             self.ctx
-                .task(sink, format!("branch{s}"), 0, &accesses, body);
+                .task(sink, s, format!("branch{s}"), 0, &accesses, body);
         }
     }
 
@@ -1244,14 +1265,19 @@ mod tests {
                 sink.declare(k(0), 8, 0);
             }
             fn plan_prelude(&mut self, s: usize, sink: Sink<'_>) -> StepPhase {
-                self.ctx.at_step(s);
-                self.ctx
-                    .task(sink, format!("t{s}"), 0, &[Access::Mut(k(0))], move || {
+                self.ctx.task(
+                    sink,
+                    s,
+                    format!("t{s}"),
+                    0,
+                    &[Access::Mut(k(0))],
+                    move || {
                         if s == 0 {
                             panic!("kernel exploded at step 0");
                         }
                         gemm_unit()
-                    });
+                    },
+                );
                 StepPhase::Complete
             }
         }
@@ -1290,9 +1316,9 @@ mod tests {
                 sink.declare(k(0), 8, 0);
             }
             fn plan_prelude(&mut self, s: usize, sink: Sink<'_>) -> StepPhase {
-                self.ctx.at_step(s);
                 assert!(s < 1, "planner exploded at step {s}");
-                self.ctx.task(sink, "t", 0, &[Access::Mut(k(0))], gemm_unit);
+                self.ctx
+                    .task(sink, s, "t", 0, &[Access::Mut(k(0))], gemm_unit);
                 StepPhase::Complete
             }
         }

@@ -235,9 +235,6 @@ pub(super) struct WindowState<O> {
     /// By step, its table while it is live (`None` before it opens and
     /// after it retires).
     steps: Vec<Option<StepTable>>,
-    /// The deepest task of a retired step: the depth a predecessor there
-    /// stands for.
-    retired_depth: u64,
     /// Declared data, by slot; the live entries are the ones `slot_of`
     /// names.
     data: Vec<DatumDir>,
@@ -389,9 +386,7 @@ impl<O: TaskOp> WindowState<O> {
     /// Step `step` retired: drop its table and forget the data declared
     /// in it.
     fn forget_step(&mut self, step: usize) {
-        let table = self.steps[step].take().into_iter().flatten().flatten();
-        let deepest = table.map(|(_, depth)| depth).max().unwrap_or(0);
-        self.retired_depth = self.retired_depth.max(deepest);
+        self.steps[step] = None;
         let nodes = self.ledger.num_nodes();
         for (slot, dir) in self.data.iter_mut().enumerate() {
             if dir.step != step {
@@ -628,7 +623,6 @@ impl<O: TaskOp> StreamWindow<O> {
                 send_links: Chains::default(),
                 ready: ReadyQueue::default(),
                 steps: Vec::new(),
-                retired_depth: 0,
                 data: Vec::new(),
                 free_slots: Vec::new(),
                 holds: IntMap::default(),
@@ -978,7 +972,6 @@ impl<O: TaskOp> StreamWindow<O> {
         for p in preds.iter() {
             // Not live: the step retired, so the predecessor completed.
             let Some(table) = &st.steps[p.step] else {
-                max_pred_cp = max_pred_cp.max(st.retired_depth);
                 continue;
             };
             let planned = table.get(p.pos).copied().flatten();
@@ -1241,14 +1234,16 @@ mod tests {
         win.declare(NO_STEP, tile, 8, 0);
         for (step, cell) in [(0, cell0), (1, cell1)] {
             win.open_step(step);
-            ctx.at_step(step);
             let mut sink = StepSink::new(&win, step);
             sink.declare(cell, 8, 0);
             // Produced on node 0, consumed on node 1: the cell is cached
             // for node 1 in `holds`.
             let accs = [Access::Read(tile), Access::Mut(cell)];
-            let w = sink.push(0, ctx.op("w", &accs, TaskResult::control));
-            let r = sink.push(1, ctx.op("r", &[Access::Read(cell)], TaskResult::control));
+            let w = sink.push(0, ctx.op(step, "w", &accs, TaskResult::control));
+            let r = sink.push(
+                1,
+                ctx.op(step, "r", &[Access::Read(cell)], TaskResult::control),
+            );
             win.close_step(step);
             let mut st = win.lock();
             let slot = st.slot_of[&cell];
@@ -1288,7 +1283,7 @@ mod tests {
         win.declare(NO_STEP, key, 8, 0);
         win.open_step(0);
         let mut sink = StepSink::new(&win, 0);
-        let a = sink.push(0, ctx.op("a", &[Access::Mut(key)], TaskResult::control));
+        let a = sink.push(0, ctx.op(0, "a", &[Access::Mut(key)], TaskResult::control));
         {
             let mut st = win.lock();
             let (id, _) = st.pop_ready().expect("a is runnable");
@@ -1296,7 +1291,7 @@ mod tests {
             st.complete_task(&ctx, a, TaskResult::control(), 0, 0.0, 0.0);
             assert_eq!((st.tasks.base, st.tasks.live()), (1, 0));
         }
-        let b = sink.push(0, ctx.op("b", &[Access::Read(key)], TaskResult::control));
+        let b = sink.push(0, ctx.op(0, "b", &[Access::Read(key)], TaskResult::control));
         let mut st = win.lock();
         assert_eq!(st.tasks.get_mut(b).expect("b is live").preds_remaining, 0);
         assert_eq!(st.pop_ready().map(|(id, _)| id), Some(b));

@@ -15,8 +15,6 @@ type Body = Box<dyn FnOnce() -> TaskResult + Send>;
 struct Entry {
     name: String,
     accesses: Vec<Access>,
-    /// `(step, position)` the op was registered at.
-    at: (usize, usize),
     preds: Vec<Pred>,
     body: Mutex<Option<Body>>,
 }
@@ -25,82 +23,75 @@ struct Entry {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct TestOp(u32);
 
-/// Per datum: the last writer and the readers since, as `(step, position)`.
-type Seen = (Option<(usize, usize)>, Vec<(usize, usize)>);
-
 /// The body table, appendable while a streaming run executes. Ops are
-/// registered in the order they are planned, into the step set by
-/// [`TestCtx::at_step`] (0 until then), at their index in the table, and
-/// get their predecessors there by the textbook rule: per datum, the last
-/// writer, and for a write also the readers since.
+/// registered in the order they are planned, into the step they are
+/// planned in, at their index in the table, and get their predecessors
+/// there by the textbook rule: per datum, the last writer, and for a write
+/// also the readers since.
 #[derive(Default)]
 pub(crate) struct TestCtx {
     entries: RwLock<Vec<Arc<Entry>>>,
-    /// The step ops are registered into, and what each datum has seen.
-    planning: Mutex<(usize, HashMap<DataKey, Seen>)>,
+    /// Per datum: its last writer, then the readers since.
+    seen: Mutex<HashMap<DataKey, Vec<Pred>>>,
     decisions: RwLock<Vec<DataKey>>,
     /// The steps the runtime has retired, in the order it did.
     pub(crate) retired: Mutex<Vec<usize>>,
 }
 
 impl TestCtx {
-    /// Register the ops that follow into `step`.
-    pub(crate) fn at_step(&self, step: usize) {
-        self.planning.lock().unwrap().0 = step;
-    }
-
-    /// Register a task body; the step is the `k=NN` of its name, if any.
+    /// Register a task body planned into `step`; the op's own step is the
+    /// `k=NN` of its name, if any.
     pub(crate) fn op(
         &self,
+        step: usize,
         name: impl Into<String>,
         accesses: &[Access],
         body: impl FnOnce() -> TaskResult + Send + 'static,
     ) -> TestOp {
         let mut entries = self.entries.write().unwrap();
-        let (step, seen) = &mut *self.planning.lock().unwrap();
-        let at = (*step, entries.len());
+        let seen = &mut *self.seen.lock().unwrap();
+        let pos = entries.len();
         let mut preds = Vec::new();
         for acc in accesses {
-            let (key, write) = (acc.key(), matches!(acc, Access::Mut(_)));
-            let (writer, readers) = seen.get(&key).cloned().unwrap_or_default();
-            let since = readers.into_iter().filter(|_| write).map(|r| (r, false));
-            for ((step, pos), writer) in writer.map(|w| (w, true)).into_iter().chain(since) {
-                preds.push(Pred {
-                    step,
-                    pos,
-                    key,
-                    writer,
-                });
-            }
+            let write = matches!(acc, Access::Mut(_));
+            let known = seen.get(&acc.key()).into_iter().flatten();
+            preds.extend(known.filter(|p| write || p.writer));
         }
         for acc in accesses {
-            let (writer, readers) = seen.entry(acc.key()).or_default();
+            let (key, known) = (acc.key(), seen.entry(acc.key()).or_default());
+            let me = |writer| Pred {
+                step,
+                pos,
+                key,
+                writer,
+            };
             match acc {
-                Access::Read(_) => readers.push(at),
+                Access::Read(_) => known.push(me(false)),
                 Access::Control(_) => {}
-                Access::Mut(_) => (*writer, *readers) = (Some(at), Vec::new()),
+                Access::Mut(_) => *known = vec![me(true)],
             }
         }
         entries.push(Arc::new(Entry {
             name: name.into(),
             accesses: accesses.to_vec(),
-            at,
             preds,
             body: Mutex::new(Some(Box::new(body))),
         }));
-        TestOp(entries.len() as u32 - 1)
+        TestOp(pos as u32)
     }
 
-    /// Register a body and insert it into `sink` on `node`.
+    /// Register a body and insert it into `sink`, which plans `step`, on
+    /// `node`.
     pub(crate) fn task(
         &self,
         sink: &mut dyn TaskSink<TestOp>,
+        step: usize,
         name: impl Into<String>,
         node: usize,
         accesses: &[Access],
         body: impl FnOnce() -> TaskResult + Send + 'static,
     ) -> TaskId {
-        sink.push(node, self.op(name, accesses, body))
+        sink.push(node, self.op(step, name, accesses, body))
     }
 
     /// Classify `key` as a decision datum.
@@ -134,8 +125,8 @@ impl TaskOp for TestOp {
         ctx.entry(self).accesses.iter().copied().for_each(f);
     }
 
-    fn position(self, ctx: &TestCtx) -> usize {
-        ctx.entry(self).at.1
+    fn position(self, _ctx: &TestCtx) -> usize {
+        self.0 as usize
     }
 
     fn for_each_predecessor(self, ctx: &TestCtx, f: impl FnMut(Pred)) {
@@ -207,7 +198,7 @@ impl TestGraph {
         accesses: &[Access],
         body: impl FnOnce() -> TaskResult + Send + 'static,
     ) -> TaskId {
-        let op = self.ctx.op(name, accesses, body);
+        let op = self.ctx.op(0, name, accesses, body);
         let id = self.b.push(node, op);
         self.succs.push(Vec::new());
         op.for_each_predecessor(&self.ctx, |p| self.succs[p.pos].push(id));
