@@ -3,11 +3,12 @@
 //! In the paper's PaRSEC implementation a task is `KIND(k, i, j)` and its
 //! inputs and outputs are functions of those indices. Here too: every
 //! [`TaskOp`] of a planned run knows its successors
-//! ([`TaskOp::for_each_successor`]) and its predecessors
-//! ([`luqr_runtime::TaskOp::for_each_predecessor`]) from its indices, the
-//! reduction trees and the lists of its step's `StepPlan`, with no record
-//! of what ran or was inserted before it. The batch graph takes its
-//! successors from here, the streaming window its predecessors.
+//! ([`TaskOp::for_each_successor`]), and the ops of a planning phase their
+//! predecessors ([`luqr_runtime::TaskOp::for_each_predecessor`]), from
+//! their indices, the reduction trees and the lists of their step's
+//! `StepPlan`, with no record of what ran or was inserted before them. The
+//! batch graph takes its successors from here, the streaming window its
+//! predecessors.
 //!
 //! **The access sequences.** For every datum, a step's ops touch it in a
 //! fixed order, which [`Step`] writes out as a short list of *slots* — one
@@ -17,20 +18,20 @@
 //! batch graph is built before any decision exists and plans both
 //! branches, so the QR branch's first write of a tile waits for the LU
 //! branch's last readers of it. A stream plans only the branch its
-//! decision chose, so once a step's decision is recorded a predecessor
-//! walk passes over the chosen branch alone (a QR op's walk skips the LU
-//! branch; an LU op's never reaches the QR branch). A tile's lists of
-//! consecutive steps join up: every step writes each tile it touches, so
-//! one step back is always far enough, and a step's last access to a tile
-//! the next step touches is a write. The hazard rules then read off the
+//! decision chose, so once a step's decision is recorded a sweep passes
+//! over the chosen branch alone (a QR step's sweep skips the LU branch; an
+//! LU step's QR branch lies past the end of its last phase). A tile's
+//! lists of consecutive steps join up: every step writes each tile it
+//! touches, so one step back is always far enough, and a step's last
+//! access to a tile the next step touches is a write. The hazard rules then read off the
 //! list: an access depends on the datum's last writer, and a write also on
 //! the readers since. A successor walk starts just past the op's own
-//! access, which its indices locate. A predecessor walk reads from the top
-//! of the step, or for a QR op's tile from the link before its own on the
-//! row's list; the reads of the busiest kinds (the decision, a QR update's
-//! operands, a GEMM's) have their writer named by the op's indices, and so
-//! has a tile the step has not written yet (the step before's last write).
-//! It allocates nothing.
+//! access, which its indices locate, and allocates nothing. Predecessors
+//! come a planning phase at a time, in one sweep per datum: for each datum
+//! the phase may touch, the sweep reads the step's sequence from the top
+//! once, keeping the datum's state — its last writer and the readers
+//! since — and visits the accesses of the phase's ops with it. A tile the
+//! step has not written yet starts from the step before's last write.
 //!
 //! **Ids.** Each op also has a dense index within its step, its position
 //! in the step's insertion order computed from its kind and indices
@@ -40,7 +41,7 @@
 use std::ops::ControlFlow::{self, Break, Continue};
 use std::ops::Range;
 
-use luqr_runtime::{Access, Pred};
+use luqr_runtime::{Access, Pred, Visit};
 
 use crate::config::{Decision, LuVariant};
 use crate::keys::{self, Kind};
@@ -64,10 +65,17 @@ impl TaskOp {
 
     /// How many distinct tasks this one waits for: for each of its
     /// accesses, the datum's last writer before it, and for a write the
-    /// readers since.
+    /// readers since — a sweep of its own data, with the op as the phase.
     pub fn num_predecessors(self, ctx: &RunCtx) -> usize {
-        let mut preds = Vec::new();
-        predecessors(ctx, self, &mut |p| preds.push((p.step, p.pos)));
+        let st = Step::new(ctx, self.step());
+        let pos = st.dense(self);
+        let mut preds: Vec<Pred> = Vec::new();
+        let mut visit = |v: Visit<'_>| preds.extend(v.writer.iter().chain(v.readers));
+        let mut sweep = Sweep::new(&st, pos..pos + 1, &mut visit);
+        self.for_each_access(ctx, |acc| {
+            let (kind, a, b) = keys::unpack(acc.key()).expect("a key of this crate");
+            sweep.datum(kind, a, b);
+        });
         preds.sort_unstable();
         preds.dedup();
         preds.len()
@@ -85,10 +93,141 @@ pub(crate) fn successors(ctx: &RunCtx, me: TaskOp, f: &mut dyn FnMut(TaskOp, usi
     me.for_each_access(ctx, |acc| st.successors_through(me, acc, f));
 }
 
-/// [`luqr_runtime::TaskOp::for_each_predecessor`].
-pub(crate) fn predecessors(ctx: &RunCtx, me: TaskOp, f: &mut dyn FnMut(Pred)) {
-    let st = Step::new(ctx, me.step());
-    me.for_each_access(ctx, |acc| st.predecessors_through(me, acc, f));
+/// [`luqr_runtime::TaskOp::for_each_predecessor`]: the accesses of `ops`,
+/// one phase of step `k`, visited by one sweep over each datum the phase
+/// may touch.
+pub(crate) fn phase_predecessors(
+    ctx: &RunCtx,
+    k: usize,
+    ops: &[TaskOp],
+    f: &mut impl FnMut(Visit<'_>),
+) {
+    let Some(&first) = ops.first() else {
+        return;
+    };
+    let st = Step::new(ctx, k);
+    let lo = st.dense(first);
+    debug_assert!(
+        ops.iter()
+            .enumerate()
+            .all(|(n, &op)| op.step() == k && st.dense(op) == lo + n),
+        "a phase of step {k} holds consecutive positions from {lo}"
+    );
+    let phase = lo..lo + ops.len();
+    // A debug build checks that every access of every op is visited once.
+    #[cfg(debug_assertions)]
+    let (mut visits, f) = (vec![0usize; ops.len()], f);
+    #[cfg(debug_assertions)]
+    let f = &mut |v: Visit<'_>| {
+        visits[v.op] += 1;
+        f(v);
+    };
+    let mut sweep = Sweep::new(&st, phase.clone(), f);
+    st.phase_data(&phase, &mut |kind, a, b| sweep.datum(kind, a, b));
+    #[cfg(debug_assertions)]
+    for (op, n) in ops.iter().zip(visits) {
+        let mut accesses = 0;
+        op.for_each_access(ctx, |_| accesses += 1);
+        assert_eq!(
+            accesses, n,
+            "the sweep of step {k}'s phase from {lo}: {op:?}"
+        );
+    }
+}
+
+/// A phase sweep: the visits of the ops at positions `phase` of a step,
+/// datum by datum, each access with the datum's state as the step's access
+/// sequence leaves it — its last writer and the readers since.
+struct Sweep<'s, 'f, F> {
+    st: &'s Step<'s>,
+    /// The step before, whose last write of a tile is the tile's state
+    /// before this step.
+    prev: Option<Step<'s>>,
+    phase: Range<usize>,
+    /// The swept datum's readers since its last write.
+    readers: Vec<Pred>,
+    f: &'f mut F,
+}
+
+impl<'s, 'f, F: FnMut(Visit<'_>)> Sweep<'s, 'f, F> {
+    fn new(st: &'s Step<'s>, phase: Range<usize>, f: &'f mut F) -> Self {
+        Sweep {
+            st,
+            prev: (st.k > 0).then(|| Step::new(st.ctx, st.k - 1)),
+            phase,
+            readers: Vec::new(),
+            f,
+        }
+    }
+
+    /// Sweep the step's accesses to datum `(kind, a, b)`, visiting those
+    /// of the phase's ops, up to the phase's end.
+    fn datum(&mut self, kind: Kind, a: usize, b: usize) {
+        let Sweep {
+            st,
+            prev,
+            phase,
+            readers,
+            f,
+        } = self;
+        let (key, k, lo, end) = (keys::pack(kind, a, b), st.k, phase.start, phase.end);
+        let at = |pos| Pred { step: k, pos };
+        // The state before the step: a tile's last write in the step
+        // before, named when a visit first needs it; nothing for the
+        // step's own data.
+        let mut writer = None;
+        let mut before = prev.as_ref().filter(|_| kind == Kind::Tile);
+        let last = |writer: &mut Option<Pred>, before: &mut Option<&Step<'_>>| {
+            if let Some(p) = before.take() {
+                *writer = Some(Pred {
+                    step: p.k,
+                    pos: p.dense(p.last_writer(a, b)),
+                });
+            }
+            *writer
+        };
+        readers.clear();
+        let _ = st.slots(kind, a, b, None, &mut |slot| {
+            let (op, write) = match slot {
+                Slot::Write(op) => (op, true),
+                Slot::Control(op) => (op, false),
+                Slot::Read(group) => {
+                    return st.each_reader(group, end, &mut |pos: usize| {
+                        if pos >= lo {
+                            f(Visit {
+                                op: pos - lo,
+                                access: Access::Read(key),
+                                writer: last(&mut writer, &mut before),
+                                readers: &[],
+                            });
+                        }
+                        readers.push(at(pos));
+                    });
+                }
+            };
+            let pos = st.dense(op);
+            if pos >= end {
+                return Break(());
+            }
+            if pos >= lo {
+                let (access, since) = match write {
+                    true => (Access::Mut(key), &readers[..]),
+                    false => (Access::Control(key), &[][..]),
+                };
+                f(Visit {
+                    op: pos - lo,
+                    access,
+                    writer: last(&mut writer, &mut before),
+                    readers: since,
+                });
+            }
+            if write {
+                (writer, before) = (Some(at(pos)), None);
+                readers.clear();
+            }
+            Continue(())
+        });
+    }
 }
 
 impl<'a> Step<'a> {
@@ -133,77 +272,6 @@ impl<'a> Step<'a> {
             let _ = emit(&Step::new(self.ctx, self.k + 1), None);
         }
     }
-
-    /// The predecessors of `me`, an op of this step, through one of its
-    /// accesses: the datum's last writer before it, and for a write the
-    /// readers since.
-    fn predecessors_through(&self, me: TaskOp, acc: Access, f: &mut dyn FnMut(Pred)) {
-        let (key, write) = match acc {
-            Access::Read(key) | Access::Control(key) => (key, false),
-            Access::Mut(key) => (key, true),
-        };
-        let mut f = |step, pos, writer| {
-            f(Pred {
-                step,
-                pos,
-                key,
-                writer,
-            })
-        };
-        let (kind, a, b) = keys::unpack(key).expect("a key of this crate");
-        // A QR op's tile is written at the link before its own on the row's
-        // list: the walk may start there.
-        let link = match kind {
-            Kind::Tile => self.qr_link(a, me).and_then(|l| l.checked_sub(1)),
-            _ => None,
-        };
-        // The step's accesses before `me`'s, numbered from 1.
-        let walk = |g: &mut dyn FnMut(usize, Slot)| {
-            let mut n = 0;
-            let mut visit = |slot: Slot| {
-                if slot.holds(self, me) {
-                    return Break(());
-                }
-                n += 1;
-                g(n, slot);
-                Continue(())
-            };
-            let found = match link {
-                Some(link) => self.qr_tile(a, b, link, false, &mut visit),
-                None => self.slots(kind, a, b, None, &mut visit),
-            };
-            debug_assert!(found.is_break(), "{me:?} does not access {key:?}");
-        };
-        // The last write before `me` in this step, its number and whether
-        // it was read since.
-        let (mut writer, mut since, mut read) = (None, 0, false);
-        let named = (!write).then(|| self.named_writer(me, kind, a, b));
-        match named.flatten() {
-            Some(op) => writer = Some(op),
-            None => walk(&mut |n, slot| match slot {
-                Slot::Write(op) => (writer, since, read) = (Some(op), n, false),
-                Slot::Read(_) => read = true,
-                Slot::Control(_) => {}
-            }),
-        }
-        // None in the step: for a tile, the step before wrote it last, else
-        // it is the datum's initial value (a tile at step 0).
-        match writer {
-            Some(op) => f(self.k, self.dense(op), true),
-            None if kind == Kind::Tile && self.k > 0 => {
-                let prev = Step::new(self.ctx, self.k - 1);
-                f(prev.k, prev.dense(prev.last_writer(a, b)), true);
-            }
-            None => {}
-        }
-        // The readers since, by a second walk: nothing is collected.
-        if write && read {
-            walk(&mut |n, slot| match slot {
-                Slot::Read(r) if n > since => r.for_each(self, &mut |_, d| f(self.k, d, false)),
-                _ => {}
-            });
-        }
-    }
 }
 
 /// One place in a datum's access sequence.
@@ -215,16 +283,6 @@ enum Slot {
     Control(TaskOp),
     /// Reads by every op of a group, in any order among themselves.
     Read(Readers),
-}
-
-impl Slot {
-    /// Whether `op`'s access is this one (where a predecessor walk stops).
-    fn holds(self, st: &Step<'_>, op: TaskOp) -> bool {
-        match self {
-            Slot::Write(x) | Slot::Control(x) => x == op,
-            Slot::Read(readers) => readers.contains(st, op),
-        }
-    }
 }
 
 /// A group of readers, by its indices.
@@ -246,23 +304,6 @@ enum Readers {
 }
 
 impl Readers {
-    fn contains(self, st: &Step<'_>, op: TaskOp) -> bool {
-        let (k, gate) = (st.kx(), st.lu_gate());
-        match self {
-            Readers::One(x) => x == op,
-            Readers::Cols(x) => col(op).is_some() && at_col(op, col(x).expect("a column op")) == x,
-            Readers::GemmCol(j) => matches!(op, TaskOp::Gemm { k: ok, j: oj, gate: og, .. }
-                if (ok, oj, og) == (k, j, gate)),
-            Readers::Trsms => matches!(op, TaskOp::Trsm { k: ok, i, gate: og }
-                if (ok, og) == (k, gate) && st.eliminates(i as usize)),
-            Readers::Swaps(j) => matches!(op, TaskOp::PivSwp { k: ok, j: oj, gate: og, .. }
-                if (ok, og) == (k, gate) && j.is_none_or(|j| j == oj)),
-            Readers::AfterPanel => {
-                op.step() == st.k && (op.gate() != Gate::None || matches!(op, TaskOp::Prop { .. }))
-            }
-        }
-    }
-
     /// Visit the group's ops with their dense indices, which step through
     /// the layout by a stride instead of being computed one by one.
     fn for_each(self, st: &Step<'_>, f: &mut dyn FnMut(TaskOp, usize)) {
@@ -316,23 +357,6 @@ impl Readers {
                 });
             }
         }
-    }
-}
-
-/// The trailing column a column op works on.
-fn col(op: TaskOp) -> Option<Ix> {
-    use TaskOp::*;
-    match op {
-        SwpInit { j, .. }
-        | PivSwp { j, .. }
-        | TrsmTop { j, .. }
-        | Gemm { j, .. }
-        | Unmqr { j, .. }
-        | Ormqr { j, .. }
-        | Tpmqrt { j, .. }
-        | Gessm { j, .. }
-        | Ssssm { j, .. } => Some(j),
-        _ => None,
     }
 }
 
@@ -634,38 +658,15 @@ impl<'a> Step<'a> {
         }
     }
 
-    /// The last writer of datum `(kind, i, j)` before `me` reads it, where
-    /// `me`'s indices name it: the decision's (the panel), a QR update's
-    /// (its factor kernel), a GEMM's (its row's TRSM, else the trial row's
-    /// writer, and its column's solve).
-    fn named_writer(&self, me: TaskOp, kind: Kind, i: usize, j: usize) -> Option<TaskOp> {
-        let (k, gate) = (self.kx(), self.lu_gate());
-        Some(match me {
-            _ if kind == Kind::Decision => self.panel(),
-            TaskOp::Unmqr { .. } | TaskOp::Tpmqrt { .. } => self.factor(self.elim_pos(me)?),
-            TaskOp::Gemm { .. } if j == self.k && self.eliminates(i) => {
-                TaskOp::Trsm { k, i: ix(i), gate }
-            }
-            TaskOp::Gemm { .. } if j == self.k && gate == Gate::Lu => TaskOp::Prop { k, i: ix(i) },
-            TaskOp::Gemm { .. } if j == self.k => self.panel(),
-            TaskOp::Gemm { .. } if self.a2() => TaskOp::Ormqr { k, j: ix(j), gate },
-            TaskOp::Gemm { .. } => TaskOp::TrsmTop { k, j: ix(j), gate },
-            _ => return None,
-        })
-    }
-
-    /// The link of row `i`'s list of QR ops that holds QR op `op`.
-    fn qr_link(&self, i: usize, op: TaskOp) -> Option<usize> {
-        let p = self.elim_pos(op)? as u32;
-        let link = self.row_elim(i).binary_search(&p);
-        Some(link.expect("the op works on row i"))
-    }
-
     /// Where the QR walk of tile `(i, j)` resumes after QR op `op`:
     /// `(link, past_factor)`, the link of row `i`'s list to start at and
     /// whether its factor kernel is already behind.
     fn qr_after(&self, i: usize, j: usize, op: TaskOp) -> Option<(usize, bool)> {
-        let link = self.qr_link(i, op)?;
+        let p = self.elim_pos(op)? as u32;
+        let link = self
+            .row_elim(i)
+            .binary_search(&p)
+            .expect("the op works on row i");
         let factor = matches!(op, TaskOp::Geqrt { .. } | TaskOp::Tpqrt { .. });
         Some(if j == self.k && factor {
             (link, true)
@@ -791,6 +792,113 @@ impl<'a> Step<'a> {
         for p in 0..self.plan.elim.len() {
             f(self.factor(p));
             self.cols().for_each(|j| f(self.update(p, j)));
+        }
+    }
+
+    // --- a phase's data --------------------------------------------------------
+
+    /// Every datum the ops at positions `phase` may access, as `(kind, a,
+    /// b)` ([`keys::unpack`]'s spelling): the trailing tiles (a hybrid
+    /// prelude's only in the panel column) and the data of the step's own
+    /// that its shape and phase use. A datum the phase does not touch
+    /// yields no visit.
+    fn phase_data(&self, phase: &Range<usize>, f: &mut dyn FnMut(Kind, usize, usize)) {
+        let (k, mt, nt) = (self.k, self.mt, self.nt);
+        let hybrid = matches!(self.shape, Shape::Hybrid { .. });
+        let prelude = hybrid && phase.start < self.lu_start();
+        let branches = !hybrid || phase.end > self.lu_start();
+        let cols = if branches { nt } else { k + 1 };
+        for i in k..mt {
+            for j in k..cols {
+                f(Kind::Tile, i, j);
+            }
+        }
+        if self.shape != Shape::Hqr {
+            f(Kind::Pivot, 0, k);
+        }
+        if hybrid {
+            f(Kind::Decision, 0, k);
+        }
+        if prelude {
+            self.plan
+                .trial_rows
+                .iter()
+                .for_each(|&i| f(Kind::Backup, i, k));
+            (0..self.plan.crit_groups.len()).for_each(|d| f(Kind::CritScratch, d, k));
+        }
+        let tfactor_rows = match self.shape {
+            Shape::Hqr | Shape::Hybrid { .. } if branches => mt,
+            Shape::Hybrid { a2: true } => k + 1,
+            _ => k,
+        };
+        (k..tfactor_rows).for_each(|i| f(Kind::TFactor, i, k));
+        if branches {
+            match self.shape {
+                Shape::IncPiv => (k + 1..mt).for_each(|i| f(Kind::IncPivL, i, k)),
+                Shape::Lu { .. } | Shape::Hybrid { a2: false } => {
+                    (k + 1..nt).for_each(|j| f(Kind::SwapScratch, j, k))
+                }
+                _ => {}
+            }
+        }
+    }
+
+    /// The positions of reader group `r`'s members the step plans, in
+    /// order, below `end` — `Break` if the group reaches it.
+    fn each_reader(&self, r: Readers, end: usize, f: &mut impl FnMut(usize)) -> Flow {
+        let mut run = |from: usize, n: usize, stride: usize| {
+            for at in (from..).step_by(stride).take(n) {
+                if at >= end {
+                    return Break(());
+                }
+                f(at);
+            }
+            Continue(())
+        };
+        let cols = self.nt - self.k - 1;
+        match r {
+            Readers::One(x) => run(self.dense(x), 1, 1),
+            Readers::Cols(x) => {
+                let base = self.dense(at_col(x, ix(self.k + 1)));
+                // A pivot-row TRSM heads each column's exchange block.
+                let stride = match x {
+                    TaskOp::TrsmTop { .. } => self.col_block(),
+                    _ => 1,
+                };
+                run(base, cols, stride)
+            }
+            Readers::GemmCol(j) => {
+                let c = j as usize - self.k - 1;
+                for i in self.below() {
+                    run(self.lu_row(i) + usize::from(self.eliminates(i)) + c, 1, 1)?;
+                }
+                Continue(())
+            }
+            Readers::Trsms => {
+                for i in self.below().filter(|&i| self.eliminates(i)) {
+                    run(self.lu_row(i), 1, 1)?;
+                }
+                Continue(())
+            }
+            Readers::Swaps(j) => {
+                for j in j.map_or(self.cols(), |j| j as usize..j as usize + 1) {
+                    run(self.column(j) + 1, self.groups() + 1, 1)?;
+                }
+                Continue(())
+            }
+            // The PROPs, then every op of the branches the step plans.
+            Readers::AfterPanel => {
+                let t = self.plan.trial_rows.len();
+                run(self.dense(self.panel()) + 1, t, 1)?;
+                let (lu, qr) = (self.lu_start(), self.qr_start());
+                if self.planned(Gate::Lu) {
+                    run(lu, qr - lu, 1)?;
+                }
+                if self.planned(Gate::Qr) {
+                    run(qr, self.plan.elim.len() * (1 + cols), 1)?;
+                }
+                Continue(())
+            }
         }
     }
 

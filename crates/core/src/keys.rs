@@ -25,7 +25,8 @@ pub(crate) enum Kind {
     SwapScratch = 8,
 }
 
-fn pack(kind: Kind, i: usize, j: usize) -> DataKey {
+/// The key of datum `(kind, i, j)`, as [`unpack`] spells it.
+pub(crate) fn pack(kind: Kind, i: usize, j: usize) -> DataKey {
     debug_assert!((i as u64) <= MASK && (j as u64) <= MASK);
     DataKey(((kind as u64) << KIND_SHIFT) | ((i as u64) << I_SHIFT) | j as u64)
 }

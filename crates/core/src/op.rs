@@ -6,7 +6,7 @@
 //! panel, the rows of a row-exchange group — are read from the step's
 //! `state::StepPlan`, which outlives the step's tasks.
 
-use luqr_runtime::{Access, DataClass, DataKey, Pred, TaskResult};
+use luqr_runtime::{Access, DataClass, DataKey, TaskResult, Visit};
 use luqr_tile::Grid;
 
 use crate::config::Decision;
@@ -404,8 +404,8 @@ impl luqr_runtime::TaskOp for TaskOp {
         self.dense_index(ctx)
     }
 
-    fn for_each_predecessor(self, ctx: &RunCtx, mut f: impl FnMut(Pred)) {
-        crate::edges::predecessors(ctx, self, &mut f);
+    fn for_each_predecessor(ctx: &RunCtx, step: usize, ops: &[Self], mut f: impl FnMut(Visit<'_>)) {
+        crate::edges::phase_predecessors(ctx, step, ops, &mut f);
     }
 
     fn retire_step(ctx: &RunCtx, step: usize) {

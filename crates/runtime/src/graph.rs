@@ -16,9 +16,9 @@
 //! successors, which the algorithm layer computes from the task's indices
 //! (the PTG's output flows), and counts predecessors from them. They are
 //! the RAW / WAR / WAW hazards over the [`DataKey`]s each op reads and
-//! writes — the edges the streaming window links from each op's
-//! closed-form predecessors ([`TaskOp::for_each_predecessor`]) — including
-//! the pipelining between consecutive elimination steps.
+//! writes — the edges the streaming window links from the closed-form
+//! predecessors of each planning phase ([`TaskOp::for_each_predecessor`])
+//! — including the pipelining between consecutive elimination steps.
 //!
 //! The paper's *dynamic* task-graph extension (Section IV) is modelled
 //! exactly: the graph statically contains **both** the LU-branch and the
@@ -74,15 +74,27 @@ pub enum DataClass {
     Decision,
 }
 
-/// A task an op waits for through datum `key`, named by its step and its
-/// position there ([`TaskOp::position`]): the datum's last writer, or a
-/// reader since that write.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// A planned task, named by its step and its position there
+/// ([`TaskOp::position`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Pred {
     pub step: usize,
     pub pos: usize,
-    pub key: DataKey,
-    pub writer: bool,
+}
+
+/// One access of an op of a planning phase, with the tasks it waits for
+/// through it ([`TaskOp::for_each_predecessor`]).
+#[derive(Debug, Clone, Copy)]
+pub struct Visit<'a> {
+    /// The op, by its index in the phase's insertion order.
+    pub op: usize,
+    pub access: Access,
+    /// The datum's last writer before the access; `None` if nobody wrote
+    /// it yet.
+    pub writer: Option<Pred>,
+    /// For a write, the readers since `writer`; empty for any other
+    /// access.
+    pub readers: &'a [Pred],
 }
 
 /// An access paired with the accessed datum's declaration. This is what
@@ -285,12 +297,15 @@ pub trait TaskOp: Copy + Send + Sync + 'static {
     /// The op's position in its step's insertion order.
     fn position(self, ctx: &Self::Ctx) -> usize;
 
-    /// Visit the tasks this op waits for, from its indices: for each
-    /// access, the datum's last writer before it, and for a write also the
-    /// readers since that write (a datum nobody wrote yet has no writer).
-    /// A task may be visited more than once. Steps count as planned: one
-    /// whose branch decision is recorded holds only the chosen branch.
-    fn for_each_predecessor(self, ctx: &Self::Ctx, f: impl FnMut(Pred));
+    /// Visit every access of `ops` — what one planning phase inserted into
+    /// `step`, in insertion order, at consecutive positions from `ops[0]`'s
+    /// on — with the tasks it waits for: the datum's last writer before it,
+    /// and for a write also the readers since that write. Visits come datum
+    /// by datum, one sweep over each datum's access sequence; the streaming
+    /// window resolves a datum once per run of visits to it. Steps count as
+    /// planned: one whose branch decision is recorded holds only the chosen
+    /// branch.
+    fn for_each_predecessor(ctx: &Self::Ctx, step: usize, ops: &[Self], f: impl FnMut(Visit<'_>));
 
     /// Message class of a datum (see [`DataClass`]).
     fn data_class(_ctx: &Self::Ctx, _key: DataKey) -> DataClass {
@@ -320,7 +335,10 @@ pub trait TaskOp: Copy + Send + Sync + 'static {
 /// closed-form edges — the batch graph its successors, the window its
 /// predecessors ([`TaskOp::for_each_predecessor`]) — which are the
 /// RAW/WAR/WAW edges of the ops' accesses: what keeps batch and streaming
-/// execution bitwise-identical.
+/// execution bitwise-identical. The window works a planning phase at a
+/// time: its sink buffers the phase's declarations and insertions, handing
+/// out each task's id at once, and the window takes them in with one sweep
+/// per datum and one critical section.
 pub trait TaskSink<O: TaskOp> {
     /// Number of virtual nodes task placements may reference.
     fn num_nodes(&self) -> usize;
@@ -332,15 +350,17 @@ pub trait TaskSink<O: TaskOp> {
     /// retires (the batch graph keeps every declaration, for replay).
     /// Redeclaring a key replaces both values, but the two sinks differ in which
     /// tasks see the replacement: the streaming window prices a task's
-    /// accesses when it is inserted, so only later tasks do; the batch
+    /// accesses when its planning phase is inserted, after the phase's
+    /// declarations, so the tasks of that phase and later ones do; the batch
     /// [`GraphBuilder`] keeps one declaration per key and prices accesses
     /// when the graph is replayed ([`TaskRef::accesses`], the simulator),
     /// so every task of the graph does. A planner that wants both sinks to
     /// agree declares a key's size and home once.
     fn declare(&mut self, key: DataKey, bytes: usize, home_node: usize);
 
-    /// Insert a task placed on `node`: its dependencies are the RAW / WAR /
-    /// WAW hazards of its accesses on the tasks inserted before it.
+    /// Insert a task placed on `node`, and return its id: its dependencies
+    /// are the RAW / WAR / WAW hazards of its accesses on the tasks
+    /// inserted before it.
     fn push(&mut self, node: usize, op: O) -> TaskId;
 }
 

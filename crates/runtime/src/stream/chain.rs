@@ -6,7 +6,9 @@
 //! consumed once, at its completion. As `Vec`s they cost an allocation (and
 //! a few regrowths) per task; as chains through a shared arena whose links
 //! are recycled at completion, they cost none once the arena has grown to
-//! the window's population.
+//! the window's population. Free links wait on a stack rather than a chain
+//! of their own: taking one then reads the stack's top, not a link last
+//! touched when its old chain was consumed.
 
 /// Index of a link in the arena; `NIL` ends a chain.
 pub(crate) type Link = u32;
@@ -25,23 +27,23 @@ impl Chain {
         tail: NIL,
     };
 
-    /// Where a walk of the chain starts (see [`Chains::get`]).
+    /// Where a walk of the chain starts (see [`Chains::take`]).
     pub(crate) fn head(self) -> Link {
         self.head
     }
 }
 
-/// The arena: every chain's links, plus a chain of free ones.
+/// The arena: every chain's links, plus the free ones.
 pub(crate) struct Chains<T> {
     links: Vec<(T, Link)>,
-    free: Link,
+    free: Vec<Link>,
 }
 
 impl<T> Default for Chains<T> {
     fn default() -> Self {
         Chains {
             links: Vec::new(),
-            free: NIL,
+            free: Vec::new(),
         }
     }
 }
@@ -49,15 +51,14 @@ impl<T> Default for Chains<T> {
 impl<T: Copy> Chains<T> {
     /// Append `value` to `chain`.
     pub(crate) fn push(&mut self, chain: &mut Chain, value: T) {
-        let at = match self.free {
-            NIL => {
+        let at = match self.free.pop() {
+            None => {
                 let at = Link::try_from(self.links.len()).expect("chain links fit 32 bits");
                 assert_ne!(at, NIL, "chain links fit 32 bits");
                 self.links.push((value, NIL));
                 at
             }
-            at => {
-                self.free = self.links[at as usize].1;
+            Some(at) => {
                 self.links[at as usize] = (value, NIL);
                 at
             }
@@ -69,30 +70,27 @@ impl<T: Copy> Chains<T> {
         chain.tail = at;
     }
 
-    /// The value at link `at` and the link after it; `None` past the end
-    /// of a chain. Walking link by link leaves the caller free to mutate
-    /// everything but the arena between two steps.
-    pub(crate) fn get(&self, at: Link) -> Option<(T, Link)> {
-        self.links.get(at as usize).copied()
+    /// Consume link `at` of a chain that is being used up: its value and
+    /// the link after it, `None` past the end. The link goes back to the
+    /// free stack, so a chain walked to its end with `take` (from
+    /// [`Chain::head`]) is released and must not be used again. Walking
+    /// link by link leaves the caller free to mutate everything but the
+    /// arena between two steps.
+    pub(crate) fn take(&mut self, at: Link) -> Option<(T, Link)> {
+        let link = *self.links.get(at as usize)?;
+        self.free.push(at);
+        Some(link)
     }
 
     /// The values of `chain`, in the order they were pushed.
+    #[cfg(test)]
     pub(crate) fn iter(&self, chain: Chain) -> impl Iterator<Item = T> + '_ {
         let mut at = chain.head;
         std::iter::from_fn(move || {
-            let (value, next) = self.get(at)?;
+            let (value, next) = *self.links.get(at as usize)?;
             at = next;
             Some(value)
         })
-    }
-
-    /// Return the links of `chain` (which must not be used again) to the
-    /// free list.
-    pub(crate) fn release(&mut self, chain: Chain) {
-        if chain.tail != NIL {
-            self.links[chain.tail as usize].1 = self.free;
-            self.free = chain.head;
-        }
     }
 }
 
@@ -120,8 +118,11 @@ mod tests {
         for v in 0..4u32 {
             arena.push(&mut a, v);
         }
-        arena.release(a);
-        arena.release(Chain::EMPTY);
+        let mut at = a.head();
+        while let Some((_, next)) = arena.take(at) {
+            at = next;
+        }
+        assert_eq!(arena.take(Chain::EMPTY.head()), None);
         let (mut b, mut c) = (Chain::EMPTY, Chain::EMPTY);
         for v in 0..2u32 {
             arena.push(&mut b, 10 + v);

@@ -7,7 +7,10 @@
 //! parameterized task graphs unroll lazily:
 //!
 //! * a [`StepSource`] (the algorithm layer) is pulled **one step at a
-//!   time**, and only when fewer than `window` steps are still live;
+//!   time**, and only when fewer than `window` steps are still live; what
+//!   one planning call inserts — a *phase* — reaches the window at once:
+//!   one sweep per datum derives the phase's edges, and one critical
+//!   section links, routes and queues its tasks;
 //! * tasks execute while later steps are still being planned, scheduled by
 //!   critical-path depth ([`crate::sched::ReadyQueue`]) so the panel chain
 //!   stays hot;
@@ -33,10 +36,10 @@
 //!
 //! Execution is bitwise-identical to the batch path because the window
 //! links each task to the same closed-form predecessors the batch graph's
-//! edges come from ([`TaskOp::for_each_predecessor`]); a step whose
-//! decision is recorded names only its chosen branch, and dropping a
-//! never-executed branch removes no executed writer and so changes no
-//! per-datum mutation order.
+//! edges come from ([`TaskOp::for_each_predecessor`], a phase at a time);
+//! a step whose decision is recorded names only its chosen branch, and
+//! dropping a never-executed branch removes no executed writer and so
+//! changes no per-datum mutation order.
 
 mod chain;
 mod retire;
@@ -48,12 +51,12 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use crate::comm::{LinkMsgStats, Msg, MsgStats};
-use crate::graph::{DataKey, Pred, TaskId, TaskOp, TaskResult, TaskSink};
+use crate::graph::{DataKey, TaskId, TaskOp, TaskResult, TaskSink};
 use crate::net::{NetReport, PayloadStore, Transport, TransportError};
 use crate::probe::{metric, Label, Probe};
 use crate::trace::TraceEvent;
 
-use window::{StreamWindow, NO_STEP};
+use window::{Phase, StreamWindow, NO_STEP};
 use wire::{ArrivalKey, Wire};
 
 /// What a source planned for one step.
@@ -62,8 +65,9 @@ pub enum StepPhase {
     /// The step is fully planned.
     Complete,
     /// The remainder of the step depends on the runtime outcome of the
-    /// given task (e.g. the hybrid's LU/QR criterion decision): the driver
-    /// must wait for it to complete, then call [`StepSource::plan_finish`].
+    /// given task — named by the id the sink returned for it (e.g. the
+    /// hybrid's LU/QR criterion decision): the driver must wait for it to
+    /// complete, then call [`StepSource::plan_finish`].
     AwaitDecision(TaskId),
 }
 
@@ -95,7 +99,9 @@ pub trait StepSource {
     fn prepare(&mut self, _sink: &mut dyn TaskSink<Self::Op>) {}
 
     /// Plan step `k` up to (and including) its decision point — or the
-    /// whole step, for algorithms with no runtime decision.
+    /// whole step, for algorithms with no runtime decision. What one call
+    /// inserts is a planning phase: the window takes it in when the call
+    /// returns.
     fn plan_prelude(&mut self, k: usize, sink: &mut dyn TaskSink<Self::Op>) -> StepPhase;
 
     /// Plan the decision-dependent remainder of step `k` (only called
@@ -197,25 +203,41 @@ pub struct NetConfig {
     pub store: Arc<dyn PayloadStore>,
 }
 
-/// [`TaskSink`] adapter binding insertions to one step of the window.
-/// Created by the streaming driver for each planning phase; `usize::MAX`
-/// (declaration phase) accepts `declare` only. It keeps the planner's
-/// predecessor list across insertions, walked before the window is locked.
+/// The streaming driver's [`TaskSink`]: it buffers one planning phase of
+/// the open step — the prelude, or the decision-dependent finish — and
+/// [`StepSink::flush`] hands the phase to the window, which takes it in
+/// with one sweep per datum and one critical section. It hands out the task
+/// ids itself: the planner is the only thread that inserts, so the window
+/// gives a phase's ops the next ids in order — the id a source names in
+/// [`StepPhase::AwaitDecision`] is its task's. While no step is open
+/// ([`NO_STEP`], before planning) it takes declarations only.
 struct StepSink<'a, O: TaskOp> {
     win: &'a StreamWindow<O>,
     step: usize,
-    preds: Vec<Pred>,
+    /// The id of the next op pushed.
+    next_id: TaskId,
+    phase: Phase<O>,
 }
 
 impl<'a, O: TaskOp> StepSink<'a, O> {
-    fn new(win: &'a StreamWindow<O>, step: usize) -> Self {
-        let preds = Vec::new();
-        StepSink { win, step, preds }
+    /// A sink over a window nothing was inserted into yet.
+    fn new(win: &'a StreamWindow<O>) -> Self {
+        StepSink {
+            win,
+            step: NO_STEP,
+            next_id: 0,
+            phase: Phase::default(),
+        }
     }
 
-    /// Declaration-phase sink (no step open; task insertion panics).
-    fn declarations(win: &'a StreamWindow<O>) -> Self {
-        StepSink::new(win, NO_STEP)
+    /// Hand the buffered phase to the window; with `close`, planning of the
+    /// step ends with it.
+    fn flush(&mut self, close: bool) {
+        let next = self.win.plan_phase(self.step, &mut self.phase, close);
+        assert_eq!(
+            next, self.next_id,
+            "the window issued the ids the sink handed out"
+        );
     }
 }
 
@@ -225,11 +247,25 @@ impl<O: TaskOp> TaskSink<O> for StepSink<'_, O> {
     }
 
     fn declare(&mut self, key: DataKey, bytes: usize, home_node: usize) {
-        self.win.declare(self.step, key, bytes, home_node);
+        assert!(home_node < self.win.num_nodes());
+        self.phase.decls.push((key, bytes, home_node));
     }
 
     fn push(&mut self, node: usize, op: O) -> TaskId {
-        self.win.insert_task(self.step, node, op, &mut self.preds)
+        assert!(node < self.win.num_nodes(), "task placed on unknown node");
+        let step = self.step;
+        assert_ne!(
+            step, NO_STEP,
+            "tasks may only be inserted into an open step"
+        );
+        assert!(
+            op.step(self.win.context()).is_none_or(|s| s == step),
+            "op of another step inserted into step {step}"
+        );
+        self.phase.ops.push(op);
+        self.phase.nodes.push(node);
+        self.next_id += 1;
+        self.next_id - 1
     }
 }
 
@@ -445,7 +481,9 @@ fn drive<S: StepSource + ?Sized>(
         }
         let _abort = AbortOnUnwind(&win);
 
-        source.prepare(&mut StepSink::declarations(&win));
+        let mut sink = StepSink::new(&win);
+        source.prepare(&mut sink);
+        sink.flush(false);
         for k in 0..steps {
             // A failed run's waits return at once: stop planning into it.
             if win.failed() {
@@ -453,20 +491,18 @@ fn drive<S: StepSource + ?Sized>(
             }
             win.wait_for_capacity(window);
             win.open_step(k);
+            sink.step = k;
             let mut decision_wait = 0.0f64;
-            let mut sink = StepSink::new(&win, k);
-            match source.plan_prelude(k, &mut sink) {
-                StepPhase::Complete => {}
-                StepPhase::AwaitDecision(decision_task) => {
-                    let t0 = Instant::now();
-                    win.wait_for_task(decision_task);
-                    if !win.wait_decision_value(decision_task) {
-                        win.close_step(k);
-                        break;
-                    }
-                    decision_wait = t0.elapsed().as_secs_f64();
-                    source.plan_finish(k, &mut sink);
+            if let StepPhase::AwaitDecision(decision_task) = source.plan_prelude(k, &mut sink) {
+                sink.flush(false);
+                let t0 = Instant::now();
+                win.wait_for_task(decision_task);
+                if !win.wait_decision_value(decision_task) {
+                    sink.flush(true);
+                    break;
                 }
+                decision_wait = t0.elapsed().as_secs_f64();
+                source.plan_finish(k, &mut sink);
             }
             if probing {
                 // Planner-side stall on this step's panel/criterion
@@ -474,7 +510,7 @@ fn drive<S: StepSource + ?Sized>(
                 opts.probe
                     .observe(metric::STREAM_PANEL_WAIT, Label::None, decision_wait);
             }
-            win.close_step(k);
+            sink.flush(true);
         }
         win.finish_planning();
         win.wait_drained();
@@ -560,11 +596,10 @@ mod tests {
                 let log = Arc::clone(&self.log);
                 let tag = s * self.width + t;
                 let name = format!("t{tag}");
-                self.ctx
-                    .task(sink, s, name, 0, &[Access::Mut(k(0))], move || {
-                        log.lock().push(tag);
-                        gemm_unit()
-                    });
+                self.ctx.task(sink, name, 0, &[Access::Mut(k(0))], move || {
+                    log.lock().push(tag);
+                    gemm_unit()
+                });
             }
             StepPhase::Complete
         }
@@ -607,14 +642,8 @@ mod tests {
             fn plan_prelude(&mut self, s: usize, sink: Sink<'_>) -> StepPhase {
                 for t in 0..20 {
                     let key = k((s as u64) * 100 + t as u64);
-                    self.ctx.task(
-                        sink,
-                        s,
-                        format!("t{s}/{t}"),
-                        0,
-                        &[Access::Mut(key)],
-                        gemm_unit,
-                    );
+                    self.ctx
+                        .task(sink, format!("t{s}/{t}"), 0, &[Access::Mut(key)], gemm_unit);
                 }
                 StepPhase::Complete
             }
@@ -648,22 +677,22 @@ mod tests {
             fn prepare(&mut self, sink: Sink<'_>) {
                 sink.declare(k(0), 8, 0);
             }
-            fn plan_prelude(&mut self, s: usize, sink: Sink<'_>) -> StepPhase {
+            fn plan_prelude(&mut self, _: usize, sink: Sink<'_>) -> StepPhase {
                 let d = Arc::clone(&self.decided);
                 let id = self
                     .ctx
-                    .task(sink, s, "decide", 0, &[Access::Mut(k(0))], move || {
+                    .task(sink, "decide", 0, &[Access::Mut(k(0))], move || {
                         d.store(7, Ordering::SeqCst);
                         TaskResult::control()
                     });
                 StepPhase::AwaitDecision(id)
             }
-            fn plan_finish(&mut self, s: usize, sink: Sink<'_>) {
+            fn plan_finish(&mut self, _: usize, sink: Sink<'_>) {
                 // The decision value is visible *at planning time*.
                 assert_eq!(self.decided.load(Ordering::SeqCst), 7);
                 let b = Arc::clone(&self.branch_ran);
                 self.ctx
-                    .task(sink, s, "branch", 0, &[Access::Mut(k(0))], move || {
+                    .task(sink, "branch", 0, &[Access::Mut(k(0))], move || {
                         b.store(1, Ordering::SeqCst);
                         TaskResult::executed(2.0, CostClass::Trsm)
                     });
@@ -723,18 +752,12 @@ mod tests {
                     for t in 0..5usize {
                         let cell = Arc::clone(&self.cell);
                         let i = s * 5 + t;
-                        self.ctx.task(
-                            sink,
-                            s,
-                            format!("r{i}"),
-                            0,
-                            &[Access::Mut(k(0))],
-                            move || {
+                        self.ctx
+                            .task(sink, format!("r{i}"), 0, &[Access::Mut(k(0))], move || {
                                 let mut v = cell.lock();
                                 *v = (*v * 1.0000001).sin() + i as f64 * 1e-3;
                                 TaskResult::control()
-                            },
-                        );
+                            });
                     }
                     StepPhase::Complete
                 }
@@ -774,12 +797,12 @@ mod tests {
         }
         fn plan_prelude(&mut self, s: usize, sink: Sink<'_>) -> StepPhase {
             self.ctx
-                .task(sink, s, format!("p{s}"), 0, &[Access::Mut(k(0))], gemm_unit);
+                .task(sink, format!("p{s}"), 0, &[Access::Mut(k(0))], gemm_unit);
             // Two consumers on node 1: the version crosses once.
             for t in 0..2 {
                 let accesses = [Access::Read(k(0)), Access::Mut(k(1))];
                 self.ctx
-                    .task(sink, s, format!("c{s}/{t}"), 1, &accesses, gemm_unit);
+                    .task(sink, format!("c{s}/{t}"), 1, &accesses, gemm_unit);
             }
             StepPhase::Complete
         }
@@ -829,26 +852,19 @@ mod tests {
                 sink.declare(k(0), 100, 0);
                 sink.declare(k(1), 100, 1);
             }
-            fn plan_prelude(&mut self, s: usize, sink: Sink<'_>) -> StepPhase {
+            fn plan_prelude(&mut self, _: usize, sink: Sink<'_>) -> StepPhase {
                 // Executed version of k(0) on node 0.
-                self.ctx
-                    .task(sink, s, "v", 0, &[Access::Mut(k(0))], gemm_unit);
+                self.ctx.task(sink, "v", 0, &[Access::Mut(k(0))], gemm_unit);
                 // A later writer of k(0) that discards itself (e.g. a
                 // breakdown path).
-                self.ctx.task(
-                    sink,
-                    s,
-                    "dead",
-                    0,
-                    &[Access::Mut(k(0))],
-                    TaskResult::discarded,
-                );
+                self.ctx
+                    .task(sink, "dead", 0, &[Access::Mut(k(0))], TaskResult::discarded);
                 // Two consumers on node 1: the payload still comes from
                 // "v", once.
                 for t in 0..2 {
                     let accesses = [Access::Read(k(0)), Access::Mut(k(1))];
                     self.ctx
-                        .task(sink, s, format!("c{t}"), 1, &accesses, gemm_unit);
+                        .task(sink, format!("c{t}"), 1, &accesses, gemm_unit);
                 }
                 StepPhase::Complete
             }
@@ -886,13 +902,13 @@ mod tests {
                 sink.declare(k(0), 100, 0);
                 sink.declare(k(0), 100, 1); // overwrite: now homed on node 1
             }
-            fn plan_prelude(&mut self, s: usize, sink: Sink<'_>) -> StepPhase {
+            fn plan_prelude(&mut self, _: usize, sink: Sink<'_>) -> StepPhase {
                 // Reader on node 1 = the (re)declared home: no fetch.
                 self.ctx
-                    .task(sink, s, "local", 1, &[Access::Read(k(0))], gemm_unit);
+                    .task(sink, "local", 1, &[Access::Read(k(0))], gemm_unit);
                 // Reader on node 0: fetches from node 1.
                 self.ctx
-                    .task(sink, s, "remote", 0, &[Access::Read(k(0))], gemm_unit);
+                    .task(sink, "remote", 0, &[Access::Read(k(0))], gemm_unit);
                 StepPhase::Complete
             }
         }
@@ -1045,21 +1061,15 @@ mod tests {
             for t in 0..3 {
                 let tag = (3 * s + t) as f64;
                 let body = self.task(move |c| c.acc = (c.acc * 1.0000001).sin() + tag * 1e-3);
-                self.ctx.task(
-                    sink,
-                    s,
-                    format!("chain{s}/{t}"),
-                    0,
-                    &[Access::Mut(acc)],
-                    body,
-                );
+                self.ctx
+                    .task(sink, format!("chain{s}/{t}"), 0, &[Access::Mut(acc)], body);
             }
             for j in 0..4usize {
                 let accesses = [Access::Read(acc), Access::Mut(k(j as u64 + 1))];
                 let body = self.task(move |c| c.leaves[j] = c.acc + j as f64);
                 let node = (j + 1) % self.nodes;
                 self.ctx
-                    .task(sink, s, format!("leaf{s}/{j}"), node, &accesses, body);
+                    .task(sink, format!("leaf{s}/{j}"), node, &accesses, body);
             }
             let accesses = [
                 Access::Read(k(1)),
@@ -1070,7 +1080,7 @@ mod tests {
             ];
             let body = self.task(|c| c.acc += c.leaves.iter().sum::<f64>() * 1e-3);
             self.ctx
-                .task(sink, s, format!("join{s}"), self.nodes - 1, &accesses, body);
+                .task(sink, format!("join{s}"), self.nodes - 1, &accesses, body);
             if s.is_multiple_of(2) {
                 return StepPhase::Complete;
             }
@@ -1078,7 +1088,7 @@ mod tests {
             let body = self.task(|c| c.decision = Some(c.acc.to_bits() & 1 == 0));
             let decide = self
                 .ctx
-                .task(sink, s, format!("decide{s}"), 0, &accesses, body);
+                .task(sink, format!("decide{s}"), 0, &accesses, body);
             StepPhase::AwaitDecision(decide)
         }
 
@@ -1095,7 +1105,7 @@ mod tests {
                 c.acc = if branch { c.acc * 1.5 } else { c.acc - 0.25 };
             });
             self.ctx
-                .task(sink, s, format!("branch{s}"), 0, &accesses, body);
+                .task(sink, format!("branch{s}"), 0, &accesses, body);
         }
     }
 
@@ -1265,19 +1275,13 @@ mod tests {
                 sink.declare(k(0), 8, 0);
             }
             fn plan_prelude(&mut self, s: usize, sink: Sink<'_>) -> StepPhase {
-                self.ctx.task(
-                    sink,
-                    s,
-                    format!("t{s}"),
-                    0,
-                    &[Access::Mut(k(0))],
-                    move || {
+                self.ctx
+                    .task(sink, format!("t{s}"), 0, &[Access::Mut(k(0))], move || {
                         if s == 0 {
                             panic!("kernel exploded at step 0");
                         }
                         gemm_unit()
-                    },
-                );
+                    });
                 StepPhase::Complete
             }
         }
@@ -1317,8 +1321,7 @@ mod tests {
             }
             fn plan_prelude(&mut self, s: usize, sink: Sink<'_>) -> StepPhase {
                 assert!(s < 1, "planner exploded at step {s}");
-                self.ctx
-                    .task(sink, s, "t", 0, &[Access::Mut(k(0))], gemm_unit);
+                self.ctx.task(sink, "t", 0, &[Access::Mut(k(0))], gemm_unit);
                 StepPhase::Complete
             }
         }

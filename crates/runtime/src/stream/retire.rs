@@ -5,9 +5,11 @@
 //! *live* from `open_step` (the planner starts inserting its tasks) until
 //! it *retires*: fully planned **and** every one of its tasks completed.
 //! Individual task records are reclaimed earlier — at task completion, by
-//! the window itself — so the ledger only tracks per-step outstanding
-//! counts, the live-step population the planner gates on, and the peak
-//! statistics the reports expose.
+//! the window itself — so a live step's entry in the window's step table
+//! ([`StepTable`]) keeps, beside its planned tasks by position, only its
+//! outstanding counts, the data declared in it and which nodes have
+//! reported their share; the table also counts the live steps the planner
+//! gates on, and their peak.
 //!
 //! Retirement is the end of a step's memory, not only of its planner
 //! slot: on the `StepEvent::retired` event the window drops the
@@ -15,29 +17,27 @@
 //! [`crate::graph::TaskOp::retire_step`], so the run context drops the
 //! cells the step's task bodies communicated through. What a run holds is
 //! then its run-scoped data plus at most `window` steps' worth of step
-//! data. (The batch executor has no ledger; it reaches the same hook from
-//! a per-step countdown built with the graph.)
+//! data. (The batch executor has no step table; it reaches the same hook
+//! from a per-step countdown built with the graph.)
 //!
-//! With per-node sub-windows the counts are additionally split by owner
-//! node: when one node's share of a closed step drains, that node reports
-//! it (a [`crate::comm::RetireMsg`] in the distributed protocol), and the
-//! step retires once every participating node has reported.
+//! The counts are split by owner node: when one node's share of a closed
+//! step drains, that node reports it (a [`crate::comm::RetireMsg`] in the
+//! distributed protocol), and the step retires once every participating
+//! node has reported.
 
-use crate::hash::IntMap;
+use crate::graph::TaskId;
 
-/// Per-step planning/completion state.
-#[derive(Debug, Clone)]
-struct StepStat {
-    /// Tasks planned but not yet completed (all nodes).
+use super::window::Slot;
+
+/// One node's share of a live step.
+#[derive(Debug, Clone, Copy, Default)]
+struct NodeShare {
+    /// Tasks planned on the node and not yet completed.
     outstanding: usize,
-    /// Still accepting insertions (between `open_step` and `close_step`).
-    open: bool,
-    /// Outstanding tasks per node.
-    node_outstanding: Vec<usize>,
-    /// Nodes that planned at least one task of this step.
-    node_planned: Vec<bool>,
-    /// Nodes whose drained share has been reported.
-    node_reported: Vec<bool>,
+    /// The node planned at least one task of the step.
+    planned: bool,
+    /// The node's drained share has been reported.
+    reported: bool,
 }
 
 /// What one task completion did to its step.
@@ -50,25 +50,53 @@ pub(crate) struct StepEvent {
     pub retired: bool,
 }
 
-/// Tracks which steps are live and when each retires.
-pub(crate) struct StepLedger {
-    num_nodes: usize,
-    steps: IntMap<usize, StepStat>,
-    live_steps: usize,
-    /// Highest concurrent live-step count observed.
-    pub peak_live_steps: usize,
-    /// Tasks planned per step (index = step), for window-bound reporting.
-    pub per_step_planned: Vec<usize>,
+/// A task in its step's table: what a later insertion needs of it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Planned {
+    pub id: TaskId,
+    /// Its critical-path depth.
+    pub depth: u64,
+    /// The node it was placed on.
+    pub node: usize,
+    /// It has completed.
+    pub done: bool,
 }
 
-impl StepLedger {
+/// A live step in the window's step table.
+#[derive(Debug)]
+pub(crate) struct LiveStep {
+    /// The step's planned tasks by position.
+    pub tasks: Vec<Option<Planned>>,
+    /// The slots of the data declared in the step, dropped with it.
+    pub data: Vec<Slot>,
+    /// Still accepting insertions (between `open` and `close`).
+    open: bool,
+    /// Tasks planned but not yet completed (all nodes).
+    outstanding: usize,
+    nodes: Vec<NodeShare>,
+}
+
+/// The window's step table: each live step by index (`None` before it
+/// opens and after it retires), and the live-step counts the planner gates
+/// on and the report reads.
+pub(crate) struct StepTable {
+    num_nodes: usize,
+    steps: Vec<Option<LiveStep>>,
+    live: usize,
+    /// Highest concurrent live-step count observed.
+    pub peak_live: usize,
+    /// Tasks planned per step (index = step), for window-bound reporting.
+    pub per_step_tasks: Vec<usize>,
+}
+
+impl StepTable {
     pub fn new(num_nodes: usize) -> Self {
-        StepLedger {
+        StepTable {
             num_nodes,
-            steps: IntMap::default(),
-            live_steps: 0,
-            peak_live_steps: 0,
-            per_step_planned: Vec::new(),
+            steps: Vec::new(),
+            live: 0,
+            peak_live: 0,
+            per_step_tasks: Vec::new(),
         }
     }
 
@@ -79,96 +107,99 @@ impl StepLedger {
 
     /// Number of steps currently materialized (open or with outstanding
     /// tasks).
-    pub fn live_steps(&self) -> usize {
-        self.live_steps
+    pub fn live(&self) -> usize {
+        self.live
+    }
+
+    /// Step `k`, while it is live.
+    pub fn get(&self, k: usize) -> Option<&LiveStep> {
+        self.steps.get(k)?.as_ref()
+    }
+
+    /// Step `k`, while it is live.
+    pub fn get_mut(&mut self, k: usize) -> Option<&mut LiveStep> {
+        self.steps.get_mut(k)?.as_mut()
+    }
+
+    /// Step `k`, which must be live.
+    pub fn live_mut(&mut self, k: usize) -> &mut LiveStep {
+        self.get_mut(k)
+            .unwrap_or_else(|| panic!("step {k} is not live"))
     }
 
     /// Begin planning step `k`.
-    pub fn open_step(&mut self, k: usize) {
-        let prev = self.steps.insert(
-            k,
-            StepStat {
-                outstanding: 0,
-                open: true,
-                node_outstanding: vec![0; self.num_nodes],
-                node_planned: vec![false; self.num_nodes],
-                node_reported: vec![false; self.num_nodes],
-            },
-        );
-        assert!(prev.is_none(), "step {k} opened twice");
-        self.live_steps += 1;
-        self.peak_live_steps = self.peak_live_steps.max(self.live_steps);
-        if self.per_step_planned.len() <= k {
-            self.per_step_planned.resize(k + 1, 0);
+    pub fn open(&mut self, k: usize) {
+        if self.steps.len() <= k {
+            self.steps.resize_with(k + 1, || None);
+            self.per_step_tasks.resize(k + 1, 0);
         }
+        assert!(self.steps[k].is_none(), "step {k} opened twice");
+        self.steps[k] = Some(LiveStep {
+            tasks: Vec::new(),
+            data: Vec::new(),
+            open: true,
+            outstanding: 0,
+            nodes: vec![NodeShare::default(); self.num_nodes],
+        });
+        self.live += 1;
+        self.peak_live = self.peak_live.max(self.live);
     }
 
     /// Record one task planned into step `k` on `node`.
-    pub fn on_planned(&mut self, k: usize, node: usize) {
-        let stat = self
-            .steps
-            .get_mut(&k)
-            .unwrap_or_else(|| panic!("task planned into unopened step {k}"));
-        assert!(stat.open, "task planned into closed step {k}");
-        stat.outstanding += 1;
-        stat.node_outstanding[node] += 1;
-        stat.node_planned[node] = true;
-        self.per_step_planned[k] += 1;
+    pub fn planned(&mut self, k: usize, node: usize) {
+        let step = self.live_mut(k);
+        assert!(step.open, "task planned into closed step {k}");
+        step.outstanding += 1;
+        let share = &mut step.nodes[node];
+        share.outstanding += 1;
+        share.planned = true;
+        self.per_step_tasks[k] += 1;
     }
 
     /// Planning of step `k` is finished. Nodes whose share is already
     /// drained report immediately (returned); the step may retire on the
     /// spot (a fully-executed step behind a long decision wait).
-    pub fn close_step(&mut self, k: usize) -> (Vec<usize>, bool) {
-        let stat = self
-            .steps
-            .get_mut(&k)
-            .unwrap_or_else(|| panic!("closing unopened step {k}"));
-        stat.open = false;
+    pub fn close(&mut self, k: usize) -> (Vec<usize>, bool) {
+        let step = self.live_mut(k);
+        step.open = false;
         let mut reports = Vec::new();
-        for n in 0..self.num_nodes {
-            if stat.node_planned[n] && stat.node_outstanding[n] == 0 && !stat.node_reported[n] {
-                stat.node_reported[n] = true;
+        for (n, share) in step.nodes.iter_mut().enumerate() {
+            if share.planned && share.outstanding == 0 && !share.reported {
+                share.reported = true;
                 reports.push(n);
             }
         }
-        let retired = stat.outstanding == 0;
-        if retired {
-            self.retire(k);
-        }
-        (reports, retired)
+        (reports, step.outstanding == 0)
     }
 
     /// Record one task of step `k` completed on `node`.
-    pub fn on_completed(&mut self, k: usize, node: usize) -> StepEvent {
-        let stat = self
-            .steps
-            .get_mut(&k)
-            .unwrap_or_else(|| panic!("completion in unknown step {k}"));
-        assert!(stat.outstanding > 0, "completion underflow in step {k}");
+    pub fn completed(&mut self, k: usize, node: usize) -> StepEvent {
+        let step = self.live_mut(k);
+        assert!(step.outstanding > 0, "completion underflow in step {k}");
+        let share = &mut step.nodes[node];
         assert!(
-            stat.node_outstanding[node] > 0,
+            share.outstanding > 0,
             "completion underflow in step {k} on node {node}"
         );
-        stat.outstanding -= 1;
-        stat.node_outstanding[node] -= 1;
+        step.outstanding -= 1;
+        share.outstanding -= 1;
         let mut ev = StepEvent::default();
-        if !stat.open {
-            if stat.node_outstanding[node] == 0 && !stat.node_reported[node] {
-                stat.node_reported[node] = true;
+        if !step.open {
+            if share.outstanding == 0 && !share.reported {
+                share.reported = true;
                 ev.node_drained = Some(node);
             }
-            if stat.outstanding == 0 {
-                self.retire(k);
-                ev.retired = true;
-            }
+            ev.retired = step.outstanding == 0;
         }
         ev
     }
 
-    fn retire(&mut self, k: usize) {
-        self.steps.remove(&k);
-        self.live_steps -= 1;
+    /// Step `k` retired (`close` or `completed` said so): take it out of
+    /// the table.
+    pub fn retire(&mut self, k: usize) -> LiveStep {
+        let step = self.steps[k].take().expect("a live step retires");
+        self.live -= 1;
+        step
     }
 }
 
@@ -178,67 +209,72 @@ mod tests {
 
     #[test]
     fn step_retires_when_closed_and_drained() {
-        let mut l = StepLedger::new(1);
-        l.open_step(0);
-        l.on_planned(0, 0);
-        l.on_planned(0, 0);
-        assert_eq!(l.live_steps(), 1);
-        let ev = l.on_completed(0, 0); // one outstanding left, still open
+        let mut t = StepTable::new(1);
+        t.open(0);
+        t.planned(0, 0);
+        t.planned(0, 0);
+        assert_eq!(t.live(), 1);
+        let ev = t.completed(0, 0); // one outstanding left, still open
         assert!(!ev.retired);
-        let (reports, retired) = l.close_step(0);
+        let (reports, retired) = t.close(0);
         assert!(reports.is_empty() && !retired);
-        assert_eq!(l.live_steps(), 1);
-        let ev = l.on_completed(0, 0); // last completion retires the step
+        assert_eq!(t.live(), 1);
+        let ev = t.completed(0, 0); // last completion retires the step
         assert!(ev.retired);
         assert_eq!(ev.node_drained, Some(0));
-        assert_eq!(l.live_steps(), 0);
-        assert_eq!(l.per_step_planned, vec![2]);
+        t.retire(0);
+        assert_eq!(t.live(), 0);
+        assert!(t.get(0).is_none());
+        assert_eq!(t.per_step_tasks, vec![2]);
     }
 
     #[test]
     fn empty_step_retires_at_close() {
-        let mut l = StepLedger::new(2);
-        l.open_step(3);
-        let (reports, retired) = l.close_step(3);
+        let mut t = StepTable::new(2);
+        t.open(3);
+        let (reports, retired) = t.close(3);
         assert!(reports.is_empty(), "no node planned, none report");
         assert!(retired);
-        assert_eq!(l.live_steps(), 0);
-        assert_eq!(l.peak_live_steps, 1);
+        t.retire(3);
+        assert_eq!(t.live(), 0);
+        assert_eq!(t.peak_live, 1);
     }
 
     #[test]
     fn peak_tracks_concurrent_steps() {
-        let mut l = StepLedger::new(1);
-        l.open_step(0);
-        l.on_planned(0, 0);
-        l.close_step(0);
-        l.open_step(1);
-        l.on_planned(1, 0);
-        l.close_step(1);
-        assert_eq!(l.peak_live_steps, 2);
-        l.on_completed(0, 0);
-        l.open_step(2);
-        l.close_step(2);
-        assert_eq!(l.peak_live_steps, 2);
+        let mut t = StepTable::new(1);
+        t.open(0);
+        t.planned(0, 0);
+        t.close(0);
+        t.open(1);
+        t.planned(1, 0);
+        t.close(1);
+        assert_eq!(t.peak_live, 2);
+        assert!(t.completed(0, 0).retired);
+        t.retire(0);
+        t.open(2);
+        assert!(t.close(2).1);
+        t.retire(2);
+        assert_eq!(t.peak_live, 2);
     }
 
     #[test]
     fn nodes_report_their_share_independently() {
-        let mut l = StepLedger::new(3);
-        l.open_step(0);
-        l.on_planned(0, 0);
-        l.on_planned(0, 2);
-        l.on_planned(0, 2);
+        let mut t = StepTable::new(3);
+        t.open(0);
+        t.planned(0, 0);
+        t.planned(0, 2);
+        t.planned(0, 2);
         // Node 2 drains first, but the step is still open: no report yet.
-        l.on_completed(0, 2);
-        let ev = l.on_completed(0, 2);
+        t.completed(0, 2);
+        let ev = t.completed(0, 2);
         assert_eq!(ev.node_drained, None, "open step never reports");
         // Closing reports node 2's (already drained) share.
-        let (reports, retired) = l.close_step(0);
+        let (reports, retired) = t.close(0);
         assert_eq!(reports, vec![2]);
         assert!(!retired);
         // Node 0's last completion reports and retires.
-        let ev = l.on_completed(0, 0);
+        let ev = t.completed(0, 0);
         assert_eq!(ev.node_drained, Some(0));
         assert!(ev.retired);
         // Node 1 planned nothing and never reports.

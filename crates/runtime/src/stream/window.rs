@@ -2,15 +2,18 @@
 //! edge and shrinks at the completion edge, distributed over virtual nodes
 //! whose cross-node progress flows through explicit messages.
 //!
-//! [`StreamWindow`] accepts task insertions through the same [`crate::graph::TaskSink`]
-//! surface as the batch [`crate::graph::GraphBuilder`] — one [`TaskOp`]
-//! descriptor per task — and links each task to the closed-form
-//! predecessors its op names ([`TaskOp::for_each_predecessor`]), with one
-//! twist: a dependency on a task that has *already completed* is vacuous
-//! and produces no edge. Each live step keeps a dense table from an op's
-//! position in the step to its task id and critical-path depth; a
-//! predecessor outside every live table belongs to a retired step, so it
-//! has completed. A task record is dropped the moment its kernel finishes,
+//! [`StreamWindow`] takes tasks in a planning phase at a time — a step's
+//! prelude, or its decision-dependent finish — as the driver's
+//! [`crate::graph::TaskSink`] buffered them: one [`TaskOp`] descriptor per
+//! task, the same surface as the batch [`crate::graph::GraphBuilder`]'s. It
+//! links each task to the closed-form predecessors the phase's sweep names
+//! ([`TaskOp::for_each_predecessor`]: one sweep per datum), with one twist:
+//! a dependency on a task that has *already completed* is vacuous and
+//! produces no edge. Each live step keeps a dense table from an op's
+//! position in the step to its task id, critical-path depth and node, and
+//! whether it has completed; a predecessor outside every live table
+//! belongs to a retired step, so it has completed too. A task record is
+//! dropped the moment its kernel finishes,
 //! and a step's table when the step retires, so the window's metadata is
 //! bounded by the declared data plus the live window, not by the
 //! factorization's O(N³) task count. Retirement is also where a step's
@@ -24,20 +27,34 @@
 //! interpreter against the run's context), no list of written data
 //! (re-derived from the op at completion), and its successor and
 //! owed-transfer lists live in shared arenas (`chain`) — so planning a task
-//! allocates nothing beyond the amortized growth of its step's table.
+//! allocates nothing beyond the amortized growth of its step's table and of
+//! the phase buffers the planner reuses.
 //!
 //! The one thing a record keeps that an op may also say is its *step*.
 //! The window retires what the driver opens and closes — the step a
 //! [`crate::stream::StepSink`] is bound to — and a source is free to plan tasks with no
 //! step of their own (`op.step()` is `None`) into one; so the record
 //! stores the open step, and insertion refuses an op whose own step is a
-//! different one. Ledger and trace events read the record.
+//! different one. The step table and trace events read the record.
 //!
-//! **Tables.** Live records sit in one id-indexed ring (`TaskRing`).
-//! Every declared datum gets a dense slot in a `Vec<DatumDir>` holding
-//! what only data can say: its declaration and its last executed version;
-//! an insertion resolves each access's [`DataKey`] to its slot once. The
-//! rest of the per-task path is array indexing.
+//! **Tables.** Live records sit in one id-indexed ring (`TaskRing`), live
+//! steps in the step table (`retire::StepTable`: planned tasks by position,
+//! outstanding counts per node, the slots of the data declared in the
+//! step). Every declared datum gets a dense slot in a `Vec<DatumDir>`
+//! holding what only data can say: its declaration and its last executed
+//! version; the transfer cache and the owed-transfer marks are dense
+//! arrays by `(slot, node)`.
+//!
+//! **Insertion: one sweep per datum, one critical section per phase.**
+//! Before the lock is taken, the phase's sweep runs: datum by datum, the
+//! accesses of the phase's ops with the last writer and the readers since,
+//! sorted by op. Under the lock, the phase's declarations are applied, each
+//! datum it visited is resolved to its slot once, and its ops are linked,
+//! routed and queued in insertion order — a predecessor in the phase
+//! itself by its index there, any other through its step's table — with
+//! the ids the sink promised (the ring issues them in insertion order).
+//! With the step's last phase the same section closes the step, and it
+//! ends in one `finish`.
 //!
 //! **Routing.** Each task is *placed* on a virtual node (owner-computes)
 //! and each datum is *homed* on one. A dependency between tasks on the
@@ -111,7 +128,7 @@ use crate::sched::ReadyQueue;
 use crate::trace::TraceEvent;
 
 use super::chain::{Chain, Chains};
-use super::retire::StepLedger;
+use super::retire::{Planned, StepTable};
 use super::ring::TaskRing;
 use super::{Fabric, Placed, StreamOptions, StreamReport};
 
@@ -130,17 +147,18 @@ struct ExecVersion {
 /// The version stamp of a never-written datum, as fetched from its home.
 const INITIAL: TaskId = TaskId::MAX;
 
+/// The transfer cache's entry for a node holding no version of a datum.
+const NOT_HELD: TaskId = TaskId::MAX - 1;
+
 /// Index of a declared datum in [`WindowState::data`].
-type Slot = u32;
+pub(super) type Slot = u32;
 
 /// Per-datum directory entry: declaration metadata and the last executed
-/// version.
+/// version. (A datum declared in a step is dropped with it: the step's
+/// table lists its slot.)
 #[derive(Debug)]
 struct DatumDir {
     key: DataKey,
-    /// The step the datum was declared in and is dropped with; [`NO_STEP`]
-    /// for data declared before planning (they last the whole run).
-    step: usize,
     bytes: usize,
     home: usize,
     class: DataClass,
@@ -165,8 +183,9 @@ struct OwedSend {
 struct LiveTask<O> {
     op: O,
     /// The open step the task was inserted into — `op.step()` whenever the
-    /// op has one (see the module header).
+    /// op has one (see the module header) — and its position there.
     step: usize,
+    pos: usize,
     cp: u64,
     preds_remaining: usize,
     /// Live successors, released at completion (same-node ones directly,
@@ -201,9 +220,6 @@ struct Wakes {
     planner: bool,
 }
 
-/// A live step's planned tasks by position: `(id, critical-path depth)`.
-type StepTable = Vec<Option<(TaskId, u64)>>;
-
 /// One data-flow input of the task being inserted: the datum's slot and
 /// declaration, and its closed-form writer with that writer's node while
 /// the writer is live.
@@ -215,13 +231,145 @@ struct Flow {
     writer: Option<(TaskId, usize)>,
 }
 
-/// Per-insertion work vectors, kept across insertions: with the records'
-/// own lists in shared arenas ([`Chains`]), the planner's hot path
-/// allocates nothing per task.
-#[derive(Default)]
-struct InsertScratch {
+/// The task a dependency waits for, as the window finds it.
+#[derive(Clone, Copy)]
+enum Waits {
+    /// Nothing: an input nobody wrote yet.
+    Nothing,
+    /// An earlier op of the same phase, by its index there: live, with
+    /// the id and depth the phase gave it.
+    Earlier(u32),
+    /// A task planned before the phase, by step and position: looked up in
+    /// the step's table.
+    Planned { step: u32, pos: u32 },
+}
+
+/// One thing an op of a planning phase reads or waits for through one
+/// datum, as the phase's sweep found it.
+#[derive(Clone, Copy)]
+struct Dep {
+    /// The datum, by its index in [`Phase::data`].
+    datum: u32,
+    /// The op, by its index in the phase.
+    op: u32,
+    /// The datum's last writer, or a reader since.
+    waits: Waits,
+    /// The access reads the datum's version — whose writer `waits` names —
+    /// rather than only waiting.
+    input: bool,
+    /// That access is a write.
+    write: bool,
+}
+
+/// One planning phase of a step — the prelude, or the decision-dependent
+/// finish — as the planner's sink buffered it: its declarations and its
+/// ops with their placements. With it go the work vectors its insertion
+/// reuses, so that planning allocates nothing per task beyond their
+/// amortized growth (the records' own lists live in shared arenas,
+/// [`Chains`]).
+pub(super) struct Phase<O> {
+    /// `(key, bytes, home node)`, in declaration order.
+    pub(super) decls: Vec<(DataKey, usize, usize)>,
+    pub(super) ops: Vec<O>,
+    /// The node each of `ops` is placed on.
+    pub(super) nodes: Vec<usize>,
+    /// The data the sweep visited, in its order, each with its slot
+    /// (resolved under the lock).
+    data: Vec<(DataKey, Slot)>,
+    /// What the sweep found, datum by datum.
+    deps: Vec<Dep>,
+    /// `deps` by op: op `i`'s are at `order[end[i - 1]..end[i]]` (from 0
+    /// for op 0).
+    order: Vec<u32>,
+    end: Vec<u32>,
+    /// The depth each op of the phase was given.
+    cps: Vec<u64>,
     live_preds: Vec<TaskId>,
     flows: Vec<Flow>,
+}
+
+impl<O> Default for Phase<O> {
+    fn default() -> Self {
+        Phase {
+            decls: Vec::new(),
+            ops: Vec::new(),
+            nodes: Vec::new(),
+            data: Vec::new(),
+            deps: Vec::new(),
+            order: Vec::new(),
+            end: Vec::new(),
+            cps: Vec::new(),
+            live_preds: Vec::new(),
+            flows: Vec::new(),
+        }
+    }
+}
+
+impl<O: TaskOp> Phase<O> {
+    /// Sweep the phase's data ([`TaskOp::for_each_predecessor`]), its ops
+    /// at positions `first..` of `step`, into `data` and `deps`, and sort
+    /// the deps by op.
+    fn sweep(&mut self, ctx: &O::Ctx, step: usize, first: usize) {
+        let Phase {
+            ops,
+            data,
+            deps,
+            order,
+            end,
+            ..
+        } = self;
+        data.clear();
+        deps.clear();
+        let waits = |p: Pred| match p.pos.checked_sub(first) {
+            Some(i) if p.step == step => Waits::Earlier(i as u32),
+            _ => Waits::Planned {
+                step: u32::try_from(p.step).expect("steps fit 32 bits"),
+                pos: u32::try_from(p.pos).expect("positions fit 32 bits"),
+            },
+        };
+        O::for_each_predecessor(ctx, step, ops, |v| {
+            let key = v.access.key();
+            if data.last().is_none_or(|&(last, _)| last != key) {
+                data.push((key, 0));
+            }
+            let (datum, op) = ((data.len() - 1) as u32, v.op as u32);
+            let dep = |waits, input, write| Dep {
+                datum,
+                op,
+                waits,
+                input,
+                write,
+            };
+            let writer = v.writer.map_or(Waits::Nothing, waits);
+            match v.access {
+                Access::Control(_) => {
+                    if v.writer.is_some() {
+                        deps.push(dep(writer, false, false));
+                    }
+                }
+                acc => deps.push(dep(writer, true, matches!(acc, Access::Mut(_)))),
+            }
+            deps.extend(v.readers.iter().map(|&r| dep(waits(r), false, false)));
+        });
+        // A counting sort by op: `end[i + 1]` counts op `i`'s deps, then
+        // accumulates into where they start; filling advances `end[i]` to
+        // where they end.
+        end.clear();
+        end.resize(ops.len() + 1, 0);
+        for d in deps.iter() {
+            end[d.op as usize + 1] += 1;
+        }
+        for i in 1..end.len() {
+            end[i] += end[i - 1];
+        }
+        order.clear();
+        order.resize(deps.len(), 0);
+        for (n, d) in deps.iter().enumerate() {
+            let at = &mut end[d.op as usize];
+            order[*at as usize] = n as u32;
+            *at += 1;
+        }
+    }
 }
 
 pub(super) struct WindowState<O> {
@@ -232,24 +380,27 @@ pub(super) struct WindowState<O> {
     send_links: Chains<OwedSend>,
     /// Runnable tasks, deepest first.
     ready: ReadyQueue,
-    /// By step, its table while it is live (`None` before it opens and
-    /// after it retires).
-    steps: Vec<Option<StepTable>>,
+    /// The live steps: planned tasks by position, outstanding counts,
+    /// declared data.
+    steps: StepTable,
     /// Declared data, by slot; the live entries are the ones `slot_of`
     /// names.
     data: Vec<DatumDir>,
     /// Slots of dropped step data, reused by later declarations.
     free_slots: Vec<Slot>,
     /// The once-per-destination transfer cache: the version of the datum
-    /// in `slot` that node `dest` holds a copy of, by `(slot, dest)` —
-    /// [`INITIAL`] for the never-written datum fetched from its home.
-    holds: IntMap<(Slot, usize), TaskId>,
+    /// in `slot` that node `dest` holds a copy of, at `slot * nodes +
+    /// dest` — [`INITIAL`] for the never-written datum fetched from its
+    /// home, [`NOT_HELD`] for none.
+    holds: Vec<TaskId>,
+    /// The live writer that owes node `dest` the next version of the
+    /// datum in `slot`, at `slot * nodes + dest`, once it registered the
+    /// transfer (an entry naming a completed task is stale).
+    owed_by: Vec<TaskId>,
     slot_of: IntMap<DataKey, Slot>,
-    scratch: InsertScratch,
     /// Unblocked stubs awaiting their inline completion (drained before
     /// the critical section that unblocked them ends).
     stubs: Vec<TaskId>,
-    pub(crate) ledger: StepLedger,
     planning_done: bool,
     /// What the driver thread sleeps on, if it sleeps.
     planner_wait: Option<PlannerWait>,
@@ -316,7 +467,7 @@ impl<O: TaskOp> WindowState<O> {
     fn satisfied(&self, wait: PlannerWait) -> bool {
         self.failed()
             || match wait {
-                PlannerWait::Capacity(window) => self.ledger.live_steps() < window,
+                PlannerWait::Capacity(window) => self.steps.live() < window,
                 PlannerWait::Task(id) => !self.tasks.is_live(id),
                 PlannerWait::Drained => self.tasks.live() == 0,
                 PlannerWait::Frame => self.frame_event,
@@ -386,18 +537,13 @@ impl<O: TaskOp> WindowState<O> {
     /// Step `step` retired: drop its table and forget the data declared
     /// in it.
     fn forget_step(&mut self, step: usize) {
-        self.steps[step] = None;
-        let nodes = self.ledger.num_nodes();
-        for (slot, dir) in self.data.iter_mut().enumerate() {
-            if dir.step != step {
-                continue;
-            }
-            let slot = slot as Slot;
+        let nodes = self.steps.num_nodes();
+        for slot in self.steps.retire(step).data {
+            let dir = &mut self.data[slot as usize];
             self.slot_of.remove(&dir.key);
-            for dest in 0..nodes {
-                self.holds.remove(&(slot, dest));
-            }
-            dir.step = NO_STEP;
+            let at = slot as usize * nodes;
+            self.holds[at..at + nodes].fill(NOT_HELD);
+            self.owed_by[at..at + nodes].fill(NOT_HELD);
             dir.exec = None;
             self.free_slots.push(slot);
         }
@@ -417,7 +563,7 @@ impl<O: TaskOp> WindowState<O> {
         self.fabric.send(&msg, link, producer);
     }
 
-    /// Apply ledger feedback from a close/completion: per-node retirement
+    /// Apply step-table feedback from a close/completion: per-node retirement
     /// reports become [`RetireMsg`]s (the planner lives with node 0, whose
     /// report is local), and a retired step drops its table and data.
     /// `now` is the wall clock (seconds since the window's epoch) of the
@@ -467,7 +613,8 @@ impl<O: TaskOp> WindowState<O> {
     /// Note that `dest` now holds `version` of the datum in `slot`; `false`
     /// if it already did.
     fn newly_held(&mut self, slot: Slot, dest: usize, version: TaskId) -> bool {
-        self.holds.insert((slot, dest), version) != Some(version)
+        let held = &mut self.holds[slot as usize * self.steps.num_nodes() + dest];
+        std::mem::replace(held, version) != version
     }
 
     /// Record the completion of live task `id`: reclaim its record, publish
@@ -544,7 +691,7 @@ impl<O: TaskOp> WindowState<O> {
         // its consumers fetch the previous executed version (or the
         // initial tile) instead, wherever that lives.
         let mut at = task.pending_sends.head();
-        while let Some((s, next)) = self.send_links.get(at) {
+        while let Some((s, next)) = self.send_links.take(at) {
             at = next;
             if !result.executed {
                 self.resolve_transfer(s.slot, s.dest, s.bytes, s.class);
@@ -555,14 +702,19 @@ impl<O: TaskOp> WindowState<O> {
         }
 
         let mut at = task.succs.head();
-        while let Some((s, next)) = self.succ_links.get(at) {
+        while let Some((s, next)) = self.succ_links.take(at) {
             at = next;
             self.release(s);
         }
-        self.succ_links.release(task.succs);
-        self.send_links.release(task.pending_sends);
 
-        let ev = self.ledger.on_completed(task.step, node);
+        if let Some(Some(planned)) = self
+            .steps
+            .get_mut(task.step)
+            .map(|s| &mut s.tasks[task.pos])
+        {
+            planned.done = true;
+        }
+        let ev = self.steps.completed(task.step, node);
         self.on_step_events(
             ctx,
             ev.node_drained.as_slice(),
@@ -570,6 +722,202 @@ impl<O: TaskOp> WindowState<O> {
             task.step,
             end_s,
         );
+    }
+
+    /// Declare a datum from a phase of `step` ([`NO_STEP`]: before
+    /// planning). A datum first declared in a step is dropped with it.
+    fn declare(&mut self, ctx: &O::Ctx, step: usize, key: DataKey, bytes: usize, home: usize) {
+        match self.slot_of.get(&key) {
+            // Redeclaration updates the declaration (size *and* home,
+            // mirroring GraphBuilder::declare's overwrite) but keeps the
+            // executed version and the scope.
+            Some(&slot) => {
+                let dir = &mut self.data[slot as usize];
+                dir.bytes = bytes;
+                dir.home = home;
+            }
+            None => {
+                let dir = DatumDir {
+                    key,
+                    bytes,
+                    home,
+                    class: O::data_class(ctx, key),
+                    exec: None,
+                };
+                let slot = match self.free_slots.pop() {
+                    Some(slot) => {
+                        self.data[slot as usize] = dir;
+                        slot
+                    }
+                    None => {
+                        self.data.push(dir);
+                        let nodes = self.steps.num_nodes();
+                        self.holds.resize(self.data.len() * nodes, NOT_HELD);
+                        self.owed_by.resize(self.data.len() * nodes, NOT_HELD);
+                        Slot::try_from(self.data.len() - 1).expect("datum slots fit 32 bits")
+                    }
+                };
+                self.slot_of.insert(key, slot);
+                if step != NO_STEP {
+                    self.steps.live_mut(step).data.push(slot);
+                }
+            }
+        }
+    }
+
+    /// Insert op `i` of `phase`, whose ops are tasks `base..` at positions
+    /// `first..` of the open `step`, given what the sweep found for it
+    /// (`phase.order[deps]`): link it to its live predecessors, route its
+    /// inputs and queue it if nothing holds it up. Its depth goes to
+    /// `phase.cps`.
+    fn insert(
+        &mut self,
+        ctx: &O::Ctx,
+        step: usize,
+        (base, first): (TaskId, usize),
+        i: usize,
+        phase: &mut Phase<O>,
+        deps: std::ops::Range<usize>,
+    ) {
+        let (op, node, id) = (phase.ops[i], phase.nodes[i], base + i);
+        let (live_preds, flows) = (&mut phase.live_preds, &mut phase.flows);
+        live_preds.clear();
+        flows.clear();
+
+        // The closed-form predecessors: an earlier op of the phase is live
+        // and has its depth; anything else is looked up in the live steps'
+        // tables, where it gives its depth, a live one an edge. The live
+        // last writer of an input is where that input comes from. The
+        // inputs carry their declared bytes and class at this insertion,
+        // and the decision datum the task writes, if any, is noted (on a
+        // wire the driver waits for its applied value, not just task
+        // completion).
+        let mut max_pred_cp = 0u64;
+        let mut wrote_decision: Option<DataKey> = None;
+        for &n in &phase.order[deps] {
+            let d = &phase.deps[n as usize];
+            let writer = match d.waits {
+                Waits::Nothing => None,
+                Waits::Earlier(j) => {
+                    let j = j as usize;
+                    max_pred_cp = max_pred_cp.max(phase.cps[j]);
+                    live_preds.push(base + j);
+                    Some((base + j, phase.nodes[j]))
+                }
+                // Not live: the step retired, so the predecessor completed.
+                Waits::Planned { step: s, pos: p } => match self.steps.get(s as usize) {
+                    None => None,
+                    Some(table) => {
+                        let planned = table.tasks.get(p as usize).copied().flatten();
+                        let pred = planned.unwrap_or_else(|| {
+                            panic!(
+                                "step {s} position {p} of '{}' was not planned",
+                                op.name(ctx)
+                            )
+                        });
+                        debug_assert_eq!(self.tasks.is_live(pred.id), !pred.done);
+                        max_pred_cp = max_pred_cp.max(pred.depth);
+                        (!pred.done).then(|| {
+                            live_preds.push(pred.id);
+                            (pred.id, pred.node)
+                        })
+                    }
+                },
+            };
+            if !d.input {
+                continue;
+            }
+            let slot = phase.data[d.datum as usize].1;
+            let dir = &self.data[slot as usize];
+            if d.write && dir.class == DataClass::Decision {
+                wrote_decision = Some(dir.key);
+            }
+            if dir.bytes != 0 {
+                flows.push(Flow {
+                    slot,
+                    key: dir.key,
+                    bytes: dir.bytes,
+                    class: dir.class,
+                    writer,
+                });
+            }
+        }
+        let cp = 1 + max_pred_cp;
+
+        // Seam 1: the fabric settles what the task's placement means (a
+        // wire makes a remote one a stub) before any placement-dependent
+        // state is written, and what it waits for beyond its predecessors
+        // (a wire gates it on the frames of its remote inputs). It is shown
+        // where each data-flow input comes from — the live writer, else
+        // the last executed version, else the datum's home.
+        let data = &self.data;
+        let inputs = flows.iter().map(|f| {
+            let dir = &data[f.slot as usize];
+            match (f.writer, dir.exec) {
+                (Some((w, node)), _) => (f.key, Some(w), node),
+                (None, Some(v)) => (f.key, Some(v.id), v.node),
+                (None, None) => (f.key, None, dir.home),
+            }
+        });
+        let (placed, gates) = self.fabric.place(id, node, inputs, wrote_decision);
+        let (node, stub) = (placed.node, placed.stub);
+
+        // Data-flow transfers. An input whose writer is still live is
+        // *owed*: the producer may yet execute (it sends at completion) or
+        // discard itself (the consumer then fetches the previous executed
+        // version). Anything else resolves against the last executed
+        // version right away. Every path is cached once per (version,
+        // destination node) — identical to the virtual-time scoreboard.
+        for f in flows.iter() {
+            let Some((w, _)) = f.writer else {
+                self.resolve_transfer(f.slot, node, f.bytes, f.class);
+                continue;
+            };
+            // Producer live (completion cannot interleave: the lock is
+            // held for the whole phase). Register the owed transfer even
+            // when producer and consumer share a node — a later discard
+            // reroutes it to an executed version that may live elsewhere.
+            let owed_by = &mut self.owed_by[f.slot as usize * self.steps.num_nodes() + node];
+            if std::mem::replace(owed_by, w) != w {
+                let owed = &mut self.tasks.get_mut(w).expect("a live writer").pending_sends;
+                let send = OwedSend {
+                    key: f.key,
+                    slot: f.slot,
+                    dest: node,
+                    bytes: f.bytes,
+                    class: f.class,
+                };
+                self.send_links.push(owed, send);
+            }
+        }
+
+        // Link precedence: only edges to still-live tasks count toward the
+        // countdown — plus the fabric's gates; a same-node edge is direct,
+        // a cross-node one stands for the message the predecessor's
+        // completion sends.
+        live_preds.sort_unstable();
+        live_preds.dedup();
+        let preds_remaining = live_preds.len() + gates;
+        for &p in live_preds.iter() {
+            let succs = &mut self.tasks.get_mut(p).expect("a live predecessor").succs;
+            self.succ_links.push(succs, id);
+        }
+        phase.cps.push(cp);
+
+        let pushed = self.tasks.push(LiveTask {
+            op,
+            step,
+            pos: first + i,
+            cp,
+            preds_remaining,
+            succs: Chain::EMPTY,
+            pending_sends: Chain::EMPTY,
+            placed,
+        });
+        debug_assert_eq!(pushed, id);
+        if preds_remaining == 0 {
+            self.unblocked(id, cp, node, stub);
+        }
     }
 
     /// The data whose final version lives on `rank`: its last executed
@@ -597,6 +945,9 @@ pub struct StreamWindow<O: TaskOp> {
     plan_cv: Condvar,
     /// Wall-clock epoch for trace timestamps.
     epoch: Instant,
+    /// Tasks are timed: the run records trace events or probe metrics.
+    /// Otherwise no clock is read per task.
+    timed: bool,
 }
 
 /// Sentinel step used while no step is open (declaration phase).
@@ -622,14 +973,13 @@ impl<O: TaskOp> StreamWindow<O> {
                 succ_links: Chains::default(),
                 send_links: Chains::default(),
                 ready: ReadyQueue::default(),
-                steps: Vec::new(),
+                steps: StepTable::new(num_nodes),
                 data: Vec::new(),
                 free_slots: Vec::new(),
-                holds: IntMap::default(),
+                holds: Vec::new(),
+                owed_by: Vec::new(),
                 slot_of: IntMap::default(),
-                scratch: InsertScratch::default(),
                 stubs: Vec::new(),
-                ledger: StepLedger::new(num_nodes),
                 planning_done: false,
                 planner_wait: None,
                 parked_workers: 0,
@@ -655,11 +1005,17 @@ impl<O: TaskOp> StreamWindow<O> {
             work_cv: Condvar::new(),
             plan_cv: Condvar::new(),
             epoch: Instant::now(),
+            timed: opts.trace || probe.is_enabled(),
         }
     }
 
     pub fn num_nodes(&self) -> usize {
         self.num_nodes
+    }
+
+    /// The context the run's ops are interpreted against.
+    pub(super) fn context(&self) -> &O::Ctx {
+        &self.ctx
     }
 
     pub(super) fn lock(&self) -> MutexGuard<'_, WindowState<O>> {
@@ -668,6 +1024,15 @@ impl<O: TaskOp> StreamWindow<O> {
 
     fn now(&self) -> f64 {
         self.epoch.elapsed().as_secs_f64()
+    }
+
+    /// [`StreamWindow::now`] if the run is timed, else 0.
+    fn stamp(&self) -> f64 {
+        if self.timed {
+            self.now()
+        } else {
+            0.0
+        }
     }
 
     fn notify(&self, wakes: Wakes) {
@@ -701,11 +1066,7 @@ impl<O: TaskOp> StreamWindow<O> {
         if st.stubs.is_empty() {
             return;
         }
-        let now = if st.trace.is_some() || st.probe.is_enabled() {
-            self.now()
-        } else {
-            0.0
-        };
+        let now = self.stamp();
         while let Some(id) = st.stubs.pop() {
             st.complete_task(&self.ctx, id, TaskResult::control(), worker, now, now);
         }
@@ -739,32 +1100,10 @@ impl<O: TaskOp> StreamWindow<O> {
         self.plan_wait(PlannerWait::Capacity(window));
     }
 
-    /// Begin planning step `k`; subsequent insertions are charged to it.
+    /// Begin planning step `k`; the phases planned next are charged to it.
     pub fn open_step(&self, k: usize) {
         assert_ne!(k, NO_STEP);
-        let mut st = self.lock();
-        st.ledger.open_step(k);
-        if st.steps.len() <= k {
-            st.steps.resize_with(k + 1, || None);
-        }
-        st.steps[k] = Some(Vec::new());
-    }
-
-    /// Planning of step `k` is complete.
-    pub fn close_step(&self, k: usize) {
-        let mut st = self.lock();
-        let now = if st.probe.is_enabled() {
-            let t = self.now();
-            st.step_closed_at.insert(k, t);
-            t
-        } else {
-            0.0
-        };
-        // Closing may report already-drained node shares and retire the
-        // step on the spot.
-        let (reports, retired) = st.ledger.close_step(k);
-        st.on_step_events(&self.ctx, &reports, retired, k, now);
-        self.finish(st, 0);
+        self.lock().steps.open(k);
     }
 
     /// Block until task `id` has completed (its kernel ran and its record
@@ -848,8 +1187,8 @@ impl<O: TaskOp> StreamWindow<O> {
             tasks_discarded: st.tally.discarded,
             total_flops: st.tally.flops,
             peak_live_tasks: st.peak_live_tasks,
-            peak_live_steps: st.ledger.peak_live_steps,
-            per_step_tasks: st.ledger.per_step_planned.clone(),
+            peak_live_steps: st.steps.peak_live,
+            per_step_tasks: st.steps.per_step_tasks.clone(),
             msgs: st.msgs,
             link_msgs: st
                 .link_msgs
@@ -863,218 +1202,94 @@ impl<O: TaskOp> StreamWindow<O> {
         report
     }
 
-    // ---- insertion (TaskSink via StepSink) -----------------------------
+    // ---- insertion (a phase from StepSink) -------------------------------
 
-    /// Declare a datum from the sink of `step` ([`NO_STEP`]: before
-    /// planning). A datum first declared in a step is dropped with it.
-    pub(super) fn declare(&self, step: usize, key: DataKey, bytes: usize, home_node: usize) {
-        assert!(home_node < self.num_nodes);
-        let mut st = self.lock();
-        let st = &mut *st;
-        match st.slot_of.get(&key) {
-            // Redeclaration updates the declaration (size *and* home,
-            // mirroring GraphBuilder::declare's overwrite) but keeps the
-            // executed version and the scope.
-            Some(&slot) => {
-                let dir = &mut st.data[slot as usize];
-                dir.bytes = bytes;
-                dir.home = home_node;
-            }
-            None => {
-                let dir = DatumDir {
-                    key,
-                    step,
-                    bytes,
-                    home: home_node,
-                    class: O::data_class(&self.ctx, key),
-                    exec: None,
-                };
-                let slot = match st.free_slots.pop() {
-                    Some(slot) => {
-                        st.data[slot as usize] = dir;
-                        slot
-                    }
-                    None => {
-                        st.data.push(dir);
-                        Slot::try_from(st.data.len() - 1).expect("datum slots fit 32 bits")
-                    }
-                };
-                st.slot_of.insert(key, slot);
-            }
-        }
-    }
-
-    /// Insert `op` into the open `step`, on `node`. Its closed-form
-    /// predecessors are walked into `preds` before the lock is taken.
-    pub(super) fn insert_task(
-        &self,
-        step: usize,
-        node: usize,
-        op: O,
-        preds: &mut Vec<Pred>,
-    ) -> TaskId {
-        assert!(node < self.num_nodes, "task placed on unknown node");
-        assert_ne!(
-            step, NO_STEP,
-            "tasks may only be inserted into an open step"
-        );
+    /// Take in a planning phase of `step` ([`NO_STEP`]: the declarations
+    /// before planning): its declarations, then its ops in insertion order,
+    /// each linked to the predecessors the phase's sweep found, routed and
+    /// queued — and, with `close`, the end of the step's planning. The
+    /// sweep runs before the lock is taken; the rest is one critical
+    /// section, which resolves each datum of the phase to its slot once.
+    /// The phase's ops get the next ids in order, as the sink promised;
+    /// returns the id after them.
+    pub(super) fn plan_phase(&self, step: usize, phase: &mut Phase<O>, close: bool) -> TaskId {
         let ctx = &*self.ctx;
-        assert!(
-            op.step(ctx).is_none_or(|s| s == step),
-            "op of another step inserted into step {step}"
-        );
-        preds.clear();
-        op.for_each_predecessor(ctx, |p| preds.push(p));
-        let pos = op.position(ctx);
+        let first = phase.ops.first().map_or(0, |op| op.position(ctx));
+        if !phase.ops.is_empty() {
+            phase.sweep(ctx, step, first);
+        }
         let mut guard = self.lock();
         let st = &mut *guard;
-        let id = st.tasks.next_id();
-        let InsertScratch {
-            mut live_preds,
-            mut flows,
-        } = std::mem::take(&mut st.scratch);
-        live_preds.clear();
-        flows.clear();
-
-        // Resolve every access to its datum slot (the one hashed look-up
-        // per access): the data-flow inputs, with their declared bytes and
-        // class at this insertion, and the decision datum the task writes,
-        // if any (on a wire the driver waits for its applied value, not
-        // just task completion).
-        let mut wrote_decision: Option<DataKey> = None;
-        op.for_each_access(ctx, |acc| {
-            let key = acc.key();
-            let slot = *st.slot_of.get(&key).unwrap_or_else(|| {
-                panic!(
-                    "access to undeclared data {key:?} by task '{}'",
-                    op.name(ctx)
-                )
-            });
-            let (bytes, class) = (st.data[slot as usize].bytes, st.data[slot as usize].class);
-            if matches!(acc, Access::Mut(_)) && class == DataClass::Decision {
-                wrote_decision = Some(key);
-            }
-            if !matches!(acc, Access::Control(_)) && bytes != 0 {
-                flows.push(Flow {
-                    slot,
-                    key,
-                    bytes,
-                    class,
-                    writer: None,
+        for (key, bytes, home) in phase.decls.drain(..) {
+            st.declare(ctx, step, key, bytes, home);
+        }
+        if !phase.ops.is_empty() {
+            for (n, (key, slot)) in phase.data.iter_mut().enumerate() {
+                *slot = *st.slot_of.get(key).unwrap_or_else(|| {
+                    let d = phase.deps.iter().find(|d| d.datum as usize == n);
+                    let name = d.map(|d| phase.ops[d.op as usize].name(ctx));
+                    panic!(
+                        "access to undeclared data {key:?} by task '{}'",
+                        name.unwrap_or_default()
+                    )
                 });
             }
-        });
-
-        // The closed-form predecessors, through the live steps' tables:
-        // each gives its depth, a live one an edge, and the live last
-        // writer of an input is where that input comes from.
-        let mut max_pred_cp = 0u64;
-        for p in preds.iter() {
-            // Not live: the step retired, so the predecessor completed.
-            let Some(table) = &st.steps[p.step] else {
-                continue;
-            };
-            let planned = table.get(p.pos).copied().flatten();
-            let (pred, depth) =
-                planned.unwrap_or_else(|| panic!("{p:?} of '{}' was not planned", op.name(ctx)));
-            max_pred_cp = max_pred_cp.max(depth);
-            let Some(task) = st.tasks.get(pred) else {
-                continue;
-            };
-            live_preds.push(pred);
-            if p.writer {
-                for f in flows.iter_mut().filter(|f| f.key == p.key) {
-                    f.writer = Some((pred, task.placed.node));
-                }
+            let base = st.tasks.next_id();
+            phase.cps.clear();
+            for i in 0..phase.ops.len() {
+                let from = i.checked_sub(1).map_or(0, |j| phase.end[j] as usize);
+                st.insert(
+                    ctx,
+                    step,
+                    (base, first),
+                    i,
+                    phase,
+                    from..phase.end[i] as usize,
+                );
             }
-        }
-        let cp = 1 + max_pred_cp;
-
-        // Seam 1: the fabric settles what the task's placement means (a
-        // wire makes a remote one a stub) before any placement-dependent
-        // state is written, and what it waits for beyond its predecessors
-        // (a wire gates it on the frames of its remote inputs). It is shown
-        // where each data-flow input comes from — the live writer, else
-        // the last executed version, else the datum's home.
-        let data = &st.data;
-        let inputs = flows.iter().map(|f| {
-            let dir = &data[f.slot as usize];
-            match (f.writer, dir.exec) {
-                (Some((w, node)), _) => (f.key, Some(w), node),
-                (None, Some(v)) => (f.key, Some(v.id), v.node),
-                (None, None) => (f.key, None, dir.home),
+            // The phase's ops enter the step's table once all are in: until
+            // then, they found each other by their index in the phase.
+            let table = &mut st.steps.live_mut(step).tasks;
+            table.resize(table.len().max(first + phase.ops.len()), None);
+            for (i, (&depth, &node)) in phase.cps.iter().zip(&phase.nodes).enumerate() {
+                debug_assert!(
+                    table[first + i].is_none(),
+                    "position {} planned twice",
+                    first + i
+                );
+                let (id, done) = (base + i, false);
+                table[first + i] = Some(Planned {
+                    id,
+                    depth,
+                    node,
+                    done,
+                });
             }
-        });
-        let (placed, gates) = st.fabric.place(id, node, inputs, wrote_decision);
-        let (node, stub) = (placed.node, placed.stub);
+            for &node in &phase.nodes {
+                st.steps.planned(step, node);
+            }
+            st.tasks_planned += phase.ops.len();
+            st.peak_live_tasks = st.peak_live_tasks.max(st.tasks.live());
+            phase.ops.clear();
+            phase.nodes.clear();
+        }
 
-        // Data-flow transfers. An input whose writer is still live is
-        // *owed*: the producer may yet execute (it sends at completion) or
-        // discard itself (the consumer then fetches the previous executed
-        // version). Anything else resolves against the last executed
-        // version right away. Every path is cached once per (version,
-        // destination node) — identical to the virtual-time scoreboard.
-        for f in &flows {
-            let Some((w, _)) = f.writer else {
-                st.resolve_transfer(f.slot, node, f.bytes, f.class);
-                continue;
+        if close {
+            let now = if st.probe.is_enabled() {
+                let t = self.now();
+                st.step_closed_at.insert(step, t);
+                t
+            } else {
+                0.0
             };
-            // Producer live (completion cannot interleave: the lock is
-            // held for the whole insertion). Register the owed transfer
-            // even when producer and consumer share a node — a later
-            // discard reroutes it to an executed version that may live
-            // elsewhere.
-            let owed = &mut st.tasks.get_mut(w).expect("a live writer").pending_sends;
-            let known = |s: OwedSend| s.slot == f.slot && s.dest == node;
-            if !st.send_links.iter(*owed).any(known) {
-                let send = OwedSend {
-                    key: f.key,
-                    slot: f.slot,
-                    dest: node,
-                    bytes: f.bytes,
-                    class: f.class,
-                };
-                st.send_links.push(owed, send);
-            }
+            // Closing may report already-drained node shares and retire the
+            // step on the spot.
+            let (reports, retired) = st.steps.close(step);
+            st.on_step_events(ctx, &reports, retired, step, now);
         }
-
-        // Link precedence: only edges to still-live tasks count toward the
-        // countdown — plus the fabric's gates; a same-node edge is direct,
-        // a cross-node one stands for the message the predecessor's
-        // completion sends.
-        live_preds.sort_unstable();
-        live_preds.dedup();
-        let preds_remaining = live_preds.len() + gates;
-        for &p in &live_preds {
-            let succs = &mut st.tasks.get_mut(p).expect("a live predecessor").succs;
-            st.succ_links.push(succs, id);
-        }
-        let table = st.steps[step].as_mut().expect("an open step has a table");
-        if table.len() <= pos {
-            table.resize(pos + 1, None);
-        }
-        debug_assert!(table[pos].is_none(), "position {pos} planned twice");
-        table[pos] = Some((id, cp));
-
-        let pushed = st.tasks.push(LiveTask {
-            op,
-            step,
-            cp,
-            preds_remaining,
-            succs: Chain::EMPTY,
-            pending_sends: Chain::EMPTY,
-            placed,
-        });
-        debug_assert_eq!(pushed, id);
-        st.scratch = InsertScratch { live_preds, flows };
-        st.tasks_planned += 1;
-        st.ledger.on_planned(step, node);
-        st.peak_live_tasks = st.peak_live_tasks.max(st.tasks.live());
-        if preds_remaining == 0 {
-            st.unblocked(id, cp, node, stub);
-        }
+        let next = st.tasks.next_id();
         self.finish(guard, 0);
-        id
+        next
     }
 
     // ---- execution side ------------------------------------------------
@@ -1088,13 +1303,13 @@ impl<O: TaskOp> StreamWindow<O> {
     pub(crate) fn worker_loop(&self, worker: usize) {
         let mut next = self.next_task(self.lock(), worker);
         while let Some((id, op)) = next {
-            let t0 = self.now();
+            let t0 = self.stamp();
             let run = std::panic::AssertUnwindSafe(|| op.run(&self.ctx));
             let result = match std::panic::catch_unwind(run) {
                 Ok(result) => result,
                 Err(payload) => return self.fail_panicked(payload),
             };
-            let t1 = self.now();
+            let t1 = self.stamp();
             let mut st = self.lock();
             st.complete_task(&self.ctx, id, result, worker, t0, t1);
             next = self.next_task(st, worker);
@@ -1138,6 +1353,7 @@ mod tests {
         LiveTask {
             op: tag,
             step: 0,
+            pos: 0,
             cp: 1,
             preds_remaining: 0,
             succs: Chain::EMPTY,
@@ -1231,20 +1447,19 @@ mod tests {
             Fabric::Counted,
         );
         let (tile, cell0, cell1) = (DataKey(1), DataKey(100), DataKey(101));
-        win.declare(NO_STEP, tile, 8, 0);
+        let mut sink = StepSink::new(&win);
+        sink.declare(tile, 8, 0);
+        sink.flush(false);
         for (step, cell) in [(0, cell0), (1, cell1)] {
             win.open_step(step);
-            let mut sink = StepSink::new(&win, step);
+            sink.step = step;
             sink.declare(cell, 8, 0);
             // Produced on node 0, consumed on node 1: the cell is cached
             // for node 1 in `holds`.
             let accs = [Access::Read(tile), Access::Mut(cell)];
-            let w = sink.push(0, ctx.op(step, "w", &accs, TaskResult::control));
-            let r = sink.push(
-                1,
-                ctx.op(step, "r", &[Access::Read(cell)], TaskResult::control),
-            );
-            win.close_step(step);
+            let w = sink.push(0, ctx.op("w", &accs, TaskResult::control));
+            let r = sink.push(1, ctx.op("r", &[Access::Read(cell)], TaskResult::control));
+            sink.flush(true);
             let mut st = win.lock();
             let slot = st.slot_of[&cell];
             assert_eq!(
@@ -1263,13 +1478,16 @@ mod tests {
                 "step {step}'s cell is forgotten"
             );
             assert!(st.slot_of.contains_key(&tile), "run-scoped data stay");
-            assert!(st.holds.keys().all(|&(s, _)| s != slot), "{:?}", st.holds);
+            assert!(st.holds[slot as usize * 2..][..2]
+                .iter()
+                .all(|&v| v == NOT_HELD));
             assert_eq!((st.data.len(), st.free_slots.as_slice()), (2, &[slot][..]));
         }
     }
 
-    /// The window end to end at the table level: a consumer inserted after
-    /// its producer completed gets no edge and is runnable at once.
+    /// The window end to end at the table level: a consumer inserted (in a
+    /// later phase) after its producer completed gets no edge and is
+    /// runnable at once.
     #[test]
     fn completed_producer_leaves_no_edge() {
         let ctx = Arc::new(TestCtx::default());
@@ -1280,10 +1498,13 @@ mod tests {
             Fabric::Counted,
         );
         let key = DataKey(1);
-        win.declare(NO_STEP, key, 8, 0);
+        let mut sink = StepSink::new(&win);
+        sink.declare(key, 8, 0);
+        sink.flush(false);
         win.open_step(0);
-        let mut sink = StepSink::new(&win, 0);
-        let a = sink.push(0, ctx.op(0, "a", &[Access::Mut(key)], TaskResult::control));
+        sink.step = 0;
+        let a = sink.push(0, ctx.op("a", &[Access::Mut(key)], TaskResult::control));
+        sink.flush(false);
         {
             let mut st = win.lock();
             let (id, _) = st.pop_ready().expect("a is runnable");
@@ -1291,7 +1512,8 @@ mod tests {
             st.complete_task(&ctx, a, TaskResult::control(), 0, 0.0, 0.0);
             assert_eq!((st.tasks.base, st.tasks.live()), (1, 0));
         }
-        let b = sink.push(0, ctx.op(0, "b", &[Access::Read(key)], TaskResult::control));
+        let b = sink.push(0, ctx.op("b", &[Access::Read(key)], TaskResult::control));
+        sink.flush(false);
         let mut st = win.lock();
         assert_eq!(st.tasks.get_mut(b).expect("b is live").preds_remaining, 0);
         assert_eq!(st.pop_ready().map(|(id, _)| id), Some(b));

@@ -8,6 +8,7 @@ use std::sync::{Arc, Mutex, RwLock};
 
 use crate::graph::{
     Access, DataClass, DataKey, Graph, GraphBuilder, Pred, TaskId, TaskOp, TaskResult, TaskSink,
+    Visit,
 };
 
 type Body = Box<dyn FnOnce() -> TaskResult + Send>;
@@ -15,7 +16,6 @@ type Body = Box<dyn FnOnce() -> TaskResult + Send>;
 struct Entry {
     name: String,
     accesses: Vec<Access>,
-    preds: Vec<Pred>,
     body: Mutex<Option<Body>>,
 }
 
@@ -23,75 +23,52 @@ struct Entry {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct TestOp(u32);
 
-/// The body table, appendable while a streaming run executes. Ops are
-/// registered in the order they are planned, into the step they are
-/// planned in, at their index in the table, and get their predecessors
-/// there by the textbook rule: per datum, the last writer, and for a write
-/// also the readers since.
+/// A datum's state under the textbook rule: its last writer and the
+/// readers since.
+type Seen = (Option<Pred>, Vec<Pred>);
+
+/// The body table, appendable while a streaming run executes. An op's
+/// position is its index in the table, and its predecessors come from the
+/// textbook rule over the phases planned so far, in the step each phase
+/// names: per datum, the last writer, and for a write also the readers
+/// since.
 #[derive(Default)]
 pub(crate) struct TestCtx {
     entries: RwLock<Vec<Arc<Entry>>>,
-    /// Per datum: its last writer, then the readers since.
-    seen: Mutex<HashMap<DataKey, Vec<Pred>>>,
+    seen: Mutex<HashMap<DataKey, Seen>>,
     decisions: RwLock<Vec<DataKey>>,
     /// The steps the runtime has retired, in the order it did.
     pub(crate) retired: Mutex<Vec<usize>>,
 }
 
 impl TestCtx {
-    /// Register a task body planned into `step`; the op's own step is the
-    /// `k=NN` of its name, if any.
+    /// Register a task body; the op's own step is the `k=NN` of its name,
+    /// if any.
     pub(crate) fn op(
         &self,
-        step: usize,
         name: impl Into<String>,
         accesses: &[Access],
         body: impl FnOnce() -> TaskResult + Send + 'static,
     ) -> TestOp {
         let mut entries = self.entries.write().unwrap();
-        let seen = &mut *self.seen.lock().unwrap();
-        let pos = entries.len();
-        let mut preds = Vec::new();
-        for acc in accesses {
-            let write = matches!(acc, Access::Mut(_));
-            let known = seen.get(&acc.key()).into_iter().flatten();
-            preds.extend(known.filter(|p| write || p.writer));
-        }
-        for acc in accesses {
-            let (key, known) = (acc.key(), seen.entry(acc.key()).or_default());
-            let me = |writer| Pred {
-                step,
-                pos,
-                key,
-                writer,
-            };
-            match acc {
-                Access::Read(_) => known.push(me(false)),
-                Access::Control(_) => {}
-                Access::Mut(_) => *known = vec![me(true)],
-            }
-        }
         entries.push(Arc::new(Entry {
             name: name.into(),
             accesses: accesses.to_vec(),
-            preds,
             body: Mutex::new(Some(Box::new(body))),
         }));
-        TestOp(pos as u32)
+        TestOp((entries.len() - 1) as u32)
     }
 
-    /// Register a body and insert it into `sink`, which plans `step`, on
-    /// `node`.
+    /// Register a body and insert it into `sink` on `node`.
     pub(crate) fn task(
         &self,
         sink: &mut dyn TaskSink<TestOp>,
-        step: usize,
         name: impl Into<String>,
         node: usize,
         accesses: &[Access],
         body: impl FnOnce() -> TaskResult + Send + 'static,
     ) -> TaskId {
-        sink.push(node, self.op(step, name, accesses, body))
+        sink.push(node, self.op(name, accesses, body))
     }
 
     /// Classify `key` as a decision datum.
@@ -129,8 +106,50 @@ impl TaskOp for TestOp {
         self.0 as usize
     }
 
-    fn for_each_predecessor(self, ctx: &TestCtx, f: impl FnMut(Pred)) {
-        ctx.entry(self).preds.iter().copied().for_each(f);
+    /// The textbook rule, op by op: all of an op's accesses see the state
+    /// before it, then update it in access order.
+    fn for_each_predecessor(
+        ctx: &TestCtx,
+        step: usize,
+        ops: &[TestOp],
+        mut f: impl FnMut(Visit<'_>),
+    ) {
+        let seen = &mut *ctx.seen.lock().unwrap();
+        for (i, &op) in ops.iter().enumerate() {
+            let entry = ctx.entry(op);
+            for &access in &entry.accesses {
+                let (writer, readers) = match seen.get(&access.key()) {
+                    Some((w, r)) => (*w, &r[..]),
+                    None => (None, &[][..]),
+                };
+                let readers = if matches!(access, Access::Mut(_)) {
+                    readers
+                } else {
+                    &[]
+                };
+                f(Visit {
+                    op: i,
+                    access,
+                    writer,
+                    readers,
+                });
+            }
+            let me = Pred {
+                step,
+                pos: op.0 as usize,
+            };
+            for acc in &entry.accesses {
+                let (writer, readers) = seen.entry(acc.key()).or_default();
+                match acc {
+                    Access::Read(_) => readers.push(me),
+                    Access::Control(_) => {}
+                    Access::Mut(_) => {
+                        *writer = Some(me);
+                        readers.clear();
+                    }
+                }
+            }
+        }
     }
 
     fn data_class(ctx: &TestCtx, key: DataKey) -> DataClass {
@@ -168,7 +187,7 @@ pub(crate) fn with_watchdog<T: Send + 'static>(
 }
 
 /// A [`GraphBuilder`] over [`TestOp`]s with the closure-style insertion the
-/// tests are written in. Its ops are all registered into step 0, so a
+/// tests are written in. Each op is a phase of step 0 of its own, so a
 /// predecessor's position is its task id.
 pub(crate) struct TestGraph {
     b: GraphBuilder<TestOp>,
@@ -198,10 +217,14 @@ impl TestGraph {
         accesses: &[Access],
         body: impl FnOnce() -> TaskResult + Send + 'static,
     ) -> TaskId {
-        let op = self.ctx.op(0, name, accesses, body);
+        let op = self.ctx.op(name, accesses, body);
         let id = self.b.push(node, op);
         self.succs.push(Vec::new());
-        op.for_each_predecessor(&self.ctx, |p| self.succs[p.pos].push(id));
+        TestOp::for_each_predecessor(&self.ctx, 0, &[op], |v| {
+            for p in v.writer.iter().chain(v.readers) {
+                self.succs[p.pos].push(id);
+            }
+        });
         id
     }
 

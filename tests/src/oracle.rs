@@ -7,14 +7,15 @@
 //! [`luqr_runtime::TaskOp::for_each_predecessor`]). The rule, per datum: an
 //! access depends on the last writer (RAW, WAW, and control ordering all
 //! collapse to this edge), and a write also on every reader since that
-//! write (WAR). [`Logged`] records the sequence a streamed run plans.
+//! write (WAR). [`Logged`] records the sequence a streamed run plans, and
+//! the closed-form predecessors its planning phases name.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use luqr::{PlannerStepSource, RunCtx};
 use luqr_runtime::stream::{StepPhase, StepSource};
-use luqr_runtime::{Access, DataKey, TaskId, TaskOp, TaskSink};
+use luqr_runtime::{Access, DataKey, Pred, TaskId, TaskOp, TaskSink};
 
 /// The predecessors of each of `ops`, inserted in order: ids into `ops`,
 /// ascending.
@@ -70,10 +71,11 @@ pub fn successors(preds: &[Vec<TaskId>]) -> Vec<Vec<TaskId>> {
     succs
 }
 
-/// A sink that records what passes through it.
+/// A sink that records what passes through it, and the ids it hands out.
 struct Tee<'a> {
     sink: &'a mut dyn TaskSink<luqr::TaskOp>,
     log: &'a mut Vec<(usize, luqr::TaskOp)>,
+    ids: &'a mut Vec<TaskId>,
 }
 
 impl TaskSink<luqr::TaskOp> for Tee<'_> {
@@ -85,15 +87,49 @@ impl TaskSink<luqr::TaskOp> for Tee<'_> {
     }
     fn push(&mut self, node: usize, op: luqr::TaskOp) -> TaskId {
         self.log.push((node, op));
-        self.sink.push(node, op)
+        let id = self.sink.push(node, op);
+        self.ids.push(id);
+        id
     }
 }
 
 /// A planner source whose planned ops are logged, with their placements,
-/// on their way to the window.
+/// on their way to the window — and with the predecessors the window is
+/// handed for each: at the end of every planning phase, the phase's sweep
+/// ([`luqr_runtime::TaskOp::for_each_predecessor`]) over the ops it
+/// planned, against the run's state at that point.
 pub struct Logged {
     pub source: PlannerStepSource,
     pub log: Vec<(usize, luqr::TaskOp)>,
+    /// Per logged op: the id the driver's sink handed out for it.
+    pub ids: Vec<TaskId>,
+    /// Per logged op: the writers and readers its phase's sweep named.
+    pub preds: Vec<Vec<Pred>>,
+    /// `(step, task)` for every step whose prelude asked the driver to
+    /// await a decision task.
+    pub awaited: Vec<(usize, TaskId)>,
+}
+
+impl Logged {
+    pub fn new(source: PlannerStepSource) -> Self {
+        Logged {
+            source,
+            log: Vec::new(),
+            ids: Vec::new(),
+            preds: Vec::new(),
+            awaited: Vec::new(),
+        }
+    }
+
+    /// Sweep the phase of step `k` that logged the ops from `from` on.
+    fn sweep(&mut self, k: usize, from: usize) {
+        let ops: Vec<luqr::TaskOp> = self.log[from..].iter().map(|&(_, op)| op).collect();
+        let preds = &mut self.preds;
+        preds.resize(self.log.len(), Vec::new());
+        luqr::TaskOp::for_each_predecessor(&self.source.context(), k, &ops, |v| {
+            preds[from + v.op].extend(v.writer.iter().chain(v.readers));
+        });
+    }
 }
 
 impl StepSource for Logged {
@@ -111,11 +147,17 @@ impl StepSource for Logged {
         self.source.prepare(sink);
     }
     fn plan_prelude(&mut self, k: usize, sink: &mut dyn TaskSink<luqr::TaskOp>) -> StepPhase {
-        let log = &mut self.log;
-        self.source.plan_prelude(k, &mut Tee { sink, log })
+        let (from, log, ids) = (self.log.len(), &mut self.log, &mut self.ids);
+        let phase = self.source.plan_prelude(k, &mut Tee { sink, log, ids });
+        if let StepPhase::AwaitDecision(task) = phase {
+            self.awaited.push((k, task));
+        }
+        self.sweep(k, from);
+        phase
     }
     fn plan_finish(&mut self, k: usize, sink: &mut dyn TaskSink<luqr::TaskOp>) {
-        let log = &mut self.log;
-        self.source.plan_finish(k, &mut Tee { sink, log });
+        let (from, log, ids) = (self.log.len(), &mut self.log, &mut self.ids);
+        self.source.plan_finish(k, &mut Tee { sink, log, ids });
+        self.sweep(k, from);
     }
 }

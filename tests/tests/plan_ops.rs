@@ -9,7 +9,9 @@
 //!   one to within a few percent (which thread first touches a table
 //!   depends on timing), so they can gate in CI where timings cannot; the
 //!   test also prints `allocs/task`, `bytes/task` and `plan ns/task` per
-//!   planner.
+//!   planner — for the batch graph the builder's wall time, for a streamed
+//!   run the CPU time of the planner thread (the thread CPU clock of the
+//!   caller of `execute_with`, which plans while the workers execute).
 //! * **Plan parity.** Golden hashes — generated at the last commit whose
 //!   planners still built a name string, a boxed closure and an access
 //!   vector per task — pin, per planner × fixture, the task names and
@@ -81,6 +83,27 @@ unsafe impl GlobalAlloc for Counting {
 
 #[global_allocator]
 static GLOBAL: Counting = Counting;
+
+/// CPU seconds the calling thread has used so far
+/// (`CLOCK_THREAD_CPUTIME_ID`).
+fn thread_cpu_seconds() -> f64 {
+    use std::os::raw::{c_int, c_long};
+    #[repr(C)]
+    struct Timespec {
+        sec: c_long,
+        nsec: c_long,
+    }
+    extern "C" {
+        fn clock_gettime(clock: c_int, ts: *mut Timespec) -> c_int;
+    }
+    const CLOCK_THREAD_CPUTIME_ID: c_int = 3;
+    let mut ts = Timespec { sec: 0, nsec: 0 };
+    // SAFETY: `ts` is a live, writable timespec for the whole call, which
+    // writes nothing else.
+    let rc = unsafe { clock_gettime(CLOCK_THREAD_CPUTIME_ID, &mut ts) };
+    assert_eq!(rc, 0, "clock_gettime(CLOCK_THREAD_CPUTIME_ID) failed");
+    ts.sec as f64 + ts.nsec as f64 * 1e-9
+}
 
 /// `(allocations, bytes, seconds)` this thread spent in `f`.
 fn measured<R>(f: impl FnOnce() -> R) -> (R, u64, u64, f64) {
@@ -181,20 +204,23 @@ fn planning_allocates_at_most_once_per_task() {
         );
 
         // Streamed: the calling thread plans, the worker threads execute —
-        // the per-thread counter sees the planner's share only. (Planning
-        // and waiting interleave here, so no planning time is reported.)
+        // the per-thread counters see the planner's share only. (Planning
+        // and waiting interleave here, so the time reported is the planner
+        // thread's CPU time, not its wall time.)
         let mut source = PlannerStepSource::new(&aug, nt_a, &opts);
         let sopts = StreamOptions::fixed(4, 1);
+        let cpu = thread_cpu_seconds();
         let (report, allocs, bytes, _) = measured(|| stream::execute_with(&mut source, &sopts));
+        let cpu = thread_cpu_seconds() - cpu;
         assert!(source.shared().error.lock().is_none());
         let tasks = report.tasks_planned as f64;
         let streamed = allocs as f64 / tasks;
         println!(
-            "{label:<18} {:>6} {:>8} {streamed:>12.3} {:>12.1} {:>14}",
+            "{label:<18} {:>6} {:>8} {streamed:>12.3} {:>12.1} {:>14.0}",
             "stream",
             report.tasks_planned,
             bytes as f64 / tasks,
-            "-"
+            cpu * 1e9 / tasks
         );
         assert!(
             streamed <= 1.0,
@@ -340,10 +366,7 @@ fn streamed_plan_is_the_batch_plan_minus_the_losing_branches() {
             .collect();
 
         let aug = TiledMatrix::from_dense_augmented(&a, &b, opts.nb);
-        let mut logged = Logged {
-            source: PlannerStepSource::new(&aug, aug.nt() - 1, &opts),
-            log: Vec::new(),
-        };
+        let mut logged = Logged::new(PlannerStepSource::new(&aug, aug.nt() - 1, &opts));
         let report = stream::execute_with(&mut logged, &StreamOptions::fixed(3, 2));
         assert_eq!(report.tasks_planned, logged.log.len());
         assert_eq!(logged.log, surviving, "{label}");
@@ -355,6 +378,42 @@ fn streamed_plan_is_the_batch_plan_minus_the_losing_branches() {
             );
             assert!(logged.log.len() < batch.graph.len());
         }
+    }
+}
+
+/// The streaming driver's sink buffers a planning phase and hands out the
+/// task ids itself, before the window has taken the phase in. The window
+/// issues ids in insertion order, so the ids handed out must be the
+/// insertion indices, and the id each hybrid step's prelude awaits must be
+/// its PANEL's — on both branches and under both trial variants (a wrong id
+/// would have the planner read a decision the panel has not recorded).
+#[test]
+fn awaited_decision_ids_are_the_panel_tasks_of_the_window() {
+    for label in ["hybrid-random", "hybrid-a2"] {
+        let (aug, nt_a, opts) = fixture(label, 192, (1, 2), TreeConfig::default());
+        let mut logged = Logged::new(PlannerStepSource::new(&aug, nt_a, &opts));
+        let report = stream::execute_with(&mut logged, &StreamOptions::fixed(2, 2));
+        let inserted: Vec<usize> = (0..report.tasks_planned).collect();
+        assert_eq!(logged.ids, inserted, "{label}: ids in insertion order");
+        let steps: Vec<usize> = logged.awaited.iter().map(|&(k, _)| k).collect();
+        assert_eq!(
+            steps,
+            (0..nt_a).collect::<Vec<_>>(),
+            "{label}: every step awaits"
+        );
+        for &(k, task) in &logged.awaited {
+            let op = logged.log[task].1;
+            assert!(
+                matches!(op, TaskOp::Panel { .. } | TaskOp::PanelA2 { .. }) && op.step() == k,
+                "{label}: step {k} awaits task {task}, {op:?}"
+            );
+        }
+        let records = logged.source.shared().records.lock();
+        let took = |d| records.iter().any(|r| r.decision == d);
+        assert!(
+            label != "hybrid-random" || (took(Decision::Lu) && took(Decision::Qr)),
+            "the fixture must take both branches"
+        );
     }
 }
 

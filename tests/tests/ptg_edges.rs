@@ -10,8 +10,9 @@
 //! barrier and the TS kills, whose victim has no GEQRT in its step.
 //!
 //! A streamed run plans only each step's chosen branch, once its decision
-//! is recorded: there, every op's closed-form predecessors
-//! ([`luqr_runtime::TaskOp::for_each_predecessor`], which the window links)
+//! is recorded: there, the closed-form predecessors of every op, as its
+//! planning phase's sweep names them
+//! ([`luqr_runtime::TaskOp::for_each_predecessor`], which the window links),
 //! are the oracle's over the sequence the run planned.
 
 use std::collections::HashSet;
@@ -125,26 +126,26 @@ fn closed_form_edges_are_the_hazard_edges_on_the_fixtures() {
 }
 
 /// Stream an `n x n` system and check every planned op's closed-form
-/// predecessors against the oracle's over the planned sequence, as sets of
+/// predecessors, as its phase's sweep named them when the phase was
+/// planned, against the oracle's over the planned sequence, as sets of
 /// `(step, position)`. Returns the run's decisions.
 fn check_streamed(index: usize, n: usize, grid: (usize, usize), ts: usize) -> Vec<Decision> {
     let what = format!("{} n={n} grid {grid:?} ts={ts} streamed", planner(index).0);
     let (a, b) = dominant_system(n, 11, 1);
     let opts = options(index, grid, ts);
     let aug = TiledMatrix::from_dense_augmented(&a, &b, opts.nb);
-    let mut logged = Logged {
-        source: PlannerStepSource::new(&aug, aug.nt() - 1, &opts),
-        log: Vec::new(),
-    };
+    let mut logged = Logged::new(PlannerStepSource::new(&aug, aug.nt() - 1, &opts));
     stream::execute_with(&mut logged, &StreamOptions::fixed(2, 2));
     let ctx = &*logged.source.context();
     let at = |op: TaskOp| (op.step(), op.position(ctx));
     let oracle = hazard_predecessors(ctx, logged.log.iter().map(|&(_, op)| op));
-    for (&(_, op), preds) in logged.log.iter().zip(&oracle) {
-        let mut closed = HashSet::new();
-        op.for_each_predecessor(ctx, |p| {
-            closed.insert((p.step, p.pos));
-        });
+    assert_eq!(
+        logged.preds.len(),
+        logged.log.len(),
+        "{what}: every op swept"
+    );
+    for ((&(_, op), preds), swept) in logged.log.iter().zip(&oracle).zip(&logged.preds) {
+        let closed: HashSet<_> = swept.iter().map(|p| (p.step, p.pos)).collect();
         let inferred: HashSet<_> = preds.iter().map(|&p| at(logged.log[p].1)).collect();
         assert_eq!(closed, inferred, "{what}: predecessors of {op:?}");
     }
