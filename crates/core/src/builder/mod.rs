@@ -4,10 +4,12 @@
 //! inserts every task of elimination step `k` (panel through trailing
 //! updates, right-hand-side columns included) into the shared [`Inserter`].
 //! [`build_graph`] looks the algorithm's planner up in the registry
-//! ([`crate::planner_for`]) and drives it once per step, then takes every
-//! task's edges in closed form from its op ([`TaskOp::for_each_successor`]),
-//! including the pipelining between consecutive steps; the streaming
-//! window infers the same edges from the same insertions.
+//! ([`crate::planner_for`]) and drives it once per step, closing each step
+//! as one planning phase. One sweep per phase feeds both sinks: the
+//! closed-form predecessors of the phase's ops
+//! ([`luqr_runtime::TaskOp::for_each_predecessor`]), including the
+//! pipelining between consecutive steps, become the batch graph's edges
+//! here and the streaming window's links there.
 //!
 //! The module tree mirrors the algorithm structure:
 //! * [`hybrid`] — the paper's LU-QR hybrid (Algorithm 1), including the A2
@@ -137,9 +139,10 @@ pub trait StepPlanner {
 /// matrix with `nt_a` tile columns of `A`) into a fresh graph, using the
 /// planner registered for `opts.algorithm` (see [`crate::planner_for`]).
 ///
-/// The edges are the ops' closed-form ones ([`TaskOp::for_each_successor`]):
-/// a step's tasks are consecutive ids, so a successor's id is where its
-/// step starts plus its dense index in the step.
+/// Each step is planned and closed as one phase: the builder takes its
+/// edges from the phase's predecessor sweep, the streaming window's
+/// ([`luqr_runtime::TaskOp::for_each_predecessor`]). No decision exists
+/// yet, so the sweep covers both branches of a hybrid step.
 pub fn build_graph(
     aug: &TiledMatrix,
     nt_a: usize,
@@ -152,24 +155,15 @@ pub fn build_graph(
     declare_tiles(&mut b, &ctx);
 
     let planner = crate::planner_for(&opts.algorithm);
-    let mut step_start = Vec::with_capacity(nt_a);
     for k in 0..nt_a {
-        step_start.push(b.len());
         let mut ins = Inserter {
             b: &mut b,
             ctx: &ctx,
         };
         planner.plan_step(k, &mut ins);
+        b.close_phase(k);
     }
-    let graph = b.build(|_, op, out| {
-        crate::edges::successors(&ctx, op, &mut |s, dense| {
-            out.push(step_start[s.step()] + dense)
-        });
-    });
-    debug_assert!(graph
-        .tasks()
-        .all(|t| step_start[t.op().step()] + t.op().dense_index(&ctx) == t.id));
-    (graph, ctx.shared.clone())
+    (b.build(), ctx.shared.clone())
 }
 
 /// A fingerprint of what this build plans for an `n x n` system with `nrhs`

@@ -1,14 +1,14 @@
-//! Closed-form edges: the batch graph as a parameterized task graph.
+//! Closed-form edges: the task graph as a parameterized task graph.
 //!
 //! In the paper's PaRSEC implementation a task is `KIND(k, i, j)` and its
-//! inputs and outputs are functions of those indices. Here too: every
-//! [`TaskOp`] of a planned run knows its successors
-//! ([`TaskOp::for_each_successor`]), and the ops of a planning phase their
-//! predecessors ([`luqr_runtime::TaskOp::for_each_predecessor`]), from
-//! their indices, the reduction trees and the lists of their step's
-//! `StepPlan`, with no record of what ran or was inserted before them. The
-//! batch graph takes its successors from here, the streaming window its
-//! predecessors.
+//! inputs and outputs are functions of those indices. Here too: the ops of
+//! a planning phase know their predecessors
+//! ([`luqr_runtime::TaskOp::for_each_predecessor`]) from their indices,
+//! the reduction trees and the lists of their step's `StepPlan`, with no
+//! record of what ran or was inserted before them. One sweep per phase
+//! feeds both sinks: the batch graph closes each step as one phase with
+//! both of its branches, the streaming window a step's prelude and then
+//! its chosen branch.
 //!
 //! **The access sequences.** For every datum, a step's ops touch it in a
 //! fixed order, which [`Step`] writes out as a short list of *slots* — one
@@ -23,20 +23,20 @@
 //! LU step's QR branch lies past the end of its last phase). A tile's
 //! lists of consecutive steps join up: every step writes each tile it
 //! touches, so one step back is always far enough, and a step's last
-//! access to a tile the next step touches is a write. The hazard rules then read off the
-//! list: an access depends on the datum's last writer, and a write also on
-//! the readers since. A successor walk starts just past the op's own
-//! access, which its indices locate, and allocates nothing. Predecessors
-//! come a planning phase at a time, in one sweep per datum: for each datum
-//! the phase may touch, the sweep reads the step's sequence from the top
-//! once, keeping the datum's state — its last writer and the readers
-//! since — and visits the accesses of the phase's ops with it. A tile the
-//! step has not written yet starts from the step before's last write.
+//! access to a tile the next step touches is a write. The hazard rules then
+//! read off the list: an access depends on the datum's last writer, and a
+//! write also on the readers since. Predecessors come a planning phase at
+//! a time, in one sweep per datum: for each datum the phase may touch, the
+//! sweep reads the step's sequence from the top once, keeping the datum's
+//! state — its last writer and the readers since — and visits the accesses
+//! of the phase's ops with it. A tile the step has not written yet starts
+//! from the step before's last write.
 //!
 //! **Ids.** Each op also has a dense index within its step, its position
 //! in the step's insertion order computed from its kind and indices
-//! (`TaskOp::dense_index`): the batch builder records where each step
-//! starts and maps a successor to its task id with one addition.
+//! (`TaskOp::dense_index`): a predecessor is named by its step and that
+//! position, which the batch builder maps to a task id with one addition
+//! (the step's start) and the window looks up in its live step's table.
 
 use std::ops::ControlFlow::{self, Break, Continue};
 use std::ops::Range;
@@ -53,44 +53,10 @@ use crate::Algorithm;
 type Flow = ControlFlow<()>;
 
 impl TaskOp {
-    /// Visit the tasks that wait for this one: for each of its accesses,
-    /// the tasks whose access to the same datum comes next under the
-    /// RAW / WAR / WAW rules (every later access up to and including the
-    /// next write, after a write; the next write, after a read). A
-    /// successor may be visited more than once. The run's steps up to the
-    /// next one must have been planned.
-    pub fn for_each_successor(self, ctx: &RunCtx, mut f: impl FnMut(TaskOp)) {
-        successors(ctx, self, &mut |op, _| f(op));
-    }
-
-    /// How many distinct tasks this one waits for: for each of its
-    /// accesses, the datum's last writer before it, and for a write the
-    /// readers since — a sweep of its own data, with the op as the phase.
-    pub fn num_predecessors(self, ctx: &RunCtx) -> usize {
-        let st = Step::new(ctx, self.step());
-        let pos = st.dense(self);
-        let mut preds: Vec<Pred> = Vec::new();
-        let mut visit = |v: Visit<'_>| preds.extend(v.writer.iter().chain(v.readers));
-        let mut sweep = Sweep::new(&st, pos..pos + 1, &mut visit);
-        self.for_each_access(ctx, |acc| {
-            let (kind, a, b) = keys::unpack(acc.key()).expect("a key of this crate");
-            sweep.datum(kind, a, b);
-        });
-        preds.sort_unstable();
-        preds.dedup();
-        preds.len()
-    }
-
     /// The op's position in its step's insertion order.
     pub(crate) fn dense_index(self, ctx: &RunCtx) -> usize {
         Step::new(ctx, self.step()).dense(self)
     }
-}
-
-/// [`TaskOp::for_each_successor`], each successor with its dense index.
-pub(crate) fn successors(ctx: &RunCtx, me: TaskOp, f: &mut dyn FnMut(TaskOp, usize)) {
-    let st = Step::new(ctx, me.step());
-    me.for_each_access(ctx, |acc| st.successors_through(me, acc, f));
 }
 
 /// [`luqr_runtime::TaskOp::for_each_predecessor`]: the accesses of `ops`,
@@ -187,7 +153,7 @@ impl<'s, 'f, F: FnMut(Visit<'_>)> Sweep<'s, 'f, F> {
             *writer
         };
         readers.clear();
-        let _ = st.slots(kind, a, b, None, &mut |slot| {
+        let _ = st.slots(kind, a, b, &mut |slot| {
             let (op, write) = match slot {
                 Slot::Write(op) => (op, true),
                 Slot::Control(op) => (op, false),
@@ -230,50 +196,6 @@ impl<'s, 'f, F: FnMut(Visit<'_>)> Sweep<'s, 'f, F> {
     }
 }
 
-impl<'a> Step<'a> {
-    /// The successors of `me`, an op of this step, through one of its
-    /// accesses: the accesses to the same datum after it, up to and
-    /// including the next write (only that write, after a read).
-    fn successors_through(&self, me: TaskOp, acc: Access, f: &mut dyn FnMut(TaskOp, usize)) {
-        let (key, write) = match acc {
-            Access::Read(key) => (key, false),
-            Access::Mut(key) => (key, true),
-            Access::Control(_) => return,
-        };
-        let (kind, a, b) = keys::unpack(key).expect("a key of this crate");
-        // Written once in its step, by the task that opens its sequence:
-        // nothing waits for a reader of it.
-        if !write && !matches!(kind, Kind::Tile | Kind::TFactor) {
-            return;
-        }
-        let mut emit = |st: &Step<'_>, after| {
-            st.slots(kind, a, b, after, &mut |slot| match slot {
-                Slot::Write(op) => {
-                    f(op, st.dense(op));
-                    Break(())
-                }
-                Slot::Control(op) => {
-                    if write {
-                        f(op, st.dense(op));
-                    }
-                    Continue(())
-                }
-                Slot::Read(readers) => {
-                    if write {
-                        readers.for_each(st, f);
-                    }
-                    Continue(())
-                }
-            })
-        };
-        let done = emit(self, Some(me)).is_break();
-        // A tile is touched by every step up to min(i, j).
-        if !done && kind == Kind::Tile && self.k < a.min(b).min(self.ctx.nt_a - 1) {
-            let _ = emit(&Step::new(self.ctx, self.k + 1), None);
-        }
-    }
-}
-
 /// One place in a datum's access sequence.
 #[derive(Clone, Copy)]
 enum Slot {
@@ -301,63 +223,6 @@ enum Readers {
     /// Every op the step inserts after its panel task (the decision's
     /// readers).
     AfterPanel,
-}
-
-impl Readers {
-    /// Visit the group's ops with their dense indices, which step through
-    /// the layout by a stride instead of being computed one by one.
-    fn for_each(self, st: &Step<'_>, f: &mut dyn FnMut(TaskOp, usize)) {
-        let (k, gate) = (st.kx(), st.lu_gate());
-        match self {
-            Readers::One(x) => f(x, st.dense(x)),
-            Readers::Cols(x) => {
-                let base = st.dense(at_col(x, ix(st.k + 1)));
-                // A pivot-row TRSM heads each column's exchange block.
-                let stride = match x {
-                    TaskOp::TrsmTop { .. } => st.col_block(),
-                    _ => 1,
-                };
-                for (c, j) in st.cols().enumerate() {
-                    f(at_col(x, ix(j)), base + c * stride);
-                }
-            }
-            Readers::GemmCol(j) => {
-                let c = j as usize - st.k - 1;
-                for i in st.below() {
-                    let at = st.lu_row(i) + usize::from(st.eliminates(i)) + c;
-                    f(
-                        TaskOp::Gemm {
-                            k,
-                            i: ix(i),
-                            j,
-                            gate,
-                        },
-                        at,
-                    );
-                }
-            }
-            Readers::Trsms => {
-                for i in st.below().filter(|&i| st.eliminates(i)) {
-                    f(TaskOp::Trsm { k, i: ix(i), gate }, st.lu_row(i));
-                }
-            }
-            Readers::Swaps(j) => {
-                for j in j.map_or(st.cols(), |j| j as usize..j as usize + 1) {
-                    let base = st.column(j);
-                    for g in 0..=st.groups() {
-                        f(st.pivswp(j, g), base + 1 + g);
-                    }
-                }
-            }
-            Readers::AfterPanel => {
-                let mut at = st.dense(st.panel());
-                st.after_panel(&mut |op| {
-                    at += 1;
-                    f(op, at);
-                });
-            }
-        }
-    }
 }
 
 /// The column op `op` moved to column `c`.
@@ -658,23 +523,6 @@ impl<'a> Step<'a> {
         }
     }
 
-    /// Where the QR walk of tile `(i, j)` resumes after QR op `op`:
-    /// `(link, past_factor)`, the link of row `i`'s list to start at and
-    /// whether its factor kernel is already behind.
-    fn qr_after(&self, i: usize, j: usize, op: TaskOp) -> Option<(usize, bool)> {
-        let p = self.elim_pos(op)? as u32;
-        let link = self
-            .row_elim(i)
-            .binary_search(&p)
-            .expect("the op works on row i");
-        let factor = matches!(op, TaskOp::Geqrt { .. } | TaskOp::Tpqrt { .. });
-        Some(if j == self.k && factor {
-            (link, true)
-        } else {
-            (link + 1, false)
-        })
-    }
-
     // --- the layout -----------------------------------------------------------
 
     /// Where the LU branch starts.
@@ -743,55 +591,6 @@ impl<'a> Step<'a> {
             Gessm { j, .. } => 1 + col(j),
             Tstrf { i, .. } => incpiv_row(i),
             Ssssm { i, j, .. } => incpiv_row(i) + 1 + col(j),
-        }
-    }
-
-    /// What a hybrid step inserts after its panel task, in order: the
-    /// PROPs, the LU branch, the QR branch.
-    fn after_panel(&self, f: &mut dyn FnMut(TaskOp)) {
-        for &i in &self.plan.trial_rows {
-            f(TaskOp::Prop {
-                k: self.kx(),
-                i: ix(i),
-            });
-        }
-        self.lu_ops(f);
-        self.qr_ops(f);
-    }
-
-    /// The LU branch's ops, in insertion order.
-    fn lu_ops(&self, f: &mut dyn FnMut(TaskOp)) {
-        let (k, gate) = (self.kx(), self.lu_gate());
-        for j in self.cols() {
-            let jx = ix(j);
-            if self.a2() {
-                f(TaskOp::Ormqr { k, j: jx, gate });
-            } else {
-                f(TaskOp::SwpInit { k, j: jx, gate });
-                (0..=self.groups()).for_each(|g| f(self.pivswp(j, g)));
-                f(TaskOp::TrsmTop { k, j: jx, gate });
-            }
-        }
-        for i in self.below() {
-            if self.eliminates(i) {
-                f(TaskOp::Trsm { k, i: ix(i), gate });
-            }
-            for j in self.cols().map(ix) {
-                f(TaskOp::Gemm {
-                    k,
-                    i: ix(i),
-                    j,
-                    gate,
-                });
-            }
-        }
-    }
-
-    /// The QR branch's ops, in insertion order.
-    fn qr_ops(&self, f: &mut dyn FnMut(TaskOp)) {
-        for p in 0..self.plan.elim.len() {
-            f(self.factor(p));
-            self.cols().for_each(|j| f(self.update(p, j)));
         }
     }
 
@@ -904,219 +703,118 @@ impl<'a> Step<'a> {
 
     // --- the access sequences -------------------------------------------------
     //
-    // Each walks the step's accesses to one datum in insertion order. With
-    // `after` set — an op of this step that accesses the datum — the walk
-    // starts just past that op's access (past its whole reader group, for a
-    // read), located from the op's indices: where a successor walk starts.
+    // Each walks the step's accesses to one datum in insertion order.
 
     /// The step's accesses to datum `(kind, a, b)` (as [`keys::unpack`]
     /// spells it).
-    fn slots(
-        &self,
-        kind: Kind,
-        a: usize,
-        b: usize,
-        after: Option<TaskOp>,
-        f: &mut impl FnMut(Slot) -> Flow,
-    ) -> Flow {
+    fn slots(&self, kind: Kind, a: usize, b: usize, f: &mut impl FnMut(Slot) -> Flow) -> Flow {
         match kind {
-            Kind::Tile => self.tile(a, b, after, f),
-            _ => self.datum(kind, a, after, f),
+            Kind::Tile => self.tile(a, b, f),
+            _ => self.datum(kind, a, f),
         }
     }
 
-    fn tile(
-        &self,
-        i: usize,
-        j: usize,
-        after: Option<TaskOp>,
-        f: &mut impl FnMut(Slot) -> Flow,
-    ) -> Flow {
+    fn tile(&self, i: usize, j: usize, f: &mut impl FnMut(Slot) -> Flow) -> Flow {
         let k = self.k;
         if i < k || j < k {
             return Continue(());
         }
-        let qr_after = after.and_then(|op| self.qr_after(i, j, op));
         match self.shape {
             Shape::Hybrid { .. } => {
-                if let Some((link, past_factor)) = qr_after {
-                    return self.qr_tile(i, j, link, past_factor, f);
-                }
-                // An LU-branch op comes after the prelude.
-                if j == k && !after.is_some_and(|op| op.gate() == Gate::Lu) {
-                    self.prelude_tile(i, after, f)?;
+                if j == k {
+                    self.prelude_tile(i, f)?;
                 }
                 if self.planned(Gate::Lu) {
-                    self.lu_tile(i, j, after, f)?;
+                    self.lu_tile(i, j, f)?;
                 }
-                self.qr_tile(i, j, 0, false, f)
+                self.qr_tile(i, j, f)
             }
             Shape::Lu { full_panel } => {
-                if after.is_none() {
-                    if j > k && full_panel {
-                        // LUPP's bulk-synchronous barrier.
-                        f(Slot::Control(self.panel()))?;
-                    }
-                    if j == k && self.is_trial(i) {
-                        f(Slot::Write(self.panel()))?;
-                    }
+                if j > k && full_panel {
+                    // LUPP's bulk-synchronous barrier.
+                    f(Slot::Control(self.panel()))?;
                 }
-                self.lu_tile(i, j, after, f)
+                if j == k && self.is_trial(i) {
+                    f(Slot::Write(self.panel()))?;
+                }
+                self.lu_tile(i, j, f)
             }
-            Shape::IncPiv => self.incpiv_tile(i, j, after, f),
-            Shape::Hqr => {
-                let (link, past_factor) = qr_after.unwrap_or((0, false));
-                self.qr_tile(i, j, link, past_factor, f)
-            }
+            Shape::IncPiv => self.incpiv_tile(i, j, f),
+            Shape::Hqr => self.qr_tile(i, j, f),
         }
     }
 
     /// A hybrid prelude's accesses to panel tile `(i, k)`.
-    fn prelude_tile(
-        &self,
-        i: usize,
-        after: Option<TaskOp>,
-        f: &mut impl FnMut(Slot) -> Flow,
-    ) -> Flow {
+    fn prelude_tile(&self, i: usize, f: &mut impl FnMut(Slot) -> Flow) -> Flow {
         let k = self.kx();
-        // How many of the tile's prelude accesses `after` has behind it.
-        let past = match after {
-            Some(TaskOp::Backup { .. }) => 1,
-            Some(TaskOp::Panel { .. } | TaskOp::PanelA2 { .. }) => 2,
-            Some(TaskOp::Prop { .. } | TaskOp::Crit { .. }) => 3,
-            _ => 0,
-        };
         if self.is_trial(i) {
-            if past == 0 {
-                f(Slot::Read(Readers::One(TaskOp::Backup { k, i: ix(i) })))?;
-            }
-            if past <= 1 {
-                f(Slot::Write(self.panel()))?;
-            }
-            if past <= 2 {
-                f(Slot::Write(TaskOp::Prop { k, i: ix(i) }))?;
-            }
-        } else if past == 0 && !self.plan.crit_groups.is_empty() {
-            f(Slot::Read(Readers::One(self.crit(self.crit_of(i)))))?;
+            f(Slot::Read(Readers::One(TaskOp::Backup { k, i: ix(i) })))?;
+            f(Slot::Write(self.panel()))?;
+            f(Slot::Write(TaskOp::Prop { k, i: ix(i) }))
+        } else if !self.plan.crit_groups.is_empty() {
+            f(Slot::Read(Readers::One(self.crit(self.crit_of(i)))))
+        } else {
+            Continue(())
         }
-        Continue(())
     }
 
     /// An LU step's, or LU branch's, accesses to tile `(i, j)` after the
     /// panel task.
-    fn lu_tile(
-        &self,
-        i: usize,
-        j: usize,
-        after: Option<TaskOp>,
-        f: &mut impl FnMut(Slot) -> Flow,
-    ) -> Flow {
-        use TaskOp::{Gemm, Ormqr, PivSwp, SwpInit, Trsm, TrsmTop};
+    fn lu_tile(&self, i: usize, j: usize, f: &mut impl FnMut(Slot) -> Flow) -> Flow {
+        use TaskOp::{Gemm, Ormqr, SwpInit, Trsm, TrsmTop};
         let (k, gate, next) = (self.kx(), self.lu_gate(), ix(self.k + 1));
         let (i, j) = (ix(i), ix(j));
         if i == k && j == k {
-            let past = match after {
-                Some(TrsmTop { .. } | Ormqr { .. }) => 1,
-                Some(Trsm { .. }) => 2,
-                _ => 0,
-            };
             let top = if self.a2() {
                 Ormqr { k, j: next, gate }
             } else {
                 TrsmTop { k, j: next, gate }
             };
-            if past == 0 {
-                f(Slot::Read(Readers::Cols(top)))?;
-            }
-            if past <= 1 {
-                f(Slot::Read(Readers::Trsms))?;
-            }
+            f(Slot::Read(Readers::Cols(top)))?;
+            f(Slot::Read(Readers::Trsms))
         } else if j == k {
-            let past = match after {
-                Some(Trsm { .. }) => 1,
-                Some(Gemm { .. }) => 2,
-                _ => 0,
-            };
-            if past == 0 && self.eliminates(i as usize) {
+            if self.eliminates(i as usize) {
                 f(Slot::Write(Trsm { k, i, gate }))?;
             }
-            if past <= 1 {
-                f(Slot::Read(Readers::Cols(Gemm {
-                    k,
-                    i,
-                    j: next,
-                    gate,
-                })))?;
-            }
+            f(Slot::Read(Readers::Cols(Gemm {
+                k,
+                i,
+                j: next,
+                gate,
+            })))
         } else if i == k {
             // The column's snapshot, exchanges and solve (A2: its ORMQR),
             // then its GEMMs' reads.
-            let groups = self.groups();
-            let past = match after {
-                Some(SwpInit { .. } | Ormqr { .. }) => 1,
-                Some(PivSwp { g, .. }) => 2 + g as usize,
-                Some(TrsmTop { .. }) => groups + 3,
-                Some(Gemm { .. }) => groups + 4,
-                _ => 0,
-            };
             if self.a2() {
-                if past == 0 {
-                    f(Slot::Write(Ormqr { k, j, gate }))?;
-                }
+                f(Slot::Write(Ormqr { k, j, gate }))?;
             } else {
-                if past == 0 {
-                    f(Slot::Read(Readers::One(SwpInit { k, j, gate })))?;
-                }
-                for g in past.saturating_sub(1)..=groups {
+                f(Slot::Read(Readers::One(SwpInit { k, j, gate })))?;
+                for g in 0..=self.groups() {
                     f(Slot::Write(self.pivswp(j as usize, g)))?;
                 }
-                if past <= groups + 2 {
-                    f(Slot::Write(TrsmTop { k, j, gate }))?;
-                }
+                f(Slot::Write(TrsmTop { k, j, gate }))?;
             }
-            if past <= groups + 3 {
-                f(Slot::Read(Readers::GemmCol(j)))?;
-            }
+            f(Slot::Read(Readers::GemmCol(j)))
         } else {
-            let past = match after {
-                Some(PivSwp { .. }) => 1,
-                Some(Gemm { .. }) => 2,
-                _ => 0,
-            };
-            if past == 0 {
-                if let Some(g) = self.swap_group(i as usize) {
-                    f(Slot::Write(self.pivswp(j as usize, g)))?;
-                }
+            if let Some(g) = self.swap_group(i as usize) {
+                f(Slot::Write(self.pivswp(j as usize, g)))?;
             }
-            if past <= 1 {
-                f(Slot::Write(Gemm { k, i, j, gate }))?;
-            }
+            f(Slot::Write(Gemm { k, i, j, gate }))
         }
-        Continue(())
     }
 
-    /// A QR step's, or QR branch's, accesses to tile `(i, j)`, from link
-    /// `from` of the list of ops touching row `i` on, that link's factor
-    /// kernel skipped if `past_factor`.
-    fn qr_tile(
-        &self,
-        i: usize,
-        j: usize,
-        from: usize,
-        past_factor: bool,
-        f: &mut impl FnMut(Slot) -> Flow,
-    ) -> Flow {
-        for (n, &p) in self.row_elim(i)[from..].iter().enumerate() {
+    /// A QR step's, or QR branch's, accesses to tile `(i, j)`: each op of
+    /// the list of those touching row `i`.
+    fn qr_tile(&self, i: usize, j: usize, f: &mut impl FnMut(Slot) -> Flow) -> Flow {
+        for &p in self.row_elim(i) {
             let p = p as usize;
             if j > self.k {
                 f(Slot::Write(self.update(p, j)))?;
-                continue;
-            }
-            if n > 0 || !past_factor {
+            } else {
                 f(Slot::Write(self.factor(p)))?;
-            }
-            if self.subject(p) == i {
-                f(Slot::Read(Readers::Cols(self.update(p, j + 1))))?;
+                if self.subject(p) == i {
+                    f(Slot::Read(Readers::Cols(self.update(p, j + 1))))?;
+                }
             }
         }
         Continue(())
@@ -1125,67 +823,39 @@ impl<'a> Step<'a> {
     /// An IncPiv step's accesses to tile `(i, j)`: the diagonal tile and
     /// the pivot row are written down the whole panel, a tile below the
     /// pivot row once.
-    fn incpiv_tile(
-        &self,
-        i: usize,
-        j: usize,
-        after: Option<TaskOp>,
-        f: &mut impl FnMut(Slot) -> Flow,
-    ) -> Flow {
-        let (k, mt) = (self.kx(), self.mt);
+    fn incpiv_tile(&self, i: usize, j: usize, f: &mut impl FnMut(Slot) -> Flow) -> Flow {
+        let k = self.kx();
         let (i, j) = (ix(i), ix(j));
-        if i != k && after.is_some() {
-            return Continue(());
-        }
-        // How many head accesses `after` has behind it, and where the
-        // chain down the panel resumes.
-        let (past, chain) = match after {
-            None => (0, self.k + 1),
-            Some(TaskOp::Getrf { .. }) => (1, self.k + 1),
-            Some(TaskOp::Tstrf { i: r, .. } | TaskOp::Ssssm { i: r, .. }) => (2, r as usize + 1),
-            Some(_) => (2, self.k + 1),
-        };
         if i == k && j == k {
-            if past == 0 {
-                f(Slot::Write(TaskOp::Getrf { k }))?;
-            }
-            if past <= 1 {
-                f(Slot::Read(Readers::Cols(TaskOp::Gessm { k, j: k + 1 })))?;
-            }
-            for r in (chain..mt).map(ix) {
+            f(Slot::Write(TaskOp::Getrf { k }))?;
+            f(Slot::Read(Readers::Cols(TaskOp::Gessm { k, j: k + 1 })))?;
+            for r in self.below().map(ix) {
                 f(Slot::Write(TaskOp::Tstrf { k, i: r }))?;
             }
+            Continue(())
         } else if j == k {
-            f(Slot::Write(TaskOp::Tstrf { k, i }))?;
+            f(Slot::Write(TaskOp::Tstrf { k, i }))
         } else if i == k {
-            if past == 0 {
-                f(Slot::Write(TaskOp::Gessm { k, j }))?;
-            }
-            for r in (chain..mt).map(ix) {
+            f(Slot::Write(TaskOp::Gessm { k, j }))?;
+            for r in self.below().map(ix) {
                 f(Slot::Write(TaskOp::Ssssm { k, i: r, j }))?;
             }
+            Continue(())
         } else {
-            f(Slot::Write(TaskOp::Ssssm { k, i, j }))?;
+            f(Slot::Write(TaskOp::Ssssm { k, i, j }))
         }
-        Continue(())
     }
 
     /// The step's accesses to a datum of its own (`a` is its index: a row,
     /// a column or a criterion group).
-    fn datum(
-        &self,
-        kind: Kind,
-        a: usize,
-        after: Option<TaskOp>,
-        f: &mut impl FnMut(Slot) -> Flow,
-    ) -> Flow {
+    fn datum(&self, kind: Kind, a: usize, f: &mut impl FnMut(Slot) -> Flow) -> Flow {
         let (k, ax, next) = (self.kx(), ix(a), ix(self.k + 1));
         let gate = self.lu_gate();
         // Everything but a T-factor is written once, by the task that opens
         // its sequence, and then read.
         let (writer, readers) = match kind {
             Kind::Tile => unreachable!("tiles are walked across steps"),
-            Kind::TFactor => return self.tfactor(a, after, f),
+            Kind::TFactor => return self.tfactor(a, f),
             Kind::Backup => (
                 TaskOp::Backup { k, i: ax },
                 Some(Readers::One(TaskOp::Prop { k, i: ax })),
@@ -1209,9 +879,7 @@ impl<'a> Step<'a> {
                 Some(Readers::Swaps(Some(ax))),
             ),
         };
-        if after.is_none() {
-            f(Slot::Write(writer))?;
-        }
+        f(Slot::Write(writer))?;
         match readers {
             Some(r) => f(Slot::Read(r)),
             None => Continue(()),
@@ -1221,13 +889,11 @@ impl<'a> Step<'a> {
     /// The step's accesses to the T-factor of row `a`: A2's trial and its
     /// ORMQRs, then each kernel factoring the row and that kernel's
     /// updates.
-    fn tfactor(&self, a: usize, after: Option<TaskOp>, f: &mut impl FnMut(Slot) -> Flow) -> Flow {
+    fn tfactor(&self, a: usize, f: &mut impl FnMut(Slot) -> Flow) -> Flow {
         if self.a2() && a == self.k {
             let (k, next, gate) = (self.kx(), ix(self.k + 1), self.lu_gate());
-            if after.is_none() {
-                f(Slot::Write(self.panel()))?;
-            }
-            if after.is_none_or(|op| op == self.panel()) && self.planned(Gate::Lu) {
+            f(Slot::Write(self.panel()))?;
+            if self.planned(Gate::Lu) {
                 f(Slot::Read(Readers::Cols(TaskOp::Ormqr {
                     k,
                     j: next,
@@ -1235,19 +901,12 @@ impl<'a> Step<'a> {
                 })))?;
             }
         }
-        let (from, past_factor) = match after.and_then(|op| self.qr_after(a, self.k, op)) {
-            Some((link, past_factor)) => (link, past_factor),
-            None => (0, false),
-        };
-        for (n, &p) in self.row_elim(a)[from..].iter().enumerate() {
+        for &p in self.row_elim(a) {
             let p = p as usize;
-            if self.subject(p) != a {
-                continue;
-            }
-            if n > 0 || !past_factor {
+            if self.subject(p) == a {
                 f(Slot::Write(self.factor(p)))?;
+                f(Slot::Read(Readers::Cols(self.update(p, self.k + 1))))?;
             }
-            f(Slot::Read(Readers::Cols(self.update(p, self.k + 1))))?;
         }
         Continue(())
     }

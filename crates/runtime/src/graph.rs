@@ -11,14 +11,13 @@
 //! against the run's shared context ([`TaskOp::Ctx`]). The runtime is
 //! generic over the op type and never sees the algorithm layer's op set.
 //!
-//! Tasks are inserted in order by the algorithm driver, and the edges are
-//! the algorithm's: [`GraphBuilder::build`] asks for each task's
-//! successors, which the algorithm layer computes from the task's indices
-//! (the PTG's output flows), and counts predecessors from them. They are
-//! the RAW / WAR / WAW hazards over the [`DataKey`]s each op reads and
-//! writes — the edges the streaming window links from the closed-form
-//! predecessors of each planning phase ([`TaskOp::for_each_predecessor`])
-//! — including the pipelining between consecutive elimination steps.
+//! Tasks are inserted in order by the algorithm driver, a planning phase
+//! at a time, and the edges are the algorithm's: one sweep per phase
+//! ([`TaskOp::for_each_predecessor`], computed from the ops' indices —
+//! the PTG's input flows) feeds both sinks, the [`GraphBuilder`]'s
+//! successor arrays and the streaming window's tables. They are the RAW /
+//! WAR / WAW hazards over the [`DataKey`]s each op reads and writes,
+//! including the pipelining between consecutive elimination steps.
 //!
 //! The paper's *dynamic* task-graph extension (Section IV) is modelled
 //! exactly: the graph statically contains **both** the LU-branch and the
@@ -294,7 +293,10 @@ pub trait TaskOp: Copy + Send + Sync + 'static {
     /// the same sequence every time it is called for the same op.
     fn for_each_access(self, ctx: &Self::Ctx, f: impl FnMut(Access));
 
-    /// The op's position in its step's insertion order.
+    /// The op's position in its step's insertion order: the batch
+    /// [`GraphBuilder`] gives it the id where its step starts plus this
+    /// position, and the streaming window finds it there in its step's
+    /// table.
     fn position(self, ctx: &Self::Ctx) -> usize;
 
     /// Visit every access of `ops` — what one planning phase inserted into
@@ -331,14 +333,14 @@ pub trait TaskOp: Copy + Send + Sync + 'static {
 /// whole factorization is materialized, then executed) or the streaming
 /// window ([`crate::stream`], tasks execute while later steps are still
 /// being planned). Algorithm planners write against this trait so the same
-/// insertion code drives both runtimes. Both take the algorithm's
-/// closed-form edges — the batch graph its successors, the window its
-/// predecessors ([`TaskOp::for_each_predecessor`]) — which are the
-/// RAW/WAR/WAW edges of the ops' accesses: what keeps batch and streaming
-/// execution bitwise-identical. The window works a planning phase at a
-/// time: its sink buffers the phase's declarations and insertions, handing
-/// out each task's id at once, and the window takes them in with one sweep
-/// per datum and one critical section.
+/// insertion code drives both runtimes. One sweep per planning phase
+/// feeds both sinks: each takes the phase's closed-form predecessors
+/// ([`TaskOp::for_each_predecessor`]), the RAW/WAR/WAW edges of the ops'
+/// accesses — what keeps batch and streaming execution bitwise-identical.
+/// A sink hands out each task's id at once; the batch graph's driver
+/// closes a step as one phase ([`GraphBuilder::close_phase`]), while the
+/// window's sink buffers a phase's declarations and insertions and the
+/// window takes them in with one sweep per datum and one critical section.
 pub trait TaskSink<O: TaskOp> {
     /// Number of virtual nodes task placements may reference.
     fn num_nodes(&self) -> usize;
@@ -511,8 +513,8 @@ impl<O: TaskOp> Graph<O> {
 
     /// Verify the graph is acyclic and edges are well formed (debug aid;
     /// built graphs are acyclic by construction, since
-    /// [`GraphBuilder::build`] accepts edges only from earlier to later
-    /// insertions).
+    /// [`GraphBuilder::close_phase`] accepts edges only from earlier to
+    /// later insertions).
     pub fn validate(&self) -> Result<(), String> {
         for t in self.tasks() {
             for &s in t.successors() {
@@ -529,16 +531,32 @@ impl<O: TaskOp> Graph<O> {
 }
 
 /// Builds a [`Graph`]: tasks are inserted in order, each with its
-/// placement, and the edges come from the algorithm layer, which knows them
-/// in closed form — [`GraphBuilder::build`] asks it for each task's
-/// successors, in id order, as a PTG task enumerates its output flows.
-/// Nothing here looks at accesses: they are derived again only when the
-/// graph is replayed.
+/// placement, a planning phase at a time, and the edges are the ones the
+/// streaming window links — [`GraphBuilder::close_phase`] takes the
+/// phase's predecessors from one sweep ([`TaskOp::for_each_predecessor`])
+/// and names each by its id, where its step starts plus its position
+/// there. A phase names predecessors only in its own step and the one
+/// before, so a step's successor lists are complete once the next step is
+/// swept: they are written then, and at most two steps' edges are held.
+/// Accesses are derived again only when the graph is replayed.
 pub struct GraphBuilder<O: TaskOp> {
     num_nodes: usize,
     ctx: Arc<O::Ctx>,
     tasks: Vec<TaskRec<O>>,
     data: IntMap<DataKey, DataInfo>,
+    /// The ops pushed since the last closed phase.
+    phase: Vec<O>,
+    /// The id of each planned step's first task.
+    step_start: Vec<TaskId>,
+    /// The edges found so far out of the tasks of an even and an odd
+    /// step, `(pred, succ)`.
+    edges: [Vec<(u32, u32)>; 2],
+    /// Where each task's list ends in `succs`, for the step being written.
+    ends: Vec<usize>,
+    /// The successor lists written so far: those of the tasks before
+    /// `succ_start.len() - 1`.
+    succ_start: Vec<u32>,
+    succs: Vec<TaskId>,
 }
 
 impl<O: TaskOp> GraphBuilder<O> {
@@ -549,69 +567,128 @@ impl<O: TaskOp> GraphBuilder<O> {
             ctx,
             tasks: Vec::new(),
             data: IntMap::default(),
+            phase: Vec::new(),
+            step_start: Vec::new(),
+            edges: [Vec::new(), Vec::new()],
+            ends: Vec::new(),
+            succ_start: vec![0],
+            succs: Vec::new(),
         }
     }
 
-    /// Declare a datum: its size in bytes (for communication costing) and
-    /// the node where it initially resides. A redeclaration replaces both
-    /// (for every task of the graph: accesses are priced when replayed).
-    pub fn declare(&mut self, key: DataKey, bytes: usize, home_node: usize) {
-        assert!(home_node < self.num_nodes);
-        self.data.insert(key, DataInfo { bytes, home_node });
-    }
-
-    /// Number of virtual nodes task placements may reference.
-    pub fn num_nodes(&self) -> usize {
-        self.num_nodes
-    }
-
-    /// Number of tasks inserted so far.
-    pub fn len(&self) -> usize {
-        self.tasks.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.tasks.is_empty()
-    }
-
-    /// Insert a task placed on `node`. Its edges are supplied when the
-    /// graph is built.
-    pub fn push(&mut self, node: usize, op: O) -> TaskId {
-        assert!(node < self.num_nodes, "task placed on unknown node");
-        let id = self.tasks.len();
-        assert!(id < u32::MAX as usize, "task ids fit 32 bits");
-        self.tasks.push(TaskRec {
-            op,
-            node: node as u32,
-            num_preds: 0,
-        });
-        id
-    }
-
-    /// Finalize into an executable [`Graph`]. `successors(id, op, out)`
-    /// appends the ids of task `id`'s successors to `out`, in any order
-    /// and possibly repeated; every one must have been inserted after
-    /// `id`. The successor lists are written once, in id order, sorted and
-    /// deduplicated, and each task's predecessor count is counted in the
-    /// same pass.
-    pub fn build(mut self, mut successors: impl FnMut(TaskId, O, &mut Vec<TaskId>)) -> Graph<O> {
-        let n = self.tasks.len();
-        let mut succ_start = Vec::with_capacity(n + 1);
-        succ_start.push(0u32);
-        let mut succs: Vec<TaskId> = Vec::new();
-        let mut out = Vec::new();
-        for id in 0..n {
-            out.clear();
-            successors(id, self.tasks[id].op, &mut out);
-            out.sort_unstable();
-            out.dedup();
-            for &s in &out {
-                assert!(s > id, "edge {id} -> {s} violates insertion order");
-                self.tasks[s].num_preds += 1;
+    /// Close a planning phase of `step`: the ops pushed since the last
+    /// call, at consecutive positions of the step ([`TaskOp::position`]).
+    /// Steps are planned in order from 0, each in one phase or more;
+    /// opening one writes the successor lists of the step two before it.
+    pub fn close_phase(&mut self, step: usize) {
+        let lo = self.tasks.len() - self.phase.len();
+        if step == self.step_start.len() {
+            if step >= 2 {
+                self.emit(step - 2, self.step_start[step - 1]);
             }
-            succs.extend_from_slice(&out);
-            succ_start.push(u32::try_from(succs.len()).expect("edge count fits 32 bits"));
+            let pos = self.phase.first().map_or(0, |op| op.position(&self.ctx));
+            self.step_start.push(lo - pos);
         }
+        assert_eq!(step + 1, self.step_start.len(), "steps in order");
+        let ctx = &*self.ctx;
+        let start = self.step_start[step];
+        #[cfg(debug_assertions)]
+        for (n, op) in self.phase.iter().enumerate() {
+            assert_eq!(
+                start + op.position(ctx),
+                lo + n,
+                "{} is at its position in step {step}, which starts at id {start}",
+                op.name(ctx)
+            );
+        }
+        let GraphBuilder {
+            tasks,
+            phase,
+            step_start,
+            edges,
+            succ_start,
+            ..
+        } = self;
+        let emitted = succ_start.len() - 1;
+        O::for_each_predecessor(ctx, step, phase, |v| {
+            let id = lo + v.op;
+            for &p in v.writer.iter().chain(v.readers) {
+                let pred = step_start.get(p.step).map(|s| s + p.pos);
+                let Some(pred) = pred.filter(|&q| q >= emitted && q < id) else {
+                    let named = pred
+                        .filter(|&q| q < tasks.len())
+                        .map(|q| tasks[q].op.name(ctx));
+                    panic!(
+                        "{} waits for {p:?} ({named:?}): not an earlier task of its step or the one before",
+                        tasks[id].op.name(ctx)
+                    );
+                };
+                let owner = if pred < start { step - 1 } else { step };
+                edges[owner % 2].push((pred as u32, id as u32));
+            }
+        });
+        phase.clear();
+    }
+
+    /// Write the successor lists of step `s`'s tasks, the ids up to `end`,
+    /// from its edges, and count each successor's predecessors: a counting
+    /// sort by predecessor into `succs`, then each list sorted and
+    /// deduplicated in place.
+    fn emit(&mut self, s: usize, end: TaskId) {
+        let GraphBuilder {
+            tasks,
+            edges,
+            ends,
+            succ_start,
+            succs,
+            ..
+        } = self;
+        let (lo, base, edges) = (succ_start.len() - 1, succs.len(), &mut edges[s % 2]);
+        ends.clear();
+        ends.resize(end - lo + 1, base);
+        for &(p, _) in edges.iter() {
+            ends[p as usize - lo + 1] += 1;
+        }
+        for i in 1..ends.len() {
+            ends[i] += ends[i - 1] - base;
+        }
+        succs.resize(base + edges.len(), 0);
+        for &(p, q) in edges.iter() {
+            let at = &mut ends[p as usize - lo];
+            succs[*at] = q as TaskId;
+            *at += 1;
+        }
+        let (mut from, mut w) = (base, base);
+        for &to in &ends[..end - lo] {
+            succs[from..to].sort_unstable();
+            let first = w;
+            for r in from..to {
+                let q = succs[r];
+                if w == first || succs[w - 1] != q {
+                    succs[w] = q;
+                    w += 1;
+                    tasks[q].num_preds += 1;
+                }
+            }
+            succ_start.push(u32::try_from(w).expect("edge count fits 32 bits"));
+            from = to;
+        }
+        succs.truncate(w);
+        edges.clear();
+    }
+
+    /// Finalize into an executable [`Graph`], writing the successor lists
+    /// of the last two steps. Every op must be in a closed phase.
+    pub fn build(mut self) -> Graph<O> {
+        assert!(self.phase.is_empty(), "every task is in a closed phase");
+        let steps = self.step_start.len();
+        for s in steps.saturating_sub(2)..steps {
+            let end = self.step_start.get(s + 1).copied();
+            self.emit(s, end.unwrap_or(self.tasks.len()));
+        }
+        // The phase and edge buffers go before the execution cells are
+        // allocated.
+        drop((self.phase, self.edges, self.ends));
         let mut step_remaining: Vec<AtomicU32> = Vec::new();
         for t in &self.tasks {
             if let Some(step) = t.op.step(&self.ctx) {
@@ -634,8 +711,8 @@ impl<O: TaskOp> GraphBuilder<O> {
                 })
                 .collect(),
             tasks: self.tasks,
-            succ_start,
-            succs,
+            succ_start: self.succ_start,
+            succs: self.succs,
             data: self.data,
         };
         debug_assert!(g.validate().is_ok());
@@ -643,17 +720,29 @@ impl<O: TaskOp> GraphBuilder<O> {
     }
 }
 
+/// A declaration is priced when the graph is replayed, so a redeclaration
+/// replaces it for every task; an op joins the open phase.
 impl<O: TaskOp> TaskSink<O> for GraphBuilder<O> {
     fn num_nodes(&self) -> usize {
         self.num_nodes
     }
 
     fn declare(&mut self, key: DataKey, bytes: usize, home_node: usize) {
-        GraphBuilder::declare(self, key, bytes, home_node);
+        assert!(home_node < self.num_nodes);
+        self.data.insert(key, DataInfo { bytes, home_node });
     }
 
     fn push(&mut self, node: usize, op: O) -> TaskId {
-        GraphBuilder::push(self, node, op)
+        assert!(node < self.num_nodes, "task placed on unknown node");
+        let id = self.tasks.len();
+        assert!(id < u32::MAX as usize, "task ids fit 32 bits");
+        self.tasks.push(TaskRec {
+            op,
+            node: node as u32,
+            num_preds: 0,
+        });
+        self.phase.push(op);
+        id
     }
 }
 

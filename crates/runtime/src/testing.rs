@@ -187,13 +187,11 @@ pub(crate) fn with_watchdog<T: Send + 'static>(
 }
 
 /// A [`GraphBuilder`] over [`TestOp`]s with the closure-style insertion the
-/// tests are written in. Each op is a phase of step 0 of its own, so a
-/// predecessor's position is its task id.
+/// tests are written in. Each op is a phase of step 0 of its own, so its
+/// position is its task id.
 pub(crate) struct TestGraph {
     b: GraphBuilder<TestOp>,
     pub(crate) ctx: Arc<TestCtx>,
-    /// Successor ids of every inserted task.
-    succs: Vec<Vec<TaskId>>,
 }
 
 impl TestGraph {
@@ -202,7 +200,6 @@ impl TestGraph {
         TestGraph {
             b: GraphBuilder::new(num_nodes, Arc::clone(&ctx)),
             ctx,
-            succs: Vec::new(),
         }
     }
 
@@ -217,19 +214,12 @@ impl TestGraph {
         accesses: &[Access],
         body: impl FnOnce() -> TaskResult + Send + 'static,
     ) -> TaskId {
-        let op = self.ctx.op(name, accesses, body);
-        let id = self.b.push(node, op);
-        self.succs.push(Vec::new());
-        TestOp::for_each_predecessor(&self.ctx, 0, &[op], |v| {
-            for p in v.writer.iter().chain(v.readers) {
-                self.succs[p.pos].push(id);
-            }
-        });
+        let id = self.b.push(node, self.ctx.op(name, accesses, body));
+        self.b.close_phase(0);
         id
     }
 
     pub(crate) fn build(self) -> Graph<TestOp> {
-        let succs = self.succs;
-        self.b.build(|id, _, out| out.extend_from_slice(&succs[id]))
+        self.b.build()
     }
 }

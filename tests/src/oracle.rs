@@ -2,11 +2,10 @@
 //! sequential-task-flow way, from each task's accesses in insertion order.
 //!
 //! This is how the batch graph's builder and the streaming window found
-//! their edges before both took them in closed form from each op's indices
-//! ([`luqr::TaskOp::for_each_successor`],
-//! [`luqr_runtime::TaskOp::for_each_predecessor`]). The rule, per datum: an
-//! access depends on the last writer (RAW, WAW, and control ordering all
-//! collapse to this edge), and a write also on every reader since that
+//! their edges before one closed-form sweep per planning phase fed both
+//! ([`luqr_runtime::TaskOp::for_each_predecessor`]). The rule, per datum:
+//! an access depends on the last writer (RAW, WAW, and control ordering
+//! all collapse to this edge), and a write also on every reader since that
 //! write (WAR). [`Logged`] records the sequence a streamed run plans, and
 //! the closed-form predecessors its planning phases name.
 

@@ -145,8 +145,10 @@ const BATCH_BUDGET: usize = 2 * STEP_BYTES;
 
 /// Batch, planning: the graph itself — a task's record, its execution
 /// cell, its share of the successor array — and what building it holds
-/// besides. (Measured: 239.5 bytes a task on the all-LU fixture while the
-/// builder inferred its edges from the accesses.)
+/// besides. (Measured on the all-LU fixture, 12 713 tasks: 155.2 bytes a
+/// task while the builder took each op's closed-form successors; 137.2
+/// with the edges of one predecessor sweep per step, two steps' edges
+/// held at a time.)
 const PLAN_BYTES_PER_TASK: usize = 170;
 
 #[test]

@@ -1,19 +1,20 @@
-//! The batch graph is a parameterized task graph: every op's successors and
-//! predecessor count, computed in closed form from its indices, the
-//! reduction trees and its step's plan lists
-//! ([`TaskOp::for_each_successor`], [`TaskOp::num_predecessors`]), are the
-//! edges hazard inference finds from the ops' accesses in insertion order
-//! ([`luqr_tests::oracle`]) — as sets of ops, for every planner, on the
-//! `plan_ops` fixtures and on grids, ragged shapes, right-hand sides and
-//! reduction trees around them. Both branches of a hybrid step are in the
-//! graph, so this covers the cross-branch WAR/WAW edges, LUPP's control
-//! barrier and the TS kills, whose victim has no GEQRT in its step.
+//! Every edge is closed-form: one predecessor sweep per planning phase
+//! ([`luqr_runtime::TaskOp::for_each_predecessor`]) feeds both sinks, and
+//! its edges are the ones hazard inference finds from the ops' accesses in
+//! insertion order ([`luqr_tests::oracle`]).
+//!
+//! The batch graph closes each step as one phase, before any decision
+//! exists: its successor lists and predecessor counts are the oracle's,
+//! for every planner, on the `plan_ops` fixtures and on grids, ragged
+//! shapes, right-hand sides and reduction trees around them. Both branches
+//! of a hybrid step are in the graph, so this covers the cross-branch
+//! WAR/WAW edges, LUPP's control barrier and the TS kills, whose victim
+//! has no GEQRT in its step.
 //!
 //! A streamed run plans only each step's chosen branch, once its decision
 //! is recorded: there, the closed-form predecessors of every op, as its
-//! planning phase's sweep names them
-//! ([`luqr_runtime::TaskOp::for_each_predecessor`], which the window links),
-//! are the oracle's over the sequence the run planned.
+//! planning phase's sweep names them (which the window links), are the
+//! oracle's over the sequence the run planned.
 
 use std::collections::HashSet;
 
@@ -73,8 +74,8 @@ fn options(index: usize, (p, q): (usize, usize), ts: usize) -> FactorOptions {
 }
 
 /// Build the batch graph of an `n x n` system with `nrhs` right-hand sides
-/// (`nb = 16`) and check every task's closed-form edges against the
-/// oracle's.
+/// (`nb = 16`) and check every task's successors and predecessor count
+/// against the oracle's.
 fn check(index: usize, n: usize, (p, q): (usize, usize), nrhs: usize, ts: usize) {
     let label = planner(index).0;
     let what = format!("{label} n={n} grid {p}x{q} nrhs={nrhs} ts={ts}");
@@ -88,19 +89,6 @@ fn check(index: usize, n: usize, (p, q): (usize, usize), nrhs: usize, ts: usize)
     let preds = hazard_predecessors(ctx, graph.tasks().map(|t| t.op()));
     let succs = successors(&preds);
     for t in graph.tasks() {
-        let op = t.op();
-        let mut closed = HashSet::new();
-        op.for_each_successor(ctx, |s| {
-            closed.insert(s);
-        });
-        let inferred: HashSet<TaskOp> = succs[t.id].iter().map(|&s| graph.task(s).op()).collect();
-        assert_eq!(closed, inferred, "{what}: successors of {}", t.name());
-        assert_eq!(
-            op.num_predecessors(ctx),
-            preds[t.id].len(),
-            "{what}: predecessors of {}",
-            t.name()
-        );
         assert_eq!(t.successors(), &succs[t.id][..], "{what}: {}", t.name());
         assert_eq!(t.num_preds(), preds[t.id].len(), "{what}: {}", t.name());
     }
