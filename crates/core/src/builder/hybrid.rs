@@ -6,7 +6,7 @@
 //!
 //! * **Batch** ([`StepPlanner::plan_step`]): both branches are inserted
 //!   into the static graph, each gated on the decision datum; the losing
-//!   branch discards itself at run time (the paper's PTG constraint).
+//!   branch does nothing at run time (the paper's PTG constraint).
 //! * **Streaming** ([`StepPlanner::plan_step_prelude`] /
 //!   [`StepPlanner::plan_step_rest`]): the prelude stops after the PANEL
 //!   task; once it has *executed*, the recorded decision is read back at

@@ -1,15 +1,13 @@
 //! The one interpreter of [`TaskOp`]s: [`run`] looks at the op's kind,
 //! locks the tiles and step cells its indices name, and calls the kernel.
-//! The result carries the task's declared cost — flops and class, from the
-//! tile dimensions — which is what the platform simulator prices.
+//! What the task costs is not measured here: it is a closed form of the op
+//! ([`TaskOp::cost`]).
 
 use luqr_kernels::blas::{gemm, trsm, Diag, Side, Trans, UpLo};
-use luqr_kernels::flops::{geqrt_flops, getrf_flops};
 use luqr_kernels::incpiv::{gessm, ssssm, tstrf};
 use luqr_kernels::lu::getrf_continue;
 use luqr_kernels::qr::{geqrt, tpmqrt, tpqrt, unmqr};
 use luqr_kernels::Mat;
-use luqr_runtime::{CostClass, TaskResult};
 
 use crate::config::{Decision, StepRecord};
 use crate::criteria::{decide, CritOutcome, DomainCritData, PanelCritData};
@@ -18,14 +16,13 @@ use crate::panel::{apply_swap_plan, factor_diagonal_domain, with_stacked, PanelF
 use crate::state::{RunCtx, StepCells, StepData};
 
 /// Execute `op` against the run's tiles and step cells. A gated op whose
-/// branch lost the step's decision does nothing and reports itself
-/// discarded.
-pub(crate) fn run(op: TaskOp, ctx: &RunCtx) -> TaskResult {
+/// branch lost the step's decision does nothing.
+pub(crate) fn run(op: TaskOp, ctx: &RunCtx) {
     use TaskOp::*;
     let k = op.step();
     let cells = ctx.steps.get(k);
     if op.gate().want().is_some_and(|want| cells.decided() != want) {
-        return TaskResult::discarded();
+        return;
     }
     match op {
         Backup { i, .. } => backup(ctx, cells, k, i as usize),
@@ -33,7 +30,7 @@ pub(crate) fn run(op: TaskOp, ctx: &RunCtx) -> TaskResult {
         Panel { .. } => trial_panel(ctx, cells, k),
         PanelA2 { .. } => a2_panel(ctx, cells, k),
         Prop { i, .. } => propagate(ctx, cells, k, i as usize),
-        PanelLu { full_panel, .. } => simple_panel(ctx, cells, k, full_panel),
+        PanelLu { .. } => simple_panel(ctx, cells, k),
         Getrf { .. } => incpiv_diag(ctx, cells, k),
         SwpInit { j, .. } => swap_init(ctx, cells, k, j as usize),
         PivSwp { j, g, .. } => pivot_swap(ctx, cells, k, j as usize, g),
@@ -77,30 +74,22 @@ fn top_left<'a>(tile: &'a Mat, rows: usize, cols: usize, copy: &'a mut Option<Ma
     }
 }
 
-/// Rounds of a criterion / pivot all-reduce over the panel's nodes.
-fn allreduce_rounds(cells: &StepCells) -> u32 {
-    (cells.plan.panel_nodes as f64).log2().ceil().max(0.0) as u32
-}
-
 // --- hybrid panel phase -----------------------------------------------------
 
-fn backup(ctx: &RunCtx, cells: &StepCells, k: usize, i: usize) -> TaskResult {
+fn backup(ctx: &RunCtx, cells: &StepCells, k: usize, i: usize) {
     *cells.data().backup[i].lock() = Some(ctx.aug.tile_ref(i, k).lock().clone());
-    TaskResult::memory(ctx.tile_bytes(i, k))
 }
 
 /// One node reduces the column norms of its off-trial panel rows locally
 /// (the paper's communication-avoiding criterion all-reduce).
-fn crit(ctx: &RunCtx, cells: &StepCells, k: usize, d: usize) -> TaskResult {
+fn crit(ctx: &RunCtx, cells: &StepCells, k: usize, d: usize) {
     let rows = &cells.plan.crit_groups[d].1;
     let guards: Vec<_> = rows
         .iter()
         .map(|&i| ctx.aug.tile_ref(i, k).lock())
         .collect();
-    let area: usize = guards.iter().map(|g| g.rows() * g.cols()).sum();
     let data = DomainCritData::from_tiles(guards.iter().map(|g| &**g));
     let _ = cells.data().crit[d].set(data);
-    TaskResult::executed(2.0 * area as f64, CostClass::Estimate)
 }
 
 /// Evaluate the criterion on the trial's and the off-trial groups' data,
@@ -142,8 +131,7 @@ fn decide_step(
 
 /// Variant A1: trial LU of the diagonal domain, criterion evaluation
 /// against the collected off-trial data, and the step's decision + record.
-fn trial_panel(ctx: &RunCtx, cells: &StepCells, k: usize) -> TaskResult {
-    let nbk = ctx.aug.tile_cols(k);
+fn trial_panel(ctx: &RunCtx, cells: &StepCells, k: usize) {
     let data = cells.data();
     let mut guards: Vec<_> = cells
         .plan
@@ -167,20 +155,13 @@ fn trial_panel(ctx: &RunCtx, cells: &StepCells, k: usize) -> TaskResult {
     if let Some(pf) = pf {
         let _ = data.panel.set(pf);
     }
-    // The trial factorization uses the node's multi-threaded recursive-LU
-    // kernel (paper §IV); the criterion all-reduce costs log2(p) rounds.
-    let flops = getrf_flops(cells.plan.total_rows, nbk) as f64 + 2.0 * (nbk * nbk) as f64;
-    TaskResult::executed(flops, CostClass::PanelFactor)
-        .with_cores(u32::MAX)
-        .with_latency_events(allreduce_rounds(cells))
 }
 
 /// Variant A2 (paper §II-C1): the trial factors the diagonal tile by QR, so
 /// a rejected trial is already the first kernel of the QR step. The
 /// criterion sees the tile's pre-factorization column norms and the `R`
 /// factor's inverse-norm estimate.
-fn a2_panel(ctx: &RunCtx, cells: &StepCells, k: usize) -> TaskResult {
-    let nbk = ctx.aug.tile_cols(k);
+fn a2_panel(ctx: &RunCtx, cells: &StepCells, k: usize) {
     let mut g = ctx.aug.tile_ref(k, k).lock();
     // Pre-factorization criterion data from the tile itself.
     let mut crit = PanelCritData {
@@ -199,24 +180,17 @@ fn a2_panel(ctx: &RunCtx, cells: &StepCells, k: usize) -> TaskResult {
     let _ = data
         .panel
         .set(PanelFactorization::new(Vec::new(), crit, vec![g.rows()]));
-    let flops = geqrt_flops(ctx.aug.tile_rows(k), nbk) as f64 + 2.0 * (nbk * nbk) as f64;
-    TaskResult::executed(flops, CostClass::PanelFactor)
-        .with_cores(u32::MAX)
-        .with_latency_events(allreduce_rounds(cells))
 }
 
 /// Restore the trial tile from its backup when the decision was QR (the LU
 /// trial is then dead weight), or drop the backup on an LU decision.
-fn propagate(ctx: &RunCtx, cells: &StepCells, k: usize, i: usize) -> TaskResult {
+fn propagate(ctx: &RunCtx, cells: &StepCells, k: usize, i: usize) {
     let saved = cells.data().backup[i]
         .lock()
         .take()
         .expect("backup missing");
     if cells.decided() == Decision::Qr {
         *ctx.aug.tile_ref(i, k).lock() = saved;
-        TaskResult::memory(ctx.tile_bytes(i, k))
-    } else {
-        TaskResult::control()
     }
 }
 
@@ -225,8 +199,7 @@ fn propagate(ctx: &RunCtx, cells: &StepCells, k: usize, i: usize) -> TaskResult 
 /// LU NoPiv (pivots inside the diagonal tile) or, `full_panel`, LUPP
 /// (pivots across the whole panel). Both continue LAPACK-style past zero
 /// pivots (NaN flood, recorded in the shared state).
-fn simple_panel(ctx: &RunCtx, cells: &StepCells, k: usize, full_panel: bool) -> TaskResult {
-    let nbk = ctx.aug.tile_cols(k);
+fn simple_panel(ctx: &RunCtx, cells: &StepCells, k: usize) {
     let mut guards: Vec<_> = cells
         .plan
         .trial_rows
@@ -245,26 +218,11 @@ fn simple_panel(ctx: &RunCtx, cells: &StepCells, k: usize, full_panel: bool) -> 
         PanelCritData::default(),
         heights,
     ));
-    // A full-panel LUPP factorization spans the grid column: every pivot
-    // search is an all-reduce over its p nodes (the latency the paper
-    // blames for LUPP's poor distributed performance).
-    let (cores, latency_events) = if full_panel {
-        (u32::MAX, nbk as u32 * allreduce_rounds(cells))
-    } else {
-        (1, 0)
-    };
-    TaskResult::executed(
-        getrf_flops(cells.plan.total_rows, nbk) as f64,
-        CostClass::PanelFactor,
-    )
-    .with_cores(cores)
-    .with_latency_events(latency_events)
 }
 
 /// IncPiv diagonal GETRF: in-tile partial pivoting, continuing past zero
 /// pivots.
-fn incpiv_diag(ctx: &RunCtx, cells: &StepCells, k: usize) -> TaskResult {
-    let (tm, nbk) = ctx.aug.tile_dims(k, k);
+fn incpiv_diag(ctx: &RunCtx, cells: &StepCells, k: usize) {
     let mut t = ctx.aug.tile_ref(k, k).lock();
     let (ipiv, info) = getrf_continue(&mut t);
     if let Some(step) = info {
@@ -276,24 +234,20 @@ fn incpiv_diag(ctx: &RunCtx, cells: &StepCells, k: usize) -> TaskResult {
         PanelCritData::default(),
         vec![t.rows()],
     ));
-    TaskResult::executed(getrf_flops(tm, nbk) as f64, CostClass::PanelFactor)
 }
 
 // --- the LU step ------------------------------------------------------------
 
-fn swap_init(ctx: &RunCtx, cells: &StepCells, k: usize, j: usize) -> TaskResult {
+fn swap_init(ctx: &RunCtx, cells: &StepCells, k: usize, j: usize) {
     *cells.data().scratch[j].lock() = Some(ctx.aug.tile_ref(k, j).lock().clone());
-    TaskResult::memory(ctx.aug.tile_cols(k) * ctx.aug.tile_cols(j) * 8)
 }
 
 /// One node exchanges *its own* rows of column `j` with the pivot block
 /// (ScaLAPACK PDLASWP-style); group 0 also applies the permutation inside
 /// the pivot block.
-fn pivot_swap(ctx: &RunCtx, cells: &StepCells, k: usize, j: usize, g: u32) -> TaskResult {
+fn pivot_swap(ctx: &RunCtx, cells: &StepCells, k: usize, j: usize, g: u32) {
     let data = cells.data();
-    let Some(pf) = data.panel.get() else {
-        return TaskResult::discarded();
-    };
+    let pf = data.panel.get().expect("panel missing");
     let nbk = ctx.aug.tile_cols(k);
     let rows = cells.plan.swap_rows(g);
     let spans: Vec<(usize, usize)> = rows
@@ -310,14 +264,11 @@ fn pivot_swap(ctx: &RunCtx, cells: &StepCells, k: usize, j: usize, g: u32) -> Ta
         .collect();
     let mut refs: Vec<(usize, &mut Mat)> = guards.iter_mut().map(|(o, g)| (*o, &mut **g)).collect();
     apply_swap_plan(&plan, orig, &mut top, &mut refs, g == 0);
-    TaskResult::memory(nbk * ctx.aug.tile_cols(j) * 8)
 }
 
 /// Top solve: `U_kj = L11⁻¹ (P C)_top`.
-fn trsm_top(ctx: &RunCtx, cells: &StepCells, k: usize, j: usize) -> TaskResult {
-    if cells.data().panel.get().is_none() {
-        return TaskResult::discarded();
-    }
+fn trsm_top(ctx: &RunCtx, cells: &StepCells, k: usize, j: usize) {
+    let _ = cells.data().panel.get().expect("panel missing");
     let nbk = ctx.aug.tile_cols(k);
     let l11 = ctx.aug.tile_ref(k, k).lock();
     // The solve reads only the strictly-lower triangle (unit diagonal).
@@ -333,12 +284,11 @@ fn trsm_top(ctx: &RunCtx, cells: &StepCells, k: usize, j: usize) -> TaskResult {
         l_top,
         &mut top,
     );
-    TaskResult::executed((nbk * nbk * ctx.aug.tile_cols(j)) as f64, CostClass::Trsm)
 }
 
 /// Eliminate: `A_ik <- A_ik U_kk⁻¹` (TRSM against the upper triangle of
 /// the factored diagonal tile — `U_kk`, or `R` in variant A2).
-fn trsm_eliminate(ctx: &RunCtx, k: usize, i: usize) -> TaskResult {
+fn trsm_eliminate(ctx: &RunCtx, k: usize, i: usize) {
     let nbk = ctx.aug.tile_cols(k);
     let kk = ctx.aug.tile_ref(k, k).lock();
     let mut copy = None;
@@ -353,11 +303,10 @@ fn trsm_eliminate(ctx: &RunCtx, k: usize, i: usize) -> TaskResult {
         u,
         &mut ik,
     );
-    TaskResult::executed((ctx.aug.tile_rows(i) * nbk * nbk) as f64, CostClass::Trsm)
 }
 
 /// Schur update `A_ij -= A_ik A_kj`.
-fn gemm_update(ctx: &RunCtx, k: usize, i: usize, j: usize) -> TaskResult {
+fn gemm_update(ctx: &RunCtx, k: usize, i: usize, j: usize) {
     let nbk = ctx.aug.tile_cols(k);
     let ik = ctx.aug.tile_ref(i, k).lock();
     let kj = ctx.aug.tile_ref(k, j).lock();
@@ -374,26 +323,19 @@ fn gemm_update(ctx: &RunCtx, k: usize, i: usize, j: usize) -> TaskResult {
         1.0,
         &mut ij,
     );
-    let flops = 2.0 * (ctx.aug.tile_rows(i) * ctx.aug.tile_cols(j) * nbk) as f64;
-    TaskResult::executed(flops, CostClass::Gemm)
 }
 
 // --- the QR step ------------------------------------------------------------
 
-fn geqrt_tile(ctx: &RunCtx, cells: &StepCells, k: usize, i: usize) -> TaskResult {
-    let (tm, nbk) = ctx.aug.tile_dims(i, k);
+fn geqrt_tile(ctx: &RunCtx, cells: &StepCells, k: usize, i: usize) {
     let f = geqrt(&mut ctx.aug.tile_ref(i, k).lock(), ctx.opts.ib);
     *cells.data().tf[i].lock() = Some(f);
-    TaskResult::executed(geqrt_flops(tm, nbk) as f64, CostClass::QrFactor)
 }
 
 /// `A_row,j <- Qᵀ A_row,j` (UNMQR) for the reflectors held in panel tile
 /// `(row, k)`: the QR step's GEQRT updates and variant A2's pivot-row
 /// apply.
-fn qt_apply(ctx: &RunCtx, cells: &StepCells, k: usize, row: usize, j: usize) -> TaskResult {
-    let nbk = ctx.aug.tile_cols(k);
-    let tm = ctx.aug.tile_rows(row);
-    let w = ctx.aug.tile_cols(j);
+fn qt_apply(ctx: &RunCtx, cells: &StepCells, k: usize, row: usize, j: usize) {
     let v = ctx.aug.tile_ref(row, k).lock();
     let data = cells.data();
     let tf = data.tf[row].lock();
@@ -404,8 +346,6 @@ fn qt_apply(ctx: &RunCtx, cells: &StepCells, k: usize, row: usize, j: usize) -> 
         tf.as_ref().expect("missing T factor"),
         &mut c,
     );
-    let kref = tm.min(nbk);
-    TaskResult::executed(((4 * tm - 2 * kref) * kref * w) as f64, CostClass::QrApply)
 }
 
 /// TS kills take a full square victim (`l = 0`); TT kills a triangular one
@@ -419,7 +359,7 @@ fn kill_l(ts: bool, vm: usize, nbk: usize) -> usize {
 }
 
 /// TSQRT / TTQRT of a victim/eliminator pair.
-fn kill(ctx: &RunCtx, cells: &StepCells, k: usize, v: usize, e: usize, ts: bool) -> TaskResult {
+fn kill(ctx: &RunCtx, cells: &StepCells, k: usize, v: usize, e: usize, ts: bool) {
     let (vm, nbk) = ctx.aug.tile_dims(v, k);
     let mut eg = ctx.aug.tile_ref(e, k).lock();
     let mut vg = ctx.aug.tile_ref(v, k).lock();
@@ -429,20 +369,10 @@ fn kill(ctx: &RunCtx, cells: &StepCells, k: usize, v: usize, e: usize, ts: bool)
         })
     });
     *cells.data().tf[v].lock() = Some(f);
-    let scale = if ts { 2.0 } else { 2.0 / 3.0 };
-    TaskResult::executed(scale * (vm * nbk * nbk) as f64, CostClass::QrFactor)
 }
 
 /// TSMQR / TTMQR: the kill's trailing update on the pair of rows.
-fn kill_update(
-    ctx: &RunCtx,
-    cells: &StepCells,
-    k: usize,
-    v: usize,
-    e: usize,
-    j: usize,
-    ts: bool,
-) -> TaskResult {
+fn kill_update(ctx: &RunCtx, cells: &StepCells, k: usize, v: usize, e: usize, j: usize, ts: bool) {
     let (vm, nbk) = ctx.aug.tile_dims(v, k);
     let w = ctx.aug.tile_cols(j);
     let vsg = ctx.aug.tile_ref(v, k).lock();
@@ -458,13 +388,11 @@ fn kill_update(
             tpmqrt(Trans::Trans, kill_l(ts, vm, nbk), vview, tfr, a, b)
         })
     });
-    let scale = if ts { 4.0 } else { 2.0 };
-    TaskResult::executed(scale * (vm * nbk * w) as f64, CostClass::QrApply)
 }
 
 // --- LU IncPiv --------------------------------------------------------------
 
-fn incpiv_gessm(ctx: &RunCtx, cells: &StepCells, k: usize, j: usize) -> TaskResult {
+fn incpiv_gessm(ctx: &RunCtx, cells: &StepCells, k: usize, j: usize) {
     let nbk = ctx.aug.tile_cols(k);
     let w = ctx.aug.tile_cols(j);
     let data = cells.data();
@@ -475,11 +403,10 @@ fn incpiv_gessm(ctx: &RunCtx, cells: &StepCells, k: usize, j: usize) -> TaskResu
     let lu_sq = top_left(&lu, nbk.min(lu.rows()), nbk, &mut copy);
     let mut c = ctx.aug.tile_ref(k, j).lock();
     with_sub(&mut c, lu_sq.rows(), w, |top| gessm(lu_sq, &pf.ipiv, top));
-    TaskResult::executed((nbk * nbk * w) as f64, CostClass::Trsm)
 }
 
-fn incpiv_tstrf(ctx: &RunCtx, cells: &StepCells, k: usize, i: usize) -> TaskResult {
-    let (tm, nbk) = ctx.aug.tile_dims(i, k);
+fn incpiv_tstrf(ctx: &RunCtx, cells: &StepCells, k: usize, i: usize) {
+    let nbk = ctx.aug.tile_cols(k);
     let mut ug = ctx.aug.tile_ref(k, k).lock();
     let mut ag = ctx.aug.tile_ref(i, k).lock();
     let mut l = Mat::zeros(ag.rows(), nbk);
@@ -491,10 +418,9 @@ fn incpiv_tstrf(ctx: &RunCtx, cells: &StepCells, k: usize, i: usize) -> TaskResu
         }
     };
     let _ = cells.data().l[i].set((l, piv));
-    TaskResult::executed((tm * nbk * nbk) as f64, CostClass::Trsm)
 }
 
-fn incpiv_ssssm(ctx: &RunCtx, cells: &StepCells, k: usize, i: usize, j: usize) -> TaskResult {
+fn incpiv_ssssm(ctx: &RunCtx, cells: &StepCells, k: usize, i: usize, j: usize) {
     let nbk = ctx.aug.tile_cols(k);
     let w = ctx.aug.tile_cols(j);
     let data = cells.data();
@@ -502,8 +428,4 @@ fn incpiv_ssssm(ctx: &RunCtx, cells: &StepCells, k: usize, i: usize, j: usize) -
     let mut top = ctx.aug.tile_ref(k, j).lock();
     let mut bot = ctx.aug.tile_ref(i, j).lock();
     with_sub(&mut top, nbk, w, |t| ssssm(l, piv, t, &mut bot));
-    TaskResult::executed(
-        2.0 * (ctx.aug.tile_rows(i) * nbk * w) as f64,
-        CostClass::Gemm,
-    )
 }

@@ -2,9 +2,9 @@
 //!
 //! Every datum the tasks touch — tiles, T-factors, panel backups, pivot
 //! records, per-domain criterion scratch, per-step decisions — gets a unique
-//! [`DataKey`]: the streaming window infers dependencies from them, the
-//! batch graph's closed-form edges unpack them, and the simulator prices
-//! them. Keys pack a kind tag and up to two 24-bit indices.
+//! [`DataKey`]: the closed-form predecessor sweep that feeds the batch
+//! graph and the streaming window alike unpacks them, and the simulator
+//! prices them. Keys pack a kind tag and up to two 24-bit indices.
 
 use luqr_runtime::DataKey;
 

@@ -1,12 +1,13 @@
 //! The task descriptor: every task a planner emits is one [`TaskOp`] — a
 //! kind plus its `(k, i, j, …)` tile indices and a branch gate — and
 //! everything else about the task is a function of it: its name, its
-//! elimination step, its owner node, its data accesses (here) and its body
-//! (`interp`). Lists an op cannot carry — the trial rows of a
+//! elimination step, its owner node, its data accesses, its cost (here) and
+//! its body (`interp`). Lists an op cannot carry — the trial rows of a
 //! panel, the rows of a row-exchange group — are read from the step's
 //! `state::StepPlan`, which outlives the step's tasks.
 
-use luqr_runtime::{Access, DataClass, DataKey, TaskResult, Visit};
+use luqr_kernels::flops::{geqrt_flops, getrf_flops};
+use luqr_runtime::{Access, CostClass, DataClass, DataKey, TaskResult, Visit};
 use luqr_tile::Grid;
 
 use crate::config::Decision;
@@ -18,7 +19,8 @@ pub type Ix = u32;
 
 /// Which side of the hybrid's per-step branch pair an op is on. A gated op
 /// reads the step's decision first and executes only when the panel task
-/// recorded the matching [`Decision`]; otherwise it discards itself.
+/// recorded the matching [`Decision`]; otherwise it is discarded: it does
+/// nothing and costs nothing ([`TaskOp::cost`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Gate {
     /// Unconditional (the baselines, and the hybrid's panel phase).
@@ -379,13 +381,100 @@ impl TaskOp {
             }
         }
     }
+
+    /// The task's cost — flops (bytes for a memory task), class, cores and
+    /// synchronization rounds — from the tile dimensions, the step's plan
+    /// and its decision: what the executors tally and the platform
+    /// simulator prices. A gated op on the losing side of the decision is
+    /// discarded. `None` while the cost waits for a decision the step has
+    /// not taken: a gated op's, or Propagate's (a restore on QR, nothing on
+    /// LU).
+    pub fn cost(self, ctx: &RunCtx) -> Option<TaskResult> {
+        use CostClass as C;
+        use TaskOp::*;
+        let k = self.step();
+        let cells = ctx.steps.get(k);
+        let decision = cells.decision.get().copied();
+        let want = self.gate().want();
+        if want.is_some_and(|want| decision != Some(want)) {
+            return decision.map(|_| TaskResult::discarded());
+        }
+        let (plan, a) = (&cells.plan, &ctx.aug);
+        let rows = |i: Ix| a.tile_rows(i as usize);
+        let cols = |j: Ix| a.tile_cols(j as usize);
+        let nbk = a.tile_cols(k);
+        // Rounds of a criterion / pivot all-reduce over the panel's nodes.
+        let rounds = (plan.panel_nodes as f64).log2().ceil().max(0.0) as u32;
+        let flops = TaskResult::executed;
+        // The hybrid's trial factorization runs the node's multi-threaded
+        // kernel (paper §IV), then the criterion all-reduce.
+        let trial = |factor: u64| {
+            let f = factor as f64 + 2.0 * (nbk * nbk) as f64;
+            flops(f, C::PanelFactor)
+                .with_cores(u32::MAX)
+                .with_latency_events(rounds)
+        };
+        Some(match self {
+            Backup { i, .. } => TaskResult::memory(ctx.tile_bytes(i as usize, k)),
+            // One node reduces the column norms of its group's panel tiles.
+            Crit { d, .. } => {
+                let group = &plan.crit_groups[d as usize].1;
+                let area: usize = group.iter().map(|&i| a.tile_rows(i) * nbk).sum();
+                flops(2.0 * area as f64, C::Estimate)
+            }
+            Panel { .. } => trial(getrf_flops(plan.total_rows, nbk)),
+            PanelA2 { .. } => trial(geqrt_flops(a.tile_rows(k), nbk)),
+            Prop { i, .. } => match decision? {
+                Decision::Qr => TaskResult::memory(ctx.tile_bytes(i as usize, k)),
+                Decision::Lu => TaskResult::control(),
+            },
+            // A full-panel LUPP factorization spans the grid column: every
+            // pivot search is an all-reduce over its p nodes (the latency
+            // the paper blames for LUPP's poor distributed performance).
+            PanelLu { full_panel, .. } => {
+                let f = flops(getrf_flops(plan.total_rows, nbk) as f64, C::PanelFactor);
+                if full_panel {
+                    f.with_cores(u32::MAX)
+                        .with_latency_events(nbk as u32 * rounds)
+                } else {
+                    f
+                }
+            }
+            Getrf { .. } => flops(getrf_flops(a.tile_rows(k), nbk) as f64, C::PanelFactor),
+            SwpInit { j, .. } | PivSwp { j, .. } => TaskResult::memory(nbk * cols(j) * 8),
+            TrsmTop { j, .. } | Gessm { j, .. } => flops((nbk * nbk * cols(j)) as f64, C::Trsm),
+            Trsm { i, .. } | Tstrf { i, .. } => flops((rows(i) * nbk * nbk) as f64, C::Trsm),
+            Gemm { i, j, .. } | Ssssm { i, j, .. } => {
+                flops(2.0 * (rows(i) * cols(j) * nbk) as f64, C::Gemm)
+            }
+            Geqrt { i, .. } => flops(geqrt_flops(rows(i), nbk) as f64, C::QrFactor),
+            Unmqr { i: row, j, .. } | Ormqr { j, k: row, .. } => {
+                let (tm, w) = (rows(row), cols(j));
+                let kref = tm.min(nbk);
+                flops(((4 * tm - 2 * kref) * kref * w) as f64, C::QrApply)
+            }
+            // TS kills take a full square victim, TT kills a triangular one.
+            Tpqrt { v, ts, .. } => {
+                let scale = if ts { 2.0 } else { 2.0 / 3.0 };
+                flops(scale * (rows(v) * nbk * nbk) as f64, C::QrFactor)
+            }
+            Tpmqrt { v, j, ts, .. } => {
+                let scale = if ts { 4.0 } else { 2.0 };
+                flops(scale * (rows(v) * nbk * cols(j)) as f64, C::QrApply)
+            }
+        })
+    }
 }
 
 impl luqr_runtime::TaskOp for TaskOp {
     type Ctx = RunCtx;
 
-    fn run(self, ctx: &RunCtx) -> TaskResult {
-        crate::interp::run(self, ctx)
+    fn run(self, ctx: &RunCtx) {
+        crate::interp::run(self, ctx);
+    }
+
+    fn cost(self, ctx: &RunCtx) -> Option<TaskResult> {
+        TaskOp::cost(self, ctx)
     }
 
     fn step(self, _ctx: &RunCtx) -> Option<usize> {

@@ -38,7 +38,7 @@ fn render<O: TaskOp>(graph: &Graph<O>, kept: Vec<bool>) -> String {
     s.push_str("digraph luqr {\n  rankdir=TB;\n  node [shape=box, fontname=\"monospace\"];\n");
     let discarded: Vec<bool> = graph
         .tasks()
-        .map(|t| matches!(t.result(), Some(r) if !r.executed))
+        .map(|t| matches!(t.cost(), Some(r) if !r.executed))
         .collect();
     for t in graph.tasks().filter(|t| kept[t.id]) {
         let name = t.name();

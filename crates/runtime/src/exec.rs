@@ -6,7 +6,8 @@
 //! queue (crossbeam MPMC channel). Because the dependency system serializes
 //! all conflicting accesses, execution is deterministic in its numerical
 //! results regardless of the number of workers — only the interleaving
-//! changes.
+//! changes. Each worker tallies the cost of the tasks it ran
+//! ([`TaskOp::cost`]); the report merges the workers' tallies.
 
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 use std::time::Instant;
@@ -16,8 +17,8 @@ use crossbeam::channel;
 use crate::graph::{CostClass, Graph, TaskId, TaskOp, TaskResult};
 use crate::trace::TraceEvent;
 
-/// Running tally of task outcomes, shared by the batch executor's report
-/// and the streaming window's incremental counters so both runtimes count
+/// Running tally of task costs, shared by the batch executor's workers and
+/// the streaming window's incremental counters so both runtimes count
 /// executed / discarded tasks and flops identically.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Tally {
@@ -42,7 +43,19 @@ impl Tally {
             self.discarded += 1;
         }
     }
+
+    /// Fold another tally into this one.
+    fn merge(&mut self, other: Tally) {
+        self.executed += other.executed;
+        self.discarded += other.discarded;
+        self.flops += other.flops;
+    }
 }
+
+/// The countdown of a task that has run: a second run of it, or a report
+/// before every task ran, is caught on it. It publishes nothing, so it is
+/// written `Relaxed`; the report reads it after the workers have joined.
+pub(crate) const RAN: u32 = u32::MAX;
 
 /// Summary of one graph execution.
 #[derive(Debug, Clone, PartialEq)]
@@ -58,31 +71,23 @@ pub struct ExecReport {
 }
 
 impl<O: TaskOp> Graph<O> {
-    /// Rearm every countdown, so that executing a graph twice trips the
-    /// "executed twice" check instead of hanging.
-    fn reset_countdowns(&self) {
-        for (t, cell) in self.tasks().zip(&self.run) {
-            cell.preds_remaining
-                .store(t.num_preds() as u32, Ordering::Relaxed);
-        }
-    }
-
-    /// Run task `id`'s op against the graph's context and record the
-    /// result; the last task of a step to finish retires the step.
-    /// `exclusive`: the calling thread is the only worker (see
-    /// [`count_down`]).
+    /// Run task `id`'s op against the graph's context and return its cost;
+    /// the last task of a step to finish retires the step. The task's
+    /// countdown, zero since it became ready, becomes [`RAN`]: a graph
+    /// executed twice fails on its first root. `exclusive`: the calling
+    /// thread is the only worker (see [`count_down`]).
     fn run_task(&self, id: TaskId, exclusive: bool) -> TaskResult {
-        let cell = &self.run[id];
-        assert!(
-            cell.result.get().is_none(),
-            "task '{}' executed twice",
-            self.task(id).name()
-        );
+        // Only the worker running the task touches its countdown now.
+        let cell = &self.countdown[id];
         let op = self.task(id).op();
-        let result = op.run(self.ctx());
-        cell.result
-            .set(result)
-            .expect("task result already recorded");
+        let name = || op.name(self.ctx());
+        if cell.load(Ordering::Relaxed) == RAN {
+            panic!("task '{}' executed twice", name());
+        }
+        cell.store(RAN, Ordering::Relaxed);
+        op.run(self.ctx());
+        let cost = op.cost(self.ctx());
+        let cost = cost.unwrap_or_else(|| panic!("task '{}' ran but has no cost", name()));
         if let Some(step) = op.step(self.ctx()) {
             // AcqRel: the retiring thread must see what every other task
             // of the step wrote before it drops the step's cells.
@@ -90,14 +95,14 @@ impl<O: TaskOp> Graph<O> {
                 O::retire_step(self.ctx(), step);
             }
         }
-        result
+        cost
     }
 
     /// Count task `id` as done on each of its successors, handing the ones
     /// it was the last predecessor of to `ready`.
     fn release_successors(&self, id: TaskId, exclusive: bool, mut ready: impl FnMut(TaskId)) {
         for &s in self.task(id).successors() {
-            let prev = count_down(&self.run[s].preds_remaining, exclusive);
+            let prev = count_down(&self.countdown[s], exclusive);
             debug_assert!(prev >= 1, "dependency underflow");
             if prev == 1 {
                 ready(s);
@@ -118,14 +123,18 @@ impl<O: TaskOp> Graph<O> {
         }
     }
 
-    /// The report of a finished execution that took `wall_seconds`.
-    fn report(&self, wall_seconds: f64) -> ExecReport {
-        let mut tally = Tally::default();
-        for t in self.tasks() {
-            match t.result() {
-                Some(r) => tally.record(&r),
-                None => panic!("task '{}' never ran — cyclic or broken graph", t.name()),
-            }
+    /// The report of a finished execution that took `wall_seconds` and
+    /// tallied `tally`.
+    fn report(&self, wall_seconds: f64, tally: Tally) -> ExecReport {
+        let never_ran = self
+            .countdown
+            .iter()
+            .position(|c| c.load(Ordering::Relaxed) != RAN);
+        if let Some(id) = never_ran {
+            panic!(
+                "task '{}' never ran — cyclic or broken graph",
+                self.task(id).name()
+            );
         }
         ExecReport {
             wall_seconds,
@@ -153,10 +162,9 @@ fn count_down(counter: &AtomicU32, exclusive: bool) -> u32 {
 
 /// Execute the graph on `threads` worker threads (must be ≥ 1).
 ///
-/// Each task's [`crate::graph::TaskResult`] is recorded in the graph for later inspection
-/// or platform simulation. Panics if the graph was already executed or if
-/// the dependency counts are inconsistent; a task that panics stops the
-/// run, and its panic is re-raised on the calling thread.
+/// Panics if the graph was already executed or if the dependency counts
+/// are inconsistent; a task that panics stops the run, and its panic is
+/// re-raised on the calling thread.
 pub fn execute<O: TaskOp>(graph: &Graph<O>, threads: usize) -> ExecReport {
     execute_inner(graph, threads, None)
 }
@@ -190,22 +198,22 @@ fn execute_inner<O: TaskOp>(
     let n = graph.len();
     let start = Instant::now();
     if n == 0 {
-        return graph.report(0.0);
+        return graph.report(0.0, Tally::default());
     }
-    graph.reset_countdowns();
 
     // One task, start to finish: run the op, record its span when traced,
-    // and hand the successors it releases to `ready`.
+    // hand the successors it releases to `ready`, and return its cost.
     let run_one = |tid: TaskId, worker: usize, exclusive: bool, ready: &mut dyn FnMut(TaskId)| {
         let t0 = events.map(|_| start.elapsed().as_secs_f64());
-        let result = graph.run_task(tid, exclusive);
+        let cost = graph.run_task(tid, exclusive);
         if let (Some(events), Some(t0)) = (events, t0) {
-            if result.executed {
+            if cost.executed {
                 let t1 = start.elapsed().as_secs_f64();
                 events.lock().push(graph.trace_event(tid, worker, t0, t1));
             }
         }
         graph.release_successors(tid, exclusive, ready);
+        cost
     };
 
     // Single-worker fast path: run the same FIFO discipline inline on the
@@ -216,10 +224,11 @@ fn execute_inner<O: TaskOp>(
     // time on fine-grained graphs.
     if threads == 1 {
         let mut queue: std::collections::VecDeque<TaskId> = graph.roots().into();
+        let mut tally = Tally::default();
         while let Some(tid) = queue.pop_front() {
-            run_one(tid, 0, true, &mut |s| queue.push_back(s));
+            tally.record(&run_one(tid, 0, true, &mut |s| queue.push_back(s)));
         }
-        return graph.report(start.elapsed().as_secs_f64());
+        return graph.report(start.elapsed().as_secs_f64(), tally);
     }
 
     let (tx, rx) = channel::unbounded::<TaskId>();
@@ -229,13 +238,16 @@ fn execute_inner<O: TaskOp>(
     let remaining = AtomicUsize::new(n);
     let panicked = parking_lot::Mutex::new(None);
 
+    let total = parking_lot::Mutex::new(Tally::default());
+
     std::thread::scope(|scope| {
         for worker in 0..threads {
             let rx = rx.clone();
             let tx = tx.clone();
-            let (remaining, panicked) = (&remaining, &panicked);
+            let (remaining, panicked, total) = (&remaining, &panicked, &total);
             let run_one = &run_one;
             scope.spawn(move || {
+                let mut tally = Tally::default();
                 // One sentinel per worker ends the run: every worker holds a
                 // sender, so the channel never disconnects on its own.
                 let stop_all = || {
@@ -252,18 +264,23 @@ fn execute_inner<O: TaskOp>(
                             let _ = tx.send(s);
                         })
                     }));
-                    if let Err(payload) = ran {
-                        // The task's successors will never be released:
-                        // stop everyone, and re-raise on the caller's thread.
-                        panicked.lock().get_or_insert(payload);
-                        stop_all();
-                        break;
+                    match ran {
+                        Ok(cost) => tally.record(&cost),
+                        Err(payload) => {
+                            // The task's successors will never be released:
+                            // stop everyone, and re-raise on the caller's
+                            // thread.
+                            panicked.lock().get_or_insert(payload);
+                            stop_all();
+                            break;
+                        }
                     }
                     // The worker finishing the last task wakes everyone up.
                     if remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
                         stop_all();
                     }
                 }
+                total.lock().merge(tally);
             });
         }
         drop(tx);
@@ -273,7 +290,7 @@ fn execute_inner<O: TaskOp>(
         std::panic::resume_unwind(payload);
     }
 
-    graph.report(start.elapsed().as_secs_f64())
+    graph.report(start.elapsed().as_secs_f64(), total.into_inner())
 }
 
 #[cfg(test)]

@@ -4,12 +4,13 @@
 //! parameterized task graphs: a task is `(class, k, i, j)` and its body,
 //! name, accesses, cost and dependencies are functions of that tuple. Here
 //! a task is a [`TaskOp`] — a `Copy` descriptor the algorithm layer
-//! defines — and the runtime stores that descriptor, the task's placement
-//! and its edges, and nothing else per task: names are rendered when a
-//! trace event or a DOT node is emitted, accesses are re-derived when a
-//! graph is replayed, and the body is one call into the op's interpreter
-//! against the run's shared context ([`TaskOp::Ctx`]). The runtime is
-//! generic over the op type and never sees the algorithm layer's op set.
+//! defines — and the runtime stores that descriptor, the task's placement,
+//! its edges and its countdown, and nothing else per task: names are
+//! rendered when a trace event or a DOT node is emitted, accesses and costs
+//! are derived again when a graph is replayed, and the body is one call
+//! into the op's interpreter against the run's shared context
+//! ([`TaskOp::Ctx`]). The runtime is generic over the op type and never
+//! sees the algorithm layer's op set.
 //!
 //! Tasks are inserted in order by the algorithm driver, a planning phase
 //! at a time, and the edges are the algorithm's: one sweep per phase
@@ -23,12 +24,13 @@
 //! exactly: the graph statically contains **both** the LU-branch and the
 //! QR-branch tasks of every step; the panel task records its criterion
 //! decision, and each branch op consults it at execution time, either
-//! performing its kernel or reporting itself "discarded" (`executed =
-//! false`). Discarded tasks cost nothing and transfer nothing — they are
-//! the Propagate-selected dead paths of Figure 1.
+//! performing its kernel or doing nothing. Its cost ([`TaskOp::cost`])
+//! reads the same decision: the losing branch is "discarded" (`executed =
+//! false`), costs nothing and transfers nothing — the Propagate-selected
+//! dead paths of Figure 1.
 
 use std::sync::atomic::AtomicU32;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use crate::hash::IntMap;
 
@@ -184,10 +186,12 @@ impl CostClass {
     }
 }
 
-/// What a task actually did when it ran.
+/// What a task costs: the flops and kernel class the executors tally and
+/// the platform simulator prices. A closed form of the op's indices, tile
+/// shapes and step decision ([`TaskOp::cost`]), not a measurement.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TaskResult {
-    /// Floating-point operations actually performed.
+    /// Floating-point operations the kernel performs.
     pub flops: f64,
     /// Cost class for the simulator's efficiency model.
     pub class: CostClass,
@@ -216,7 +220,7 @@ impl TaskResult {
         }
     }
 
-    /// A task that consulted the decision and discarded itself.
+    /// A task on the losing side of its step's decision: it does nothing.
     pub fn discarded() -> Self {
         TaskResult {
             flops: 0.0,
@@ -264,11 +268,11 @@ impl TaskResult {
 }
 
 /// A task descriptor: plain `Copy` data from which everything the runtime
-/// needs about the task is *derived on demand* — its body, its name, its
-/// elimination step and its data accesses — against one per-run context
-/// ([`TaskOp::Ctx`]: the tiles, the per-step cells, the options). This is
-/// PaRSEC's `(class, k, i, j)`: the runtime stores the descriptor and
-/// nothing per task that the descriptor determines.
+/// needs about the task is *derived on demand* — its body, its cost, its
+/// name, its elimination step and its data accesses — against one per-run
+/// context ([`TaskOp::Ctx`]: the tiles, the per-step cells, the options).
+/// This is PaRSEC's `(class, k, i, j)`: the runtime stores the descriptor
+/// and nothing per task that the descriptor determines.
 ///
 /// The runtime is generic over the op type, so it knows nothing of the
 /// algorithm layer's op set; its own tests implement the trait for a body
@@ -279,7 +283,12 @@ pub trait TaskOp: Copy + Send + Sync + 'static {
     type Ctx: Send + Sync + 'static;
 
     /// Execute the task body.
-    fn run(self, ctx: &Self::Ctx) -> TaskResult;
+    fn run(self, ctx: &Self::Ctx);
+
+    /// What the task costs ([`TaskResult`]): a discarded one when the
+    /// step's decision went against it. `None` while the cost waits for a
+    /// decision the step has not taken yet; never once the task has run.
+    fn cost(self, ctx: &Self::Ctx) -> Option<TaskResult>;
 
     /// The elimination step the task belongs to — the streaming window's
     /// retirement unit and the `step` of a [`crate::trace::TraceEvent`].
@@ -317,7 +326,7 @@ pub trait TaskOp: Copy + Send + Sync + 'static {
     /// Every task of `step` has completed (on this rank, in a distributed
     /// run): the context may drop what only that step's task bodies used.
     /// Called once per step by the batch executor and by the streaming
-    /// window; names, steps and accesses of the step's ops must keep
+    /// window; names, steps, accesses and costs of the step's ops must keep
     /// deriving afterwards (graphs are replayed after they ran).
     fn retire_step(_ctx: &Self::Ctx, _step: usize) {}
 
@@ -374,14 +383,6 @@ struct TaskRec<O> {
     num_preds: u32,
 }
 
-/// Execution state of one task.
-pub(crate) struct RunCell {
-    /// Remaining predecessor count during execution.
-    pub(crate) preds_remaining: AtomicU32,
-    /// Result recorded by the executor.
-    pub(crate) result: OnceLock<TaskResult>,
-}
-
 /// Metadata for one declared datum.
 #[derive(Debug, Clone, Copy)]
 struct DataInfo {
@@ -401,7 +402,9 @@ pub struct Graph<O: TaskOp> {
     /// task `id`, ascending.
     succ_start: Vec<u32>,
     succs: Vec<TaskId>,
-    pub(crate) run: Vec<RunCell>,
+    /// Per task, its predecessors that have not completed yet; the
+    /// executor sets it to [`crate::exec::RAN`] when the task runs.
+    pub(crate) countdown: Vec<AtomicU32>,
     /// Tasks of each step that have not run yet, by step; the executor
     /// retires a step when its count reaches zero.
     pub(crate) step_remaining: Vec<AtomicU32>,
@@ -440,9 +443,10 @@ impl<'g, O: TaskOp> TaskRef<'g, O> {
         &self.graph.succs[a as usize..b as usize]
     }
 
-    /// The recorded execution result, if the task has run.
-    pub fn result(&self) -> Option<TaskResult> {
-        self.graph.run[self.id].result.get().copied()
+    /// What the task costs ([`TaskOp::cost`]): `None` only for a task
+    /// whose step has no decision yet that its cost depends on.
+    pub fn cost(&self) -> Option<TaskResult> {
+        self.op().cost(&self.graph.ctx)
     }
 
     /// Human-readable name (trace / DOT export), e.g. `"GEMM(3,4,k=2)"`,
@@ -702,13 +706,10 @@ impl<O: TaskOp> GraphBuilder<O> {
             num_nodes: self.num_nodes,
             step_remaining,
             ctx: self.ctx,
-            run: self
+            countdown: self
                 .tasks
                 .iter()
-                .map(|t| RunCell {
-                    preds_remaining: AtomicU32::new(t.num_preds),
-                    result: OnceLock::new(),
-                })
+                .map(|t| AtomicU32::new(t.num_preds))
                 .collect(),
             tasks: self.tasks,
             succ_start: self.succ_start,

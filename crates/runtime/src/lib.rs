@@ -4,24 +4,25 @@
 //! PaRSEC (Section IV):
 //!
 //! * [`graph`] — the batch task graph, a parameterized task graph unrolled:
-//!   a task is a `Copy` descriptor ([`TaskOp`]) whose body, name and
+//!   a task is a `Copy` descriptor ([`TaskOp`]) whose body, cost, name and
 //!   accesses are derived from it on demand, and whose edges — the
 //!   RAW/WAR/WAW hazards of those accesses — the algorithm layer supplies
 //!   in closed form when the graph is built, as it supplies each op's
 //!   predecessors to the streaming window. Both the LU and the QR branch
 //!   of every elimination step live in the graph; branch ops consult the
-//!   recorded criterion decision when they run and either execute or
-//!   discard themselves — the paper's dynamic task-graph mechanism ("select
-//!   the adequate tasks on the fly, and discard the useless ones").
+//!   recorded criterion decision when they run and either execute or do
+//!   nothing, and their cost reads the same decision — the paper's dynamic
+//!   task-graph mechanism ("select the adequate tasks on the fly, and
+//!   discard the useless ones").
 //! * [`hash`] — the one integer hasher behind every sparse-key table
 //!   ([`graph`], [`sched`]'s ready set, [`vtime`], the streaming window).
 //! * [`exec`] — a dependency-counting multithreaded executor.
 //! * [`platform`] / [`sim`] — a description of the paper's *Dancer* cluster
 //!   (identical nodes, one flat link) and a discrete-event simulator
-//!   replaying executed graphs against it: owner-computes placement,
-//!   per-class kernel efficiencies, NIC-serialized messages with latency +
-//!   bandwidth. This regenerates the paper's distributed performance
-//!   results from a single machine.
+//!   replaying task graphs against it: owner-computes placement, each
+//!   task's closed-form cost under per-class kernel efficiencies,
+//!   NIC-serialized messages with latency + bandwidth. This regenerates
+//!   the paper's distributed performance results from a single machine.
 //! * [`stream`] — the windowed *streaming* executor: graph construction
 //!   interleaved with execution, at most `window` consecutive steps
 //!   materialized, completed steps retired, and per-step branch decisions

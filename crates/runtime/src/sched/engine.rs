@@ -3,10 +3,11 @@
 //!
 //! [`replay`] seeds each task's remaining-predecessor count from the
 //! graph's `num_preds`, pushes every root into one [`ReadyQueue`], and
-//! pops until it is empty: each popped task is costed, then its
-//! `successors()` are released. Any pop order the ready set permits is a
-//! topological order of the graph, so the scoreboard stays consistent;
-//! the policy only sets the queue's priority (see
+//! pops until it is empty: each popped task is priced by its op's cost
+//! ([`TaskOp::cost`]), then its `successors()` are released. Any pop order
+//! the ready set permits is a topological order of the graph, so the
+//! scoreboard stays consistent; the policy only sets the queue's priority
+//! (see
 //! [`SchedPolicy::priority`]). Critical-path depth (`1 + max` over
 //! predecessors) is one forward pass in id order — edges only point
 //! forward.
@@ -18,7 +19,7 @@ use crate::probe::{metric, Histogram, Label, Probe};
 use crate::sim::SimReport;
 use crate::vtime::VirtualSchedule;
 
-/// Replay an executed `graph` on `platform`, popping ready tasks in
+/// Replay `graph` on `platform`, popping ready tasks in
 /// `policy`'s order. Report spans are indexed by task id, whatever order
 /// the policy chose. With an enabled `probe`, tasks are tagged with their
 /// op's step, the virtual-time wait of each task in the ready set and
@@ -26,7 +27,8 @@ use crate::vtime::VirtualSchedule;
 /// on it; the report is bitwise the unprobed one.
 ///
 /// Panics if the platform has fewer nodes than the graph's placements
-/// reference, or if a task has no recorded result (run
+/// reference, or if a task's cost waits for a decision its step has not
+/// taken ([`TaskOp::cost`]: a gated op of a graph that has not run — run
 /// [`crate::exec::execute`] first).
 pub(crate) fn replay<O: TaskOp>(
     graph: &Graph<O>,
@@ -66,9 +68,8 @@ pub(crate) fn replay<O: TaskOp>(
 
     while let Some(next) = ready.pop() {
         let t = graph.task(next.id);
-        let result = t
-            .result()
-            .unwrap_or_else(|| panic!("task '{}' has no result; execute first", t.name()));
+        let cost = t.cost();
+        let cost = cost.unwrap_or_else(|| panic!("task '{}' has no cost; execute first", t.name()));
         let mut step = None;
         if probing {
             let now = vt.now();
@@ -79,7 +80,7 @@ pub(crate) fn replay<O: TaskOp>(
             }
             step = t.step();
         }
-        let (start, finish) = vt.process_tagged(next.node, &t.accesses(), &result, step);
+        let (start, finish) = vt.process_tagged(next.node, &t.accesses(), &cost, step);
         starts[next.id] = start;
         finishes[next.id] = finish;
         for &s in t.successors() {
@@ -168,7 +169,7 @@ mod tests {
         let mut raw = VirtualSchedule::new(&p);
         let spans: Vec<(f64, f64)> = g
             .tasks()
-            .map(|t| raw.process(t.node(), &t.accesses(), &t.result().unwrap()))
+            .map(|t| raw.process(t.node(), &t.accesses(), &t.cost().unwrap()))
             .collect();
         let raw = SimReport {
             starts: spans.iter().map(|s| s.0).collect(),

@@ -1,11 +1,14 @@
 //! Discrete-event platform simulator.
 //!
-//! Replays an **executed** task graph on a virtual cluster ([`Platform`]):
-//! every task runs on one core of its owner node (owner-computes placement,
-//! as the 2D block-cyclic distribution dictates), data crossing node
-//! boundaries costs `latency + bytes/bandwidth` serialized on the sender's
-//! NIC, and each task's duration comes from its *recorded* flops and kernel
-//! class. A datum is sent **once per destination node** regardless of how
+//! Replays a task graph on a virtual cluster ([`Platform`]): every task
+//! runs on one core of its owner node (owner-computes placement, as the 2D
+//! block-cyclic distribution dictates), data crossing node boundaries costs
+//! `latency + bytes/bandwidth` serialized on the sender's NIC, and each
+//! task's duration comes from its cost — flops and kernel class, a closed
+//! form of its op ([`crate::graph::TaskOp::cost`]). Only the hybrid's
+//! branch ops wait for their step's decision, so its graph replays once it
+//! has run; any other planner's graph replays before it runs exactly as
+//! after. A datum is sent **once per destination node** regardless of how
 //! many tasks there consume it (runtimes cache remote tiles), and discarded
 //! tasks (the unselected LU/QR branch) take zero time and move zero data —
 //! like PaRSEC's dropped alternatives.
@@ -105,19 +108,19 @@ impl SimReport {
     }
 }
 
-/// Simulate an executed graph on `platform` under the insertion-order
+/// Simulate a graph on `platform` under the insertion-order
 /// (FIFO) schedule: [`simulate_with`] under [`SchedPolicy::Fifo`].
 pub fn simulate<O: TaskOp>(graph: &Graph<O>, platform: &Platform) -> SimReport {
     simulate_with(graph, platform, SchedPolicy::Fifo)
 }
 
-/// Simulate an executed graph under a scheduling policy: the graph's
-/// ready tasks claim cores and network slots in the order the policy
-/// selects. Report spans stay indexed by task id whatever order that is.
+/// Simulate a graph under a scheduling policy: the graph's ready tasks
+/// claim cores and network slots in the order the policy selects. Report
+/// spans stay indexed by task id whatever order that is.
 ///
-/// Panics if any task lacks a recorded result (run
-/// [`crate::exec::execute`] first) or is placed on a node outside the
-/// platform.
+/// Panics if a task's cost waits for a decision its step has not taken
+/// (a hybrid graph that has not run: [`crate::exec::execute`] it first) or
+/// a task is placed on a node outside the platform.
 pub fn simulate_with<O: TaskOp>(
     graph: &Graph<O>,
     platform: &Platform,

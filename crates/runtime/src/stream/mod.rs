@@ -51,7 +51,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use crate::comm::{LinkMsgStats, Msg, MsgStats};
-use crate::graph::{DataKey, TaskId, TaskOp, TaskResult, TaskSink};
+use crate::graph::{DataKey, TaskId, TaskOp, TaskSink};
 use crate::net::{NetReport, PayloadStore, Transport, TransportError};
 use crate::probe::{metric, Label, Probe};
 use crate::trace::TraceEvent;
@@ -157,13 +157,9 @@ pub struct StreamReport {
     pub steps: usize,
     /// Tasks planned into the window over the whole run.
     pub tasks_planned: usize,
-    /// Tasks that ran their kernel.
+    /// Tasks that ran their kernel: every completed one, since the window
+    /// plans only the chosen hybrid branch.
     pub tasks_executed: usize,
-    /// Tasks that discarded themselves at run time. Streaming plans only
-    /// the chosen hybrid branch, so on healthy runs this is 0; it counts
-    /// data-dependent discards, e.g. kernels that bail out after a panel
-    /// breakdown.
-    pub tasks_discarded: usize,
     /// Total flops reported by executed tasks (excluding Memory
     /// pseudo-flops).
     pub total_flops: f64,
@@ -392,18 +388,11 @@ impl Fabric {
         }
     }
 
-    /// Seam 3, completion of task `id` (named by `name`) on `node`, which
-    /// wrote the decision data `decisions`.
-    fn completed(
-        &mut self,
-        id: TaskId,
-        node: usize,
-        result: &TaskResult,
-        decisions: &[DataKey],
-        name: impl FnOnce() -> String,
-    ) {
+    /// Seam 3, completion of task `id` on `node`, which wrote the decision
+    /// data `decisions`.
+    fn completed(&mut self, id: TaskId, node: usize, decisions: &[DataKey]) {
         if let Fabric::Wire(w) = self {
-            w.completed(id, node, result, decisions, name);
+            w.completed(id, node, decisions);
         }
     }
 
@@ -830,56 +819,6 @@ mod tests {
         assert_eq!(report.msgs.decision_msgs, 0);
         assert_eq!(report.msgs.retire_msgs, 0);
         assert_eq!(report.msgs.bytes, 0);
-    }
-
-    /// A writer that discards itself at run time produces nothing: its
-    /// cross-node consumers fetch the previous *executed* version, once.
-    #[test]
-    fn discarded_writer_reroutes_transfers_to_executed_version() {
-        #[derive(Default)]
-        struct DiscardingSource {
-            ctx: Arc<TestCtx>,
-        }
-        impl StepSource for DiscardingSource {
-            test_ops!();
-            fn num_steps(&self) -> usize {
-                1
-            }
-            fn num_nodes(&self) -> usize {
-                2
-            }
-            fn prepare(&mut self, sink: Sink<'_>) {
-                sink.declare(k(0), 100, 0);
-                sink.declare(k(1), 100, 1);
-            }
-            fn plan_prelude(&mut self, _: usize, sink: Sink<'_>) -> StepPhase {
-                // Executed version of k(0) on node 0.
-                self.ctx.task(sink, "v", 0, &[Access::Mut(k(0))], gemm_unit);
-                // A later writer of k(0) that discards itself (e.g. a
-                // breakdown path).
-                self.ctx
-                    .task(sink, "dead", 0, &[Access::Mut(k(0))], TaskResult::discarded);
-                // Two consumers on node 1: the payload still comes from
-                // "v", once.
-                for t in 0..2 {
-                    let accesses = [Access::Read(k(0)), Access::Mut(k(1))];
-                    self.ctx
-                        .task(sink, format!("c{t}"), 1, &accesses, gemm_unit);
-                }
-                StepPhase::Complete
-            }
-        }
-        let report = execute_with(
-            &mut DiscardingSource::default(),
-            &StreamOptions::fixed(1, 2),
-        );
-        assert_eq!(report.tasks_discarded, 1);
-        assert_eq!(
-            report.msgs.data_msgs, 1,
-            "one transfer of the executed version, not zero (discard \
-             shadowing) and not two (per-consumer)"
-        );
-        assert_eq!(report.msgs.bytes, 100);
     }
 
     /// Redeclaring a datum updates its home for later insertions, exactly

@@ -41,7 +41,7 @@
 //! steps in the step table (`retire::StepTable`: planned tasks by position,
 //! outstanding counts per node, the slots of the data declared in the
 //! step). Every declared datum gets a dense slot in a `Vec<DatumDir>`
-//! holding what only data can say: its declaration and its last executed
+//! holding what only data can say: its declaration and its last completed
 //! version; the transfer cache and the owed-transfer marks are dense
 //! arrays by `(slot, node)`.
 //!
@@ -132,11 +132,11 @@ use super::retire::{Planned, StepTable};
 use super::ring::TaskRing;
 use super::{Fabric, Placed, StreamOptions, StreamReport};
 
-/// The last *executed* version of a datum: where its payload actually
-/// lives. This is what transfers resolve against — a runtime-discarded
-/// writer produces nothing, so its consumers fetch the previous executed
-/// version (or the initial tile), exactly like the virtual-time engine's
-/// scoreboard. Which nodes already hold a copy is in
+/// The last completed version of a datum: where its payload lives. This
+/// is what transfers resolve against once its writer has completed,
+/// exactly like the virtual-time engine's scoreboard (the window plans a
+/// branch op only once its branch has won, so every op it completes
+/// executed). Which nodes already hold a copy is in
 /// [`WindowState::holds`].
 #[derive(Debug, Clone, Copy)]
 struct ExecVersion {
@@ -153,7 +153,7 @@ const NOT_HELD: TaskId = TaskId::MAX - 1;
 /// Index of a declared datum in [`WindowState::data`].
 pub(super) type Slot = u32;
 
-/// Per-datum directory entry: declaration metadata and the last executed
+/// Per-datum directory entry: declaration metadata and the last completed
 /// version. (A datum declared in a step is dropped with it: the step's
 /// table lists its slot.)
 #[derive(Debug)]
@@ -162,16 +162,16 @@ struct DatumDir {
     bytes: usize,
     home: usize,
     class: DataClass,
-    /// Last executed version (transfer source).
+    /// Last completed version (transfer source).
     exec: Option<ExecVersion>,
 }
 
 /// A data transfer a live producer owes one destination node at
-/// completion, deduplicated per `(datum, destination)`.
+/// completion, deduplicated per `(datum, destination)` through
+/// [`WindowState::holds`].
 #[derive(Clone, Copy)]
 struct OwedSend {
     key: DataKey,
-    slot: Slot,
     dest: usize,
     bytes: usize,
     class: DataClass,
@@ -389,14 +389,10 @@ pub(super) struct WindowState<O> {
     /// Slots of dropped step data, reused by later declarations.
     free_slots: Vec<Slot>,
     /// The once-per-destination transfer cache: the version of the datum
-    /// in `slot` that node `dest` holds a copy of, at `slot * nodes +
-    /// dest` — [`INITIAL`] for the never-written datum fetched from its
-    /// home, [`NOT_HELD`] for none.
+    /// in `slot` that node `dest` holds a copy of, or is owed by its live
+    /// writer, at `slot * nodes + dest` — [`INITIAL`] for the never-written
+    /// datum fetched from its home, [`NOT_HELD`] for none.
     holds: Vec<TaskId>,
-    /// The live writer that owes node `dest` the next version of the
-    /// datum in `slot`, at `slot * nodes + dest`, once it registered the
-    /// transfer (an entry naming a completed task is stale).
-    owed_by: Vec<TaskId>,
     slot_of: IntMap<DataKey, Slot>,
     /// Unblocked stubs awaiting their inline completion (drained before
     /// the critical section that unblocked them ends).
@@ -543,15 +539,14 @@ impl<O: TaskOp> WindowState<O> {
             self.slot_of.remove(&dir.key);
             let at = slot as usize * nodes;
             self.holds[at..at + nodes].fill(NOT_HELD);
-            self.owed_by[at..at + nodes].fill(NOT_HELD);
             dir.exec = None;
             self.free_slots.push(slot);
         }
     }
 
     /// Record a protocol message and hand it to the fabric. `producer` is
-    /// the executed version the payload carries (`None` for initial
-    /// fetches and retire reports).
+    /// the version the payload carries (`None` for initial fetches and
+    /// retire reports).
     fn route(&mut self, msg: Msg, producer: Option<TaskId>) {
         self.msgs.record(&msg);
         let link = match &msg {
@@ -595,9 +590,9 @@ impl<O: TaskOp> WindowState<O> {
     }
 
     /// Move the payload of the datum in `slot` to `dest`: from its last
-    /// executed version, or from its home node if it was never
-    /// (successfully) written — in either case at most once per (version,
-    /// destination). No-ops when `dest` already holds the payload.
+    /// completed version, or from its home node if it was never written —
+    /// in either case at most once per (version, destination). No-ops when
+    /// `dest` already holds the payload.
     fn resolve_transfer(&mut self, slot: Slot, dest: usize, bytes: usize, class: DataClass) {
         let dir = &self.data[slot as usize];
         let key = dir.key;
@@ -617,14 +612,15 @@ impl<O: TaskOp> WindowState<O> {
         std::mem::replace(held, version) != version
     }
 
-    /// Record the completion of live task `id`: reclaim its record, publish
+    /// Record the completion of live task `id`, which executed at `cost`
+    /// (a stub's is [`TaskResult::control`]): reclaim its record, publish
     /// what it wrote, tell the fabric, flush the transfers it owes, and
     /// release its successors (onto the ready queue, or the stub list).
     fn complete_task(
         &mut self,
         ctx: &O::Ctx,
         id: TaskId,
-        result: TaskResult,
+        cost: TaskResult,
         worker: usize,
         start_s: f64,
         end_s: f64,
@@ -634,15 +630,13 @@ impl<O: TaskOp> WindowState<O> {
             .remove(id)
             .unwrap_or_else(|| panic!("task {id} completed twice"));
         let node = task.placed.node;
-        self.tally.record(&result);
+        self.tally.record(&cost);
 
         if self.probe.is_enabled() {
-            if result.executed {
-                if let Some(ks) = &mut self.kernel_stats {
-                    let entry = &mut ks[result.class.index()];
-                    entry.0 += result.flops;
-                    entry.1.observe((end_s - start_s).max(0.0));
-                }
+            if let Some(ks) = &mut self.kernel_stats {
+                let entry = &mut ks[cost.class.index()];
+                entry.0 += cost.flops;
+                entry.1.observe((end_s - start_s).max(0.0));
             }
             self.live_tick += 1;
             if self.live_tick.is_multiple_of(64) {
@@ -652,53 +646,40 @@ impl<O: TaskOp> WindowState<O> {
             }
         }
 
-        if result.executed {
-            if let Some(events) = &mut self.trace {
-                events.push(TraceEvent {
-                    name: task.op.name(ctx),
-                    node,
-                    worker,
-                    step: Some(task.step),
-                    start: start_s,
-                    end: end_s,
-                });
-            }
+        if let Some(events) = &mut self.trace {
+            events.push(TraceEvent {
+                name: task.op.name(ctx),
+                node,
+                worker,
+                step: Some(task.step),
+                start: start_s,
+                end: end_s,
+            });
         }
 
-        // An executed writer becomes the datum's current *executed
-        // version* (WAW edges serialize conflicting writers, so executed
-        // completions promote in insertion order) with a fresh transfer
-        // cache.
+        // The writer becomes the datum's current version (WAW edges
+        // serialize conflicting writers, so completions promote in
+        // insertion order) with a fresh transfer cache.
         let mut sync_decisions: Vec<DataKey> = Vec::new();
         let (data, slot_of) = (&mut self.data, &self.slot_of);
         task.op.for_each_access(ctx, |acc| {
             let Access::Mut(key) = acc else { return };
             let dir = &mut data[slot_of[&key] as usize];
-            if result.executed {
-                dir.exec = Some(ExecVersion { id, node });
-                if dir.class == DataClass::Decision {
-                    sync_decisions.push(key);
-                }
+            dir.exec = Some(ExecVersion { id, node });
+            if dir.class == DataClass::Decision {
+                sync_decisions.push(key);
             }
         });
 
-        let op = task.op;
-        self.fabric
-            .completed(id, node, &result, &sync_decisions, || op.name(ctx));
+        self.fabric.completed(id, node, &sync_decisions);
 
         // Flush the owed transfers: one DataMsg (or DecisionMsg) per
-        // (datum, destination node). A discarded task produced nothing —
-        // its consumers fetch the previous executed version (or the
-        // initial tile) instead, wherever that lives.
+        // (datum, destination node).
         let mut at = task.pending_sends.head();
         while let Some((s, next)) = self.send_links.take(at) {
             at = next;
-            if !result.executed {
-                self.resolve_transfer(s.slot, s.dest, s.bytes, s.class);
-            } else if s.dest != node && self.newly_held(s.slot, s.dest, id) {
-                let msg = flow_msg(s.key, s.class, Some(id), node, s.dest, s.bytes);
-                self.route(msg, Some(id));
-            }
+            let msg = flow_msg(s.key, s.class, Some(id), node, s.dest, s.bytes);
+            self.route(msg, Some(id));
         }
 
         let mut at = task.succs.head();
@@ -753,7 +734,6 @@ impl<O: TaskOp> WindowState<O> {
                         self.data.push(dir);
                         let nodes = self.steps.num_nodes();
                         self.holds.resize(self.data.len() * nodes, NOT_HELD);
-                        self.owed_by.resize(self.data.len() * nodes, NOT_HELD);
                         Slot::try_from(self.data.len() - 1).expect("datum slots fit 32 bits")
                     }
                 };
@@ -849,7 +829,7 @@ impl<O: TaskOp> WindowState<O> {
         // state is written, and what it waits for beyond its predecessors
         // (a wire gates it on the frames of its remote inputs). It is shown
         // where each data-flow input comes from — the live writer, else
-        // the last executed version, else the datum's home.
+        // the last completed version, else the datum's home.
         let data = &self.data;
         let inputs = flows.iter().map(|f| {
             let dir = &data[f.slot as usize];
@@ -863,26 +843,23 @@ impl<O: TaskOp> WindowState<O> {
         let (node, stub) = (placed.node, placed.stub);
 
         // Data-flow transfers. An input whose writer is still live is
-        // *owed*: the producer may yet execute (it sends at completion) or
-        // discard itself (the consumer then fetches the previous executed
-        // version). Anything else resolves against the last executed
-        // version right away. Every path is cached once per (version,
-        // destination node) — identical to the virtual-time scoreboard.
+        // *owed*: the producer sends it at completion. Anything else
+        // resolves against the last completed version right away. Every
+        // path is cached once per (version, destination node) — identical
+        // to the virtual-time scoreboard.
         for f in flows.iter() {
-            let Some((w, _)) = f.writer else {
+            let Some((w, w_node)) = f.writer else {
                 self.resolve_transfer(f.slot, node, f.bytes, f.class);
                 continue;
             };
             // Producer live (completion cannot interleave: the lock is
-            // held for the whole phase). Register the owed transfer even
-            // when producer and consumer share a node — a later discard
-            // reroutes it to an executed version that may live elsewhere.
-            let owed_by = &mut self.owed_by[f.slot as usize * self.steps.num_nodes() + node];
-            if std::mem::replace(owed_by, w) != w {
+            // held for the whole phase): the consumer's node is owed its
+            // version from now on, sent once at completion — unless the
+            // producer runs there.
+            if w_node != node && self.newly_held(f.slot, node, w) {
                 let owed = &mut self.tasks.get_mut(w).expect("a live writer").pending_sends;
                 let send = OwedSend {
                     key: f.key,
-                    slot: f.slot,
                     dest: node,
                     bytes: f.bytes,
                     class: f.class,
@@ -977,7 +954,6 @@ impl<O: TaskOp> StreamWindow<O> {
                 data: Vec::new(),
                 free_slots: Vec::new(),
                 holds: Vec::new(),
-                owed_by: Vec::new(),
                 slot_of: IntMap::default(),
                 stubs: Vec::new(),
                 planning_done: false,
@@ -1184,7 +1160,6 @@ impl<O: TaskOp> StreamWindow<O> {
         let mut report = StreamReport {
             tasks_planned: st.tasks_planned,
             tasks_executed: st.tally.executed,
-            tasks_discarded: st.tally.discarded,
             total_flops: st.tally.flops,
             peak_live_tasks: st.peak_live_tasks,
             peak_live_steps: st.steps.peak_live,
@@ -1299,19 +1274,26 @@ impl<O: TaskOp> StreamWindow<O> {
     /// section. Returns when planning is done and the window has drained,
     /// or the run failed. A panicking kernel fails the run (the driver
     /// re-raises the payload) instead of leaving every other thread
-    /// asleep.
+    /// asleep; so does an op that did not execute — the window plans a
+    /// branch op only once its branch has won.
     pub(crate) fn worker_loop(&self, worker: usize) {
         let mut next = self.next_task(self.lock(), worker);
         while let Some((id, op)) = next {
             let t0 = self.stamp();
-            let run = std::panic::AssertUnwindSafe(|| op.run(&self.ctx));
-            let result = match std::panic::catch_unwind(run) {
-                Ok(result) => result,
+            let run = std::panic::AssertUnwindSafe(|| {
+                op.run(&self.ctx);
+                let cost = op.cost(&self.ctx).filter(|c| c.executed);
+                cost.unwrap_or_else(|| {
+                    panic!("task '{}' completed without executing", op.name(&self.ctx))
+                })
+            });
+            let cost = match std::panic::catch_unwind(run) {
+                Ok(cost) => cost,
                 Err(payload) => return self.fail_panicked(payload),
             };
             let t1 = self.stamp();
             let mut st = self.lock();
-            st.complete_task(&self.ctx, id, result, worker, t0, t1);
+            st.complete_task(&self.ctx, id, cost, worker, t0, t1);
             next = self.next_task(st, worker);
         }
     }

@@ -44,7 +44,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use crate::comm::{flow_msg, Msg, MsgStats, RetireMsg};
-use crate::graph::{DataClass, DataKey, TaskId, TaskOp, TaskResult};
+use crate::graph::{DataClass, DataKey, TaskId, TaskOp};
 use crate::hash::IntMap;
 use crate::net::{Frame, NetReport, PayloadStore, Transport, TransportError};
 use crate::probe::{metric, Histogram, Label, Probe};
@@ -286,26 +286,9 @@ impl Wire {
         self.send_frame(link.1, &frame);
     }
 
-    /// Task `id` completed on `node`, having written `decisions`. A local
-    /// task that discarded itself fails the run: a runtime discard means
-    /// numerical breakdown rerouting, which would desynchronize the ranks'
-    /// identically-planned message streams (remote stubs always report
-    /// executed). A decision computed here goes to every peer.
-    pub(super) fn completed(
-        &mut self,
-        id: TaskId,
-        node: usize,
-        result: &TaskResult,
-        decisions: &[DataKey],
-        name: impl FnOnce() -> String,
-    ) {
-        if !result.executed {
-            return self.fail(TransportError::Protocol(format!(
-                "task '{}' discarded itself; breakdown rerouting is not \
-                 supported over a real transport",
-                name()
-            )));
-        }
+    /// Task `id` completed on `node`, having written `decisions`. A
+    /// decision computed here goes to every peer.
+    pub(super) fn completed(&mut self, id: TaskId, node: usize, decisions: &[DataKey]) {
         if node != self.rank {
             return;
         }

@@ -1,7 +1,8 @@
 //! The op type of the runtime's own unit tests: a [`TaskOp`] whose context
 //! is a table of test-supplied bodies, so tests keep describing tasks as
 //! `(name, accesses, closure)` while the runtime under test only ever sees
-//! the descriptor.
+//! the descriptor. A body returns the task's cost, which the op keeps once
+//! it has run.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, RwLock};
@@ -17,6 +18,7 @@ struct Entry {
     name: String,
     accesses: Vec<Access>,
     body: Mutex<Option<Body>>,
+    cost: Mutex<Option<TaskResult>>,
 }
 
 /// Index into a [`TestCtx`]'s body table.
@@ -55,6 +57,7 @@ impl TestCtx {
             name: name.into(),
             accesses: accesses.to_vec(),
             body: Mutex::new(Some(Box::new(body))),
+            cost: Mutex::new(None),
         }));
         TestOp((entries.len() - 1) as u32)
     }
@@ -84,10 +87,16 @@ impl TestCtx {
 impl TaskOp for TestOp {
     type Ctx = TestCtx;
 
-    fn run(self, ctx: &TestCtx) -> TaskResult {
+    fn run(self, ctx: &TestCtx) {
         let entry = ctx.entry(self);
         let body = entry.body.lock().unwrap().take();
-        body.unwrap_or_else(|| panic!("task '{}' executed twice", entry.name))()
+        let cost = body.unwrap_or_else(|| panic!("task '{}' executed twice", entry.name))();
+        *entry.cost.lock().unwrap() = Some(cost);
+    }
+
+    /// What the body returned, once it has run.
+    fn cost(self, ctx: &TestCtx) -> Option<TaskResult> {
+        *ctx.entry(self).cost.lock().unwrap()
     }
 
     fn step(self, ctx: &TestCtx) -> Option<usize> {

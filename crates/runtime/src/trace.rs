@@ -148,7 +148,7 @@ pub fn to_chrome_trace_with<O: TaskOp>(
 fn sim_events<O: TaskOp>(graph: &Graph<O>, sim: &SimReport) -> Vec<TraceEvent> {
     graph
         .tasks()
-        .filter(|t| t.result().map(|r| r.executed).unwrap_or(false))
+        .filter(|t| t.cost().is_some_and(|r| r.executed))
         .map(|t| TraceEvent {
             name: t.name(),
             node: t.node(),

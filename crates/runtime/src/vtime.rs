@@ -13,7 +13,7 @@
 //! topological order of the hazard DAG (insertion order is one — hazard
 //! edges always point from lower to higher ids). The state evolution
 //! depends only on the sequence of **executed** tasks — their placements,
-//! declared accesses, and recorded results: discarded tasks (the losing
+//! declared accesses, and costs: discarded tasks (the losing
 //! hybrid branch, present in the batch graph, never planned by a streamed
 //! run) contribute no time, no data flow, and no scoreboard updates.
 //!

@@ -79,10 +79,9 @@ fn main() {
     let hpl3 = stability::hpl3(&a, &x, &b);
     let r = &f.report;
     println!(
-        "  {} tasks executed in {dt:.3}s ({:.2} Gflop/s), {} discarded",
+        "  {} tasks executed in {dt:.3}s ({:.2} Gflop/s)",
         r.tasks_executed,
-        r.total_flops / dt / 1e9,
-        r.tasks_discarded
+        r.total_flops / dt / 1e9
     );
     println!(
         "  peak live tasks {} (vs {} planned over the whole run: {:.1}x reclaimed)",

@@ -6,7 +6,7 @@
 //! run, a singular input's breakdown and four real `luqr-worker` processes.
 
 use luqr::net::launch::{launch_multiprocess, NetJob};
-use luqr::{Algorithm, Criterion, MsgStats, StepRecord};
+use luqr::{Algorithm, Criterion, Decision, MsgStats, StepRecord};
 use luqr_runtime::{simulate, Platform};
 use luqr_tests::assert_routing_matches_replay;
 use luqr_tests::paths::{algorithm_from, bits, check_parity, run, Case, Input, Path};
@@ -140,16 +140,30 @@ fn net_single_rank_moves_nothing() {
 }
 
 /// An exactly singular `A` — zero, or zero in its last column — is a
-/// breakdown under HQR too, the same on every path: HQR's kernels have no
-/// pivot to find zero, so the run reports the first zero diagonal entry of
-/// its triangular factor.
+/// breakdown under HQR and under the hybrid, the same on every path. HQR's
+/// kernels have no pivot to find zero, so the run reports the first zero
+/// diagonal entry of its triangular factor. The hybrid's trial LU meets
+/// the zero pivot and forces its step's QR branch: every step from the
+/// first singular panel on decides QR, and the error names that panel.
 #[test]
-fn singular_hqr_reports_its_breakdown_on_every_path() {
-    let (hqr, n, seed) = (Case::new(Algorithm::Hqr, Grid::new(2, 2)), 24, 3);
-    for zero_from in [0, 23] {
-        let case = hqr.clone().input(Input::Singular { n, seed, zero_from });
-        let outs = check_parity(&case, &NET);
-        assert!(outs[0].error.is_some(), "zero from column {zero_from}");
+fn singular_hqr_and_hybrid_report_their_breakdown_on_every_path() {
+    let (n, seed) = (24, 3);
+    for algorithm in [Algorithm::Hqr, MAX] {
+        for (zero_from, first_singular) in [(0, 0), (23, 2)] {
+            let case = Case::new(algorithm.clone(), Grid::new(2, 2));
+            let case = case.input(Input::Singular { n, seed, zero_from });
+            let outs = check_parity(&case, &NET);
+            let what = format!("{}, zero from column {zero_from}", algorithm.name());
+            let error = outs[0].error.as_deref().unwrap_or_else(|| panic!("{what}"));
+            if algorithm == MAX {
+                let panel = format!("panel {first_singular}: zero pivot");
+                assert!(error.starts_with(&panel), "{what}: {error}");
+                let forced = outs[0].records.iter().map(|r| (r.k, r.decision));
+                for (k, decision) in forced.filter(|&(k, _)| k >= first_singular) {
+                    assert_eq!(decision, Decision::Qr, "{what}: step {k}");
+                }
+            }
+        }
     }
 }
 

@@ -143,12 +143,13 @@ const STREAM_BUDGET: usize = (WINDOW + 1) * STEP_BYTES * 5 / 4;
 /// and 0.38 MB; with every step's cells kept, 2.6 MB and 1.6 MB.)
 const BATCH_BUDGET: usize = 2 * STEP_BYTES;
 
-/// Batch, planning: the graph itself — a task's record, its execution
-/// cell, its share of the successor array — and what building it holds
-/// besides. (Measured on the all-LU fixture, 12 713 tasks: 155.2 bytes a
-/// task while the builder took each op's closed-form successors; 137.2
-/// with the edges of one predecessor sweep per step, two steps' edges
-/// held at a time.)
+/// Batch, planning: the graph itself — a task's record, its countdown, its
+/// share of the successor array — and what building it holds besides.
+/// (Measured on the all-LU fixture, 12 713 tasks: 155.2 bytes a task while
+/// the builder took each op's closed-form successors; 137.2 with the edges
+/// of one predecessor sweep per step, two steps' edges held at a time;
+/// 122.8 once a task's cost is derived from its op instead of recorded in
+/// its execution cell.)
 const PLAN_BYTES_PER_TASK: usize = 170;
 
 #[test]

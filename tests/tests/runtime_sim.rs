@@ -1,10 +1,11 @@
 //! Cross-crate tests of the runtime executor and platform simulator on
 //! real factorization graphs.
 
+use luqr::builder::build_graph;
 use luqr::{factor, Algorithm, Criterion, FactorOptions};
 use luqr_kernels::Mat;
-use luqr_runtime::{simulate, Platform};
-use luqr_tile::Grid;
+use luqr_runtime::{simulate, Platform, SimReport};
+use luqr_tile::{Grid, TiledMatrix};
 
 fn system(n: usize) -> (Mat, Mat) {
     let mut a = Mat::random(n, n, 31);
@@ -57,7 +58,32 @@ fn simulation_invariants_hold_across_algorithms() {
         for i in 0..f.graph.len() {
             assert!(sim.finishes[i] >= sim.starts[i], "{name}: task {i}");
         }
+        // A task's cost is a closed form of its op: a planner without
+        // branch gates replays its graph before it runs exactly as after.
+        if !matches!(f.algorithm, Algorithm::LuQr(_)) {
+            let aug = TiledMatrix::from_dense_augmented(&a, &b, opts.nb);
+            let nt_a = aug.nt() - b.cols().div_ceil(opts.nb);
+            let (planned, _) = build_graph(&aug, nt_a, &opts);
+            assert_eq!(bits(&simulate(&planned, &platform)), bits(&sim), "{name}");
+        }
     }
+}
+
+/// The bits of what a replay reports: makespan, traffic (total and per
+/// link), per-node per-class seconds, and every task's span.
+fn bits(sim: &SimReport) -> Vec<u64> {
+    let links = sim.link_messages.iter().flat_map(|l| {
+        let (src, dst) = (l.src as u64, l.dst as u64);
+        [src, dst, l.messages, l.bytes]
+    });
+    let seconds = sim.node_class_seconds.iter().flatten().map(|s| s.to_bits());
+    let spans = sim.starts.iter().chain(&sim.finishes).map(|t| t.to_bits());
+    [sim.makespan.to_bits(), sim.messages, sim.bytes]
+        .into_iter()
+        .chain(links)
+        .chain(seconds)
+        .chain(spans)
+        .collect()
 }
 
 #[test]
@@ -122,7 +148,7 @@ fn hybrid_discards_exactly_one_branch_per_step() {
             if !name.ends_with(&suffix) {
                 continue;
             }
-            let executed = t.result().map(|r| r.executed).unwrap_or(false);
+            let executed = t.cost().is_some_and(|r| r.executed);
             if name.starts_with("GEMM") || name.starts_with("TRSM(") {
                 lu_exec += executed as usize;
             }

@@ -59,7 +59,7 @@ proptest! {
         let spans: Vec<(f64, f64)> = f
             .graph()
             .tasks()
-            .map(|t| raw.process(t.node(), &t.accesses(), &t.result().expect("executed graph")))
+            .map(|t| raw.process(t.node(), &t.accesses(), &t.cost().expect("executed graph")))
             .collect();
         let reference = SimReport {
             starts: spans.iter().map(|s| s.0).collect(),
@@ -103,7 +103,7 @@ proptest! {
         let f = run(&case, Path::Batch);
         let g = f.graph();
         let platform = Platform::dancer_nodes(case.opts.grid.nodes());
-        let executed = |id: usize| g.task(id).result().expect("executed graph").executed;
+        let executed = |id: usize| g.task(id).cost().expect("executed graph").executed;
         for policy in SchedPolicy::all() {
             let sim = simulate_with(g, &platform, policy);
             for t in g.tasks().filter(|t| executed(t.id)) {

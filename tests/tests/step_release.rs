@@ -51,7 +51,7 @@ fn accesses(op: TaskOp, ctx: &RunCtx) -> Vec<Access> {
 fn executed_ops(graph: &Graph) -> Vec<TaskOp> {
     let executed = graph
         .tasks()
-        .filter(|t| t.result().is_some_and(|r| r.executed));
+        .filter(|t| t.cost().is_some_and(|r| r.executed));
     executed.map(|t| t.op()).collect()
 }
 
