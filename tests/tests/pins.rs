@@ -71,6 +71,28 @@ fn sched_homogeneous_n320_pins() {
     assert_eq!(sims.each_ref().map(row), [(743441.6, 538), (670287.9, 538)]);
 }
 
+/// Default tree: HQR kills most tiles with TS kernels (1 981 executed
+/// TSMQRs here), so these rows price the TS kill that the `ts = 1` rows
+/// above never run. Depth order loses to FIFO on this fixture.
+#[test]
+fn sched_hqr_default_tree_n320_pins() {
+    let (a, b, opts) = fixture(320, 16, Grid::new(2, 2));
+    let opts = opts
+        .with_algorithm(Algorithm::Hqr)
+        .with_trees(TreeConfig::default());
+    let f = factor(&a, &b, &opts);
+    assert_eq!(f.graph.len(), 3808);
+    let ts_applies = f.graph.tasks().filter(|t| {
+        t.name().starts_with("TSMQR") && t.cost().is_some_and(|c| c.executed)
+    });
+    assert_eq!(ts_applies.count(), 1981);
+    let sims = policy_sweep(&f, &Platform::dancer_nodes(4));
+    assert_eq!(
+        sims.each_ref().map(row),
+        [(1037450.7, 746), (2218825.5, 746)]
+    );
+}
+
 /// The batch graph's replay is the one cost model, and what the streamed
 /// run routes online is what it prices: the same messages on every link,
 /// at every window.
