@@ -59,7 +59,7 @@ fn render<O: TaskOp>(graph: &Graph<O>, kept: Vec<bool>) -> String {
     }
     for t in graph.tasks().filter(|t| kept[t.id]) {
         let i = t.id;
-        for &succ in t.successors() {
+        for succ in t.successors() {
             if kept[succ] {
                 if discarded[i] || discarded[succ] {
                     let _ = writeln!(s, "  t{i} -> t{succ} [style=dashed, color=gray];");

@@ -101,7 +101,7 @@ impl<O: TaskOp> Graph<O> {
     /// Count task `id` as done on each of its successors, handing the ones
     /// it was the last predecessor of to `ready`.
     fn release_successors(&self, id: TaskId, exclusive: bool, mut ready: impl FnMut(TaskId)) {
-        for &s in self.task(id).successors() {
+        for s in self.task(id).successors() {
             let prev = count_down(&self.countdown[s], exclusive);
             debug_assert!(prev >= 1, "dependency underflow");
             if prev == 1 {

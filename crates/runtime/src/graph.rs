@@ -15,10 +15,15 @@
 //! Tasks are inserted in order by the algorithm driver, a planning phase
 //! at a time, and the edges are the algorithm's: one sweep per phase
 //! ([`TaskOp::for_each_predecessor`], computed from the ops' indices —
-//! the PTG's input flows) feeds both sinks, the [`GraphBuilder`]'s
-//! successor arrays and the streaming window's tables. They are the RAW /
-//! WAR / WAW hazards over the [`DataKey`]s each op reads and writes,
-//! including the pipelining between consecutive elimination steps.
+//! the PTG's input flows) feeds both sinks. They are the RAW / WAR / WAW
+//! hazards over the [`DataKey`]s each op reads and writes, including the
+//! pipelining between consecutive elimination steps. Both keep them in one
+//! store: a phase's edges become one block of successor lists keyed by
+//! predecessor id (a `Csr`), which the batch [`Graph`] keeps for its whole
+//! life and the streaming window keeps with the phase's step until the
+//! step retires. A phase names predecessors only in its own step and the
+//! one before, so a task's successors are in the blocks of its step and
+//! of the next.
 //!
 //! The paper's *dynamic* task-graph extension (Section IV) is modelled
 //! exactly: the graph statically contains **both** the LU-branch and the
@@ -390,18 +395,111 @@ struct DataInfo {
     home_node: usize,
 }
 
-/// Immutable, executable task graph: one descriptor record per task, the
-/// successor lists of all tasks in one compressed array, and the run
-/// context the descriptors are interpreted against.
+/// Lists keyed by a dense range of ids, in one compressed array (a CSR):
+/// the list of key `lo + i` is `vals[start[i]..start[i + 1]]`, and a key
+/// outside the range has an empty one. Every such store of the runtime is
+/// written by [`Csr::write`]: a planning phase's successor lists in the
+/// batch [`Graph`] and in the streaming window, the window's owed
+/// transfers, and its sweep's dependencies by op.
+#[derive(Debug)]
+pub(crate) struct Csr<T> {
+    lo: usize,
+    start: Vec<u32>,
+    vals: Vec<T>,
+}
+
+impl<T> Default for Csr<T> {
+    fn default() -> Self {
+        Csr {
+            lo: 0,
+            start: Vec::new(),
+            vals: Vec::new(),
+        }
+    }
+}
+
+impl<T: Copy> Csr<T> {
+    /// Replace the lists with those of `items`, keyed from the lowest key
+    /// up to `end`; `split` gives an item's key and value. A stable counting
+    /// sort: a key's values keep their order in `items`. Reuses the
+    /// buffers, so rewriting a store allocates only to grow it.
+    pub(crate) fn write<I>(&mut self, end: usize, items: &[I], split: impl Fn(&I) -> (usize, T)) {
+        let Csr { lo, start, vals } = self;
+        start.clear();
+        vals.clear();
+        let Some(first) = items.first() else { return };
+        *lo = items.iter().map(|i| split(i).0).min().unwrap_or(end);
+        assert!(
+            u32::try_from(items.len()).is_ok(),
+            "list lengths fit 32 bits"
+        );
+        // `start[k + 2]` counts key `lo + k`'s values, then accumulates into
+        // where they start at `start[k + 1]`; filling advances that to
+        // where they end, which is where key `lo + k + 1`'s start.
+        start.resize(end - *lo + 2, 0);
+        for i in items {
+            start[split(i).0 - *lo + 2] += 1;
+        }
+        for k in 2..start.len() {
+            start[k] += start[k - 1];
+        }
+        vals.resize(items.len(), split(first).1);
+        for i in items {
+            let (key, val) = split(i);
+            let at = &mut start[key - *lo + 1];
+            vals[*at as usize] = val;
+            *at += 1;
+        }
+        start.pop();
+    }
+
+    /// The list of `key`.
+    pub(crate) fn get(&self, key: usize) -> &[T] {
+        match key
+            .checked_sub(self.lo)
+            .filter(|&i| i + 1 < self.start.len())
+        {
+            Some(i) => &self.vals[self.start[i] as usize..self.start[i + 1] as usize],
+            None => &[],
+        }
+    }
+}
+
+impl<T: Copy + Ord> Csr<T> {
+    /// Sort each list and drop its repeats, in place.
+    fn sort_dedup(&mut self) {
+        let (mut from, mut w) = (0, 0);
+        for k in 1..self.start.len() {
+            let to = self.start[k] as usize;
+            self.vals[from..to].sort_unstable();
+            let first = w;
+            for r in from..to {
+                if w == first || self.vals[w - 1] != self.vals[r] {
+                    self.vals[w] = self.vals[r];
+                    w += 1;
+                }
+            }
+            self.start[k] = w as u32;
+            from = to;
+        }
+        self.vals.truncate(w);
+    }
+}
+
+/// Immutable, executable task graph: one descriptor record per task, one
+/// block of successor lists per planning phase, and the run context the
+/// descriptors are interpreted against.
 pub struct Graph<O: TaskOp> {
     /// Number of virtual nodes referenced by task placements.
     pub num_nodes: usize,
     ctx: Arc<O::Ctx>,
     tasks: Vec<TaskRec<O>>,
-    /// `succs[succ_start[id]..succ_start[id + 1]]` are the successors of
-    /// task `id`, ascending.
-    succ_start: Vec<u32>,
-    succs: Vec<TaskId>,
+    /// Each planning phase's successor lists, keyed by predecessor id, in
+    /// planning order.
+    blocks: Vec<Csr<u32>>,
+    /// Per step, the id of its first task and the index of its first
+    /// block.
+    steps: Vec<(TaskId, usize)>,
     /// Per task, its predecessors that have not completed yet; the
     /// executor sets it to [`crate::exec::RAN`] when the task runs.
     pub(crate) countdown: Vec<AtomicU32>,
@@ -434,13 +532,17 @@ impl<'g, O: TaskOp> TaskRef<'g, O> {
         self.graph.tasks[self.id].num_preds as usize
     }
 
-    /// Successor task ids, ascending.
-    pub fn successors(&self) -> &'g [TaskId] {
-        let (a, b) = (
-            self.graph.succ_start[self.id],
-            self.graph.succ_start[self.id + 1],
-        );
-        &self.graph.succs[a as usize..b as usize]
+    /// Successor task ids, ascending: the task's lists in the blocks of
+    /// its step and of the next one — the only phases that can name it.
+    pub fn successors(&self) -> impl Iterator<Item = TaskId> + 'g {
+        let (g, id) = (self.graph, self.id);
+        let step = g.steps.partition_point(|&(start, _)| start <= id) - 1;
+        let first = g.steps[step].1;
+        let end = g.steps.get(step + 2).map_or(g.blocks.len(), |s| s.1);
+        g.blocks[first..end]
+            .iter()
+            .flat_map(move |b| b.get(id))
+            .map(|&s| s as TaskId)
     }
 
     /// What the task costs ([`TaskOp::cost`]): `None` only for a task
@@ -521,7 +623,7 @@ impl<O: TaskOp> Graph<O> {
     /// later insertions).
     pub fn validate(&self) -> Result<(), String> {
         for t in self.tasks() {
-            for &s in t.successors() {
+            for s in t.successors() {
                 if s <= t.id {
                     return Err(format!("edge {} -> {s} violates insertion order", t.id));
                 }
@@ -537,11 +639,10 @@ impl<O: TaskOp> Graph<O> {
 /// Builds a [`Graph`]: tasks are inserted in order, each with its
 /// placement, a planning phase at a time, and the edges are the ones the
 /// streaming window links — [`GraphBuilder::close_phase`] takes the
-/// phase's predecessors from one sweep ([`TaskOp::for_each_predecessor`])
-/// and names each by its id, where its step starts plus its position
-/// there. A phase names predecessors only in its own step and the one
-/// before, so a step's successor lists are complete once the next step is
-/// swept: they are written then, and at most two steps' edges are held.
+/// phase's predecessors from one sweep ([`TaskOp::for_each_predecessor`]),
+/// names each by its id, where its step starts plus its position there,
+/// and writes them at once as the phase's block of successor lists. A
+/// phase names predecessors only in its own step and the one before.
 /// Accesses are derived again only when the graph is replayed.
 pub struct GraphBuilder<O: TaskOp> {
     num_nodes: usize,
@@ -550,17 +651,11 @@ pub struct GraphBuilder<O: TaskOp> {
     data: IntMap<DataKey, DataInfo>,
     /// The ops pushed since the last closed phase.
     phase: Vec<O>,
-    /// The id of each planned step's first task.
-    step_start: Vec<TaskId>,
-    /// The edges found so far out of the tasks of an even and an odd
-    /// step, `(pred, succ)`.
-    edges: [Vec<(u32, u32)>; 2],
-    /// Where each task's list ends in `succs`, for the step being written.
-    ends: Vec<usize>,
-    /// The successor lists written so far: those of the tasks before
-    /// `succ_start.len() - 1`.
-    succ_start: Vec<u32>,
-    succs: Vec<TaskId>,
+    /// The edges of the phase being closed, `(pred, succ)`.
+    edges: Vec<(u32, u32)>,
+    blocks: Vec<Csr<u32>>,
+    /// Per planned step, the id of its first task and its first block.
+    steps: Vec<(TaskId, usize)>,
 }
 
 impl<O: TaskOp> GraphBuilder<O> {
@@ -572,30 +667,26 @@ impl<O: TaskOp> GraphBuilder<O> {
             tasks: Vec::new(),
             data: IntMap::default(),
             phase: Vec::new(),
-            step_start: Vec::new(),
-            edges: [Vec::new(), Vec::new()],
-            ends: Vec::new(),
-            succ_start: vec![0],
-            succs: Vec::new(),
+            edges: Vec::new(),
+            blocks: Vec::new(),
+            steps: Vec::new(),
         }
     }
 
     /// Close a planning phase of `step`: the ops pushed since the last
     /// call, at consecutive positions of the step ([`TaskOp::position`]).
-    /// Steps are planned in order from 0, each in one phase or more;
-    /// opening one writes the successor lists of the step two before it.
+    /// Steps are planned in order from 0, each in one phase or more. The
+    /// phase's block is written now: each predecessor's successors in the
+    /// phase, ascending and without repeats.
     pub fn close_phase(&mut self, step: usize) {
         let lo = self.tasks.len() - self.phase.len();
-        if step == self.step_start.len() {
-            if step >= 2 {
-                self.emit(step - 2, self.step_start[step - 1]);
-            }
+        if step == self.steps.len() {
             let pos = self.phase.first().map_or(0, |op| op.position(&self.ctx));
-            self.step_start.push(lo - pos);
+            self.steps.push((lo - pos, self.blocks.len()));
         }
-        assert_eq!(step + 1, self.step_start.len(), "steps in order");
+        assert_eq!(step + 1, self.steps.len(), "steps in order");
         let ctx = &*self.ctx;
-        let start = self.step_start[step];
+        let start = self.steps[step].0;
         #[cfg(debug_assertions)]
         for (n, op) in self.phase.iter().enumerate() {
             assert_eq!(
@@ -608,17 +699,19 @@ impl<O: TaskOp> GraphBuilder<O> {
         let GraphBuilder {
             tasks,
             phase,
-            step_start,
             edges,
-            succ_start,
+            steps,
             ..
         } = self;
-        let emitted = succ_start.len() - 1;
+        // The earliest task the phase may name: its step's, or the one
+        // before's, first.
+        let floor = steps[step.saturating_sub(1)].0;
+        edges.clear();
         O::for_each_predecessor(ctx, step, phase, |v| {
             let id = lo + v.op;
             for &p in v.writer.iter().chain(v.readers) {
-                let pred = step_start.get(p.step).map(|s| s + p.pos);
-                let Some(pred) = pred.filter(|&q| q >= emitted && q < id) else {
+                let pred = steps.get(p.step).map(|s| s.0 + p.pos);
+                let Some(pred) = pred.filter(|&q| q >= floor && q < id) else {
                     let named = pred
                         .filter(|&q| q < tasks.len())
                         .map(|q| tasks[q].op.name(ctx));
@@ -627,72 +720,26 @@ impl<O: TaskOp> GraphBuilder<O> {
                         tasks[id].op.name(ctx)
                     );
                 };
-                let owner = if pred < start { step - 1 } else { step };
-                edges[owner % 2].push((pred as u32, id as u32));
+                edges.push((pred as u32, id as u32));
             }
         });
+        let mut block = Csr::default();
+        block.write(tasks.len(), edges, |&(p, s)| (p as usize, s));
+        block.sort_dedup();
+        for &s in &block.vals {
+            tasks[s as usize].num_preds += 1;
+        }
+        self.blocks.push(block);
         phase.clear();
     }
 
-    /// Write the successor lists of step `s`'s tasks, the ids up to `end`,
-    /// from its edges, and count each successor's predecessors: a counting
-    /// sort by predecessor into `succs`, then each list sorted and
-    /// deduplicated in place.
-    fn emit(&mut self, s: usize, end: TaskId) {
-        let GraphBuilder {
-            tasks,
-            edges,
-            ends,
-            succ_start,
-            succs,
-            ..
-        } = self;
-        let (lo, base, edges) = (succ_start.len() - 1, succs.len(), &mut edges[s % 2]);
-        ends.clear();
-        ends.resize(end - lo + 1, base);
-        for &(p, _) in edges.iter() {
-            ends[p as usize - lo + 1] += 1;
-        }
-        for i in 1..ends.len() {
-            ends[i] += ends[i - 1] - base;
-        }
-        succs.resize(base + edges.len(), 0);
-        for &(p, q) in edges.iter() {
-            let at = &mut ends[p as usize - lo];
-            succs[*at] = q as TaskId;
-            *at += 1;
-        }
-        let (mut from, mut w) = (base, base);
-        for &to in &ends[..end - lo] {
-            succs[from..to].sort_unstable();
-            let first = w;
-            for r in from..to {
-                let q = succs[r];
-                if w == first || succs[w - 1] != q {
-                    succs[w] = q;
-                    w += 1;
-                    tasks[q].num_preds += 1;
-                }
-            }
-            succ_start.push(u32::try_from(w).expect("edge count fits 32 bits"));
-            from = to;
-        }
-        succs.truncate(w);
-        edges.clear();
-    }
-
-    /// Finalize into an executable [`Graph`], writing the successor lists
-    /// of the last two steps. Every op must be in a closed phase.
-    pub fn build(mut self) -> Graph<O> {
+    /// Finalize into an executable [`Graph`]. Every op must be in a closed
+    /// phase.
+    pub fn build(self) -> Graph<O> {
         assert!(self.phase.is_empty(), "every task is in a closed phase");
-        let steps = self.step_start.len();
-        for s in steps.saturating_sub(2)..steps {
-            let end = self.step_start.get(s + 1).copied();
-            self.emit(s, end.unwrap_or(self.tasks.len()));
-        }
         // The phase and edge buffers go before the execution cells are
         // allocated.
-        drop((self.phase, self.edges, self.ends));
+        drop((self.phase, self.edges));
         let mut step_remaining: Vec<AtomicU32> = Vec::new();
         for t in &self.tasks {
             if let Some(step) = t.op.step(&self.ctx) {
@@ -712,8 +759,8 @@ impl<O: TaskOp> GraphBuilder<O> {
                 .map(|t| AtomicU32::new(t.num_preds))
                 .collect(),
             tasks: self.tasks,
-            succ_start: self.succ_start,
-            succs: self.succs,
+            blocks: self.blocks,
+            steps: self.steps,
             data: self.data,
         };
         debug_assert!(g.validate().is_ok());
@@ -760,6 +807,25 @@ mod tests {
         TaskResult::control()
     }
 
+    /// The writer is a stable counting sort over the keys' dense range; a
+    /// key outside it has an empty list.
+    #[test]
+    fn csr_keeps_each_keys_values_in_order() {
+        let mut csr = Csr::default();
+        let items = [(3, 30), (1, 10), (3, 31), (2, 20), (1, 11)];
+        csr.write(5, &items, |&(k, v)| (k, v));
+        let lists: Vec<&[u32]> = (0..7).map(|k| csr.get(k)).collect();
+        assert_eq!(lists, [&[][..], &[10, 11], &[20], &[30, 31], &[], &[], &[]]);
+        csr.write(5, &[(4, 2), (4, 1), (2, 7), (4, 2)], |&(k, v)| (k, v));
+        csr.sort_dedup();
+        assert_eq!(
+            (csr.get(2), csr.get(3), csr.get(4)),
+            (&[7][..], &[][..], &[1, 2][..])
+        );
+        csr.write(5, &[], |&(k, v): &(usize, u32)| (k, v));
+        assert!((0..6).all(|k| csr.get(k).is_empty()));
+    }
+
     #[test]
     fn raw_dependency() {
         let mut b = TestGraph::new(1);
@@ -767,7 +833,7 @@ mod tests {
         let w = b.task("w", 0, &[Access::Mut(k(0))], noop);
         let r = b.task("r", 0, &[Access::Read(k(0))], noop);
         let g = b.build();
-        assert_eq!(g.task(w).successors(), [r]);
+        assert_eq!(g.task(w).successors().collect::<Vec<_>>(), [r]);
         assert_eq!(g.task(r).num_preds(), 1);
         assert_eq!(g.task(r).accesses()[0].access, Access::Read(k(0)));
     }
@@ -782,9 +848,9 @@ mod tests {
         let w2 = b.task("w2", 0, &[Access::Mut(k(0))], noop);
         let g = b.build();
         // w2 must wait for both readers (WAR) and the previous writer (WAW).
-        assert!(g.task(r1).successors().contains(&w2));
-        assert!(g.task(r2).successors().contains(&w2));
-        assert!(g.task(w1).successors().contains(&r1));
+        assert!(g.task(r1).successors().collect::<Vec<_>>().contains(&w2));
+        assert!(g.task(r2).successors().collect::<Vec<_>>().contains(&w2));
+        assert!(g.task(w1).successors().collect::<Vec<_>>().contains(&r1));
         assert_eq!(g.task(w2).num_preds(), 3);
     }
 
@@ -796,8 +862,8 @@ mod tests {
         let a = b.task("a", 0, &[Access::Mut(k(0))], noop);
         let c = b.task("c", 0, &[Access::Mut(k(1))], noop);
         let g = b.build();
-        assert!(g.task(a).successors().is_empty());
-        assert!(g.task(c).successors().is_empty());
+        assert!(g.task(a).successors().collect::<Vec<_>>().is_empty());
+        assert!(g.task(c).successors().collect::<Vec<_>>().is_empty());
         assert_eq!(g.roots(), vec![a, c]);
     }
 
@@ -809,8 +875,8 @@ mod tests {
         let r1 = b.task("r1", 0, &[Access::Read(k(0))], noop);
         let r2 = b.task("r2", 0, &[Access::Read(k(0))], noop);
         let g = b.build();
-        assert!(!g.task(r1).successors().contains(&r2));
-        assert_eq!(g.task(w).successors(), [r1, r2]);
+        assert!(!g.task(r1).successors().collect::<Vec<_>>().contains(&r2));
+        assert_eq!(g.task(w).successors().collect::<Vec<_>>(), [r1, r2]);
     }
 
     #[test]
@@ -835,7 +901,7 @@ mod tests {
         b.declare(k(0), 128, 1); // redeclare: new size and home
         let late = b.task("late", 0, &[Access::Read(k(0))], noop);
         let g = b.build();
-        assert_eq!(g.task(early).successors(), [late]);
+        assert_eq!(g.task(early).successors().collect::<Vec<_>>(), [late]);
         for t in [early, late] {
             assert_eq!(g.task(t).accesses()[0].bytes, 128);
             assert_eq!(g.task(t).accesses()[0].home, 1);
@@ -850,7 +916,7 @@ mod tests {
         let t = b.task("t", 0, &[Access::Read(k(0)), Access::Mut(k(0))], noop);
         let g = b.build();
         assert_eq!(g.task(t).num_preds(), 0);
-        assert!(!g.task(t).successors().contains(&t));
+        assert!(!g.task(t).successors().collect::<Vec<_>>().contains(&t));
     }
 
     #[test]
@@ -864,7 +930,7 @@ mod tests {
         // Two data accesses, but only one precedence edge.
         assert_eq!(g.task(mid).num_preds(), 1);
         assert_eq!(g.task(mid).accesses().len(), 2);
-        assert_eq!(g.task(src).successors(), [mid]);
+        assert_eq!(g.task(src).successors().collect::<Vec<_>>(), [mid]);
     }
 
     #[test]

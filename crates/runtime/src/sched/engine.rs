@@ -53,7 +53,7 @@ pub(crate) fn replay<O: TaskOp>(
     let mut remaining: Vec<usize> = graph.tasks().map(|t| t.num_preds()).collect();
     let mut depth = vec![1u64; n];
     for t in graph.tasks() {
-        for &s in t.successors() {
+        for s in t.successors() {
             depth[s] = depth[s].max(depth[t.id] + 1);
         }
     }
@@ -83,7 +83,7 @@ pub(crate) fn replay<O: TaskOp>(
         let (start, finish) = vt.process_tagged(next.node, &t.accesses(), &cost, step);
         starts[next.id] = start;
         finishes[next.id] = finish;
-        for &s in t.successors() {
+        for s in t.successors() {
             remaining[s] -= 1;
             if remaining[s] == 0 {
                 ready_at[s] = finish;

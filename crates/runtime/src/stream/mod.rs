@@ -41,7 +41,6 @@
 //! dropping a never-executed branch removes no executed writer and so
 //! changes no per-datum mutation order.
 
-mod chain;
 mod retire;
 mod ring;
 mod window;
@@ -928,7 +927,9 @@ mod tests {
     /// A small source with every shape the wake-up protocol must survive:
     /// a serial chain, a fan-out with a join, and — on odd steps — a
     /// decision the planner awaits before planning one of two branches.
-    /// With `nodes == 2` the fan-out and the join cross nodes.
+    /// Each such step declares its own decision cell, so no phase waits for
+    /// a task two steps back. With `nodes == 2` the fan-out and the join
+    /// cross nodes.
     struct MixedSource {
         steps: usize,
         nodes: usize,
@@ -938,7 +939,12 @@ mod tests {
 
     impl MixedSource {
         const ACC: u64 = 0;
+        /// Step `s`'s decision cell is `DECISION + s`.
         const DECISION: u64 = 9;
+
+        fn decision(s: usize) -> DataKey {
+            k(Self::DECISION + s as u64)
+        }
 
         fn new(steps: usize, nodes: usize) -> Self {
             let cells = MixedCells {
@@ -991,8 +997,6 @@ mod tests {
             for j in 1..=4u64 {
                 sink.declare(k(j), 8, j as usize % self.nodes);
             }
-            self.ctx.mark_decision(k(Self::DECISION));
-            sink.declare(k(Self::DECISION), 1, 0);
         }
 
         fn plan_prelude(&mut self, s: usize, sink: Sink<'_>) -> StepPhase {
@@ -1023,7 +1027,10 @@ mod tests {
             if s.is_multiple_of(2) {
                 return StepPhase::Complete;
             }
-            let accesses = [Access::Read(acc), Access::Mut(k(Self::DECISION))];
+            let decision = Self::decision(s);
+            self.ctx.mark_decision(decision);
+            sink.declare(decision, 1, 0);
+            let accesses = [Access::Read(acc), Access::Mut(decision)];
             let body = self.task(|c| c.decision = Some(c.acc.to_bits() & 1 == 0));
             let decide = self
                 .ctx
@@ -1038,7 +1045,7 @@ mod tests {
                 .decision
                 .take()
                 .expect("the awaited decision task ran before plan_finish");
-            let accesses = [Access::Read(k(Self::DECISION)), Access::Mut(k(Self::ACC))];
+            let accesses = [Access::Read(Self::decision(s)), Access::Mut(k(Self::ACC))];
             let body = self.task(move |c| {
                 c.branches.push(branch);
                 c.acc = if branch { c.acc * 1.5 } else { c.acc - 0.25 };
@@ -1059,7 +1066,7 @@ mod tests {
             match key.0 {
                 MixedSource::ACC => Some(c.acc.to_le_bytes().to_vec()),
                 j @ 1..=4 => Some(c.leaves[j as usize - 1].to_le_bytes().to_vec()),
-                MixedSource::DECISION => c.decision.map(|d| vec![d as u8]),
+                MixedSource::DECISION.. => c.decision.map(|d| vec![d as u8]),
                 _ => None,
             }
         }
@@ -1067,7 +1074,7 @@ mod tests {
         fn store(&self, key: DataKey, bytes: &[u8]) -> Result<(), TransportError> {
             let mut c = self.0.lock();
             match (key.0, bytes) {
-                (MixedSource::DECISION, &[d]) => c.decision = Some(d != 0),
+                (MixedSource::DECISION.., &[d]) => c.decision = Some(d != 0),
                 (j @ 0..=4, &[..]) if bytes.len() == 8 => {
                     let v = f64::from_le_bytes(bytes.try_into().expect("eight bytes"));
                     match j {
@@ -1081,7 +1088,7 @@ mod tests {
         }
 
         fn knows(&self, key: DataKey) -> bool {
-            matches!(key.0, 0..=4 | MixedSource::DECISION)
+            matches!(key.0, 0..=4 | MixedSource::DECISION..)
         }
 
         fn in_result(&self, key: DataKey) -> bool {

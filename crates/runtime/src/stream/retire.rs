@@ -6,14 +6,16 @@
 //! it *retires*: fully planned **and** every one of its tasks completed.
 //! Individual task records are reclaimed earlier — at task completion, by
 //! the window itself — so a live step's entry in the window's step table
-//! ([`StepTable`]) keeps, beside its planned tasks by position, only its
-//! outstanding counts, the data declared in it and which nodes have
-//! reported their share; the table also counts the live steps the planner
-//! gates on, and their peak.
+//! ([`StepTable`]) keeps, beside its planned tasks by position, only the
+//! edge blocks of its phases (each live predecessor's successors and owed
+//! transfers there), its outstanding counts, the data declared in it and
+//! which nodes have reported their share; the table also counts the live
+//! steps the planner gates on, and their peak.
 //!
 //! Retirement is the end of a step's memory, not only of its planner
-//! slot: on the `StepEvent::retired` event the window drops the
-//! directory entries of the data declared inside the step and calls
+//! slot: on the `StepEvent::retired` event the window drops the step's
+//! blocks (every edge in them was walked when its predecessor completed),
+//! the directory entries of the data declared inside the step and calls
 //! [`crate::graph::TaskOp::retire_step`], so the run context drops the
 //! cells the step's task bodies communicated through. What a run holds is
 //! then its run-scoped data plus at most `window` steps' worth of step
@@ -27,7 +29,7 @@
 
 use crate::graph::TaskId;
 
-use super::window::Slot;
+use super::window::{Block, Slot};
 
 /// One node's share of a live step.
 #[derive(Debug, Clone, Copy, Default)]
@@ -67,6 +69,9 @@ pub(crate) struct Planned {
 pub(crate) struct LiveStep {
     /// The step's planned tasks by position.
     pub tasks: Vec<Option<Planned>>,
+    /// Each planning phase's edges out of the tasks live when it was
+    /// planned, in planning order.
+    pub blocks: Vec<Block>,
     /// The slots of the data declared in the step, dropped with it.
     pub data: Vec<Slot>,
     /// Still accepting insertions (between `open` and `close`).
@@ -136,6 +141,7 @@ impl StepTable {
         assert!(self.steps[k].is_none(), "step {k} opened twice");
         self.steps[k] = Some(LiveStep {
             tasks: Vec::new(),
+            blocks: Vec::new(),
             data: Vec::new(),
             open: true,
             outstanding: 0,

@@ -25,10 +25,16 @@
 //! A live record is the op plus bookkeeping: no name (rendered from the op
 //! when a trace event is recorded), no body (a worker calls the op's
 //! interpreter against the run's context), no list of written data
-//! (re-derived from the op at completion), and its successor and
-//! owed-transfer lists live in shared arenas (`chain`) — so planning a task
-//! allocates nothing beyond the amortized growth of its step's table and of
-//! the phase buffers the planner reuses.
+//! (re-derived from the op at completion), and no list of successors or
+//! owed transfers. Those are the edge store the batch graph keeps too: a
+//! planning phase's edges out of live tasks are one [`Block`] — each
+//! predecessor's successors in the phase and the transfers it owes their
+//! nodes, keyed by its id — written once at the end of the phase's critical
+//! section and kept with the phase's step until the step retires. A phase
+//! names predecessors only in its own step and the one before, so a
+//! completing task finds its lists in the blocks of its step and of the
+//! next. Planning a task allocates nothing beyond the amortized growth of
+//! its step's table and of the phase buffers the planner reuses.
 //!
 //! The one thing a record keeps that an op may also say is its *step*.
 //! The window retires what the driver opens and closes — the step a
@@ -39,11 +45,11 @@
 //!
 //! **Tables.** Live records sit in one id-indexed ring (`TaskRing`), live
 //! steps in the step table (`retire::StepTable`: planned tasks by position,
-//! outstanding counts per node, the slots of the data declared in the
-//! step). Every declared datum gets a dense slot in a `Vec<DatumDir>`
-//! holding what only data can say: its declaration and its last completed
-//! version; the transfer cache and the owed-transfer marks are dense
-//! arrays by `(slot, node)`.
+//! the blocks of the step's phases, outstanding counts per node, the slots
+//! of the data declared in the step). Every declared datum gets a dense
+//! slot in a `Vec<DatumDir>` holding what only data can say: its
+//! declaration and its last completed version; the transfer cache and the
+//! owed-transfer marks are dense arrays by `(slot, node)`.
 //!
 //! **Insertion: one sweep per datum, one critical section per phase.**
 //! Before the lock is taken, the phase's sweep runs: datum by datum, the
@@ -53,8 +59,10 @@
 //! routed and queued in insertion order — a predecessor in the phase
 //! itself by its index there, any other through its step's table — with
 //! the ids the sink promised (the ring issues them in insertion order).
-//! With the step's last phase the same section closes the step, and it
-//! ends in one `finish`.
+//! The edges to live predecessors and the transfers those owe are
+//! collected as pairs and written as the phase's block before the section
+//! ends. With the step's last phase the same section closes the step, and
+//! it ends in one `finish`.
 //!
 //! **Routing.** Each task is *placed* on a virtual node (owner-computes)
 //! and each datum is *homed* on one. A dependency between tasks on the
@@ -120,14 +128,13 @@ use std::time::Instant;
 
 use crate::comm::{flow_msg, LinkMsgStats, Msg, MsgStats, RetireMsg};
 use crate::exec::Tally;
-use crate::graph::{Access, CostClass, DataClass, DataKey, Pred, TaskId, TaskOp, TaskResult};
+use crate::graph::{Access, CostClass, Csr, DataClass, DataKey, Pred, TaskId, TaskOp, TaskResult};
 use crate::hash::IntMap;
 use crate::net::TransportError;
 use crate::probe::{metric, Histogram, Label, Probe};
 use crate::sched::ReadyQueue;
 use crate::trace::TraceEvent;
 
-use super::chain::{Chain, Chains};
 use super::retire::{Planned, StepTable};
 use super::ring::TaskRing;
 use super::{Fabric, Placed, StreamOptions, StreamReport};
@@ -169,8 +176,8 @@ struct DatumDir {
 /// A data transfer a live producer owes one destination node at
 /// completion, deduplicated per `(datum, destination)` through
 /// [`WindowState::holds`].
-#[derive(Clone, Copy)]
-struct OwedSend {
+#[derive(Debug, Clone, Copy)]
+pub(super) struct OwedSend {
     key: DataKey,
     dest: usize,
     bytes: usize,
@@ -188,14 +195,18 @@ struct LiveTask<O> {
     pos: usize,
     cp: u64,
     preds_remaining: usize,
-    /// Live successors, released at completion (same-node ones directly,
-    /// cross-node ones standing for a message delivery). A chain in
-    /// [`WindowState::succ_links`].
-    succs: Chain,
-    /// Owed transfers, a chain in [`WindowState::send_links`].
-    pending_sends: Chain,
     /// Where the fabric placed the task, and what it keeps per task.
     placed: Placed,
+}
+
+/// One planning phase's edges out of the tasks live when it was planned,
+/// keyed by the predecessor's id: its successors in the phase, released at
+/// its completion (same-node ones directly, cross-node ones standing for a
+/// message delivery), and the transfers it owes their nodes, sent then.
+#[derive(Debug, Default)]
+pub(super) struct Block {
+    succs: Csr<u32>,
+    sends: Csr<OwedSend>,
 }
 
 /// What the driver thread is blocked on (see the module docs).
@@ -265,8 +276,7 @@ struct Dep {
 /// finish — as the planner's sink buffered it: its declarations and its
 /// ops with their placements. With it go the work vectors its insertion
 /// reuses, so that planning allocates nothing per task beyond their
-/// amortized growth (the records' own lists live in shared arenas,
-/// [`Chains`]).
+/// amortized growth and the phase's [`Block`].
 pub(super) struct Phase<O> {
     /// `(key, bytes, home node)`, in declaration order.
     pub(super) decls: Vec<(DataKey, usize, usize)>,
@@ -278,14 +288,16 @@ pub(super) struct Phase<O> {
     data: Vec<(DataKey, Slot)>,
     /// What the sweep found, datum by datum.
     deps: Vec<Dep>,
-    /// `deps` by op: op `i`'s are at `order[end[i - 1]..end[i]]` (from 0
-    /// for op 0).
-    order: Vec<u32>,
-    end: Vec<u32>,
+    /// `deps` by op.
+    by_op: Csr<Dep>,
     /// The depth each op of the phase was given.
     cps: Vec<u64>,
     live_preds: Vec<TaskId>,
     flows: Vec<Flow>,
+    /// The phase's block, as `(predecessor, successor)` and `(live writer,
+    /// transfer)` pairs in insertion order.
+    edges: Vec<(u32, u32)>,
+    sends: Vec<(u32, OwedSend)>,
 }
 
 impl<O> Default for Phase<O> {
@@ -296,11 +308,12 @@ impl<O> Default for Phase<O> {
             nodes: Vec::new(),
             data: Vec::new(),
             deps: Vec::new(),
-            order: Vec::new(),
-            end: Vec::new(),
+            by_op: Csr::default(),
             cps: Vec::new(),
             live_preds: Vec::new(),
             flows: Vec::new(),
+            edges: Vec::new(),
+            sends: Vec::new(),
         }
     }
 }
@@ -308,24 +321,32 @@ impl<O> Default for Phase<O> {
 impl<O: TaskOp> Phase<O> {
     /// Sweep the phase's data ([`TaskOp::for_each_predecessor`]), its ops
     /// at positions `first..` of `step`, into `data` and `deps`, and sort
-    /// the deps by op.
+    /// the deps by op. A predecessor outside the phase must lie in its step
+    /// or the one before: the completion walk looks for a task's
+    /// successors only in the blocks of those two steps.
     fn sweep(&mut self, ctx: &O::Ctx, step: usize, first: usize) {
         let Phase {
             ops,
             data,
             deps,
-            order,
-            end,
+            by_op,
             ..
         } = self;
         data.clear();
         deps.clear();
-        let waits = |p: Pred| match p.pos.checked_sub(first) {
+        let waits = |p: Pred, op: usize| match p.pos.checked_sub(first) {
             Some(i) if p.step == step => Waits::Earlier(i as u32),
-            _ => Waits::Planned {
-                step: u32::try_from(p.step).expect("steps fit 32 bits"),
-                pos: u32::try_from(p.pos).expect("positions fit 32 bits"),
-            },
+            _ => {
+                assert!(
+                    p.step == step || p.step + 1 == step,
+                    "{} in step {step} waits for {p:?}: not in its step or the one before",
+                    ops[op].name(ctx)
+                );
+                Waits::Planned {
+                    step: u32::try_from(p.step).expect("steps fit 32 bits"),
+                    pos: u32::try_from(p.pos).expect("positions fit 32 bits"),
+                }
+            }
         };
         O::for_each_predecessor(ctx, step, ops, |v| {
             let key = v.access.key();
@@ -340,7 +361,7 @@ impl<O: TaskOp> Phase<O> {
                 input,
                 write,
             };
-            let writer = v.writer.map_or(Waits::Nothing, waits);
+            let writer = v.writer.map_or(Waits::Nothing, |p| waits(p, v.op));
             match v.access {
                 Access::Control(_) => {
                     if v.writer.is_some() {
@@ -349,39 +370,19 @@ impl<O: TaskOp> Phase<O> {
                 }
                 acc => deps.push(dep(writer, true, matches!(acc, Access::Mut(_)))),
             }
-            deps.extend(v.readers.iter().map(|&r| dep(waits(r), false, false)));
+            deps.extend(v.readers.iter().map(|&r| dep(waits(r, v.op), false, false)));
         });
-        // A counting sort by op: `end[i + 1]` counts op `i`'s deps, then
-        // accumulates into where they start; filling advances `end[i]` to
-        // where they end.
-        end.clear();
-        end.resize(ops.len() + 1, 0);
-        for d in deps.iter() {
-            end[d.op as usize + 1] += 1;
-        }
-        for i in 1..end.len() {
-            end[i] += end[i - 1];
-        }
-        order.clear();
-        order.resize(deps.len(), 0);
-        for (n, d) in deps.iter().enumerate() {
-            let at = &mut end[d.op as usize];
-            order[*at as usize] = n as u32;
-            *at += 1;
-        }
+        by_op.write(ops.len(), deps, |d| (d.op as usize, *d));
     }
 }
 
 pub(super) struct WindowState<O> {
     /// Live task records (also issues the task ids).
     tasks: TaskRing<LiveTask<O>>,
-    /// Arenas of the records' successor and owed-transfer lists.
-    succ_links: Chains<TaskId>,
-    send_links: Chains<OwedSend>,
     /// Runnable tasks, deepest first.
     ready: ReadyQueue,
-    /// The live steps: planned tasks by position, outstanding counts,
-    /// declared data.
+    /// The live steps: planned tasks by position, the blocks of their
+    /// phases, outstanding counts, declared data.
     steps: StepTable,
     /// Declared data, by slot; the live entries are the ones `slot_of`
     /// names.
@@ -673,19 +674,29 @@ impl<O: TaskOp> WindowState<O> {
 
         self.fabric.completed(id, node, &sync_decisions);
 
+        // The blocks that can name the task are its step's and the next
+        // step's; they leave the step table for the walk and go back after.
+        let steps = [task.step, task.step + 1];
+        let blocks = steps.map(|s| {
+            let live = self.steps.get_mut(s);
+            live.map(|l| std::mem::take(&mut l.blocks))
+                .unwrap_or_default()
+        });
+        let named = || blocks.iter().flatten();
+
         // Flush the owed transfers: one DataMsg (or DecisionMsg) per
         // (datum, destination node).
-        let mut at = task.pending_sends.head();
-        while let Some((s, next)) = self.send_links.take(at) {
-            at = next;
+        for s in named().flat_map(|b| b.sends.get(id)) {
             let msg = flow_msg(s.key, s.class, Some(id), node, s.dest, s.bytes);
             self.route(msg, Some(id));
         }
-
-        let mut at = task.succs.head();
-        while let Some((s, next)) = self.succ_links.take(at) {
-            at = next;
-            self.release(s);
+        for &s in named().flat_map(|b| b.succs.get(id)) {
+            self.release(s as TaskId);
+        }
+        for (s, blocks) in steps.into_iter().zip(blocks) {
+            if let Some(live) = self.steps.get_mut(s) {
+                live.blocks = blocks;
+            }
         }
 
         if let Some(Some(planned)) = self
@@ -747,9 +758,9 @@ impl<O: TaskOp> WindowState<O> {
 
     /// Insert op `i` of `phase`, whose ops are tasks `base..` at positions
     /// `first..` of the open `step`, given what the sweep found for it
-    /// (`phase.order[deps]`): link it to its live predecessors, route its
-    /// inputs and queue it if nothing holds it up. Its depth goes to
-    /// `phase.cps`.
+    /// (`phase.by_op`): link it to its live predecessors and owe it their
+    /// outputs (into the phase's block pairs), route its other inputs and
+    /// queue it if nothing holds it up. Its depth goes to `phase.cps`.
     fn insert(
         &mut self,
         ctx: &O::Ctx,
@@ -757,7 +768,6 @@ impl<O: TaskOp> WindowState<O> {
         (base, first): (TaskId, usize),
         i: usize,
         phase: &mut Phase<O>,
-        deps: std::ops::Range<usize>,
     ) {
         let (op, node, id) = (phase.ops[i], phase.nodes[i], base + i);
         let (live_preds, flows) = (&mut phase.live_preds, &mut phase.flows);
@@ -774,8 +784,7 @@ impl<O: TaskOp> WindowState<O> {
         // completion).
         let mut max_pred_cp = 0u64;
         let mut wrote_decision: Option<DataKey> = None;
-        for &n in &phase.order[deps] {
-            let d = &phase.deps[n as usize];
+        for d in phase.by_op.get(i) {
             let writer = match d.waits {
                 Waits::Nothing => None,
                 Waits::Earlier(j) => {
@@ -857,14 +866,13 @@ impl<O: TaskOp> WindowState<O> {
             // version from now on, sent once at completion — unless the
             // producer runs there.
             if w_node != node && self.newly_held(f.slot, node, w) {
-                let owed = &mut self.tasks.get_mut(w).expect("a live writer").pending_sends;
                 let send = OwedSend {
                     key: f.key,
                     dest: node,
                     bytes: f.bytes,
                     class: f.class,
                 };
-                self.send_links.push(owed, send);
+                phase.sends.push((w as u32, send));
             }
         }
 
@@ -875,10 +883,8 @@ impl<O: TaskOp> WindowState<O> {
         live_preds.sort_unstable();
         live_preds.dedup();
         let preds_remaining = live_preds.len() + gates;
-        for &p in live_preds.iter() {
-            let succs = &mut self.tasks.get_mut(p).expect("a live predecessor").succs;
-            self.succ_links.push(succs, id);
-        }
+        let edges = live_preds.iter().map(|&p| (p as u32, id as u32));
+        phase.edges.extend(edges);
         phase.cps.push(cp);
 
         let pushed = self.tasks.push(LiveTask {
@@ -887,8 +893,6 @@ impl<O: TaskOp> WindowState<O> {
             pos: first + i,
             cp,
             preds_remaining,
-            succs: Chain::EMPTY,
-            pending_sends: Chain::EMPTY,
             placed,
         });
         debug_assert_eq!(pushed, id);
@@ -947,8 +951,6 @@ impl<O: TaskOp> StreamWindow<O> {
             ctx,
             state: Mutex::new(WindowState {
                 tasks: TaskRing::default(),
-                succ_links: Chains::default(),
-                send_links: Chains::default(),
                 ready: ReadyQueue::default(),
                 steps: StepTable::new(num_nodes),
                 data: Vec::new(),
@@ -1210,17 +1212,25 @@ impl<O: TaskOp> StreamWindow<O> {
                 });
             }
             let base = st.tasks.next_id();
+            let end = base + phase.ops.len();
+            assert!(u32::try_from(end).is_ok(), "task ids fit 32 bits");
             phase.cps.clear();
+            phase.edges.clear();
+            phase.sends.clear();
             for i in 0..phase.ops.len() {
-                let from = i.checked_sub(1).map_or(0, |j| phase.end[j] as usize);
-                st.insert(
-                    ctx,
-                    step,
-                    (base, first),
-                    i,
-                    phase,
-                    from..phase.end[i] as usize,
-                );
+                st.insert(ctx, step, (base, first), i, phase);
+            }
+            // The phase's edges become its block, kept with its step (the
+            // successors' step, so it lasts as long as they wait).
+            if !phase.edges.is_empty() {
+                let mut block = Block::default();
+                block
+                    .succs
+                    .write(end, &phase.edges, |&(p, s)| (p as usize, s));
+                block
+                    .sends
+                    .write(end, &phase.sends, |&(w, s)| (w as usize, s));
+                st.steps.live_mut(step).blocks.push(block);
             }
             // The phase's ops enter the step's table once all are in: until
             // then, they found each other by their index in the phase.
@@ -1338,8 +1348,6 @@ mod tests {
             pos: 0,
             cp: 1,
             preds_remaining: 0,
-            succs: Chain::EMPTY,
-            pending_sends: Chain::EMPTY,
             placed: Placed::on(0),
         }
     }
@@ -1465,6 +1473,86 @@ mod tests {
                 .all(|&v| v == NOT_HELD));
             assert_eq!((st.data.len(), st.free_slots.as_slice()), (2, &[slot][..]));
         }
+    }
+
+    /// A producer's lists are spread over the block of every phase that
+    /// names it — its own, its step's finish and both phases of the next
+    /// step — and its completion walks them all: each consumer is released
+    /// once, ascending, and one transfer goes per (datum, destination), in
+    /// the order the consumers were inserted. A step's blocks go when it
+    /// retires.
+    #[test]
+    fn completion_walks_the_blocks_of_its_step_and_the_next() {
+        let ctx = Arc::new(TestCtx::default());
+        let win = StreamWindow::<TestOp>::with_fabric(
+            3,
+            Arc::clone(&ctx),
+            &StreamOptions::fixed(2, 1),
+            Fabric::Counted,
+        );
+        let (a, b) = (DataKey(1), DataKey(2));
+        let mut sink = StepSink::new(&win);
+        sink.declare(a, 8, 0);
+        sink.declare(b, 8, 0);
+        sink.flush(false);
+        let read = |sink: &mut StepSink<'_, TestOp>, node, key| {
+            sink.push(node, ctx.op("c", &[Access::Read(key)], TaskResult::control))
+        };
+        win.open_step(0);
+        sink.step = 0;
+        let write = [Access::Mut(a), Access::Mut(b)];
+        let p = sink.push(0, ctx.op("p", &write, TaskResult::control));
+        let mut consumers = vec![read(&mut sink, 1, a)];
+        sink.flush(false);
+        consumers.push(read(&mut sink, 2, a));
+        sink.flush(true);
+        win.open_step(1);
+        sink.step = 1;
+        consumers.push(read(&mut sink, 1, b));
+        sink.flush(false);
+        // Node 1 is owed `a` already: the last consumer adds no transfer.
+        consumers.extend([read(&mut sink, 2, b), read(&mut sink, 1, a)]);
+        sink.flush(true);
+
+        let mut st = win.lock();
+        let blocks = |st: &WindowState<TestOp>, s: usize| st.steps.get(s).map(|l| l.blocks.len());
+        assert_eq!([blocks(&st, 0), blocks(&st, 1)], [Some(2), Some(2)]);
+        // What the completion walk visits, in its order.
+        let named = || (0..2).flat_map(|s| &st.steps.get(s).expect("live").blocks);
+        let succs: Vec<TaskId> = named()
+            .flat_map(|b| b.succs.get(p))
+            .map(|&s| s as TaskId)
+            .collect();
+        let sends: Vec<_> = named()
+            .flat_map(|b| b.sends.get(p))
+            .map(|s| (s.key, s.dest))
+            .collect();
+        assert_eq!(succs, consumers);
+        assert_eq!(sends, [(a, 1), (a, 2), (b, 1), (b, 2)]);
+
+        assert_eq!(st.pop_ready().map(|(id, _)| id), Some(p));
+        st.complete_task(&ctx, p, TaskResult::control(), 0, 0.0, 0.0);
+        assert_eq!(st.msgs.data_msgs, 4);
+        for link in [(0, 1), (0, 2)] {
+            assert_eq!(st.link_msgs[&link].data_msgs, 2, "{link:?}");
+        }
+        let mut ready = Vec::new();
+        while let Some((id, _)) = st.pop_ready() {
+            ready.push(id);
+        }
+        ready.sort_unstable();
+        assert_eq!(ready, consumers, "each consumer is released once");
+
+        for &c in &consumers[..2] {
+            st.complete_task(&ctx, c, TaskResult::control(), 0, 0.0, 0.0);
+        }
+        assert_eq!(*ctx.retired.lock().unwrap(), [0]);
+        assert_eq!([blocks(&st, 0), blocks(&st, 1)], [None, Some(2)]);
+        for &c in &consumers[2..] {
+            st.complete_task(&ctx, c, TaskResult::control(), 0, 0.0, 0.0);
+        }
+        assert_eq!(*ctx.retired.lock().unwrap(), [0, 1]);
+        assert_eq!(blocks(&st, 1), None);
     }
 
     /// The window end to end at the table level: a consumer inserted (in a

@@ -82,9 +82,10 @@ fn sched_hqr_default_tree_n320_pins() {
         .with_trees(TreeConfig::default());
     let f = factor(&a, &b, &opts);
     assert_eq!(f.graph.len(), 3808);
-    let ts_applies = f.graph.tasks().filter(|t| {
-        t.name().starts_with("TSMQR") && t.cost().is_some_and(|c| c.executed)
-    });
+    let ts_applies = f
+        .graph
+        .tasks()
+        .filter(|t| t.name().starts_with("TSMQR") && t.cost().is_some_and(|c| c.executed));
     assert_eq!(ts_applies.count(), 1981);
     let sims = policy_sweep(&f, &Platform::dancer_nodes(4));
     assert_eq!(

@@ -301,8 +301,8 @@ fn plan_hashes(label: &str, n: usize, grid: (usize, usize), trees: TreeConfig) -
             fnv_u64(&mut accesses, ca.home as u64);
         }
         fnv_u64(&mut edges, t.num_preds() as u64);
-        fnv_u64(&mut edges, t.successors().len() as u64);
-        for &s in t.successors() {
+        fnv_u64(&mut edges, t.successors().count() as u64);
+        for s in t.successors() {
             fnv_u64(&mut edges, s as u64);
         }
     }

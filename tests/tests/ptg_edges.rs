@@ -89,7 +89,8 @@ fn check(index: usize, n: usize, (p, q): (usize, usize), nrhs: usize, ts: usize)
     let preds = hazard_predecessors(ctx, graph.tasks().map(|t| t.op()));
     let succs = successors(&preds);
     for t in graph.tasks() {
-        assert_eq!(t.successors(), &succs[t.id][..], "{what}: {}", t.name());
+        let got: Vec<_> = t.successors().collect();
+        assert_eq!(got, succs[t.id], "{what}: {}", t.name());
         assert_eq!(t.num_preds(), preds[t.id].len(), "{what}: {}", t.name());
     }
 }

@@ -107,7 +107,7 @@ proptest! {
         for policy in SchedPolicy::all() {
             let sim = simulate_with(g, &platform, policy);
             for t in g.tasks().filter(|t| executed(t.id)) {
-                for &s in t.successors().iter().filter(|&&s| executed(s)) {
+                for s in t.successors().filter(|&s| executed(s)) {
                     prop_assert!(
                         sim.finishes[t.id] <= sim.starts[s],
                         "{}: edge {} -> {} finishes at {} after the successor starts at {}",
