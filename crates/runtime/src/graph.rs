@@ -686,9 +686,9 @@ impl<O: TaskOp> GraphBuilder<O> {
         }
         assert_eq!(step + 1, self.steps.len(), "steps in order");
         let ctx = &*self.ctx;
-        let start = self.steps[step].0;
         #[cfg(debug_assertions)]
         for (n, op) in self.phase.iter().enumerate() {
+            let start = self.steps[step].0;
             assert_eq!(
                 start + op.position(ctx),
                 lo + n,

@@ -4,6 +4,9 @@
 //! [`oracle`], and the parity harness [`paths`] through which the suites
 //! run their factorizations, one case table per suite.
 
+use std::sync::mpsc::{channel, RecvTimeoutError};
+use std::time::Duration;
+
 use luqr::{LinkMsgStats, LinkTraffic, TreeConfig, TreeKind};
 use luqr_kernels::blas::{gemm, Trans};
 use luqr_kernels::Mat;
@@ -23,6 +26,30 @@ pub const TWO_LEVEL: TreeConfig = TreeConfig {
     intra: TreeKind::Greedy,
     inter: TreeKind::Fibonacci,
 };
+
+/// How long one run may take before [`with_watchdog`] fails it as hung.
+/// The slowest case of the parity suites (`Dominant { n: 160 }`, batch
+/// path) takes 0.5 s in a debug build on a 2-vCPU host; this is 60 times
+/// that.
+pub const WATCHDOG: Duration = Duration::from_secs(30);
+
+/// Run `f` on a thread of its own and fail, naming `what`, if it has not
+/// returned within [`WATCHDOG`]: a run that hangs (a release lost in the
+/// window, a peer that never answers) fails its case instead of the test
+/// binary hanging. A panic inside `f` is re-raised here.
+pub fn with_watchdog<T: Send + 'static>(what: &str, f: impl FnOnce() -> T + Send + 'static) -> T {
+    let (tx, rx) = channel();
+    let runner = std::thread::spawn(move || {
+        let _ = tx.send(f());
+    });
+    match rx.recv_timeout(WATCHDOG) {
+        Ok(v) => v,
+        Err(RecvTimeoutError::Timeout) => panic!("{what}: still running after {WATCHDOG:?} (hang)"),
+        Err(RecvTimeoutError::Disconnected) => {
+            std::panic::resume_unwind(runner.join().expect_err("sender dropped by a panic"))
+        }
+    }
+}
 
 /// Machine epsilon for `f64`; the standard model's unit roundoff is `EPS / 2`.
 pub const EPS: f64 = f64::EPSILON;

@@ -24,7 +24,7 @@ use luqr_runtime::net::loopback::loopback_set;
 use luqr_runtime::{simulate, Platform, SimReport, StreamReport, Transport};
 use luqr_tile::Grid;
 
-use crate::{assert_routing_matches_replay, dominant_system, well_conditioned};
+use crate::{assert_routing_matches_replay, dominant_system, well_conditioned, with_watchdog};
 
 /// The system a case factors.
 #[derive(Clone, Debug)]
@@ -177,6 +177,12 @@ impl Outcome {
 
 /// Perform `case` on `path`.
 pub fn run(case: &Case, path: Path) -> Outcome {
+    let case = case.clone();
+    let what = format!("{path:?} run of {case:?}");
+    with_watchdog(&what, move || perform(&case, path))
+}
+
+fn perform(case: &Case, path: Path) -> Outcome {
     let ((a, b), opts) = (case.system(), &case.opts);
     let probe = case.probe.then(Probe::enabled).unwrap_or_default();
     let mut sopts = StreamOptions::fixed(case.window, opts.threads).with_probe(probe.clone());

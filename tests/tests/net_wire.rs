@@ -355,11 +355,9 @@ fn rank0_outcome_with_peer<T: Transport + 'static>(
     peer: impl FnOnce(std::sync::Arc<LoopbackEndpoint>) -> T + Send + 'static,
 ) -> Result<(), TransportError> {
     use luqr::{factor_stream_net_rank, Algorithm, Criterion, FactorOptions, StreamOptions};
-    use std::sync::mpsc::{channel, RecvTimeoutError};
     use std::sync::Arc;
 
-    let (tx, rx) = channel();
-    let runner = std::thread::spawn(move || {
+    luqr_tests::with_watchdog("a run with a hostile peer", move || {
         let (a, b) = luqr_tests::dominant_system(64, 5, 1);
         let opts = FactorOptions {
             nb: 8,
@@ -373,25 +371,14 @@ fn rank0_outcome_with_peer<T: Transport + 'static>(
         let mut set = luqr_runtime::net::loopback::loopback_set(2).into_iter();
         let (t0, t1) = (set.next().unwrap(), set.next().unwrap());
         let t1 = Arc::new(peer(t1));
-        let outcome = std::thread::scope(|s| {
+        std::thread::scope(|s| {
             // Rank 1 loses rank 0 once rank 0 fails; its error is the echo.
             s.spawn(|| {
                 let _ = factor_stream_net_rank(&a, &b, &opts, &sopts, t1);
             });
             factor_stream_net_rank(&a, &b, &opts, &sopts, t0).map(|_| ())
-        });
-        let _ = tx.send(outcome);
-    });
-    match rx.recv_timeout(std::time::Duration::from_secs(60)) {
-        Ok(outcome) => {
-            runner.join().expect("no rank may panic");
-            outcome
-        }
-        Err(RecvTimeoutError::Timeout) => panic!("hostile peer hung the run"),
-        Err(RecvTimeoutError::Disconnected) => {
-            std::panic::resume_unwind(runner.join().expect_err("sender dropped by a panic"))
-        }
-    }
+        })
+    })
 }
 
 /// [`rank0_outcome_with_peer`] on a 1×2 grid, window 2, with a rank 1 that
