@@ -433,9 +433,10 @@ impl<T: Copy> Csr<T> {
             u32::try_from(items.len()).is_ok(),
             "list lengths fit 32 bits"
         );
-        // `start[k + 2]` counts key `lo + k`'s values, then accumulates into
-        // where they start at `start[k + 1]`; filling advances that to
-        // where they end, which is where key `lo + k + 1`'s start.
+        // `start[k + 2]` counts key `lo + k`'s values; the running sum
+        // leaves where they start in `start[k + 1]`, and filling advances
+        // it to where they end, which is where key `lo + k + 1`'s values
+        // start.
         start.resize(end - *lo + 2, 0);
         for i in items {
             start[split(i).0 - *lo + 2] += 1;
