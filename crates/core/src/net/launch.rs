@@ -186,9 +186,10 @@ pub struct WorkerResult {
     pub solution: Option<Mat>,
     /// Per-step criterion records, sorted by step.
     pub records: Vec<StepRecord>,
-    /// Protocol message totals (identical on every rank).
+    /// Rank 0's protocol message totals: the payload messages on its
+    /// links.
     pub msgs: MsgStats,
-    /// Per-link protocol messages, `(src, dst)` order.
+    /// Rank 0's protocol messages per link, `(src, dst)` order.
     pub link_msgs: Vec<LinkMsgStats>,
     /// Rank 0's wire-level counters.
     pub frames_sent: u64,

@@ -3,13 +3,14 @@
 //!
 //! [`crate::factor_stream_with`] *counts* a distributed run — one process,
 //! per-node sub-windows, message counters. This module *performs* one:
-//! every rank of the process grid plans the full factorization over its
-//! own *share* of the matrix (same planner, same window, same closed-form
-//! edges), remote tasks degenerate to placement stubs, and the data /
-//! decision / retirement protocol crosses a [`luqr_runtime::Transport`] as
-//! length-prefixed wire frames. Payload bytes are produced and consumed by
-//! the `payload` store, which resolves every declared datum key to a
-//! tile of the rank's mirror or a cell of the run's per-step table.
+//! every rank of the process grid runs the same planner over its own
+//! *share* of the matrix, but its window inserts only the tasks placed on
+//! it (the others keep their ids and the versions they write, no more),
+//! each rank retires its own steps, and the data / decision protocol
+//! crosses a [`luqr_runtime::Transport`] as length-prefixed wire frames.
+//! Payload bytes are produced and consumed by the `payload` store, which
+//! resolves every declared datum key to a tile of the rank's mirror or a
+//! cell of the run's per-step table.
 //!
 //! **What a rank holds.** Its mirror starts with the tiles homed on it
 //! under the run's distribution and nothing else; a tile from another rank
@@ -31,11 +32,11 @@
 //! * [`launch::launch_multiprocess`] — N separate `luqr-worker` processes
 //!   meshed over UDS, results collected from rank 0.
 //!
-//! Every shape reproduces the single-process streamed run's protocol
-//! message counts exactly and its residuals and LU/QR decisions bitwise;
-//! the runtime
-//! asserts wire-frame/protocol-message reconciliation per link before
-//! results are accepted.
+//! Every shape reproduces the single-process streamed run's residuals and
+//! LU/QR decisions bitwise, and on each rank its protocol message counts on
+//! the links that touch the rank exactly; the runtime asserts
+//! wire-frame/protocol-message reconciliation per link before results are
+//! accepted.
 
 pub mod launch;
 mod payload;
@@ -98,10 +99,10 @@ fn dyn_transports<T: Transport + 'static>(set: Vec<Arc<T>>) -> Vec<Arc<dyn Trans
 
 /// Factor `[A | rhs]` with the **real-transport distributed runtime**: one
 /// SPMD rank per node of `opts.grid`, all inside this process, exchanging
-/// wire frames over `kind`. Numerics, per-step decisions, and protocol
-/// message statistics are identical to [`crate::factor_stream`] /
-/// [`crate::factor_stream_with`] under the same options; rank 0's
-/// factorization (whose mirror holds the result at the
+/// wire frames over `kind`. Numerics and per-step decisions are identical
+/// to [`crate::factor_stream`] / [`crate::factor_stream_with`] under the
+/// same options, and so are the protocol message statistics on rank 0's
+/// links; rank 0's factorization (whose mirror holds the result at the
 /// end) is returned.
 pub fn factor_stream_net(
     a: &Mat,
@@ -184,15 +185,16 @@ pub fn factor_stream_net_opts(
 
 /// Run **one rank** of a real-transport distributed factorization on an
 /// already-connected endpoint. Every rank of the set must call this with
-/// identical `a`, `rhs`, and options (SPMD: each rank plans the full
-/// factorization over its own share of the tiles and executes the ops it
+/// identical `a`, `rhs`, and options (SPMD: each rank runs the same planner
+/// over its own share of the tiles, and plans and executes the ops it
 /// owns).
 ///
 /// Only rank 0's mirror holds the result at return (peers ship it the
 /// result tiles they hold during the end-of-run handshake), so call
 /// [`StreamFactorization::solution`] on rank 0's factorization — on any
-/// other rank it panics. The per-step records and protocol message
-/// statistics are identical on every rank.
+/// other rank it panics. The per-step records are identical on every rank;
+/// a rank's report counts its own tasks and the protocol messages on its
+/// own links.
 pub fn factor_stream_net_rank(
     a: &Mat,
     rhs: &Mat,

@@ -277,11 +277,11 @@ mod tests {
     fn uds_mesh_moves_frames() {
         let dir = temp_dir("mesh");
         let set = socket_set(&SocketSpec::Uds { dir: dir.clone() }, 3).unwrap();
-        set[0].send(2, &Frame::Retire { step: 7, node: 0 }).unwrap();
+        set[0].send(2, &Frame::Fin).unwrap();
         set[1].send(2, &Frame::Done).unwrap();
         let mut got = [set[2].recv().unwrap(), set[2].recv().unwrap()];
         got.sort_by_key(|(from, _)| *from);
-        assert_eq!(got[0], (0, Frame::Retire { step: 7, node: 0 }));
+        assert_eq!(got[0], (0, Frame::Fin));
         assert_eq!(got[1], (1, Frame::Done));
         for ep in &set {
             ep.shutdown();

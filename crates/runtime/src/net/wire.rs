@@ -31,13 +31,14 @@ pub const MAX_FRAME: u32 = 1 << 30;
 /// One unit of traffic between two ranks.
 ///
 /// `Hello` is the connection handshake (socket transports only). `Data`
-/// and `Retire` mirror the protocol messages ([`crate::comm::Msg`]) that
-/// the distributed window routes; `modeled_bytes` carries the declared
-/// datum size (what [`crate::comm::MsgStats`] counts), which generally
-/// differs from the serialized payload length. The rest are control
-/// frames of the SPMD run protocol: `Sync` broadcasts a step decision to
-/// every peer, `Result` ships an owned datum back to rank 0 at the end,
-/// and `Done` / `Fin` / `Shutdown` fence the teardown.
+/// carries a payload or decision message ([`crate::comm::Msg`]) that a
+/// rank's window routes; `modeled_bytes` carries the declared datum size
+/// (what [`crate::comm::MsgStats`] counts), which generally differs from
+/// the serialized payload length. The rest are control frames of the SPMD
+/// run protocol: `Sync` broadcasts a step decision to every peer, `Result`
+/// ships an owned datum back to rank 0 at the end, and `Done` / `Fin` /
+/// `Shutdown` fence the teardown. Kind 2 is unassigned: it decodes as an
+/// unknown kind.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Frame {
     /// Handshake: the connecting peer announces its rank.
@@ -52,8 +53,6 @@ pub enum Frame {
         modeled_bytes: u64,
         payload: Vec<u8>,
     },
-    /// A step-retirement notice (sent to rank 0).
-    Retire { step: u64, node: u32 },
     /// Decision broadcast: `(key, producing task, serialized decision)`.
     Sync {
         key: DataKey,
@@ -72,7 +71,6 @@ pub enum Frame {
 
 const KIND_HELLO: u8 = 0;
 const KIND_DATA: u8 = 1;
-const KIND_RETIRE: u8 = 2;
 const KIND_SYNC: u8 = 3;
 const KIND_RESULT: u8 = 4;
 const KIND_DONE: u8 = 5;
@@ -155,11 +153,6 @@ fn encode_head(frame: &Frame) -> (Head, &[u8]) {
             });
             h.u64(*modeled_bytes);
             blob = Some(payload);
-        }
-        Frame::Retire { step, node } => {
-            h.u8(KIND_RETIRE);
-            h.u64(*step);
-            h.u32(*node);
         }
         Frame::Sync {
             key,
@@ -393,10 +386,6 @@ pub fn read_frame(r: &mut impl Read) -> Result<Frame, TransportError> {
                 payload,
             }
         }
-        KIND_RETIRE => Frame::Retire {
-            step: r.u64()?,
-            node: r.u32()?,
-        },
         KIND_SYNC => Frame::Sync {
             key: DataKey(r.u64()?),
             producer: r.u64()? as TaskId,
@@ -448,7 +437,6 @@ mod tests {
             modeled_bytes: 8,
             payload: vec![],
         });
-        roundtrip(Frame::Retire { step: 9, node: 2 });
         roundtrip(Frame::Sync {
             key: DataKey(11),
             producer: 100,
@@ -509,7 +497,11 @@ mod tests {
     fn frames_survive_short_reads_and_partial_writes() {
         let frames = [
             tile_frame((0..=255).collect()),
-            Frame::Retire { step: 3, node: 1 },
+            Frame::Sync {
+                key: DataKey(3),
+                producer: 1,
+                payload: vec![1],
+            },
             tile_frame(vec![]),
             tile_frame(vec![9; 5]), // shorter than the header read-ahead
         ];
@@ -594,7 +586,11 @@ mod tests {
 
     #[test]
     fn truncated_frames_are_short_reads() {
-        let bytes = encode_frame(&Frame::Retire { step: 1, node: 0 });
+        let bytes = encode_frame(&Frame::Sync {
+            key: DataKey(1),
+            producer: 0,
+            payload: vec![7; 3],
+        });
         for cut in 0..bytes.len() {
             let err = decode_frame(&bytes[..cut]).unwrap_err();
             assert!(

@@ -154,7 +154,8 @@ pub struct StreamReport {
     pub wall_seconds: f64,
     /// Elimination steps unrolled.
     pub steps: usize,
-    /// Tasks planned into the window over the whole run.
+    /// Tasks planned into the window over the whole run (on a wire rank,
+    /// those placed on it).
     pub tasks_planned: usize,
     /// Tasks that ran their kernel: every completed one, since the window
     /// plans only the chosen hybrid branch.
@@ -171,7 +172,8 @@ pub struct StreamReport {
     /// Tasks planned per elimination step (for window-bound accounting).
     pub per_step_tasks: Vec<usize>,
     /// Distributed-protocol message counters (data transfers, decision
-    /// broadcasts, retirement reports).
+    /// broadcasts, retirement reports). On a wire rank ([`execute_net`]):
+    /// the data and decision messages on the links that touch the rank.
     pub msgs: MsgStats,
     /// The same counters broken out per directed `(src, dst)` link, in
     /// `(src, dst)` order (retire reports appear on `(node, 0)` — the
@@ -278,18 +280,22 @@ pub fn execute_with<S: StepSource + ?Sized>(source: &mut S, opts: &StreamOptions
 }
 
 /// Execute `source` as one rank of a real distributed run (SPMD): every
-/// rank calls this with the *same* deterministic source over its own full
-/// mirror of the matrix, its own transport endpoint, and its own payload
+/// rank calls this with the *same* deterministic source over its own
+/// mirror of the data, its own transport endpoint, and its own payload
 /// store.
 ///
-/// Planning is identical on every rank — same task ids, same edges, same
-/// protocol messages — so each rank's [`MsgStats`] equals
-/// [`execute_with`]'s. What differs per rank is execution: tasks
-/// placed on other ranks are stubs that run nothing, local tasks gate on
-/// the arrival of their cross-rank inputs, and every protocol message this
-/// rank originates goes out as a real wire frame. At the end, ranks other
-/// than 0 ship the final version of every datum they own to rank 0, whose
-/// mirror then holds the complete factorization.
+/// Every rank names every task by the same id, but plans and runs only its
+/// share: the tasks placed on it, linked to their local predecessors and
+/// gated on the arrival of their cross-rank inputs. A task placed on
+/// another rank keeps its id, its place in its step's table and the
+/// version it writes, and this rank still sends it the inputs it holds;
+/// nothing else of it exists here. So each rank's [`MsgStats`] and
+/// [`StreamReport::link_msgs`] are [`execute_with`]'s payload messages on
+/// the links that touch the rank (every one it sends goes out as a real
+/// wire frame), its `tasks_planned` and `tasks_executed` its own share, and
+/// it retires its own steps. At the end, ranks other than 0 ship the final
+/// version of every datum they own to rank 0, whose mirror then holds the
+/// complete factorization.
 ///
 /// An endpoint whose world size is not `source.num_nodes()` is a typed
 /// error before anything starts.
@@ -305,16 +311,18 @@ pub fn execute_net<S: StepSource + ?Sized>(
 /// What carries a run's cross-node traffic — the one value the streaming
 /// window's distribution mode is. Routing (which message goes where, once
 /// per version and destination) is the window's and the same for both;
-/// the fabric is what happens *to* a routed message and what a task's
-/// placement means:
+/// the fabric is what happens *to* a routed message and which tasks this
+/// process plans and runs ([`Fabric::runs`]):
 ///
-/// * `Counted` — messages are tallied, nothing else;
-/// * `Wire` — this rank's messages become frames on a real transport and
-///   its tasks wait for the frames of others ([`wire`]).
+/// * `Counted` — every node's tasks, and messages are tallied, nothing
+///   else;
+/// * `Wire` — this rank's tasks only; its messages become frames on a real
+///   transport and its tasks wait for the frames of others ([`wire`]).
 ///
-/// The window calls it at four seams — [`Fabric::place`] at insertion,
-/// [`Fabric::send`] for a routed message, [`Fabric::completed`] at
-/// completion, [`Fabric::arrived`] at pop — plus [`Fabric::report`]. The
+/// The window calls it at four seams — [`Fabric::place`] at insertion
+/// (with [`Fabric::elsewhere`] and [`Fabric::overwritten`] for what another
+/// rank runs), [`Fabric::send`] for a routed message, [`Fabric::completed`]
+/// at completion, [`Fabric::arrived`] at pop — plus [`Fabric::report`]. The
 /// per-task ones are `#[inline]`: the window is generic over the op and so
 /// compiled in the crate that names it, where a plain method here would be
 /// a call.
@@ -330,9 +338,6 @@ enum Fabric {
 struct Placed {
     /// The node the task runs on.
     node: usize,
-    /// Placed on another rank of a wire: mirrored here, never run here,
-    /// completed inline once unblocked (a *stub*).
-    stub: bool,
     /// Inputs that cross the wire to this task, decoded into the local
     /// mirror when it is popped for execution.
     needs: Vec<ArrivalKey>,
@@ -344,7 +349,6 @@ impl Placed {
     fn on(node: usize) -> Placed {
         Placed {
             node,
-            stub: false,
             needs: Vec::new(),
         }
     }
@@ -361,11 +365,20 @@ impl Fabric {
         }
     }
 
-    /// Seam 1, insertion: what placing task `id` on `node` means here (on a
-    /// wire, a stub when `node` is another rank), and how many gates —
-    /// predecessors beyond its closed-form ones — it waits for. `inputs` lists
-    /// its data-flow inputs as routing resolved them (`(datum, producer,
-    /// source node)`), walked only by a wire.
+    /// Does this process plan and run the tasks placed on `node`?
+    #[inline]
+    fn runs(&self, node: usize) -> bool {
+        match self {
+            Fabric::Counted => true,
+            Fabric::Wire(w) => w.runs(node),
+        }
+    }
+
+    /// Seam 1, insertion of task `id`, which runs here on `node`: what it
+    /// keeps of the fabric, and how many gates — predecessors beyond its
+    /// closed-form ones — it waits for. `inputs` lists its data-flow inputs
+    /// as routing resolved them (`(datum, producer, source node)`), walked
+    /// only by a wire.
     fn place(
         &mut self,
         id: TaskId,
@@ -379,6 +392,30 @@ impl Fabric {
         }
     }
 
+    /// Insertion of task `id`, which another rank runs and this one only
+    /// names; a decision it writes is awaited as a frame.
+    fn elsewhere(&mut self, id: TaskId, wrote_decision: Option<DataKey>) {
+        if let (Fabric::Wire(w), Some(key)) = (self, wrote_decision) {
+            w.decides(id, key, false);
+        }
+    }
+
+    /// Task `w`, which another rank runs, writes `key`: the version's
+    /// decode here waits for `users` — this rank's live tasks that `w` waits
+    /// for through the datum — and for those of the version it overwrites,
+    /// `before`, when that one is another rank's too (module docs of
+    /// [`window`], "Rank-local planning").
+    fn overwritten(
+        &mut self,
+        (key, w): (DataKey, TaskId),
+        before: Option<ArrivalKey>,
+        users: impl Iterator<Item = TaskId>,
+    ) {
+        if let Fabric::Wire(wire) = self {
+            wire.overwritten((key, Some(w)), before, users);
+        }
+    }
+
     /// Seam 2, routing: `msg` was recorded on `link`; move it.
     #[inline]
     fn send(&mut self, msg: &Msg, link: (usize, usize), producer: Option<TaskId>) {
@@ -387,11 +424,13 @@ impl Fabric {
         }
     }
 
-    /// Seam 3, completion of task `id` on `node`, which wrote the decision
-    /// data `decisions`.
-    fn completed(&mut self, id: TaskId, node: usize, decisions: &[DataKey]) {
-        if let Fabric::Wire(w) = self {
-            w.completed(id, node, decisions);
+    /// Seam 3, completion of task `id`: the tasks whose inputs this made
+    /// ready, to release.
+    #[inline]
+    fn completed(&mut self, id: TaskId) -> Option<Vec<TaskId>> {
+        match self {
+            Fabric::Wire(w) => w.completed(id),
+            Fabric::Counted => None,
         }
     }
 
@@ -548,6 +587,16 @@ mod tests {
         DataKey(i)
     }
 
+    /// [`execute_with`] under the watchdog: a release lost in the window
+    /// fails the test, named by `what`, instead of hanging the binary.
+    fn execute<S: StepSource + Send + 'static>(
+        what: &str,
+        mut src: S,
+        opts: StreamOptions,
+    ) -> StreamReport {
+        with_watchdog(what, move || execute_with(&mut src, &opts))
+    }
+
     /// A chain-per-step source: step `s` appends `width` tasks that all
     /// mutate the same datum, so execution is fully serialized.
     struct ChainSource {
@@ -596,9 +645,10 @@ mod tests {
     #[test]
     fn chain_runs_in_order_across_steps() {
         for (window, threads) in [(1, 1), (1, 4), (2, 2), (8, 3)] {
-            let mut src = ChainSource::new(6, 5);
+            let src = ChainSource::new(6, 5);
             let log = Arc::clone(&src.log);
-            let report = execute_with(&mut src, &StreamOptions::fixed(window, threads));
+            let what = format!("chain w={window} t={threads}");
+            let report = execute(&what, src, StreamOptions::fixed(window, threads));
             assert_eq!(report.tasks_executed, 30);
             assert_eq!(report.tasks_planned, 30);
             assert!(report.peak_live_steps <= window);
@@ -636,7 +686,7 @@ mod tests {
                 StepPhase::Complete
             }
         }
-        let report = execute_with(&mut WideSource::default(), &StreamOptions::fixed(1, 4));
+        let report = execute("wide", WideSource::default(), StreamOptions::fixed(1, 4));
         assert_eq!(report.tasks_executed, 200);
         assert_eq!(report.peak_live_steps, 1);
         assert!(
@@ -688,12 +738,12 @@ mod tests {
         }
         let decided = Arc::new(AtomicUsize::new(0));
         let branch_ran = Arc::new(AtomicUsize::new(0));
-        let mut src = DecidingSource {
+        let src = DecidingSource {
             decided: Arc::clone(&decided),
             branch_ran: Arc::clone(&branch_ran),
             ctx: Arc::default(),
         };
-        let report = execute_with(&mut src, &StreamOptions::fixed(2, 3));
+        let report = execute("deciding", src, StreamOptions::fixed(2, 3));
         assert_eq!(report.tasks_executed, 2);
         assert_eq!(branch_ran.load(Ordering::SeqCst), 1);
     }
@@ -713,7 +763,7 @@ mod tests {
                 unreachable!()
             }
         }
-        let report = execute_with(&mut Empty::default(), &StreamOptions::fixed(4, 2));
+        let report = execute("empty", Empty::default(), StreamOptions::fixed(4, 2));
         assert_eq!(report.tasks_planned, 0);
         assert_eq!(report.peak_live_steps, 0);
     }
@@ -750,11 +800,12 @@ mod tests {
                     StepPhase::Complete
                 }
             }
-            let mut src = Reduce {
+            let src = Reduce {
                 cell: Arc::clone(&cell),
                 ctx: Arc::default(),
             };
-            execute_with(&mut src, &StreamOptions::fixed(window, threads));
+            let what = format!("reduce w={window} t={threads}");
+            execute(&what, src, StreamOptions::fixed(window, threads));
             let v = *cell.lock();
             v
         }
@@ -798,8 +849,8 @@ mod tests {
 
     #[test]
     fn cross_node_flow_counts_one_msg_per_version_and_destination() {
-        let mut src = TwoNodeSource::default();
-        let report = execute_with(&mut src, &StreamOptions::fixed(2, 2));
+        let src = TwoNodeSource::default();
+        let report = execute("two nodes", src, StreamOptions::fixed(2, 2));
         assert_eq!(report.tasks_executed, 9);
         // One DataMsg per step for k(0) (producer → node 1), regardless
         // of the two consumers there.
@@ -812,8 +863,8 @@ mod tests {
 
     #[test]
     fn single_node_source_moves_no_messages() {
-        let mut src = ChainSource::new(4, 3);
-        let report = execute_with(&mut src, &StreamOptions::fixed(2, 2));
+        let src = ChainSource::new(4, 3);
+        let report = execute("one node", src, StreamOptions::fixed(2, 2));
         assert_eq!(report.msgs.data_msgs, 0);
         assert_eq!(report.msgs.decision_msgs, 0);
         assert_eq!(report.msgs.retire_msgs, 0);
@@ -850,7 +901,11 @@ mod tests {
                 StepPhase::Complete
             }
         }
-        let report = execute_with(&mut Redeclare::default(), &StreamOptions::fixed(1, 1));
+        let report = execute(
+            "redeclare",
+            Redeclare::default(),
+            StreamOptions::fixed(1, 1),
+        );
         assert_eq!(report.msgs.data_msgs, 1, "one initial fetch, to node 0");
         let fetch = LinkMsgStats {
             src: 1,
@@ -864,7 +919,7 @@ mod tests {
     fn probed_streaming_reports_metrics_and_attribution() {
         let probe = Probe::enabled();
         let opts = StreamOptions::fixed(2, 2).with_probe(probe.clone());
-        let report = execute_with(&mut TwoNodeSource::default(), &opts);
+        let report = execute("probed", TwoNodeSource::default(), opts);
 
         // Per-link counters reconcile with the aggregate, and retire
         // reports ride the (node, 0) links.
@@ -894,16 +949,19 @@ mod tests {
 
         // Probes never perturb the run: a probe-free rerun reports the
         // same message counts and link breakdown.
-        let plain = execute_with(&mut TwoNodeSource::default(), &StreamOptions::fixed(2, 2));
+        let plain = execute(
+            "unprobed",
+            TwoNodeSource::default(),
+            StreamOptions::fixed(2, 2),
+        );
         assert_eq!(plain.msgs, report.msgs);
         assert_eq!(plain.link_msgs, report.link_msgs);
     }
 
     #[test]
     fn trace_mode_records_every_executed_task() {
-        let mut src = ChainSource::new(3, 2);
-        let opts = StreamOptions::fixed(2, 2).with_trace();
-        let report = execute_with(&mut src, &opts);
+        let src = ChainSource::new(3, 2);
+        let report = execute("traced", src, StreamOptions::fixed(2, 2).with_trace());
         assert_eq!(report.trace.len(), 6);
         for ev in &report.trace {
             assert!(ev.end >= ev.start);
@@ -1165,7 +1223,7 @@ mod tests {
     /// source many times under a watchdog — a lost wake-up is a hang, which
     /// the watchdog turns into a failure — and every run must produce the
     /// same bits. On two nodes the point also runs as two ranks over a
-    /// wire, where the planner sleeps on frames and stubs drain inline.
+    /// wire, where the planner sleeps on frames.
     #[test]
     fn no_wakeup_is_lost_across_threads_and_windows() {
         const REPS: usize = 200;

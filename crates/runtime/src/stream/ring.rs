@@ -7,7 +7,8 @@ use crate::graph::TaskId;
 /// Live task records, indexed by id.
 ///
 /// Ids are issued sequentially, so the record of task `id` sits at
-/// `slots[id - base]`. Completion empties the slot; the base advances past
+/// `slots[id - base]` (empty for an id issued without a record).
+/// Completion empties the slot; the base advances past
 /// the leading run of empty slots, so an out-of-order completion holds the
 /// base (and its slot) until every older task is done. An id below the
 /// base therefore names a completed task and a dependency on it is
@@ -40,6 +41,18 @@ impl<T> TaskRing<T> {
         let id = self.next_id();
         self.slots.push_back(Some(task));
         self.live += 1;
+        id
+    }
+
+    /// Issue the next id to a task that gets no record here (a wire rank's
+    /// task placed on another rank): the id is never live.
+    pub(super) fn skip(&mut self) -> TaskId {
+        let id = self.next_id();
+        if self.slots.is_empty() {
+            self.base += 1;
+        } else {
+            self.slots.push_back(None);
+        }
         id
     }
 

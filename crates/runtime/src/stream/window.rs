@@ -65,25 +65,53 @@
 //! it ends in one `finish`.
 //!
 //! **Routing.** Each task is *placed* on a virtual node (owner-computes)
-//! and each datum is *homed* on one. A dependency between tasks on the
-//! same node is a direct edge; a cross-node dependency is satisfied by a
-//! routed message ([`crate::comm::Msg`]): the producer's completion
-//! delivers a [`crate::comm::DataMsg`] once per destination node
-//! (consumers there share the cached copy — and late consumers of an
-//! already-completed producer trigger the send at insertion), the hybrid's
-//! criterion decision reaches remote branch tasks as a
-//! [`crate::comm::DecisionMsg`] from the panel-owner node, and a node whose
-//! share of a closed step drains reports it with a
-//! [`crate::comm::RetireMsg`] so the planner can retire the step.
-//! Ordering-only dependencies (WAR, control) release remote successors
-//! without payload and are not counted as messages — matching the platform
-//! simulator's cost model. This is one path whatever carries the messages:
-//! what happens to a routed message, and what a placement means, is the
-//! run's `Fabric` (counted, or put on a real wire), which the window
-//! calls at four seams — insertion, routing, completion, pop. The ready
-//! queue orders by `(depth, insertion id)` only — the depth is `1 + max`
-//! over the predecessors in live tables — so one queue pops exactly what a
-//! scan of per-node queues would.
+//! and each datum is *homed* on one. Every writer's insertion makes the
+//! datum's last planned version (its id and node); a reader planned next
+//! reads it. A dependency between tasks on the same node is a direct edge;
+//! a cross-node dependency is satisfied by a routed message
+//! ([`crate::comm::Msg`]): the producer's completion delivers a
+//! [`crate::comm::DataMsg`] once per destination node (consumers there
+//! share the cached copy — and late consumers of an already-completed
+//! producer trigger the send at insertion), the hybrid's criterion
+//! decision reaches remote branch tasks as a [`crate::comm::DecisionMsg`]
+//! from the panel-owner node, and on the counted fabric a node whose share
+//! of a closed step drains reports it with a [`crate::comm::RetireMsg`]
+//! so the planner can retire the step. Ordering-only dependencies (WAR,
+//! control) release remote successors without payload and are not counted
+//! as messages — matching the platform simulator's cost model. This is one
+//! path whatever carries the messages: what happens to a routed message,
+//! and which tasks this process plans, is the run's `Fabric` (counted, or
+//! put on a real wire), which the window calls at four seams — insertion,
+//! routing, completion, pop. The ready queue orders by `(depth, insertion
+//! id)` only — the depth is `1 + max` over the predecessors in live tables
+//! — so one queue pops exactly what a scan of per-node queues would.
+//!
+//! **Rank-local planning.** The counted fabric plans every node's tasks; a
+//! wire rank runs the same source but inserts only the tasks placed on it.
+//! A task placed elsewhere is still swept with its phase: it gets its id,
+//! its depth, its place (id, depth, node) in its step's table, and it
+//! makes the version it writes. Of its routing the rank does the part that
+//! starts here — the inputs its own versions (or the initial values homed
+//! here) owe its node, through the same once-per-(version, destination)
+//! cache — and counts, for its own tasks, what arrives. It gets no record,
+//! no edges and no completion here, and its step's counts (so the rank's
+//! retirement) hold only the rank's own tasks. Three rules keep a rank's
+//! share correct on its own:
+//!
+//! * An ordering-only dependency on a task that runs elsewhere makes no
+//!   edge: that task touches only its own rank's memory. A data-flow input
+//!   from another rank gates the consumer on the arrival of its frame.
+//! * **Mirror rule.** Decoding another rank's version into the local
+//!   mirror writes the datum here, so every local consumer of such a
+//!   version also waits for this rank's live tasks that read or wrote the
+//!   datum's earlier local copy: those the remote writer waits for through
+//!   the datum, and — when the version it overwrites is remote too — those
+//!   that version's decode had to wait for. The fabric counts them per
+//!   version when the remote writer is inserted (they can lie more than a
+//!   step back, past the blocks), and a version is ready here once its
+//!   frame has arrived and they have completed.
+//! * The result hand-off finds each datum's final version from its last
+//!   planned writer, which may have run elsewhere.
 //!
 //! **Locking and wake-ups.** All mutable state sits behind one mutex.
 //! Two kinds of thread sleep, each on its own condition variable, and
@@ -137,18 +165,22 @@ use crate::trace::TraceEvent;
 
 use super::retire::{Planned, StepTable};
 use super::ring::TaskRing;
+use super::wire::ArrivalKey;
 use super::{Fabric, Placed, StreamOptions, StreamReport};
 
-/// The last completed version of a datum: where its payload lives. This
-/// is what transfers resolve against once its writer has completed,
-/// exactly like the virtual-time engine's scoreboard (the window plans a
-/// branch op only once its branch has won, so every op it completes
-/// executed). Which nodes already hold a copy is in
+/// The version of a datum its last planned writer makes: which task, and
+/// where its payload lives. A reader planned next reads it (insertion
+/// follows planning order), and once that writer has completed, transfers
+/// resolve against it, exactly like the virtual-time engine's scoreboard
+/// (the window plans a branch op only once its branch has won, so every
+/// op it plans executes). Which nodes already hold a copy is in
 /// [`WindowState::holds`].
 #[derive(Debug, Clone, Copy)]
-struct ExecVersion {
+struct Version {
     id: TaskId,
     node: usize,
+    /// The writer's critical-path depth.
+    depth: u64,
 }
 
 /// The version stamp of a never-written datum, as fetched from its home.
@@ -160,7 +192,7 @@ const NOT_HELD: TaskId = TaskId::MAX - 1;
 /// Index of a declared datum in [`WindowState::data`].
 pub(super) type Slot = u32;
 
-/// Per-datum directory entry: declaration metadata and the last completed
+/// Per-datum directory entry: declaration metadata and the last planned
 /// version. (A datum declared in a step is dropped with it: the step's
 /// table lists its slot.)
 #[derive(Debug)]
@@ -169,8 +201,8 @@ struct DatumDir {
     bytes: usize,
     home: usize,
     class: DataClass,
-    /// Last completed version (transfer source).
-    exec: Option<ExecVersion>,
+    /// Last planned version (`None`: the initial value, at `home`).
+    version: Option<Version>,
 }
 
 /// A data transfer a live producer owes one destination node at
@@ -232,14 +264,29 @@ struct Wakes {
 }
 
 /// One data-flow input of the task being inserted: the datum's slot and
-/// declaration, and its closed-form writer with that writer's node while
-/// the writer is live.
+/// declaration, and the version it reads — its producer (`None`: the
+/// initial value) and where that lives, and whether the producer is a live
+/// task of this rank (whose completion sends it).
 struct Flow {
     slot: Slot,
     key: DataKey,
     bytes: usize,
     class: DataClass,
-    writer: Option<(TaskId, usize)>,
+    producer: Option<TaskId>,
+    src: usize,
+    live: bool,
+}
+
+impl Flow {
+    /// The transfer its live producer owes `dest`.
+    fn owed(&self, dest: usize) -> OwedSend {
+        OwedSend {
+            key: self.key,
+            dest,
+            bytes: self.bytes,
+            class: self.class,
+        }
+    }
 }
 
 /// The task a dependency waits for, as the window finds it.
@@ -292,8 +339,13 @@ pub(super) struct Phase<O> {
     by_op: Csr<Dep>,
     /// The depth each op of the phase was given.
     cps: Vec<u64>,
-    live_preds: Vec<TaskId>,
+    /// The live predecessors of the op being inserted that run on this
+    /// rank, with the datum (index in `data`) that names each.
+    live_preds: Vec<(u32, TaskId)>,
     flows: Vec<Flow>,
+    /// What the op being inserted writes: `(datum, slot, the version
+    /// before if another rank's)`.
+    writes: Vec<(u32, Slot, Option<ArrivalKey>)>,
     /// The phase's block, as `(predecessor, successor)` and `(live writer,
     /// transfer)` pairs in insertion order.
     edges: Vec<(u32, u32)>,
@@ -312,6 +364,7 @@ impl<O> Default for Phase<O> {
             cps: Vec::new(),
             live_preds: Vec::new(),
             flows: Vec::new(),
+            writes: Vec::new(),
             edges: Vec::new(),
             sends: Vec::new(),
         }
@@ -395,9 +448,6 @@ pub(super) struct WindowState<O> {
     /// datum fetched from its home, [`NOT_HELD`] for none.
     holds: Vec<TaskId>,
     slot_of: IntMap<DataKey, Slot>,
-    /// Unblocked stubs awaiting their inline completion (drained before
-    /// the critical section that unblocked them ends).
-    stubs: Vec<TaskId>,
     planning_done: bool,
     /// What the driver thread sleeps on, if it sleeps.
     planner_wait: Option<PlannerWait>,
@@ -421,8 +471,9 @@ pub(super) struct WindowState<O> {
     trace: Option<Vec<TraceEvent>>,
     /// Metrics probe (cheap-clone handle; disabled by default).
     probe: Probe,
-    /// Per-(src, dst) protocol message tallies (retire reports appear on
-    /// the `(node, 0)` link — the planner lives with node 0).
+    /// Per-(src, dst) protocol message tallies (counted: every link, retire
+    /// reports on `(node, 0)` — the planner lives with node 0; a wire rank:
+    /// the links that touch it, and no retire reports).
     pub(super) link_msgs: BTreeMap<(usize, usize), MsgStats>,
     /// Per-class kernel accounting — `(flops, wall-seconds histogram)`,
     /// indexed by [`CostClass::index`] — only allocated while probed.
@@ -493,15 +544,10 @@ impl<O: TaskOp> WindowState<O> {
         Wakes { workers, planner }
     }
 
-    /// A task's last predecessor is gone: queue it for a worker — or, for
-    /// a stub, for inline completion by the current thread.
-    fn unblocked(&mut self, id: TaskId, cp: u64, node: usize, stub: bool) {
-        if stub {
-            self.stubs.push(id);
-        } else {
-            self.ready.push(cp, id, node);
-            self.newly_ready += 1;
-        }
+    /// A task's last predecessor is gone: queue it for a worker.
+    fn unblocked(&mut self, id: TaskId, cp: u64, node: usize) {
+        self.ready.push(cp, id, node);
+        self.newly_ready += 1;
     }
 
     /// Drop one predecessor of live task `id`.
@@ -513,8 +559,8 @@ impl<O: TaskOp> WindowState<O> {
         debug_assert!(t.preds_remaining >= 1, "dependency underflow");
         t.preds_remaining -= 1;
         if t.preds_remaining == 0 {
-            let (cp, node, stub) = (t.cp, t.placed.node, t.placed.stub);
-            self.unblocked(id, cp, node, stub);
+            let (cp, node) = (t.cp, t.placed.node);
+            self.unblocked(id, cp, node);
         }
     }
 
@@ -540,7 +586,7 @@ impl<O: TaskOp> WindowState<O> {
             self.slot_of.remove(&dir.key);
             let at = slot as usize * nodes;
             self.holds[at..at + nodes].fill(NOT_HELD);
-            dir.exec = None;
+            dir.version = None;
             self.free_slots.push(slot);
         }
     }
@@ -559,9 +605,11 @@ impl<O: TaskOp> WindowState<O> {
         self.fabric.send(&msg, link, producer);
     }
 
-    /// Apply step-table feedback from a close/completion: per-node retirement
-    /// reports become [`RetireMsg`]s (the planner lives with node 0, whose
-    /// report is local), and a retired step drops its table and data.
+    /// Apply step-table feedback from a close/completion: on the counted
+    /// fabric, per-node retirement reports become [`RetireMsg`]s (the
+    /// planner lives with node 0, whose report is local; a wire rank retires
+    /// its own steps and reports nothing), and a retired step drops its
+    /// table and data.
     /// `now` is the wall clock (seconds since the window's epoch) of the
     /// triggering event; it only feeds the probed retirement-lag metric.
     fn on_step_events(
@@ -572,8 +620,8 @@ impl<O: TaskOp> WindowState<O> {
         step: usize,
         now: f64,
     ) {
-        for &n in reports {
-            if n != 0 {
+        if matches!(self.fabric, Fabric::Counted) {
+            for &n in reports.iter().filter(|&&n| n != 0) {
                 self.route(Msg::Retire(RetireMsg { step, node: n }), None);
             }
         }
@@ -590,22 +638,6 @@ impl<O: TaskOp> WindowState<O> {
         }
     }
 
-    /// Move the payload of the datum in `slot` to `dest`: from its last
-    /// completed version, or from its home node if it was never written —
-    /// in either case at most once per (version, destination). No-ops when
-    /// `dest` already holds the payload.
-    fn resolve_transfer(&mut self, slot: Slot, dest: usize, bytes: usize, class: DataClass) {
-        let dir = &self.data[slot as usize];
-        let key = dir.key;
-        let (producer, src) = match dir.exec {
-            Some(v) => (Some(v.id), v.node),
-            None => (None, dir.home),
-        };
-        if src != dest && self.newly_held(slot, dest, producer.unwrap_or(INITIAL)) {
-            self.route(flow_msg(key, class, producer, src, dest, bytes), producer);
-        }
-    }
-
     /// Note that `dest` now holds `version` of the datum in `slot`; `false`
     /// if it already did.
     fn newly_held(&mut self, slot: Slot, dest: usize, version: TaskId) -> bool {
@@ -613,10 +645,10 @@ impl<O: TaskOp> WindowState<O> {
         std::mem::replace(held, version) != version
     }
 
-    /// Record the completion of live task `id`, which executed at `cost`
-    /// (a stub's is [`TaskResult::control`]): reclaim its record, publish
-    /// what it wrote, tell the fabric, flush the transfers it owes, and
-    /// release its successors (onto the ready queue, or the stub list).
+    /// Record the completion of live task `id`, which executed at `cost`:
+    /// reclaim its record, tell the fabric, flush the transfers it owes, and
+    /// release its successors — those its blocks list, and those the fabric
+    /// held back for it.
     fn complete_task(
         &mut self,
         ctx: &O::Ctx,
@@ -658,21 +690,7 @@ impl<O: TaskOp> WindowState<O> {
             });
         }
 
-        // The writer becomes the datum's current version (WAW edges
-        // serialize conflicting writers, so completions promote in
-        // insertion order) with a fresh transfer cache.
-        let mut sync_decisions: Vec<DataKey> = Vec::new();
-        let (data, slot_of) = (&mut self.data, &self.slot_of);
-        task.op.for_each_access(ctx, |acc| {
-            let Access::Mut(key) = acc else { return };
-            let dir = &mut data[slot_of[&key] as usize];
-            dir.exec = Some(ExecVersion { id, node });
-            if dir.class == DataClass::Decision {
-                sync_decisions.push(key);
-            }
-        });
-
-        self.fabric.completed(id, node, &sync_decisions);
+        let held_back = self.fabric.completed(id);
 
         // The blocks that can name the task are its step's and the next
         // step's; they leave the step table for the walk and go back after.
@@ -692,6 +710,9 @@ impl<O: TaskOp> WindowState<O> {
         }
         for &s in named().flat_map(|b| b.succs.get(id)) {
             self.release(s as TaskId);
+        }
+        for s in held_back.into_iter().flatten() {
+            self.release(s);
         }
         for (s, blocks) in steps.into_iter().zip(blocks) {
             if let Some(live) = self.steps.get_mut(s) {
@@ -734,7 +755,7 @@ impl<O: TaskOp> WindowState<O> {
                     bytes,
                     home,
                     class: O::data_class(ctx, key),
-                    exec: None,
+                    version: None,
                 };
                 let slot = match self.free_slots.pop() {
                     Some(slot) => {
@@ -759,8 +780,10 @@ impl<O: TaskOp> WindowState<O> {
     /// Insert op `i` of `phase`, whose ops are tasks `base..` at positions
     /// `first..` of the open `step`, given what the sweep found for it
     /// (`phase.by_op`): link it to its live predecessors and owe it their
-    /// outputs (into the phase's block pairs), route its other inputs and
-    /// queue it if nothing holds it up. Its depth goes to `phase.cps`.
+    /// outputs (into the phase's block pairs), route its other inputs, note
+    /// the versions it writes and queue it if nothing holds it up. Its depth
+    /// goes to `phase.cps`. An op another rank runs goes to
+    /// [`WindowState::insert_elsewhere`].
     fn insert(
         &mut self,
         ctx: &O::Ctx,
@@ -770,30 +793,35 @@ impl<O: TaskOp> WindowState<O> {
         phase: &mut Phase<O>,
     ) {
         let (op, node, id) = (phase.ops[i], phase.nodes[i], base + i);
+        if !self.fabric.runs(node) {
+            return self.insert_elsewhere(base, i, phase);
+        }
         let (live_preds, flows) = (&mut phase.live_preds, &mut phase.flows);
         live_preds.clear();
         flows.clear();
+        phase.writes.clear();
 
-        // The closed-form predecessors: an earlier op of the phase is live
-        // and has its depth; anything else is looked up in the live steps'
-        // tables, where it gives its depth, a live one an edge. The live
-        // last writer of an input is where that input comes from. The
-        // inputs carry their declared bytes and class at this insertion,
-        // and the decision datum the task writes, if any, is noted (on a
-        // wire the driver waits for its applied value, not just task
-        // completion).
+        // The closed-form predecessors: an earlier op of the phase has the
+        // depth the phase gave it, anything else is looked up in the live
+        // steps' tables; a live one that runs here is an edge. The version an
+        // input reads is its predecessor's, else the datum's last planned
+        // one. Inputs carry their declared bytes and class at this
+        // insertion, and the decision datum the task writes, if any, is
+        // noted (on a wire the driver waits for its applied value, not just
+        // task completion).
         let mut max_pred_cp = 0u64;
         let mut wrote_decision: Option<DataKey> = None;
         for d in phase.by_op.get(i) {
-            let writer = match d.waits {
+            let pred = match d.waits {
                 Waits::Nothing => None,
                 Waits::Earlier(j) => {
                     let j = j as usize;
                     max_pred_cp = max_pred_cp.max(phase.cps[j]);
-                    live_preds.push(base + j);
-                    Some((base + j, phase.nodes[j]))
+                    let n = phase.nodes[j];
+                    Some((base + j, n, self.fabric.runs(n)))
                 }
-                // Not live: the step retired, so the predecessor completed.
+                // Not live: the step retired, so the predecessor completed
+                // (or, on a wire, runs elsewhere).
                 Waits::Planned { step: s, pos: p } => match self.steps.get(s as usize) {
                     None => None,
                     Some(table) => {
@@ -804,88 +832,88 @@ impl<O: TaskOp> WindowState<O> {
                                 op.name(ctx)
                             )
                         });
-                        debug_assert_eq!(self.tasks.is_live(pred.id), !pred.done);
+                        let runs = self.fabric.runs(pred.node);
+                        debug_assert!(!runs || self.tasks.is_live(pred.id) != pred.done);
                         max_pred_cp = max_pred_cp.max(pred.depth);
-                        (!pred.done).then(|| {
-                            live_preds.push(pred.id);
-                            (pred.id, pred.node)
-                        })
+                        Some((pred.id, pred.node, runs && !pred.done))
                     }
                 },
             };
+            if let Some((p, _, true)) = pred {
+                live_preds.push((d.datum, p));
+            }
             if !d.input {
                 continue;
             }
             let slot = phase.data[d.datum as usize].1;
             let dir = &self.data[slot as usize];
-            if d.write && dir.class == DataClass::Decision {
-                wrote_decision = Some(dir.key);
-            }
+            let (producer, src, live) = match (pred, dir.version) {
+                (Some((w, n, live)), _) => (Some(w), n, live),
+                (None, Some(v)) => (Some(v.id), v.node, false),
+                (None, None) => (None, dir.home, false),
+            };
             if dir.bytes != 0 {
                 flows.push(Flow {
                     slot,
                     key: dir.key,
                     bytes: dir.bytes,
                     class: dir.class,
-                    writer,
+                    producer,
+                    src,
+                    live,
                 });
+            }
+            if d.write {
+                if dir.class == DataClass::Decision {
+                    wrote_decision = Some(dir.key);
+                }
+                phase.writes.push((d.datum, slot, None));
             }
         }
         let cp = 1 + max_pred_cp;
+        phase.cps.push(cp);
+        for &(_, slot, _) in &phase.writes {
+            self.data[slot as usize].version = Some(Version {
+                id,
+                node,
+                depth: cp,
+            });
+        }
 
-        // Seam 1: the fabric settles what the task's placement means (a
-        // wire makes a remote one a stub) before any placement-dependent
-        // state is written, and what it waits for beyond its predecessors
-        // (a wire gates it on the frames of its remote inputs). It is shown
-        // where each data-flow input comes from — the live writer, else
-        // the last completed version, else the datum's home.
-        let data = &self.data;
-        let inputs = flows.iter().map(|f| {
-            let dir = &data[f.slot as usize];
-            match (f.writer, dir.exec) {
-                (Some((w, node)), _) => (f.key, Some(w), node),
-                (None, Some(v)) => (f.key, Some(v.id), v.node),
-                (None, None) => (f.key, None, dir.home),
-            }
-        });
-        let (placed, gates) = self.fabric.place(id, node, inputs, wrote_decision);
-        let (node, stub) = (placed.node, placed.stub);
-
-        // Data-flow transfers. An input whose writer is still live is
-        // *owed*: the producer sends it at completion. Anything else
-        // resolves against the last completed version right away. Every
-        // path is cached once per (version, destination node) — identical
-        // to the virtual-time scoreboard.
-        for f in flows.iter() {
-            let Some((w, w_node)) = f.writer else {
-                self.resolve_transfer(f.slot, node, f.bytes, f.class);
+        // Data-flow transfers, once per (version, destination node) —
+        // identical to the virtual-time scoreboard. The rank that holds the
+        // version sends it: owed while its producer is live (the lock is
+        // held for the whole phase, so completion cannot interleave), at
+        // once otherwise; a wire rank also counts what comes to its own
+        // tasks from other ranks, which they send.
+        for f in flows.iter().filter(|f| f.src != node) {
+            if !self.newly_held(f.slot, node, f.producer.unwrap_or(INITIAL)) {
                 continue;
-            };
-            // Producer live (completion cannot interleave: the lock is
-            // held for the whole phase): the consumer's node is owed its
-            // version from now on, sent once at completion — unless the
-            // producer runs there.
-            if w_node != node && self.newly_held(f.slot, node, w) {
-                let send = OwedSend {
-                    key: f.key,
-                    dest: node,
-                    bytes: f.bytes,
-                    class: f.class,
-                };
-                phase.sends.push((w as u32, send));
+            }
+            match f.producer.filter(|_| f.live) {
+                Some(w) => phase.sends.push((w as u32, f.owed(node))),
+                None => {
+                    let msg = flow_msg(f.key, f.class, f.producer, f.src, node, f.bytes);
+                    self.route(msg, f.producer);
+                }
             }
         }
 
+        // Seam 1: what the fabric makes the task wait for beyond its
+        // predecessors — on a wire, its remote inputs' readiness. It is
+        // shown where each data-flow input comes from.
+        let inputs = flows.iter().map(|f| (f.key, f.producer, f.src));
+        let (placed, arrivals) = self.fabric.place(id, node, inputs, wrote_decision);
+
         // Link precedence: only edges to still-live tasks count toward the
         // countdown — plus the fabric's gates; a same-node edge is direct,
-        // a cross-node one stands for the message the predecessor's
-        // completion sends.
-        live_preds.sort_unstable();
-        live_preds.dedup();
-        let preds_remaining = live_preds.len() + gates;
-        let edges = live_preds.iter().map(|&p| (p as u32, id as u32));
+        // a cross-node one (counted fabric) stands for the message the
+        // predecessor's completion sends.
+        live_preds.sort_unstable_by_key(|p| p.1);
+        live_preds.dedup_by_key(|p| p.1);
+        let preds_remaining = live_preds.len() + arrivals;
+        let edges = live_preds.iter().map(|&(_, p)| (p as u32, id as u32));
         phase.edges.extend(edges);
-        phase.cps.push(cp);
 
         let pushed = self.tasks.push(LiveTask {
             op,
@@ -897,17 +925,108 @@ impl<O: TaskOp> WindowState<O> {
         });
         debug_assert_eq!(pushed, id);
         if preds_remaining == 0 {
-            self.unblocked(id, cp, node, stub);
+            self.unblocked(id, cp, node);
         }
     }
 
-    /// The data whose final version lives on `rank`: its last executed
+    /// Insert op `i` of `phase` (task `base + i`), which another rank runs
+    /// (module docs, "Rank-local planning"): the inputs it reads from this
+    /// rank's versions, owed or sent; the users of this rank's copies of
+    /// what it overwrites; the versions it writes; and its depth, one more
+    /// than the versions it reads.
+    fn insert_elsewhere(&mut self, base: TaskId, i: usize, phase: &mut Phase<O>) {
+        let (node, id) = (phase.nodes[i], base + i);
+        let users = &mut phase.live_preds;
+        users.clear();
+        phase.writes.clear();
+        let mut depth = 0;
+        let mut wrote_decision = None;
+        // The datum the op writes whose readers since its last write come
+        // next; other waits that are no input are ordering only.
+        let mut writing = None;
+        for d in phase.by_op.get(i) {
+            if !d.input {
+                let user = match d.waits {
+                    _ if writing != Some(d.datum) => None,
+                    Waits::Earlier(j) => Some(base + j as usize)
+                        .filter(|_| self.fabric.runs(phase.nodes[j as usize])),
+                    Waits::Planned { step: s, pos: p } => self
+                        .steps
+                        .get(s as usize)
+                        .and_then(|t| t.tasks.get(p as usize).copied().flatten())
+                        .filter(|t| !t.done && self.fabric.runs(t.node))
+                        .map(|t| t.id),
+                    Waits::Nothing => None,
+                };
+                users.extend(user.map(|u| (d.datum, u)));
+                continue;
+            }
+            let slot = phase.data[d.datum as usize].1;
+            let dir = &self.data[slot as usize];
+            let (producer, src) = match dir.version {
+                Some(v) => {
+                    depth = depth.max(v.depth);
+                    (Some(v.id), v.node)
+                }
+                None => (None, dir.home),
+            };
+            let live = producer.filter(|&w| self.fabric.runs(src) && self.tasks.is_live(w));
+            if d.write {
+                writing = Some(d.datum);
+                if dir.class == DataClass::Decision {
+                    wrote_decision = Some(dir.key);
+                }
+                users.extend(live.map(|w| (d.datum, w)));
+                let before = producer.filter(|_| !self.fabric.runs(src));
+                phase
+                    .writes
+                    .push((d.datum, slot, before.map(|p| (dir.key, Some(p)))));
+            }
+            // The inputs this rank holds, once per (version, node).
+            if dir.bytes == 0 || src == node || !self.fabric.runs(src) {
+                continue;
+            }
+            let send = OwedSend {
+                key: dir.key,
+                dest: node,
+                bytes: dir.bytes,
+                class: dir.class,
+            };
+            if !self.newly_held(slot, node, producer.unwrap_or(INITIAL)) {
+                continue;
+            }
+            match live {
+                Some(w) => phase.sends.push((w as u32, send)),
+                None => {
+                    let msg = flow_msg(send.key, send.class, producer, src, node, send.bytes);
+                    self.route(msg, producer);
+                }
+            }
+        }
+        let cp = 1 + depth;
+        phase.cps.push(cp);
+        for &(datum, slot, before) in &phase.writes {
+            let dir = &mut self.data[slot as usize];
+            dir.version = Some(Version {
+                id,
+                node,
+                depth: cp,
+            });
+            let users = users.iter().filter(|u| u.0 == datum).map(|u| u.1);
+            self.fabric.overwritten((dir.key, id), before, users);
+        }
+        self.fabric.elsewhere(id, wrote_decision);
+        let skipped = self.tasks.skip();
+        debug_assert_eq!(skipped, id);
+    }
+
+    /// The data whose final version lives on `rank`: its last planned
     /// writer ran there, or nothing ever wrote it and it is homed there.
     pub(super) fn final_versions_on(&self, rank: usize) -> Vec<DataKey> {
         self.slot_of
             .values()
             .map(|&slot| &self.data[slot as usize])
-            .filter(|dir| dir.exec.map_or(dir.home, |v| v.node) == rank)
+            .filter(|dir| dir.version.map_or(dir.home, |v| v.node) == rank)
             .map(|dir| dir.key)
             .collect()
     }
@@ -957,7 +1076,6 @@ impl<O: TaskOp> StreamWindow<O> {
                 free_slots: Vec::new(),
                 holds: Vec::new(),
                 slot_of: IntMap::default(),
-                stubs: Vec::new(),
                 planning_done: false,
                 planner_wait: None,
                 parked_workers: 0,
@@ -1024,30 +1142,13 @@ impl<O: TaskOp> StreamWindow<O> {
         }
     }
 
-    /// End a critical section: complete the stubs it unblocked, release
-    /// the lock, then wake exactly the sleepers whose condition it made
-    /// true. Every mutation of the state goes through here.
-    pub(super) fn finish(&self, mut st: MutexGuard<'_, WindowState<O>>, worker: usize) {
-        self.drain_stubs(&mut st, worker);
+    /// End a critical section: release the lock, then wake exactly the
+    /// sleepers whose condition it made true. Every mutation of the state
+    /// goes through here.
+    pub(super) fn finish(&self, mut st: MutexGuard<'_, WindowState<O>>) {
         let wakes = st.take_wakes();
         drop(st);
         self.notify(wakes);
-    }
-
-    /// Complete the unblocked stubs on the current thread — a stub runs
-    /// nothing here, so a ready-queue round trip through a worker would
-    /// only add a lock hand-off per remote task. A stub never originates a
-    /// wire frame (its `route`d messages start on its own rank), so the
-    /// per-link wire/protocol reconciliation is unaffected by who
-    /// completes it, and when.
-    fn drain_stubs(&self, st: &mut WindowState<O>, worker: usize) {
-        if st.stubs.is_empty() {
-            return;
-        }
-        let now = self.stamp();
-        while let Some(id) = st.stubs.pop() {
-            st.complete_task(&self.ctx, id, TaskResult::control(), worker, now, now);
-        }
     }
 
     // ---- planning side -------------------------------------------------
@@ -1098,7 +1199,7 @@ impl<O: TaskOp> StreamWindow<O> {
     pub fn finish_planning(&self) {
         let mut st = self.lock();
         st.planning_done = true;
-        self.finish(st, 0);
+        self.finish(st);
     }
 
     /// Block until every planned task has completed.
@@ -1118,7 +1219,7 @@ impl<O: TaskOp> StreamWindow<O> {
     pub(crate) fn fail_panicked(&self, payload: Box<dyn Any + Send>) {
         let mut st = self.lock();
         st.panic.get_or_insert(payload);
-        self.finish(st, 0);
+        self.finish(st);
     }
 
     /// The payload of the first kernel panic, for the driver to re-raise.
@@ -1221,8 +1322,9 @@ impl<O: TaskOp> StreamWindow<O> {
                 st.insert(ctx, step, (base, first), i, phase);
             }
             // The phase's edges become its block, kept with its step (the
-            // successors' step, so it lasts as long as they wait).
-            if !phase.edges.is_empty() {
+            // successors' step, so it lasts as long as they wait). On a wire
+            // a phase may owe transfers to tasks elsewhere and link nothing.
+            if !(phase.edges.is_empty() && phase.sends.is_empty()) {
                 let mut block = Block::default();
                 block
                     .succs
@@ -1251,9 +1353,11 @@ impl<O: TaskOp> StreamWindow<O> {
                 });
             }
             for &node in &phase.nodes {
-                st.steps.planned(step, node);
+                if st.fabric.runs(node) {
+                    st.steps.planned(step, node);
+                    st.tasks_planned += 1;
+                }
             }
-            st.tasks_planned += phase.ops.len();
             st.peak_live_tasks = st.peak_live_tasks.max(st.tasks.live());
             phase.ops.clear();
             phase.nodes.clear();
@@ -1273,7 +1377,7 @@ impl<O: TaskOp> StreamWindow<O> {
             st.on_step_events(ctx, &reports, retired, step, now);
         }
         let next = st.tasks.next_id();
-        self.finish(guard, 0);
+        self.finish(guard);
         next
     }
 
@@ -1287,7 +1391,7 @@ impl<O: TaskOp> StreamWindow<O> {
     /// asleep; so does an op that did not execute — the window plans a
     /// branch op only once its branch has won.
     pub(crate) fn worker_loop(&self, worker: usize) {
-        let mut next = self.next_task(self.lock(), worker);
+        let mut next = self.next_task(self.lock());
         while let Some((id, op)) = next {
             let t0 = self.stamp();
             let run = std::panic::AssertUnwindSafe(|| {
@@ -1304,23 +1408,17 @@ impl<O: TaskOp> StreamWindow<O> {
             let t1 = self.stamp();
             let mut st = self.lock();
             st.complete_task(&self.ctx, id, cost, worker, t0, t1);
-            next = self.next_task(st, worker);
+            next = self.next_task(st);
         }
     }
 
     /// The tail of a worker's critical section: take the deepest ready
     /// task, sleeping while there is none; `None` once the run is over.
-    fn next_task(
-        &self,
-        mut st: MutexGuard<'_, WindowState<O>>,
-        worker: usize,
-    ) -> Option<(TaskId, O)> {
+    fn next_task(&self, mut st: MutexGuard<'_, WindowState<O>>) -> Option<(TaskId, O)> {
         loop {
-            // Stubs first: completing them may unblock a deeper task.
-            self.drain_stubs(&mut st, worker);
             let next = if st.failed() { None } else { st.pop_ready() };
             if next.is_some() || st.workers_done() {
-                self.finish(st, worker);
+                self.finish(st);
                 return next;
             }
             st.parked_workers += 1;

@@ -1,24 +1,31 @@
 //! The wire fabric: one rank of an SPMD run over a real [`Transport`].
 //!
-//! **Stubs.** Every rank plans the *full* task graph deterministically
-//! into its own window, so the protocol messages each rank records are
-//! identical to a single-process run's. A task placed on another rank is a
-//! *stub* here: its edges and message bookkeeping are mirrored, its
-//! op is never run, and it completes inline the moment its local
-//! predecessors are gone. What the wire arm adds to the shared routing is
-//! real frames for the messages this rank *sends* (`link.0 == rank`) and
-//! wire-level counters reconciled against the protocol tallies at the end.
+//! **Its share.** Every rank runs the same deterministic source, so every
+//! rank names every task by the same id and every version by the same
+//! producer, but its window inserts only the tasks placed on it; a task
+//! placed elsewhere gets no record, no edges and no completion here, only
+//! its place in its step's table and the version it writes
+//! ([`super::window`], "Rank-local planning"). The routing this rank does
+//! is the single-process run's restricted to its own links: it sends what
+//! its versions owe other nodes and counts what comes to its own tasks.
+//! The wire arm makes real frames of the messages it *sends* (`link.0 ==
+//! rank`) and reconciles wire-level counters against those tallies at the
+//! end. Each rank retires its own steps.
 //!
 //! **Arrival gating.** A local task whose input version originates on
 //! another rank gains one extra predecessor per such input, resolved when
 //! the matching frame arrives. The `(datum, producer)` pair is a pure
-//! function of planning-order directory state, hence the same on both
-//! ends. Frames are buffered as raw bytes at receipt and decoded into the
-//! local mirror *lazily* — when a consumer is popped for execution (under
-//! the window lock, so the task graph's ordering makes the write safe) or when the
-//! driver awaits a remote decision. Decoding eagerly in the receiver would
-//! race the planner: a frame may arrive before the rank has even declared
-//! the datum it updates. A decision computed here is also broadcast to
+//! function of planning order, hence the same on both ends. Frames are
+//! buffered as raw bytes at receipt and decoded into the local mirror
+//! *lazily* — when a consumer is popped for execution (under the window
+//! lock) or when the driver awaits a remote decision. Decoding eagerly in
+//! the receiver would race the planner: a frame may arrive before the rank
+//! has even declared the datum it updates. A decode is a write of the
+//! mirror, so another rank's version is *ready* here only once its frame
+//! has arrived and this rank's tasks that used the datum's earlier local
+//! copy have completed (the *mirror rule*: [`Wire::overwritten`] counts
+//! them per version, and a local task gates on the readiness of each
+//! remote input). A decision computed here is also broadcast to
 //! *every* peer as a `Sync` control frame — each rank's driver blocks on it
 //! before planning the rest of the step, and the routed `DecisionMsg`
 //! (routed only to branch-task hosts) cannot cover ranks whose share of the
@@ -43,7 +50,7 @@ use std::collections::{BTreeMap, HashSet};
 use std::sync::Arc;
 use std::time::Instant;
 
-use crate::comm::{flow_msg, Msg, MsgStats, RetireMsg};
+use crate::comm::{flow_msg, Msg, MsgStats};
 use crate::graph::{DataClass, DataKey, TaskId, TaskOp};
 use crate::hash::IntMap;
 use crate::net::{Frame, NetReport, PayloadStore, Transport, TransportError};
@@ -56,12 +63,41 @@ use super::{Fabric, NetConfig, Placed};
 /// (`None` = an initial fetch from the datum's home rank).
 pub(super) type ArrivalKey = (DataKey, Option<TaskId>);
 
-/// Arrival state of one inbound payload.
-enum Arrival {
+/// The frame of one inbound version.
+enum Payload {
+    /// Not received yet.
+    Awaited,
     /// Received, not yet decoded into the local mirror.
     Bytes(Vec<u8>),
     /// Decoded and stored into the local mirror.
     Applied,
+}
+
+/// One version another rank writes, as this rank sees it.
+struct Inbound {
+    payload: Payload,
+    /// What its decode must wait for: this rank's live tasks that use the
+    /// datum's earlier local copy, plus one while an earlier remote version
+    /// of the datum still waits for its own.
+    users: u32,
+    /// The next remote version of the datum, which counts this one among
+    /// its users until this one's users are done.
+    next: Option<ArrivalKey>,
+}
+
+impl Inbound {
+    fn awaited() -> Inbound {
+        Inbound {
+            payload: Payload::Awaited,
+            users: 0,
+            next: None,
+        }
+    }
+
+    /// Arrived, and nothing here still uses the copy it overwrites.
+    fn ready(&self) -> bool {
+        self.users == 0 && !matches!(self.payload, Payload::Awaited)
+    }
 }
 
 /// Per-link wire traffic, counted in protocol-message terms.
@@ -72,12 +108,15 @@ pub(super) struct Wire {
     rank: usize,
     transport: Arc<dyn Transport>,
     store: Arc<dyn PayloadStore>,
-    arrivals: IntMap<ArrivalKey, Arrival>,
-    /// Local tasks blocked on a not-yet-arrived input.
+    arrivals: IntMap<ArrivalKey, Inbound>,
+    /// Local tasks blocked on an input that is not ready yet.
     waiters: IntMap<ArrivalKey, Vec<TaskId>>,
+    /// Per live local task: the remote versions whose decode waits for it.
+    holds: IntMap<TaskId, Vec<ArrivalKey>>,
     /// Decision-writing tasks by id: `(decision datum, written locally)`.
-    /// The driver consults this to await the *applied* decision (not just
-    /// the stub's completion) before planning the rest of the step.
+    /// The driver consults this to await the *applied* decision of a
+    /// remote one before planning the rest of the step; a local one is
+    /// broadcast when it completes.
     pending_decisions: IntMap<TaskId, (DataKey, bool)>,
     /// Frames actually sent/received per protocol link, for reconciliation
     /// against the window's `link_msgs`.
@@ -126,6 +165,7 @@ impl Wire {
             store,
             arrivals: IntMap::default(),
             waiters: IntMap::default(),
+            holds: IntMap::default(),
             pending_decisions: IntMap::default(),
             sent: BTreeMap::new(),
             received: BTreeMap::new(),
@@ -212,11 +252,17 @@ impl Wire {
 
     // ---- the window's seams --------------------------------------------
 
-    /// Insertion of task `id` on `node`: is it a stub, which of its
-    /// `inputs` — `(datum, producer, source rank)`, as routing resolved
-    /// them — must cross the wire to it, and (second result) how many of
-    /// those has no frame brought yet: extra predecessors, released by
-    /// [`Wire::arrival`]. A decision writer is indexed for the driver.
+    /// Does this rank run the tasks placed on `node`?
+    #[inline]
+    pub(super) fn runs(&self, node: usize) -> bool {
+        node == self.rank
+    }
+
+    /// Insertion of task `id`, which runs here: which of its `inputs` —
+    /// `(datum, producer, source rank)`, as routing resolved them — must
+    /// cross the wire to it, and (second result) how many of those are not
+    /// ready yet: extra predecessors, released by [`Wire::arrival`] or
+    /// [`Wire::completed`]. A decision writer is indexed for the driver.
     pub(super) fn place(
         &mut self,
         id: TaskId,
@@ -225,12 +271,8 @@ impl Wire {
         wrote_decision: Option<DataKey>,
     ) -> (Placed, usize) {
         let mut placed = Placed::on(node);
-        placed.stub = node != self.rank;
         if let Some(key) = wrote_decision {
-            self.pending_decisions.insert(id, (key, !placed.stub));
-        }
-        if placed.stub {
-            return (placed, 0);
+            self.decides(id, key, true);
         }
         placed.needs = inputs
             .filter(|&(_, _, src)| src != node)
@@ -238,7 +280,7 @@ impl Wire {
             .collect();
         let mut gates = 0;
         for &arrival in &placed.needs {
-            if !self.arrivals.contains_key(&arrival) {
+            if !self.arrivals.get(&arrival).is_some_and(Inbound::ready) {
                 self.waiters.entry(arrival).or_default().push(id);
                 gates += 1;
             }
@@ -246,9 +288,64 @@ impl Wire {
         (placed, gates)
     }
 
+    /// Task `id` writes the decision datum `key`, here (`local`) or on
+    /// another rank.
+    pub(super) fn decides(&mut self, id: TaskId, key: DataKey, local: bool) {
+        self.pending_decisions.insert(id, (key, local));
+    }
+
+    /// Task `w`, which another rank runs, writes `version` of a datum:
+    /// its decode here waits for `users` — this rank's live tasks that `w`
+    /// waits for through the datum — and, when the version it overwrites is
+    /// another rank's too (`before`), for that version's own users.
+    pub(super) fn overwritten(
+        &mut self,
+        version: ArrivalKey,
+        before: Option<ArrivalKey>,
+        users: impl Iterator<Item = TaskId>,
+    ) {
+        let mut n = 0;
+        for u in users {
+            self.holds.entry(u).or_default().push(version);
+            n += 1;
+        }
+        let waiting = before.and_then(|b| self.arrivals.get_mut(&b));
+        if let Some(prev) = waiting.filter(|prev| prev.users > 0) {
+            prev.next = Some(version);
+            n += 1;
+        }
+        if n > 0 {
+            let inbound = self
+                .arrivals
+                .entry(version)
+                .or_insert_with(Inbound::awaited);
+            inbound.users += n;
+        }
+    }
+
+    /// One user of `version`'s decode is done: hand out the tasks this
+    /// makes ready, into `released`, down the chain of later versions.
+    fn user_done(&mut self, version: ArrivalKey, released: &mut Vec<TaskId>) {
+        let mut at = Some(version);
+        while let Some(version) = at.take() {
+            let inbound = self
+                .arrivals
+                .get_mut(&version)
+                .expect("a version counts its users");
+            inbound.users -= 1;
+            if inbound.users > 0 {
+                break;
+            }
+            at = inbound.next.take();
+            if inbound.ready() {
+                released.extend(self.waiters.remove(&version).unwrap_or_default());
+            }
+        }
+    }
+
     /// Put a routed protocol message on the wire if this rank originates
     /// it. `producer` is the executed version the payload carries (`None`
-    /// for initial fetches and retire reports);
+    /// for initial fetches);
     /// [`crate::comm::DecisionMsg`] does not model it, so it is threaded
     /// here for the receiver's arrival key.
     pub(super) fn send(&mut self, msg: &Msg, link: (usize, usize), producer: Option<TaskId>) {
@@ -275,10 +372,7 @@ impl Wire {
                 modeled_bytes: m.bytes as u64,
                 payload: self.load_payload(m.key),
             },
-            Msg::Retire(m) => Frame::Retire {
-                step: m.step as u64,
-                node: m.node as u32,
-            },
+            Msg::Retire(_) => unreachable!("a wire rank retires its own steps"),
         };
         if let Frame::Data { payload, .. } = &frame {
             self.payload_bytes_sent += payload.len() as u64;
@@ -286,13 +380,10 @@ impl Wire {
         self.send_frame(link.1, &frame);
     }
 
-    /// Task `id` completed on `node`, having written `decisions`. A
-    /// decision computed here goes to every peer.
-    pub(super) fn completed(&mut self, id: TaskId, node: usize, decisions: &[DataKey]) {
-        if node != self.rank {
-            return;
-        }
-        for &key in decisions {
+    /// Local task `id` completed: a decision it computed goes to every
+    /// peer; the tasks whose inputs this made ready are returned.
+    pub(super) fn completed(&mut self, id: TaskId) -> Option<Vec<TaskId>> {
+        if let Some(&(key, true)) = self.pending_decisions.get(&id) {
             let payload = self.load_payload(key);
             self.payload_bytes_sent += (payload.len() * (self.nranks() - 1)) as u64;
             self.broadcast(&Frame::Sync {
@@ -301,30 +392,36 @@ impl Wire {
                 payload,
             });
         }
+        let versions = self.holds.remove(&id)?;
+        let mut released = Vec::new();
+        for version in versions {
+            self.user_done(version, &mut released);
+        }
+        Some(released)
     }
 
-    /// Decode the arrived payload `(key, producer)` into the local mirror,
-    /// once: the first caller applies the bytes, later ones find the slot
-    /// already `Applied`. `false` when nothing has arrived yet.
+    /// Decode the ready payload `(key, producer)` into the local mirror,
+    /// once: the first caller applies the bytes, later ones find it
+    /// already `Applied`. `false` when it is not ready yet.
     fn apply_arrival(&mut self, (key, producer): ArrivalKey) -> bool {
-        match self.arrivals.get_mut(&(key, producer)) {
-            Some(slot @ Arrival::Bytes(_)) => {
-                let Arrival::Bytes(b) = std::mem::replace(slot, Arrival::Applied) else {
-                    unreachable!()
-                };
-                self.store_payload(key, &b);
-                true
+        let payload = match self.arrivals.get_mut(&(key, producer)) {
+            Some(inbound) if inbound.ready() => {
+                std::mem::replace(&mut inbound.payload, Payload::Applied)
             }
-            Some(Arrival::Applied) => true,
-            None => false,
+            _ => return false,
+        };
+        if let Payload::Bytes(b) = payload {
+            self.store_payload(key, &b);
         }
+        true
     }
 
     /// A task is popped for execution: decode its gating arrivals into the
-    /// local mirror. They are all in (they were extra predecessors); every
-    /// ready task touching the same datum needs the same version (WAW
-    /// edges serialize writers), so the write cannot race a reader. `false` when
-    /// one could not be decoded, which has failed the run.
+    /// local mirror. They are all ready (they were extra predecessors);
+    /// every ready task touching the same datum needs the same version (WAW
+    /// edges serialize writers, the mirror rule earlier copies' users), so
+    /// the write cannot race a reader. `false` when one could not be
+    /// decoded, which has failed the run.
     pub(super) fn apply(&mut self, needs: Vec<ArrivalKey>) -> bool {
         for arrival in needs {
             assert!(
@@ -339,17 +436,25 @@ impl Wire {
     // ---- inbound frames -------------------------------------------------
 
     /// Record one payload arrival from rank `from` and hand back the tasks
-    /// gated on it. Duplicate deliveries (a Sync broadcast racing the
+    /// it makes ready. Duplicate deliveries (a Sync broadcast racing the
     /// routed DecisionMsg for the same version; a replayed frame) are
     /// ignored, whatever has become of the datum since: first one wins.
     /// Anything else must name a datum the store still has a place for.
     fn arrival(&mut self, arrival: ArrivalKey, payload: Vec<u8>, from: usize) -> Vec<TaskId> {
         self.payload_bytes_recv += payload.len() as u64;
-        if self.arrivals.contains_key(&arrival) {
+        let known = self.arrivals.get(&arrival);
+        if known.is_some_and(|a| !matches!(a.payload, Payload::Awaited)) {
             return Vec::new();
         }
         self.check_known(arrival.0, from);
-        self.arrivals.insert(arrival, Arrival::Bytes(payload));
+        let inbound = self
+            .arrivals
+            .entry(arrival)
+            .or_insert_with(Inbound::awaited);
+        inbound.payload = Payload::Bytes(payload);
+        if !inbound.ready() {
+            return Vec::new();
+        }
         self.waiters.remove(&arrival).unwrap_or_default()
     }
 
@@ -358,10 +463,7 @@ impl Wire {
     fn on_frame(&mut self, from: usize, frame: Frame, drained: bool) -> (Vec<TaskId>, FramePump) {
         let mut released = Vec::new();
         let mut pump = FramePump::Continue;
-        if !matches!(
-            frame,
-            Frame::Hello { .. } | Frame::Data { .. } | Frame::Retire { .. }
-        ) {
+        if !matches!(frame, Frame::Hello { .. } | Frame::Data { .. }) {
             self.ctrl_recv += 1;
         }
         match frame {
@@ -385,11 +487,6 @@ impl Wire {
                 producer,
                 payload,
             } => released = self.arrival((key, Some(producer)), payload, from),
-            Frame::Retire { step, node } => {
-                let (step, node) = (step as usize, node as usize);
-                let msg = Msg::Retire(RetireMsg { step, node });
-                self.received.entry((node, 0)).or_default().record(&msg);
-            }
             Frame::Result { key, payload } => {
                 // Rank 0 collecting the factored matrix: by the time any
                 // Result arrives this rank is drained (per-link FIFO puts
@@ -423,8 +520,8 @@ impl Wire {
 
     /// Cross-check this rank's wire traffic against the protocol: on every
     /// link it touches, the frames actually moved must equal the messages
-    /// the (identically planned) protocol recorded — the sent side by
-    /// construction, the received side across a real wire.
+    /// its routing recorded — the sent side by construction, the received
+    /// side (counted by this rank, sent by the peer) across a real wire.
     fn reconcile(&mut self, link_msgs: &LinkTally) -> Result<(), TransportError> {
         let rank = self.rank;
         let mut mismatch: Option<String> = None;
@@ -495,12 +592,8 @@ impl Wire {
     /// Wire-level totals of the run, exported to an enabled `probe` too.
     pub(super) fn report(&self, probe: &Probe) -> NetReport {
         let by_kind = |tally: &LinkTally| {
-            tally.values().fold([0u64; 3], |s, m| {
-                [
-                    s[0] + m.data_msgs,
-                    s[1] + m.decision_msgs,
-                    s[2] + m.retire_msgs,
-                ]
+            tally.values().fold([0u64; 2], |s, m| {
+                [s[0] + m.data_msgs, s[1] + m.decision_msgs]
             })
         };
         let (sent, received) = (by_kind(&self.sent), by_kind(&self.received));
@@ -516,13 +609,8 @@ impl Wire {
                     from,
                 ),
             ];
-            for (frames, side, [data, decision, retire], ctrl, bytes) in sides {
-                let kinds = [
-                    ("data", data),
-                    ("decision", decision),
-                    ("retire", retire),
-                    ("ctrl", ctrl),
-                ];
+            for (frames, side, [data, decision], ctrl, bytes) in sides {
+                let kinds = [("data", data), ("decision", decision), ("ctrl", ctrl)];
                 for (kind, n) in kinds {
                     if n > 0 {
                         snap.add_counter(frames, Label::Kind(kind), n);
@@ -589,7 +677,7 @@ impl<O: TaskOp> StreamWindow<O> {
             st.release(id);
         }
         st.frame_event = true;
-        self.finish(st, 0);
+        self.finish(st);
         pump
     }
 
@@ -609,7 +697,7 @@ impl<O: TaskOp> StreamWindow<O> {
             return FramePump::Continue;
         }
         wire.fail(e);
-        self.finish(st, 0);
+        self.finish(st);
         FramePump::Stop
     }
 
@@ -618,9 +706,9 @@ impl<O: TaskOp> StreamWindow<O> {
     /// run failed instead. `wait_for_task` also returns on a failed run —
     /// the decision task may then never have run, so there is no value to
     /// plan on even when it is local. Otherwise a locally computed decision
-    /// is already there; on the wire a remote one is applied from its
-    /// Sync/DecisionMsg frame the moment it arrives (the stub completing
-    /// only means its successors were released).
+    /// is already there; on the wire a remote one (which has no record
+    /// here, so `wait_for_task` returned at once) is applied from its
+    /// Sync/DecisionMsg frame the moment it arrives.
     pub(crate) fn wait_decision_value(&self, id: TaskId) -> bool {
         let mut st = self.lock();
         loop {

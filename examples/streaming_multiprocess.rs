@@ -96,7 +96,7 @@ fn main() {
     );
 
     // Exact protocol message-count parity with the in-process transport
-    // run, total and per directed link.
+    // run on rank 0's links, total and per directed link.
     assert_eq!(
         loopback.report.msgs, mp.msgs,
         "multi-process MsgStats diverged from in-process"
@@ -124,8 +124,8 @@ fn main() {
     assert!(rnorm / (n as f64) < 1e-8, "residual {rnorm}");
 
     println!(
-        "  workers={workers}: {} data + {} decision + {} retire msgs, {} bytes modeled",
-        mp.msgs.data_msgs, mp.msgs.decision_msgs, mp.msgs.retire_msgs, mp.msgs.bytes
+        "  workers={workers}: rank 0's links: {} data + {} decision msgs, {} bytes modeled",
+        mp.msgs.data_msgs, mp.msgs.decision_msgs, mp.msgs.bytes
     );
     println!(
         "  rank0 wire: {} frames sent / {} received, {} payload bytes sent / {} received",

@@ -1,8 +1,9 @@
 //! Integration-test crate for the `luqr` workspace: the tests in
 //! `tests/tests/` exercise the full stack together, and this library holds
 //! what they share — the error model, the fixtures, the dependency
-//! [`oracle`], and the parity harness [`paths`] through which the suites
-//! run their factorizations, one case table per suite.
+//! [`oracle`], the parity harness [`paths`] through which the suites run
+//! their factorizations, one case table per suite, and a [`toy`] source for
+//! the dataflow no factorization plans.
 
 use std::sync::mpsc::{channel, RecvTimeoutError};
 use std::time::Duration;
@@ -15,6 +16,7 @@ pub mod oracle;
 pub mod paths;
 pub mod qr_ref;
 pub mod solve_ref;
+pub mod toy;
 
 /// The reduction trees as they were before the TS level existed: every
 /// panel tile triangularized, GREEDY inside nodes, FIBONACCI across them.

@@ -15,8 +15,8 @@ use std::sync::OnceLock;
 use luqr::net::launch::NetJob;
 use luqr::{
     factor, factor_stream_net_opts, factor_stream_net_rank, factor_stream_with, Algorithm,
-    Criterion, FactorOptions, Factorization, Graph, NetReport, NetTransportKind, Probe,
-    ProbeReport, StepRecord, StreamFactorization, StreamOptions,
+    Criterion, FactorOptions, Factorization, Graph, LinkMsgStats, MsgStats, NetReport,
+    NetTransportKind, Probe, ProbeReport, StepRecord, StreamFactorization, StreamOptions,
 };
 use luqr_kernels::blas::{gemm, Trans};
 use luqr_kernels::Mat;
@@ -245,8 +245,10 @@ fn loopback_ranks(
 ///   heaviest `window` steps plan and, beside `Batch`, the replay's payload
 ///   traffic on every link;
 /// * `Loopback`/`Uds`: every rank's wire frames are the protocol messages
-///   on its links and, beside `Stream`, the stream's messages, in total and
-///   per link;
+///   on its links and, beside `Stream`, its messages, in total and per
+///   link, are the stream's payload messages on the links that touch it —
+///   on `Loopback`, where every rank reports, both ends of every link count
+///   it alike;
 /// * a probed case: the path run unprobed moves the same bits, messages
 ///   and wire counters.
 ///
@@ -287,8 +289,24 @@ pub fn check_parity(case: &Case, paths: &[Path]) -> Vec<Outcome> {
             }
         } else {
             if let Some(stream) = find(Path::Stream) {
-                assert_eq!(report.msgs, stream.report().msgs, "{what}: msgs");
-                assert_eq!(report.link_msgs, stream.report().link_msgs, "{what}");
+                let links = &stream.report().link_msgs;
+                for (r, f) in o.ranks.iter().enumerate() {
+                    let (mine, what) = (rank_links(links, r), format!("{what}, rank {r}"));
+                    assert_eq!(f.report.link_msgs, mine, "{what}: messages per link");
+                    assert_eq!(f.report.msgs, msg_total(&mine), "{what}: messages");
+                }
+                if o.path == Path::Loopback {
+                    for l in links.iter().filter(|l| l.msgs.payload_msgs() > 0) {
+                        let end = |r: usize| {
+                            let mine = &o.ranks[r].report.link_msgs;
+                            mine.iter()
+                                .find(|m| (m.src, m.dst) == (l.src, l.dst))
+                                .map(|m| m.msgs)
+                        };
+                        let link = (l.src, l.dst);
+                        assert_eq!(end(l.src), end(l.dst), "{what}: link {link:?}, both ends");
+                    }
+                }
             }
             for (r, f) in o.ranks.iter().enumerate() {
                 assert_wire_is_protocol(&f.report, (r, case.opts.grid.nodes()), &what);
@@ -313,7 +331,11 @@ pub fn check_parity(case: &Case, paths: &[Path]) -> Vec<Outcome> {
 /// Rank `r` of `nodes` says so, and every frame it sent or received is a
 /// data, decision or retire message on one of its links, as its per-link
 /// protocol tally says.
-fn assert_wire_is_protocol(report: &StreamReport, (r, nodes): (usize, usize), what: &str) {
+pub(crate) fn assert_wire_is_protocol(
+    report: &StreamReport,
+    (r, nodes): (usize, usize),
+    what: &str,
+) {
     let (wire, what) = (
         report.net.as_ref().expect("net report"),
         format!("{what}, rank {r}"),
@@ -334,6 +356,33 @@ fn assert_wire_is_protocol(report: &StreamReport, (r, nodes): (usize, usize), wh
         assert!(wire.ctrl_frames_sent > 0, "{what}: no control frames sent");
         assert!(wire.ctrl_frames_received > 0, "{what}");
     }
+}
+
+/// What rank `r` of a wire run routes of a streamed run's `links`: the
+/// payload messages of the links that touch it (a wire rank retires its own
+/// steps and reports nothing).
+pub fn rank_links(links: &[LinkMsgStats], r: usize) -> Vec<LinkMsgStats> {
+    let touching = links.iter().filter(|l| l.src == r || l.dst == r);
+    touching
+        .filter(|l| l.msgs.payload_msgs() > 0)
+        .map(|&l| LinkMsgStats {
+            msgs: MsgStats {
+                retire_msgs: 0,
+                ..l.msgs
+            },
+            ..l
+        })
+        .collect()
+}
+
+/// The counters of `links`, summed.
+pub fn msg_total(links: &[LinkMsgStats]) -> MsgStats {
+    links.iter().fold(MsgStats::default(), |t, l| MsgStats {
+        data_msgs: t.data_msgs + l.msgs.data_msgs,
+        decision_msgs: t.decision_msgs + l.msgs.decision_msgs,
+        retire_msgs: t.retire_msgs + l.msgs.retire_msgs,
+        bytes: t.bytes + l.msgs.bytes,
+    })
 }
 
 fn wire_counters(w: &NetReport) -> [u64; 4] {

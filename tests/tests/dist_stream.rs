@@ -9,7 +9,10 @@ use luqr::net::launch::{launch_multiprocess, NetJob};
 use luqr::{Algorithm, Criterion, Decision, MsgStats, StepRecord};
 use luqr_runtime::{simulate, Platform};
 use luqr_tests::assert_routing_matches_replay;
-use luqr_tests::paths::{algorithm_from, bits, check_parity, run, Case, Input, Path};
+use luqr_tests::paths::{
+    algorithm_from, bits, check_parity, msg_total, rank_links, run, Case, Input, Path,
+};
+use luqr_tests::toy;
 use luqr_tile::Grid;
 
 const MAX: Algorithm = Algorithm::LuQr(Criterion::Max { alpha: 100.0 });
@@ -18,6 +21,15 @@ const NET: [Path; 3] = [Path::Batch, Path::Stream, Path::Loopback];
 
 fn case(algorithm: Algorithm, grid: Grid, n: usize, seed: u64) -> Case {
     Case::new(algorithm, grid).dominant(n, seed, 2)
+}
+
+/// A producer owes its output to remote consumers planned in its own
+/// phase, in its step's finish and in the next step's prelude, and a rank
+/// reads one version of a datum it is home to while another rank writes the
+/// next — which no factorization plans ([`luqr_tests::toy`]).
+#[test]
+fn cross_phase_transfers_and_remote_overwrites_agree_on_every_path() {
+    toy::check_parity(&[Path::Batch, Path::Stream, Path::Loopback, Path::Uds]);
 }
 
 #[test]
@@ -168,8 +180,8 @@ fn singular_hqr_and_hybrid_report_their_breakdown_on_every_path() {
 }
 
 /// The full stack: four real `luqr-worker` OS processes meshed over UDS
-/// reproduce the simulated run's message statistics exactly and the batch
-/// factorization bitwise.
+/// reproduce, on rank 0's links, the simulated run's message statistics
+/// exactly and the batch factorization bitwise.
 #[test]
 fn net_four_worker_uds_processes_match_simulated_run() {
     let job = NetJob {
@@ -198,9 +210,10 @@ fn net_four_worker_uds_processes_match_simulated_run() {
         r.iter().map(bits).collect()
     };
     assert_eq!(steps(&mp.records), steps(&dist.records));
-    assert_eq!(mp.msgs, dist.report().msgs, "MsgStats diverged");
-    let links = &dist.report().link_msgs;
-    assert_eq!(&mp.link_msgs, links, "per-link MsgStats diverged");
+    // Rank 0 reports its own links: the streamed run's, restricted to them.
+    let links = rank_links(&dist.report().link_msgs, 0);
+    assert_eq!(mp.msgs, msg_total(&links), "MsgStats diverged");
+    assert_eq!(mp.link_msgs, links, "per-link MsgStats diverged");
     assert!(mp.frames_sent > 0 && mp.frames_received > 0);
     assert!(mp.payload_bytes_sent > 0 && mp.payload_bytes_received > 0);
 }

@@ -22,6 +22,7 @@ use luqr::solve::back_substitute;
 use luqr::{factor_stream, Algorithm, Criterion, Decision, FactorOptions, StepRecord};
 use luqr_kernels::Mat;
 use luqr_runtime::execute;
+use luqr_tests::with_watchdog;
 use luqr_tile::{Grid, TiledMatrix};
 
 // --- the counting allocator -------------------------------------------------
@@ -170,7 +171,10 @@ fn peak_memory_over_the_tiles_is_a_few_steps_not_the_matrix() {
         // adds to the tiles and the graph.
         let aug = TiledMatrix::from_dense_augmented(&a, &b, opts.nb);
         let ((graph, shared), planning) = measured(|| build_graph(&aug, N / NB, &opts));
-        let (_, batch) = measured(|| execute(&graph, 1));
+        let (graph, batch) = with_watchdog(&format!("{fixture}: batch run"), move || {
+            let (_, batch) = measured(|| execute(&graph, 1));
+            (graph, batch)
+        });
         assert_eq!(graph.ctx().live_steps(), 0, "{fixture}: batch step data");
         assert!(shared.error.lock().is_none(), "{fixture}");
         assert_eq!(lu_steps(&shared.records.lock()), want_lu, "{fixture}");
@@ -187,11 +191,14 @@ fn peak_memory_over_the_tiles_is_a_few_steps_not_the_matrix() {
         drop((graph, aug));
 
         // Streamed: tiles, window and step data all inside the one call.
-        let ((xs, records), stream) = measured(|| {
-            let f = factor_stream(&a, &b, &opts, WINDOW);
-            assert_eq!(f.ctx().live_steps(), 0, "{fixture}: stream step data");
-            (f.solution(), f.records)
-        });
+        let ((xs, records), stream) =
+            with_watchdog(&format!("{fixture}: streamed run"), move || {
+                measured(|| {
+                    let f = factor_stream(&a, &b, &opts, WINDOW);
+                    assert_eq!(f.ctx().live_steps(), 0, "{fixture}: stream step data");
+                    (f.solution(), f.records)
+                })
+            });
         assert!(stream > TILE_BYTES, "{fixture}: the peak holds the tiles");
         assert_eq!(lu_steps(&records), want_lu, "{fixture}: streamed LU steps");
         assert_eq!(x.max_abs_diff(&xs), 0.0, "{fixture}: stream != batch");

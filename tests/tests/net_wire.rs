@@ -46,21 +46,17 @@ fn build_frame(kind: usize, a: u64, b: u64, c: u64, (f1, f2): (bool, bool), blob
             modeled_bytes: b ^ c,
             payload: blob.to_vec(),
         },
-        2 => Frame::Retire {
-            step: a,
-            node: b as u32,
-        },
-        3 => Frame::Sync {
+        2 => Frame::Sync {
             key: DataKey(a),
             producer: b as TaskId,
             payload: blob.to_vec(),
         },
-        4 => Frame::Result {
+        3 => Frame::Result {
             key: DataKey(a),
             payload: blob.to_vec(),
         },
-        5 => Frame::Done,
-        6 => Frame::Fin,
+        4 => Frame::Done,
+        5 => Frame::Fin,
         _ => Frame::Shutdown,
     }
 }
@@ -71,7 +67,7 @@ proptest! {
     /// encode -> decode is the identity for every frame variant.
     #[test]
     fn encode_decode_round_trips(
-        kind in 0usize..8,
+        kind in 0usize..7,
         a in any::<u64>(),
         b in any::<u64>(),
         c in any::<u64>(),
@@ -87,7 +83,7 @@ proptest! {
     /// path, including back-to-back frames on one stream.
     #[test]
     fn stream_round_trips(
-        kinds in (0usize..8, 0usize..8, 0usize..8),
+        kinds in (0usize..7, 0usize..7, 0usize..7),
         a in any::<u64>(),
         b in any::<u64>(),
         c in any::<u64>(),
@@ -114,7 +110,7 @@ proptest! {
     /// truncation is silently accepted.
     #[test]
     fn truncation_never_decodes(
-        kind in 0usize..8,
+        kind in 0usize..7,
         a in any::<u64>(),
         b in any::<u64>(),
         c in any::<u64>(),
@@ -172,9 +168,14 @@ fn golden_control_frame_bytes_are_pinned() {
         encode_frame(&Frame::Done),
         vec![3, 0, 0, 0, MAGIC, VERSION, 5]
     );
+    // Kind 2 was a step-retirement notice to rank 0, while every rank
+    // planned every task; a rank now retires its own steps.
+    let old_retire = [
+        15, 0, 0, 0, MAGIC, VERSION, 2, 7, 0, 0, 0, 0, 0, 0, 0, 3, 0, 0, 0,
+    ];
     assert_eq!(
-        encode_frame(&Frame::Retire { step: 7, node: 3 }),
-        vec![15, 0, 0, 0, MAGIC, VERSION, 2, 7, 0, 0, 0, 0, 0, 0, 0, 3, 0, 0, 0],
+        decode_frame(&old_retire),
+        Err(TransportError::Frame("unknown frame kind 2".into()))
     );
 }
 
@@ -182,7 +183,7 @@ fn golden_control_frame_bytes_are_pinned() {
 /// with honest wanted/got accounting.
 #[test]
 fn eof_maps_to_closed_or_short_read() {
-    let bytes = encode_frame(&Frame::Retire { step: 1, node: 0 });
+    let bytes = encode_frame(&Frame::Hello { rank: 1 });
 
     let mut empty = Cursor::new(&[][..]);
     assert!(matches!(

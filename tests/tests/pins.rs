@@ -18,6 +18,9 @@
 //! The two wall-clock bars the harnesses asserted are `#[ignore]`d; CI runs
 //! them with
 //! `cargo test --release -p luqr-tests --test pins -- --include-ignored`.
+//!
+//! Every factorization runs under [`with_watchdog`], so a release lost in
+//! an executor fails the pin that hung instead of the whole binary.
 
 use std::time::Instant;
 
@@ -27,8 +30,8 @@ use luqr::{
 };
 use luqr_kernels::blas::{gemm, gemm_reference, Trans};
 use luqr_kernels::Mat;
-use luqr_runtime::{simulate, simulate_with, Platform, SimReport};
-use luqr_tests::{assert_routing_matches_replay, TWO_LEVEL};
+use luqr_runtime::{simulate, simulate_with, Platform, SimReport, StreamReport};
+use luqr_tests::{assert_routing_matches_replay, with_watchdog, TWO_LEVEL};
 use luqr_tile::Grid;
 
 /// The fixture every retired harness shared: a general random system (its
@@ -49,7 +52,19 @@ fn fixture(n: usize, nb: usize, grid: Grid) -> (Mat, Mat, FactorOptions) {
 
 fn factored(n: usize, nb: usize) -> Factorization {
     let (a, b, opts) = fixture(n, nb, Grid::new(2, 2));
-    factor(&a, &b, &opts)
+    batch(&format!("n = {n}, nb = {nb}"), a, b, opts)
+}
+
+/// [`factor`] under the watchdog, named by `what`.
+fn batch(what: &str, a: Mat, b: Mat, opts: FactorOptions) -> Factorization {
+    with_watchdog(&format!("batch run, {what}"), move || factor(&a, &b, &opts))
+}
+
+/// [`factor_stream`]'s report under the watchdog, named by `what`.
+fn streamed(what: &str, a: &Mat, b: &Mat, opts: &FactorOptions, window: usize) -> StreamReport {
+    let (a, b, opts) = (a.clone(), b.clone(), opts.clone());
+    let what = format!("streamed run, {what}, window {window}");
+    with_watchdog(&what, move || factor_stream(&a, &b, &opts, window).report)
 }
 
 /// `(sim_makespan_ns, sim_messages)` of a report, the makespan as the
@@ -80,7 +95,7 @@ fn sched_hqr_default_tree_n320_pins() {
     let opts = opts
         .with_algorithm(Algorithm::Hqr)
         .with_trees(TreeConfig::default());
-    let f = factor(&a, &b, &opts);
+    let f = batch("HQR, default tree", a, b, opts);
     assert_eq!(f.graph.len(), 3808);
     let ts_applies = f
         .graph
@@ -106,12 +121,13 @@ fn distsim_batch_replay_and_online_sim_agree_on_pinned_values() {
         (320, 70976, (999070.0, 1875)),
     ] {
         let (a, b, opts) = fixture(n, 8, Grid::new(2, 2));
-        let batch = factor(&a, &b, &opts);
-        assert_eq!(batch.graph.len(), batch_tasks, "n = {n}");
-        let replay = simulate(&batch.graph, &platform);
+        let what = format!("n = {n}");
+        let graph = batch(&what, a.clone(), b.clone(), opts.clone()).graph;
+        assert_eq!(graph.len(), batch_tasks, "n = {n}");
+        let replay = simulate(&graph, &platform);
         assert_eq!(row(&replay), want, "n = {n}");
         for window in [2, 4] {
-            let links = factor_stream(&a, &b, &opts, window).report.link_msgs;
+            let links = streamed(&what, &a, &b, &opts, window).link_msgs;
             let what = format!("n = {n}, window {window}");
             assert_routing_matches_replay(&links, &replay.link_messages, &what);
         }
@@ -133,9 +149,10 @@ fn stream_task_count_pins() {
         let (a, b, opts) = fixture(n, 8, Grid::single());
         let opts = opts.with_trees(trees);
         let what = format!("n = {n}, ts = {}", trees.ts);
-        assert_eq!(factor(&a, &b, &opts).graph.len(), batch_tasks, "{what}");
+        let graph = batch(&what, a.clone(), b.clone(), opts.clone()).graph;
+        assert_eq!(graph.len(), batch_tasks, "{what}");
         for window in [2, 4] {
-            let report = factor_stream(&a, &b, &opts, window).report;
+            let report = streamed(&what, &a, &b, &opts, window);
             assert_eq!(
                 report.tasks_planned, tasks_planned,
                 "{what}, window {window}"
@@ -145,7 +162,8 @@ fn stream_task_count_pins() {
 }
 
 /// What crosses the wire is a property of the protocol, not of the
-/// transport that carries it.
+/// transport that carries it: rank 0's protocol messages (the payload
+/// messages on the links that touch it), frames and payload bytes sent.
 #[test]
 fn net_e2e_n320_counts_are_the_same_on_every_transport() {
     let (n, nb) = (320, 32);
@@ -163,15 +181,19 @@ fn net_e2e_n320_counts_are_the_same_on_every_transport() {
     opts.ib = 8;
     opts.threads = 2;
     for (trees, want) in [
-        (TWO_LEVEL, (299, 73, 331_446)),
+        (TWO_LEVEL, (136, 73, 331_446)),
         // Default tree.
-        (TreeConfig::default(), (245, 61, 269_886)),
+        (TreeConfig::default(), (112, 61, 269_886)),
     ] {
         let opts = opts.clone().with_trees(trees);
         for kind in [NetTransportKind::Loopback, NetTransportKind::Uds] {
-            let report = factor_stream_net(&a, &b, &opts, 4, &kind)
-                .expect("net run")
-                .report;
+            let what = format!("{kind:?} run, ts = {}", trees.ts);
+            let (a, b, opts) = (a.clone(), b.clone(), opts.clone());
+            let report = with_watchdog(&what, move || {
+                factor_stream_net(&a, &b, &opts, 4, &kind)
+                    .expect("net run")
+                    .report
+            });
             let msgs = report.msgs;
             let wire = report.net.expect("net report");
             assert_eq!(
@@ -181,8 +203,7 @@ fn net_e2e_n320_counts_are_the_same_on_every_transport() {
                     wire.payload_bytes_sent
                 ),
                 want,
-                "{kind:?}, ts = {}",
-                trees.ts
+                "{what}"
             );
         }
     }
@@ -228,17 +249,21 @@ fn packed_gemm_is_twice_the_reference_at_n256() {
 #[ignore = "wall-clock bar; run in the release profile"]
 fn probes_on_cost_under_five_percent() {
     let (a, b, opts) = fixture(256, 8, Grid::single());
-    let ratio = times_slower(
-        || {
-            factor_stream_with(&a, &b, &opts, &StreamOptions::fixed(4, 1));
-        },
-        || {
-            let probe = Probe::enabled();
-            let stream_opts = StreamOptions::fixed(4, 1).with_probe(probe.clone());
-            factor_stream_with(&a, &b, &opts, &stream_opts);
-            probe.report();
-        },
-    );
+    // One watchdog over all 42 runs: one per run would add a thread start
+    // to each side of every ratio.
+    let ratio = with_watchdog("probed vs unprobed streamed runs", move || {
+        times_slower(
+            || {
+                factor_stream_with(&a, &b, &opts, &StreamOptions::fixed(4, 1));
+            },
+            || {
+                let probe = Probe::enabled();
+                let stream_opts = StreamOptions::fixed(4, 1).with_probe(probe.clone());
+                factor_stream_with(&a, &b, &opts, &stream_opts);
+                probe.report();
+            },
+        )
+    });
     let overhead_pct = 100.0 * (ratio - 1.0);
     eprintln!("probe overhead (median of twenty paired runs): {overhead_pct:.2}%");
     assert!(ratio <= 1.05, "probes-on costs {overhead_pct:.2}% > 5%");

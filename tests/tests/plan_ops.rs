@@ -11,7 +11,9 @@
 //!   test also prints `allocs/task`, `bytes/task` and `plan ns/task` per
 //!   planner — for the batch graph the builder's wall time, for a streamed
 //!   run the CPU time of the planner thread (the thread CPU clock of the
-//!   caller of `execute_with`, which plans while the workers execute).
+//!   caller of `execute_with`, which plans while the workers execute) —
+//!   and, printed only, the same for rank 0 of a two-rank loopback run,
+//!   per task that rank planned.
 //! * **Plan parity.** Golden hashes — generated at the last commit whose
 //!   planners still built a name string, a boxed closure and an access
 //!   vector per task — pin, per planner × fixture, the task names and
@@ -29,14 +31,15 @@ use std::cell::Cell;
 use std::time::Instant;
 
 use luqr::{
-    builder, factor, Algorithm, Criterion, Decision, FactorOptions, LuVariant, PivotScope,
-    PlannerStepSource, StreamOptions, TaskOp, TreeConfig,
+    builder, factor, factor_stream_net_rank, Algorithm, Criterion, Decision, FactorOptions,
+    LuVariant, PivotScope, PlannerStepSource, StreamOptions, TaskOp, TreeConfig,
 };
+use luqr_runtime::net::loopback::loopback_set;
 use luqr_runtime::stream;
 use luqr_runtime::trace::{to_chrome_trace_with, TraceOptions};
 use luqr_runtime::{simulate, Access, DataKey, Platform};
 use luqr_tests::oracle::Logged;
-use luqr_tests::{dominant_system, TWO_LEVEL};
+use luqr_tests::{dominant_system, with_watchdog, TWO_LEVEL};
 use luqr_tile::{Grid, TiledMatrix};
 
 // --- the counting allocator -------------------------------------------------
@@ -149,12 +152,19 @@ fn planner(label: &str) -> (Algorithm, LuVariant, PivotScope) {
 fn fixture(
     label: &str,
     n: usize,
-    (p, q): (usize, usize),
+    grid: (usize, usize),
     trees: TreeConfig,
 ) -> (TiledMatrix, usize, FactorOptions) {
+    let ((a, b), opts) = (dominant_system(n, 11, 1), options(label, grid, trees));
+    let aug = TiledMatrix::from_dense_augmented(&a, &b, opts.nb);
+    let nt_a = aug.nt() - 1;
+    (aug, nt_a, opts)
+}
+
+/// The options of a golden row's fixture.
+fn options(label: &str, (p, q): (usize, usize), trees: TreeConfig) -> FactorOptions {
     let (algorithm, lu_variant, pivot_scope) = planner(label);
-    let (a, b) = dominant_system(n, 11, 1);
-    let opts = FactorOptions {
+    FactorOptions {
         nb: 16,
         ib: 4,
         grid: Grid::new(p, q),
@@ -163,10 +173,7 @@ fn fixture(
         pivot_scope,
         lu_variant,
         trees,
-    };
-    let aug = TiledMatrix::from_dense_augmented(&a, &b, opts.nb);
-    let nt_a = aug.nt() - 1;
-    (aug, nt_a, opts)
+    }
 }
 
 // --- allocation budget ------------------------------------------------------
@@ -207,12 +214,15 @@ fn planning_allocates_at_most_once_per_task() {
         // the per-thread counters see the planner's share only. (Planning
         // and waiting interleave here, so the time reported is the planner
         // thread's CPU time, not its wall time.)
-        let mut source = PlannerStepSource::new(&aug, nt_a, &opts);
-        let sopts = StreamOptions::fixed(4, 1);
-        let cpu = thread_cpu_seconds();
-        let (report, allocs, bytes, _) = measured(|| stream::execute_with(&mut source, &sopts));
-        let cpu = thread_cpu_seconds() - cpu;
-        assert!(source.shared().error.lock().is_none());
+        let (report, allocs, bytes, cpu) = with_watchdog(&format!("{label} streamed"), move || {
+            let mut source = PlannerStepSource::new(&aug, nt_a, &opts);
+            let sopts = StreamOptions::fixed(4, 1);
+            let cpu = thread_cpu_seconds();
+            let (report, allocs, bytes, _) = measured(|| stream::execute_with(&mut source, &sopts));
+            let cpu = thread_cpu_seconds() - cpu;
+            assert!(source.shared().error.lock().is_none());
+            (report, allocs, bytes, cpu)
+        });
         let tasks = report.tasks_planned as f64;
         let streamed = allocs as f64 / tasks;
         println!(
@@ -225,6 +235,39 @@ fn planning_allocates_at_most_once_per_task() {
         assert!(
             streamed <= 1.0,
             "{label}: {streamed:.3} allocations per stream-planned task"
+        );
+
+        // One rank of a two-rank run over loopback: rank 0's driver plans
+        // on the calling thread, rank 1 runs beside it. Its counters and
+        // clock include packing its share of the matrix. Printed only.
+        let (a, b) = dominant_system(192, 11, 1);
+        let opts = options(label, (1, 2), TreeConfig::default());
+        let what = format!("{label} rank 0 of 2");
+        let (planned, allocs, bytes, cpu) = with_watchdog(&what, move || {
+            let sopts = StreamOptions::fixed(4, 1);
+            let [r0, r1]: [_; 2] = loopback_set(2).try_into().ok().expect("two endpoints");
+            std::thread::scope(|s| {
+                let (a, b, opts, sopts) = (&a, &b, &opts, &sopts);
+                let peer = s.spawn(move || factor_stream_net_rank(a, b, opts, sopts, r1));
+                let cpu = thread_cpu_seconds();
+                let (f, allocs, bytes, _) =
+                    measured(|| factor_stream_net_rank(a, b, opts, sopts, r0));
+                let cpu = thread_cpu_seconds() - cpu;
+                peer.join()
+                    .expect("rank 1 panicked")
+                    .expect("rank 1 failed");
+                let report = f.expect("rank 0 failed").report;
+                assert_eq!(report.tasks_planned, report.tasks_executed);
+                (report.tasks_planned, allocs, bytes, cpu)
+            })
+        });
+        let tasks = planned as f64;
+        println!(
+            "{label:<18} {:>6} {planned:>8} {:>12.3} {:>12.1} {:>14.0}",
+            "rank0",
+            allocs as f64 / tasks,
+            bytes as f64 / tasks,
+            cpu * 1e9 / tasks
         );
     }
 }
@@ -353,7 +396,10 @@ fn streamed_plan_is_the_batch_plan_minus_the_losing_branches() {
             lu_variant,
             ..FactorOptions::default()
         };
-        let batch = factor(&a, &b, &opts);
+        let batch = {
+            let (a, b, opts) = (a.clone(), b.clone(), opts.clone());
+            with_watchdog(&format!("{label} batch"), move || factor(&a, &b, &opts))
+        };
         let decision_of = |k: usize| batch.records.iter().find(|r| r.k == k).map(|r| r.decision);
         let surviving: Vec<(usize, TaskOp)> = batch
             .graph
@@ -366,17 +412,20 @@ fn streamed_plan_is_the_batch_plan_minus_the_losing_branches() {
             .collect();
 
         let aug = TiledMatrix::from_dense_augmented(&a, &b, opts.nb);
-        let mut logged = Logged::new(PlannerStepSource::new(&aug, aug.nt() - 1, &opts));
-        let report = stream::execute_with(&mut logged, &StreamOptions::fixed(3, 2));
-        assert_eq!(report.tasks_planned, logged.log.len());
-        assert_eq!(logged.log, surviving, "{label}");
+        let log = with_watchdog(&format!("{label} streamed"), move || {
+            let mut logged = Logged::new(PlannerStepSource::new(&aug, aug.nt() - 1, &opts));
+            let report = stream::execute_with(&mut logged, &StreamOptions::fixed(3, 2));
+            assert_eq!(report.tasks_planned, logged.log.len());
+            logged.log
+        });
+        assert_eq!(log, surviving, "{label}");
         if label == "hybrid-random" {
             let decisions: Vec<Decision> = batch.records.iter().map(|r| r.decision).collect();
             assert!(
                 decisions.contains(&Decision::Lu) && decisions.contains(&Decision::Qr),
                 "the fixture must exercise both branches"
             );
-            assert!(logged.log.len() < batch.graph.len());
+            assert!(log.len() < batch.graph.len());
         }
     }
 }
@@ -391,24 +440,32 @@ fn streamed_plan_is_the_batch_plan_minus_the_losing_branches() {
 fn awaited_decision_ids_are_the_panel_tasks_of_the_window() {
     for label in ["hybrid-random", "hybrid-a2"] {
         let (aug, nt_a, opts) = fixture(label, 192, (1, 2), TreeConfig::default());
-        let mut logged = Logged::new(PlannerStepSource::new(&aug, nt_a, &opts));
-        let report = stream::execute_with(&mut logged, &StreamOptions::fixed(2, 2));
-        let inserted: Vec<usize> = (0..report.tasks_planned).collect();
-        assert_eq!(logged.ids, inserted, "{label}: ids in insertion order");
-        let steps: Vec<usize> = logged.awaited.iter().map(|&(k, _)| k).collect();
+        let (planned, logged, records) = with_watchdog(&format!("{label} streamed"), move || {
+            let mut logged = Logged::new(PlannerStepSource::new(&aug, nt_a, &opts));
+            let report = stream::execute_with(&mut logged, &StreamOptions::fixed(2, 2));
+            let records = logged.source.shared().records.lock().clone();
+            (
+                report.tasks_planned,
+                (logged.ids, logged.awaited, logged.log),
+                records,
+            )
+        });
+        let (ids, awaited, log) = logged;
+        let inserted: Vec<usize> = (0..planned).collect();
+        assert_eq!(ids, inserted, "{label}: ids in insertion order");
+        let steps: Vec<usize> = awaited.iter().map(|&(k, _)| k).collect();
         assert_eq!(
             steps,
             (0..nt_a).collect::<Vec<_>>(),
             "{label}: every step awaits"
         );
-        for &(k, task) in &logged.awaited {
-            let op = logged.log[task].1;
+        for &(k, task) in &awaited {
+            let op = log[task].1;
             assert!(
                 matches!(op, TaskOp::Panel { .. } | TaskOp::PanelA2 { .. }) && op.step() == k,
                 "{label}: step {k} awaits task {task}, {op:?}"
             );
         }
-        let records = logged.source.shared().records.lock();
         let took = |d| records.iter().any(|r| r.decision == d);
         assert!(
             label != "hybrid-random" || (took(Decision::Lu) && took(Decision::Qr)),
@@ -434,7 +491,7 @@ fn dot_and_chrome_trace_render_the_same_bytes_as_stored_names_did() {
         trees: TWO_LEVEL,
         ..FactorOptions::default()
     };
-    let f = factor(&a, &b, &opts);
+    let f = with_watchdog("rendered run", move || factor(&a, &b, &opts));
 
     let dot = f.dot_for_step(1);
     let mut h = FNV_OFFSET;

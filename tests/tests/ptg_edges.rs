@@ -24,8 +24,8 @@ use luqr::{
 };
 use luqr_runtime::stream::{self, StepSource};
 use luqr_runtime::TaskOp as _;
-use luqr_tests::dominant_system;
 use luqr_tests::oracle::{hazard_predecessors, successors, Logged};
+use luqr_tests::{dominant_system, with_watchdog};
 use luqr_tile::{Grid, TiledMatrix};
 use proptest::prelude::*;
 
@@ -123,22 +123,22 @@ fn check_streamed(index: usize, n: usize, grid: (usize, usize), ts: usize) -> Ve
     let (a, b) = dominant_system(n, 11, 1);
     let opts = options(index, grid, ts);
     let aug = TiledMatrix::from_dense_augmented(&a, &b, opts.nb);
-    let mut logged = Logged::new(PlannerStepSource::new(&aug, aug.nt() - 1, &opts));
-    stream::execute_with(&mut logged, &StreamOptions::fixed(2, 2));
-    let ctx = &*logged.source.context();
+    let logged = with_watchdog(&what, move || {
+        let mut logged = Logged::new(PlannerStepSource::new(&aug, aug.nt() - 1, &opts));
+        stream::execute_with(&mut logged, &StreamOptions::fixed(2, 2));
+        let records = logged.source.shared().records.lock().clone();
+        (logged.source.context(), logged.log, logged.preds, records)
+    });
+    let (ctx, log, swept_preds, records) = logged;
+    let ctx = &*ctx;
     let at = |op: TaskOp| (op.step(), op.position(ctx));
-    let oracle = hazard_predecessors(ctx, logged.log.iter().map(|&(_, op)| op));
-    assert_eq!(
-        logged.preds.len(),
-        logged.log.len(),
-        "{what}: every op swept"
-    );
-    for ((&(_, op), preds), swept) in logged.log.iter().zip(&oracle).zip(&logged.preds) {
+    let oracle = hazard_predecessors(ctx, log.iter().map(|&(_, op)| op));
+    assert_eq!(swept_preds.len(), log.len(), "{what}: every op swept");
+    for ((&(_, op), preds), swept) in log.iter().zip(&oracle).zip(&swept_preds) {
         let closed: HashSet<_> = swept.iter().map(|p| (p.step, p.pos)).collect();
-        let inferred: HashSet<_> = preds.iter().map(|&p| at(logged.log[p].1)).collect();
+        let inferred: HashSet<_> = preds.iter().map(|&p| at(log[p].1)).collect();
         assert_eq!(closed, inferred, "{what}: predecessors of {op:?}");
     }
-    let records = logged.source.shared().records.lock();
     records.iter().map(|r| r.decision).collect()
 }
 

@@ -18,7 +18,7 @@ use luqr::{
     Factorization, StreamOptions, TreeConfig,
 };
 use luqr_kernels::Mat;
-use luqr_tests::{HPL3_DRIFT_FACTOR, TWO_LEVEL};
+use luqr_tests::{with_watchdog, HPL3_DRIFT_FACTOR, TWO_LEVEL};
 use luqr_tile::gallery::SpecialMatrix;
 use luqr_tile::Grid;
 
@@ -38,6 +38,12 @@ fn options(algorithm: Algorithm, trees: TreeConfig) -> FactorOptions {
     }
 }
 
+/// [`factor_solve`] under the watchdog, named by `what`.
+fn solved(what: &str, a: &Mat, b: &Mat, opts: FactorOptions) -> (Mat, Factorization) {
+    let (a, b) = (a.clone(), b.clone());
+    with_watchdog(what, move || factor_solve(&a, &b, &opts))
+}
+
 fn decisions(f: &Factorization) -> Vec<Decision> {
     f.records.iter().map(|r| r.decision).collect()
 }
@@ -55,8 +61,10 @@ fn default_tree_is_as_stable_as_the_two_level_tree_on_the_gallery() {
             Algorithm::LuQr(Criterion::Max { alpha: 10.0 }),
         ] {
             let what = format!("{} under {}", m.name(), algorithm.name());
-            let [(x1, f1), (x4, f4)] = [TWO_LEVEL, default]
-                .map(|trees| factor_solve(&a, &b, &options(algorithm.clone(), trees)));
+            let [(x1, f1), (x4, f4)] = [TWO_LEVEL, default].map(|trees| {
+                let what = format!("{what}, ts = {}", trees.ts);
+                solved(&what, &a, &b, options(algorithm.clone(), trees))
+            });
             assert_eq!(f1.error, f4.error, "{what}");
             if f1.error.is_some() {
                 continue; // exactly singular at this size under both trees
@@ -94,7 +102,7 @@ fn structural_decisions_do_not_depend_on_the_tree() {
     let default = TreeConfig::default();
     let [f1, f4] = [TWO_LEVEL, default].map(|trees| {
         let opts = options(Algorithm::LuQr(Criterion::Max { alpha: 6.0 }), trees);
-        factor_solve(&a, &b, &opts).1
+        solved(&format!("structural, ts = {}", trees.ts), &a, &b, opts).1
     });
     let d4 = decisions(&f4);
     assert_eq!(decisions(&f1), d4);
@@ -113,9 +121,13 @@ fn two_stream_workers_match_one_bitwise_at_the_default_tree() {
     ] {
         let opts = options(algorithm, TreeConfig::default());
         let [one, two] = [1, 2].map(|workers| {
-            let f = factor_stream_with(&a, &b, &opts, &StreamOptions::fixed(3, workers));
-            assert!(f.error.is_none(), "{:?}", f.error);
-            f.solution()
+            let what = format!("{} streamed, {workers} workers", opts.algorithm.name());
+            let (a, b, opts) = (a.clone(), b.clone(), opts.clone());
+            with_watchdog(&what, move || {
+                let f = factor_stream_with(&a, &b, &opts, &StreamOptions::fixed(3, workers));
+                assert!(f.error.is_none(), "{:?}", f.error);
+                f.solution()
+            })
         });
         assert_eq!(one.as_slice(), two.as_slice(), "{}", opts.algorithm.name());
     }
