@@ -320,9 +320,10 @@ pub fn execute_net<S: StepSource + ?Sized>(
 ///   transport and its tasks wait for the frames of others ([`wire`]).
 ///
 /// The window calls it at four seams — [`Fabric::place`] at insertion
-/// (with [`Fabric::elsewhere`] and [`Fabric::overwritten`] for what another
-/// rank runs), [`Fabric::send`] for a routed message, [`Fabric::completed`]
-/// at completion, [`Fabric::arrived`] at pop — plus [`Fabric::report`]. The
+/// (with [`Fabric::decides`] for a decision writer and
+/// [`Fabric::overwritten`] for what another rank runs), [`Fabric::send`]
+/// for a routed message, [`Fabric::completed`] at completion,
+/// [`Fabric::arrived`] at pop — plus [`Fabric::report`]. The
 /// per-task ones are `#[inline]`: the window is generic over the op and so
 /// compiled in the crate that names it, where a plain method here would be
 /// a call.
@@ -384,19 +385,19 @@ impl Fabric {
         id: TaskId,
         node: usize,
         inputs: impl Iterator<Item = (DataKey, Option<TaskId>, usize)>,
-        wrote_decision: Option<DataKey>,
     ) -> (Placed, usize) {
         match self {
             Fabric::Counted => (Placed::on(node), 0),
-            Fabric::Wire(w) => w.place(id, node, inputs, wrote_decision),
+            Fabric::Wire(w) => w.place(id, node, inputs),
         }
     }
 
-    /// Insertion of task `id`, which another rank runs and this one only
-    /// names; a decision it writes is awaited as a frame.
-    fn elsewhere(&mut self, id: TaskId, wrote_decision: Option<DataKey>) {
-        if let (Fabric::Wire(w), Some(key)) = (self, wrote_decision) {
-            w.decides(id, key, false);
+    /// Task `id` writes the decision datum `key`, on this rank (`here`: a
+    /// wire broadcasts it at completion) or another (the driver awaits its
+    /// frame).
+    fn decides(&mut self, id: TaskId, key: DataKey, here: bool) {
+        if let Fabric::Wire(w) = self {
+            w.pending_decisions.insert(id, (key, here));
         }
     }
 

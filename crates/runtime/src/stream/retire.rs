@@ -26,6 +26,12 @@
 //! step drains, that node reports it (a [`crate::comm::RetireMsg`] in the
 //! distributed protocol), and the step retires once every participating
 //! node has reported.
+//!
+//! A table that counts only one rank's share retires its steps *in order*:
+//! a step also waits for the one before it to retire. A step's blocks hold
+//! the transfers live producers of the step before owe the step's
+//! consumers, and where those consumers run on other ranks nothing else
+//! keeps the step here until the producers complete.
 
 use crate::graph::TaskId;
 
@@ -48,7 +54,8 @@ pub(crate) struct StepEvent {
     /// The completing node's share of the (closed) step just drained: it
     /// reports retirement of its sub-window slice.
     pub node_drained: Option<usize>,
-    /// Every node reported: the step retired and planner capacity opened.
+    /// Every node reported (and, in order, the step before retired): the
+    /// step retires and planner capacity opens.
     pub retired: bool,
 }
 
@@ -86,6 +93,8 @@ pub(crate) struct LiveStep {
 /// on and the report reads.
 pub(crate) struct StepTable {
     num_nodes: usize,
+    /// A step retires only after the one before it.
+    in_order: bool,
     steps: Vec<Option<LiveStep>>,
     live: usize,
     /// Highest concurrent live-step count observed.
@@ -95,9 +104,10 @@ pub(crate) struct StepTable {
 }
 
 impl StepTable {
-    pub fn new(num_nodes: usize) -> Self {
+    pub fn new(num_nodes: usize, in_order: bool) -> Self {
         StepTable {
             num_nodes,
+            in_order,
             steps: Vec::new(),
             live: 0,
             peak_live: 0,
@@ -162,6 +172,14 @@ impl StepTable {
         self.per_step_tasks[k] += 1;
     }
 
+    /// Step `k` is closed and drained, and — on an in-order table — the
+    /// step before it has retired: it retires now.
+    pub fn retires(&self, k: usize) -> bool {
+        let earlier_gone = !self.in_order || k == 0 || self.get(k - 1).is_none();
+        self.get(k)
+            .is_some_and(|s| !s.open && s.outstanding == 0 && earlier_gone)
+    }
+
     /// Planning of step `k` is finished. Nodes whose share is already
     /// drained report immediately (returned); the step may retire on the
     /// spot (a fully-executed step behind a long decision wait).
@@ -175,7 +193,7 @@ impl StepTable {
                 reports.push(n);
             }
         }
-        (reports, step.outstanding == 0)
+        (reports, self.retires(k))
     }
 
     /// Record one task of step `k` completed on `node`.
@@ -190,13 +208,11 @@ impl StepTable {
         step.outstanding -= 1;
         share.outstanding -= 1;
         let mut ev = StepEvent::default();
-        if !step.open {
-            if share.outstanding == 0 && !share.reported {
-                share.reported = true;
-                ev.node_drained = Some(node);
-            }
-            ev.retired = step.outstanding == 0;
+        if !step.open && share.outstanding == 0 && !share.reported {
+            share.reported = true;
+            ev.node_drained = Some(node);
         }
+        ev.retired = self.retires(k);
         ev
     }
 
@@ -215,7 +231,7 @@ mod tests {
 
     #[test]
     fn step_retires_when_closed_and_drained() {
-        let mut t = StepTable::new(1);
+        let mut t = StepTable::new(1, false);
         t.open(0);
         t.planned(0, 0);
         t.planned(0, 0);
@@ -236,7 +252,7 @@ mod tests {
 
     #[test]
     fn empty_step_retires_at_close() {
-        let mut t = StepTable::new(2);
+        let mut t = StepTable::new(2, false);
         t.open(3);
         let (reports, retired) = t.close(3);
         assert!(reports.is_empty(), "no node planned, none report");
@@ -248,7 +264,7 @@ mod tests {
 
     #[test]
     fn peak_tracks_concurrent_steps() {
-        let mut t = StepTable::new(1);
+        let mut t = StepTable::new(1, false);
         t.open(0);
         t.planned(0, 0);
         t.close(0);
@@ -264,9 +280,34 @@ mod tests {
         assert_eq!(t.peak_live, 2);
     }
 
+    /// In order, a drained step waits for the one before it, and retires
+    /// once asked again after that one has.
+    #[test]
+    fn in_order_steps_wait_for_the_one_before() {
+        let mut t = StepTable::new(1, true);
+        for k in 0..2 {
+            t.open(k);
+            t.planned(k, 0);
+        }
+        t.close(0);
+        assert_eq!(t.close(1), (vec![], false));
+        let ev = t.completed(1, 0);
+        assert_eq!((ev.node_drained, ev.retired), (Some(0), false));
+        assert!(!t.retires(1), "step 0 is still live");
+        assert!(t.completed(0, 0).retired);
+        t.retire(0);
+        assert!(t.retires(1));
+        t.retire(1);
+        t.open(2);
+        assert!(
+            t.close(2).1,
+            "an empty step after retired ones retires at close"
+        );
+    }
+
     #[test]
     fn nodes_report_their_share_independently() {
-        let mut t = StepTable::new(3);
+        let mut t = StepTable::new(3, false);
         t.open(0);
         t.planned(0, 0);
         t.planned(0, 2);

@@ -179,8 +179,6 @@ use super::{Fabric, Placed, StreamOptions, StreamReport};
 struct Version {
     id: TaskId,
     node: usize,
-    /// The writer's critical-path depth.
-    depth: u64,
 }
 
 /// The version stamp of a never-written datum, as fetched from its home.
@@ -275,18 +273,6 @@ struct Flow {
     producer: Option<TaskId>,
     src: usize,
     live: bool,
-}
-
-impl Flow {
-    /// The transfer its live producer owes `dest`.
-    fn owed(&self, dest: usize) -> OwedSend {
-        OwedSend {
-            key: self.key,
-            dest,
-            bytes: self.bytes,
-            class: self.class,
-        }
-    }
 }
 
 /// The task a dependency waits for, as the window finds it.
@@ -625,7 +611,12 @@ impl<O: TaskOp> WindowState<O> {
                 self.route(Msg::Retire(RetireMsg { step, node: n }), None);
             }
         }
-        if retired {
+        if !retired {
+            return;
+        }
+        // A step retiring in order may free the drained one after it.
+        let mut step = step;
+        loop {
             if let Some(closed) = self.step_closed_at.remove(&step) {
                 self.probe.observe(
                     metric::STREAM_RETIRE_LAG,
@@ -635,6 +626,10 @@ impl<O: TaskOp> WindowState<O> {
             }
             self.forget_step(step);
             O::retire_step(ctx, step);
+            step += 1;
+            if !self.steps.retires(step) {
+                break;
+            }
         }
     }
 
@@ -779,11 +774,13 @@ impl<O: TaskOp> WindowState<O> {
 
     /// Insert op `i` of `phase`, whose ops are tasks `base..` at positions
     /// `first..` of the open `step`, given what the sweep found for it
-    /// (`phase.by_op`): link it to its live predecessors and owe it their
-    /// outputs (into the phase's block pairs), route its other inputs, note
-    /// the versions it writes and queue it if nothing holds it up. Its depth
-    /// goes to `phase.cps`. An op another rank runs goes to
-    /// [`WindowState::insert_elsewhere`].
+    /// (`phase.by_op`). Its depth, one more than its predecessors' in the
+    /// phase and the live steps' tables, goes to `phase.cps`; it makes the
+    /// versions it writes, and its inputs are routed. An op this process
+    /// runs is linked to its live predecessors (into the phase's block
+    /// pairs) and queued if nothing holds it up; one another rank runs only
+    /// tells the fabric whose use of this rank's copies its versions
+    /// overwrite (module docs, "Rank-local planning").
     fn insert(
         &mut self,
         ctx: &O::Ctx,
@@ -793,9 +790,7 @@ impl<O: TaskOp> WindowState<O> {
         phase: &mut Phase<O>,
     ) {
         let (op, node, id) = (phase.ops[i], phase.nodes[i], base + i);
-        if !self.fabric.runs(node) {
-            return self.insert_elsewhere(base, i, phase);
-        }
+        let here = self.fabric.runs(node);
         let (live_preds, flows) = (&mut phase.live_preds, &mut phase.flows);
         live_preds.clear();
         flows.clear();
@@ -803,12 +798,14 @@ impl<O: TaskOp> WindowState<O> {
 
         // The closed-form predecessors: an earlier op of the phase has the
         // depth the phase gave it, anything else is looked up in the live
-        // steps' tables; a live one that runs here is an edge. The version an
-        // input reads is its predecessor's, else the datum's last planned
+        // steps' tables; a live one that runs here is an edge (or, for an
+        // op that runs elsewhere, a user of what it overwrites). The version
+        // an input reads is its predecessor's, else the datum's last planned
         // one. Inputs carry their declared bytes and class at this
-        // insertion, and the decision datum the task writes, if any, is
-        // noted (on a wire the driver waits for its applied value, not just
-        // task completion).
+        // insertion; of another rank's op only those this rank sources are
+        // kept. The decision datum the task writes, if any, is noted (on a
+        // wire the driver waits for its applied value, not just task
+        // completion).
         let mut max_pred_cp = 0u64;
         let mut wrote_decision: Option<DataKey> = None;
         for d in phase.by_op.get(i) {
@@ -852,7 +849,8 @@ impl<O: TaskOp> WindowState<O> {
                 (None, Some(v)) => (Some(v.id), v.node, false),
                 (None, None) => (None, dir.home, false),
             };
-            if dir.bytes != 0 {
+            let sourced_here = self.fabric.runs(src);
+            if dir.bytes != 0 && (here || sourced_here) {
                 flows.push(Flow {
                     slot,
                     key: dir.key,
@@ -867,48 +865,45 @@ impl<O: TaskOp> WindowState<O> {
                 if dir.class == DataClass::Decision {
                     wrote_decision = Some(dir.key);
                 }
-                phase.writes.push((d.datum, slot, None));
+                // Another rank's op overwriting a third rank's version.
+                let before = producer.filter(|_| !(here || sourced_here));
+                phase
+                    .writes
+                    .push((d.datum, slot, before.map(|p| (dir.key, Some(p)))));
             }
         }
         let cp = 1 + max_pred_cp;
         phase.cps.push(cp);
         for &(_, slot, _) in &phase.writes {
-            self.data[slot as usize].version = Some(Version {
-                id,
-                node,
-                depth: cp,
-            });
+            self.data[slot as usize].version = Some(Version { id, node });
+        }
+        self.route_inputs(node, &phase.flows, &mut phase.sends);
+        if let Some(key) = wrote_decision {
+            self.fabric.decides(id, key, here);
         }
 
-        // Data-flow transfers, once per (version, destination node) —
-        // identical to the virtual-time scoreboard. The rank that holds the
-        // version sends it: owed while its producer is live (the lock is
-        // held for the whole phase, so completion cannot interleave), at
-        // once otherwise; a wire rank also counts what comes to its own
-        // tasks from other ranks, which they send.
-        for f in flows.iter().filter(|f| f.src != node) {
-            if !self.newly_held(f.slot, node, f.producer.unwrap_or(INITIAL)) {
-                continue;
+        if !here {
+            for &(datum, slot, before) in &phase.writes {
+                let users = phase.live_preds.iter().filter(|u| u.0 == datum);
+                let version = (self.data[slot as usize].key, id);
+                self.fabric.overwritten(version, before, users.map(|u| u.1));
             }
-            match f.producer.filter(|_| f.live) {
-                Some(w) => phase.sends.push((w as u32, f.owed(node))),
-                None => {
-                    let msg = flow_msg(f.key, f.class, f.producer, f.src, node, f.bytes);
-                    self.route(msg, f.producer);
-                }
-            }
+            let skipped = self.tasks.skip();
+            debug_assert_eq!(skipped, id);
+            return;
         }
 
         // Seam 1: what the fabric makes the task wait for beyond its
         // predecessors — on a wire, its remote inputs' readiness. It is
         // shown where each data-flow input comes from.
-        let inputs = flows.iter().map(|f| (f.key, f.producer, f.src));
-        let (placed, arrivals) = self.fabric.place(id, node, inputs, wrote_decision);
+        let inputs = phase.flows.iter().map(|f| (f.key, f.producer, f.src));
+        let (placed, arrivals) = self.fabric.place(id, node, inputs);
 
         // Link precedence: only edges to still-live tasks count toward the
         // countdown — plus the fabric's gates; a same-node edge is direct,
         // a cross-node one (counted fabric) stands for the message the
         // predecessor's completion sends.
+        let live_preds = &mut phase.live_preds;
         live_preds.sort_unstable_by_key(|p| p.1);
         live_preds.dedup_by_key(|p| p.1);
         let preds_remaining = live_preds.len() + arrivals;
@@ -929,95 +924,35 @@ impl<O: TaskOp> WindowState<O> {
         }
     }
 
-    /// Insert op `i` of `phase` (task `base + i`), which another rank runs
-    /// (module docs, "Rank-local planning"): the inputs it reads from this
-    /// rank's versions, owed or sent; the users of this rank's copies of
-    /// what it overwrites; the versions it writes; and its depth, one more
-    /// than the versions it reads.
-    fn insert_elsewhere(&mut self, base: TaskId, i: usize, phase: &mut Phase<O>) {
-        let (node, id) = (phase.nodes[i], base + i);
-        let users = &mut phase.live_preds;
-        users.clear();
-        phase.writes.clear();
-        let mut depth = 0;
-        let mut wrote_decision = None;
-        // The datum the op writes whose readers since its last write come
-        // next; other waits that are no input are ordering only.
-        let mut writing = None;
-        for d in phase.by_op.get(i) {
-            if !d.input {
-                let user = match d.waits {
-                    _ if writing != Some(d.datum) => None,
-                    Waits::Earlier(j) => Some(base + j as usize)
-                        .filter(|_| self.fabric.runs(phase.nodes[j as usize])),
-                    Waits::Planned { step: s, pos: p } => self
-                        .steps
-                        .get(s as usize)
-                        .and_then(|t| t.tasks.get(p as usize).copied().flatten())
-                        .filter(|t| !t.done && self.fabric.runs(t.node))
-                        .map(|t| t.id),
-                    Waits::Nothing => None,
-                };
-                users.extend(user.map(|u| (d.datum, u)));
+    /// Route the data-flow inputs `flows` of a task on `node`, once per
+    /// (version, destination node) — identical to the virtual-time
+    /// scoreboard. The rank that holds a version sends it: owed while its
+    /// producer is live (into `sends`; the lock is held for the whole phase,
+    /// so completion cannot interleave), at once otherwise; a wire rank
+    /// also counts what comes to its own tasks from other ranks, which they
+    /// send.
+    fn route_inputs(&mut self, node: usize, flows: &[Flow], sends: &mut Vec<(u32, OwedSend)>) {
+        for f in flows.iter().filter(|f| f.src != node) {
+            if !self.newly_held(f.slot, node, f.producer.unwrap_or(INITIAL)) {
                 continue;
             }
-            let slot = phase.data[d.datum as usize].1;
-            let dir = &self.data[slot as usize];
-            let (producer, src) = match dir.version {
-                Some(v) => {
-                    depth = depth.max(v.depth);
-                    (Some(v.id), v.node)
+            match f.producer.filter(|_| f.live) {
+                Some(w) => {
+                    let (key, bytes, class) = (f.key, f.bytes, f.class);
+                    let owed = OwedSend {
+                        key,
+                        dest: node,
+                        bytes,
+                        class,
+                    };
+                    sends.push((w as u32, owed));
                 }
-                None => (None, dir.home),
-            };
-            let live = producer.filter(|&w| self.fabric.runs(src) && self.tasks.is_live(w));
-            if d.write {
-                writing = Some(d.datum);
-                if dir.class == DataClass::Decision {
-                    wrote_decision = Some(dir.key);
-                }
-                users.extend(live.map(|w| (d.datum, w)));
-                let before = producer.filter(|_| !self.fabric.runs(src));
-                phase
-                    .writes
-                    .push((d.datum, slot, before.map(|p| (dir.key, Some(p)))));
-            }
-            // The inputs this rank holds, once per (version, node).
-            if dir.bytes == 0 || src == node || !self.fabric.runs(src) {
-                continue;
-            }
-            let send = OwedSend {
-                key: dir.key,
-                dest: node,
-                bytes: dir.bytes,
-                class: dir.class,
-            };
-            if !self.newly_held(slot, node, producer.unwrap_or(INITIAL)) {
-                continue;
-            }
-            match live {
-                Some(w) => phase.sends.push((w as u32, send)),
                 None => {
-                    let msg = flow_msg(send.key, send.class, producer, src, node, send.bytes);
-                    self.route(msg, producer);
+                    let msg = flow_msg(f.key, f.class, f.producer, f.src, node, f.bytes);
+                    self.route(msg, f.producer);
                 }
             }
         }
-        let cp = 1 + depth;
-        phase.cps.push(cp);
-        for &(datum, slot, before) in &phase.writes {
-            let dir = &mut self.data[slot as usize];
-            dir.version = Some(Version {
-                id,
-                node,
-                depth: cp,
-            });
-            let users = users.iter().filter(|u| u.0 == datum).map(|u| u.1);
-            self.fabric.overwritten((dir.key, id), before, users);
-        }
-        self.fabric.elsewhere(id, wrote_decision);
-        let skipped = self.tasks.skip();
-        debug_assert_eq!(skipped, id);
     }
 
     /// The data whose final version lives on `rank`: its last planned
@@ -1071,7 +1006,9 @@ impl<O: TaskOp> StreamWindow<O> {
             state: Mutex::new(WindowState {
                 tasks: TaskRing::default(),
                 ready: ReadyQueue::default(),
-                steps: StepTable::new(num_nodes),
+                // A wire rank counts only its share of a step, so its steps
+                // retire in order (`retire` module docs).
+                steps: StepTable::new(num_nodes, !matches!(fabric, Fabric::Counted)),
                 data: Vec::new(),
                 free_slots: Vec::new(),
                 holds: Vec::new(),

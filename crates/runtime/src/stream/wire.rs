@@ -117,7 +117,7 @@ pub(super) struct Wire {
     /// The driver consults this to await the *applied* decision of a
     /// remote one before planning the rest of the step; a local one is
     /// broadcast when it completes.
-    pending_decisions: IntMap<TaskId, (DataKey, bool)>,
+    pub(super) pending_decisions: IntMap<TaskId, (DataKey, bool)>,
     /// Frames actually sent/received per protocol link, for reconciliation
     /// against the window's `link_msgs`.
     sent: LinkTally,
@@ -262,18 +262,14 @@ impl Wire {
     /// `(datum, producer, source rank)`, as routing resolved them — must
     /// cross the wire to it, and (second result) how many of those are not
     /// ready yet: extra predecessors, released by [`Wire::arrival`] or
-    /// [`Wire::completed`]. A decision writer is indexed for the driver.
+    /// [`Wire::completed`].
     pub(super) fn place(
         &mut self,
         id: TaskId,
         node: usize,
         inputs: impl Iterator<Item = (DataKey, Option<TaskId>, usize)>,
-        wrote_decision: Option<DataKey>,
     ) -> (Placed, usize) {
         let mut placed = Placed::on(node);
-        if let Some(key) = wrote_decision {
-            self.decides(id, key, true);
-        }
         placed.needs = inputs
             .filter(|&(_, _, src)| src != node)
             .map(|(key, producer, _)| (key, producer))
@@ -286,12 +282,6 @@ impl Wire {
             }
         }
         (placed, gates)
-    }
-
-    /// Task `id` writes the decision datum `key`, here (`local`) or on
-    /// another rank.
-    pub(super) fn decides(&mut self, id: TaskId, key: DataKey, local: bool) {
-        self.pending_decisions.insert(id, (key, local));
     }
 
     /// Task `w`, which another rank runs, writes `version` of a datum:

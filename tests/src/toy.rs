@@ -22,6 +22,11 @@
 //! `M`'s copy of `Z` may land in node 1's memory only after `L` has read the
 //! old one. Every task folds what it reads into what it writes, so a lost
 //! transfer or an early overwrite changes the result.
+//!
+//! With [`Producer::Alternating`], `P` runs on node 1 in odd steps. Node 0's
+//! share of an odd step is then `D` and `W`, neither of which waits for the
+//! napping `P` before it, so that share drains while that `P` still owes the
+//! step's `P` its `X` and `Y` and `C3` its `Y`.
 
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -218,13 +223,18 @@ impl TaskOp for ToyOp {
 /// The toy as a step source over one node's context.
 pub struct Toy {
     ctx: Arc<ToyCtx>,
+    producer: Producer,
     /// Positions handed out in the open step.
     next_pos: usize,
 }
 
 impl Toy {
-    fn new(ctx: Arc<ToyCtx>) -> Toy {
-        Toy { ctx, next_pos: 0 }
+    fn new(ctx: Arc<ToyCtx>, producer: Producer) -> Toy {
+        Toy {
+            ctx,
+            producer,
+            next_pos: 0,
+        }
     }
 
     fn task(
@@ -279,8 +289,12 @@ impl StepSource for Toy {
         }
         sink.declare(decision(k), 8, 0);
         let d = self.task(sink, ("D", k, 0), &[Mut(decision(k))], NO_NAP);
+        let p_node = match self.producer {
+            Producer::Node0 => 0,
+            Producer::Alternating => k % 2,
+        };
         let p = [Read(decision(k)), Mut(X), Mut(Y)];
-        self.task(sink, ("P", k, 0), &p, P_NAP);
+        self.task(sink, ("P", k, p_node), &p, P_NAP);
         self.task(sink, ("C1", k, 1), &[Read(X), Mut(R1)], NO_NAP);
         self.task(sink, ("L", k, 1), &[Read(Z), Mut(R3)], L_NAP);
         self.task(sink, ("W", k, 0), &[Mut(Z)], NO_NAP);
@@ -332,22 +346,34 @@ pub struct ToyOutcome {
     pub reports: Vec<StreamReport>,
 }
 
+/// Where the producer `P` runs.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Producer {
+    /// On node 0 every step: node 0's share of a step waits for the `P`
+    /// before it, which its own `P` overwrites.
+    Node0,
+    /// On node 0 in even steps and on node 1 in odd ones: node 0's share of
+    /// an odd step waits for nothing that `P` does.
+    Alternating,
+}
+
 /// Live steps of the streamed paths: the next prelude is planned while
 /// `P` naps.
 const WINDOW: usize = 3;
 
 /// Run the toy on `path` under the watchdog, two workers per node.
-pub fn run(path: Path) -> ToyOutcome {
-    with_watchdog(&format!("toy on {path:?}"), move || perform(path))
+pub fn run(path: Path, producer: Producer) -> ToyOutcome {
+    let what = format!("toy ({producer:?}) on {path:?}");
+    with_watchdog(&what, move || perform(path, producer))
 }
 
-fn perform(path: Path) -> ToyOutcome {
+fn perform(path: Path, producer: Producer) -> ToyOutcome {
     let opts = StreamOptions::fixed(WINDOW, 2);
     let (mut x, mut replay, mut reports) = (Vec::new(), Vec::new(), Vec::new());
     match path {
         Path::Batch => {
             let ctx = ToyCtx::new(None);
-            let mut toy = Toy::new(Arc::clone(&ctx));
+            let mut toy = Toy::new(Arc::clone(&ctx), producer);
             let mut b = GraphBuilder::new(NODES, Arc::clone(&ctx));
             toy.prepare(&mut b);
             for k in 0..STEPS {
@@ -362,7 +388,8 @@ fn perform(path: Path) -> ToyOutcome {
         }
         Path::Stream => {
             let ctx = ToyCtx::new(None);
-            reports.push(execute_with(&mut Toy::new(Arc::clone(&ctx)), &opts));
+            let mut toy = Toy::new(Arc::clone(&ctx), producer);
+            reports.push(execute_with(&mut toy, &opts));
             x = ctx.result();
         }
         Path::Loopback | Path::Uds => {
@@ -388,7 +415,7 @@ fn perform(path: Path) -> ToyOutcome {
                             let rank = transport.rank();
                             let ctx = ToyCtx::new(Some(rank));
                             let store = Arc::new(ToyStore(Arc::clone(&ctx)));
-                            let mut toy = Toy::new(Arc::clone(&ctx));
+                            let mut toy = Toy::new(Arc::clone(&ctx), producer);
                             let net = NetConfig { transport, store };
                             let report = execute_net(&mut toy, opts, net).expect("toy wire run");
                             let x = if rank == 0 { ctx.result() } else { Vec::new() };
@@ -433,13 +460,14 @@ fn touching(links: &[LinkMsgStats], rank: usize) -> Vec<(usize, usize, u64, u64,
 /// the same result bits everywhere; the window routing, link by link, what
 /// the batch graph's replay prices; and every rank of a wire run sending
 /// and receiving, as frames, the stream's messages on its links.
-pub fn check_parity(paths: &[Path]) -> Vec<ToyOutcome> {
+pub fn check_parity(paths: &[Path], producer: Producer) -> Vec<ToyOutcome> {
     assert_eq!(paths[..2], [Path::Batch, Path::Stream]);
-    let outs: Vec<ToyOutcome> = paths.iter().map(|&p| run(p)).collect();
+    let outs: Vec<ToyOutcome> = paths.iter().map(|&p| run(p, producer)).collect();
     let (batch, stream) = (&outs[0], &outs[1].reports[0]);
-    assert_routing_matches_replay(&stream.link_msgs, &batch.replay, "toy on Stream");
+    let what = format!("toy ({producer:?}) on Stream");
+    assert_routing_matches_replay(&stream.link_msgs, &batch.replay, &what);
     for o in &outs {
-        let what = format!("toy on {:?}", o.path);
+        let what = format!("toy ({producer:?}) on {:?}", o.path);
         assert_eq!(o.x, batch.x, "{what}: result");
         if matches!(o.path, Path::Loopback | Path::Uds) {
             assert_eq!(o.reports.len(), NODES, "{what}");

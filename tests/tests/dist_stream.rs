@@ -12,7 +12,7 @@ use luqr_tests::assert_routing_matches_replay;
 use luqr_tests::paths::{
     algorithm_from, bits, check_parity, msg_total, rank_links, run, Case, Input, Path,
 };
-use luqr_tests::toy;
+use luqr_tests::toy::{self, Producer};
 use luqr_tile::Grid;
 
 const MAX: Algorithm = Algorithm::LuQr(Criterion::Max { alpha: 100.0 });
@@ -29,8 +29,18 @@ fn case(algorithm: Algorithm, grid: Grid, n: usize, seed: u64) -> Case {
 /// next — which no factorization plans ([`luqr_tests::toy`]).
 #[test]
 fn cross_phase_transfers_and_remote_overwrites_agree_on_every_path() {
-    toy::check_parity(&[Path::Batch, Path::Stream, Path::Loopback, Path::Uds]);
+    toy::check_parity(&TOY_PATHS, Producer::Node0);
 }
+
+/// The producer's rank has nothing in the next step that waits for it, so
+/// its share of that step drains while the producer still owes the step's
+/// remote consumers their inputs ([`Producer::Alternating`]).
+#[test]
+fn a_producer_still_sends_once_its_rank_drained_the_next_step() {
+    toy::check_parity(&TOY_PATHS, Producer::Alternating);
+}
+
+const TOY_PATHS: [Path; 4] = [Path::Batch, Path::Stream, Path::Loopback, Path::Uds];
 
 #[test]
 fn distributed_streaming_parity_every_algorithm_and_criterion() {
