@@ -41,7 +41,7 @@
 use std::ops::ControlFlow::{self, Break, Continue};
 use std::ops::Range;
 
-use luqr_runtime::{Access, Pred, Visit};
+use luqr_runtime::{Access, DataKey, Pred, Visit};
 
 use crate::config::{Decision, LuVariant};
 use crate::keys::{self, Kind};
@@ -61,11 +61,12 @@ impl TaskOp {
 
 /// [`luqr_runtime::TaskOp::for_each_predecessor`]: the accesses of `ops`,
 /// one phase of step `k`, visited by one sweep over each datum the phase
-/// may touch.
+/// may touch and `keep` accepts.
 pub(crate) fn phase_predecessors(
     ctx: &RunCtx,
     k: usize,
     ops: &[TaskOp],
+    keep: &impl Fn(DataKey) -> bool,
     f: &mut impl FnMut(Visit<'_>),
 ) {
     let Some(&first) = ops.first() else {
@@ -89,11 +90,15 @@ pub(crate) fn phase_predecessors(
         f(v);
     };
     let mut sweep = Sweep::new(&st, phase.clone(), f);
-    st.phase_data(&phase, &mut |kind, a, b| sweep.datum(kind, a, b));
+    st.phase_data(&phase, &mut |kind, a, b| {
+        if keep(keys::pack(kind, a, b)) {
+            sweep.datum(kind, a, b);
+        }
+    });
     #[cfg(debug_assertions)]
     for (op, n) in ops.iter().zip(visits) {
         let mut accesses = 0;
-        op.for_each_access(ctx, |_| accesses += 1);
+        op.for_each_access(ctx, |a| accesses += usize::from(keep(a.key())));
         assert_eq!(
             accesses, n,
             "the sweep of step {k}'s phase from {lo}: {op:?}"

@@ -493,8 +493,14 @@ impl luqr_runtime::TaskOp for TaskOp {
         self.dense_index(ctx)
     }
 
-    fn for_each_predecessor(ctx: &RunCtx, step: usize, ops: &[Self], mut f: impl FnMut(Visit<'_>)) {
-        crate::edges::phase_predecessors(ctx, step, ops, &mut f);
+    fn for_each_predecessor(
+        ctx: &RunCtx,
+        step: usize,
+        ops: &[Self],
+        keep: impl Fn(DataKey) -> bool,
+        mut f: impl FnMut(Visit<'_>),
+    ) {
+        crate::edges::phase_predecessors(ctx, step, ops, &keep, &mut f);
     }
 
     fn retire_step(ctx: &RunCtx, step: usize) {

@@ -320,8 +320,16 @@ pub trait TaskOp: Copy + Send + Sync + 'static {
     /// by datum, one sweep over each datum's access sequence; the streaming
     /// window resolves a datum once per run of visits to it. Steps count as
     /// planned: one whose branch decision is recorded holds only the chosen
-    /// branch.
-    fn for_each_predecessor(ctx: &Self::Ctx, step: usize, ops: &[Self], f: impl FnMut(Visit<'_>));
+    /// branch. The visits to a datum `keep` rejects may be left out: a rank
+    /// that plans only its share has no use for the data its tasks never
+    /// touch.
+    fn for_each_predecessor(
+        ctx: &Self::Ctx,
+        step: usize,
+        ops: &[Self],
+        keep: impl Fn(DataKey) -> bool,
+        f: impl FnMut(Visit<'_>),
+    );
 
     /// Message class of a datum (see [`DataClass`]).
     fn data_class(_ctx: &Self::Ctx, _key: DataKey) -> DataClass {
@@ -708,22 +716,28 @@ impl<O: TaskOp> GraphBuilder<O> {
         // before's, first.
         let floor = steps[step.saturating_sub(1)].0;
         edges.clear();
-        O::for_each_predecessor(ctx, step, phase, |v| {
-            let id = lo + v.op;
-            for &p in v.writer.iter().chain(v.readers) {
-                let pred = steps.get(p.step).map(|s| s.0 + p.pos);
-                let Some(pred) = pred.filter(|&q| q >= floor && q < id) else {
-                    let named = pred
-                        .filter(|&q| q < tasks.len())
-                        .map(|q| tasks[q].op.name(ctx));
-                    panic!(
+        O::for_each_predecessor(
+            ctx,
+            step,
+            phase,
+            |_| true,
+            |v| {
+                let id = lo + v.op;
+                for &p in v.writer.iter().chain(v.readers) {
+                    let pred = steps.get(p.step).map(|s| s.0 + p.pos);
+                    let Some(pred) = pred.filter(|&q| q >= floor && q < id) else {
+                        let named = pred
+                            .filter(|&q| q < tasks.len())
+                            .map(|q| tasks[q].op.name(ctx));
+                        panic!(
                         "{} waits for {p:?} ({named:?}): not an earlier task of its step or the one before",
                         tasks[id].op.name(ctx)
                     );
-                };
-                edges.push((pred as u32, id as u32));
-            }
-        });
+                    };
+                    edges.push((pred as u32, id as u32));
+                }
+            },
+        );
         let mut block = Csr::default();
         block.write(tasks.len(), edges, |&(p, s)| (p as usize, s));
         block.sort_dedup();

@@ -93,8 +93,13 @@ pub(crate) struct LiveStep {
 /// on and the report reads.
 pub(crate) struct StepTable {
     num_nodes: usize,
-    /// A step retires only after the one before it.
+    /// A step retires only after the one before it, and its table of
+    /// planned tasks outlives it until the next step retires.
     in_order: bool,
+    /// In order, the last retired step and its table: while the step after
+    /// it is planned, a rank whose sweep skipped data still finds the
+    /// writers that step's tasks name there.
+    kept: Option<(usize, Vec<Option<Planned>>)>,
     steps: Vec<Option<LiveStep>>,
     live: usize,
     /// Highest concurrent live-step count observed.
@@ -108,6 +113,7 @@ impl StepTable {
         StepTable {
             num_nodes,
             in_order,
+            kept: None,
             steps: Vec::new(),
             live: 0,
             peak_live: 0,
@@ -134,6 +140,19 @@ impl StepTable {
     /// Step `k`, while it is live.
     pub fn get_mut(&mut self, k: usize) -> Option<&mut LiveStep> {
         self.steps.get_mut(k)?.as_mut()
+    }
+
+    /// Step `k`'s planned tasks by position, while it is live or, in order,
+    /// the last retired step.
+    pub fn tasks(&self, k: usize) -> Option<&[Option<Planned>]> {
+        match self.get(k) {
+            Some(step) => Some(&step.tasks),
+            None => self
+                .kept
+                .as_ref()
+                .filter(|kept| kept.0 == k)
+                .map(|kept| &kept.1[..]),
+        }
     }
 
     /// Step `k`, which must be live.
@@ -219,8 +238,11 @@ impl StepTable {
     /// Step `k` retired (`close` or `completed` said so): take it out of
     /// the table.
     pub fn retire(&mut self, k: usize) -> LiveStep {
-        let step = self.steps[k].take().expect("a live step retires");
+        let mut step = self.steps[k].take().expect("a live step retires");
         self.live -= 1;
+        if self.in_order {
+            self.kept = Some((k, std::mem::take(&mut step.tasks)));
+        }
         step
     }
 }

@@ -88,15 +88,19 @@
 //!
 //! **Rank-local planning.** The counted fabric plans every node's tasks; a
 //! wire rank runs the same source but inserts only the tasks placed on it.
-//! A task placed elsewhere is still swept with its phase: it gets its id,
-//! its depth, its place (id, depth, node) in its step's table, and it
-//! makes the version it writes. Of its routing the rank does the part that
-//! starts here — the inputs its own versions (or the initial values homed
-//! here) owe its node, through the same once-per-(version, destination)
-//! cache — and counts, for its own tasks, what arrives. It gets no record,
-//! no edges and no completion here, and its step's counts (so the rank's
-//! retirement) hold only the rank's own tasks. Three rules keep a rank's
-//! share correct on its own:
+//! A task placed elsewhere is still swept and linked like any other — it
+//! gets its id, its depth (the same `1 + max` over its predecessors), its
+//! place (id, depth, node) in its step's table, and it makes the version
+//! it writes. Of its routing the rank does the part that starts here — the
+//! inputs its own versions (or the initial values homed here) owe its
+//! node, through the same once-per-(version, destination) cache — and
+//! counts, for its own tasks, what arrives. It gets no record, no edges and
+//! no completion here, and its step's counts hold only the rank's own
+//! tasks. So a rank retires its steps in order (`retire` module docs): the
+//! transfers a live producer owes consumers planned in the next step sit
+//! in that step's blocks, and where those consumers run elsewhere nothing
+//! else keeps the step here until the producer completes. Three rules keep
+//! a rank's share correct on its own:
 //!
 //! * An ordering-only dependency on a task that runs elsewhere makes no
 //!   edge: that task touches only its own rank's memory. A data-flow input
@@ -157,7 +161,7 @@ use std::time::Instant;
 use crate::comm::{flow_msg, LinkMsgStats, Msg, MsgStats, RetireMsg};
 use crate::exec::Tally;
 use crate::graph::{Access, CostClass, Csr, DataClass, DataKey, Pred, TaskId, TaskOp, TaskResult};
-use crate::hash::IntMap;
+use crate::hash::{IntMap, IntSet};
 use crate::net::TransportError;
 use crate::probe::{metric, Histogram, Label, Probe};
 use crate::sched::ReadyQueue;
@@ -336,6 +340,9 @@ pub(super) struct Phase<O> {
     /// transfer)` pairs in insertion order.
     edges: Vec<(u32, u32)>,
     sends: Vec<(u32, OwedSend)>,
+    /// On a wire rank, the data it sweeps: those homed on it and those its
+    /// tasks have touched so far (module docs, "Rank-local planning").
+    mine: IntSet<DataKey>,
 }
 
 impl<O> Default for Phase<O> {
@@ -353,26 +360,51 @@ impl<O> Default for Phase<O> {
             writes: Vec::new(),
             edges: Vec::new(),
             sends: Vec::new(),
+            mine: IntSet::default(),
         }
     }
 }
 
 impl<O: TaskOp> Phase<O> {
+    /// Wire rank `rank` takes in the phase: the data homed on it and those
+    /// its ops touch join the data it sweeps.
+    fn note_mine(&mut self, ctx: &O::Ctx, rank: usize) {
+        let Phase {
+            decls,
+            ops,
+            nodes,
+            mine,
+            ..
+        } = self;
+        mine.extend(decls.iter().filter(|d| d.2 == rank).map(|d| d.0));
+        for (&op, &node) in ops.iter().zip(nodes.iter()) {
+            if node == rank {
+                op.for_each_access(ctx, |a| {
+                    mine.insert(a.key());
+                });
+            }
+        }
+    }
+
     /// Sweep the phase's data ([`TaskOp::for_each_predecessor`]), its ops
     /// at positions `first..` of `step`, into `data` and `deps`, and sort
-    /// the deps by op. A predecessor outside the phase must lie in its step
-    /// or the one before: the completion walk looks for a task's
-    /// successors only in the blocks of those two steps.
-    fn sweep(&mut self, ctx: &O::Ctx, step: usize, first: usize) {
+    /// the deps by op — on a wire rank only the data it may need and the
+    /// decisions. A predecessor outside the phase must lie in its step or
+    /// the one before: the completion walk looks for a task's successors
+    /// only in the blocks of those two steps.
+    fn sweep(&mut self, ctx: &O::Ctx, step: usize, first: usize, wire: bool) {
         let Phase {
             ops,
             data,
             deps,
             by_op,
+            mine,
             ..
         } = self;
         data.clear();
         deps.clear();
+        let keep =
+            |key| !wire || mine.contains(&key) || O::data_class(ctx, key) == DataClass::Decision;
         let waits = |p: Pred, op: usize| match p.pos.checked_sub(first) {
             Some(i) if p.step == step => Waits::Earlier(i as u32),
             _ => {
@@ -387,7 +419,7 @@ impl<O: TaskOp> Phase<O> {
                 }
             }
         };
-        O::for_each_predecessor(ctx, step, ops, |v| {
+        O::for_each_predecessor(ctx, step, ops, keep, |v| {
             let key = v.access.key();
             if data.last().is_none_or(|&(last, _)| last != key) {
                 data.push((key, 0));
@@ -819,10 +851,10 @@ impl<O: TaskOp> WindowState<O> {
                 }
                 // Not live: the step retired, so the predecessor completed
                 // (or, on a wire, runs elsewhere).
-                Waits::Planned { step: s, pos: p } => match self.steps.get(s as usize) {
+                Waits::Planned { step: s, pos: p } => match self.steps.tasks(s as usize) {
                     None => None,
                     Some(table) => {
-                        let planned = table.tasks.get(p as usize).copied().flatten();
+                        let planned = table.get(p as usize).copied().flatten();
                         let pred = planned.unwrap_or_else(|| {
                             panic!(
                                 "step {s} position {p} of '{}' was not planned",
@@ -972,6 +1004,8 @@ impl<O: TaskOp> WindowState<O> {
 /// interpreted against.
 pub struct StreamWindow<O: TaskOp> {
     num_nodes: usize,
+    /// The rank a wire run plans the share of.
+    rank: Option<usize>,
     ctx: Arc<O::Ctx>,
     state: Mutex<WindowState<O>>,
     /// Workers sleep here (module docs, "Locking and wake-ups").
@@ -1000,8 +1034,13 @@ impl<O: TaskOp> StreamWindow<O> {
         fabric: Fabric,
     ) -> Self {
         let probe = &opts.probe;
+        let rank = match &fabric {
+            Fabric::Wire(wire) => Some(wire.rank()),
+            Fabric::Counted => None,
+        };
         StreamWindow {
             num_nodes,
+            rank,
             ctx,
             state: Mutex::new(WindowState {
                 tasks: TaskRing::default(),
@@ -1230,8 +1269,11 @@ impl<O: TaskOp> StreamWindow<O> {
     pub(super) fn plan_phase(&self, step: usize, phase: &mut Phase<O>, close: bool) -> TaskId {
         let ctx = &*self.ctx;
         let first = phase.ops.first().map_or(0, |op| op.position(ctx));
+        if let Some(rank) = self.rank {
+            phase.note_mine(ctx, rank);
+        }
         if !phase.ops.is_empty() {
-            phase.sweep(ctx, step, first);
+            phase.sweep(ctx, step, first, self.rank.is_some());
         }
         let mut guard = self.lock();
         let st = &mut *guard;

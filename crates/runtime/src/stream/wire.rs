@@ -10,7 +10,7 @@
 //! its versions owe other nodes and counts what comes to its own tasks.
 //! The wire arm makes real frames of the messages it *sends* (`link.0 ==
 //! rank`) and reconciles wire-level counters against those tallies at the
-//! end. Each rank retires its own steps.
+//! end. Each rank retires its own steps, in order.
 //!
 //! **Arrival gating.** A local task whose input version originates on
 //! another rank gains one extra predecessor per such input, resolved when
@@ -83,6 +83,8 @@ struct Inbound {
     /// The next remote version of the datum, which counts this one among
     /// its users until this one's users are done.
     next: Option<ArrivalKey>,
+    /// Local tasks blocked on it until it is ready.
+    waiters: Vec<TaskId>,
 }
 
 impl Inbound {
@@ -91,6 +93,7 @@ impl Inbound {
             payload: Payload::Awaited,
             users: 0,
             next: None,
+            waiters: Vec::new(),
         }
     }
 
@@ -109,8 +112,6 @@ pub(super) struct Wire {
     transport: Arc<dyn Transport>,
     store: Arc<dyn PayloadStore>,
     arrivals: IntMap<ArrivalKey, Inbound>,
-    /// Local tasks blocked on an input that is not ready yet.
-    waiters: IntMap<ArrivalKey, Vec<TaskId>>,
     /// Per live local task: the remote versions whose decode waits for it.
     holds: IntMap<TaskId, Vec<ArrivalKey>>,
     /// Decision-writing tasks by id: `(decision datum, written locally)`.
@@ -164,7 +165,6 @@ impl Wire {
             transport,
             store,
             arrivals: IntMap::default(),
-            waiters: IntMap::default(),
             holds: IntMap::default(),
             pending_decisions: IntMap::default(),
             sent: BTreeMap::new(),
@@ -252,6 +252,11 @@ impl Wire {
 
     // ---- the window's seams --------------------------------------------
 
+    /// This endpoint's rank.
+    pub(super) fn rank(&self) -> usize {
+        self.rank
+    }
+
     /// Does this rank run the tasks placed on `node`?
     #[inline]
     pub(super) fn runs(&self, node: usize) -> bool {
@@ -276,8 +281,12 @@ impl Wire {
             .collect();
         let mut gates = 0;
         for &arrival in &placed.needs {
-            if !self.arrivals.get(&arrival).is_some_and(Inbound::ready) {
-                self.waiters.entry(arrival).or_default().push(id);
+            let inbound = self
+                .arrivals
+                .entry(arrival)
+                .or_insert_with(Inbound::awaited);
+            if !inbound.ready() {
+                inbound.waiters.push(id);
                 gates += 1;
             }
         }
@@ -328,7 +337,7 @@ impl Wire {
             }
             at = inbound.next.take();
             if inbound.ready() {
-                released.extend(self.waiters.remove(&version).unwrap_or_default());
+                released.append(&mut inbound.waiters);
             }
         }
     }
@@ -445,7 +454,7 @@ impl Wire {
         if !inbound.ready() {
             return Vec::new();
         }
-        self.waiters.remove(&arrival).unwrap_or_default()
+        std::mem::take(&mut inbound.waiters)
     }
 
     /// Account one received frame; returns the tasks it releases.

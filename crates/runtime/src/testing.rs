@@ -116,17 +116,19 @@ impl TaskOp for TestOp {
     }
 
     /// The textbook rule, op by op: all of an op's accesses see the state
-    /// before it, then update it in access order.
+    /// before it, then update it in access order. A datum `keep` rejects is
+    /// tracked, not visited.
     fn for_each_predecessor(
         ctx: &TestCtx,
         step: usize,
         ops: &[TestOp],
+        keep: impl Fn(DataKey) -> bool,
         mut f: impl FnMut(Visit<'_>),
     ) {
         let seen = &mut *ctx.seen.lock().unwrap();
         for (i, &op) in ops.iter().enumerate() {
             let entry = ctx.entry(op);
-            for &access in &entry.accesses {
+            for &access in entry.accesses.iter().filter(|a| keep(a.key())) {
                 let (writer, readers) = match seen.get(&access.key()) {
                     Some((w, r)) => (*w, &r[..]),
                     None => (None, &[][..]),

@@ -125,7 +125,8 @@ impl Logged {
         let ops: Vec<luqr::TaskOp> = self.log[from..].iter().map(|&(_, op)| op).collect();
         let preds = &mut self.preds;
         preds.resize(self.log.len(), Vec::new());
-        luqr::TaskOp::for_each_predecessor(&self.source.context(), k, &ops, |v| {
+        let all = |_| true;
+        luqr::TaskOp::for_each_predecessor(&self.source.context(), k, &ops, all, |v| {
             preds[from + v.op].extend(v.writer.iter().chain(v.readers));
         });
     }

@@ -172,17 +172,19 @@ impl TaskOp for ToyOp {
     }
 
     /// The textbook rule, op by op: an access waits for the datum's last
-    /// writer, a write also for the readers since.
+    /// writer, a write also for the readers since. A datum `keep` rejects
+    /// is tracked, not visited.
     fn for_each_predecessor(
         ctx: &ToyCtx,
         step: usize,
         ops: &[ToyOp],
+        keep: impl Fn(DataKey) -> bool,
         mut f: impl FnMut(Visit<'_>),
     ) {
         let seen = &mut *ctx.seen.lock().unwrap();
         for (i, &op) in ops.iter().enumerate() {
             let def = ctx.def(op);
-            for &access in &def.accesses {
+            for &access in def.accesses.iter().filter(|a| keep(a.key())) {
                 let (writer, readers) = seen.get(&access.key()).cloned().unwrap_or_default();
                 let readers = if matches!(access, Access::Mut(_)) {
                     &readers[..]
