@@ -31,7 +31,9 @@
 //! a step also waits for the one before it to retire. A step's blocks hold
 //! the transfers live producers of the step before owe the step's
 //! consumers, and where those consumers run on other ranks nothing else
-//! keeps the step here until the producers complete.
+//! keeps the step here until the producers complete. Such a table also
+//! keeps the last retired step's planned tasks, for the next step's tasks
+//! to find the writers they name there (the window's "Rank-local planning").
 
 use crate::graph::TaskId;
 
@@ -318,8 +320,10 @@ mod tests {
         assert!(!t.retires(1), "step 0 is still live");
         assert!(t.completed(0, 0).retired);
         t.retire(0);
+        assert!(t.tasks(0).is_some_and(|tasks| tasks.is_empty()), "kept");
         assert!(t.retires(1));
         t.retire(1);
+        assert!(t.tasks(0).is_none() && t.tasks(1).is_some());
         t.open(2);
         assert!(
             t.close(2).1,

@@ -87,20 +87,25 @@
 //! — so one queue pops exactly what a scan of per-node queues would.
 //!
 //! **Rank-local planning.** The counted fabric plans every node's tasks; a
-//! wire rank runs the same source but inserts only the tasks placed on it.
-//! A task placed elsewhere is still swept and linked like any other — it
-//! gets its id, its depth (the same `1 + max` over its predecessors), its
-//! place (id, depth, node) in its step's table, and it makes the version
-//! it writes. Of its routing the rank does the part that starts here — the
-//! inputs its own versions (or the initial values homed here) owe its
-//! node, through the same once-per-(version, destination) cache — and
-//! counts, for its own tasks, what arrives. It gets no record, no edges and
-//! no completion here, and its step's counts hold only the rank's own
-//! tasks. So a rank retires its steps in order (`retire` module docs): the
-//! transfers a live producer owes consumers planned in the next step sit
-//! in that step's blocks, and where those consumers run elsewhere nothing
-//! else keeps the step here until the producer completes. Three rules keep
-//! a rank's share correct on its own:
+//! wire rank runs the same source but inserts only the tasks placed on it,
+//! and sweeps only the data homed on it, those its tasks have touched so
+//! far, and the decisions: no other datum can name a predecessor, an input
+//! or a transfer of its share. A task placed elsewhere is still linked
+//! like any other through the data swept — it gets its id, its depth
+//! (`1 + max` over the predecessors the sweep named), its place (id,
+//! depth, node) in its step's table, and it makes the versions it writes.
+//! Of its routing the rank does the part that starts here — the inputs its
+//! own versions (or the initial values homed here) owe its node, through
+//! the same once-per-(version, destination) cache — and counts, for its
+//! own tasks, what arrives. It gets no record, no edges and no completion
+//! here, and its step's counts hold only the rank's own tasks. So a rank
+//! retires its steps in order (`retire` module docs): the transfers a live
+//! producer owes consumers planned in the next step sit in that step's
+//! blocks, and where those consumers run elsewhere nothing else keeps the
+//! step here until the producer completes. And the last retired step's
+//! table stays: a datum a rank starts to sweep names its writer there, as
+//! no version it skipped was recorded. Three rules keep a rank's share
+//! correct on its own:
 //!
 //! * An ordering-only dependency on a task that runs elsewhere makes no
 //!   edge: that task touches only its own rank's memory. A data-flow input
@@ -897,7 +902,8 @@ impl<O: TaskOp> WindowState<O> {
                 if dir.class == DataClass::Decision {
                     wrote_decision = Some(dir.key);
                 }
-                // Another rank's op overwriting a third rank's version.
+                // Another rank's op overwriting a version this rank does not
+                // source.
                 let before = producer.filter(|_| !(here || sourced_here));
                 phase
                     .writes
