@@ -41,7 +41,7 @@
 use std::ops::ControlFlow::{self, Break, Continue};
 use std::ops::Range;
 
-use luqr_runtime::{Access, DataKey, Pred, Visit};
+use luqr_runtime::{Access, Pred, Routed, Share, Visit};
 
 use crate::config::{Decision, LuVariant};
 use crate::keys::{self, Kind};
@@ -61,12 +61,12 @@ impl TaskOp {
 
 /// [`luqr_runtime::TaskOp::for_each_predecessor`]: the accesses of `ops`,
 /// one phase of step `k`, visited by one sweep over each datum the phase
-/// may touch and `keep` accepts.
+/// may touch and `share` sweeps, as far as `share` visits them.
 pub(crate) fn phase_predecessors(
     ctx: &RunCtx,
     k: usize,
     ops: &[TaskOp],
-    keep: &impl Fn(DataKey) -> bool,
+    share: &Share<'_>,
     f: &mut impl FnMut(Visit<'_>),
 ) {
     let Some(&first) = ops.first() else {
@@ -80,28 +80,47 @@ pub(crate) fn phase_predecessors(
             .all(|(n, &op)| op.step() == k && st.dense(op) == lo + n),
         "a phase of step {k} holds consecutive positions from {lo}"
     );
+    debug_assert!(
+        share.of().is_none()
+            || ops
+                .iter()
+                .enumerate()
+                .all(|(n, op)| op.node(ctx.grid) == share.node(n)),
+        "the phase's ops are placed where their closed form says"
+    );
     let phase = lo..lo + ops.len();
-    // A debug build checks that every access of every op is visited once.
+    // A debug build checks what is visited of every op: each access to a
+    // swept datum once if the op is visited in full, else reads only.
     #[cfg(debug_assertions)]
-    let (mut visits, f) = (vec![0usize; ops.len()], f);
+    let (mut visits, f) = (vec![(0usize, false); ops.len()], f);
     #[cfg(debug_assertions)]
     let f = &mut |v: Visit<'_>| {
-        visits[v.op] += 1;
+        visits[v.op].0 += 1;
+        visits[v.op].1 |= !matches!(v.access, Access::Read(_));
         f(v);
     };
-    let mut sweep = Sweep::new(&st, phase.clone(), f);
+    let mut sweep = Sweep::new(&st, phase.clone(), share, f);
     st.phase_data(&phase, &mut |kind, a, b| {
-        if keep(keys::pack(kind, a, b)) {
+        if share.sweeps(keys::pack(kind, a, b)) {
             sweep.datum(kind, a, b);
         }
     });
     #[cfg(debug_assertions)]
-    for (op, n) in ops.iter().zip(visits) {
-        let mut accesses = 0;
-        op.for_each_access(ctx, |a| accesses += usize::from(keep(a.key())));
-        assert_eq!(
-            accesses, n,
-            "the sweep of step {k}'s phase from {lo}: {op:?}"
+    for (n, (op, (visited, other))) in ops.iter().zip(visits).enumerate() {
+        let (mut accesses, mut reads) = (0, 0);
+        op.for_each_access(ctx, |a| {
+            let swept = usize::from(share.sweeps(a.key()));
+            accesses += swept;
+            reads += swept * usize::from(matches!(a, Access::Read(_)));
+        });
+        let routing = !other && visited <= reads;
+        assert!(
+            if share.full(n) {
+                accesses == visited
+            } else {
+                routing
+            },
+            "the sweep of step {k}'s phase from {lo}: {op:?}, {visited} visits"
         );
     }
 }
@@ -115,64 +134,118 @@ struct Sweep<'s, 'f, F> {
     /// before this step.
     prev: Option<Step<'s>>,
     phase: Range<usize>,
+    share: &'s Share<'s>,
     /// The swept datum's readers since its last write.
     readers: Vec<Pred>,
+    /// Which nodes the swept datum's current version was visited for.
+    routed: Routed,
     f: &'f mut F,
 }
 
 impl<'s, 'f, F: FnMut(Visit<'_>)> Sweep<'s, 'f, F> {
-    fn new(st: &'s Step<'s>, phase: Range<usize>, f: &'f mut F) -> Self {
+    fn new(st: &'s Step<'s>, phase: Range<usize>, share: &'s Share<'s>, f: &'f mut F) -> Self {
         Sweep {
             st,
             prev: (st.k > 0).then(|| Step::new(st.ctx, st.k - 1)),
             phase,
+            share,
             readers: Vec::new(),
+            routed: Routed::default(),
             f,
         }
     }
 
     /// Sweep the step's accesses to datum `(kind, a, b)`, visiting those
-    /// of the phase's ops, up to the phase's end.
+    /// of the phase's ops that the share does, up to the phase's end.
     fn datum(&mut self, kind: Kind, a: usize, b: usize) {
         let Sweep {
             st,
             prev,
             phase,
+            share,
             readers,
+            routed,
             f,
         } = self;
         let (key, k, lo, end) = (keys::pack(kind, a, b), st.k, phase.start, phase.end);
+        let grid = st.ctx.grid;
         let at = |pos| Pred { step: k, pos };
-        // The state before the step: a tile's last write in the step
-        // before, named when a visit first needs it; nothing for the
-        // step's own data.
+        // The version the datum holds: its writer and that writer's node. A
+        // tile's last write in the step before is named when a visit first
+        // needs it; a never-written tile is fetched from its owner, and the
+        // step's own data are written before they are read.
         let mut writer = None;
         let mut before = prev.as_ref().filter(|_| kind == Kind::Tile);
-        let last = |writer: &mut Option<Pred>, before: &mut Option<&Step<'_>>| {
+        let home = (kind == Kind::Tile).then(|| grid.owner(a, b));
+        let last = |writer: &mut Option<(Pred, usize)>, before: &mut Option<&Step<'_>>| {
             if let Some(p) = before.take() {
-                *writer = Some(Pred {
-                    step: p.k,
-                    pos: p.dense(p.last_writer(a, b)),
-                });
+                let op = p.last_writer(a, b);
+                *writer = Some((
+                    Pred {
+                        step: p.k,
+                        pos: p.dense(op),
+                    },
+                    op.node(grid),
+                ));
             }
             *writer
         };
         readers.clear();
+        routed.reset();
         let _ = st.slots(kind, a, b, &mut |slot| {
             let (op, write) = match slot {
                 Slot::Write(op) => (op, true),
                 Slot::Control(op) => (op, false),
                 Slot::Read(group) => {
-                    return st.each_reader(group, end, &mut |pos: usize| {
-                        if pos >= lo {
-                            f(Visit {
-                                op: pos - lo,
-                                access: Access::Read(key),
-                                writer: last(&mut writer, &mut before),
-                                readers: &[],
-                            });
+                    return st.reader_runs(group, &mut |from, n, stride| {
+                        // Members before the phase are named, not visited;
+                        // members in it as the share says; a member at or
+                        // past its end ends the sweep of the datum.
+                        let pre = n.min(lo.saturating_sub(from).div_ceil(stride));
+                        readers.extend((0..pre).map(|t| at(from + t * stride)));
+                        let first = from + pre * stride;
+                        let inside = (n - pre).min(end.saturating_sub(first).div_ceil(stride));
+                        if inside > 0 {
+                            let version = last(&mut writer, &mut before);
+                            let src = version.map_or(home, |(_, node)| Some(node));
+                            let version = version.map(|(p, _)| p);
+                            let mut visit = |pos: usize| {
+                                f(Visit {
+                                    op: pos - lo,
+                                    access: Access::Read(key),
+                                    writer: version,
+                                    readers: &[],
+                                });
+                                readers.push(at(pos));
+                            };
+                            let members = (0..inside).map(|t| first + t * stride);
+                            let rank = share.of();
+                            if rank.is_none_or(|r| src.is_none_or(|s| s == r)) {
+                                // Every member is a candidate: the version
+                                // may be routed from this rank.
+                                for pos in members {
+                                    if share.reads(pos - lo, version, src, routed) {
+                                        visit(pos);
+                                    }
+                                }
+                            } else if inside <= 8 {
+                                members.filter(|&pos| share.full(pos - lo)).for_each(visit);
+                            } else {
+                                // Only the members visited in full: the
+                                // phase's list of them, on the stride.
+                                let last = first + (inside - 1) * stride;
+                                let full = share.full_in(first - lo..last + 1 - lo);
+                                full.iter()
+                                    .map(|&i| lo + i as usize)
+                                    .filter(|pos| (pos - first) % stride == 0)
+                                    .for_each(visit);
+                            }
                         }
-                        readers.push(at(pos));
+                        if pre + inside < n {
+                            Break(())
+                        } else {
+                            Continue(())
+                        }
                     });
                 }
             };
@@ -180,7 +253,7 @@ impl<'s, 'f, F: FnMut(Visit<'_>)> Sweep<'s, 'f, F> {
             if pos >= end {
                 return Break(());
             }
-            if pos >= lo {
+            if pos >= lo && share.full(pos - lo) {
                 let (access, since) = match write {
                     true => (Access::Mut(key), &readers[..]),
                     false => (Access::Control(key), &[][..]),
@@ -188,12 +261,16 @@ impl<'s, 'f, F: FnMut(Visit<'_>)> Sweep<'s, 'f, F> {
                 f(Visit {
                     op: pos - lo,
                     access,
-                    writer: last(&mut writer, &mut before),
+                    writer: last(&mut writer, &mut before).map(|(p, _)| p),
                     readers: since,
                 });
             }
+            debug_assert!(
+                !write || pos < lo || share.full(pos - lo),
+                "{op:?} writes a swept datum, so it is visited in full"
+            );
             if write {
-                (writer, before) = (Some(at(pos)), None);
+                (writer, before) = (Some((at(pos), op.node(grid))), None);
                 readers.clear();
             }
             Continue(())
@@ -647,21 +724,13 @@ impl<'a> Step<'a> {
         }
     }
 
-    /// The positions of reader group `r`'s members the step plans, in
-    /// order, below `end` — `Break` if the group reaches it.
-    fn each_reader(&self, r: Readers, end: usize, f: &mut impl FnMut(usize)) -> Flow {
-        let mut run = |from: usize, n: usize, stride: usize| {
-            for at in (from..).step_by(stride).take(n) {
-                if at >= end {
-                    return Break(());
-                }
-                f(at);
-            }
-            Continue(())
-        };
+    /// The members of reader group `r` the step plans, in order, as runs
+    /// `(from, n, stride)` of positions: `from + t * stride` for `t < n`.
+    /// `f` may `Break`, which ends the walk.
+    fn reader_runs(&self, r: Readers, f: &mut impl FnMut(usize, usize, usize) -> Flow) -> Flow {
         let cols = self.nt - self.k - 1;
         match r {
-            Readers::One(x) => run(self.dense(x), 1, 1),
+            Readers::One(x) => f(self.dense(x), 1, 1),
             Readers::Cols(x) => {
                 let base = self.dense(at_col(x, ix(self.k + 1)));
                 // A pivot-row TRSM heads each column's exchange block.
@@ -669,37 +738,37 @@ impl<'a> Step<'a> {
                     TaskOp::TrsmTop { .. } => self.col_block(),
                     _ => 1,
                 };
-                run(base, cols, stride)
+                f(base, cols, stride)
             }
             Readers::GemmCol(j) => {
                 let c = j as usize - self.k - 1;
                 for i in self.below() {
-                    run(self.lu_row(i) + usize::from(self.eliminates(i)) + c, 1, 1)?;
+                    f(self.lu_row(i) + usize::from(self.eliminates(i)) + c, 1, 1)?;
                 }
                 Continue(())
             }
             Readers::Trsms => {
                 for i in self.below().filter(|&i| self.eliminates(i)) {
-                    run(self.lu_row(i), 1, 1)?;
+                    f(self.lu_row(i), 1, 1)?;
                 }
                 Continue(())
             }
             Readers::Swaps(j) => {
                 for j in j.map_or(self.cols(), |j| j as usize..j as usize + 1) {
-                    run(self.column(j) + 1, self.groups() + 1, 1)?;
+                    f(self.column(j) + 1, self.groups() + 1, 1)?;
                 }
                 Continue(())
             }
             // The PROPs, then every op of the branches the step plans.
             Readers::AfterPanel => {
                 let t = self.plan.trial_rows.len();
-                run(self.dense(self.panel()) + 1, t, 1)?;
+                f(self.dense(self.panel()) + 1, t, 1)?;
                 let (lu, qr) = (self.lu_start(), self.qr_start());
                 if self.planned(Gate::Lu) {
-                    run(lu, qr - lu, 1)?;
+                    f(lu, qr - lu, 1)?;
                 }
                 if self.planned(Gate::Qr) {
-                    run(qr, self.plan.elim.len() * (1 + cols), 1)?;
+                    f(qr, self.plan.elim.len() * (1 + cols), 1)?;
                 }
                 Continue(())
             }

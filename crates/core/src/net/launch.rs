@@ -23,6 +23,7 @@
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use luqr_kernels::Mat;
 use luqr_runtime::net::socket::{SocketEndpoint, SocketSpec};
@@ -348,9 +349,16 @@ fn locate_worker_from(env: Option<PathBuf>, exe: &Path) -> Option<PathBuf> {
 /// Run `job` as `p·q` real `luqr-worker` processes meshed over
 /// Unix-domain sockets, and return rank 0's decoded result. Worker stderr
 /// is inherited, so breakdown/transport diagnostics surface in the
-/// caller's log. Whatever the outcome, the run's scratch directory is
-/// removed and no worker it started outlives the call.
-pub fn launch_multiprocess(job: &NetJob, worker: Option<PathBuf>) -> Result<WorkerResult, String> {
+/// caller's log. A set still running `deadline` after the launch is an
+/// error naming the ranks that were. Whatever the outcome, the run's
+/// scratch directory is removed and no worker it started outlives the
+/// call.
+pub fn launch_multiprocess(
+    job: &NetJob,
+    worker: Option<PathBuf>,
+    deadline: Duration,
+) -> Result<WorkerResult, String> {
+    let until = Instant::now() + deadline;
     let nranks = job.p * job.q;
     assert!(nranks >= 1);
     let worker = worker.or_else(locate_worker).ok_or_else(|| {
@@ -387,9 +395,16 @@ pub fn launch_multiprocess(job: &NetJob, worker: Option<PathBuf>) -> Result<Work
     }
 
     // Poll the whole set: a rank whose peer has died waits for it forever,
-    // so the first failure ends the run.
+    // so the first failure ends the run, and so does the deadline.
     let mut failures = Vec::new();
     while !children.is_empty() && failures.is_empty() {
+        if Instant::now() >= until {
+            let running: Vec<usize> = children.iter().map(|&(rank, _)| rank).collect();
+            failures.push(format!(
+                "ranks {running:?} still running after the {deadline:?} deadline"
+            ));
+            break;
+        }
         children.retain_mut(|(rank, child)| match child.try_wait() {
             Ok(None) => true,
             Ok(Some(status)) => {
@@ -690,6 +705,9 @@ mod tests {
         );
     }
 
+    /// A deadline no test launch reaches.
+    const LONG: Duration = Duration::from_secs(600);
+
     /// The launch tests look for this process's scratch directories: one
     /// launch at a time.
     static ONE_LAUNCH: std::sync::Mutex<()> = std::sync::Mutex::new(());
@@ -712,7 +730,7 @@ mod tests {
         let pid = std::process::id();
         let worker = std::env::temp_dir().join(format!("luqr-noexec-{pid}"));
         std::fs::write(&worker, b"not a program").unwrap();
-        let err = launch_multiprocess(&small_job(Algorithm::Hqr), Some(worker.clone()));
+        let err = launch_multiprocess(&small_job(Algorithm::Hqr), Some(worker.clone()), LONG);
         std::fs::remove_file(&worker).unwrap();
         assert!(err.unwrap_err().starts_with("spawn "));
         assert_eq!(leftovers(), Vec::<String>::new());
@@ -748,6 +766,7 @@ mod tests {
             let _ = tx.send(launch_multiprocess(
                 &small_job(Algorithm::Hqr),
                 Some(worker),
+                LONG,
             ));
         });
         let launched = rx
@@ -761,6 +780,50 @@ mod tests {
             .stderr(std::process::Stdio::null())
             .status();
         assert!(!alive.unwrap().success(), "rank 1 outlived the launch");
+        assert_eq!(leftovers(), Vec::<String>::new());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A set that outlives its deadline is reaped: the launch returns an
+    /// error naming the ranks still running, and leaves no worker process
+    /// and no scratch directory behind.
+    #[test]
+    fn a_launch_past_its_deadline_reaps_every_rank() {
+        use std::os::unix::fs::PermissionsExt;
+        let _one = ONE_LAUNCH.lock().unwrap_or_else(|e| e.into_inner());
+        let dir = std::env::temp_dir().join(format!("luqr-slow-worker-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let worker = dir.join("luqr-worker");
+        // Every rank records its pid and then outlasts the deadline, as a
+        // set stuck on a wire bug does.
+        let script = format!(
+            "#!/bin/sh\n\
+             rank=$(echo \" $* \" | sed 's/.* --rank \\([0-9]*\\) .*/\\1/')\n\
+             echo $$ > {dir}/rank$rank.pid\n\
+             exec sleep 60\n",
+            dir = dir.display()
+        );
+        std::fs::write(&worker, script).unwrap();
+        std::fs::set_permissions(&worker, std::fs::Permissions::from_mode(0o755)).unwrap();
+
+        let t0 = Instant::now();
+        let deadline = Duration::from_millis(300);
+        let err = launch_multiprocess(&small_job(Algorithm::Hqr), Some(worker), deadline)
+            .expect_err("the set outlives its deadline");
+        assert!(err.contains("ranks [0, 1] still running"), "{err}");
+        assert!(
+            t0.elapsed() < Duration::from_secs(10),
+            "the deadline ended the launch"
+        );
+        for rank in 0..2 {
+            let pid = std::fs::read_to_string(dir.join(format!("rank{rank}.pid")))
+                .unwrap_or_else(|e| panic!("rank {rank} never started: {e}"));
+            let alive = Command::new("kill")
+                .args(["-0", pid.trim()])
+                .stderr(std::process::Stdio::null())
+                .status();
+            assert!(!alive.unwrap().success(), "rank {rank} outlived the launch");
+        }
         assert_eq!(leftovers(), Vec::<String>::new());
         std::fs::remove_dir_all(&dir).unwrap();
     }

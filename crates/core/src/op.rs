@@ -7,7 +7,7 @@
 //! `state::StepPlan`, which outlives the step's tasks.
 
 use luqr_kernels::flops::{geqrt_flops, getrf_flops};
-use luqr_runtime::{Access, CostClass, DataClass, DataKey, TaskResult, Visit};
+use luqr_runtime::{Access, CostClass, DataClass, DataKey, Share, TaskResult, Visit};
 use luqr_tile::Grid;
 
 use crate::config::Decision;
@@ -497,10 +497,10 @@ impl luqr_runtime::TaskOp for TaskOp {
         ctx: &RunCtx,
         step: usize,
         ops: &[Self],
-        keep: impl Fn(DataKey) -> bool,
+        share: &Share<'_>,
         mut f: impl FnMut(Visit<'_>),
     ) {
-        crate::edges::phase_predecessors(ctx, step, ops, &keep, &mut f);
+        crate::edges::phase_predecessors(ctx, step, ops, share, &mut f);
     }
 
     fn retire_step(ctx: &RunCtx, step: usize) {

@@ -34,6 +34,7 @@
 //! false`), costs nothing and transfers nothing — the Propagate-selected
 //! dead paths of Figure 1.
 
+use std::ops::Range;
 use std::sync::atomic::AtomicU32;
 use std::sync::Arc;
 
@@ -101,6 +102,159 @@ pub struct Visit<'a> {
     /// For a write, the readers since `writer`; empty for any other
     /// access.
     pub readers: &'a [Pred],
+}
+
+/// What the sweep of one planning phase visits
+/// ([`TaskOp::for_each_predecessor`]): every access of every op, or what
+/// one rank's share of the plan needs.
+///
+/// A rank sweeps only some data ([`Share::sweeps`]). Of a datum it sweeps,
+/// it visits:
+///
+/// * every access of an op visited in full ([`Share::full`]): one placed on
+///   the rank, or one that writes a datum the rank sweeps — it makes
+///   versions the rank's tasks read, and their depth builds on its own;
+/// * of any other op, only its first read of each version the rank may
+///   source, once per destination node in the phase ([`Share::reads`]):
+///   routing sends a version once per destination anyway, so later reads
+///   add nothing;
+///
+/// and no other access. A `readers` list names no op of the phase whose
+/// read the sweep did not visit.
+#[derive(Clone, Copy)]
+pub struct Share<'a> {
+    /// The rank; `None`: every access is visited.
+    rank: Option<usize>,
+    /// The node each op of the phase is placed on.
+    nodes: &'a [usize],
+    /// Per op of the phase: visited in full.
+    full: &'a [bool],
+    /// The indices of the ops visited in full, ascending.
+    full_ops: &'a [u32],
+    /// The data the rank sweeps.
+    data: &'a dyn Fn(DataKey) -> bool,
+}
+
+fn every_datum(_: DataKey) -> bool {
+    true
+}
+
+impl Share<'static> {
+    /// Every access of every op: the batch builder's and the counted
+    /// fabric's sweep.
+    pub fn all() -> Self {
+        Share {
+            rank: None,
+            nodes: &[],
+            full: &[],
+            full_ops: &[],
+            data: &every_datum,
+        }
+    }
+}
+
+impl<'a> Share<'a> {
+    /// Rank `rank`'s share of a phase whose ops are placed on `nodes`:
+    /// `full` says which of them it visits in full (`full_ops` lists them,
+    /// ascending), `data` which data it sweeps.
+    pub fn rank(
+        rank: usize,
+        nodes: &'a [usize],
+        full: &'a [bool],
+        full_ops: &'a [u32],
+        data: &'a dyn Fn(DataKey) -> bool,
+    ) -> Self {
+        debug_assert_eq!(nodes.len(), full.len());
+        debug_assert!(full_ops.windows(2).all(|w| w[0] < w[1]));
+        Share {
+            rank: Some(rank),
+            nodes,
+            full,
+            full_ops,
+            data,
+        }
+    }
+
+    /// The rank whose share this is; `None` for [`Share::all`].
+    pub fn of(&self) -> Option<usize> {
+        self.rank
+    }
+
+    /// Is datum `key` swept at all?
+    pub fn sweeps(&self, key: DataKey) -> bool {
+        (self.data)(key)
+    }
+
+    /// Are all accesses of op `op` (its index in the phase) visited?
+    #[inline]
+    pub fn full(&self, op: usize) -> bool {
+        self.rank.is_none() || self.full[op]
+    }
+
+    /// The node op `op` is placed on (a rank's share only).
+    #[inline]
+    pub fn node(&self, op: usize) -> usize {
+        self.nodes[op]
+    }
+
+    /// The ops visited in full among the phase indices `ops`, ascending (a
+    /// rank's share only).
+    pub fn full_in(&self, ops: Range<usize>) -> &'a [u32] {
+        let at = |i: usize| self.full_ops.partition_point(|&o| (o as usize) < i);
+        &self.full_ops[at(ops.start)..at(ops.end)]
+    }
+
+    /// Does the sweep visit a read by op `op` of `version` (its writer;
+    /// `None`: the initial value), which lives on node `src` (`None`: a
+    /// source the caller cannot tell)? `routed` is the sweep's record for
+    /// the datum: an op visited in full is, and its node counts as served;
+    /// any other only if the rank may source the version and no read of it
+    /// by the op's node was visited yet.
+    #[inline]
+    pub fn reads(
+        &self,
+        op: usize,
+        version: Option<Pred>,
+        src: Option<usize>,
+        routed: &mut Routed,
+    ) -> bool {
+        let Some(rank) = self.rank else {
+            return true;
+        };
+        if routed.version != Some(version) {
+            *routed = Routed {
+                version: Some(version),
+                dests: 0,
+            };
+        }
+        // Nodes past the mask's width are never marked: each such read is
+        // visited, and routing dedups it.
+        let bit = 1u64.checked_shl(self.nodes[op] as u32).unwrap_or(0);
+        if self.full[op] {
+            routed.dests |= bit;
+            return true;
+        }
+        if src.is_some_and(|s| s != rank) || routed.dests & bit != 0 {
+            return false;
+        }
+        routed.dests |= bit;
+        true
+    }
+}
+
+/// A sweep's record of one datum for [`Share::reads`]: the version whose
+/// reads it has visited, and the destination nodes it visited them for.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Routed {
+    version: Option<Option<Pred>>,
+    dests: u64,
+}
+
+impl Routed {
+    /// Forget everything: the sweep moves on to another datum.
+    pub fn reset(&mut self) {
+        *self = Routed::default();
+    }
 }
 
 /// An access paired with the accessed datum's declaration. This is what
@@ -320,14 +474,15 @@ pub trait TaskOp: Copy + Send + Sync + 'static {
     /// by datum, one sweep over each datum's access sequence; the streaming
     /// window resolves a datum once per run of visits to it. Steps count as
     /// planned: one whose branch decision is recorded holds only the chosen
-    /// branch. The visits to a datum `keep` rejects may be left out: a rank
-    /// that plans only its share has no use for the data its tasks never
-    /// touch.
+    /// branch. `share` says which visits are made: all of them, or what
+    /// one rank's share needs ([`Share`]) — a rank that plans only its
+    /// share has no use for the data its tasks never touch, nor for the
+    /// reads of other ranks' ops that route nothing from it.
     fn for_each_predecessor(
         ctx: &Self::Ctx,
         step: usize,
         ops: &[Self],
-        keep: impl Fn(DataKey) -> bool,
+        share: &Share<'_>,
         f: impl FnMut(Visit<'_>),
     );
 
@@ -716,28 +871,22 @@ impl<O: TaskOp> GraphBuilder<O> {
         // before's, first.
         let floor = steps[step.saturating_sub(1)].0;
         edges.clear();
-        O::for_each_predecessor(
-            ctx,
-            step,
-            phase,
-            |_| true,
-            |v| {
-                let id = lo + v.op;
-                for &p in v.writer.iter().chain(v.readers) {
-                    let pred = steps.get(p.step).map(|s| s.0 + p.pos);
-                    let Some(pred) = pred.filter(|&q| q >= floor && q < id) else {
-                        let named = pred
-                            .filter(|&q| q < tasks.len())
-                            .map(|q| tasks[q].op.name(ctx));
-                        panic!(
+        O::for_each_predecessor(ctx, step, phase, &Share::all(), |v| {
+            let id = lo + v.op;
+            for &p in v.writer.iter().chain(v.readers) {
+                let pred = steps.get(p.step).map(|s| s.0 + p.pos);
+                let Some(pred) = pred.filter(|&q| q >= floor && q < id) else {
+                    let named = pred
+                        .filter(|&q| q < tasks.len())
+                        .map(|q| tasks[q].op.name(ctx));
+                    panic!(
                         "{} waits for {p:?} ({named:?}): not an earlier task of its step or the one before",
                         tasks[id].op.name(ctx)
                     );
-                    };
-                    edges.push((pred as u32, id as u32));
-                }
-            },
-        );
+                };
+                edges.push((pred as u32, id as u32));
+            }
+        });
         let mut block = Csr::default();
         block.write(tasks.len(), edges, |&(p, s)| (p as usize, s));
         block.sort_dedup();

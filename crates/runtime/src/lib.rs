@@ -70,8 +70,8 @@ pub use comm::{
 };
 pub use exec::{execute, execute_traced, ExecReport, Tally};
 pub use graph::{
-    Access, CostClass, CostedAccess, DataClass, DataKey, Graph, GraphBuilder, Pred, TaskId, TaskOp,
-    TaskRef, TaskResult, TaskSink, Visit,
+    Access, CostClass, CostedAccess, DataClass, DataKey, Graph, GraphBuilder, Pred, Routed, Share,
+    TaskId, TaskOp, TaskRef, TaskResult, TaskSink, Visit,
 };
 pub use net::{Frame, NetReport, PayloadStore, Transport, TransportError};
 pub use platform::{Efficiency, LinkSpec, NodeCountMismatch, NodeSpec, Platform};

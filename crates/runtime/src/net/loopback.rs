@@ -51,16 +51,22 @@ impl Transport for LoopbackEndpoint {
     }
 
     fn send(&self, to: usize, frame: &Frame) -> Result<(), TransportError> {
+        self.send_batch(to, std::slice::from_ref(frame))
+    }
+
+    /// Each frame is pushed into the mailbox in turn, under one lock, with
+    /// one wake-up for the batch.
+    fn send_batch(&self, to: usize, frames: &[Frame]) -> Result<(), TransportError> {
         if to >= self.boxes.len() {
             return Err(TransportError::Protocol(format!("no such rank {to}")));
         }
-        let bytes = encode_frame(frame);
+        let encoded = frames.iter().map(|frame| (self.rank, encode_frame(frame)));
         let mailbox = &self.boxes[to];
         let mut state = mailbox.state.lock().unwrap_or_else(|e| e.into_inner());
         // Frames to an already-closed peer are dropped: the run protocol
         // only reaches this during teardown races and error unwinding.
-        if !state.closed {
-            state.queue.push_back((self.rank, bytes));
+        if !state.closed && !frames.is_empty() {
+            state.queue.extend(encoded);
             mailbox.ready.notify_one();
         }
         Ok(())

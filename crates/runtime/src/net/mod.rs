@@ -27,7 +27,7 @@ pub mod loopback;
 pub mod socket;
 pub mod wire;
 
-pub use wire::{decode_frame, encode_frame, read_frame, write_frame, Frame};
+pub use wire::{decode_frame, encode_frame, read_frame, write_frame, write_frames, Frame};
 
 /// Typed transport failures, propagated through the streaming executor's
 /// `Result` path instead of panicking.
@@ -78,6 +78,12 @@ pub trait Transport: Send + Sync {
     fn nranks(&self) -> usize;
     /// Send one frame to `to` (delivered in order per link).
     fn send(&self, to: usize, frame: &Frame) -> Result<(), TransportError>;
+    /// Send `frames` to `to`, in order, in as few writes as the medium
+    /// allows (a socket: one vectored write over the frames' headers and
+    /// payloads, no payload copied). By default, one `send` each.
+    fn send_batch(&self, to: usize, frames: &[Frame]) -> Result<(), TransportError> {
+        frames.iter().try_for_each(|frame| self.send(to, frame))
+    }
     /// Block for the next frame from any peer; returns `(from, frame)`.
     fn recv(&self) -> Result<(usize, Frame), TransportError>;
     /// Close the endpoint locally, releasing a blocked `recv`.

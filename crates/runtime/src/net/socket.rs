@@ -3,9 +3,18 @@
 //!
 //! The set forms a full mesh. Rank `r` listens at `{dir}/rank{r}.sock`;
 //! every pair `(i, j)` with `i < j` is connected by `j` dialing `i` and
-//! opening with a [`Frame::Hello`] carrying its rank. Each peer stream
-//! gets a dedicated reader thread feeding one inbox queue; writes take a
-//! per-peer mutex so concurrent senders cannot interleave frames.
+//! opening with a [`Frame::Hello`] carrying its rank. Nothing sleeps while
+//! a mesh forms in one process: [`socket_set`] binds every listener before
+//! any rank dials, and a rank accepting waits on its listener (`poll(2)`)
+//! until a peer connects or the deadline passes. Only a rank of separate
+//! processes may dial a listener that is not bound yet, and retries it.
+//! A peer that never comes is a [`TransportError::Connect`] at the
+//! deadline ([`SocketEndpoint::connect_within`]).
+//!
+//! Each peer stream gets a dedicated reader thread feeding one inbox
+//! queue; writes take a per-peer mutex so concurrent senders cannot
+//! interleave frames, and a batch of frames ([`Transport::send_batch`])
+//! goes out in one vectored write.
 
 use std::io::BufReader;
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -14,7 +23,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use super::wire::{read_frame, write_frame, Frame};
+use super::wire::{read_frame, write_frame, write_frames, Frame};
 use super::{Transport, TransportError};
 
 /// How long connection establishment (dial + accept) may take before the
@@ -50,11 +59,32 @@ pub struct SocketEndpoint {
 
 impl SocketEndpoint {
     /// Bind, dial every lower rank, accept every higher rank, and spawn
-    /// one reader thread per peer.
+    /// one reader thread per peer; a peer that does not show up within
+    /// 30 s is a [`TransportError::Connect`].
     pub fn connect(spec: &SocketSpec, rank: usize, nranks: usize) -> Result<Self, TransportError> {
+        SocketEndpoint::connect_within(spec, rank, nranks, CONNECT_TIMEOUT)
+    }
+
+    /// [`SocketEndpoint::connect`], giving up after `timeout`.
+    pub fn connect_within(
+        spec: &SocketSpec,
+        rank: usize,
+        nranks: usize,
+        timeout: Duration,
+    ) -> Result<Self, TransportError> {
         assert!(rank < nranks, "rank {rank} out of range for {nranks} ranks");
-        let deadline = Instant::now() + CONNECT_TIMEOUT;
-        let listener = bind(spec, rank)?;
+        let deadline = Instant::now() + timeout;
+        SocketEndpoint::join(bind(spec, rank)?, spec, rank, nranks, deadline)
+    }
+
+    /// Mesh rank `rank`, whose listener is bound, with the rest of the set.
+    fn join(
+        listener: UnixListener,
+        spec: &SocketSpec,
+        rank: usize,
+        nranks: usize,
+        deadline: Instant,
+    ) -> Result<Self, TransportError> {
         let mut streams: Vec<Option<UnixStream>> = (0..nranks).map(|_| None).collect();
 
         // Dial every lower rank, announcing ourselves. The peer's listener
@@ -114,10 +144,18 @@ fn bind(spec: &SocketSpec, rank: usize) -> Result<UnixListener, TransportError> 
     let SocketSpec::Uds { dir } = spec;
     let path = uds_path(dir, rank);
     let _ = std::fs::remove_file(&path);
-    UnixListener::bind(&path)
-        .map_err(|e| TransportError::Connect(format!("bind {}: {e}", path.display())))
+    let listener = UnixListener::bind(&path)
+        .map_err(|e| TransportError::Connect(format!("bind {}: {e}", path.display())))?;
+    // Accepting waits on the socket ([`accept`]), never in `accept(2)`.
+    listener
+        .set_nonblocking(true)
+        .map_err(|e| TransportError::Connect(format!("nonblocking: {e}")))?;
+    Ok(listener)
 }
 
+/// Connect to `peer`'s listener. Only a listener that is not there yet (a
+/// peer process still starting) is retried, after [`DIAL_BACKOFF`], until
+/// the deadline; a set built by [`socket_set`] binds every listener first.
 fn dial(spec: &SocketSpec, peer: usize, deadline: Instant) -> Result<UnixStream, TransportError> {
     let SocketSpec::Uds { dir } = spec;
     loop {
@@ -133,12 +171,10 @@ fn dial(spec: &SocketSpec, peer: usize, deadline: Instant) -> Result<UnixStream,
     }
 }
 
+/// Accept one connection, waiting on the listener (`poll(2)`) until one is
+/// pending or the deadline passes — then a [`TransportError::Connect`]
+/// instead of a hang.
 fn accept(listener: &UnixListener, deadline: Instant) -> Result<UnixStream, TransportError> {
-    // Poll non-blockingly so a peer that never shows up turns into a
-    // Connect error instead of a hang.
-    listener
-        .set_nonblocking(true)
-        .map_err(|e| TransportError::Connect(format!("nonblocking: {e}")))?;
     loop {
         match listener.accept() {
             Ok((s, _)) => {
@@ -148,13 +184,48 @@ fn accept(listener: &UnixListener, deadline: Instant) -> Result<UnixStream, Tran
                 return Ok(s);
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                if Instant::now() >= deadline {
+                let left = deadline.saturating_duration_since(Instant::now());
+                if left.is_zero() {
                     return Err(TransportError::Connect("accept timed out".into()));
                 }
-                std::thread::sleep(DIAL_BACKOFF);
+                wait_readable(listener, left)
+                    .map_err(|e| TransportError::Connect(format!("poll: {e}")))?;
             }
             Err(e) => return Err(TransportError::Connect(format!("accept: {e}"))),
         }
+    }
+}
+
+/// Block until `listener` has a connection pending or `timeout` passes
+/// (either way `Ok`: the caller tries to accept and looks at the clock).
+fn wait_readable(listener: &UnixListener, timeout: Duration) -> std::io::Result<()> {
+    use std::os::fd::AsRawFd;
+    use std::os::raw::{c_int, c_short, c_ulong};
+    #[repr(C)]
+    struct PollFd {
+        fd: c_int,
+        events: c_short,
+        revents: c_short,
+    }
+    extern "C" {
+        fn poll(fds: *mut PollFd, nfds: c_ulong, timeout: c_int) -> c_int;
+    }
+    const POLLIN: c_short = 1;
+    let mut fd = PollFd {
+        fd: listener.as_raw_fd(),
+        events: POLLIN,
+        revents: 0,
+    };
+    // Round up: a sub-millisecond wait must not turn into a busy poll.
+    let ms = c_int::try_from(timeout.as_micros().div_ceil(1000)).unwrap_or(c_int::MAX);
+    // SAFETY: `fd` is one live, writable pollfd for the whole call, and
+    // `nfds` says exactly one.
+    match unsafe { poll(&mut fd, 1, ms) } {
+        -1 => match std::io::Error::last_os_error() {
+            e if e.kind() == std::io::ErrorKind::Interrupted => Ok(()),
+            e => Err(e),
+        },
+        _ => Ok(()),
     }
 }
 
@@ -207,6 +278,10 @@ impl Transport for SocketEndpoint {
     }
 
     fn send(&self, to: usize, frame: &Frame) -> Result<(), TransportError> {
+        self.send_batch(to, std::slice::from_ref(frame))
+    }
+
+    fn send_batch(&self, to: usize, frames: &[Frame]) -> Result<(), TransportError> {
         if self.closed.load(Ordering::Acquire) {
             return Err(TransportError::Closed);
         }
@@ -214,7 +289,7 @@ impl Transport for SocketEndpoint {
             return Err(TransportError::Protocol(format!("no stream to rank {to}")));
         };
         let mut stream = writer.lock().unwrap_or_else(|e| e.into_inner());
-        write_frame(&mut *stream, frame)
+        write_frames(&mut *stream, frames)
     }
 
     fn recv(&self) -> Result<(usize, Frame), TransportError> {
@@ -246,13 +321,20 @@ impl Drop for SocketEndpoint {
     }
 }
 
-/// Build a full in-process mesh of `n` socket endpoints (each rank's
-/// connect runs on its own thread, since establishment is mutual).
+/// Build a full in-process mesh of `n` socket endpoints: every listener
+/// is bound first, so no rank dials an absent one, then each rank's
+/// connect runs on its own thread, since establishment is mutual.
 pub fn socket_set(spec: &SocketSpec, n: usize) -> Result<Vec<Arc<SocketEndpoint>>, TransportError> {
-    let handles: Vec<_> = (0..n)
-        .map(|rank| {
+    let deadline = Instant::now() + CONNECT_TIMEOUT;
+    let listeners = (0..n)
+        .map(|rank| bind(spec, rank))
+        .collect::<Result<Vec<_>, _>>()?;
+    let handles: Vec<_> = listeners
+        .into_iter()
+        .enumerate()
+        .map(|(rank, listener)| {
             let spec = spec.clone();
-            std::thread::spawn(move || SocketEndpoint::connect(&spec, rank, n))
+            std::thread::spawn(move || SocketEndpoint::join(listener, &spec, rank, n, deadline))
         })
         .collect();
     let mut endpoints = Vec::with_capacity(n);
@@ -287,6 +369,56 @@ mod tests {
             ep.shutdown();
         }
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A peer that never comes is a typed `Connect` error at the
+    /// deadline, whether the rank waits to accept it or dials it.
+    #[test]
+    fn a_missing_peer_is_a_connect_error() {
+        let dir = temp_dir("missing");
+        let spec = SocketSpec::Uds { dir: dir.clone() };
+        let within = Duration::from_millis(50);
+        let t0 = Instant::now();
+        for rank in [0, 1] {
+            let err = SocketEndpoint::connect_within(&spec, rank, 2, within).err();
+            assert!(
+                matches!(err, Some(TransportError::Connect(_))),
+                "rank {rank} alone: {err:?}"
+            );
+            let _ = std::fs::remove_file(uds_path(&dir, rank));
+        }
+        assert!(
+            t0.elapsed() < Duration::from_secs(5),
+            "both gave up at their deadline"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A two-rank set forms without sleeping: well under the old 2 ms
+    /// dial backoff (median of 20). A wall-clock bar, so it runs only when
+    /// asked (`--include-ignored`): on a loaded host the scheduler alone
+    /// can take longer.
+    #[test]
+    #[ignore = "wall-clock bar"]
+    fn a_two_rank_set_connects_in_under_half_a_millisecond() {
+        let dir = temp_dir("fast");
+        let spec = SocketSpec::Uds { dir: dir.clone() };
+        let mut times: Vec<Duration> = (0..20)
+            .map(|_| {
+                let t0 = Instant::now();
+                let set = socket_set(&spec, 2).unwrap();
+                let dt = t0.elapsed();
+                set.iter().for_each(|ep| ep.shutdown());
+                dt
+            })
+            .collect();
+        times.sort_unstable();
+        let _ = std::fs::remove_dir_all(&dir);
+        assert!(
+            times[10] < Duration::from_micros(500),
+            "median {:?} of {times:?}",
+            times[10]
+        );
     }
 
     #[test]

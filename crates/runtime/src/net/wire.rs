@@ -9,8 +9,9 @@
 //! format is exercised even when no socket is involved.
 //!
 //! A payload is the one large field of a frame and always its last, so the
-//! stream path never copies it in user space: [`write_frame`] sends the
-//! stack-built header and the payload in one vectored write, and
+//! stream path never copies it in user space: [`write_frames`] sends the
+//! stack-built headers and the payloads of a batch of frames in one
+//! vectored write, and
 //! [`read_frame`] parses the header out of a small read-ahead and reads the
 //! rest of the payload straight into the `Vec` the frame will own.
 
@@ -195,19 +196,34 @@ pub fn encode_frame(frame: &Frame) -> Vec<u8> {
 /// Write one frame to a byte stream: header and payload go out in one
 /// vectored write, so the payload is not first copied behind its header.
 pub fn write_frame(w: &mut impl Write, frame: &Frame) -> Result<(), TransportError> {
-    let (head, mut payload) = encode_head(frame);
-    let mut head = head.bytes();
+    write_frames(w, std::slice::from_ref(frame))
+}
+
+/// Frames per vectored write of [`write_frames`] (two slices each, well
+/// under the kernel's `IOV_MAX`).
+const BATCH: usize = 64;
+
+/// Write `frames` to a byte stream, in order: their headers and payloads go
+/// out in vectored writes of up to 64 frames, so a batch costs one
+/// system call (unless the stream takes it in parts) and no payload is
+/// copied behind its header.
+pub fn write_frames(w: &mut impl Write, frames: &[Frame]) -> Result<(), TransportError> {
     let mut write_all = || -> std::io::Result<()> {
-        while !(head.is_empty() && payload.is_empty()) {
-            match w.write_vectored(&[IoSlice::new(head), IoSlice::new(payload)]) {
-                Ok(0) => return Err(ErrorKind::WriteZero.into()),
-                Ok(n) => {
-                    let h = n.min(head.len());
-                    head = &head[h..];
-                    payload = &payload[n - h..];
+        for chunk in frames.chunks(BATCH) {
+            let heads: Vec<(Head, &[u8])> = chunk.iter().map(encode_head).collect();
+            let mut slices = [IoSlice::new(&[]); 2 * BATCH];
+            for (n, (head, payload)) in heads.iter().enumerate() {
+                slices[2 * n] = IoSlice::new(head.bytes());
+                slices[2 * n + 1] = IoSlice::new(payload);
+            }
+            let mut bufs = &mut slices[..2 * heads.len()];
+            while !bufs.is_empty() {
+                match w.write_vectored(bufs) {
+                    Ok(0) => return Err(ErrorKind::WriteZero.into()),
+                    Ok(n) => IoSlice::advance_slices(&mut bufs, n),
+                    Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                    Err(e) => return Err(e),
                 }
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
             }
         }
         w.flush()

@@ -46,6 +46,7 @@ mod ring;
 mod window;
 mod wire;
 
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -157,6 +158,15 @@ pub struct StreamReport {
     /// Tasks planned into the window over the whole run (on a wire rank,
     /// those placed on it).
     pub tasks_planned: usize,
+    /// Ops the planning sweeps named anything for: `tasks_planned` plus,
+    /// on a wire rank, the boundary — `boundary_writers` other ranks' ops
+    /// that write a datum the rank sweeps, and `boundary_readers` visited
+    /// only to route a version the rank sources to their node (the
+    /// window's "Rank-local planning"). Every other op of another rank
+    /// costs the rank only its id.
+    pub ops_named: usize,
+    pub boundary_writers: usize,
+    pub boundary_readers: usize,
     /// Tasks that ran their kernel: every completed one, since the window
     /// plans only the chosen hybrid branch.
     pub tasks_executed: usize,
@@ -340,18 +350,16 @@ struct Placed {
     /// The node the task runs on.
     node: usize,
     /// Inputs that cross the wire to this task, decoded into the local
-    /// mirror when it is popped for execution.
-    needs: Vec<ArrivalKey>,
+    /// mirror when it is popped for execution: a range of its step's
+    /// `needs`.
+    needs: Range<u32>,
 }
 
 impl Placed {
     /// Where the planner put it, and nothing more to keep.
     #[inline]
     fn on(node: usize) -> Placed {
-        Placed {
-            node,
-            needs: Vec::new(),
-        }
+        Placed { node, needs: 0..0 }
     }
 }
 
@@ -379,16 +387,18 @@ impl Fabric {
     /// keeps of the fabric, and how many gates — predecessors beyond its
     /// closed-form ones — it waits for. `inputs` lists its data-flow inputs
     /// as routing resolved them (`(datum, producer, source node)`), walked
-    /// only by a wire.
+    /// only by a wire, which appends those that cross it to its step's
+    /// `needs`.
     fn place(
         &mut self,
         id: TaskId,
         node: usize,
         inputs: impl Iterator<Item = (DataKey, Option<TaskId>, usize)>,
+        needs: &mut Vec<ArrivalKey>,
     ) -> (Placed, usize) {
         match self {
             Fabric::Counted => (Placed::on(node), 0),
-            Fabric::Wire(w) => w.place(id, node, inputs),
+            Fabric::Wire(w) => w.place(id, node, inputs, needs),
         }
     }
 
@@ -438,10 +448,34 @@ impl Fabric {
     /// Seam 4, pop: the inputs `needs` must be in the local mirror before
     /// the task runs. `false` if that failed the run.
     #[inline]
-    fn arrived(&mut self, needs: Vec<ArrivalKey>) -> bool {
+    fn arrived(&mut self, needs: &[ArrivalKey]) -> bool {
         match self {
             Fabric::Wire(w) => w.apply(needs),
             _ => true,
+        }
+    }
+
+    /// A list of released tasks the window is done with.
+    #[inline]
+    fn recycle(&mut self, ids: Vec<TaskId>) {
+        if let Fabric::Wire(w) = self {
+            w.recycle(ids);
+        }
+    }
+
+    /// End of a critical section: write the frames it queued.
+    #[inline]
+    fn flush(&mut self) {
+        if let Fabric::Wire(w) = self {
+            w.flush();
+        }
+    }
+
+    /// Frames queued and not yet written.
+    fn queued(&self) -> usize {
+        match self {
+            Fabric::Wire(w) => w.queued(),
+            Fabric::Counted => 0,
         }
     }
 

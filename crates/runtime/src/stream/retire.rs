@@ -38,6 +38,7 @@
 use crate::graph::TaskId;
 
 use super::window::{Block, Slot};
+use super::wire::ArrivalKey;
 
 /// One node's share of a live step.
 #[derive(Debug, Clone, Copy, Default)]
@@ -83,6 +84,9 @@ pub(crate) struct LiveStep {
     pub blocks: Vec<Block>,
     /// The slots of the data declared in the step, dropped with it.
     pub data: Vec<Slot>,
+    /// On a wire, the inputs that cross it to the step's tasks here; a
+    /// task's record holds its range ([`super::Placed`]).
+    pub needs: Vec<ArrivalKey>,
     /// Still accepting insertions (between `open` and `close`).
     open: bool,
     /// Tasks planned but not yet completed (all nodes).
@@ -174,6 +178,7 @@ impl StepTable {
             tasks: Vec::new(),
             blocks: Vec::new(),
             data: Vec::new(),
+            needs: Vec::new(),
             open: true,
             outstanding: 0,
             nodes: vec![NodeShare::default(); self.num_nodes],

@@ -90,22 +90,43 @@
 //! wire rank runs the same source but inserts only the tasks placed on it,
 //! and sweeps only the data homed on it, those its tasks have touched so
 //! far, and the decisions: no other datum can name a predecessor, an input
-//! or a transfer of its share. A task placed elsewhere is still linked
-//! like any other through the data swept — it gets its id, its depth
-//! (`1 + max` over the predecessors the sweep named), its place (id,
-//! depth, node) in its step's table, and it makes the versions it writes.
-//! Of its routing the rank does the part that starts here — the inputs its
-//! own versions (or the initial values homed here) owe its node, through
-//! the same once-per-(version, destination) cache — and counts, for its
-//! own tasks, what arrives. It gets no record, no edges and no completion
-//! here, and its step's counts hold only the rank's own tasks. So a rank
-//! retires its steps in order (`retire` module docs): the transfers a live
-//! producer owes consumers planned in the next step sit in that step's
-//! blocks, and where those consumers run elsewhere nothing else keeps the
-//! step here until the producer completes. And the last retired step's
-//! table stays: a datum a rank starts to sweep names its writer there, as
-//! no version it skipped was recorded. Three rules keep a rank's share
-//! correct on its own:
+//! or a transfer of its share. Of those data its sweep ([`Share`]) visits
+//! every access of the ops it runs and of the other ranks' ops that write
+//! one of them (they make the versions its tasks read); of any other op
+//! only the first read, per version and destination node in the phase, of
+//! a version the rank sources (the initial value homed here, or a version
+//! its own task writes) — routing sends once per (version, destination)
+//! anyway; and nothing else, so no `readers` list names a read it skipped.
+//! The core sweep skips the rest of a reader group in closed form. An op
+//! placed elsewhere that the sweep names nothing for costs only its id
+//! ([`TaskRing::skip`]) and a table entry with its id and node: a datum the
+//! rank starts to sweep later names its last writer there. One the sweep
+//! names is linked like any other through the data swept — it gets its id,
+//! its depth, its place (id, depth, node) in its step's table, and it
+//! makes the versions it writes. Of its routing the rank does the part
+//! that starts here — the inputs its own versions (or the initial values
+//! homed here) owe its node, through the same once-per-(version,
+//! destination) cache — and counts, for its own tasks, what arrives. It
+//! gets no record, no edges and no completion here, and its step's counts
+//! hold only the rank's own tasks.
+//!
+//! Depths follow what is named: a task's depth is `1 + max` over the
+//! predecessors its sweep still names, and a skipped op's table entry has
+//! depth 0. So a remote op's depth — and through it the priority of the
+//! local tasks after it — counts only the chains the rank sees: a skipped
+//! reader adds nothing to a later writer, and a remote writer's depth
+//! misses whatever reached it only through data the rank does not sweep.
+//! Where the counted run's depth of a local task comes from such a chain,
+//! the wire rank's is smaller; the order among tasks whose depths agree is
+//! the insertion order either way, and no edge, transfer or result moves.
+//!
+//! A rank retires its steps in order (`retire` module docs): the transfers
+//! a live producer owes consumers planned in the next step sit in that
+//! step's blocks, and where those consumers run elsewhere nothing else
+//! keeps the step here until the producer completes. And the last retired
+//! step's table stays: a datum a rank starts to sweep names its writer
+//! there, as no version it skipped was recorded. Three rules keep a rank's
+//! share correct on its own:
 //!
 //! * An ordering-only dependency on a task that runs elsewhere makes no
 //!   edge: that task touches only its own rank's memory. A data-flow input
@@ -165,7 +186,9 @@ use std::time::Instant;
 
 use crate::comm::{flow_msg, LinkMsgStats, Msg, MsgStats, RetireMsg};
 use crate::exec::Tally;
-use crate::graph::{Access, CostClass, Csr, DataClass, DataKey, Pred, TaskId, TaskOp, TaskResult};
+use crate::graph::{
+    Access, CostClass, Csr, DataClass, DataKey, Pred, Share, TaskId, TaskOp, TaskResult,
+};
 use crate::hash::{IntMap, IntSet};
 use crate::net::TransportError;
 use crate::probe::{metric, Histogram, Label, Probe};
@@ -348,6 +371,11 @@ pub(super) struct Phase<O> {
     /// On a wire rank, the data it sweeps: those homed on it and those its
     /// tasks have touched so far (module docs, "Rank-local planning").
     mine: IntSet<DataKey>,
+    /// On a wire rank, per op: its sweep visits every access of the op —
+    /// it runs here or writes a datum swept here ([`Share`]).
+    full: Vec<bool>,
+    /// The indices of those ops, ascending.
+    full_ops: Vec<u32>,
 }
 
 impl<O> Default for Phase<O> {
@@ -366,19 +394,30 @@ impl<O> Default for Phase<O> {
             edges: Vec::new(),
             sends: Vec::new(),
             mine: IntSet::default(),
+            full: Vec::new(),
+            full_ops: Vec::new(),
         }
     }
 }
 
 impl<O: TaskOp> Phase<O> {
+    /// Does wire rank's sweep cover datum `key`: one it sweeps, or a
+    /// decision?
+    fn swept(mine: &IntSet<DataKey>, ctx: &O::Ctx, key: DataKey) -> bool {
+        mine.contains(&key) || O::data_class(ctx, key) == DataClass::Decision
+    }
+
     /// Wire rank `rank` takes in the phase: the data homed on it and those
-    /// its ops touch join the data it sweeps.
+    /// its ops touch join the data it sweeps, and its sweep visits in full
+    /// the ops it runs and those that write a datum it sweeps.
     fn note_mine(&mut self, ctx: &O::Ctx, rank: usize) {
         let Phase {
             decls,
             ops,
             nodes,
             mine,
+            full,
+            full_ops,
             ..
         } = self;
         mine.extend(decls.iter().filter(|d| d.2 == rank).map(|d| d.0));
@@ -389,27 +428,47 @@ impl<O: TaskOp> Phase<O> {
                 });
             }
         }
+        full.clear();
+        full_ops.clear();
+        for (i, (&op, &node)) in ops.iter().zip(nodes.iter()).enumerate() {
+            let mut writes = node == rank;
+            if !writes {
+                op.for_each_access(ctx, |a| {
+                    writes |= matches!(a, Access::Mut(k) if Self::swept(mine, ctx, k));
+                });
+            }
+            full.push(writes);
+            if writes {
+                full_ops.push(i as u32);
+            }
+        }
     }
 
     /// Sweep the phase's data ([`TaskOp::for_each_predecessor`]), its ops
     /// at positions `first..` of `step`, into `data` and `deps`, and sort
-    /// the deps by op — on a wire rank only the data it may need and the
-    /// decisions. A predecessor outside the phase must lie in its step or
+    /// the deps by op — on wire rank `rank` only what its share needs
+    /// ([`Share`]). A predecessor outside the phase must lie in its step or
     /// the one before: the completion walk looks for a task's successors
     /// only in the blocks of those two steps.
-    fn sweep(&mut self, ctx: &O::Ctx, step: usize, first: usize, wire: bool) {
+    fn sweep(&mut self, ctx: &O::Ctx, step: usize, first: usize, rank: Option<usize>) {
         let Phase {
             ops,
+            nodes,
             data,
             deps,
             by_op,
             mine,
+            full,
+            full_ops,
             ..
         } = self;
         data.clear();
         deps.clear();
-        let keep =
-            |key| !wire || mine.contains(&key) || O::data_class(ctx, key) == DataClass::Decision;
+        let swept = |key| Self::swept(mine, ctx, key);
+        let share = match rank {
+            Some(rank) => Share::rank(rank, nodes, full, full_ops, &swept),
+            None => Share::all(),
+        };
         let waits = |p: Pred, op: usize| match p.pos.checked_sub(first) {
             Some(i) if p.step == step => Waits::Earlier(i as u32),
             _ => {
@@ -424,7 +483,7 @@ impl<O: TaskOp> Phase<O> {
                 }
             }
         };
-        O::for_each_predecessor(ctx, step, ops, keep, |v| {
+        O::for_each_predecessor(ctx, step, ops, &share, |v| {
             let key = v.access.key();
             if data.last().is_none_or(|&(last, _)| last != key) {
                 data.push((key, 0));
@@ -488,6 +547,12 @@ pub(super) struct WindowState<O> {
     pub(crate) tally: Tally,
     msgs: MsgStats,
     tasks_planned: usize,
+    /// Ops the sweeps named anything for: the tasks planned here and, on a
+    /// wire rank, the boundary.
+    ops_named: usize,
+    /// On a wire rank, the other ranks' ops it named: those that write a
+    /// datum it sweeps, and those visited only to route a version to them.
+    boundary: [usize; 2],
     peak_live_tasks: usize,
     /// What carries the run's cross-node traffic.
     pub(super) fabric: Fabric,
@@ -595,8 +660,9 @@ impl<O: TaskOp> WindowState<O> {
         // The popping worker runs this one itself: one task fewer to
         // announce to sleepers.
         self.newly_ready = self.newly_ready.saturating_sub(1);
-        let t = self.tasks.get_mut(r.id).expect("ready task not live");
-        let (op, needs) = (t.op, std::mem::take(&mut t.placed.needs));
+        let t = self.tasks.get(r.id).expect("ready task not live");
+        let (op, step, needs) = (t.op, t.step, t.placed.needs.clone());
+        let needs = &self.steps.live_mut(step).needs[needs.start as usize..needs.end as usize];
         self.fabric.arrived(needs).then_some((r.id, op))
     }
 
@@ -743,8 +809,11 @@ impl<O: TaskOp> WindowState<O> {
         for &s in named().flat_map(|b| b.succs.get(id)) {
             self.release(s as TaskId);
         }
-        for s in held_back.into_iter().flatten() {
-            self.release(s);
+        if let Some(held_back) = held_back {
+            for &s in &held_back {
+                self.release(s);
+            }
+            self.fabric.recycle(held_back);
         }
         for (s, blocks) in steps.into_iter().zip(blocks) {
             if let Some(live) = self.steps.get_mut(s) {
@@ -828,6 +897,17 @@ impl<O: TaskOp> WindowState<O> {
     ) {
         let (op, node, id) = (phase.ops[i], phase.nodes[i], base + i);
         let here = self.fabric.runs(node);
+        if !here {
+            // Another rank's op: one the sweep named nothing for costs only
+            // its id (its table entry names nothing: depth 0).
+            if phase.by_op.get(i).is_empty() {
+                phase.cps.push(0);
+                self.tasks.skip();
+                return;
+            }
+            self.boundary[usize::from(!phase.full[i])] += 1;
+        }
+        self.ops_named += 1;
         let (live_preds, flows) = (&mut phase.live_preds, &mut phase.flows);
         live_preds.clear();
         flows.clear();
@@ -935,7 +1015,8 @@ impl<O: TaskOp> WindowState<O> {
         // predecessors — on a wire, its remote inputs' readiness. It is
         // shown where each data-flow input comes from.
         let inputs = phase.flows.iter().map(|f| (f.key, f.producer, f.src));
-        let (placed, arrivals) = self.fabric.place(id, node, inputs);
+        let needs = &mut self.steps.live_mut(step).needs;
+        let (placed, arrivals) = self.fabric.place(id, node, inputs, needs);
 
         // Link precedence: only edges to still-live tasks count toward the
         // countdown — plus the fabric's gates; a same-node edge is direct,
@@ -1069,6 +1150,8 @@ impl<O: TaskOp> StreamWindow<O> {
                 tally: Tally::default(),
                 msgs: MsgStats::default(),
                 tasks_planned: 0,
+                ops_named: 0,
+                boundary: [0; 2],
                 peak_live_tasks: 0,
                 fabric,
                 trace: opts.trace.then(Vec::<TraceEvent>::new),
@@ -1096,8 +1179,12 @@ impl<O: TaskOp> StreamWindow<O> {
         &self.ctx
     }
 
+    /// Take the window lock. No critical section leaves frames behind: each
+    /// writes what it queued before it releases the lock.
     pub(super) fn lock(&self) -> MutexGuard<'_, WindowState<O>> {
-        self.state.lock().unwrap_or_else(|e| e.into_inner())
+        let st = self.state.lock().unwrap_or_else(|e| e.into_inner());
+        debug_assert_eq!(st.fabric.queued(), 0, "frames left queued across sections");
+        st
     }
 
     fn now(&self) -> f64 {
@@ -1128,6 +1215,7 @@ impl<O: TaskOp> StreamWindow<O> {
     /// sleepers whose condition it made true. Every mutation of the state
     /// goes through here.
     pub(super) fn finish(&self, mut st: MutexGuard<'_, WindowState<O>>) {
+        st.fabric.flush();
         let wakes = st.take_wakes();
         drop(st);
         self.notify(wakes);
@@ -1141,8 +1229,14 @@ impl<O: TaskOp> StreamWindow<O> {
         mut st: MutexGuard<'a, WindowState<O>>,
         wait: PlannerWait,
     ) -> MutexGuard<'a, WindowState<O>> {
+        debug_assert_eq!(
+            st.fabric.queued(),
+            0,
+            "the planner parks with frames queued"
+        );
         st.planner_wait = Some(wait);
         st = self.plan_cv.wait(st).unwrap_or_else(|e| e.into_inner());
+        debug_assert_eq!(st.fabric.queued(), 0, "frames left queued across sections");
         st.planner_wait = None;
         st.planner_wakeups += 1;
         st
@@ -1244,6 +1338,9 @@ impl<O: TaskOp> StreamWindow<O> {
         });
         let mut report = StreamReport {
             tasks_planned: st.tasks_planned,
+            ops_named: st.ops_named,
+            boundary_writers: st.boundary[0],
+            boundary_readers: st.boundary[1],
             tasks_executed: st.tally.executed,
             total_flops: st.tally.flops,
             peak_live_tasks: st.peak_live_tasks,
@@ -1279,7 +1376,7 @@ impl<O: TaskOp> StreamWindow<O> {
             phase.note_mine(ctx, rank);
         }
         if !phase.ops.is_empty() {
-            phase.sweep(ctx, step, first, self.rank.is_some());
+            phase.sweep(ctx, step, first, self.rank);
         }
         let mut guard = self.lock();
         let st = &mut *guard;
@@ -1401,6 +1498,9 @@ impl<O: TaskOp> StreamWindow<O> {
     /// task, sleeping while there is none; `None` once the run is over.
     fn next_task(&self, mut st: MutexGuard<'_, WindowState<O>>) -> Option<(TaskId, O)> {
         loop {
+            // What the completion queued goes out before this section can
+            // end or sleep (a failed write fails the run here).
+            st.fabric.flush();
             let next = if st.failed() { None } else { st.pop_ready() };
             if next.is_some() || st.workers_done() {
                 self.finish(st);
@@ -1413,6 +1513,7 @@ impl<O: TaskOp> StreamWindow<O> {
             let wakes = st.take_wakes();
             self.notify(wakes);
             st = self.work_cv.wait(st).unwrap_or_else(|e| e.into_inner());
+            debug_assert_eq!(st.fabric.queued(), 0, "frames left queued across sections");
         }
     }
 }

@@ -3,14 +3,26 @@
 //! **Its share.** Every rank runs the same deterministic source, so every
 //! rank names every task by the same id and every version by the same
 //! producer, but its window inserts only the tasks placed on it; a task
-//! placed elsewhere gets no record, no edges and no completion here, only
-//! its place in its step's table and the version it writes
-//! ([`super::window`], "Rank-local planning"). The routing this rank does
-//! is the single-process run's restricted to its own links: it sends what
-//! its versions owe other nodes and counts what comes to its own tasks.
-//! The wire arm makes real frames of the messages it *sends* (`link.0 ==
-//! rank`) and reconciles wire-level counters against those tallies at the
-//! end. Each rank retires its own steps, in order.
+//! placed elsewhere gets no record, no edges and no completion here — its
+//! id and a table entry, and, if the rank's sweep names it, the version it
+//! writes ([`super::window`], "Rank-local planning"). The routing this
+//! rank does is the single-process run's restricted to its own links: it
+//! sends what its versions owe other nodes and counts what comes to its
+//! own tasks. The wire arm makes real frames of the messages it *sends*
+//! (`link.0 == rank`) and reconciles wire-level counters against those
+//! tallies at the end. Each rank retires its own steps, in order.
+//!
+//! **Batched section writes.** A frame is not written where it is made: it
+//! joins its peer's queue, and the critical section that queued it writes
+//! each peer's queue as one batch ([`Transport::send_batch`]: over a socket,
+//! one vectored write of the frames' headers and payloads) before the
+//! window lock is released — at the end of every section and before a
+//! worker sleeps. The lock is never taken with frames queued, so frames
+//! leave in the order of the sections that made them and per-link order is
+//! what it was frame by frame; the counts, the reconciliation and the
+//! `Done` fence are those of the single frames. A task's remote inputs sit
+//! in its step's list, and the lists of waiters and held versions are
+//! reused, so the insertion path allocates only as the live window grows.
 //!
 //! **Arrival gating.** A local task whose input version originates on
 //! another rank gains one extra predecessor per such input, resolved when
@@ -142,6 +154,15 @@ pub(super) struct Wire {
     complete: bool,
     /// First transport/protocol error; sticky, fails the whole run.
     error: Option<TransportError>,
+    /// The frames of the window's critical section, per peer, written as
+    /// one batch each before the section ends ([`Wire::flush`]).
+    outbox: Vec<Vec<Frame>>,
+    /// Emptied lists, kept for reuse: a live task's held versions
+    /// (`keys`), a version's waiters and the tasks a completion releases
+    /// (`ids`). So the insertion path allocates only while the live window
+    /// grows.
+    spare_keys: Vec<Vec<ArrivalKey>>,
+    spare_ids: Vec<Vec<TaskId>>,
 }
 
 /// What the receiver pump should do after delivering a frame.
@@ -180,6 +201,9 @@ impl Wire {
             shutdown_seen: false,
             complete: false,
             error: None,
+            outbox: (0..nranks).map(|_| Vec::new()).collect(),
+            spare_keys: Vec::new(),
+            spare_ids: Vec::new(),
         })
     }
 
@@ -234,19 +258,40 @@ impl Wire {
         }
     }
 
-    /// Send one frame; an error fails the run.
-    fn send_frame(&mut self, to: usize, frame: &Frame) {
-        if let Err(e) = self.transport.send(to, frame) {
-            self.fail(e);
+    /// Queue one frame for `to`: it goes out with the rest of the critical
+    /// section's frames to `to` when the section ends.
+    fn send_frame(&mut self, to: usize, frame: Frame) {
+        self.outbox[to].push(frame);
+    }
+
+    /// Write the queued frames: one batch per peer, in the order they were
+    /// queued. The window calls this before its lock is released, so the
+    /// frames of one critical section cost each peer one write, and per-link
+    /// order is the order of the sections. An error fails the run.
+    pub(super) fn flush(&mut self) {
+        for to in 0..self.outbox.len() {
+            if self.outbox[to].is_empty() {
+                continue;
+            }
+            let result = self.transport.send_batch(to, &self.outbox[to]);
+            self.outbox[to].clear();
+            if let Err(e) = result {
+                self.fail(e);
+            }
         }
     }
 
-    /// Send one control frame to every peer.
+    /// Frames queued and not yet written.
+    pub(super) fn queued(&self) -> usize {
+        self.outbox.iter().map(Vec::len).sum()
+    }
+
+    /// Queue one control frame to every peer.
     fn broadcast(&mut self, frame: &Frame) {
         let rank = self.rank;
         for peer in (0..self.nranks()).filter(|&p| p != rank) {
             self.ctrl_sent += 1;
-            self.send_frame(peer, frame);
+            self.send_frame(peer, frame.clone());
         }
     }
 
@@ -273,19 +318,26 @@ impl Wire {
         id: TaskId,
         node: usize,
         inputs: impl Iterator<Item = (DataKey, Option<TaskId>, usize)>,
+        needs: &mut Vec<ArrivalKey>,
     ) -> (Placed, usize) {
-        let mut placed = Placed::on(node);
-        placed.needs = inputs
-            .filter(|&(_, _, src)| src != node)
-            .map(|(key, producer, _)| (key, producer))
-            .collect();
+        let start = needs.len();
+        let remote = inputs.filter(|&(_, _, src)| src != node);
+        needs.extend(remote.map(|(key, producer, _)| (key, producer)));
+        let at = |i: usize| u32::try_from(i).expect("a step's inputs fit 32 bits");
+        let placed = Placed {
+            node,
+            needs: at(start)..at(needs.len()),
+        };
         let mut gates = 0;
-        for &arrival in &placed.needs {
+        for &arrival in &needs[start..] {
             let inbound = self
                 .arrivals
                 .entry(arrival)
                 .or_insert_with(Inbound::awaited);
             if !inbound.ready() {
+                if inbound.waiters.capacity() == 0 {
+                    inbound.waiters = self.spare_ids.pop().unwrap_or_default();
+                }
                 inbound.waiters.push(id);
                 gates += 1;
             }
@@ -305,7 +357,10 @@ impl Wire {
     ) {
         let mut n = 0;
         for u in users {
-            self.holds.entry(u).or_default().push(version);
+            let spare = &mut self.spare_keys;
+            let held = self.holds.entry(u);
+            held.or_insert_with(|| spare.pop().unwrap_or_default())
+                .push(version);
             n += 1;
         }
         let waiting = before.and_then(|b| self.arrivals.get_mut(&b));
@@ -336,8 +391,9 @@ impl Wire {
                 break;
             }
             at = inbound.next.take();
-            if inbound.ready() {
+            if inbound.ready() && inbound.waiters.capacity() > 0 {
                 released.append(&mut inbound.waiters);
+                self.spare_ids.push(std::mem::take(&mut inbound.waiters));
             }
         }
     }
@@ -376,7 +432,7 @@ impl Wire {
         if let Frame::Data { payload, .. } = &frame {
             self.payload_bytes_sent += payload.len() as u64;
         }
-        self.send_frame(link.1, &frame);
+        self.send_frame(link.1, frame);
     }
 
     /// Local task `id` completed: a decision it computed goes to every
@@ -391,12 +447,22 @@ impl Wire {
                 payload,
             });
         }
-        let versions = self.holds.remove(&id)?;
-        let mut released = Vec::new();
-        for version in versions {
+        let mut versions = self.holds.remove(&id)?;
+        let mut released = self.spare_ids.pop().unwrap_or_default();
+        for &version in &versions {
             self.user_done(version, &mut released);
         }
+        versions.clear();
+        self.spare_keys.push(versions);
         Some(released)
+    }
+
+    /// A list the window is done with, for reuse.
+    pub(super) fn recycle(&mut self, mut ids: Vec<TaskId>) {
+        if ids.capacity() > 0 {
+            ids.clear();
+            self.spare_ids.push(ids);
+        }
     }
 
     /// Decode the ready payload `(key, producer)` into the local mirror,
@@ -421,8 +487,8 @@ impl Wire {
     /// edges serialize writers, the mirror rule earlier copies' users), so
     /// the write cannot race a reader. `false` when one could not be
     /// decoded, which has failed the run.
-    pub(super) fn apply(&mut self, needs: Vec<ArrivalKey>) -> bool {
-        for arrival in needs {
+    pub(super) fn apply(&mut self, needs: &[ArrivalKey]) -> bool {
+        for &arrival in needs {
             assert!(
                 self.apply_arrival(arrival),
                 "task ready before its input {:?} arrived",
@@ -577,13 +643,16 @@ impl Wire {
             self.ser_hist.observe(t0.elapsed().as_secs_f64());
             self.ctrl_sent += 1;
             self.payload_bytes_sent += payload.len() as u64;
-            self.send_frame(0, &Frame::Result { key, payload });
+            // One at a time: the result is not held twice.
+            self.send_frame(0, Frame::Result { key, payload });
+            self.flush();
             if self.error.is_some() {
                 break;
             }
         }
         self.ctrl_sent += 1;
-        self.send_frame(0, &Frame::Fin);
+        self.send_frame(0, Frame::Fin);
+        self.flush();
         self.complete = true;
         self.check()
     }
@@ -672,8 +741,11 @@ impl<O: TaskOp> StreamWindow<O> {
             return FramePump::Stop;
         };
         let (released, pump) = wire.on_frame(from, frame, drained);
-        for id in released {
+        for &id in &released {
             st.release(id);
+        }
+        if let Fabric::Wire(wire) = &mut st.fabric {
+            wire.recycle(released);
         }
         st.frame_event = true;
         self.finish(st);
@@ -742,10 +814,15 @@ impl<O: TaskOp> StreamWindow<O> {
         }
     }
 
-    /// Run `f` on the wire state under the window lock.
+    /// Run `f` on the wire state under the window lock, and write what it
+    /// queued.
     fn with_wire<R>(&self, f: impl FnOnce(&mut Wire) -> R) -> Option<R> {
         match &mut self.lock().fabric {
-            Fabric::Wire(wire) => Some(f(wire)),
+            Fabric::Wire(wire) => {
+                let r = f(wire);
+                wire.flush();
+                Some(r)
+            }
             _ => None,
         }
     }

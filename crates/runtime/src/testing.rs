@@ -8,8 +8,8 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex, RwLock};
 
 use crate::graph::{
-    Access, DataClass, DataKey, Graph, GraphBuilder, Pred, TaskId, TaskOp, TaskResult, TaskSink,
-    Visit,
+    Access, DataClass, DataKey, Graph, GraphBuilder, Pred, Routed, Share, TaskId, TaskOp,
+    TaskResult, TaskSink, Visit,
 };
 
 type Body = Box<dyn FnOnce() -> TaskResult + Send>;
@@ -25,9 +25,16 @@ struct Entry {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct TestOp(u32);
 
-/// A datum's state under the textbook rule: its last writer and the
-/// readers since.
-type Seen = (Option<Pred>, Vec<Pred>);
+/// A datum's state under the textbook rule: its last writer (and the node
+/// it ran on, on a rank's share) and the readers since, and which nodes a
+/// rank's share visited a read of that version for.
+#[derive(Default)]
+struct Seen {
+    writer: Option<Pred>,
+    src: Option<usize>,
+    readers: Vec<Pred>,
+    routed: Routed,
+}
 
 /// The body table, appendable while a streaming run executes. An op's
 /// position is its index in the table, and its predecessors come from the
@@ -116,47 +123,57 @@ impl TaskOp for TestOp {
     }
 
     /// The textbook rule, op by op: all of an op's accesses see the state
-    /// before it, then update it in access order. A datum `keep` rejects is
-    /// tracked, not visited.
+    /// before it, then update it in access order. A datum `share` does not
+    /// sweep is tracked, not visited; of one it does, an access is visited
+    /// as `share` says, and a read it does not visit names nobody later.
     fn for_each_predecessor(
         ctx: &TestCtx,
         step: usize,
         ops: &[TestOp],
-        keep: impl Fn(DataKey) -> bool,
+        share: &Share<'_>,
         mut f: impl FnMut(Visit<'_>),
     ) {
         let seen = &mut *ctx.seen.lock().unwrap();
+        let mut visited = Vec::new();
         for (i, &op) in ops.iter().enumerate() {
             let entry = ctx.entry(op);
-            for &access in entry.accesses.iter().filter(|a| keep(a.key())) {
-                let (writer, readers) = match seen.get(&access.key()) {
-                    Some((w, r)) => (*w, &r[..]),
-                    None => (None, &[][..]),
-                };
-                let readers = if matches!(access, Access::Mut(_)) {
-                    readers
-                } else {
-                    &[]
-                };
-                f(Visit {
-                    op: i,
-                    access,
-                    writer,
-                    readers,
-                });
+            visited.clear();
+            for &access in &entry.accesses {
+                let swept = share.sweeps(access.key());
+                let s = seen.entry(access.key()).or_default();
+                let visit = swept
+                    && match access {
+                        Access::Read(_) => share.reads(i, s.writer, s.src, &mut s.routed),
+                        _ => share.full(i),
+                    };
+                if visit {
+                    let readers = if matches!(access, Access::Mut(_)) {
+                        &s.readers[..]
+                    } else {
+                        &[]
+                    };
+                    f(Visit {
+                        op: i,
+                        access,
+                        writer: s.writer,
+                        readers,
+                    });
+                }
+                visited.push(visit || !swept);
             }
             let me = Pred {
                 step,
                 pos: op.0 as usize,
             };
-            for acc in &entry.accesses {
-                let (writer, readers) = seen.entry(acc.key()).or_default();
+            for (acc, &named) in entry.accesses.iter().zip(&visited) {
+                let s = seen.entry(acc.key()).or_default();
                 match acc {
-                    Access::Read(_) => readers.push(me),
-                    Access::Control(_) => {}
+                    Access::Read(_) if named => s.readers.push(me),
+                    Access::Read(_) | Access::Control(_) => {}
                     Access::Mut(_) => {
-                        *writer = Some(me);
-                        readers.clear();
+                        s.writer = Some(me);
+                        s.src = share.of().map(|_| share.node(i));
+                        s.readers.clear();
                     }
                 }
             }

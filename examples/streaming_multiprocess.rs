@@ -60,7 +60,8 @@ fn main() {
         factor_stream_net(&a, &b, &opts, window, &NetTransportKind::Loopback).expect("loopback");
 
     // The real thing: `workers` separate OS processes over UDS.
-    let mp = launch_multiprocess(&job, None).expect("multi-process run");
+    let deadline = std::time::Duration::from_secs(300);
+    let mp = launch_multiprocess(&job, None, deadline).expect("multi-process run");
     assert!(mp.error.is_none(), "multi-process run broke down");
     let x_mp = mp.solution.as_ref().expect("rank 0 reports a solution");
 

@@ -14,7 +14,7 @@ use std::sync::Arc;
 
 use luqr::{PlannerStepSource, RunCtx};
 use luqr_runtime::stream::{StepPhase, StepSource};
-use luqr_runtime::{Access, DataKey, Pred, TaskId, TaskOp, TaskSink};
+use luqr_runtime::{Access, DataKey, Pred, Share, TaskId, TaskOp, TaskSink};
 
 /// The predecessors of each of `ops`, inserted in order: ids into `ops`,
 /// ascending.
@@ -125,8 +125,8 @@ impl Logged {
         let ops: Vec<luqr::TaskOp> = self.log[from..].iter().map(|&(_, op)| op).collect();
         let preds = &mut self.preds;
         preds.resize(self.log.len(), Vec::new());
-        let all = |_| true;
-        luqr::TaskOp::for_each_predecessor(&self.source.context(), k, &ops, all, |v| {
+        let all = Share::all();
+        luqr::TaskOp::for_each_predecessor(&self.source.context(), k, &ops, &all, |v| {
             preds[from + v.op].extend(v.writer.iter().chain(v.readers));
         });
     }

@@ -39,8 +39,8 @@ use luqr_runtime::net::socket::{socket_set, SocketSpec};
 use luqr_runtime::stream::{execute_net, execute_with};
 use luqr_runtime::{
     execute, simulate, Access, CostClass, DataClass, DataKey, GraphBuilder, LinkMsgStats,
-    NetConfig, PayloadStore, Platform, Pred, StepPhase, StepSource, StreamOptions, StreamReport,
-    TaskId, TaskOp, TaskResult, TaskSink, Transport, TransportError, Visit,
+    NetConfig, PayloadStore, Platform, Pred, Routed, Share, StepPhase, StepSource, StreamOptions,
+    StreamReport, TaskId, TaskOp, TaskResult, TaskSink, Transport, TransportError, Visit,
 };
 
 use crate::paths::{assert_wire_is_protocol, Path};
@@ -64,18 +64,38 @@ const R1: DataKey = DataKey(4);
 const R2: DataKey = DataKey(5);
 const R3: DataKey = DataKey(6);
 const R4: DataKey = DataKey(7);
+/// [`Producer::Rewritten`]'s datum, and what its readers accumulate into.
+const V: DataKey = DataKey(8);
+const R5: DataKey = DataKey(9);
 
 /// The run-scoped data and their home nodes.
-const DATA: [(DataKey, usize); 7] = [(X, 0), (Y, 0), (Z, 1), (R1, 1), (R2, 2), (R3, 1), (R4, 1)];
+const DATA: [(DataKey, usize); 9] = [
+    (X, 0),
+    (Y, 0),
+    (Z, 1),
+    (R1, 1),
+    (R2, 2),
+    (R3, 1),
+    (R4, 1),
+    (V, 0),
+    (R5, 2),
+];
 
 /// Step `k`'s decision cell.
 fn decision(k: usize) -> DataKey {
     DataKey(100 + k as u64)
 }
 
-/// A datum's state under the textbook rule: its last writer and the
-/// readers since.
-type Seen = (Option<Pred>, Vec<Pred>);
+/// A datum's state under the textbook rule: its last writer (and the node
+/// it ran on, on a rank's share) and the readers since, and which nodes a
+/// rank's share visited a read of that version for.
+#[derive(Default)]
+struct Seen {
+    writer: Option<Pred>,
+    src: Option<usize>,
+    readers: Vec<Pred>,
+    routed: Routed,
+}
 
 /// One planned task.
 struct Def {
@@ -171,42 +191,58 @@ impl TaskOp for ToyOp {
         ctx.def(self).pos
     }
 
-    /// The textbook rule, op by op: an access waits for the datum's last
-    /// writer, a write also for the readers since. A datum `keep` rejects
-    /// is tracked, not visited.
+    /// The textbook rule, op by op: all of an op's accesses see the state
+    /// before it, then update it in access order. A datum `share` does not
+    /// sweep is tracked, not visited; of one it does, an access is visited
+    /// as `share` says, and a read it does not visit names nobody later.
     fn for_each_predecessor(
         ctx: &ToyCtx,
         step: usize,
         ops: &[ToyOp],
-        keep: impl Fn(DataKey) -> bool,
+        share: &Share<'_>,
         mut f: impl FnMut(Visit<'_>),
     ) {
         let seen = &mut *ctx.seen.lock().unwrap();
+        let mut visited = Vec::new();
         for (i, &op) in ops.iter().enumerate() {
-            let def = ctx.def(op);
-            for &access in def.accesses.iter().filter(|a| keep(a.key())) {
-                let (writer, readers) = seen.get(&access.key()).cloned().unwrap_or_default();
-                let readers = if matches!(access, Access::Mut(_)) {
-                    &readers[..]
-                } else {
-                    &[]
-                };
-                f(Visit {
-                    op: i,
-                    access,
-                    writer,
-                    readers,
-                });
+            let entry = ctx.def(op);
+            visited.clear();
+            for &access in &entry.accesses {
+                let swept = share.sweeps(access.key());
+                let s = seen.entry(access.key()).or_default();
+                let visit = swept
+                    && match access {
+                        Access::Read(_) => share.reads(i, s.writer, s.src, &mut s.routed),
+                        _ => share.full(i),
+                    };
+                if visit {
+                    let readers = if matches!(access, Access::Mut(_)) {
+                        &s.readers[..]
+                    } else {
+                        &[]
+                    };
+                    f(Visit {
+                        op: i,
+                        access,
+                        writer: s.writer,
+                        readers,
+                    });
+                }
+                visited.push(visit || !swept);
             }
-            let me = Pred { step, pos: def.pos };
-            for access in &def.accesses {
-                let (writer, readers) = seen.entry(access.key()).or_default();
-                match access {
-                    Access::Read(_) => readers.push(me),
-                    Access::Control(_) => {}
+            let me = Pred {
+                step,
+                pos: entry.pos,
+            };
+            for (acc, &named) in entry.accesses.iter().zip(&visited) {
+                let s = seen.entry(acc.key()).or_default();
+                match acc {
+                    Access::Read(_) if named => s.readers.push(me),
+                    Access::Read(_) | Access::Control(_) => {}
                     Access::Mut(_) => {
-                        *writer = Some(me);
-                        readers.clear();
+                        s.writer = Some(me);
+                        s.src = share.of().map(|_| share.node(i));
+                        s.readers.clear();
                     }
                 }
             }
@@ -292,7 +328,7 @@ impl StepSource for Toy {
         sink.declare(decision(k), 8, 0);
         let d = self.task(sink, ("D", k, 0), &[Mut(decision(k))], NO_NAP);
         let p_node = match self.producer {
-            Producer::Node0 => 0,
+            Producer::Node0 | Producer::Rewritten => 0,
             Producer::Alternating => k % 2,
         };
         let p = [Read(decision(k)), Mut(X), Mut(Y)];
@@ -300,6 +336,15 @@ impl StepSource for Toy {
         self.task(sink, ("C1", k, 1), &[Read(X), Mut(R1)], NO_NAP);
         self.task(sink, ("L", k, 1), &[Read(Z), Mut(R3)], L_NAP);
         self.task(sink, ("W", k, 0), &[Mut(Z)], NO_NAP);
+        if self.producer == Producer::Rewritten {
+            let read = [Read(V), Mut(R5)];
+            self.task(sink, ("A", k, 0), &[Mut(V)], NO_NAP);
+            self.task(sink, ("Ra", k, 2), &read, NO_NAP);
+            self.task(sink, ("B", k, 1), &[Mut(V)], NO_NAP);
+            self.task(sink, ("Rb", k, 2), &read, NO_NAP);
+            self.task(sink, ("C", k, 0), &[Mut(V)], NO_NAP);
+            self.task(sink, ("Rc", k, 2), &read, NO_NAP);
+        }
         StepPhase::AwaitDecision(d)
     }
 
@@ -357,6 +402,14 @@ pub enum Producer {
     /// On node 0 in even steps and on node 1 in odd ones: node 0's share of
     /// an odd step waits for nothing that `P` does.
     Alternating,
+    /// On node 0, and each prelude also rewrites `V` in turn: `A` (node 0)
+    /// writes it, `Ra` (node 2) reads it, `B` (node 1) rewrites it, `Rb`
+    /// (node 2) reads that, `C` (node 0) rewrites it and `Rc` (node 2)
+    /// reads it once more. In one phase node 0 sources two versions of `V`
+    /// that node 2 reads, with another rank's write between them, so node
+    /// 0's sweep must visit a reader per version and destination, not per
+    /// datum.
+    Rewritten,
 }
 
 /// Live steps of the streamed paths: the next prelude is planned while

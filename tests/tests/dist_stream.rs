@@ -40,7 +40,51 @@ fn a_producer_still_sends_once_its_rank_drained_the_next_step() {
     toy::check_parity(&TOY_PATHS, Producer::Alternating);
 }
 
+/// Node 0 sources two versions of one datum that node 2 reads in one
+/// phase, with node 1's write between them ([`Producer::Rewritten`]):
+/// each version reaches node 2.
+#[test]
+fn every_version_a_rank_sources_reaches_each_remote_reader() {
+    toy::check_parity(&TOY_PATHS, Producer::Rewritten);
+}
+
 const TOY_PATHS: [Path; 4] = [Path::Batch, Path::Stream, Path::Loopback, Path::Uds];
+
+/// On a 2×2 grid, a rank plans in proportion to its share: its sweeps name
+/// its own tasks and the boundary — the other ranks' ops that write a
+/// datum it sweeps, and one reader per version it sources and destination
+/// in a phase — and nothing of the rest.
+#[test]
+fn a_rank_names_its_own_tasks_and_the_boundary() {
+    for algorithm in [MAX, Algorithm::Hqr] {
+        let case = case(algorithm.clone(), Grid::new(2, 2), 96, 7);
+        let outs = check_parity(&case, &[Path::Stream, Path::Loopback]);
+        let total = outs[0].report().tasks_planned;
+        for (rank, f) in outs[1].ranks.iter().enumerate() {
+            let r = &f.report;
+            let sent: u64 = r
+                .link_msgs
+                .iter()
+                .filter(|l| l.src == rank)
+                .map(|l| l.msgs.payload_msgs())
+                .sum();
+            let what = format!(
+                "{algorithm:?} rank {rank} of {total} ops: {} planned, {} named, boundary {} + {}",
+                r.tasks_planned, r.ops_named, r.boundary_writers, r.boundary_readers
+            );
+            assert_eq!(
+                r.ops_named,
+                r.tasks_planned + r.boundary_writers + r.boundary_readers,
+                "{what}"
+            );
+            // A reader is named only for a version this rank routes to the
+            // reader's node, which is one message the rank sends.
+            assert!(r.boundary_readers as u64 <= sent, "{what}: {sent} sent");
+            // Its own quarter and the boundary: under half of the plan.
+            assert!(2 * r.ops_named < total, "{what}");
+        }
+    }
+}
 
 #[test]
 fn distributed_streaming_parity_every_algorithm_and_criterion() {
@@ -211,7 +255,9 @@ fn net_four_worker_uds_processes_match_simulated_run() {
     let outs = check_parity(&case, &LOCAL);
     let (batch, dist) = (&outs[0], &outs[1]);
 
-    let mp = launch_multiprocess(&job, None).expect("multi-process run");
+    // A wire bug must fail the test, not hang it.
+    let deadline = std::time::Duration::from_secs(120);
+    let mp = launch_multiprocess(&job, None, deadline).expect("multi-process run");
     assert_eq!(mp.error, None);
     let x = mp.solution.as_ref().expect("rank 0 reports a solution");
     assert_eq!(bits(x), bits(&batch.x), "solution diverged");
