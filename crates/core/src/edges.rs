@@ -169,6 +169,8 @@ impl<'s, 'f, F: FnMut(Visit<'_>)> Sweep<'s, 'f, F> {
         } = self;
         let (key, k, lo, end) = (keys::pack(kind, a, b), st.k, phase.start, phase.end);
         let grid = st.ctx.grid;
+        // Where a version lives matters only to a rank's share.
+        let node = |op: TaskOp| share.of().map_or(0, |_| op.node(grid));
         let at = |pos| Pred { step: k, pos };
         // The version the datum holds: its writer and that writer's node. A
         // tile's last write in the step before is named when a visit first
@@ -185,7 +187,7 @@ impl<'s, 'f, F: FnMut(Visit<'_>)> Sweep<'s, 'f, F> {
                         step: p.k,
                         pos: p.dense(op),
                     },
-                    op.node(grid),
+                    node(op),
                 ));
             }
             *writer
@@ -209,37 +211,16 @@ impl<'s, 'f, F: FnMut(Visit<'_>)> Sweep<'s, 'f, F> {
                             let version = last(&mut writer, &mut before);
                             let src = version.map_or(home, |(_, node)| Some(node));
                             let version = version.map(|(p, _)| p);
-                            let mut visit = |pos: usize| {
+                            let run = (first - lo, inside, stride);
+                            visited_reads(share, routed, run, (version, src), &mut |op| {
                                 f(Visit {
-                                    op: pos - lo,
+                                    op,
                                     access: Access::Read(key),
                                     writer: version,
                                     readers: &[],
                                 });
-                                readers.push(at(pos));
-                            };
-                            let members = (0..inside).map(|t| first + t * stride);
-                            let rank = share.of();
-                            if rank.is_none_or(|r| src.is_none_or(|s| s == r)) {
-                                // Every member is a candidate: the version
-                                // may be routed from this rank.
-                                for pos in members {
-                                    if share.reads(pos - lo, version, src, routed) {
-                                        visit(pos);
-                                    }
-                                }
-                            } else if inside <= 8 {
-                                members.filter(|&pos| share.full(pos - lo)).for_each(visit);
-                            } else {
-                                // Only the members visited in full: the
-                                // phase's list of them, on the stride.
-                                let last = first + (inside - 1) * stride;
-                                let full = share.full_in(first - lo..last + 1 - lo);
-                                full.iter()
-                                    .map(|&i| lo + i as usize)
-                                    .filter(|pos| (pos - first) % stride == 0)
-                                    .for_each(visit);
-                            }
+                                readers.push(at(lo + op));
+                            });
                         }
                         if pre + inside < n {
                             Break(())
@@ -270,11 +251,37 @@ impl<'s, 'f, F: FnMut(Visit<'_>)> Sweep<'s, 'f, F> {
                 "{op:?} writes a swept datum, so it is visited in full"
             );
             if write {
-                (writer, before) = (Some((at(pos), op.node(grid))), None);
+                (writer, before) = (Some((at(pos), node(op))), None);
                 readers.clear();
             }
             Continue(())
         });
+    }
+}
+
+/// Which of a reader group's members in the phase the share visits: of
+/// the ops `from + t * stride` (`t < n`, indices in the phase), those whose
+/// read of `version`, which lives on node `src`, [`Share::reads`] keeps, in
+/// order. Unless the rank may be the source, that is only the ops visited
+/// in full, found in the phase's list of them rather than one by one.
+fn visited_reads(
+    share: &Share<'_>,
+    routed: &mut Routed,
+    (from, n, stride): (usize, usize, usize),
+    (version, src): (Option<Pred>, Option<usize>),
+    visit: &mut impl FnMut(usize),
+) {
+    let members = (0..n).map(|t| from + t * stride);
+    if share.of().is_none_or(|rank| src.is_none_or(|s| s == rank)) {
+        for op in members.filter(|&op| share.reads(op, version, src, routed)) {
+            visit(op);
+        }
+    } else if n <= 8 {
+        members.filter(|&op| share.full(op)).for_each(visit);
+    } else {
+        let last = from + (n - 1) * stride;
+        let full = share.full_in(from..last + 1).iter().map(|&op| op as usize);
+        full.filter(|op| (op - from) % stride == 0).for_each(visit);
     }
 }
 

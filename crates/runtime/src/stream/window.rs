@@ -401,7 +401,7 @@ impl<O> Default for Phase<O> {
 }
 
 impl<O: TaskOp> Phase<O> {
-    /// Does wire rank's sweep cover datum `key`: one it sweeps, or a
+    /// Does a wire rank's sweep cover `key`: a datum of `mine`, or a
     /// decision?
     fn swept(mine: &IntSet<DataKey>, ctx: &O::Ctx, key: DataKey) -> bool {
         mine.contains(&key) || O::data_class(ctx, key) == DataClass::Decision
@@ -662,7 +662,8 @@ impl<O: TaskOp> WindowState<O> {
         self.newly_ready = self.newly_ready.saturating_sub(1);
         let t = self.tasks.get(r.id).expect("ready task not live");
         let (op, step, needs) = (t.op, t.step, t.placed.needs.clone());
-        let needs = &self.steps.live_mut(step).needs[needs.start as usize..needs.end as usize];
+        let live = self.steps.get(step).expect("a live task's step is live");
+        let needs = &live.needs[needs.start as usize..needs.end as usize];
         self.fabric.arrived(needs).then_some((r.id, op))
     }
 
