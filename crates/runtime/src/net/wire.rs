@@ -196,7 +196,9 @@ pub fn encode_frame(frame: &Frame) -> Vec<u8> {
 /// Write one frame to a byte stream: header and payload go out in one
 /// vectored write, so the payload is not first copied behind its header.
 pub fn write_frame(w: &mut impl Write, frame: &Frame) -> Result<(), TransportError> {
-    write_frames(w, std::slice::from_ref(frame))
+    let (head, payload) = encode_head(frame);
+    let mut slices = [IoSlice::new(head.bytes()), IoSlice::new(payload)];
+    write_slices(w, &mut slices)
 }
 
 /// Frames per vectored write of [`write_frames`] (two slices each, well
@@ -208,22 +210,29 @@ const BATCH: usize = 64;
 /// system call (unless the stream takes it in parts) and no payload is
 /// copied behind its header.
 pub fn write_frames(w: &mut impl Write, frames: &[Frame]) -> Result<(), TransportError> {
+    if let [frame] = frames {
+        return write_frame(w, frame);
+    }
+    for chunk in frames.chunks(BATCH) {
+        let heads: Vec<(Head, &[u8])> = chunk.iter().map(encode_head).collect();
+        let mut slices: Vec<IoSlice<'_>> = heads
+            .iter()
+            .flat_map(|(head, payload)| [IoSlice::new(head.bytes()), IoSlice::new(payload)])
+            .collect();
+        write_slices(w, &mut slices)?;
+    }
+    Ok(())
+}
+
+/// Write every byte of `slices` and flush.
+fn write_slices(w: &mut impl Write, mut slices: &mut [IoSlice<'_>]) -> Result<(), TransportError> {
     let mut write_all = || -> std::io::Result<()> {
-        for chunk in frames.chunks(BATCH) {
-            let heads: Vec<(Head, &[u8])> = chunk.iter().map(encode_head).collect();
-            let mut slices = [IoSlice::new(&[]); 2 * BATCH];
-            for (n, (head, payload)) in heads.iter().enumerate() {
-                slices[2 * n] = IoSlice::new(head.bytes());
-                slices[2 * n + 1] = IoSlice::new(payload);
-            }
-            let mut bufs = &mut slices[..2 * heads.len()];
-            while !bufs.is_empty() {
-                match w.write_vectored(bufs) {
-                    Ok(0) => return Err(ErrorKind::WriteZero.into()),
-                    Ok(n) => IoSlice::advance_slices(&mut bufs, n),
-                    Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                    Err(e) => return Err(e),
-                }
+        while !slices.is_empty() {
+            match w.write_vectored(slices) {
+                Ok(0) => return Err(ErrorKind::WriteZero.into()),
+                Ok(n) => IoSlice::advance_slices(&mut slices, n),
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
             }
         }
         w.flush()
@@ -529,16 +538,19 @@ mod tests {
         for f in &frames {
             write_frame(&mut pipe, f).unwrap();
         }
+        // The same frames again, as one batch.
+        write_frames(&mut pipe, &frames).unwrap();
         let expected: Vec<u8> = frames.iter().flat_map(encode_frame).collect();
-        assert_eq!(pipe.data, expected);
-        for f in &frames {
+        assert_eq!(pipe.data, [&expected[..], &expected[..]].concat());
+        for f in frames.iter().chain(&frames) {
             assert_eq!(&read_frame(&mut pipe).unwrap(), f);
         }
         assert_eq!(read_frame(&mut pipe), Err(TransportError::Closed));
     }
 
     /// Header and payload leave in one vectored write: one syscall per
-    /// frame on a socket, and no copy of the payload behind its header.
+    /// frame (or batch of frames) on a socket, and no copy of the payload
+    /// behind its header.
     #[test]
     fn a_frame_is_one_vectored_write() {
         struct Vectored {
@@ -566,6 +578,16 @@ mod tests {
         write_frame(&mut w, &frame).unwrap();
         assert_eq!(w.calls, 1);
         assert_eq!(w.data, encode_frame(&frame));
+
+        // A batch is one vectored write per 64 frames.
+        let frames: Vec<Frame> = (0..100).map(|n| tile_frame(vec![n as u8; n])).collect();
+        w.data.clear();
+        write_frames(&mut w, &frames).unwrap();
+        assert_eq!(w.calls, 1 + 2);
+        assert_eq!(
+            w.data,
+            frames.iter().flat_map(encode_frame).collect::<Vec<u8>>()
+        );
     }
 
     /// A payload must account for exactly the rest of its frame.
