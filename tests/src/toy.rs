@@ -205,9 +205,9 @@ impl TaskOp for ToyOp {
         let seen = &mut *ctx.seen.lock().unwrap();
         let mut visited = Vec::new();
         for (i, &op) in ops.iter().enumerate() {
-            let entry = ctx.def(op);
+            let def = ctx.def(op);
             visited.clear();
-            for &access in &entry.accesses {
+            for &access in &def.accesses {
                 let swept = share.sweeps(access.key());
                 let s = seen.entry(access.key()).or_default();
                 let visit = swept
@@ -230,11 +230,8 @@ impl TaskOp for ToyOp {
                 }
                 visited.push(visit || !swept);
             }
-            let me = Pred {
-                step,
-                pos: entry.pos,
-            };
-            for (acc, &named) in entry.accesses.iter().zip(&visited) {
+            let me = Pred { step, pos: def.pos };
+            for (acc, &named) in def.accesses.iter().zip(&visited) {
                 let s = seen.entry(acc.key()).or_default();
                 match acc {
                     Access::Read(_) if named => s.readers.push(me),
