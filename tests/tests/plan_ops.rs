@@ -178,11 +178,11 @@ fn options(label: &str, (p, q): (usize, usize), trees: TreeConfig) -> FactorOpti
 
 // --- allocation budget ------------------------------------------------------
 
-/// What a rank of the two-rank run may allocate per task it plans: 1.37
+/// What a rank of the two-rank run may allocate per task it plans: 1.35
 /// to 1.51 for the hybrid, 0.74 to 0.93 for the LU planners and 1.36 to
-/// 1.38 for HQR when it was set (1.65 to 2.39 before a wire rank's
-/// insertions stopped allocating per task, counted with the packing of its
-/// share).
+/// 1.38 for HQR when it was set (1.12 to 1.92 before a wire rank's sweep
+/// skipped other ranks' ops and its insertions stopped allocating per
+/// task).
 const RANK_ALLOCS_PER_TASK: f64 = 1.6;
 
 /// The five planners on the issue's fixture (n = 192, nb = 16, grid 1×2).
