@@ -276,8 +276,6 @@ fn visited_reads(
         for op in members.filter(|&op| share.reads(op, version, src, routed)) {
             visit(op);
         }
-    } else if n <= 8 {
-        members.filter(|&op| share.full(op)).for_each(visit);
     } else {
         let last = from + (n - 1) * stride;
         let full = share.full_in(from..last + 1).iter().map(|&op| op as usize);

@@ -66,7 +66,7 @@ pub use builder::{Inserter, StepPlanner};
 pub use config::{Algorithm, Decision, FactorOptions, LuVariant, PivotScope, StepRecord};
 pub use criteria::Criterion;
 pub use net::{
-    factor_stream_net, factor_stream_net_opts, factor_stream_net_rank, NetRank, NetTransportKind,
+    factor_stream_net, factor_stream_net_opts, factor_stream_net_rank, NetTransportKind,
 };
 pub use op::{Gate, TaskOp};
 pub use state::RunCtx;

@@ -792,14 +792,14 @@ mod tests {
         use std::os::unix::fs::PermissionsExt;
         let _one = ONE_LAUNCH.lock().unwrap_or_else(|e| e.into_inner());
         let dir = std::env::temp_dir().join(format!("luqr-slow-worker-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         let worker = dir.join("luqr-worker");
-        // Every rank records its pid and then outlasts the deadline, as a
-        // set stuck on a wire bug does.
+        // Every rank records its pid, before it runs anything else, and
+        // then outlasts the deadline, as a set stuck on a wire bug does.
         let script = format!(
             "#!/bin/sh\n\
-             rank=$(echo \" $* \" | sed 's/.* --rank \\([0-9]*\\) .*/\\1/')\n\
-             echo $$ > {dir}/rank$rank.pid\n\
+             echo $$ > {dir}/$$.pid\n\
              exec sleep 60\n",
             dir = dir.display()
         );
@@ -807,7 +807,7 @@ mod tests {
         std::fs::set_permissions(&worker, std::fs::Permissions::from_mode(0o755)).unwrap();
 
         let t0 = Instant::now();
-        let deadline = Duration::from_millis(300);
+        let deadline = Duration::from_secs(2);
         let err = launch_multiprocess(&small_job(Algorithm::Hqr), Some(worker), deadline)
             .expect_err("the set outlives its deadline");
         assert!(err.contains("ranks [0, 1] still running"), "{err}");
@@ -815,14 +815,20 @@ mod tests {
             t0.elapsed() < Duration::from_secs(10),
             "the deadline ended the launch"
         );
-        for rank in 0..2 {
-            let pid = std::fs::read_to_string(dir.join(format!("rank{rank}.pid")))
-                .unwrap_or_else(|e| panic!("rank {rank} never started: {e}"));
+        let pids: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .filter_map(|entry| {
+                let name = entry.unwrap().file_name().into_string().unwrap();
+                name.strip_suffix(".pid").map(String::from)
+            })
+            .collect();
+        assert_eq!(pids.len(), 2, "every rank started: {pids:?}");
+        for pid in pids {
             let alive = Command::new("kill")
-                .args(["-0", pid.trim()])
+                .args(["-0", &pid])
                 .stderr(std::process::Stdio::null())
                 .status();
-            assert!(!alive.unwrap().success(), "rank {rank} outlived the launch");
+            assert!(!alive.unwrap().success(), "worker {pid} outlived the launch");
         }
         assert_eq!(leftovers(), Vec::<String>::new());
         std::fs::remove_dir_all(&dir).unwrap();

@@ -55,7 +55,7 @@ use luqr_runtime::{NetConfig, PayloadStore, Probe, StreamOptions, Transport, Tra
 use luqr_tile::TiledMatrix;
 
 use crate::builder::stream_source::PlannerStepSource;
-use crate::config::{Algorithm, FactorOptions};
+use crate::config::FactorOptions;
 use crate::StreamFactorization;
 
 /// Which transport carries the inter-rank protocol.
@@ -202,72 +202,25 @@ pub fn factor_stream_net_rank(
     stream_opts: &StreamOptions,
     transport: Arc<dyn Transport>,
 ) -> Result<StreamFactorization, TransportError> {
-    NetRank::pack(a, rhs, opts, transport.rank()).run(stream_opts, transport)
-}
-
-/// One rank of a real-transport run before it starts: its share of `[A |
-/// rhs]` packed and its planner source built ([`NetRank::pack`]), so that
-/// [`NetRank::run`] is the run alone — what a streamed run's
-/// `execute_with` is to its source.
-pub struct NetRank {
-    n: usize,
-    nrhs: usize,
-    rank: usize,
-    algorithm: Algorithm,
-    aug: TiledMatrix,
-    source: PlannerStepSource,
-}
-
-impl NetRank {
-    /// Pack rank `rank`'s share of `[A | rhs]` under `opts` and build its
-    /// planner source.
-    pub fn pack(a: &Mat, rhs: &Mat, opts: &FactorOptions, rank: usize) -> NetRank {
-        let n = crate::prelude(a, rhs, opts);
-        let aug = rank_share(a, rhs, opts, rank);
-        let nt_a = aug.nt() - rhs.cols().div_ceil(opts.nb);
-        let source = PlannerStepSource::new(&aug, nt_a, opts);
-        NetRank {
-            n,
-            nrhs: rhs.cols(),
-            rank,
-            algorithm: opts.algorithm.clone(),
-            aug,
-            source,
-        }
-    }
-
-    /// Run the rank on `transport`, which must be rank `rank`'s endpoint of
-    /// the set ([`factor_stream_net_rank`]).
-    pub fn run(
-        mut self,
-        stream_opts: &StreamOptions,
-        transport: Arc<dyn Transport>,
-    ) -> Result<StreamFactorization, TransportError> {
-        if transport.rank() != self.rank {
-            return Err(TransportError::Protocol(format!(
-                "rank {}'s share on rank {}'s endpoint",
-                self.rank,
-                transport.rank()
-            )));
-        }
-        let rank = self.rank;
-        let store: Arc<dyn PayloadStore> = Arc::new(StepStore::new(self.source.context()));
-        let net = NetConfig { transport, store };
-        let report = execute_net(&mut self.source, stream_opts, net)?;
-        let result = (rank == 0).then_some(&self.aug);
-        let (records, error) = crate::epilogue(self.source.shared(), result);
-        Ok(StreamFactorization {
-            aug: self.aug,
-            report,
-            records,
-            error,
-            n: self.n,
-            nrhs: self.nrhs,
-            algorithm: self.algorithm,
-            ctx: self.source.context(),
-            holds_result: rank == 0,
-        })
-    }
+    let n = crate::prelude(a, rhs, opts);
+    let rank = transport.rank();
+    let aug = rank_share(a, rhs, opts, rank);
+    let nt_a = aug.nt() - rhs.cols().div_ceil(opts.nb);
+    let mut source = PlannerStepSource::new(&aug, nt_a, opts);
+    let store: Arc<dyn PayloadStore> = Arc::new(StepStore::new(source.context()));
+    let report = execute_net(&mut source, stream_opts, NetConfig { transport, store })?;
+    let (records, error) = crate::epilogue(source.shared(), (rank == 0).then_some(&aug));
+    Ok(StreamFactorization {
+        aug,
+        report,
+        records,
+        error,
+        n,
+        nrhs: rhs.cols(),
+        algorithm: opts.algorithm.clone(),
+        ctx: source.context(),
+        holds_result: rank == 0,
+    })
 }
 
 /// What `rank` packs of `[A | rhs]`: the tiles homed on it on the run's

@@ -50,10 +50,6 @@ impl Transport for LoopbackEndpoint {
         self.boxes.len()
     }
 
-    fn send(&self, to: usize, frame: &Frame) -> Result<(), TransportError> {
-        self.send_batch(to, std::slice::from_ref(frame))
-    }
-
     /// Each frame is pushed into the mailbox in turn, under one lock, with
     /// one wake-up for the batch.
     fn send_batch(&self, to: usize, frames: &[Frame]) -> Result<(), TransportError> {

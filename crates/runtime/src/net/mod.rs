@@ -67,7 +67,7 @@ impl std::error::Error for TransportError {}
 
 /// One rank's endpoint: frame-oriented send/recv over some medium.
 ///
-/// `send` may be called concurrently from several threads; `recv` is
+/// `send_batch` may be called concurrently from several threads; `recv` is
 /// called from the single receiver thread of the streaming executor.
 /// `shutdown` unblocks a pending `recv` with [`TransportError::Closed`]
 /// and makes further calls fail; it must be idempotent.
@@ -76,13 +76,13 @@ pub trait Transport: Send + Sync {
     fn rank(&self) -> usize;
     /// Total ranks in the set.
     fn nranks(&self) -> usize;
-    /// Send one frame to `to` (delivered in order per link).
-    fn send(&self, to: usize, frame: &Frame) -> Result<(), TransportError>;
-    /// Send `frames` to `to`, in order, in as few writes as the medium
-    /// allows (a socket: one vectored write over the frames' headers and
-    /// payloads, no payload copied). By default, one `send` each.
-    fn send_batch(&self, to: usize, frames: &[Frame]) -> Result<(), TransportError> {
-        frames.iter().try_for_each(|frame| self.send(to, frame))
+    /// Send `frames` to `to`, in order (delivered in order per link), in as
+    /// few writes as the medium allows (a socket: one vectored write over
+    /// the frames' headers and payloads, no payload copied).
+    fn send_batch(&self, to: usize, frames: &[Frame]) -> Result<(), TransportError>;
+    /// Send one frame to `to`: a batch of one.
+    fn send(&self, to: usize, frame: &Frame) -> Result<(), TransportError> {
+        self.send_batch(to, std::slice::from_ref(frame))
     }
     /// Block for the next frame from any peer; returns `(from, frame)`.
     fn recv(&self) -> Result<(usize, Frame), TransportError>;

@@ -9,7 +9,7 @@
 //! until a peer connects or the deadline passes. Only a rank of separate
 //! processes may dial a listener that is not bound yet, and retries it.
 //! A peer that never comes is a [`TransportError::Connect`] at the
-//! deadline ([`SocketEndpoint::connect_within`]).
+//! deadline (30 s for [`SocketEndpoint::connect`]).
 //!
 //! Each peer stream gets a dedicated reader thread feeding one inbox
 //! queue; writes take a per-peer mutex so concurrent senders cannot
@@ -66,7 +66,7 @@ impl SocketEndpoint {
     }
 
     /// [`SocketEndpoint::connect`], giving up after `timeout`.
-    pub fn connect_within(
+    fn connect_within(
         spec: &SocketSpec,
         rank: usize,
         nranks: usize,
@@ -275,10 +275,6 @@ impl Transport for SocketEndpoint {
 
     fn nranks(&self) -> usize {
         self.nranks
-    }
-
-    fn send(&self, to: usize, frame: &Frame) -> Result<(), TransportError> {
-        self.send_batch(to, std::slice::from_ref(frame))
     }
 
     fn send_batch(&self, to: usize, frames: &[Frame]) -> Result<(), TransportError> {

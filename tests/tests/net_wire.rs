@@ -322,21 +322,23 @@ impl<T: Transport> Transport for TamperingPeer<T> {
     fn nranks(&self) -> usize {
         self.inner.nranks()
     }
-    fn send(&self, to: usize, frame: &Frame) -> Result<(), TransportError> {
+    fn send_batch(&self, to: usize, frames: &[Frame]) -> Result<(), TransportError> {
         use std::sync::atomic::Ordering;
-        let mut frame = frame.clone();
-        if let Frame::Data {
-            key,
-            payload,
-            class: DataClass::Payload,
-            ..
-        } = &mut frame
-        {
-            if !payload.is_empty() && !self.tampered.swap(true, Ordering::SeqCst) {
-                (self.tamper)(key, payload);
+        let mut frames = frames.to_vec();
+        for frame in &mut frames {
+            if let Frame::Data {
+                key,
+                payload,
+                class: DataClass::Payload,
+                ..
+            } = frame
+            {
+                if !payload.is_empty() && !self.tampered.swap(true, Ordering::SeqCst) {
+                    (self.tamper)(key, payload);
+                }
             }
         }
-        self.inner.send(to, &frame)
+        self.inner.send_batch(to, &frames)
     }
     fn recv(&self) -> Result<(usize, Frame), TransportError> {
         self.inner.recv()
@@ -443,11 +445,14 @@ impl Transport for ReplayingPeer {
     fn nranks(&self) -> usize {
         self.inner.nranks()
     }
-    fn send(&self, to: usize, frame: &Frame) -> Result<(), TransportError> {
-        if matches!(frame, Frame::Data { key, .. } if *key == luqr::keys::crit_scratch(0, 0)) {
+    fn send_batch(&self, to: usize, frames: &[Frame]) -> Result<(), TransportError> {
+        let step0 = |frame: &&Frame| {
+            matches!(frame, Frame::Data { key, .. } if *key == luqr::keys::crit_scratch(0, 0))
+        };
+        if let Some(frame) = frames.iter().find(step0) {
             *self.saved.lock().unwrap() = Some(frame.clone());
         }
-        self.inner.send(to, frame)
+        self.inner.send_batch(to, frames)
     }
     fn recv(&self) -> Result<(usize, Frame), TransportError> {
         let (from, frame) = self.inner.recv()?;

@@ -32,7 +32,7 @@ use std::time::Instant;
 
 use luqr::{
     builder, factor, factor_stream_net_rank, Algorithm, Criterion, Decision, FactorOptions,
-    LuVariant, NetRank, PivotScope, PlannerStepSource, StreamOptions, TaskOp, TreeConfig,
+    LuVariant, PivotScope, PlannerStepSource, StreamOptions, TaskOp, TreeConfig,
 };
 use luqr_runtime::net::loopback::loopback_set;
 use luqr_runtime::stream;
@@ -178,12 +178,12 @@ fn options(label: &str, (p, q): (usize, usize), trees: TreeConfig) -> FactorOpti
 
 // --- allocation budget ------------------------------------------------------
 
-/// What a rank of the two-rank run may allocate per task it plans: 1.35
-/// to 1.51 for the hybrid, 0.74 to 0.93 for the LU planners and 1.36 to
-/// 1.38 for HQR when it was set (1.12 to 1.92 before a wire rank's sweep
-/// skipped other ranks' ops and its insertions stopped allocating per
-/// task).
-const RANK_ALLOCS_PER_TASK: f64 = 1.6;
+/// What a rank of the two-rank run may allocate per task it plans,
+/// packing its share included: 1.87 to 1.94 for the hybrid and HQR, 1.27
+/// to 1.56 for the LU planners when it was set (1.64 to 2.41 before a wire
+/// rank's sweep skipped other ranks' ops and its insertions stopped
+/// allocating per task).
+const RANK_ALLOCS_PER_TASK: f64 = 2.0;
 
 /// The five planners on the issue's fixture (n = 192, nb = 16, grid 1×2).
 const BUDGET_PLANNERS: [&str; 5] = ["hybrid-a1-domain", "lu-nopiv", "lupp", "lu-incpiv", "hqr"];
@@ -245,8 +245,8 @@ fn planning_allocates_at_most_once_per_task() {
         );
 
         // One rank of a two-rank run over loopback: rank 0's driver plans
-        // on the calling thread, rank 1 runs beside it. Like the streamed
-        // row, its counters and clock start once its share is packed.
+        // on the calling thread, rank 1 runs beside it. Its counters and
+        // clock include packing its share of the matrix.
         let (a, b) = dominant_system(192, 11, 1);
         let opts = options(label, (1, 2), TreeConfig::default());
         let what = format!("{label} rank 0 of 2");
@@ -256,9 +256,9 @@ fn planning_allocates_at_most_once_per_task() {
             std::thread::scope(|s| {
                 let (a, b, opts, sopts) = (&a, &b, &opts, &sopts);
                 let peer = s.spawn(move || factor_stream_net_rank(a, b, opts, sopts, r1));
-                let rank = NetRank::pack(a, b, opts, 0);
                 let cpu = thread_cpu_seconds();
-                let (f, allocs, bytes, _) = measured(|| rank.run(sopts, r0));
+                let (f, allocs, bytes, _) =
+                    measured(|| factor_stream_net_rank(a, b, opts, sopts, r0));
                 let cpu = thread_cpu_seconds() - cpu;
                 peer.join()
                     .expect("rank 1 panicked")
