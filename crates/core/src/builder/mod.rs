@@ -176,15 +176,11 @@ pub fn build_graph(
 pub fn plan_fingerprint(n: usize, nrhs: usize, opts: &FactorOptions) -> u64 {
     /// Hashes what is pushed and keeps nothing.
     struct HashSink {
-        nodes: usize,
         pushed: TaskId,
         hasher: IntHasher,
     }
 
     impl TaskSink<TaskOp> for HashSink {
-        fn num_nodes(&self) -> usize {
-            self.nodes
-        }
         fn declare(&mut self, _key: DataKey, _bytes: usize, _home_node: usize) {}
         fn push(&mut self, node: usize, op: TaskOp) -> TaskId {
             (node, op).hash(&mut self.hasher);
@@ -199,7 +195,6 @@ pub fn plan_fingerprint(n: usize, nrhs: usize, opts: &FactorOptions) -> u64 {
     let nt_a = aug.nt() - nrhs.div_ceil(opts.nb);
     let ctx = RunCtx::new(&aug, nt_a, opts);
     let mut sink = HashSink {
-        nodes: ctx.grid.nodes(),
         pushed: 0,
         hasher: IntHasher::default(),
     };

@@ -27,11 +27,12 @@
 //!
 //! The same factorization runs three ways, bitwise alike: [`factor`] builds
 //! and executes the whole task graph; [`factor_stream`] /
-//! [`factor_stream_with`] unroll it through a bounded window, each task
-//! placed on a node of `opts.grid` (per-link message accounting in
-//! `report.link_msgs`); [`factor_stream_net`] performs it over a real
-//! transport. Virtual time on a simulated cluster is one thing: replaying
-//! [`Factorization::graph`] with [`luqr_runtime::simulate`].
+//! [`factor_stream_with`] unroll it through a bounded window in this
+//! process; [`factor_stream_net`] performs it distributed, one rank per
+//! node of `opts.grid`, over a real transport (per-link message accounting
+//! in each rank's `report.link_msgs`). Virtual time on a simulated cluster
+//! is one thing: replaying [`Factorization::graph`] with
+//! [`luqr_runtime::simulate`].
 //!
 //! Module map:
 //! * [`criteria`] — Max / Sum / MUMPS / Random robustness criteria (§III);
@@ -303,8 +304,9 @@ impl StreamFactorization {
     /// Chrome trace-event JSON of the recorded execution spans (empty run
     /// unless the factorization was streamed with
     /// [`StreamOptions::trace`] on): windowed runs are inspectable in
-    /// `chrome://tracing` like batch runs, with `pid` = virtual node and
-    /// `tid` = worker thread. Given a platform, node lanes are named by its
+    /// `chrome://tracing` like batch runs, with `pid` = the node that ran
+    /// the task (0 on a local run, the rank on a distributed one) and `tid`
+    /// = worker thread. Given a platform, node lanes are named by its
     /// [`NodeSpec`]s; they carry no policy stamp, because the host workers
     /// pop by critical-path depth, not by a virtual-time policy.
     pub fn chrome_trace(&self, platform: Option<&Platform>) -> String {
@@ -361,14 +363,16 @@ pub fn factor_stream(
 /// [`StreamOptions`] configuration: window, per-task trace recording and
 /// metrics [`Probe`].
 ///
-/// Each task is placed on a virtual node of `opts.grid` (owner-computes):
-/// cross-node dependencies become data / decision / retirement messages,
-/// counted in `report.msgs` and per link in `report.link_msgs` (the
-/// hybrid's decision broadcast from the panel owner as in the paper). The
-/// payload messages on every link are the `link_messages` of
-/// [`luqr_runtime::simulate`] replaying [`factor`]'s graph of the same
-/// system, which is where this run's virtual time comes from. Numerics are
-/// bitwise [`factor`]'s whatever the options.
+/// The run is local: the planner plans for `opts.grid` (its decisions and
+/// reduction trees are the grid's), but this process runs every task, so
+/// nothing crosses a node and no message is counted (`report.msgs` is zero,
+/// `report.link_msgs` empty). The messages of a distributed run are its
+/// ranks' — [`factor_stream_net`] with [`NetTransportKind::Loopback`] runs
+/// them as threads of this process — and their payload messages, summed
+/// per link, are the `link_messages` of [`luqr_runtime::simulate`]
+/// replaying [`factor`]'s graph of the same system, which is where a run's
+/// virtual time comes from. Numerics are bitwise [`factor`]'s whatever the
+/// options.
 pub fn factor_stream_with(
     a: &Mat,
     rhs: &Mat,

@@ -1,9 +1,9 @@
 //! Real-transport distributed factorization: run the SPMD streaming
 //! executor over in-process mailboxes or actual sockets.
 //!
-//! [`crate::factor_stream_with`] *counts* a distributed run — one process,
-//! per-node sub-windows, message counters. This module *performs* one:
-//! every rank of the process grid runs the same planner over its own
+//! [`crate::factor_stream_with`] runs the whole factorization in one
+//! process's window. This module runs it distributed: every rank of the
+//! process grid runs the same planner over its own
 //! *share* of the matrix, but its window inserts only the tasks placed on
 //! it (the others keep their ids and the versions they write, no more),
 //! each rank retires its own steps, and the data / decision protocol
@@ -33,8 +33,9 @@
 //!   meshed over UDS, results collected from rank 0.
 //!
 //! Every shape reproduces the single-process streamed run's residuals and
-//! LU/QR decisions bitwise, and on each rank its protocol message counts on
-//! the links that touch the rank exactly; the runtime asserts
+//! LU/QR decisions bitwise, and on each rank the protocol messages on the
+//! links that touch the rank: summed over the ranks, per link, the payload
+//! messages of the batch graph's replay. The runtime asserts
 //! wire-frame/protocol-message reconciliation per link before results are
 //! accepted.
 
@@ -101,9 +102,9 @@ fn dyn_transports<T: Transport + 'static>(set: Vec<Arc<T>>) -> Vec<Arc<dyn Trans
 /// SPMD rank per node of `opts.grid`, all inside this process, exchanging
 /// wire frames over `kind`. Numerics and per-step decisions are identical
 /// to [`crate::factor_stream`] / [`crate::factor_stream_with`] under the
-/// same options, and so are the protocol message statistics on rank 0's
-/// links; rank 0's factorization (whose mirror holds the result at the
-/// end) is returned.
+/// same options, and the protocol message statistics on rank 0's links are
+/// the same on either transport; rank 0's factorization (whose mirror
+/// holds the result at the end) is returned.
 pub fn factor_stream_net(
     a: &Mat,
     rhs: &Mat,

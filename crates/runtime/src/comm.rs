@@ -6,10 +6,11 @@
 //! egress on the sender's NIC, and charges `latency + bytes/bandwidth` per
 //! message. That cost model used to live inline in [`crate::sim::simulate`];
 //! it is factored out here so the replay and the distributed window share
-//! one definition of a message, the window accounting its protocol
-//! traffic — [`DataMsg`] tile transfers, [`DecisionMsg`] broadcasts of the
-//! hybrid's LU-vs-QR criterion decision from the panel-owner node, and
-//! [`RetireMsg`] per-node step-completion reports — through one chokepoint.
+//! one definition of a message, a wire rank's window accounting its
+//! protocol traffic — [`DataMsg`] tile transfers and [`DecisionMsg`]
+//! broadcasts of the hybrid's LU-vs-QR criterion decision from the
+//! panel-owner node — through one chokepoint. Each rank retires its own
+//! steps, so no message reports a retirement.
 
 use std::collections::BTreeMap;
 
@@ -42,20 +43,11 @@ pub struct DecisionMsg {
     pub bytes: usize,
 }
 
-/// A node reporting its share of an elimination step fully drained, so the
-/// planner can retire the step and reclaim window capacity.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RetireMsg {
-    pub step: usize,
-    pub node: usize,
-}
-
 /// One message of the distributed streaming protocol.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Msg {
     Data(DataMsg),
     Decision(DecisionMsg),
-    Retire(RetireMsg),
 }
 
 /// Build the protocol message for one cross-node data dependency, keyed by
@@ -89,15 +81,16 @@ pub fn flow_msg(
 ///
 /// `data_msgs + decision_msgs` equals the discrete-event simulator's
 /// message count for the same run (both count payload-bearing transfers,
-/// deduplicated per destination node); `retire_msgs` is pure protocol
-/// overhead with no payload, so the simulator does not cost it.
+/// deduplicated per destination node).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct MsgStats {
     /// Tile / T-factor / backup transfers.
     pub data_msgs: u64,
     /// Criterion-decision broadcasts.
     pub decision_msgs: u64,
-    /// Per-node step-retirement reports.
+    /// Always 0: every rank retires its own steps and reports nothing. Kept
+    /// for the readers that still add it in (the benchmark's protocol
+    /// count and the multi-process result codec).
     pub retire_msgs: u64,
     /// Payload bytes moved (data + decision messages).
     pub bytes: u64,
@@ -115,7 +108,6 @@ impl MsgStats {
                 self.decision_msgs += 1;
                 self.bytes += m.bytes as u64;
             }
-            Msg::Retire(_) => self.retire_msgs += 1,
         }
     }
 
@@ -139,9 +131,8 @@ pub struct LinkTraffic {
 }
 
 /// Per-link protocol counters of one distributed streaming run: the
-/// [`MsgStats`] breakdown (data / decision / retire, by kind) restricted
-/// to one directed `(src, dst)` pair. Retire reports flow to the planner
-/// node, so they appear on `(node, 0)` links.
+/// [`MsgStats`] breakdown (data / decision, by kind) restricted to one
+/// directed `(src, dst)` pair.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkMsgStats {
     pub src: usize,
@@ -276,10 +267,9 @@ mod tests {
             to: 2,
             bytes: 8,
         }));
-        s.record(&Msg::Retire(RetireMsg { step: 0, node: 1 }));
         assert_eq!(s.data_msgs, 1);
         assert_eq!(s.decision_msgs, 1);
-        assert_eq!(s.retire_msgs, 1);
+        assert_eq!(s.retire_msgs, 0);
         assert_eq!(s.bytes, 72);
         assert_eq!(s.payload_msgs(), 2);
     }

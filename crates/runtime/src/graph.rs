@@ -140,8 +140,8 @@ fn every_datum(_: DataKey) -> bool {
 }
 
 impl Share<'static> {
-    /// Every access of every op: the batch builder's and the counted
-    /// fabric's sweep.
+    /// Every access of every op: the batch builder's and the local
+    /// window's sweep.
     pub fn all() -> Self {
         Share {
             rank: None,
@@ -519,9 +519,6 @@ pub trait TaskOp: Copy + Send + Sync + 'static {
 /// window's sink buffers a phase's declarations and insertions and the
 /// window takes them in with one sweep per datum and one critical section.
 pub trait TaskSink<O: TaskOp> {
-    /// Number of virtual nodes task placements may reference.
-    fn num_nodes(&self) -> usize;
-
     /// Declare a datum: its size in bytes (communication costing) and the
     /// node where it initially resides. A datum declared while a step is
     /// being planned belongs to that step: only the step's tasks may
@@ -935,10 +932,6 @@ impl<O: TaskOp> GraphBuilder<O> {
 /// A declaration is priced when the graph is replayed, so a redeclaration
 /// replaces it for every task; an op joins the open phase.
 impl<O: TaskOp> TaskSink<O> for GraphBuilder<O> {
-    fn num_nodes(&self) -> usize {
-        self.num_nodes
-    }
-
     fn declare(&mut self, key: DataKey, bytes: usize, home_node: usize) {
         assert!(home_node < self.num_nodes);
         self.data.insert(key, DataInfo { bytes, home_node });

@@ -30,7 +30,7 @@
 //!   whole DAG first; the streaming path bounds graph memory by the window.
 //! * [`comm`] — the communication model shared by the simulator and the
 //!   *distributed* streaming window: NIC-serialized transfers plus the
-//!   protocol message records (DataMsg / DecisionMsg / RetireMsg).
+//!   protocol message records (DataMsg / DecisionMsg).
 //! * [`net`] — real transports for that protocol: a [`net::Transport`]
 //!   endpoint per rank (in-process loopback, or Unix-domain sockets
 //!   between worker processes) moving length-prefixed wire frames, driven
@@ -65,9 +65,7 @@ pub(crate) mod testing;
 pub mod trace;
 pub mod vtime;
 
-pub use comm::{
-    DataMsg, DecisionMsg, LinkMsgStats, LinkTraffic, Msg, MsgStats, Network, RetireMsg,
-};
+pub use comm::{DataMsg, DecisionMsg, LinkMsgStats, LinkTraffic, Msg, MsgStats, Network};
 pub use exec::{execute, execute_traced, ExecReport, Tally};
 pub use graph::{
     Access, CostClass, CostedAccess, DataClass, DataKey, Graph, GraphBuilder, Pred, Routed, Share,

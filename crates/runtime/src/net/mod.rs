@@ -120,7 +120,7 @@ pub struct NetReport {
     /// This endpoint's rank and the size of the set.
     pub rank: usize,
     pub nranks: usize,
-    /// Protocol frames (data / decision / retire) sent and received.
+    /// Protocol frames (data / decision) sent and received.
     pub frames_sent: u64,
     pub frames_received: u64,
     /// Control frames (sync / result / done / fin / shutdown).

@@ -96,7 +96,8 @@ pub enum Label {
     Node(usize),
     /// A directed (src, dst) link.
     Link { src: usize, dst: usize },
-    /// A message kind (`"data"` / `"decision"` / `"retire"`).
+    /// A message or frame kind (`"data"` / `"decision"` / `"ctrl"`), or a
+    /// side (`"sent"` / `"received"`).
     Kind(&'static str),
     /// A kernel cost class (`"gemm"`, `"trsm"`, ...).
     Class(&'static str),
@@ -401,10 +402,10 @@ mod tests {
         let q = p.clone();
         p.counter(metric::COMM_MSGS, Label::Kind("data"), 2);
         q.counter(metric::COMM_MSGS, Label::Kind("data"), 3);
-        q.counter(metric::COMM_MSGS, Label::Kind("retire"), 1);
+        q.counter(metric::COMM_MSGS, Label::Kind("decision"), 1);
         let snap = p.snapshot();
         assert_eq!(snap.counter(metric::COMM_MSGS, Label::Kind("data")), 5);
-        assert_eq!(snap.counter(metric::COMM_MSGS, Label::Kind("retire")), 1);
+        assert_eq!(snap.counter(metric::COMM_MSGS, Label::Kind("decision")), 1);
     }
 
     #[test]

@@ -23,15 +23,17 @@
 //!   can now consult fresh data and insert **only the chosen branch**
 //!   instead of both branches statically.
 //!
-//! The window places every task on a virtual node
-//! (owner-computes) and homes every datum on one, but its tables are
-//! shared: one ring of live records, one ready queue and one directory
-//! slot per declared datum, whatever its node. Cross-node progress flows
-//! through [`crate::comm`] message records, tallied per directed link in
+//! There is one distributed code path, and [`execute_with`] is not it: its
+//! window runs every task of the source in this process, whatever node the
+//! source places it on, and routes nothing. A distributed run is
+//! [`execute_net`] on every rank — threads of one process over loopback
+//! mailboxes, or processes over sockets. Each rank's window runs the tasks
+//! placed on it, and cross-rank progress flows through [`crate::comm`]
+//! message records, made into wire frames and tallied per directed link in
 //! [`StreamReport::link_msgs`]. Routing sends what the platform simulator
 //! prices — one payload message per (executed version, destination node) —
-//! so a run's per-link payload traffic is the `link_messages` of
-//! [`crate::sim::simulate`] replaying the equivalent batch graph. A
+//! so the ranks' per-link payload traffic, summed, is the `link_messages`
+//! of [`crate::sim::simulate`] replaying the equivalent batch graph. A
 //! streamed run executes; virtual time is that replay's.
 //!
 //! Execution is bitwise-identical to the batch path because the window
@@ -46,18 +48,17 @@ mod ring;
 mod window;
 mod wire;
 
-use std::ops::Range;
 use std::sync::Arc;
 use std::time::Instant;
 
-use crate::comm::{LinkMsgStats, Msg, MsgStats};
+use crate::comm::{LinkMsgStats, MsgStats};
 use crate::graph::{DataKey, TaskId, TaskOp, TaskSink};
 use crate::net::{NetReport, PayloadStore, Transport, TransportError};
 use crate::probe::{metric, Label, Probe};
 use crate::trace::TraceEvent;
 
 use window::{Phase, StreamWindow, NO_STEP};
-use wire::{ArrivalKey, Wire};
+use wire::Wire;
 
 /// What a source planned for one step.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -90,7 +91,8 @@ pub trait StepSource {
     /// Number of elimination steps.
     fn num_steps(&self) -> usize;
 
-    /// Virtual nodes referenced by task placements.
+    /// Nodes referenced by task placements: a wire run has one rank per
+    /// node, a local window runs them all.
     fn num_nodes(&self) -> usize {
         1
     }
@@ -181,13 +183,13 @@ pub struct StreamReport {
     pub peak_live_steps: usize,
     /// Tasks planned per elimination step (for window-bound accounting).
     pub per_step_tasks: Vec<usize>,
-    /// Distributed-protocol message counters (data transfers, decision
-    /// broadcasts, retirement reports). On a wire rank ([`execute_net`]):
-    /// the data and decision messages on the links that touch the rank.
+    /// Distributed-protocol message counters (data transfers and decision
+    /// broadcasts): on a wire rank ([`execute_net`]), the messages on the
+    /// links that touch the rank; zero on a local window, which routes
+    /// nothing.
     pub msgs: MsgStats,
     /// The same counters broken out per directed `(src, dst)` link, in
-    /// `(src, dst)` order (retire reports appear on `(node, 0)` — the
-    /// planner lives with node 0). Empty for single-node runs.
+    /// `(src, dst)` order. Empty for a local window and a one-rank run.
     pub link_msgs: Vec<LinkMsgStats>,
     /// Per-task execution spans (set when [`StreamOptions::trace`] was
     /// on); render with [`crate::trace::render_chrome_trace`].
@@ -218,8 +220,13 @@ pub struct NetConfig {
 /// gives a phase's ops the next ids in order — the id a source names in
 /// [`StepPhase::AwaitDecision`] is its task's. While no step is open
 /// ([`NO_STEP`], before planning) it takes declarations only.
+///
+/// It checks each placement against the source's `nodes`, and on a local
+/// window puts every op and every datum's home on node 0: the window has no
+/// other, and so nothing it runs depends on another node.
 struct StepSink<'a, O: TaskOp> {
     win: &'a StreamWindow<O>,
+    nodes: usize,
     step: usize,
     /// The id of the next op pushed.
     next_id: TaskId,
@@ -227,13 +234,25 @@ struct StepSink<'a, O: TaskOp> {
 }
 
 impl<'a, O: TaskOp> StepSink<'a, O> {
-    /// A sink over a window nothing was inserted into yet.
-    fn new(win: &'a StreamWindow<O>) -> Self {
+    /// A sink for a source over `nodes` nodes, over a window nothing was
+    /// inserted into yet.
+    fn new(win: &'a StreamWindow<O>, nodes: usize) -> Self {
         StepSink {
             win,
+            nodes,
             step: NO_STEP,
             next_id: 0,
             phase: Phase::default(),
+        }
+    }
+
+    /// Where the window puts what the source placed on `node`.
+    fn place(&self, node: usize) -> usize {
+        assert!(node < self.nodes, "placement on unknown node {node}");
+        if self.win.local() {
+            0
+        } else {
+            node
         }
     }
 
@@ -249,17 +268,13 @@ impl<'a, O: TaskOp> StepSink<'a, O> {
 }
 
 impl<O: TaskOp> TaskSink<O> for StepSink<'_, O> {
-    fn num_nodes(&self) -> usize {
-        self.win.num_nodes()
-    }
-
     fn declare(&mut self, key: DataKey, bytes: usize, home_node: usize) {
-        assert!(home_node < self.win.num_nodes());
-        self.phase.decls.push((key, bytes, home_node));
+        let home = self.place(home_node);
+        self.phase.decls.push((key, bytes, home));
     }
 
     fn push(&mut self, node: usize, op: O) -> TaskId {
-        assert!(node < self.win.num_nodes(), "task placed on unknown node");
+        let node = self.place(node);
         let step = self.step;
         assert_ne!(
             step, NO_STEP,
@@ -276,17 +291,21 @@ impl<O: TaskOp> TaskSink<O> for StepSink<'_, O> {
     }
 }
 
-/// Execute `source` under the full streaming configuration: window and
-/// worker threads (both clamped to ≥ 1), optional trace recording.
+/// Execute `source` in this process under the full streaming
+/// configuration: window and worker threads (both clamped to ≥ 1),
+/// optional trace recording.
+///
+/// The window is local: it runs every task and holds every datum, whatever
+/// node the source places them on, so it routes nothing — its `msgs` are
+/// zero and its `link_msgs` and `net` empty. A distributed run is
+/// [`execute_net`] on every rank.
 ///
 /// The calling thread plans; workers execute concurrently. Numerical
 /// results are deterministic across window and thread count because the
 /// closed-form edges serialize all conflicting accesses in planning order —
 /// the same guarantee the batch executor gives.
 pub fn execute_with<S: StepSource + ?Sized>(source: &mut S, opts: &StreamOptions) -> StreamReport {
-    Fabric::resolve(None, source.num_nodes())
-        .and_then(|fabric| drive(source, opts, fabric))
-        .expect("only a transport can fail a run, and there is none")
+    drive(source, opts, None).expect("only a transport can fail a run, and there is none")
 }
 
 /// Execute `source` as one rank of a real distributed run (SPMD): every
@@ -300,12 +319,12 @@ pub fn execute_with<S: StepSource + ?Sized>(source: &mut S, opts: &StreamOptions
 /// another rank keeps its id, its place in its step's table and the
 /// version it writes, and this rank still sends it the inputs it holds;
 /// nothing else of it exists here. So each rank's [`MsgStats`] and
-/// [`StreamReport::link_msgs`] are [`execute_with`]'s payload messages on
-/// the links that touch the rank (every one it sends goes out as a real
-/// wire frame), its `tasks_planned` and `tasks_executed` its own share, and
-/// it retires its own steps. At the end, ranks other than 0 ship the final
-/// version of every datum they own to rank 0, whose mirror then holds the
-/// complete factorization.
+/// [`StreamReport::link_msgs`] are the run's payload messages on the links
+/// that touch the rank (every one it sends goes out as a real wire frame),
+/// its `tasks_planned` and `tasks_executed` its own share, and it retires
+/// its own steps. At the end, ranks other than 0 ship the final version of
+/// every datum they own to rank 0, whose mirror then holds the complete
+/// factorization.
 ///
 /// An endpoint whose world size is not `source.num_nodes()` is a typed
 /// error before anything starts.
@@ -314,186 +333,8 @@ pub fn execute_net<S: StepSource + ?Sized>(
     opts: &StreamOptions,
     net: NetConfig,
 ) -> Result<StreamReport, TransportError> {
-    let fabric = Fabric::resolve(Some(net), source.num_nodes())?;
-    drive(source, opts, fabric)
-}
-
-/// What carries a run's cross-node traffic — the one value the streaming
-/// window's distribution mode is. Routing (which message goes where, once
-/// per version and destination) is the window's and the same for both;
-/// the fabric is what happens *to* a routed message and which tasks this
-/// process plans and runs ([`Fabric::runs`]):
-///
-/// * `Counted` — every node's tasks, and messages are tallied, nothing
-///   else;
-/// * `Wire` — this rank's tasks only; its messages become frames on a real
-///   transport and its tasks wait for the frames of others ([`wire`]).
-///
-/// The window calls it at four seams — [`Fabric::place`] at insertion
-/// (with [`Fabric::decides`] for a decision writer and
-/// [`Fabric::overwritten`] for what another rank runs), [`Fabric::send`]
-/// for a routed message, [`Fabric::completed`] at completion,
-/// [`Fabric::arrived`] at pop — plus [`Fabric::report`]. The
-/// per-task ones are `#[inline]`: the window is generic over the op and so
-/// compiled in the crate that names it, where a plain method here would be
-/// a call.
-// One per run, built once and never moved out of its window: an arm's size
-// costs nothing, a `Box` would cost a hop per seam.
-#[allow(clippy::large_enum_variant)]
-enum Fabric {
-    Counted,
-    Wire(Wire),
-}
-
-/// What the fabric made of a task at insertion; kept in the live record.
-struct Placed {
-    /// The node the task runs on.
-    node: usize,
-    /// Inputs that cross the wire to this task, decoded into the local
-    /// mirror when it is popped for execution: a range of its step's
-    /// `needs`.
-    needs: Range<u32>,
-}
-
-impl Placed {
-    /// Where the planner put it, and nothing more to keep.
-    #[inline]
-    fn on(node: usize) -> Placed {
-        Placed { node, needs: 0..0 }
-    }
-}
-
-impl Fabric {
-    /// The fabric an optional transport binding selects for a run over
-    /// `num_nodes` nodes.
-    fn resolve(net: Option<NetConfig>, num_nodes: usize) -> Result<Fabric, TransportError> {
-        assert!(num_nodes >= 1);
-        match net {
-            Some(net) => Wire::new(net, num_nodes).map(Fabric::Wire),
-            None => Ok(Fabric::Counted),
-        }
-    }
-
-    /// Does this process plan and run the tasks placed on `node`?
-    #[inline]
-    fn runs(&self, node: usize) -> bool {
-        match self {
-            Fabric::Counted => true,
-            Fabric::Wire(w) => w.runs(node),
-        }
-    }
-
-    /// Seam 1, insertion of task `id`, which runs here on `node`: what it
-    /// keeps of the fabric, and how many gates — predecessors beyond its
-    /// closed-form ones — it waits for. `inputs` lists its data-flow inputs
-    /// as routing resolved them (`(datum, producer, source node)`), walked
-    /// only by a wire, which appends those that cross it to its step's
-    /// `needs`.
-    fn place(
-        &mut self,
-        id: TaskId,
-        node: usize,
-        inputs: impl Iterator<Item = (DataKey, Option<TaskId>, usize)>,
-        needs: &mut Vec<ArrivalKey>,
-    ) -> (Placed, usize) {
-        match self {
-            Fabric::Counted => (Placed::on(node), 0),
-            Fabric::Wire(w) => w.place(id, node, inputs, needs),
-        }
-    }
-
-    /// Task `id` writes the decision datum `key`, on this rank (`here`: a
-    /// wire broadcasts it at completion) or another (the driver awaits its
-    /// frame).
-    fn decides(&mut self, id: TaskId, key: DataKey, here: bool) {
-        if let Fabric::Wire(w) = self {
-            w.pending_decisions.insert(id, (key, here));
-        }
-    }
-
-    /// Task `w`, which another rank runs, writes `key`: the version's
-    /// decode here waits for `users` — this rank's live tasks that `w` waits
-    /// for through the datum — and for those of the version it overwrites,
-    /// `before`, when that one is another rank's too (module docs of
-    /// [`window`], "Rank-local planning").
-    fn overwritten(
-        &mut self,
-        (key, w): (DataKey, TaskId),
-        before: Option<ArrivalKey>,
-        users: impl Iterator<Item = TaskId>,
-    ) {
-        if let Fabric::Wire(wire) = self {
-            wire.overwritten((key, Some(w)), before, users);
-        }
-    }
-
-    /// Seam 2, routing: `msg` was recorded on `link`; move it.
-    #[inline]
-    fn send(&mut self, msg: &Msg, link: (usize, usize), producer: Option<TaskId>) {
-        if let Fabric::Wire(w) = self {
-            w.send(msg, link, producer);
-        }
-    }
-
-    /// Seam 3, completion of task `id`: the tasks whose inputs this made
-    /// ready, to release.
-    #[inline]
-    fn completed(&mut self, id: TaskId) -> Option<Vec<TaskId>> {
-        match self {
-            Fabric::Wire(w) => w.completed(id),
-            Fabric::Counted => None,
-        }
-    }
-
-    /// Seam 4, pop: the inputs `needs` must be in the local mirror before
-    /// the task runs. `false` if that failed the run.
-    #[inline]
-    fn arrived(&mut self, needs: &[ArrivalKey]) -> bool {
-        match self {
-            Fabric::Wire(w) => w.apply(needs),
-            _ => true,
-        }
-    }
-
-    /// A list of released tasks the window is done with.
-    #[inline]
-    fn recycle(&mut self, ids: Vec<TaskId>) {
-        if let Fabric::Wire(w) = self {
-            w.recycle(ids);
-        }
-    }
-
-    /// End of a critical section: write the frames it queued.
-    #[inline]
-    fn flush(&mut self) {
-        if let Fabric::Wire(w) = self {
-            w.flush();
-        }
-    }
-
-    /// Frames queued and not yet written.
-    fn queued(&self) -> usize {
-        match self {
-            Fabric::Wire(w) => w.queued(),
-            Fabric::Counted => 0,
-        }
-    }
-
-    /// The fabric's sticky failure, if any (only a wire can fail).
-    #[inline]
-    fn error(&self) -> Option<&TransportError> {
-        match self {
-            Fabric::Wire(w) => w.error(),
-            _ => None,
-        }
-    }
-
-    /// End of the run: the fabric's statistics, into `report` and on `probe`.
-    fn report(&mut self, probe: &Probe, report: &mut StreamReport) {
-        if let Fabric::Wire(w) = self {
-            report.net = Some(w.report(probe));
-        }
-    }
+    let wire = Wire::new(net, source.num_nodes())?;
+    drive(source, opts, Some(wire))
 }
 
 /// Unwinding out of the driver's scope with workers (and, on a wire, the
@@ -521,11 +362,11 @@ impl<O: TaskOp> Drop for AbortOnUnwind<'_, O> {
 fn drive<S: StepSource + ?Sized>(
     source: &mut S,
     opts: &StreamOptions,
-    fabric: Fabric,
+    wire: Option<Wire>,
 ) -> Result<StreamReport, TransportError> {
     let threads = opts.threads.max(1);
     let start = Instant::now();
-    let win = StreamWindow::with_fabric(source.num_nodes(), source.context(), opts, fabric);
+    let win = StreamWindow::new(source.context(), opts, wire);
     let steps = source.num_steps();
     let probing = opts.probe.is_enabled();
 
@@ -543,7 +384,7 @@ fn drive<S: StepSource + ?Sized>(
         }
         let _abort = AbortOnUnwind(&win);
 
-        let mut sink = StepSink::new(&win);
+        let mut sink = StepSink::new(&win, source.num_nodes());
         source.prepare(&mut sink);
         sink.flush(false);
         for k in 0..steps {
@@ -597,7 +438,7 @@ mod tests {
     use super::*;
     use crate::graph::{Access, CostClass, DataKey, TaskResult};
     use crate::net::loopback::loopback_set;
-    use crate::testing::{with_watchdog, TestCtx, TestOp};
+    use crate::testing::{with_watchdog, NullStore, TestCtx, TestOp};
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
 
@@ -630,6 +471,47 @@ mod tests {
         opts: StreamOptions,
     ) -> StreamReport {
         with_watchdog(what, move || execute_with(&mut src, &opts))
+    }
+
+    /// Run a source on each of `nodes` SPMD ranks over loopback mailboxes,
+    /// one thread each: rank `r` builds its own with `source(r)` (and the
+    /// payload store over it). What `outcome` made of each rank's source,
+    /// and its report, in rank order.
+    fn wired<S: StepSource, T: Send>(
+        nodes: usize,
+        opts: &StreamOptions,
+        source: impl Fn(usize) -> (S, Arc<dyn PayloadStore>) + Sync,
+        outcome: impl Fn(&S) -> T + Sync,
+    ) -> Vec<(T, StreamReport)> {
+        std::thread::scope(|s| {
+            let ranks: Vec<_> = loopback_set(nodes)
+                .into_iter()
+                .map(|transport| {
+                    let (source, outcome) = (&source, &outcome);
+                    s.spawn(move || {
+                        let (mut src, store) = source(transport.rank());
+                        let net = NetConfig { transport, store };
+                        let report = execute_net(&mut src, opts, net);
+                        (outcome(&src), report.expect("the wire run completes"))
+                    })
+                })
+                .collect();
+            let join = |h: std::thread::ScopedJoinHandle<'_, _>| h.join().expect("rank panicked");
+            ranks.into_iter().map(join).collect()
+        })
+    }
+
+    /// The reports of `make()` run as two ranks under the watchdog, named by
+    /// `what`, over stores that carry no bytes.
+    fn two_ranks<S: StepSource + 'static>(
+        what: &str,
+        make: fn() -> S,
+        opts: StreamOptions,
+    ) -> Vec<StreamReport> {
+        with_watchdog(what, move || {
+            let ranks = wired(2, &opts, |_| (make(), Arc::new(NullStore) as _), |_| ());
+            ranks.into_iter().map(|(_, report)| report).collect()
+        })
     }
 
     /// A chain-per-step source: step `s` appends `width` tasks that all
@@ -851,7 +733,7 @@ mod tests {
     }
 
     /// A two-node source: step tasks on node 1 consume a datum produced on
-    /// node 0, so the window must route cross-node releases and count the
+    /// node 0, so two ranks must route cross-node releases and count the
     /// transfers.
     #[derive(Default)]
     struct TwoNodeSource {
@@ -884,26 +766,46 @@ mod tests {
 
     #[test]
     fn cross_node_flow_counts_one_msg_per_version_and_destination() {
-        let src = TwoNodeSource::default();
-        let report = execute("two nodes", src, StreamOptions::fixed(2, 2));
-        assert_eq!(report.tasks_executed, 9);
+        let make = TwoNodeSource::default;
+        let reports = two_ranks("two nodes", make, StreamOptions::fixed(2, 2));
+        let executed: Vec<usize> = reports.iter().map(|r| r.tasks_executed).collect();
+        assert_eq!(executed, [3, 6]);
         // One DataMsg per step for k(0) (producer → node 1), regardless
-        // of the two consumers there.
-        assert_eq!(report.msgs.data_msgs, 3);
-        assert_eq!(report.msgs.bytes, 300);
-        assert_eq!(report.msgs.decision_msgs, 0);
-        // Node 1's share of each step drains and is reported.
-        assert_eq!(report.msgs.retire_msgs, 3);
+        // of the two consumers there: both ends count it alike.
+        for report in &reports {
+            let link = LinkMsgStats {
+                src: 0,
+                dst: 1,
+                msgs: MsgStats {
+                    data_msgs: 3,
+                    bytes: 300,
+                    ..MsgStats::default()
+                },
+            };
+            assert_eq!(report.link_msgs, [link]);
+            assert_eq!(report.msgs, link.msgs);
+        }
     }
 
+    /// A local window runs every node's tasks and routes nothing, whatever
+    /// the source places where.
     #[test]
     fn single_node_source_moves_no_messages() {
-        let src = ChainSource::new(4, 3);
-        let report = execute("one node", src, StreamOptions::fixed(2, 2));
-        assert_eq!(report.msgs.data_msgs, 0);
-        assert_eq!(report.msgs.decision_msgs, 0);
-        assert_eq!(report.msgs.retire_msgs, 0);
-        assert_eq!(report.msgs.bytes, 0);
+        let chain = execute(
+            "one node",
+            ChainSource::new(4, 3),
+            StreamOptions::fixed(2, 2),
+        );
+        let two = execute(
+            "two nodes",
+            TwoNodeSource::default(),
+            StreamOptions::fixed(2, 2),
+        );
+        for report in [chain, two] {
+            assert_eq!(report.tasks_executed, report.tasks_planned);
+            assert_eq!(report.msgs, MsgStats::default());
+            assert!(report.link_msgs.is_empty() && report.net.is_none());
+        }
     }
 
     /// Redeclaring a datum updates its home for later insertions, exactly
@@ -936,37 +838,30 @@ mod tests {
                 StepPhase::Complete
             }
         }
-        let report = execute(
-            "redeclare",
-            Redeclare::default(),
-            StreamOptions::fixed(1, 1),
-        );
-        assert_eq!(report.msgs.data_msgs, 1, "one initial fetch, to node 0");
-        let fetch = LinkMsgStats {
-            src: 1,
-            dst: 0,
-            msgs: report.msgs,
-        };
-        assert_eq!(report.link_msgs, vec![fetch], "from the new home");
+        let reports = two_ranks("redeclare", Redeclare::default, StreamOptions::fixed(1, 1));
+        for report in &reports {
+            assert_eq!(report.msgs.data_msgs, 1, "one initial fetch, to node 0");
+            let fetch = LinkMsgStats {
+                src: 1,
+                dst: 0,
+                msgs: report.msgs,
+            };
+            assert_eq!(report.link_msgs, vec![fetch], "from the new home");
+        }
     }
 
+    /// A probed rank: the probe sees its kernels, its protocol messages and
+    /// its panel waits, and perturbs nothing.
     #[test]
     fn probed_streaming_reports_metrics_and_attribution() {
         let probe = Probe::enabled();
         let opts = StreamOptions::fixed(2, 2).with_probe(probe.clone());
-        let report = execute("probed", TwoNodeSource::default(), opts);
+        let report = two_ranks("probed", TwoNodeSource::default, opts).remove(0);
 
-        // Per-link counters reconcile with the aggregate, and retire
-        // reports ride the (node, 0) links.
+        // Per-link counters reconcile with the aggregate.
         let data: u64 = report.link_msgs.iter().map(|l| l.msgs.data_msgs).sum();
         assert_eq!(data, report.msgs.data_msgs);
         assert!(report.link_msgs.iter().any(|l| l.src == 0 && l.dst == 1));
-        let retire: u64 = report.link_msgs.iter().map(|l| l.msgs.retire_msgs).sum();
-        assert_eq!(retire, report.msgs.retire_msgs);
-        assert!(report
-            .link_msgs
-            .iter()
-            .all(|l| l.msgs.retire_msgs == 0 || l.dst == 0));
 
         // Virtual-time attribution is the replay's (`sim::simulate_probed`).
         let pr = probe.report();
@@ -984,11 +879,12 @@ mod tests {
 
         // Probes never perturb the run: a probe-free rerun reports the
         // same message counts and link breakdown.
-        let plain = execute(
+        let plain = two_ranks(
             "unprobed",
-            TwoNodeSource::default(),
+            TwoNodeSource::default,
             StreamOptions::fixed(2, 2),
         );
+        let plain = &plain[0];
         assert_eq!(plain.msgs, report.msgs);
         assert_eq!(plain.link_msgs, report.link_msgs);
     }
@@ -1022,7 +918,7 @@ mod tests {
     /// decision the planner awaits before planning one of two branches.
     /// Each such step declares its own decision cell, so no phase waits for
     /// a task two steps back. With `nodes == 2` the fan-out and the join
-    /// cross nodes.
+    /// cross ranks on a wire.
     struct MixedSource {
         steps: usize,
         nodes: usize,
@@ -1193,104 +1089,88 @@ mod tests {
     /// mailboxes — each rank its own source, cells and store; rank 0's
     /// outcome and report.
     fn mixed_on_the_wire(window: usize, threads: usize) -> ((u64, Vec<bool>), StreamReport) {
-        let opts = StreamOptions::fixed(window, threads);
-        let rank = |transport: Arc<dyn Transport>| {
-            let mut src = MixedSource::new(6, 2);
+        let mixed = |_| {
+            let src = MixedSource::new(6, 2);
             let store = Arc::new(MixedStore(Arc::clone(&src.cells)));
-            let report = execute_net(&mut src, &opts, NetConfig { transport, store });
-            (src.outcome(), report.expect("the wire run completes"))
+            (src, store as Arc<dyn PayloadStore>)
         };
-        let mut set = loopback_set(2);
-        let (r1, r0) = (set.pop().expect("rank 1"), set.pop().expect("rank 0"));
-        std::thread::scope(|s| {
-            let peer = s.spawn(|| rank(r1));
-            let got = rank(r0);
-            peer.join().expect("rank 1 panicked");
-            got
-        })
+        let opts = StreamOptions::fixed(window, threads);
+        wired(2, &opts, mixed, MixedSource::outcome).swap_remove(0)
     }
 
-    /// No transport is the counted fabric, a transport the wire — unless
-    /// its endpoint belongs to a world of another size, a typed error.
+    /// An endpoint that belongs to a world of another size than the
+    /// source's nodes is a typed error, before anything runs.
     #[test]
-    fn fabric_resolution_covers_every_option_combination() {
-        let net = || NetConfig {
-            transport: loopback_set(2).remove(0),
-            store: Arc::new(MixedStore(Arc::default())),
+    fn an_endpoint_of_another_world_size_is_a_typed_error() {
+        let net = NetConfig {
+            transport: loopback_set(3).remove(0),
+            store: Arc::new(NullStore),
         };
-        assert!(matches!(Fabric::resolve(None, 2), Ok(Fabric::Counted)));
-        assert!(matches!(
-            Fabric::resolve(Some(net()), 2),
-            Ok(Fabric::Wire(_))
-        ));
-        let mismatch = Fabric::resolve(Some(net()), 3);
-        assert!(matches!(mismatch, Err(TransportError::Protocol(_))));
+        let mut src = TwoNodeSource::default();
+        let run = execute_net(&mut src, &StreamOptions::fixed(2, 1), net);
+        assert!(matches!(run, Err(TransportError::Protocol(_))));
+        assert!(src.ctx.retired.lock().unwrap().is_empty());
     }
 
     /// The planner is woken when what it sleeps on became true — not once
     /// per completed task.
     #[test]
     fn planner_wakeups_are_bounded_by_its_waits() {
-        for nodes in [1, 2] {
-            let probe = Probe::enabled();
-            let mut src = MixedSource::new(12, nodes);
-            let decisions = src.awaited_decisions();
-            let opts = StreamOptions::fixed(2, 1).with_probe(probe.clone());
-            let report = with_watchdog("wake-up budget", move || execute_with(&mut src, &opts));
-            assert!(report.tasks_executed > 100);
-            let snapshot = probe.report().snapshot;
-            let wakeups = snapshot.counter(metric::STREAM_PLANNER_WAKEUPS, Label::None);
-            // One sleep per capacity wait, per awaited decision, and for
-            // the final drain — at most.
-            let budget = (report.steps + decisions + 1) as u64;
-            assert!(
-                wakeups <= budget,
-                "{wakeups} planner wake-ups for {} tasks (budget {budget})",
-                report.tasks_executed
-            );
-            // A lone worker sleeps at most once per task it waited for.
-            let parks = snapshot.counter(metric::STREAM_WORKER_PARKS, Label::None);
-            assert!(parks <= report.tasks_executed as u64 + 1);
-        }
+        let probe = Probe::enabled();
+        let mut src = MixedSource::new(12, 2);
+        let decisions = src.awaited_decisions();
+        let opts = StreamOptions::fixed(2, 1).with_probe(probe.clone());
+        let report = with_watchdog("wake-up budget", move || execute_with(&mut src, &opts));
+        assert!(report.tasks_executed > 100);
+        let snapshot = probe.report().snapshot;
+        let wakeups = snapshot.counter(metric::STREAM_PLANNER_WAKEUPS, Label::None);
+        // One sleep per capacity wait, per awaited decision, and for the
+        // final drain — at most.
+        let budget = (report.steps + decisions + 1) as u64;
+        assert!(
+            wakeups <= budget,
+            "{wakeups} planner wake-ups for {} tasks (budget {budget})",
+            report.tasks_executed
+        );
+        // A lone worker sleeps at most once per task it waited for.
+        let parks = snapshot.counter(metric::STREAM_WORKER_PARKS, Label::None);
+        assert!(parks <= report.tasks_executed as u64 + 1);
     }
 
-    /// Lost-wake-up stress: every (threads, window) point runs the mixed
-    /// source many times under a watchdog — a lost wake-up is a hang, which
-    /// the watchdog turns into a failure — and every run must produce the
-    /// same bits. On two nodes the point also runs as two ranks over a
-    /// wire, where the planner sleeps on frames.
+    /// Lost-wake-up stress: every (threads, window) point runs the
+    /// two-node mixed source many times under a watchdog — a lost wake-up
+    /// is a hang, which the watchdog turns into a failure — in the local
+    /// window and as two ranks over a wire, where the planner also sleeps
+    /// on frames; every run must produce the same bits.
     #[test]
     fn no_wakeup_is_lost_across_threads_and_windows() {
         const REPS: usize = 200;
-        for nodes in [1, 2] {
-            let mut expected = None;
-            for threads in [1, 2, 4] {
-                for window in [1, 2, 7] {
-                    let what = format!("nodes={nodes} threads={threads} window={window}");
-                    let outcomes = with_watchdog(&what, move || {
-                        let local = (0..REPS).map(|_| {
-                            let mut src = MixedSource::new(6, nodes);
-                            let report =
-                                execute_with(&mut src, &StreamOptions::fixed(window, threads));
-                            assert_eq!(report.tasks_executed, report.tasks_planned);
-                            assert!(report.peak_live_steps <= window);
-                            src.outcome()
-                        });
-                        let wired = (0..if nodes == 2 { REPS } else { 0 }).map(|_| {
-                            let (outcome, report) = mixed_on_the_wire(window, threads);
-                            assert_eq!(report.tasks_executed, report.tasks_planned);
-                            assert!(report.peak_live_steps <= window);
-                            let wire = report.net.expect("a wire run reports its wire");
-                            assert!(wire.frames_sent > 0 && wire.frames_received > 0);
-                            outcome
-                        });
-                        local.chain(wired).collect::<Vec<_>>()
+        let mut expected = None;
+        for threads in [1, 2, 4] {
+            for window in [1, 2, 7] {
+                let what = format!("threads={threads} window={window}");
+                let outcomes = with_watchdog(&what, move || {
+                    let local = (0..REPS).map(|_| {
+                        let mut src = MixedSource::new(6, 2);
+                        let report = execute_with(&mut src, &StreamOptions::fixed(window, threads));
+                        assert_eq!(report.tasks_executed, report.tasks_planned);
+                        assert!(report.peak_live_steps <= window);
+                        src.outcome()
                     });
-                    let first = expected.get_or_insert_with(|| outcomes[0].clone());
-                    assert_eq!(first.1.len(), 3, "three awaited decisions");
-                    for (rep, got) in outcomes.iter().enumerate() {
-                        assert_eq!(got, first, "{what} rep {rep}");
-                    }
+                    let wired = (0..REPS).map(|_| {
+                        let (outcome, report) = mixed_on_the_wire(window, threads);
+                        assert_eq!(report.tasks_executed, report.tasks_planned);
+                        assert!(report.peak_live_steps <= window);
+                        let wire = report.net.expect("a wire run reports its wire");
+                        assert!(wire.frames_sent > 0 && wire.frames_received > 0);
+                        outcome
+                    });
+                    local.chain(wired).collect::<Vec<_>>()
+                });
+                let first = expected.get_or_insert_with(|| outcomes[0].clone());
+                assert_eq!(first.1.len(), 3, "three awaited decisions");
+                for (rep, got) in outcomes.iter().enumerate() {
+                    assert_eq!(got, first, "{what} rep {rep}");
                 }
             }
         }

@@ -1,6 +1,6 @@
 //! The streaming window: a live task graph that grows at the planning
-//! edge and shrinks at the completion edge, distributed over virtual nodes
-//! whose cross-node progress flows through explicit messages.
+//! edge and shrinks at the completion edge — on one process, or as one rank
+//! of a wire run whose cross-rank progress flows through explicit messages.
 //!
 //! [`StreamWindow`] takes tasks in a planning phase at a time — a step's
 //! prelude, or its decision-dependent finish — as the driver's
@@ -45,7 +45,7 @@
 //!
 //! **Tables.** Live records sit in one id-indexed ring (`TaskRing`), live
 //! steps in the step table (`retire::StepTable`: planned tasks by position,
-//! the blocks of the step's phases, outstanding counts per node, the slots
+//! the blocks of the step's phases, its outstanding count, the slots
 //! of the data declared in the step). Every declared datum gets a dense
 //! slot in a `Vec<DatumDir>` holding what only data can say: its
 //! declaration and its last completed version; the transfer cache and the
@@ -64,30 +64,28 @@
 //! ends. With the step's last phase the same section closes the step, and
 //! it ends in one `finish`.
 //!
-//! **Routing.** Each task is *placed* on a virtual node (owner-computes)
-//! and each datum is *homed* on one. Every writer's insertion makes the
-//! datum's last planned version (its id and node); a reader planned next
-//! reads it. A dependency between tasks on the same node is a direct edge;
-//! a cross-node dependency is satisfied by a routed message
+//! **Routing.** Each task is *placed* on a node (owner-computes) and each
+//! datum is *homed* on one. Every writer's insertion makes the datum's last
+//! planned version (its id and node); a reader planned next reads it. A
+//! dependency between tasks on the same node is a direct edge; a
+//! cross-node dependency is satisfied by a routed message
 //! ([`crate::comm::Msg`]): the producer's completion delivers a
 //! [`crate::comm::DataMsg`] once per destination node (consumers there
 //! share the cached copy — and late consumers of an already-completed
-//! producer trigger the send at insertion), the hybrid's criterion
+//! producer trigger the send at insertion), and the hybrid's criterion
 //! decision reaches remote branch tasks as a [`crate::comm::DecisionMsg`]
-//! from the panel-owner node, and on the counted fabric a node whose share
-//! of a closed step drains reports it with a [`crate::comm::RetireMsg`]
-//! so the planner can retire the step. Ordering-only dependencies (WAR,
-//! control) release remote successors without payload and are not counted
-//! as messages — matching the platform simulator's cost model. This is one
-//! path whatever carries the messages: what happens to a routed message,
-//! and which tasks this process plans, is the run's `Fabric` (counted, or
-//! put on a real wire), which the window calls at four seams — insertion,
-//! routing, completion, pop. The ready queue orders by `(depth, insertion
-//! id)` only — the depth is `1 + max` over the predecessors in live tables
-//! — so one queue pops exactly what a scan of per-node queues would.
+//! from the panel-owner node. Ordering-only dependencies (WAR, control)
+//! release remote successors without payload and are not counted as
+//! messages — matching the platform simulator's cost model. A local window
+//! has no wire: the driver's sink places every task and homes every datum
+//! on node 0, so nothing crosses and nothing is routed. A wire rank's
+//! window makes a frame of each message it routes, and asks its wire at
+//! insertion, completion and pop what a task waits for
+//! ([`super::wire`]). The ready queue orders by `(depth, insertion id)`
+//! only — the depth is `1 + max` over the predecessors in live tables.
 //!
-//! **Rank-local planning.** The counted fabric plans every node's tasks; a
-//! wire rank runs the same source but inserts only the tasks placed on it,
+//! **Rank-local planning.** A wire rank runs the same source as every
+//! other rank but inserts only the tasks placed on it,
 //! and sweeps only the data homed on it, those its tasks have touched so
 //! far, and the decisions: no other datum can name a predecessor, an input
 //! or a transfer of its share. Of those data its sweep ([`Share`]) visits
@@ -116,17 +114,17 @@
 //! local tasks after it — counts only the chains the rank sees: a skipped
 //! reader adds nothing to a later writer, and a remote writer's depth
 //! misses whatever reached it only through data the rank does not sweep.
-//! Where the counted run's depth of a local task comes from such a chain,
-//! the wire rank's is smaller; the order among tasks whose depths agree is
-//! the insertion order either way, and no edge, transfer or result moves.
+//! Where a local window's depth of a task comes from such a chain, the
+//! wire rank's is smaller; the order among tasks whose depths agree is the
+//! insertion order either way, and no edge, transfer or result moves.
 //!
-//! A rank retires its steps in order (`retire` module docs): the transfers
-//! a live producer owes consumers planned in the next step sit in that
-//! step's blocks, and where those consumers run elsewhere nothing else
-//! keeps the step here until the producer completes. And the last retired
-//! step's table stays: a datum a rank starts to sweep names its writer
-//! there, as no version it skipped was recorded. Three rules keep a rank's
-//! share correct on its own:
+//! Steps retire in order (`retire` module docs): the transfers a live
+//! producer owes consumers planned in the next step sit in that step's
+//! blocks, and where those consumers run elsewhere nothing else keeps the
+//! step here until the producer completes. And the last retired step's
+//! table stays: a datum a rank starts to sweep names its writer there, as
+//! no version it skipped was recorded. Three rules keep a rank's share
+//! correct on its own:
 //!
 //! * An ordering-only dependency on a task that runs elsewhere makes no
 //!   edge: that task touches only its own rank's memory. A data-flow input
@@ -136,7 +134,7 @@
 //!   version also waits for this rank's live tasks that read or wrote the
 //!   datum's earlier local copy: those the remote writer waits for through
 //!   the datum, and — when the version it overwrites is remote too — those
-//!   that version's decode had to wait for. The fabric counts them per
+//!   that version's decode had to wait for. The wire counts them per
 //!   version when the remote writer is inserted (they can lie more than a
 //!   step back, past the blocks), and a version is ready here once its
 //!   frame has arrived and they have completed.
@@ -181,10 +179,11 @@
 
 use std::any::Any;
 use std::collections::BTreeMap;
+use std::ops::Range;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Instant;
 
-use crate::comm::{flow_msg, LinkMsgStats, Msg, MsgStats, RetireMsg};
+use crate::comm::{flow_msg, LinkMsgStats, Msg, MsgStats};
 use crate::exec::Tally;
 use crate::graph::{
     Access, CostClass, Csr, DataClass, DataKey, Pred, Share, TaskId, TaskOp, TaskResult,
@@ -197,8 +196,8 @@ use crate::trace::TraceEvent;
 
 use super::retire::{Planned, StepTable};
 use super::ring::TaskRing;
-use super::wire::ArrivalKey;
-use super::{Fabric, Placed, StreamOptions, StreamReport};
+use super::wire::{ArrivalKey, Wire};
+use super::{StreamOptions, StreamReport};
 
 /// The version of a datum its last planned writer makes: which task, and
 /// where its payload lives. A reader planned next reads it (insertion
@@ -257,8 +256,12 @@ struct LiveTask<O> {
     pos: usize,
     cp: u64,
     preds_remaining: usize,
-    /// Where the fabric placed the task, and what it keeps per task.
-    placed: Placed,
+    /// The node the task runs on.
+    node: usize,
+    /// Inputs that cross the wire to this task, decoded into the local
+    /// mirror when it is popped for execution: a range of its step's
+    /// `needs`.
+    needs: Range<u32>,
 }
 
 /// One planning phase's edges out of the tasks live when it was planned,
@@ -529,6 +532,8 @@ pub(super) struct WindowState<O> {
     /// writer, at `slot * nodes + dest` — [`INITIAL`] for the never-written
     /// datum fetched from its home, [`NOT_HELD`] for none.
     holds: Vec<TaskId>,
+    /// The nodes `holds` has an entry for per slot: 1 on a local window.
+    num_nodes: usize,
     slot_of: IntMap<DataKey, Slot>,
     planning_done: bool,
     /// What the driver thread sleeps on, if it sleeps.
@@ -554,14 +559,13 @@ pub(super) struct WindowState<O> {
     /// datum it sweeps, and those visited only to route a version to them.
     boundary: [usize; 2],
     peak_live_tasks: usize,
-    /// What carries the run's cross-node traffic.
-    pub(super) fabric: Fabric,
+    /// A wire rank's transport side; `None` on a local window.
+    pub(super) wire: Option<Wire>,
     trace: Option<Vec<TraceEvent>>,
     /// Metrics probe (cheap-clone handle; disabled by default).
     probe: Probe,
-    /// Per-(src, dst) protocol message tallies (counted: every link, retire
-    /// reports on `(node, 0)` — the planner lives with node 0; a wire rank:
-    /// the links that touch it, and no retire reports).
+    /// Per-(src, dst) protocol message tallies: on a wire rank, the links
+    /// that touch it (a local window routes nothing).
     pub(super) link_msgs: BTreeMap<(usize, usize), MsgStats>,
     /// Per-class kernel accounting — `(flops, wall-seconds histogram)`,
     /// indexed by [`CostClass::index`] — only allocated while probed.
@@ -574,16 +578,33 @@ pub(super) struct WindowState<O> {
 }
 
 impl<O: TaskOp> WindowState<O> {
-    /// Has the run failed (a kernel or the planner panicked, or the fabric
+    /// Has the run failed (a kernel or the planner panicked, or the wire
     /// hit a transport/protocol error)? Sticky; every blocking wait bails.
     pub(super) fn failed(&self) -> bool {
-        self.panic.is_some() || self.fabric.error().is_some()
+        self.panic.is_some() || self.wire_error().is_some()
+    }
+
+    /// The wire's sticky failure, if any.
+    fn wire_error(&self) -> Option<&TransportError> {
+        self.wire.as_ref().and_then(Wire::error)
+    }
+
+    /// Does this process run the tasks placed on `node`? Every task, on a
+    /// local window.
+    #[inline]
+    fn runs(&self, node: usize) -> bool {
+        self.wire.as_ref().is_none_or(|w| w.runs(node))
+    }
+
+    /// Frames queued and not yet written.
+    fn queued(&self) -> usize {
+        self.wire.as_ref().map_or(0, Wire::queued)
     }
 
     /// The failure as the error [`crate::stream::execute_net`] returns. A
     /// panic is re-raised by the driver, which discards this stand-in.
     pub(super) fn failure(&self) -> Option<TransportError> {
-        self.fabric.error().cloned().or_else(|| {
+        self.wire_error().cloned().or_else(|| {
             self.panic
                 .is_some()
                 .then(|| TransportError::Protocol("a task panicked on this rank".into()))
@@ -647,13 +668,13 @@ impl<O: TaskOp> WindowState<O> {
         debug_assert!(t.preds_remaining >= 1, "dependency underflow");
         t.preds_remaining -= 1;
         if t.preds_remaining == 0 {
-            let (cp, node) = (t.cp, t.placed.node);
+            let (cp, node) = (t.cp, t.node);
             self.unblocked(id, cp, node);
         }
     }
 
-    /// Take the deepest ready task for execution, once the fabric has put
-    /// its inputs in place — under the lock. `None` when there is nothing
+    /// Take the deepest ready task for execution, once the wire has put its
+    /// inputs in place — under the lock. `None` when there is nothing
     /// to run, or that failed the run.
     fn pop_ready(&mut self) -> Option<(TaskId, O)> {
         let r = self.ready.pop()?;
@@ -661,16 +682,17 @@ impl<O: TaskOp> WindowState<O> {
         // announce to sleepers.
         self.newly_ready = self.newly_ready.saturating_sub(1);
         let t = self.tasks.get(r.id).expect("ready task not live");
-        let (op, step, needs) = (t.op, t.step, t.placed.needs.clone());
+        let (op, step, needs) = (t.op, t.step, t.needs.clone());
         let live = self.steps.get(step).expect("a live task's step is live");
         let needs = &live.needs[needs.start as usize..needs.end as usize];
-        self.fabric.arrived(needs).then_some((r.id, op))
+        let arrived = self.wire.as_mut().is_none_or(|w| w.apply(needs));
+        arrived.then_some((r.id, op))
     }
 
     /// Step `step` retired: drop its table and forget the data declared
     /// in it.
     fn forget_step(&mut self, step: usize) {
-        let nodes = self.steps.num_nodes();
+        let nodes = self.num_nodes;
         for slot in self.steps.retire(step).data {
             let dir = &mut self.data[slot as usize];
             self.slot_of.remove(&dir.key);
@@ -681,45 +703,25 @@ impl<O: TaskOp> WindowState<O> {
         }
     }
 
-    /// Record a protocol message and hand it to the fabric. `producer` is
-    /// the version the payload carries (`None` for initial fetches and
-    /// retire reports).
+    /// Record a protocol message and put it on the wire, which only a wire
+    /// rank's routing reaches. `producer` is the version the payload
+    /// carries (`None` for initial fetches).
     fn route(&mut self, msg: Msg, producer: Option<TaskId>) {
         self.msgs.record(&msg);
         let link = match &msg {
             Msg::Data(m) => (m.from, m.to),
             Msg::Decision(m) => (m.from, m.to),
-            Msg::Retire(m) => (m.node, 0),
         };
         self.link_msgs.entry(link).or_default().record(&msg);
-        self.fabric.send(&msg, link, producer);
+        let wire = self.wire.as_mut().expect("only a wire rank routes");
+        wire.send(&msg, link, producer);
     }
 
-    /// Apply step-table feedback from a close/completion: on the counted
-    /// fabric, per-node retirement reports become [`RetireMsg`]s (the
-    /// planner lives with node 0, whose report is local; a wire rank retires
-    /// its own steps and reports nothing), and a retired step drops its
-    /// table and data.
-    /// `now` is the wall clock (seconds since the window's epoch) of the
-    /// triggering event; it only feeds the probed retirement-lag metric.
-    fn on_step_events(
-        &mut self,
-        ctx: &O::Ctx,
-        reports: &[usize],
-        retired: bool,
-        step: usize,
-        now: f64,
-    ) {
-        if matches!(self.fabric, Fabric::Counted) {
-            for &n in reports.iter().filter(|&&n| n != 0) {
-                self.route(Msg::Retire(RetireMsg { step, node: n }), None);
-            }
-        }
-        if !retired {
-            return;
-        }
-        // A step retiring in order may free the drained one after it.
-        let mut step = step;
+    /// Step `step` retired on a close or completion: drop its table and
+    /// data, and those of the drained steps after it that it held back. `now` is
+    /// the wall clock (seconds since the window's epoch) of the triggering
+    /// event; it only feeds the probed retirement-lag metric.
+    fn retired(&mut self, ctx: &O::Ctx, mut step: usize, now: f64) {
         loop {
             if let Some(closed) = self.step_closed_at.remove(&step) {
                 self.probe.observe(
@@ -740,13 +742,13 @@ impl<O: TaskOp> WindowState<O> {
     /// Note that `dest` now holds `version` of the datum in `slot`; `false`
     /// if it already did.
     fn newly_held(&mut self, slot: Slot, dest: usize, version: TaskId) -> bool {
-        let held = &mut self.holds[slot as usize * self.steps.num_nodes() + dest];
+        let held = &mut self.holds[slot as usize * self.num_nodes + dest];
         std::mem::replace(held, version) != version
     }
 
     /// Record the completion of live task `id`, which executed at `cost`:
-    /// reclaim its record, tell the fabric, flush the transfers it owes, and
-    /// release its successors — those its blocks list, and those the fabric
+    /// reclaim its record, tell the wire, flush the transfers it owes, and
+    /// release its successors — those its blocks list, and those the wire
     /// held back for it.
     fn complete_task(
         &mut self,
@@ -761,7 +763,7 @@ impl<O: TaskOp> WindowState<O> {
             .tasks
             .remove(id)
             .unwrap_or_else(|| panic!("task {id} completed twice"));
-        let node = task.placed.node;
+        let node = task.node;
         self.tally.record(&cost);
 
         if self.probe.is_enabled() {
@@ -789,7 +791,7 @@ impl<O: TaskOp> WindowState<O> {
             });
         }
 
-        let held_back = self.fabric.completed(id);
+        let held_back = self.wire.as_mut().and_then(|w| w.completed(id));
 
         // The blocks that can name the task are its step's and the next
         // step's; they leave the step table for the walk and go back after.
@@ -814,7 +816,9 @@ impl<O: TaskOp> WindowState<O> {
             for &s in &held_back {
                 self.release(s);
             }
-            self.fabric.recycle(held_back);
+            if let Some(w) = &mut self.wire {
+                w.recycle(held_back);
+            }
         }
         for (s, blocks) in steps.into_iter().zip(blocks) {
             if let Some(live) = self.steps.get_mut(s) {
@@ -829,14 +833,9 @@ impl<O: TaskOp> WindowState<O> {
         {
             planned.done = true;
         }
-        let ev = self.steps.completed(task.step, node);
-        self.on_step_events(
-            ctx,
-            ev.node_drained.as_slice(),
-            ev.retired,
-            task.step,
-            end_s,
-        );
+        if self.steps.completed(task.step) {
+            self.retired(ctx, task.step, end_s);
+        }
     }
 
     /// Declare a datum from a phase of `step` ([`NO_STEP`]: before
@@ -866,8 +865,8 @@ impl<O: TaskOp> WindowState<O> {
                     }
                     None => {
                         self.data.push(dir);
-                        let nodes = self.steps.num_nodes();
-                        self.holds.resize(self.data.len() * nodes, NOT_HELD);
+                        self.holds
+                            .resize(self.data.len() * self.num_nodes, NOT_HELD);
                         Slot::try_from(self.data.len() - 1).expect("datum slots fit 32 bits")
                     }
                 };
@@ -886,7 +885,7 @@ impl<O: TaskOp> WindowState<O> {
     /// versions it writes, and its inputs are routed. An op this process
     /// runs is linked to its live predecessors (into the phase's block
     /// pairs) and queued if nothing holds it up; one another rank runs only
-    /// tells the fabric whose use of this rank's copies its versions
+    /// tells the wire whose use of this rank's copies its versions
     /// overwrite (module docs, "Rank-local planning").
     fn insert(
         &mut self,
@@ -897,7 +896,7 @@ impl<O: TaskOp> WindowState<O> {
         phase: &mut Phase<O>,
     ) {
         let (op, node, id) = (phase.ops[i], phase.nodes[i], base + i);
-        let here = self.fabric.runs(node);
+        let here = self.runs(node);
         if !here {
             // Another rank's op: one the sweep named nothing for costs only
             // its id (its table entry names nothing: depth 0).
@@ -933,7 +932,7 @@ impl<O: TaskOp> WindowState<O> {
                     let j = j as usize;
                     max_pred_cp = max_pred_cp.max(phase.cps[j]);
                     let n = phase.nodes[j];
-                    Some((base + j, n, self.fabric.runs(n)))
+                    Some((base + j, n, self.runs(n)))
                 }
                 // Not live: the step retired, so the predecessor completed
                 // (or, on a wire, runs elsewhere).
@@ -947,7 +946,7 @@ impl<O: TaskOp> WindowState<O> {
                                 op.name(ctx)
                             )
                         });
-                        let runs = self.fabric.runs(pred.node);
+                        let runs = self.runs(pred.node);
                         debug_assert!(!runs || self.tasks.is_live(pred.id) != pred.done);
                         max_pred_cp = max_pred_cp.max(pred.depth);
                         Some((pred.id, pred.node, runs && !pred.done))
@@ -967,7 +966,7 @@ impl<O: TaskOp> WindowState<O> {
                 (None, Some(v)) => (Some(v.id), v.node, false),
                 (None, None) => (None, dir.home, false),
             };
-            let sourced_here = self.fabric.runs(src);
+            let sourced_here = self.runs(src);
             if dir.bytes != 0 && (here || sourced_here) {
                 flows.push(Flow {
                     slot,
@@ -997,32 +996,37 @@ impl<O: TaskOp> WindowState<O> {
             self.data[slot as usize].version = Some(Version { id, node });
         }
         self.route_inputs(node, &phase.flows, &mut phase.sends);
-        if let Some(key) = wrote_decision {
-            self.fabric.decides(id, key, here);
+        // On a wire the driver waits for a remote decision's frame, and a
+        // local one is broadcast at completion.
+        if let (Some(key), Some(w)) = (wrote_decision, &mut self.wire) {
+            w.pending_decisions.insert(id, (key, here));
         }
 
         if !here {
+            let wire = self.wire.as_mut().expect("only a wire rank skips ops");
             for &(datum, slot, before) in &phase.writes {
                 let users = phase.live_preds.iter().filter(|u| u.0 == datum);
-                let version = (self.data[slot as usize].key, id);
-                self.fabric.overwritten(version, before, users.map(|u| u.1));
+                let version = (self.data[slot as usize].key, Some(id));
+                wire.overwritten(version, before, users.map(|u| u.1));
             }
             let skipped = self.tasks.skip();
             debug_assert_eq!(skipped, id);
             return;
         }
 
-        // Seam 1: what the fabric makes the task wait for beyond its
-        // predecessors — on a wire, its remote inputs' readiness. It is
-        // shown where each data-flow input comes from.
-        let inputs = phase.flows.iter().map(|f| (f.key, f.producer, f.src));
-        let needs = &mut self.steps.live_mut(step).needs;
-        let (placed, arrivals) = self.fabric.place(id, node, inputs, needs);
+        // What the wire makes the task wait for beyond its predecessors:
+        // its remote inputs' readiness. It is shown where each data-flow
+        // input comes from.
+        let (needs, arrivals) = match &mut self.wire {
+            Some(w) => {
+                let inputs = phase.flows.iter().map(|f| (f.key, f.producer, f.src));
+                w.place(id, node, inputs, &mut self.steps.live_mut(step).needs)
+            }
+            None => (0..0, 0),
+        };
 
         // Link precedence: only edges to still-live tasks count toward the
-        // countdown — plus the fabric's gates; a same-node edge is direct,
-        // a cross-node one (counted fabric) stands for the message the
-        // predecessor's completion sends.
+        // countdown — plus the wire's gates.
         let live_preds = &mut phase.live_preds;
         live_preds.sort_unstable_by_key(|p| p.1);
         live_preds.dedup_by_key(|p| p.1);
@@ -1036,7 +1040,8 @@ impl<O: TaskOp> WindowState<O> {
             pos: first + i,
             cp,
             preds_remaining,
-            placed,
+            node,
+            needs,
         });
         debug_assert_eq!(pushed, id);
         if preds_remaining == 0 {
@@ -1091,7 +1096,6 @@ impl<O: TaskOp> WindowState<O> {
 /// message routing), over the ops of one run and the context they are
 /// interpreted against.
 pub struct StreamWindow<O: TaskOp> {
-    num_nodes: usize,
     /// The rank a wire run plans the share of.
     rank: Option<usize>,
     ctx: Arc<O::Ctx>,
@@ -1111,34 +1115,26 @@ pub struct StreamWindow<O: TaskOp> {
 pub(super) const NO_STEP: usize = usize::MAX;
 
 impl<O: TaskOp> StreamWindow<O> {
-    /// A window over `fabric`, as [`Fabric::resolve`] made it from `opts`
-    /// for `num_nodes` nodes (the window size and thread count are the
+    /// A window over `opts` (the window size and thread count are the
     /// driver's business, not the window's): it may record per-task trace
-    /// events and emit runtime metrics into an enabled probe.
-    pub(super) fn with_fabric(
-        num_nodes: usize,
-        ctx: Arc<O::Ctx>,
-        opts: &StreamOptions,
-        fabric: Fabric,
-    ) -> Self {
+    /// events and emit runtime metrics into an enabled probe. With a wire,
+    /// it is that rank's share of a run over the wire's world; without one,
+    /// a local window, which has one node.
+    pub(super) fn new(ctx: Arc<O::Ctx>, opts: &StreamOptions, wire: Option<Wire>) -> Self {
         let probe = &opts.probe;
-        let rank = match &fabric {
-            Fabric::Wire(wire) => Some(wire.rank()),
-            Fabric::Counted => None,
-        };
+        let rank = wire.as_ref().map(Wire::rank);
+        let num_nodes = wire.as_ref().map_or(1, Wire::nranks);
         StreamWindow {
-            num_nodes,
             rank,
             ctx,
             state: Mutex::new(WindowState {
                 tasks: TaskRing::default(),
                 ready: ReadyQueue::default(),
-                // A wire rank counts only its share of a step, so its steps
-                // retire in order (`retire` module docs).
-                steps: StepTable::new(num_nodes, !matches!(fabric, Fabric::Counted)),
+                steps: StepTable::default(),
                 data: Vec::new(),
                 free_slots: Vec::new(),
                 holds: Vec::new(),
+                num_nodes,
                 slot_of: IntMap::default(),
                 planning_done: false,
                 planner_wait: None,
@@ -1154,7 +1150,7 @@ impl<O: TaskOp> StreamWindow<O> {
                 ops_named: 0,
                 boundary: [0; 2],
                 peak_live_tasks: 0,
-                fabric,
+                wire,
                 trace: opts.trace.then(Vec::<TraceEvent>::new),
                 probe: probe.clone(),
                 link_msgs: BTreeMap::new(),
@@ -1171,8 +1167,9 @@ impl<O: TaskOp> StreamWindow<O> {
         }
     }
 
-    pub fn num_nodes(&self) -> usize {
-        self.num_nodes
+    /// A local window: it runs every task and routes nothing.
+    pub(super) fn local(&self) -> bool {
+        self.rank.is_none()
     }
 
     /// The context the run's ops are interpreted against.
@@ -1184,7 +1181,7 @@ impl<O: TaskOp> StreamWindow<O> {
     /// writes what it queued before it releases the lock.
     pub(super) fn lock(&self) -> MutexGuard<'_, WindowState<O>> {
         let st = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        debug_assert_eq!(st.fabric.queued(), 0, "frames left queued across sections");
+        debug_assert_eq!(st.queued(), 0, "frames left queued across sections");
         st
     }
 
@@ -1216,7 +1213,9 @@ impl<O: TaskOp> StreamWindow<O> {
     /// sleepers whose condition it made true. Every mutation of the state
     /// goes through here.
     pub(super) fn finish(&self, mut st: MutexGuard<'_, WindowState<O>>) {
-        st.fabric.flush();
+        if let Some(w) = &mut st.wire {
+            w.flush();
+        }
         let wakes = st.take_wakes();
         drop(st);
         self.notify(wakes);
@@ -1230,14 +1229,10 @@ impl<O: TaskOp> StreamWindow<O> {
         mut st: MutexGuard<'a, WindowState<O>>,
         wait: PlannerWait,
     ) -> MutexGuard<'a, WindowState<O>> {
-        debug_assert_eq!(
-            st.fabric.queued(),
-            0,
-            "the planner parks with frames queued"
-        );
+        debug_assert_eq!(st.queued(), 0, "the planner parks with frames queued");
         st.planner_wait = Some(wait);
         st = self.plan_cv.wait(st).unwrap_or_else(|e| e.into_inner());
-        debug_assert_eq!(st.fabric.queued(), 0, "frames left queued across sections");
+        debug_assert_eq!(st.queued(), 0, "frames left queued across sections");
         st.planner_wait = None;
         st.planner_wakeups += 1;
         st
@@ -1304,7 +1299,7 @@ impl<O: TaskOp> StreamWindow<O> {
         self.lock().panic.take()
     }
 
-    /// End of the run: what the window and its fabric counted, as the
+    /// End of the run: what the window and its wire counted, as the
     /// run's report (the driver fills in what it timed: wall clock and
     /// steps) and on the probe.
     pub(super) fn report(&self) -> StreamReport {
@@ -1330,7 +1325,6 @@ impl<O: TaskOp> StreamWindow<O> {
             for (kind, n) in [
                 ("data", totals.data_msgs),
                 ("decision", totals.decision_msgs),
-                ("retire", totals.retire_msgs),
             ] {
                 if n > 0 {
                     snap.add_counter(metric::COMM_MSGS, Label::Kind(kind), n);
@@ -1356,7 +1350,7 @@ impl<O: TaskOp> StreamWindow<O> {
             trace: st.trace.take().unwrap_or_default(),
             ..StreamReport::default()
         };
-        st.fabric.report(&st.probe, &mut report);
+        report.net = st.wire.as_ref().map(|w| w.report(&st.probe));
         report
     }
 
@@ -1436,8 +1430,8 @@ impl<O: TaskOp> StreamWindow<O> {
                 });
             }
             for &node in &phase.nodes {
-                if st.fabric.runs(node) {
-                    st.steps.planned(step, node);
+                if st.runs(node) {
+                    st.steps.planned(step);
                     st.tasks_planned += 1;
                 }
             }
@@ -1454,10 +1448,10 @@ impl<O: TaskOp> StreamWindow<O> {
             } else {
                 0.0
             };
-            // Closing may report already-drained node shares and retire the
-            // step on the spot.
-            let (reports, retired) = st.steps.close(step);
-            st.on_step_events(ctx, &reports, retired, step, now);
+            // A step whose tasks all ran before it closed retires now.
+            if st.steps.close(step) {
+                st.retired(ctx, step, now);
+            }
         }
         let next = st.tasks.next_id();
         self.finish(guard);
@@ -1501,7 +1495,9 @@ impl<O: TaskOp> StreamWindow<O> {
         loop {
             // What the completion queued goes out before this section can
             // end or sleep (a failed write fails the run here).
-            st.fabric.flush();
+            if let Some(w) = &mut st.wire {
+                w.flush();
+            }
             let next = if st.failed() { None } else { st.pop_ready() };
             if next.is_some() || st.workers_done() {
                 self.finish(st);
@@ -1514,7 +1510,7 @@ impl<O: TaskOp> StreamWindow<O> {
             let wakes = st.take_wakes();
             self.notify(wakes);
             st = self.work_cv.wait(st).unwrap_or_else(|e| e.into_inner());
-            debug_assert_eq!(st.fabric.queued(), 0, "frames left queued across sections");
+            debug_assert_eq!(st.queued(), 0, "frames left queued across sections");
         }
     }
 }
@@ -1533,7 +1529,8 @@ mod tests {
             pos: 0,
             cp: 1,
             preds_remaining: 0,
-            placed: Placed::on(0),
+            node: 0,
+            needs: 0..0,
         }
     }
 
@@ -1609,28 +1606,22 @@ mod tests {
     }
 
     /// A datum declared through a step's sink lives as long as the step:
-    /// retirement drops its directory entry and its transfer-cache entries,
+    /// retirement drops its directory entry and its transfer-cache entry,
     /// tells the context, and hands the slot to the next declaration; data
     /// declared before planning stay.
     #[test]
     fn step_data_leave_the_directory_when_their_step_retires() {
         let ctx = Arc::new(TestCtx::default());
-        let win = StreamWindow::<TestOp>::with_fabric(
-            2,
-            Arc::clone(&ctx),
-            &StreamOptions::fixed(1, 1),
-            Fabric::Counted,
-        );
+        let win = StreamWindow::<TestOp>::new(Arc::clone(&ctx), &StreamOptions::fixed(1, 1), None);
         let (tile, cell0, cell1) = (DataKey(1), DataKey(100), DataKey(101));
-        let mut sink = StepSink::new(&win);
+        let mut sink = StepSink::new(&win, 2);
         sink.declare(tile, 8, 0);
         sink.flush(false);
         for (step, cell) in [(0, cell0), (1, cell1)] {
             win.open_step(step);
             sink.step = step;
-            sink.declare(cell, 8, 0);
-            // Produced on node 0, consumed on node 1: the cell is cached
-            // for node 1 in `holds`.
+            sink.declare(cell, 8, 1);
+            // Placed on two nodes, run on the local window's one.
             let accs = [Access::Read(tile), Access::Mut(cell)];
             let w = sink.push(0, ctx.op("w", &accs, TaskResult::control));
             let r = sink.push(1, ctx.op("r", &[Access::Read(cell)], TaskResult::control));
@@ -1643,6 +1634,7 @@ mod tests {
                 "step {step} reuses the slot step {} freed",
                 step.max(1) - 1
             );
+            assert_eq!(st.data[slot as usize].home, 0, "homed on the window's node");
             for id in [w, r] {
                 assert_eq!(st.pop_ready().map(|(id, _)| id), Some(id));
                 st.complete_task(&ctx, id, TaskResult::control(), 0, 0.0, 0.0);
@@ -1653,30 +1645,31 @@ mod tests {
                 "step {step}'s cell is forgotten"
             );
             assert!(st.slot_of.contains_key(&tile), "run-scoped data stay");
-            assert!(st.holds[slot as usize * 2..][..2]
-                .iter()
-                .all(|&v| v == NOT_HELD));
+            assert_eq!(st.holds[slot as usize], NOT_HELD);
             assert_eq!((st.data.len(), st.free_slots.as_slice()), (2, &[slot][..]));
+            assert_eq!(st.msgs, MsgStats::default(), "nothing crosses");
         }
     }
 
     /// A producer's lists are spread over the block of every phase that
     /// names it — its own, its step's finish and both phases of the next
-    /// step — and its completion walks them all: each consumer is released
-    /// once, ascending, and one transfer goes per (datum, destination), in
-    /// the order the consumers were inserted. A step's blocks go when it
-    /// retires.
+    /// step — and its completion walks them all: each local consumer is
+    /// released once, ascending, and one transfer goes per (datum,
+    /// destination), in the order the remote consumers were inserted. A
+    /// step's blocks go when it retires. The window is rank 0 of three,
+    /// whose peers never run.
     #[test]
     fn completion_walks_the_blocks_of_its_step_and_the_next() {
         let ctx = Arc::new(TestCtx::default());
-        let win = StreamWindow::<TestOp>::with_fabric(
-            3,
-            Arc::clone(&ctx),
-            &StreamOptions::fixed(2, 1),
-            Fabric::Counted,
-        );
+        let net = super::super::NetConfig {
+            transport: crate::net::loopback::loopback_set(3).remove(0),
+            store: Arc::new(crate::testing::NullStore),
+        };
+        let wire = Wire::new(net, 3).expect("rank 0 of 3");
+        let opts = StreamOptions::fixed(2, 1);
+        let win = StreamWindow::<TestOp>::new(Arc::clone(&ctx), &opts, Some(wire));
         let (a, b) = (DataKey(1), DataKey(2));
-        let mut sink = StepSink::new(&win);
+        let mut sink = StepSink::new(&win, 3);
         sink.declare(a, 8, 0);
         sink.declare(b, 8, 0);
         sink.flush(false);
@@ -1687,16 +1680,21 @@ mod tests {
         sink.step = 0;
         let write = [Access::Mut(a), Access::Mut(b)];
         let p = sink.push(0, ctx.op("p", &write, TaskResult::control));
-        let mut consumers = vec![read(&mut sink, 1, a)];
+        let mut consumers = vec![read(&mut sink, 0, a)];
+        read(&mut sink, 1, a);
         sink.flush(false);
-        consumers.push(read(&mut sink, 2, a));
+        consumers.push(read(&mut sink, 0, a));
+        read(&mut sink, 2, a);
         sink.flush(true);
         win.open_step(1);
         sink.step = 1;
-        consumers.push(read(&mut sink, 1, b));
+        consumers.push(read(&mut sink, 0, b));
+        read(&mut sink, 1, b);
         sink.flush(false);
-        // Node 1 is owed `a` already: the last consumer adds no transfer.
-        consumers.extend([read(&mut sink, 2, b), read(&mut sink, 1, a)]);
+        // Node 1 is owed `a` already: its last read adds no transfer.
+        consumers.push(read(&mut sink, 0, b));
+        read(&mut sink, 2, b);
+        read(&mut sink, 1, a);
         sink.flush(true);
 
         let mut st = win.lock();
@@ -1738,6 +1736,8 @@ mod tests {
         }
         assert_eq!(*ctx.retired.lock().unwrap(), [0, 1]);
         assert_eq!(blocks(&st, 1), None);
+        // The section's frames go out before the lock is released.
+        win.finish(st);
     }
 
     /// The window end to end at the table level: a consumer inserted (in a
@@ -1746,14 +1746,9 @@ mod tests {
     #[test]
     fn completed_producer_leaves_no_edge() {
         let ctx = Arc::new(TestCtx::default());
-        let win = StreamWindow::<TestOp>::with_fabric(
-            1,
-            Arc::clone(&ctx),
-            &StreamOptions::fixed(1, 1),
-            Fabric::Counted,
-        );
+        let win = StreamWindow::<TestOp>::new(Arc::clone(&ctx), &StreamOptions::fixed(1, 1), None);
         let key = DataKey(1);
-        let mut sink = StepSink::new(&win);
+        let mut sink = StepSink::new(&win, 1);
         sink.declare(key, 8, 0);
         sink.flush(false);
         win.open_step(0);

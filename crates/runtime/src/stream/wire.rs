@@ -1,4 +1,4 @@
-//! The wire fabric: one rank of an SPMD run over a real [`Transport`].
+//! The wire: one rank of an SPMD run over a real [`Transport`].
 //!
 //! **Its share.** Every rank runs the same deterministic source, so every
 //! rank names every task by the same id and every version by the same
@@ -6,11 +6,12 @@
 //! placed elsewhere gets no record, no edges and no completion here — its
 //! id and a table entry, and, if the rank's sweep names it, the version it
 //! writes ([`super::window`], "Rank-local planning"). The routing this
-//! rank does is the single-process run's restricted to its own links: it
-//! sends what its versions owe other nodes and counts what comes to its
-//! own tasks. The wire arm makes real frames of the messages it *sends*
-//! (`link.0 == rank`) and reconciles wire-level counters against those
-//! tallies at the end. Each rank retires its own steps, in order.
+//! rank does is the run's restricted to its own links: it sends what its
+//! versions owe other nodes and counts what comes to its own tasks, so the
+//! ranks' per-link counts together are the whole run's. The wire makes
+//! real frames of the messages it *sends* (`link.0 == rank`) and
+//! reconciles wire-level counters against those tallies at the end. Each
+//! rank retires its own steps, in order.
 //!
 //! **Batched section writes.** A frame is not written where it is made: it
 //! joins its peer's queue, and the critical section that queued it writes
@@ -59,6 +60,7 @@
 //! reads as [`TransportError::PeerLost`]: the set unwinds, nobody hangs.
 
 use std::collections::{BTreeMap, HashSet};
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -69,7 +71,7 @@ use crate::net::{Frame, NetReport, PayloadStore, Transport, TransportError};
 use crate::probe::{metric, Histogram, Label, Probe};
 
 use super::window::{PlannerWait, StreamWindow};
-use super::{Fabric, NetConfig, Placed};
+use super::NetConfig;
 
 /// Key of one inbound payload: the datum plus its producing task
 /// (`None` = an initial fetch from the datum's home rank).
@@ -207,7 +209,7 @@ impl Wire {
         })
     }
 
-    fn nranks(&self) -> usize {
+    pub(super) fn nranks(&self) -> usize {
         self.transport.nranks()
     }
 
@@ -308,9 +310,10 @@ impl Wire {
         node == self.rank
     }
 
-    /// Insertion of task `id`, which runs here: which of its `inputs` —
-    /// `(datum, producer, source rank)`, as routing resolved them — must
-    /// cross the wire to it, and (second result) how many of those are not
+    /// Insertion of task `id`, which runs here on `node`: which of its
+    /// `inputs` — `(datum, producer, source rank)`, as routing resolved
+    /// them — must cross the wire to it (appended to its step's `needs`,
+    /// whose range they take is returned), and how many of those are not
     /// ready yet: extra predecessors, released by [`Wire::arrival`] or
     /// [`Wire::completed`].
     pub(super) fn place(
@@ -319,15 +322,12 @@ impl Wire {
         node: usize,
         inputs: impl Iterator<Item = (DataKey, Option<TaskId>, usize)>,
         needs: &mut Vec<ArrivalKey>,
-    ) -> (Placed, usize) {
+    ) -> (Range<u32>, usize) {
         let start = needs.len();
         let remote = inputs.filter(|&(_, _, src)| src != node);
         needs.extend(remote.map(|(key, producer, _)| (key, producer)));
         let at = |i: usize| u32::try_from(i).expect("a step's inputs fit 32 bits");
-        let placed = Placed {
-            node,
-            needs: at(start)..at(needs.len()),
-        };
+        let range = at(start)..at(needs.len());
         let mut gates = 0;
         for &arrival in &needs[start..] {
             let inbound = self
@@ -342,7 +342,7 @@ impl Wire {
                 gates += 1;
             }
         }
-        (placed, gates)
+        (range, gates)
     }
 
     /// Task `w`, which another rank runs, writes `version` of a datum:
@@ -427,7 +427,6 @@ impl Wire {
                 modeled_bytes: m.bytes as u64,
                 payload: self.load_payload(m.key),
             },
-            Msg::Retire(_) => unreachable!("a wire rank retires its own steps"),
         };
         if let Frame::Data { payload, .. } = &frame {
             self.payload_bytes_sent += payload.len() as u64;
@@ -706,17 +705,15 @@ impl Wire {
     }
 }
 
-/// The wire arm's side of the driver: the receiver pump, the planner's
-/// wait for a remote decision, and the end-of-run protocol. Each is a
-/// no-op on the other fabrics.
+/// The wire's side of the driver: the receiver pump, the planner's wait
+/// for a remote decision, and the end-of-run protocol. Each is a no-op on a
+/// local window.
 impl<O: TaskOp> StreamWindow<O> {
     /// The endpoint of a wire run, for the receiver thread to block on
     /// outside the window lock.
     pub(crate) fn endpoint(&self) -> Option<Arc<dyn Transport>> {
-        match &self.lock().fabric {
-            Fabric::Wire(wire) => Some(Arc::clone(&wire.transport)),
-            _ => None,
-        }
+        let st = self.lock();
+        st.wire.as_ref().map(|wire| Arc::clone(&wire.transport))
     }
 
     /// Receiver thread: deliver inbound frames into the window until the
@@ -737,14 +734,14 @@ impl<O: TaskOp> StreamWindow<O> {
     fn on_frame(&self, from: usize, frame: Frame) -> FramePump {
         let mut st = self.lock();
         let drained = st.drained();
-        let Fabric::Wire(wire) = &mut st.fabric else {
+        let Some(wire) = &mut st.wire else {
             return FramePump::Stop;
         };
         let (released, pump) = wire.on_frame(from, frame, drained);
         for &id in &released {
             st.release(id);
         }
-        if let Fabric::Wire(wire) = &mut st.fabric {
+        if let Some(wire) = &mut st.wire {
             wire.recycle(released);
         }
         st.frame_event = true;
@@ -761,7 +758,7 @@ impl<O: TaskOp> StreamWindow<O> {
     /// forever. Anything else fails the run and wakes every blocked thread.
     fn on_recv_error(&self, e: TransportError) -> FramePump {
         let mut st = self.lock();
-        let Fabric::Wire(wire) = &mut st.fabric else {
+        let Some(wire) = &mut st.wire else {
             return FramePump::Stop;
         };
         if wire.complete && matches!(e, TransportError::PeerLost { peer } if peer != 0) {
@@ -786,7 +783,7 @@ impl<O: TaskOp> StreamWindow<O> {
             if st.failed() {
                 return false;
             }
-            let Fabric::Wire(wire) = &mut st.fabric else {
+            let Some(wire) = &mut st.wire else {
                 return true;
             };
             let Some(&(key, false)) = wire.pending_decisions.get(&id) else {
@@ -806,8 +803,8 @@ impl<O: TaskOp> StreamWindow<O> {
             if let Some(e) = st.failure() {
                 return Err(e);
             }
-            match &st.fabric {
-                Fabric::Wire(wire) if !cond(wire) => {}
+            match &st.wire {
+                Some(wire) if !cond(wire) => {}
                 _ => return Ok(()),
             }
             st = self.park_planner(st, PlannerWait::Frame);
@@ -817,14 +814,11 @@ impl<O: TaskOp> StreamWindow<O> {
     /// Run `f` on the wire state under the window lock, and write what it
     /// queued.
     fn with_wire<R>(&self, f: impl FnOnce(&mut Wire) -> R) -> Option<R> {
-        match &mut self.lock().fabric {
-            Fabric::Wire(wire) => {
-                let r = f(wire);
-                wire.flush();
-                Some(r)
-            }
-            _ => None,
-        }
+        let mut st = self.lock();
+        let wire = st.wire.as_mut()?;
+        let r = f(wire);
+        wire.flush();
+        Some(r)
     }
 
     /// The end-of-run protocol of the module header, called after
@@ -854,7 +848,7 @@ impl<O: TaskOp> StreamWindow<O> {
         {
             let mut st = self.lock();
             let st = &mut *st;
-            if let Fabric::Wire(wire) = &mut st.fabric {
+            if let Some(wire) = &mut st.wire {
                 wire.reconcile(&st.link_msgs)?;
             }
         }
@@ -869,7 +863,7 @@ impl<O: TaskOp> StreamWindow<O> {
         } else {
             let mut st = self.lock();
             let held = st.final_versions_on(rank);
-            if let Fabric::Wire(wire) = &mut st.fabric {
+            if let Some(wire) = &mut st.wire {
                 wire.send_results(held)?;
             }
             drop(st);

@@ -11,6 +11,7 @@ use crate::graph::{
     Access, DataClass, DataKey, Graph, GraphBuilder, Pred, Routed, Share, TaskId, TaskOp,
     TaskResult, TaskSink, Visit,
 };
+use crate::net::{PayloadStore, TransportError};
 
 type Body = Box<dyn FnOnce() -> TaskResult + Send>;
 
@@ -190,6 +191,29 @@ impl TaskOp for TestOp {
 
     fn retire_step(ctx: &TestCtx, step: usize) {
         ctx.retired.lock().unwrap().push(step);
+    }
+}
+
+/// The payload store of a wire rank whose tasks keep their data in their
+/// bodies: every datum is known, a frame carries no bytes, and nothing is
+/// handed back.
+pub(crate) struct NullStore;
+
+impl PayloadStore for NullStore {
+    fn load(&self, _: DataKey) -> Option<Vec<u8>> {
+        None
+    }
+
+    fn store(&self, _: DataKey, _: &[u8]) -> Result<(), TransportError> {
+        Ok(())
+    }
+
+    fn knows(&self, _: DataKey) -> bool {
+        true
+    }
+
+    fn in_result(&self, _: DataKey) -> bool {
+        false
     }
 }
 

@@ -8,7 +8,8 @@
 //! * the batch and streaming runtimes record [`TraceEvent`]s online
 //!   ([`crate::exec::execute_traced`],
 //!   [`crate::stream::StreamOptions::trace`]) — real wall-clock start/end,
-//!   the worker that ran the task, its elimination step and owner node —
+//!   the worker that ran the task, its elimination step and its node (0
+//!   in a local streaming window, the rank on a wire) —
 //!   and [`render_chrome_trace`] renders them, so windowed runs are
 //!   inspectable in `chrome://tracing` / Perfetto even though no graph
 //!   survives the run.

@@ -5,12 +5,14 @@
 //! their factorizations, one case table per suite, and a [`toy`] source for
 //! the dataflow no factorization plans.
 
+use std::collections::BTreeMap;
 use std::sync::mpsc::{channel, RecvTimeoutError};
 use std::time::Duration;
 
-use luqr::{LinkMsgStats, LinkTraffic, TreeConfig, TreeKind};
+use luqr::{LinkMsgStats, LinkTraffic, MsgStats, TreeConfig, TreeKind};
 use luqr_kernels::blas::{gemm, Trans};
 use luqr_kernels::Mat;
+use luqr_runtime::StreamReport;
 
 pub mod oracle;
 pub mod paths;
@@ -151,10 +153,31 @@ pub fn dominant_system(n: usize, seed: u64, nrhs: usize) -> (Mat, Mat) {
     (a, b)
 }
 
-/// A streamed run's window routes what the replay of the same
-/// factorization's batch graph prices: on every directed link, its payload
-/// messages (data + decision) and their bytes are the replay's
-/// `link_messages`. Retire reports are protocol, not payload.
+/// The per-link protocol counters of a wire run every rank of which
+/// reported, in rank order: each link once, as the two ranks at its ends
+/// both counted it, and no rank reports a link that does not touch it.
+pub fn union_links<'a>(ranks: impl IntoIterator<Item = &'a StreamReport>) -> Vec<LinkMsgStats> {
+    let mut ends: BTreeMap<(usize, usize), Vec<(usize, MsgStats)>> = BTreeMap::new();
+    for (r, report) in ranks.into_iter().enumerate() {
+        for l in &report.link_msgs {
+            let link = (l.src, l.dst);
+            assert!(l.src == r || l.dst == r, "rank {r} reports link {link:?}");
+            ends.entry(link).or_default().push((r, l.msgs));
+        }
+    }
+    let union = ends.into_iter().map(|((src, dst), ends)| {
+        let msgs = ends[0].1;
+        let both = [(src.min(dst), msgs), (src.max(dst), msgs)];
+        assert_eq!(ends, both, "link ({src}, {dst}): both ends count it alike");
+        LinkMsgStats { src, dst, msgs }
+    });
+    union.collect()
+}
+
+/// A distributed run routes what the replay of the same factorization's
+/// batch graph prices: on every directed link of `links` (its ranks'
+/// [`union_links`]), its payload messages (data + decision) and their
+/// bytes are the replay's `link_messages`.
 pub fn assert_routing_matches_replay(links: &[LinkMsgStats], replay: &[LinkTraffic], what: &str) {
     let routed: Vec<LinkTraffic> = links
         .iter()
@@ -168,6 +191,6 @@ pub fn assert_routing_matches_replay(links: &[LinkMsgStats], replay: &[LinkTraff
         .collect();
     assert_eq!(
         routed, replay,
-        "{what}: per-link payload traffic, window vs replay"
+        "{what}: per-link payload traffic, ranks vs replay"
     );
 }

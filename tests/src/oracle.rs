@@ -78,9 +78,6 @@ struct Tee<'a> {
 }
 
 impl TaskSink<luqr::TaskOp> for Tee<'_> {
-    fn num_nodes(&self) -> usize {
-        self.sink.num_nodes()
-    }
     fn declare(&mut self, key: DataKey, bytes: usize, home_node: usize) {
         self.sink.declare(key, bytes, home_node);
     }

@@ -3,12 +3,12 @@
 //!
 //! A [`Case`] is a factorization (its [`FactorOptions`]), a streaming
 //! window, an optional probe and a seeded [`Input`]. [`run`] performs it on
-//! one [`Path`] — the batch executor, the streaming window, or the ranks of
-//! a real-transport run over loopback mailboxes or Unix-domain sockets —
-//! and [`check_parity`] checks what the runtime promises whatever the path:
-//! the same solution and LU/QR decisions, bit for bit; a window that routes,
-//! link by link, what the batch graph's replay prices; wire frames that are
-//! the protocol's messages; and a probe that perturbs nothing.
+//! one [`Path`] — the batch executor, the local streaming window, or the
+//! ranks of a real-transport run over loopback mailboxes or Unix-domain
+//! sockets — and [`check_parity`] checks what the runtime promises whatever
+//! the path: the same solution and LU/QR decisions, bit for bit; ranks that
+//! route, link by link, what the batch graph's replay prices; wire frames
+//! that are the protocol's messages; and a probe that perturbs nothing.
 
 use std::sync::OnceLock;
 
@@ -24,7 +24,9 @@ use luqr_runtime::net::loopback::loopback_set;
 use luqr_runtime::{simulate, Platform, SimReport, StreamReport, Transport};
 use luqr_tile::Grid;
 
-use crate::{assert_routing_matches_replay, dominant_system, well_conditioned, with_watchdog};
+use crate::{
+    assert_routing_matches_replay, dominant_system, union_links, well_conditioned, with_watchdog,
+};
 
 /// The system a case factors.
 #[derive(Clone, Debug)]
@@ -133,7 +135,8 @@ impl Case {
 pub enum Path {
     /// [`factor`]: the whole graph built, then executed.
     Batch,
-    /// [`factor_stream_with`]: the window, with ranks as virtual nodes.
+    /// [`factor_stream_with`]: the local window, which runs every node's
+    /// tasks and routes nothing.
     Stream,
     /// Every rank over loopback mailboxes, a [`factor_stream_net_rank`]
     /// thread each.
@@ -214,7 +217,7 @@ fn perform(case: &Case, path: Path) -> Outcome {
 }
 
 /// Every rank of a loopback run, in rank order; peers run unprobed.
-fn loopback_ranks(
+pub fn loopback_ranks(
     a: &Mat,
     b: &Mat,
     opts: &FactorOptions,
@@ -242,13 +245,14 @@ fn loopback_ranks(
 /// * the same `error`, `x` bit for bit and the same decision at every step;
 ///   among streamed and net paths, the criterion's `lhs`/`rhs` bits too;
 /// * `Stream`: at most `window` live steps, no more live tasks than the
-///   heaviest `window` steps plan and, beside `Batch`, the replay's payload
-///   traffic on every link;
+///   heaviest `window` steps plan, and nothing routed;
 /// * `Loopback`/`Uds`: every rank's wire frames are the protocol messages
-///   on its links and, beside `Stream`, its messages, in total and per
-///   link, are the stream's payload messages on the links that touch it —
-///   on `Loopback`, where every rank reports, both ends of every link count
-///   it alike;
+///   on its links, and its message totals those links' sum;
+/// * `Loopback`, where every rank reports: both ends of every link count it
+///   alike and, beside `Batch`, the ranks' payload traffic is the replay's
+///   on every link;
+/// * `Uds`, beside `Loopback`: rank 0's messages, per link, are that run's
+///   rank 0's;
 /// * a probed case: the path run unprobed moves the same bits, messages
 ///   and wire counters.
 ///
@@ -283,33 +287,29 @@ pub fn check_parity(case: &Case, paths: &[Path]) -> Vec<Outcome> {
             let heaviest = steps.windows(case.window.min(steps.len()).max(1));
             let heaviest = heaviest.map(|w| w.iter().sum()).max().unwrap_or(0);
             assert!(report.peak_live_tasks <= heaviest, "{what}: live tasks");
-            if let Some(batch) = find(Path::Batch) {
-                let replay = &batch.replay().link_messages;
-                assert_routing_matches_replay(&report.link_msgs, replay, &what);
-            }
+            assert_eq!(report.msgs, MsgStats::default(), "{what}: routed");
+            assert!(
+                report.link_msgs.is_empty() && report.net.is_none(),
+                "{what}"
+            );
         } else {
-            if let Some(stream) = find(Path::Stream) {
-                let links = &stream.report().link_msgs;
-                for (r, f) in o.ranks.iter().enumerate() {
-                    let (mine, what) = (rank_links(links, r), format!("{what}, rank {r}"));
-                    assert_eq!(f.report.link_msgs, mine, "{what}: messages per link");
-                    assert_eq!(f.report.msgs, msg_total(&mine), "{what}: messages");
-                }
-                if o.path == Path::Loopback {
-                    for l in links.iter().filter(|l| l.msgs.payload_msgs() > 0) {
-                        let end = |r: usize| {
-                            let mine = &o.ranks[r].report.link_msgs;
-                            mine.iter()
-                                .find(|m| (m.src, m.dst) == (l.src, l.dst))
-                                .map(|m| m.msgs)
-                        };
-                        let link = (l.src, l.dst);
-                        assert_eq!(end(l.src), end(l.dst), "{what}: link {link:?}, both ends");
-                    }
-                }
-            }
             for (r, f) in o.ranks.iter().enumerate() {
                 assert_wire_is_protocol(&f.report, (r, case.opts.grid.nodes()), &what);
+                let total = msg_total(&f.report.link_msgs);
+                assert_eq!(f.report.msgs, total, "{what}, rank {r}: messages");
+            }
+            if o.path == Path::Loopback {
+                let links = union_links(o.ranks.iter().map(|f| &f.report));
+                if let Some(batch) = find(Path::Batch) {
+                    let replay = &batch.replay().link_messages;
+                    assert_routing_matches_replay(&links, replay, &what);
+                }
+            } else if let Some(loopback) = find(Path::Loopback) {
+                let rank0 = loopback.report();
+                assert_eq!(
+                    report.link_msgs, rank0.link_msgs,
+                    "{what}: messages per link"
+                );
             }
         }
         if case.probe {
@@ -329,8 +329,8 @@ pub fn check_parity(case: &Case, paths: &[Path]) -> Vec<Outcome> {
 }
 
 /// Rank `r` of `nodes` says so, and every frame it sent or received is a
-/// data, decision or retire message on one of its links, as its per-link
-/// protocol tally says.
+/// data or decision message on one of its links, as its per-link protocol
+/// tally says.
 pub(crate) fn assert_wire_is_protocol(
     report: &StreamReport,
     (r, nodes): (usize, usize),
@@ -343,9 +343,7 @@ pub(crate) fn assert_wire_is_protocol(
     assert_eq!((wire.rank, wire.nranks), (r, nodes), "{what}");
     let protocol = |keep: &dyn Fn(usize, usize) -> bool| -> u64 {
         let links = report.link_msgs.iter().filter(|l| keep(l.src, l.dst));
-        links
-            .map(|l| l.msgs.payload_msgs() + l.msgs.retire_msgs)
-            .sum()
+        links.map(|l| l.msgs.payload_msgs()).sum()
     };
     let sent = protocol(&|src, dst| src == r && dst != r);
     let received = protocol(&|src, dst| dst == r && src != r);
@@ -358,30 +356,13 @@ pub(crate) fn assert_wire_is_protocol(
     }
 }
 
-/// What rank `r` of a wire run routes of a streamed run's `links`: the
-/// payload messages of the links that touch it (a wire rank retires its own
-/// steps and reports nothing).
-pub fn rank_links(links: &[LinkMsgStats], r: usize) -> Vec<LinkMsgStats> {
-    let touching = links.iter().filter(|l| l.src == r || l.dst == r);
-    touching
-        .filter(|l| l.msgs.payload_msgs() > 0)
-        .map(|&l| LinkMsgStats {
-            msgs: MsgStats {
-                retire_msgs: 0,
-                ..l.msgs
-            },
-            ..l
-        })
-        .collect()
-}
-
 /// The counters of `links`, summed.
 pub fn msg_total(links: &[LinkMsgStats]) -> MsgStats {
     links.iter().fold(MsgStats::default(), |t, l| MsgStats {
         data_msgs: t.data_msgs + l.msgs.data_msgs,
         decision_msgs: t.decision_msgs + l.msgs.decision_msgs,
-        retire_msgs: t.retire_msgs + l.msgs.retire_msgs,
         bytes: t.bytes + l.msgs.bytes,
+        ..t
     })
 }
 

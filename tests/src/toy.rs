@@ -38,13 +38,13 @@ use luqr_runtime::net::loopback::loopback_set;
 use luqr_runtime::net::socket::{socket_set, SocketSpec};
 use luqr_runtime::stream::{execute_net, execute_with};
 use luqr_runtime::{
-    execute, simulate, Access, CostClass, DataClass, DataKey, GraphBuilder, LinkMsgStats,
-    NetConfig, PayloadStore, Platform, Pred, Routed, Share, StepPhase, StepSource, StreamOptions,
+    execute, simulate, Access, CostClass, DataClass, DataKey, GraphBuilder, NetConfig,
+    PayloadStore, Platform, Pred, Routed, Share, StepPhase, StepSource, StreamOptions,
     StreamReport, TaskId, TaskOp, TaskResult, TaskSink, Transport, TransportError, Visit,
 };
 
 use crate::paths::{assert_wire_is_protocol, Path};
-use crate::{assert_routing_matches_replay, with_watchdog};
+use crate::{assert_routing_matches_replay, union_links, with_watchdog};
 
 /// Nodes of the toy.
 const NODES: usize = 3;
@@ -107,7 +107,8 @@ struct Def {
 }
 
 /// The run's tasks and one node's memory: every cell of the whole run on
-/// the counted paths, the cells a rank holds or was sent on a wire.
+/// the batch and the local streamed paths, the cells a rank holds or was
+/// sent on a wire.
 #[derive(Default)]
 pub struct ToyCtx {
     defs: RwLock<Vec<Arc<Def>>>,
@@ -495,42 +496,42 @@ fn perform(path: Path, producer: Producer) -> ToyOutcome {
     }
 }
 
-/// The links of `links` that touch `rank`, their payload messages only.
-fn touching(links: &[LinkMsgStats], rank: usize) -> Vec<(usize, usize, u64, u64, u64)> {
-    links
-        .iter()
-        .filter(|l| (l.src == rank || l.dst == rank) && l.msgs.payload_msgs() > 0)
-        .map(|l| {
-            let m = l.msgs;
-            (l.src, l.dst, m.data_msgs, m.decision_msgs, m.bytes)
-        })
-        .collect()
-}
-
-/// Run the toy on `paths` (the first must be `Batch`, the second `Stream`)
-/// and check what [`crate::paths::check_parity`] checks of a factorization:
-/// the same result bits everywhere; the window routing, link by link, what
-/// the batch graph's replay prices; and every rank of a wire run sending
-/// and receiving, as frames, the stream's messages on its links.
+/// Run the toy on `paths` (the first must be `Batch`, and `Loopback` must
+/// be among them) and check what [`crate::paths::check_parity`] checks of a
+/// factorization: the same result bits everywhere; the local window routing
+/// nothing; the loopback ranks routing, link by link, what the batch graph's
+/// replay prices; and every rank of a wire run sending and receiving, as
+/// frames, the messages on its links — on sockets, the loopback run's.
 pub fn check_parity(paths: &[Path], producer: Producer) -> Vec<ToyOutcome> {
-    assert_eq!(paths[..2], [Path::Batch, Path::Stream]);
+    assert_eq!(paths[0], Path::Batch);
     let outs: Vec<ToyOutcome> = paths.iter().map(|&p| run(p, producer)).collect();
-    let (batch, stream) = (&outs[0], &outs[1].reports[0]);
-    let what = format!("toy ({producer:?}) on Stream");
-    assert_routing_matches_replay(&stream.link_msgs, &batch.replay, &what);
+    let batch = &outs[0];
+    let loopback = outs.iter().find(|o| o.path == Path::Loopback);
+    let loopback = union_links(&loopback.expect("a loopback run").reports);
+    let what = format!("toy ({producer:?}) on Loopback");
+    assert_routing_matches_replay(&loopback, &batch.replay, &what);
     for o in &outs {
         let what = format!("toy ({producer:?}) on {:?}", o.path);
         assert_eq!(o.x, batch.x, "{what}: result");
-        if matches!(o.path, Path::Loopback | Path::Uds) {
-            assert_eq!(o.reports.len(), NODES, "{what}");
-            for (r, report) in o.reports.iter().enumerate() {
-                let what = format!("{what}, rank {r}");
-                assert_wire_is_protocol(report, (r, NODES), &what);
-                assert_eq!(
-                    touching(&report.link_msgs, r),
-                    touching(&stream.link_msgs, r),
-                    "{what}: messages on its links"
+        match o.path {
+            Path::Batch => {}
+            Path::Stream => {
+                let report = &o.reports[0];
+                assert!(
+                    report.link_msgs.is_empty() && report.net.is_none(),
+                    "{what}"
                 );
+            }
+            Path::Loopback | Path::Uds => {
+                assert_eq!(o.reports.len(), NODES, "{what}");
+                assert_eq!(
+                    union_links(&o.reports),
+                    loopback,
+                    "{what}: messages per link"
+                );
+                for (r, report) in o.reports.iter().enumerate() {
+                    assert_wire_is_protocol(report, (r, NODES), &format!("{what}, rank {r}"));
+                }
             }
         }
     }

@@ -8,9 +8,10 @@
 //! Two different parity contracts apply:
 //!
 //! * **Decision/schedule parity is exact.** Within one build, the batch
-//!   planner and the streaming executor (at every window size) must produce
-//!   **bitwise identical** solutions and decisions, and the window must
-//!   route what the batch graph's replay prices
+//!   planner and the streaming executor (at every window size, locally and
+//!   as loopback ranks) must produce **bitwise identical** solutions and
+//!   decisions, and the ranks must route what the batch graph's replay
+//!   prices
 //!   ([`luqr_tests::paths::check_parity`]): streaming changes when tasks are
 //!   planned, never what they compute.
 //! * **Kernel numerics follow the backward-error model.** The register-tiled
@@ -99,7 +100,8 @@ fn planner_matches_pre_refactor_residuals_under_error_model() {
 }
 
 /// The streaming executor reproduces the batch run of every row bitwise at
-/// windows 1, 2 and 7, and routes the replay's traffic link by link. This
+/// windows 1, 2 and 7, and its loopback ranks route the replay's traffic
+/// link by link. This
 /// comparison stays exact (kernel drift cancels out: both sides run the
 /// same kernels), while the cross-build golden record is only held to the
 /// error model. It is also the four-node half of the every-algorithm
@@ -109,7 +111,7 @@ fn streaming_reproduces_batch_residuals_bitwise() {
     for (_, algorithm, scope, variant, _) in golden_table() {
         for window in [1, 2, 7] {
             let case = case(algorithm.clone(), scope, variant).window(window);
-            check_parity(&case, &[Path::Batch, Path::Stream]);
+            check_parity(&case, &[Path::Batch, Path::Stream, Path::Loopback]);
         }
     }
 }

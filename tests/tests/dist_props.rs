@@ -1,9 +1,9 @@
 //! Property tests for distributed streaming: for random systems, all ten
 //! algorithm combos, process grids, window sizes and thread counts, the
 //! batch path, the streaming window and every rank of a loopback run
-//! compute the same bits and decisions, the window routes the batch graph's
-//! replay link by link, and the loopback ranks' wire carries the stream's
-//! protocol ([`luqr_tests::paths::check_parity`]).
+//! compute the same bits and decisions, the ranks route the batch graph's
+//! replay link by link, and their wire carries the protocol
+//! ([`luqr_tests::paths::check_parity`]).
 
 use luqr_tests::paths::{algorithm_from, check_parity, Case, Path};
 use luqr_tile::Grid;

@@ -2,17 +2,16 @@
 //! criterion on one node (the four-node half is `builder_parity`'s golden
 //! table), batch ≡ stream ≡ net over loopback and Unix-domain sockets
 //! ([`luqr_tests::paths::check_parity`]), and what only this suite asserts:
-//! message counts, replays on other platforms, trace export, the one-rank
-//! run, a singular input's breakdown and four real `luqr-worker` processes.
+//! message counts, a local window that routes nothing on any grid, replays
+//! on other platforms, trace export, the one-rank run, a singular input's
+//! breakdown and four real `luqr-worker` processes.
 
 use luqr::net::launch::{launch_multiprocess, NetJob};
 use luqr::{Algorithm, Criterion, Decision, MsgStats, StepRecord};
 use luqr_runtime::{simulate, Platform};
-use luqr_tests::assert_routing_matches_replay;
-use luqr_tests::paths::{
-    algorithm_from, bits, check_parity, msg_total, rank_links, run, Case, Input, Path,
-};
+use luqr_tests::paths::{algorithm_from, bits, check_parity, run, Case, Input, Path};
 use luqr_tests::toy::{self, Producer};
+use luqr_tests::{assert_routing_matches_replay, union_links};
 use luqr_tile::Grid;
 
 const MAX: Algorithm = Algorithm::LuQr(Criterion::Max { alpha: 100.0 });
@@ -100,66 +99,96 @@ fn distributed_streaming_parity_every_algorithm_and_criterion() {
 /// visible as DecisionMsgs from the panel-owner node.
 #[test]
 fn distributed_hybrid_counts_decision_broadcasts() {
-    let outs = check_parity(&case(MAX, Grid::new(2, 2), 64, 99), &LOCAL);
-    let msgs = outs[1].report().msgs;
-    assert!(msgs.data_msgs > 0, "2x2 grid must move tiles");
-    assert!(msgs.decision_msgs > 0, "hybrid steps must broadcast");
-    assert!(msgs.retire_msgs > 0, "remote nodes must report retirement");
+    let outs = check_parity(&case(MAX, Grid::new(2, 2), 64, 99), &NET);
+    let links = union_links(outs[2].ranks.iter().map(|f| &f.report));
+    let sum = |f: fn(&MsgStats) -> u64| links.iter().map(|l| f(&l.msgs)).sum::<u64>();
+    assert!(sum(|m| m.data_msgs) > 0, "2x2 grid must move tiles");
+    assert!(sum(|m| m.decision_msgs) > 0, "hybrid steps must broadcast");
     let replay = outs[0].replay();
     assert!(replay.makespan > 0.0);
     assert!(replay.makespan >= replay.critical_path - 1e-12);
 }
 
-/// Distributed streaming on a single node moves zero messages and zero
-/// bytes, through every layer (protocol and replay).
+/// The local window runs every node's tasks, on any grid and at any
+/// thread count: it moves zero messages and zero bytes, its `x` is bitwise
+/// batch's on the same grid and its decisions the single node's. On one
+/// process row, whose panels lie on one node, the planner plans what it
+/// plans for a single node, so `x` is the single node's bits too; on two
+/// rows the LU panel is split by node, which moves the last bits. On a
+/// single node the replay moves nothing either.
 #[test]
 fn single_node_distributed_run_moves_nothing() {
-    let outs = check_parity(&case(MAX, Grid::single(), 48, 5).window(3), &LOCAL);
-    assert_eq!(outs[1].report().msgs, MsgStats::default());
-    assert_eq!((outs[0].replay().messages, outs[0].replay().bytes), (0, 0));
+    let single = run(&case(MAX, Grid::single(), 48, 5), Path::Batch);
+    for grid in [Grid::single(), Grid::new(1, 2), Grid::new(2, 2)] {
+        for threads in [1, 4] {
+            let case = case(MAX, grid, 48, 5).window(3).threads(threads);
+            let outs = check_parity(&case, &LOCAL);
+            let (report, what) = (outs[1].report(), format!("{grid:?}, {threads} threads"));
+            assert_eq!(report.msgs, MsgStats::default(), "{what}");
+            assert!(
+                report.link_msgs.is_empty() && report.net.is_none(),
+                "{what}"
+            );
+            if grid.p == 1 {
+                assert_eq!(bits(&outs[1].x), bits(&single.x), "{what}: x");
+            }
+            let decisions = |r: &[StepRecord]| r.iter().map(|r| r.decision).collect::<Vec<_>>();
+            assert_eq!(
+                decisions(&outs[1].records),
+                decisions(&single.records),
+                "{what}"
+            );
+        }
+    }
+    let replay = single.replay();
+    assert_eq!((replay.messages, replay.bytes), (0, 0));
 }
 
 /// `latency = 0` degenerates the communication model to pure bandwidth
-/// cost; the replay still moves exactly what the window routed.
+/// cost; the replay still moves exactly what the ranks routed.
 #[test]
 fn zero_latency_platform_costs_pure_bandwidth() {
-    let outs = check_parity(&case(Algorithm::Hqr, Grid::new(2, 2), 48, 17), &LOCAL);
+    let outs = check_parity(&case(Algorithm::Hqr, Grid::new(2, 2), 48, 17), &NET);
     let platform = Platform::dancer_nodes(4).with_latency(0.0);
     let replay = simulate(outs[0].graph(), &platform);
-    let routed = &outs[1].report().link_msgs;
-    assert_routing_matches_replay(routed, &replay.link_messages, "latency 0");
+    let routed = union_links(outs[2].ranks.iter().map(|f| &f.report));
+    assert_routing_matches_replay(&routed, &replay.link_messages, "latency 0");
     assert!(replay.bytes > 0);
     assert!(replay.makespan > 0.0);
 }
 
 /// Streaming trace export: behind the flag, every executed task gets a
 /// `(start, end, worker, step, node)` span, renderable as Chrome trace
-/// JSON.
+/// JSON — on node 0 for the local window, on its own rank for each
+/// loopback rank.
 #[test]
 fn streaming_trace_export_covers_executed_tasks() {
     let case = case(MAX, Grid::new(2, 2), 48, 8);
     let mut traced = case.clone();
     traced.trace = true;
-    let traced = run(&traced, Path::Stream);
-    let f = &traced.ranks[0];
-    assert_eq!(f.report.trace.len(), f.report.tasks_executed);
-    let mut nodes_seen = [false; 4];
-    for ev in &f.report.trace {
-        assert!(ev.end >= ev.start);
-        assert!(ev.step.is_some());
-        nodes_seen[ev.node] = true;
+    let spans = |f: &luqr::StreamFactorization, node: usize| {
+        assert_eq!(f.report.trace.len(), f.report.tasks_executed);
+        assert!(f.report.tasks_executed > 0, "node {node} executes");
+        for ev in &f.report.trace {
+            assert!(ev.end >= ev.start);
+            assert!(ev.step.is_some());
+            assert_eq!(ev.node, node);
+        }
+    };
+    let ranks = run(&traced, Path::Loopback).ranks;
+    assert_eq!(ranks.len(), 4, "2x2 grid must execute on all 4 nodes");
+    for (rank, f) in ranks.iter().enumerate() {
+        spans(f, rank);
     }
-    assert!(
-        nodes_seen.iter().all(|&s| s),
-        "2x2 grid must execute on all 4 nodes"
-    );
+    let f = &run(&traced, Path::Stream).ranks[0];
+    spans(f, 0);
     let json = f.chrome_trace(None);
     assert!(json.contains("\"args\": {\"step\": 0}"));
     assert!(json.contains("PANEL(k=0)"));
     assert!(!json.contains("process_name"));
     // Given a platform, lanes carry the node spec — and no policy stamp:
     // the host workers pop by critical-path depth, not by a sim policy.
-    let named = f.chrome_trace(Some(&Platform::dancer_nodes(4)));
+    let named = ranks[3].chrome_trace(Some(&Platform::dancer_nodes(4)));
     assert!(named.contains("\"name\": \"node3 (8c @ 8.52 GF)\""));
     assert!(!named.contains("[fifo]"));
     // Untraced runs render an empty (but valid) document.
@@ -183,7 +212,7 @@ fn net_loopback_matches_simulated_run_across_algorithms() {
 /// to numerics and protocol.
 #[test]
 fn net_loopback_and_uds_match_simulated_run() {
-    let paths = [Path::Batch, Path::Stream, Path::Uds];
+    let paths = [Path::Batch, Path::Stream, Path::Loopback, Path::Uds];
     check_parity(&Case::new(MAX, Grid::new(2, 2)), &paths);
 }
 
@@ -234,7 +263,7 @@ fn singular_hqr_and_hybrid_report_their_breakdown_on_every_path() {
 }
 
 /// The full stack: four real `luqr-worker` OS processes meshed over UDS
-/// reproduce, on rank 0's links, the simulated run's message statistics
+/// reproduce, on rank 0's links, the loopback run's message statistics
 /// exactly and the batch factorization bitwise.
 #[test]
 fn net_four_worker_uds_processes_match_simulated_run() {
@@ -252,8 +281,8 @@ fn net_four_worker_uds_processes_match_simulated_run() {
     };
     let case = Case::new(job.algorithm.clone(), Grid::new(2, 2)).input(Input::Job(job.clone()));
     assert_eq!(format!("{:?}", case.opts), format!("{:?}", job.options()));
-    let outs = check_parity(&case, &LOCAL);
-    let (batch, dist) = (&outs[0], &outs[1]);
+    let outs = check_parity(&case, &NET);
+    let (batch, dist) = (&outs[0], &outs[2]);
 
     // A wire bug must fail the test, not hang it.
     let deadline = std::time::Duration::from_secs(120);
@@ -266,10 +295,10 @@ fn net_four_worker_uds_processes_match_simulated_run() {
         r.iter().map(bits).collect()
     };
     assert_eq!(steps(&mp.records), steps(&dist.records));
-    // Rank 0 reports its own links: the streamed run's, restricted to them.
-    let links = rank_links(&dist.report().link_msgs, 0);
-    assert_eq!(mp.msgs, msg_total(&links), "MsgStats diverged");
-    assert_eq!(mp.link_msgs, links, "per-link MsgStats diverged");
+    // Rank 0 reports its own links: the loopback run's rank 0's.
+    let rank0 = dist.report();
+    assert_eq!(mp.msgs, rank0.msgs, "MsgStats diverged");
+    assert_eq!(mp.link_msgs, rank0.link_msgs, "per-link MsgStats diverged");
     assert!(mp.frames_sent > 0 && mp.frames_received > 0);
     assert!(mp.payload_bytes_sent > 0 && mp.payload_bytes_received > 0);
 }

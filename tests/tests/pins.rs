@@ -26,12 +26,14 @@ use std::time::Instant;
 
 use luqr::{
     factor, factor_stream, factor_stream_net, factor_stream_with, Algorithm, Criterion,
-    FactorOptions, Factorization, NetTransportKind, Probe, SchedPolicy, StreamOptions, TreeConfig,
+    FactorOptions, Factorization, LinkMsgStats, NetTransportKind, Probe, SchedPolicy,
+    StreamOptions, TreeConfig,
 };
 use luqr_kernels::blas::{gemm, gemm_reference, Trans};
 use luqr_kernels::Mat;
 use luqr_runtime::{simulate, simulate_with, Platform, SimReport, StreamReport};
-use luqr_tests::{assert_routing_matches_replay, with_watchdog, TWO_LEVEL};
+use luqr_tests::paths::loopback_ranks;
+use luqr_tests::{assert_routing_matches_replay, union_links, with_watchdog, TWO_LEVEL};
 use luqr_tile::Grid;
 
 /// The fixture every retired harness shared: a general random system (its
@@ -65,6 +67,23 @@ fn streamed(what: &str, a: &Mat, b: &Mat, opts: &FactorOptions, window: usize) -
     let (a, b, opts) = (a.clone(), b.clone(), opts.clone());
     let what = format!("streamed run, {what}, window {window}");
     with_watchdog(&what, move || factor_stream(&a, &b, &opts, window).report)
+}
+
+/// The per-link messages of a loopback run's ranks under the watchdog,
+/// named by `what`.
+fn loopback_links(
+    what: &str,
+    a: &Mat,
+    b: &Mat,
+    opts: &FactorOptions,
+    window: usize,
+) -> Vec<LinkMsgStats> {
+    let (a, b, opts) = (a.clone(), b.clone(), opts.clone());
+    let what = format!("loopback run, {what}");
+    with_watchdog(&what, move || {
+        let ranks = loopback_ranks(&a, &b, &opts, &StreamOptions::fixed(window, opts.threads));
+        union_links(ranks.iter().map(|f| &f.report))
+    })
 }
 
 /// `(sim_makespan_ns, sim_messages)` of a report, the makespan as the
@@ -109,8 +128,8 @@ fn sched_hqr_default_tree_n320_pins() {
     );
 }
 
-/// The batch graph's replay is the one cost model, and what the streamed
-/// run routes online is what it prices: the same messages on every link,
+/// The batch graph's replay is the one cost model, and what the loopback
+/// ranks route online is what it prices: the same messages on every link,
 /// at every window.
 #[test]
 fn distsim_batch_replay_and_online_sim_agree_on_pinned_values() {
@@ -127,8 +146,8 @@ fn distsim_batch_replay_and_online_sim_agree_on_pinned_values() {
         let replay = simulate(&graph, &platform);
         assert_eq!(row(&replay), want, "n = {n}");
         for window in [2, 4] {
-            let links = streamed(&what, &a, &b, &opts, window).link_msgs;
             let what = format!("n = {n}, window {window}");
+            let links = loopback_links(&what, &a, &b, &opts, window);
             assert_routing_matches_replay(&links, &replay.link_messages, &what);
         }
     }
@@ -198,7 +217,7 @@ fn net_e2e_n320_counts_are_the_same_on_every_transport() {
             let wire = report.net.expect("net report");
             assert_eq!(
                 (
-                    msgs.data_msgs + msgs.decision_msgs + msgs.retire_msgs,
+                    msgs.data_msgs + msgs.decision_msgs,
                     wire.frames_sent,
                     wire.payload_bytes_sent
                 ),

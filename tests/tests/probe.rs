@@ -61,19 +61,22 @@ fn probed_batch_replay_matches_and_reconciles_across_policies() {
 
 /// The probed hybrid on the streamed and loopback paths: `check_parity`
 /// runs both unprobed too and finds the same bits, messages and wire
-/// counters. The probes saw the runs: kernels, protocol messages and, on
-/// rank 0 of the loopback run, the wire.
+/// counters. The probes saw the runs: the local window's kernels and, on
+/// rank 0 of the loopback run, its kernels, protocol messages and wire.
 #[test]
 fn probed_distributed_streaming_is_bitwise_invariant() {
     let mut case = hybrid();
     case.probe = true;
     let outs = check_parity(&case, &[Path::Batch, Path::Stream, Path::Loopback]);
-    let report = outs[1].probe.as_ref().expect("a probed stream");
-    let counter = |name, label| report.snapshot.counter(name, label);
-    assert!(counter(metric::KERNEL_FLOPS, Label::Class("gemm")) > 0);
-    assert!(counter(metric::COMM_MSGS, Label::Kind("data")) > 0);
-    // Virtual-time attribution is a replay's (above).
-    assert!(report.attribution.is_none());
+    for o in &outs[1..] {
+        let report = o.probe.as_ref().expect("a probed run");
+        let counter = |name, label| report.snapshot.counter(name, label);
+        assert!(counter(metric::KERNEL_FLOPS, Label::Class("gemm")) > 0);
+        let data = counter(metric::COMM_MSGS, Label::Kind("data"));
+        assert_eq!(data > 0, o.path == Path::Loopback, "{:?}", o.path);
+        // Virtual-time attribution is a replay's (above).
+        assert!(report.attribution.is_none());
+    }
     let net = format!(
         "{:?}",
         outs[2].probe.as_ref().expect("a probed rank").snapshot

@@ -12,9 +12,9 @@
 //!    replay moves exactly the same data (messages and bytes per link,
 //!    serial seconds, per-node-per-class observations) — only the timeline
 //!    may differ, and even then never below the critical path — and that
-//!    data is what the streaming window routed, link for link, while
-//!    computing the batch path's numerics bitwise
-//!    ([`luqr_tests::paths::check_parity`]).
+//!    data is what the loopback ranks routed, link for link, while the
+//!    streaming window and the ranks compute the batch path's numerics
+//!    bitwise ([`luqr_tests::paths::check_parity`]).
 //! 3. **A replay is a schedule of the graph it is given.** Under every
 //!    policy, for every graph edge `p → s` between executed tasks, `p`
 //!    finishes no later than `s` starts.
@@ -74,10 +74,10 @@ proptest! {
 
     #[test]
     fn every_policy_preserves_numerics_and_data_flow(case in cases(48)) {
-        // Streaming at window 2: numerics bitwise, failure behavior and
-        // decisions identical, and the FIFO replay's data flow routed link
-        // for link.
-        let outs = check_parity(&case, &[Path::Batch, Path::Stream]);
+        // Streaming at window 2, locally and as loopback ranks: numerics
+        // bitwise, failure behavior and decisions identical, and the FIFO
+        // replay's data flow routed link for link by the ranks.
+        let outs = check_parity(&case, &[Path::Batch, Path::Stream, Path::Loopback]);
         let (graph, fifo) = (outs[0].graph(), outs[0].replay());
         let platform = Platform::dancer_nodes(case.opts.grid.nodes());
 

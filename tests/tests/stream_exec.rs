@@ -45,17 +45,22 @@ fn max5() -> Case {
     Case::new(max5, Grid::new(2, 1)).dominant(48, 5, 2)
 }
 
-/// Explicit single-thread invocation (deterministic reference schedule).
+/// Explicit single-thread invocation (deterministic reference schedule),
+/// locally and as two loopback ranks.
 #[test]
 fn streaming_single_thread() {
-    check_parity(&max5().threads(1), &[Path::Batch, Path::Stream]);
+    check_parity(
+        &max5().threads(1),
+        &[Path::Batch, Path::Stream, Path::Loopback],
+    );
 }
 
 /// Explicit 4-thread invocation (races between workers, the planner, and
-/// step retirement surface here).
+/// step retirement surface here), locally and as two loopback ranks.
 #[test]
 fn streaming_four_threads() {
-    check_parity(&max5().threads(4).window(3), &[Path::Batch, Path::Stream]);
+    let paths = [Path::Batch, Path::Stream, Path::Loopback];
+    check_parity(&max5().threads(4).window(3), &paths);
 }
 
 /// Thread count and window size never change the bits.

@@ -1,7 +1,8 @@
 //! Property tests for the streaming runtime: for random systems, all ten
-//! algorithm combos, window sizes (1, 2, N) and thread counts, streaming is
-//! bitwise the batch path and the window bounds live steps and live tasks
-//! ([`luqr_tests::paths::check_parity`]).
+//! algorithm combos, window sizes (1, 2, N) and thread counts, streaming —
+//! locally and as loopback ranks — is bitwise the batch path, the window
+//! bounds live steps and live tasks, and the ranks route the batch graph's
+//! replay ([`luqr_tests::paths::check_parity`]).
 
 use luqr_tests::paths::{algorithm_from, check_parity, Case, Path};
 use luqr_tile::Grid;
@@ -26,6 +27,6 @@ proptest! {
         let window = [1, 2, n.div_ceil(8)][window_sel];
         let case = Case::new(algorithm_from(algo_sel, algo_raw), grid).window(window);
         let case = case.threads(threads).dominant(n, seed, 1);
-        check_parity(&case, &[Path::Batch, Path::Stream]);
+        check_parity(&case, &[Path::Batch, Path::Stream, Path::Loopback]);
     }
 }
