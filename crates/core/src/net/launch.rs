@@ -828,7 +828,10 @@ mod tests {
                 .args(["-0", &pid])
                 .stderr(std::process::Stdio::null())
                 .status();
-            assert!(!alive.unwrap().success(), "worker {pid} outlived the launch");
+            assert!(
+                !alive.unwrap().success(),
+                "worker {pid} outlived the launch"
+            );
         }
         assert_eq!(leftovers(), Vec::<String>::new());
         std::fs::remove_dir_all(&dir).unwrap();

@@ -170,14 +170,16 @@ pub struct StreamReport {
     pub boundary_writers: usize,
     pub boundary_readers: usize,
     /// Tasks that ran their kernel: every completed one, since the window
-    /// plans only the chosen hybrid branch.
+    /// plans only the chosen hybrid branch (a wire rank's stand-ins run
+    /// none and are not counted).
     pub tasks_executed: usize,
     /// Total flops reported by executed tasks (excluding Memory
     /// pseudo-flops).
     pub total_flops: f64,
-    /// Highest number of simultaneously materialized task records — the
-    /// window's memory high-water mark. The batch path materializes
-    /// `tasks_planned`-many records (and more: both branches) at once.
+    /// Highest number of simultaneously materialized task records, a wire
+    /// rank's stand-ins included — the window's memory high-water mark.
+    /// The batch path materializes `tasks_planned`-many records (and more:
+    /// both branches) at once.
     pub peak_live_tasks: usize,
     /// Highest number of simultaneously live steps (≤ the window size).
     pub peak_live_steps: usize,
@@ -318,13 +320,14 @@ pub fn execute_with<S: StepSource + ?Sized>(source: &mut S, opts: &StreamOptions
 /// gated on the arrival of their cross-rank inputs. A task placed on
 /// another rank keeps its id, its place in its step's table and the
 /// version it writes, and this rank still sends it the inputs it holds;
-/// nothing else of it exists here. So each rank's [`MsgStats`] and
-/// [`StreamReport::link_msgs`] are the run's payload messages on the links
-/// that touch the rank (every one it sends goes out as a real wire frame),
-/// its `tasks_planned` and `tasks_executed` its own share, and it retires
-/// its own steps. At the end, ranks other than 0 ship the final version of
-/// every datum they own to rank 0, whose mirror then holds the complete
-/// factorization.
+/// while this rank's tasks use what it overwrites it has a stand-in here,
+/// a record that runs no kernel, and nothing else of it exists here. So
+/// each rank's [`MsgStats`] and [`StreamReport::link_msgs`] are the run's
+/// payload messages on the links that touch the rank (every one it sends
+/// goes out as a real wire frame), its `tasks_planned` and
+/// `tasks_executed` its own share, and it retires its own steps. At the
+/// end, ranks other than 0 ship the final version of every datum they own
+/// to rank 0, whose mirror then holds the complete factorization.
 ///
 /// An endpoint whose world size is not `source.num_nodes()` is a typed
 /// error before anything starts.
@@ -400,7 +403,9 @@ fn drive<S: StepSource + ?Sized>(
                 sink.flush(false);
                 let t0 = Instant::now();
                 win.wait_for_task(decision_task);
-                if !win.wait_decision_value(decision_task) {
+                // A failed run's wait returns early, with no value to plan
+                // on.
+                if win.failed() {
                     sink.flush(true);
                     break;
                 }

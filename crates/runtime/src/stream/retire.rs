@@ -42,8 +42,6 @@ pub(crate) struct Planned {
     pub depth: u64,
     /// The node it was placed on.
     pub node: usize,
-    /// It has completed.
-    pub done: bool,
 }
 
 /// A live step in the window's step table.

@@ -45,7 +45,8 @@ impl<T> TaskRing<T> {
     }
 
     /// Issue the next id to a task that gets no record here (a wire rank's
-    /// task placed on another rank): the id is never live.
+    /// task placed on another rank, with no stand-in): the id is never
+    /// live.
     pub(super) fn skip(&mut self) -> TaskId {
         let id = self.next_id();
         if self.slots.is_empty() {

@@ -105,8 +105,8 @@
 //! that starts here — the inputs its own versions (or the initial values
 //! homed here) owe its node, through the same once-per-(version,
 //! destination) cache — and counts, for its own tasks, what arrives. It
-//! gets no record, no edges and no completion here, and its step's counts
-//! hold only the rank's own tasks.
+//! runs no kernel here and its step's counts hold only the rank's own
+//! tasks; it gets a record only as a stand-in (below).
 //!
 //! Depths follow what is named: a task's depth is `1 + max` over the
 //! predecessors its sweep still names, and a skipped op's table entry has
@@ -126,18 +126,26 @@
 //! no version it skipped was recorded. Three rules keep a rank's share
 //! correct on its own:
 //!
-//! * An ordering-only dependency on a task that runs elsewhere makes no
-//!   edge: that task touches only its own rank's memory. A data-flow input
-//!   from another rank gates the consumer on the arrival of its frame.
-//! * **Mirror rule.** Decoding another rank's version into the local
-//!   mirror writes the datum here, so every local consumer of such a
-//!   version also waits for this rank's live tasks that read or wrote the
-//!   datum's earlier local copy: those the remote writer waits for through
-//!   the datum, and — when the version it overwrites is remote too — those
-//!   that version's decode had to wait for. The wire counts them per
-//!   version when the remote writer is inserted (they can lie more than a
-//!   step back, past the blocks), and a version is ready here once its
-//!   frame has arrived and they have completed.
+//! * A dependency on a task that runs elsewhere makes an edge only to its
+//!   stand-in, if it has one (below): that task touches only its own
+//!   rank's memory. A data-flow input from another rank gates the consumer
+//!   on the arrival of its frame.
+//! * **Stand-ins.** Decoding another rank's version into the local mirror
+//!   writes the datum here, so it waits for this rank's live tasks that
+//!   read or wrote the datum's earlier local copy. A remote writer they
+//!   still use gets a *stand-in*: a live record on its own node that runs
+//!   no kernel, whose predecessors are the live records it waits for
+//!   through the data it writes — this rank's tasks, and the stand-in of
+//!   the version before, so a chain of remote versions is a chain of
+//!   edges, each within a step. The local consumers of its version link to
+//!   it like to any live predecessor, on top of their frame's arrival.
+//!   When its last predecessor completes, it completes in the same
+//!   critical section ([`WindowState::settle`]): it never enters the ready
+//!   queue, and no tally, trace event or step count sees it. A remote
+//!   writer nothing here uses gets no record and costs its id. A remote
+//!   decision's writer is a stand-in until its frame arrives too — every
+//!   rank gets the `Sync` — and decodes it as it settles, so the driver's
+//!   wait for a decision task covers a remote one.
 //! * The result hand-off finds each datum's final version from its last
 //!   planned writer, which may have run elsewhere.
 //!
@@ -196,7 +204,7 @@ use crate::trace::TraceEvent;
 
 use super::retire::{Planned, StepTable};
 use super::ring::TaskRing;
-use super::wire::{ArrivalKey, Wire};
+use super::wire::Wire;
 use super::{StreamOptions, StreamReport};
 
 /// The version of a datum its last planned writer makes: which task, and
@@ -247,13 +255,14 @@ pub(super) struct OwedSend {
 
 /// A materialized, not-yet-completed task: its descriptor plus the
 /// window's bookkeeping. What the descriptor determines — the name, the
-/// data it writes — is derived from `op` when needed, not stored.
+/// data it writes — is derived from `op` when needed, not stored. On a wire
+/// rank a record placed on another node is a *stand-in* (module docs,
+/// "Rank-local planning"): it runs no kernel.
 struct LiveTask<O> {
     op: O,
     /// The open step the task was inserted into — `op.step()` whenever the
-    /// op has one (see the module header) — and its position there.
+    /// op has one (see the module header).
     step: usize,
-    pos: usize,
     cp: u64,
     preds_remaining: usize,
     /// The node the task runs on.
@@ -360,13 +369,13 @@ pub(super) struct Phase<O> {
     by_op: Csr<Dep>,
     /// The depth each op of the phase was given.
     cps: Vec<u64>,
-    /// The live predecessors of the op being inserted that run on this
-    /// rank, with the datum (index in `data`) that names each.
+    /// The predecessors of the op being inserted with a live record on
+    /// this rank, tasks and stand-ins, with the datum (index in `data`)
+    /// that names each.
     live_preds: Vec<(u32, TaskId)>,
     flows: Vec<Flow>,
-    /// What the op being inserted writes: `(datum, slot, the version
-    /// before if another rank's)`.
-    writes: Vec<(u32, Slot, Option<ArrivalKey>)>,
+    /// What the op being inserted writes: `(datum, slot)`.
+    writes: Vec<(u32, Slot)>,
     /// The phase's block, as `(predecessor, successor)` and `(live writer,
     /// transfer)` pairs in insertion order.
     edges: Vec<(u32, u32)>,
@@ -542,6 +551,9 @@ pub(super) struct WindowState<O> {
     parked_workers: usize,
     /// Tasks pushed on the ready queue in this critical section.
     newly_ready: usize,
+    /// Stand-ins whose last predecessor completed in this critical
+    /// section, to complete before it ends ([`WindowState::settle`]).
+    settled: Vec<TaskId>,
     /// An inbound frame was delivered in this critical section.
     pub(super) frame_event: bool,
     planner_wakeups: u64,
@@ -659,7 +671,8 @@ impl<O: TaskOp> WindowState<O> {
         self.newly_ready += 1;
     }
 
-    /// Drop one predecessor of live task `id`.
+    /// Drop one predecessor of live task `id`: with its last, a task is
+    /// queued and a stand-in settles.
     pub(super) fn release(&mut self, id: TaskId) {
         let t = self
             .tasks
@@ -669,8 +682,31 @@ impl<O: TaskOp> WindowState<O> {
         t.preds_remaining -= 1;
         if t.preds_remaining == 0 {
             let (cp, node) = (t.cp, t.node);
-            self.unblocked(id, cp, node);
+            if self.runs(node) {
+                self.unblocked(id, cp, node);
+            } else {
+                self.settled.push(id);
+            }
         }
+    }
+
+    /// Complete the stand-ins released in this critical section, and those
+    /// their completions release: each decodes the frame it waited for, if
+    /// any, and releases its successors. No kernel, count or trace event.
+    pub(super) fn settle(&mut self) {
+        while let Some(id) = self.settled.pop() {
+            let t = self.tasks.remove(id).expect("a stand-in settles once");
+            self.apply_needs(t.step, t.needs);
+            self.release_successors(id, t.step, t.node);
+        }
+    }
+
+    /// Decode the inputs `needs` of a task of `step` that cross the wire.
+    /// `false` when that failed the run.
+    fn apply_needs(&mut self, step: usize, needs: Range<u32>) -> bool {
+        let live = self.steps.get(step).expect("a live task's step is live");
+        let needs = &live.needs[needs.start as usize..needs.end as usize];
+        self.wire.as_mut().is_none_or(|w| w.apply(needs))
     }
 
     /// Take the deepest ready task for execution, once the wire has put its
@@ -683,10 +719,7 @@ impl<O: TaskOp> WindowState<O> {
         self.newly_ready = self.newly_ready.saturating_sub(1);
         let t = self.tasks.get(r.id).expect("ready task not live");
         let (op, step, needs) = (t.op, t.step, t.needs.clone());
-        let live = self.steps.get(step).expect("a live task's step is live");
-        let needs = &live.needs[needs.start as usize..needs.end as usize];
-        let arrived = self.wire.as_mut().is_none_or(|w| w.apply(needs));
-        arrived.then_some((r.id, op))
+        self.apply_needs(step, needs).then_some((r.id, op))
     }
 
     /// Step `step` retired: drop its table and forget the data declared
@@ -748,8 +781,7 @@ impl<O: TaskOp> WindowState<O> {
 
     /// Record the completion of live task `id`, which executed at `cost`:
     /// reclaim its record, tell the wire, flush the transfers it owes, and
-    /// release its successors — those its blocks list, and those the wire
-    /// held back for it.
+    /// release its successors.
     fn complete_task(
         &mut self,
         ctx: &O::Ctx,
@@ -791,11 +823,22 @@ impl<O: TaskOp> WindowState<O> {
             });
         }
 
-        let held_back = self.wire.as_mut().and_then(|w| w.completed(id));
+        if let Some(w) = &mut self.wire {
+            w.completed(id);
+        }
+        self.release_successors(id, task.step, node);
+        self.settle();
+        if self.steps.completed(task.step) {
+            self.retired(ctx, task.step, end_s);
+        }
+    }
 
-        // The blocks that can name the task are its step's and the next
-        // step's; they leave the step table for the walk and go back after.
-        let steps = [task.step, task.step + 1];
+    /// Live task `id` of `step`, on `node`, is gone: flush the transfers it
+    /// owes and release its successors, as the blocks of its step and of
+    /// the next list them.
+    fn release_successors(&mut self, id: TaskId, step: usize, node: usize) {
+        // The blocks leave the step table for the walk and go back after.
+        let steps = [step, step + 1];
         let blocks = steps.map(|s| {
             let live = self.steps.get_mut(s);
             live.map(|l| std::mem::take(&mut l.blocks))
@@ -812,29 +855,10 @@ impl<O: TaskOp> WindowState<O> {
         for &s in named().flat_map(|b| b.succs.get(id)) {
             self.release(s as TaskId);
         }
-        if let Some(held_back) = held_back {
-            for &s in &held_back {
-                self.release(s);
-            }
-            if let Some(w) = &mut self.wire {
-                w.recycle(held_back);
-            }
-        }
         for (s, blocks) in steps.into_iter().zip(blocks) {
             if let Some(live) = self.steps.get_mut(s) {
                 live.blocks = blocks;
             }
-        }
-
-        if let Some(Some(planned)) = self
-            .steps
-            .get_mut(task.step)
-            .map(|s| &mut s.tasks[task.pos])
-        {
-            planned.done = true;
-        }
-        if self.steps.completed(task.step) {
-            self.retired(ctx, task.step, end_s);
         }
     }
 
@@ -878,23 +902,16 @@ impl<O: TaskOp> WindowState<O> {
         }
     }
 
-    /// Insert op `i` of `phase`, whose ops are tasks `base..` at positions
-    /// `first..` of the open `step`, given what the sweep found for it
-    /// (`phase.by_op`). Its depth, one more than its predecessors' in the
-    /// phase and the live steps' tables, goes to `phase.cps`; it makes the
-    /// versions it writes, and its inputs are routed. An op this process
+    /// Insert op `i` of `phase`, whose ops are tasks `base..` of the open
+    /// `step`, given what the sweep found for it (`phase.by_op`). Its
+    /// depth, one more than its predecessors' in the phase and the live
+    /// steps' tables, goes to `phase.cps`; it makes the versions it writes,
+    /// and its inputs are routed. An op this process
     /// runs is linked to its live predecessors (into the phase's block
-    /// pairs) and queued if nothing holds it up; one another rank runs only
-    /// tells the wire whose use of this rank's copies its versions
-    /// overwrite (module docs, "Rank-local planning").
-    fn insert(
-        &mut self,
-        ctx: &O::Ctx,
-        step: usize,
-        (base, first): (TaskId, usize),
-        i: usize,
-        phase: &mut Phase<O>,
-    ) {
+    /// pairs) and queued if nothing holds it up; one another rank runs gets
+    /// a stand-in if this rank still uses what it overwrites (module docs,
+    /// "Rank-local planning").
+    fn insert(&mut self, ctx: &O::Ctx, step: usize, base: TaskId, i: usize, phase: &mut Phase<O>) {
         let (op, node, id) = (phase.ops[i], phase.nodes[i], base + i);
         let here = self.runs(node);
         if !here {
@@ -915,14 +932,12 @@ impl<O: TaskOp> WindowState<O> {
 
         // The closed-form predecessors: an earlier op of the phase has the
         // depth the phase gave it, anything else is looked up in the live
-        // steps' tables; a live one that runs here is an edge (or, for an
-        // op that runs elsewhere, a user of what it overwrites). The version
-        // an input reads is its predecessor's, else the datum's last planned
-        // one. Inputs carry their declared bytes and class at this
-        // insertion; of another rank's op only those this rank sources are
-        // kept. The decision datum the task writes, if any, is noted (on a
-        // wire the driver waits for its applied value, not just task
-        // completion).
+        // steps' tables; one with a live record here, a task or a stand-in,
+        // is an edge. The version an input reads is its predecessor's, else
+        // the datum's last planned one. Inputs carry their declared bytes
+        // and class at this insertion; of another rank's op only those this
+        // rank sources are kept. The decision datum the op writes, if any,
+        // is noted.
         let mut max_pred_cp = 0u64;
         let mut wrote_decision: Option<DataKey> = None;
         for d in phase.by_op.get(i) {
@@ -931,11 +946,10 @@ impl<O: TaskOp> WindowState<O> {
                 Waits::Earlier(j) => {
                     let j = j as usize;
                     max_pred_cp = max_pred_cp.max(phase.cps[j]);
-                    let n = phase.nodes[j];
-                    Some((base + j, n, self.runs(n)))
+                    Some((base + j, phase.nodes[j]))
                 }
-                // Not live: the step retired, so the predecessor completed
-                // (or, on a wire, runs elsewhere).
+                // Not in a table: the step retired, so the predecessor
+                // completed.
                 Waits::Planned { step: s, pos: p } => match self.steps.tasks(s as usize) {
                     None => None,
                     Some(table) => {
@@ -946,13 +960,12 @@ impl<O: TaskOp> WindowState<O> {
                                 op.name(ctx)
                             )
                         });
-                        let runs = self.runs(pred.node);
-                        debug_assert!(!runs || self.tasks.is_live(pred.id) != pred.done);
                         max_pred_cp = max_pred_cp.max(pred.depth);
-                        Some((pred.id, pred.node, runs && !pred.done))
+                        Some((pred.id, pred.node))
                     }
                 },
             };
+            let pred = pred.map(|(p, n)| (p, n, self.tasks.is_live(p)));
             if let Some((p, _, true)) = pred {
                 live_preds.push((d.datum, p));
             }
@@ -962,12 +975,11 @@ impl<O: TaskOp> WindowState<O> {
             let slot = phase.data[d.datum as usize].1;
             let dir = &self.data[slot as usize];
             let (producer, src, live) = match (pred, dir.version) {
-                (Some((w, n, live)), _) => (Some(w), n, live),
+                (Some((w, n, live)), _) => (Some(w), n, live && self.runs(n)),
                 (None, Some(v)) => (Some(v.id), v.node, false),
                 (None, None) => (None, dir.home, false),
             };
-            let sourced_here = self.runs(src);
-            if dir.bytes != 0 && (here || sourced_here) {
+            if dir.bytes != 0 && (here || self.runs(src)) {
                 flows.push(Flow {
                     slot,
                     key: dir.key,
@@ -982,62 +994,55 @@ impl<O: TaskOp> WindowState<O> {
                 if dir.class == DataClass::Decision {
                     wrote_decision = Some(dir.key);
                 }
-                // Another rank's op overwriting a version this rank does not
-                // source.
-                let before = producer.filter(|_| !(here || sourced_here));
-                phase
-                    .writes
-                    .push((d.datum, slot, before.map(|p| (dir.key, Some(p)))));
+                phase.writes.push((d.datum, slot));
             }
         }
         let cp = 1 + max_pred_cp;
         phase.cps.push(cp);
-        for &(_, slot, _) in &phase.writes {
+        for &(_, slot) in &phase.writes {
             self.data[slot as usize].version = Some(Version { id, node });
         }
         self.route_inputs(node, &phase.flows, &mut phase.sends);
-        // On a wire the driver waits for a remote decision's frame, and a
-        // local one is broadcast at completion.
-        if let (Some(key), Some(w)) = (wrote_decision, &mut self.wire) {
-            w.pending_decisions.insert(id, (key, here));
-        }
 
+        // What the wire adds: a task waits for the frames of its inputs
+        // from other ranks, and a local decision is broadcast when it
+        // completes. A stand-in waits only for the users of the data its op
+        // writes, and for a decision made elsewhere, for the frame every
+        // rank gets.
+        let live_preds = &mut phase.live_preds;
         if !here {
-            let wire = self.wire.as_mut().expect("only a wire rank skips ops");
-            for &(datum, slot, before) in &phase.writes {
-                let users = phase.live_preds.iter().filter(|u| u.0 == datum);
-                let version = (self.data[slot as usize].key, Some(id));
-                wire.overwritten(version, before, users.map(|u| u.1));
+            let writes = &phase.writes;
+            live_preds.retain(|u| writes.iter().any(|w| w.0 == u.0));
+        }
+        let (needs, arrivals) = match &mut self.wire {
+            Some(w) => {
+                if let Some(key) = wrote_decision.filter(|_| here) {
+                    w.pending_decisions.insert(id, key);
+                }
+                let remote = phase.flows.iter().filter(|f| here && f.src != node);
+                let own = wrote_decision.filter(|_| !here).map(|key| (key, Some(id)));
+                let inputs = remote.map(|f| (f.key, f.producer)).chain(own);
+                w.place(id, inputs, &mut self.steps.live_mut(step).needs)
             }
+            None => (0..0, 0),
+        };
+        live_preds.sort_unstable_by_key(|p| p.1);
+        live_preds.dedup_by_key(|p| p.1);
+        let preds_remaining = live_preds.len() + arrivals;
+        if !here && preds_remaining == 0 {
+            // Nothing here to wait for: no stand-in. A decision's frame that
+            // is in already is decoded now, for the planner.
+            self.apply_needs(step, needs);
             let skipped = self.tasks.skip();
             debug_assert_eq!(skipped, id);
             return;
         }
-
-        // What the wire makes the task wait for beyond its predecessors:
-        // its remote inputs' readiness. It is shown where each data-flow
-        // input comes from.
-        let (needs, arrivals) = match &mut self.wire {
-            Some(w) => {
-                let inputs = phase.flows.iter().map(|f| (f.key, f.producer, f.src));
-                w.place(id, node, inputs, &mut self.steps.live_mut(step).needs)
-            }
-            None => (0..0, 0),
-        };
-
-        // Link precedence: only edges to still-live tasks count toward the
-        // countdown — plus the wire's gates.
-        let live_preds = &mut phase.live_preds;
-        live_preds.sort_unstable_by_key(|p| p.1);
-        live_preds.dedup_by_key(|p| p.1);
-        let preds_remaining = live_preds.len() + arrivals;
         let edges = live_preds.iter().map(|&(_, p)| (p as u32, id as u32));
         phase.edges.extend(edges);
 
         let pushed = self.tasks.push(LiveTask {
             op,
             step,
-            pos: first + i,
             cp,
             preds_remaining,
             node,
@@ -1140,6 +1145,7 @@ impl<O: TaskOp> StreamWindow<O> {
                 planner_wait: None,
                 parked_workers: 0,
                 newly_ready: 0,
+                settled: Vec::new(),
                 frame_event: false,
                 planner_wakeups: 0,
                 worker_parks: 0,
@@ -1257,8 +1263,10 @@ impl<O: TaskOp> StreamWindow<O> {
         self.lock().steps.open(k);
     }
 
-    /// Block until task `id` has completed (its kernel ran and its record
-    /// was reclaimed). Used by the driver to await a step's decision task.
+    /// Block until task `id` has no live record here: it ran its kernel,
+    /// or, on a wire rank, its stand-in settled or it got none. Used by the
+    /// driver to await a step's decision task, whose value is then in this
+    /// process's copy.
     pub fn wait_for_task(&self, id: TaskId) {
         assert!(
             id < self.lock().tasks.next_id(),
@@ -1396,7 +1404,7 @@ impl<O: TaskOp> StreamWindow<O> {
             phase.edges.clear();
             phase.sends.clear();
             for i in 0..phase.ops.len() {
-                st.insert(ctx, step, (base, first), i, phase);
+                st.insert(ctx, step, base, i, phase);
             }
             // The phase's edges become its block, kept with its step (the
             // successors' step, so it lasts as long as they wait). On a wire
@@ -1421,13 +1429,8 @@ impl<O: TaskOp> StreamWindow<O> {
                     "position {} planned twice",
                     first + i
                 );
-                let (id, done) = (base + i, false);
-                table[first + i] = Some(Planned {
-                    id,
-                    depth,
-                    node,
-                    done,
-                });
+                let id = base + i;
+                table[first + i] = Some(Planned { id, depth, node });
             }
             for &node in &phase.nodes {
                 if st.runs(node) {
@@ -1526,7 +1529,6 @@ mod tests {
         LiveTask {
             op: tag,
             step: 0,
-            pos: 0,
             cp: 1,
             preds_remaining: 0,
             node: 0,
@@ -1738,6 +1740,109 @@ mod tests {
         assert_eq!(blocks(&st, 1), None);
         // The section's frames go out before the lock is released.
         win.finish(st);
+    }
+
+    /// Another rank's writer of a datum this rank still uses gets a
+    /// stand-in: a live record that never reaches the ready queue, runs no
+    /// kernel and is counted nowhere, and that holds the writer's local
+    /// consumers until the users of the copy it overwrites have completed,
+    /// however early its frame arrives. It waits for the stand-in of the
+    /// version before as well, so a version with users here but no
+    /// consumer still orders the next one. A writer nothing here uses gets
+    /// no record. The window is rank 0 of three; the peers only send it a
+    /// frame each.
+    #[test]
+    fn a_remote_writer_waits_here_as_a_stand_in_for_the_users_of_its_copy() {
+        use crate::net::{Frame, Transport};
+        let ctx = Arc::new(TestCtx::default());
+        let mut peers = crate::net::loopback::loopback_set(3);
+        let endpoint: Arc<dyn Transport> = peers.remove(0);
+        let net = super::super::NetConfig {
+            transport: Arc::clone(&endpoint),
+            store: Arc::new(crate::testing::NullStore),
+        };
+        let wire = Wire::new(net, 3).expect("rank 0 of 3");
+        let opts = StreamOptions::fixed(1, 1).with_trace();
+        let win = StreamWindow::<TestOp>::new(Arc::clone(&ctx), &opts, Some(wire));
+        let (a, b, d) = (DataKey(1), DataKey(2), DataKey(3));
+        let mut sink = StepSink::new(&win, 3);
+        for key in [a, b, d] {
+            sink.declare(key, 8, 0);
+        }
+        sink.flush(false);
+        win.open_step(0);
+        sink.step = 0;
+        let op = |name: &str, access| ctx.op(name, &[access], TaskResult::control);
+        // `w` overwrites what the local `r` reads; `c` reads `w`'s version.
+        let r = sink.push(0, op("r", Access::Read(a)));
+        let w = sink.push(1, op("w", Access::Mut(a)));
+        let c = sink.push(0, op("c", Access::Read(a)));
+        // A chain: `w0`'s version has a user of its old copy here and no
+        // consumer, and `c1` reads the version after it.
+        let r0 = sink.push(0, op("r0", Access::Read(b)));
+        let w0 = sink.push(1, op("w0", Access::Mut(b)));
+        let w1 = sink.push(2, op("w1", Access::Mut(b)));
+        let c1 = sink.push(0, op("c1", Access::Read(b)));
+        // Nothing here uses what `w2` overwrites.
+        let w2 = sink.push(1, op("w2", Access::Mut(d)));
+        let c2 = sink.push(0, op("c2", Access::Read(d)));
+        sink.flush(true);
+
+        let waits = |st: &WindowState<TestOp>, id| st.tasks.get(id).map(|t| t.preds_remaining);
+        let ready = |st: &mut WindowState<TestOp>| {
+            let mut ids = Vec::new();
+            while let Some((id, _)) = st.pop_ready() {
+                ids.push(id);
+            }
+            ids
+        };
+        let mut st = win.lock();
+        let stand_ins = [w, w0, w1, w2].map(|id| waits(&st, id));
+        assert_eq!(stand_ins, [Some(1), Some(1), Some(1), None]);
+        // A consumer waits for the stand-in and the frame, or the frame.
+        assert_eq!(
+            [c, c1, c2].map(|id| waits(&st, id)),
+            [Some(2), Some(2), Some(1)]
+        );
+        assert_eq!(ready(&mut st), [r, r0]);
+        win.finish(st);
+
+        // The frames come first: only `c2`, which no stand-in holds, runs.
+        for (peer, key, producer) in [(1, a, w), (2, b, w1), (1, d, w2)] {
+            let frame = Frame::Data {
+                key,
+                producer: Some(producer),
+                from: peer as u32,
+                to: 0,
+                class: DataClass::Payload,
+                modeled_bytes: 8,
+                payload: Vec::new(),
+            };
+            peers[peer - 1].send(0, &frame).expect("a loopback send");
+        }
+        endpoint.shutdown();
+        win.pump_frames(&*endpoint);
+        let mut st = win.lock();
+        assert_eq!(ready(&mut st), [c2]);
+        let done = TaskResult::control();
+        st.complete_task(&ctx, r, done, 0, 0.0, 0.0);
+        assert!(!st.tasks.is_live(w), "w's stand-in settles with r");
+        assert_eq!(ready(&mut st), [c]);
+        st.complete_task(&ctx, r0, done, 0, 0.0, 0.0);
+        assert!(!st.tasks.is_live(w0) && !st.tasks.is_live(w1));
+        assert_eq!(ready(&mut st), [c1]);
+        for id in [c, c1, c2] {
+            st.complete_task(&ctx, id, done, 0, 0.0, 0.0);
+        }
+        assert_eq!((st.tasks.live(), st.ready.len()), (0, 0));
+        assert_eq!(*ctx.retired.lock().unwrap(), [0]);
+        win.finish(st);
+
+        let report = win.report();
+        let traced: Vec<_> = report.trace.iter().map(|e| e.name.as_str()).collect();
+        assert_eq!(traced, ["r", "r0", "c", "c1", "c2"]);
+        assert_eq!((report.tasks_planned, report.tasks_executed), (5, 5));
+        assert_eq!(report.per_step_tasks, [5]);
     }
 
     /// The window end to end at the table level: a consumer inserted (in a

@@ -3,15 +3,16 @@
 //! **Its share.** Every rank runs the same deterministic source, so every
 //! rank names every task by the same id and every version by the same
 //! producer, but its window inserts only the tasks placed on it; a task
-//! placed elsewhere gets no record, no edges and no completion here — its
-//! id and a table entry, and, if the rank's sweep names it, the version it
-//! writes ([`super::window`], "Rank-local planning"). The routing this
-//! rank does is the run's restricted to its own links: it sends what its
-//! versions owe other nodes and counts what comes to its own tasks, so the
-//! ranks' per-link counts together are the whole run's. The wire makes
-//! real frames of the messages it *sends* (`link.0 == rank`) and
-//! reconciles wire-level counters against those tallies at the end. Each
-//! rank retires its own steps, in order.
+//! placed elsewhere runs nothing here — it gets its id and a table entry,
+//! and, if the rank's sweep names it, the version it writes and, while
+//! this rank's tasks use what it overwrites, a stand-in ([`super::window`],
+//! "Rank-local planning"). The routing this rank does is the run's
+//! restricted to its own links: it sends what its versions owe other nodes
+//! and counts what comes to its own tasks, so the ranks' per-link counts
+//! together are the whole run's. The wire makes real frames of the
+//! messages it *sends* (`link.0 == rank`) and reconciles wire-level
+//! counters against those tallies at the end. Each rank retires its own
+//! steps, in order.
 //!
 //! **Batched section writes.** A frame is not written where it is made: it
 //! joins its peer's queue, and the critical section that queued it writes
@@ -22,27 +23,26 @@
 //! leave in the order of the sections that made them and per-link order is
 //! what it was frame by frame; the counts, the reconciliation and the
 //! `Done` fence are those of the single frames. A task's remote inputs sit
-//! in its step's list, and the lists of waiters and held versions are
-//! reused, so the insertion path allocates only as the live window grows.
+//! in its step's list, and the lists of waiters are reused, so the
+//! insertion path allocates only as the live window grows.
 //!
 //! **Arrival gating.** A local task whose input version originates on
 //! another rank gains one extra predecessor per such input, resolved when
 //! the matching frame arrives. The `(datum, producer)` pair is a pure
 //! function of planning order, hence the same on both ends. Frames are
 //! buffered as raw bytes at receipt and decoded into the local mirror
-//! *lazily* — when a consumer is popped for execution (under the window
-//! lock) or when the driver awaits a remote decision. Decoding eagerly in
+//! *lazily* — when a consumer is popped for execution or a remote
+//! decision's stand-in settles, under the window lock. Decoding eagerly in
 //! the receiver would race the planner: a frame may arrive before the rank
 //! has even declared the datum it updates. A decode is a write of the
-//! mirror, so another rank's version is *ready* here only once its frame
-//! has arrived and this rank's tasks that used the datum's earlier local
-//! copy have completed (the *mirror rule*: [`Wire::overwritten`] counts
-//! them per version, and a local task gates on the readiness of each
-//! remote input). A decision computed here is also broadcast to
-//! *every* peer as a `Sync` control frame — each rank's driver blocks on it
-//! before planning the rest of the step, and the routed `DecisionMsg`
-//! (routed only to branch-task hosts) cannot cover ranks whose share of the
-//! chosen branch is empty.
+//! mirror, so it must also come after this rank's tasks that use the
+//! datum's earlier local copy: the window orders that, by the remote
+//! writer's stand-in, which the consumer waits for beside the frame. A
+//! decision computed here is also broadcast to *every* peer as a `Sync`
+//! control frame — each rank's driver waits for it, through the decision
+//! writer's stand-in, before planning the rest of the step, and the routed
+//! `DecisionMsg` (routed only to branch-task hosts) cannot cover ranks
+//! whose share of the chosen branch is empty.
 //!
 //! **End of run.** After the window drains:
 //!
@@ -90,14 +90,7 @@ enum Payload {
 /// One version another rank writes, as this rank sees it.
 struct Inbound {
     payload: Payload,
-    /// What its decode must wait for: this rank's live tasks that use the
-    /// datum's earlier local copy, plus one while an earlier remote version
-    /// of the datum still waits for its own.
-    users: u32,
-    /// The next remote version of the datum, which counts this one among
-    /// its users until this one's users are done.
-    next: Option<ArrivalKey>,
-    /// Local tasks blocked on it until it is ready.
+    /// Local tasks blocked on it until it arrives.
     waiters: Vec<TaskId>,
 }
 
@@ -105,15 +98,12 @@ impl Inbound {
     fn awaited() -> Inbound {
         Inbound {
             payload: Payload::Awaited,
-            users: 0,
-            next: None,
             waiters: Vec::new(),
         }
     }
 
-    /// Arrived, and nothing here still uses the copy it overwrites.
-    fn ready(&self) -> bool {
-        self.users == 0 && !matches!(self.payload, Payload::Awaited)
+    fn arrived(&self) -> bool {
+        !matches!(self.payload, Payload::Awaited)
     }
 }
 
@@ -126,13 +116,9 @@ pub(super) struct Wire {
     transport: Arc<dyn Transport>,
     store: Arc<dyn PayloadStore>,
     arrivals: IntMap<ArrivalKey, Inbound>,
-    /// Per live local task: the remote versions whose decode waits for it.
-    holds: IntMap<TaskId, Vec<ArrivalKey>>,
-    /// Decision-writing tasks by id: `(decision datum, written locally)`.
-    /// The driver consults this to await the *applied* decision of a
-    /// remote one before planning the rest of the step; a local one is
-    /// broadcast when it completes.
-    pub(super) pending_decisions: IntMap<TaskId, (DataKey, bool)>,
+    /// The decision datum each live local decision task writes, broadcast
+    /// when it completes.
+    pub(super) pending_decisions: IntMap<TaskId, DataKey>,
     /// Frames actually sent/received per protocol link, for reconciliation
     /// against the window's `link_msgs`.
     sent: LinkTally,
@@ -159,11 +145,8 @@ pub(super) struct Wire {
     /// The frames of the window's critical section, per peer, written as
     /// one batch each before the section ends ([`Wire::flush`]).
     outbox: Vec<Vec<Frame>>,
-    /// Emptied lists, kept for reuse: a live task's held versions
-    /// (`keys`), a version's waiters and the tasks a completion releases
-    /// (`ids`). So the insertion path allocates only while the live window
-    /// grows.
-    spare_keys: Vec<Vec<ArrivalKey>>,
+    /// Emptied lists of a version's waiters, kept for reuse: so the
+    /// insertion path allocates only while the live window grows.
     spare_ids: Vec<Vec<TaskId>>,
 }
 
@@ -188,7 +171,6 @@ impl Wire {
             transport,
             store,
             arrivals: IntMap::default(),
-            holds: IntMap::default(),
             pending_decisions: IntMap::default(),
             sent: BTreeMap::new(),
             received: BTreeMap::new(),
@@ -204,7 +186,6 @@ impl Wire {
             complete: false,
             error: None,
             outbox: (0..nranks).map(|_| Vec::new()).collect(),
-            spare_keys: Vec::new(),
             spare_ids: Vec::new(),
         })
     }
@@ -310,22 +291,19 @@ impl Wire {
         node == self.rank
     }
 
-    /// Insertion of task `id`, which runs here on `node`: which of its
-    /// `inputs` — `(datum, producer, source rank)`, as routing resolved
-    /// them — must cross the wire to it (appended to its step's `needs`,
-    /// whose range they take is returned), and how many of those are not
-    /// ready yet: extra predecessors, released by [`Wire::arrival`] or
-    /// [`Wire::completed`].
+    /// Insertion of task `id`: which of its inputs cross the wire to it —
+    /// `inputs`, each a version another rank writes (appended to its step's
+    /// `needs`, whose range they take is returned) — and how many of those
+    /// have not arrived yet: extra predecessors, released by
+    /// [`Wire::arrival`].
     pub(super) fn place(
         &mut self,
         id: TaskId,
-        node: usize,
-        inputs: impl Iterator<Item = (DataKey, Option<TaskId>, usize)>,
+        inputs: impl Iterator<Item = ArrivalKey>,
         needs: &mut Vec<ArrivalKey>,
     ) -> (Range<u32>, usize) {
         let start = needs.len();
-        let remote = inputs.filter(|&(_, _, src)| src != node);
-        needs.extend(remote.map(|(key, producer, _)| (key, producer)));
+        needs.extend(inputs);
         let at = |i: usize| u32::try_from(i).expect("a step's inputs fit 32 bits");
         let range = at(start)..at(needs.len());
         let mut gates = 0;
@@ -334,7 +312,7 @@ impl Wire {
                 .arrivals
                 .entry(arrival)
                 .or_insert_with(Inbound::awaited);
-            if !inbound.ready() {
+            if !inbound.arrived() {
                 if inbound.waiters.capacity() == 0 {
                     inbound.waiters = self.spare_ids.pop().unwrap_or_default();
                 }
@@ -343,59 +321,6 @@ impl Wire {
             }
         }
         (range, gates)
-    }
-
-    /// Task `w`, which another rank runs, writes `version` of a datum:
-    /// its decode here waits for `users` — this rank's live tasks that `w`
-    /// waits for through the datum — and, when the version it overwrites is
-    /// another rank's too (`before`), for that version's own users.
-    pub(super) fn overwritten(
-        &mut self,
-        version: ArrivalKey,
-        before: Option<ArrivalKey>,
-        users: impl Iterator<Item = TaskId>,
-    ) {
-        let mut n = 0;
-        for u in users {
-            let spare = &mut self.spare_keys;
-            let held = self.holds.entry(u);
-            held.or_insert_with(|| spare.pop().unwrap_or_default())
-                .push(version);
-            n += 1;
-        }
-        let waiting = before.and_then(|b| self.arrivals.get_mut(&b));
-        if let Some(prev) = waiting.filter(|prev| prev.users > 0) {
-            prev.next = Some(version);
-            n += 1;
-        }
-        if n > 0 {
-            let inbound = self
-                .arrivals
-                .entry(version)
-                .or_insert_with(Inbound::awaited);
-            inbound.users += n;
-        }
-    }
-
-    /// One user of `version`'s decode is done: hand out the tasks this
-    /// makes ready, into `released`, down the chain of later versions.
-    fn user_done(&mut self, version: ArrivalKey, released: &mut Vec<TaskId>) {
-        let mut at = Some(version);
-        while let Some(version) = at.take() {
-            let inbound = self
-                .arrivals
-                .get_mut(&version)
-                .expect("a version counts its users");
-            inbound.users -= 1;
-            if inbound.users > 0 {
-                break;
-            }
-            at = inbound.next.take();
-            if inbound.ready() && inbound.waiters.capacity() > 0 {
-                released.append(&mut inbound.waiters);
-                self.spare_ids.push(std::mem::take(&mut inbound.waiters));
-            }
-        }
     }
 
     /// Put a routed protocol message on the wire if this rank originates
@@ -435,9 +360,9 @@ impl Wire {
     }
 
     /// Local task `id` completed: a decision it computed goes to every
-    /// peer; the tasks whose inputs this made ready are returned.
-    pub(super) fn completed(&mut self, id: TaskId) -> Option<Vec<TaskId>> {
-        if let Some(&(key, true)) = self.pending_decisions.get(&id) {
+    /// peer.
+    pub(super) fn completed(&mut self, id: TaskId) {
+        if let Some(key) = self.pending_decisions.remove(&id) {
             let payload = self.load_payload(key);
             self.payload_bytes_sent += (payload.len() * (self.nranks() - 1)) as u64;
             self.broadcast(&Frame::Sync {
@@ -446,14 +371,6 @@ impl Wire {
                 payload,
             });
         }
-        let mut versions = self.holds.remove(&id)?;
-        let mut released = self.spare_ids.pop().unwrap_or_default();
-        for &version in &versions {
-            self.user_done(version, &mut released);
-        }
-        versions.clear();
-        self.spare_keys.push(versions);
-        Some(released)
     }
 
     /// A list the window is done with, for reuse.
@@ -464,35 +381,23 @@ impl Wire {
         }
     }
 
-    /// Decode the ready payload `(key, producer)` into the local mirror,
-    /// once: the first caller applies the bytes, later ones find it
-    /// already `Applied`. `false` when it is not ready yet.
-    fn apply_arrival(&mut self, (key, producer): ArrivalKey) -> bool {
-        let payload = match self.arrivals.get_mut(&(key, producer)) {
-            Some(inbound) if inbound.ready() => {
-                std::mem::replace(&mut inbound.payload, Payload::Applied)
-            }
-            _ => return false,
-        };
-        if let Payload::Bytes(b) = payload {
-            self.store_payload(key, &b);
-        }
-        true
-    }
-
-    /// A task is popped for execution: decode its gating arrivals into the
-    /// local mirror. They are all ready (they were extra predecessors);
-    /// every ready task touching the same datum needs the same version (WAW
-    /// edges serialize writers, the mirror rule earlier copies' users), so
-    /// the write cannot race a reader. `false` when one could not be
-    /// decoded, which has failed the run.
+    /// A task is popped for execution, or a stand-in settles: decode its
+    /// gating arrivals into the local mirror, each once (a later caller
+    /// finds it `Applied`). They have all arrived (they were extra
+    /// predecessors); every ready task touching the same datum needs the
+    /// same version (WAW edges serialize writers, and a remote writer's
+    /// stand-in waits for the users of the copy it overwrites), so the
+    /// write cannot race a reader. `false` when one could not be decoded,
+    /// which has failed the run.
     pub(super) fn apply(&mut self, needs: &[ArrivalKey]) -> bool {
-        for &arrival in needs {
-            assert!(
-                self.apply_arrival(arrival),
-                "task ready before its input {:?} arrived",
-                arrival.0
-            );
+        for &(key, producer) in needs {
+            let inbound = self.arrivals.get_mut(&(key, producer));
+            let inbound = inbound
+                .filter(|inbound| inbound.arrived())
+                .unwrap_or_else(|| panic!("task ready before its input {key:?} arrived"));
+            if let Payload::Bytes(b) = std::mem::replace(&mut inbound.payload, Payload::Applied) {
+                self.store_payload(key, &b);
+            }
         }
         self.error.is_none()
     }
@@ -516,9 +421,6 @@ impl Wire {
             .entry(arrival)
             .or_insert_with(Inbound::awaited);
         inbound.payload = Payload::Bytes(payload);
-        if !inbound.ready() {
-            return Vec::new();
-        }
         std::mem::take(&mut inbound.waiters)
     }
 
@@ -705,8 +607,8 @@ impl Wire {
     }
 }
 
-/// The wire's side of the driver: the receiver pump, the planner's wait
-/// for a remote decision, and the end-of-run protocol. Each is a no-op on a
+/// The wire's side of the driver: the receiver pump and the end-of-run
+/// protocol. Each is a no-op on a
 /// local window.
 impl<O: TaskOp> StreamWindow<O> {
     /// The endpoint of a wire run, for the receiver thread to block on
@@ -741,6 +643,7 @@ impl<O: TaskOp> StreamWindow<O> {
         for &id in &released {
             st.release(id);
         }
+        st.settle();
         if let Some(wire) = &mut st.wire {
             wire.recycle(released);
         }
@@ -767,33 +670,6 @@ impl<O: TaskOp> StreamWindow<O> {
         wire.fail(e);
         self.finish(st);
         FramePump::Stop
-    }
-
-    /// After [`StreamWindow::wait_for_task`] on a decision task: block
-    /// until the decision *value* is in the local mirror, `false` if the
-    /// run failed instead. `wait_for_task` also returns on a failed run —
-    /// the decision task may then never have run, so there is no value to
-    /// plan on even when it is local. Otherwise a locally computed decision
-    /// is already there; on the wire a remote one (which has no record
-    /// here, so `wait_for_task` returned at once) is applied from its
-    /// Sync/DecisionMsg frame the moment it arrives.
-    pub(crate) fn wait_decision_value(&self, id: TaskId) -> bool {
-        let mut st = self.lock();
-        loop {
-            if st.failed() {
-                return false;
-            }
-            let Some(wire) = &mut st.wire else {
-                return true;
-            };
-            let Some(&(key, false)) = wire.pending_decisions.get(&id) else {
-                return true;
-            };
-            if wire.apply_arrival((key, Some(id))) {
-                return true;
-            }
-            st = self.park_planner(st, PlannerWait::Frame);
-        }
     }
 
     /// Block until `cond` holds on the wire state (or the run failed).

@@ -446,9 +446,7 @@ impl Transport for ReplayingPeer {
         self.inner.nranks()
     }
     fn send_batch(&self, to: usize, frames: &[Frame]) -> Result<(), TransportError> {
-        let step0 = |frame: &&Frame| {
-            matches!(frame, Frame::Data { key, .. } if *key == luqr::keys::crit_scratch(0, 0))
-        };
+        let step0 = |frame: &&Frame| matches!(frame, Frame::Data { key, .. } if *key == luqr::keys::crit_scratch(0, 0));
         if let Some(frame) = frames.iter().find(step0) {
             *self.saved.lock().unwrap() = Some(frame.clone());
         }
